@@ -226,6 +226,14 @@ class MetricsRegistry:
                   bounds: Sequence[float] = SECONDS_BUCKETS) -> Histogram:
         return self._get_or_create(name, Histogram, bounds)
 
+    def value(self, name: str, default: float = 0.0) -> float:
+        """A counter's or gauge's current value; ``default`` when it
+        was never recorded. Reading must not create: a snapshot lists
+        only what actually happened."""
+        with self._lock:
+            metric = self._metrics.get(name)
+        return metric.value if metric is not None else default
+
     def set_section(self, prefix: str,
                     values: Mapping[str, object]) -> None:
         """Sync a scalar mapping (an ``as_dict()``-style stats shape)

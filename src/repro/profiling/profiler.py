@@ -73,6 +73,8 @@ class ServiceStats:
     Fed by :class:`repro.service.engine.CompileEngine` and the asyncio
     frontier; ``jobs_by_status`` buckets finished jobs by their
     :class:`~repro.service.engine.JobStatus` value.
+    ``worker_restarts`` is a read-only view of the registry counter
+    the engine's accounting point records.
     """
 
     jobs: int = 0
@@ -81,10 +83,15 @@ class ServiceStats:
     jobs_by_status: Dict[str, int] = field(default_factory=dict)
     cache_hits: int = 0
     cache_misses: int = 0
-    worker_restarts: int = 0
     queue_samples: int = 0
     queue_depth_sum: int = 0
     max_queue_depth: int = 0
+    registry: MetricsRegistry = field(default_factory=MetricsRegistry,
+                                      repr=False)
+
+    @property
+    def worker_restarts(self) -> int:
+        return int(self.registry.value("service.worker_restarts"))
 
     @property
     def hit_rate(self) -> float:
@@ -102,40 +109,45 @@ class ServiceStats:
         return self.queue_depth_sum / self.queue_samples
 
 
-@dataclass
 class ResilienceStats:
-    """Fault-recovery accounting for the compile service.
+    """Fault-recovery accounting for the compile service: a read-only
+    view of the ``resilience.*`` registry counters.
 
-    Fed by :class:`repro.service.engine.CompileEngine` whenever a
-    resilience policy acts: a retry is granted (with its backoff), a
-    job digest is quarantined (:data:`JobStatus.POISONED`), or the
-    pool-health monitor trips and degrades the engine to in-process
-    execution. All zeros unless faults (real or injected via
-    :mod:`repro.testing.faults`) actually occurred.
+    :class:`repro.service.engine.CompileEngine` records them (its
+    ``EngineStats`` is the store) whenever a resilience policy acts:
+    a retry is granted (with its backoff), a job digest is quarantined
+    (:data:`JobStatus.POISONED`), or the pool-health monitor trips and
+    degrades the engine to in-process execution. All zeros unless
+    faults (real or injected via :mod:`repro.testing.faults`) actually
+    occurred.
     """
 
-    retries: int = 0
-    backoff_seconds: float = 0.0
-    quarantined: int = 0
-    pool_degradations: int = 0
+    FIELDS = ("retries", "backoff_seconds", "quarantined",
+              "pool_degradations")
 
-    @property
-    def any(self) -> bool:
-        return bool(self.retries or self.quarantined
-                    or self.pool_degradations)
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self._registry = registry
+
+    def __getattr__(self, name: str) -> float:
+        if name not in self.FIELDS:
+            raise AttributeError(name)
+        value = self._registry.value(f"resilience.{name}")
+        return value if name == "backoff_seconds" else int(value)
 
 
 class Profiler:
     """Collects timing/counter data from the transform hot paths.
 
-    Every instrument is now backed twice: the cheap dataclass sections
-    (the ``-mlir-timing`` report) and a unified
-    :class:`~repro.observability.metrics.MetricsRegistry` — service-
-    level distributions (job wall time, queue depth, per-transform-op
-    seconds) are recorded into registry histograms *live*, everything
-    scalar is synced on :meth:`registry_snapshot`, which returns the
-    one versioned JSON schema consumers (``repro-batch --json``, the
-    future ``repro-serve /stats``) read.
+    The hot-path instruments are cheap dataclass sections (the
+    ``-mlir-timing`` report) synced onto a unified
+    :class:`~repro.observability.metrics.MetricsRegistry` by
+    :meth:`registry_snapshot`, which returns the one versioned JSON
+    schema consumers (``repro-batch --json``, ``repro-serve`` stats)
+    read. Service-level distributions (job wall time, queue depth,
+    per-transform-op seconds) are recorded into registry histograms
+    *live*; the engine's restart and resilience counters live only in
+    the registry (the engine's accounting point records them) and
+    ``service.worker_restarts`` / ``resilience`` are views of it.
     """
 
     #: Version of the :meth:`to_json` report shape.
@@ -147,10 +159,10 @@ class Profiler:
         self.passes: Dict[str, TimedStat] = {}
         self.worklist = WorklistStats()
         self.invalidation = InvalidationStats()
-        self.service = ServiceStats()
-        self.resilience = ResilienceStats()
         #: The unified metrics registry this profiler feeds.
         self.registry = MetricsRegistry()
+        self.service = ServiceStats(registry=self.registry)
+        self.resilience = ResilienceStats(self.registry)
         # Hot-path instruments, resolved once (observe() is then one
         # bisect + a few adds under the instrument's own lock).
         self._h_transform_seconds = self.registry.histogram(
@@ -239,10 +251,8 @@ class Profiler:
             "max_queue_depth": self.service.max_queue_depth,
         })
         self.add_section("resilience", lambda: {
-            "retries": self.resilience.retries,
-            "backoff_seconds": self.resilience.backoff_seconds,
-            "quarantined": self.resilience.quarantined,
-            "pool_degradations": self.resilience.pool_degradations,
+            name: getattr(self.resilience, name)
+            for name in ResilienceStats.FIELDS
         })
         self.add_section("hashing", self.digest_counters)
 
@@ -342,26 +352,6 @@ class Profiler:
             service.max_queue_depth = depth
         self._h_queue_depth.observe(depth)
         self._g_queue_depth.set(depth)
-
-    def record_worker_restart(self) -> None:
-        self.service.worker_restarts += 1
-        self.registry.counter("service.worker_restarts").inc()
-
-    def record_retry(self, backoff_seconds: float = 0.0) -> None:
-        self.resilience.retries += 1
-        self.resilience.backoff_seconds += backoff_seconds
-        self.registry.counter("resilience.retries").inc()
-        self.registry.counter("resilience.backoff_seconds").inc(
-            backoff_seconds
-        )
-
-    def record_quarantine(self) -> None:
-        self.resilience.quarantined += 1
-        self.registry.counter("resilience.quarantined").inc()
-
-    def record_pool_degradation(self) -> None:
-        self.resilience.pool_degradations += 1
-        self.registry.counter("resilience.pool_degradations").inc()
 
     @contextmanager
     def time_pass(self, name: str) -> Iterator[None]:
@@ -469,7 +459,8 @@ class Profiler:
             lines.append("")
 
         resilience = self.resilience
-        if resilience.any:
+        if (resilience.retries or resilience.quarantined
+                or resilience.pool_degradations):
             lines.append("  Resilience")
             lines.append(
                 f"    retries: {resilience.retries}  "

@@ -1,36 +1,42 @@
 """Job scheduling over the worker pool.
 
 The engine takes :class:`CompileJob`\\ s and produces
-:class:`JobResult`\\ s, layering — in lookup order, cheapest first:
+:class:`JobResult`\\ s. Every job walks one linear pipeline — the body
+of :meth:`CompileEngine.run_job` — whose steps either return a
+terminal result or fall through, cheapest first:
 
-1. **static preflight** — scripts with definite static errors (the
-   ``repro-lint`` analysis suite) are rejected in the front-end before
-   a worker is ever occupied; the verdict is memoized per script text
-   so a schedule library is linted once, not once per job;
-2. **content-addressed cache** — see :mod:`repro.service.cache`;
-3. **in-flight deduplication (single-flight)** — concurrent jobs with
-   the same content key share one execution: followers wait on the
-   leader's result instead of occupying a second worker;
-4. **the pool** — a ``ProcessPoolExecutor``; IR crosses the process
-   boundary as text. Per-job timeouts kill the hung worker and restart
-   the pool so the slot is reclaimed (TIMEOUT); a worker crash
-   (``BrokenProcessPool``) restarts the pool, mirroring the PR 2
-   silenceable / definite / crash classification one level up.
+1. **inputs** — each input text is parsed once, ever, into its
+   structural digest (plus the function-tier facts and, for scripts,
+   the lint verdict per entry point); text that does not parse is
+   REJECTED;
+2. **preflight** — scripts with definite static errors (the
+   ``repro-lint`` analysis suite) are REJECTED before a worker is
+   ever occupied;
+3. **cache** — content-addressed lookup, see
+   :mod:`repro.service.cache`;
+4. **quarantine gate** — content that crashed or hung the pool
+   ``threshold`` times is POISONED instead of restarting the pool
+   forever (:class:`~repro.service.resilience.QuarantinePolicy`);
+5. **single-flight** — concurrent jobs with the same content key
+   share one execution: followers wait on the leader's result
+   instead of occupying a second worker;
+6. **function tier | dispatch** — the leader assembles the output
+   from per-function cache entries when it can, else runs the job on
+   a ``ProcessPoolExecutor`` worker (IR crosses the process boundary
+   as text). A per-job timeout kills the hung worker and restarts
+   the pool (TIMEOUT); a worker crash (``BrokenProcessPool``)
+   restarts the pool (CRASHED); the
+   :class:`~repro.service.resilience.RetryPolicy` decides whether the
+   attempt is repeated, and a
+   :class:`~repro.service.resilience.PoolHealthPolicy` degrades a
+   crash-looping engine to in-process execution — reduced throughput,
+   preserved liveness;
+7. **publish** — OK results go to the cache (both tiers) and to the
+   followers.
 
-Failure handling is driven by the resilience policies of
-:mod:`repro.service.resilience` rather than hardcoded reflexes:
-
-* a :class:`~repro.service.resilience.RetryPolicy` decides how many
-  attempts a job gets, which failure statuses are retry-eligible, and
-  the exponential backoff (deterministic jitter keyed on the job's
-  content address) between attempts;
-* a :class:`~repro.service.resilience.QuarantinePolicy` circuit-breaks
-  poison jobs: content that crashes/hangs the pool ``threshold`` times
-  reports POISONED instead of restarting the pool forever;
-* a :class:`~repro.service.resilience.PoolHealthPolicy` detects crash
-  loops (too many pool restarts in a sliding window) and degrades the
-  engine to in-process execution with a diagnostic — reduced
-  throughput, preserved liveness.
+Every counter, event and profiler sample is recorded by one method,
+:meth:`CompileEngine._account`; :class:`EngineStats` is the single
+store and everything else is a view.
 
 A :class:`~repro.testing.faults.FaultPlan` can be attached to inject
 deterministic faults at the pool boundary (worker crash, worker hang,
@@ -49,13 +55,16 @@ import itertools
 import multiprocessing
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError
 from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures.thread import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..ir.core import Operation
+from ..ir.hashing import attributes_digest, op_digest
 from ..observability.tracing import SpanContext
 from ..testing.faults import FaultPlan, FaultSite
 from .cache import CachedResult, CompilationCache, cache_key, function_key
@@ -66,11 +75,21 @@ from .resilience import (
     QuarantinePolicy,
     RetryPolicy,
 )
+from .sharding import (
+    assemble_functions,
+    function_module_texts,
+    is_func_shardable,
+    shardable_functions,
+)
 from .worker import _ensure_registered, compile_job
 
 ParamBindings = Mapping[str, Union[int, Sequence[int]]]
 
 _job_ids = itertools.count()
+
+#: Input-memo bound of an engine without a cache (with one, the memo
+#: holds as many texts of each kind as the cache holds results).
+_MEMO_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -91,12 +110,20 @@ class _PayloadInfo:
     func_digests: Optional[Tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class _ScriptInfo:
-    """Derived facts about one script text, memoized per raw text."""
+    """Derived facts about one script text, memoized per raw text.
+
+    The parsed script is kept — read-only — so a job naming an entry
+    point this text has not been linted for re-lints without
+    re-parsing. Workers parse their own copy from the text.
+    """
 
     digest: str
-    func_shardable: bool = False
+    func_shardable: bool
+    op: Operation
+    #: entry point -> rendered lint errors ("" = statically clean).
+    verdicts: Dict[Optional[str], str] = field(default_factory=dict)
 
 
 class JobStatus(enum.Enum):
@@ -205,6 +232,36 @@ class EngineStats:
         return dict(self.__dict__)
 
 
+#: Event transition -> the :class:`EngineStats` field it bumps
+#: (DISPATCHED only marks time). Transitions that are not events are
+#: named after the field itself: ``cancelled``, ``executed``,
+#: ``worker_restarts``.
+_EVENT_FIELD = {
+    "STARTED": "submitted", "COMPLETED": "completed",
+    "REJECTED": "rejected", "CACHE_HIT": "cache_hits",
+    "ASSEMBLED": "function_tier_hits", "COALESCED": "coalesced",
+    "POISONED": "quarantined", "RETRIED": "retries",
+    "TIMEOUT": "timeouts", "CRASHED": "crashes",
+    "DEGRADED": "pool_degradations", "DISPATCHED": None,
+}
+
+#: EngineStats field -> the profiler-registry counter mirroring it.
+_REGISTRY_COUNTER = {
+    "worker_restarts": "service.worker_restarts",
+    "retries": "resilience.retries",
+    "quarantined": "resilience.quarantined",
+    "pool_degradations": "resilience.pool_degradations",
+}
+
+
+def _mark(span, status: Optional[str] = None, **attributes) -> None:
+    """Set a live span's status/attributes; no-op without tracing."""
+    if span is not None:
+        if status is not None:
+            span.status = status
+        span.attributes.update(attributes)
+
+
 class CompileEngine:
     """Schedules compile jobs over a process pool with caching.
 
@@ -216,13 +273,10 @@ class CompileEngine:
                  cache: Optional[CompilationCache] = None,
                  preflight: bool = True,
                  job_timeout: Optional[float] = None,
-                 retry_crashed: bool = True,
-                 normalize_keys: bool = True,
                  function_tier: bool = True,
                  strict: bool = False,
                  profiler=None,
-                 mp_context: Optional[str] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
+                 retry_policy: RetryPolicy = RetryPolicy(),
                  quarantine: Optional[QuarantinePolicy] = QuarantinePolicy(),
                  pool_health: Optional[PoolHealthPolicy] = PoolHealthPolicy(),
                  faults: Optional[FaultPlan] = None,
@@ -234,15 +288,9 @@ class CompileEngine:
         self.cache = cache
         self.preflight = preflight
         self.job_timeout = job_timeout
-        self.retry_crashed = retry_crashed
-        #: How failed pool executions are re-attempted. The legacy
-        #: ``retry_crashed`` flag maps onto the default policy
-        #: (retry-once on crash, no backoff) so existing callers keep
-        #: their exact semantics.
-        self.retry_policy = retry_policy if retry_policy is not None else (
-            RetryPolicy(max_attempts=2) if retry_crashed
-            else RetryPolicy.none()
-        )
+        #: How failed pool executions are re-attempted (default:
+        #: retry once on crash, no backoff).
+        self.retry_policy = retry_policy
         #: Circuit breaker for poison jobs (None disables).
         self._quarantine = (JobQuarantine(quarantine)
                             if quarantine is not None else None)
@@ -256,69 +304,57 @@ class CompileEngine:
         #: one-line reason.
         self._degraded = False
         self.degraded_diagnostic: Optional[str] = None
-        #: Key jobs on *structural digests* of the parsed inputs so
-        #: formatting differences cannot split the cache. (Digest
-        #: equality implies byte-identical printed form, so this
-        #: subsumes the old parse->reprint normalization without the
-        #: whole-module string work on every lookup.)
-        self.normalize_keys = normalize_keys
         #: Consult/populate the per-function digest cache tier for
         #: multi-function payloads under provably function-local
-        #: schedules (requires ``cache`` and ``normalize_keys``).
+        #: schedules (requires ``cache``).
         self.function_tier = function_tier
         self.strict = strict
         #: Optional :class:`repro.profiling.Profiler`; the engine feeds
-        #: its service section (per-job wall time, cache traffic,
-        #: restarts) alongside whatever the workers record locally.
+        #: its service section (per-job wall time, cache traffic) and
+        #: mirrors the resilience counters into its registry.
         self.profiler = profiler
         #: Optional :class:`repro.observability.Tracer`: per-job spans
         #: (preflight, cache lookup, single-flight wait, per-attempt
         #: dispatch) plus the worker-side spans shipped back across
-        #: the pool boundary. None = tracing disabled, zero overhead
-        #: beyond the branch checks.
+        #: the pool boundary. None = tracing disabled.
         self.tracer = tracer
         #: Optional :class:`repro.observability.EventLog`: one record
         #: per job state transition, correlated by job id.
         self.events = events
-        self._mp_context = mp_context
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_generation = 0
         self._pool_lock = threading.Lock()
         self._book_lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
-        #: script text -> (ok, rendered diagnostics); the preflight memo.
-        self._script_gate: Dict[str, Tuple[bool, str]] = {}
-        #: raw text -> derived digests, for key normalization and the
-        #: function tier (one parse per unique input text, ever).
-        self._payload_infos: Dict[str, _PayloadInfo] = {}
-        self._script_infos: Dict[str, _ScriptInfo] = {}
+        #: raw text -> derived facts, LRU: one parse per input text
+        #: for as long as the cache could still answer a job with it.
+        self._payloads: "OrderedDict[str, _PayloadInfo]" = OrderedDict()
+        self._scripts: "OrderedDict[str, _ScriptInfo]" = OrderedDict()
         self._cancelled = threading.Event()
         self.stats = EngineStats()
-        if workers > 0:
-            # Create the pool eagerly, before any dispatcher threads
-            # exist — fork-after-thread is where pools get fragile.
-            self._ensure_pool()
+        # Before the first parse (type and op names resolve through
+        # the registries) and before the pool forks, so children
+        # inherit the registries instead of importing them per worker.
+        _ensure_registered()
+        # Create the pool eagerly, before any dispatcher threads
+        # exist — fork-after-thread is where pools get fragile.
+        self._ensure_pool()
 
     # -- lifecycle -----------------------------------------------------------
 
     def _make_pool(self) -> ProcessPoolExecutor:
         context = None
-        if self._mp_context is not None:
-            context = multiprocessing.get_context(self._mp_context)
-        elif "fork" in multiprocessing.get_all_start_methods():
+        if "fork" in multiprocessing.get_all_start_methods():
             # Children inherit the op registries (and any test-local
             # transform ops) instead of re-importing under spawn.
             context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=context,
-            initializer=_ensure_registered,
-        )
+        return ProcessPoolExecutor(self.workers, context)
 
     def _ensure_pool(self) -> Tuple[Optional[ProcessPoolExecutor], int]:
-        """The live pool, or (None, generation) once degraded."""
+        """The live pool, or (None, generation) for ``workers=0`` and
+        once degraded."""
         with self._pool_lock:
-            if self._degraded:
+            if self._degraded or self.workers == 0:
                 return None, self._pool_generation
             if self._pool is None:
                 self._pool = self._make_pool()
@@ -371,10 +407,7 @@ class CompileEngine:
             self._terminate(stale)
         if not restarted:
             return
-        with self._book_lock:
-            self.stats.worker_restarts += 1
-        if self.profiler is not None:
-            self.profiler.record_worker_restart()
+        self._account("worker_restarts")
         if (self._pool_health is not None
                 and self._pool_health.record_restart()):
             self._degrade_pool()
@@ -400,14 +433,8 @@ class CompileEngine:
             f"{policy.window_seconds:g}s (crash-loop detection); "
             "throughput is reduced but the service stays live"
         )
-        with self._book_lock:
-            self.stats.pool_degradations += 1
-        if self.profiler is not None:
-            self.profiler.record_pool_degradation()
-        if self.events is not None:
-            # Engine-wide, not job-scoped: no correlation id.
-            self.events.emit("DEGRADED",
-                             diagnostic=self.degraded_diagnostic)
+        # Engine-wide, not job-scoped: no correlation id.
+        self._account("DEGRADED", diagnostic=self.degraded_diagnostic)
 
     @property
     def degraded(self) -> bool:
@@ -427,82 +454,112 @@ class CompileEngine:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # -- front-end stages ----------------------------------------------------
+    # -- accounting and spans ------------------------------------------------
 
-    def _payload_info(self, text: str) -> _PayloadInfo:
-        memo = self._payload_infos.get(text)
-        if memo is not None:
-            return memo
-        from ..ir.hashing import attributes_digest, op_digest
+    def _account(self, transition: str, job: Optional[CompileJob] = None,
+                 also: Sequence[str] = (), **fields) -> None:
+        """The one accounting point: every engine state transition is
+        recorded here and nowhere else.
+
+        ``transition`` is an event type (upper case; see
+        ``_EVENT_FIELD``) or, for the transitions that are not events,
+        the :class:`EngineStats` field itself; ``also`` names further
+        fields the same transition bumps (an all-hit ASSEMBLED is also
+        a ``cache_hits``). The fields are bumped under the bookkeeping
+        lock, mirrored into the attached profiler's registry, and the
+        event — with ``fields`` as its payload — goes to the attached
+        log."""
+        is_event = transition.isupper()
+        first = _EVENT_FIELD[transition] if is_event else transition
+        bumped = (first, *also) if first is not None else also
+        if bumped:
+            with self._book_lock:
+                for name in bumped:
+                    setattr(self.stats, name,
+                            getattr(self.stats, name) + 1)
+        if self.profiler is not None:
+            for name in bumped:
+                if name in _REGISTRY_COUNTER:
+                    self.profiler.registry.counter(
+                        _REGISTRY_COUNTER[name]).inc()
+            if transition == "RETRIED":
+                self.profiler.registry.counter(
+                    "resilience.backoff_seconds").inc(fields["backoff"])
+            elif transition == "COMPLETED":
+                self.profiler.record_service_job(
+                    fields["status"], fields["wall_seconds"],
+                    fields["cache_hit"])
+        if is_event and self.events is not None:
+            self.events.emit(
+                transition, job_id=job.job_id if job is not None else None,
+                **fields)
+
+    def _span(self, name: str, parent=None, **attributes):
+        """One span as a context manager (flags "error" when the body
+        raises); yields None when tracing is disabled."""
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.span(name, parent, attributes)
+
+    # -- input memo ----------------------------------------------------------
+
+    def _memoized(self, memo: OrderedDict, text: str, derive):
+        """``derive(text)``, computed once per text while it stays
+        among the most recently used ones."""
+        with self._book_lock:
+            info = memo.get(text)
+            if info is not None:
+                memo.move_to_end(text)
+                return info
+        info = derive(text)
+        capacity = (self.cache.capacity if self.cache is not None
+                    else _MEMO_CAPACITY)
+        with self._book_lock:
+            memo[text] = info
+            while len(memo) > capacity:
+                memo.popitem(last=False)
+        return info
+
+    def _derive_payload(self, text: str) -> _PayloadInfo:
         from ..ir.parser import parse
-        from .sharding import shardable_functions
 
         payload = parse(text, "<payload>")
-        func_digests = None
-        module_attrs = None
-        if self.function_tier:
-            functions = shardable_functions(payload)
-            if functions is not None:
-                func_digests = tuple(op_digest(f) for f in functions)
-                module_attrs = dict(payload.attributes)
-        info = _PayloadInfo(
-            digest=op_digest(payload),
-            attrs_digest=attributes_digest(payload),
-            module_attrs=module_attrs,
-            func_digests=func_digests,
-        )
-        with self._book_lock:
-            self._payload_infos[text] = info
-        return info
+        func_digests = module_attrs = None
+        functions = (shardable_functions(payload)
+                     if self.function_tier else None)
+        if functions is not None:
+            func_digests = tuple(op_digest(f) for f in functions)
+            module_attrs = dict(payload.attributes)
+        return _PayloadInfo(op_digest(payload), attributes_digest(payload),
+                            module_attrs, func_digests)
 
-    def _script_info(self, text: str) -> _ScriptInfo:
-        memo = self._script_infos.get(text)
-        if memo is not None:
-            return memo
-        from ..ir.hashing import op_digest
+    def _derive_script(self, text: str) -> _ScriptInfo:
         from ..ir.parser import parse
-        from .sharding import is_func_shardable
 
         script = parse(text, "<script>")
-        info = _ScriptInfo(
-            digest=op_digest(script),
-            func_shardable=(self.function_tier
-                            and is_func_shardable(script)),
-        )
-        with self._book_lock:
-            self._script_infos[text] = info
-        return info
+        return _ScriptInfo(
+            op_digest(script),
+            self.function_tier and is_func_shardable(script), script)
 
-    def _check_script(self, script_text: str,
-                      entry_point: Optional[str]) -> Tuple[bool, str]:
-        """Static gate, memoized per script text: (ok, diagnostics)."""
-        gate_key = f"{entry_point or ''}\x00{script_text}"
-        memo = self._script_gate.get(gate_key)
-        if memo is not None:
-            return memo
-        from ..analysis.lint import lint_script
-        from ..ir.parser import parse
+    def _lint(self, script: _ScriptInfo,
+              entry_point: Optional[str]) -> str:
+        """Static gate, memoized per (script text, entry point): the
+        rendered errors, "" when clean."""
+        verdict = script.verdicts.get(entry_point)
+        if verdict is None:
+            from ..analysis.lint import lint_script
 
-        _ensure_registered()
-        try:
-            script = parse(script_text, "<script>")
-        except Exception as error:
-            verdict = (False, f"error: script does not parse: {error}")
-        else:
-            engine = lint_script(script, entry_point=entry_point)
-            if engine.has_errors():
-                verdict = (False, engine.render())
-            else:
-                verdict = (True, "")
-        with self._book_lock:
-            self._script_gate[gate_key] = verdict
+            diagnostics = lint_script(script.op, entry_point=entry_point)
+            verdict = (diagnostics.render()
+                       if diagnostics.has_errors() else "")
+            script.verdicts[entry_point] = verdict
         return verdict
 
-    # -- execution -----------------------------------------------------------
+    # -- the job pipeline ----------------------------------------------------
 
     def run_job(self, job: CompileJob,
                 parent_span=None) -> JobResult:
-        """Run one job through preflight -> cache -> pool; blocking.
+        """Run one job through the pipeline; blocking.
 
         ``parent_span`` parents this job's trace under an existing
         span (the frontier's admission span, or a parent job's span
@@ -510,208 +567,88 @@ class CompileEngine:
         trace root.
         """
         start = time.perf_counter()
-        with self._book_lock:
-            self.stats.submitted += 1
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                "engine.job", parent=parent_span,
-                attributes={"job_id": job.job_id},
-            )
-        if self.events is not None:
-            self.events.emit("STARTED", job_id=job.job_id)
-        try:
-            result = self._run_job_inner(job, start, span)
-        except BaseException as error:
-            if span is not None:
-                span.attributes["exception"] = (
-                    f"{type(error).__name__}: {error}"
-                )
-                self.tracer.end_span(span, "error")
-            raise
-        result.wall_seconds = time.perf_counter() - start
-        with self._book_lock:
-            self.stats.completed += 1
-        if self.profiler is not None:
-            self.profiler.record_service_job(
-                result.status.value, result.wall_seconds, result.cache_hit
-            )
-        if span is not None:
-            span.attributes["cache_hit"] = result.cache_hit
-            self.tracer.end_span(
-                span, "ok" if result.ok else result.status.value
-            )
-        if self.events is not None:
-            self.events.emit(
-                "COMPLETED", job_id=job.job_id,
-                status=result.status.value, cache_hit=result.cache_hit,
-                coalesced=result.coalesced, attempts=result.attempts,
-                wall_seconds=result.wall_seconds,
-            )
+        self._account("STARTED", job)
+        with self._span("engine.job", parent_span,
+                        job_id=job.job_id) as span:
+            result = self._run_steps(job, span)
+            result.wall_seconds = time.perf_counter() - start
+            _mark(span, "ok" if result.ok else result.status.value,
+                  cache_hit=result.cache_hit)
+        self._account(
+            "COMPLETED", job, status=result.status.value,
+            cache_hit=result.cache_hit, coalesced=result.coalesced,
+            attempts=result.attempts, wall_seconds=result.wall_seconds,
+        )
         return result
 
-    def _run_job_inner(self, job: CompileJob, start: float,
-                       span=None) -> JobResult:
-        def _stage(name: str):
-            # One child span per engine stage; a no-op context manager
-            # when tracing is disabled.
-            return (self.tracer.span(name, parent=span)
-                    if self.tracer is not None else nullcontext())
-
-        def _reject(diagnostics: str) -> JobResult:
-            with self._book_lock:
-                self.stats.rejected += 1
-            if self.events is not None:
-                self.events.emit("REJECTED", job_id=job.job_id)
-            return JobResult(
-                job.job_id, JobStatus.REJECTED, diagnostics=diagnostics
-            )
-
+    def _run_steps(self, job: CompileJob, span) -> JobResult:
+        """The pipeline proper: each step returns a terminal result
+        or falls through to the next."""
         if self._cancelled.is_set():
-            with self._book_lock:
-                self.stats.cancelled += 1
+            self._account("cancelled")
             return JobResult(job.job_id, JobStatus.CANCELLED)
 
-        payload_text = job.payload_text
-        script_text = job.script_text
-        payload_info: Optional[_PayloadInfo] = None
-        script_info: Optional[_ScriptInfo] = None
-        with _stage("engine.preflight"):
-            if self.normalize_keys:
-                # Key on structural digests instead of reprinted text:
-                # one parse per unique input ever, O(digest) per job
-                # after. Workers receive the *raw* text — they parse
-                # and reprint themselves, so the output is identical
-                # either way.
-                try:
-                    payload_info = self._payload_info(payload_text)
-                    script_info = self._script_info(script_text)
-                except Exception as error:
-                    return _reject(
-                        f"error: input does not parse: {error}"
-                    )
-
+        # 1-2. inputs, preflight. Workers receive the *raw* text —
+        # they parse and reprint themselves — so keying on digests
+        # cannot change the output.
+        with self._span("engine.preflight", span):
+            try:
+                payload = self._memoized(
+                    self._payloads, job.payload_text, self._derive_payload)
+                script = self._memoized(
+                    self._scripts, job.script_text, self._derive_script)
+            except Exception as error:
+                return self._rejected(
+                    job, f"error: input does not parse: {error}")
             if self.preflight:
-                ok, diagnostics = self._check_script(
-                    script_text, job.entry_point
-                )
-                if not ok:
-                    return _reject(diagnostics)
+                errors = self._lint(script, job.entry_point)
+                if errors:
+                    return self._rejected(job, errors)
+        key = cache_key(payload.digest, script.digest, job.params,
+                        job.entry_point)
 
-        if payload_info is not None and script_info is not None:
-            key = cache_key(payload_info.digest, script_info.digest,
-                            job.params, job.entry_point)
-        else:
-            key = cache_key(payload_text, script_text, job.params,
-                            job.entry_point)
+        # 3. cache.
         if self.cache is not None:
-            with _stage("cache.lookup") as lookup_span:
-                cached = self.cache.get(key)
-                if lookup_span is not None:
-                    lookup_span.attributes["hit"] = cached is not None
-            if cached is not None:
-                with self._book_lock:
-                    self.stats.cache_hits += 1
-                if self.events is not None:
-                    self.events.emit("CACHE_HIT", job_id=job.job_id,
-                                     key=key)
-                return JobResult(
-                    job.job_id, JobStatus(cached.status),
-                    output=cached.output,
-                    diagnostics=cached.diagnostics,
-                    key=key, cache_hit=True,
-                    output_digest=cached.output_digest,
-                )
+            with self._span("cache.lookup", span) as lookup_span:
+                hit = self._cache_hit(job, key)
+                _mark(lookup_span, hit=hit is not None)
+            if hit is not None:
+                return hit
 
-        # Circuit breaker: content that repeatedly crashed or hung the
-        # pool is refused before it can occupy (and kill) a worker.
+        # 4. quarantine gate: content that repeatedly crashed or hung
+        # the pool is refused before it can occupy (and kill) a worker.
         if self._quarantine is not None and self._quarantine.is_poisoned(key):
-            return self._poisoned_result(job, key)
+            return self._poisoned(job, key)
 
-        # Single-flight: concurrent identical jobs share one execution.
-        leader = False
+        # 5. single-flight: concurrent identical jobs share one
+        # execution.
         with self._book_lock:
             flight = self._inflight.get(key)
-            if flight is None:
-                flight = Future()
-                self._inflight[key] = flight
-                leader = True
-        if leader and self.cache is not None:
+            leader = flight is None
+            if leader:
+                flight = self._inflight[key] = Future()
+        if not leader:
+            return self._follow(job, key, flight, span)
+        try:
             # Double-check after winning the in-flight slot: a previous
             # leader for this key may have populated the cache between
             # our (missed) lookup above and its in-flight pop. Without
             # this the duplicate recompiles; stats-neutral on a miss
             # (the first lookup already counted it).
-            cached = self.cache.get(key, count_miss=False)
-            if cached is not None:
-                with self._book_lock:
-                    self.stats.cache_hits += 1
-                    self._inflight.pop(key, None)
-                if self.events is not None:
-                    self.events.emit("CACHE_HIT", job_id=job.job_id,
-                                     key=key)
-                result = JobResult(
-                    job.job_id, JobStatus(cached.status),
-                    output=cached.output,
-                    diagnostics=cached.diagnostics,
-                    key=key, cache_hit=True,
-                    output_digest=cached.output_digest,
-                )
-                flight.set_result(result)
-                return result
-        if not leader:
-            with _stage("singleflight.wait"):
-                result: JobResult = flight.result()
-            if self.events is not None:
-                self.events.emit("COALESCED", job_id=job.job_id,
-                                 key=key, leader_status=result.status.value)
-            with self._book_lock:
-                self.stats.coalesced += 1
-                if result.status is JobStatus.POISONED:
-                    self.stats.quarantined += 1
-            if (result.status is JobStatus.POISONED
-                    and self.profiler is not None):
-                self.profiler.record_quarantine()
-            follower = JobResult(
-                job.job_id, result.status, output=result.output,
-                diagnostics=result.diagnostics, key=key,
-                coalesced=True, worker_seconds=result.worker_seconds,
-                attempts=result.attempts, stats=dict(result.stats),
-                output_digest=result.output_digest,
-                function_tier=result.function_tier,
-            )
-            return follower
-
-        try:
-            result = None
-            if (self.cache is not None
-                    and payload_info is not None
-                    and script_info is not None
-                    and script_info.func_shardable
-                    and payload_info.func_digests is not None
-                    # A single-function payload's shard is itself:
-                    # tier lookup would recurse onto this very job.
-                    and len(payload_info.func_digests) >= 2
-                    and job.entry_point is None):
-                result = self._assemble_from_function_tier(
-                    job, key, payload_info, script_info, span
-                )
-                if result is not None and self.events is not None:
-                    self.events.emit(
-                        "ASSEMBLED", job_id=job.job_id, key=key,
-                        cache_hit=result.cache_hit,
-                    )
+            result = (self._cache_hit(job, key, count_miss=False)
+                      if self.cache is not None else None)
             if result is None:
-                result = self._execute(job, key, payload_text,
-                                       script_text, span)
-                self._populate_function_tier(
-                    job, result, payload_info, script_info
-                )
-            if self.cache is not None and result.ok:
-                self.cache.put(key, CachedResult(
-                    result.status.value, result.output or "",
-                    result.diagnostics, result.output_digest,
-                ))
+                # 6. function tier | dispatch, then 7. publish.
+                tier_keys = self._function_keys(job, payload, script)
+                result = self._assemble(job, key, payload, tier_keys, span)
+                if result is None:
+                    result = self._execute(job, key, span)
+                    self._populate(result, payload, tier_keys)
+                if self.cache is not None and result.ok:
+                    self.cache.put(key, CachedResult(
+                        result.status.value, result.output or "",
+                        result.diagnostics, result.output_digest,
+                    ))
         except BaseException as error:
             flight.set_exception(error)
             raise
@@ -722,359 +659,274 @@ class CompileEngine:
                 self._inflight.pop(key, None)
         return result
 
+    # -- terminal results of the front-end steps -----------------------------
+
+    def _rejected(self, job: CompileJob, diagnostics: str) -> JobResult:
+        self._account("REJECTED", job)
+        return JobResult(job.job_id, JobStatus.REJECTED,
+                         diagnostics=diagnostics)
+
+    def _cache_hit(self, job: CompileJob, key: str,
+                   count_miss: bool = True) -> Optional[JobResult]:
+        """The cached result of ``key`` as this job's result, if any."""
+        cached = self.cache.get(key, count_miss=count_miss)
+        if cached is None:
+            return None
+        self._account("CACHE_HIT", job, key=key)
+        return JobResult(
+            job.job_id, JobStatus(cached.status), output=cached.output,
+            diagnostics=cached.diagnostics, key=key, cache_hit=True,
+            output_digest=cached.output_digest,
+        )
+
+    def _poisoned(self, job: CompileJob, key: str,
+                  attempts: int = 0) -> JobResult:
+        self._account("POISONED", job, key=key)
+        return JobResult(
+            job.job_id, JobStatus.POISONED, key=key,
+            diagnostics=self._quarantine.diagnose(key), attempts=attempts,
+        )
+
+    def _follow(self, job: CompileJob, key: str, flight: Future,
+                span) -> JobResult:
+        """Wait for the leader of ``key`` and adopt its outcome (a
+        follower is neither a cache hit nor an execution of its own)."""
+        with self._span("singleflight.wait", span):
+            led: JobResult = flight.result()
+        self._account(
+            "COALESCED", job, key=key, leader_status=led.status.value,
+            also=(("quarantined",) if led.status is JobStatus.POISONED
+                  else ()),
+        )
+        return replace(led, job_id=job.job_id, key=key, coalesced=True,
+                       cache_hit=False, wall_seconds=0.0,
+                       stats=dict(led.stats))
+
     # -- function tier -------------------------------------------------------
 
-    def _function_payload_texts(
-            self, payload_text: str) -> Optional[List[str]]:
-        """One standalone single-function module text per top-level
-        func (attribute-less wrappers: function-tier entries must not
-        depend on which module a function arrived in)."""
-        from ..dialects import builtin
-        from ..ir.parser import parse
-        from ..ir.printer import print_op
-        from .sharding import shardable_functions
-
-        payload = parse(payload_text, "<payload>")
-        functions = shardable_functions(payload)
-        if functions is None:
+    def _function_keys(self, job: CompileJob, payload: _PayloadInfo,
+                       script: _ScriptInfo) -> Optional[List[str]]:
+        """The job's per-function cache keys, in function order; None
+        when the function tier must stay out of this job."""
+        if (self.cache is None or not script.func_shardable
+                or not payload.func_digests
+                or job.entry_point is not None):
             return None
-        texts = []
-        for function in functions:
-            wrapper = builtin.module()
-            wrapper.body.append(function.clone())
-            texts.append(print_op(wrapper))
-        return texts
+        return [function_key(digest, script.digest, job.params)
+                for digest in payload.func_digests]
 
-    def _assemble_from_function_tier(
-            self, job: CompileJob, key: str,
-            payload_info: _PayloadInfo,
-            script_info: _ScriptInfo,
-            span=None) -> Optional[JobResult]:
+    def _assemble(self, job: CompileJob, key: str, payload: _PayloadInfo,
+                  tier_keys: Optional[List[str]],
+                  span) -> Optional[JobResult]:
         """Serve a multi-function job from per-function cache entries.
 
-        Functions whose (digest, script digest, params) entry is
-        present are reused; the rest are compiled as single-function
-        sub-jobs through :meth:`run_job` — which gives them the whole
-        pipeline for free (single-flight dedup against other parents
-        missing the same function, crash containment, retry) and lets
-        their own populate pass fill the tier. Returns None whenever
-        anything is less than a clean success — the caller falls back
-        to the whole-module execution path, keeping silenceable-skip
-        semantics whole-module.
+        Functions whose entry is present are reused; the rest are
+        compiled as single-function sub-jobs through :meth:`run_job` —
+        which gives them the whole pipeline for free (single-flight
+        dedup against other parents missing the same function, crash
+        containment, retry) and lets their own populate pass fill the
+        tier. Returns None whenever anything is less than a clean
+        success — the caller falls back to the whole-module execution
+        path, keeping silenceable-skip semantics whole-module.
         """
-        assert self.cache is not None
-        entries = [
-            self.cache.get_function(
-                function_key(digest, script_info.digest, job.params)
-            )
-            for digest in payload_info.func_digests
-        ]
-
-        def usable(entry: Optional[CachedResult]) -> bool:
-            return (entry is not None and entry.status == "success"
-                    and not entry.diagnostics)
-
-        all_hit = all(usable(entry) for entry in entries)
-        if all_hit:
-            texts = [entry.output for entry in entries]
-        else:
-            if not any(usable(entry) for entry in entries):
-                # Nothing to reuse: the whole-module path is strictly
-                # better (one execution instead of N).
+        # A single-function payload's shard is itself: tier lookup
+        # would recurse onto this very job.
+        if tier_keys is None or len(tier_keys) < 2:
+            return None
+        texts: List[Optional[str]] = []
+        for tier_key in tier_keys:
+            entry = self.cache.get_function(tier_key)
+            usable = (entry is not None and entry.status == "success"
+                      and not entry.diagnostics)
+            texts.append(entry.output if usable else None)
+        missing = [i for i, text in enumerate(texts) if text is None]
+        if len(missing) == len(texts):
+            # Nothing to reuse: the whole-module path is strictly
+            # better (one execution instead of N).
+            return None
+        if missing:
+            shards = function_module_texts(job.payload_text, "<payload>")
+            if shards is None or len(shards) != len(texts):
                 return None
-            sub_payloads = self._function_payload_texts(job.payload_text)
-            if (sub_payloads is None
-                    or len(sub_payloads) != len(entries)):
-                return None
-            texts = []
-            for index, entry in enumerate(entries):
-                if usable(entry):
-                    texts.append(entry.output)
-                    continue
+            for index in missing:
                 sub = self.run_job(CompileJob(
-                    payload_text=sub_payloads[index],
-                    script_text=job.script_text,
-                    params=job.params,
-                    timeout=job.timeout,
-                    job_id=f"{job.job_id}/fn{index}",
+                    payload_text=shards[index][0],
+                    script_text=job.script_text, params=job.params,
+                    timeout=job.timeout, job_id=f"{job.job_id}/fn{index}",
                 ), parent_span=span)
                 if sub.status is not JobStatus.SUCCESS or sub.diagnostics:
                     return None
-                texts.append(sub.output or "")
-        from .sharding import assemble_functions
-
+                texts[index] = sub.output or ""
         try:
             output, output_digest = assemble_functions(
-                payload_info.module_attrs or {}, texts
-            )
+                payload.module_attrs or {}, texts)
         except Exception:
             return None
-        with self._book_lock:
-            self.stats.function_tier_hits += 1
-            if all_hit:
-                self.stats.cache_hits += 1
+        self._account("ASSEMBLED", job, key=key, cache_hit=not missing,
+                      also=() if missing else ("cache_hits",))
         return JobResult(
-            job.job_id, JobStatus.SUCCESS, output=output,
-            key=key, cache_hit=all_hit, function_tier=True,
+            job.job_id, JobStatus.SUCCESS, output=output, key=key,
+            cache_hit=not missing, function_tier=True,
             output_digest=output_digest,
         )
 
-    def _populate_function_tier(
-            self, job: CompileJob, result: JobResult,
-            payload_info: Optional[_PayloadInfo],
-            script_info: Optional[_ScriptInfo]) -> None:
+    def _populate(self, result: JobResult, payload: _PayloadInfo,
+                  tier_keys: Optional[List[str]]) -> None:
         """After a clean whole-module success, store each output
-        function under its *input* function's digest.
+        function under its *input* function's key.
 
         Guarded by the same backstops as ``--jobs`` reassembly: the
         output must still be an all-function module with unchanged
         module attributes (digest compare) and an unchanged function
         count — anything else means the schedule escaped the
         function-local contract, and nothing is stored."""
-        if (self.cache is None
-                or payload_info is None
-                or script_info is None
-                or not script_info.func_shardable
-                or not payload_info.func_digests
-                or job.entry_point is not None
-                or result.status is not JobStatus.SUCCESS
-                or result.diagnostics
-                or not result.output):
+        if (tier_keys is None or result.status is not JobStatus.SUCCESS
+                or result.diagnostics or not result.output):
             return
-        from ..dialects import builtin
-        from ..ir.hashing import attributes_digest, op_digest
-        from ..ir.parser import parse
-        from ..ir.printer import print_op
-
-        try:
-            out = parse(result.output, "<output>")
-        except Exception:
+        functions = function_module_texts(result.output, "<output>",
+                                          payload.attrs_digest)
+        if functions is None or len(functions) != len(tier_keys):
             return
-        if out.name != "builtin.module":
-            return
-        if attributes_digest(out) != payload_info.attrs_digest:
-            return
-        tops = list(out.regions[0].entry_block.ops)
-        if len(tops) != len(payload_info.func_digests):
-            return
-        if any(op.name != "func.func" for op in tops):
-            return
-        for digest, function in zip(payload_info.func_digests, tops):
-            wrapper = builtin.module()
-            out.regions[0].entry_block.remove(function)
-            wrapper.body.append(function)
+        for tier_key, (text, digest) in zip(tier_keys, functions):
             self.cache.put_function(
-                function_key(digest, script_info.digest, job.params),
-                CachedResult("success", print_op(wrapper), "",
-                             op_digest(wrapper)),
-            )
+                tier_key, CachedResult("success", text, "", digest))
 
-    def _poisoned_result(self, job: CompileJob, key: str,
-                         attempts: int = 0) -> JobResult:
-        """A POISONED terminal result, with stats/profiler accounting."""
-        assert self._quarantine is not None
-        with self._book_lock:
-            self.stats.quarantined += 1
-        if self.profiler is not None:
-            self.profiler.record_quarantine()
-        if self.events is not None:
-            self.events.emit("POISONED", job_id=job.job_id, key=key)
-        return JobResult(
-            job.job_id, JobStatus.POISONED, key=key,
-            diagnostics=self._quarantine.diagnose(key),
-            attempts=attempts,
-        )
+    # -- dispatch ------------------------------------------------------------
 
     def _handle_pool_failure(self, job: CompileJob, key: str,
-                             status: str, attempts: int,
-                             terminal: JobResult
-                             ) -> Tuple[bool, Optional[JobResult]]:
-        """Shared crash/timeout policy step.
+                             status: str, error: BaseException,
+                             attempts: int, timeout: Optional[float],
+                             pool: ProcessPoolExecutor,
+                             generation: int) -> Optional[JobResult]:
+        """One failed pool attempt (``"timeout"`` or ``"crashed"``):
+        reclaim the pool, count, then apply policy.
 
-        Records the failure with the quarantine ledger, then asks the
-        retry policy for another attempt. Returns ``(retry, result)``:
-        retry=True means the caller should loop (after the deterministic
-        backoff already slept here); otherwise ``result`` is the
-        terminal outcome — ``terminal`` as given, or POISONED when this
-        failure tripped the circuit breaker."""
+        Returns the terminal result — TIMEOUT/CRASHED as observed, or
+        POISONED when this failure tripped the circuit breaker — or
+        None when the retry policy granted another attempt (the
+        deterministic backoff has already been slept here)."""
+        if status == "timeout":
+            # cancel() is a no-op on a running task: the worker would
+            # keep executing the job and starve the pool. Kill it and
+            # restart the generation so the slot is actually reclaimed.
+            self._restart_pool(generation, kill_pool=pool)
+            self._account("TIMEOUT", job, key=key, attempt=attempts,
+                          deadline=timeout)
+            diagnostics = (f"error: job exceeded its {timeout:g}s deadline; "
+                           "hung worker killed and the pool restarted")
+        else:
+            self._restart_pool(generation)
+            self._account("CRASHED", job, key=key, attempt=attempts)
+            diagnostics = ("error: worker process died while compiling "
+                           f"this job (x{attempts}): {error}")
         if self._quarantine is not None:
             self._quarantine.record_failure(key, status)
             if self._quarantine.is_poisoned(key):
-                return False, self._poisoned_result(job, key, attempts)
+                return self._poisoned(job, key, attempts)
         if self.retry_policy.should_retry(status, attempts):
             backoff = self.retry_policy.backoff_seconds(key, attempts)
-            with self._book_lock:
-                self.stats.retries += 1
-            if self.profiler is not None:
-                self.profiler.record_retry(backoff)
-            if self.events is not None:
-                self.events.emit(
-                    "RETRIED", job_id=job.job_id, key=key,
-                    failure=status, attempt=attempts, backoff=backoff,
-                )
+            self._account("RETRIED", job, key=key, failure=status,
+                          attempt=attempts, backoff=backoff)
             if backoff > 0:
                 time.sleep(backoff)
-            return True, None
-        return False, terminal
+            return None
+        return JobResult(job.job_id, JobStatus(status), key=key,
+                         diagnostics=diagnostics, attempts=attempts)
 
-    def _execute(self, job: CompileJob, key: str, payload_text: str,
-                 script_text: str, span=None) -> JobResult:
+    def _execute(self, job: CompileJob, key: str, span=None) -> JobResult:
         """Actually run the job on a worker (or inline), with timeout
         handling and policy-driven crash/timeout containment.
 
-        Each pool attempt gets its own ``engine.dispatch`` child span;
-        the worker receives that span's context (``trace=``) so the
-        spans it records in its own process — parse, interpret with one
+        Each attempt gets its own ``engine.dispatch`` child span; the
+        worker receives that span's context (``trace=``) so the spans
+        it records in its own process — parse, interpret with one
         child per top-level transform op, print — come back in the
         result payload already parented under this attempt, and
         :meth:`Tracer.record` stitches them into the engine-side trace.
         """
         timeout = job.timeout if job.timeout is not None else self.job_timeout
-        attempts = 0
-        while True:
-            attempts += 1
-            attempt_span = None
-            trace = None
-            if self.tracer is not None:
-                attempt_span = self.tracer.start_span(
-                    "engine.dispatch", parent=span,
-                    attributes={"job_id": job.job_id,
-                                "attempt": attempts},
-                )
-                trace = SpanContext(
-                    self.tracer.trace_id, attempt_span.span_id
-                ).to_dict()
-
-            def _end_attempt(status: str) -> None:
+        args = (job.payload_text, job.script_text, job.params,
+                job.entry_point, self.strict)
+        for attempts in itertools.count(1):
+            with self._span("engine.dispatch", span, job_id=job.job_id,
+                            attempt=attempts) as attempt_span:
+                trace = None
                 if attempt_span is not None:
-                    self.tracer.end_span(attempt_span, status)
-
-            pool = None
-            if self.workers > 0 and not self._degraded:
+                    trace = SpanContext(self.tracer.trace_id,
+                                        attempt_span.span_id).to_dict()
                 pool, generation = self._ensure_pool()
-            if self.events is not None:
-                self.events.emit(
-                    "DISPATCHED", job_id=job.job_id, key=key,
-                    attempt=attempts, pooled=pool is not None,
-                )
-            if pool is None:
-                # workers=0 reference mode, or the engine degraded
-                # after crash-loop detection. Worker faults are never
-                # injected here: an in-process os._exit would take the
-                # whole service down, which is exactly what the pool
-                # boundary exists to prevent.
-                try:
-                    raw = compile_job(
-                        payload_text, script_text, job.params,
-                        job.entry_point, strict=self.strict,
-                        trace=trace,
-                    )
-                except BaseException:
-                    _end_attempt("error")
-                    raise
-            else:
-                inject = None
-                if self.faults is not None:
-                    inject = self.faults.worker_fault(key, attempts)
-                future = pool.submit(
-                    compile_job, payload_text, script_text, job.params,
-                    job.entry_point, self.strict, inject, trace,
-                )
-                if self.faults is not None and self.faults.fire(
-                        FaultSite.POOL_BREAK, f"{key}#attempt{attempts}"):
-                    # Externally induced pool collapse (OOM killer):
-                    # every worker dies under the dispatched job.
-                    self._terminate(pool)
-                try:
-                    raw = future.result(timeout=timeout)
-                except TimeoutError:
-                    # cancel() is a no-op on a running task: the
-                    # worker would keep executing the job and starve
-                    # the pool. Kill it and restart the generation so
-                    # the slot is actually reclaimed.
-                    future.cancel()
-                    self._restart_pool(generation, kill_pool=pool)
-                    with self._book_lock:
-                        self.stats.timeouts += 1
-                    _end_attempt("timeout")
-                    if self.events is not None:
-                        self.events.emit(
-                            "TIMEOUT", job_id=job.job_id, key=key,
-                            attempt=attempts, deadline=timeout,
-                        )
-                    retry, result = self._handle_pool_failure(
-                        job, key, "timeout", attempts,
-                        JobResult(
-                            job.job_id, JobStatus.TIMEOUT, key=key,
+                self._account("DISPATCHED", job, key=key, attempt=attempts,
+                              pooled=pool is not None)
+                failure: Optional[Tuple[str, BaseException]] = None
+                if pool is None:
+                    # workers=0 reference mode, or the engine degraded
+                    # after crash-loop detection. Worker faults are never
+                    # injected here: an in-process os._exit would take the
+                    # whole service down, which is exactly what the pool
+                    # boundary exists to prevent.
+                    raw = compile_job(*args, trace=trace)
+                else:
+                    inject = None
+                    if self.faults is not None:
+                        inject = self.faults.worker_fault(key, attempts)
+                    try:
+                        # submit() itself raises BrokenProcessPool when
+                        # another job's crash already broke this pool.
+                        future = pool.submit(compile_job, *args, inject,
+                                             trace)
+                        if self.faults is not None and self.faults.fire(
+                                FaultSite.POOL_BREAK,
+                                f"{key}#attempt{attempts}"):
+                            # Externally induced pool collapse (OOM
+                            # killer): every worker dies under the
+                            # dispatched job.
+                            self._terminate(pool)
+                        raw = future.result(timeout=timeout)
+                    except TimeoutError as error:
+                        future.cancel()
+                        failure = ("timeout", error)
+                    except BrokenProcessPool as error:
+                        failure = ("crashed", error)
+                    except Exception as error:
+                        # Either a worker-side exception pickled back with
+                        # strict=True (compile_job encodes everything else
+                        # itself) or an infrastructure failure outside the
+                        # worker barrier (e.g. unpicklable input). Strict
+                        # mode must propagate raw exactly like the
+                        # workers=0 reference path; otherwise classify,
+                        # don't crash the service.
+                        if self.strict:
+                            raise
+                        _mark(attempt_span, "error")
+                        return JobResult(
+                            job.job_id, JobStatus.DEFINITE, key=key,
                             diagnostics=(
-                                f"error: job exceeded its {timeout:g}s "
-                                "deadline; hung worker killed and the "
-                                "pool restarted"
-                            ),
+                                f"error: {type(error).__name__}: {error}"),
                             attempts=attempts,
-                        ),
-                    )
-                    if retry:
-                        continue
-                    return result
-                except BrokenProcessPool as error:
-                    with self._book_lock:
-                        self.stats.crashes += 1
-                    self._restart_pool(generation)
-                    _end_attempt("crashed")
-                    if self.events is not None:
-                        self.events.emit(
-                            "CRASHED", job_id=job.job_id, key=key,
-                            attempt=attempts,
                         )
-                    retry, result = self._handle_pool_failure(
-                        job, key, "crashed", attempts,
-                        JobResult(
-                            job.job_id, JobStatus.CRASHED, key=key,
-                            diagnostics=(
-                                "error: worker process died while "
-                                f"compiling this job (x{attempts}): "
-                                f"{error}"
-                            ),
-                            attempts=attempts,
-                        ),
-                    )
-                    if retry:
-                        continue
-                    return result
-                except Exception as error:
-                    # Either a worker-side exception pickled back with
-                    # strict=True (compile_job encodes everything else
-                    # itself) or an infrastructure failure outside the
-                    # worker barrier (e.g. unpicklable input). Strict
-                    # mode must propagate raw exactly like the
-                    # workers=0 reference path; otherwise classify,
-                    # don't crash the service.
-                    _end_attempt("error")
-                    if self.strict:
-                        raise
+                if failure is None:
+                    self._account("executed")
+                    if attempt_span is not None:
+                        # Absorb the worker-side spans (already parented
+                        # under this attempt via the propagated context).
+                        self.tracer.record(raw.get("spans"))
+                    _mark(attempt_span, "ok" if raw["status"] == "success"
+                          else str(raw["status"]))
                     return JobResult(
-                        job.job_id, JobStatus.DEFINITE, key=key,
-                        diagnostics=(
-                            f"error: {type(error).__name__}: {error}"
-                        ),
-                        attempts=attempts,
+                        job.job_id, JobStatus(raw["status"]),
+                        output=raw["output"],
+                        diagnostics=raw["diagnostics"], key=key,
+                        worker_seconds=raw["wall_seconds"],
+                        attempts=attempts, stats=dict(raw["stats"]),
+                        output_digest=raw.get("output_digest"),
                     )
-            with self._book_lock:
-                self.stats.executed += 1
-            if self.tracer is not None and raw.get("spans"):
-                # Absorb the worker-side spans (already parented under
-                # this attempt via the propagated context).
-                self.tracer.record(raw["spans"])
-            _end_attempt("ok" if raw["status"] == "success"
-                         else str(raw["status"]))
-            return JobResult(
-                job.job_id, JobStatus(raw["status"]),
-                output=raw["output"], diagnostics=raw["diagnostics"],
-                key=key, worker_seconds=raw["wall_seconds"],
-                attempts=attempts, stats=dict(raw["stats"]),
-                output_digest=raw.get("output_digest"),
-            )
+                _mark(attempt_span, failure[0])
+            # The attempt's span is closed: policy time (pool restart,
+            # backoff sleep) is not dispatch time.
+            result = self._handle_pool_failure(
+                job, key, *failure, attempts, timeout, pool, generation)
+            if result is not None:
+                return result
 
     def run_batch(self, jobs: Sequence[CompileJob]) -> List[JobResult]:
         """Run a batch; results come back in submission order.

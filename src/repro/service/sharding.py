@@ -23,7 +23,7 @@ is that fan-out output is byte-identical to ``--jobs 1``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from ..ir.core import Operation
 
@@ -124,6 +124,22 @@ def shardable_functions(payload: Operation) -> Optional[List[Operation]]:
     return tops
 
 
+def function_modules(functions: Iterable[Operation],
+                     attributes=None) -> List[Operation]:
+    """Wrap each function in a standalone module carrying
+    ``attributes``. The functions are *moved* (appending re-parents
+    them): pass clones to keep the module they came from intact."""
+    from ..dialects import builtin
+
+    modules: List[Operation] = []
+    for function in functions:
+        module = builtin.module()
+        module.attributes.update(attributes or {})
+        module.body.append(function)
+        modules.append(module)
+    return modules
+
+
 def shard_payload(payload: Operation) -> Optional[List[Operation]]:
     """Split a module into one single-function module per top-level
     func; None when the module is not cleanly splittable (see
@@ -132,18 +148,41 @@ def shard_payload(payload: Operation) -> Optional[List[Operation]]:
     tops = shardable_functions(payload)
     if tops is None or len(tops) < 2:
         return None
-    from ..dialects import builtin
-
-    shards: List[Operation] = []
-    for function in tops:
-        shard = builtin.module()
-        shard.attributes.update(payload.attributes)
-        shard.body.append(function.clone())
-        shards.append(shard)
-    return shards
+    return function_modules([function.clone() for function in tops],
+                            payload.attributes)
 
 
-def assemble_functions(module_attributes, func_texts: List[str]):
+def function_module_texts(text: str, source: str,
+                          attrs_digest: Optional[str] = None
+                          ) -> Optional[List[Tuple[str, str]]]:
+    """The function-tier view of one module text: ``(printed module,
+    structural digest)`` per top-level function, each wrapped in an
+    *attribute-less* module — tier entries must not depend on which
+    module a function arrived in.
+
+    None when ``text`` is not a cleanly splittable module (see
+    :func:`shardable_functions`) or, with ``attrs_digest`` given, its
+    module attributes digest to something else: a transformed output
+    whose module op changed escaped the function-local contract and
+    must not be stored."""
+    from ..ir.hashing import attributes_digest, op_digest
+    from ..ir.parser import parse
+    from ..ir.printer import print_op
+
+    try:
+        module = parse(text, source)
+    except Exception:
+        return None
+    tops = shardable_functions(module)
+    if tops is None or (attrs_digest is not None
+                        and attributes_digest(module) != attrs_digest):
+        return None
+    return [(print_op(wrapper), op_digest(wrapper))
+            for wrapper in function_modules(tops)]
+
+
+def assemble_functions(module_attributes, func_texts: List[str],
+                       attrs_digest: Optional[str] = None):
     """Build one module from standalone function texts.
 
     The inverse of per-function splitting: each text parses as a
@@ -154,9 +193,14 @@ def assemble_functions(module_attributes, func_texts: List[str]):
     Returns ``(printed_text, structural_digest)``; the digest comes
     off the assembled module while it is in hand, so callers never
     reparse the text to learn its identity.
+
+    With ``attrs_digest`` (the ``--jobs`` backstop, see
+    :func:`reassemble_module`) every text must be a module whose
+    attributes digest to it; the first that does not makes the whole
+    assembly return None.
     """
     from ..dialects import builtin
-    from ..ir.hashing import op_digest
+    from ..ir.hashing import attributes_digest, op_digest
     from ..ir.parser import parse
     from ..ir.printer import print_op
 
@@ -164,6 +208,9 @@ def assemble_functions(module_attributes, func_texts: List[str]):
     result.attributes.update(module_attributes)
     for index, text in enumerate(func_texts):
         op = parse(text, f"<function {index}>")
+        if (attrs_digest is not None
+                and attributes_digest(op) != attrs_digest):
+            return None
         if op.name == "builtin.module":
             for child in list(op.regions[0].entry_block.ops):
                 result.body.append(child)
@@ -175,12 +222,9 @@ def assemble_functions(module_attributes, func_texts: List[str]):
 
 def reassemble_module(payload: Operation,
                       shard_texts: List[str]) -> Optional[str]:
-    """Splice transformed shard modules back into one module.
-
-    The shards' functions are re-parented into a fresh module carrying
-    the original module attributes, in the original function order, and
-    the whole thing is printed once — so SSA value numbering is
-    assigned globally exactly as a whole-module run would have.
+    """Splice transformed shard modules back into one module carrying
+    the original module attributes, in the original function order
+    (see :func:`assemble_functions`).
 
     Returns None when any shard's module attributes diverged from the
     original payload's: the schedule mutated the module op itself (a
@@ -190,19 +234,8 @@ def reassemble_module(payload: Operation,
     Divergence is detected by comparing attribute digests
     (:func:`repro.ir.hashing.attributes_digest`) — one hash per shard
     instead of materializing and comparing attribute dictionaries."""
-    from ..dialects import builtin
     from ..ir.hashing import attributes_digest
-    from ..ir.parser import parse
-    from ..ir.printer import print_op
 
-    expected_attrs = attributes_digest(payload)
-    result = builtin.module()
-    result.attributes.update(payload.attributes)
-    for index, text in enumerate(shard_texts):
-        shard = parse(text, f"<shard {index}>")
-        if attributes_digest(shard) != expected_attrs:
-            return None
-        for op in list(shard.regions[0].entry_block.ops):
-            result.body.append(op)
-    result.verify()
-    return print_op(result)
+    assembled = assemble_functions(payload.attributes, shard_texts,
+                                   attributes_digest(payload))
+    return assembled[0] if assembled is not None else None

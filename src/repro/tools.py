@@ -179,7 +179,7 @@ def _transform_opt_sharded(payload, script, script_text: str, jobs: int,
         workers=min(jobs, len(unique_texts)),
         cache=None,
         preflight=False,
-        normalize_keys=False,
+        function_tier=False,
         strict=strict,
         profiler=profiler,
         retry_policy=RetryPolicy.none(),

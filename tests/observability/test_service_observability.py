@@ -10,6 +10,10 @@ balance against the engine's terminal states.
 import asyncio
 import json
 import textwrap
+from collections import Counter
+from concurrent.futures import Future
+
+import pytest
 
 from repro.observability import (
     EventLog,
@@ -21,8 +25,24 @@ from repro.observability import (
 )
 from repro.profiling import Profiler
 from repro.service.cache import CompilationCache
-from repro.service.engine import CompileEngine, CompileJob
+from repro.service.engine import (
+    CompileEngine,
+    CompileJob,
+    EngineStats,
+    JobResult,
+    JobStatus,
+)
 from repro.service.frontier import ServiceFrontier
+from repro.service.resilience import (
+    PoolHealthPolicy,
+    QuarantinePolicy,
+    RetryPolicy,
+)
+from repro.testing.faults import FaultPlan, FaultSite
+
+from ..service.test_engine import USE_AFTER_CONSUME, _hostile_script
+
+CRASH = _hostile_script("transform.test.service_crash")
 
 SCHEDULE = textwrap.dedent("""
     "transform.sequence"() ({
@@ -138,26 +158,8 @@ class TestPooledTraceReassembly:
         assert len(top_level) == executed
 
     def test_registry_counters_balance_engine_terminal_states(self):
-        snap = self.profiler.registry_snapshot()
-        assert validate_metrics_snapshot(snap) == []
-        counters = snap["counters"]
-        stats = self.engine.stats
-        assert counters["service.jobs"] == stats.completed
-        by_status = {
-            name.rsplit(".", 1)[1]: value
-            for name, value in counters.items()
-            if name.startswith("service.jobs_by_status.")
-        }
-        assert sum(by_status.values()) == stats.completed
-        terminal = {}
-        for result in self.results:
-            terminal[result.status.value] = \
-                terminal.get(result.status.value, 0) + 1
-        assert by_status == terminal
-        assert (counters["service.cache_hits"]
-                + counters["service.cache_misses"]) == stats.completed
-        hist = snap["histograms"]["service.job_seconds"]
-        assert hist["count"] == stats.completed
+        _assert_accounting_agrees(self.engine, self.profiler,
+                                  self.events, self.results)
 
     def test_event_log_lifecycle_per_job(self):
         records = self.events.records()
@@ -174,6 +176,197 @@ class TestPooledTraceReassembly:
         statuses = {r["job_id"]: r["status"] for r in completed}
         for result in self.results:
             assert statuses[result.job_id] == result.status.value
+
+
+def _assert_accounting_agrees(engine, profiler, events, results):
+    """The engine's one store (``EngineStats``), the event log and the
+    profiler's registry describe the same run."""
+    snap = profiler.registry_snapshot()
+    assert validate_metrics_snapshot(snap) == []
+    counters = snap["counters"]
+    stats = engine.stats
+    records = events.records()
+    assert validate_events(records) == []
+    emitted = Counter(r["event"] for r in records)
+
+    # Terminal states: results == COMPLETED events == registry.
+    assert stats.submitted == stats.completed == len(results)
+    assert counters["service.jobs"] == stats.completed
+    terminal = Counter(r.status.value for r in results)
+    assert Counter(r["status"] for r in records
+                   if r["event"] == "COMPLETED") == terminal
+    assert {
+        name.rsplit(".", 1)[1]: value
+        for name, value in counters.items()
+        if name.startswith("service.jobs_by_status.")
+    } == terminal
+    assert (counters.get("service.cache_hits", 0)
+            + counters.get("service.cache_misses", 0)) == stats.completed
+    assert snap["histograms"]["service.job_seconds"]["count"] == \
+        stats.completed
+
+    # Every transition: the EngineStats field equals its event count.
+    assert emitted["STARTED"] == stats.submitted
+    assert emitted["REJECTED"] == stats.rejected
+    assert emitted["COALESCED"] == stats.coalesced
+    assert emitted["ASSEMBLED"] == stats.function_tier_hits
+    assert emitted["RETRIED"] == stats.retries
+    assert emitted["TIMEOUT"] == stats.timeouts
+    assert emitted["CRASHED"] == stats.crashes
+    assert emitted["DEGRADED"] == stats.pool_degradations
+    assert emitted["CACHE_HIT"] + sum(
+        1 for r in records
+        if r["event"] == "ASSEMBLED" and r["cache_hit"]
+    ) == stats.cache_hits
+    assert emitted["POISONED"] + sum(
+        1 for r in records
+        if r["event"] == "COALESCED" and r["leader_status"] == "poisoned"
+    ) == stats.quarantined
+    assert emitted["DISPATCHED"] == \
+        stats.executed + stats.timeouts + stats.crashes
+
+    # The registry mirrors the resilience fields (absent until first
+    # recorded) and the profiler's views read them back.
+    assert counters.get("service.worker_restarts", 0) == \
+        stats.worker_restarts == profiler.service.worker_restarts
+    assert counters.get("resilience.retries", 0) == \
+        stats.retries == profiler.resilience.retries
+    assert counters.get("resilience.quarantined", 0) == \
+        stats.quarantined == profiler.resilience.quarantined
+    assert counters.get("resilience.pool_degradations", 0) == \
+        stats.pool_degradations == profiler.resilience.pool_degradations
+
+
+def _planted_leader(status):
+    """A follower of an already-resolved in-flight leader: learn the
+    job's key from a first run, then plant the leader's future."""
+    def route(engine, job):
+        first = engine.run_job(job())
+        flight = Future()
+        flight.set_result(JobResult("leader", status, key=first.key))
+        engine._inflight[first.key] = flight
+        return [first, engine.run_job(job())]
+    return route
+
+
+def _double_check_hit(engine, job):
+    # The first lookup misses, the leader's re-lookup after winning
+    # the in-flight slot finds what a previous leader just stored.
+    results = [engine.run_job(job())]
+    lookup = engine.cache.get
+    engine.cache.get = lambda key, count_miss=True: (
+        None if count_miss else lookup(key, count_miss=False))
+    return results + [engine.run_job(job())]
+
+
+def _cancelled(engine, job):
+    engine.shutdown()
+    return [engine.run_job(job())]
+
+
+#: route -> (engine options, script, driver(engine, job) -> results,
+#: the last job's event sequence, the nonzero EngineStats fields).
+ROUTES = {
+    "success": (
+        dict(workers=0), SCHEDULE,
+        lambda engine, job: [engine.run_job(job())],
+        ["STARTED", "DISPATCHED", "COMPLETED"],
+        dict(submitted=1, completed=1, executed=1),
+    ),
+    "cache-hit": (
+        dict(workers=0, cache=True), SCHEDULE,
+        lambda engine, job: [engine.run_job(job()), engine.run_job(job())],
+        ["STARTED", "CACHE_HIT", "COMPLETED"],
+        dict(submitted=2, completed=2, executed=1, cache_hits=1),
+    ),
+    "leader-double-check-hit": (
+        dict(workers=0, cache=True), SCHEDULE, _double_check_hit,
+        ["STARTED", "CACHE_HIT", "COMPLETED"],
+        dict(submitted=2, completed=2, executed=1, cache_hits=1),
+    ),
+    "coalesced-follower": (
+        dict(workers=0), SCHEDULE, _planted_leader(JobStatus.SUCCESS),
+        ["STARTED", "COALESCED", "COMPLETED"],
+        dict(submitted=2, completed=2, executed=1, coalesced=1),
+    ),
+    "coalesced-follower-of-poisoned-leader": (
+        dict(workers=0), SCHEDULE, _planted_leader(JobStatus.POISONED),
+        ["STARTED", "COALESCED", "COMPLETED"],
+        dict(submitted=2, completed=2, executed=1, coalesced=1,
+             quarantined=1),
+    ),
+    "rejected": (
+        dict(workers=0), USE_AFTER_CONSUME,
+        lambda engine, job: [engine.run_job(job())],
+        ["STARTED", "REJECTED", "COMPLETED"],
+        dict(submitted=1, completed=1, rejected=1),
+    ),
+    "timeout-retry-success": (
+        dict(workers=1, job_timeout=0.5,
+             faults=FaultPlan(seed=3, max_fires=1,
+                              rates={FaultSite.WORKER_HANG: 1.0}),
+             retry_policy=RetryPolicy(
+                 max_attempts=2,
+                 retry_statuses=frozenset({"crashed", "timeout"}))),
+        SCHEDULE, lambda engine, job: [engine.run_job(job())],
+        ["STARTED", "DISPATCHED", "TIMEOUT", "RETRIED", "DISPATCHED",
+         "COMPLETED"],
+        dict(submitted=1, completed=1, executed=1, timeouts=1,
+             retries=1, worker_restarts=1),
+    ),
+    "crashed-poisoned": (
+        dict(workers=1, preflight=False, retry_policy=RetryPolicy.none(),
+             quarantine=QuarantinePolicy(threshold=1)),
+        CRASH, lambda engine, job: [engine.run_job(job())],
+        ["STARTED", "DISPATCHED", "CRASHED", "POISONED", "COMPLETED"],
+        dict(submitted=1, completed=1, crashes=1, worker_restarts=1,
+             quarantined=1),
+    ),
+    "degraded-in-process": (
+        dict(workers=1, preflight=False, retry_policy=RetryPolicy.none(),
+             quarantine=None,
+             pool_health=PoolHealthPolicy(max_restarts=1,
+                                          window_seconds=60.0)),
+        CRASH,
+        lambda engine, job: [
+            engine.run_job(job()),
+            engine.run_job(job(script_text=SCHEDULE)),
+        ],
+        ["STARTED", "DISPATCHED", "COMPLETED"],
+        dict(submitted=2, completed=2, executed=1, crashes=1,
+             worker_restarts=1, pool_degradations=1),
+    ),
+    "cancelled": (
+        dict(workers=0), SCHEDULE, _cancelled,
+        ["STARTED", "COMPLETED"],
+        dict(submitted=1, completed=1, cancelled=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_accounting_agrees_on_every_terminal_route(route):
+    """Same checker as the pooled-batch balance test above, driven
+    through each way a job can end."""
+    options, script, drive, sequence, expected = ROUTES[route]
+    options = dict(options)
+    if options.pop("cache", False):
+        options["cache"] = CompilationCache(capacity=8)
+    profiler, events = Profiler(), EventLog()
+    ids = iter(f"{route}-{n}" for n in range(8))
+
+    def job(script_text=script):
+        return CompileJob(payload_text=_payload(0),
+                          script_text=script_text, job_id=next(ids))
+
+    with CompileEngine(profiler=profiler, events=events,
+                       **options) as engine:
+        results = drive(engine, job)
+    _assert_accounting_agrees(engine, profiler, events, results)
+    assert engine.stats.as_dict() == \
+        dict(EngineStats().as_dict(), **expected)
+    last = results[-1].job_id
+    assert [r["event"] for r in events.for_job(last)] == sequence
 
 
 class TestDisabledModeUnchanged:

@@ -6,8 +6,12 @@ workers inherit them and can execute the hostile schedules.
 """
 
 import os
+import subprocess
+import sys
 import textwrap
 import time
+from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -21,6 +25,7 @@ from repro.service import (
     CompileEngine,
     CompileJob,
     JobStatus,
+    RetryPolicy,
 )
 
 
@@ -148,7 +153,9 @@ class TestClassification:
         with CompileEngine(workers=0) as engine:
             for _ in range(3):
                 engine.run_job(_job(script=USE_AFTER_CONSUME))
-            assert len(engine._script_gate) == 1
+            assert len(engine._scripts) == 1
+            (info,) = engine._scripts.values()
+            assert list(info.verdicts) == [None]
             assert engine.stats.rejected == 3
 
     def test_unparsable_payload_rejected(self):
@@ -176,6 +183,102 @@ class TestClassification:
         assert engine.stats.cancelled == 1
 
 
+#: Handle types spelled ``!transform.op<"...">`` only parse once the
+#: transform dialect is registered.
+TYPED_HANDLE = textwrap.dedent("""
+    "transform.sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %f = "transform.match_op"(%root) {names = ["func.func"], position = "all"} : (!transform.any_op) -> !transform.op<"func.func">
+      "transform.annotate"(%f) {attr_name = "seen", value = 1 : i64} : (!transform.op<"func.func">) -> ()
+      "transform.yield"() : () -> ()
+    }) : () -> ()
+""").strip()
+
+
+class TestFreshProcess:
+    def test_engine_registers_dialects_before_its_first_parse(self):
+        # Regression: a process that imported only repro.service
+        # REJECTED this script ("does not parse ... near '<'") because
+        # the engine parsed it before anything imported repro.core.
+        program = textwrap.dedent(f"""
+            from repro.service import CompileEngine, CompileJob
+            for workers in (0, 1):
+                with CompileEngine(workers=workers) as engine:
+                    result = engine.run_job(
+                        CompileJob({PAYLOAD!r}, {TYPED_HANDLE!r}))
+                print(result.status.value, result.output_digest)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        fresh = subprocess.run(
+            [sys.executable, "-c", program], env=env, timeout=120,
+            capture_output=True, text=True, check=True,
+        ).stdout.splitlines()
+        with CompileEngine(workers=0) as engine:
+            here = engine.run_job(_job(script=TYPED_HANDLE))
+        assert here.status is JobStatus.SUCCESS
+        assert fresh == [f"success {here.output_digest}"] * 2
+
+
+class TestInputMemo:
+    @staticmethod
+    def _count_parses(monkeypatch):
+        import repro.ir.parser as parser
+
+        parses = Counter()
+        real = parser.parse
+
+        def counting(text, source="<input>"):
+            parses[source] += 1
+            return real(text, source)
+
+        monkeypatch.setattr(parser, "parse", counting)
+        return parses
+
+    def test_one_engine_side_parse_per_input_text(self, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        with CompileEngine(workers=0) as engine:
+            engine.run_job(_job())
+            # Engine + worker, once each (the parent parsed the script
+            # twice engine-side: digest, then lint).
+            assert parses == {"<payload>": 2, "<script>": 2}
+            engine.run_job(_job())
+            # Uncached repeat: only the worker parses.
+            assert parses == {"<payload>": 3, "<script>": 3}
+
+    def test_new_entry_point_relints_without_reparsing(self, monkeypatch):
+        import repro.analysis.lint as lint
+
+        lints = []
+        real = lint.lint_script
+        monkeypatch.setattr(
+            lint, "lint_script",
+            lambda script, **kw: lints.append(kw) or real(script, **kw))
+        parses = self._count_parses(monkeypatch)
+        with CompileEngine(workers=0) as engine:
+            engine.run_job(_job())
+            engine.run_job(_job(entry_point="other"))
+            engine.run_job(_job(entry_point="other"))
+        assert lints == [{"entry_point": None}, {"entry_point": "other"}]
+        assert parses["<script>"] == 1 + 3  # engine once, worker per job
+
+    def test_memo_is_lru_bounded_by_cache_capacity(self, monkeypatch):
+        parses = self._count_parses(monkeypatch)
+        payloads = [PAYLOAD.replace("8 : index", f"{8 + n} : index")
+                    for n in range(4)]
+        with CompileEngine(workers=0, preflight=False,
+                           cache=CompilationCache(capacity=3)) as engine:
+            for payload in payloads[:3]:
+                engine.run_job(_job(payload=payload))
+            engine.run_job(_job(payload=payloads[0]))  # re-touch: hot
+            engine.run_job(_job(payload=payloads[3]))  # evicts the LRU
+            assert list(engine._payloads) == \
+                [payloads[2], payloads[0], payloads[3]]
+            assert len(engine._scripts) == 1
+            before = parses["<payload>"]
+            assert engine.run_job(_job(payload=payloads[0])).cache_hit
+            assert parses["<payload>"] == before  # still memoized
+
+
 class TestCacheIntegration:
     def test_second_job_hits_cache(self):
         cache = CompilationCache(capacity=8)
@@ -190,7 +293,7 @@ class TestCacheIntegration:
         assert cache.stats.hit_rate > 0
 
     def test_formatting_differences_share_a_key(self):
-        # normalize_keys reprints both inputs, so whitespace-shifted
+        # Jobs are keyed on structural digests, so whitespace-shifted
         # payload text maps to the same content address.
         reindented = PAYLOAD.replace("    ", "  ")
         cache = CompilationCache(capacity=8)
@@ -367,10 +470,30 @@ class TestHostileWorkers:
             healthy = engine.run_job(_job())
             assert healthy.status is JobStatus.SUCCESS
 
+    def test_pool_already_broken_at_submit_takes_the_crash_path(self):
+        # Regression: submit() on a pool another job's crash had just
+        # broken raised BrokenProcessPool straight out of run_job
+        # (chaos seed 1 hit it); it is a pool failure like any other.
+        with CompileEngine(workers=1) as engine:
+            assert engine.run_job(_job()).ok
+            pool = engine._pool
+            engine._terminate(pool)
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                try:
+                    pool.submit(int).result(timeout=30.0)
+                except BrokenProcessPool:
+                    break
+            result = engine.run_job(_job(params={"n": 1}))
+            assert result.status is JobStatus.SUCCESS
+            assert result.attempts == 2
+            assert engine.stats.crashes == 1
+            assert engine.stats.worker_restarts == 1
+
     def test_crash_without_retry(self):
         script = _hostile_script("transform.test.service_crash")
         with CompileEngine(workers=1, preflight=False,
-                           retry_crashed=False) as engine:
+                           retry_policy=RetryPolicy.none()) as engine:
             result = engine.run_job(_job(script=script))
         assert result.status is JobStatus.CRASHED
         assert result.attempts == 1

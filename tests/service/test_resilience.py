@@ -185,11 +185,6 @@ class TestEngineRetry:
         assert result.attempts == 1
         assert engine.stats.retries == 0
 
-    def test_legacy_retry_crashed_flag_maps_to_policy(self):
-        assert CompileEngine(workers=0).retry_policy.max_attempts == 2
-        engine = CompileEngine(workers=0, retry_crashed=False)
-        assert engine.retry_policy.max_attempts == 1
-
 
 class TestEngineQuarantine:
     def test_poison_job_trips_breaker_then_short_circuits(self):
