@@ -8,10 +8,10 @@ the static checker and of the dynamic (IRDL-verified) pipeline run.
 
 import pytest
 
+from repro.analysis import check_pipeline
 from repro.core import (
     DynamicConditionChecker,
     TransformInterpreter,
-    check_pipeline,
     pass_conditions,
     pipeline_to_transform_script,
 )

@@ -12,7 +12,8 @@ anything; adding ``lower-affine`` (+ a second arith lowering) fixes it.
 Run:  python examples/lowering_pipeline.py
 """
 
-from repro.core import check_pipeline, payload_op_specs
+from repro.analysis import check_pipeline
+from repro.core import payload_op_specs
 from repro.dialects import arith, builtin, func, memref as md, scf
 from repro.ir import Builder, F32, INDEX
 from repro.ir.types import memref

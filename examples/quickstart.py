@@ -10,10 +10,10 @@ statically and dynamically.
 Run:  python examples/quickstart.py
 """
 
+from repro.analysis import analyze_invalidation
 from repro.core import (
     TransformInterpreter,
     TransformInterpreterError,
-    analyze_invalidation,
     dialect as transform,
 )
 from repro.execution.workloads import build_uneven_loop_module

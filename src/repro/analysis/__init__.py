@@ -38,7 +38,9 @@ from .invalidation import (
     InvalidationAnalysis,
     InvalidationIssue,
     NamedSequenceSummary,
+    analyze_invalidation,
     analyze_script,
+    verify_script,
 )
 from .lint import emit_invalidation_diagnostics, lint_script
 from .pipeline import (
@@ -70,6 +72,7 @@ __all__ = [
     "Reach",
     "WARNING",
     "always_fails",
+    "analyze_invalidation",
     "analyze_script",
     "check_pipeline",
     "check_transform_script",
@@ -81,4 +84,5 @@ __all__ = [
     "lint_script",
     "may_fail_silenceably",
     "top_level_ops",
+    "verify_script",
 ]

@@ -568,6 +568,28 @@ def analyze_script(script: Operation, *, may_alias: bool = True,
     return analysis.issues
 
 
+def analyze_invalidation(script: Operation) -> List[InvalidationIssue]:
+    """The *derivation-based* issues of :func:`analyze_script` — direct
+    consumption and declared alias edges — without the coarse
+    worst-case may-alias warnings (those exist for the differential
+    fuzz oracle; ask ``analyze_script(..., may_alias=True)``)."""
+    return analyze_script(script, may_alias=False)
+
+
+def verify_script(script: Operation) -> List[str]:
+    """Script-level verification: structural checks + invalidation.
+
+    Returns human-readable error strings (empty = script is clean).
+    This is the static counterpart of the interpreter's dynamic
+    tracking, runnable before any payload exists.
+    """
+    errors = [str(issue) for issue in analyze_invalidation(script)]
+    for op in script.walk():
+        if op.name == "transform.include" and op.attr("target") is None:
+            errors.append("transform.include without a 'target'")
+    return errors
+
+
 __all__ = [
     "Consumption",
     "DERIVES_NESTED",
@@ -579,5 +601,7 @@ __all__ = [
     "InvalidationIssue",
     "NamedSequenceSummary",
     "SummaryConsumption",
+    "analyze_invalidation",
     "analyze_script",
+    "verify_script",
 ]

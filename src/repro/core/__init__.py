@@ -5,9 +5,6 @@ Public surface:
 * :mod:`repro.core.dialect` — transform operations and script builders;
 * :class:`TransformInterpreter` — executes scripts against payload IR;
 * :class:`TransformState` — handle/payload mapping with invalidation;
-* :func:`check_pipeline` / :func:`check_transform_script` — static
-  pre-/post-condition checking (§3.3);
-* :func:`analyze_invalidation` — static use-after-consume analysis (§3.4);
 * :func:`expand_includes` / :func:`simplify_script` /
   :func:`infer_ad_dialects` — transformations of transform IR (§3.4);
 * :func:`pipeline_to_transform_script` — pass pipeline conversion (§4.1);
@@ -40,11 +37,6 @@ from .interpreter import (
     TransformInterpreter,
     apply_transform_script,
 )
-from .invalidation import (
-    InvalidationIssue,
-    analyze_invalidation,
-    verify_script,
-)
 from .pass_to_transform import (
     pipeline_to_transform_script,
     transform_script_to_pipeline,
@@ -57,17 +49,6 @@ from .script_transforms import (
 )
 from .state import HandleInvalidatedError, StateSnapshot, TransformState
 from .transaction import PayloadTransaction, TransactionError
-from .static_checker import (
-    IssueKind,
-    PipelineBranch,
-    PipelineIssue,
-    PipelineReport,
-    check_pipeline,
-    check_transform_script,
-    extract_pipeline_from_script,
-    extract_pipeline_tree,
-    flatten_pipeline,
-)
 from .types import (
     ANY_OP,
     AnyOpType,

@@ -22,15 +22,17 @@ Layers (each its own module):
   crash-loop pool-health monitoring;
 * :mod:`repro.service.sharding` — conservative per-function fan-out
   used by ``repro-opt --jobs N``;
-* :mod:`repro.service.frontier` — the asyncio front-end (bounded
-  queue, backpressure) and the ``repro-batch`` CLI;
+* :mod:`repro.service.frontier` — the one admission queue: bounded,
+  ordered by priority class then arrival, backpressure when full;
+* :mod:`repro.service.cli` — everything argparse: the flags and
+  engine factory the CLIs share, the one result reporter, and
+  ``repro-batch`` (one driver over a local frontier or ``--connect``);
 * :mod:`repro.service.server` — the persistent ``repro-serve``
-  daemon: a warm engine behind a line-delimited JSON protocol on a
-  unix/TCP socket, with streamed job events, priority classes,
+  daemon: a warm engine + frontier behind a line-delimited JSON
+  protocol on a unix/TCP socket, with streamed job events,
   per-client quotas, and drain/reload;
 * :mod:`repro.service.client` — sync and asyncio clients for the
-  daemon, and the ``repro-submit`` CLI (``repro-batch --connect``
-  rides the asyncio one).
+  daemon, and the ``repro-submit`` CLI.
 
 Fault tolerance is testable: every failure-handling path above can be
 driven deterministically by :mod:`repro.testing.faults`.

@@ -7,7 +7,8 @@ Two flavours over the same newline-delimited JSON protocol (see
 * :class:`AsyncServiceClient` — asyncio; one connection multiplexes
   any number of concurrent :meth:`~AsyncServiceClient.submit` calls
   (response frames are demultiplexed on the echoed request ``id``).
-  This is what ``repro-batch --connect`` rides.
+  This is what ``repro-batch --connect`` rides (windowed to the
+  ``client_quota`` the server's ``pong`` advertises).
 * :class:`ServiceClient` — blocking sockets, one request at a time;
   for scripts, tests, and the ``repro-submit`` CLI.
 
@@ -344,6 +345,8 @@ class ServiceClient:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .cli import add_job_arguments, parse_params, report_results
+
     parser = argparse.ArgumentParser(
         prog="repro-submit",
         description="submit one compile job to a running repro-serve "
@@ -357,16 +360,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--schedule", default=None, metavar="FILE",
                         help="transform script file or frontend .py "
                         "module (required with a payload)")
-    parser.add_argument("--entry-point", default=None,
-                        help="named sequence to run")
-    parser.add_argument("--param", action="append", default=None,
-                        metavar="NAME=VALUE",
-                        help="parameter binding (repeatable; VALUE "
-                        "may be a comma list)")
-    parser.add_argument("--priority", default="interactive",
-                        choices=("interactive", "batch", "background"),
-                        help="priority class (default interactive: a "
-                        "human is waiting)")
+    # Default class interactive: a human is waiting on this one job.
+    add_job_arguments(parser, priority="interactive")
     parser.add_argument("--job-id", default=None,
                         help="job id for correlation (default: server "
                         "assigned)")
@@ -411,9 +406,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: need a payload and --schedule "
                   "(or --stats/--ping/--drain)", file=sys.stderr)
             return 2
-        from .frontier import _parse_params
         try:
-            params = _parse_params(args.param)
+            params = parse_params(args.param)
         except ValueError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
@@ -451,21 +445,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        tag = result.status.value
-        if result.cache_hit:
-            tag += " (cached)"
-        print(f"{result.job_id}: {tag}", file=sys.stderr)
-        if not result.ok:
-            if result.diagnostics:
-                print(result.diagnostics, file=sys.stderr)
-            return 1
-        text = (result.output or "") + "\n"
-        if args.output is not None:
-            with open(args.output, "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
+        # The module goes to stdout unless -o names a file, so the
+        # status line goes to stderr.
+        return report_results([(result.job_id, result)],
+                              lambda _: args.output or "-",
+                              status_out=sys.stderr)[0]
     except RemoteError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -1,41 +1,48 @@
-"""The asyncio front-end and the ``repro-batch`` CLI.
+"""The service's one admission queue.
 
-:class:`ServiceFrontier` is the admission layer of the compile
-service: a bounded ``asyncio.Queue`` in front of the engine. Producers
-``await submit(...)`` — when the queue is full they block, which *is*
-the backpressure mechanism: admission slows to the rate workers drain
-the queue instead of buffering unboundedly. A small set of dispatcher
-tasks pops jobs and runs :meth:`CompileEngine.run_job` on a private
-thread pool (the engine call blocks on the process pool; threads keep
-the event loop free).
+:class:`ServiceFrontier` is the single place that decides in what
+order, and how many, undispatched jobs wait: a bounded
+``asyncio.PriorityQueue`` in front of the engine, ordered by priority
+class (:data:`PRIORITY_RANKS`) and then by arrival. Producers
+``await submit(...)`` — when the queue is full they block (in arrival
+order), which *is* the backpressure mechanism: admission slows to the
+rate workers drain the queue instead of buffering unboundedly. A small
+set of dispatcher tasks pops jobs and runs
+:meth:`CompileEngine.run_job` on a private thread pool (the engine
+call blocks on the process pool; threads keep the event loop free).
+Nothing already dispatched is ever preempted.
 
-``repro-batch`` compiles a directory of payload modules against a
-schedule library through the frontier::
-
-    repro-batch payloads/ --schedule schedules/tile.mlir --jobs 4 \\
-        --cache-dir .repro-cache --timing --json metrics.json -o out/
+Both front doors share this queue: ``repro-batch`` (local mode) and
+the ``repro-serve`` daemon; their CLIs live in
+:mod:`repro.service.cli` and :mod:`repro.service.server`.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import functools
-import json
-import os
-import sys
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from dataclasses import dataclass, field
 
 from ..testing.faults import FaultPlan, FaultSite
-from .cache import CompilationCache
 from .engine import CompileEngine, CompileJob, JobResult
-from .resilience import PoolHealthPolicy, QuarantinePolicy, RetryPolicy
 
-_SENTINEL = None
+#: Priority classes in rank order (lower rank dispatches first).
+PRIORITY_RANKS: Dict[str, int] = {
+    "interactive": 0,
+    "batch": 1,
+    "background": 2,
+}
+
+#: Shutdown sentinels rank behind every class, so ``close()`` drains
+#: all admitted work before the dispatchers see them. Queue entries
+#: are ``(rank, arrival seq, item-or-None)``; the unique ``seq`` keeps
+#: the comparison from ever reaching the third field.
+_SENTINEL_RANK = len(PRIORITY_RANKS)
 
 
 @dataclass
@@ -84,7 +91,8 @@ class ServiceFrontier:
         self.engine = engine
         self.max_queue = max_queue
         self.dispatchers = dispatchers or max(engine.workers, 1)
-        self._queue: Optional[asyncio.Queue] = None
+        self._queue: Optional[asyncio.PriorityQueue] = None
+        self._seq = itertools.count()
         self._tasks: List[asyncio.Task] = []
         self._threads: Optional[ThreadPoolExecutor] = None
         self._depth = 0
@@ -104,7 +112,7 @@ class ServiceFrontier:
         if self._queue is not None:
             return
         self._closing = False
-        self._queue = asyncio.Queue(maxsize=self.max_queue)
+        self._queue = asyncio.PriorityQueue(maxsize=self.max_queue)
         self._threads = ThreadPoolExecutor(
             max_workers=self.dispatchers,
             thread_name_prefix="repro-dispatch",
@@ -130,17 +138,18 @@ class ServiceFrontier:
             return
         self._closing = True
         for _ in self._tasks:
-            await self._queue.put(_SENTINEL)
+            await self._queue.put(
+                (_SENTINEL_RANK, next(self._seq), None)
+            )
         await asyncio.gather(*self._tasks, return_exceptions=True)
-        # asyncio.Queue is not FIFO-fair between a woken putter and a
-        # fresh put: a sentinel enqueued while a submit() was parked in
-        # queue.put() can jump ahead of the job. Any job stranded
-        # behind the sentinels would never be dispatched (the
-        # dispatchers just exited) and its submitter would await its
-        # future forever — refuse them now instead.
+        # A submit() parked in queue.put() while the sentinels went in
+        # can land after the dispatchers have consumed them and
+        # exited. Any job stranded that way would never be dispatched
+        # and its submitter would await its future forever — refuse
+        # them now instead.
         while not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is _SENTINEL or item.taken:
+            item = self._queue.get_nowait()[2]
+            if item is None or item.taken:
                 continue
             self._refuse(item)
         self._tasks = []
@@ -156,15 +165,46 @@ class ServiceFrontier:
         with self._depth_lock:
             return self._depth
 
-    async def submit(self, job: CompileJob) -> JobResult:
+    def _edge(self, item: _QueueItem, delta: int, event: str,
+              span_status: str = "ok", **fields) -> None:
+        """One queue edge, told to every observer at once: move the
+        depth counter by ``delta``, sample it into the profiler, end
+        the ``queue.wait`` span when the job leaves the queue, and
+        emit ``event`` carrying the new depth. Depth is sampled on
+        *both* edges: enqueue sees the rising slope (how deep
+        backpressure let the queue grow), dequeue the falling one
+        (how fast dispatchers drain it)."""
+        with self._depth_lock:
+            self._depth += delta
+            depth = self._depth
+        if self.engine.profiler is not None:
+            self.engine.profiler.record_queue_depth(depth)
+        tracer = getattr(self.engine, "tracer", None)
+        if tracer is not None and delta < 0:
+            tracer.end_span(item.wait, span_status)
+        events = getattr(self.engine, "events", None)
+        if events is not None:
+            events.emit(event, job_id=item.job.job_id, depth=depth,
+                        **fields)
+
+    async def submit(self, job: CompileJob,
+                     priority: str = "batch") -> JobResult:
         """Admit one job and await its result.
 
-        Blocks (asynchronously) while the queue is full — backpressure
-        propagates to the producer rather than growing a buffer.
-        Raises :class:`ServiceClosedError` once :meth:`close` has begun
-        (a job enqueued behind the shutdown sentinels would never be
-        dispatched and this coroutine would hang forever).
+        ``priority`` names a class in :data:`PRIORITY_RANKS`; queued
+        jobs dispatch by rank, then arrival (unknown class:
+        ``ValueError``). Blocks (asynchronously) while the queue is
+        full — backpressure propagates to the producer rather than
+        growing a buffer. Raises :class:`ServiceClosedError` once
+        :meth:`close` has begun (a job enqueued behind the shutdown
+        sentinels would never be dispatched and this coroutine would
+        hang forever).
         """
+        if priority not in PRIORITY_RANKS:
+            raise ValueError(
+                f"unknown priority {priority!r} "
+                f"(choose from: {', '.join(PRIORITY_RANKS)})"
+            )
         if self._closing:
             raise ServiceClosedError(
                 "frontier is closed (or draining); submit() rejected"
@@ -177,7 +217,6 @@ class ServiceFrontier:
         # and ``queue.wait`` — ended by the dispatcher that pops the
         # job — measures admission-to-dispatch latency alone.
         tracer = getattr(self.engine, "tracer", None)
-        events = getattr(self.engine, "events", None)
         root = wait = None
         if tracer is not None:
             root = tracer.start_span(
@@ -187,20 +226,16 @@ class ServiceFrontier:
                 "queue.wait", parent=root,
                 attributes={"job_id": job.job_id},
             )
+        item = _QueueItem(job, future, root, wait)
         # Count the job before it is visible to dispatchers — the
         # other order lets a dispatcher pop and decrement first,
         # driving the counter (and the profiler's queue-depth samples)
         # transiently negative.
-        with self._depth_lock:
-            self._depth += 1
-            depth = self._depth
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_queue_depth(depth)
-        if events is not None:
-            events.emit("ADMITTED", job_id=job.job_id, depth=depth)
-        item = _QueueItem(job, future, root, wait)
+        self._edge(item, +1, "ADMITTED")
         try:
-            await self._queue.put(item)
+            await self._queue.put(
+                (PRIORITY_RANKS[priority], next(self._seq), item)
+            )
         except BaseException:
             with self._depth_lock:
                 self._depth -= 1
@@ -211,11 +246,11 @@ class ServiceFrontier:
         if self._closing and not item.taken:
             # Lost the race with close(): the check at the top passed,
             # but close() began while this coroutine was parked in
-            # queue.put(), and the enqueued job may sit behind the
-            # shutdown sentinels (queue wakeups are not FIFO-fair with
-            # fresh puts). A dispatcher that already claimed the item
-            # (taken) will still complete it; otherwise refuse it here
-            # so the await below raises instead of hanging forever.
+            # queue.put(), and the dispatchers may already have
+            # consumed their shutdown sentinels and exited. A
+            # dispatcher that already claimed the item (taken) will
+            # still complete it; otherwise refuse it here so the await
+            # below raises instead of hanging forever.
             self._refuse(item)
         return await future
 
@@ -225,22 +260,14 @@ class ServiceFrontier:
         event loop only; the caller must not have ceded ownership
         (``item.taken``) to a dispatcher."""
         item.taken = True
-        with self._depth_lock:
-            self._depth -= 1
-            depth = self._depth
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_queue_depth(depth)
+        # Every refusal path must end what admission started, or the
+        # exported trace carries spans that never finished
+        # (validate_chrome_trace flags the children as orphans).
+        self._edge(item, -1, "COMPLETED", "error",
+                   status="cancelled", refused=True)
         tracer = getattr(self.engine, "tracer", None)
-        events = getattr(self.engine, "events", None)
         if tracer is not None:
-            # Every refusal path must end what admission started, or
-            # the exported trace carries spans that never finished
-            # (validate_chrome_trace flags the children as orphans).
-            tracer.end_span(item.wait, "error")
             tracer.end_span(item.root, "error")
-        if events is not None:
-            events.emit("COMPLETED", job_id=item.job.job_id,
-                        status="cancelled", refused=True)
         if not item.future.done():
             item.future.set_exception(ServiceClosedError(
                 "frontier closed while the job was being admitted; "
@@ -260,8 +287,8 @@ class ServiceFrontier:
         loop = asyncio.get_running_loop()
         assert self._queue is not None
         while True:
-            item = await self._queue.get()
-            if item is _SENTINEL:
+            item = (await self._queue.get())[2]
+            if item is None:
                 return
             if item.taken:
                 # Refused by a racing submit()/close() that already
@@ -269,23 +296,9 @@ class ServiceFrontier:
                 # to do (depth was settled by the refuser too).
                 continue
             item.taken = True
-            job, future, root, wait = (item.job, item.future,
-                                       item.root, item.wait)
-            # Sample depth on *both* edges: enqueue sees the rising
-            # slope (how deep backpressure let the queue grow), dequeue
-            # the falling one (how fast dispatchers drain it). One-sided
-            # sampling under-reports whichever slope it skips.
-            with self._depth_lock:
-                self._depth -= 1
-                depth = self._depth
+            job, future, root = item.job, item.future, item.root
+            self._edge(item, -1, "DEQUEUED")
             tracer = getattr(self.engine, "tracer", None)
-            events = getattr(self.engine, "events", None)
-            if tracer is not None:
-                tracer.end_span(wait)
-            if self.engine.profiler is not None:
-                self.engine.profiler.record_queue_depth(depth)
-            if events is not None:
-                events.emit("DEQUEUED", job_id=job.job_id, depth=depth)
             if future.done():
                 if tracer is not None:
                     tracer.end_span(root, "cancelled")
@@ -319,433 +332,3 @@ class ServiceFrontier:
                 )
             if not future.done():
                 future.set_result(result)
-
-
-# ---------------------------------------------------------------------------
-# repro-batch CLI
-# ---------------------------------------------------------------------------
-
-
-def _collect(path: str,
-             suffixes: Sequence[str] = (".mlir", ".py")) -> List[str]:
-    if os.path.isfile(path):
-        return [path]
-    if not os.path.isdir(path):
-        raise FileNotFoundError(path)
-    return sorted(
-        os.path.join(path, name)
-        for name in os.listdir(path)
-        if name.endswith(tuple(suffixes))
-    )
-
-
-def _parse_params(items: Optional[List[str]]) -> Optional[dict]:
-    if not items:
-        return None
-    params = {}
-    for item in items:
-        name, _, raw = item.partition("=")
-        if not _:
-            raise ValueError(f"--param expects name=value, got {item!r}")
-        values = [int(v) for v in raw.split(",")]
-        params[name] = values[0] if len(values) == 1 else values
-    return params
-
-
-def _parse_faults(items: Optional[List[str]]) -> Optional[dict]:
-    """Parse repeated ``--fault SITE=RATE`` into a rates mapping for
-    :class:`FaultPlan` (the seed arrives separately via
-    ``--fault-seed``)."""
-    if not items:
-        return None
-    valid = {site.value for site in FaultSite}
-    rates = {}
-    for item in items:
-        name, _, raw = item.partition("=")
-        if not _:
-            raise ValueError(f"--fault expects SITE=RATE, got {item!r}")
-        if name not in valid:
-            raise ValueError(
-                f"unknown fault site {name!r} "
-                f"(choose from: {', '.join(sorted(valid))})"
-            )
-        rate = float(raw)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"--fault rate must be in [0, 1], got {raw!r}")
-        rates[name] = rate
-    return rates
-
-
-def _stem(path: str) -> str:
-    return os.path.splitext(os.path.basename(path))[0]
-
-
-def _unique_labels(paths: Sequence[str]) -> List[str]:
-    """Human-readable, collision-free labels for a list of files.
-
-    Basename stems alone can collide — ``--schedule`` is repeatable,
-    so ``a/tile.mlir`` and ``b/tile.mlir`` may both be loaded, and
-    with ``-o`` colliding job ids would silently overwrite each
-    other's output files. Duplicated stems are qualified with their
-    parent directory; if even that collides, a positional index."""
-    labels = [_stem(path) for path in paths]
-    if len(set(labels)) == len(labels):
-        return labels
-    labels = [
-        "{}.{}".format(
-            os.path.basename(os.path.dirname(os.path.abspath(path)))
-            or "root",
-            _stem(path),
-        )
-        for path in paths
-    ]
-    if len(set(labels)) == len(labels):
-        return labels
-    return [f"{label}.{index}" for index, label in enumerate(labels)]
-
-
-async def _run_batch(frontier: ServiceFrontier,
-                     jobs: Sequence[CompileJob]) -> List[JobResult]:
-    async with frontier:
-        return await frontier.run(jobs)
-
-
-def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """Engine/cache/resilience flags shared by ``repro-batch`` and
-    ``repro-serve`` (one source of truth for defaults and help)."""
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (0 = in-process "
-                        "sequential; default 1)")
-    parser.add_argument("--queue-size", type=int, default=64,
-                        help="admission queue bound (backpressure "
-                        "threshold; default 64)")
-    parser.add_argument("--cache-size", type=int, default=256,
-                        help="in-memory cache entries (default 256)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="on-disk cache directory (off by default)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the compilation cache")
-    parser.add_argument("--no-function-cache", action="store_true",
-                        help="disable the per-function digest cache "
-                        "tier (whole-job caching still applies)")
-    parser.add_argument("--no-preflight", action="store_true",
-                        help="skip the static lint gate")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-job deadline in seconds")
-    parser.add_argument("--max-attempts", type=int, default=2,
-                        help="executions per job before its failure is "
-                        "terminal (default 2 = retry once; 1 disables "
-                        "retries)")
-    parser.add_argument("--retry-timeouts", action="store_true",
-                        help="also retry jobs that hit the --timeout "
-                        "deadline (by default only crashes retry)")
-    parser.add_argument("--backoff", type=float, default=0.0,
-                        metavar="SECONDS",
-                        help="base retry backoff; doubles per attempt "
-                        "with deterministic jitter (default 0 = "
-                        "immediate)")
-    parser.add_argument("--quarantine-after", type=int, default=3,
-                        metavar="N",
-                        help="pool failures by one job digest before it "
-                        "is poisoned (default 3; 0 disables quarantine)")
-    parser.add_argument("--crash-loop-limit", type=int, default=6,
-                        metavar="N",
-                        help="pool restarts inside a 30s window before "
-                        "the engine degrades to in-process execution "
-                        "(default 6; 0 disables the monitor)")
-    parser.add_argument("--fault", action="append", default=None,
-                        metavar="SITE=RATE",
-                        help="inject deterministic faults (repeatable), "
-                        "e.g. --fault worker_crash=0.1; sites: "
-                        + ", ".join(sorted(s.value for s in FaultSite)))
-    parser.add_argument("--fault-seed", type=int, default=0,
-                        help="seed for the fault plan (default 0)")
-
-
-def build_engine(args, profiler=None, tracer=None, events=None):
-    """Construct the (engine, cache, faults) triple from parsed
-    :func:`add_engine_arguments` flags. Raises ``ValueError`` on
-    invalid combinations (callers map that to exit code 2)."""
-    if args.max_attempts < 1:
-        raise ValueError("--max-attempts must be >= 1")
-    fault_rates = _parse_faults(args.fault)
-    faults = (FaultPlan(seed=args.fault_seed, rates=fault_rates)
-              if fault_rates else None)
-    retry_statuses = frozenset(
-        {"crashed", "timeout"} if args.retry_timeouts else {"crashed"}
-    )
-    retry_policy = (
-        RetryPolicy(max_attempts=args.max_attempts,
-                    retry_statuses=retry_statuses,
-                    base_backoff=args.backoff)
-        if args.max_attempts > 1 else RetryPolicy.none()
-    )
-    quarantine = (QuarantinePolicy(threshold=args.quarantine_after)
-                  if args.quarantine_after > 0 else None)
-    pool_health = (PoolHealthPolicy(max_restarts=args.crash_loop_limit)
-                   if args.crash_loop_limit > 0 else None)
-    cache = None
-    if not args.no_cache:
-        cache = CompilationCache(capacity=args.cache_size,
-                                 disk_path=args.cache_dir,
-                                 faults=faults)
-    engine = CompileEngine(
-        workers=args.jobs,
-        cache=cache,
-        preflight=not args.no_preflight,
-        job_timeout=args.timeout,
-        function_tier=not args.no_function_cache,
-        profiler=profiler,
-        retry_policy=retry_policy,
-        quarantine=quarantine,
-        pool_health=pool_health,
-        faults=faults,
-        tracer=tracer,
-        events=events,
-    )
-    return engine, cache, faults
-
-
-def _main_connected(args, jobs: Sequence[CompileJob]) -> int:
-    """Route a prepared batch through a running ``repro-serve``
-    daemon: all jobs are submitted concurrently over one connection
-    (the server's admission queue provides the backpressure a local
-    frontier would), outputs and the status summary match the local
-    path so scripts can switch with just ``--connect``."""
-    from .client import AsyncServiceClient, RemoteError
-
-    async def drive():
-        client = await AsyncServiceClient.connect(args.connect)
-        try:
-            results = await asyncio.gather(
-                *(client.submit(
-                    payload_text=job.payload_text,
-                    script_text=job.script_text,
-                    params=job.params,
-                    entry_point=job.entry_point,
-                    job_id=job.job_id,
-                    priority=args.priority,
-                ) for job in jobs),
-                return_exceptions=True,
-            )
-            try:
-                remote_stats = await client.stats()
-            except Exception:
-                remote_stats = None
-            return results, remote_stats
-        finally:
-            await client.close()
-
-    try:
-        results, remote_stats = asyncio.run(drive())
-    except (OSError, RemoteError) as error:
-        print(f"error: cannot reach server at {args.connect}: {error}",
-              file=sys.stderr)
-        return 2
-
-    failures = 0
-    if args.output_dir is not None:
-        os.makedirs(args.output_dir, exist_ok=True)
-    counts: dict = {}
-    for job, result in zip(jobs, results):
-        if isinstance(result, BaseException):
-            failures += 1
-            counts["refused"] = counts.get("refused", 0) + 1
-            print(f"{job.job_id}: refused ({result})", file=sys.stderr)
-            continue
-        tag = result.status.value + (" (cached)" if result.cache_hit else "")
-        print(f"{job.job_id}: {tag}")
-        counts[result.status.value] = counts.get(result.status.value, 0) + 1
-        if result.ok and args.output_dir is not None:
-            out = os.path.join(args.output_dir, f"{job.job_id}.mlir")
-            with open(out, "w") as handle:
-                handle.write((result.output or "") + "\n")
-        if not result.ok:
-            failures += 1
-            if result.diagnostics:
-                print(result.diagnostics, file=sys.stderr)
-    summary = "  ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    print(f"{len(results)} job(s)  {summary}  [via {args.connect}]")
-    if args.json is not None:
-        metrics = {
-            "jobs": len(results),
-            "by_status": counts,
-            "connect": args.connect,
-            "server": remote_stats,
-        }
-        with open(args.json, "w") as handle:
-            json.dump(metrics, handle, indent=2)
-    return 1 if failures else 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-batch",
-        description="compile a directory of payload modules against a "
-        "schedule library on a cached worker pool",
-    )
-    parser.add_argument("payloads",
-                        help="payload IR file, frontend .py module, or "
-                        "directory of .mlir/.py files")
-    parser.add_argument("--schedule", action="append", required=True,
-                        metavar="FILE_OR_DIR",
-                        help="transform script file or frontend .py "
-                        "module, or a directory of them (repeatable; "
-                        "every payload is compiled against every "
-                        "schedule)")
-    parser.add_argument("--connect", default=None, metavar="ADDRESS",
-                        help="route the batch through a running "
-                        "repro-serve daemon (unix socket path or "
-                        "HOST:PORT) instead of spawning a local pool; "
-                        "engine/cache/resilience flags are the "
-                        "server's business and are ignored")
-    add_engine_arguments(parser)
-    parser.add_argument("--priority", default="batch",
-                        choices=("interactive", "batch", "background"),
-                        help="priority class for --connect submissions "
-                        "(default batch)")
-    parser.add_argument("--entry-point", default=None,
-                        help="named sequence to run")
-    parser.add_argument("--param", action="append", default=None,
-                        metavar="NAME=VALUE",
-                        help="parameter binding applied to every job "
-                        "(repeatable; VALUE may be a comma list)")
-    parser.add_argument("-o", "--output-dir", default=None,
-                        help="write each result module here "
-                        "(<payload>.<schedule>.mlir)")
-    parser.add_argument("--json", default=None, metavar="FILE",
-                        help="write machine-readable metrics here")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="write a Chrome trace-event JSON of the "
-                        "whole batch here (open in ui.perfetto.dev)")
-    parser.add_argument("--events-out", default=None, metavar="FILE",
-                        help="write the JSONL job-lifecycle event log "
-                        "here (one record per state transition)")
-    parser.add_argument("--timing", action="store_true",
-                        help="print the -mlir-timing-style service "
-                        "report to stderr")
-    args = parser.parse_args(argv)
-
-    try:
-        payload_files = _collect(args.payloads)
-        schedule_files = [
-            path
-            for entry in args.schedule
-            for path in _collect(entry)
-        ]
-        params = _parse_params(args.param)
-    except (FileNotFoundError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    if args.max_attempts < 1:
-        print("error: --max-attempts must be >= 1", file=sys.stderr)
-        return 2
-    if not payload_files or not schedule_files:
-        print("error: no payloads or no schedules found", file=sys.stderr)
-        return 2
-
-    payload_labels = _unique_labels(payload_files)
-    schedule_labels = _unique_labels(schedule_files)
-    from ..frontend.loader import read_payload_source, read_schedule_source
-
-    try:
-        payload_texts = [read_payload_source(p) for p in payload_files]
-        schedule_texts = [read_schedule_source(s) for s in schedule_files]
-    except Exception as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    jobs = [
-        CompileJob(
-            payload_text=payload_text,
-            script_text=schedule_text,
-            params=params,
-            entry_point=args.entry_point,
-            job_id=f"{payload_label}.{schedule_label}",
-        )
-        for payload_text, payload_label in zip(payload_texts,
-                                                payload_labels)
-        for schedule_text, schedule_label in zip(schedule_texts,
-                                                 schedule_labels)
-    ]
-
-    if args.connect is not None:
-        return _main_connected(args, jobs)
-
-    from ..observability import EventLog, Tracer
-    from ..profiling import Profiler
-
-    profiler = Profiler()
-    tracer = Tracer() if args.trace_out is not None else None
-    events = (EventLog(args.events_out)
-              if args.events_out is not None else None)
-    try:
-        engine, cache, faults = build_engine(
-            args, profiler=profiler, tracer=tracer, events=events)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-    frontier = ServiceFrontier(engine, max_queue=args.queue_size)
-    try:
-        results = asyncio.run(_run_batch(frontier, jobs))
-    finally:
-        engine.shutdown()
-
-    failures = 0
-    if args.output_dir is not None:
-        os.makedirs(args.output_dir, exist_ok=True)
-    for result in results:
-        tag = result.status.value + (" (cached)" if result.cache_hit else "")
-        print(f"{result.job_id}: {tag}")
-        if result.ok and args.output_dir is not None:
-            out = os.path.join(args.output_dir,
-                               f"{result.job_id}.mlir")
-            with open(out, "w") as handle:
-                handle.write((result.output or "") + "\n")
-        if not result.ok:
-            failures += 1
-            if result.diagnostics:
-                print(result.diagnostics, file=sys.stderr)
-
-    counts = {}
-    for result in results:
-        counts[result.status.value] = counts.get(result.status.value, 0) + 1
-    summary = "  ".join(f"{k}: {v}" for k, v in sorted(counts.items()))
-    print(f"{len(results)} job(s)  {summary}")
-
-    if args.timing:
-        print(profiler.render(), file=sys.stderr)
-    if tracer is not None:
-        tracer.write_chrome(args.trace_out)
-    if events is not None:
-        events.close()
-    if args.json is not None:
-        # Fold the engine/cache aggregates into the unified registry so
-        # ``metrics`` below is the one versioned snapshot; the legacy
-        # per-component dicts stay alongside for existing consumers.
-        profiler.registry.set_section("engine", engine.stats.as_dict())
-        if cache is not None:
-            profiler.registry.set_section("cache", cache.stats.as_dict())
-        metrics = {
-            "jobs": len(results),
-            "by_status": counts,
-            "engine": engine.stats.as_dict(),
-            "cache": cache.stats.as_dict() if cache is not None else None,
-            "profiler": profiler.to_json(),
-            "metrics": profiler.registry_snapshot(),
-        }
-        if faults is not None:
-            metrics["faults"] = {
-                "seed": faults.seed,
-                "injected": faults.injected,
-                "schedule": faults.schedule(),
-            }
-        if engine.degraded:
-            metrics["degraded"] = engine.degraded_diagnostic
-        with open(args.json, "w") as handle:
-            json.dump(metrics, handle, indent=2)
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -34,10 +34,14 @@ submit asked for ``stream``), ``stats``/``pong``/``drained``/
 admission quota exhausted), ``bad-request``, and ``internal``.
 
 Scheduling: submits carry a priority class (``interactive`` <
-``batch`` < ``background`` by rank); the server admits from a
-priority queue into the frontier's bounded queue, so when the service
-is saturated an interactive job overtakes queued batch work without
-preempting anything already dispatched.
+``batch`` < ``background`` by rank) and go straight into the
+frontier's one admission queue (:mod:`repro.service.frontier`), which
+dispatches by class and then arrival: an interactive job overtakes
+every queued batch job without preempting anything already
+dispatched. The daemon keeps no queue of its own; what it adds in
+front is what guards outside input — request validation, the
+per-client quota (advertised as ``client_quota`` in ``pong`` so
+clients can window their submits), drain, and unique job ids.
 
 Shutdown contract: SIGTERM (or ``drain {"stop": true}``) finishes
 every admitted job, refuses new submits with ``code="draining"``,
@@ -54,20 +58,14 @@ import itertools
 import json
 import signal
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Set
 
 from ..observability.events import TERMINAL_EVENTS, EventLog
+from .cli import (add_engine_arguments, build_engine, engine_snapshot,
+                  shutdown_engine)
 from .engine import CompileEngine, CompileJob, JobResult
-from .frontier import (ServiceClosedError, ServiceFrontier,
-                       add_engine_arguments, build_engine)
-
-#: Priority classes in rank order (lower rank admits first).
-PRIORITY_RANKS: Dict[str, int] = {
-    "interactive": 0,
-    "batch": 1,
-    "background": 2,
-}
+from .frontier import PRIORITY_RANKS, ServiceClosedError, ServiceFrontier
 
 #: JobResult fields serialized into a ``result`` frame.
 RESULT_FIELDS = (
@@ -103,17 +101,7 @@ class ServerStats:
     by_priority: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "connections_total": self.connections_total,
-            "connections_active": self.connections_active,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "streamed": self.streamed,
-            "quota_rejected": self.quota_rejected,
-            "drain_rejected": self.drain_rejected,
-            "bad_requests": self.bad_requests,
-            "by_priority": dict(self.by_priority),
-        }
+        return asdict(self)
 
 
 class _Client:
@@ -130,18 +118,6 @@ class _Client:
         self.name = f"client-{next(self._ids)}"
 
 
-@dataclass(order=True)
-class _Ticket:
-    """One queued submission awaiting an admission slot. Ordered by
-    (priority rank, arrival sequence) for the scheduler's heap."""
-
-    rank: int
-    seq: int
-    job: CompileJob = field(compare=False)
-    client: _Client = field(compare=False)
-    done: asyncio.Future = field(compare=False)
-
-
 class CompileServer:
     """The persistent daemon around one warm engine + frontier.
 
@@ -155,7 +131,6 @@ class CompileServer:
                  socket_path: Optional[str] = None,
                  host: Optional[str] = None, port: int = 0,
                  max_queue: int = 64,
-                 dispatchers: Optional[int] = None,
                  client_quota: int = 16):
         if socket_path is None and host is None:
             raise ValueError("need a unix socket_path or a TCP host")
@@ -169,12 +144,8 @@ class CompileServer:
         self.port = port
         self.client_quota = client_quota
         self.stats = ServerStats()
-        self.frontier = ServiceFrontier(engine, max_queue=max_queue,
-                                        dispatchers=dispatchers)
+        self.frontier = ServiceFrontier(engine, max_queue=max_queue)
         self._seq = itertools.count()
-        self._pending: "asyncio.PriorityQueue[_Ticket]" = None  # type: ignore
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._scheduler: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._streams: Dict[str, asyncio.Queue] = {}
@@ -192,19 +163,12 @@ class CompileServer:
 
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._pending = asyncio.PriorityQueue()
-        self._slots = asyncio.Semaphore(
-            self.frontier.max_queue + self.frontier.dispatchers
-        )
         self._stopped = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
         self._admin_lock = asyncio.Lock()
         await self.frontier.start()
         self._unsubscribe = self.engine.events.subscribe(self._on_event)
-        self._scheduler = asyncio.create_task(
-            self._schedule(), name="serve-scheduler"
-        )
         if self.socket_path is not None:
             self._server = await asyncio.start_unix_server(
                 self._handle_connection, path=self.socket_path
@@ -227,8 +191,8 @@ class CompileServer:
 
     async def stop(self) -> None:
         """Graceful shutdown: refuse new submits, finish admitted
-        jobs, then tear down the listener, scheduler, frontier, and
-        client connections. Idempotent."""
+        jobs, then tear down the listener, frontier, and client
+        connections. Idempotent."""
         if self._stopped is None or self._stopped.is_set():
             return
         self._stopping = True
@@ -238,13 +202,6 @@ class CompileServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._scheduler is not None:
-            self._scheduler.cancel()
-            try:
-                await self._scheduler
-            except asyncio.CancelledError:
-                pass
-            self._scheduler = None
         if self._unsubscribe is not None:
             self._unsubscribe()
             self._unsubscribe = None
@@ -285,31 +242,7 @@ class CompileServer:
         if queue is not None:
             queue.put_nowait(record)
 
-    # -- scheduling ----------------------------------------------------------
-
-    async def _schedule(self) -> None:
-        """Admit queued tickets into the frontier in (priority rank,
-        arrival) order. The semaphore bounds how many submissions may
-        occupy the frontier at once, so the priority queue — not the
-        frontier's FIFO — is where saturated-service ordering is
-        decided."""
-        assert self._pending is not None and self._slots is not None
-        while True:
-            ticket = await self._pending.get()
-            await self._slots.acquire()
-            asyncio.create_task(self._run_ticket(ticket))
-
-    async def _run_ticket(self, ticket: _Ticket) -> None:
-        try:
-            result = await self.frontier.submit(ticket.job)
-        except BaseException as error:
-            if not ticket.done.done():
-                ticket.done.set_exception(error)
-        else:
-            if not ticket.done.done():
-                ticket.done.set_result(result)
-        finally:
-            self._slots.release()
+    # -- in-flight accounting -------------------------------------------------
 
     def _job_started(self) -> None:
         self._inflight_jobs += 1
@@ -405,6 +338,7 @@ class CompileServer:
                 await self._send(client, {
                     "type": "pong", "id": rid,
                     "draining": self._draining,
+                    "client_quota": self.client_quota,
                 })
             elif op == "drain":
                 await self._handle_drain(client, rid, request)
@@ -477,15 +411,12 @@ class CompileServer:
             })
             return
         priority = str(request.get("priority") or "batch")
-        if priority not in PRIORITY_RANKS:
-            self.stats.bad_requests += 1
-            await self._send(client, {
-                "type": "error", "id": rid, "code": "bad-request",
-                "message": f"unknown priority {priority!r} (choose "
-                           f"from: {', '.join(sorted(PRIORITY_RANKS))})",
-            })
-            return
         try:
+            if priority not in PRIORITY_RANKS:
+                raise ValueError(
+                    f"unknown priority {priority!r} (choose from: "
+                    f"{', '.join(PRIORITY_RANKS)})"
+                )
             job = self._build_job(request)
         except (OSError, ValueError) as error:
             self.stats.bad_requests += 1
@@ -508,16 +439,16 @@ class CompileServer:
         self.stats.by_priority[priority] = (
             self.stats.by_priority.get(priority, 0) + 1
         )
-        done: asyncio.Future = self._loop.create_future()
-        ticket = _Ticket(rank=PRIORITY_RANKS[priority],
-                         seq=next(self._seq), job=job,
-                         client=client, done=done)
-        self._pending.put_nowait(ticket)
+        # The frontier's queue is the only queue: admission (and the
+        # job's trace) starts here. A task, so event forwarding has
+        # something to race; shielded, so a client that disconnects
+        # mid-job cancels this handler, not a job already admitted.
+        done = asyncio.ensure_future(self.frontier.submit(job, priority))
         try:
             if sub_queue is not None:
                 await self._forward_events(client, rid, sub_queue, done)
             try:
-                result = await done
+                result = await asyncio.shield(done)
             except ServiceClosedError as error:
                 await self._send(client, {
                     "type": "error", "id": rid, "code": "draining",
@@ -550,24 +481,16 @@ class CompileServer:
             await asyncio.wait(
                 {getter, done}, return_when=asyncio.FIRST_COMPLETED
             )
-            if getter.done():
-                record = getter.result()
-                await self._send(client, {
-                    "type": "event", "id": rid, **record
-                })
-                if record.get("event") in TERMINAL_EVENTS:
-                    return
-                continue
-            getter.cancel()
-            try:
-                while True:
-                    record = await asyncio.wait_for(sub_queue.get(), 1.0)
-                    await self._send(client, {
-                        "type": "event", "id": rid, **record
-                    })
-                    if record.get("event") in TERMINAL_EVENTS:
-                        return
-            except asyncio.TimeoutError:
+            if not getter.done():  # the job is done: bounded drain
+                await asyncio.wait({getter}, timeout=1.0)
+            if not getter.done():
+                getter.cancel()
+                return
+            record = getter.result()
+            await self._send(client, {
+                "type": "event", "id": rid, **record
+            })
+            if record.get("event") in TERMINAL_EVENTS:
                 return
 
     async def _handle_drain(self, client: _Client, rid,
@@ -652,19 +575,12 @@ class CompileServer:
     # -- stats ---------------------------------------------------------------
 
     def stats_snapshot(self) -> Dict[str, object]:
-        snapshot: Dict[str, object] = {
+        return {
             "server": self.stats.as_dict(),
-            "engine": self.engine.stats.as_dict(),
-            "cache": (self.engine.cache.stats.as_dict()
-                      if self.engine.cache is not None else None),
             "draining": self._draining,
             "queue_depth": self.frontier.queue_depth,
+            **engine_snapshot(self.engine),
         }
-        profiler = getattr(self.engine, "profiler", None)
-        if profiler is not None:
-            snapshot["profiler"] = profiler.to_json()
-            snapshot["metrics"] = profiler.registry_snapshot()
-        return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -722,23 +638,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", default=None, metavar="FILE",
                         help="write the final stats snapshot here on "
                         "shutdown")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="write a Chrome trace-event JSON of the "
-                        "server's lifetime here on shutdown")
-    parser.add_argument("--events-out", default=None, metavar="FILE",
-                        help="write the JSONL job-lifecycle event log "
-                        "here (shared by all clients)")
     args = parser.parse_args(argv)
 
-    from ..observability import Tracer
-    from ..profiling import Profiler
-
-    profiler = Profiler()
-    tracer = Tracer() if args.trace_out is not None else None
-    events = EventLog(args.events_out)
     try:
-        engine, _cache, _faults = build_engine(
-            args, profiler=profiler, tracer=tracer, events=events)
+        engine = build_engine(args)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -748,10 +651,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         code = 0
     finally:
-        engine.shutdown()
-        if tracer is not None:
-            tracer.write_chrome(args.trace_out)
-        events.close()
+        shutdown_engine(engine, args)
     return code
 
 

@@ -34,8 +34,7 @@ import repro.passes  # noqa: F401 — registers passes
 from .core.conditions import payload_op_specs
 from .core.errors import TransformInterpreterError
 from .core.interpreter import TransformInterpreter
-from .core.invalidation import verify_script
-from .core.static_checker import check_transform_script
+from .analysis import check_transform_script, verify_script
 from .ir.parser import parse
 from .ir.printer import print_op
 from .passes.manager import parse_pipeline

@@ -8,7 +8,8 @@ is caught both statically (§3.4) and dynamically (§3.1).
 
 import pytest
 
-from repro.core import analyze_invalidation, dialect as transform
+from repro.analysis import analyze_invalidation
+from repro.core import dialect as transform
 from repro.core.errors import TransformInterpreterError
 from repro.core.interpreter import TransformInterpreter
 from repro.execution.workloads import build_uneven_loop_module

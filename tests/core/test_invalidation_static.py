@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import analyze_invalidation, dialect as transform, verify_script
+from repro.analysis import analyze_invalidation, verify_script
+from repro.core import dialect as transform
 from repro.ir import Builder, Operation
 
 

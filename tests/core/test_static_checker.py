@@ -12,7 +12,7 @@ from repro.core.conditions import (
     spec_matches_name,
     spec_subsumes,
 )
-from repro.core.static_checker import (
+from repro.analysis import (
     IssueKind,
     check_pipeline,
     check_transform_script,

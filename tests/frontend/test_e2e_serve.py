@@ -18,7 +18,7 @@ from repro.ir.parser import parse
 from repro.ir.printer import print_op
 from repro.service import CompileEngine, CompileServer
 from repro.service.cache import CompilationCache
-from repro.service.frontier import main as batch_main
+from repro.service.cli import main as batch_main
 
 PAYLOAD_PY = """\
 from repro import frontend as fe

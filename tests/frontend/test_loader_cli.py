@@ -11,7 +11,7 @@ from repro.frontend.loader import (
     read_schedule_source,
 )
 from repro.ir.parser import parse
-from repro.service.frontier import main as batch_main
+from repro.service.cli import main as batch_main
 
 PAYLOAD_PY = """\
 from repro import frontend as fe

@@ -382,7 +382,7 @@ class TestDisabledModeUnchanged:
 
 class TestBatchCli:
     def test_trace_events_json_artifacts(self, tmp_path):
-        from repro.service.frontier import main
+        from repro.service.cli import main
 
         payload_dir = tmp_path / "payloads"
         payload_dir.mkdir()

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.service import CachedResult, CompilationCache
-from repro.service.frontier import main as batch_main
+from repro.service.cli import main as batch_main
 from repro.testing.faults import FaultPlan, FaultSite
 
 from .test_engine import PAYLOAD, UNROLL

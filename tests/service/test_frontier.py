@@ -14,17 +14,23 @@ from repro.service import (
     JobStatus,
     ServiceClosedError,
 )
-from repro.service.frontier import (
-    ServiceFrontier,
-    _unique_labels,
-    main as batch_main,
-)
+from repro.service.cli import _unique_labels, main as batch_main
+from repro.service.frontier import PRIORITY_RANKS, ServiceFrontier
 
 from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
 
 
 def _job(script=UNROLL, **kwargs):
     return CompileJob(payload_text=PAYLOAD, script_text=script, **kwargs)
+
+
+async def until(condition):
+    """Poll (on the running loop) until ``condition()`` holds."""
+    for _ in range(1000):
+        if condition():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError("condition never held")
 
 
 class TestFrontier:
@@ -199,7 +205,7 @@ class TestFrontier:
                 real_put = frontier._queue.put
 
                 async def gated_put(item):
-                    if item is not None:  # sentinels pass the gate
+                    if item[2] is not None:  # sentinels pass the gate
                         parked.set()
                         await gate.wait()
                     await real_put(item)
@@ -247,7 +253,7 @@ class TestFrontier:
                 real_put = frontier._queue.put
 
                 async def gated_put(item):
-                    if item is not None:
+                    if item[2] is not None:
                         parked.set()
                         await gate.wait()
                     await real_put(item)
@@ -284,6 +290,63 @@ class TestFrontier:
                    if r.get("job_id") == "refused"]
         assert [r["event"] for r in refusal] == ["ADMITTED", "COMPLETED"]
         assert refusal[-1]["status"] == "cancelled"
+
+    def test_interactive_overtakes_every_queued_batch_job(self):
+        # One dispatcher, default max_queue: b0 is dispatched (gated
+        # in run_job), b1..b14 wait in the queue. An interactive job
+        # admitted behind them must be the next one dispatched — the
+        # queue orders by (rank, arrival), not arrival alone.
+        class _GatedEngine:
+            workers = 0
+            profiler = None
+            faults = None
+
+            def __init__(self):
+                self.release = threading.Event()
+                self.order = []
+
+            def run_job(self, job):
+                self.order.append(job.job_id)
+                assert self.release.wait(10.0)
+                return JobResult(job.job_id, JobStatus.SUCCESS)
+
+        async def go():
+            engine = _GatedEngine()
+            async with ServiceFrontier(engine, dispatchers=1) as frontier:
+                batch = [
+                    asyncio.ensure_future(
+                        frontier.submit(_job(job_id=f"b{i}"))
+                    )
+                    for i in range(15)
+                ]
+                await until(lambda: engine.order == ["b0"]
+                            and frontier.queue_depth == 14)
+                urgent = asyncio.ensure_future(frontier.submit(
+                    _job(job_id="urgent"), priority="interactive"
+                ))
+                late = asyncio.ensure_future(frontier.submit(
+                    _job(job_id="late"), priority="background"
+                ))
+                await until(lambda: frontier.queue_depth == 16)
+                engine.release.set()
+                await asyncio.gather(urgent, late, *batch)
+            return engine.order
+
+        order = asyncio.run(go())
+        assert order == (["b0", "urgent"]
+                         + [f"b{i}" for i in range(1, 15)] + ["late"])
+
+    def test_unknown_priority_is_a_value_error(self):
+        async def go():
+            with CompileEngine(workers=0) as engine:
+                async with ServiceFrontier(engine) as frontier:
+                    with pytest.raises(ValueError, match="urgent"):
+                        await frontier.submit(_job(), priority="urgent")
+                    assert frontier.queue_depth == 0
+
+        asyncio.run(go())
+        assert list(PRIORITY_RANKS) == ["interactive", "batch",
+                                        "background"]
 
     def test_restart_after_close_accepts_jobs_again(self):
         async def go():

@@ -1,5 +1,6 @@
 """The repro-serve daemon: protocol, quotas, streams, drain, TERM."""
 
+import argparse
 import asyncio
 import json
 import os
@@ -23,9 +24,14 @@ from repro.service import (
     ServiceClient,
 )
 from repro.service.client import parse_address
-from repro.service.frontier import main as batch_main
+from repro.service.cli import (
+    add_engine_arguments,
+    build_engine,
+    main as batch_main,
+)
 
-from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND
+from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
+from .test_frontier import until
 
 
 class _GatedEngine:
@@ -41,11 +47,13 @@ class _GatedEngine:
     def __init__(self):
         self.events = None  # the server attaches an EventLog
         self.release = threading.Event()
+        self.order = []
         self.stats = SimpleNamespace(
             as_dict=lambda: {"completed": 0}, completed=0
         )
 
     def run_job(self, job, parent_span=None):
+        self.order.append(job.job_id)
         self.events.emit("STARTED", job_id=job.job_id)
         assert self.release.wait(10.0)
         self.events.emit("COMPLETED", job_id=job.job_id,
@@ -193,6 +201,48 @@ class TestQuota:
                 await client.close()
 
         asyncio.run(go())
+
+
+class TestPriority:
+    def test_interactive_overtakes_queued_batch_through_the_socket(
+            self, tmp_path):
+        # The daemon has no queue of its own: with one dispatcher and
+        # the default --queue-size, 15 batch submits leave b0 gated in
+        # the engine and b1..b14 in the frontier's queue; an
+        # interactive submit sent after them dispatches next.
+        async def go():
+            engine = _GatedEngine()
+            sock = _sock(tmp_path)
+            async with CompileServer(engine, socket_path=sock) as server:
+                client = await AsyncServiceClient.connect(sock)
+                assert (await client.ping())["client_quota"] == 16
+                batch = [
+                    asyncio.ensure_future(client.submit(
+                        PAYLOAD, UNROLL, job_id=f"b{i}",
+                        priority="batch",
+                    ))
+                    for i in range(15)
+                ]
+                await until(lambda: engine.order == ["b0"]
+                            and server.frontier.queue_depth == 14)
+                urgent = asyncio.ensure_future(client.submit(
+                    PAYLOAD, UNROLL, job_id="urgent",
+                    priority="interactive",
+                ))
+                await until(lambda: server.frontier.queue_depth == 15)
+                engine.release.set()
+                results = await asyncio.wait_for(
+                    asyncio.gather(urgent, *batch), timeout=30.0
+                )
+                assert all(r.ok for r in results)
+                assert server.stats.by_priority == {
+                    "batch": 15, "interactive": 1,
+                }
+                await client.close()
+            return engine.order
+
+        order = asyncio.run(go())
+        assert order == ["b0", "urgent"] + [f"b{i}" for i in range(1, 15)]
 
 
 class TestEventStreams:
@@ -354,6 +404,122 @@ class TestBatchConnect:
         finally:
             stop()
             engine.shutdown()
+
+
+    def test_batch_larger_than_the_client_quota_is_windowed(
+            self, tmp_path, capsys):
+        # Regression: --connect fired every job at once, so a batch of
+        # 20 against the default quota of 16 had 4 jobs refused
+        # (code="quota") and exited 1 where local mode compiles all 20.
+        engine = CompileEngine(workers=0)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        payloads = tmp_path / "payloads"
+        payloads.mkdir()
+        for index in range(20):
+            (payloads / f"m{index:02d}.mlir").write_text(PAYLOAD)
+        schedule = tmp_path / "unroll.mlir"
+        schedule.write_text(UNROLL)
+        out = tmp_path / "out"
+        metrics = tmp_path / "metrics.json"
+        try:
+            code = batch_main([
+                str(payloads), "--schedule", str(schedule),
+                "--connect", sock, "-o", str(out),
+                "--json", str(metrics),
+            ])
+        finally:
+            stop()
+            engine.shutdown()
+        assert code == 0
+        assert len(list(out.iterdir())) == 20
+        data = json.loads(metrics.read_text())
+        assert data["by_status"] == {"success": 20}
+        assert data["server"]["server"]["quota_rejected"] == 0
+        assert server.stats.quota_rejected == 0
+        assert "refused" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--timing"],
+        ["--trace-out", "trace.json"],
+        ["--events-out", "events.jsonl"],
+    ])
+    def test_local_engine_flags_are_rejected_with_connect(
+            self, flag, tmp_path, capsys, monkeypatch):
+        # Regression: these describe a local engine; with --connect
+        # they used to exit 0 having written nothing, without a word.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.mlir").write_text(PAYLOAD)
+        (tmp_path / "unroll.mlir").write_text(UNROLL)
+        code = batch_main([
+            "a.mlir", "--schedule", "unroll.mlir",
+            "--connect", _sock(tmp_path), *flag,
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        reason = captured.err.strip()
+        assert reason.count("\n") == 0
+        assert flag[0] in reason and "--connect" in reason
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["a.mlir", "unroll.mlir"]
+
+    def test_local_and_connected_routes_report_identically(
+            self, tmp_path, capsys):
+        # One driver, two transports: the same corpus — including a
+        # job that fails with diagnostics — must produce the same
+        # status lines, the same files, the same exit code and the
+        # same jobs/by_status whether it runs on a local engine or
+        # through a daemon built from the same flags.
+        payloads = tmp_path / "payloads"
+        schedules = tmp_path / "schedules"
+        payloads.mkdir()
+        schedules.mkdir()
+        (payloads / "a.mlir").write_text(PAYLOAD)
+        (payloads / "b.mlir").write_text(PAYLOAD)
+        (schedules / "unroll.mlir").write_text(UNROLL)
+        (schedules / "bound.mlir").write_text(UNROLL_BOUND)
+        (schedules / "bad.mlir").write_text(USE_AFTER_CONSUME)
+        common = [str(payloads), "--schedule", str(schedules),
+                  "--jobs", "0", "--param", "factor=4"]
+
+        def run(route, *extra):
+            out = tmp_path / f"out-{route}"
+            metrics = tmp_path / f"metrics-{route}.json"
+            code = batch_main([*common, "-o", str(out),
+                               "--json", str(metrics), *extra])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            return (code, captured.out.splitlines(), captured.err,
+                    files, json.loads(metrics.read_text()))
+
+        local = run("local")
+        parser = argparse.ArgumentParser()
+        add_engine_arguments(parser)
+        engine = build_engine(parser.parse_args(["--jobs", "0"]))
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            connected = run("connected", "--connect", sock)
+        finally:
+            stop()
+            engine.shutdown()
+
+        assert local[0] == connected[0] == 1
+        assert local[1][:-1] == connected[1][:-1]
+        assert len(local[1]) == 7  # six jobs + the summary
+        assert any("(cached)" in line for line in local[1])
+        assert connected[1][-1] == f"{local[1][-1]}  [via {sock}]"
+        assert local[2] == connected[2] and "error" in local[2]
+        assert local[3] == connected[3] and len(local[3]) == 4
+        for key in ("jobs", "by_status"):
+            assert local[4][key] == connected[4][key]
+        assert local[4]["by_status"] == {"rejected": 2, "success": 4}
+        # Each route keeps its own extra keys.
+        assert {"engine", "cache", "profiler", "metrics"} <= set(local[4])
+        assert {"connect", "server"} <= set(connected[4])
+        assert {"engine", "cache", "profiler", "metrics"} <= \
+            set(connected[4]["server"])
 
 
 class TestDaemonProcess:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_invalidation, check_transform_script
 from repro.core import (
     DynamicConditionChecker,
     TransformInterpreter,
-    analyze_invalidation,
-    check_transform_script,
     dialect as transform,
     expand_includes,
     payload_op_specs,
