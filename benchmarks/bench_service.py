@@ -181,14 +181,12 @@ def run_benchmark():
         validate_chrome_trace,
         validate_events,
     )
-    from repro.profiling import Profiler
 
     tracer = Tracer()
     events = EventLog()
     cache = CompilationCache(capacity=2 * 5 * DISTINCT)
     with CompileEngine(workers=4, cache=cache, preflight=False,
-                       profiler=Profiler(), tracer=tracer,
-                       events=events) as engine:
+                       tracer=tracer, events=events) as engine:
         start = time.perf_counter()
         results = engine.run_batch(jobs)
         traced_elapsed = time.perf_counter() - start

@@ -27,13 +27,13 @@ The same sweep is available from a shell via the ``repro-batch`` CLI::
 import asyncio
 import textwrap
 
-from repro.profiling import Profiler
 from repro.service import (
     CompilationCache,
     CompileEngine,
     CompileJob,
     ServiceFrontier,
 )
+from repro.service.cli import service_report
 
 PAYLOAD = textwrap.dedent("""
     "builtin.module"() ({
@@ -77,9 +77,8 @@ BROKEN = textwrap.dedent("""
 
 
 def main():
-    profiler = Profiler()
     cache = CompilationCache(capacity=64)
-    engine = CompileEngine(workers=2, cache=cache, profiler=profiler)
+    engine = CompileEngine(workers=2, cache=cache)
 
     with engine:
         # -- 1. preflight rejection ------------------------------------
@@ -127,7 +126,7 @@ def main():
               f"(only factor-32 was new)")
 
     print()
-    print(profiler.render())
+    print(service_report(engine.metrics_snapshot()))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ import tempfile
 import textwrap
 import warnings
 
-from repro.profiling import Profiler
 from repro.service import (
     CompilationCache,
     CompileEngine,
@@ -37,6 +36,7 @@ from repro.service import (
     QuarantinePolicy,
     RetryPolicy,
 )
+from repro.service.cli import service_report
 from repro.testing.faults import FaultPlan, FaultSite, run_chaos_case
 
 PAYLOAD = textwrap.dedent("""
@@ -75,11 +75,10 @@ def main():
     # pooled execution dies, the retry succeeds.
     plan = FaultPlan(seed=7, rates={FaultSite.WORKER_CRASH: 1.0},
                      max_fires=1)
-    profiler = Profiler()
-    with CompileEngine(workers=1, faults=plan,
-                       profiler=profiler) as engine:
+    with CompileEngine(workers=1, faults=plan) as engine:
         survivor = engine.run_job(_job(job_id="survivor"))
         reference = engine.run_job(_job(job_id="reference"))
+    recovery_metrics = engine.metrics_snapshot()
     assert survivor.status is JobStatus.SUCCESS
     assert survivor.output == reference.output
     print(f"crash recovery: {survivor.attempts} attempts, "
@@ -125,7 +124,7 @@ def main():
     print(f"fired faults: {case_plan.injected}")
 
     print()
-    print(profiler.render())
+    print(service_report(recovery_metrics))
 
 
 if __name__ == "__main__":

@@ -36,7 +36,6 @@ from repro.observability import (
     validate_events,
     validate_metrics_snapshot,
 )
-from repro.profiling import Profiler
 from repro.service import (
     CompilationCache,
     CompileEngine,
@@ -75,13 +74,11 @@ def payload(trip_count):
 def main():
     tracer = Tracer()
     events = EventLog("events.jsonl")
-    profiler = Profiler()
     engine = CompileEngine(
         workers=4,
         cache=CompilationCache(capacity=64),
         tracer=tracer,
         events=events,
-        profiler=profiler,
     )
 
     # 8 distinct payloads + 4 repeats: the repeats answer from the
@@ -125,12 +122,12 @@ def main():
           "or chrome://tracing")
 
     # -- 2. the metrics snapshot ---------------------------------------
-    snapshot = profiler.registry_snapshot()
+    snapshot = engine.metrics_snapshot()
     assert validate_metrics_snapshot(snapshot) == []
     counters = snapshot["counters"]
     latency = snapshot["histograms"]["service.job_seconds"]
-    print(f"metrics: {counters['service.jobs']:.0f} jobs, "
-          f"{counters['service.cache_hits']:.0f} cache hits, "
+    print(f"metrics: {counters['engine.completed']:.0f} jobs, "
+          f"{counters['engine.cache_hits']:.0f} cache hits, "
           f"job p50/p99 = {1e3 * latency['p50']:.1f}/"
           f"{1e3 * latency['p99']:.1f} ms")
     with open("metrics.json", "w") as handle:

@@ -44,7 +44,8 @@ class DigestStats:
     ``hits``/``recomputes`` are bumped by :func:`repro.ir.hashing.
     op_digest` (memo hit vs bottom-up recompute); ``invalidations``
     counts mutation events that cleared at least one memoized digest.
-    The profiler reports deltas against a per-instance baseline.
+    Readers (the profiler, the compile engine) report deltas against
+    a baseline they took with :meth:`snapshot`.
     """
 
     __slots__ = ("hits", "recomputes", "invalidations")
@@ -56,6 +57,15 @@ class DigestStats:
 
     def snapshot(self):
         return (self.hits, self.recomputes, self.invalidations)
+
+    def since(self, baseline) -> Dict[str, int]:
+        """The traffic accrued after ``baseline`` (a :meth:`snapshot`)."""
+        hits, recomputes, invalidations = baseline
+        return {
+            "hash_hits": self.hits - hits,
+            "hash_recomputes": self.recomputes - recomputes,
+            "hash_invalidations": self.invalidations - invalidations,
+        }
 
 
 DIGEST_STATS = DigestStats()

@@ -1,23 +1,23 @@
-"""The unified metrics registry.
-
-Before this module the service's telemetry lived in five ad-hoc
-shapes: the profiler's dataclass sections, ``EngineStats.as_dict()``,
-``CacheStats.as_dict()``, resilience counters, and the interpreter's
-stats dict — each with its own ``to_json`` convention. A
-:class:`MetricsRegistry` is the one sink they all plumb onto:
+"""The metrics registry: named instruments, one versioned snapshot.
 
 * :class:`Counter` — a monotonically increasing number (jobs
   completed, retries granted, cache hits);
 * :class:`Gauge` — a point-in-time value (current queue depth,
   degraded flags, hit rates);
 * :class:`Histogram` — a fixed-bucket distribution with estimated
-  p50/p90/p99 (job wall time, queue depth at admission/dispatch,
-  per-transform-op seconds).
+  p50/p90/p99 (job wall time, queue depth at admission/dispatch).
 
-``registry.snapshot()`` produces the single **versioned** JSON schema
-(``schema_version``) that ``repro-batch --json`` emits and that the
-future ``repro-serve`` ``/stats`` endpoint will serve;
-:func:`validate_metrics_snapshot` is the drift check CI runs.
+The compile service is the one user: each
+:class:`~repro.service.engine.CompileEngine` owns a registry
+(``engine.metrics``) that holds its *distributions* live, and
+:meth:`~repro.service.engine.CompileEngine.metrics_snapshot` syncs
+the components' plain counters (``EngineStats``, ``CacheStats``, ...)
+next to them with :meth:`MetricsRegistry.set_section` before taking
+``registry.snapshot()`` — the single **versioned** JSON schema
+(``schema_version``) under the ``"metrics"`` key of ``repro-batch
+--json`` and of the ``repro-serve`` ``stats`` frame.
+:func:`validate_metrics_snapshot` is the structural check the tests
+and both CI smoke jobs run on it.
 
 Fixed buckets keep ``observe`` O(log buckets) with zero allocation,
 so instruments can sit on hot paths; percentiles are estimated by
@@ -64,7 +64,7 @@ class Counter:
 
     def set(self, value: float) -> None:
         """Bridge hook for syncing an externally accumulated total
-        (e.g. a profiler dataclass field) onto the registry. Regular
+        (a component's stats field) onto the registry. Regular
         instrumentation should use :meth:`inc`."""
         with self._lock:
             self._value = value
@@ -226,22 +226,14 @@ class MetricsRegistry:
                   bounds: Sequence[float] = SECONDS_BUCKETS) -> Histogram:
         return self._get_or_create(name, Histogram, bounds)
 
-    def value(self, name: str, default: float = 0.0) -> float:
-        """A counter's or gauge's current value; ``default`` when it
-        was never recorded. Reading must not create: a snapshot lists
-        only what actually happened."""
-        with self._lock:
-            metric = self._metrics.get(name)
-        return metric.value if metric is not None else default
-
     def set_section(self, prefix: str,
                     values: Mapping[str, object]) -> None:
         """Sync a scalar mapping (an ``as_dict()``-style stats shape)
         onto the registry under ``prefix.``: ints become counters
-        (set), floats and bools become gauges. This is how the legacy
-        stats shapes — ``EngineStats``, ``CacheStats``, profiler
-        dataclass sections — are re-plumbed onto the one registry
-        without rewriting every recording site at once."""
+        (set), floats and bools become gauges, nested mappings
+        recurse. This is how the components' own stores —
+        ``EngineStats``, ``CacheStats``, ``ServerStats`` — are folded
+        into the one snapshot without a second recording site."""
         for key, value in values.items():
             name = f"{prefix}.{key}"
             if isinstance(value, bool):
@@ -278,7 +270,7 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Schema validation (used by tests and CI so the snapshot cannot drift)
+# Schema validation (run by the tests and by CI on the smoke artifacts)
 # ---------------------------------------------------------------------------
 
 _HISTOGRAM_FIELDS = ("count", "sum", "min", "max", "mean", "p50",

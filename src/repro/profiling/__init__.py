@@ -1,4 +1,4 @@
-"""Observability for the transform hot paths (PR 1).
+"""In-process observability for the transform hot paths.
 
 :class:`Profiler` collects per-pattern, per-transform-op and per-pass
 wall time plus worklist and invalidation counters, and renders them as
@@ -10,7 +10,6 @@ from .profiler import (
     InvalidationStats,
     PatternStat,
     Profiler,
-    ServiceStats,
     TimedStat,
     WorklistStats,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "InvalidationStats",
     "PatternStat",
     "Profiler",
-    "ServiceStats",
     "TimedStat",
     "WorklistStats",
 ]

@@ -25,8 +25,8 @@ Layers (each its own module):
 * :mod:`repro.service.frontier` — the one admission queue: bounded,
   ordered by priority class then arrival, backpressure when full;
 * :mod:`repro.service.cli` — everything argparse: the flags and
-  engine factory the CLIs share, the one result reporter, and
-  ``repro-batch`` (one driver over a local frontier or ``--connect``);
+  engine factory the CLIs share, the one result reporter, the
+  ``--timing`` service report, and ``repro-batch`` (one driver over a local frontier or ``--connect``);
 * :mod:`repro.service.server` — the persistent ``repro-serve``
   daemon: a warm engine + frontier behind a line-delimited JSON
   protocol on a unix/TCP socket, with streamed job events,

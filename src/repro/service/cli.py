@@ -33,7 +33,6 @@ import sys
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..observability import EventLog, Tracer
-from ..profiling import Profiler
 from ..testing.faults import FaultPlan, FaultSite
 from .cache import CompilationCache
 from .client import AsyncServiceClient, RemoteError
@@ -198,8 +197,8 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_engine(args) -> CompileEngine:
-    """Construct the engine — with its cache, fault plan, profiler and
-    the tracer/event log the export flags ask for — from parsed
+    """Construct the engine — with its cache, fault plan and the
+    tracer/event log the export flags ask for — from parsed
     :func:`add_engine_arguments` flags. Raises ``ValueError`` on
     invalid combinations (callers map that to exit code 2)."""
     if args.max_attempts < 1:
@@ -231,7 +230,6 @@ def build_engine(args) -> CompileEngine:
         preflight=not args.no_preflight,
         job_timeout=args.timeout,
         function_tier=not args.no_function_cache,
-        profiler=Profiler(),
         retry_policy=retry_policy,
         quarantine=quarantine,
         pool_health=pool_health,
@@ -252,25 +250,78 @@ def shutdown_engine(engine: CompileEngine, args) -> None:
         engine.events.close()
 
 
-def engine_snapshot(engine) -> Dict[str, object]:
-    """The ``engine``/``cache``/``profiler``/``metrics`` block of
-    ``repro-batch --json`` and of the daemon's ``stats`` frame. The
-    engine/cache aggregates are folded into the profiler's registry
-    first, so ``metrics`` is the one versioned snapshot; the
-    per-component dicts stay alongside for existing consumers."""
+def engine_snapshot(engine, **sections) -> Dict[str, object]:
+    """The ``engine``/``cache``/``metrics`` block of ``repro-batch
+    --json`` and of the daemon's ``stats`` frame: ``metrics`` is the
+    one versioned snapshot (``sections`` are folded into it with the
+    engine's own); the per-component dicts stay alongside for the
+    consumers that read them."""
     cache = engine.cache
-    snapshot: Dict[str, object] = {
+    return {
         "engine": engine.stats.as_dict(),
         "cache": cache.stats.as_dict() if cache is not None else None,
+        "metrics": engine.metrics_snapshot(**sections),
     }
-    profiler = getattr(engine, "profiler", None)
-    if profiler is not None:
-        profiler.registry.set_section("engine", snapshot["engine"])
-        if cache is not None:
-            profiler.registry.set_section("cache", snapshot["cache"])
-        snapshot["profiler"] = profiler.to_json()
-        snapshot["metrics"] = profiler.registry_snapshot()
-    return snapshot
+
+
+def service_report(metrics: Dict[str, object]) -> str:
+    """The ``--timing`` report of a compile service, rendered from its
+    :meth:`CompileEngine.metrics_snapshot`."""
+    counters, gauges = metrics["counters"], metrics["gauges"]
+    jobs = metrics["histograms"]["service.job_seconds"]
+    # Sampled by the frontier; an engine driven directly has none.
+    depth = metrics["histograms"].get("service.queue_depth", {"count": 0})
+
+    def count(name: str) -> int:
+        return int(counters.get(name, 0))
+
+    bar = "===" + "-" * 70 + "==="
+    lines = [bar, "  ... Transform execution timing report ...", bar]
+    if jobs["count"] or depth["count"]:
+        lines += ["  Compile service",
+                  f"    jobs: {jobs['count']}  "
+                  f"mean wall: {jobs['mean'] * 1e3:.3f} ms  "
+                  f"max wall: {jobs['max'] * 1e3:.3f} ms"]
+        by_status = "  ".join(
+            f"{name.rpartition('.')[2]}: {int(value)}"
+            for name, value in sorted(counters.items())
+            if name.startswith("engine.by_status."))
+        if by_status:
+            lines.append(f"    by status: {by_status}")
+        # Whole-job lookups as the cache itself counted them (its
+        # totals include the function tier): a job that never reached
+        # a lookup is not a miss, and no cache means no figures.
+        cache = ""
+        if "cache.hits" in counters:
+            hits, misses = (count(f"cache.{k}") - count(f"cache.function_{k}")
+                            for k in ("hits", "misses"))
+            rate = hits / (hits + misses) if hits + misses else 0.0
+            cache = (f"cache hit rate: {rate:.1%}  "
+                     f"(hits: {hits}  misses: {misses})  ")
+        lines.append(f"    {cache}worker restarts: "
+                     f"{count('engine.worker_restarts')}")
+        if depth["count"]:
+            lines.append(f"    queue depth: mean {depth['mean']:.2f}  max "
+                         f"{int(depth['max'])}  (samples: {depth['count']})")
+        lines.append("")
+    retries, quarantined = count("engine.retries"), count("engine.quarantined")
+    degradations = count("engine.pool_degradations")
+    if retries or quarantined or degradations:
+        lines += ["  Resilience",
+                  f"    retries: {retries}  (backoff: "
+                  f"{gauges['engine.backoff_seconds'] * 1e3:.3f} ms)  "
+                  f"quarantined: {quarantined}  "
+                  f"pool degradations: {degradations}", ""]
+    hits, recomputes, invalidations = (
+        count(f"hashing.hash_{name}")
+        for name in ("hits", "recomputes", "invalidations"))
+    if hits or recomputes or invalidations:
+        rate = hits / (hits + recomputes) if hits + recomputes else 0.0
+        lines += ["  Structural hashing",
+                  f"    memo hit rate: {rate:.1%}  "
+                  f"(hits: {hits}  recomputes: {recomputes})  "
+                  f"invalidations: {invalidations}", ""]
+    return "\n".join(lines).rstrip()
 
 
 def report_results(
@@ -363,9 +414,9 @@ async def _local_transport(args, engine: CompileEngine):
                    report)
     finally:
         shutdown_engine(engine, args)
+        report.update(engine_snapshot(engine))
         if args.timing:
-            print(engine.profiler.render(), file=sys.stderr)
-    report.update(engine_snapshot(engine))
+            print(service_report(report["metrics"]), file=sys.stderr)
     faults = engine.faults
     if faults is not None:
         report["faults"] = {

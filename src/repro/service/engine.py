@@ -34,9 +34,11 @@ terminal result or fall through, cheapest first:
 7. **publish** — OK results go to the cache (both tiers) and to the
    followers.
 
-Every counter, event and profiler sample is recorded by one method,
-:meth:`CompileEngine._account`; :class:`EngineStats` is the single
-store and everything else is a view.
+Every counter, event and job-seconds sample is recorded by one method,
+:meth:`CompileEngine._account`, into :class:`EngineStats` — the store
+of every engine scalar — and ``engine.metrics``, the registry holding
+the distributions; :meth:`CompileEngine.metrics_snapshot` folds the
+stores of all components into the one versioned snapshot.
 
 A :class:`~repro.testing.faults.FaultPlan` can be attached to inject
 deterministic faults at the pool boundary (worker crash, worker hang,
@@ -55,7 +57,7 @@ import itertools
 import multiprocessing
 import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError
 from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
@@ -63,8 +65,9 @@ from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from ..ir.core import Operation
+from ..ir.core import DIGEST_STATS, Operation
 from ..ir.hashing import attributes_digest, op_digest
+from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import SpanContext
 from ..testing.faults import FaultPlan, FaultSite
 from .cache import CachedResult, CompilationCache, cache_key, function_key
@@ -227,9 +230,13 @@ class EngineStats:
     #: Times the engine degraded to in-process execution after
     #: crash-loop detection (0 or 1 per engine lifetime).
     pool_degradations: int = 0
+    #: Seconds of backoff the retry policy imposed, summed.
+    backoff_seconds: float = 0.0
+    #: Terminal :class:`JobStatus` value -> completed jobs.
+    by_status: Dict[str, int] = field(default_factory=Counter)
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
+    def as_dict(self) -> Dict[str, object]:
+        return dict(self.__dict__, by_status=dict(self.by_status))
 
 
 #: Event transition -> the :class:`EngineStats` field it bumps
@@ -243,14 +250,6 @@ _EVENT_FIELD = {
     "POISONED": "quarantined", "RETRIED": "retries",
     "TIMEOUT": "timeouts", "CRASHED": "crashes",
     "DEGRADED": "pool_degradations", "DISPATCHED": None,
-}
-
-#: EngineStats field -> the profiler-registry counter mirroring it.
-_REGISTRY_COUNTER = {
-    "worker_restarts": "service.worker_restarts",
-    "retries": "resilience.retries",
-    "quarantined": "resilience.quarantined",
-    "pool_degradations": "resilience.pool_degradations",
 }
 
 
@@ -275,7 +274,6 @@ class CompileEngine:
                  job_timeout: Optional[float] = None,
                  function_tier: bool = True,
                  strict: bool = False,
-                 profiler=None,
                  retry_policy: RetryPolicy = RetryPolicy(),
                  quarantine: Optional[QuarantinePolicy] = QuarantinePolicy(),
                  pool_health: Optional[PoolHealthPolicy] = PoolHealthPolicy(),
@@ -309,10 +307,6 @@ class CompileEngine:
         #: schedules (requires ``cache``).
         self.function_tier = function_tier
         self.strict = strict
-        #: Optional :class:`repro.profiling.Profiler`; the engine feeds
-        #: its service section (per-job wall time, cache traffic) and
-        #: mirrors the resilience counters into its registry.
-        self.profiler = profiler
         #: Optional :class:`repro.observability.Tracer`: per-job spans
         #: (preflight, cache lookup, single-flight wait, per-attempt
         #: dispatch) plus the worker-side spans shipped back across
@@ -332,6 +326,12 @@ class CompileEngine:
         self._scripts: "OrderedDict[str, _ScriptInfo]" = OrderedDict()
         self._cancelled = threading.Event()
         self.stats = EngineStats()
+        #: What plain counters cannot hold, the distributions: job wall
+        #: seconds here, queue depth from the frontier.
+        self.metrics = MetricsRegistry()
+        self._job_seconds = self.metrics.histogram("service.job_seconds")
+        # Digest traffic is process-global; report this engine's share.
+        self._digest_baseline = DIGEST_STATS.snapshot()
         # Before the first parse (type and op names resolve through
         # the registries) and before the pool forks, so children
         # inherit the registries instead of importing them per worker.
@@ -466,9 +466,10 @@ class CompileEngine:
         the :class:`EngineStats` field itself; ``also`` names further
         fields the same transition bumps (an all-hit ASSEMBLED is also
         a ``cache_hits``). The fields are bumped under the bookkeeping
-        lock, mirrored into the attached profiler's registry, and the
-        event — with ``fields`` as its payload — goes to the attached
-        log."""
+        lock (a RETRIED also adds its backoff, a COMPLETED its
+        terminal status), a COMPLETED's wall time is observed into the
+        ``service.job_seconds`` histogram, and the event — with
+        ``fields`` as its payload — goes to the attached log."""
         is_event = transition.isupper()
         first = _EVENT_FIELD[transition] if is_event else transition
         bumped = (first, *also) if first is not None else also
@@ -477,22 +478,29 @@ class CompileEngine:
                 for name in bumped:
                     setattr(self.stats, name,
                             getattr(self.stats, name) + 1)
-        if self.profiler is not None:
-            for name in bumped:
-                if name in _REGISTRY_COUNTER:
-                    self.profiler.registry.counter(
-                        _REGISTRY_COUNTER[name]).inc()
-            if transition == "RETRIED":
-                self.profiler.registry.counter(
-                    "resilience.backoff_seconds").inc(fields["backoff"])
-            elif transition == "COMPLETED":
-                self.profiler.record_service_job(
-                    fields["status"], fields["wall_seconds"],
-                    fields["cache_hit"])
+                if transition == "RETRIED":
+                    self.stats.backoff_seconds += fields["backoff"]
+                elif transition == "COMPLETED":
+                    self.stats.by_status[fields["status"]] += 1
+        if transition == "COMPLETED":
+            self._job_seconds.observe(fields["wall_seconds"])
         if is_event and self.events is not None:
             self.events.emit(
                 transition, job_id=job.job_id if job is not None else None,
                 **fields)
+
+    def metrics_snapshot(self, **sections) -> Dict[str, object]:
+        """The one fold: every component's scalars — ``engine.*``,
+        ``cache.*``, ``hashing.*`` and whatever ``sections`` the caller
+        owns (the daemon's ``server=``) — synced next to the
+        distributions, as one versioned registry snapshot."""
+        sections["engine"] = self.stats.as_dict()
+        if self.cache is not None:
+            sections["cache"] = self.cache.stats.as_dict()
+        sections["hashing"] = DIGEST_STATS.since(self._digest_baseline)
+        for prefix, values in sections.items():
+            self.metrics.set_section(prefix, values)
+        return self.metrics.snapshot()
 
     def _span(self, name: str, parent=None, **attributes):
         """One span as a context manager (flags "error" when the body

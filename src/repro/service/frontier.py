@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 from dataclasses import dataclass, field
 
+from ..observability.metrics import DEPTH_BUCKETS
 from ..testing.faults import FaultPlan, FaultSite
 from .engine import CompileEngine, CompileJob, JobResult
 
@@ -97,6 +98,9 @@ class ServiceFrontier:
         self._threads: Optional[ThreadPoolExecutor] = None
         self._depth = 0
         self._depth_lock = threading.Lock()
+        self._depth_samples = engine.metrics.histogram(
+            "service.queue_depth", DEPTH_BUCKETS)
+        self._depth_now = engine.metrics.gauge("service.queue_depth_current")
         self._closing = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -168,7 +172,8 @@ class ServiceFrontier:
     def _edge(self, item: _QueueItem, delta: int, event: str,
               span_status: str = "ok", **fields) -> None:
         """One queue edge, told to every observer at once: move the
-        depth counter by ``delta``, sample it into the profiler, end
+        depth counter by ``delta``, sample it into the engine's
+        ``service.queue_depth`` histogram and current-depth gauge, end
         the ``queue.wait`` span when the job leaves the queue, and
         emit ``event`` carrying the new depth. Depth is sampled on
         *both* edges: enqueue sees the rising slope (how deep
@@ -177,8 +182,8 @@ class ServiceFrontier:
         with self._depth_lock:
             self._depth += delta
             depth = self._depth
-        if self.engine.profiler is not None:
-            self.engine.profiler.record_queue_depth(depth)
+        self._depth_samples.observe(depth)
+        self._depth_now.set(depth)
         tracer = getattr(self.engine, "tracer", None)
         if tracer is not None and delta < 0:
             tracer.end_span(item.wait, span_status)
@@ -229,8 +234,8 @@ class ServiceFrontier:
         item = _QueueItem(job, future, root, wait)
         # Count the job before it is visible to dispatchers — the
         # other order lets a dispatcher pop and decrement first,
-        # driving the counter (and the profiler's queue-depth samples)
-        # transiently negative.
+        # driving the counter (and the queue-depth samples) transiently
+        # negative.
         self._edge(item, +1, "ADMITTED")
         try:
             await self._queue.put(

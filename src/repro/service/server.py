@@ -575,11 +575,12 @@ class CompileServer:
     # -- stats ---------------------------------------------------------------
 
     def stats_snapshot(self) -> Dict[str, object]:
+        server = self.stats.as_dict()
         return {
-            "server": self.stats.as_dict(),
+            "server": server,
             "draining": self._draining,
             "queue_depth": self.frontier.queue_depth,
-            **engine_snapshot(self.engine),
+            **engine_snapshot(self.engine, server=server),
         }
 
 

@@ -4,7 +4,7 @@ IR crosses the process boundary as text in both directions — the
 printer -> parser round-trip is the transport contract (property-tested
 in ``tests/ir/test_roundtrip_property.py``). Everything mutable the
 compilation touches (parser, transform state, interpreter, diagnostics,
-profiler counters) is created fresh inside :func:`compile_job`, so a
+interpreter counters) is created fresh inside :func:`compile_job`, so a
 worker process can execute any number of jobs sequentially and each
 behaves exactly like a standalone ``repro-opt`` invocation: pooled and
 sequential runs produce byte-identical output and identical stats.

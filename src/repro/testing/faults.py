@@ -22,7 +22,7 @@ worker happens to die. This module provides:
   2. **no deadlock** — the batch completes inside a watchdog deadline;
   3. **recovery byte-identity** — any job that ends OK under faults
      produces output byte-identical to the fault-free run;
-  4. **accounting balance** — engine/profiler counters reconcile with
+  4. **accounting balance** — the engine's counters reconcile with
      the observed results (submitted == completed, status histograms
      match, every injected fault is counted).
 
@@ -274,7 +274,6 @@ def run_chaos_case(case_seed: int, workers: int = 1,
     import os
     import tempfile
 
-    from ..profiling import Profiler
     from ..service.cache import CompilationCache
     from ..service.engine import CompileEngine, CompileJob, JobStatus
     from ..service.frontier import ServiceFrontier
@@ -303,7 +302,6 @@ def run_chaos_case(case_seed: int, workers: int = 1,
             reference.append(engine.run_job(job))
 
     plan = FaultPlan(seed=case_seed, rates=CHAOS_RATES)
-    profiler = Profiler()
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         cache = CompilationCache(capacity=64, disk_path=tmp,
                                  max_disk_errors=4, faults=plan)
@@ -323,7 +321,6 @@ def run_chaos_case(case_seed: int, workers: int = 1,
             pool_health=PoolHealthPolicy(max_restarts=12,
                                          window_seconds=60.0),
             faults=plan,
-            profiler=profiler,
             tracer=tracer,
             events=events,
         )
@@ -401,7 +398,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                         f"produce pool-failure statuses",
                     ))
 
-            # 3. Stats and profiler counters balance.
+            # 3. Stats balance, and the distribution saw every job.
             stats = engine.stats
             if stats.submitted != stats.completed:
                 report.failures.append(ChaosFailure(
@@ -415,10 +412,11 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                     f"completed={stats.completed} != "
                     f"results={len(results)}",
                 ))
-            if profiler.service.jobs != len(results):
+            timed = engine.metrics.histogram("service.job_seconds").count
+            if timed != len(results):
                 report.failures.append(ChaosFailure(
                     case_seed, "stats-balance",
-                    f"profiler jobs={profiler.service.jobs} != "
+                    f"service.job_seconds count={timed} != "
                     f"results={len(results)}",
                 ))
             poisoned = sum(1 for r in results

@@ -118,7 +118,7 @@ def transform_opt(
     if jobs > 1 and entry_point is None:
         sharded = _transform_opt_sharded(
             payload, script, script_text, jobs,
-            strict=strict, profiler=profiler, tracer=tracer,
+            strict=strict, tracer=tracer,
         )
         if sharded is not None:
             return sharded
@@ -135,7 +135,7 @@ def transform_opt(
 
 def _transform_opt_sharded(payload, script, script_text: str, jobs: int,
                            strict: bool = False,
-                           profiler=None, tracer=None) -> Optional[str]:
+                           tracer=None) -> Optional[str]:
     """Per-function fan-out over the compile service; None when the
     (payload, script) pair is not shardable, any shard failed, or a
     shard's module attributes diverged during reassembly —
@@ -180,7 +180,6 @@ def _transform_opt_sharded(payload, script, script_text: str, jobs: int,
         preflight=False,
         function_tier=False,
         strict=strict,
-        profiler=profiler,
         retry_policy=RetryPolicy.none(),
         tracer=tracer,
     )

@@ -9,6 +9,7 @@ balance against the engine's terminal states.
 
 import asyncio
 import json
+import re
 import textwrap
 from collections import Counter
 from concurrent.futures import Future
@@ -23,12 +24,10 @@ from repro.observability import (
     validate_events,
     validate_metrics_snapshot,
 )
-from repro.profiling import Profiler
 from repro.service.cache import CompilationCache
 from repro.service.engine import (
     CompileEngine,
     CompileJob,
-    EngineStats,
     JobResult,
     JobStatus,
 )
@@ -41,6 +40,7 @@ from repro.service.resilience import (
 from repro.testing.faults import FaultPlan, FaultSite
 
 from ..service.test_engine import USE_AFTER_CONSUME, _hostile_script
+from ..service.test_sharding import _func, _module
 
 CRASH = _hostile_script("transform.test.service_crash")
 
@@ -86,11 +86,9 @@ def _jobs(distinct=6, repeats=2):
 def _run_pooled_batch(jobs, workers=4):
     tracer = Tracer()
     events = EventLog()
-    profiler = Profiler()
     engine = CompileEngine(workers=workers,
                            cache=CompilationCache(capacity=64),
-                           tracer=tracer, events=events,
-                           profiler=profiler)
+                           tracer=tracer, events=events)
 
     async def go():
         async with ServiceFrontier(engine, max_queue=4) as frontier:
@@ -100,7 +98,7 @@ def _run_pooled_batch(jobs, workers=4):
         results = asyncio.run(go())
     finally:
         engine.shutdown()
-    return results, tracer, events, profiler, engine
+    return results, tracer, events, engine
 
 
 class TestPooledTraceReassembly:
@@ -109,7 +107,7 @@ class TestPooledTraceReassembly:
     def setup_method(self):
         self.jobs = _jobs()
         (self.results, self.tracer, self.events,
-         self.profiler, self.engine) = _run_pooled_batch(self.jobs)
+         self.engine) = _run_pooled_batch(self.jobs)
         assert all(r.ok for r in self.results)
 
     def test_one_well_formed_trace(self):
@@ -158,8 +156,7 @@ class TestPooledTraceReassembly:
         assert len(top_level) == executed
 
     def test_registry_counters_balance_engine_terminal_states(self):
-        _assert_accounting_agrees(self.engine, self.profiler,
-                                  self.events, self.results)
+        _assert_accounting_agrees(self.engine, self.events, self.results)
 
     def test_event_log_lifecycle_per_job(self):
         records = self.events.records()
@@ -178,32 +175,33 @@ class TestPooledTraceReassembly:
             assert statuses[result.job_id] == result.status.value
 
 
-def _assert_accounting_agrees(engine, profiler, events, results):
-    """The engine's one store (``EngineStats``), the event log and the
-    profiler's registry describe the same run."""
-    snap = profiler.registry_snapshot()
+#: Name prefixes that existed once per copy of a number, or were never
+#: fed by the service at all.
+_GONE = ("service.jobs", "service.cache_", "resilience.", "worklist.",
+         "rewrite.", "passes.", "invalidation.", "interpreter.")
+
+
+def _assert_accounting_agrees(engine, events, results):
+    """The engine's stores (``EngineStats``, the job-seconds
+    histogram), the event log and the folded metrics snapshot describe
+    the same run."""
+    snap = engine.metrics_snapshot()
     assert validate_metrics_snapshot(snap) == []
-    counters = snap["counters"]
+    counters, gauges = snap["counters"], snap["gauges"]
     stats = engine.stats
     records = events.records()
     assert validate_events(records) == []
     emitted = Counter(r["event"] for r in records)
 
-    # Terminal states: results == COMPLETED events == registry.
+    # Terminal states: results == COMPLETED events == by_status ==
+    # the distribution's sample count.
     assert stats.submitted == stats.completed == len(results)
-    assert counters["service.jobs"] == stats.completed
     terminal = Counter(r.status.value for r in results)
     assert Counter(r["status"] for r in records
                    if r["event"] == "COMPLETED") == terminal
-    assert {
-        name.rsplit(".", 1)[1]: value
-        for name, value in counters.items()
-        if name.startswith("service.jobs_by_status.")
-    } == terminal
-    assert (counters.get("service.cache_hits", 0)
-            + counters.get("service.cache_misses", 0)) == stats.completed
-    assert snap["histograms"]["service.job_seconds"]["count"] == \
-        stats.completed
+    assert stats.by_status == terminal
+    assert sum(terminal.values()) == stats.completed == \
+        snap["histograms"]["service.job_seconds"]["count"]
 
     # Every transition: the EngineStats field equals its event count.
     assert emitted["STARTED"] == stats.submitted
@@ -224,17 +222,30 @@ def _assert_accounting_agrees(engine, profiler, events, results):
     ) == stats.quarantined
     assert emitted["DISPATCHED"] == \
         stats.executed + stats.timeouts + stats.crashes
+    assert stats.backoff_seconds == pytest.approx(sum(
+        r["backoff"] for r in records if r["event"] == "RETRIED"))
 
-    # The registry mirrors the resilience fields (absent until first
-    # recorded) and the profiler's views read them back.
-    assert counters.get("service.worker_restarts", 0) == \
-        stats.worker_restarts == profiler.service.worker_restarts
-    assert counters.get("resilience.retries", 0) == \
-        stats.retries == profiler.resilience.retries
-    assert counters.get("resilience.quarantined", 0) == \
-        stats.quarantined == profiler.resilience.quarantined
-    assert counters.get("resilience.pool_degradations", 0) == \
-        stats.pool_degradations == profiler.resilience.pool_degradations
+    # The fold: each store's number appears once, under its owner's
+    # name (ints as counters, floats as gauges) ...
+    folded = stats.as_dict()
+    assert {
+        name.rpartition(".")[2]: value
+        for name, value in counters.items()
+        if name.startswith("engine.by_status.")
+    } == folded.pop("by_status")
+    for name, value in folded.items():
+        kind = gauges if isinstance(value, float) else counters
+        assert kind[f"engine.{name}"] == value, name
+    # ... and under no other: the duplicate and never-fed names are
+    # gone, and a cacheless engine reports no cache traffic.
+    names = [*counters, *gauges, *snap["histograms"]]
+    assert [name for name in names if name.startswith(_GONE)] == []
+    if engine.cache is not None:
+        assert counters["cache.hits"] == engine.cache.stats.hits
+        assert counters["cache.misses"] == engine.cache.stats.misses
+        assert gauges["cache.hit_rate"] == engine.cache.stats.hit_rate
+    else:
+        assert [name for name in names if name.startswith("cache.")] == []
 
 
 def _planted_leader(status):
@@ -265,7 +276,7 @@ def _cancelled(engine, job):
 
 
 #: route -> (engine options, script, driver(engine, job) -> results,
-#: the last job's event sequence, the nonzero EngineStats fields).
+#: the last job's event sequence, the nonzero EngineStats counts).
 ROUTES = {
     "success": (
         dict(workers=0), SCHEDULE,
@@ -306,7 +317,7 @@ ROUTES = {
              faults=FaultPlan(seed=3, max_fires=1,
                               rates={FaultSite.WORKER_HANG: 1.0}),
              retry_policy=RetryPolicy(
-                 max_attempts=2,
+                 max_attempts=2, base_backoff=0.01,
                  retry_statuses=frozenset({"crashed", "timeout"}))),
         SCHEDULE, lambda engine, job: [engine.run_job(job())],
         ["STARTED", "DISPATCHED", "TIMEOUT", "RETRIED", "DISPATCHED",
@@ -352,19 +363,23 @@ def test_accounting_agrees_on_every_terminal_route(route):
     options = dict(options)
     if options.pop("cache", False):
         options["cache"] = CompilationCache(capacity=8)
-    profiler, events = Profiler(), EventLog()
+    events = EventLog()
     ids = iter(f"{route}-{n}" for n in range(8))
 
     def job(script_text=script):
         return CompileJob(payload_text=_payload(0),
                           script_text=script_text, job_id=next(ids))
 
-    with CompileEngine(profiler=profiler, events=events,
-                       **options) as engine:
+    with CompileEngine(events=events, **options) as engine:
         results = drive(engine, job)
-    _assert_accounting_agrees(engine, profiler, events, results)
-    assert engine.stats.as_dict() == \
-        dict(EngineStats().as_dict(), **expected)
+    _assert_accounting_agrees(engine, events, results)
+    # (by_status and backoff_seconds were checked against the results
+    # and the RETRIED events above.)
+    counts = {name: value for name, value in engine.stats.as_dict().items()
+              if isinstance(value, int)}
+    assert counts == dict.fromkeys(counts, 0) | expected
+    if "retries" in expected:
+        assert engine.stats.backoff_seconds > 0
     last = results[-1].job_id
     assert [r["event"] for r in events.for_job(last)] == sequence
 
@@ -375,7 +390,7 @@ class TestDisabledModeUnchanged:
         jobs = _jobs(distinct=2, repeats=1)
         with CompileEngine(workers=0) as engine:
             plain = [engine.run_job(job) for job in jobs]
-        results, tracer, _, _, _ = _run_pooled_batch(jobs, workers=2)
+        results, tracer, _, _ = _run_pooled_batch(jobs, workers=2)
         assert [r.output for r in results] == [r.output for r in plain]
         assert tracer.spans()  # and the traced run did record spans
 
@@ -420,7 +435,92 @@ class TestBatchCli:
         # The unified snapshot subsumes the legacy engine/cache dicts.
         assert snap["counters"]["engine.completed"] == 4
         assert "cache.hits" in snap["counters"]
-        assert metrics["profiler"]["schema_version"] == 2
+        assert snap["counters"]["engine.completed"] == \
+            metrics["engine"]["completed"]
+        assert "profiler" not in metrics
+
+
+_MS = r"\d+\.\d{3} ms"
+_JOBS = rf"    jobs: 2  mean wall: {_MS}  max wall: {_MS}"
+_DEPTH = r"    queue depth: mean \d+\.\d\d  max \d+  \(samples: 4\)"
+_HASHING = [
+    "  Structural hashing",
+    r"    memo hit rate: \d+\.\d%  \(hits: \d+  recomputes: \d+\)  "
+    r"invalidations: \d+",
+]
+
+#: case -> (extra flags, exit code, the report's lines after the
+#: header, each a regular expression). Every case runs one
+#: two-function payload against a statically rejected and a clean
+#: schedule.
+TIMING_CASES = {
+    # A rejected job never reaches the cache, and the function tier's
+    # lookups are not jobs: one whole-job lookup, one miss.
+    "cache": ([], 1, [
+        "  Compile service", _JOBS,
+        "    by status: rejected: 1  success: 1",
+        r"    cache hit rate: 0\.0%  \(hits: 0  misses: 1\)  "
+        "worker restarts: 0",
+        _DEPTH, "", *_HASHING,
+    ]),
+    # No cache, no lookups: nothing to report as a miss.
+    "no-cache": (["--no-cache"], 1, [
+        "  Compile service", _JOBS,
+        "    by status: rejected: 1  success: 1",
+        "    worker restarts: 0",
+        _DEPTH, "", *_HASHING,
+    ]),
+    # Every pooled attempt crashes: one retry, then the breaker.
+    "resilience": (
+        ["--no-cache", "--jobs", "1", "--fault", "worker_crash=1.0",
+         "--quarantine-after", "2"], 1, [
+            "  Compile service", _JOBS,
+            "    by status: poisoned: 1  rejected: 1",
+            "    worker restarts: 2",
+            _DEPTH, "",
+            "  Resilience",
+            rf"    retries: 1  \(backoff: {_MS}\)  quarantined: 1  "
+            "pool degradations: 0",
+            "", *_HASHING,
+        ]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMING_CASES))
+def test_batch_timing_report_line_shapes(case, tmp_path, capsys):
+    from repro.service.cli import main
+
+    flags, expected_code, shapes = TIMING_CASES[case]
+    (tmp_path / "p.mlir").write_text(
+        _module(_func("f0", 8), _func("f1", 4)))
+    schedules = tmp_path / "schedules"
+    schedules.mkdir()
+    (schedules / "ok.mlir").write_text(SCHEDULE)
+    (schedules / "bad.mlir").write_text(USE_AFTER_CONSUME)
+    json_out = tmp_path / "metrics.json"
+
+    code = main([str(tmp_path / "p.mlir"), "--schedule", str(schedules),
+                 "--jobs", "0", "--timing", "--json", str(json_out),
+                 *flags])
+    assert code == expected_code
+    lines = capsys.readouterr().err.splitlines()
+    bar = "===" + "-" * 70 + "==="
+    assert lines[:3] == [
+        bar, "  ... Transform execution timing report ...", bar]
+    # (The jobs' diagnostics follow the report on stderr.)
+    report = lines[3:3 + len(shapes)]
+    for line, shape in zip(report, shapes, strict=True):
+        assert re.fullmatch(shape, line), (line, shape)
+
+    metrics = json.loads(json_out.read_text())["metrics"]
+    names = [name for kind in ("counters", "gauges", "histograms")
+             for name in metrics[kind]]
+    assert not [name for name in names if name.endswith("cache_misses")]
+    if "--no-cache" in flags:
+        assert not [name for name in names if name.startswith("cache.")]
+    else:
+        assert metrics["counters"]["cache.misses"] == 3
+        assert metrics["counters"]["cache.function_misses"] == 2
 
 
 class TestOptCli:

@@ -140,7 +140,7 @@ class TestBatchJsonCounters:
         assert cache["disk_errors"] == 0
         assert cache["disk_corrupt"] == 0
         assert cache["degraded"] is False
-        assert metrics["profiler"]["resilience"]["retries"] == 0
+        assert metrics["metrics"]["counters"]["engine.retries"] == 0
 
     def test_injected_disk_faults_counted_in_metrics(self, tree,
                                                      capsys, recwarn):

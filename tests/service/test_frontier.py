@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.observability import MetricsRegistry
 from repro.service import (
     CompilationCache,
     CompileEngine,
@@ -81,37 +82,26 @@ class TestFrontier:
     def test_queue_depth_samples_never_negative(self):
         # Regression: depth used to be incremented only after put(),
         # so a dispatcher could pop-and-decrement first and the
-        # profiler sampled transiently negative depths.
-        class _DepthRecorder:
-            def __init__(self):
-                self.samples = []
-
-            def record_queue_depth(self, depth):
-                self.samples.append(depth)
-
-            def record_service_job(self, *args, **kwargs):
-                pass
-
-            def record_worker_restart(self):
-                pass
-
-        recorder = _DepthRecorder()
+        # samples went transiently negative.
         jobs = [_job(job_id=f"d{i}") for i in range(12)]
 
         async def go():
-            with CompileEngine(workers=0, profiler=recorder) as engine:
+            with CompileEngine(workers=0) as engine:
                 async with ServiceFrontier(engine, max_queue=2,
                                            dispatchers=2) as frontier:
-                    return await frontier.run(jobs)
+                    return await frontier.run(jobs), engine
 
-        results = asyncio.run(go())
+        results, engine = asyncio.run(go())
         assert all(r.ok for r in results)
-        # Depth is sampled on both edges now: once at admission (the
+        # Depth is sampled on both edges: once at admission (the
         # rising slope, always >= 1 because the submitter counts its
         # own job) and once at dequeue (the falling slope, >= 0).
-        assert len(recorder.samples) == 2 * len(jobs)
-        assert all(sample >= 0 for sample in recorder.samples)
-        assert sum(1 for s in recorder.samples if s >= 1) >= len(jobs)
+        depth = engine.metrics.snapshot()["histograms"][
+            "service.queue_depth"]
+        assert depth["count"] == 2 * len(jobs)
+        assert depth["min"] >= 0
+        # bucket 0 holds the samples == 0: at most the dequeue edges.
+        assert depth["count"] - depth["bucket_counts"][0] >= len(jobs)
 
     def test_submit_before_start_raises(self):
         async def go():
@@ -157,7 +147,7 @@ class TestFrontier:
         # admitted before close() must still complete.
         class _SlowEngine:
             workers = 0
-            profiler = None
+            metrics = MetricsRegistry()
             faults = None
 
             def __init__(self):
@@ -298,7 +288,7 @@ class TestFrontier:
         # queue orders by (rank, arrival), not arrival alone.
         class _GatedEngine:
             workers = 0
-            profiler = None
+            metrics = MetricsRegistry()
             faults = None
 
             def __init__(self):
@@ -400,7 +390,8 @@ class TestBatchCli:
         assert data["engine"]["executed"] == 2
         assert data["engine"]["cache_hits"] == 2
         assert data["cache"]["hit_rate"] == 0.5
-        assert "service" in data["profiler"]
+        assert data["metrics"]["histograms"]["service.job_seconds"][
+            "count"] == 4
 
     def test_batch_param_binding(self, tree, capsys):
         out = tree / "out"

@@ -10,7 +10,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.profiling import Profiler
 from repro.service import CompileEngine, CompileJob, JobStatus
 from repro.service.resilience import (
     JobQuarantine,
@@ -149,9 +148,7 @@ class TestEngineRetry:
         # output identical to a clean run.
         plan = FaultPlan(seed=7, rates={FaultSite.WORKER_CRASH: 1.0},
                          max_fires=1)
-        profiler = Profiler()
-        with CompileEngine(workers=1, faults=plan,
-                           profiler=profiler) as engine:
+        with CompileEngine(workers=1, faults=plan) as engine:
             result = engine.run_job(_job())
             reference = engine.run_job(_job(job_id="ref"))
         assert result.status is JobStatus.SUCCESS
@@ -159,7 +156,8 @@ class TestEngineRetry:
         assert result.output == reference.output
         assert engine.stats.crashes == 1
         assert engine.stats.retries == 1
-        assert profiler.resilience.retries == 1
+        assert engine.metrics_snapshot()["counters"][
+            "engine.retries"] == 1
         assert plan.injected == {"worker_crash": 1}
 
     def test_timeout_retry_opt_in(self):
@@ -188,12 +186,10 @@ class TestEngineRetry:
 
 class TestEngineQuarantine:
     def test_poison_job_trips_breaker_then_short_circuits(self):
-        profiler = Profiler()
         with CompileEngine(
                 workers=1, preflight=False,
                 retry_policy=RetryPolicy.none(),
-                quarantine=QuarantinePolicy(threshold=2),
-                profiler=profiler) as engine:
+                quarantine=QuarantinePolicy(threshold=2)) as engine:
             first = engine.run_job(_job(script=CRASH))
             second = engine.run_job(_job(script=CRASH))
             executed_before = engine.stats.crashes
@@ -205,7 +201,8 @@ class TestEngineQuarantine:
         assert third.status is JobStatus.POISONED
         assert engine.stats.crashes == executed_before == 2
         assert engine.stats.quarantined == 2
-        assert profiler.resilience.quarantined == 2
+        assert engine.metrics_snapshot()["counters"][
+            "engine.quarantined"] == 2
 
     def test_retries_count_toward_quarantine(self):
         # threshold=2 with retry-once: attempt 1 crashes (count 1,
@@ -230,14 +227,12 @@ class TestEngineQuarantine:
 
 class TestPoolDegradation:
     def test_crash_loop_degrades_to_in_process(self):
-        profiler = Profiler()
         with CompileEngine(
                 workers=1, preflight=False,
                 retry_policy=RetryPolicy.none(),
                 quarantine=None,
                 pool_health=PoolHealthPolicy(max_restarts=2,
-                                             window_seconds=60.0),
-                profiler=profiler) as engine:
+                                             window_seconds=60.0)) as engine:
             # Two distinct poison jobs (params split the content key)
             # crash the pool twice inside the window.
             engine.run_job(_job(script=CRASH, params={"n": 1}))
@@ -247,7 +242,8 @@ class TestPoolDegradation:
             survivor = engine.run_job(_job())
         assert survivor.status is JobStatus.SUCCESS
         assert engine.stats.pool_degradations == 1
-        assert profiler.resilience.pool_degradations == 1
+        assert engine.metrics_snapshot()["counters"][
+            "engine.pool_degradations"] == 1
         assert "degraded to in-process" in engine.degraded_diagnostic
 
     def test_pool_health_none_never_degrades(self):

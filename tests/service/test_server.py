@@ -13,7 +13,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.observability import read_events, validate_chrome_trace
+from repro.observability import (
+    MetricsRegistry,
+    read_events,
+    validate_chrome_trace,
+    validate_metrics_snapshot,
+)
 from repro.service import (
     AsyncServiceClient,
     CompileEngine,
@@ -39,13 +44,13 @@ class _GatedEngine:
     holding the server's in-flight set open deterministically."""
 
     workers = 0
-    profiler = None
     faults = None
     tracer = None
     cache = None
 
     def __init__(self):
         self.events = None  # the server attaches an EventLog
+        self.metrics = MetricsRegistry()
         self.release = threading.Event()
         self.order = []
         self.stats = SimpleNamespace(
@@ -501,6 +506,8 @@ class TestBatchConnect:
         server, stop = _start_threaded_server(engine, sock)
         try:
             connected = run("connected", "--connect", sock)
+            with ServiceClient(sock) as client:
+                frame = client.stats()
         finally:
             stop()
             engine.shutdown()
@@ -516,10 +523,12 @@ class TestBatchConnect:
             assert local[4][key] == connected[4][key]
         assert local[4]["by_status"] == {"rejected": 2, "success": 4}
         # Each route keeps its own extra keys.
-        assert {"engine", "cache", "profiler", "metrics"} <= set(local[4])
         assert {"connect", "server"} <= set(connected[4])
-        assert {"engine", "cache", "profiler", "metrics"} <= \
-            set(connected[4]["server"])
+        # All three producers of the stats block ship the same keys.
+        for block in (local[4], connected[4]["server"], frame):
+            assert {"engine", "cache", "metrics"} <= set(block)
+            assert "profiler" not in block
+            assert validate_metrics_snapshot(block["metrics"]) == []
 
 
 class TestDaemonProcess:
