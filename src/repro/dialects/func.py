@@ -24,6 +24,9 @@ class FuncOp(Operation):
 
     NAME = "func.func"
     TRAITS = frozenset({SymbolTrait, IsolatedFromAbove})
+    #: A declaration prints as ``({})``; the parser must hand it back
+    #: block-less, not with the empty entry block other ops get.
+    EMPTY_REGION_IS_BLOCKLESS = True
 
     @property
     def sym_name(self) -> str:

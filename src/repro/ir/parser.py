@@ -531,6 +531,12 @@ class Parser:
             location=location,
         )
         for region, blocks in zip(op.regions, regions_blocks):
+            # ``({})`` is how a block-less region *and* a lone empty
+            # block print; it reads as the latter unless the op's class
+            # gives the former a meaning (a func.func declaration).
+            if not blocks and not getattr(op, "EMPTY_REGION_IS_BLOCKLESS",
+                                          False):
+                blocks = [Block()]
             for block in blocks:
                 region.add_block(block)
         for name, result in zip(result_names, op.results):
@@ -538,7 +544,8 @@ class Parser:
         return op
 
     def parse_region_blocks(self) -> List[Block]:
-        """Parse ``{ ... }``: an entry block plus labelled blocks."""
+        """Parse ``{ ... }``: an entry block plus labelled blocks (no
+        block at all for an empty ``{}``)."""
         self.expect("{")
         self.value_scope.append({})
         self.block_scope.append({})
@@ -566,8 +573,6 @@ class Parser:
             else:
                 current_block().append(self.parse_operation())
         self.expect("}")
-        if not blocks:
-            blocks.append(Block())
         self.value_scope.pop()
         self.block_scope.pop()
         return blocks

@@ -31,8 +31,10 @@ terminal result or fall through, cheapest first:
    :class:`~repro.service.resilience.PoolHealthPolicy` degrades a
    crash-looping engine to in-process execution — reduced throughput,
    preserved liveness;
-7. **publish** — OK results go to the cache (both tiers) and to the
-   followers.
+7. **publish** — OK results go to the cache and to the followers;
+   the function-tier entries of a clean whole-module success are the
+   ``(text, digest)`` pairs the worker split off its live IR (the
+   engine asked for them in step 6 and parses no output).
 
 Every counter, event and job-seconds sample is recorded by one method,
 :meth:`CompileEngine._account`, into :class:`EngineStats` — the store
@@ -650,8 +652,8 @@ class CompileEngine:
                 tier_keys = self._function_keys(job, payload, script)
                 result = self._assemble(job, key, payload, tier_keys, span)
                 if result is None:
-                    result = self._execute(job, key, span)
-                    self._populate(result, payload, tier_keys)
+                    result = self._execute(job, key, span, payload,
+                                           tier_keys)
                 if self.cache is not None and result.ok:
                     self.cache.put(key, CachedResult(
                         result.status.value, result.output or "",
@@ -778,22 +780,25 @@ class CompileEngine:
             output_digest=output_digest,
         )
 
-    def _populate(self, result: JobResult, payload: _PayloadInfo,
+    def _populate(self, raw: Mapping[str, object], payload: _PayloadInfo,
                   tier_keys: Optional[List[str]]) -> None:
         """After a clean whole-module success, store each output
         function under its *input* function's key.
 
-        Guarded by the same backstops as ``--jobs`` reassembly: the
-        output must still be an all-function module with unchanged
-        module attributes (digest compare) and an unchanged function
-        count — anything else means the schedule escaped the
-        function-local contract, and nothing is stored."""
-        if (tier_keys is None or result.status is not JobStatus.SUCCESS
-                or result.diagnostics or not result.output):
-            return
-        functions = function_module_texts(result.output, "<output>",
-                                          payload.attrs_digest)
-        if functions is None or len(functions) != len(tier_keys):
+        The entries are ``raw["functions"]``: the worker split, printed
+        and digested them off the transformed module while it was
+        still IR (see :func:`repro.service.worker.compile_job`), so
+        nothing is parsed here. Guarded by the same backstops as
+        ``--jobs`` reassembly: the output must still be an
+        all-function module (else the worker sent None) with unchanged
+        module attributes (its digest equals the *input's*) and an
+        unchanged function count — anything else means the schedule
+        escaped the function-local contract, and nothing is stored."""
+        functions = raw["functions"]
+        if (tier_keys is None or functions is None
+                or raw["status"] != "success" or raw["diagnostics"]
+                or raw["attrs_digest"] != payload.attrs_digest
+                or len(functions) != len(tier_keys)):
             return
         for tier_key, (text, digest) in zip(tier_keys, functions):
             self.cache.put_function(
@@ -841,9 +846,14 @@ class CompileEngine:
         return JobResult(job.job_id, JobStatus(status), key=key,
                          diagnostics=diagnostics, attempts=attempts)
 
-    def _execute(self, job: CompileJob, key: str, span=None) -> JobResult:
+    def _execute(self, job: CompileJob, key: str, span,
+                 payload: _PayloadInfo,
+                 tier_keys: Optional[List[str]]) -> JobResult:
         """Actually run the job on a worker (or inline), with timeout
-        handling and policy-driven crash/timeout containment.
+        handling and policy-driven crash/timeout containment. With
+        ``tier_keys`` the worker also splits its output into
+        function-tier entries, published here (:meth:`_populate`)
+        while the raw result is in hand.
 
         Each attempt gets its own ``engine.dispatch`` child span; the
         worker receives that span's context (``trace=``) so the spans
@@ -855,6 +865,7 @@ class CompileEngine:
         timeout = job.timeout if job.timeout is not None else self.job_timeout
         args = (job.payload_text, job.script_text, job.params,
                 job.entry_point, self.strict)
+        split = tier_keys is not None
         for attempts in itertools.count(1):
             with self._span("engine.dispatch", span, job_id=job.job_id,
                             attempt=attempts) as attempt_span:
@@ -872,7 +883,8 @@ class CompileEngine:
                     # injected here: an in-process os._exit would take the
                     # whole service down, which is exactly what the pool
                     # boundary exists to prevent.
-                    raw = compile_job(*args, trace=trace)
+                    raw = compile_job(*args, trace=trace,
+                                      function_tier=split)
                 else:
                     inject = None
                     if self.faults is not None:
@@ -881,7 +893,7 @@ class CompileEngine:
                         # submit() itself raises BrokenProcessPool when
                         # another job's crash already broke this pool.
                         future = pool.submit(compile_job, *args, inject,
-                                             trace)
+                                             trace, split)
                         if self.faults is not None and self.faults.fire(
                                 FaultSite.POOL_BREAK,
                                 f"{key}#attempt{attempts}"):
@@ -920,6 +932,7 @@ class CompileEngine:
                         self.tracer.record(raw.get("spans"))
                     _mark(attempt_span, "ok" if raw["status"] == "success"
                           else str(raw["status"]))
+                    self._populate(raw, payload, tier_keys)
                     return JobResult(
                         job.job_id, JobStatus(raw["status"]),
                         output=raw["output"],

@@ -152,33 +152,38 @@ def shard_payload(payload: Operation) -> Optional[List[Operation]]:
                             payload.attributes)
 
 
-def function_module_texts(text: str, source: str,
-                          attrs_digest: Optional[str] = None
-                          ) -> Optional[List[Tuple[str, str]]]:
-    """The function-tier view of one module text: ``(printed module,
+def function_entries(module: Operation
+                     ) -> Optional[List[Tuple[str, str]]]:
+    """The function-tier view of one module: ``(printed module,
     structural digest)`` per top-level function, each wrapped in an
     *attribute-less* module — tier entries must not depend on which
-    module a function arrived in.
+    module a function arrived in — and printed on its own, so an
+    entry's text is the canonical print of its digest.
 
-    None when ``text`` is not a cleanly splittable module (see
-    :func:`shardable_functions`) or, with ``attrs_digest`` given, its
-    module attributes digest to something else: a transformed output
-    whose module op changed escaped the function-local contract and
-    must not be stored."""
-    from ..ir.hashing import attributes_digest, op_digest
-    from ..ir.parser import parse
+    None when ``module`` is not cleanly splittable (see
+    :func:`shardable_functions`). The functions are *moved* out of
+    ``module``: call it on IR nothing reads again."""
+    from ..ir.hashing import op_digest
     from ..ir.printer import print_op
+
+    tops = shardable_functions(module)
+    if tops is None:
+        return None
+    return [(print_op(wrapper), op_digest(wrapper))
+            for wrapper in function_modules(tops)]
+
+
+def function_module_texts(text: str, source: str
+                          ) -> Optional[List[Tuple[str, str]]]:
+    """:func:`function_entries` of a module *text*; None also when it
+    does not parse."""
+    from ..ir.parser import parse
 
     try:
         module = parse(text, source)
     except Exception:
         return None
-    tops = shardable_functions(module)
-    if tops is None or (attrs_digest is not None
-                        and attributes_digest(module) != attrs_digest):
-        return None
-    return [(print_op(wrapper), op_digest(wrapper))
-            for wrapper in function_modules(tops)]
+    return function_entries(module)
 
 
 def assemble_functions(module_attributes, func_texts: List[str],

@@ -70,7 +70,8 @@ def compile_job(payload_text: str, script_text: str,
                 entry_point: Optional[str] = None,
                 strict: bool = False,
                 inject: Optional[str] = None,
-                trace: Optional[Dict[str, str]] = None
+                trace: Optional[Dict[str, str]] = None,
+                function_tier: bool = False
                 ) -> Dict[str, object]:
     """Compile one (payload, script, params) job; returns a plain dict.
 
@@ -91,12 +92,26 @@ def compile_job(payload_text: str, script_text: str,
         the transformed payload, computed in the worker off the live
         IR — consumers compare output identity by digest instead of
         reparsing or re-hashing the text (None on failure);
+    ``functions``
+        with ``function_tier`` and a ``"success"`` status, the
+        function-tier view of the transformed payload, split while it
+        is still IR: ``(printed module, structural digest)`` per
+        top-level function, each wrapped in an attribute-less module
+        and printed on its own (canonical numbering — *not* a slice of
+        ``output``); None when the output is not a cleanly splittable
+        all-function module (see
+        :func:`repro.service.sharding.shardable_functions`), on any
+        other status and without the flag;
+    ``attrs_digest``
+        alongside ``functions``, the digest of the transformed
+        module's own attributes — the engine stores nothing unless it
+        still equals the input's (None whenever ``functions`` is);
     ``diagnostics``
         the rendered diagnostic stream (empty when clean);
     ``stats``
         the interpreter's counters, job-local by construction;
     ``wall_seconds``
-        in-worker wall time (parse + interpret + print).
+        in-worker wall time (parse + interpret + print + split).
 
     ``inject`` is the fault-injection hook for the chaos harness
     (:mod:`repro.testing.faults`): ``"crash"`` kills this worker
@@ -109,11 +124,17 @@ def compile_job(payload_text: str, script_text: str,
     ``trace`` is the cross-process span propagation hook: a
     :meth:`repro.observability.SpanContext.to_dict` payload naming the
     engine-side trace and parent span. When present the worker records
-    spans locally (parse / interpret — with one child span per
-    top-level transform op — / print) into a tracer seeded with the
-    propagated trace id and ships them back under ``"spans"`` (a list
-    of :meth:`~repro.observability.Span.to_dict` dicts), so a job's
-    trace is complete across the pool boundary.
+    spans locally (``worker.compile`` over ``worker.parse`` /
+    ``worker.interpret`` — with one child span per top-level transform
+    op — / ``worker.print`` / ``worker.split``, the last only when the
+    split runs) into a tracer seeded with the propagated trace id and
+    ships them back under ``"spans"`` (a list of
+    :meth:`~repro.observability.Span.to_dict` dicts), so a job's trace
+    is complete across the pool boundary.
+
+    ``function_tier`` is set by the engine — never by a user — for a
+    job whose output it will publish to the per-function cache tier;
+    both the pooled and the in-process route pass the same value.
     """
     if inject == "crash":
         os._exit(3)
@@ -122,9 +143,10 @@ def compile_job(payload_text: str, script_text: str,
 
     from ..core.errors import TransformInterpreterError
     from ..core.interpreter import TransformInterpreter
-    from ..ir.hashing import op_digest
+    from ..ir.hashing import attributes_digest, op_digest
     from ..ir.parser import parse
     from ..ir.printer import print_op
+    from .sharding import function_entries
 
     _ensure_registered()
     tracer = None
@@ -154,9 +176,21 @@ def compile_job(payload_text: str, script_text: str,
 
     start = time.perf_counter()
     interpreter = None
+
+    def _failed(diagnostics: str) -> Dict[str, object]:
+        return _finish({
+            "status": "definite",
+            "output": None,
+            "output_digest": None,
+            "functions": None,
+            "attrs_digest": None,
+            "diagnostics": diagnostics,
+            "stats": _stats_dict(interpreter) if interpreter else {},
+            "wall_seconds": time.perf_counter() - start,
+        })
+
     status = "success"
-    output: Optional[str] = None
-    output_digest: Optional[str] = None
+    functions = attrs_digest = None
     try:
         with _span("worker.parse"):
             payload = parse(payload_text, "<payload>")
@@ -175,37 +209,33 @@ def compile_job(payload_text: str, script_text: str,
             payload.verify()
             output = print_op(payload)
             output_digest = op_digest(payload)
+        if function_tier and status == "success":
+            with _span("worker.split"):
+                # Moves the functions out of ``payload`` — it is
+                # printed and digested, nothing reads it again.
+                functions = function_entries(payload)
+                if functions is not None:
+                    attrs_digest = attributes_digest(payload)
     except TransformInterpreterError as error:
-        return _finish({
-            "status": "definite",
-            "output": None,
-            "output_digest": None,
-            "diagnostics": str(error),
-            "stats": _stats_dict(interpreter) if interpreter else {},
-            "wall_seconds": time.perf_counter() - start,
-        })
+        return _failed(str(error))
     except Exception as error:
-        # Anything the interpreter's barrier did not wrap (parse
-        # errors when the engine skips key normalization, payload
-        # verifier failures, crashes in transform code). Encoding it
-        # here — in the worker — is what keeps pooled and workers=0
+        # Anything the interpreter's barrier did not wrap: payload
+        # verifier failures, crashes in transform code and — for a
+        # caller other than the engine, which rejects unparsable
+        # input before dispatch — parse errors. Encoding it here, in
+        # the worker, is what keeps pooled and workers=0
         # classification identical; strict mode propagates raw in
         # both (the pool pickles the exception back, the engine
         # re-raises it).
         if strict:
             raise
-        return _finish({
-            "status": "definite",
-            "output": None,
-            "output_digest": None,
-            "diagnostics": f"error: {type(error).__name__}: {error}",
-            "stats": _stats_dict(interpreter) if interpreter else {},
-            "wall_seconds": time.perf_counter() - start,
-        })
+        return _failed(f"error: {type(error).__name__}: {error}")
     return _finish({
         "status": status,
         "output": output,
         "output_digest": output_digest,
+        "functions": functions,
+        "attrs_digest": attrs_digest,
         "diagnostics": (interpreter.diagnostics.render()
                         if interpreter.diagnostics.diagnostics else ""),
         "stats": _stats_dict(interpreter),

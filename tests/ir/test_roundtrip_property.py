@@ -219,3 +219,24 @@ def test_dense_int_attr_roundtrip(values):
     attr = DenseIntAttr(values, vector(len(values), element_type=I64))
     text = print_op(_attr_module(value=attr))
     assert print_op(parse(text)) == text
+
+
+def test_function_declaration_roundtrip():
+    """A bodiless ``func.func`` prints its region as ``({})`` and must
+    come back block-less — a declaration that verifies and digests as
+    the original — not with the empty entry block other ops get."""
+    import repro.dialects  # noqa: F401 — registers func.func
+    from repro.execution.workloads import build_uneven_loop_module
+    from repro.ir import op_digest
+
+    module = build_uneven_loop_module()
+    text = print_op(module)
+    reparsed = parse(text)
+    use = reparsed.regions[0].entry_block.ops[0]
+    assert use.is_declaration
+    reparsed.verify()
+    assert print_op(reparsed) == text
+    assert op_digest(reparsed) == op_digest(module)
+    # Any other op keeps reading ``({})`` as one empty block.
+    empty = parse(print_op(Operation.create("builtin.module", regions=1)))
+    assert len(empty.regions[0].blocks) == 1

@@ -245,6 +245,23 @@ class TestInputMemo:
             # Uncached repeat: only the worker parses.
             assert parses == {"<payload>": 3, "<script>": 3}
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_tier_population_parses_no_output(self, monkeypatch, workers):
+        # The worker splits the transformed module while it is still
+        # IR: the engine process never parses an "<output>" (a forked
+        # worker's parses are not counted here; workers=0 shows the
+        # worker does not parse one either).
+        from .test_sharding import MULTI
+
+        parses = self._count_parses(monkeypatch)
+        cache = CompilationCache(capacity=8)
+        with CompileEngine(workers=workers, cache=cache) as engine:
+            result = engine.run_job(_job(payload=MULTI))
+        assert result.status is JobStatus.SUCCESS
+        assert cache.stats.function_puts == 3
+        assert parses["<output>"] == 0
+        assert parses["<payload>"] == (2 if workers == 0 else 1)
+
     def test_new_entry_point_relints_without_reparsing(self, monkeypatch):
         import repro.analysis.lint as lint
 
@@ -367,6 +384,28 @@ class TestPooledEquivalence:
             assert pool.output == seq.output
             assert pool.stats == seq.stats
             assert pool.diagnostics == seq.diagnostics
+
+    def test_declared_function_crosses_the_pool_boundary(self):
+        # Regression: the bodiless @use declaration re-parsed with an
+        # argument-less entry block and failed verification, so the
+        # Fig. 1 payload was `definite` on every route that ships text.
+        from repro.execution.workloads import build_uneven_loop_module
+        from repro.ir.printer import print_op
+        from repro.service.worker import compile_job
+
+        payload = print_op(build_uneven_loop_module())
+        # The inner, 2042-trip loop.
+        script = UNROLL.replace('position = "all"', 'position = "last"')
+        reference = compile_job(payload, script)
+        assert reference["status"] == "success"
+        assert "({\n  }) {function_type = (f64) -> ()" in \
+            reference["output"]
+        for workers in (0, 1):
+            with CompileEngine(workers=workers) as engine:
+                result = engine.run_job(_job(payload, script))
+            assert result.status is JobStatus.SUCCESS
+            assert result.output == reference["output"]
+            assert result.output_digest == reference["output_digest"]
 
     def test_worker_state_does_not_accumulate(self):
         # The same job through one single-process worker, repeatedly:

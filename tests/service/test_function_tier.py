@@ -2,19 +2,63 @@
 payloads, byte-identity with whole-module compilation, and the gates
 that keep it out of non-distributing jobs."""
 
+import threading
+from dataclasses import fields
+
+import pytest
+
 import repro.core  # noqa: F401 — registers transform ops
 import repro.dialects  # noqa: F401 — registers payload ops
+import repro.service.engine as engine_module
+from repro.core.dialect import TransformOp
+from repro.core.errors import TransformResult
+from repro.ir.core import Operation, register_op
+from repro.ir.hashing import op_digest
+from repro.ir.parser import parse
+from repro.ir.printer import print_op
 from repro.service import (
     CompilationCache,
     CompileEngine,
     CompileJob,
+    JobResult,
     JobStatus,
 )
+from repro.service.cache import function_key
+from repro.service.server import result_to_frame
+from repro.service.sharding import function_module_texts
+from repro.service.worker import compile_job
 
-from .test_engine import UNROLL
-from .test_sharding import MODULE_ANNOTATE, SINGLE, _func, _module
+from .test_engine import UNROLL, UNROLL_BOUND
+from .test_sharding import MODULE_ANNOTATE, MULTI, SINGLE, _func, _module
 
 F0, F1, F2 = _func("f0", 8), _func("f1", 4), _func("f2", 16)
+
+
+@register_op
+class _TierTestEscapeOp(TransformOp):
+    """Escapes the function-local contract on purpose: appends a
+    top-level op to the payload module — a clone of its first function
+    (``kind = "function"``) or an op that is no function at all."""
+
+    NAME = "transform.test.tier_escape"
+
+    def apply(self, interpreter, state) -> TransformResult:
+        body = state.payload_root.regions[0].entry_block
+        if self._str_attr("kind") == "function":
+            extra = body.ops[0].clone()
+            extra.set_attr("sym_name", "extra")
+        else:
+            extra = Operation.create("test.global")
+        body.append(extra)
+        return TransformResult.success()
+
+
+def _escape(kind):
+    return f'''"transform.sequence"() ({{
+^bb0(%root: !transform.any_op):
+  "transform.test.tier_escape"() {{kind = "{kind}"}} : () -> ()
+  "transform.yield"() : () -> ()
+}}) : () -> ()'''
 
 
 def _engine(cache=None, function_tier=True):
@@ -196,3 +240,174 @@ class TestTierGates:
             engine.shutdown()
         assert result.status is JobStatus.SUCCESS
         assert not result.function_tier
+
+
+def _fig9_job():
+    """A Fig. 9 tile schedule (parametric sizes, positional matches)
+    on its batch matmul."""
+    from repro.autotuning.integration import case_study_5_template
+    from repro.execution.workloads import build_batch_matmul_module
+
+    return (print_op(build_batch_matmul_module(2, 8, 8, 4)),
+            print_op(case_study_5_template().build()),
+            {"TILE1": 2, "TILE2": 4, "VEC": 2})
+
+
+class TestWorkerEmittedEntries:
+    """The worker splits the transformed module while it is still IR;
+    the engine parses no output. Re-parsing the printed output — what
+    the engine did before — stays as the reference."""
+
+    @pytest.mark.parametrize("payload, script, params", [
+        (MULTI, UNROLL, None),
+        (_module(F2, F0), UNROLL_BOUND, {"factor": 4}),
+        (SINGLE, UNROLL, None),
+        # What a tier-assembled parent submits as its ``/fnN`` sub-job.
+        (function_module_texts(MULTI, "<payload>")[1][0], UNROLL, None),
+        _fig9_job(),
+    ], ids=["unroll", "unroll-bound", "single", "sub-job", "fig9"])
+    def test_entries_equal_the_reparsed_output(self, payload, script,
+                                               params):
+        raw = compile_job(payload, script, params, function_tier=True)
+        assert raw["status"] == "success"
+        assert raw["functions"] == \
+            function_module_texts(raw["output"], "<output>")
+        assert raw["attrs_digest"] is not None
+        # Without the flag the worker does none of it.
+        bare = compile_job(payload, script, params)
+        assert bare["functions"] is None and bare["attrs_digest"] is None
+        assert bare["output"] == raw["output"]
+        assert bare["output_digest"] == raw["output_digest"]
+
+    def test_an_entry_is_the_canonical_print_of_its_digest(self):
+        # Equal digest => identical bytes: an entry must be print_op of
+        # what it digests, not a slice of the whole-module print (whose
+        # SSA numbering runs on across functions).
+        raw = compile_job(MULTI, UNROLL, function_tier=True)
+        for text, digest in raw["functions"]:
+            module = parse(text)
+            assert print_op(module) == text
+            assert op_digest(module) == digest
+        assert raw["functions"][1][0] not in raw["output"]
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_cache_holds_the_reference_entries(self, workers):
+        cache = CompilationCache(capacity=64)
+        with CompileEngine(workers=workers, cache=cache,
+                           preflight=False) as engine:
+            result = engine.run_job(CompileJob(MULTI, UNROLL))
+        assert result.status is JobStatus.SUCCESS
+        sources = parse(MULTI).regions[0].entry_block.ops
+        outputs = function_module_texts(result.output, "<output>")
+        assert cache.stats.function_puts == len(sources) == 3
+        script_digest = op_digest(parse(UNROLL))
+        for source, (text, digest) in zip(sources, outputs):
+            entry = cache.get_function(
+                function_key(op_digest(source), script_digest, None))
+            assert (entry.output, entry.output_digest) == (text, digest)
+
+    def test_non_function_output_is_not_split(self):
+        raw = compile_job(MULTI, _escape("global"), function_tier=True)
+        assert raw["status"] == "success"
+        assert '"test.global"' in raw["output"]
+        assert raw["functions"] is None and raw["attrs_digest"] is None
+
+    def test_unsuccessful_results_are_not_split(self):
+        silenceable = compile_job(
+            MULTI, UNROLL.replace("factor = 2", "factor = 3"),
+            function_tier=True)
+        assert silenceable["status"] == "silenceable"
+        assert silenceable["output"] and silenceable["functions"] is None
+        definite = compile_job(MULTI, "not ir", function_tier=True)
+        assert definite["status"] == "definite"
+        assert definite["functions"] is None
+
+    def test_traced_split_has_its_own_span(self):
+        from repro.observability.tracing import SpanContext
+
+        trace = SpanContext("t" * 32, "p" * 16).to_dict()
+        spans = compile_job(MULTI, UNROLL, trace=trace,
+                            function_tier=True)["spans"]
+        names = [span["name"] for span in spans]
+        root = next(s for s in spans if s["name"] == "worker.compile")
+        split = next(s for s in spans if s["name"] == "worker.split")
+        assert split["parent_id"] == root["span_id"]
+        assert names.index("worker.split") > names.index("worker.print")
+        bare = compile_job(MULTI, UNROLL, trace=trace)["spans"]
+        assert "worker.split" not in [span["name"] for span in bare]
+
+
+class TestEscapeBackstops:
+    """A schedule the gate passed that escapes the function-local
+    contract anyway stores nothing. The gate is forced open here: the
+    backstops are what is under test."""
+
+    @pytest.fixture
+    def open_gate(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "is_func_shardable",
+                            lambda script: True)
+
+    @pytest.mark.parametrize("script, mark", [
+        (MODULE_ANNOTATE, "marked"),            # module attrs change
+        (_escape("global"), '"test.global"'),   # not all functions
+        (_escape("function"), '"extra"'),       # function count changes
+    ], ids=["module-attrs", "non-function", "count"])
+    def test_escaped_output_stores_nothing(self, open_gate, script, mark):
+        cache = CompilationCache(capacity=64)
+        with _engine(cache) as engine:
+            result = engine.run_job(CompileJob(MULTI, script))
+        assert result.status is JobStatus.SUCCESS
+        assert mark in result.output
+        assert cache.stats.function_puts == 0
+        assert cache.stats.puts == 1  # the whole-job tier still fills
+
+    def test_silenceable_result_stores_nothing(self):
+        cache = CompilationCache(capacity=64)
+        with _engine(cache) as engine:
+            result = engine.run_job(CompileJob(
+                MULTI, UNROLL.replace("factor = 2", "factor = 3")))
+        assert result.status is JobStatus.SILENCEABLE
+        assert cache.stats.function_puts == 0
+
+
+class TestNothingLeaksPastTheEngine:
+    def test_follower_and_frame_carry_no_functions(self, monkeypatch):
+        following = threading.Event()
+        real_compile = engine_module.compile_job
+
+        def held_compile(*args, **kwargs):
+            # The leader compiles only once the follower is waiting.
+            assert following.wait(timeout=30)
+            return real_compile(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "compile_job", held_compile)
+        cache = CompilationCache(capacity=64)
+        with _engine(cache) as engine:
+            real_follow = engine._follow
+
+            def follow(*args):
+                following.set()
+                return real_follow(*args)
+
+            monkeypatch.setattr(engine, "_follow", follow)
+            results = {}
+
+            def run(name):
+                results[name] = engine.run_job(
+                    CompileJob(MULTI, UNROLL, job_id=name))
+
+            leader = threading.Thread(target=run, args=("leader",))
+            leader.start()
+            while not engine._inflight:  # the leader holds the slot
+                assert leader.is_alive()
+            run("follower")
+            leader.join(timeout=30)
+            assert not leader.is_alive()
+        follower = results["follower"]
+        assert follower.coalesced and follower.ok
+        assert follower.output == results["leader"].output
+        assert cache.stats.function_puts == 3  # the leader published
+        for leaked in ("functions", "attrs_digest"):
+            assert leaked not in {f.name for f in fields(JobResult)}
+            assert leaked not in vars(follower)
+            assert leaked not in result_to_frame(follower)
