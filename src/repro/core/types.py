@@ -75,14 +75,14 @@ def _parse_transform_type(parser: Parser, token_text: str) -> Type:
         return ANY_VALUE
     if body == "op":
         parser.expect("<")
-        name_token = parser.expect_kind("string")
+        op_name = parser.expect_kind("string")[1:-1]
         parser.expect(">")
-        return OperationHandleType(name_token.text[1:-1])
+        return OperationHandleType(op_name)
     if body == "param":
         parser.expect("<")
         element_tokens = []
         while not parser.check(">"):
-            element_tokens.append(parser.advance().text)
+            element_tokens.append(parser.advance())
         parser.expect(">")
         return ParamType("".join(element_tokens))
     raise ValueError(f"unknown transform type: {token_text}")

@@ -488,6 +488,28 @@ class Operation:
         if self.parent is not None:
             self.parent.remove(self)
 
+    def destroy(self) -> None:
+        """Free this dead op tree now rather than at the next full
+        garbage collection.
+
+        The IR is cyclic throughout (op <-> result, value <-> use,
+        block <-> argument, region <-> block), so dropping the last
+        reference to a module frees nothing until the collector's
+        oldest generation runs, and a process compiling module after
+        module carries several dead ones at its memory peak. Only for
+        a tree nothing will read again: every op in it is left an
+        empty shell, and values defined outside it keep stale uses.
+        """
+        for op in list(self.walk()):
+            for result in op.results:
+                result._uses = []
+            for region in op.regions:
+                for block in region.blocks:
+                    for arg in block.args:
+                        arg._uses = []
+                    block.__dict__.clear()
+            op.__dict__.clear()
+
     def replace_all_uses_with(self, new_values: Sequence[Value]) -> None:
         if len(new_values) != len(self.results):
             raise ValueError("replacement value count mismatch")

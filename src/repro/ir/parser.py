@@ -4,11 +4,24 @@ Parses the output of :mod:`repro.ir.printer` (and hand-written IR in the
 same syntax) back into in-memory operations. Dialects with custom types
 register a type parser via :func:`register_type_parser` keyed on the
 dialect prefix of ``!dialect.kind`` tokens.
+
+The lexer is one compiled alternation run once over the whole text by
+``re.split`` (no per-lexeme Python loop); tokens are plain strings whose
+class (:func:`token_kind`) follows from the first character. A shaped
+type's keyword, ``<`` and dimension list — and the closing ``>`` when
+the element type is a builtin scalar — are *one* lexeme
+(``tensor<4x?x8xf32>``, ``memref<?x4x``), so the common type is one
+token and one lookup in the parser's per-parse intern table. Offsets
+are kept per token and turned into line/column only where a location
+is materialised: an operation's ``FileLineColLoc`` and a
+:class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .attributes import (
@@ -48,71 +61,61 @@ from .types import (
 # Lexer
 # ---------------------------------------------------------------------------
 
+#: Whitespace and comments.
+_SKIP = r"\s*(?://[^\n]*\s*)*"
+_SKIP_RE = re.compile(_SKIP)
+
+#: Group 1 is a lexeme, group 2 the whitespace and comments after it,
+#: so ``split`` yields ``[junk, lexeme, skipped] * n + [junk]`` where
+#: every ``junk`` is empty unless the text has a character no rule
+#: matches. Punctuation is tried first because it is the most frequent
+#: class and starts no other lexeme; among the rest the order decides:
+#: the shaped-type lexeme and the numbers (``inf``/``nan`` included)
+#: win over identifiers.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<arrow>->)
-  | (?P<value>%[A-Za-z0-9_#$.\-]+)
-  | (?P<block>\^[A-Za-z0-9_$.\-]+)
-  | (?P<symbol>@[A-Za-z0-9_$.\-]+)
-  | (?P<typetok>![A-Za-z_][A-Za-z0-9_.$\-]*)
-  | (?P<number>-?\d+\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?|-?(?:inf|nan)\b)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.$\-]*)
-  | (?P<punct>[()\[\]{}<>,:=*+]|\?)
-    """,
+    r"""(
+    [()\[\]{}<>,:=*+?]
+  | "(?:[^"\\]|\\.)*"
+  | ->
+  | %[A-Za-z0-9_#$.\-]+
+  | [\^@][A-Za-z0-9_$.\-]+
+  | ![A-Za-z_][A-Za-z0-9_.$\-]*
+  | (?:tensor|vector|memref)<(?:(?:\d+|\?)x)*(?:(?:[su]?i\d+|f\d+|index)>)?
+  | -?\d+\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?|-?(?:inf|nan)\b
+  | [A-Za-z_][A-Za-z0-9_.$\-]*
+    )(""" + _SKIP + ")",
     re.VERBOSE,
 )
 
+_SHAPED_RE = re.compile(r"(\w+)<((?:(?:\d+|\?)x)*)(.*)")
+_NEWLINE_RE = re.compile(r"\n")
 
-class Token:
-    __slots__ = ("kind", "text", "pos", "line", "col")
+_KIND_BY_FIRST_CHAR: Dict[str, str] = {
+    "": "eof", '"': "string", "%": "value", "^": "block", "@": "symbol",
+    "!": "typetok", "-": "number", "_": "ident",
+}
 
-    def __init__(self, kind: str, text: str, pos: int, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        self.line = line
-        self.col = col
 
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r})"
+def token_kind(token: str) -> str:
+    """The lexical class of ``token``: ``string``, ``arrow``, ``value``,
+    ``block``, ``symbol``, ``typetok``, ``number``, ``ident`` (shaped-type
+    lexemes included), ``punct`` or ``eof`` (the empty sentinel)."""
+    first = token[:1]
+    kind = _KIND_BY_FIRST_CHAR.get(first)
+    if kind is None:
+        if first.isdecimal():
+            return "number"
+        if first.isalpha():
+            return "number" if token in ("inf", "nan") else "ident"
+        return "punct"
+    if first == "-" and token == "->":
+        return "arrow"
+    return kind
 
 
 class ParseError(Exception):
-    """Raised on malformed input."""
-
-    def __init__(self, message: str, token: Optional[Token] = None):
-        location = ""
-        if token is not None:
-            location = f" at line {token.line}:{token.col} near {token.text!r}"
-        super().__init__(message + location)
-
-
-def tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r} at line {line}"
-            )
-        kind = match.lastgroup or ""
-        value = match.group()
-        if kind != "ws":
-            tokens.append(
-                Token(kind, value, pos, line, pos - line_start + 1)
-            )
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + value.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(Token("eof", "", pos, line, 0))
-    return tokens
+    """Raised on malformed input; :meth:`Parser.error` appends the
+    ``at line L:C near '<lexeme>'`` position."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,59 +138,112 @@ def register_type_parser(prefix: str,
 
 _INT_TYPE_RE = re.compile(r"^(si|ui|i)(\d+)$")
 _FLOAT_TYPE_RE = re.compile(r"^f(\d+)$")
+_SHAPED_TYPES = {"tensor": TensorType, "vector": VectorType,
+                 "memref": MemRefType}
 
 
 class Parser:
     def __init__(self, text: str, filename: str = "<string>"):
-        self.tokens = tokenize(text)
-        self.index = 0
+        self.text = text
         self.filename = filename
+        # Lexing starts after the leading whitespace and comments, so a
+        # comment is only ever skipped whole, never searched for lexemes.
+        lead = _SKIP_RE.match(text).end()
+        parts = _TOKEN_RE.split(text[lead:])
+        #: Lexemes as plain strings, closed by the empty ``eof`` sentinel.
+        self.tokens: List[str] = parts[1::3]
+        self.tokens.append("")
+        #: ``_offsets[i]`` is where ``tokens[i]`` starts in ``text``.
+        self._offsets = list(accumulate(map(len, parts), initial=lead))[1::3]
+        self._line_starts: Optional[List[int]] = None
+        self.index = 0
+        if any(parts[::3]):
+            junk = next(i for i in range(0, len(parts), 3) if parts[i])
+            offset = lead + sum(map(len, parts[:junk]))
+            raise self._error_at(
+                f"unexpected character {text[offset]!r}", offset, text[offset])
+        #: One-token types seen by this parse (types are immutable
+        #: values, so every occurrence shares one object).
+        self._types: Dict[str, Type] = {}
         self.value_scope: List[Dict[str, Value]] = [{}]
         self.block_scope: List[Dict[str, Block]] = [{}]
+
+    # -- positions and errors ------------------------------------------------
+
+    def _line_col(self, offset: int) -> Tuple[int, int]:
+        if self._line_starts is None:
+            self._line_starts = [0]
+            self._line_starts.extend(
+                m.end() for m in _NEWLINE_RE.finditer(self.text))
+        line = bisect_right(self._line_starts, offset)
+        return line, offset - self._line_starts[line - 1] + 1
+
+    def _location(self) -> FileLineColLoc:
+        return FileLineColLoc(
+            self.filename, *self._line_col(self._offsets[self.index]))
+
+    def _error_at(self, message: str, offset: int, near: str) -> ParseError:
+        line, col = self._line_col(offset)
+        return ParseError(f"{message} at line {line}:{col} near {near!r}")
+
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """A :class:`ParseError` positioned at token ``index`` (default:
+        the current token)."""
+        if index is None:
+            index = self.index
+        return self._error_at(message, self._offsets[index],
+                              self.tokens[index])
 
     # -- token plumbing ------------------------------------------------------
 
     @property
-    def token(self) -> Token:
+    def token(self) -> str:
         return self.tokens[self.index]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         token = self.tokens[self.index]
         self.index += 1
         return token
 
     def check(self, text: str) -> bool:
-        return self.token.text == text
+        return self.tokens[self.index] == text
 
     def accept(self, text: str) -> bool:
-        if self.token.text == text:
-            self.advance()
+        if self.tokens[self.index] == text:
+            self.index += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        if self.token.text != text:
-            raise ParseError(f"expected {text!r}", self.token)
-        return self.advance()
+    def expect(self, text: str) -> str:
+        if self.tokens[self.index] != text:
+            raise self.error(f"expected {text!r}")
+        self.index += 1
+        return text
 
-    def expect_kind(self, kind: str) -> Token:
-        if self.token.kind != kind:
-            raise ParseError(f"expected {kind}", self.token)
-        return self.advance()
-
-    def _location(self) -> FileLineColLoc:
-        return FileLineColLoc(self.filename, self.token.line, self.token.col)
+    def expect_kind(self, kind: str) -> str:
+        token = self.tokens[self.index]
+        if token_kind(token) != kind:
+            raise self.error(f"expected {kind}")
+        self.index += 1
+        return token
 
     # -- value and block scoping ----------------------------------------------
 
-    def define_value(self, name: str, value: Value) -> None:
-        self.value_scope[-1][name] = value
+    def define_value(self, name: str, value: Value, near: int) -> None:
+        """Bind ``name`` in the current region; ``near`` is a token
+        index at or before the defining occurrence of ``name``."""
+        scope = self.value_scope[-1]
+        if name in scope:
+            raise self.error(f"redefinition of SSA value {name}",
+                             self.tokens.index(name, near))
+        scope[name] = value
 
-    def lookup_value(self, name: str) -> Value:
+    def lookup_value(self, name: str, near: int) -> Value:
         for scope in reversed(self.value_scope):
             if name in scope:
                 return scope[name]
-        raise ParseError(f"use of undefined value {name}")
+        raise self.error(f"use of undefined value {name}",
+                         self.tokens.index(name, near))
 
     def lookup_block(self, name: str) -> Block:
         scope = self.block_scope[-1]
@@ -198,124 +254,60 @@ class Parser:
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        token = self.token
-        if token.kind == "typetok":
-            return self.parse_dialect_type()
-        if token.text == "(":
+        start = self.index
+        token = self.tokens[start]
+        interned = self._types.get(token)
+        if interned is not None:
+            self.index = start + 1
+            return interned
+        if token == "(":
             return self.parse_function_type()
-        if token.kind == "ident":
-            return self.parse_builtin_type()
-        raise ParseError("expected type", token)
+        kind = token_kind(token)
+        if kind == "typetok":
+            parsed = self.parse_dialect_type()
+        elif kind == "ident":
+            parsed = self.parse_builtin_type()
+        else:
+            raise self.error("expected type")
+        if self.index == start + 1:
+            self._types[token] = parsed
+        return parsed
 
     def parse_builtin_type(self) -> Type:
         token = self.advance()
-        text = token.text
-        int_match = _INT_TYPE_RE.match(text)
-        if int_match:
-            prefix, width = int_match.group(1), int(int_match.group(2))
-            signed = {"i": None, "si": True, "ui": False}[prefix]
-            return IntegerType(width, signed)
-        float_match = _FLOAT_TYPE_RE.match(text)
-        if float_match:
-            return FloatType(int(float_match.group(1)))
-        if text == "index":
-            return IndexType()
-        if text == "none":
-            return NoneType()
-        if text == "memref":
-            return self.parse_memref_body()
-        if text == "tensor":
-            shape, element = self.parse_shape_body()
-            return TensorType(shape, element)
-        if text == "vector":
-            shape, element = self.parse_shape_body()
-            return VectorType(shape, element)
-        raise ParseError(f"unknown type {text!r}", token)
+        if "<" in token:
+            return self._parse_shaped_type(token)
+        scalar = _scalar_type(token)
+        if scalar is None:
+            raise self.error(f"unknown type {token!r}", self.index - 1)
+        return scalar
 
-    def parse_shape_body(self) -> Tuple[Tuple[int, ...], Type]:
-        """Parse ``<4x?x8xf32>`` after the keyword."""
-        self.expect("<")
-        dims: List[int] = []
-        while True:
-            token = self.token
-            if token.text == "?":
-                self.advance()
-                dims.append(DYNAMIC)
-                self._expect_shape_separator()
-            elif token.kind == "number" and "." not in token.text:
-                self.advance()
-                dims.append(int(token.text))
-                self._expect_shape_separator()
-            elif token.kind == "ident" and re.match(r"^\d", token.text):
-                # forms like "4x4xf32" lex as one identifier; split it
-                element = self._split_shape_ident(token.text, dims)
-                if element is not None:
-                    self.advance()
-                    self.expect(">")
-                    return tuple(dims), element
-                self.advance()
-            else:
-                element = self.parse_type()
-                self.expect(">")
-                return tuple(dims), element
-
-    def _expect_shape_separator(self) -> None:
-        if self.token.kind == "ident" and self.token.text.startswith("x"):
-            # "x4xf32" remainder lexed as identifier
-            rest = self.token.text[1:]
-            if rest:
-                self.tokens[self.index] = Token(
-                    "ident", rest, self.token.pos, self.token.line,
-                    self.token.col,
-                )
-            else:
-                self.advance()
-        elif self.token.text == "*":
-            raise ParseError("unranked shapes unsupported", self.token)
-
-    def _split_shape_ident(self, text: str, dims: List[int]) -> Optional[Type]:
-        """Split e.g. ``4x4xf32`` into dims [4, 4] and element type f32."""
-        parts = text.split("x")
-        for i, part in enumerate(parts):
-            if part.isdigit():
-                dims.append(int(part))
-            elif part == "?":
-                dims.append(DYNAMIC)
-            else:
-                remainder = "x".join(parts[i:])
-                return _parse_scalar_type_text(remainder)
-        return None
-
-    def parse_memref_body(self) -> MemRefType:
-        self.expect("<")
-        dims: List[int] = []
-        element: Optional[Type] = None
-        while element is None:
-            token = self.token
-            if token.text == "?":
-                self.advance()
-                dims.append(DYNAMIC)
-                self._expect_shape_separator()
-            elif token.kind == "number" and "." not in token.text:
-                self.advance()
-                dims.append(int(token.text))
-                self._expect_shape_separator()
-            elif token.kind == "ident" and re.match(r"^[\d?]", token.text):
-                element = self._split_shape_ident(token.text, dims)
-                self.advance()
-            else:
-                element = self.parse_type()
-        layout = None
-        memory_space = 0
-        if self.accept(","):
-            if self.token.text == "strided":
+    def _parse_shaped_type(self, token: str) -> Type:
+        """``token`` is a shaped-type lexeme: ``tensor<4x?x8xf32>`` whole,
+        or ``memref<?x4x`` with the element type (and, for a memref, the
+        layout and memory space) still ahead."""
+        keyword, dims, element_text = _SHAPED_RE.fullmatch(token).groups()
+        shape = tuple(DYNAMIC if dim == "?" else int(dim)
+                      for dim in dims.split("x")[:-1])
+        if element_text:
+            return _SHAPED_TYPES[keyword](
+                shape, _scalar_type(element_text[:-1]))
+        if self.check("*"):
+            raise self.error("unranked shapes unsupported")
+        element = self.parse_type()
+        tail: Tuple = ()
+        if keyword == "memref" and self.accept(","):
+            layout = None
+            memory_space = 0
+            if self.check("strided"):
                 layout = self.parse_strided_layout()
                 if self.accept(","):
-                    memory_space = int(self.expect_kind("number").text)
+                    memory_space = int(self.expect_kind("number"))
             else:
-                memory_space = int(self.expect_kind("number").text)
+                memory_space = int(self.expect_kind("number"))
+            tail = (layout, memory_space)
         self.expect(">")
-        return MemRefType(tuple(dims), element, layout, memory_space)
+        return _SHAPED_TYPES[keyword](shape, element, *tail)
 
     def parse_strided_layout(self) -> MemRefLayout:
         self.expect("strided")
@@ -326,7 +318,7 @@ class Parser:
             if self.accept("?"):
                 strides.append(DYNAMIC)
             else:
-                strides.append(int(self.expect_kind("number").text))
+                strides.append(int(self.expect_kind("number")))
             self.accept(",")
         offset = 0
         if self.accept(","):
@@ -335,98 +327,100 @@ class Parser:
             if self.accept("?"):
                 offset = DYNAMIC
             else:
-                offset = int(self.expect_kind("number").text)
+                offset = int(self.expect_kind("number"))
         self.expect(">")
         return MemRefLayout(offset, tuple(strides))
 
-    def parse_function_type(self) -> FunctionType:
-        self.expect("(")
-        inputs: List[Type] = []
+    def _parse_type_list(self) -> List[Type]:
+        """Types up to and including the closing ``)``."""
+        types: List[Type] = []
         while not self.accept(")"):
-            inputs.append(self.parse_type())
+            types.append(self.parse_type())
             self.accept(",")
+        return types
+
+    def _parse_signature(self) -> Tuple[List[Type], List[Type]]:
+        """``(inputs) -> results``, as two lists."""
+        self.expect("(")
+        inputs = self._parse_type_list()
         self.expect("->")
         if self.accept("("):
-            results: List[Type] = []
-            while not self.accept(")"):
-                results.append(self.parse_type())
-                self.accept(",")
-            return FunctionType(tuple(inputs), tuple(results))
-        return FunctionType(tuple(inputs), (self.parse_type(),))
+            return inputs, self._parse_type_list()
+        return inputs, [self.parse_type()]
+
+    def parse_function_type(self) -> FunctionType:
+        inputs, results = self._parse_signature()
+        return FunctionType(tuple(inputs), tuple(results))
 
     def parse_dialect_type(self) -> Type:
         token = self.expect_kind("typetok")
-        body = token.text[1:]  # strip '!'
+        body = token[1:]  # strip '!'
         dialect = body.split(".", 1)[0]
         parser_fn = TYPE_PARSERS.get(dialect)
         if parser_fn is not None:
-            return parser_fn(self, token.text)
+            return parser_fn(self, token)
         if body == "llvm.ptr":
             return LLVMPointerType()
         if body == "llvm.struct":
             self.expect("<")
             self.expect("(")
-            members: List[Type] = []
-            while not self.accept(")"):
-                members.append(self.parse_type())
-                self.accept(",")
+            members = self._parse_type_list()
             self.expect(">")
             return LLVMStructType(tuple(members))
         if "." in body:
             dialect_name, kind = body.split(".", 1)
             return OpaqueType(dialect_name, kind)
-        raise ParseError(f"unknown dialect type {token.text!r}", token)
+        raise self.error(f"unknown dialect type {token!r}", self.index - 1)
 
     # -- attributes -------------------------------------------------------------
 
     def parse_attribute(self) -> Attribute:
-        token = self.token
-        if token.kind == "string":
-            self.advance()
-            return StringAttr(_unescape(token.text[1:-1]))
-        if token.kind == "number":
-            self.advance()
-            if _is_float_literal(token.text):
-                value: Attribute = FloatAttr(float(token.text))
+        token = self.tokens[self.index]
+        kind = token_kind(token)
+        if kind == "string":
+            self.index += 1
+            return StringAttr(_unescape(token[1:-1]))
+        if kind == "number":
+            self.index += 1
+            if _is_float_literal(token):
                 if self.accept(":"):
-                    value = FloatAttr(float(token.text), self.parse_type())
-                return value
+                    return FloatAttr(float(token), self.parse_type())
+                return FloatAttr(float(token))
             if self.accept(":"):
-                return IntegerAttr(int(token.text), self.parse_type())
-            return IntegerAttr(int(token.text))
-        if token.kind == "symbol":
-            self.advance()
+                return IntegerAttr(int(token), self.parse_type())
+            return IntegerAttr(int(token))
+        if kind == "symbol":
+            self.index += 1
             nested: List[str] = []
-            while self.check(":") and self.tokens[self.index + 1].text == ":":
-                self.advance()
-                self.advance()
-                nested.append(self.expect_kind("symbol").text[1:])
-            return SymbolRefAttr(token.text[1:], tuple(nested))
-        if token.text == "unit":
-            self.advance()
+            while self.check(":") and self.tokens[self.index + 1] == ":":
+                self.index += 2
+                nested.append(self.expect_kind("symbol")[1:])
+            return SymbolRefAttr(token[1:], tuple(nested))
+        if token == "unit":
+            self.index += 1
             return UnitAttr()
-        if token.text == "true":
-            self.advance()
+        if token == "true":
+            self.index += 1
             return BoolAttr(True)
-        if token.text == "false":
-            self.advance()
+        if token == "false":
+            self.index += 1
             return BoolAttr(False)
-        if token.text == "[":
-            self.advance()
+        if token == "[":
+            self.index += 1
             values: List[Attribute] = []
             while not self.accept("]"):
                 values.append(self.parse_attribute())
                 self.accept(",")
             return ArrayAttr(tuple(values))
-        if token.text == "{":
+        if token == "{":
             return DictAttr(tuple(self.parse_attr_dict().items()))
-        if token.text == "dense":
-            self.advance()
+        if token == "dense":
+            self.index += 1
             self.expect("<")
             self.expect("[")
             literals: List[str] = []
             while not self.accept("]"):
-                literals.append(self.expect_kind("number").text)
+                literals.append(self.expect_kind("number"))
                 self.accept(",")
             self.expect(">")
             self.expect(":")
@@ -448,15 +442,13 @@ class Parser:
         self.expect("{")
         out: Dict[str, Attribute] = {}
         while not self.accept("}"):
-            name_token = self.token
-            if name_token.kind not in ("ident", "string"):
-                raise ParseError("expected attribute name", name_token)
-            self.advance()
-            name = (
-                _unescape(name_token.text[1:-1])
-                if name_token.kind == "string"
-                else name_token.text
-            )
+            name = self.tokens[self.index]
+            kind = token_kind(name)
+            if kind == "string":
+                name = _unescape(name[1:-1])
+            elif kind != "ident":
+                raise self.error("expected attribute name")
+            self.index += 1
             if self.accept("="):
                 out[name] = self.parse_attribute()
             else:
@@ -469,36 +461,38 @@ class Parser:
     def parse_module(self) -> Operation:
         """Parse a single top-level operation (usually builtin.module)."""
         op = self.parse_operation()
-        if self.token.kind != "eof":
-            raise ParseError("trailing input after top-level op", self.token)
+        if self.token:
+            raise self.error("trailing input after top-level op")
         return op
 
     def parse_operation(self) -> Operation:
+        start = self.index
         location = self._location()
         result_names: List[str] = []
-        if self.token.kind == "value":
-            result_names.append(self.advance().text)
+        if self.tokens[start][:1] == "%":
+            result_names.append(self.advance())
             while self.accept(","):
-                result_names.append(self.expect_kind("value").text)
+                result_names.append(self.expect_kind("value"))
             self.expect("=")
-        name_token = self.expect_kind("string")
-        op_name = _unescape(name_token.text[1:-1])
+        name_index = self.index
+        op_name = _unescape(self.expect_kind("string")[1:-1])
 
         self.expect("(")
         operand_names: List[str] = []
         while not self.accept(")"):
-            operand_names.append(self.expect_kind("value").text)
+            operand_names.append(self.expect_kind("value"))
             self.accept(",")
 
         successors: List[Block] = []
         if self.accept("["):
             while not self.accept("]"):
-                successors.append(self.lookup_block(self.advance().text))
+                successors.append(
+                    self.lookup_block(self.expect_kind("block")))
                 self.accept(",")
 
         regions_blocks: List[List[Block]] = []
-        if self.check("(") and self.tokens[self.index + 1].text == "{":
-            self.advance()  # '('
+        if self.check("(") and self.tokens[self.index + 1] == "{":
+            self.index += 1  # '('
             while True:
                 regions_blocks.append(self.parse_region_blocks())
                 if not self.accept(","):
@@ -510,21 +504,21 @@ class Parser:
             attributes = self.parse_attr_dict()
 
         self.expect(":")
-        func_type = self.parse_function_type()
-        if len(func_type.inputs) != len(operand_names):
-            raise ParseError(
-                f"{op_name}: operand count does not match type", name_token
+        input_types, result_types = self._parse_signature()
+        if len(input_types) != len(operand_names):
+            raise self.error(
+                f"{op_name}: operand count does not match type", name_index
             )
-        if len(func_type.results) != len(result_names):
-            raise ParseError(
-                f"{op_name}: result count does not match type", name_token
+        if len(result_types) != len(result_names):
+            raise self.error(
+                f"{op_name}: result count does not match type", name_index
             )
 
-        operands = [self.lookup_value(n) for n in operand_names]
+        operands = [self.lookup_value(n, name_index) for n in operand_names]
         op = Operation.create(
             op_name,
             operands=operands,
-            result_types=list(func_type.results),
+            result_types=result_types,
             attributes=attributes,
             regions=len(regions_blocks),
             successors=successors,
@@ -540,7 +534,7 @@ class Parser:
             for block in blocks:
                 region.add_block(block)
         for name, result in zip(result_names, op.results):
-            self.define_value(name, result)
+            self.define_value(name, result, start)
         return op
 
     def parse_region_blocks(self) -> List[Block]:
@@ -557,16 +551,16 @@ class Parser:
             return blocks[-1]
 
         while not self.check("}"):
-            if self.token.kind == "block":
-                label = self.advance().text
+            if self.tokens[self.index][:1] == "^":
+                label = self.advance()
                 block = self.lookup_block(label)
                 if self.accept("("):
                     while not self.accept(")"):
-                        arg_name = self.expect_kind("value").text
+                        arg_index = self.index
+                        arg_name = self.expect_kind("value")
                         self.expect(":")
-                        arg_type = self.parse_type()
-                        arg = block.add_arg(arg_type)
-                        self.define_value(arg_name, arg)
+                        arg = block.add_arg(self.parse_type())
+                        self.define_value(arg_name, arg, arg_index)
                         self.accept(",")
                 self.expect(":")
                 blocks.append(block)
@@ -591,10 +585,13 @@ def _is_float_literal(text: str) -> bool:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     return text.replace('\\"', '"').replace("\\\\", "\\")
 
 
-def _parse_scalar_type_text(text: str) -> Type:
+def _scalar_type(text: str) -> Optional[Type]:
+    """The builtin non-shaped type spelled ``text``, if any."""
     int_match = _INT_TYPE_RE.match(text)
     if int_match:
         prefix, width = int_match.group(1), int(int_match.group(2))
@@ -605,7 +602,9 @@ def _parse_scalar_type_text(text: str) -> Type:
         return FloatType(int(float_match.group(1)))
     if text == "index":
         return IndexType()
-    raise ParseError(f"unknown element type {text!r}")
+    if text == "none":
+        return NoneType()
+    return None
 
 
 def parse(text: str, filename: str = "<string>") -> Operation:

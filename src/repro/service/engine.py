@@ -5,10 +5,14 @@ The engine takes :class:`CompileJob`\\ s and produces
 of :meth:`CompileEngine.run_job` — whose steps either return a
 terminal result or fall through, cheapest first:
 
-1. **inputs** — each input text is parsed once, ever, into its
-   structural digest (plus the function-tier facts and, for scripts,
-   the lint verdict per entry point); text that does not parse is
-   REJECTED;
+1. **inputs** — each input text is parsed once for as long as the
+   input memo remembers it, into its structural digest (plus the
+   function-tier facts and, for scripts, the lint verdict per entry
+   point); text that does not parse is REJECTED. Without a pool that
+   parse is the job's *only* one: the thread that derived a payload's
+   facts owns the module it parsed and hands it to step 6, and the
+   script is cloned from the memo (see :class:`_PayloadInfo` and
+   :class:`_ScriptInfo` for who owns what);
 2. **preflight** — scripts with definite static errors (the
    ``repro-lint`` analysis suite) are REJECTED before a worker is
    ever occupied;
@@ -22,8 +26,9 @@ terminal result or fall through, cheapest first:
    instead of occupying a second worker;
 6. **function tier | dispatch** — the leader assembles the output
    from per-function cache entries when it can, else runs the job on
-   a ``ProcessPoolExecutor`` worker (IR crosses the process boundary
-   as text). A per-job timeout kills the hung worker and restarts
+   a ``ProcessPoolExecutor`` worker (IR crosses the *process* boundary
+   as text: the worker parses its own copy). A per-job timeout kills
+   the hung worker and restarts
    the pool (TIMEOUT); a worker crash (``BrokenProcessPool``)
    restarts the pool (CRASHED); the
    :class:`~repro.service.resilience.RetryPolicy` decides whether the
@@ -48,8 +53,10 @@ pool break) — the chaos harness uses this to exercise every one of the
 recovery paths above on every CI run.
 
 ``workers=0`` runs jobs in-process, strictly sequentially, through the
-*same* worker function — the reference semantics pooled execution must
-reproduce byte-identically.
+*same* worker function body (:func:`repro.service.worker.compile_ir`,
+which :func:`~repro.service.worker.compile_job` wraps for the pool) —
+the reference semantics pooled execution must reproduce
+byte-identically.
 """
 
 from __future__ import annotations
@@ -86,7 +93,7 @@ from .sharding import (
     is_func_shardable,
     shardable_functions,
 )
-from .worker import _ensure_registered, compile_job
+from .worker import _ensure_registered, compile_ir, compile_job
 
 ParamBindings = Mapping[str, Union[int, Sequence[int]]]
 
@@ -102,8 +109,15 @@ class _PayloadInfo:
     """Derived facts about one payload text, memoized per raw text.
 
     Only *derived* data (digest strings, attribute snapshot) is kept —
-    the parsed module is dropped, so nothing memoized can be mutated
-    by later work. ``func_digests``/``module_attrs`` are populated
+    never the parsed module: a compilation transforms its payload in
+    place, so a retained module would have to be cloned per job, and
+    up to ``capacity`` retained modules are resident memory the
+    digests are not. The module belongs to the thread whose memo miss
+    parsed it: an engine without a pool compiles that very object
+    (:meth:`CompileEngine._derive_payload`), any later job with the
+    same text parses it again.
+
+    ``func_digests``/``module_attrs`` are populated
     only when the payload is a cleanly splittable all-function module
     (see :func:`repro.service.sharding.shardable_functions`); the
     attribute values themselves are immutable attribute objects.
@@ -119,9 +133,12 @@ class _PayloadInfo:
 class _ScriptInfo:
     """Derived facts about one script text, memoized per raw text.
 
-    The parsed script is kept — read-only — so a job naming an entry
-    point this text has not been linted for re-lints without
-    re-parsing. Workers parse their own copy from the text.
+    The parsed script is kept and owned by the memo entry — read-only:
+    a job naming an entry point this text has not been linted for
+    re-lints it without re-parsing, and an in-process execution
+    interprets a ``clone()`` of it (binding parameters mutates the
+    script, and cloning is several times cheaper than parsing). Pool
+    workers parse their own copy from the text.
     """
 
     digest: str
@@ -514,23 +531,29 @@ class CompileEngine:
     # -- input memo ----------------------------------------------------------
 
     def _memoized(self, memo: OrderedDict, text: str, derive):
-        """``derive(text)``, computed once per text while it stays
-        among the most recently used ones."""
+        """``(info, parsed)``: the facts ``derive(text)`` computes, once
+        per text while it stays among the most recently used ones, and
+        whatever IR that very call of ``derive`` gave up to its caller
+        (None on a memo hit — the memo holds ``info`` only)."""
         with self._book_lock:
             info = memo.get(text)
             if info is not None:
                 memo.move_to_end(text)
-                return info
-        info = derive(text)
+                return info, None
+        info, parsed = derive(text)
         capacity = (self.cache.capacity if self.cache is not None
                     else _MEMO_CAPACITY)
         with self._book_lock:
             memo[text] = info
             while len(memo) > capacity:
                 memo.popitem(last=False)
-        return info
+        return info, parsed
 
-    def _derive_payload(self, text: str) -> _PayloadInfo:
+    def _derive_payload(self, text: str
+                        ) -> Tuple[_PayloadInfo, Optional[Operation]]:
+        """The payload's facts, and — when there is no pool to send
+        text to — the parsed module itself, for this one job's
+        in-process execution to consume."""
         from ..ir.parser import parse
 
         payload = parse(text, "<payload>")
@@ -540,16 +563,20 @@ class CompileEngine:
         if functions is not None:
             func_digests = tuple(op_digest(f) for f in functions)
             module_attrs = dict(payload.attributes)
-        return _PayloadInfo(op_digest(payload), attributes_digest(payload),
+        info = _PayloadInfo(op_digest(payload), attributes_digest(payload),
                             module_attrs, func_digests)
+        if self._pool is None:
+            return info, payload
+        payload.destroy()  # dead here: the pool's worker parses its own
+        return info, None
 
-    def _derive_script(self, text: str) -> _ScriptInfo:
+    def _derive_script(self, text: str) -> Tuple[_ScriptInfo, None]:
         from ..ir.parser import parse
 
         script = parse(text, "<script>")
         return _ScriptInfo(
             op_digest(script),
-            self.function_tier and is_func_shardable(script), script)
+            self.function_tier and is_func_shardable(script), script), None
 
     def _lint(self, script: _ScriptInfo,
               entry_point: Optional[str]) -> str:
@@ -598,14 +625,14 @@ class CompileEngine:
             self._account("cancelled")
             return JobResult(job.job_id, JobStatus.CANCELLED)
 
-        # 1-2. inputs, preflight. Workers receive the *raw* text —
-        # they parse and reprint themselves — so keying on digests
+        # 1-2. inputs, preflight. Pool workers receive the *raw* text
+        # — they parse and reprint themselves — so keying on digests
         # cannot change the output.
         with self._span("engine.preflight", span):
             try:
-                payload = self._memoized(
+                payload, parsed = self._memoized(
                     self._payloads, job.payload_text, self._derive_payload)
-                script = self._memoized(
+                script, _ = self._memoized(
                     self._scripts, job.script_text, self._derive_script)
             except Exception as error:
                 return self._rejected(
@@ -653,7 +680,7 @@ class CompileEngine:
                 result = self._assemble(job, key, payload, tier_keys, span)
                 if result is None:
                     result = self._execute(job, key, span, payload,
-                                           tier_keys)
+                                           tier_keys, script, parsed)
                 if self.cache is not None and result.ok:
                     self.cache.put(key, CachedResult(
                         result.status.value, result.output or "",
@@ -847,13 +874,16 @@ class CompileEngine:
                          diagnostics=diagnostics, attempts=attempts)
 
     def _execute(self, job: CompileJob, key: str, span,
-                 payload: _PayloadInfo,
-                 tier_keys: Optional[List[str]]) -> JobResult:
+                 payload: _PayloadInfo, tier_keys: Optional[List[str]],
+                 script: _ScriptInfo,
+                 parsed: Optional[Operation]) -> JobResult:
         """Actually run the job on a worker (or inline), with timeout
         handling and policy-driven crash/timeout containment. With
         ``tier_keys`` the worker also splits its output into
         function-tier entries, published here (:meth:`_populate`)
-        while the raw result is in hand.
+        while the raw result is in hand. ``parsed`` is the payload
+        module this thread parsed for this job, if it did: the inline
+        execution consumes it instead of parsing the text again.
 
         Each attempt gets its own ``engine.dispatch`` child span; the
         worker receives that span's context (``trace=``) so the spans
@@ -882,9 +912,13 @@ class CompileEngine:
                     # after crash-loop detection. Worker faults are never
                     # injected here: an in-process os._exit would take the
                     # whole service down, which is exactly what the pool
-                    # boundary exists to prevent.
-                    raw = compile_job(*args, trace=trace,
-                                      function_tier=split)
+                    # boundary exists to prevent. The inline attempt is
+                    # always the job's last (nothing in it can fail into
+                    # a retry), so ``parsed`` is consumed at most once.
+                    raw = compile_ir(
+                        parsed if parsed is not None else job.payload_text,
+                        script.op.clone(), job.params, job.entry_point,
+                        self.strict, trace, split)
                 else:
                     inject = None
                     if self.faults is not None:

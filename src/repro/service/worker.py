@@ -1,13 +1,19 @@
 """The process-pool worker: one fully job-local compilation.
 
-IR crosses the process boundary as text in both directions — the
+IR crosses the *process* boundary as text in both directions — the
 printer -> parser round-trip is the transport contract (property-tested
-in ``tests/ir/test_roundtrip_property.py``). Everything mutable the
-compilation touches (parser, transform state, interpreter, diagnostics,
-interpreter counters) is created fresh inside :func:`compile_job`, so a
-worker process can execute any number of jobs sequentially and each
-behaves exactly like a standalone ``repro-opt`` invocation: pooled and
-sequential runs produce byte-identical output and identical stats.
+in ``tests/ir/test_roundtrip_property.py``) — and :func:`compile_job`,
+the function the pool runs, is the text shell around
+:func:`compile_ir`. A caller in the same process that already holds the
+parsed inputs (the engine's in-process route, see
+:mod:`repro.service.engine`) calls :func:`compile_ir` with them and
+skips the second parse; what it hands over is consumed. Everything
+mutable the compilation touches (parser, transform state, interpreter,
+diagnostics, interpreter counters) is created fresh inside
+:func:`compile_ir`, so a worker process can execute any number of jobs
+sequentially and each behaves exactly like a standalone ``repro-opt``
+invocation: pooled and sequential runs produce byte-identical output
+and identical stats.
 """
 
 from __future__ import annotations
@@ -140,7 +146,25 @@ def compile_job(payload_text: str, script_text: str,
         os._exit(3)
     elif inject == "hang":
         time.sleep(3600.0)
+    return compile_ir(payload_text, script_text, params, entry_point,
+                      strict, trace, function_tier)
 
+
+def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
+               params: Optional[ParamBindings] = None,
+               entry_point: Optional[str] = None,
+               strict: bool = False,
+               trace: Optional[Dict[str, str]] = None,
+               function_tier: bool = False) -> Dict[str, object]:
+    """The body of :func:`compile_job` (same parameters, same result).
+
+    Each input is either text, parsed here inside the ``worker.parse``
+    span, or an already parsed module that the caller gives up: the
+    compilation transforms ``payload`` in place, rebinds ``script``'s
+    parameters and destroys both on its way out
+    (:meth:`~repro.ir.core.Operation.destroy`), so neither may be an
+    object anyone else still reads.
+    """
     from ..core.errors import TransformInterpreterError
     from ..core.interpreter import TransformInterpreter
     from ..ir.hashing import attributes_digest, op_digest
@@ -166,6 +190,12 @@ def compile_job(payload_text: str, script_text: str,
                 if tracer is not None else nullcontext())
 
     def _finish(raw: Dict[str, object]) -> Dict[str, object]:
+        # Every non-raising path ends here with the IR dead (``raw`` is
+        # strings and numbers): free it now, or module after module
+        # floats until a full garbage collection (DESIGN.md §10).
+        for module in (payload, script):
+            if isinstance(module, Operation):
+                module.destroy()
         if tracer is not None:
             status = str(raw["status"])
             tracer.end_span(root, "ok" if status == "success" else status)
@@ -193,8 +223,10 @@ def compile_job(payload_text: str, script_text: str,
     functions = attrs_digest = None
     try:
         with _span("worker.parse"):
-            payload = parse(payload_text, "<payload>")
-            script = parse(script_text, "<script>")
+            if isinstance(payload, str):
+                payload = parse(payload, "<payload>")
+            if isinstance(script, str):
+                script = parse(script, "<script>")
         if params:
             bind_parameters(script, params)
         interpreter = TransformInterpreter(strict=strict)

@@ -15,7 +15,11 @@ interpreter's exception barrier, and asserts the robustness invariants:
   mutates the payload and then fails silenceably must leave the payload
   print byte-identical to its pre-``alternatives`` state;
 * **stable classification** — regenerating and re-running a case from
-  its seed reproduces the same outcome kind, message and payload print.
+  its seed reproduces the same outcome kind, message and payload print;
+* **textual round-trip** — the generated payload, the generated script
+  and every verifying output satisfy ``print(parse(print(m))) ==
+  print(m)`` with an equal structural digest, so a front-end change
+  that narrows or shifts the language fails here.
 
 With ``--differential``, every case additionally cross-checks the
 static analysis (:mod:`repro.analysis.invalidation`) against the
@@ -418,11 +422,41 @@ def _differential_check(case_seed: int, script: Operation,
             ))
 
 
+def _roundtrip_check(case_seed: int, what: str, module: Operation,
+                     failures: List[FuzzFailure]) -> None:
+    """The text front end is lossless on ``module``: its print parses,
+    re-prints byte-identically and keeps the structural digest."""
+    from ..ir.hashing import op_digest
+    from ..ir.parser import parse
+
+    text = print_op(module)
+    try:
+        reparsed = parse(text, f"<{what}>")
+    except Exception as error:
+        failures.append(FuzzFailure(
+            case_seed, "roundtrip-parses",
+            f"{what}: {type(error).__name__}: {error}",
+        ))
+        return
+    if print_op(reparsed) != text:
+        failures.append(FuzzFailure(
+            case_seed, "roundtrip-byte-identical",
+            f"{what}: print(parse(print(m))) != print(m)",
+        ))
+    elif op_digest(reparsed) != op_digest(module):
+        failures.append(FuzzFailure(
+            case_seed, "roundtrip-digest",
+            f"{what}: the structural digest moved across print -> parse",
+        ))
+
+
 def run_case(case_seed: int, differential: bool = False
              ) -> Tuple[CaseOutcome, List[FuzzFailure]]:
     """Build and interpret one case twice, checking every invariant."""
     failures: List[FuzzFailure] = []
     payload, script, rollback, before = _build_case(case_seed)
+    _roundtrip_check(case_seed, "payload", payload, failures)
+    _roundtrip_check(case_seed, "script", script, failures)
     outcome = _interpret(payload, script)
 
     if differential and outcome.kind != "crash":
@@ -442,6 +476,8 @@ def run_case(case_seed: int, differential: bool = False
                 case_seed, "payload-verifies-after-run",
                 f"{type(error).__name__}: {error}",
             ))
+        else:
+            _roundtrip_check(case_seed, "output", payload, failures)
 
     if rollback:
         if outcome.kind != "success":

@@ -135,6 +135,40 @@ class TestErase:
         assert not a.result.has_uses()
 
 
+class TestDestroy:
+    def test_destroy_frees_the_tree_without_the_collector(self):
+        import gc
+        import weakref
+
+        module = Operation.create("test.module", regions=1)
+        block = module.regions[0].add_block(Block([INDEX]))
+        a = block.append(make_const())
+        loop = block.append(Operation.create(
+            "test.loop", operands=[a.result, block.args[0]], regions=1))
+        inner = loop.regions[0].add_block()
+        inner.append(Operation.create("test.use", operands=[a.result]))
+        watched = [weakref.ref(obj) for obj in (
+            module, block, a, loop, inner, inner.ops[0])]
+        gc.collect()
+        gc.disable()
+        try:
+            module.destroy()
+            del module, block, a, loop, inner
+            assert [ref() for ref in watched] == [None] * len(watched)
+        finally:
+            gc.enable()
+
+    def test_destroying_a_clone_leaves_the_original_whole(self):
+        original = Operation.create("test.module", regions=1)
+        block = original.regions[0].add_block()
+        a = block.append(make_const(3))
+        block.append(Operation.create("test.use", operands=[a.result]))
+        original.clone().destroy()
+        assert [op.name for op in original.walk()] == \
+            ["test.module", "arith.constant", "test.use"]
+        assert a.result.has_one_use()
+
+
 class TestClone:
     def test_clone_remaps_operands(self):
         a, b = make_const(1), make_const(2)

@@ -149,6 +149,48 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse("@@@@")
 
+    def test_ssa_redefinition_in_one_region(self):
+        text = ('"m"() ({\n'
+                '  %0 = "foo.bar"() : () -> i32\n'
+                '  %0 = "foo.bar"() : () -> i32\n'
+                '}) : () -> ()')
+        with pytest.raises(
+                ParseError,
+                match=r"redefinition of SSA value %0 at line 3:3 near '%0'"):
+            parse(text)
+
+    def test_block_argument_redefinition(self):
+        with pytest.raises(ParseError, match="redefinition of SSA value %a"):
+            parse('"m"() ({\n^bb0(%a: i32, %a: i32):\n}) : () -> ()')
+        with pytest.raises(ParseError, match="redefinition of SSA value %a"):
+            parse('"m"() ({\n^bb0(%a: i32):\n'
+                  '  %a = "foo.bar"() : () -> i32\n}) : () -> ()')
+
+    def test_a_nested_region_may_reuse_an_outer_name(self):
+        # Scopes are per region: this is shadowing, not redefinition.
+        parse('"m"() ({\n  %0 = "a"() : () -> i32\n'
+              '  "r"() ({\n    %0 = "b"() : () -> i32\n  }) : () -> ()\n'
+              '}) : () -> ()')
+
+    @pytest.mark.parametrize("text, message", [
+        ('"m"() ({\n  "test.op"(%x) : (i32) -> ()\n}) : () -> ()',
+         "use of undefined value %x at line 2:13 near '%x'"),
+        ('"a"() : () -> ()\n   ; x',
+         "unexpected character ';' at line 2:4 near ';'"),
+        ('"a"() : () -> () // c\n ;',
+         "unexpected character ';' at line 2:2 near ';'"),
+        ('"a"() : () -> ()\n"b',
+         "unexpected character '\"' at line 2:1 near '\"'"),
+        ('"a"() : () ->', "expected type at line 1:14 near ''"),
+        ('"a"()[', "expected block at line 1:7 near ''"),
+        ('"a"() : () -> tensor<*xf32>',
+         "unranked shapes unsupported at line 1:22 near '*'"),
+    ])
+    def test_every_error_carries_line_col_and_lexeme(self, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse(text)
+        assert str(raised.value) == message
+
 
 class TestParseForms:
     def test_strided_memref(self):

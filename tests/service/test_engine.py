@@ -11,6 +11,7 @@ import sys
 import textwrap
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -238,12 +239,64 @@ class TestInputMemo:
         parses = self._count_parses(monkeypatch)
         with CompileEngine(workers=0) as engine:
             engine.run_job(_job())
-            # Engine + worker, once each (the parent parsed the script
-            # twice engine-side: digest, then lint).
-            assert parses == {"<payload>": 2, "<script>": 2}
+            # The engine's parse is the job's only one: the execution
+            # consumes the payload module the memo miss parsed and
+            # interprets a clone of the memoized script.
+            assert parses == {"<payload>": 1, "<script>": 1}
             engine.run_job(_job())
-            # Uncached repeat: only the worker parses.
-            assert parses == {"<payload>": 3, "<script>": 3}
+            # Uncached repeat: the memo kept no payload IR, so the
+            # execution parses the text; the script is cloned again.
+            assert parses == {"<payload>": 2, "<script>": 1}
+
+    def test_handed_off_payload_is_never_shared(self):
+        # Same payload text under two scripts through one uncached
+        # engine: the first job consumes the module its memo miss
+        # parsed (and unrolls it in place); the second must not see it.
+        from repro.service.worker import compile_job
+
+        with CompileEngine(workers=0) as engine:
+            results = [engine.run_job(_job(script=script, params=params))
+                       for script, params in ((UNROLL, None),
+                                              (UNROLL_BOUND, {"factor": 4}))]
+        for result, (script, params) in zip(
+                results, ((UNROLL, None), (UNROLL_BOUND, {"factor": 4}))):
+            bare = compile_job(PAYLOAD, script, params)
+            assert result.output == bare["output"]
+            assert result.output_digest == bare["output_digest"]
+        assert results[0].output != results[1].output
+
+    def test_params_never_rebind_the_memoized_script(self):
+        from repro.ir.hashing import op_digest
+
+        with CompileEngine(workers=0) as engine:
+            four = engine.run_job(
+                _job(script=UNROLL_BOUND, params={"factor": 4}))
+            info = engine._scripts[UNROLL_BOUND]
+            # Recomputed from the ops, not read from the memoized field.
+            assert op_digest(info.op.clone()) == info.digest
+            default = engine.run_job(_job(script=UNROLL_BOUND))
+        assert four.output.count("1 : i64") == 4
+        assert default.output.count("1 : i64") == 2
+
+    def test_degraded_engine_matches_the_pool_from_two_threads(self):
+        payloads = [PAYLOAD.replace("8 : index", f"{8 + 2 * n} : index")
+                    for n in range(6)]
+        jobs = [_job(payload=payload) for payload in payloads] * 2
+        with CompileEngine(workers=1) as pooled:
+            expected = [r.output for r in pooled.run_batch(jobs)]
+        with CompileEngine(workers=1) as engine:
+            engine._degrade_pool()
+            assert engine.degraded
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(max_workers=2) as threads:
+                    results = list(threads.map(engine.run_job, jobs))
+            finally:
+                sys.setswitchinterval(interval)
+        assert [r.status for r in results] == [JobStatus.SUCCESS] * len(jobs)
+        assert [r.output for r in results] == expected
+        assert len(set(expected)) == len(payloads)
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_tier_population_parses_no_output(self, monkeypatch, workers):
@@ -260,7 +313,7 @@ class TestInputMemo:
         assert result.status is JobStatus.SUCCESS
         assert cache.stats.function_puts == 3
         assert parses["<output>"] == 0
-        assert parses["<payload>"] == (2 if workers == 0 else 1)
+        assert parses["<payload>"] == 1
 
     def test_new_entry_point_relints_without_reparsing(self, monkeypatch):
         import repro.analysis.lint as lint
@@ -276,7 +329,7 @@ class TestInputMemo:
             engine.run_job(_job(entry_point="other"))
             engine.run_job(_job(entry_point="other"))
         assert lints == [{"entry_point": None}, {"entry_point": "other"}]
-        assert parses["<script>"] == 1 + 3  # engine once, worker per job
+        assert parses["<script>"] == 1  # executions clone the memo's
 
     def test_memo_is_lru_bounded_by_cache_capacity(self, monkeypatch):
         parses = self._count_parses(monkeypatch)
