@@ -68,7 +68,7 @@ from .location import (
     UNKNOWN_LOC,
     UnknownLoc,
 )
-from .hashing import attributes_digest, op_digest
+from .hashing import attributes_digest, module_digest, op_digest
 from .parser import ParseError, parse, register_type_parser
 from .printer import print_attribute, print_op
 from .types import (

@@ -38,9 +38,10 @@ encoded through the same mechanism.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .core import Block, DIGEST_STATS, Operation, Value
 from .printer import print_attribute
@@ -52,108 +53,129 @@ _PACK = struct.Struct(">I").pack
 _DOMAIN = b"repro-op-digest-v1"
 
 
-def _text(hasher, text: str) -> None:
+def _text(text: str) -> bytes:
+    """``text`` as it enters an op's encoding: length-prefixed."""
     data = text.encode()
-    hasher.update(_PACK(len(data)))
-    hasher.update(data)
+    return _PACK(len(data)) + data
+
+
+#: :func:`_text` of an op name, a type spelling or an attribute key:
+#: short and few per program, on every op of it. Attribute *values*
+#: (dense constants can be large) are never remembered.
+_name = functools.lru_cache(maxsize=1024)(_text)
+
+
+def _attributes(parts: List[bytes], attributes) -> None:
+    """Append an attribute dictionary, in key order."""
+    parts.append(_PACK(len(attributes)))
+    for key, attribute in sorted(attributes.items()):
+        parts += (_name(key), _text(print_attribute(attribute)))
 
 
 def _compute(op: Operation) -> Tuple[bytes, tuple, tuple]:
-    """Digest of ``op``'s subtree plus its free values/blocks; memoized."""
+    """Digest of ``op``'s subtree plus its free values/blocks; memoized.
+
+    The encoding of one op is built as a list of byte strings and
+    hashed once (``_DOMAIN`` + concatenation): the bytes are what one
+    ``update`` per field would feed the hash, at a fraction of the
+    calls — tests/ir/test_hashing.py pins digests of fixed IR so the
+    encoding cannot drift."""
     memo = op._digest
     if memo is not None:
         DIGEST_STATS.hits += 1
         return memo, op._digest_free, op._digest_free_blocks
     DIGEST_STATS.recomputes += 1
 
-    local_values: Dict[int, bytes] = {}
-    free_values: List[Value] = []
-    free_value_index: Dict[int, int] = {}
-    local_blocks: Dict[int, bytes] = {}
-    free_blocks: List[Block] = []
-    free_block_index: Dict[int, int] = {}
-
-    def encode_value(value: Value) -> bytes:
-        path = local_values.get(id(value))
-        if path is not None:
-            return b"L" + path
-        index = free_value_index.get(id(value))
-        if index is None:
-            index = len(free_values)
-            free_value_index[id(value)] = index
-            free_values.append(value)
-        return b"F" + _PACK(index)
-
-    def encode_block(block: Block) -> bytes:
-        path = local_blocks.get(id(block))
-        if path is not None:
-            return b"L" + path
-        index = free_block_index.get(id(block))
-        if index is None:
-            index = len(free_blocks)
-            free_block_index[id(block)] = index
-            free_blocks.append(block)
-        return b"F" + _PACK(index)
-
-    hasher = hashlib.sha256(_DOMAIN)
-    _text(hasher, op.name)
-    hasher.update(_PACK(len(op.results)))
+    pack = _PACK
+    parts = [_DOMAIN, _name(op.name), pack(len(op.results))]
     for result in op.results:
-        _text(hasher, str(result.type))
-    # The root's operands are free by construction (SSA: an op cannot
-    # use its own results, and its regions' values are not visible as
-    # operands), and they are hashed before the regions so free
-    # indices follow the printer's first-use order.
-    hasher.update(_PACK(op.num_operands))
-    for operand in op.operands:
-        hasher.update(encode_value(operand))
-        _text(hasher, str(operand.type))
-    hasher.update(_PACK(len(op.successors)))
+        parts.append(_name(str(result.type)))
+    # The root's operands (and successors) are free by construction
+    # (SSA: an op cannot use its own results, and its regions' values
+    # are not visible as operands), and they are hashed before the
+    # regions so free indices follow the printer's first-use order.
+    free_values: List[Value] = []
+    free_blocks: List[Block] = []
+    operands = op.operands
+    parts.append(pack(len(operands)))
+    # id -> free index; values and blocks are distinct live objects,
+    # so one table serves both.
+    seen: Dict[int, int] = {}
+    for operand in operands:
+        index = seen.setdefault(id(operand), len(free_values))
+        if index == len(free_values):
+            free_values.append(operand)
+        parts += (b"F", pack(index), _name(str(operand.type)))
+    parts.append(pack(len(op.successors)))
     for successor in op.successors:
-        hasher.update(encode_block(successor))
-    items = sorted(op.attributes.items())
-    hasher.update(_PACK(len(items)))
-    for key, attribute in items:
-        _text(hasher, key)
-        _text(hasher, print_attribute(attribute))
-    hasher.update(_PACK(len(op.regions)))
-    for region_index, region in enumerate(op.regions):
-        hasher.update(_PACK(len(region.blocks)))
-        # Pre-register every block and block argument of the region so
-        # forward references (a branch to a later block) encode as
-        # local paths, not free indices.
-        for block_index, block in enumerate(region.blocks):
-            prefix = _PACK(region_index) + _PACK(block_index)
-            local_blocks[id(block)] = prefix
-            for arg_index, arg in enumerate(block.args):
-                local_values[id(arg)] = prefix + b"a" + _PACK(arg_index)
-        for block_index, block in enumerate(region.blocks):
-            prefix = _PACK(region_index) + _PACK(block_index)
-            hasher.update(_PACK(len(block.args)))
-            for arg in block.args:
-                _text(hasher, str(arg.type))
-            hasher.update(_PACK(len(block.ops)))
-            for op_index, child in enumerate(block.ops):
-                child_digest, child_free, child_free_blocks = _compute(child)
-                hasher.update(child_digest)
-                # Re-encode the child's free references against this
-                # level's paths: this is what binds "child uses free
-                # value #k" to an actual definition site.
-                hasher.update(_PACK(len(child_free)))
-                for value in child_free:
-                    hasher.update(encode_value(value))
-                hasher.update(_PACK(len(child_free_blocks)))
-                for free_block in child_free_blocks:
-                    hasher.update(encode_block(free_block))
-                for result_index, result in enumerate(child.results):
-                    local_values[id(result)] = (
-                        prefix + b"r" + _PACK(op_index) + _PACK(result_index)
-                    )
-    digest = hasher.digest()
+        index = seen.setdefault(id(successor), len(free_blocks))
+        if index == len(free_blocks):
+            free_blocks.append(successor)
+        parts += (b"F", pack(index))
+    _attributes(parts, op.attributes)
+    parts.append(pack(len(op.regions)))
+    if op.regions:  # leaf ops — most ops — stop here
+        _regions(op, parts, free_values, free_blocks)
+    digest = hashlib.sha256(b"".join(parts)).digest()
     op._digest = digest
     op._digest_free = tuple(free_values)
     op._digest_free_blocks = tuple(free_blocks)
     return digest, op._digest_free, op._digest_free_blocks
+
+
+def _regions(op: Operation, parts: List[bytes],
+             free_values: List[Value], free_blocks: List[Block]) -> None:
+    """Append the regions of ``op``: per block its argument types and,
+    per child op, the child's digest with the child's free references
+    re-encoded against this level's paths — which is what binds "child
+    uses free value #k" to an actual definition site. References this
+    level cannot resolve either join ``free_values``/``free_blocks``."""
+    pack = _PACK
+    #: id(value or block) -> its encoded reference, ``b"L" + path`` for
+    #: what this op's regions define, ``b"F" + index`` for what they
+    #: do not.
+    values = {id(value): b"F" + pack(index)
+              for index, value in enumerate(free_values)}
+    blocks = {id(block): b"F" + pack(index)
+              for index, block in enumerate(free_blocks)}
+    for region_index, region in enumerate(op.regions):
+        parts.append(pack(len(region.blocks)))
+        # Pre-register every block and block argument of the region so
+        # forward references (a branch to a later block) encode as
+        # local paths, not free indices.
+        for block_index, block in enumerate(region.blocks):
+            path = b"L" + pack(region_index) + pack(block_index)
+            blocks[id(block)] = path
+            for arg_index, arg in enumerate(block.args):
+                values[id(arg)] = path + b"a" + pack(arg_index)
+        for block_index, block in enumerate(region.blocks):
+            path = b"L" + pack(region_index) + pack(block_index) + b"r"
+            parts.append(pack(len(block.args)))
+            for arg in block.args:
+                parts.append(_name(str(arg.type)))
+            parts.append(pack(len(block.ops)))
+            for op_index, child in enumerate(block.ops):
+                child_digest, child_free, child_free_blocks = _compute(child)
+                parts += (child_digest, pack(len(child_free)))
+                for value in child_free:
+                    reference = values.get(id(value))
+                    if reference is None:
+                        reference = values[id(value)] = \
+                            b"F" + pack(len(free_values))
+                        free_values.append(value)
+                    parts.append(reference)
+                parts.append(pack(len(child_free_blocks)))
+                for free_block in child_free_blocks:
+                    reference = blocks.get(id(free_block))
+                    if reference is None:
+                        reference = blocks[id(free_block)] = \
+                            b"F" + pack(len(free_blocks))
+                        free_blocks.append(free_block)
+                    parts.append(reference)
+                if child.results:
+                    result_path = path + pack(op_index)
+                    for result_index, result in enumerate(child.results):
+                        values[id(result)] = result_path + pack(result_index)
 
 
 def op_digest(op: Operation) -> str:
@@ -166,17 +188,32 @@ def op_digest(op: Operation) -> str:
     return _compute(op)[0].hex()
 
 
+def module_digest(attributes, function_digests: Sequence[str]) -> str:
+    """What :func:`op_digest` gives for a ``builtin.module`` carrying
+    ``attributes`` whose one argument-less block holds ops with the
+    digests ``function_digests``, none of them referring to a value or
+    block outside itself (top-level ``func.func`` ops). A digest is
+    compositional (module docstring), so a module spliced from cached
+    function text gets its identity from the functions' digests and
+    nothing is re-hashed."""
+    # No results, operands or successors.
+    parts = [_DOMAIN, _name("builtin.module"), _PACK(0), _PACK(0), _PACK(0)]
+    _attributes(parts, attributes)
+    # One region of one block without arguments.
+    parts += (_PACK(1), _PACK(1), _PACK(0), _PACK(len(function_digests)))
+    for digest in function_digests:
+        # The op, then its (no) free values and (no) free blocks.
+        parts += (bytes.fromhex(digest), _PACK(0), _PACK(0))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
 def attributes_digest(op: Operation) -> str:
     """Hex digest of ``op``'s attribute dictionary alone.
 
-    Used by sharding reassembly as the module-attribute divergence
+    Used by the function tier as the module-attribute divergence
     backstop — a digest compare instead of materializing and
     comparing attribute dictionaries.
     """
-    hasher = hashlib.sha256(b"repro-attrs-digest-v1")
-    items = sorted(op.attributes.items())
-    hasher.update(_PACK(len(items)))
-    for key, attribute in items:
-        _text(hasher, key)
-        _text(hasher, print_attribute(attribute))
-    return hasher.hexdigest()
+    parts = [b"repro-attrs-digest-v1"]
+    _attributes(parts, op.attributes)
+    return hashlib.sha256(b"".join(parts)).hexdigest()

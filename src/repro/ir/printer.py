@@ -15,7 +15,8 @@ The output round-trips through :mod:`repro.ir.parser`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import re
+from typing import Dict, List, Tuple
 
 from .attributes import (
     AffineMapAttr,
@@ -114,6 +115,37 @@ def _print_attr_dict(attributes: Dict[str, Attribute]) -> str:
     return " {" + inner + "}"
 
 
+#: First line of every printed ``builtin.module``.
+_MODULE_HEADER = '"builtin.module"() ({'
+
+
+def _module_footer(attributes: Dict[str, Attribute]) -> str:
+    return "})" + _print_attr_dict(attributes) + " : () -> ()"
+
+
+def module_text(body: str, attributes: Dict[str, Attribute]) -> str:
+    """The print of a ``builtin.module`` carrying ``attributes`` whose
+    top-level ops print (at indent 1) as the lines ``body``: a module
+    adds one line above and one below them, nothing else — which is
+    what lets :mod:`repro.service.sharding` wrap and unwrap function
+    text without the parser."""
+    return f"{_MODULE_HEADER}\n{body}\n{_module_footer(attributes)}"
+
+
+def module_body(text: str, attributes: Dict[str, Attribute]) -> str:
+    """Inverse of :func:`module_text`: the lines between the first and
+    last of a printed module. Raises ``ValueError`` unless ``text``
+    opens like a module, closes with exactly the footer of one
+    carrying ``attributes`` and has a body in between."""
+    head = _MODULE_HEADER + "\n"
+    tail = "\n" + _module_footer(attributes)
+    if not (text.startswith(head) and text.endswith(tail)
+            and len(text) > len(head) + len(tail)):
+        raise ValueError(
+            f"not a printed module closing with {tail[1:]!r}")
+    return text[len(head):-len(tail)]
+
+
 class Printer:
     """Stateful printer holding the name manager and indentation."""
 
@@ -192,3 +224,41 @@ def value_name(op: Operation, value: Value) -> str:
     printer = Printer()
     printer.print_op(op)
     return printer.names.value_names.get(value, "<unknown>")
+
+
+#: What :func:`shift_names` cuts printed IR at: a string literal (the
+#: lexer's own rule, so a ``"%3"`` inside an attribute is a string and
+#: not a name), an SSA value name, or a block name.
+_NAME_RE = re.compile(r'''("(?:[^"\\]|\\.)*"|%\d+|\^bb\d+)''')
+
+
+def shift_names(text: str, value_base: int,
+                block_base: int) -> Tuple[str, int, int]:
+    """Relocate printed IR: every ``%N`` becomes ``%(N + value_base)``
+    and every ``^bbN`` ``^bb(N + block_base)``; string literals (op
+    names, attributes) are skipped over, never rewritten.
+
+    Also returns how many value and block names ``text`` holds (highest
+    index + 1, as numbered before the shift) — the bases the next
+    function of a module starts from."""
+    parts = _NAME_RE.split(text)
+    renamed: Dict[str, str] = {}
+    values = blocks = 0
+    for index in range(1, len(parts), 2):
+        token = parts[index]
+        shifted = renamed.get(token)
+        if shifted is None:
+            shifted = token
+            if token[0] == "%":
+                number = int(token[1:])
+                if number >= values:
+                    values = number + 1
+                shifted = f"%{number + value_base}"
+            elif token[0] == "^":
+                number = int(token[3:])
+                if number >= blocks:
+                    blocks = number + 1
+                shifted = f"^bb{number + block_base}"
+            renamed[token] = shifted
+        parts[index] = shifted
+    return "".join(parts), values, blocks

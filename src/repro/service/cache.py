@@ -100,9 +100,14 @@ def function_key(func_digest: str, script_digest: str,
     ``func_digest`` is the structural digest of a standalone
     ``func.func`` (:func:`repro.ir.hashing.op_digest`), so the key is
     independent of which module the function appeared in and of its
-    printed-name numbering.
+    printed-name numbering. The entry stored under it holds the
+    *transformed* function the same way: its relocatable text and, as
+    ``output_digest``, the digest of that ``func.func``.
     """
-    hasher = hashlib.sha256(b"repro-fn-key-v1")
+    # v2: an entry's ``output_digest`` is the digest of the function
+    # (v1 entries carry their wrapper module's, which would assemble
+    # into a wrong module digest).
+    hasher = hashlib.sha256(b"repro-fn-key-v2")
     _frame(hasher, func_digest.encode())
     _frame(hasher, script_digest.encode())
     _frame(hasher, _params_blob(params))
@@ -337,8 +342,18 @@ class CompilationCache:
             self._insert(key, result)
             self._disk_put(key, result)
 
-    def get_function(self, key: str) -> Optional[CachedResult]:
-        """Function-tier lookup (key from :func:`function_key`)."""
+    def get_function(self, key: str,
+                     count: bool = True) -> Optional[CachedResult]:
+        """Function-tier lookup (key from :func:`function_key`).
+
+        ``count=False`` is the engine reading back, from memory, the
+        entry a sub-job of the asking job has just published: that is
+        no lookup of its own — the one that missed is already counted —
+        and moves no counter."""
+        if not count:
+            with self._lock:
+                entry = self._entries.get(_FN_PREFIX + key)
+                return entry.result if entry is not None else None
         result = self.get(_FN_PREFIX + key)
         with self._lock:
             # get() above already counted the whole-cache hit/miss;

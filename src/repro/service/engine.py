@@ -25,7 +25,10 @@ terminal result or fall through, cheapest first:
    share one execution: followers wait on the leader's result
    instead of occupying a second worker;
 6. **function tier | dispatch** — the leader assembles the output
-   from per-function cache entries when it can, else runs the job on
+   from per-function cache entries when it can — a text splice
+   (:func:`~repro.service.sharding.assemble_functions`) and a digest
+   composed from the entries' (:func:`~repro.ir.hashing.module_digest`):
+   nothing is parsed, printed or re-hashed — else runs the job on
    a ``ProcessPoolExecutor`` worker (IR crosses the *process* boundary
    as text: the worker parses its own copy). A per-job timeout kills
    the hung worker and restarts
@@ -38,8 +41,9 @@ terminal result or fall through, cheapest first:
    preserved liveness;
 7. **publish** — OK results go to the cache and to the followers;
    the function-tier entries of a clean whole-module success are the
-   ``(text, digest)`` pairs the worker split off its live IR (the
-   engine asked for them in step 6 and parses no output).
+   ``(relocatable text, function digest)`` pairs the worker printed
+   off its live IR (the engine asked for them in step 6 and parses no
+   output).
 
 Every counter, event and job-seconds sample is recorded by one method,
 :meth:`CompileEngine._account`, into :class:`EngineStats` — the store
@@ -75,7 +79,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..ir.core import DIGEST_STATS, Operation
-from ..ir.hashing import attributes_digest, op_digest
+from ..ir.hashing import attributes_digest, module_digest, op_digest
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import SpanContext
 from ..testing.faults import FaultPlan, FaultSite
@@ -270,6 +274,13 @@ _EVENT_FIELD = {
     "TIMEOUT": "timeouts", "CRASHED": "crashes",
     "DEGRADED": "pool_degradations", "DISPATCHED": None,
 }
+
+
+def _usable(entry: Optional[CachedResult]) -> bool:
+    """A function-tier entry :meth:`CompileEngine._assemble` can
+    splice: a clean success that knows its function's digest."""
+    return (entry is not None and entry.status == "success"
+            and not entry.diagnostics and entry.output_digest is not None)
 
 
 def _mark(span, status: Optional[str] = None, **attributes) -> None:
@@ -762,28 +773,31 @@ class CompileEngine:
         which gives them the whole pipeline for free (single-flight
         dedup against other parents missing the same function, crash
         containment, retry) and lets their own populate pass fill the
-        tier. Returns None whenever anything is less than a clean
-        success — the caller falls back to the whole-module execution
-        path, keeping silenceable-skip semantics whole-module.
+        tier, where this job then reads them. The entries are spliced
+        as text and their digests composed; no IR exists here, so
+        nothing is verified here — an entry is the print of IR that
+        passed ``verify()`` in the worker that made it, and
+        :meth:`_populate` stores clean successes only. Returns None
+        whenever anything is less than a clean success — the caller
+        falls back to the whole-module execution path, keeping
+        silenceable-skip semantics whole-module.
         """
         # A single-function payload's shard is itself: tier lookup
         # would recurse onto this very job.
         if tier_keys is None or len(tier_keys) < 2:
             return None
-        texts: List[Optional[str]] = []
+        entries: List[Optional[CachedResult]] = []
         for tier_key in tier_keys:
             entry = self.cache.get_function(tier_key)
-            usable = (entry is not None and entry.status == "success"
-                      and not entry.diagnostics)
-            texts.append(entry.output if usable else None)
-        missing = [i for i, text in enumerate(texts) if text is None]
-        if len(missing) == len(texts):
+            entries.append(entry if _usable(entry) else None)
+        missing = [i for i, entry in enumerate(entries) if entry is None]
+        if len(missing) == len(entries):
             # Nothing to reuse: the whole-module path is strictly
             # better (one execution instead of N).
             return None
         if missing:
             shards = function_module_texts(job.payload_text, "<payload>")
-            if shards is None or len(shards) != len(texts):
+            if shards is None or len(shards) != len(entries):
                 return None
             for index in missing:
                 sub = self.run_job(CompileJob(
@@ -791,14 +805,25 @@ class CompileEngine:
                     script_text=job.script_text, params=job.params,
                     timeout=job.timeout, job_id=f"{job.job_id}/fn{index}",
                 ), parent_span=span)
-                if sub.status is not JobStatus.SUCCESS or sub.diagnostics:
+                # The sub-job's execution published its one function:
+                # that entry — relocatable text, digest of the function
+                # itself — is what gets spliced, not ``sub.output``.
+                entry = self.cache.get_function(tier_keys[index],
+                                                count=False)
+                if (sub.status is not JobStatus.SUCCESS or sub.diagnostics
+                        or not _usable(entry)):
                     return None
-                texts[index] = sub.output or ""
+                entries[index] = entry
+        attrs = payload.module_attrs or {}
         try:
-            output, output_digest = assemble_functions(
-                payload.module_attrs or {}, texts)
-        except Exception:
+            output = assemble_functions(
+                attrs, [entry.output for entry in entries])[0]
+        except ValueError:
+            # Text that is not an entry (a decodable but damaged disk
+            # file): compile the module whole instead.
             return None
+        output_digest = module_digest(
+            attrs, [entry.output_digest for entry in entries])
         self._account("ASSEMBLED", job, key=key, cache_hit=not missing,
                       also=() if missing else ("cache_hits",))
         return JobResult(
@@ -812,8 +837,8 @@ class CompileEngine:
         """After a clean whole-module success, store each output
         function under its *input* function's key.
 
-        The entries are ``raw["functions"]``: the worker split, printed
-        and digested them off the transformed module while it was
+        The entries are ``raw["functions"]``: the worker printed and
+        digested each function off the transformed module while it was
         still IR (see :func:`repro.service.worker.compile_job`), so
         nothing is parsed here. Guarded by the same backstops as
         ``--jobs`` reassembly: the output must still be an

@@ -19,13 +19,25 @@ of the enclosing block for *every* function), so the ``--jobs`` driver
 falls back to a sequential whole-module run the moment any shard
 reports anything but clean success. The contract — enforced by test —
 is that fan-out output is byte-identical to ``--jobs 1``.
+
+The compile service's function tier splits and joins modules at the
+same seams, on *text*: the printer numbers ``%N``/``^bbN`` in
+first-encounter order and a top-level function sees no outer value, so
+a function's lines inside a module are its standalone lines with every
+name shifted by the counts of the functions before it.
+:func:`function_entries` prints each function standalone,
+:func:`assemble_functions` splices such prints back into exactly
+``print_op`` of the module without parsing (DESIGN.md §9), and
+:func:`reassemble_module` is the same splice for ``--jobs`` shards.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..ir.core import Operation
+from ..ir.hashing import op_digest
+from ..ir.printer import Printer, module_body, module_text, shift_names
 
 #: Transforms whose payload effect distributes over disjoint functions.
 SHARDABLE_OPS = frozenset({
@@ -124,53 +136,50 @@ def shardable_functions(payload: Operation) -> Optional[List[Operation]]:
     return tops
 
 
-def function_modules(functions: Iterable[Operation],
-                     attributes=None) -> List[Operation]:
-    """Wrap each function in a standalone module carrying
-    ``attributes``. The functions are *moved* (appending re-parents
-    them): pass clones to keep the module they came from intact."""
-    from ..dialects import builtin
-
-    modules: List[Operation] = []
-    for function in functions:
-        module = builtin.module()
-        module.attributes.update(attributes or {})
-        module.body.append(function)
-        modules.append(module)
-    return modules
-
-
 def shard_payload(payload: Operation) -> Optional[List[Operation]]:
     """Split a module into one single-function module per top-level
-    func; None when the module is not cleanly splittable (see
-    :func:`shardable_functions`) or has fewer than two functions
-    (nothing to fan out)."""
+    func, each a clone carrying the module's attributes; None when the
+    module is not cleanly splittable (see :func:`shardable_functions`)
+    or has fewer than two functions (nothing to fan out)."""
+    from ..dialects import builtin
+
     tops = shardable_functions(payload)
     if tops is None or len(tops) < 2:
         return None
-    return function_modules([function.clone() for function in tops],
-                            payload.attributes)
+    shards: List[Operation] = []
+    for function in tops:
+        shard = builtin.module()
+        shard.attributes.update(payload.attributes)
+        shard.body.append(function.clone())
+        shards.append(shard)
+    return shards
 
 
 def function_entries(module: Operation
                      ) -> Optional[List[Tuple[str, str]]]:
-    """The function-tier view of one module: ``(printed module,
-    structural digest)`` per top-level function, each wrapped in an
+    """The function-tier view of one module: ``(entry text, structural
+    digest of the function)`` per top-level function.
+
+    An entry text is the print of the function alone in an
     *attribute-less* module — tier entries must not depend on which
-    module a function arrived in — and printed on its own, so an
-    entry's text is the canonical print of its digest.
+    module a function arrived in, nor on what preceded it there — so
+    each function is printed by a printer of its own, numbering from
+    ``%0``/``^bb0``, inside the module shell. Splicing the entries back
+    (:func:`assemble_functions`) gives ``print_op(module)``.
 
     None when ``module`` is not cleanly splittable (see
-    :func:`shardable_functions`). The functions are *moved* out of
-    ``module``: call it on IR nothing reads again."""
-    from ..ir.hashing import op_digest
-    from ..ir.printer import print_op
-
+    :func:`shardable_functions`)."""
     tops = shardable_functions(module)
     if tops is None:
         return None
-    return [(print_op(wrapper), op_digest(wrapper))
-            for wrapper in function_modules(tops)]
+    entries = []
+    for function in tops:
+        printer = Printer()
+        printer.indent = 1
+        printer.print_op(function)
+        entries.append((module_text(printer.result(), {}),
+                        op_digest(function)))
+    return entries
 
 
 def function_module_texts(text: str, source: str
@@ -186,43 +195,36 @@ def function_module_texts(text: str, source: str
     return function_entries(module)
 
 
-def assemble_functions(module_attributes, func_texts: List[str],
-                       attrs_digest: Optional[str] = None):
-    """Build one module from standalone function texts.
+def assemble_functions(module_attributes, entry_texts: List[str],
+                       shell_attributes=None) -> Tuple[str, Tuple[int, int]]:
+    """Splice function entries into the print of one module.
 
-    The inverse of per-function splitting: each text parses as a
-    single ``func.func`` (or a single-function module), the functions
-    are appended in order to a fresh module carrying
-    ``module_attributes``, and the module is printed once — global SSA
-    numbering therefore matches a whole-module compilation exactly.
-    Returns ``(printed_text, structural_digest)``; the digest comes
-    off the assembled module while it is in hand, so callers never
-    reparse the text to learn its identity.
+    The inverse of :func:`function_entries`, on text alone: the
+    printer numbers ``%N``/``^bbN`` in first-encounter order and a
+    top-level function sees no outer value, so a function's lines
+    inside a module *are* its standalone lines with every name shifted
+    by the counts of the functions before it. Each entry loses its
+    module shell (:func:`~repro.ir.printer.module_body`), is shifted
+    (:func:`~repro.ir.printer.shift_names`) by the running bases and
+    lands in the shell of a module carrying ``module_attributes``.
+    Nothing is parsed, so nothing is verified here: an entry is the
+    print of IR its producer verified.
 
-    With ``attrs_digest`` (the ``--jobs`` backstop, see
-    :func:`reassemble_module`) every text must be a module whose
-    attributes digest to it; the first that does not makes the whole
-    assembly return None.
+    Returns ``(text, (value names, block names))``. Raises
+    ``ValueError`` for a text that is not an entry: its shell must be
+    exactly that of a module carrying ``shell_attributes`` (none, for
+    tier entries) around a non-empty body.
     """
-    from ..dialects import builtin
-    from ..ir.hashing import attributes_digest, op_digest
-    from ..ir.parser import parse
-    from ..ir.printer import print_op
-
-    result = builtin.module()
-    result.attributes.update(module_attributes)
-    for index, text in enumerate(func_texts):
-        op = parse(text, f"<function {index}>")
-        if (attrs_digest is not None
-                and attributes_digest(op) != attrs_digest):
-            return None
-        if op.name == "builtin.module":
-            for child in list(op.regions[0].entry_block.ops):
-                result.body.append(child)
-        else:
-            result.body.append(op)
-    result.verify()
-    return print_op(result), op_digest(result)
+    bodies = []
+    values = blocks = 0
+    for text in entry_texts:
+        body, more_values, more_blocks = shift_names(
+            module_body(text, shell_attributes or {}), values, blocks)
+        bodies.append(body)
+        values += more_values
+        blocks += more_blocks
+    return (module_text("\n".join(bodies), module_attributes),
+            (values, blocks))
 
 
 def reassemble_module(payload: Operation,
@@ -231,16 +233,13 @@ def reassemble_module(payload: Operation,
     the original module attributes, in the original function order
     (see :func:`assemble_functions`).
 
-    Returns None when any shard's module attributes diverged from the
-    original payload's: the schedule mutated the module op itself (a
+    Returns None when any shard's last line is not the footer of the
+    original payload: the schedule mutated the module op itself (a
     per-shard clone), which cannot be merged back faithfully — callers
     must fall back to the sequential whole-module path. This backstops
-    :func:`is_func_shardable` against any future whitelist hole.
-    Divergence is detected by comparing attribute digests
-    (:func:`repro.ir.hashing.attributes_digest`) — one hash per shard
-    instead of materializing and comparing attribute dictionaries."""
-    from ..ir.hashing import attributes_digest
-
-    assembled = assemble_functions(payload.attributes, shard_texts,
-                                   attributes_digest(payload))
-    return assembled[0] if assembled is not None else None
+    :func:`is_func_shardable` against any future whitelist hole."""
+    try:
+        return assemble_functions(payload.attributes, shard_texts,
+                                  payload.attributes)[0]
+    except ValueError:
+        return None

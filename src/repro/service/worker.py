@@ -100,14 +100,19 @@ def compile_job(payload_text: str, script_text: str,
         reparsing or re-hashing the text (None on failure);
     ``functions``
         with ``function_tier`` and a ``"success"`` status, the
-        function-tier view of the transformed payload, split while it
-        is still IR: ``(printed module, structural digest)`` per
-        top-level function, each wrapped in an attribute-less module
-        and printed on its own (canonical numbering — *not* a slice of
-        ``output``); None when the output is not a cleanly splittable
-        all-function module (see
-        :func:`repro.service.sharding.shardable_functions`), on any
-        other status and without the flag;
+        function-tier view of the transformed payload: ``(entry text,
+        structural digest of the function)`` per top-level function.
+        An entry text is the function printed alone in an
+        attribute-less module (numbered from ``%0``/``^bb0`` — *not* a
+        slice of ``output``), and it is relocatable: the printer walks
+        the module once, function by function, and ``output`` is the
+        splice of the entries
+        (:func:`repro.service.sharding.assemble_functions`), byte for
+        byte what ``print_op`` of the module gives. None when the
+        output is not a cleanly splittable all-function module (see
+        :func:`repro.service.sharding.shardable_functions` — ``output``
+        is then the plain whole-module print), on any other status and
+        without the flag;
     ``attrs_digest``
         alongside ``functions``, the digest of the transformed
         module's own attributes — the engine stores nothing unless it
@@ -132,8 +137,10 @@ def compile_job(payload_text: str, script_text: str,
     engine-side trace and parent span. When present the worker records
     spans locally (``worker.compile`` over ``worker.parse`` /
     ``worker.interpret`` — with one child span per top-level transform
-    op — / ``worker.print`` / ``worker.split``, the last only when the
-    split runs) into a tracer seeded with the propagated trace id and
+    op — / ``worker.print``, which verifies, prints and digests, /
+    ``worker.split``, which turns the per-function prints into
+    ``output`` and runs only when there are ``functions``) into a
+    tracer seeded with the propagated trace id and
     ships them back under ``"spans"`` (a list of
     :meth:`~repro.observability.Span.to_dict` dicts), so a job's trace
     is complete across the pool boundary.
@@ -170,7 +177,7 @@ def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
     from ..ir.hashing import attributes_digest, op_digest
     from ..ir.parser import parse
     from ..ir.printer import print_op
-    from .sharding import function_entries
+    from .sharding import assemble_functions, function_entries
 
     _ensure_registered()
     tracer = None
@@ -239,15 +246,18 @@ def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
             status = "silenceable"
         with _span("worker.print"):
             payload.verify()
-            output = print_op(payload)
-            output_digest = op_digest(payload)
-        if function_tier and status == "success":
-            with _span("worker.split"):
-                # Moves the functions out of ``payload`` — it is
-                # printed and digested, nothing reads it again.
+            if function_tier and status == "success":
                 functions = function_entries(payload)
-                if functions is not None:
-                    attrs_digest = attributes_digest(payload)
+            if functions is None:
+                output = print_op(payload)
+            output_digest = op_digest(payload)
+        if functions is not None:
+            with _span("worker.split"):
+                # The one walk of the printer went function by
+                # function; the whole-module print is their splice.
+                output = assemble_functions(
+                    payload.attributes, [text for text, _ in functions])[0]
+                attrs_digest = attributes_digest(payload)
     except TransformInterpreterError as error:
         return _failed(str(error))
     except Exception as error:

@@ -19,7 +19,11 @@ interpreter's exception barrier, and asserts the robustness invariants:
 * **textual round-trip** — the generated payload, the generated script
   and every verifying output satisfy ``print(parse(print(m))) ==
   print(m)`` with an equal structural digest, so a front-end change
-  that narrows or shifts the language fails here.
+  that narrows or shifts the language fails here;
+* **relocatable function text** — every all-function payload and
+  output is the splice of its function-tier entries, byte for byte and
+  digest for digest (:func:`relocation_violations`), which is what the
+  compile service's function tier serves results from without parsing.
 
 With ``--differential``, every case additionally cross-checks the
 static analysis (:mod:`repro.analysis.invalidation`) against the
@@ -450,12 +454,56 @@ def _roundtrip_check(case_seed: int, what: str, module: Operation,
         ))
 
 
+def relocation_violations(module: Operation) -> List[str]:
+    """Which of the identities the function tier rests on (DESIGN.md
+    §9) fail on ``module``; empty for a module that is not cleanly
+    splittable into functions.
+
+    The whole-module print is the splice of the function entries, its
+    digest composes from the functions' digests, the entries are the
+    ones a re-parse of the print yields, and shifting by nothing
+    changes nothing."""
+    from ..ir.hashing import module_digest, op_digest
+    from ..ir.printer import shift_names
+    from ..service.sharding import (
+        assemble_functions,
+        function_entries,
+        function_module_texts,
+    )
+
+    entries = function_entries(module)
+    if entries is None:
+        return []
+    text = print_op(module)
+    texts = [entry for entry, _ in entries]
+    violated = []
+    if assemble_functions(module.attributes, texts)[0] != text:
+        violated.append("splice of the entries != print_op(module)")
+    if module_digest(module.attributes,
+                     [digest for _, digest in entries]) != op_digest(module):
+        violated.append("module_digest(function digests) != op_digest")
+    if function_module_texts(text, "<relocation>") != entries:
+        violated.append("entries != entries of the re-parsed print")
+    if any(shift_names(entry, 0, 0)[0] != entry for entry in texts):
+        violated.append("shift_names(entry, 0, 0) is not the identity")
+    return violated
+
+
+def _relocation_check(case_seed: int, what: str, module: Operation,
+                      failures: List[FuzzFailure]) -> None:
+    failures.extend(
+        FuzzFailure(case_seed, "relocatable-function-text",
+                    f"{what}: {violation}")
+        for violation in relocation_violations(module))
+
+
 def run_case(case_seed: int, differential: bool = False
              ) -> Tuple[CaseOutcome, List[FuzzFailure]]:
     """Build and interpret one case twice, checking every invariant."""
     failures: List[FuzzFailure] = []
     payload, script, rollback, before = _build_case(case_seed)
     _roundtrip_check(case_seed, "payload", payload, failures)
+    _relocation_check(case_seed, "payload", payload, failures)
     _roundtrip_check(case_seed, "script", script, failures)
     outcome = _interpret(payload, script)
 
@@ -478,6 +526,7 @@ def run_case(case_seed: int, differential: bool = False
             ))
         else:
             _roundtrip_check(case_seed, "output", payload, failures)
+            _relocation_check(case_seed, "output", payload, failures)
 
     if rollback:
         if outcome.kind != "success":

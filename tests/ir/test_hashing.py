@@ -120,6 +120,61 @@ class TestContract:
         assert attributes_digest(a) != attributes_digest(b)
 
 
+class TestPinnedEncoding:
+    """Digests key every cache, on disk too: the *bytes* fed to the
+    hash may not move with the code that assembles them (one buffer
+    per op, a leaf path, ``module_digest``) unless ``_DOMAIN`` is
+    bumped with them. Hex digests of fixed IR, computed by the
+    field-by-field ``hasher.update`` implementation these replaced."""
+
+    def test_fixed_ir_keeps_its_digests(self):
+        from repro.execution.workloads import build_matmul_module
+
+        module = parse(MODULE)
+        f0 = _funcs(module)[0]
+        pinned = {
+            # A module, a region op with block arguments, a leaf op
+            # with operands.
+            op_digest(module):
+                "f41477b1eb5f36f5fa01455957c4304d"
+                "e26f9e1e477585932132524dc6e9df61",
+            op_digest(f0):
+                "2b2faf999f2faed21ba37668597dbd81"
+                "678b279c283233278314dd31cd838044",
+            op_digest(f0.regions[0].blocks[0].ops[0]):
+                "70d5591c8e4118e747c912804224e6cd"
+                "31d128390006efc289f7c9a6f9a83578",
+            # Successors, forward block references.
+            op_digest(parse(BRANCHY)):
+                "497413715d9d891a4d80c06d271c9895"
+                "d58d90333db22b0882cc19e77dbab5cf",
+            # Nested loops; memref types, affine maps, float attributes.
+            op_digest(PayloadFuzzer(random.Random(7)).module()):
+                "be8338e7a02148425a924e98800f443f"
+                "c25559ef9e9aae7d105c6c3ed430c30c",
+            op_digest(build_matmul_module(8, 4, 4)):
+                "dc3c707936208ebb0f4ad5e0172be4ca"
+                "449b924a59c7694bdb481029bf888228",
+            attributes_digest(parse(BRANCHY)):
+                "c47c67b85aab3f44a4982586eef34d8a"
+                "f366c734745141af6caa3d2ee304bfdc",
+        }
+        assert all(got == want for got, want in pinned.items()), pinned
+
+    def test_module_digest_is_op_digest_of_the_module(self):
+        from repro.ir.hashing import module_digest
+
+        with_attributes = (MODULE[:-len(" : () -> ()")]
+                           + ' {tag = "t", n = 2 : i64} : () -> ()')
+        for text in (MODULE, with_attributes):
+            module = parse(text)
+            assert bool(module.attributes) == (text is with_attributes)
+            assert module_digest(
+                module.attributes,
+                [op_digest(function) for function in _funcs(module)],
+            ) == op_digest(module)
+
+
 class TestMemoization:
     def test_second_digest_is_a_memo_hit(self):
         module = parse(MODULE)

@@ -280,14 +280,17 @@ class TestWorkerEmittedEntries:
         assert bare["output_digest"] == raw["output_digest"]
 
     def test_an_entry_is_the_canonical_print_of_its_digest(self):
-        # Equal digest => identical bytes: an entry must be print_op of
-        # what it digests, not a slice of the whole-module print (whose
-        # SSA numbering runs on across functions).
+        # Equal digest => identical bytes: an entry is the canonical
+        # print of its one function alone in a module — numbered from
+        # %0, not a slice of the whole-module print (whose SSA
+        # numbering runs on across functions) — and carries that
+        # function's digest, the kind the tier is keyed on.
         raw = compile_job(MULTI, UNROLL, function_tier=True)
         for text, digest in raw["functions"]:
             module = parse(text)
             assert print_op(module) == text
-            assert op_digest(module) == digest
+            (function,) = module.regions[0].entry_block.ops
+            assert op_digest(function) == digest
         assert raw["functions"][1][0] not in raw["output"]
 
     @pytest.mark.parametrize("workers", [0, 1])

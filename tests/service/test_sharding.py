@@ -226,15 +226,23 @@ class TestShardableFunctions:
 
 class TestAssembleFunctions:
     def test_matches_whole_module_print(self):
-        from repro.ir.hashing import op_digest
-        from repro.service.sharding import assemble_functions
+        from repro.ir.hashing import module_digest, op_digest
+        from repro.service.sharding import (
+            assemble_functions,
+            function_entries,
+        )
 
         payload = parse(MULTI)
-        tops = list(payload.regions[0].entry_block.ops)
-        texts = [print_op(f) for f in tops]
-        text, digest = assemble_functions(dict(payload.attributes), texts)
+        entries = function_entries(payload)
+        attributes = dict(payload.attributes)
+        text, names = assemble_functions(
+            attributes, [entry for entry, _ in entries])
         assert text == print_op(payload)
-        assert digest == op_digest(parse(MULTI))
+        # Per function: four constants and the induction variable, one
+        # labelled block.
+        assert names == (15, 3) and "%14" in text and "^bb2" in text
+        assert module_digest(attributes, [d for _, d in entries]) \
+            == op_digest(parse(MULTI))
 
     def test_accepts_single_function_module_wrappers(self):
         from repro.service.sharding import assemble_functions
