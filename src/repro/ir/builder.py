@@ -13,10 +13,10 @@ from .types import Type
 class InsertionPoint:
     """A position in a block where new operations are inserted.
 
-    Anchored positions ("before op X") resolve the list index lazily at
-    insertion time: creating an insertion point is O(1), so pattern
-    drivers can reposition builders speculatively without quadratic
-    cost on large blocks.
+    Anchored positions ("before op X") link the new op next to the
+    anchor: creating an insertion point and inserting at it are both
+    O(1) however large the block, so pattern drivers reposition
+    builders freely. Only an explicit ``index`` reads ``block.ops``.
     """
 
     def __init__(self, block: Block, index: Optional[int] = None,

@@ -293,6 +293,19 @@ OperandLike = Value
 AttrsLike = Optional[Dict[str, AttrLike]]
 
 
+def _children(op: "Operation") -> Iterator["Operation"]:
+    """The ops directly inside ``op``, for :meth:`Operation.walk`: lazy,
+    and each block's ops are copied when the iteration reaches it."""
+    return (child for region in op.regions for block in region.blocks
+            for child in list(block.ops))
+
+
+def _children_reversed(op: "Operation") -> Iterator["Operation"]:
+    return (child for region in reversed(op.regions)
+            for block in reversed(region.blocks)
+            for child in reversed(block.ops))
+
+
 class Operation:
     """A generic IR operation.
 
@@ -305,9 +318,12 @@ class Operation:
     #: Structural traits checked by the verifier.
     TRAITS: frozenset = frozenset()
 
-    #: Memoized structural digest (see :mod:`repro.ir.hashing`). Class
-    #: attributes double as the "not computed" default so creating an
-    #: operation costs nothing; memoization writes instance attributes.
+    #: Memoized structural digest (see :mod:`repro.ir.hashing`), None =
+    #: not computed. ``__init__`` sets all three on the instance: a
+    #: second attribute first written after it moves the instance off
+    #: CPython's shared-key layout (a private dict, + 720 bytes per op
+    #: at the first digest). The class attributes are what a
+    #: :meth:`destroy`-ed shell reads.
     _digest: Optional[bytes] = None
     #: Values referenced by this subtree but defined outside it, in
     #: first-occurrence (printer) order; part of the digest memo.
@@ -328,17 +344,28 @@ class Operation:
         self.name = name
         self.location = location
         self.parent: Optional[Block] = None
+        # Sibling links and order index, owned by ``parent``'s mutators.
+        self._prev: Optional[Operation] = None
+        self._next: Optional[Operation] = None
+        self._order = 0
+        # An empty field is common (leaf ops, constants, terminators)
+        # and costs no comprehension frame.
         self._operands: List[OpOperand] = [
             OpOperand(self, i, v) for i, v in enumerate(operands)
-        ]
+        ] if operands else []
         self.results: List[OpResult] = [
             OpResult(self, i, t) for i, t in enumerate(result_types)
-        ]
+        ] if result_types else []
         self.attributes: Dict[str, Attribute] = {
-            k: make_attr(v) for k, v in (attributes or {}).items()
-        }
-        self.regions: List[Region] = [Region(self) for _ in range(regions)]
+            k: make_attr(v) for k, v in attributes.items()
+        } if attributes else {}
+        self.regions: List[Region] = [
+            Region(self) for _ in range(regions)
+        ] if regions else []
         self.successors: List[Block] = list(successors)
+        self._digest = None
+        self._digest_free = ()
+        self._digest_free_blocks = ()
 
     # -- creation ----------------------------------------------------------
 
@@ -450,10 +477,22 @@ class Operation:
         return False
 
     def is_before_in_block(self, other: "Operation") -> bool:
-        if self.parent is None or self.parent is not other.parent:
+        block = self.parent
+        if block is None or block is not other.parent:
             raise ValueError("operations are not in the same block")
-        ops = self.parent.ops
-        return ops.index(self) < ops.index(other)
+        if not block._ordered:
+            block._recompute_op_order()
+        return self._order < other._order
+
+    @property
+    def prev_op(self) -> Optional["Operation"]:
+        """The op before this one in its block (None at the head)."""
+        return self._prev
+
+    @property
+    def next_op(self) -> Optional["Operation"]:
+        """The op after this one in its block (None at the tail)."""
+        return self._next
 
     def region(self, index: int = 0) -> "Region":
         return self.regions[index]
@@ -517,18 +556,16 @@ class Operation:
             result.replace_all_uses_with(new)
 
     def move_before(self, other: "Operation") -> None:
-        if self.parent is not None:
-            self.parent.remove(self)
-        block = other.parent
-        assert block is not None
-        block.insert_before(other, self)
+        """Make this op the one before ``other`` (itself: no change)."""
+        if other.parent is None:
+            raise ValueError("anchor operation is not in a block")
+        other.parent.insert_before(other, self)
 
     def move_after(self, other: "Operation") -> None:
-        if self.parent is not None:
-            self.parent.remove(self)
-        block = other.parent
-        assert block is not None
-        block.insert_after(other, self)
+        """Make this op the one after ``other`` (itself: no change)."""
+        if other.parent is None:
+            raise ValueError("anchor operation is not in a block")
+        other.parent.insert_after(other, self)
 
     def clone(self, value_map: Optional[Dict[Value, Value]] = None) -> "Operation":
         """Deep-copy this operation (and nested regions).
@@ -557,15 +594,27 @@ class Operation:
     # -- traversal ----------------------------------------------------------
 
     def walk(self, reverse: bool = False) -> Iterator["Operation"]:
-        """Pre-order traversal of this op and everything nested in it."""
+        """Pre-order traversal of this op and everything nested in it.
+
+        One generator over an explicit stack of child iterators, so a
+        deep op costs no chain of ``yield from`` frames. Mutation
+        tolerance: an op's regions are read after the consumer is done
+        with the op, and a block's ops are snapshotted when the walk
+        reaches the block — ops inserted into a block already reached
+        are not visited, ops erased from it still are (``parent`` is
+        None by then).
+        """
         yield self
-        regions = reversed(self.regions) if reverse else self.regions
-        for region in regions:
-            blocks = reversed(region.blocks) if reverse else region.blocks
-            for block in blocks:
-                ops = reversed(block.ops) if reverse else list(block.ops)
-                for op in ops:
-                    yield from op.walk(reverse)
+        children = _children_reversed if reverse else _children
+        stack = [children(self)]
+        while stack:
+            for op in stack[-1]:
+                yield op
+                if op.regions:
+                    stack.append(children(op))
+                    break
+            else:
+                stack.pop()
 
     def walk_ops(self, name: str) -> Iterator["Operation"]:
         """Walk, yielding only ops with the given name."""
@@ -594,7 +643,7 @@ class Operation:
     def _verify_traits(self) -> None:
         traits = type(self).TRAITS
         if IsTerminator in traits and self.parent is not None:
-            if self.parent.ops and self.parent.ops[-1] is not self:
+            if self.parent._last is not self:
                 raise ValueError(f"terminator {self.name} not last in block")
         if SingleBlock in traits:
             for region in self.regions:
@@ -624,14 +673,28 @@ class Operation:
 
 
 class Block:
-    """A sequence of operations with block arguments."""
+    """A sequence of operations with block arguments.
+
+    The operations form an intrusive doubly linked list (``_first`` /
+    ``_last`` here, ``_prev`` / ``_next`` on each op), so every mutator
+    touches O(1) nodes however large the block. :attr:`ops` is the one
+    read surface: a list memo of the linked order that ``append`` and
+    removing the last op keep current, that every other mutator drops,
+    and that the next read rebuilds.
+    """
 
     def __init__(self, arg_types: Sequence[Type] = ()):
         self.args: List[BlockArgument] = [
             BlockArgument(self, i, t) for i, t in enumerate(arg_types)
         ]
-        self.ops: List[Operation] = []
         self.parent: Optional[Region] = None
+        self._first: Optional[Operation] = None
+        self._last: Optional[Operation] = None
+        #: Memo behind :attr:`ops`; None once the links moved under it.
+        self._ops: Optional[List[Operation]] = []
+        #: Whether ``_order`` rises along the links (appends and
+        #: removals keep it so; see :meth:`_recompute_op_order`).
+        self._ordered = True
 
     # -- arguments -----------------------------------------------------------
 
@@ -652,37 +715,117 @@ class Block:
 
     # -- op list -------------------------------------------------------------
 
+    @property
+    def ops(self) -> List[Operation]:
+        """The operations in order, as a list to read, never to mutate.
+
+        A list taken before a mutation is not updated by it, except
+        that an ``append`` shows and a removed last op goes: a loop over
+        ``block.ops`` that erases the op it stands on skips no sibling.
+        """
+        ops = self._ops
+        if ops is None:
+            ops = self._ops = []
+            op = self._first
+            while op is not None:
+                ops.append(op)
+                op = op._next
+        return ops
+
     def append(self, op: Operation) -> Operation:
         if op.parent is not None:
             op.parent.remove(op)
+        last = self._last
         op.parent = self
-        self.ops.append(op)
+        op._prev = last
+        if last is None:
+            self._first = op
+        else:
+            last._next = op
+            op._order = last._order + 1
+        self._last = op
+        if self._ops is not None:
+            self._ops.append(op)
         invalidate_digest(self.parent_op)
         return op
 
     def insert(self, index: int, op: Operation) -> Operation:
+        """``list.insert`` semantics: negative indices count from the
+        end, out-of-range ones clamp, and an ``op`` already in this
+        block leaves it before ``index`` is looked up."""
         if op.parent is not None:
             op.parent.remove(op)
+        ops = self.ops
+        if index < 0:
+            index = max(index + len(ops), 0)
+        if index >= len(ops):
+            return self.append(op)
+        return self.insert_before(ops[index], op)
+
+    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
+        """Make ``op`` the op before ``anchor``, from wherever it was
+        (``anchor`` itself: no change)."""
+        if anchor.parent is not self:
+            raise ValueError("anchor operation is not in this block")
+        if op is anchor:
+            return op
+        if op.parent is not None:
+            op.parent.remove(op)
+        prev = anchor._prev
         op.parent = self
-        self.ops.insert(index, op)
+        op._prev = prev
+        op._next = anchor
+        anchor._prev = op
+        if prev is None:
+            self._first = op
+        else:
+            prev._next = op
+        self._ops = None
+        self._ordered = False
         invalidate_digest(self.parent_op)
         return op
 
-    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
-        return self.insert(self.ops.index(anchor), op)
-
     def insert_after(self, anchor: Operation, op: Operation) -> Operation:
-        return self.insert(self.ops.index(anchor) + 1, op)
+        """Make ``op`` the op after ``anchor`` (itself: no change)."""
+        if anchor.parent is not self:
+            raise ValueError("anchor operation is not in this block")
+        if op is anchor:
+            return op
+        following = anchor._next
+        if following is None:
+            return self.append(op)
+        return self.insert_before(following, op)
 
     def remove(self, op: Operation) -> None:
-        self.ops.remove(op)
-        op.parent = None
+        if op.parent is not self:
+            raise ValueError("operation is not in this block")
+        prev, following = op._prev, op._next
+        if prev is None:
+            self._first = following
+        else:
+            prev._next = following
+        if following is None:
+            self._last = prev
+            if self._ops is not None:
+                self._ops.pop()
+        else:
+            following._prev = prev
+            self._ops = None
+        op.parent = op._prev = op._next = None
         invalidate_digest(self.parent_op)
+
+    def _recompute_op_order(self) -> None:
+        """Renumber ``_order`` along the links: done by the first
+        :meth:`Operation.is_before_in_block` after an insertion."""
+        for index, op in enumerate(self.ops):
+            op._order = index
+        self._ordered = True
 
     @property
     def terminator(self) -> Optional[Operation]:
-        if self.ops and self.ops[-1].has_trait(IsTerminator):
-            return self.ops[-1]
+        last = self._last
+        if last is not None and last.has_trait(IsTerminator):
+            return last
         return None
 
     @property
@@ -733,7 +876,7 @@ class Region:
 
     @property
     def is_empty(self) -> bool:
-        return not self.blocks or all(not b.ops for b in self.blocks)
+        return all(b._first is None for b in self.blocks)
 
     def clone_into(self, dest: "Region",
                    value_map: Dict[Value, Value]) -> None:

@@ -12,6 +12,7 @@ MLIR's ``?`` notation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -102,6 +103,17 @@ class ShapedType(Type):
     shape: Tuple[int, ...]
     element_type: Type
 
+    # The lowerings build a fresh shaped type per op and the printer,
+    # the digest and CSE each spell it, so the spelling is memoized by
+    # *value*: bounded (a daemon cannot grow it) and nothing is written
+    # to the instances. Subclasses define :meth:`_spelling`.
+    @functools.lru_cache(maxsize=1024)
+    def __str__(self) -> str:
+        return self._spelling()
+
+    def _spelling(self) -> str:  # pragma: no cover - overridden
+        return "<shaped type>"
+
     @property
     def rank(self) -> int:
         return len(self.shape)
@@ -124,7 +136,7 @@ class ShapedType(Type):
 class TensorType(ShapedType):
     """A ranked tensor type, e.g. ``tensor<4x?xf32>``."""
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return f"tensor<{_shape_str(self.shape)}{self.element_type}>"
 
 
@@ -157,7 +169,7 @@ class MemRefType(ShapedType):
     layout: Optional[MemRefLayout] = None
     memory_space: int = 0
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         parts = [f"{_shape_str(self.shape)}{self.element_type}"]
         if self.layout is not None:
             parts.append(str(self.layout))
@@ -188,7 +200,7 @@ class MemRefType(ShapedType):
 class VectorType(ShapedType):
     """A fixed-shape vector type, e.g. ``vector<8xf32>``."""
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return f"vector<{_shape_str(self.shape)}{self.element_type}>"
 
 

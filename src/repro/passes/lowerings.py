@@ -89,10 +89,8 @@ def _split_block_after(op: Operation, arg_types: List[Type]) -> Block:
     assert block is not None and block.parent is not None
     region = block.parent
     continuation = Block(arg_types)
-    position = block.ops.index(op)
-    for trailing in list(block.ops[position + 1 :]):
-        block.remove(trailing)
-        continuation.append(trailing)
+    while op.next_op is not None:
+        continuation.append(op.next_op)
     region.insert_block(region.blocks.index(block) + 1, continuation)
     return continuation
 

@@ -15,7 +15,7 @@ conversion framework:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.core import Block, Operation, Value
 from ..ir.types import Type
@@ -60,24 +60,28 @@ class ConversionTarget:
         self.legal_ops: Set[str] = set()
         self.illegal_ops: Set[str] = set()
         self.dynamic: Dict[str, Callable[[Operation], bool]] = {}
+        #: op name -> (legality, explicitly illegal) as the four sets
+        #: alone decide it; every declaration drops it.
+        self._static: Dict[str, Tuple[Optional[bool], bool]] = {}
 
     # -- declaration ----------------------------------------------------------
 
-    def add_legal_dialect(self, *names: str) -> "ConversionTarget":
-        self.legal_dialects.update(names)
+    def _declare(self, names: Set[str], new: Sequence[str]) -> "ConversionTarget":
+        names.update(new)
+        self._static.clear()
         return self
+
+    def add_legal_dialect(self, *names: str) -> "ConversionTarget":
+        return self._declare(self.legal_dialects, names)
 
     def add_illegal_dialect(self, *names: str) -> "ConversionTarget":
-        self.illegal_dialects.update(names)
-        return self
+        return self._declare(self.illegal_dialects, names)
 
     def add_legal_op(self, *names: str) -> "ConversionTarget":
-        self.legal_ops.update(names)
-        return self
+        return self._declare(self.legal_ops, names)
 
     def add_illegal_op(self, *names: str) -> "ConversionTarget":
-        self.illegal_ops.update(names)
-        return self
+        return self._declare(self.illegal_ops, names)
 
     def add_dynamically_legal_op(
         self, name: str, predicate: Callable[[Operation], bool]
@@ -87,32 +91,43 @@ class ConversionTarget:
 
     # -- queries ----------------------------------------------------------------
 
-    @staticmethod
-    def _dialect_of(op_name: str) -> str:
-        return op_name.split(".", 1)[0]
+    def _classify(self, name: str) -> Tuple[Optional[bool], bool]:
+        """What the declared sets say about every op called ``name``."""
+        dialect = name.split(".", 1)[0]
+        if name in self.legal_ops:
+            legality: Optional[bool] = True
+        elif name in self.illegal_ops:
+            legality = False
+        elif dialect in self.legal_dialects:
+            legality = True
+        elif dialect in self.illegal_dialects:
+            legality = False
+        else:
+            legality = None
+        answer = self._static[name] = (
+            legality,
+            name in self.illegal_ops or dialect in self.illegal_dialects,
+        )
+        return answer
 
     def legality(self, op: Operation) -> Optional[bool]:
         """True = legal, False = illegal, None = unknown (kept as-is)."""
-        if op.name in self.dynamic:
-            return self.dynamic[op.name](op)
-        if op.name in self.legal_ops:
-            return True
-        if op.name in self.illegal_ops:
-            return False
-        dialect = self._dialect_of(op.name)
-        if dialect in self.legal_dialects:
-            return True
-        if dialect in self.illegal_dialects:
-            return False
-        return None
+        name = op.name
+        if name in self.dynamic:
+            return self.dynamic[name](op)
+        try:
+            return self._static[name][0]
+        except KeyError:
+            return self._classify(name)[0]
 
     def explicitly_illegal(self, op: Operation) -> bool:
-        if op.name in self.dynamic:
-            return not self.dynamic[op.name](op)
-        return (
-            op.name in self.illegal_ops
-            or self._dialect_of(op.name) in self.illegal_dialects
-        )
+        name = op.name
+        if name in self.dynamic:
+            return not self.dynamic[name](op)
+        try:
+            return self._static[name][1]
+        except KeyError:
+            return self._classify(name)[1]
 
 
 class ConversionRewriter(PatternRewriter):
@@ -210,6 +225,8 @@ def apply_conversion(
     for pat in patterns:
         by_name.setdefault(pat.root_name, []).append(pat)
     generic = by_name.get(None, [])
+    #: op name -> its patterns, best benefit first (stable among equals).
+    candidates_for: Dict[str, List[RewritePattern]] = {}
 
     rewriter = ConversionRewriter(type_converter, extra_listeners)
 
@@ -221,10 +238,13 @@ def apply_conversion(
             legality = target.legality(op)
             if legality is not False:
                 continue
-            candidates = sorted(
-                [*by_name.get(op.name, []), *generic],
-                key=lambda p: -p.benefit,
-            )
+            try:
+                candidates = candidates_for[op.name]
+            except KeyError:
+                candidates = candidates_for[op.name] = sorted(
+                    [*by_name.get(op.name, []), *generic],
+                    key=lambda p: -p.benefit,
+                )
             for pat in candidates:
                 rewriter.set_insertion_point_before(op)
                 if pat.match_and_rewrite(op, rewriter):

@@ -106,9 +106,7 @@ class PatternRewriter(Builder):
         target = anchor.parent
         assert target is not None
         for op in list(block.ops):
-            block.remove(op)
             target.insert_before(anchor, op)
-            op.parent = target
             for listener in self.listeners:
                 listener.notify_op_inserted(op)
 

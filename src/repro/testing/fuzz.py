@@ -23,7 +23,11 @@ interpreter's exception barrier, and asserts the robustness invariants:
 * **relocatable function text** — every all-function payload and
   output is the splice of its function-tier entries, byte for byte and
   digest for digest (:func:`relocation_violations`), which is what the
-  compile service's function tier serves results from without parsing.
+  compile service's function tier serves results from without parsing;
+* **op-list links** — in every payload and every output, each block's
+  intrusive op list is consistent (:func:`op_list_violations`): forward
+  links mirror backward links, parent pointers match, the ``block.ops``
+  memo is the linked order and a valid order index rises along it.
 
 With ``--differential``, every case additionally cross-checks the
 static analysis (:mod:`repro.analysis.invalidation`) against the
@@ -497,6 +501,46 @@ def _relocation_check(case_seed: int, what: str, module: Operation,
         for violation in relocation_violations(module))
 
 
+def op_list_violations(root: Operation) -> List[str]:
+    """Which blocks under ``root`` hold an inconsistent op list (the
+    container contract of DESIGN.md §11); empty when all is well."""
+    violated = []
+    for parent in root.walk():
+        for region in parent.regions:
+            for block in region.blocks:
+                forward, op = [], block._first
+                while op is not None:
+                    forward.append(op)
+                    op = op._next
+                backward, op = [], block._last
+                while op is not None:
+                    backward.append(op)
+                    op = op._prev
+                where = f"block of '{parent.name}'"
+                if forward != backward[::-1]:
+                    violated.append(f"{where}: forward links are not "
+                                    "the backward links reversed")
+                if region.parent is not parent or block.parent is not region \
+                        or any(op.parent is not block for op in forward):
+                    violated.append(f"{where}: a parent pointer is off")
+                if block._ops is not None and block._ops != forward:
+                    violated.append(f"{where}: the ops memo is not the "
+                                    "linked order")
+                orders = [op._order for op in forward]
+                if block._ordered and any(
+                        a >= b for a, b in zip(orders, orders[1:])):
+                    violated.append(f"{where}: a valid order index "
+                                    "does not rise")
+    return violated
+
+
+def _op_list_check(case_seed: int, what: str, module: Operation,
+                   failures: List[FuzzFailure]) -> None:
+    failures.extend(
+        FuzzFailure(case_seed, "op-list-links", f"{what}: {violation}")
+        for violation in op_list_violations(module))
+
+
 def run_case(case_seed: int, differential: bool = False
              ) -> Tuple[CaseOutcome, List[FuzzFailure]]:
     """Build and interpret one case twice, checking every invariant."""
@@ -504,8 +548,10 @@ def run_case(case_seed: int, differential: bool = False
     payload, script, rollback, before = _build_case(case_seed)
     _roundtrip_check(case_seed, "payload", payload, failures)
     _relocation_check(case_seed, "payload", payload, failures)
+    _op_list_check(case_seed, "payload", payload, failures)
     _roundtrip_check(case_seed, "script", script, failures)
     outcome = _interpret(payload, script)
+    _op_list_check(case_seed, "output", payload, failures)
 
     if differential and outcome.kind != "crash":
         _differential_check(case_seed, script, outcome, failures)

@@ -391,8 +391,9 @@ def hoist_loop_invariants_to(loop: Operation,
             # Move the freshly hoisted ops (now just before the loop) to
             # the target's entry block when their operands allow it.
             moved = 0
-            position = block.ops.index(loop)
-            for op in list(block.ops[:position]):
+            following = block.ops[0]
+            while following is not loop:
+                op, following = following, following.next_op
                 defined_locally = any(
                     operand.defining_op() is not None
                     and operand.defining_op().parent is block
@@ -400,9 +401,7 @@ def hoist_loop_invariants_to(loop: Operation,
                 )
                 if defined_locally or not op.results:
                     continue
-                block.remove(op)
                 entry.insert(moved, op)
-                op.parent = entry
                 moved += 1
     return count
 
@@ -424,10 +423,11 @@ def fuse_sibling_loops(first: Operation, second: Operation) -> Operation:
     # All ops between the two loops must not depend on the first loop.
     block = first.parent
     assert block is not None
-    start = block.ops.index(first)
-    end = block.ops.index(second)
-    if any(op.name != "scf.for" for op in block.ops[start + 1 : end]):
-        raise LoopTransformError("loops are not adjacent")
+    between = first.next_op if first.is_before_in_block(second) else second
+    while between is not second:
+        if between.name != "scf.for":
+            raise LoopTransformError("loops are not adjacent")
+        between = between.next_op
 
     yield_op = first.body.ops[-1]  # type: ignore[attr-defined]
     insert_builder = Builder.before(yield_op)

@@ -293,6 +293,266 @@ class TestBlock:
         assert block.terminator is not None
 
 
+def _op_list_world():
+    """``root`` holding two holders: one with the target block ``T`` =
+    ``[a, b, c]`` (``c`` a terminator) and an empty block ``E``, one
+    with the source block ``S`` = ``[x, y]``; plus a detached op ``n``
+    and a detached empty block ``D``. Everything is digested."""
+    from repro.ir.hashing import op_digest
+    from repro.rewrite.pattern import PatternRewriter
+
+    root = Operation.create("test.root", regions=1)
+    top = root.regions[0].add_block()
+    world = {"root": root, "D": Block(), "rewriter": PatternRewriter()}
+    for holder, names in (("T", "abc"), ("S", "xy")):
+        op = top.append(Operation.create("test.holder", regions=1))
+        world[holder] = op.regions[0].add_block()
+        for value, name in enumerate(names):
+            world[name] = world[holder].append(
+                Operation.create("func.return") if name == "c"
+                else make_const(value))
+    world["E"] = world["T"].parent.add_block()
+    world["n"] = make_const(9)
+    op_digest(root)
+    op_digest(world["n"])
+    return world
+
+
+#: ``mutation -> T | S | E`` afterwards, in the names of
+#: ``_op_list_world``: every mutator at the head, in the middle and at
+#: the tail of a block, on an empty block, and moving across blocks.
+_MUTATIONS = """
+    E.append(n) -> abc | xy | n
+    T.append(n) -> abcn | xy |
+    T.append(a) -> bca | xy |
+    T.append(b) -> acb | xy |
+    T.append(c) -> abc | xy |
+    T.append(x) -> abcx | y |
+    E.insert(0, n) -> abc | xy | n
+    T.insert(0, n) -> nabc | xy |
+    T.insert(1, n) -> anbc | xy |
+    T.insert(3, n) -> abcn | xy |
+    T.insert(1, y) -> aybc | x |
+    T.insert_before(a, n) -> nabc | xy |
+    T.insert_before(b, n) -> anbc | xy |
+    T.insert_before(c, n) -> abnc | xy |
+    T.insert_before(b, x) -> axbc | y |
+    T.insert_after(a, n) -> anbc | xy |
+    T.insert_after(b, n) -> abnc | xy |
+    T.insert_after(c, n) -> abcn | xy |
+    T.insert_after(c, y) -> abcy | x |
+    T.remove(a) -> bc | xy |
+    T.remove(b) -> ac | xy |
+    T.remove(c) -> ab | xy |
+    a.erase() -> bc | xy |
+    b.erase() -> ac | xy |
+    c.erase() -> ab | xy |
+    c.move_before(a) -> cab | xy |
+    a.move_before(c) -> bac | xy |
+    x.move_before(a) -> xabc | y |
+    c.move_after(a) -> acb | xy |
+    a.move_after(c) -> bca | xy |
+    y.move_after(b) -> abyc | x |
+    E.append(x) -> abc | y | x
+    rewriter.inline_block_before(S, a) -> xyabc | |
+    rewriter.inline_block_before(S, b) -> axybc | |
+    rewriter.inline_block_before(S, c) -> abxyc | |
+    rewriter.inline_block_before(D, b) -> abc | xy |
+"""
+
+
+class TestOpListMutators:
+    @pytest.mark.parametrize(
+        "row", [row.strip() for row in _MUTATIONS.strip().splitlines()])
+    def test_every_mutator_at_every_position(self, row):
+        from repro.testing.fuzz import op_list_violations
+
+        mutation, after = row.split(" -> ")
+        world = _op_list_world()
+        root = world["root"]
+        eval(mutation, {}, world)
+
+        for block, names in zip("TSE", after.split("|")):
+            block = world[block]
+            expected = [world[name] for name in names.strip()]
+            # Forward links == backward links reversed == the memo:
+            assert op_list_violations(root) == []
+            assert block.ops == expected
+            assert list(block) == list(reversed(block.ops))[::-1] == expected
+            assert [op.prev_op for op in expected[1:]] == expected[:-1]
+            assert [op.next_op for op in expected[:-1]] == expected[1:]
+            assert all(op.parent is block for op in expected)
+            assert len(block) == len(block.ops) == len(expected)
+            if expected:
+                assert block.ops[-1] is expected[-1]
+                assert block.ops[0] is expected[0]
+                assert block.ops[1:3] == expected[1:3]
+                assert block.ops.index(expected[-1]) == len(expected) - 1
+                assert expected[0] in block.ops
+                assert all(
+                    first.is_before_in_block(second)
+                    and not second.is_before_in_block(first)
+                    for first, second in zip(expected, expected[1:]))
+            is_return = bool(expected) and expected[-1].name == "func.return"
+            assert block.terminator is (expected[-1] if is_return else None)
+        attached = world["T"].ops + world["S"].ops + world["E"].ops
+        for op in (world[name] for name in "abcxyn"):
+            if op not in attached:
+                assert (op.parent, op.prev_op, op.next_op) == (None,) * 3
+        assert op_list_violations(root) == []
+
+        # Exactly the ancestor chains of the blocks the mutation touched
+        # lost their digests; every op kept its own.
+        dirty = set()
+        if "(D," not in mutation:  # inlining an empty block: no touch
+            dirty |= {root, world["T"].parent_op}
+        if world["S"].ops != [world["x"], world["y"]]:
+            dirty |= {root, world["S"].parent_op}
+        for op in root.walk():
+            assert (op._digest is None) == (op in dirty), (mutation, op)
+
+
+class TestOpListEdges:
+    """What a Python list gave for free and the links must define."""
+
+    def block_of(self, count):
+        block = Block()
+        return block, [block.append(make_const(i)) for i in range(count)]
+
+    def test_insert_an_op_of_the_same_block_by_index(self):
+        # list semantics: the op leaves first, then the index is read.
+        block, (a, b, c, d) = self.block_of(4)
+        block.insert(2, a)  # from before the slot
+        assert block.ops == [b, c, a, d]
+        block.insert(1, d)  # from after the slot
+        assert block.ops == [b, d, c, a]
+        block.insert(1, d)  # onto itself
+        assert block.ops == [b, d, c, a]
+
+    def test_insert_before_an_op_of_the_same_block(self):
+        # The op ends up next to the anchor from either side (the list
+        # version landed one slot late when it came from before).
+        block, (a, b, c, d) = self.block_of(4)
+        block.insert_before(c, a)
+        assert block.ops == [b, a, c, d]
+        block.insert_before(b, d)
+        assert block.ops == [d, b, a, c]
+        block.insert_after(c, d)
+        assert block.ops == [b, a, c, d]
+        block.insert_after(b, a)  # already there
+        assert block.ops == [b, a, c, d]
+
+    def test_moving_an_op_next_to_itself_changes_nothing(self):
+        from repro.ir.hashing import op_digest
+
+        holder = Operation.create("test.holder", regions=1)
+        block = holder.regions[0].add_block()
+        a, b = block.append(make_const(1)), block.append(make_const(2))
+        op_digest(holder)
+        a.move_before(a)
+        b.move_after(b)
+        block.insert_before(a, a)
+        block.insert_after(b, b)
+        assert block.ops == [a, b]
+        assert a.parent is block and b.parent is block
+        assert holder._digest is not None
+
+    def test_negative_and_past_the_end_indices_clamp(self):
+        block, (a, b) = self.block_of(2)
+        block.insert(-1, c := make_const(3))
+        assert block.ops == [a, c, b]
+        block.insert(-100, d := make_const(4))
+        assert block.ops == [d, a, c, b]
+        block.insert(100, e := make_const(5))
+        assert block.ops == [d, a, c, b, e]
+        assert block.ops[-1] is e and block.ops[-5] is d
+        with pytest.raises(IndexError):
+            block.ops[5]
+
+    @pytest.mark.parametrize("mutate", [
+        lambda block, anchor, op: block.insert_before(anchor, op),
+        lambda block, anchor, op: block.insert_after(anchor, op),
+        lambda block, anchor, op: block.remove(anchor),
+    ])
+    def test_an_anchor_from_another_block_raises_and_corrupts_nothing(
+            self, mutate):
+        block, (a, b) = self.block_of(2)
+        other, (x, y) = self.block_of(2)
+        with pytest.raises(ValueError):
+            mutate(block, x, b)
+        with pytest.raises(ValueError):
+            mutate(block, make_const(), b)  # in no block at all
+        assert block.ops == [a, b] and other.ops == [x, y]
+        assert (a.next_op, b.prev_op, x.next_op, y.prev_op) == (b, a, y, x)
+        with pytest.raises(ValueError):
+            a.move_before(make_const())
+        with pytest.raises(ValueError):
+            a.is_before_in_block(x)
+
+    def test_erasing_the_op_a_loop_over_ops_stands_on_skips_no_sibling(self):
+        block, ops = self.block_of(5)
+        visited = []
+        for op in block.ops:
+            visited.append(op)
+            op.erase()
+        assert visited == ops and block.ops == [] and len(block) == 0
+        block, ops = self.block_of(5)
+        visited = [op for op in reversed(block.ops) if op.erase() is None]
+        assert visited == ops[::-1] and block.ops == []
+
+    def test_a_list_taken_before_a_mutation(self):
+        # Appends show and a removed tail goes; anything else leaves the
+        # list as it was and the next read is a fresh one.
+        block, (a, b, c) = self.block_of(3)
+        before = block.ops
+        d = block.append(make_const(4))
+        assert before == [a, b, c, d]
+        d.erase()
+        assert before == [a, b, c]
+        a.erase()
+        assert before == [a, b, c] and block.ops == [b, c]
+
+    def test_order_index_is_renumbered_lazily(self):
+        block, (a, b, c) = self.block_of(3)
+        assert block._ordered and a.is_before_in_block(c)
+        b.erase()  # removals keep it valid
+        d = block.append(make_const(4))  # appends too
+        assert block._ordered and c.is_before_in_block(d)
+        e = block.insert_before(c, make_const(5))
+        assert not block._ordered  # ... an insertion does not
+        assert e.is_before_in_block(c) and a.is_before_in_block(e)
+        assert block._ordered
+        assert [op._order for op in block.ops] == [0, 1, 2, 3]
+
+    def test_destroy_leaves_no_link_or_memo_behind(self):
+        module = Operation.create("test.module", regions=1)
+        block = module.regions[0].add_block()
+        ops = [block.append(make_const(i)) for i in range(3)]
+        block.insert_before(ops[0], ops[2])
+        assert block.ops == [ops[2], ops[0], ops[1]]
+        module.destroy()
+        assert vars(block) == {}
+        assert all(vars(op) == {} for op in ops)
+
+    def test_the_fuzz_invariant_sees_a_broken_link(self):
+        from repro.testing.fuzz import op_list_violations
+
+        module = Operation.create("test.module", regions=1)
+        block = module.regions[0].add_block()
+        a, b = block.append(make_const(1)), block.append(make_const(2))
+        assert op_list_violations(module) == []
+        b._prev = None
+        assert any("backward" in v for v in op_list_violations(module))
+        b._prev = a
+        block._ops = [b, a]
+        assert any("memo" in v for v in op_list_violations(module))
+        block._ops = None
+        a._order, b._order = 5, 5
+        assert any("order index" in v for v in op_list_violations(module))
+        a.parent = None
+        assert any("parent" in v for v in op_list_violations(module))
+
+
 class TestRegion:
     def test_entry_block(self):
         region = Region()
