@@ -15,7 +15,11 @@ from .types import FloatType, IndexType, IntegerType, Type
 
 @dataclass(frozen=True)
 class Attribute:
-    """Base class of all attributes."""
+    """Base class of all attributes.
+
+    ``str(attribute)`` is its one spelling: the parseable text the
+    printer writes, the digest hashes and CSE keys on.
+    """
 
     def __str__(self) -> str:  # pragma: no cover - overridden
         return "<attr>"
@@ -54,7 +58,9 @@ class FloatAttr(Attribute):
     type: Type = field(default_factory=lambda: FloatType(64))
 
     def __str__(self) -> str:
-        return f"{self.value} : {self.type}"
+        # repr of the float: an integral value keeps its ``.0`` and
+        # parses back as a float attribute.
+        return f"{float(self.value)!r} : {self.type}"
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,10 @@ class StringAttr(Attribute):
     value: str
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        value = self.value
+        if '"' in value or "\\" in value:
+            value = value.replace("\\", "\\\\").replace('"', '\\"')
+        return '"' + value + '"'
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,7 @@ class ArrayAttr(Attribute):
     values: Tuple[Attribute, ...]
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(v) for v in self.values) + "]"
+        return "[" + ", ".join(map(str, self.values)) + "]"
 
     def __iter__(self):
         return iter(self.values)
@@ -114,8 +123,8 @@ class DictAttr(Attribute):
         return dict(self.entries)
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{k} = {v}" for k, v in self.entries)
-        return "{" + inner + "}"
+        return "{" + ", ".join(
+            [f"{k} = {v}" for k, v in self.entries]) + "}"
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,7 @@ class DenseIntAttr(Attribute):
     type: Type = field(default_factory=lambda: IntegerType(64))
 
     def __str__(self) -> str:
-        return f"dense<[{', '.join(str(v) for v in self.values)}]> : {self.type}"
+        return f"dense<[{', '.join(map(str, self.values))}]> : {self.type}"
 
     def __iter__(self):
         return iter(self.values)
@@ -140,10 +149,10 @@ class DenseFloatAttr(Attribute):
     """A flat dense float array."""
 
     values: Tuple[float, ...]
-    type: Type = field(default_factory=lambda: IntegerType(64))
+    type: Type = field(default_factory=lambda: FloatType(64))
 
     def __str__(self) -> str:
-        return f"dense<[{', '.join(str(v) for v in self.values)}]> : {self.type}"
+        return f"dense<[{', '.join(map(str, self.values))}]> : {self.type}"
 
 
 @dataclass(frozen=True)

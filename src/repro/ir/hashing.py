@@ -44,13 +44,31 @@ import struct
 from typing import Dict, List, Sequence, Tuple
 
 from .core import Block, DIGEST_STATS, Operation, Value
-from .printer import print_attribute
 
 _PACK = struct.Struct(">I").pack
 
 #: Domain-separation prefix; bump when the encoding changes so stale
 #: digests can never collide with fresh ones across versions.
 _DOMAIN = b"repro-op-digest-v1"
+
+
+class _Packed(dict):
+    """``prefix + _PACK(i)`` by ``i``: counts and indices are almost
+    all small, so those are packed once; a large one is packed per
+    read and not kept (nothing here grows with the IR a daemon sees)."""
+
+    def __init__(self, prefix: bytes) -> None:
+        super().__init__((i, prefix + _PACK(i)) for i in range(256))
+        self.prefix = prefix
+
+    def __missing__(self, i: int) -> bytes:
+        return self.prefix + _PACK(i)
+
+
+#: A count or an index; a reference to free value / free block #i.
+_COUNT = _Packed(b"")
+_FREE = _Packed(b"F")
+_ZERO, _ONE = _COUNT[0], _COUNT[1]
 
 
 def _text(text: str) -> bytes:
@@ -67,9 +85,9 @@ _name = functools.lru_cache(maxsize=1024)(_text)
 
 def _attributes(parts: List[bytes], attributes) -> None:
     """Append an attribute dictionary, in key order."""
-    parts.append(_PACK(len(attributes)))
+    parts.append(_COUNT[len(attributes)])
     for key, attribute in sorted(attributes.items()):
-        parts += (_name(key), _text(print_attribute(attribute)))
+        parts += (_name(key), _text(str(attribute)))
 
 
 def _compute(op: Operation) -> Tuple[bytes, tuple, tuple]:
@@ -79,103 +97,124 @@ def _compute(op: Operation) -> Tuple[bytes, tuple, tuple]:
     hashed once (``_DOMAIN`` + concatenation): the bytes are what one
     ``update`` per field would feed the hash, at a fraction of the
     calls — tests/ir/test_hashing.py pins digests of fixed IR so the
-    encoding cannot drift."""
+    encoding cannot drift, and tests/ir/test_emission.py compares
+    against the two-function encoder this one replaced.
+
+    Per nested op the regions append the child's digest with the
+    child's free references re-encoded against this level's paths —
+    which is what binds "child uses free value #k" to an actual
+    definition site. References this level cannot resolve either join
+    its own free values/blocks."""
     memo = op._digest
     if memo is not None:
         DIGEST_STATS.hits += 1
         return memo, op._digest_free, op._digest_free_blocks
     DIGEST_STATS.recomputes += 1
 
-    pack = _PACK
-    parts = [_DOMAIN, _name(op.name), pack(len(op.results))]
+    count, free, name = _COUNT, _FREE, _name
+    parts = [_DOMAIN, name(op.name), count[len(op.results)]]
     for result in op.results:
-        parts.append(_name(str(result.type)))
+        parts.append(name(str(result.type)))
     # The root's operands (and successors) are free by construction
     # (SSA: an op cannot use its own results, and its regions' values
     # are not visible as operands), and they are hashed before the
     # regions so free indices follow the printer's first-use order.
-    free_values: List[Value] = []
+    operands = op._operands
+    if not operands:
+        free_values: List[Value] = []
+        parts.append(_ZERO)
+    elif len(operands) == 1:
+        value = operands[0]._value
+        free_values = [value]
+        parts += (_ONE, free[0], name(str(value.type)))
+    else:
+        free_values = []
+        seen: Dict[Value, bytes] = {}
+        parts.append(count[len(operands)])
+        for operand in operands:
+            value = operand._value
+            # A value used twice keeps the reference of its first use.
+            reference = seen.get(value)
+            if reference is None:
+                reference = seen[value] = free[len(free_values)]
+                free_values.append(value)
+            parts += (reference, name(str(value.type)))
     free_blocks: List[Block] = []
-    operands = op.operands
-    parts.append(pack(len(operands)))
-    # id -> free index; values and blocks are distinct live objects,
-    # so one table serves both.
-    seen: Dict[int, int] = {}
-    for operand in operands:
-        index = seen.setdefault(id(operand), len(free_values))
-        if index == len(free_values):
-            free_values.append(operand)
-        parts += (b"F", pack(index), _name(str(operand.type)))
-    parts.append(pack(len(op.successors)))
-    for successor in op.successors:
-        index = seen.setdefault(id(successor), len(free_blocks))
-        if index == len(free_blocks):
-            free_blocks.append(successor)
-        parts += (b"F", pack(index))
-    _attributes(parts, op.attributes)
-    parts.append(pack(len(op.regions)))
-    if op.regions:  # leaf ops — most ops — stop here
-        _regions(op, parts, free_values, free_blocks)
+    if op.successors:
+        parts.append(count[len(op.successors)])
+        for successor in op.successors:
+            if successor not in free_blocks:
+                free_blocks.append(successor)
+            parts.append(free[free_blocks.index(successor)])
+    else:
+        parts.append(_ZERO)
+    attributes = op.attributes
+    if not attributes:
+        parts.append(_ZERO)
+    elif len(attributes) == 1:  # nothing to sort
+        for key, attribute in attributes.items():
+            parts += (_ONE, name(key), _text(str(attribute)))
+    else:
+        _attributes(parts, attributes)
+    if not op.regions:  # leaf ops — most ops — stop here
+        parts.append(_ZERO)
+    else:
+        parts.append(count[len(op.regions)])
+        #: value or block -> its encoded reference, ``b"L" + path`` for
+        #: what this op's regions define, ``b"F" + index`` for what
+        #: they do not. Keyed by the objects (identity hash), all of
+        #: them alive in the IR for as long as this call runs.
+        values = {value: free[i] for i, value in enumerate(free_values)}
+        blocks = {block: free[i] for i, block in enumerate(free_blocks)}
+        for region_index, region in enumerate(op.regions):
+            parts.append(count[len(region.blocks)])
+            # Pre-register every block and block argument of the region
+            # so forward references (a branch to a later block) encode
+            # as local paths, not free indices.
+            for block_index, block in enumerate(region.blocks):
+                path = b"L" + count[region_index] + count[block_index]
+                blocks[block] = path
+                for arg_index, arg in enumerate(block.args):
+                    values[arg] = path + b"a" + count[arg_index]
+            for block in region.blocks:
+                path = blocks[block] + b"r"
+                parts.append(count[len(block.args)])
+                for arg in block.args:
+                    parts.append(name(str(arg.type)))
+                parts.append(count[len(block.ops)])
+                for op_index, child in enumerate(block.ops):
+                    digest, child_values, child_blocks = _compute(child)
+                    parts += (digest, count[len(child_values)])
+                    for value in child_values:
+                        reference = values.get(value)
+                        if reference is None:
+                            reference = values[value] = \
+                                free[len(free_values)]
+                            free_values.append(value)
+                        parts.append(reference)
+                    if child_blocks:
+                        parts.append(count[len(child_blocks)])
+                        for target in child_blocks:
+                            reference = blocks.get(target)
+                            if reference is None:
+                                reference = blocks[target] = \
+                                    free[len(free_blocks)]
+                                free_blocks.append(target)
+                            parts.append(reference)
+                    else:
+                        parts.append(_ZERO)
+                    results = child.results
+                    if len(results) == 1:  # skip the loop set-up
+                        values[results[0]] = path + count[op_index] + _ZERO
+                    elif results:
+                        result_path = path + count[op_index]
+                        for index, result in enumerate(results):
+                            values[result] = result_path + count[index]
     digest = hashlib.sha256(b"".join(parts)).digest()
     op._digest = digest
-    op._digest_free = tuple(free_values)
-    op._digest_free_blocks = tuple(free_blocks)
-    return digest, op._digest_free, op._digest_free_blocks
-
-
-def _regions(op: Operation, parts: List[bytes],
-             free_values: List[Value], free_blocks: List[Block]) -> None:
-    """Append the regions of ``op``: per block its argument types and,
-    per child op, the child's digest with the child's free references
-    re-encoded against this level's paths — which is what binds "child
-    uses free value #k" to an actual definition site. References this
-    level cannot resolve either join ``free_values``/``free_blocks``."""
-    pack = _PACK
-    #: id(value or block) -> its encoded reference, ``b"L" + path`` for
-    #: what this op's regions define, ``b"F" + index`` for what they
-    #: do not.
-    values = {id(value): b"F" + pack(index)
-              for index, value in enumerate(free_values)}
-    blocks = {id(block): b"F" + pack(index)
-              for index, block in enumerate(free_blocks)}
-    for region_index, region in enumerate(op.regions):
-        parts.append(pack(len(region.blocks)))
-        # Pre-register every block and block argument of the region so
-        # forward references (a branch to a later block) encode as
-        # local paths, not free indices.
-        for block_index, block in enumerate(region.blocks):
-            path = b"L" + pack(region_index) + pack(block_index)
-            blocks[id(block)] = path
-            for arg_index, arg in enumerate(block.args):
-                values[id(arg)] = path + b"a" + pack(arg_index)
-        for block_index, block in enumerate(region.blocks):
-            path = b"L" + pack(region_index) + pack(block_index) + b"r"
-            parts.append(pack(len(block.args)))
-            for arg in block.args:
-                parts.append(_name(str(arg.type)))
-            parts.append(pack(len(block.ops)))
-            for op_index, child in enumerate(block.ops):
-                child_digest, child_free, child_free_blocks = _compute(child)
-                parts += (child_digest, pack(len(child_free)))
-                for value in child_free:
-                    reference = values.get(id(value))
-                    if reference is None:
-                        reference = values[id(value)] = \
-                            b"F" + pack(len(free_values))
-                        free_values.append(value)
-                    parts.append(reference)
-                parts.append(pack(len(child_free_blocks)))
-                for free_block in child_free_blocks:
-                    reference = blocks.get(id(free_block))
-                    if reference is None:
-                        reference = blocks[id(free_block)] = \
-                            b"F" + pack(len(free_blocks))
-                        free_blocks.append(free_block)
-                    parts.append(reference)
-                if child.results:
-                    result_path = path + pack(op_index)
-                    for result_index, result in enumerate(child.results):
-                        values[id(result)] = result_path + pack(result_index)
+    op._digest_free = free_values = tuple(free_values)
+    op._digest_free_blocks = free_blocks = tuple(free_blocks)
+    return digest, free_values, free_blocks
 
 
 def op_digest(op: Operation) -> str:
@@ -197,13 +236,13 @@ def module_digest(attributes, function_digests: Sequence[str]) -> str:
     function text gets its identity from the functions' digests and
     nothing is re-hashed."""
     # No results, operands or successors.
-    parts = [_DOMAIN, _name("builtin.module"), _PACK(0), _PACK(0), _PACK(0)]
+    parts = [_DOMAIN, _name("builtin.module"), _ZERO, _ZERO, _ZERO]
     _attributes(parts, attributes)
     # One region of one block without arguments.
-    parts += (_PACK(1), _PACK(1), _PACK(0), _PACK(len(function_digests)))
+    parts += (_ONE, _ONE, _ZERO, _COUNT[len(function_digests)])
     for digest in function_digests:
         # The op, then its (no) free values and (no) free blocks.
-        parts += (bytes.fromhex(digest), _PACK(0), _PACK(0))
+        parts += (bytes.fromhex(digest), _ZERO, _ZERO)
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 

@@ -18,101 +18,26 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Tuple
 
-from .attributes import (
-    AffineMapAttr,
-    ArrayAttr,
-    Attribute,
-    BoolAttr,
-    DenseFloatAttr,
-    DenseIntAttr,
-    DictAttr,
-    FloatAttr,
-    IntegerAttr,
-    StringAttr,
-    SymbolRefAttr,
-    TypeAttr,
-    UnitAttr,
-)
+from .attributes import Attribute
 from .core import Block, Operation, Value
 
 
-class _NameManager:
-    """Assigns stable ``%N`` / ``%argN`` / ``^bbN`` names while printing.
-
-    The tables key on the Value/Block objects themselves (identity
-    hash, strong references), not ``id()``: keying on ``id()`` lets a
-    value erased mid-print free its integer for a freshly allocated
-    one, aliasing two distinct values onto one name — the same
-    ``id()``-reuse class the greedy driver's reverse index hit.
-    """
-
-    def __init__(self) -> None:
-        self.value_names: Dict[Value, str] = {}
-        self.block_names: Dict[Block, str] = {}
-        self.next_value = 0
-        self.next_block = 0
-
-    def name_value(self, value: Value) -> str:
-        name = self.value_names.get(value)
-        if name is None:
-            name = f"%{self.next_value}"
-            self.value_names[value] = name
-            self.next_value += 1
-        return name
-
-    def name_block_arg(self, value: Value) -> str:
-        return self.name_value(value)
-
-    def name_block(self, block: Block) -> str:
-        name = self.block_names.get(block)
-        if name is None:
-            name = f"^bb{self.next_block}"
-            self.block_names[block] = name
-            self.next_block += 1
-        return name
-
-
 def print_attribute(attribute: Attribute) -> str:
-    """Render an attribute in parseable textual form."""
-    if isinstance(attribute, UnitAttr):
-        return "unit"
-    if isinstance(attribute, BoolAttr):
-        return "true" if attribute.value else "false"
-    if isinstance(attribute, IntegerAttr):
-        return f"{attribute.value} : {attribute.type}"
-    if isinstance(attribute, FloatAttr):
-        value = repr(float(attribute.value))
-        return f"{value} : {attribute.type}"
-    if isinstance(attribute, StringAttr):
-        escaped = attribute.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(attribute, TypeAttr):
-        return str(attribute.value)
-    if isinstance(attribute, SymbolRefAttr):
-        return str(attribute)
-    if isinstance(attribute, ArrayAttr):
-        return "[" + ", ".join(print_attribute(v) for v in attribute.values) + "]"
-    if isinstance(attribute, DictAttr):
-        inner = ", ".join(
-            f"{k} = {print_attribute(v)}" for k, v in attribute.entries
-        )
-        return "{" + inner + "}"
-    if isinstance(attribute, (DenseIntAttr, DenseFloatAttr)):
-        inner = ", ".join(str(v) for v in attribute.values)
-        return f"dense<[{inner}]> : {attribute.type}"
-    if isinstance(attribute, AffineMapAttr):
-        return f"affine_map<{attribute.map}>"
+    """Render an attribute in parseable textual form: its ``str`` (each
+    attribute class spells itself, the printer, the digest and CSE all
+    read that one spelling)."""
     return str(attribute)
 
 
 def _print_attr_dict(attributes: Dict[str, Attribute]) -> str:
     if not attributes:
         return ""
-    inner = ", ".join(
-        f"{key} = {print_attribute(value)}"
-        for key, value in sorted(attributes.items())
-    )
-    return " {" + inner + "}"
+    if len(attributes) == 1:  # nothing to sort
+        for key, value in attributes.items():
+            return " {" + key + " = " + str(value) + "}"
+    return " {" + ", ".join(
+        [key + " = " + str(value)
+         for key, value in sorted(attributes.items())]) + "}"
 
 
 #: First line of every printed ``builtin.module``.
@@ -146,84 +71,114 @@ def module_body(text: str, attributes: Dict[str, Attribute]) -> str:
     return text[len(head):-len(tail)]
 
 
+def _print_into(op: Operation, indent: str, lines: List[str],
+                values: Dict[Value, str], blocks: Dict[Block, str]) -> None:
+    """Append the lines of ``op``, each behind ``indent``, to ``lines``.
+
+    One frame per nesting level, and per op only what its line needs.
+    A value or block is named the first time it is met, with the size
+    of its table (names are never dropped, so that is the next free
+    number)."""
+    head = indent
+    results = op.results
+    if len(results) == 1:
+        value = results[0]
+        name = values.get(value)
+        if name is None:
+            name = values[value] = f"%{len(values)}"
+        head += name + " = "
+        out_types = str(value.type)
+    elif not results:
+        out_types = "()"
+    else:
+        for index, value in enumerate(results):
+            name = values.get(value)
+            if name is None:
+                name = values[value] = f"%{len(values)}"
+            head += ", " + name if index else name
+        head += " = "
+        out_types = "(" + ", ".join(
+            [str(value.type) for value in results]) + ")"
+    names = in_types = ""
+    for operand in op._operands:
+        value = operand._value
+        name = values.get(value)
+        if name is None:
+            name = values[value] = f"%{len(values)}"
+        if names:
+            names += ", " + name
+            in_types += ", " + str(value.type)
+        else:
+            names = name
+            in_types = str(value.type)
+    head += '"' + op.name + '"(' + names + ")"
+    if op.successors:
+        names = ""
+        for block in op.successors:
+            name = blocks.get(block)
+            if name is None:
+                name = blocks[block] = f"^bb{len(blocks)}"
+            names = names + ", " + name if names else name
+        head += "[" + names + "]"
+    tail = " : (" + in_types + ") -> " + out_types
+    if op.attributes:
+        tail = _print_attr_dict(op.attributes) + tail
+    if not op.regions:
+        lines.append(head + tail)
+        return
+    lines.append(head + " ({")
+    inner = indent + "  "
+    for index, region in enumerate(op.regions):
+        if index:
+            lines.append(indent + "}, {")
+        # An entry block's label may be omitted when it has no
+        # arguments and is the only block; it is kept for arguments.
+        labelled = len(region.blocks) > 1
+        for block in region.blocks:
+            if labelled or block.args:
+                names = ""
+                for value in block.args:
+                    name = values.get(value)
+                    if name is None:
+                        name = values[value] = f"%{len(values)}"
+                    name += ": " + str(value.type)
+                    names = names + ", " + name if names else name
+                name = blocks.get(block)
+                if name is None:
+                    name = blocks[block] = f"^bb{len(blocks)}"
+                lines.append(indent + name + "(" + names + "):")
+            for child in block.ops:
+                _print_into(child, inner, lines, values, blocks)
+    lines.append(indent + "})" + tail)
+
+
 class Printer:
-    """Stateful printer holding the name manager and indentation."""
+    """The name tables of one printing session: values and blocks keep
+    the ``%N`` / ``^bbN`` they were first printed under across
+    :meth:`print_op` calls.
+
+    The tables key on the Value/Block objects themselves (identity
+    hash, strong references), not ``id()``: keying on ``id()`` lets a
+    value erased between two prints free its integer for a freshly
+    allocated one, aliasing two distinct values onto one name — the
+    same ``id()``-reuse class the greedy driver's reverse index hit.
+    """
 
     def __init__(self) -> None:
-        self.names = _NameManager()
-        self.lines: List[str] = []
-        self.indent = 0
+        self.value_names: Dict[Value, str] = {}
+        self.block_names: Dict[Block, str] = {}
 
-    def _emit(self, text: str) -> None:
-        self.lines.append("  " * self.indent + text)
-
-    def print_op(self, op: Operation) -> None:
-        parts: List[str] = []
-        if op.results:
-            names = ", ".join(self.names.name_value(r) for r in op.results)
-            parts.append(f"{names} = ")
-        parts.append(f'"{op.name}"')
-        operand_names = ", ".join(
-            self.names.name_value(v) for v in op.operands
-        )
-        parts.append(f"({operand_names})")
-        if op.successors:
-            succ = ", ".join(self.names.name_block(s) for s in op.successors)
-            parts.append(f"[{succ}]")
-        header = "".join(parts)
-        if op.regions:
-            self._emit(header + " ({")
-            for i, region in enumerate(op.regions):
-                if i > 0:
-                    self._emit("}, {")
-                self.indent += 1
-                self.print_region_body(region)
-                self.indent -= 1
-            self._emit("})" + self._op_suffix(op))
-        else:
-            self._emit(header + self._op_suffix(op))
-
-    def _op_suffix(self, op: Operation) -> str:
-        attr_txt = _print_attr_dict(op.attributes)
-        in_types = ", ".join(str(v.type) for v in op.operands)
-        out_types = ", ".join(str(r.type) for r in op.results)
-        if len(op.results) == 1:
-            type_txt = f" : ({in_types}) -> {op.results[0].type}"
-        else:
-            type_txt = f" : ({in_types}) -> ({out_types})"
-        return f"{attr_txt}{type_txt}"
-
-    def print_region_body(self, region) -> None:
-        for block_index, block in enumerate(region.blocks):
-            # The entry block label may be omitted when it has no
-            # arguments and there's a single block; keep it for arguments.
-            if block.args or block_index > 0 or len(region.blocks) > 1:
-                args = ", ".join(
-                    f"{self.names.name_value(a)}: {a.type}" for a in block.args
-                )
-                label = self.names.name_block(block)
-                self.indent -= 1
-                self._emit(f"{label}({args}):")
-                self.indent += 1
-            for op in block.ops:
-                self.print_op(op)
-
-    def result(self) -> str:
-        return "\n".join(self.lines)
+    def print_op(self, op: Operation, indent: str = "") -> str:
+        """The text of ``op`` and its regions, every line behind
+        ``indent``."""
+        lines: List[str] = []
+        _print_into(op, indent, lines, self.value_names, self.block_names)
+        return "\n".join(lines)
 
 
 def print_op(op: Operation) -> str:
     """Print a single operation (and nested regions) to a string."""
-    printer = Printer()
-    printer.print_op(op)
-    return printer.result()
-
-
-def value_name(op: Operation, value: Value) -> str:
-    """The ``%N`` name ``value`` would get when printing ``op``."""
-    printer = Printer()
-    printer.print_op(op)
-    return printer.names.value_names.get(value, "<unknown>")
+    return Printer().print_op(op)
 
 
 #: What :func:`shift_names` cuts printed IR at: a string literal (the

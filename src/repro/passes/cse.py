@@ -5,14 +5,13 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..ir.core import Block, Operation, Pure
-from ..ir.printer import print_attribute
 from .manager import Pass, register_pass
 
 
 def _op_key(op: Operation) -> Tuple:
     """A structural key: name, operand identities, attrs, result types."""
     attrs = tuple(
-        (name, print_attribute(value))
+        (name, str(value))
         for name, value in sorted(op.attributes.items())
     )
     return (

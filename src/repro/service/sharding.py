@@ -174,10 +174,7 @@ def function_entries(module: Operation
         return None
     entries = []
     for function in tops:
-        printer = Printer()
-        printer.indent = 1
-        printer.print_op(function)
-        entries.append((module_text(printer.result(), {}),
+        entries.append((module_text(Printer().print_op(function, "  "), {}),
                         op_digest(function)))
     return entries
 

@@ -5,6 +5,7 @@ import pytest
 from repro.ir.attributes import (
     ArrayAttr,
     BoolAttr,
+    DenseFloatAttr,
     DenseIntAttr,
     DictAttr,
     FloatAttr,
@@ -18,7 +19,7 @@ from repro.ir.attributes import (
     int_attr,
     unwrap,
 )
-from repro.ir.types import F64, I32, I64, IndexType
+from repro.ir.types import F32, F64, I32, I64, IndexType
 
 
 class TestCoercion:
@@ -115,3 +116,34 @@ class TestPrinting:
 
     def test_unit(self):
         assert str(UnitAttr()) == "unit"
+
+    def test_float_keeps_its_point(self):
+        # "1 : f32" would read back as an integer attribute.
+        assert str(FloatAttr(1, F32)) == "1.0 : f32"
+
+    def test_string_escapes(self):
+        assert str(StringAttr('a"b\\c')) == r'"a\"b\\c"'
+
+    def test_dense_float_defaults_to_f64(self):
+        dense = DenseFloatAttr((1.0, 2.0))
+        assert dense.type == F64
+        assert str(dense) == "dense<[1.0, 2.0]> : f64"
+
+
+def _reparsed(attribute):
+    """``attribute`` printed on an op and parsed back."""
+    from repro.ir import Operation, parse, print_op
+
+    op = Operation.create("test.op", attributes={"a": attribute})
+    return parse(print_op(op)).attributes["a"]
+
+
+@pytest.mark.parametrize("attribute", [
+    DenseFloatAttr((1.0, 2.0)),
+    FloatAttr(1, F32),
+    StringAttr('a"b\\c'),
+    ArrayAttr((FloatAttr(2, F64), StringAttr('"'))),
+    DictAttr((("k", FloatAttr(3, F32)), ("s", StringAttr("\\"))),),
+], ids=lambda a: type(a).__name__)
+def test_print_parse_gives_an_equal_attribute(attribute):
+    assert _reparsed(attribute) == attribute

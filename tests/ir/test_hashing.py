@@ -11,7 +11,7 @@ import repro.core  # noqa: F401 — registers transform ops
 import repro.dialects  # noqa: F401 — registers payload ops
 from repro.ir import attributes_digest, op_digest, parse, print_op
 from repro.ir.core import DIGEST_STATS
-from repro.ir.printer import _NameManager
+from repro.ir.printer import Printer
 from repro.testing.fuzz import PayloadFuzzer
 
 MODULE = textwrap.dedent("""
@@ -296,11 +296,12 @@ class TestPrinterNameTables:
     ``id()`` integers that a dead object's successor can inherit."""
 
     def test_names_survive_value_death(self):
-        manager = _NameManager()
+        printer = Printer()
         module = parse(MODULE)
         block = _funcs(module)[0].regions[0].entry_block
         mul = block.ops[1]
-        first = manager.name_value(mul.results[0])
+        printer.print_op(mul)  # names its two operands and its result
+        assert len(printer.value_names) == 3
         # Kill the op (and our handles to it), then allocate a burst
         # of fresh values: with id()-keyed tables one of them can
         # inherit the dead result's integer and alias its name.
@@ -309,13 +310,13 @@ class TestPrinterNameTables:
         del mul, block
         gc.collect()
         fresh = parse(MODULE)
-        names = {first}
-        count = 1
+        printer.print_op(fresh)
+        count = 3
         for op in fresh.walk():
-            for result in op.results:
-                names.add(manager.name_value(result))
-                count += 1
-        assert len(names) == count
+            count += len(op.results)
+            for region in op.regions:
+                count += sum(len(b.args) for b in region.blocks)
+        assert len(set(printer.value_names.values())) == count
 
     def test_print_after_erase_and_allocate_roundtrips(self):
         module = parse(MODULE)

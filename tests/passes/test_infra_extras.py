@@ -3,8 +3,7 @@
 import pytest
 
 from repro.dialects import builtin, func
-from repro.ir import Builder, I32
-from repro.ir.printer import value_name
+from repro.ir import Builder, I32, print_op
 from repro.passes.manager import FunctionPass, PassManager, PassTiming
 
 
@@ -65,12 +64,16 @@ class TestValueName:
         op = builder.create("test.op", operands=[f.body.args[0]],
                             result_types=[I32])
         builder.create("func.return")
-        assert value_name(module, f.body.args[0]) == "%0"
-        assert value_name(module, op.result) == "%1"
+        text = print_op(module)
+        assert "^bb0(%0: i32):" in text
+        assert '%1 = "test.op"(%0) : (i32) -> i32' in text
 
     def test_unknown_value(self):
+        """A value defined outside the printed op is named where the
+        print first meets it."""
         from repro.ir import Operation
 
-        module = builtin.module()
         stray = Operation.create("test.stray", result_types=[I32])
-        assert value_name(module, stray.result) == "<unknown>"
+        user = Operation.create("test.user",
+                                operands=[stray.result, stray.result])
+        assert print_op(user) == '"test.user"(%0, %0) : (i32, i32) -> ()'
