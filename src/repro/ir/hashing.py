@@ -253,6 +253,15 @@ def attributes_digest(op: Operation) -> str:
     backstop — a digest compare instead of materializing and
     comparing attribute dictionaries.
     """
+    return _attributes_digest(op.attributes)
+
+
+def _attributes_digest(attributes) -> str:
     parts = [b"repro-attrs-digest-v1"]
-    _attributes(parts, op.attributes)
+    _attributes(parts, attributes)
     return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+#: :func:`attributes_digest` of an op without attributes — what the
+#: module of a function-tier shard (one function in a bare shell) has.
+NO_ATTRIBUTES_DIGEST = _attributes_digest({})

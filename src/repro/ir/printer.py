@@ -187,15 +187,19 @@ def print_op(op: Operation) -> str:
 _NAME_RE = re.compile(r'''("(?:[^"\\]|\\.)*"|%\d+|\^bb\d+)''')
 
 
-def shift_names(text: str, value_base: int,
-                block_base: int) -> Tuple[str, int, int]:
-    """Relocate printed IR: every ``%N`` becomes ``%(N + value_base)``
-    and every ``^bbN`` ``^bb(N + block_base)``; string literals (op
-    names, attributes) are skipped over, never rewritten.
+def shift_names(text: str, value_delta: int,
+                block_delta: int) -> Tuple[str, int, int]:
+    """Relocate printed IR: every ``%N`` becomes ``%(N + value_delta)``
+    and every ``^bbN`` ``^bb(N + block_delta)``; string literals (op
+    names, attributes) are skipped over, never rewritten. The deltas
+    are signed — text goes down as well as up — and a name that would
+    land below zero is a ``ValueError``: ``text`` was not numbered
+    where the caller thought.
 
     Also returns how many value and block names ``text`` holds (highest
-    index + 1, as numbered before the shift) — the bases the next
-    function of a module starts from."""
+    index + 1, as numbered before the shift) — for text numbered from
+    ``%0``/``^bb0``, the bases the next function of a module starts
+    from."""
     parts = _NAME_RE.split(text)
     renamed: Dict[str, str] = {}
     values = blocks = 0
@@ -204,16 +208,58 @@ def shift_names(text: str, value_base: int,
         shifted = renamed.get(token)
         if shifted is None:
             shifted = token
+            number = 0
             if token[0] == "%":
                 number = int(token[1:])
                 if number >= values:
                     values = number + 1
-                shifted = f"%{number + value_base}"
+                number += value_delta
+                shifted = f"%{number}"
             elif token[0] == "^":
                 number = int(token[3:])
                 if number >= blocks:
                     blocks = number + 1
-                shifted = f"^bb{number + block_base}"
+                number += block_delta
+                shifted = f"^bb{number}"
+            if number < 0:
+                raise ValueError(f"{token} would be shifted below zero")
             renamed[token] = shifted
         parts[index] = shifted
     return "".join(parts), values, blocks
+
+
+def move_names(text: str, names: Tuple[int, int, int, int],
+               value_base: int, block_base: int) -> str:
+    """Printed IR whose names sit at ``names``, with them starting at
+    ``%value_base``/``^bbblock_base`` instead.
+
+    ``names`` is ``(value_base, values, block_base, blocks)`` as read
+    off a :class:`Printer`'s table sizes before and after the print:
+    ``text`` holds ``values`` value names from ``%value_base`` on and
+    ``blocks`` block names from ``^bbblock_base`` on. It comes back as
+    it is when they already start at the given bases, through
+    :func:`shift_names` by the difference otherwise.
+
+    The recorded bases are checked against the text (``ValueError``),
+    the counts are taken on trust: the printer numbers in
+    first-encounter order, so the first name of each kind is its
+    lowest and is found without reading past it."""
+    was_value, values, was_block, blocks = names
+    expected = {}
+    if values:
+        expected["%"] = f"%{was_value}"
+    if blocks:
+        expected["^"] = f"^bb{was_block}"
+    matches = _NAME_RE.finditer(text)
+    while expected:
+        match = next(matches, None)
+        token = match.group() if match else ""  # "": the text ran out
+        # A string literal, or a kind already seen, stands for itself.
+        if not token or expected.pop(token[0], token) != token:
+            raise ValueError(
+                f"not numbered from %{was_value}/^bb{was_block}: {token!r}")
+    value_delta = value_base - was_value if values else 0
+    block_delta = block_base - was_block if blocks else 0
+    if value_delta or block_delta:
+        text = shift_names(text, value_delta, block_delta)[0]
+    return text

@@ -40,7 +40,7 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..testing.faults import FaultPlan, FaultSite
 
@@ -101,13 +101,14 @@ def function_key(func_digest: str, script_digest: str,
     ``func.func`` (:func:`repro.ir.hashing.op_digest`), so the key is
     independent of which module the function appeared in and of its
     printed-name numbering. The entry stored under it holds the
-    *transformed* function the same way: its relocatable text and, as
-    ``output_digest``, the digest of that ``func.func``.
+    *transformed* function: its text under the names it was printed
+    with, where those sit (``names``) and, as ``output_digest``, the
+    digest of that ``func.func``.
     """
-    # v2: an entry's ``output_digest`` is the digest of the function
-    # (v1 entries carry their wrapper module's, which would assemble
-    # into a wrong module digest).
-    hasher = hashlib.sha256(b"repro-fn-key-v2")
+    # v3: an entry keeps the names it was printed with and records
+    # them (a v2 entry is numbered from %0 and says nothing; v1
+    # entries carry their wrapper module's digest).
+    hasher = hashlib.sha256(b"repro-fn-key-v3")
     _frame(hasher, func_digest.encode())
     _frame(hasher, script_digest.encode())
     _frame(hasher, _params_blob(params))
@@ -152,22 +153,7 @@ class CacheStats:
         return self.hits / total if total else 0.0
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "puts": self.puts,
-            "disk_hits": self.disk_hits,
-            "disk_puts": self.disk_puts,
-            "disk_corrupt": self.disk_corrupt,
-            "disk_errors": self.disk_errors,
-            "disk_orphans_swept": self.disk_orphans_swept,
-            "degraded": self.degraded,
-            "function_hits": self.function_hits,
-            "function_misses": self.function_misses,
-            "function_puts": self.function_puts,
-            "hit_rate": self.hit_rate,
-        }
+        return dict(self.__dict__, hit_rate=self.hit_rate)
 
 
 @dataclass
@@ -179,33 +165,41 @@ class CachedResult:
     ``diagnostics`` whatever warnings the run produced;
     ``output_digest`` the structural digest of the output module when
     the producer computed one (lets consumers compare identity without
-    reparsing the text).
+    reparsing the text); ``names``, on a function-tier entry only,
+    where the names of ``output`` sit — ``(value_base, values,
+    block_base, blocks)``, see
+    :func:`repro.service.sharding.function_entries`.
     """
 
     status: str
     output: str
     diagnostics: str = ""
     output_digest: Optional[str] = None
+    names: Optional[Tuple[int, int, int, int]] = None
+
+    @property
+    def splices(self) -> bool:
+        """True for a function-tier entry the engine can splice: a
+        clean success that knows its function's digest and where its
+        names sit (four counts — a hand-made, older or damaged entry
+        without them is a miss, and the execution that miss causes
+        replaces it)."""
+        return (self.status == "success" and not self.diagnostics
+                and self.output_digest is not None
+                and isinstance(self.names, tuple) and len(self.names) == 4
+                and all(type(n) is int and n >= 0 for n in self.names))
 
     def to_json(self) -> str:
-        return json.dumps({
-            "status": self.status,
-            "output": self.output,
-            "diagnostics": self.diagnostics,
-            "output_digest": self.output_digest,
-        })
+        return json.dumps(self.__dict__)
 
     @staticmethod
     def from_json(text: str) -> "CachedResult":
         data = json.loads(text)
+        names = data.get("names")
         return CachedResult(data["status"], data["output"],
                             data.get("diagnostics", ""),
-                            data.get("output_digest"))
-
-
-@dataclass
-class _Entry:
-    result: CachedResult
+                            data.get("output_digest"),
+                            tuple(names) if isinstance(names, list) else None)
 
 
 #: Namespace prefix separating function-tier entries from whole-job
@@ -242,7 +236,7 @@ class CompilationCache:
         #: Deterministic fault schedule (testing only; None in prod).
         self.faults = faults
         self.stats = CacheStats()
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[str, CachedResult]" = OrderedDict()
         self._lock = threading.Lock()
         if disk_path is not None:
             try:
@@ -319,11 +313,11 @@ class CompilationCache:
         the in-flight slot); hits always count.
         """
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            result = self._entries.get(key)
+            if result is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                return entry.result
+                return result
             result = self._disk_get(key)
             if result is not None:
                 # Promote: a disk hit is still a hit, and hot keys
@@ -352,8 +346,7 @@ class CompilationCache:
         and moves no counter."""
         if not count:
             with self._lock:
-                entry = self._entries.get(_FN_PREFIX + key)
-                return entry.result if entry is not None else None
+                return self._entries.get(_FN_PREFIX + key)
         result = self.get(_FN_PREFIX + key)
         with self._lock:
             # get() above already counted the whole-cache hit/miss;
@@ -394,11 +387,8 @@ class CompilationCache:
     # -- internals -----------------------------------------------------------
 
     def _insert(self, key: str, result: CachedResult) -> None:
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = _Entry(result)
-            return
-        self._entries[key] = _Entry(result)
+        self._entries[key] = result
+        self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.stats.evictions += 1

@@ -8,11 +8,13 @@ terminal result or fall through, cheapest first:
 1. **inputs** — each input text is parsed once for as long as the
    input memo remembers it, into its structural digest (plus the
    function-tier facts and, for scripts, the lint verdict per entry
-   point); text that does not parse is REJECTED. Without a pool that
-   parse is the job's *only* one: the thread that derived a payload's
-   facts owns the module it parsed and hands it to step 6, and the
-   script is cloned from the memo (see :class:`_PayloadInfo` and
-   :class:`_ScriptInfo` for who owns what);
+   point); text that does not parse is REJECTED. The job whose memo
+   miss parsed a payload owns that module until a later step consumes
+   it — step 6 does: the in-process execution compiles that very
+   object (its *only* parse), a partial function-tier hit cuts its
+   sub-jobs' payloads off it — and whatever nobody consumed is freed
+   when the job ends; the script is cloned from the memo (see
+   :class:`_PayloadInfo` and :class:`_ScriptInfo` for who owns what);
 2. **preflight** — scripts with definite static errors (the
    ``repro-lint`` analysis suite) are REJECTED before a worker is
    ever occupied;
@@ -26,9 +28,14 @@ terminal result or fall through, cheapest first:
    instead of occupying a second worker;
 6. **function tier | dispatch** — the leader assembles the output
    from per-function cache entries when it can — a text splice
-   (:func:`~repro.service.sharding.assemble_functions`) and a digest
-   composed from the entries' (:func:`~repro.ir.hashing.module_digest`):
-   nothing is parsed, printed or re-hashed — else runs the job on
+   (:func:`~repro.service.sharding.assemble_functions`: entries keep
+   the names they were printed with, only the ones that moved are
+   renumbered) and a digest composed from the entries'
+   (:func:`~repro.ir.hashing.module_digest`): nothing is parsed,
+   printed or re-hashed on a full hit, and on a partial one the
+   missing functions are printed off the module step 1 parsed and run
+   as sub-jobs whose input facts are composed, not derived — the
+   daemon parses a partial hit once — else runs the job on
    a ``ProcessPoolExecutor`` worker (IR crosses the *process* boundary
    as text: the worker parses its own copy). A per-job timeout kills
    the hung worker and restarts
@@ -41,8 +48,8 @@ terminal result or fall through, cheapest first:
    preserved liveness;
 7. **publish** — OK results go to the cache and to the followers;
    the function-tier entries of a clean whole-module success are the
-   ``(relocatable text, function digest)`` pairs the worker printed
-   off its live IR (the engine asked for them in step 6 and parses no
+   ``(text, function digest, names)`` triples the worker printed off
+   its live IR (the engine asked for them in step 6 and parses no
    output).
 
 Every counter, event and job-seconds sample is recorded by one method,
@@ -93,7 +100,8 @@ from .resilience import (
 )
 from .sharding import (
     assemble_functions,
-    function_module_texts,
+    function_text,
+    function_text_digests,
     is_func_shardable,
     shardable_functions,
 )
@@ -116,15 +124,19 @@ class _PayloadInfo:
     never the parsed module: a compilation transforms its payload in
     place, so a retained module would have to be cloned per job, and
     up to ``capacity`` retained modules are resident memory the
-    digests are not. The module belongs to the thread whose memo miss
-    parsed it: an engine without a pool compiles that very object
-    (:meth:`CompileEngine._derive_payload`), any later job with the
-    same text parses it again.
+    digests are not. The module belongs to the job whose memo miss
+    parsed it (:meth:`CompileEngine._derive_payload`): an engine
+    without a pool compiles that very object, a partial function-tier
+    hit prints its missing functions off it, and any later job with
+    the same text parses it again. The facts of a function-tier
+    sub-job's payload are never derived: its parent composes them
+    (:func:`repro.service.sharding.function_text_digests`).
 
-    ``func_digests``/``module_attrs`` are populated
-    only when the payload is a cleanly splittable all-function module
-    (see :func:`repro.service.sharding.shardable_functions`); the
-    attribute values themselves are immutable attribute objects.
+    ``func_digests``/``module_attrs`` are populated only for an engine
+    with a function tier to key (a cache) and a payload that is a
+    cleanly splittable all-function module (see
+    :func:`repro.service.sharding.shardable_functions`); the attribute
+    values themselves are immutable attribute objects.
     """
 
     digest: str
@@ -274,13 +286,6 @@ _EVENT_FIELD = {
     "TIMEOUT": "timeouts", "CRASHED": "crashes",
     "DEGRADED": "pool_degradations", "DISPATCHED": None,
 }
-
-
-def _usable(entry: Optional[CachedResult]) -> bool:
-    """A function-tier entry :meth:`CompileEngine._assemble` can
-    splice: a clean success that knows its function's digest."""
-    return (entry is not None and entry.status == "success"
-            and not entry.diagnostics and entry.output_digest is not None)
 
 
 def _mark(span, status: Optional[str] = None, **attributes) -> None:
@@ -541,53 +546,48 @@ class CompileEngine:
 
     # -- input memo ----------------------------------------------------------
 
-    def _memoized(self, memo: OrderedDict, text: str, derive):
-        """``(info, parsed)``: the facts ``derive(text)`` computes, once
-        per text while it stays among the most recently used ones, and
-        whatever IR that very call of ``derive`` gave up to its caller
-        (None on a memo hit — the memo holds ``info`` only)."""
+    def _memoized(self, memo: OrderedDict, text: str, derive, *args):
+        """The facts ``derive(text, *args)`` computes, once per text
+        while it stays among the most recently used ones."""
         with self._book_lock:
             info = memo.get(text)
             if info is not None:
                 memo.move_to_end(text)
-                return info, None
-        info, parsed = derive(text)
+                return info
+        info = derive(text, *args)
         capacity = (self.cache.capacity if self.cache is not None
                     else _MEMO_CAPACITY)
         with self._book_lock:
             memo[text] = info
             while len(memo) > capacity:
                 memo.popitem(last=False)
-        return info, parsed
+        return info
 
-    def _derive_payload(self, text: str
-                        ) -> Tuple[_PayloadInfo, Optional[Operation]]:
-        """The payload's facts, and — when there is no pool to send
-        text to — the parsed module itself, for this one job's
-        in-process execution to consume."""
+    def _derive_payload(self, text: str,
+                        parsed: List[Operation]) -> _PayloadInfo:
+        """The payload's facts; the module parsed for them goes into
+        ``parsed``, given up to the one job that caused the parse."""
         from ..ir.parser import parse
 
         payload = parse(text, "<payload>")
+        parsed.append(payload)
         func_digests = module_attrs = None
-        functions = (shardable_functions(payload)
-                     if self.function_tier else None)
+        # The per-function facts are tier keys: no cache, no tier.
+        tiered = self.function_tier and self.cache is not None
+        functions = shardable_functions(payload) if tiered else None
         if functions is not None:
             func_digests = tuple(op_digest(f) for f in functions)
             module_attrs = dict(payload.attributes)
-        info = _PayloadInfo(op_digest(payload), attributes_digest(payload),
+        return _PayloadInfo(op_digest(payload), attributes_digest(payload),
                             module_attrs, func_digests)
-        if self._pool is None:
-            return info, payload
-        payload.destroy()  # dead here: the pool's worker parses its own
-        return info, None
 
-    def _derive_script(self, text: str) -> Tuple[_ScriptInfo, None]:
+    def _derive_script(self, text: str) -> _ScriptInfo:
         from ..ir.parser import parse
 
         script = parse(text, "<script>")
         return _ScriptInfo(
             op_digest(script),
-            self.function_tier and is_func_shardable(script), script), None
+            self.function_tier and is_func_shardable(script), script)
 
     def _lint(self, script: _ScriptInfo,
               entry_point: Optional[str]) -> str:
@@ -598,8 +598,7 @@ class CompileEngine:
             from ..analysis.lint import lint_script
 
             diagnostics = lint_script(script.op, entry_point=entry_point)
-            verdict = (diagnostics.render()
-                       if diagnostics.has_errors() else "")
+            verdict = diagnostics.render() if diagnostics.has_errors() else ""
             script.verdicts[entry_point] = verdict
         return verdict
 
@@ -616,9 +615,14 @@ class CompileEngine:
         """
         start = time.perf_counter()
         self._account("STARTED", job)
+        # The payload module, if this job's memo miss parsed one: the
+        # step that consumes it pops it, what is left is freed here.
+        parsed: List[Operation] = []
         with self._span("engine.job", parent_span,
                         job_id=job.job_id) as span:
-            result = self._run_steps(job, span)
+            result = self._run_steps(job, span, parsed)
+            for module in parsed:
+                module.destroy()
             result.wall_seconds = time.perf_counter() - start
             _mark(span, "ok" if result.ok else result.status.value,
                   cache_hit=result.cache_hit)
@@ -629,7 +633,8 @@ class CompileEngine:
         )
         return result
 
-    def _run_steps(self, job: CompileJob, span) -> JobResult:
+    def _run_steps(self, job: CompileJob, span,
+                   parsed: List[Operation]) -> JobResult:
         """The pipeline proper: each step returns a terminal result
         or falls through to the next."""
         if self._cancelled.is_set():
@@ -641,9 +646,10 @@ class CompileEngine:
         # cannot change the output.
         with self._span("engine.preflight", span):
             try:
-                payload, parsed = self._memoized(
-                    self._payloads, job.payload_text, self._derive_payload)
-                script, _ = self._memoized(
+                payload = self._memoized(
+                    self._payloads, job.payload_text, self._derive_payload,
+                    parsed)
+                script = self._memoized(
                     self._scripts, job.script_text, self._derive_script)
             except Exception as error:
                 return self._rejected(
@@ -688,7 +694,8 @@ class CompileEngine:
             if result is None:
                 # 6. function tier | dispatch, then 7. publish.
                 tier_keys = self._function_keys(job, payload, script)
-                result = self._assemble(job, key, payload, tier_keys, span)
+                result = self._assemble(job, key, payload, tier_keys, span,
+                                        parsed)
                 if result is None:
                     result = self._execute(job, key, span, payload,
                                            tier_keys, script, parsed)
@@ -756,16 +763,16 @@ class CompileEngine:
                        script: _ScriptInfo) -> Optional[List[str]]:
         """The job's per-function cache keys, in function order; None
         when the function tier must stay out of this job."""
-        if (self.cache is None or not script.func_shardable
-                or not payload.func_digests
+        # No cache, no ``func_digests`` (see :meth:`_derive_payload`).
+        if (not script.func_shardable or not payload.func_digests
                 or job.entry_point is not None):
             return None
         return [function_key(digest, script.digest, job.params)
                 for digest in payload.func_digests]
 
     def _assemble(self, job: CompileJob, key: str, payload: _PayloadInfo,
-                  tier_keys: Optional[List[str]],
-                  span) -> Optional[JobResult]:
+                  tier_keys: Optional[List[str]], span,
+                  parsed: List[Operation]) -> Optional[JobResult]:
         """Serve a multi-function job from per-function cache entries.
 
         Functions whose entry is present are reused; the rest are
@@ -773,8 +780,12 @@ class CompileEngine:
         which gives them the whole pipeline for free (single-flight
         dedup against other parents missing the same function, crash
         containment, retry) and lets their own populate pass fill the
-        tier, where this job then reads them. The entries are spliced
-        as text and their digests composed; no IR exists here, so
+        tier, where this job then reads them. A sub-job's payload is
+        its function printed off the module in hand — ``parsed``, or
+        one parse of the text when the memo already knew it — and its
+        input facts are composed from the parent's, so the daemon
+        parses a partial hit once. The entries are spliced as text
+        and their digests composed; no output IR exists here, so
         nothing is verified here — an entry is the print of IR that
         passed ``verify()`` in the worker that made it, and
         :meth:`_populate` stores clean successes only. Returns None
@@ -786,38 +797,46 @@ class CompileEngine:
         # would recurse onto this very job.
         if tier_keys is None or len(tier_keys) < 2:
             return None
-        entries: List[Optional[CachedResult]] = []
-        for tier_key in tier_keys:
-            entry = self.cache.get_function(tier_key)
-            entries.append(entry if _usable(entry) else None)
+        entries: List[Optional[CachedResult]] = [
+            entry if entry is not None and entry.splices else None
+            for entry in map(self.cache.get_function, tier_keys)]
         missing = [i for i, entry in enumerate(entries) if entry is None]
         if len(missing) == len(entries):
             # Nothing to reuse: the whole-module path is strictly
             # better (one execution instead of N).
             return None
         if missing:
-            shards = function_module_texts(job.payload_text, "<payload>")
-            if shards is None or len(shards) != len(entries):
-                return None
-            for index in missing:
-                sub = self.run_job(CompileJob(
-                    payload_text=shards[index][0],
-                    script_text=job.script_text, params=job.params,
-                    timeout=job.timeout, job_id=f"{job.job_id}/fn{index}",
-                ), parent_span=span)
+            from ..ir.parser import parse
+
+            module = (parsed.pop() if parsed
+                      else parse(job.payload_text, "<payload>"))
+            functions = module.regions[0].entry_block.ops
+            shards = [function_text(functions[index]) for index in missing]
+            module.destroy()  # before a worker is waited for
+            for index, shard in zip(missing, shards):
+                digest = payload.func_digests[index]
+                # Everything the input step would derive by parsing
+                # the shard, composed from what the parent knows.
+                composed = _PayloadInfo(*function_text_digests(digest), {},
+                                        (digest,))
+                self._memoized(self._payloads, shard, lambda _: composed)
+                sub = self.run_job(
+                    replace(job, payload_text=shard,
+                            job_id=f"{job.job_id}/fn{index}"), span)
                 # The sub-job's execution published its one function:
-                # that entry — relocatable text, digest of the function
+                # that entry — text, names, digest of the function
                 # itself — is what gets spliced, not ``sub.output``.
                 entry = self.cache.get_function(tier_keys[index],
                                                 count=False)
                 if (sub.status is not JobStatus.SUCCESS or sub.diagnostics
-                        or not _usable(entry)):
+                        or entry is None or not entry.splices):
                     return None
                 entries[index] = entry
         attrs = payload.module_attrs or {}
         try:
             output = assemble_functions(
-                attrs, [entry.output for entry in entries])[0]
+                attrs, [entry.output for entry in entries],
+                names=[entry.names for entry in entries])[0]
         except ValueError:
             # Text that is not an entry (a decodable but damaged disk
             # file): compile the module whole instead.
@@ -840,7 +859,8 @@ class CompileEngine:
         The entries are ``raw["functions"]``: the worker printed and
         digested each function off the transformed module while it was
         still IR (see :func:`repro.service.worker.compile_job`), so
-        nothing is parsed here. Guarded by the same backstops as
+        nothing is parsed here, and each is stored under the names it
+        was printed with. Guarded by the same backstops as
         ``--jobs`` reassembly: the output must still be an
         all-function module (else the worker sent None) with unchanged
         module attributes (its digest equals the *input's*) and an
@@ -852,9 +872,9 @@ class CompileEngine:
                 or raw["attrs_digest"] != payload.attrs_digest
                 or len(functions) != len(tier_keys)):
             return
-        for tier_key, (text, digest) in zip(tier_keys, functions):
+        for tier_key, (text, digest, names) in zip(tier_keys, functions):
             self.cache.put_function(
-                tier_key, CachedResult("success", text, "", digest))
+                tier_key, CachedResult("success", text, "", digest, names))
 
     # -- dispatch ------------------------------------------------------------
 
@@ -901,12 +921,12 @@ class CompileEngine:
     def _execute(self, job: CompileJob, key: str, span,
                  payload: _PayloadInfo, tier_keys: Optional[List[str]],
                  script: _ScriptInfo,
-                 parsed: Optional[Operation]) -> JobResult:
+                 parsed: List[Operation]) -> JobResult:
         """Actually run the job on a worker (or inline), with timeout
         handling and policy-driven crash/timeout containment. With
         ``tier_keys`` the worker also splits its output into
         function-tier entries, published here (:meth:`_populate`)
-        while the raw result is in hand. ``parsed`` is the payload
+        while the raw result is in hand. ``parsed`` holds the payload
         module this thread parsed for this job, if it did: the inline
         execution consumes it instead of parsing the text again.
 
@@ -918,8 +938,6 @@ class CompileEngine:
         :meth:`Tracer.record` stitches them into the engine-side trace.
         """
         timeout = job.timeout if job.timeout is not None else self.job_timeout
-        args = (job.payload_text, job.script_text, job.params,
-                job.entry_point, self.strict)
         split = tier_keys is not None
         for attempts in itertools.count(1):
             with self._span("engine.dispatch", span, job_id=job.job_id,
@@ -941,18 +959,19 @@ class CompileEngine:
                     # always the job's last (nothing in it can fail into
                     # a retry), so ``parsed`` is consumed at most once.
                     raw = compile_ir(
-                        parsed if parsed is not None else job.payload_text,
+                        parsed.pop() if parsed else job.payload_text,
                         script.op.clone(), job.params, job.entry_point,
                         self.strict, trace, split)
                 else:
-                    inject = None
-                    if self.faults is not None:
-                        inject = self.faults.worker_fault(key, attempts)
+                    inject = (self.faults.worker_fault(key, attempts)
+                              if self.faults is not None else None)
                     try:
                         # submit() itself raises BrokenProcessPool when
                         # another job's crash already broke this pool.
-                        future = pool.submit(compile_job, *args, inject,
-                                             trace, split)
+                        future = pool.submit(
+                            compile_job, job.payload_text, job.script_text,
+                            job.params, job.entry_point, self.strict,
+                            inject, trace, split)
                         if self.faults is not None and self.faults.fire(
                                 FaultSite.POOL_BREAK,
                                 f"{key}#attempt{attempts}"):

@@ -23,12 +23,14 @@ is that fan-out output is byte-identical to ``--jobs 1``.
 The compile service's function tier splits and joins modules at the
 same seams, on *text*: the printer numbers ``%N``/``^bbN`` in
 first-encounter order and a top-level function sees no outer value, so
-a function's lines inside a module are its standalone lines with every
-name shifted by the counts of the functions before it.
-:func:`function_entries` prints each function standalone,
-:func:`assemble_functions` splices such prints back into exactly
-``print_op`` of the module without parsing (DESIGN.md §9), and
-:func:`reassemble_module` is the same splice for ``--jobs`` shards.
+a function's lines inside a module are its lines in any other module
+with every name shifted by the difference of the name counts before it.
+:func:`function_entries` prints the functions in one printer session
+and records where each one's names sit, :func:`assemble_functions`
+splices such prints back into exactly ``print_op`` of a module without
+parsing — shifting only the entries that moved (DESIGN.md §9) — and
+:func:`reassemble_module` is the same splice for ``--jobs`` shards,
+which are all numbered from ``%0``.
 """
 
 from __future__ import annotations
@@ -36,8 +38,19 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..ir.core import Operation
-from ..ir.hashing import op_digest
-from ..ir.printer import Printer, module_body, module_text, shift_names
+from ..ir.hashing import NO_ATTRIBUTES_DIGEST, module_digest, op_digest
+from ..ir.printer import (
+    Printer,
+    module_body,
+    module_text,
+    move_names,
+    shift_names,
+)
+
+#: Where an entry's names sit: ``(value_base, values, block_base,
+#: blocks)`` — it holds ``%value_base`` .. ``%(value_base + values -
+#: 1)`` and likewise for ``^bbN``.
+Names = Tuple[int, int, int, int]
 
 #: Transforms whose payload effect distributes over disjoint functions.
 SHARDABLE_OPS = frozenset({
@@ -155,68 +168,89 @@ def shard_payload(payload: Operation) -> Optional[List[Operation]]:
     return shards
 
 
-def function_entries(module: Operation
-                     ) -> Optional[List[Tuple[str, str]]]:
-    """The function-tier view of one module: ``(entry text, structural
-    digest of the function)`` per top-level function.
+def function_text(function: Operation) -> str:
+    """``function`` printed alone in an attribute-less module, numbered
+    from ``%0``/``^bb0``: the payload text of a function-tier sub-job
+    (the engine cuts one per missing function off the module it has in
+    hand) and the *normalized* form of an entry."""
+    return module_text(Printer().print_op(function, "  "), {})
 
-    An entry text is the print of the function alone in an
-    *attribute-less* module — tier entries must not depend on which
-    module a function arrived in, nor on what preceded it there — so
-    each function is printed by a printer of its own, numbering from
-    ``%0``/``^bb0``, inside the module shell. Splicing the entries back
-    (:func:`assemble_functions`) gives ``print_op(module)``.
+
+def function_text_digests(function_digest: str) -> Tuple[str, str]:
+    """``(structural digest, attributes digest)`` of the module
+    :func:`function_text` prints, from the function's digest alone: a
+    digest is compositional, so nobody parses a shard to know them."""
+    return module_digest({}, [function_digest]), NO_ATTRIBUTES_DIGEST
+
+
+def function_entries(module: Operation
+                     ) -> Optional[List[Tuple[str, str, Names]]]:
+    """The function-tier view of one module: ``(entry text, structural
+    digest of the function, names)`` per top-level function.
+
+    The functions are printed through *one* printer session, function
+    by function, each into an attribute-less module shell: an entry
+    keeps the names it was printed with, and ``names`` records where
+    they sit — ``(value_base, values, block_base, blocks)``, read off
+    the printer's table sizes before and after. The entry bodies
+    joined in the module's own shell *are* ``print_op(module)``;
+    :func:`assemble_functions` does that join, and moves an entry to
+    another position by the difference of the bases.
 
     None when ``module`` is not cleanly splittable (see
     :func:`shardable_functions`)."""
     tops = shardable_functions(module)
     if tops is None:
         return None
+    printer = Printer()
     entries = []
     for function in tops:
-        entries.append((module_text(Printer().print_op(function, "  "), {}),
-                        op_digest(function)))
+        value_base = len(printer.value_names)
+        block_base = len(printer.block_names)
+        text = module_text(printer.print_op(function, "  "), {})
+        entries.append((text, op_digest(function), (
+            value_base, len(printer.value_names) - value_base,
+            block_base, len(printer.block_names) - block_base)))
     return entries
 
 
-def function_module_texts(text: str, source: str
-                          ) -> Optional[List[Tuple[str, str]]]:
-    """:func:`function_entries` of a module *text*; None also when it
-    does not parse."""
-    from ..ir.parser import parse
-
-    try:
-        module = parse(text, source)
-    except Exception:
-        return None
-    return function_entries(module)
-
-
 def assemble_functions(module_attributes, entry_texts: List[str],
-                       shell_attributes=None) -> Tuple[str, Tuple[int, int]]:
+                       shell_attributes=None,
+                       names: Optional[List[Names]] = None
+                       ) -> Tuple[str, Tuple[int, int]]:
     """Splice function entries into the print of one module.
 
     The inverse of :func:`function_entries`, on text alone: the
     printer numbers ``%N``/``^bbN`` in first-encounter order and a
     top-level function sees no outer value, so a function's lines
-    inside a module *are* its standalone lines with every name shifted
-    by the counts of the functions before it. Each entry loses its
-    module shell (:func:`~repro.ir.printer.module_body`), is shifted
-    (:func:`~repro.ir.printer.shift_names`) by the running bases and
-    lands in the shell of a module carrying ``module_attributes``.
-    Nothing is parsed, so nothing is verified here: an entry is the
-    print of IR its producer verified.
+    inside a module *are* its lines anywhere else with every name
+    shifted by the difference of the name counts before it. Each entry
+    loses its module shell (:func:`~repro.ir.printer.module_body`) and
+    lands in the shell of a module carrying ``module_attributes``: as
+    it is when ``names[i]`` — what :func:`function_entries` recorded —
+    puts it at the running bases already, else shifted by the
+    difference (:func:`~repro.ir.printer.move_names`). Without
+    ``names`` every text is *normalized* (numbered from ``%0``/``^bb0``,
+    see :func:`function_text` — the ``--jobs`` shards): each is shifted
+    (:func:`~repro.ir.printer.shift_names`) and its counts are read
+    off the text on the way. Nothing is parsed, so nothing is verified
+    here: an entry is the print of IR its producer verified.
 
     Returns ``(text, (value names, block names))``. Raises
     ``ValueError`` for a text that is not an entry: its shell must be
     exactly that of a module carrying ``shell_attributes`` (none, for
-    tier entries) around a non-empty body.
+    tier entries) around a non-empty body, and its first names the
+    recorded bases (the counts are taken on trust).
     """
     bodies = []
     values = blocks = 0
-    for text in entry_texts:
-        body, more_values, more_blocks = shift_names(
-            module_body(text, shell_attributes or {}), values, blocks)
+    for index, text in enumerate(entry_texts):
+        body = module_body(text, shell_attributes or {})
+        if names is None:
+            body, more_values, more_blocks = shift_names(body, values, blocks)
+        else:
+            body = move_names(body, names[index], values, blocks)
+            _, more_values, _, more_blocks = names[index]
         bodies.append(body)
         values += more_values
         blocks += more_blocks

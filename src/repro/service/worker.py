@@ -101,15 +101,17 @@ def compile_job(payload_text: str, script_text: str,
     ``functions``
         with ``function_tier`` and a ``"success"`` status, the
         function-tier view of the transformed payload: ``(entry text,
-        structural digest of the function)`` per top-level function.
-        An entry text is the function printed alone in an
-        attribute-less module (numbered from ``%0``/``^bb0`` — *not* a
-        slice of ``output``), and it is relocatable: the printer walks
-        the module once, function by function, and ``output`` is the
-        splice of the entries
-        (:func:`repro.service.sharding.assemble_functions`), byte for
-        byte what ``print_op`` of the module gives. None when the
-        output is not a cleanly splittable all-function module (see
+        structural digest of the function, names)`` per top-level
+        function. The printer walks the module once, function by
+        function: an entry text is one function's lines under the
+        names that walk gave them, in an attribute-less module shell,
+        and ``names`` is where they sit — ``(value_base, values,
+        block_base, blocks)``. ``output`` is the entries' bodies joined
+        in the module's own shell
+        (:func:`repro.service.sharding.assemble_functions` — nothing is
+        renumbered), byte for byte what ``print_op`` of the module
+        gives. None when the output is not a cleanly splittable
+        all-function module (see
         :func:`repro.service.sharding.shardable_functions` — ``output``
         is then the plain whole-module print), on any other status and
         without the flag;
@@ -122,7 +124,7 @@ def compile_job(payload_text: str, script_text: str,
     ``stats``
         the interpreter's counters, job-local by construction;
     ``wall_seconds``
-        in-worker wall time (parse + interpret + print + split).
+        in-worker wall time (parse + interpret + print).
 
     ``inject`` is the fault-injection hook for the chaos harness
     (:mod:`repro.testing.faults`): ``"crash"`` kills this worker
@@ -137,9 +139,8 @@ def compile_job(payload_text: str, script_text: str,
     engine-side trace and parent span. When present the worker records
     spans locally (``worker.compile`` over ``worker.parse`` /
     ``worker.interpret`` — with one child span per top-level transform
-    op — / ``worker.print``, which verifies, prints and digests, /
-    ``worker.split``, which turns the per-function prints into
-    ``output`` and runs only when there are ``functions``) into a
+    op — / ``worker.print``, which verifies, prints — function by
+    function when there are ``functions`` — and digests) into a
     tracer seeded with the propagated trace id and
     ships them back under ``"spans"`` (a list of
     :meth:`~repro.observability.Span.to_dict` dicts), so a job's trace
@@ -250,14 +251,15 @@ def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
                 functions = function_entries(payload)
             if functions is None:
                 output = print_op(payload)
-            output_digest = op_digest(payload)
-        if functions is not None:
-            with _span("worker.split"):
+            else:
                 # The one walk of the printer went function by
-                # function; the whole-module print is their splice.
+                # function; the whole-module print is those prints,
+                # as they are, in the module's shell.
                 output = assemble_functions(
-                    payload.attributes, [text for text, _ in functions])[0]
+                    payload.attributes, [entry[0] for entry in functions],
+                    names=[entry[2] for entry in functions])[0]
                 attrs_digest = attributes_digest(payload)
+            output_digest = op_digest(payload)
     except TransformInterpreterError as error:
         return _failed(str(error))
     except Exception as error:

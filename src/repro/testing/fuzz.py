@@ -21,9 +21,11 @@ interpreter's exception barrier, and asserts the robustness invariants:
   print(m)`` with an equal structural digest, so a front-end change
   that narrows or shifts the language fails here;
 * **relocatable function text** — every all-function payload and
-  output is the splice of its function-tier entries, byte for byte and
-  digest for digest (:func:`relocation_violations`), which is what the
-  compile service's function tier serves results from without parsing;
+  output is the join of its function-tier entries as printed, its
+  entries in any other order assemble to the print of the module in
+  that order, and its digest composes from theirs
+  (:func:`relocation_violations`), which is what the compile service's
+  function tier serves results from without parsing;
 * **op-list links** — in every payload and every output, each block's
   intrusive op list is consistent (:func:`op_list_violations`): forward
   links mirror backward links, parent pointers match, the ``block.ops``
@@ -49,6 +51,7 @@ failure is reproducible locally with::
 
 from __future__ import annotations
 
+import itertools
 import random
 import traceback
 from collections import Counter
@@ -463,32 +466,48 @@ def relocation_violations(module: Operation) -> List[str]:
     §9) fail on ``module``; empty for a module that is not cleanly
     splittable into functions.
 
-    The whole-module print is the splice of the function entries, its
-    digest composes from the functions' digests, the entries are the
-    ones a re-parse of the print yields, and shifting by nothing
-    changes nothing."""
+    The entries, printed in one session, join to the whole-module
+    print with no name moved; the entries in any other order assemble
+    — each shifted by the difference of its bases — to the print of
+    the module with its functions in that order (every order up to
+    four functions, the rotations and the reverse beyond); the module
+    digest composes from the functions' digests; and shifting by
+    nothing changes nothing."""
     from ..ir.hashing import module_digest, op_digest
-    from ..ir.printer import shift_names
-    from ..service.sharding import (
-        assemble_functions,
-        function_entries,
-        function_module_texts,
-    )
+    from ..ir.printer import module_body, module_text, shift_names
+    from ..service.sharding import assemble_functions, function_entries
 
     entries = function_entries(module)
     if entries is None:
         return []
-    text = print_op(module)
-    texts = [entry for entry, _ in entries]
+    functions = module.regions[0].entry_block.ops
     violated = []
-    if assemble_functions(module.attributes, texts)[0] != text:
-        violated.append("splice of the entries != print_op(module)")
+    joined = "\n".join(module_body(text, {}) for text, _, _ in entries)
+    if module_text(joined, module.attributes) != print_op(module):
+        violated.append("join of the entries != print_op(module)")
+    count = len(entries)
+    if count <= 4:
+        orders = list(itertools.permutations(range(count)))
+    else:
+        orders = [tuple(range(count))[turn:] + tuple(range(turn))
+                  for turn in range(count)] + [tuple(reversed(range(count)))]
+    for order in orders:
+        permuted = builtin.module()
+        permuted.attributes.update(module.attributes)
+        for index in order:
+            permuted.body.append(functions[index].clone())
+        if assemble_functions(
+                module.attributes, [entries[i][0] for i in order],
+                names=[entries[i][2] for i in order])[0] \
+                != print_op(permuted):
+            violated.append(f"entries assembled in order {order} != "
+                            "print_op of the module in that order")
+        permuted.destroy()
     if module_digest(module.attributes,
-                     [digest for _, digest in entries]) != op_digest(module):
+                     [digest for _, digest, _ in entries]) \
+            != op_digest(module):
         violated.append("module_digest(function digests) != op_digest")
-    if function_module_texts(text, "<relocation>") != entries:
-        violated.append("entries != entries of the re-parsed print")
-    if any(shift_names(entry, 0, 0)[0] != entry for entry in texts):
+    if any(shift_names(text, 0, 0)[0] != text for text, _, _ in entries):
         violated.append("shift_names(entry, 0, 0) is not the identity")
     return violated
 

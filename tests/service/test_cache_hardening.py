@@ -146,6 +146,20 @@ class TestFunctionTierStore:
         hit = reader.get_function("abc")
         assert hit is not None and hit.output == "fn-out"
         assert reader.stats.disk_hits == 1
+        # A tier entry's names survive the JSON round trip as the
+        # tuple they were (the engine refuses anything else).
+        entry = CachedResult("success", "fn-out", "", "d" * 64, (7, 3, 2, 1))
+        assert CachedResult.from_json(entry.to_json()) == entry
+        writer.put_function("named", entry)
+        assert CompilationCache(capacity=8, disk_path=path) \
+            .get_function("named") == entry
+        # A whole-job entry has none, and neither has a file written
+        # before there were any.
+        assert hit.names is None
+        assert CachedResult.from_json(
+            '{"status": "success", "output": "o"}').names is None
+        assert CachedResult.from_json(
+            '{"status": "success", "output": "o", "names": 4}').names is None
 
     def test_output_digest_survives_disk_roundtrip(self, tmp_path):
         path = str(tmp_path)

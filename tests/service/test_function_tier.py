@@ -15,7 +15,7 @@ from repro.core.errors import TransformResult
 from repro.ir.core import Operation, register_op
 from repro.ir.hashing import op_digest
 from repro.ir.parser import parse
-from repro.ir.printer import print_op
+from repro.ir.printer import module_body, print_op
 from repro.service import (
     CompilationCache,
     CompileEngine,
@@ -25,7 +25,11 @@ from repro.service import (
 )
 from repro.service.cache import function_key
 from repro.service.server import result_to_frame
-from repro.service.sharding import function_module_texts
+from repro.service.sharding import (
+    assemble_functions,
+    function_entries,
+    function_text,
+)
 from repro.service.worker import compile_job
 
 from .test_engine import UNROLL, UNROLL_BOUND
@@ -263,15 +267,15 @@ class TestWorkerEmittedEntries:
         (_module(F2, F0), UNROLL_BOUND, {"factor": 4}),
         (SINGLE, UNROLL, None),
         # What a tier-assembled parent submits as its ``/fnN`` sub-job.
-        (function_module_texts(MULTI, "<payload>")[1][0], UNROLL, None),
+        (function_text(parse(MULTI).regions[0].entry_block.ops[1]),
+         UNROLL, None),
         _fig9_job(),
     ], ids=["unroll", "unroll-bound", "single", "sub-job", "fig9"])
     def test_entries_equal_the_reparsed_output(self, payload, script,
                                                params):
         raw = compile_job(payload, script, params, function_tier=True)
         assert raw["status"] == "success"
-        assert raw["functions"] == \
-            function_module_texts(raw["output"], "<output>")
+        assert raw["functions"] == function_entries(parse(raw["output"]))
         assert raw["attrs_digest"] is not None
         # Without the flag the worker does none of it.
         bare = compile_job(payload, script, params)
@@ -280,18 +284,23 @@ class TestWorkerEmittedEntries:
         assert bare["output_digest"] == raw["output_digest"]
 
     def test_an_entry_is_the_canonical_print_of_its_digest(self):
-        # Equal digest => identical bytes: an entry is the canonical
-        # print of its one function alone in a module — numbered from
-        # %0, not a slice of the whole-module print (whose SSA
-        # numbering runs on across functions) — and carries that
-        # function's digest, the kind the tier is keyed on.
+        # Equal digest => identical bytes, up to where the names sit:
+        # an entry is its function's slice of the whole-module print
+        # (SSA numbering running on across functions) in a bare module
+        # shell, says where its names start, carries that function's
+        # digest — the kind the tier is keyed on — and moved to %0 it
+        # is the canonical print of the function alone.
         raw = compile_job(MULTI, UNROLL, function_tier=True)
-        for text, digest in raw["functions"]:
-            module = parse(text)
-            assert print_op(module) == text
-            (function,) = module.regions[0].entry_block.ops
+        values = blocks = 0
+        for text, digest, names in raw["functions"]:
+            assert module_body(text, {}) in raw["output"]
+            assert (names[0], names[2]) == (values, blocks)
+            values, blocks = values + names[1], blocks + names[3]
+            (function,) = parse(text).regions[0].entry_block.ops
             assert op_digest(function) == digest
-        assert raw["functions"][1][0] not in raw["output"]
+            assert assemble_functions({}, [text], names=[names])[0] \
+                == function_text(function)
+        assert raw["functions"][1][2][0] > 0
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_cache_holds_the_reference_entries(self, workers):
@@ -301,13 +310,14 @@ class TestWorkerEmittedEntries:
             result = engine.run_job(CompileJob(MULTI, UNROLL))
         assert result.status is JobStatus.SUCCESS
         sources = parse(MULTI).regions[0].entry_block.ops
-        outputs = function_module_texts(result.output, "<output>")
+        outputs = function_entries(parse(result.output))
         assert cache.stats.function_puts == len(sources) == 3
         script_digest = op_digest(parse(UNROLL))
-        for source, (text, digest) in zip(sources, outputs):
+        for source, reference in zip(sources, outputs):
             entry = cache.get_function(
                 function_key(op_digest(source), script_digest, None))
-            assert (entry.output, entry.output_digest) == (text, digest)
+            assert (entry.output, entry.output_digest, entry.names) \
+                == reference
 
     def test_non_function_output_is_not_split(self):
         raw = compile_job(MULTI, _escape("global"), function_tier=True)
@@ -325,19 +335,19 @@ class TestWorkerEmittedEntries:
         assert definite["status"] == "definite"
         assert definite["functions"] is None
 
-    def test_traced_split_has_its_own_span(self):
+    def test_traced_print_span_covers_the_split(self):
+        # The split is the print (one printer session, nothing
+        # renumbered): there is nothing left for a span of its own.
         from repro.observability.tracing import SpanContext
 
         trace = SpanContext("t" * 32, "p" * 16).to_dict()
-        spans = compile_job(MULTI, UNROLL, trace=trace,
-                            function_tier=True)["spans"]
-        names = [span["name"] for span in spans]
-        root = next(s for s in spans if s["name"] == "worker.compile")
-        split = next(s for s in spans if s["name"] == "worker.split")
-        assert split["parent_id"] == root["span_id"]
-        assert names.index("worker.split") > names.index("worker.print")
-        bare = compile_job(MULTI, UNROLL, trace=trace)["spans"]
-        assert "worker.split" not in [span["name"] for span in bare]
+        for function_tier in (True, False):
+            spans = compile_job(MULTI, UNROLL, trace=trace,
+                                function_tier=function_tier)["spans"]
+            assert sorted(span["name"] for span in spans
+                          if span["name"].startswith("worker.")) == [
+                "worker.compile", "worker.interpret", "worker.parse",
+                "worker.print"]
 
 
 class TestEscapeBackstops:

@@ -236,12 +236,15 @@ class TestAssembleFunctions:
         entries = function_entries(payload)
         attributes = dict(payload.attributes)
         text, names = assemble_functions(
-            attributes, [entry for entry, _ in entries])
+            attributes, [entry for entry, _, _ in entries],
+            names=[placed for _, _, placed in entries])
         assert text == print_op(payload)
         # Per function: four constants and the induction variable, one
         # labelled block.
+        assert [placed for _, _, placed in entries] \
+            == [(0, 5, 0, 1), (5, 5, 1, 1), (10, 5, 2, 1)]
         assert names == (15, 3) and "%14" in text and "^bb2" in text
-        assert module_digest(attributes, [d for _, d in entries]) \
+        assert module_digest(attributes, [d for _, d, _ in entries]) \
             == op_digest(parse(MULTI))
 
     def test_accepts_single_function_module_wrappers(self):
