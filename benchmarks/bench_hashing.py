@@ -4,7 +4,7 @@ the function-tier hit rate on an overlapping batch.
 Two measurements, mirroring the two consumers the digests rebuilt:
 
 * **identity checks** — every service hot path (cache lookup,
-  single-flight key, ``--jobs`` shard identity, reassembly backstop)
+  single-flight key, function-tier entry identity, reassembly backstop)
   used to answer "are these two modules the same compilation?" by
   printing both and comparing strings. On the unrolled ResNet-layer
   payload (~1.8k ops) this benchmark times R rounds of reprint-compare

@@ -9,9 +9,11 @@ before any payload exists:
   alternatives-aware use-after-consume ("use after free" over handles);
 * :mod:`repro.analysis.pipeline` — call-site-ordered pipeline
   extraction and the §3.3 pre/postcondition check, branch-aware;
-* :mod:`repro.analysis.effects` — the shared silenceable-failure model;
 * :mod:`repro.analysis.lint` — the ``repro-lint`` driver tying it all
   into one MLIR-style diagnostic stream.
+
+What an op consumes, derives and how it can fail is declared on its
+class in :mod:`repro.core.dialect`; the analyses read it off the op.
 
 The dynamic counterpart lives in the interpreter
 (:class:`~repro.core.state.TransformState` invalidation tracking); the
@@ -29,7 +31,6 @@ from .dataflow import (
     find_entry,
     top_level_ops,
 )
-from .effects import always_fails, may_fail_silenceably
 from .invalidation import (
     ERROR,
     WARNING,
@@ -40,7 +41,6 @@ from .invalidation import (
     NamedSequenceSummary,
     analyze_invalidation,
     analyze_script,
-    verify_script,
 )
 from .lint import emit_invalidation_diagnostics, lint_script
 from .pipeline import (
@@ -71,7 +71,6 @@ __all__ = [
     "PipelineReport",
     "Reach",
     "WARNING",
-    "always_fails",
     "analyze_invalidation",
     "analyze_script",
     "check_pipeline",
@@ -82,7 +81,5 @@ __all__ = [
     "find_entry",
     "flatten_pipeline",
     "lint_script",
-    "may_fail_silenceably",
     "top_level_ops",
-    "verify_script",
 ]

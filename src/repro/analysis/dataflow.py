@@ -30,7 +30,13 @@ recoverable scope. A consumption fact recorded at token ``t`` is only a
 *definite* error for a use still at token ``t`` — any possible
 silenceable skip between consume and use downgrades the diagnostic to a
 warning, which is exactly the precision contract the differential
-fuzzer (``repro.testing.fuzz --differential``) enforces.
+fuzzer (``repro.testing.fuzz --differential``) enforces. How an op can
+terminate is its own declaration (``ALWAYS_FAILS`` and
+``may_fail_silenceably()`` on its class in :mod:`repro.core.dialect`);
+an op nobody declared is assumed to possibly fail silenceably, the safe
+direction — it can only downgrade a static diagnostic from "definite
+error" to "possible error", never invent one on a schedule that could
+execute cleanly.
 """
 
 from __future__ import annotations
@@ -38,8 +44,13 @@ from __future__ import annotations
 import enum
 from typing import List, Optional, Tuple
 
+from ..core.dialect import SequenceOp, declared
 from ..ir.core import Block, Operation
-from . import effects
+
+
+def _suppresses(op: Operation) -> bool:
+    """Is ``op`` a sequence that swallows silenceable body failures?"""
+    return isinstance(op, SequenceOp) and op.suppresses_failures
 
 
 class Reach(enum.Enum):
@@ -144,7 +155,7 @@ class ForwardEngine:
         if entry.name == "transform.named_sequence":
             recoverable = True  # callers may recover from body failures
         else:
-            recoverable = effects.sequence_suppresses(entry)
+            recoverable = _suppresses(entry)
         self.run_block(entry.regions[0].entry_block, state, recoverable)
         return state
 
@@ -188,8 +199,7 @@ class ForwardEngine:
         elif op.regions:
             # Generic region op (nested sequence, unknown op with a
             # body): run inline on the shared state.
-            inner_recoverable = (recoverable
-                                 or effects.sequence_suppresses(op))
+            inner_recoverable = recoverable or _suppresses(op)
             completed = True
             for region in op.regions:
                 for block in region.blocks:
@@ -198,16 +208,16 @@ class ForwardEngine:
                         break
                 if not completed:
                     break
-            if not completed and not effects.sequence_suppresses(op):
+            if not completed and not _suppresses(op):
                 state.terminated = True
 
         analysis.after_regions(op, state, recoverable)
         if state.terminated:
             return
-        if effects.always_fails(op):
+        if declared(op).ALWAYS_FAILS:
             state.terminated = True
             return
-        if recoverable and effects.may_fail_silenceably(op):
+        if recoverable and declared(op).may_fail_silenceably():
             state.skip_tokens += 1
 
     def _run_alternatives(self, op: Operation,

@@ -31,13 +31,15 @@ Beyond the intraprocedural core, the analysis is:
 
 Alias edges come in two flavours, mirroring the dynamic semantics
 (consuming a handle invalidates handles to the *same* payload ops or
-ops *nested in* them, but not enclosing ones):
+ops *nested in* them, but not enclosing ones); which one an op draws is
+its class's ``DERIVES`` declaration (:mod:`repro.core.dialect`):
 
 * **nested** edges (``match_op``: the result points strictly inside
-  the operand's payload) — consumption flows source -> derived only;
+  the operand's payload; ``get_parent_op`` declares the reverse,
+  ``"enclosing"``) — consumption flows source -> derived only;
 * **subset** edges (``foreach`` block arguments, ``split_handle``,
-  ``merge_handles``, ``cast``: the result points at the same payload
-  ops) — consumption flows both ways.
+  ``merge_handles``, ``select``, ``cast``: the result points at the
+  same payload ops) — consumption flows both ways.
 
 With ``may_alias=True`` the analysis additionally over-approximates
 *undeclared* aliasing: two independently-matched handles can point at
@@ -54,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.dialect import declared
 from ..ir.core import Block, Operation, Value
 from .dataflow import (
     AbstractState,
@@ -62,21 +65,6 @@ from .dataflow import (
     Reach,
     top_level_ops,
 )
-
-#: result payload strictly nested in operand payload.
-DERIVES_NESTED = frozenset({"transform.match_op"})
-
-#: result payload equal to (a subset of) operand payload.
-DERIVES_SUBSET = frozenset({
-    "transform.cast",
-    "transform.merge_handles",
-    "transform.select",
-    "transform.split_handle",
-})
-
-#: operand payload strictly nested in *result* payload (upward
-#: navigation): consuming the result invalidates the operand.
-DERIVES_ENCLOSING = frozenset({"transform.get_parent_op"})
 
 ERROR = "error"
 WARNING = "warning"
@@ -233,18 +221,16 @@ class InvalidationAnalysis(ForwardAnalysis):
             fact = state.consumed.get(id(operand))
             if fact is not None:
                 self._report(op, operand, fact, state)
-        if op.name in DERIVES_NESTED:
+        derives = declared(op).DERIVES
+        if derives is not None:
             for operand in op.operands:
                 for result in op.results:
-                    state.add_nested(operand, result)
-        elif op.name in DERIVES_SUBSET:
-            for operand in op.operands:
-                for result in op.results:
-                    state.add_subset(operand, result)
-        elif op.name in DERIVES_ENCLOSING:
-            for operand in op.operands:
-                for result in op.results:
-                    state.add_nested(result, operand)
+                    if derives == "nested":
+                        state.add_nested(operand, result)
+                    elif derives == "subset":
+                        state.add_subset(operand, result)
+                    else:  # "enclosing": the operand is the nested one
+                        state.add_nested(result, operand)
         elif op.name == "transform.foreach":
             # Block arguments alias the iterated operands positionally.
             if op.regions and op.regions[0].blocks:
@@ -255,7 +241,7 @@ class InvalidationAnalysis(ForwardAnalysis):
     def after_regions(self, op: Operation, state: AbstractState,
                       recoverable: bool) -> None:
         assert isinstance(state, HandleState)
-        consumes = getattr(type(op), "CONSUMES", ())
+        consumes = declared(op).CONSUMES
         closure_ids: Set[int] = set()
         if consumes:
             token = state.skip_tokens
@@ -576,24 +562,8 @@ def analyze_invalidation(script: Operation) -> List[InvalidationIssue]:
     return analyze_script(script, may_alias=False)
 
 
-def verify_script(script: Operation) -> List[str]:
-    """Script-level verification: structural checks + invalidation.
-
-    Returns human-readable error strings (empty = script is clean).
-    This is the static counterpart of the interpreter's dynamic
-    tracking, runnable before any payload exists.
-    """
-    errors = [str(issue) for issue in analyze_invalidation(script)]
-    for op in script.walk():
-        if op.name == "transform.include" and op.attr("target") is None:
-            errors.append("transform.include without a 'target'")
-    return errors
-
-
 __all__ = [
     "Consumption",
-    "DERIVES_NESTED",
-    "DERIVES_SUBSET",
     "ERROR",
     "WARNING",
     "HandleState",
@@ -603,5 +573,4 @@ __all__ = [
     "SummaryConsumption",
     "analyze_invalidation",
     "analyze_script",
-    "verify_script",
 ]

@@ -8,7 +8,8 @@ Bundles every static check into one MLIR-style diagnostic stream
   and (for include call sites) the in-body consumer;
 * structural checks — ``transform.include`` without a resolvable
   ``target``;
-* dead handles — navigation/query ops none of whose results are used;
+* dead handles — ops declared ``RESULT_ONLY`` (their only effect is
+  producing handles or params) none of whose results are used;
 * dead macros — ``named_sequence`` definitions never included and not
   the entry point;
 * optionally (when payload specs are given) the §3.3 pipeline
@@ -27,24 +28,12 @@ import argparse
 import sys
 from typing import Iterable, List, Optional
 
+from ..core.dialect import declared
 from ..ir.core import Operation
 from ..ir.diagnostics import Diagnostic, DiagnosticEngine, Severity
 from .dataflow import find_entry
 from .invalidation import ERROR, InvalidationIssue, analyze_script
 from .pipeline import IssueKind, check_transform_script
-
-#: Ops whose only observable effect is producing result handles: with
-#: every result unused they are dead weight in the schedule.
-RESULT_ONLY_OPS = frozenset({
-    "transform.match_op",
-    "transform.get_parent_op",
-    "transform.select",
-    "transform.cast",
-    "transform.merge_handles",
-    "transform.split_handle",
-    "transform.param.constant",
-    "transform.num_payload_ops",
-})
 
 
 def emit_invalidation_diagnostics(
@@ -93,7 +82,7 @@ def _lint_structure(script: Operation, engine: DiagnosticEngine) -> None:
 def _lint_dead_handles(script: Operation,
                        engine: DiagnosticEngine) -> None:
     for op in script.walk():
-        if op.name not in RESULT_ONLY_OPS or not op.results:
+        if not declared(op).RESULT_ONLY or not op.results:
             continue
         if not any(result.has_uses() for result in op.results):
             engine.warning(

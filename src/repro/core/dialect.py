@@ -3,11 +3,15 @@
 Transform scripts are ordinary IR: each *transform* is an operation
 whose SSA results are *handles* to payload operations (or parameters).
 Every transform op implements ``apply(interpreter, state)`` returning a
-:class:`~repro.core.errors.TransformResult`, and declares:
-
-* ``CONSUMES``: operand indices whose handles it invalidates (§3.1);
-* ``PRECONDITIONS`` / ``POSTCONDITIONS``: payload op specs it expects /
-  introduces, for the static pipeline checker (§3.3).
+:class:`~repro.core.errors.TransformResult`, and *declares* on its
+class everything a client needs to know without running it (see
+:class:`TransformOp`; DESIGN.md "A transform op is one declaration"):
+which handles it consumes (§3.1), how its results' payload relates to
+its operands', how it can fail, whether it only produces handles,
+whether its effect stays inside one function, and the payload op specs
+it expects / introduces (§3.3). The interpreter, the static analyses,
+the script simplifier, the schedule builder and the compile service
+read those off the op — :func:`declared` — and keep no table of names.
 
 Builder helpers at module level make scripts read close to the paper::
 
@@ -82,16 +86,48 @@ LIBRARY_REGISTRY: Dict[str, MicrokernelLibrary] = {"libxsmm": XSMM_LIBRARY}
 
 
 class TransformOp(Operation):
-    """Base class of all transform operations."""
+    """Base class of all transform operations.
+
+    The class attributes and the two methods below are the op's whole
+    declaration. The defaults are the conservative answer for an op
+    nobody declared anything about: consumes nothing it says, derives
+    nothing, may fail silenceably, is not dead when unused, may reach
+    across functions.
+    """
 
     #: Operand indices whose handles this transform consumes/invalidates.
     CONSUMES: Tuple[int, ...] = ()
     #: Payload op specs expected (and removed) / introduced, when known.
     PRECONDITIONS: frozenset = frozenset()
     POSTCONDITIONS: frozenset = frozenset()
+    #: How the results' payload relates to the operands': ``"nested"``
+    #: (strictly inside it: consuming an operand invalidates the
+    #: results), ``"subset"`` (the same ops: consuming either
+    #: invalidates the other), ``"enclosing"`` (ancestors of it:
+    #: consuming a result invalidates the operands) or None.
+    DERIVES: Optional[str] = None
+    #: Its only effect is producing its results (handles or params).
+    RESULT_ONLY = False
+    #: Its payload effect distributes over disjoint top-level functions.
+    FUNCTION_LOCAL = False
+    #: ``apply`` can return a silenceable failure (definite errors need
+    #: no declaration: a run hitting one is not a clean run).
+    MAY_FAIL_SILENCEABLY = True
+    #: ``apply`` fails unconditionally; code after it is dead.
+    ALWAYS_FAILS = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         raise NotImplementedError(f"{self.name} has no interpreter rule")
+
+    def may_fail_silenceably(self) -> bool:
+        """Can this op, with its attributes and regions, produce a
+        silenceable failure?"""
+        return self.MAY_FAIL_SILENCEABLY
+
+    def is_function_local(self) -> bool:
+        """Does this op, with its attributes, stay inside each
+        top-level function of the payload?"""
+        return self.FUNCTION_LOCAL
 
     # -- helpers shared by transform ops -----------------------------------
 
@@ -123,6 +159,18 @@ class TransformOp(Operation):
         return TransformResult.definite(message, self)
 
 
+#: Stands in for an op that is not a :class:`TransformOp` (unregistered,
+#: foreign): the base-class defaults and nothing else.
+_UNDECLARED = TransformOp("transform.undeclared")
+
+
+def declared(op: Operation) -> TransformOp:
+    """The carrier of ``op``'s declarations: ``op`` itself when it is a
+    transform op — ops parsed from text are instances of their
+    registered class — else the conservative defaults."""
+    return op if isinstance(op, TransformOp) else _UNDECLARED
+
+
 # ---------------------------------------------------------------------------
 # Structural ops: sequence, named_sequence, include, yield, foreach,
 # alternatives
@@ -141,19 +189,23 @@ class SequenceOp(TransformOp):
 
     NAME = "transform.sequence"
     TRAITS = frozenset({SingleBlock})
+    FUNCTION_LOCAL = True
 
     @property
     def body(self) -> Block:
         return self.regions[0].entry_block
 
     @property
-    def failure_mode(self) -> str:
-        return self._str_attr("failures", "propagate")
+    def suppresses_failures(self) -> bool:
+        return self._str_attr("failures", "propagate") == "suppress"
+
+    def may_fail_silenceably(self) -> bool:
+        return not self.suppresses_failures
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         state.set_payload(self.body.args[0], [state.payload_root])
         result = interpreter.run_block(self.body, state)
-        if result.is_silenceable and self.failure_mode == "suppress":
+        if result.is_silenceable and self.suppresses_failures:
             return TransformResult.success()
         return result
 
@@ -164,6 +216,7 @@ class NamedSequenceOp(TransformOp):
 
     NAME = "transform.named_sequence"
     TRAITS = frozenset({SymbolTrait, SingleBlock, IsolatedFromAbove})
+    MAY_FAIL_SILENCEABLY = False  # an inline occurrence is a no-op
 
     @property
     def sym_name(self) -> str:
@@ -183,6 +236,8 @@ class NamedSequenceOp(TransformOp):
 class YieldOp(TransformOp):
     NAME = "transform.yield"
     TRAITS = frozenset({IsTerminator})
+    FUNCTION_LOCAL = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         return TransformResult.success()
@@ -282,6 +337,10 @@ class AlternativesOp(TransformOp):
 
     NAME = "transform.alternatives"
 
+    def may_fail_silenceably(self) -> bool:
+        # With an empty fallback region the op as a whole cannot fail.
+        return not any(region.is_empty for region in self.regions)
+
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         from .transaction import PayloadTransaction
 
@@ -357,9 +416,20 @@ class MatchOp(TransformOp):
     """``match.op "scf.for" {first} in %scope`` (Fig. 1 lines 2, 4)."""
 
     NAME = "transform.match_op"
+    DERIVES = "nested"
+    RESULT_ONLY = True
+    FUNCTION_LOCAL = True  # narrowed by position, below
 
     #: Recognized values of the ``position`` attribute.
     POSITIONS = ("all", "first", "second", "last")
+
+    def may_fail_silenceably(self) -> bool:
+        # Only a positional match can come up empty-handed.
+        return self._str_attr("position", "all") != "all"
+
+    def is_function_local(self) -> bool:
+        # Positional selection counts across the whole module.
+        return self._str_attr("position", "all") == "all"
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         scope = state.get_payload(self.operand(0))
@@ -409,6 +479,15 @@ class GetParentOp(TransformOp):
     """Map each payload op to its closest ancestor with a given name."""
 
     NAME = "transform.get_parent_op"
+    DERIVES = "enclosing"
+    RESULT_ONLY = True
+    FUNCTION_LOCAL = True  # narrowed by op_name, below
+
+    def is_function_local(self) -> bool:
+        # No op_name means the immediate parent, which for a top-level
+        # function is the module; naming builtin.module climbs there
+        # on purpose. Either way the handle escapes the function.
+        return self._str_attr("op_name") not in ("", "builtin.module")
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         wanted = self._str_attr("op_name")
@@ -432,6 +511,10 @@ class SelectOp(TransformOp):
     """Filter a handle's payload by op name (keeps matching ops)."""
 
     NAME = "transform.select"
+    DERIVES = "subset"
+    RESULT_ONLY = True
+    FUNCTION_LOCAL = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         wanted = self._str_attr("op_name")
@@ -454,6 +537,8 @@ class AnnotateOp(TransformOp):
     """
 
     NAME = "transform.annotate"
+    FUNCTION_LOCAL = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         name = self._str_attr("attr_name")
@@ -477,6 +562,10 @@ class AnnotateOp(TransformOp):
 @register_op
 class MergeHandlesOp(TransformOp):
     NAME = "transform.merge_handles"
+    DERIVES = "subset"
+    RESULT_ONLY = True
+    FUNCTION_LOCAL = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         merged: List[Operation] = []
@@ -493,6 +582,8 @@ class SplitHandleOp(TransformOp):
     """Split a handle into N handles of one payload op each."""
 
     NAME = "transform.split_handle"
+    DERIVES = "subset"
+    RESULT_ONLY = True
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         payload = state.get_payload(self.operand(0))
@@ -516,6 +607,9 @@ class ParamConstantOp(TransformOp):
     """``param.constant 8`` — an externalized heuristic value (Fig. 1)."""
 
     NAME = "transform.param.constant"
+    RESULT_ONLY = True
+    FUNCTION_LOCAL = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         value = self.attr("value")
@@ -534,6 +628,8 @@ class NumPayloadOpsOp(TransformOp):
     """Derive a parameter from the payload: number of mapped ops."""
 
     NAME = "transform.num_payload_ops"
+    RESULT_ONLY = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         state.set_param(
@@ -593,12 +689,14 @@ def _destroyed_mid_iteration(op: TransformOp, state: TransformState,
 class LoopTileOp(TransformOp):
     """Tile a loop (or perfect nest); yields (tile-band, point-band).
 
-    ``tile_sizes`` comes from an attribute or parameter operands; a size
-    of 0 leaves that dimension untiled (no-op rule of §3.4).
+    ``tile_sizes`` comes from an attribute or parameter operands; in a
+    nest a size of 0 leaves that dimension untiled (a lone size must be
+    positive).
     """
 
     NAME = "transform.loop.tile"
     CONSUMES = (0,)
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant", "arith.addi"})
 
@@ -637,6 +735,7 @@ class LoopSplitOp(TransformOp):
 
     NAME = "transform.loop.split"
     CONSUMES = (0,)
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant"})
 
@@ -668,6 +767,7 @@ class LoopUnrollOp(TransformOp):
 
     NAME = "transform.loop.unroll"
     CONSUMES = (0,)
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"arith.constant"})
 
@@ -694,6 +794,7 @@ class LoopInterchangeOp(TransformOp):
     """Swap two perfectly nested loops (in place; handles stay valid)."""
 
     NAME = "transform.loop.interchange"
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"scf.for"})
 
@@ -715,6 +816,7 @@ class LoopHoistOp(TransformOp):
     """``loop.hoist from %loop to %func`` (Fig. 1 line 3)."""
 
     NAME = "transform.loop.hoist"
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset()
 
@@ -744,6 +846,7 @@ class LoopVectorizeOp(TransformOp):
     """
 
     NAME = "transform.loop.vectorize"
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"scf.for"})
 
@@ -770,6 +873,7 @@ class LoopVectorizeOp(TransformOp):
 class LoopPeelOp(TransformOp):
     NAME = "transform.loop.peel"
     CONSUMES = (0,)
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant"})
 
@@ -802,6 +906,7 @@ class LoopPeelOp(TransformOp):
 class StructuredGeneralizeOp(TransformOp):
     NAME = "transform.structured.generalize"
     CONSUMES = (0,)
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"linalg.matmul"})
     POSTCONDITIONS = frozenset({"linalg.generic"})
 
@@ -823,6 +928,7 @@ class StructuredGeneralizeOp(TransformOp):
 class StructuredLowerToLoopsOp(TransformOp):
     NAME = "transform.structured.lower_to_loops"
     CONSUMES = (0,)
+    FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"linalg.matmul"})
     POSTCONDITIONS = frozenset({"scf.for", "memref.load", "memref.store",
                                 "arith.mulf", "arith.addf",
@@ -882,6 +988,7 @@ class ApplyRegisteredPassOp(TransformOp):
     """Invoke a registered compiler pass on each payload op (§4.1)."""
 
     NAME = "transform.apply_registered_pass"
+    MAY_FAIL_SILENCEABLY = False  # a pass failure is definite
 
     @property
     def pass_name(self) -> str:
@@ -920,6 +1027,8 @@ class ApplyPatternsOp(TransformOp):
 
     NAME = "transform.apply_patterns"
     TRAITS = frozenset({SingleBlock})
+    FUNCTION_LOCAL = True
+    MAY_FAIL_SILENCEABLY = False  # a pattern crash is definite
 
     def pattern_names(self) -> List[str]:
         names: List[str] = []
@@ -962,6 +1071,7 @@ class PatternMarkerOp(TransformOp):
     """Generic marker inside apply_patterns bodies; never executed."""
 
     NAME = "transform.pattern"
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         return TransformResult.success()
@@ -977,6 +1087,7 @@ class PrintOp(TransformOp):
     """Print payload ops with an optional message (debugging aid)."""
 
     NAME = "transform.print"
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         message = self._str_attr("message", "")
@@ -993,6 +1104,9 @@ class CastOp(TransformOp):
     """Refine/relax the handle type; payload is checked against it."""
 
     NAME = "transform.cast"
+    DERIVES = "subset"
+    RESULT_ONLY = True
+    FUNCTION_LOCAL = True
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         payload = state.get_payload(self.operand(0))
@@ -1020,6 +1134,7 @@ class AutodiffOp(TransformOp):
     """
 
     NAME = "transform.autodiff"
+    MAY_FAIL_SILENCEABLY = False  # missing configuration is definite
 
     AD_ADD_OPS = {
         "stablehlo": "stablehlo.add",
@@ -1066,6 +1181,7 @@ class EmitSilenceableOp(TransformOp):
     """Testing aid: unconditionally signal a silenceable error."""
 
     NAME = "transform.test.emit_silenceable"
+    ALWAYS_FAILS = True
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         return self.silenceable(self._str_attr("message", "silenceable"))
@@ -1076,6 +1192,8 @@ class EmitDefiniteOp(TransformOp):
     """Testing aid: unconditionally signal a definite error."""
 
     NAME = "transform.test.emit_definite"
+    ALWAYS_FAILS = True
+    MAY_FAIL_SILENCEABLY = False
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         return self.definite(self._str_attr("message", "definite"))

@@ -6,9 +6,10 @@ transformed:
 * :func:`expand_includes` — macro expansion of ``transform.include``
   via the ordinary inlining machinery (recursion is rejected by call
   graph cycle detection);
-* :func:`simplify_script` — peephole simplification: ``unroll by 1``
-  and ``tile by 0`` are no-ops, dead navigation transforms are erased,
-  duplicate ``param.constant`` ops are deduplicated;
+* :func:`simplify_script` — peephole simplification that keeps the
+  script's outcome: ``unroll by 1`` is a no-op, unused ops that only
+  produce handles and cannot fail are dead, duplicate
+  ``param.constant`` ops are shared;
 * :func:`infer_ad_dialects` — the Fig. 5 introspection: walk the script
   to determine at which abstraction level (stablehlo / arith / llvm) an
   ``autodiff`` transform sits, and configure the kind of "add" it emits.
@@ -21,6 +22,7 @@ from typing import Dict, List, Optional, Set
 from ..ir.attributes import StringAttr, SymbolRefAttr, unwrap
 from ..ir.builder import Builder
 from ..ir.core import Operation, Value
+from .dialect import declared
 
 
 class ScriptTransformError(Exception):
@@ -129,25 +131,26 @@ def _inline_include(include: Operation, callee: Operation) -> None:
 # Simplification / constant propagation
 # ---------------------------------------------------------------------------
 
-#: Navigation-like transforms that are pure wrt the payload: erasable
-#: when their results are unused.
-_PURE_NAVIGATION = {
-    "transform.match_op",
-    "transform.get_parent_op",
-    "transform.merge_handles",
-    "transform.cast",
-    "transform.param.constant",
-    "transform.num_payload_ops",
-}
-
 
 def simplify_script(script: Operation) -> int:
     """Peephole-simplify a transform script; returns rewrites applied.
 
-    Rules (paper §3.4): unrolling by 1 and tiling by 0 are no-ops;
-    unused navigation transforms are dead; identical ``param.constant``
-    ops are shared. Running these *before* interpretation saves the
-    compile time of applying no-op transforms to the payload.
+    Rules (paper §3.4): unrolling by 1 is a no-op; an op declared
+    ``RESULT_ONLY`` that cannot fail silenceably is dead when no result
+    is used (one rule over the op classes' declarations — an unused op
+    that *can* fail stays, because its failure skips the rest of the
+    block); identical ``param.constant`` ops are shared; an
+    ``apply_patterns`` without patterns and an ``alternatives`` with
+    only empty regions do nothing. Running these *before*
+    interpretation saves the compile time of applying no-op transforms
+    to the payload.
+
+    Every rule keeps the outcome: unless the script as written ends in
+    a definite error, the simplified script ends in the same status
+    class with byte-identical payload — an invariant of
+    ``python -m repro.testing.fuzz``. The paper's other example,
+    tiling by 0, is not folded: in this interpreter a lone zero size
+    is a silenceable failure and an all-zero nest is rebuilt.
     """
     rewrites = 0
     changed = True
@@ -176,20 +179,17 @@ def _static_sizes(op: Operation, attr_name: str) -> Optional[List[int]]:
 
 
 def _simplify_one(op: Operation) -> bool:
-    if op.name == "transform.loop.unroll":
+    # A factor operand overrides the attribute: the static rule only
+    # applies to the one-operand form.
+    if op.name == "transform.loop.unroll" and op.num_operands == 1:
         factors = _static_sizes(op, "factor")
         if factors == [1] and op.attr("full") is None:
             op.erase()
             return True
-    if op.name == "transform.loop.tile":
-        sizes = _static_sizes(op, "tile_sizes")
-        if sizes is not None and all(s == 0 for s in sizes):
-            # Tiling everything by 0 leaves the loop untouched: both
-            # result bands are the original loop.
-            op.replace_all_uses_with([op.operand(0)] * len(op.results))
-            op.erase()
-            return True
-    if op.name in _PURE_NAVIGATION:
+    facts = declared(op)
+    if facts.RESULT_ONLY and not facts.may_fail_silenceably():
+        # Dead: it only produces handles, nobody reads them, and
+        # skipping it cannot turn a failing run into a clean one.
         if op.results and not any(r.has_uses() for r in op.results):
             op.erase()
             return True
@@ -199,7 +199,8 @@ def _simplify_one(op: Operation) -> bool:
             op.erase()
             return True
     if op.name == "transform.alternatives":
-        if all(region.is_empty for region in op.regions):
+        if all(region.is_empty for region in op.regions) \
+                and not any(r.has_uses() for r in op.results):
             op.erase()
             return True
     return False

@@ -4,11 +4,18 @@
 emits the same transform IR one would write by hand, with two
 guarantees the textual path cannot give:
 
-* **Use-after-consume is a Python error.** Every emitted transform op
-  consults the op class's ``CONSUMES`` contract (§3.1); consuming a
-  handle marks it dead at build time, so reusing it raises
-  :class:`~repro.frontend.errors.ScheduleError` before ``repro-lint``
-  (let alone the interpreter) ever sees the script.
+* **Use-after-consume is a Python error.** Every emitted op that takes
+  or produces a payload handle passes through one helper
+  (``_Scope._emit``) that reads the op class's declarations
+  (:mod:`repro.core.dialect`): the operands at ``CONSUMES`` (§3.1) are
+  marked dead at build time together with every handle derived from
+  them, and the results are linked to the operands per ``DERIVES`` —
+  the same edges the lint's invalidation analysis draws — so reusing a
+  dead handle raises :class:`~repro.frontend.errors.ScheduleError`
+  before ``repro-lint`` (let alone the interpreter) ever sees the
+  script. An ``include`` consumes what its callee does: a macro
+  defined here records it while its body is built, a shipped library
+  macro's contract is the analysis' own summary of its body.
 * **Lint-clean by construction.** Because the builder refuses stale
   handles and only ``include``\\ s sequences it knows are defined, the
   emitted script carries zero error-severity ``repro-lint``
@@ -30,15 +37,21 @@ on the *outer* tile loop.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+import functools
+from typing import (
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
+from ..analysis.dataflow import ForwardEngine
+from ..analysis.invalidation import InvalidationAnalysis
 from ..core import dialect as transform
-from ..core.schedules import link_schedule_library
+from ..core import schedules
 from ..core.types import ANY_OP
 from ..dialects import builtin
 from ..ir.builder import Builder
 from ..ir.core import Operation, Value
 from ..ir.hashing import op_digest
+from ..ir.parser import parse
 from ..ir.printer import print_op
 from .errors import ScheduleError
 
@@ -61,8 +74,7 @@ class Handle:
         self.label = label
         self.consumed_by: Optional[str] = None
         #: Handles invalidated together with this one — the builder's
-        #: mirror of the lint's derivation edges (nested match results,
-        #: select/merge subset aliases).
+        #: mirror of the lint's derivation edges, drawn by ``_emit``.
         self._down: List["Handle"] = []
 
     @property
@@ -77,22 +89,26 @@ class Handle:
         return f"<handle {name}: {state}>"
 
 
-class _MacroInfo:
-    __slots__ = ("consumes", "n_results")
-
-    def __init__(self, consumes: Tuple[int, ...], n_results: int):
-        self.consumes = consumes
-        self.n_results = n_results
+class _MacroInfo(NamedTuple):
+    consumes: Tuple[int, ...]
+    n_results: int
 
 
-#: Consumption/result contracts of the shipped schedule library
-#: (``repro.core.schedules``), used by ``include`` after
-#: ``use_library()``.
-_LIBRARY_MACROS = {
-    "tile_and_unroll_remainder": _MacroInfo((0,), 1),
-    "offload_to_microkernel": _MacroInfo((0,), 0),
-    "lower_to_llvm": _MacroInfo((), 1),
-}
+@functools.lru_cache(maxsize=None)
+def _library_macros(library_ir: str) -> Dict[str, _MacroInfo]:
+    """Consumption/result contracts of a schedule library, as the
+    invalidation analysis summarizes each macro body: the arguments it
+    (maybe) consumes and the number of handles it yields."""
+    analysis = InvalidationAnalysis(may_alias=False)
+    engine = ForwardEngine(analysis)
+    macros = {}
+    for op in parse(library_ir, "<schedule-library>").walk():
+        if isinstance(op, transform.NamedSequenceOp):
+            summary = analysis.summarize(op, engine)
+            macros[op.sym_name] = _MacroInfo(
+                tuple(sorted(summary.arg_consumptions)),
+                len(summary.yields))
+    return macros
 
 
 class _Scope:
@@ -121,14 +137,6 @@ class _Scope:
             )
         self._schedule._require_unbuilt(what)
 
-    def _register(self, handle: Handle,
-                  name: Optional[str] = None) -> Handle:
-        self._live.append(handle)
-        if name is not None:
-            handle.label = name
-            self._named[name] = handle
-        return handle
-
     def _lookup(self, name: str) -> Handle:
         scope: Optional[_Scope] = self
         while scope is not None:
@@ -148,8 +156,7 @@ class _Scope:
             )
         return ref
 
-    def _operand(self, ref: Union[Handle, str], op: str, *,
-                 consume: bool = False) -> Handle:
+    def _operand(self, ref: Union[Handle, str], op: str) -> Handle:
         handle = self._resolve(ref)
         if not handle.live:
             who = handle.label or handle.kind or "handle"
@@ -157,8 +164,6 @@ class _Scope:
                 f"use-after-consume: {who} was already consumed by "
                 f"'{handle.consumed_by}' and cannot be passed to '{op}'"
             )
-        if consume:
-            self._invalidate(handle, op)
         return handle
 
     def _invalidate(self, handle: Handle, op: str) -> None:
@@ -176,18 +181,59 @@ class _Scope:
                 owner._live.remove(current)
             stack.extend(current._down)
 
-    @staticmethod
-    def _link_nested(source: Handle, result: Handle) -> None:
-        """Result payload nested in source: consuming the source kills
-        the result (``match_op``'s derivation rule)."""
-        source._down.append(result)
+    def _emit(self, op: Operation, what: str, operands: Sequence[Handle],
+              kinds: Sequence[Optional[str]] = (),
+              names: Optional[Sequence[Optional[str]]] = None,
+              consumes: Optional[Sequence[int]] = None) -> List[Handle]:
+        """Apply the declarations of the just-emitted ``op`` to the
+        builder's handles — the one place a handle dies or a
+        derivation edge is drawn.
 
-    @staticmethod
-    def _link_subset(a: Handle, b: Handle) -> None:
-        """Equal/subset payloads: consuming either kills the other
-        (``select``/``merge_handles``'s derivation rule)."""
-        a._down.append(b)
-        b._down.append(a)
+        ``operands`` are the payload handles ``op`` takes, in operand
+        order. Those at the op class's ``CONSUMES`` indices (an
+        ``include`` passes its callee's instead) are marked consumed
+        with their derivation closure; each result becomes a live
+        handle of payload kind ``kinds[i]``, registered as
+        ``names[i]``, linked to every operand per the class's
+        ``DERIVES``. Returns the result handles."""
+        facts = transform.declared(op)
+        for index in facts.CONSUMES if consumes is None else consumes:
+            if index < len(operands):
+                self._invalidate(self._operand(operands[index], what), what)
+        results = []
+        for index, value in enumerate(op.results):
+            kind = kinds[index] if index < len(kinds) else None
+            name = names[index] if names and index < len(names) else None
+            result = Handle(self, value, kind=kind, label=name)
+            self._live.append(result)
+            if name is not None:
+                self._named[name] = result
+            for operand in operands if facts.DERIVES else ():
+                # nested: consuming the operand kills the result;
+                # enclosing: the reverse; subset: both.
+                if facts.DERIVES != "enclosing":
+                    operand._down.append(result)
+                if facts.DERIVES != "nested":
+                    result._down.append(operand)
+            results.append(result)
+        return results
+
+    def _emit_pair(self, op: Operation, what: str, handle: Handle,
+                   names: Optional[Tuple[str, str]], keep: str,
+                   first: str, second: str) -> "_Scope":
+        """Emit a transform that consumes a loop into two; the cursor
+        moves to the one ``keep`` names."""
+        pair = self._emit(op, what, [handle], ["scf.for", "scf.for"], names)
+        if keep not in (first, second):
+            raise ScheduleError(
+                f"{what} keep= must be '{first}' or '{second}'")
+        self._cursor = pair[1] if keep == second else pair[0]
+        return self
+
+    def _subject(self, what: str) -> Handle:
+        """The live cursor of an open scope: what a chained call acts on."""
+        self._require_open(what)
+        return self._cursor_handle(what)
 
     def _cursor_handle(self, op: str) -> Handle:
         if self._cursor is None or not self._cursor.live:
@@ -199,10 +245,6 @@ class _Scope:
 
     def _fallback_cursor(self) -> None:
         self._cursor = self._live[-1] if self._live else None
-
-    def _new(self, value: Value, kind: Optional[str] = None,
-             name: Optional[str] = None) -> Handle:
-        return self._register(Handle(self, value, kind=kind), name)
 
     def _sizes_arg(self, sizes, op: str):
         """An int list stays an attribute; a param handle becomes an
@@ -243,18 +285,16 @@ class _Scope:
         result = transform.match_op(self._builder, scope.value, names,
                                     position=position)
         kind = names if isinstance(names, str) else None
-        self._cursor = self._new(result, kind=kind, name=name)
-        if in_ is not None:
-            self._link_nested(scope, self._cursor)
+        self._cursor, = self._emit(result.defining_op(), "match", [scope],
+                                   [kind], [name])
         return self
 
     def select(self, op_name: str, name: Optional[str] = None) -> "_Scope":
         """``transform.select``: filter the cursor by payload op name."""
-        self._require_open("select")
-        handle = self._cursor_handle("select")
+        handle = self._subject("select")
         result = transform.select(self._builder, handle.value, op_name)
-        self._cursor = self._new(result, kind=op_name, name=name)
-        self._link_subset(handle, self._cursor)
+        self._cursor, = self._emit(result.defining_op(), "select", [handle],
+                                   [op_name], [name])
         return self
 
     def merge(self, *refs: Union[Handle, str],
@@ -264,14 +304,12 @@ class _Scope:
         handles = [self._operand(ref, "merge") for ref in refs]
         if not handles:
             raise ScheduleError("merge needs at least one handle")
-        result = self._builder.create(
+        op = self._builder.create(
             "transform.merge_handles",
             operands=[h.value for h in handles],
             result_types=[ANY_OP],
-        ).result
-        self._cursor = self._new(result, name=name)
-        for handle in handles:
-            self._link_subset(handle, self._cursor)
+        )
+        self._cursor, = self._emit(op, "merge", handles, names=[name])
         return self
 
     def param(self, value: Union[int, Sequence[int]],
@@ -297,8 +335,7 @@ class _Scope:
         (outer, inner); the cursor moves to ``keep``. ``sizes`` may be
         an int list (an attribute), one param handle carrying a list,
         or a list of param handles (one operand per size)."""
-        self._require_open("tile")
-        handle = self._cursor_handle("tile")
+        handle = self._subject("tile")
         if isinstance(sizes, (list, tuple)) and any(
                 isinstance(size, (Handle, str)) for size in sizes):
             params = [self._operand(size, "tile") for size in sizes]
@@ -306,26 +343,17 @@ class _Scope:
                 raise ScheduleError(
                     "tile sizes must be all ints or all param handles"
                 )
-            self._operand(handle, "tile", consume=True)
             op = self._builder.create(
                 "transform.loop.tile",
                 operands=[handle.value] + [p.value for p in params],
                 result_types=[ANY_OP, ANY_OP],
             )
-            outer, inner = op.results[0], op.results[1]
         else:
             sizes = self._sizes_arg(sizes, "tile")
-            self._operand(handle, "tile", consume=True)
-            outer, inner = transform.loop_tile(self._builder, handle.value,
-                                               sizes)
-        outer_h = self._new(outer, kind="scf.for",
-                            name=names[0] if names else None)
-        inner_h = self._new(inner, kind="scf.for",
-                            name=names[1] if names else None)
-        if keep not in ("outer", "inner"):
-            raise ScheduleError("tile keep= must be 'outer' or 'inner'")
-        self._cursor = outer_h if keep == "outer" else inner_h
-        return self
+            op = transform.loop_tile(self._builder, handle.value,
+                                     sizes)[0].defining_op()
+        return self._emit_pair(op, "tile", handle, names, keep,
+                               "outer", "inner")
 
     def split(self, div_by, keep: str = "main",
               names: Optional[Tuple[str, str]] = None) -> "_Scope":
@@ -333,113 +361,96 @@ class _Scope:
         self._require_open("split")
         div_by = self._sizes_arg(div_by, "split")
         handle = self._cursor_handle("split")
-        self._operand(handle, "split", consume=True)
-        main, rest = transform.loop_split(self._builder, handle.value,
-                                          div_by)
-        main_h = self._new(main, kind="scf.for",
-                           name=names[0] if names else None)
-        rest_h = self._new(rest, kind="scf.for",
-                           name=names[1] if names else None)
-        if keep not in ("main", "rest"):
-            raise ScheduleError("split keep= must be 'main' or 'rest'")
-        self._cursor = main_h if keep == "main" else rest_h
-        return self
+        main, _ = transform.loop_split(self._builder, handle.value, div_by)
+        return self._emit_pair(main.defining_op(), "split", handle, names,
+                               keep, "main", "rest")
 
     def peel(self, keep: str = "main",
              names: Optional[Tuple[str, str]] = None) -> "_Scope":
         """``transform.loop.peel`` into (main, remainder)."""
-        self._require_open("peel")
-        handle = self._cursor_handle("peel")
-        self._operand(handle, "peel", consume=True)
+        handle = self._subject("peel")
         op = self._builder.create(
             "transform.loop.peel",
             operands=[handle.value],
             result_types=[ANY_OP, ANY_OP],
         )
-        main_h = self._new(op.results[0], kind="scf.for",
-                           name=names[0] if names else None)
-        rest_h = self._new(op.results[1], kind="scf.for",
-                           name=names[1] if names else None)
-        if keep not in ("main", "rest"):
-            raise ScheduleError("peel keep= must be 'main' or 'rest'")
-        self._cursor = main_h if keep == "main" else rest_h
-        return self
+        return self._emit_pair(op, "peel", handle, names, keep,
+                               "main", "rest")
 
     def unroll(self, factor: Optional[int] = None,
                full: bool = False) -> "_Scope":
         """``transform.loop.unroll``: consumes the cursor loop; the
         cursor falls back to the most recent live handle."""
-        self._require_open("unroll")
-        handle = self._cursor_handle("unroll")
-        self._operand(handle, "unroll", consume=True)
-        transform.loop_unroll(self._builder, handle.value, factor=factor,
-                              full=full)
+        handle = self._subject("unroll")
+        self._emit(transform.loop_unroll(self._builder, handle.value,
+                                         factor=factor, full=full),
+                   "unroll", [handle])
         self._fallback_cursor()
         return self
 
     def interchange(self, with_: Union[Handle, str]) -> "_Scope":
         """``transform.loop.interchange`` of the cursor and another
         loop handle (both stay live)."""
-        self._require_open("interchange")
-        outer = self._cursor_handle("interchange")
+        outer = self._subject("interchange")
         inner = self._operand(with_, "interchange")
-        transform.loop_interchange(self._builder, outer.value, inner.value)
+        self._emit(transform.loop_interchange(self._builder, outer.value,
+                                              inner.value),
+                   "interchange", [outer, inner])
         return self
 
     def hoist(self, target: Optional[Union[Handle, str]] = None) -> "_Scope":
         """``transform.loop.hoist`` (in place)."""
-        self._require_open("hoist")
-        handle = self._cursor_handle("hoist")
-        target_value = (self._operand(target, "hoist").value
-                        if target is not None else None)
-        transform.loop_hoist(self._builder, handle.value, target_value)
+        handle = self._subject("hoist")
+        operands = [handle] + ([self._operand(target, "hoist")]
+                               if target is not None else [])
+        self._emit(transform.loop_hoist(self._builder,
+                                        *[h.value for h in operands]),
+                   "hoist", operands)
         return self
 
     def vectorize(self, width: Union[int, Handle, str] = 8) -> "_Scope":
         """``transform.loop.vectorize`` (in place); width may be a
         param handle."""
-        self._require_open("vectorize")
-        handle = self._cursor_handle("vectorize")
+        handle = self._subject("vectorize")
         width = self._sizes_arg(width, "vectorize") \
             if not isinstance(width, int) else width
-        transform.loop_vectorize(self._builder, handle.value, width)
+        self._emit(transform.loop_vectorize(self._builder, handle.value,
+                                            width),
+                   "vectorize", [handle])
         return self
 
     # -- structured transforms ---------------------------------------------
 
     def generalize(self) -> "_Scope":
         """``transform.structured.generalize`` (consumes, recurses)."""
-        self._require_open("generalize")
-        handle = self._cursor_handle("generalize")
-        self._operand(handle, "generalize", consume=True)
+        handle = self._subject("generalize")
         op = self._builder.create(
             "transform.structured.generalize",
             operands=[handle.value],
             result_types=[ANY_OP],
         )
-        self._cursor = self._new(op.result, kind="linalg.generic")
+        self._cursor, = self._emit(op, "generalize", [handle],
+                                   ["linalg.generic"])
         return self
 
     def lower_to_loops(self) -> "_Scope":
         """``transform.structured.lower_to_loops`` (consumes)."""
-        self._require_open("lower_to_loops")
-        handle = self._cursor_handle("lower_to_loops")
-        self._operand(handle, "lower_to_loops", consume=True)
+        handle = self._subject("lower_to_loops")
         op = self._builder.create(
             "transform.structured.lower_to_loops",
             operands=[handle.value],
             result_types=[ANY_OP],
         )
-        self._cursor = self._new(op.result, kind="scf.for")
+        self._cursor, = self._emit(op, "lower_to_loops", [handle],
+                                   ["scf.for"])
         return self
 
     def to_library(self, library: str = "libxsmm") -> "_Scope":
         """``transform.to_library``: replace the cursor nest with a
         microkernel call (consumes)."""
-        self._require_open("to_library")
-        handle = self._cursor_handle("to_library")
-        self._operand(handle, "to_library", consume=True)
-        transform.to_library(self._builder, handle.value, library)
+        handle = self._subject("to_library")
+        self._emit(transform.to_library(self._builder, handle.value, library),
+                   "to_library", [handle])
         self._fallback_cursor()
         return self
 
@@ -448,33 +459,35 @@ class _Scope:
     def apply_registered_pass(self, pass_name: str,
                               options: Optional[Dict[str, object]] = None,
                               name: Optional[str] = None) -> "_Scope":
-        self._require_open("apply_registered_pass")
-        handle = self._cursor_handle("apply_registered_pass")
+        handle = self._subject("apply_registered_pass")
         result = transform.apply_registered_pass(
             self._builder, handle.value, pass_name, options)
-        self._cursor = self._new(result, name=name)
+        self._cursor, = self._emit(result.defining_op(),
+                                   "apply_registered_pass", [handle],
+                                   names=[name])
         return self
 
     def apply_patterns(self, *pattern_names: str) -> "_Scope":
-        self._require_open("apply_patterns")
-        handle = self._cursor_handle("apply_patterns")
-        transform.apply_patterns(self._builder, handle.value,
-                                 list(pattern_names))
+        handle = self._subject("apply_patterns")
+        self._emit(transform.apply_patterns(self._builder, handle.value,
+                                            list(pattern_names)),
+                   "apply_patterns", [handle])
         return self
 
     def annotate(self, attr_name: str, value=None) -> "_Scope":
         """``transform.annotate`` the cursor's payload (in place)."""
-        self._require_open("annotate")
-        handle = self._cursor_handle("annotate")
+        handle = self._subject("annotate")
         if isinstance(value, Handle):
             value = self._operand(value, "annotate").value
-        transform.annotate(self._builder, handle.value, attr_name, value)
+        self._emit(transform.annotate(self._builder, handle.value, attr_name,
+                                      value),
+                   "annotate", [handle])
         return self
 
     def print_(self, message: str = "") -> "_Scope":
-        self._require_open("print")
-        handle = self._cursor_handle("print")
-        transform.print_(self._builder, handle.value, message)
+        handle = self._subject("print")
+        self._emit(transform.print_(self._builder, handle.value, message),
+                   "print", [handle])
         return self
 
     # -- control flow -------------------------------------------------------
@@ -493,6 +506,7 @@ class _Scope:
         op = transform.alternatives(
             self._builder, n_regions=len(regions),
             scope=scope_handle.value if scope_handle else None)
+        self._emit(op, "alternatives", [scope_handle] if scope_handle else [])
         for body, region in zip(regions, op.regions):
             if body is None:
                 continue
@@ -517,17 +531,14 @@ class _Scope:
                    for ref in args]
         if not handles:
             handles = [self._cursor_handle(f"include @{target}")]
-        for index in info.consumes:
-            if index < len(handles):
-                self._operand(handles[index], f"include @{target}",
-                              consume=True)
-        results_op = transform.include(
-            self._builder, target, [h.value for h in handles],
-            n_results=info.n_results)
-        if info.n_results:
-            self._cursor = self._new(results_op.results[0], name=name)
-            for extra in results_op.results[1:]:
-                self._new(extra)
+        results = self._emit(
+            transform.include(self._builder, target,
+                              [h.value for h in handles],
+                              n_results=info.n_results),
+            f"include @{target}", handles, names=[name],
+            consumes=info.consumes)
+        if results:
+            self._cursor = results[0]
         elif self._cursor is not None and not self._cursor.live:
             self._fallback_cursor()
         return self
@@ -549,7 +560,8 @@ class Schedule(_Scope):
         self._sequence_op = op
         self._macros: Dict[str, _MacroInfo] = {}
         self._macro_ops: List[Operation] = []
-        self._use_library = False
+        #: Contracts of the linked library's macros; None = not linked.
+        self._library: Optional[Dict[str, _MacroInfo]] = None
         self._built: Optional[Operation] = None
 
     # -- macro definitions ---------------------------------------------------
@@ -563,11 +575,9 @@ class Schedule(_Scope):
     def _macro_info(self, target: str) -> _MacroInfo:
         if target in self._macros:
             return self._macros[target]
-        if self._use_library and target in _LIBRARY_MACROS:
-            return _LIBRARY_MACROS[target]
-        known = sorted(self._macros)
-        if self._use_library:
-            known += sorted(_LIBRARY_MACROS)
+        if target in (self._library or ()):
+            return self._library[target]
+        known = sorted(self._macros) + sorted(self._library or ())
         raise ScheduleError(
             f"include of unknown sequence @{target}; define it with "
             f".define(...) first (known: {known or 'none'})"
@@ -577,7 +587,7 @@ class Schedule(_Scope):
         """Link the shipped schedule library into the built module so
         its sequences are includable."""
         self._require_unbuilt("use_library")
-        self._use_library = True
+        self._library = _library_macros(schedules.SCHEDULE_LIBRARY_IR)
         return self
 
     def define(self, name: str,
@@ -622,13 +632,13 @@ class Schedule(_Scope):
         if self._built is not None:
             return self._built
         transform.yield_(self._builder)
-        if self._macro_ops or self._use_library:
+        if self._macro_ops or self._library is not None:
             module = builtin.module()
             for macro in self._macro_ops:
                 module.body.append(macro)
             module.body.append(self._sequence_op)
-            if self._use_library:
-                link_schedule_library(module)
+            if self._library is not None:
+                schedules.link_schedule_library(module)
             self._built = module
         else:
             self._built = self._sequence_op

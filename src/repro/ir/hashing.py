@@ -1,7 +1,7 @@
 """Content-addressed structural hashing for IR subtrees.
 
 Every scale-sensitive service path — cache lookup, single-flight
-dedup, ``--jobs`` shard identity, byte-identity reassembly — used to
+dedup, per-function entry identity, byte-identity reassembly — used to
 bottom out in :func:`repro.ir.printer.print_op` over an entire module:
 O(module) string work per lookup. This module gives operations a
 cheap structural identity instead: a SHA-256 digest computed

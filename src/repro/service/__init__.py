@@ -20,8 +20,11 @@ Layers (each its own module):
 * :mod:`repro.service.resilience` — the recovery policies the engine
   runs under: configurable retry/backoff, poison-job quarantine, and
   crash-loop pool-health monitoring;
-* :mod:`repro.service.sharding` — conservative per-function fan-out
-  used by ``repro-opt --jobs N``;
+* :mod:`repro.service.sharding` — the seams of the engine's function
+  tier: the gate deciding which (payload, schedule) pairs split per
+  ``func.func`` (it asks each transform op whether it is
+  function-local) and the text splice that joins per-function cache
+  entries back into a module;
 * :mod:`repro.service.frontier` — the one admission queue: bounded,
   ordered by priority class then arrival, backpressure when full;
 * :mod:`repro.service.cli` — everything argparse: the flags and
@@ -50,7 +53,7 @@ from .resilience import (
     QuarantinePolicy,
     RetryPolicy,
 )
-from .sharding import is_func_shardable, reassemble_module, shard_payload
+from .sharding import is_func_shardable
 from .worker import bind_parameters, compile_job
 
 __all__ = [
@@ -77,6 +80,4 @@ __all__ = [
     "cache_key",
     "compile_job",
     "is_func_shardable",
-    "reassemble_module",
-    "shard_payload",
 ]

@@ -860,9 +860,9 @@ class CompileEngine:
         digested each function off the transformed module while it was
         still IR (see :func:`repro.service.worker.compile_job`), so
         nothing is parsed here, and each is stored under the names it
-        was printed with. Guarded by the same backstops as
-        ``--jobs`` reassembly: the output must still be an
-        all-function module (else the worker sent None) with unchanged
+        was printed with. Guarded by backstops behind the gate: the
+        output must still be an all-function module (else the worker
+        sent None) with unchanged
         module attributes (its digest equals the *input's*) and an
         unchanged function count — anything else means the schedule
         escaped the function-local contract, and nothing is stored."""

@@ -1,42 +1,44 @@
-"""Per-function fan-out for ``repro-opt --jobs N``.
+"""The seams of the function tier: which jobs split per function, and
+how function text is cut out of and spliced back into a module.
 
-A payload module whose top level is nothing but ``func.func`` ops can
-be compiled one function per job — *if* the schedule provably
-distributes over functions. :func:`is_func_shardable` is the
-conservative gate: every op in the entry sequence must come from a
-whitelist of transforms whose effect is local to each matched payload
-op (navigation, annotation, loop restructuring, greedy pattern
-application), every ``transform.match_op`` must select *all*
-matches — positional selection (``first``/``last``) is inherently
-whole-module — and every ``transform.get_parent_op`` must name a
-parent below the module (climbing to ``builtin.module`` would hand
-later transforms the shard's root, whose mutations — e.g.
-``transform.annotate`` — land on a per-shard clone and silently
-vanish in reassembly).
+A payload module whose top level is nothing but call-free ``func.func``
+ops (:func:`shardable_functions`) can be compiled one function at a
+time — *if* the schedule provably distributes over functions.
+:func:`is_func_shardable` is the conservative gate: every op of the
+entry sequence must declare itself function-local
+(``TransformOp.is_function_local()`` in :mod:`repro.core.dialect` —
+navigation, annotation, loop restructuring, greedy pattern
+application; a ``transform.match_op`` only when it selects *all*
+matches, positional selection being inherently whole-module; a
+``transform.get_parent_op`` only when it names a parent below the
+module, since climbing to ``builtin.module`` would hand later
+transforms the root of a single-function sub-job, whose mutations —
+e.g. ``transform.annotate`` — would be lost in assembly). An op that
+declares nothing is not function-local.
 
 Silenceable failures are also whole-module state (they skip the rest
-of the enclosing block for *every* function), so the ``--jobs`` driver
-falls back to a sequential whole-module run the moment any shard
-reports anything but clean success. The contract — enforced by test —
-is that fan-out output is byte-identical to ``--jobs 1``.
+of the enclosing block for *every* function), so the engine only
+stores and assembles entries of cleanly successful jobs.
 
-The compile service's function tier splits and joins modules at the
-same seams, on *text*: the printer numbers ``%N``/``^bbN`` in
-first-encounter order and a top-level function sees no outer value, so
-a function's lines inside a module are its lines in any other module
-with every name shifted by the difference of the name counts before it.
-:func:`function_entries` prints the functions in one printer session
-and records where each one's names sit, :func:`assemble_functions`
-splices such prints back into exactly ``print_op`` of a module without
-parsing — shifting only the entries that moved (DESIGN.md §9) — and
-:func:`reassemble_module` is the same splice for ``--jobs`` shards,
-which are all numbered from ``%0``.
+The tier splits and joins modules on *text*: the printer numbers
+``%N``/``^bbN`` in first-encounter order and a top-level function sees
+no outer value, so a function's lines inside a module are its lines in
+any other module with every name shifted by the difference of the name
+counts before it. :func:`function_entries` prints the functions in one
+printer session and records where each one's names sit,
+:func:`assemble_functions` splices such prints back into exactly
+``print_op`` of a module without parsing — shifting only the entries
+that moved (DESIGN.md §9). Its *normalized* form (``names=None``:
+every text numbered from ``%0``) has no caller left in ``src/`` since
+``repro-opt --jobs`` went; ``perfbench/layers.py`` still times it, and
+it goes with the benchmark-only PR (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..core.dialect import declared
 from ..ir.core import Operation
 from ..ir.hashing import NO_ATTRIBUTES_DIGEST, module_digest, op_digest
 from ..ir.printer import (
@@ -51,29 +53,6 @@ from ..ir.printer import (
 #: blocks)`` — it holds ``%value_base`` .. ``%(value_base + values -
 #: 1)`` and likewise for ``^bbN``.
 Names = Tuple[int, int, int, int]
-
-#: Transforms whose payload effect distributes over disjoint functions.
-SHARDABLE_OPS = frozenset({
-    "transform.sequence",
-    "transform.yield",
-    "transform.match_op",
-    "transform.get_parent_op",
-    "transform.select",
-    "transform.cast",
-    "transform.merge_handles",
-    "transform.annotate",
-    "transform.param.constant",
-    "transform.loop.tile",
-    "transform.loop.split",
-    "transform.loop.unroll",
-    "transform.loop.interchange",
-    "transform.loop.hoist",
-    "transform.loop.vectorize",
-    "transform.loop.peel",
-    "transform.structured.generalize",
-    "transform.structured.lower_to_loops",
-    "transform.apply_patterns",
-})
 
 
 def _entry_sequence(script: Operation) -> Optional[Operation]:
@@ -107,21 +86,8 @@ def is_func_shardable(script: Operation) -> bool:
             continue
         if op.name.startswith("transform.pattern."):
             continue  # apply_patterns body markers
-        if op.name not in SHARDABLE_OPS:
+        if not declared(op).is_function_local():
             return False
-        if op.name == "transform.match_op":
-            position = op.attr("position")
-            if position is not None and \
-                    getattr(position, "value", "all") != "all":
-                return False
-        if op.name == "transform.get_parent_op":
-            wanted = getattr(op.attr("op_name"), "value", None)
-            # No op_name means "immediate parent", which for a
-            # top-level func is the module itself; an explicit
-            # builtin.module target climbs there on purpose. Either
-            # way the handle escapes the shard's function.
-            if not wanted or wanted == "builtin.module":
-                return False
     return True
 
 
@@ -147,25 +113,6 @@ def shardable_functions(payload: Operation) -> Optional[List[Operation]]:
             if op.name in ("func.call", "llvm.call"):
                 return None
     return tops
-
-
-def shard_payload(payload: Operation) -> Optional[List[Operation]]:
-    """Split a module into one single-function module per top-level
-    func, each a clone carrying the module's attributes; None when the
-    module is not cleanly splittable (see :func:`shardable_functions`)
-    or has fewer than two functions (nothing to fan out)."""
-    from ..dialects import builtin
-
-    tops = shardable_functions(payload)
-    if tops is None or len(tops) < 2:
-        return None
-    shards: List[Operation] = []
-    for function in tops:
-        shard = builtin.module()
-        shard.attributes.update(payload.attributes)
-        shard.body.append(function.clone())
-        shards.append(shard)
-    return shards
 
 
 def function_text(function: Operation) -> str:
@@ -215,7 +162,6 @@ def function_entries(module: Operation
 
 
 def assemble_functions(module_attributes, entry_texts: List[str],
-                       shell_attributes=None,
                        names: Optional[List[Names]] = None
                        ) -> Tuple[str, Tuple[int, int]]:
     """Splice function entries into the print of one module.
@@ -231,21 +177,21 @@ def assemble_functions(module_attributes, entry_texts: List[str],
     puts it at the running bases already, else shifted by the
     difference (:func:`~repro.ir.printer.move_names`). Without
     ``names`` every text is *normalized* (numbered from ``%0``/``^bb0``,
-    see :func:`function_text` — the ``--jobs`` shards): each is shifted
+    see :func:`function_text`): each is shifted
     (:func:`~repro.ir.printer.shift_names`) and its counts are read
     off the text on the way. Nothing is parsed, so nothing is verified
     here: an entry is the print of IR its producer verified.
 
     Returns ``(text, (value names, block names))``. Raises
     ``ValueError`` for a text that is not an entry: its shell must be
-    exactly that of a module carrying ``shell_attributes`` (none, for
-    tier entries) around a non-empty body, and its first names the
-    recorded bases (the counts are taken on trust).
+    exactly that of an attribute-less module around a non-empty body,
+    and its first names the recorded bases (the counts are taken on
+    trust).
     """
     bodies = []
     values = blocks = 0
     for index, text in enumerate(entry_texts):
-        body = module_body(text, shell_attributes or {})
+        body = module_body(text, {})
         if names is None:
             body, more_values, more_blocks = shift_names(body, values, blocks)
         else:
@@ -256,21 +202,3 @@ def assemble_functions(module_attributes, entry_texts: List[str],
         blocks += more_blocks
     return (module_text("\n".join(bodies), module_attributes),
             (values, blocks))
-
-
-def reassemble_module(payload: Operation,
-                      shard_texts: List[str]) -> Optional[str]:
-    """Splice transformed shard modules back into one module carrying
-    the original module attributes, in the original function order
-    (see :func:`assemble_functions`).
-
-    Returns None when any shard's last line is not the footer of the
-    original payload: the schedule mutated the module op itself (a
-    per-shard clone), which cannot be merged back faithfully — callers
-    must fall back to the sequential whole-module path. This backstops
-    :func:`is_func_shardable` against any future whitelist hole."""
-    try:
-        return assemble_functions(payload.attributes, shard_texts,
-                                  payload.attributes)[0]
-    except ValueError:
-        return None

@@ -29,7 +29,12 @@ interpreter's exception barrier, and asserts the robustness invariants:
 * **op-list links** — in every payload and every output, each block's
   intrusive op list is consistent (:func:`op_list_violations`): forward
   links mirror backward links, parent pointers match, the ``block.ops``
-  memo is the linked order and a valid order index rises along it.
+  memo is the linked order and a valid order index rises along it;
+* **simplification keeps the outcome** — unless the schedule as written
+  ends in a definite error, the same schedule after
+  :func:`~repro.core.script_transforms.simplify_script` ends in the same
+  status class with a byte-identical payload (the as-written vs
+  normalized oracle a service that normalizes scripts rests on).
 
 With ``--differential``, every case additionally cross-checks the
 static analysis (:mod:`repro.analysis.invalidation`) against the
@@ -61,6 +66,7 @@ from typing import List, Optional, Tuple
 from ..core import dialect as transform
 from ..core.errors import TransformInterpreterError
 from ..core.interpreter import TransformInterpreter
+from ..core.script_transforms import simplify_script
 from ..dialects import arith, builtin, func, scf
 from ..ir.builder import Builder
 from ..ir.core import Operation, Value
@@ -624,6 +630,23 @@ def run_case(case_seed: int, differential: bool = False
             case_seed, "deterministic-execution",
             "payload prints diverge between identical runs",
         ))
+
+    if outcome.kind != "definite":
+        payload3, script3, _rollback3, _before3 = _build_case(case_seed)
+        simplify_script(script3)
+        simplified = _interpret(payload3, script3)
+        if simplified.kind != outcome.kind:
+            failures.append(FuzzFailure(
+                case_seed, "simplify-keeps-status",
+                f"as written {outcome.kind}: {outcome.message!r}; "
+                f"simplified {simplified.kind}: {simplified.message!r}",
+            ))
+        elif simplified.payload_print != outcome.payload_print:
+            failures.append(FuzzFailure(
+                case_seed, "simplify-keeps-payload",
+                "payload prints diverge between the schedule as written "
+                "and simplified",
+            ))
     return outcome, failures
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import analyze_invalidation, verify_script
+from repro.analysis import analyze_invalidation, lint_script
 from repro.core import dialect as transform
 from repro.ir import Builder, Operation
 
@@ -129,12 +129,13 @@ class TestVerifyScript:
         transform.loop_unroll(builder, loop, full=True)
         transform.loop_unroll(builder, loop, full=True)
         transform.yield_(builder)
-        errors = verify_script(script)
+        errors = lint_script(script).errors
         assert len(errors) == 1
-        assert "invalidated" in errors[0]
+        assert "invalidated" in str(errors[0])
 
     def test_include_without_target_reported(self):
         script, builder, root = transform.sequence()
         builder.create("transform.include", operands=[root])
         transform.yield_(builder)
-        assert any("target" in e for e in verify_script(script))
+        assert any("target" in str(e)
+                   for e in lint_script(script).errors)

@@ -120,17 +120,6 @@ class TestSimplification:
         simplify_script(script)
         assert list(script.walk_ops("transform.loop.unroll"))
 
-    def test_tile_by_zero_forwards_handle(self):
-        script, builder, root = transform.sequence()
-        loop = transform.match_op(builder, root, "scf.for",
-                                  position="first")
-        outer, inner = transform.loop_tile(builder, loop, [0, 0])
-        printed = transform.print_(builder, inner)
-        transform.yield_(builder)
-        simplify_script(script)
-        assert not list(script.walk_ops("transform.loop.tile"))
-        assert printed.operand(0) is loop
-
     def test_dead_match_removed(self):
         script, builder, root = transform.sequence()
         transform.match_op(builder, root, "scf.for")  # unused
@@ -192,6 +181,91 @@ class TestSimplification:
             ].count("scf.for")
 
         assert build(False) == build(True)
+
+
+def _unused_positional_match(builder, root):
+    transform.match_op(builder, root, "scf.for", position="first")
+
+
+def _unused_get_parent(builder, root):
+    functions = transform.match_op(builder, root, "func.func")
+    builder.create("transform.get_parent_op", operands=[functions],
+                   result_types=[transform.ANY_OP],
+                   attributes={"op_name": "scf.for"})
+    transform.print_(builder, functions)
+
+
+def _unused_cast(builder, root):
+    functions = transform.match_op(builder, root, "func.func")
+    builder.create("transform.cast", operands=[functions],
+                   result_types=[transform.OperationHandleType("scf.for")])
+    transform.print_(builder, functions)
+
+
+class TestSimplificationKeepsTheOutcome:
+    """An unused op that fails silenceably as written skips the rest of
+    its block; erasing it would run the rest (ISSUE 23: the erasable
+    set had drifted from the failure model)."""
+
+    @staticmethod
+    def run(build, simplify):
+        from repro.dialects import arith, builtin, func
+        from repro.ir.printer import print_op
+
+        payload = builtin.module()
+        function = func.func("loop_free", [])
+        payload.body.append(function)
+        body = Builder.at_end(function.body)
+        arith.constant(body, 1.0)
+        func.return_(body)
+        script, builder, root = transform.sequence()
+        build(builder, root)
+        transform.annotate(builder, root, "reached")
+        transform.yield_(builder)
+        if simplify:
+            simplify_script(script)
+        result = TransformInterpreter().apply(script, payload)
+        return result.is_silenceable, print_op(payload)
+
+    @pytest.mark.parametrize("build", [
+        _unused_positional_match, _unused_get_parent, _unused_cast,
+    ])
+    def test_unused_op_that_fails_is_not_erased(self, build):
+        silenceable, output = self.run(build, simplify=False)
+        assert silenceable and "reached" not in output
+        assert self.run(build, simplify=True) == (silenceable, output)
+
+    @pytest.mark.parametrize("sizes", [[0], [0, 0]])
+    def test_tile_by_zero_is_not_folded(self, sizes):
+        # As written a lone zero size fails silenceably and a zero nest
+        # is rebuilt; forwarding the handle changed both outcomes.
+        from repro.ir.printer import print_op
+
+        def run(simplify):
+            payload = build_matmul_module(8, 4, 4)
+            script, builder, root = transform.sequence()
+            loop = transform.match_op(builder, root, "scf.for",
+                                      position="first")
+            transform.loop_tile(builder, loop, sizes)
+            transform.annotate(builder, root, "reached")
+            transform.yield_(builder)
+            if simplify:
+                simplify_script(script)
+            result = TransformInterpreter().apply(script, payload)
+            return result.is_silenceable, print_op(payload)
+
+        assert run(True) == run(False)
+
+    def test_size_operand_overrides_the_static_rule(self):
+        script, builder, root = transform.sequence()
+        loop = transform.match_op(builder, root, "scf.for",
+                                  position="first")
+        factor = transform.param_constant(builder, 4)
+        builder.create("transform.loop.unroll", operands=[loop, factor],
+                       attributes={"factor": 1})
+        transform.yield_(builder)
+        simplify_script(script)
+        assert list(script.walk_ops("transform.loop.unroll"))
 
 
 class TestADIntrospection:

@@ -1,17 +1,26 @@
-"""Per-function fan-out: the gate, the splitter, and --jobs equivalence."""
+"""The function tier's seams: the gate, the splitter, the splice, and
+per-function jobs against whole-module bytes."""
 
 import textwrap
+
+import pytest
 
 import repro.core  # registers transform ops
 import repro.dialects  # registers payload ops
 from repro.ir.parser import parse
 from repro.ir.printer import print_op
 from repro.service import (
+    CompilationCache,
+    CompileEngine,
+    CompileJob,
+    JobStatus,
     is_func_shardable,
-    reassemble_module,
-    shard_payload,
 )
-from repro.tools import _transform_opt_sharded, transform_opt
+from repro.service.sharding import (
+    assemble_functions,
+    function_text,
+    shardable_functions,
+)
 
 from .test_engine import UNROLL, UNROLL_BOUND
 
@@ -108,22 +117,19 @@ class TestShardableGate:
         assert not is_func_shardable(parse(script))
 
 
+GLOBAL = '"llvm.mlir.global"() {sym_name = "g"} : () -> ()'
+
+
 class TestShardPayload:
     def test_multi_func_module_splits(self):
-        shards = shard_payload(parse(MULTI))
-        assert shards is not None and len(shards) == 3
-        for shard, name in zip(shards, ["f0", "f1", "f2"]):
-            assert f'"{name}"' in print_op(shard)
-
-    def test_single_func_module_does_not(self):
-        assert shard_payload(parse(SINGLE)) is None
+        functions = shardable_functions(parse(MULTI))
+        assert functions is not None and len(functions) == 3
+        for function, name in zip(functions, ["f0", "f1", "f2"]):
+            assert f'"{name}"' in function_text(function)
 
     def test_non_func_top_level_does_not(self):
-        mixed = _module(
-            _func("f0"),
-            '"llvm.mlir.global"() {sym_name = "g"} : () -> ()',
-        )
-        assert shard_payload(parse(mixed)) is None
+        mixed = _module(_func("f0"), GLOBAL)
+        assert shardable_functions(parse(mixed)) is None
 
     def test_cross_function_calls_do_not(self):
         caller = textwrap.dedent("""
@@ -132,74 +138,122 @@ class TestShardPayload:
             "func.return"() : () -> ()
           }) {sym_name = "caller", function_type = () -> ()} : () -> ()
         """).strip()
-        assert shard_payload(parse(_module(_func("f0"), caller))) is None
+        assert shardable_functions(
+            parse(_module(_func("f0"), caller))) is None
 
     def test_identity_reassembly_is_byte_stable(self):
         payload = parse(MULTI)
-        shards = shard_payload(payload)
-        texts = [print_op(s) for s in shards]
-        assert reassemble_module(payload, texts) == print_op(payload)
+        texts = [function_text(f) for f in shardable_functions(payload)]
+        assert assemble_functions(payload.attributes, texts)[0] \
+            == print_op(payload)
 
     def test_reassembly_rejects_diverged_module_attrs(self):
-        # Backstop behind the gate: a shard whose module op gained an
-        # attribute cannot be merged faithfully — reassembly must
-        # refuse so the caller falls back to the sequential path.
+        # Backstop behind the gate: a sub-job whose module op gained an
+        # attribute does not print an entry — the splice must refuse
+        # so the engine compiles the module whole.
         payload = parse(MULTI)
-        shards = shard_payload(payload)
-        shards[1].set_attr("marked", 1)
-        texts = [print_op(s) for s in shards]
-        assert reassemble_module(payload, texts) is None
+        texts = [function_text(f) for f in shardable_functions(payload)]
+        marked = parse(texts[1])
+        marked.set_attr("marked", 1)
+        texts[1] = print_op(marked)
+        with pytest.raises(ValueError):
+            assemble_functions(payload.attributes, texts)
+
+
+def _whole_module(payload, script):
+    """``workers=0`` bytes: no cache, no function tier."""
+    engine = CompileEngine(workers=0, cache=None, preflight=False,
+                           function_tier=False)
+    try:
+        result = engine.run_job(
+            CompileJob(payload_text=payload, script_text=script))
+    finally:
+        engine.shutdown()
+    assert result.status is JobStatus.SUCCESS
+    return result.output
+
+
+def _through_tier(script, *payloads):
+    """Run ``payloads`` in order through one cached engine with the
+    function tier on; returns (results, engine, cache)."""
+    cache = CompilationCache(capacity=64)
+    engine = CompileEngine(workers=0, cache=cache, preflight=False,
+                           function_tier=True)
+    try:
+        results = [
+            engine.run_job(CompileJob(payload_text=payload,
+                                      script_text=script))
+            for payload in payloads
+        ]
+    finally:
+        engine.shutdown()
+    assert all(r.status is JobStatus.SUCCESS for r in results)
+    return results, engine, cache
+
+
+F0, F1, F2 = _func("f0", 8), _func("f1", 4), _func("f2", 16)
 
 
 class TestJobsEquivalence:
-    def test_sharded_path_fires_and_matches_sequential(self):
-        payload = parse(MULTI)
-        script = parse(UNROLL)
-        sharded = _transform_opt_sharded(payload, script, UNROLL, jobs=3)
-        assert sharded is not None
-        sequential = transform_opt(MULTI, UNROLL, jobs=1)
-        assert sharded == sequential
+    """Jobs served per function are byte-identical to whole-module
+    jobs — or the gate keeps them whole."""
 
-    def test_transform_opt_jobs_flag_byte_identical(self):
-        assert transform_opt(MULTI, UNROLL, jobs=4) == \
-            transform_opt(MULTI, UNROLL, jobs=1)
+    def test_sharded_path_fires_and_matches_sequential(self):
+        rotated = _module(F1, F2, F0)
+        (first, second), engine, cache = _through_tier(
+            UNROLL, MULTI, rotated)
+        assert cache.stats.function_puts == 3
+        assert second.function_tier and second.cache_hit
+        assert engine.stats.executed == 1
+        assert first.output == _whole_module(MULTI, UNROLL)
+        assert second.output == _whole_module(rotated, UNROLL)
 
     def test_non_shardable_payload_falls_back(self):
-        # Single function: the sharded path declines, the sequential
-        # path still compiles.
-        assert transform_opt(SINGLE, UNROLL, jobs=4) == \
-            transform_opt(SINGLE, UNROLL, jobs=1)
+        # A global at the top level: the payload is not splittable,
+        # the job is compiled whole and nothing enters the tier.
+        mixed = _module(F0, GLOBAL, F1)
+        (result,), _, cache = _through_tier(UNROLL, mixed)
+        assert not result.function_tier
+        assert cache.stats.function_puts == 0
+        assert result.output == _whole_module(mixed, UNROLL)
 
     def test_non_shardable_script_falls_back(self):
         script = UNROLL.replace('position = "all"', 'position = "first"')
-        assert transform_opt(MULTI, script, jobs=4) == \
-            transform_opt(MULTI, script, jobs=1)
+        assert not is_func_shardable(parse(script))
+        results, _, cache = _through_tier(script, MULTI, _module(F0, F2))
+        assert cache.stats.function_puts == 0
+        assert not any(r.function_tier for r in results)
+        assert results[0].output == _whole_module(MULTI, script)
+        assert results[1].output == _whole_module(_module(F0, F2), script)
 
     def test_module_annotation_falls_back_and_keeps_the_mark(self):
         # Regression: get_parent_op climbing to builtin.module used to
-        # pass the gate, each shard annotated its own clone module,
-        # and the reassembled output silently lost `marked`.
-        assert _transform_opt_sharded(
-            parse(MULTI), parse(MODULE_ANNOTATE), MODULE_ANNOTATE,
-            jobs=2,
-        ) is None
-        fanned = transform_opt(MULTI, MODULE_ANNOTATE, jobs=2)
-        assert fanned == transform_opt(MULTI, MODULE_ANNOTATE, jobs=1)
-        assert "marked" in fanned
+        # pass the gate; a per-function sub-job would annotate its own
+        # module shell and the assembled output lose `marked`.
+        assert not is_func_shardable(parse(MODULE_ANNOTATE))
+        results, _, cache = _through_tier(
+            MODULE_ANNOTATE, MULTI, _module(F0, F2))
+        assert cache.stats.function_puts == 0
+        assert not any(r.function_tier for r in results)
+        for result, payload in zip(results, (MULTI, _module(F0, F2))):
+            assert result.output == _whole_module(payload, MODULE_ANNOTATE)
+            assert "marked" in result.output
 
     def test_in_shard_get_parent_still_fans_out(self):
-        sharded = _transform_opt_sharded(
-            parse(MULTI), parse(FUNC_ANNOTATE), FUNC_ANNOTATE, jobs=3
-        )
-        assert sharded is not None
-        assert sharded == transform_opt(MULTI, FUNC_ANNOTATE, jobs=1)
-        assert sharded.count("marked") == 3
+        assert is_func_shardable(parse(FUNC_ANNOTATE))
+        partial = _module(F2, _func("f3", 2), F0)
+        (first, second), engine, cache = _through_tier(
+            FUNC_ANNOTATE, MULTI, partial)
+        assert cache.stats.function_puts >= 3
+        assert second.function_tier and not second.cache_hit
+        assert engine.stats.function_tier_hits == 1
+        assert first.output == _whole_module(MULTI, FUNC_ANNOTATE)
+        assert second.output == _whole_module(partial, FUNC_ANNOTATE)
+        assert second.output.count("marked") == 3
 
 
 class TestShardableFunctions:
     def test_returns_the_functions_without_cloning(self):
-        from repro.service.sharding import shardable_functions
-
         payload = parse(MULTI)
         functions = shardable_functions(payload)
         assert functions is not None and len(functions) == 3
@@ -207,30 +261,18 @@ class TestShardableFunctions:
         assert all(f is top for f, top in zip(functions, tops))
 
     def test_single_function_is_splittable_here(self):
-        # Unlike shard_payload (which wants >= 2 to fan out), the
-        # function tier caches single-function modules too.
-        from repro.service.sharding import shardable_functions
-
+        # The function tier caches single-function modules too.
         assert shardable_functions(parse(SINGLE)) is not None
-        assert shard_payload(parse(SINGLE)) is None
 
     def test_calls_and_foreign_tops_refused(self):
-        from repro.service.sharding import shardable_functions
-
-        with_global = _module(
-            _func("f0"),
-            '"llvm.mlir.global"() {sym_name = "g"} : () -> ()',
-        )
+        with_global = _module(_func("f0"), GLOBAL)
         assert shardable_functions(parse(with_global)) is None
 
 
 class TestAssembleFunctions:
     def test_matches_whole_module_print(self):
         from repro.ir.hashing import module_digest, op_digest
-        from repro.service.sharding import (
-            assemble_functions,
-            function_entries,
-        )
+        from repro.service.sharding import function_entries
 
         payload = parse(MULTI)
         entries = function_entries(payload)
@@ -248,10 +290,10 @@ class TestAssembleFunctions:
             == op_digest(parse(MULTI))
 
     def test_accepts_single_function_module_wrappers(self):
-        from repro.service.sharding import assemble_functions
-
         payload = parse(MULTI)
-        shards = shard_payload(payload)
-        texts = [print_op(shard) for shard in shards]
-        text, _ = assemble_functions(dict(payload.attributes), texts)
+        texts = [function_text(f) for f in shardable_functions(payload)]
+        text, counts = assemble_functions(dict(payload.attributes), texts)
         assert text == print_op(payload)
+        # Normalized texts carry no names record: the counts are read
+        # off the text on the way.
+        assert counts == (15, 3)

@@ -32,10 +32,13 @@ class TestTransformOpt:
         assert '"func.call"' not in output
         assert output.count('"scf.for"') == 4  # i0, i1, j, k
 
-    def test_static_check_catches_script_error(self, payload_text):
+    def test_static_check_catches_script_error(self, payload_text,
+                                               capsys):
         with pytest.raises(ToolError, match="verification failed"):
             transform_opt(payload_text, script_text(with_error=True),
-                          check=True)
+                          verify=True)
+        assert "error: 'transform.loop.unroll' uses an invalidated " \
+            "handle" in capsys.readouterr().err
 
     def test_without_check_error_is_dynamic(self, payload_text):
         from repro.core import TransformInterpreterError
@@ -43,13 +46,15 @@ class TestTransformOpt:
         with pytest.raises(TransformInterpreterError):
             transform_opt(payload_text, script_text(with_error=True))
 
-    def test_check_runs_pipeline_conditions(self, payload_text):
-        """A lowering script that leaks non-llvm ops fails --check."""
+    def test_check_runs_pipeline_conditions(self, payload_text, capsys):
+        """A lowering script that leaks non-llvm ops fails --verify."""
         from repro.core import pipeline_to_transform_script
 
         script = pipeline_to_transform_script(["convert-scf-to-cf"])
-        with pytest.raises(ToolError, match="pipeline check failed"):
-            transform_opt(payload_text, print_op(script), check=True)
+        with pytest.raises(ToolError, match="verification failed"):
+            transform_opt(payload_text, print_op(script), verify=True)
+        err = capsys.readouterr().err
+        assert "error:" in err and "llvm.*" in err
 
     def test_output_reparses(self, payload_text):
         from repro.ir.parser import parse
@@ -94,17 +99,6 @@ class TestCLI:
         payload_file.write_text(payload_text)
         code = main([str(payload_file), "--pipeline", "canonicalize"])
         assert code == 0
-
-    def test_main_check_failure_exit_code(self, payload_text, tmp_path,
-                                          capsys):
-        payload_file = tmp_path / "payload.mlir"
-        payload_file.write_text(payload_text)
-        script_file = tmp_path / "schedule.mlir"
-        script_file.write_text(script_text(with_error=True))
-        code = main([str(payload_file), "--script", str(script_file),
-                     "--check"])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
 
     def test_main_verify_failure_exit_code(self, payload_text,
                                            tmp_path, capsys):
