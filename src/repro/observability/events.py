@@ -11,8 +11,12 @@ and job id).
 
 Records are plain dicts; with a ``path`` the log writes each record
 as one JSON line immediately (line-buffered, so a crashed process
-still leaves a usable prefix). An in-memory copy is always kept for
-tests and for the ``repro-serve`` streaming-status surface to read.
+still leaves a usable prefix). An in-memory copy of the most recent
+:data:`RECORDS_KEPT` records is always kept for tests and tools to
+read; a long-lived daemon emits several records per job for the life
+of the process, so the copy is a window, not a history — the file and
+the subscribers (``repro-serve``'s streaming-status surface) see every
+record.
 
 :func:`validate_events` is the schema check CI runs against the
 emitter so the format cannot drift.
@@ -23,7 +27,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Union
+from collections import deque
+from typing import Callable, Deque, Dict, List, Optional, Union
 
 #: Version of the event record schema (the per-record ``v`` field).
 EVENTS_SCHEMA_VERSION = 1
@@ -55,9 +60,12 @@ EVENT_TYPES = frozenset({
 #: Event types that mark the end of a job's lifecycle.
 TERMINAL_EVENTS = frozenset({"COMPLETED"})
 
+#: Records :meth:`EventLog.records` can return: the newest ones.
+RECORDS_KEPT = 4096
+
 
 class EventLog:
-    """Thread-safe JSONL event emitter with an in-memory copy.
+    """Thread-safe JSONL event emitter with a bounded in-memory copy.
 
     Live consumers (the ``repro-serve`` streaming-status surface)
     register with :meth:`subscribe`; every subscriber sees every
@@ -65,7 +73,8 @@ class EventLog:
     """
 
     def __init__(self, path: Optional[str] = None):
-        self._records: List[Dict[str, object]] = []
+        self._records: Deque[Dict[str, object]] = deque(
+            maxlen=RECORDS_KEPT)
         self._lock = threading.Lock()
         self._handle = open(path, "w") if path is not None else None
         self._subscribers: List[Callable[[Dict[str, object]], None]] = []

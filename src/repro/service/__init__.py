@@ -26,7 +26,9 @@ Layers (each its own module):
   function-local) and the text splice that joins per-function cache
   entries back into a module;
 * :mod:`repro.service.frontier` — the one admission queue: bounded,
-  ordered by priority class then arrival, backpressure when full;
+  ordered by priority class then arrival, backpressure when full; a
+  job the engine's memory can answer is answered at admission and
+  never queues;
 * :mod:`repro.service.cli` — everything argparse: the flags and
   engine factory the CLIs share, the one result reporter, the
   ``--timing`` service report, and ``repro-batch`` (one driver over a local frontier or ``--connect``);

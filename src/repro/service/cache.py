@@ -17,6 +17,13 @@ Two granularities share the store:
   the key is the *structural digest* of the function
   (:func:`repro.ir.hashing.op_digest`), not the module it arrived in.
 
+The two tiers share one LRU, and **residency** is the LRU's policy: a
+whole-job entry remembers the function keys of its job
+(``CachedResult.uses``) and a hit on it refreshes those entries too, so
+a hot job keeps the function entries a near-repeat of it will splice.
+File I/O of the disk tier happens outside the cache lock: a memory
+lookup never waits for another thread's disk.
+
 Only successful (or silenceable-with-output) compilations are cached —
 definite failures are cheap to reproduce and usually transient in a
 development loop, and caching them would mask fixes to transform code.
@@ -168,7 +175,9 @@ class CachedResult:
     reparsing the text); ``names``, on a function-tier entry only,
     where the names of ``output`` sit — ``(value_base, values,
     block_base, blocks)``, see
-    :func:`repro.service.sharding.function_entries`.
+    :func:`repro.service.sharding.function_entries`; ``uses``, on a
+    whole-job entry only, the function-tier keys of the job's
+    functions (see :meth:`CompilationCache.get`).
     """
 
     status: str
@@ -176,6 +185,7 @@ class CachedResult:
     diagnostics: str = ""
     output_digest: Optional[str] = None
     names: Optional[Tuple[int, int, int, int]] = None
+    uses: Sequence[str] = ()
 
     @property
     def splices(self) -> bool:
@@ -199,7 +209,8 @@ class CachedResult:
         return CachedResult(data["status"], data["output"],
                             data.get("diagnostics", ""),
                             data.get("output_digest"),
-                            tuple(names) if isinstance(names, list) else None)
+                            tuple(names) if isinstance(names, list) else None,
+                            tuple(data.get("uses") or ()))
 
 
 #: Namespace prefix separating function-tier entries from whole-job
@@ -277,8 +288,7 @@ class CompilationCache:
         return self.stats.degraded
 
     def _degrade_disk(self, reason: str) -> None:
-        """Demote to memory-only (idempotent). Called under the cache
-        lock on I/O paths; safe without it in ``__init__``."""
+        """Demote to memory-only (idempotent); under the cache lock."""
         if self.stats.degraded:
             return
         self.stats.degraded = True
@@ -290,12 +300,16 @@ class CompilationCache:
             stacklevel=3,
         )
 
-    def _record_disk_trouble(self, reason: str) -> None:
-        """Count one disk error and demote once the budget is spent."""
-        self.stats.disk_errors += 1
-        if (self.stats.disk_errors + self.stats.disk_corrupt
-                >= self.max_disk_errors):
-            self._degrade_disk(reason)
+    def _record_disk_trouble(self, reason: str,
+                             counter: str = "disk_errors") -> None:
+        """Count one disk error (or ``disk_corrupt`` entry) and demote
+        once the budget is spent. File I/O happens outside the cache
+        lock; what it finds is counted here, under it."""
+        with self._lock:
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            if (self.stats.disk_errors + self.stats.disk_corrupt
+                    >= self.max_disk_errors):
+                self._degrade_disk(reason)
 
     def __len__(self) -> int:
         with self._lock:
@@ -303,38 +317,51 @@ class CompilationCache:
 
     # -- lookup / insert -----------------------------------------------------
 
-    def get(self, key: str,
-            count_miss: bool = True) -> Optional[CachedResult]:
-        """Look ``key`` up in memory, then on disk.
+    def get(self, key: str, count_miss: bool = True,
+            disk: bool = True) -> Optional[CachedResult]:
+        """Look ``key`` up in memory, then (``disk``) on disk.
 
         ``count_miss=False`` suppresses the miss counter for
         re-lookups that already counted one (the engine's
         single-flight leader double-checks the cache after winning
-        the in-flight slot); hits always count.
+        the in-flight slot) or that will be repeated if they miss
+        (admission, which also stays off the ``disk``); hits always
+        count. A hit is also a use of the function entries the result
+        says it is made of (``CachedResult.uses``): they are refreshed
+        with it — else a hot job's function entries age out under
+        novel puts while the job itself stays, and a near-repeat of it
+        finds nothing to splice.
+
+        The file of a disk entry is read and decoded outside the lock:
+        a memory lookup never waits for another thread's disk.
         """
         with self._lock:
             result = self._entries.get(key)
             if result is not None:
+                for used in result.uses:
+                    used = _FN_PREFIX + used
+                    if used in self._entries:
+                        self._entries.move_to_end(used)
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return result
-            result = self._disk_get(key)
+        result = self._disk_get(key) if disk else None
+        with self._lock:
             if result is not None:
                 # Promote: a disk hit is still a hit, and hot keys
                 # should not pay the file read twice.
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
                 self._insert(key, result)
-                return result
-            if count_miss:
+            elif count_miss:
                 self.stats.misses += 1
-            return None
+        return result
 
     def put(self, key: str, result: CachedResult) -> None:
         with self._lock:
             self.stats.puts += 1
             self._insert(key, result)
-            self._disk_put(key, result)
+        self._disk_put(key, result)
 
     def get_function(self, key: str,
                      count: bool = True) -> Optional[CachedResult]:
@@ -424,10 +451,7 @@ class CompilationCache:
                 os.unlink(path)
             except OSError:
                 pass
-            self.stats.disk_corrupt += 1
-            if (self.stats.disk_errors + self.stats.disk_corrupt
-                    >= self.max_disk_errors):
-                self._degrade_disk("corrupt-entry storm")
+            self._record_disk_trouble("corrupt-entry storm", "disk_corrupt")
             return None
 
     def _disk_put(self, key: str, result: CachedResult) -> None:
@@ -447,7 +471,8 @@ class CompilationCache:
             with open(tmp, "w") as handle:
                 handle.write(result.to_json())
             os.replace(tmp, path)
-            self.stats.disk_puts += 1
+            with self._lock:
+                self.stats.disk_puts += 1
         except OSError as error:
             # Disk tier is best-effort; memory tier already holds it.
             try:

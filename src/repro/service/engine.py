@@ -19,7 +19,9 @@ terminal result or fall through, cheapest first:
    ``repro-lint`` analysis suite) are REJECTED before a worker is
    ever occupied;
 3. **cache** — content-addressed lookup, see
-   :mod:`repro.service.cache`;
+   :mod:`repro.service.cache`; a hit also refreshes the function
+   entries the job is made of, so a near-repeat of a hot job finds
+   them in step 6;
 4. **quarantine gate** — content that crashed or hung the pool
    ``threshold`` times is POISONED instead of restarting the pool
    forever (:class:`~repro.service.resilience.QuarantinePolicy`);
@@ -34,8 +36,8 @@ terminal result or fall through, cheapest first:
    (:func:`~repro.ir.hashing.module_digest`): nothing is parsed,
    printed or re-hashed on a full hit, and on a partial one the
    missing functions are printed off the module step 1 parsed and run
-   as sub-jobs whose input facts are composed, not derived — the
-   daemon parses a partial hit once — else runs the job on
+   as sub-jobs (below) — the daemon parses a partial hit once — else
+   runs the job on
    a ``ProcessPoolExecutor`` worker (IR crosses the *process* boundary
    as text: the worker parses its own copy). A per-job timeout kills
    the hung worker and restarts
@@ -51,6 +53,24 @@ terminal result or fall through, cheapest first:
    ``(text, function digest, names)`` triples the worker printed off
    its live IR (the engine asked for them in step 6 and parses no
    output).
+
+Steps 1-3 are one method, :meth:`CompileEngine._front`, with one
+switch — whether a memo miss may parse — and two callers.
+:meth:`~CompileEngine.run_job` lets it parse. **Admission**
+(:meth:`CompileEngine.answer`, called by the frontier on the event
+loop before a job is given a queue slot) does not: when both texts
+are in the input memo, the verdict is memoized and the result is in
+the cache's *memory* tier, the job is answered there and then — same
+accounting, same spans — and when memory cannot answer, the attempt
+leaves no counter, event or span and the job queues. A **sub-job** —
+one missing function of a partial hit, ``<parent id>/fnN`` — is a
+function-tier write and nothing else: its parent hands ``run_job``
+the input facts it composed for the shard (step 1 derives nothing),
+step 3 and the whole-job half of step 7 are skipped (nobody will ever
+ask for a whole-job copy of one function), and steps 4-6 — quarantine,
+single-flight against other parents missing the same function,
+dispatch, retry — and the function-tier half of step 7 run as for any
+job. DESIGN.md §14 prices the three cached routes.
 
 Every counter, event and job-seconds sample is recorded by one method,
 :meth:`CompileEngine._account`, into :class:`EngineStats` — the store
@@ -83,31 +103,22 @@ from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..ir import parser as ir_parser
 from ..ir.core import DIGEST_STATS, Operation
 from ..ir.hashing import attributes_digest, module_digest, op_digest
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracing import SpanContext
+from ..observability.tracing import Tracer
 from ..testing.faults import FaultPlan, FaultSite
-from .cache import CachedResult, CompilationCache, cache_key, function_key
-from .resilience import (
-    JobQuarantine,
-    PoolHealthMonitor,
-    PoolHealthPolicy,
-    QuarantinePolicy,
-    RetryPolicy,
-)
-from .sharding import (
-    assemble_functions,
-    function_text,
-    function_text_digests,
-    is_func_shardable,
-    shardable_functions,
-)
+from .cache import (CachedResult, CompilationCache, ParamBindings, cache_key,
+                    function_key)
+from .resilience import (JobQuarantine, PoolHealthMonitor, PoolHealthPolicy,
+                         QuarantinePolicy, RetryPolicy)
+from .sharding import (assemble_functions, function_text,
+                       function_text_digests, is_func_shardable,
+                       shardable_functions)
 from .worker import _ensure_registered, compile_ir, compile_job
-
-ParamBindings = Mapping[str, Union[int, Sequence[int]]]
 
 _job_ids = itertools.count()
 
@@ -325,17 +336,13 @@ class CompileEngine:
         #: retry once on crash, no backoff).
         self.retry_policy = retry_policy
         #: Circuit breaker for poison jobs (None disables).
-        self._quarantine = (JobQuarantine(quarantine)
-                            if quarantine is not None else None)
+        self._quarantine = quarantine and JobQuarantine(quarantine)
         #: Crash-loop detector (None disables degradation).
-        self._pool_health = (PoolHealthMonitor(pool_health)
-                             if pool_health is not None else None)
+        self._pool_health = pool_health and PoolHealthMonitor(pool_health)
         #: Deterministic fault schedule (testing only; None in prod).
         self.faults = faults
-        #: True once crash-loop detection has demoted the engine to
-        #: in-process execution; ``degraded_diagnostic`` carries the
-        #: one-line reason.
-        self._degraded = False
+        #: Set once crash-loop detection has demoted the engine to
+        #: in-process execution (:attr:`degraded`): the one-line reason.
         self.degraded_diagnostic: Optional[str] = None
         #: Consult/populate the per-function digest cache tier for
         #: multi-function payloads under provably function-local
@@ -389,16 +396,17 @@ class CompileEngine:
         """The live pool, or (None, generation) for ``workers=0`` and
         once degraded."""
         with self._pool_lock:
-            if self._degraded or self.workers == 0:
+            if self.degraded or self.workers == 0:
                 return None, self._pool_generation
             if self._pool is None:
                 self._pool = self._make_pool()
             return self._pool, self._pool_generation
 
     @staticmethod
-    def _terminate(pool: ProcessPoolExecutor) -> None:
+    def _terminate(pool: Optional[ProcessPoolExecutor]) -> None:
         """Forcibly kill a pool's worker processes (hung workers never
-        notice ``shutdown(wait=False)`` and would run forever)."""
+        notice ``shutdown(wait=False)`` and would run forever); no pool,
+        no-op."""
         processes = getattr(pool, "_processes", None)
         for process in list((processes or {}).values()):
             try:
@@ -422,25 +430,20 @@ class CompileEngine:
         ``shutdown(wait=False)`` left running. Other jobs in flight on
         a killed pool fail with ``BrokenProcessPool`` and take the
         crash/retry path against the fresh generation."""
-        stale: Optional[ProcessPoolExecutor] = None
-        restarted = False
         with self._pool_lock:
-            if self._pool_generation != seen_generation or self._degraded:
-                # Lost the race (or the engine degraded meanwhile):
-                # no second restart, but the hung workers the caller
-                # wanted dead still need killing.
-                stale = kill_pool
-            else:
-                if kill_pool is not None:
-                    self._terminate(kill_pool)
+            restarted = (self._pool_generation == seen_generation
+                         and not self.degraded)
+            if restarted:
+                self._terminate(kill_pool)
                 if self._pool is not None:
                     self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = self._make_pool()
                 self._pool_generation += 1
-                restarted = True
-        if stale is not None:
-            self._terminate(stale)
         if not restarted:
+            # Lost the race (or the engine degraded meanwhile): no
+            # second restart, but the hung workers the caller wanted
+            # dead still need killing.
+            self._terminate(kill_pool)
             return
         self._account("worker_restarts")
         if (self._pool_health is not None
@@ -452,29 +455,28 @@ class CompileEngine:
         in-process execution. Liveness over throughput — jobs keep
         completing (slowly, one at a time) instead of feeding an
         endless spawn/crash cycle."""
+        policy = self._pool_health.policy
         with self._pool_lock:
-            if self._degraded:
+            if self.degraded:
                 return
-            self._degraded = True
+            self.degraded_diagnostic = (
+                f"warning: worker pool degraded to in-process execution "
+                f"after {policy.max_restarts} restarts within "
+                f"{policy.window_seconds:g}s (crash-loop detection); "
+                "throughput is reduced but the service stays live"
+            )
             pool, self._pool = self._pool, None
             self._pool_generation += 1
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
             self._terminate(pool)
-        policy = self._pool_health.policy
-        self.degraded_diagnostic = (
-            f"warning: worker pool degraded to in-process execution "
-            f"after {policy.max_restarts} restarts within "
-            f"{policy.window_seconds:g}s (crash-loop detection); "
-            "throughput is reduced but the service stays live"
-        )
         # Engine-wide, not job-scoped: no correlation id.
         self._account("DEGRADED", diagnostic=self.degraded_diagnostic)
 
     @property
     def degraded(self) -> bool:
         """True once crash-loop detection disabled the pool."""
-        return self._degraded
+        return self.degraded_diagnostic is not None
 
     def shutdown(self, wait: bool = True) -> None:
         self._cancelled.set()
@@ -537,23 +539,27 @@ class CompileEngine:
             self.metrics.set_section(prefix, values)
         return self.metrics.snapshot()
 
-    def _span(self, name: str, parent=None, **attributes):
+    def _span(self, name: str, parent=None, tracer=None, **attributes):
         """One span as a context manager (flags "error" when the body
-        raises); yields None when tracing is disabled."""
-        if self.tracer is None:
+        raises), recorded by ``tracer`` (default: the engine's); yields
+        None when tracing is disabled."""
+        tracer = tracer or self.tracer
+        if tracer is None:
             return nullcontext()
-        return self.tracer.span(name, parent, attributes)
+        return tracer.span(name, parent, attributes)
 
     # -- input memo ----------------------------------------------------------
 
     def _memoized(self, memo: OrderedDict, text: str, derive, *args):
         """The facts ``derive(text, *args)`` computes, once per text
-        while it stays among the most recently used ones."""
+        while it stays among the most recently used ones; with no
+        ``derive`` (a caller that may not parse), None on a miss."""
         with self._book_lock:
             info = memo.get(text)
             if info is not None:
                 memo.move_to_end(text)
-                return info
+        if info is not None or not derive:
+            return info
         info = derive(text, *args)
         capacity = (self.cache.capacity if self.cache is not None
                     else _MEMO_CAPACITY)
@@ -567,9 +573,7 @@ class CompileEngine:
                         parsed: List[Operation]) -> _PayloadInfo:
         """The payload's facts; the module parsed for them goes into
         ``parsed``, given up to the one job that caused the parse."""
-        from ..ir.parser import parse
-
-        payload = parse(text, "<payload>")
+        payload = ir_parser.parse(text, "<payload>")
         parsed.append(payload)
         func_digests = module_attrs = None
         # The per-function facts are tier keys: no cache, no tier.
@@ -582,19 +586,18 @@ class CompileEngine:
                             module_attrs, func_digests)
 
     def _derive_script(self, text: str) -> _ScriptInfo:
-        from ..ir.parser import parse
-
-        script = parse(text, "<script>")
+        script = ir_parser.parse(text, "<script>")
         return _ScriptInfo(
             op_digest(script),
             self.function_tier and is_func_shardable(script), script)
 
-    def _lint(self, script: _ScriptInfo,
-              entry_point: Optional[str]) -> str:
+    def _lint(self, script: _ScriptInfo, entry_point: Optional[str],
+              may_parse: bool = True) -> Optional[str]:
         """Static gate, memoized per (script text, entry point): the
-        rendered errors, "" when clean."""
-        verdict = script.verdicts.get(entry_point)
-        if verdict is None:
+        rendered errors, "" when clean (or not asked for) — None when
+        the verdict is not memoized and the caller may not derive it."""
+        verdict = script.verdicts.get(entry_point) if self.preflight else ""
+        if verdict is None and may_parse:
             from ..analysis.lint import lint_script
 
             diagnostics = lint_script(script.op, entry_point=entry_point)
@@ -604,28 +607,42 @@ class CompileEngine:
 
     # -- the job pipeline ----------------------------------------------------
 
-    def run_job(self, job: CompileJob,
-                parent_span=None) -> JobResult:
+    def run_job(self, job: CompileJob, parent_span=None,
+                payload: Optional[_PayloadInfo] = None,
+                may_parse: bool = True) -> Optional[JobResult]:
         """Run one job through the pipeline; blocking.
 
         ``parent_span`` parents this job's trace under an existing
         span (the frontier's admission span, or a parent job's span
         for function-tier sub-jobs); with no parent the job span is a
-        trace root.
+        trace root. ``payload`` is given by a parent job for its
+        function-tier sub-jobs: the input facts it composed for the
+        shard (see :meth:`_assemble`). ``may_parse=False`` is
+        :meth:`answer`.
         """
         start = time.perf_counter()
-        self._account("STARTED", job)
         # The payload module, if this job's memo miss parsed one: the
         # step that consumes it pops it, what is left is freed here.
         parsed: List[Operation] = []
-        with self._span("engine.job", parent_span,
+        tracer = self.tracer
+        if tracer is not None and not may_parse:
+            # An attempt that cannot answer must leave no span behind:
+            # record into a scratch tracer of the same trace (what a
+            # pool worker does), absorbed below once there is a result.
+            tracer = Tracer(tracer.trace_id)
+        with self._span("engine.job", parent_span, tracer,
                         job_id=job.job_id) as span:
-            result = self._run_steps(job, span, parsed)
+            result = self._front(job, span, parsed, payload, may_parse,
+                                 tracer)
+            if result is None:
+                return None
             for module in parsed:
                 module.destroy()
             result.wall_seconds = time.perf_counter() - start
             _mark(span, "ok" if result.ok else result.status.value,
                   cache_hit=result.cache_hit)
+        if tracer is not self.tracer:
+            self.tracer.record(tracer.to_dicts())
         self._account(
             "COMPLETED", job, status=result.status.value,
             cache_hit=result.cache_hit, coalesced=result.coalesced,
@@ -633,41 +650,84 @@ class CompileEngine:
         )
         return result
 
-    def _run_steps(self, job: CompileJob, span,
-                   parsed: List[Operation]) -> JobResult:
-        """The pipeline proper: each step returns a terminal result
-        or falls through to the next."""
-        if self._cancelled.is_set():
-            self._account("cancelled")
-            return JobResult(job.job_id, JobStatus.CANCELLED)
+    def answer(self, job: CompileJob,
+               parent_span=None) -> Optional[JobResult]:
+        """:meth:`run_job` for a caller that must not block — the
+        frontier at admission, on the event loop: the job's result when
+        memory alone can answer it (both input texts in the memo, the
+        lint verdict memoized, the whole-job entry in the cache's
+        memory tier), accounted and traced exactly like any other; else
+        None, and no counter, event or span says there was an attempt —
+        the job queues."""
+        return self.run_job(job, parent_span, may_parse=False)
 
+    def _front(self, job: CompileJob, span, parsed: List[Operation],
+               payload: Optional[_PayloadInfo], may_parse: bool, tracer):
+        """Steps 1-3 — inputs, preflight verdict, cache — then, for a
+        job they do not settle, on to :meth:`_run_steps`. A sub-job
+        (``payload`` given) derives nothing and stays out of the
+        whole-job tier: its one function entry is all anybody will
+        ever ask for.
+
+        Without ``may_parse`` only memory is consulted — the input
+        memo, the memoized verdict, the cache's memory tier — and
+        nothing is accounted (``tracer`` is then a scratch one) before
+        the outcome is known to be terminal: None means it is not, and
+        nothing was.
+        """
+        if may_parse:
+            self._account("STARTED", job)
         # 1-2. inputs, preflight. Pool workers receive the *raw* text
         # — they parse and reprint themselves — so keying on digests
         # cannot change the output.
-        with self._span("engine.preflight", span):
+        cached = self.cache is not None and payload is None
+        hit = None
+        with self._span("engine.preflight", span, tracer):
             try:
-                payload = self._memoized(
-                    self._payloads, job.payload_text, self._derive_payload,
-                    parsed)
+                payload = payload or self._memoized(
+                    self._payloads, job.payload_text,
+                    may_parse and self._derive_payload, parsed)
                 script = self._memoized(
-                    self._scripts, job.script_text, self._derive_script)
+                    self._scripts, job.script_text,
+                    may_parse and self._derive_script)
             except Exception as error:
-                return self._rejected(
-                    job, f"error: input does not parse: {error}")
-            if self.preflight:
-                errors = self._lint(script, job.entry_point)
-                if errors:
-                    return self._rejected(job, errors)
-        key = cache_key(payload.digest, script.digest, job.params,
-                        job.entry_point)
+                errors = f"error: input does not parse: {error}"
+            else:
+                errors = payload and script and self._lint(
+                    script, job.entry_point, may_parse)
+        if errors is None:
+            return None  # an input, or its verdict, memory does not hold
+        if not errors:
+            key = cache_key(payload.digest, script.digest, job.params,
+                            job.entry_point)
+            # 3. cache.
+            if cached:
+                with self._span("cache.lookup", span, tracer) as lookup_span:
+                    hit = (self.cache.get(key) if may_parse
+                           else self.cache.get(key, False, disk=False))
+                    _mark(lookup_span, hit=hit is not None)
+        if not may_parse:
+            if not errors and hit is None:
+                return None
+            self._account("STARTED", job)
+        if errors:
+            self._account("REJECTED", job)
+            return JobResult(job.job_id, JobStatus.REJECTED,
+                             diagnostics=errors)
+        if hit is not None:
+            return self._cache_hit(job, key, hit)
+        return self._run_steps(job, span, parsed, payload, script, key,
+                               cached)
 
-        # 3. cache.
-        if self.cache is not None:
-            with self._span("cache.lookup", span) as lookup_span:
-                hit = self._cache_hit(job, key)
-                _mark(lookup_span, hit=hit is not None)
-            if hit is not None:
-                return hit
+    def _run_steps(self, job: CompileJob, span, parsed: List[Operation],
+                   payload: _PayloadInfo, script: _ScriptInfo, key: str,
+                   cached: bool) -> JobResult:
+        """Steps 4-7: each returns a terminal result or falls through
+        to the next. ``cached``: the job reads and writes the whole-job
+        tier (there is a cache and this is no sub-job)."""
+        if self._cancelled.is_set():
+            self._account("cancelled")
+            return JobResult(job.job_id, JobStatus.CANCELLED)
 
         # 4. quarantine gate: content that repeatedly crashed or hung
         # the pool is refused before it can occupy (and kill) a worker.
@@ -689,9 +749,10 @@ class CompileEngine:
             # our (missed) lookup above and its in-flight pop. Without
             # this the duplicate recompiles; stats-neutral on a miss
             # (the first lookup already counted it).
-            result = (self._cache_hit(job, key, count_miss=False)
-                      if self.cache is not None else None)
-            if result is None:
+            hit = self.cache.get(key, count_miss=False) if cached else None
+            if hit is not None:
+                result = self._cache_hit(job, key, hit)
+            else:
                 # 6. function tier | dispatch, then 7. publish.
                 tier_keys = self._function_keys(job, payload, script)
                 result = self._assemble(job, key, payload, tier_keys, span,
@@ -699,34 +760,26 @@ class CompileEngine:
                 if result is None:
                     result = self._execute(job, key, span, payload,
                                            tier_keys, script, parsed)
-                if self.cache is not None and result.ok:
+                if cached and result.ok:
                     self.cache.put(key, CachedResult(
                         result.status.value, result.output or "",
                         result.diagnostics, result.output_digest,
+                        uses=tuple(tier_keys or ()),
                     ))
+            flight.set_result(result)
+            return result
         except BaseException as error:
             flight.set_exception(error)
             raise
-        else:
-            flight.set_result(result)
         finally:
             with self._book_lock:
                 self._inflight.pop(key, None)
-        return result
 
     # -- terminal results of the front-end steps -----------------------------
 
-    def _rejected(self, job: CompileJob, diagnostics: str) -> JobResult:
-        self._account("REJECTED", job)
-        return JobResult(job.job_id, JobStatus.REJECTED,
-                         diagnostics=diagnostics)
-
     def _cache_hit(self, job: CompileJob, key: str,
-                   count_miss: bool = True) -> Optional[JobResult]:
-        """The cached result of ``key`` as this job's result, if any."""
-        cached = self.cache.get(key, count_miss=count_miss)
-        if cached is None:
-            return None
+                   cached: CachedResult) -> JobResult:
+        """The cached result of ``key`` as this job's result."""
         self._account("CACHE_HIT", job, key=key)
         return JobResult(
             job.job_id, JobStatus(cached.status), output=cached.output,
@@ -806,30 +859,28 @@ class CompileEngine:
             # better (one execution instead of N).
             return None
         if missing:
-            from ..ir.parser import parse
-
             module = (parsed.pop() if parsed
-                      else parse(job.payload_text, "<payload>"))
+                      else ir_parser.parse(job.payload_text, "<payload>"))
             functions = module.regions[0].entry_block.ops
             shards = [function_text(functions[index]) for index in missing]
             module.destroy()  # before a worker is waited for
             for index, shard in zip(missing, shards):
                 digest = payload.func_digests[index]
-                # Everything the input step would derive by parsing
-                # the shard, composed from what the parent knows.
-                composed = _PayloadInfo(*function_text_digests(digest), {},
-                                        (digest,))
-                self._memoized(self._payloads, shard, lambda _: composed)
-                sub = self.run_job(
+                # The sub-job's input facts — everything the input step
+                # would derive by parsing the shard — are composed from
+                # what the parent knows, and handed over.
+                self.run_job(
                     replace(job, payload_text=shard,
-                            job_id=f"{job.job_id}/fn{index}"), span)
-                # The sub-job's execution published its one function:
-                # that entry — text, names, digest of the function
-                # itself — is what gets spliced, not ``sub.output``.
+                            job_id=f"{job.job_id}/fn{index}"), span,
+                    _PayloadInfo(*function_text_digests(digest), {},
+                                 (digest,)))
+                # All a sub-job leaves is the entry its execution
+                # published — text, names, digest of the function
+                # itself — and only a clean success publishes one
+                # (:meth:`_populate`): that is what gets spliced.
                 entry = self.cache.get_function(tier_keys[index],
                                                 count=False)
-                if (sub.status is not JobStatus.SUCCESS or sub.diagnostics
-                        or entry is None or not entry.splices):
+                if entry is None or not entry.splices:
                     return None
                 entries[index] = entry
         attrs = payload.module_attrs or {}
@@ -938,14 +989,10 @@ class CompileEngine:
         :meth:`Tracer.record` stitches them into the engine-side trace.
         """
         timeout = job.timeout if job.timeout is not None else self.job_timeout
-        split = tier_keys is not None
         for attempts in itertools.count(1):
             with self._span("engine.dispatch", span, job_id=job.job_id,
                             attempt=attempts) as attempt_span:
-                trace = None
-                if attempt_span is not None:
-                    trace = SpanContext(self.tracer.trace_id,
-                                        attempt_span.span_id).to_dict()
+                trace = attempt_span and attempt_span.context.to_dict()
                 pool, generation = self._ensure_pool()
                 self._account("DISPATCHED", job, key=key, attempt=attempts,
                               pooled=pool is not None)
@@ -961,7 +1008,7 @@ class CompileEngine:
                     raw = compile_ir(
                         parsed.pop() if parsed else job.payload_text,
                         script.op.clone(), job.params, job.entry_point,
-                        self.strict, trace, split)
+                        self.strict, trace, tier_keys is not None)
                 else:
                     inject = (self.faults.worker_fault(key, attempts)
                               if self.faults is not None else None)
@@ -971,7 +1018,7 @@ class CompileEngine:
                         future = pool.submit(
                             compile_job, job.payload_text, job.script_text,
                             job.params, job.entry_point, self.strict,
-                            inject, trace, split)
+                            inject, trace, tier_keys is not None)
                         if self.faults is not None and self.faults.fire(
                                 FaultSite.POOL_BREAK,
                                 f"{key}#attempt{attempts}"):
@@ -1035,9 +1082,7 @@ class CompileEngine:
         the pool so distinct jobs overlap and duplicate jobs coalesce.
         """
         jobs = list(jobs)
-        if not jobs:
-            return []
-        if self.workers == 0:
+        if self.workers == 0 or not jobs:
             return [self.run_job(job) for job in jobs]
         dispatchers = min(len(jobs), max(2 * self.workers, 2))
         with ThreadPoolExecutor(max_workers=dispatchers) as dispatch:

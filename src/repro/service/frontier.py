@@ -6,8 +6,10 @@ order, and how many, undispatched jobs wait: a bounded
 class (:data:`PRIORITY_RANKS`) and then by arrival. Producers
 ``await submit(...)`` — when the queue is full they block (in arrival
 order), which *is* the backpressure mechanism: admission slows to the
-rate workers drain the queue instead of buffering unboundedly. A small
-set of dispatcher tasks pops jobs and runs
+rate workers drain the queue instead of buffering unboundedly. A job
+the engine can answer from memory (:meth:`CompileEngine.answer`: inputs
+memoized, result cached) is answered at admission and never queues. A
+small set of dispatcher tasks pops the others and runs
 :meth:`CompileEngine.run_job` on a private thread pool (the engine
 call blocks on the process pool; threads keep the event loop free).
 Nothing already dispatched is ever preempted.
@@ -216,7 +218,6 @@ class ServiceFrontier:
             )
         if self._queue is None:
             raise RuntimeError("frontier is not started")
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
         # Admission is where a job's trace is rooted: the root span
         # covers the whole frontier residency (queue wait + engine),
         # and ``queue.wait`` — ended by the dispatcher that pops the
@@ -227,10 +228,21 @@ class ServiceFrontier:
             root = tracer.start_span(
                 f"job:{job.job_id}", attributes={"job_id": job.job_id}
             )
+        # What the engine's memory can answer is answered here, on the
+        # event loop: a hit takes no queue slot and no thread hop.
+        answer = getattr(self.engine, "answer", None)
+        result = answer(job, root) if answer is not None else None
+        if result is not None:
+            if tracer is not None:
+                tracer.end_span(
+                    root, "ok" if result.ok else result.status.value)
+            return result
+        if tracer is not None:
             wait = tracer.start_span(
                 "queue.wait", parent=root,
                 attributes={"job_id": job.job_id},
             )
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         item = _QueueItem(job, future, root, wait)
         # Count the job before it is visible to dispatchers — the
         # other order lets a dispatcher pop and decrement first,

@@ -38,7 +38,9 @@ Scheduling: submits carry a priority class (``interactive`` <
 frontier's one admission queue (:mod:`repro.service.frontier`), which
 dispatches by class and then arrival: an interactive job overtakes
 every queued batch job without preempting anything already
-dispatched. The daemon keeps no queue of its own; what it adds in
+dispatched (a job the engine can answer from memory — a cache hit on
+memoized inputs — is answered at admission and never queues). The
+daemon keeps no queue of its own; what it adds in
 front is what guards outside input — request validation, the
 per-client quota (advertised as ``client_quota`` in ``pong`` so
 clients can window their submits), drain, and unique job ids.
@@ -225,22 +227,18 @@ class CompileServer:
     def _on_event(self, record: Dict[str, object]) -> None:
         """EventLog subscriber: runs on the *emitting* thread (engine
         dispatcher threads included), so it only trampolines onto the
-        loop; the per-job queues are touched on the loop alone."""
-        job_id = record.get("job_id")
-        if not isinstance(job_id, str):
-            return
+        loop — and only the records somebody streams: a stream is
+        registered before its job is submitted, so a job id without
+        one now has no reader later. The per-job queues are touched on
+        the loop alone."""
+        queue = self._streams.get(record.get("job_id"))
         loop = self._loop
-        if loop is None or loop.is_closed():
+        if queue is None or loop is None or loop.is_closed():
             return
         try:
-            loop.call_soon_threadsafe(self._route_event, job_id, record)
+            loop.call_soon_threadsafe(queue.put_nowait, record)
         except RuntimeError:
             pass  # loop shut down between the check and the call
-
-    def _route_event(self, job_id: str, record: Dict[str, object]) -> None:
-        queue = self._streams.get(job_id)
-        if queue is not None:
-            queue.put_nowait(record)
 
     # -- in-flight accounting -------------------------------------------------
 

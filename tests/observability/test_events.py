@@ -57,6 +57,26 @@ class TestJsonl:
         log.close()
 
 
+class TestTheInMemoryCopyIsAWindow:
+    def test_the_newest_records_are_kept_the_rest_go_on(self, tmp_path):
+        from repro.observability.events import RECORDS_KEPT
+
+        path = tmp_path / "events.jsonl"
+        heard = []
+        with EventLog(str(path)) as log:
+            log.subscribe(heard.append)
+            for n in range(RECORDS_KEPT + 10):
+                log.emit("STARTED", job_id=f"j{n}")
+            kept = log.records()
+        # A daemon emits for the life of the process: memory holds a
+        # bounded window, the file and the subscribers saw everything.
+        assert len(kept) == RECORDS_KEPT
+        assert kept[0]["job_id"] == "j10"
+        assert kept[-1]["job_id"] == f"j{RECORDS_KEPT + 9}"
+        assert len(heard) == len(read_events(str(path))) \
+            == RECORDS_KEPT + 10
+
+
 class TestValidate:
     def _lifecycle(self):
         return [

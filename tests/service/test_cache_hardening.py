@@ -86,6 +86,76 @@ class TestDiskTmpRace:
         assert leftovers == []
 
 
+class TestDiskIoOutsideTheLock:
+    """The cache lock guards the LRU and the counters, not the files:
+    while one thread sits inside a disk read or write, another
+    thread's — the event loop's — memory lookups go on."""
+
+    @staticmethod
+    def _while_parked_in_open(monkeypatch, parks, slow, fast):
+        """Run ``slow`` on a thread until it parks inside an ``open``
+        that ``parks(path, mode)`` selects, run ``fast`` on another,
+        release; returns (slow's result, fast's result — None if it
+        got stuck behind the parked call)."""
+        import builtins
+
+        parked, release = threading.Event(), threading.Event()
+        real_open = builtins.open
+
+        def parking_open(path, mode="r", *args, **kwargs):
+            if parks(str(path), mode):
+                parked.set()
+                assert release.wait(30.0)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", parking_open)
+        results = {}
+        threads = {name: threading.Thread(
+            target=lambda name=name, call=call:
+            results.__setitem__(name, call()))
+            for name, call in (("slow", slow), ("fast", fast))}
+        threads["slow"].start()
+        try:
+            assert parked.wait(30.0)
+            threads["fast"].start()
+            threads["fast"].join(5.0)
+            stuck = threads["fast"].is_alive()
+        finally:
+            release.set()
+            for thread in threads.values():
+                if thread.ident is not None:
+                    thread.join(30.0)
+        assert not stuck, "a memory lookup waited for another thread's disk"
+        return results["slow"], results["fast"]
+
+    def test_a_parked_disk_write_does_not_delay_a_memory_get(
+            self, tmp_path, monkeypatch):
+        cache = CompilationCache(capacity=8, disk_path=str(tmp_path))
+        cache.put("resident", _result("warm"))
+        _, found = self._while_parked_in_open(
+            monkeypatch,
+            lambda path, mode: "w" in mode and ".json.tmp." in path,
+            lambda: cache.put("slow", _result("slow")),
+            lambda: (cache.get("resident"), cache.get("slow", disk=False),
+                     cache.get("absent", disk=False), len(cache)))
+        # The parked put's entry was already in the memory tier.
+        assert [r and r.output for r in found[:3]] == ["warm", "slow", None]
+        assert found[3] == 2
+        assert cache.stats.disk_puts == 2 and cache.stats.puts == 2
+
+    def test_a_disk_read_does_not_hold_the_lock(self, tmp_path,
+                                                monkeypatch):
+        CompilationCache(disk_path=str(tmp_path)).put("k", _result("cold"))
+        cache = CompilationCache(capacity=8, disk_path=str(tmp_path))
+        cache.put("resident", _result("warm"))
+        cold, warm = self._while_parked_in_open(
+            monkeypatch,
+            lambda path, mode: mode == "r" and path.endswith("k.json"),
+            lambda: cache.get("k"), lambda: cache.get("resident"))
+        assert (cold.output, warm.output) == ("cold", "warm")
+        assert cache.stats.disk_hits == 1 and cache.stats.hits == 2
+
+
 class TestDiskCorruption:
     def test_corrupt_entry_unlinked_and_counted(self, tmp_path):
         path = str(tmp_path)

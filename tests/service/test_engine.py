@@ -183,6 +183,20 @@ class TestClassification:
         assert result.status is JobStatus.CANCELLED
         assert engine.stats.cancelled == 1
 
+    def test_shutdown_cancels_only_what_needs_a_worker(self):
+        # CANCELLED is "before a worker picked it up": what the front
+        # end answers alone — a cached result, a static rejection — is
+        # still answered by an engine that has shut its pool down.
+        engine = CompileEngine(workers=0, cache=CompilationCache(capacity=4))
+        assert engine.run_job(_job()).ok
+        engine.shutdown()
+        assert engine.run_job(_job()).cache_hit
+        assert engine.run_job(_job(script=USE_AFTER_CONSUME)).status \
+            is JobStatus.REJECTED
+        assert engine.run_job(_job(params={"n": 1})).status \
+            is JobStatus.CANCELLED
+        assert engine.stats.cancelled == 1
+
 
 #: Handle types spelled ``!transform.op<"...">`` only parse once the
 #: transform dialect is registered.

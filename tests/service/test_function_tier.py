@@ -2,6 +2,7 @@
 payloads, byte-identity with whole-module compilation, and the gates
 that keep it out of non-distributing jobs."""
 
+import random
 import threading
 from dataclasses import fields
 
@@ -29,6 +30,7 @@ from repro.service.sharding import (
     assemble_functions,
     function_entries,
     function_text,
+    function_text_digests,
 )
 from repro.service.worker import compile_job
 
@@ -424,3 +426,105 @@ class TestNothingLeaksPastTheEngine:
             assert leaked not in {f.name for f in fields(JobResult)}
             assert leaked not in vars(follower)
             assert leaked not in result_to_frame(follower)
+
+
+class TestHotSetResidency:
+    """A whole-job hit is a use of the function entries that job is
+    made of, and a sub-job is a function-tier write and nothing else —
+    deterministic, in process."""
+
+    CAPACITY = 24
+    HOT = [_func(f"hot{n}", 4 + 2 * n) for n in range(4)]
+
+    def _age_the_hot_set(self, engine, cache, seed=0):
+        """One hot 4-function job, then a seeded run of novel jobs and
+        hot repeats that puts several capacities' worth of entries
+        through the shared LRU: the hot whole-job entry is re-used
+        often enough to stay, its four function entries are touched by
+        nothing but those hits."""
+        rng = random.Random(seed)
+        hot = _module(*self.HOT)
+        assert engine.run_job(CompileJob(hot, UNROLL)).status \
+            is JobStatus.SUCCESS
+        novel = 0
+        for step in range(24):
+            if step % 3 == 2:
+                assert engine.run_job(CompileJob(hot, UNROLL)).cache_hit
+                continue
+            novel += 1
+            functions = [_func(f"n{step}_{n}", 2 * rng.randint(1, 40))
+                         for n in range(4)]
+            assert engine.run_job(
+                CompileJob(_module(*functions), UNROLL)).ok
+        # The stream really did push the hot entries' age past the bound.
+        assert 5 * novel > 3 * self.CAPACITY
+        assert cache.stats.evictions > 2 * self.CAPACITY
+        assert len(cache) == self.CAPACITY
+        return hot
+
+    def test_a_near_repeat_of_a_hot_job_finds_all_it_expects(self):
+        cache = CompilationCache(capacity=self.CAPACITY)
+        partial = _module(self.HOT[0], self.HOT[1], _func("new", 6),
+                          self.HOT[3])
+        with _engine(cache) as engine:
+            self._age_the_hot_set(engine, cache)
+            texts = set(engine._payloads)
+            before = (cache.stats.function_hits, cache.stats.function_misses,
+                      cache.stats.puts, cache.stats.function_puts,
+                      engine.stats.executed, engine.stats.submitted)
+            result = engine.run_job(CompileJob(partial, UNROLL))
+            after = (cache.stats.function_hits, cache.stats.function_misses,
+                     cache.stats.puts, cache.stats.function_puts,
+                     engine.stats.executed, engine.stats.submitted)
+            memoized = set(engine._payloads) - texts
+        # 3 entries spliced, 1 compiled by exactly one sub-job (the
+        # parent evicted the hot entries: two sub-jobs or the whole
+        # module); the partial hit wrote the new function and its own
+        # whole-job result — no whole-job copy of the sub-job's one
+        # function — and memoized no text but its own.
+        assert result.function_tier and not result.cache_hit
+        assert [b - a for a, b in zip(before, after)] == [3, 1, 2, 1, 1, 2]
+        assert memoized == {partial}
+        assert result.output == _reference(partial)
+
+    def test_a_sub_job_is_a_function_tier_write_and_nothing_else(self):
+        cache = CompilationCache(capacity=64)
+        partial = _module(F0, _func("new", 6), F2)
+        with _engine(cache) as engine:
+            engine.run_job(CompileJob(_module(F0, F1, F2), UNROLL))
+            hits, misses = cache.stats.hits, cache.stats.misses
+            result = engine.run_job(CompileJob(partial, UNROLL,
+                                               job_id="parent"))
+            # The lookups of the partial hit: its whole-job miss, three
+            # function lookups (2 hits, 1 miss) — the sub-job asked for
+            # no whole-job entry that nobody could have stored.
+            assert (cache.stats.hits - hits,
+                    cache.stats.misses - misses) == (2, 2)
+            # The key the ``/fn1`` sub-job was single-flighted under
+            # names no entry.
+            sub_key = engine_module.cache_key(
+                function_text_digests(op_digest(parse(_func("new", 6))))[0],
+                op_digest(parse(UNROLL)))
+            assert cache.get(sub_key, count_miss=False) is None
+            assert len(cache) == 4 + 2
+        assert result.function_tier and result.output == _reference(partial)
+
+    def test_a_whole_job_entry_remembers_its_function_keys(self, tmp_path):
+        # ... across the disk tier too: a promoted entry refreshes the
+        # function entries that are resident.
+        path = str(tmp_path)
+        cache = CompilationCache(capacity=64, disk_path=path)
+        with _engine(cache) as engine:
+            first = engine.run_job(CompileJob(MULTI, UNROLL))
+        entry = cache.get(first.key)
+        assert len(entry.uses) == 3
+        assert all(cache.get_function(key) is not None
+                   for key in entry.uses)
+        reread = CompilationCache(capacity=64, disk_path=path)
+        assert reread.get(first.key) == entry
+        # Single-function and gated jobs have nothing to keep resident.
+        with _engine(CompilationCache(capacity=8)) as engine:
+            single = engine.run_job(CompileJob(SINGLE, UNROLL))
+            gated = engine.run_job(CompileJob(MULTI, MODULE_ANNOTATE))
+            assert len(engine.cache.get(single.key).uses) == 1
+            assert engine.cache.get(gated.key).uses == ()

@@ -21,6 +21,7 @@ from repro.observability import (
 )
 from repro.service import (
     AsyncServiceClient,
+    CompilationCache,
     CompileEngine,
     CompileServer,
     JobResult,
@@ -172,6 +173,38 @@ class TestServerRoundtrip:
                 engine.shutdown()
 
         asyncio.run(go())
+
+
+class TestEventLogIsBounded:
+    def test_a_long_lived_daemon_keeps_a_window_of_records(self, tmp_path):
+        # The daemon attaches an EventLog of its own and only ever
+        # fans records out to streams: the in-memory copy must not
+        # grow with the number of jobs served.
+        from repro.observability.events import RECORDS_KEPT
+
+        jobs = RECORDS_KEPT // 3 + 50  # >= 3 records a job, hit or not
+
+        async def go():
+            engine = CompileEngine(workers=0,
+                                   cache=CompilationCache(capacity=4))
+            sock = _sock(tmp_path)
+            try:
+                async with CompileServer(engine, socket_path=sock):
+                    client = await AsyncServiceClient.connect(sock)
+                    for _ in range(jobs // 8):
+                        results = await asyncio.gather(*(
+                            client.submit(PAYLOAD, UNROLL)
+                            for _ in range(8)))
+                        assert all(r.ok for r in results)
+                    await client.close()
+                return engine.stats.completed, engine.events.records()
+            finally:
+                engine.shutdown()
+
+        completed, records = asyncio.run(go())
+        assert completed == jobs // 8 * 8 and 3 * completed > RECORDS_KEPT
+        assert len(records) <= RECORDS_KEPT
+        assert records[-1]["event"] == "COMPLETED"
 
 
 class TestQuota:
