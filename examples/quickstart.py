@@ -10,7 +10,7 @@ statically and dynamically.
 Run:  python examples/quickstart.py
 """
 
-from repro.analysis import analyze_invalidation
+from repro.analysis import analyze_script
 from repro.core import (
     TransformInterpreter,
     TransformInterpreterError,
@@ -66,7 +66,7 @@ def main() -> None:
     # --- the deliberate error of line 11 ---------------------------------
     broken = build_script(with_line_11_error=True)
     print("\n=== line 11: static detection (§3.4) ===")
-    for issue in analyze_invalidation(broken):
+    for issue in analyze_script(broken, may_alias=False):
         print(f"static error: {issue}")
 
     print("\n=== line 11: dynamic detection (§3.1) ===")

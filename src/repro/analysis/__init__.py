@@ -23,14 +23,8 @@ statically, and no definite static error fires on a schedule that
 executes cleanly.
 """
 
-from .dataflow import (
-    AbstractState,
-    ForwardAnalysis,
-    ForwardEngine,
-    Reach,
-    find_entry,
-    top_level_ops,
-)
+from ..core.interpreter import find_entry, top_level_ops
+from .dataflow import AbstractState, ForwardAnalysis, ForwardEngine, Reach
 from .invalidation import (
     ERROR,
     WARNING,
@@ -39,7 +33,6 @@ from .invalidation import (
     InvalidationAnalysis,
     InvalidationIssue,
     NamedSequenceSummary,
-    analyze_invalidation,
     analyze_script,
 )
 from .lint import emit_invalidation_diagnostics, lint_script
@@ -71,7 +64,6 @@ __all__ = [
     "PipelineReport",
     "Reach",
     "WARNING",
-    "analyze_invalidation",
     "analyze_script",
     "check_pipeline",
     "check_transform_script",

@@ -266,43 +266,3 @@ class ForwardEngine:
             second = state.copy()
             second.reach = Reach.MAY
             self.run_block(body, second, recoverable)
-
-
-# -- script structure helpers ------------------------------------------------
-
-
-def top_level_ops(script: Operation) -> List[Operation]:
-    """The script's immediate ops (the entry-point candidates)."""
-    if script.name in ("transform.sequence", "transform.named_sequence"):
-        return [script]
-    ops: List[Operation] = []
-    for region in script.regions:
-        for block in region.blocks:
-            ops.extend(block.ops)
-    return ops
-
-
-def find_entry(script: Operation,
-               entry_point: Optional[str] = None) -> Optional[Operation]:
-    """The op the interpreter would execute — mirrors
-    ``TransformInterpreter._find_entry``: only top-level ops are
-    candidates, a ``transform.sequence`` wins over named sequences, and
-    ``entry_point`` selects a named sequence by symbol name."""
-    if script.name in ("transform.sequence", "transform.named_sequence"):
-        return script
-    sequences: List[Operation] = []
-    named: List[Operation] = []
-    for op in top_level_ops(script):
-        if op.name == "transform.sequence":
-            sequences.append(op)
-        elif op.name == "transform.named_sequence":
-            named.append(op)
-    if entry_point is not None:
-        for candidate in named:
-            name = candidate.attr("sym_name")
-            if name is not None and getattr(name, "value", None) == entry_point:
-                return candidate
-        return None
-    if sequences:
-        return sequences[0]
-    return named[0] if named else None

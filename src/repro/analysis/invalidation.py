@@ -57,14 +57,9 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.dialect import declared
+from ..core.interpreter import top_level_ops
 from ..ir.core import Block, Operation, Value
-from .dataflow import (
-    AbstractState,
-    ForwardAnalysis,
-    ForwardEngine,
-    Reach,
-    top_level_ops,
-)
+from .dataflow import AbstractState, ForwardAnalysis, ForwardEngine, Reach
 
 ERROR = "error"
 WARNING = "warning"
@@ -345,7 +340,7 @@ class InvalidationAnalysis(ForwardAnalysis):
         assert isinstance(state, HandleState)
         if not self.interprocedural:
             return
-        callee = _resolve_include(op)
+        callee = op.callee()
         if callee is None:
             return  # a definite error dynamically; nothing to track
         summary = self.summarize(callee, engine)
@@ -519,19 +514,6 @@ def _recursive_summary(body: Optional[Block]) -> NamedSequenceSummary:
     )
 
 
-def _resolve_include(op: Operation) -> Optional[Operation]:
-    from ..ir.context import lookup_symbol
-
-    target = op.attr("target")
-    name = getattr(target, "name", None)
-    if name is None:
-        return None
-    callee = lookup_symbol(op, name)
-    if callee is None or callee.name != "transform.named_sequence":
-        return None
-    return callee
-
-
 def analyze_script(script: Operation, *, may_alias: bool = True,
                    interprocedural: bool = True
                    ) -> List[InvalidationIssue]:
@@ -554,14 +536,6 @@ def analyze_script(script: Operation, *, may_alias: bool = True,
     return analysis.issues
 
 
-def analyze_invalidation(script: Operation) -> List[InvalidationIssue]:
-    """The *derivation-based* issues of :func:`analyze_script` — direct
-    consumption and declared alias edges — without the coarse
-    worst-case may-alias warnings (those exist for the differential
-    fuzz oracle; ask ``analyze_script(..., may_alias=True)``)."""
-    return analyze_script(script, may_alias=False)
-
-
 __all__ = [
     "Consumption",
     "ERROR",
@@ -571,6 +545,5 @@ __all__ = [
     "InvalidationIssue",
     "NamedSequenceSummary",
     "SummaryConsumption",
-    "analyze_invalidation",
     "analyze_script",
 ]

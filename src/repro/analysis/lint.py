@@ -7,7 +7,8 @@ Bundles every static check into one MLIR-style diagnostic stream
   — ``error:`` at the using op with ``note:``\\ s at the consuming op
   and (for include call sites) the in-body consumer;
 * structural checks — ``transform.include`` without a resolvable
-  ``target``;
+  ``target``, and include cycles (macros must be acyclic, §3.4:
+  ``error:`` at the include that re-enters a running macro);
 * dead handles — ops declared ``RESULT_ONLY`` (their only effect is
   producing handles or params) none of whose results are used;
 * dead macros — ``named_sequence`` definitions never included and not
@@ -29,9 +30,10 @@ import sys
 from typing import Iterable, List, Optional
 
 from ..core.dialect import declared
+from ..core.interpreter import find_entry
 from ..ir.core import Operation
 from ..ir.diagnostics import Diagnostic, DiagnosticEngine, Severity
-from .dataflow import find_entry
+from ..passes.inliner import detect_recursion
 from .invalidation import ERROR, InvalidationIssue, analyze_script
 from .pipeline import IssueKind, check_transform_script
 
@@ -64,19 +66,21 @@ def emit_invalidation_diagnostics(
 
 
 def _lint_structure(script: Operation, engine: DiagnosticEngine) -> None:
-    from ..ir.context import lookup_symbol
-
-    for op in script.walk():
-        if op.name != "transform.include":
-            continue
+    includes = list(script.walk_ops("transform.include"))
+    for op in includes:
         target = op.attr("target")
-        name = getattr(target, "name", None)
-        if name is None:
-            engine.error("transform.include without a 'target' symbol",
+        if op.callee() is None:
+            engine.error(f"transform.include of unknown symbol {target}"
+                         if target is not None else
+                         "transform.include without a 'target' symbol",
                          op.location)
-        elif lookup_symbol(op, name) is None:
-            engine.error(f"transform.include of unknown symbol @{name}",
-                         op.location)
+    cycle = detect_recursion(
+        script, "transform.named_sequence", "transform.include",
+        "target") if includes else None
+    if cycle is not None:
+        engine.error(f"recursive transform.include of "
+                     f"{cycle.attr('target')}; macros must be acyclic",
+                     cycle.location)
 
 
 def _lint_dead_handles(script: Operation,

@@ -31,14 +31,8 @@ from ..ir.core import Operation
 
 if TYPE_CHECKING:  # real import is deferred: repro.core imports us
     from ..core.conditions import TransformConditions
-from .dataflow import (
-    AbstractState,
-    ForwardAnalysis,
-    ForwardEngine,
-    find_entry,
-    top_level_ops,
-)
-from .invalidation import _resolve_include
+from ..core.interpreter import find_entry, top_level_ops
+from .dataflow import AbstractState, ForwardAnalysis, ForwardEngine
 
 
 class IssueKind(enum.Enum):
@@ -165,7 +159,7 @@ class PipelineExtraction(ForwardAnalysis):
     def on_include(self, op: Operation, state: AbstractState,
                    engine: ForwardEngine, recoverable: bool) -> None:
         assert isinstance(state, _StepsState)
-        callee = _resolve_include(op)
+        callee = op.callee()
         if callee is None or id(callee) in self._including:
             return  # unresolved target or recursion: nothing to splice
         if not callee.regions or not callee.regions[0].blocks:

@@ -34,6 +34,7 @@ from ..ir.attributes import (
     unwrap,
 )
 from ..ir.builder import Builder
+from ..ir.context import find_callee
 from ..ir.core import (
     Block,
     IsTerminator,
@@ -245,22 +246,36 @@ class YieldOp(TransformOp):
 
 @register_op
 class IncludeOp(TransformOp):
-    """Macro expansion: run a named sequence with bound arguments."""
+    """Macro expansion: run a named sequence with bound arguments — a
+    call of a function-like op, which is how the inliner expands it
+    (``expand_includes``)."""
 
     NAME = "transform.include"
 
-    def apply(self, interpreter, state: TransformState) -> TransformResult:
-        from ..ir.context import lookup_symbol
+    def callee(self) -> Optional["NamedSequenceOp"]:
+        """The named sequence ``target`` names, resolved from here —
+        the one answer the interpreter, the analyses, lint and
+        ``expand_includes`` read; None when it names none."""
+        callee = find_callee(self, "target")
+        return callee if isinstance(callee, NamedSequenceOp) else None
 
-        target_attr = self.attr("target")
-        if not isinstance(target_attr, SymbolRefAttr):
-            return self.definite("include requires a 'target' symbol")
-        callee = lookup_symbol(self, target_attr.name)
-        if callee is None or callee.name != "transform.named_sequence":
+    def apply(self, interpreter, state: TransformState) -> TransformResult:
+        callee = self.callee()
+        if callee is None:
             return self.definite(
-                f"no named sequence named @{target_attr.name}"
+                f"no named sequence named {self.attr('target')}"
             )
-        body = callee.body  # type: ignore[attr-defined]
+        # Macros must be acyclic (§3.4): re-entering a sequence that is
+        # still running — the entry, or the callee of an enclosing
+        # include — is a definite error, not unbounded recursion.
+        active = interpreter._stack[:-1]
+        if callee in active or any(
+                isinstance(frame, IncludeOp) and frame.callee() is callee
+                for frame in active):
+            return self.definite(
+                f"recursive transform.include of @{callee.sym_name}"
+            )
+        body = callee.body
         if len(body.args) != self.num_operands:
             return self.definite("include argument count mismatch")
         for formal, actual in zip(body.args, self.operands):

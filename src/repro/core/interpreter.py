@@ -52,6 +52,37 @@ class InterpreterStats:
     wall_seconds: float = 0.0
 
 
+def top_level_ops(script: Operation) -> List[Operation]:
+    """The script's immediate ops (the entry-point candidates)."""
+    if script.name in ("transform.sequence", "transform.named_sequence"):
+        return [script]
+    return [op for region in script.regions for block in region.blocks
+            for op in block.ops]
+
+
+def find_entry(script: Operation,
+               entry_point: Optional[str] = None) -> Optional[Operation]:
+    """The op a script runs — the one rule the interpreter, the static
+    analyses and the function-tier gate share. A (named) sequence is
+    its own entry. In a module only top-level ops are candidates
+    (sequences nested in macro bodies are helpers, never the entry):
+    ``entry_point`` selects a named sequence by symbol name, otherwise
+    a ``transform.sequence`` wins over named sequences, which are macro
+    *definitions*."""
+    named: List[Operation] = []
+    for op in top_level_ops(script):
+        if op is script:
+            return script
+        if op.name == "transform.sequence" and entry_point is None:
+            return op
+        if op.name == "transform.named_sequence":
+            named.append(op)
+    if entry_point is not None:
+        return next((op for op in named if op.sym_name == entry_point),
+                    None)
+    return named[0] if named else None
+
+
 class TransformInterpreter:
     """Executes transform scripts against a payload module."""
 
@@ -60,15 +91,9 @@ class TransformInterpreter:
                  profiler=None,
                  strict: bool = False,
                  diagnostics: Optional[DiagnosticEngine] = None,
-                 preflight: bool = False,
                  tracer=None,
                  trace_parent=None):
         self.check_types = check_types
-        #: Refuse to execute scripts carrying *definite* static errors
-        #: (use-after-consume the analysis proves happens on every
-        #: clean run) — the §3.4 safety net applied before any payload
-        #: is touched.
-        self.preflight = preflight
         #: Ablation knob: disable nested-alias invalidation tracking.
         self.track_invalidation = track_invalidation
         #: Optional :class:`repro.profiling.Profiler` recording
@@ -103,13 +128,13 @@ class TransformInterpreter:
         """Run ``script`` (a sequence, named sequence, or a module
         containing one) on ``payload``. Raises
         :class:`TransformInterpreterError` on definite errors; returns
-        the final :class:`TransformResult` otherwise.
+        the final :class:`TransformResult` otherwise. Scripts are not
+        checked statically here: ``lint_script`` is the one static
+        gate (the compile engine's preflight, ``repro-opt --verify``).
         """
-        if self.preflight:
-            self._run_preflight(script)
         start = time.perf_counter()
         state = TransformState(payload)
-        entry = self._find_entry(script, entry_point)
+        entry = find_entry(script, entry_point)
         if entry is None:
             result = TransformResult.definite(
                 "no transform entry point found in script"
@@ -138,62 +163,6 @@ class TransformInterpreter:
         if result.is_silenceable:
             self._diagnose(result, Severity.WARNING)
         return result
-
-    def _run_preflight(self, script: Operation) -> None:
-        """Static gate: raise before executing anything if the script
-        has a *definite* use-after-consume error."""
-        from ..analysis.invalidation import ERROR as STATIC_ERROR
-        from ..analysis.invalidation import analyze_script
-
-        errors = [
-            issue for issue in analyze_script(script, may_alias=False)
-            if issue.severity == STATIC_ERROR
-        ]
-        if not errors:
-            return
-        result = TransformResult.definite(
-            f"preflight: {len(errors)} definite static error(s) in "
-            "transform script; refusing to execute", script,
-        )
-        diagnostic = Diagnostic(Severity.ERROR, result.message,
-                                script.location)
-        for issue in errors:
-            diagnostic.attach_note(str(issue), issue.use_op.location)
-            diagnostic.attach_note(
-                f"handle consumed here by '{issue.consume_op.name}'",
-                issue.consume_op.location,
-            )
-        self.diagnostics.emit(diagnostic)
-        raise TransformInterpreterError(result, diagnostic)
-
-    def _find_entry(self, script: Operation,
-                    entry_point: Optional[str]) -> Optional[Operation]:
-        if script.name in ("transform.sequence",
-                           "transform.named_sequence"):
-            return script
-        # Only *top-level* ops of the script are entry-point candidates:
-        # sequences nested inside named_sequence bodies are helpers the
-        # entry invokes (via include), never the entry itself.
-        sequences: List[Operation] = []
-        named: List[Operation] = []
-        for region in script.regions:
-            for block in region.blocks:
-                for op in block.ops:
-                    if op.name == "transform.sequence":
-                        sequences.append(op)
-                    elif op.name == "transform.named_sequence":
-                        named.append(op)
-        if entry_point is not None:
-            for candidate in named:
-                name = candidate.attr("sym_name")
-                if name is not None and name.value == entry_point:  # type: ignore[union-attr]
-                    return candidate
-            return None
-        # Unnamed entry: a transform.sequence wins over named sequences
-        # (which are macro *definitions*, not entry points).
-        if sequences:
-            return sequences[0]
-        return named[0] if named else None
 
     # -- diagnostics ---------------------------------------------------------
 

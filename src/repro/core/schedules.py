@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..ir.context import SymbolTable
 from ..ir.core import Operation
 from ..ir.parser import parse
-from .script_transforms import ScriptTransformError, _named_sequences
+from .script_transforms import ScriptTransformError
 
 #: The library, distributed as transform IR text (parsed on load).
 SCHEDULE_LIBRARY_IR = '''
@@ -88,7 +89,7 @@ def library_schedules(library: Optional[Operation] = None) -> List[str]:
     """Names of the named sequences a library provides."""
     if library is None:
         library = load_schedule_library()
-    return sorted(_named_sequences(library))
+    return sorted(SymbolTable(library).symbols())
 
 
 def link_schedule_library(script: Operation,
@@ -105,10 +106,10 @@ def link_schedule_library(script: Operation,
         raise ScriptTransformError(
             "script has no body block to link into"
         )
-    existing = set(_named_sequences(script))
+    existing = SymbolTable(script).symbols()
     linked = 0
     block = script.regions[0].entry_block
-    for name, sequence in _named_sequences(library).items():
+    for name, sequence in SymbolTable(library).symbols().items():
         if name in existing:
             continue
         block.insert(linked, sequence.clone())

@@ -17,11 +17,11 @@ transformed:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from ..ir.attributes import StringAttr, SymbolRefAttr, unwrap
-from ..ir.builder import Builder
-from ..ir.core import Operation, Value
+from ..ir.attributes import StringAttr, unwrap
+from ..ir.core import Operation
+from ..passes.inliner import InliningError, detect_recursion, inline_call
 from .dialect import declared
 
 
@@ -34,97 +34,38 @@ class ScriptTransformError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _named_sequences(script: Operation) -> Dict[str, Operation]:
-    out: Dict[str, Operation] = {}
-    for op in script.walk():
-        if op.name == "transform.named_sequence":
-            name = op.attr("sym_name")
-            if isinstance(name, StringAttr):
-                out[name.value] = op
-    return out
-
-
-def _include_graph_has_cycle(script: Operation) -> bool:
-    sequences = _named_sequences(script)
-    edges: Dict[str, Set[str]] = {name: set() for name in sequences}
-    for name, sequence in sequences.items():
-        for include in sequence.walk_ops("transform.include"):
-            target = include.attr("target")
-            if isinstance(target, SymbolRefAttr):
-                edges[name].add(target.name)
-
-    visiting: Set[str] = set()
-    done: Set[str] = set()
-
-    def visit(node: str) -> bool:
-        if node in done:
-            return False
-        if node in visiting:
-            return True
-        visiting.add(node)
-        for succ in edges.get(node, ()):
-            if visit(succ):
-                return True
-        visiting.discard(node)
-        done.add(node)
-        return False
-
-    return any(visit(node) for node in list(edges))
-
-
-def expand_includes(script: Operation, max_rounds: int = 32) -> int:
+def expand_includes(script: Operation) -> int:
     """Inline every ``transform.include``; returns the expansion count.
 
-    Macros don't support recursion (§3.4) — verified by checking the
-    include call graph for cycles before inlining.
+    The ordinary inliner applied to transform IR: the include call
+    graph is checked for cycles first (macros must be acyclic, §3.4),
+    then each include is an :func:`~repro.passes.inliner.inline_call`
+    of its callee, repeated until the includes an expansion pasted in
+    are expanded too.
     """
-    if _include_graph_has_cycle(script):
+    cycle = detect_recursion(script, "transform.named_sequence",
+                             "transform.include", "target")
+    if cycle is not None:
         raise ScriptTransformError(
-            "recursive transform.include graph; macros must be acyclic"
+            f"recursive transform.include of {cycle.attr('target')}; "
+            "macros must be acyclic"
         )
     total = 0
-    for _ in range(max_rounds):
-        sequences = _named_sequences(script)
-        includes = [
-            op for op in script.walk_ops("transform.include")
-            if op.parent is not None
-        ]
+    while True:
+        includes = list(script.walk_ops("transform.include"))
         if not includes:
             return total
         for include in includes:
-            target = include.attr("target")
-            callee = (
-                sequences.get(target.name)
-                if isinstance(target, SymbolRefAttr)
-                else None
-            )
+            callee = include.callee()
             if callee is None:
                 raise ScriptTransformError(
-                    f"include of unknown sequence {target}"
+                    f"include of unknown sequence {include.attr('target')}"
                 )
-            _inline_include(include, callee)
+            try:
+                inline_call(include, callee)
+            except InliningError as error:
+                raise ScriptTransformError(str(error)) from error
             total += 1
-    raise ScriptTransformError("include expansion did not converge")
-
-
-def _inline_include(include: Operation, callee: Operation) -> None:
-    body = callee.regions[0].entry_block
-    if len(body.args) != include.num_operands:
-        raise ScriptTransformError(
-            "include argument count does not match the named sequence"
-        )
-    value_map: Dict[Value, Value] = dict(
-        zip(body.args, include.operands)
-    )
-    builder = Builder.before(include)
-    yielded: List[Value] = []
-    for op in body.ops:
-        if op.name == "transform.yield":
-            yielded = [value_map.get(v, v) for v in op.operands]
-            continue
-        builder.insert(op.clone(value_map))
-    include.replace_all_uses_with(yielded)
-    include.erase()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..ir.context import lookup_symbol
+from ..ir.context import find_callee
 from ..ir.core import Block, Operation
 from ..ir.types import MemRefType
 
@@ -208,7 +208,7 @@ class PayloadInterpreter:
         if name == "scf.yield":
             return  # handled by the structured-op executors
         if name == "func.call":
-            callee = lookup_symbol(op, op.callee)  # type: ignore[attr-defined]
+            callee = find_callee(op)
             if callee is None:
                 raise ExecutionError(f"unresolved callee {op.callee!r}")  # type: ignore[attr-defined]
             results = self._call_function(

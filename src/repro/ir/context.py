@@ -117,3 +117,15 @@ def lookup_symbol(from_op: Operation, name: str) -> Optional[Operation]:
         parent = table_op.parent_op
         table_op = nearest_symbol_table(parent) if parent is not None else None
     return None
+
+
+def find_callee(call_op: Operation,
+                callee_attr: str = "callee") -> Optional[Operation]:
+    """The symbol a call op's ``callee_attr`` names (``func.call`` /
+    ``callee``, ``transform.include`` / ``target``), resolved from the
+    call site; None when the attribute is missing or names nothing."""
+    attr = call_op.attr(callee_attr)
+    name = getattr(attr, "name", None) or getattr(attr, "value", None)
+    if not isinstance(name, str):
+        return None
+    return lookup_symbol(call_op, name)

@@ -1,16 +1,21 @@
 """Function inlining.
 
 Used both as a payload optimization and — crucially for §3.4 of the
-paper — to expand ``transform.include`` macros, since named transform
-sequences are function-like objects handled by the ordinary inliner.
+paper — to expand ``transform.include`` macros: a named transform
+sequence is a function-like op, so :func:`inline_call` splices its body
+at an include exactly as it splices a ``func.func`` body at a
+``func.call``, and :func:`detect_recursion` checks either call graph for
+cycles. Callees are resolved by :func:`repro.ir.context.find_callee`;
+``core.script_transforms.expand_includes`` is this inliner applied to
+transform IR.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Set
 
 from ..ir.builder import Builder
-from ..ir.context import lookup_symbol
+from ..ir.context import find_callee
 from ..ir.core import Operation, Value
 from .manager import Pass, register_pass
 
@@ -52,44 +57,38 @@ def inline_call(call_op: Operation, callee: Operation) -> None:
     call_op.erase()
 
 
-def find_callee(call_op: Operation, callee_attr: str = "callee") -> Optional[Operation]:
-    attr = call_op.attr(callee_attr)
-    if attr is None:
+def detect_recursion(module: Operation, callable_name: str = "func.func",
+                     call_name: str = "func.call",
+                     callee_attr: str = "callee") -> Optional[Operation]:
+    """The call that closes a cycle in the call graph under ``module``
+    — a ``call_name`` op re-entering a ``callable_name`` op already on
+    its own call path — or None when the graph is acyclic."""
+    calls: Dict[Operation, List[Operation]] = {
+        caller: list(caller.walk_ops(call_name))
+        for caller in module.walk_ops(callable_name)
+    }
+    path: Set[Operation] = set()
+    done: Set[Operation] = set()
+
+    def visit(caller: Operation) -> Optional[Operation]:
+        path.add(caller)
+        for call in calls[caller]:
+            callee = find_callee(call, callee_attr)
+            if callee in path:
+                return call
+            if callee in calls and callee not in done:
+                cycle = visit(callee)
+                if cycle is not None:
+                    return cycle
+        path.discard(caller)
+        done.add(caller)
         return None
-    name = getattr(attr, "name", None) or getattr(attr, "value", None)
-    if not isinstance(name, str):
-        return None
-    return lookup_symbol(call_op, name)
 
-
-def detect_recursion(module: Operation, call_name: str = "func.call") -> bool:
-    """True when the call graph under ``module`` has a cycle."""
-    edges: Dict[str, set] = {}
-    for func_op in module.walk_ops("func.func"):
-        caller = func_op.attr("sym_name").value  # type: ignore[union-attr]
-        edges.setdefault(caller, set())
-        for call_op in func_op.walk_ops(call_name):
-            callee = call_op.attr("callee")
-            if callee is not None:
-                edges[caller].add(callee.name)  # type: ignore[union-attr]
-
-    visiting: set = set()
-    done: set = set()
-
-    def visit(node: str) -> bool:
-        if node in done:
-            return False
-        if node in visiting:
-            return True
-        visiting.add(node)
-        for succ in edges.get(node, ()):
-            if visit(succ):
-                return True
-        visiting.discard(node)
-        done.add(node)
-        return False
-
-    return any(visit(node) for node in list(edges))
+    for caller in calls:
+        cycle = None if caller in done else visit(caller)
+        if cycle is not None:
+            return cycle
+    return None
 
 
 @register_pass
@@ -108,7 +107,7 @@ class InlinerPass(Pass):
         self.always = bool(always)
 
     def run(self, op: Operation) -> None:
-        if detect_recursion(op):
+        if detect_recursion(op) is not None:
             raise InliningError("recursive call graph; refusing to inline")
         changed = True
         while changed:

@@ -487,10 +487,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="route the batch through a running "
                         "repro-serve daemon (unix socket path or "
                         "HOST:PORT) instead of spawning a local pool; "
-                        "engine/cache/resilience flags are the "
-                        "server's business and are ignored, and "
-                        "--timing/--trace-out/--events-out (which "
-                        "describe a local engine) are rejected")
+                        "the engine/cache/resilience/export flags and "
+                        "--timing describe a local engine (the server "
+                        "has its own), so setting any of them is an "
+                        "error")
     add_engine_arguments(parser)
     add_job_arguments(parser, priority="batch")
     parser.add_argument("-o", "--output-dir", default=None,
@@ -508,17 +508,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.connect is None:
             transport = _local_transport(args, build_engine(args))
         else:
-            local_only = [
-                "--" + name.replace("_", "-")
-                for name in ("timing", "trace_out", "events_out")
-                if getattr(args, name)
-            ]
+            engine_flags = argparse.ArgumentParser(add_help=False)
+            add_engine_arguments(engine_flags)
+            defaults = {**vars(engine_flags.parse_args([])), "timing": False}
+            local_only = ["--" + name.replace("_", "-")
+                          for name, default in defaults.items()
+                          if getattr(args, name) != default]
             if local_only:
                 raise ValueError(
-                    f"{', '.join(local_only)}: local-engine reporting "
-                    "cannot be combined with --connect (the server "
-                    "exports its own: repro-serve --trace-out/"
-                    "--events-out, repro-submit --stats)"
+                    f"{', '.join(local_only)}: local-engine flags cannot "
+                    "be combined with --connect (the server has its "
+                    "own: repro-serve flags, repro-submit --stats)"
                 )
             transport = _remote_transport(args, len(jobs))
     except (OSError, ValueError) as error:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.dialect import declared
+from ..core.interpreter import find_entry, top_level_ops
 from ..ir.core import Operation
 from ..ir.hashing import NO_ATTRIBUTES_DIGEST, module_digest, op_digest
 from ..ir.printer import (
@@ -55,31 +56,16 @@ from ..ir.printer import (
 Names = Tuple[int, int, int, int]
 
 
-def _entry_sequence(script: Operation) -> Optional[Operation]:
-    """The unnamed entry ``transform.sequence``, mirroring the
-    interpreter's discovery — None when the script carries macros or
-    named entry points (those may be matched positionally or included
-    with module-scoped arguments, so sharding stays out)."""
-    if script.name == "transform.sequence":
-        return script
-    if script.name != "builtin.module":
-        return None
-    entry: Optional[Operation] = None
-    for block in script.regions[0].blocks:
-        for op in block.ops:
-            if op.name == "transform.named_sequence":
-                return None
-            if op.name == "transform.sequence":
-                if entry is not None:
-                    return None
-                entry = op
-    return entry
-
-
 def is_func_shardable(script: Operation) -> bool:
     """True when the schedule provably distributes over functions."""
-    entry = _entry_sequence(script)
-    if entry is None:
+    # The entry must be the script's only sequence and unnamed: macros
+    # and named entry points may be matched positionally or included
+    # with module-scoped arguments, so sharding stays out of them.
+    entry = find_entry(script)
+    if entry is None or entry.name != "transform.sequence" or any(
+            op is not entry and op.name in ("transform.sequence",
+                                            "transform.named_sequence")
+            for op in top_level_ops(script)):
         return False
     for op in entry.walk():
         if op is entry:

@@ -66,7 +66,11 @@ from typing import List, Optional, Tuple
 from ..core import dialect as transform
 from ..core.errors import TransformInterpreterError
 from ..core.interpreter import TransformInterpreter
-from ..core.script_transforms import simplify_script
+from ..core.script_transforms import (
+    ScriptTransformError,
+    expand_includes,
+    simplify_script,
+)
 from ..dialects import arith, builtin, func, scf
 from ..ir.builder import Builder
 from ..ir.core import Operation, Value
@@ -736,7 +740,10 @@ class FrontendScheduleFuzzer:
     construction contract: whatever chain of fluent calls survives the
     builder's own checks must produce a script with zero
     error-severity ``repro-lint`` diagnostics and a digest-stable
-    print→parse round-trip. Along the way each case probes the
+    print→parse round-trip. About 30 % of the cases define and include
+    a helper macro; those must also pass ``expand_includes`` with no
+    include left and keep both properties flat (``include-expands``).
+    Along the way each case probes the
     Python-level use-after-consume guard with deliberately stale
     handles and records a violation if the builder fails to raise.
     """
@@ -908,6 +915,28 @@ def run_frontend_case(case_seed: int
             case_seed, "frontend-roundtrip",
             "print->parse changed the structural digest\n" + text,
         ))
+
+    if next(script.walk_ops("transform.include"), None) is not None:
+        # A macro is a function: the inliner expands every include,
+        # and the flat script is as clean and as printable.
+        expanded = script.clone()
+        try:
+            expand_includes(expanded)
+        except ScriptTransformError as error:
+            problem = f"expand_includes raised: {error}"
+        else:
+            flat = print_op(expanded)
+            problem = (
+                "a transform.include is left"
+                if next(expanded.walk_ops("transform.include"), None)
+                else "the expanded script has lint errors"
+                if lint_script(expanded).has_errors()
+                else "print->parse changed the expanded script's digest"
+                if op_digest(parse(flat, "<expanded>")) != op_digest(expanded)
+                else None)
+        if problem is not None:
+            failures.append(FuzzFailure(
+                case_seed, "include-expands", f"{problem}\n{text}"))
 
     kind = "clean" if not failures else "violated"
     return CaseOutcome(kind, "", text), failures

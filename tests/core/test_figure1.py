@@ -8,7 +8,7 @@ is caught both statically (§3.4) and dynamically (§3.1).
 
 import pytest
 
-from repro.analysis import analyze_invalidation
+from repro.analysis import analyze_script
 from repro.core import dialect as transform
 from repro.core.errors import TransformInterpreterError
 from repro.core.interpreter import TransformInterpreter
@@ -90,7 +90,7 @@ class TestFigure1:
     def test_line11_static_error(self):
         """'This statically reports an error!' — via the §3.4 analysis."""
         script = build_figure1_script(with_error=True)
-        issues = analyze_invalidation(script)
+        issues = analyze_script(script, may_alias=False)
         assert len(issues) == 1
         assert issues[0].use_op.name == "transform.loop.unroll"
         assert issues[0].consume_op.name == "transform.loop.unroll"
@@ -104,4 +104,4 @@ class TestFigure1:
 
     def test_clean_script_has_no_static_issues(self):
         script = build_figure1_script(with_error=False)
-        assert analyze_invalidation(script) == []
+        assert analyze_script(script, may_alias=False) == []

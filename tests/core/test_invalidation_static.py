@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import analyze_invalidation, lint_script
+from repro.analysis import analyze_script, lint_script
 from repro.core import dialect as transform
 from repro.ir import Builder, Operation
 
@@ -15,7 +15,7 @@ class TestDirectConsumption:
         transform.loop_unroll(builder, loop, full=True)
         transform.print_(builder, loop)  # use after consume
         transform.yield_(builder)
-        issues = analyze_invalidation(script)
+        issues = analyze_script(script, may_alias=False)
         assert len(issues) == 1
         assert issues[0].use_op.name == "transform.print"
 
@@ -26,7 +26,7 @@ class TestDirectConsumption:
         transform.loop_split(builder, loop, 8)
         transform.loop_tile(builder, loop, [8])  # loop was consumed
         transform.yield_(builder)
-        assert len(analyze_invalidation(script)) == 1
+        assert len(analyze_script(script, may_alias=False)) == 1
 
     def test_clean_chaining_has_no_issues(self):
         script, builder, root = transform.sequence()
@@ -36,7 +36,7 @@ class TestDirectConsumption:
         transform.loop_tile(builder, main, [8])
         transform.loop_unroll(builder, rest, full=True)
         transform.yield_(builder)
-        assert analyze_invalidation(script) == []
+        assert analyze_script(script, may_alias=False) == []
 
     def test_results_of_consuming_op_are_fresh(self):
         """Split results point at *new* loops: using both is fine."""
@@ -47,7 +47,7 @@ class TestDirectConsumption:
         transform.print_(builder, main)
         transform.print_(builder, rest)
         transform.yield_(builder)
-        assert analyze_invalidation(script) == []
+        assert analyze_script(script, may_alias=False) == []
 
 
 class TestAliasPropagation:
@@ -61,7 +61,7 @@ class TestAliasPropagation:
         transform.loop_unroll(builder, outer, full=True)
         transform.print_(builder, inner)
         transform.yield_(builder)
-        issues = analyze_invalidation(script)
+        issues = analyze_script(script, may_alias=False)
         assert len(issues) == 1
         assert issues[0].use_op.name == "transform.print"
 
@@ -76,7 +76,7 @@ class TestAliasPropagation:
         transform.loop_unroll(builder, outer, full=True)
         transform.print_(builder, innermost)
         transform.yield_(builder)
-        assert len(analyze_invalidation(script)) == 1
+        assert len(analyze_script(script, may_alias=False)) == 1
 
     def test_sibling_matches_not_aliased(self):
         """Handles derived from *different* sources stay independent."""
@@ -91,7 +91,7 @@ class TestAliasPropagation:
         # NOTE: the analysis is derivation-based; `last` derives from
         # `root`, not `first`, so no issue is reported (it may or may
         # not alias dynamically — the interpreter handles that case).
-        assert analyze_invalidation(script) == []
+        assert analyze_script(script, may_alias=False) == []
 
 
 class TestNestedRegions:
@@ -105,7 +105,7 @@ class TestNestedRegions:
         transform.yield_(inner)
         transform.print_(builder, loop)
         transform.yield_(builder)
-        assert len(analyze_invalidation(script)) == 1
+        assert len(analyze_script(script, may_alias=False)) == 1
 
     def test_foreach_block_arg_aliases_operand(self):
         script, builder, root = transform.sequence()
@@ -118,7 +118,7 @@ class TestNestedRegions:
         transform.print_(builder, loops)
         transform.yield_(builder)
         # The element consumed inside foreach aliases the operand.
-        assert len(analyze_invalidation(script)) >= 1
+        assert len(analyze_script(script, may_alias=False)) >= 1
 
 
 class TestVerifyScript:

@@ -47,14 +47,21 @@ class TestIncludeExpansion:
         assert "transform.loop.tile" in body_names
 
     def test_expanded_script_still_runs(self):
-        module, _seq = self.build_macro_script()
-        expand_includes(module)
-        payload = build_matmul_module(8, 4, 4)
-        result = TransformInterpreter().apply(
-            module, payload, entry_point=None
-        )
-        # entry resolution picks the first sequence-like op; the macro
-        # declaration comes first, so address the sequence directly.
+        # The unnamed sequence is the entry although the macro comes
+        # first, both as written and expanded: same status, same bytes.
+        from repro.ir.printer import print_op
+
+        def run(expand):
+            module, _seq = self.build_macro_script()
+            if expand:
+                expand_includes(module)
+            payload = build_matmul_module(8, 4, 4)
+            result = TransformInterpreter().apply(module, payload)
+            return result.kind, print_op(payload)
+
+        as_written = run(expand=False)
+        assert as_written == run(expand=True)
+        assert as_written[1] != print_op(build_matmul_module(8, 4, 4))
 
     def test_nested_includes(self):
         module = script_module()

@@ -481,6 +481,9 @@ class TestBatchConnect:
         ["--timing"],
         ["--trace-out", "trace.json"],
         ["--events-out", "events.jsonl"],
+        # Engine flags used to be ignored without a word.
+        ["--jobs", "4"],
+        ["--no-preflight"],
     ])
     def test_local_engine_flags_are_rejected_with_connect(
             self, flag, tmp_path, capsys, monkeypatch):
@@ -519,7 +522,7 @@ class TestBatchConnect:
         (schedules / "bound.mlir").write_text(UNROLL_BOUND)
         (schedules / "bad.mlir").write_text(USE_AFTER_CONSUME)
         common = [str(payloads), "--schedule", str(schedules),
-                  "--jobs", "0", "--param", "factor=4"]
+                  "--param", "factor=4"]
 
         def run(route, *extra):
             out = tmp_path / f"out-{route}"
@@ -531,7 +534,7 @@ class TestBatchConnect:
             return (code, captured.out.splitlines(), captured.err,
                     files, json.loads(metrics.read_text()))
 
-        local = run("local")
+        local = run("local", "--jobs", "0")
         parser = argparse.ArgumentParser()
         add_engine_arguments(parser)
         engine = build_engine(parser.parse_args(["--jobs", "0"]))

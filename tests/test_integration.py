@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_invalidation, check_transform_script
+from repro.analysis import analyze_script, check_transform_script
 from repro.core import (
     DynamicConditionChecker,
     TransformInterpreter,
@@ -130,7 +130,7 @@ class TestFullCompilationFlow:
 
     def test_static_checks_accept_the_full_flow_script(self):
         script = self.build_script()
-        assert analyze_invalidation(script) == []
+        assert analyze_script(script, may_alias=False) == []
 
 
 class TestSafetyNetsCompose:
@@ -188,7 +188,7 @@ class TestSafetyNetsCompose:
         # Before expansion the include hides the consumption...
         expand_includes(module)
         # ...after expansion the analysis catches it.
-        issues = analyze_invalidation(module)
+        issues = analyze_script(module, may_alias=False)
         assert len(issues) == 1
         assert issues[0].use_op.name == "transform.print"
 
