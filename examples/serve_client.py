@@ -104,12 +104,13 @@ async def asyncio_session(sock: str) -> None:
                             on_event=lambda f: seen.append(f["event"]))
         print(f"  watched lifecycle: {' -> '.join(seen)}")
 
-        stats = await client.stats()
-        server = stats["server"]
-        engine = stats["engine"]
-        print(f"  server: {server['submitted']} submitted, "
-              f"{engine['cache_hits']} cache hits, "
-              f"{server['connections_total']} connections so far")
+        # One stats surface: every component's counters, folded into
+        # the versioned ``metrics`` snapshot.
+        counters = (await client.stats())["metrics"]["counters"]
+        print(f"  server: {counters['server.submitted']:.0f} submitted, "
+              f"{counters['engine.cache_hits']:.0f} cache hits, "
+              f"{counters['server.connections_total']:.0f} connections "
+              "so far")
     finally:
         await client.close()
 

@@ -18,8 +18,8 @@ It is one driver over two transports. Locally each job goes through
 a running ``repro-serve``, never more than the server's advertised
 per-client quota in flight. Job list, status lines, ``-o`` files,
 summary, exit code and the ``jobs``/``by_status`` keys of ``--json``
-are the same code either way; ``--connect`` is an address, not a
-behaviour switch.
+are the same code either way; only the local transport's parser has
+the flags that describe a local engine.
 """
 
 from __future__ import annotations
@@ -250,20 +250,6 @@ def shutdown_engine(engine: CompileEngine, args) -> None:
         engine.events.close()
 
 
-def engine_snapshot(engine, **sections) -> Dict[str, object]:
-    """The ``engine``/``cache``/``metrics`` block of ``repro-batch
-    --json`` and of the daemon's ``stats`` frame: ``metrics`` is the
-    one versioned snapshot (``sections`` are folded into it with the
-    engine's own); the per-component dicts stay alongside for the
-    consumers that read them."""
-    cache = engine.cache
-    return {
-        "engine": engine.stats.as_dict(),
-        "cache": cache.stats.as_dict() if cache is not None else None,
-        "metrics": engine.metrics_snapshot(**sections),
-    }
-
-
 def service_report(metrics: Dict[str, object]) -> str:
     """The ``--timing`` report of a compile service, rendered from its
     :meth:`CompileEngine.metrics_snapshot`."""
@@ -414,7 +400,7 @@ async def _local_transport(args, engine: CompileEngine):
                    report)
     finally:
         shutdown_engine(engine, args)
-        report.update(engine_snapshot(engine))
+        report["metrics"] = engine.metrics_snapshot()
         if args.timing:
             print(service_report(report["metrics"]), file=sys.stderr)
     faults = engine.faults
@@ -452,7 +438,7 @@ async def _remote_transport(args, total: int):
         yield submit, report
         try:
             report["server"] = await client.stats()
-        except (OSError, RemoteError):
+        except RemoteError:
             pass  # the results are in hand; report them regardless
     finally:
         await client.close()
@@ -468,7 +454,10 @@ async def _drive(transport, jobs: Sequence[CompileJob]):
     return results, report
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _batch_parser(connect: bool) -> argparse.ArgumentParser:
+    """``repro-batch``'s flags for one transport: the engine/export
+    flags and ``--timing`` describe a local engine, so with
+    ``--connect`` they do not exist and argparse rejects them."""
     parser = argparse.ArgumentParser(
         prog="repro-batch",
         description="compile a directory of payload modules against a "
@@ -488,39 +477,33 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "repro-serve daemon (unix socket path or "
                         "HOST:PORT) instead of spawning a local pool; "
                         "the engine/cache/resilience/export flags and "
-                        "--timing describe a local engine (the server "
-                        "has its own), so setting any of them is an "
-                        "error")
-    add_engine_arguments(parser)
+                        "--timing then do not exist (the server has "
+                        "its own: repro-serve flags, repro-submit "
+                        "--stats)")
+    if not connect:
+        add_engine_arguments(parser)
     add_job_arguments(parser, priority="batch")
     parser.add_argument("-o", "--output-dir", default=None,
                         help="write each result module here "
                         "(<payload>.<schedule>.mlir)")
     parser.add_argument("--json", default=None, metavar="FILE",
                         help="write machine-readable metrics here")
-    parser.add_argument("--timing", action="store_true",
-                        help="print the -mlir-timing-style service "
-                        "report to stderr")
-    args = parser.parse_args(argv)
+    if not connect:
+        parser.add_argument("--timing", action="store_true",
+                            help="print the -mlir-timing-style service "
+                            "report to stderr")
+    return parser
 
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _batch_parser(connect=False).parse_args(argv)
+    if args.connect is not None:
+        args = _batch_parser(connect=True).parse_args(argv)
     try:
         jobs = _build_jobs(args)
-        if args.connect is None:
-            transport = _local_transport(args, build_engine(args))
-        else:
-            engine_flags = argparse.ArgumentParser(add_help=False)
-            add_engine_arguments(engine_flags)
-            defaults = {**vars(engine_flags.parse_args([])), "timing": False}
-            local_only = ["--" + name.replace("_", "-")
-                          for name, default in defaults.items()
-                          if getattr(args, name) != default]
-            if local_only:
-                raise ValueError(
-                    f"{', '.join(local_only)}: local-engine flags cannot "
-                    "be combined with --connect (the server has its "
-                    "own: repro-serve flags, repro-submit --stats)"
-                )
-            transport = _remote_transport(args, len(jobs))
+        transport = (_local_transport(args, build_engine(args))
+                     if args.connect is None
+                     else _remote_transport(args, len(jobs)))
     except (OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -1,21 +1,24 @@
 """Clients for the ``repro-serve`` daemon, and the ``repro-submit``
 CLI.
 
-Two flavours over the same newline-delimited JSON protocol (see
-:mod:`repro.service.server` for the frame vocabulary):
+Two transports under one request surface over the same
+newline-delimited JSON protocol (see :mod:`repro.service.server` for
+the frame vocabulary):
 
 * :class:`AsyncServiceClient` — asyncio; one connection multiplexes
   any number of concurrent :meth:`~AsyncServiceClient.submit` calls
   (response frames are demultiplexed on the echoed request ``id``).
   This is what ``repro-batch --connect`` rides (windowed to the
   ``client_quota`` the server's ``pong`` advertises).
-* :class:`ServiceClient` — blocking sockets, one request at a time;
-  for scripts, tests, and the ``repro-submit`` CLI.
+* :class:`ServiceClient` — blocking sockets, one request at a time,
+  no event loop; for scripts, tests, and the ``repro-submit`` CLI.
 
+Both build every request and decode every reply in
+:class:`_RequestSurface`; each supplies only ``_call``, its transport.
 Server-side refusals (``draining``, ``quota``, ``bad-request``,
-``internal``) surface as :class:`RemoteError` with the structured
-``code`` preserved, so callers can branch on the refusal class
-instead of parsing prose.
+``internal``) and a dead connection (``disconnected``) surface as
+:class:`RemoteError` with the structured ``code`` preserved, so
+callers can branch on the refusal class instead of parsing prose.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ class RemoteError(RuntimeError):
         super().__init__(f"{code}: {message}")
         self.code = code
         self.message = message
+
+
+def _disconnected(error: object = "server closed the connection") \
+        -> RemoteError:
+    return RemoteError("disconnected", str(error))
 
 
 def parse_address(address: str) -> Tuple[str, str, Optional[int]]:
@@ -78,34 +86,71 @@ def result_from_frame(frame: Dict[str, object]) -> JobResult:
     )
 
 
-def _submit_request(payload_text, script_text, payload_path,
-                    script_path, params, entry_point, job_id, priority,
-                    timeout, stream) -> Dict[str, object]:
-    request: Dict[str, object] = {"op": "submit"}
-    if payload_text is not None:
-        request["payload"] = payload_text
-    if script_text is not None:
-        request["script"] = script_text
-    if payload_path is not None:
-        request["payload_path"] = payload_path
-    if script_path is not None:
-        request["script_path"] = script_path
-    if params is not None:
-        request["params"] = params
-    if entry_point is not None:
-        request["entry_point"] = entry_point
-    if job_id is not None:
-        request["job_id"] = job_id
-    if priority is not None:
-        request["priority"] = priority
-    if timeout is not None:
-        request["timeout"] = timeout
-    if stream:
-        request["stream"] = True
-    return request
+class _RequestSurface:
+    """The requests and the reply decoder both clients share.
+
+    A subclass implements ``_call(request, on_event, conclude)``: send
+    ``request`` with a fresh ``id``, feed every frame echoing it to
+    :meth:`_decode` until one concludes, and return ``conclude`` of
+    that frame (the frame itself without one), mapping a dead
+    connection to ``RemoteError("disconnected")``. Each method returns
+    what ``_call`` returns — the value for the blocking client, an
+    awaitable of it for the asyncio one."""
+
+    @staticmethod
+    def _decode(frame: Dict[str, object],
+                on_event: Optional[EventCallback]) \
+            -> Optional[Dict[str, object]]:
+        """An event goes to ``on_event``, an error raises
+        :class:`RemoteError`; anything else is the conclusion."""
+        kind = frame.get("type")
+        if kind == "event":
+            if on_event is not None:
+                on_event(frame)
+            return None
+        if kind == "error":
+            raise RemoteError(str(frame.get("code") or "internal"),
+                              str(frame.get("message") or ""))
+        return frame
+
+    def submit(self, payload_text: Optional[str] = None,
+               script_text: Optional[str] = None, *,
+               payload_path: Optional[str] = None,
+               script_path: Optional[str] = None,
+               params: Optional[dict] = None,
+               entry_point: Optional[str] = None,
+               job_id: Optional[str] = None,
+               priority: Optional[str] = None,
+               timeout: Optional[float] = None,
+               stream: bool = False,
+               on_event: Optional[EventCallback] = None):
+        """Submit one job for its :class:`JobResult`. With ``stream``
+        (implied by ``on_event``) the server forwards every lifecycle
+        event record first."""
+        fields = {"payload": payload_text, "script": script_text,
+                  "payload_path": payload_path, "script_path": script_path,
+                  "params": params, "entry_point": entry_point,
+                  "job_id": job_id, "priority": priority, "timeout": timeout}
+        request: Dict[str, object] = {"op": "submit"}
+        request.update((k, v) for k, v in fields.items() if v is not None)
+        if stream or on_event is not None:
+            request["stream"] = True
+        return self._call(request, on_event, result_from_frame)
+
+    def stats(self):
+        return self._call({"op": "stats"})
+
+    def ping(self):
+        return self._call({"op": "ping"})
+
+    def drain(self, stop: bool = False):
+        return self._call({"op": "drain", "stop": stop})
+
+    def reload(self, **changes: object):
+        return self._call({"op": "reload", **changes})
 
 
-class AsyncServiceClient:
+class AsyncServiceClient(_RequestSurface):
     """Asyncio client; safe for concurrent requests on one
     connection. Construct with :meth:`connect`."""
 
@@ -149,82 +194,33 @@ class AsyncServiceClient:
         finally:
             # Wake every waiter so a dropped connection fails fast
             # instead of hanging calls forever.
-            eof = {"type": "error", "code": "disconnected",
-                   "message": "server closed the connection"}
             for queue in self._pending.values():
-                queue.put_nowait(dict(eof))
+                queue.put_nowait(None)
 
-    async def _request(self, request: Dict[str, object]) \
-            -> Tuple[str, asyncio.Queue]:
-        rid = str(next(self._ids))
-        request["id"] = rid
+    async def _call(self, request: Dict[str, object],
+                    on_event: Optional[EventCallback] = None,
+                    conclude: Optional[Callable] = None):
+        # The reader wakes only the calls pending when it stops.
+        if self._reader_task.done():
+            raise _disconnected()
+        rid = request["id"] = str(next(self._ids))
         queue: asyncio.Queue = asyncio.Queue()
         self._pending[rid] = queue
-        data = (json.dumps(request) + "\n").encode()
-        async with self._write_lock:
-            self._writer.write(data)
-            await self._writer.drain()
-        return rid, queue
-
-    async def _await_conclusion(self, rid: str, queue: asyncio.Queue,
-                                on_event: Optional[EventCallback]) \
-            -> Dict[str, object]:
         try:
+            async with self._write_lock:
+                self._writer.write((json.dumps(request) + "\n").encode())
+                await self._writer.drain()
             while True:
                 frame = await queue.get()
-                kind = frame.get("type")
-                if kind == "event":
-                    if on_event is not None:
-                        on_event(frame)
-                    continue
-                if kind == "error":
-                    raise RemoteError(
-                        str(frame.get("code") or "internal"),
-                        str(frame.get("message") or ""),
-                    )
-                return frame
+                if frame is None:
+                    raise _disconnected()
+                frame = self._decode(frame, on_event)
+                if frame is not None:
+                    return conclude(frame) if conclude else frame
+        except ConnectionError as error:
+            raise _disconnected(error) from error
         finally:
             self._pending.pop(rid, None)
-
-    async def submit(self, payload_text: Optional[str] = None,
-                     script_text: Optional[str] = None, *,
-                     payload_path: Optional[str] = None,
-                     script_path: Optional[str] = None,
-                     params: Optional[dict] = None,
-                     entry_point: Optional[str] = None,
-                     job_id: Optional[str] = None,
-                     priority: Optional[str] = None,
-                     timeout: Optional[float] = None,
-                     stream: bool = False,
-                     on_event: Optional[EventCallback] = None) \
-            -> JobResult:
-        """Submit one job and await its :class:`JobResult`. With
-        ``stream`` (implied by ``on_event``) the server forwards every
-        lifecycle event record first."""
-        stream = stream or on_event is not None
-        rid, queue = await self._request(_submit_request(
-            payload_text, script_text, payload_path, script_path,
-            params, entry_point, job_id, priority, timeout, stream,
-        ))
-        frame = await self._await_conclusion(rid, queue, on_event)
-        return result_from_frame(frame)
-
-    async def _simple(self, request: Dict[str, object]) \
-            -> Dict[str, object]:
-        rid, queue = await self._request(request)
-        return await self._await_conclusion(rid, queue, None)
-
-    async def stats(self) -> Dict[str, object]:
-        return await self._simple({"op": "stats"})
-
-    async def ping(self) -> Dict[str, object]:
-        return await self._simple({"op": "ping"})
-
-    async def drain(self, stop: bool = False) -> Dict[str, object]:
-        return await self._simple({"op": "drain", "stop": stop})
-
-    async def reload(self, **changes: object) -> Dict[str, object]:
-        return await self._simple({"op": "reload", **changes})
 
     async def close(self) -> None:
         self._reader_task.cancel()
@@ -239,7 +235,7 @@ class AsyncServiceClient:
             pass
 
 
-class ServiceClient:
+class ServiceClient(_RequestSurface):
     """Blocking client: one request at a time (a lock enforces it),
     plain sockets, no event loop — importable from anywhere."""
 
@@ -247,9 +243,12 @@ class ServiceClient:
                  timeout: Optional[float] = None):
         kind, host, port = parse_address(address)
         if kind == "unix":
-            self._sock = socket.socket(socket.AF_UNIX,
-                                       socket.SOCK_STREAM)
-            self._sock.connect(host)
+            self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                self._sock.connect(host)
+            except OSError:
+                self._sock.close()
+                raise
         else:
             self._sock = socket.create_connection((host, port))
         if timeout is not None:
@@ -258,79 +257,35 @@ class ServiceClient:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
-    def _roundtrip(self, request: Dict[str, object],
-                   on_event: Optional[EventCallback] = None) \
-            -> Dict[str, object]:
+    def _call(self, request: Dict[str, object],
+              on_event: Optional[EventCallback] = None,
+              conclude: Optional[Callable] = None):
         with self._lock:
-            rid = str(next(self._ids))
-            request["id"] = rid
-            self._file.write((json.dumps(request) + "\n").encode())
-            self._file.flush()
-            while True:
-                line = self._file.readline()
-                if not line:
-                    raise RemoteError(
-                        "disconnected",
-                        "server closed the connection",
-                    )
-                try:
-                    frame = json.loads(line)
-                except ValueError:
-                    continue
-                if not isinstance(frame, dict) \
-                        or frame.get("id") != rid:
-                    continue
-                kind = frame.get("type")
-                if kind == "event":
-                    if on_event is not None:
-                        on_event(frame)
-                    continue
-                if kind == "error":
-                    raise RemoteError(
-                        str(frame.get("code") or "internal"),
-                        str(frame.get("message") or ""),
-                    )
-                return frame
-
-    def submit(self, payload_text: Optional[str] = None,
-               script_text: Optional[str] = None, *,
-               payload_path: Optional[str] = None,
-               script_path: Optional[str] = None,
-               params: Optional[dict] = None,
-               entry_point: Optional[str] = None,
-               job_id: Optional[str] = None,
-               priority: Optional[str] = None,
-               timeout: Optional[float] = None,
-               stream: bool = False,
-               on_event: Optional[EventCallback] = None) -> JobResult:
-        stream = stream or on_event is not None
-        frame = self._roundtrip(_submit_request(
-            payload_text, script_text, payload_path, script_path,
-            params, entry_point, job_id, priority, timeout, stream,
-        ), on_event)
-        return result_from_frame(frame)
-
-    def stats(self) -> Dict[str, object]:
-        return self._roundtrip({"op": "stats"})
-
-    def ping(self) -> Dict[str, object]:
-        return self._roundtrip({"op": "ping"})
-
-    def drain(self, stop: bool = False) -> Dict[str, object]:
-        return self._roundtrip({"op": "drain", "stop": stop})
-
-    def reload(self, **changes: object) -> Dict[str, object]:
-        return self._roundtrip({"op": "reload", **changes})
+            rid = request["id"] = str(next(self._ids))
+            try:
+                self._file.write((json.dumps(request) + "\n").encode())
+                self._file.flush()
+                while True:
+                    line = self._file.readline()
+                    if not line:
+                        raise _disconnected()
+                    try:
+                        frame = json.loads(line)
+                    except ValueError:
+                        continue
+                    if isinstance(frame, dict) and frame.get("id") == rid:
+                        frame = self._decode(frame, on_event)
+                        if frame is not None:
+                            return conclude(frame) if conclude else frame
+            except ConnectionError as error:
+                raise _disconnected(error) from error
 
     def close(self) -> None:
         try:
-            self._file.close()
-        except Exception:
+            self._file.close()  # flushes, so it may meet a dead peer
+        except OSError:
             pass
-        try:
-            self._sock.close()
-        except Exception:
-            pass
+        self._sock.close()
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -385,12 +340,38 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "drain completes")
     args = parser.parse_args(argv)
 
+    def usage_error(message: object) -> int:
+        print(f"error: {message}", file=sys.stderr)
+        return 2
+
+    if args.stop and not args.drain:
+        return usage_error("--stop only applies with --drain")
+    job: Dict[str, object] = {}
+    if not (args.ping or args.stats or args.drain):
+        if args.payload is None or args.schedule is None:
+            return usage_error("need a payload and --schedule "
+                               "(or --stats/--ping/--drain)")
+        from ..frontend.loader import (
+            read_payload_source,
+            read_schedule_source,
+        )
+        try:
+            job = dict(payload_text=read_payload_source(args.payload),
+                       script_text=read_schedule_source(args.schedule),
+                       params=parse_params(args.param))
+        except Exception as error:  # a frontend .py module may raise anything
+            return usage_error(error)
     try:
         client = ServiceClient(args.connect)
     except OSError as error:
-        print(f"error: cannot connect to {args.connect}: {error}",
-              file=sys.stderr)
-        return 2
+        return usage_error(f"cannot connect to {args.connect}: {error}")
+
+    def on_event(frame: Dict[str, object]) -> None:
+        print("event: {} {}".format(
+            frame.get("event"),
+            json.dumps({k: v for k, v in frame.items()
+                        if k not in ("type", "id", "v", "event")}),
+        ), file=sys.stderr)
 
     try:
         if args.ping:
@@ -402,60 +383,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.drain:
             print(json.dumps(client.drain(stop=args.stop)))
             return 0
-        if args.payload is None or args.schedule is None:
-            print("error: need a payload and --schedule "
-                  "(or --stats/--ping/--drain)", file=sys.stderr)
-            return 2
-        try:
-            params = parse_params(args.param)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-        def on_event(frame: Dict[str, object]) -> None:
-            print("event: {} {}".format(
-                frame.get("event"),
-                json.dumps({k: v for k, v in frame.items()
-                            if k not in ("type", "id", "v", "event")}),
-            ), file=sys.stderr)
-
-        from ..frontend.loader import (
-            read_payload_source,
-            read_schedule_source,
+        result = client.submit(
+            **job, entry_point=args.entry_point, job_id=args.job_id,
+            priority=args.priority, timeout=args.timeout,
+            on_event=on_event if args.follow else None,
         )
-        try:
-            payload_text = read_payload_source(args.payload)
-            script_text = read_schedule_source(args.schedule)
-        except Exception as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        try:
-            result = client.submit(
-                payload_path=None,
-                script_path=None,
-                payload_text=payload_text,
-                script_text=script_text,
-                params=params,
-                entry_point=args.entry_point,
-                job_id=args.job_id,
-                priority=args.priority,
-                timeout=args.timeout,
-                on_event=on_event if args.follow else None,
-            )
-        except OSError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
         # The module goes to stdout unless -o names a file, so the
         # status line goes to stderr.
         return report_results([(result.job_id, result)],
                               lambda _: args.output or "-",
                               status_out=sys.stderr)[0]
     except RemoteError as error:
+        # A refusal is the job's outcome; a dead connection is not.
         print(f"error: {error}", file=sys.stderr)
-        return 1
+        return 2 if error.code == "disconnected" else 1
     finally:
         client.close()
-
 
 if __name__ == "__main__":
     sys.exit(main())

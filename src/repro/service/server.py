@@ -60,12 +60,11 @@ import itertools
 import json
 import signal
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Set
 
 from ..observability.events import TERMINAL_EVENTS, EventLog
-from .cli import (add_engine_arguments, build_engine, engine_snapshot,
-                  shutdown_engine)
+from .cli import add_engine_arguments, build_engine, shutdown_engine
 from .engine import CompileEngine, CompileJob, JobResult
 from .frontier import PRIORITY_RANKS, ServiceClosedError, ServiceFrontier
 
@@ -513,7 +512,6 @@ class CompileServer:
         retry policy, job timeout), then resume admissions. The swap
         happens at inflight == 0 so no job straddles two configs."""
         from .cache import CompilationCache
-        from .resilience import RetryPolicy
 
         async with self._admin_lock:
             self._draining = True
@@ -535,19 +533,16 @@ class CompileServer:
                         faults=getattr(self.engine, "faults", None),
                     )
                     applied.append("cache")
-                if "max_attempts" in request or "backoff" in request:
-                    attempts = int(request.get("max_attempts", 2))
-                    if attempts < 1:
-                        raise ValueError("max_attempts must be >= 1")
-                    self.engine.retry_policy = (
-                        RetryPolicy(
-                            max_attempts=attempts,
-                            base_backoff=float(
-                                request.get("backoff", 0.0)
-                            ),
-                        )
-                        if attempts > 1 else RetryPolicy.none()
-                    )
+                # Only the fields the request names change; the rest
+                # (retry_statuses, ...) stay as the server was started.
+                retry = {}
+                if "max_attempts" in request:
+                    retry["max_attempts"] = int(request["max_attempts"])
+                if "backoff" in request:
+                    retry["base_backoff"] = float(request["backoff"])
+                if retry:
+                    self.engine.retry_policy = replace(
+                        self.engine.retry_policy, **retry)
                     applied.append("retry")
                 if "job_timeout" in request:
                     timeout = request["job_timeout"]
@@ -573,12 +568,14 @@ class CompileServer:
     # -- stats ---------------------------------------------------------------
 
     def stats_snapshot(self) -> Dict[str, object]:
+        """The ``stats`` frame: ``metrics`` is the one stats surface
+        (the daemon's own counters folded in as ``server.*``)."""
         server = self.stats.as_dict()
         return {
             "server": server,
             "draining": self._draining,
             "queue_depth": self.frontier.queue_depth,
-            **engine_snapshot(self.engine, server=server),
+            "metrics": self.engine.metrics_snapshot(server=server),
         }
 
 

@@ -229,8 +229,9 @@ class TestThroughTheDaemon:
         assert server.submitted == server.completed == 3
         assert server.by_priority == {"batch": 2, "interactive": 1}
         assert server.streamed == 1
-        assert stats["engine"]["submitted"] == 3
-        assert stats["engine"]["cache_hits"] == 2
+        counters = stats["metrics"]["counters"]
+        assert counters["engine.submitted"] == 3
+        assert counters["engine.cache_hits"] == 2
         histograms = stats["metrics"]["histograms"]
         # Only the first job queued (one sample per queue edge).
         assert histograms["service.queue_depth"]["count"] == 2

@@ -135,12 +135,12 @@ class TestBatchJsonCounters:
             "--json", str(metrics_file),
         ])
         assert code == 0
-        metrics = json.loads(metrics_file.read_text())
-        cache = metrics["cache"]
-        assert cache["disk_errors"] == 0
-        assert cache["disk_corrupt"] == 0
-        assert cache["degraded"] is False
-        assert metrics["metrics"]["counters"]["engine.retries"] == 0
+        snapshot = json.loads(metrics_file.read_text())["metrics"]
+        counters = snapshot["counters"]
+        assert counters["cache.disk_errors"] == 0
+        assert counters["cache.disk_corrupt"] == 0
+        assert snapshot["gauges"]["cache.degraded"] == 0.0
+        assert counters["engine.retries"] == 0
 
     def test_injected_disk_faults_counted_in_metrics(self, tree,
                                                      capsys, recwarn):
@@ -157,6 +157,6 @@ class TestBatchJsonCounters:
         # Disk faults never fail jobs.
         assert code == 0
         metrics = json.loads(metrics_file.read_text())
-        assert metrics["cache"]["disk_errors"] >= 1
+        assert metrics["metrics"]["counters"]["cache.disk_errors"] >= 1
         assert metrics["faults"]["injected"]["disk_write_error"] >= 1
         assert metrics["faults"]["schedule"]

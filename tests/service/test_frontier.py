@@ -387,11 +387,12 @@ class TestBatchCli:
         assert data["by_status"] == {"success": 4}
         # a and b are identical payloads: 2 distinct compilations,
         # 2 cache hits.
-        assert data["engine"]["executed"] == 2
-        assert data["engine"]["cache_hits"] == 2
-        assert data["cache"]["hit_rate"] == 0.5
-        assert data["metrics"]["histograms"]["service.job_seconds"][
-            "count"] == 4
+        metrics = data["metrics"]
+        assert metrics["counters"]["engine.executed"] == 2
+        assert metrics["counters"]["engine.cache_hits"] == 2
+        assert metrics["gauges"]["cache.hit_rate"] == 0.5
+        assert metrics["histograms"]["service.job_seconds"]["count"] == 4
+        assert not {"engine", "cache"} & set(data)
 
     def test_batch_param_binding(self, tree, capsys):
         out = tree / "out"

@@ -5,6 +5,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -27,9 +28,10 @@ from repro.service import (
     JobResult,
     JobStatus,
     RemoteError,
+    RetryPolicy,
     ServiceClient,
 )
-from repro.service.client import parse_address
+from repro.service.client import main as submit_main, parse_address
 from repro.service.cli import (
     add_engine_arguments,
     build_engine,
@@ -407,6 +409,183 @@ class TestSyncClient:
             engine.shutdown()
 
 
+class _Blocking:
+    """One request surface, driven the same way for both clients:
+    ``call(method, ...)`` returns the method's value."""
+
+    def __init__(self, address):
+        self.client = ServiceClient(address)
+
+    def call(self, method, *args, **kwargs):
+        return getattr(self.client, method)(*args, **kwargs)
+
+    def close(self):
+        self.client.close()
+
+
+class _Asyncio(_Blocking):
+    def __init__(self, address):
+        self.loop = asyncio.new_event_loop()
+        self.client = self.loop.run_until_complete(
+            AsyncServiceClient.connect(address))
+
+    def call(self, method, *args, **kwargs):
+        return self.loop.run_until_complete(asyncio.wait_for(
+            getattr(self.client, method)(*args, **kwargs), 10.0))
+
+    def close(self):
+        self.loop.run_until_complete(self.client.close())
+        self.loop.close()
+
+
+CLIENTS = {"blocking": _Blocking, "asyncio": _Asyncio}
+
+
+def _scripted_server(sock, connections):
+    """A stand-in daemon that answers from a script, for ``connections``
+    connections in turn: a submit gets noise (an undecodable line, a
+    frame for another id), two events and a result; a submit at
+    priority ``urgent`` a refusal; a ping closes the connection."""
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(sock)
+    listener.listen()
+
+    def frames(request):
+        rid = request["id"]
+        if request.get("priority") == "urgent":
+            return [{"type": "error", "id": rid, "code": "bad-request",
+                     "message": "unknown priority"}]
+        return [
+            "not json",
+            {"type": "result", "id": "elsewhere", "status": "crashed"},
+            {"type": "event", "id": rid, "event": "STARTED", "job_id": "j"},
+            {"type": "event", "id": rid, "event": "COMPLETED",
+             "job_id": "j", "status": "success"},
+            {"type": "result", "id": rid, "job_id": "j",
+             "status": "success", "ok": True, "output": "out",
+             "cache_hit": True, "attempts": 1, "wall_seconds": 0.5,
+             "stats": {"ops": 3}},
+        ]
+
+    def serve():
+        with listener:
+            for _ in range(connections):
+                conn, _ = listener.accept()
+                with conn, conn.makefile("rwb") as stream:
+                    for line in stream:
+                        request = json.loads(line)
+                        if request["op"] == "ping":
+                            break
+                        for frame in frames(request):
+                            text = (frame if isinstance(frame, str)
+                                    else json.dumps(frame))
+                            stream.write(text.encode() + b"\n")
+                        stream.flush()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestOneRequestSurface:
+    def test_both_clients_read_the_same_frames_the_same_way(
+            self, tmp_path):
+        sock = _sock(tmp_path)
+        server = _scripted_server(sock, connections=len(CLIENTS))
+        seen = {}
+        for kind, make in CLIENTS.items():
+            session, events, codes = make(sock), [], []
+            try:
+                result = session.call("submit", "p", "s",
+                                      on_event=events.append)
+                for method, kwargs in (("submit", {"priority": "urgent"}),
+                                       ("ping", {})):
+                    with pytest.raises(RemoteError) as exc:
+                        session.call(method, **kwargs)
+                    codes.append(exc.value.code)
+            finally:
+                session.close()
+            seen[kind] = (result, events, codes)
+        server.join(10.0)
+        assert seen["blocking"] == seen["asyncio"]
+        result, events, codes = seen["blocking"]
+        assert result == JobResult("j", JobStatus.SUCCESS, output="out",
+                                   cache_hit=True, attempts=1,
+                                   wall_seconds=0.5, stats={"ops": 3})
+        assert [frame["event"] for frame in events] == \
+            ["STARTED", "COMPLETED"]
+        assert codes == ["bad-request", "disconnected"]
+
+    @pytest.mark.parametrize("kind", CLIENTS)
+    def test_a_dead_connection_is_disconnected(self, kind, tmp_path):
+        # Regression: the blocking client raised BrokenPipeError, the
+        # asyncio one ConnectionResetError and kept its pending entry.
+        engine = CompileEngine(workers=0)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        session = CLIENTS[kind](sock)
+        try:
+            assert session.call("ping")["type"] == "pong"
+            stop()
+            with pytest.raises(RemoteError) as exc:
+                session.call("ping")
+            assert exc.value.code == "disconnected"
+            assert not getattr(session.client, "_pending", None)
+        finally:
+            session.close()
+            engine.shutdown()
+
+
+class TestReloadRetry:
+    def test_reload_changes_only_the_retry_fields_it_names(self, tmp_path):
+        # Regression: reload {"backoff": 0.5} rebuilt the policy from
+        # defaults, so a --retry-timeouts server stopped retrying
+        # timeouts and dropped back to two attempts.
+        started = RetryPolicy(max_attempts=5,
+                              retry_statuses=frozenset({"crashed",
+                                                        "timeout"}),
+                              base_backoff=0.2)
+        engine = CompileEngine(workers=0, retry_policy=started)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            with ServiceClient(sock) as client:
+                assert client.reload(backoff=0.5)["applied"] == ["retry"]
+                assert engine.retry_policy == RetryPolicy(
+                    max_attempts=5, retry_statuses=started.retry_statuses,
+                    base_backoff=0.5)
+                # RetryPolicy validates; a refused reload changes nothing.
+                with pytest.raises(RemoteError) as exc:
+                    client.reload(max_attempts=0)
+                assert exc.value.code == "bad-request"
+                assert engine.retry_policy.max_attempts == 5
+                client.reload(max_attempts=1)
+                assert engine.retry_policy.max_attempts == 1
+                assert engine.retry_policy.base_backoff == 0.5
+                assert client.submit(PAYLOAD, UNROLL).ok
+        finally:
+            stop()
+            engine.shutdown()
+
+
+class TestSubmitCli:
+    def test_stop_without_drain_is_refused(self, tmp_path, capsys):
+        # Regression: with a payload, --stop was silently ignored.
+        (tmp_path / "a.mlir").write_text(PAYLOAD)
+        (tmp_path / "unroll.mlir").write_text(UNROLL)
+        code = submit_main([str(tmp_path / "a.mlir"),
+                            "--schedule", str(tmp_path / "unroll.mlir"),
+                            "--connect", _sock(tmp_path), "--stop"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--stop" in captured.err and "--drain" in captured.err
+
+    def test_an_unreachable_server_exits_2(self, tmp_path, capsys):
+        code = submit_main(["--ping", "--connect", _sock(tmp_path)])
+        assert code == 2
+        assert "cannot connect" in capsys.readouterr().err
+
+
 class TestBatchConnect:
     def test_repro_batch_connect_routes_through_server(
             self, tmp_path, capsys):
@@ -489,21 +668,31 @@ class TestBatchConnect:
             self, flag, tmp_path, capsys, monkeypatch):
         # Regression: these describe a local engine; with --connect
         # they used to exit 0 having written nothing, without a word.
+        # Under --connect they do not exist, so argparse refuses them.
         monkeypatch.chdir(tmp_path)
         (tmp_path / "a.mlir").write_text(PAYLOAD)
         (tmp_path / "unroll.mlir").write_text(UNROLL)
-        code = batch_main([
-            "a.mlir", "--schedule", "unroll.mlir",
-            "--connect", _sock(tmp_path), *flag,
-        ])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            batch_main([
+                "a.mlir", "--schedule", "unroll.mlir",
+                "--connect", _sock(tmp_path), *flag,
+            ])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        reason = captured.err.strip()
-        assert reason.count("\n") == 0
-        assert flag[0] in reason and "--connect" in reason
+        reason = captured.err.strip().splitlines()[-1]
+        assert "unrecognized arguments" in reason and flag[0] in reason
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["a.mlir", "unroll.mlir"]
+
+    def test_help_without_connect_lists_the_engine_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            batch_main(["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        for flag in ("--jobs", "--cache-dir", "--trace-out", "--timing",
+                     "--connect"):
+            assert flag in usage
 
     def test_local_and_connected_routes_report_identically(
             self, tmp_path, capsys):
@@ -560,10 +749,9 @@ class TestBatchConnect:
         assert local[4]["by_status"] == {"rejected": 2, "success": 4}
         # Each route keeps its own extra keys.
         assert {"connect", "server"} <= set(connected[4])
-        # All three producers of the stats block ship the same keys.
+        # All three producers of the stats block ship one surface.
         for block in (local[4], connected[4]["server"], frame):
-            assert {"engine", "cache", "metrics"} <= set(block)
-            assert "profiler" not in block
+            assert not {"engine", "cache", "profiler"} & set(block)
             assert validate_metrics_snapshot(block["metrics"]) == []
 
 
