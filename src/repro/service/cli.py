@@ -201,19 +201,16 @@ def build_engine(args) -> CompileEngine:
     tracer/event log the export flags ask for — from parsed
     :func:`add_engine_arguments` flags. Raises ``ValueError`` on
     invalid combinations (callers map that to exit code 2)."""
-    if args.max_attempts < 1:
-        raise ValueError("--max-attempts must be >= 1")
     fault_rates = _parse_faults(args.fault)
     faults = (FaultPlan(seed=args.fault_seed, rates=fault_rates)
               if fault_rates else None)
-    retry_statuses = frozenset(
-        {"crashed", "timeout"} if args.retry_timeouts else {"crashed"}
-    )
-    retry_policy = (
-        RetryPolicy(max_attempts=args.max_attempts,
-                    retry_statuses=retry_statuses,
-                    base_backoff=args.backoff)
-        if args.max_attempts > 1 else RetryPolicy.none()
+    # max_attempts=1 already means never retry (RetryPolicy rejects
+    # < 1); the statuses stay so a reload of max_attempts retries.
+    retry_policy = RetryPolicy(
+        max_attempts=args.max_attempts,
+        retry_statuses=frozenset(
+            {"crashed", "timeout"} if args.retry_timeouts else {"crashed"}),
+        base_backoff=args.backoff,
     )
     quarantine = (QuarantinePolicy(threshold=args.quarantine_after)
                   if args.quarantine_after > 0 else None)
@@ -496,9 +493,11 @@ def _batch_parser(connect: bool) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _batch_parser(connect=False).parse_args(argv)
-    if args.connect is not None:
-        args = _batch_parser(connect=True).parse_args(argv)
+    # Find the transport first so --help, too, describes only its flags.
+    probe = argparse.ArgumentParser(prog="repro-batch", add_help=False)
+    probe.add_argument("--connect", default=None)
+    remote = probe.parse_known_args(argv)[0].connect is not None
+    args = _batch_parser(connect=remote).parse_args(argv)
     try:
         jobs = _build_jobs(args)
         transport = (_local_transport(args, build_engine(args))

@@ -567,6 +567,32 @@ class TestReloadRetry:
             stop()
             engine.shutdown()
 
+    @pytest.mark.parametrize("flags, statuses", [
+        ([], {"crashed"}),
+        (["--retry-timeouts"], {"crashed", "timeout"}),
+    ])
+    def test_reload_turns_retries_on_for_a_max_attempts_1_server(
+            self, tmp_path, flags, statuses):
+        # Regression: --max-attempts 1 built a policy with no retry
+        # statuses, so a later reload of max_attempts never retried.
+        parser = argparse.ArgumentParser()
+        add_engine_arguments(parser)
+        engine = build_engine(parser.parse_args(
+            ["--jobs", "0", "--max-attempts", "1", *flags]))
+        assert not engine.retry_policy.should_retry("crashed", 1)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            with ServiceClient(sock) as client:
+                assert client.reload(max_attempts=3)["applied"] == ["retry"]
+            policy = engine.retry_policy
+            assert policy.max_attempts == 3
+            assert policy.retry_statuses == statuses
+            assert policy.should_retry("crashed", 1)
+        finally:
+            stop()
+            engine.shutdown()
+
 
 class TestSubmitCli:
     def test_stop_without_drain_is_refused(self, tmp_path, capsys):
@@ -693,6 +719,19 @@ class TestBatchConnect:
         for flag in ("--jobs", "--cache-dir", "--trace-out", "--timing",
                      "--connect"):
             assert flag in usage
+
+    @pytest.mark.parametrize("connect", [["--connect", "s.sock"],
+                                         ["--connect=s.sock"]])
+    def test_help_with_connect_omits_the_engine_flags(self, connect, capsys):
+        with pytest.raises(SystemExit) as exc:
+            batch_main([*connect, "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--connect" in usage and "--schedule" in usage
+        # (--connect's own help names --timing; its help text does not.)
+        for flag in ("--jobs", "--cache-dir", "--trace-out",
+                     "-mlir-timing-style"):
+            assert flag not in usage
 
     def test_local_and_connected_routes_report_identically(
             self, tmp_path, capsys):

@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    "service": 2663,
+    "service": 2659,
     "service/engine.py": 600,
 }
 
