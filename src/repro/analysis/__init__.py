@@ -5,12 +5,19 @@ before any payload exists:
 
 * :mod:`repro.analysis.dataflow` — a small forward dataflow engine
   walking scripts in execution order with per-region fact snapshots;
-* :mod:`repro.analysis.invalidation` — interprocedural,
-  alternatives-aware use-after-consume ("use after free" over handles);
-* :mod:`repro.analysis.pipeline` — call-site-ordered pipeline
+* :mod:`repro.analysis.invalidation` — alternatives-aware
+  use-after-consume ("use after free" over handles);
+* :mod:`repro.analysis.pipeline` — execution-ordered pipeline
   extraction and the §3.3 pre/postcondition check, branch-aware;
 * :mod:`repro.analysis.lint` — the ``repro-lint`` driver tying it all
   into one MLIR-style diagnostic stream.
+
+A macro is a function: both analyses read the script with every
+``transform.include`` expanded by the ordinary inliner
+(:func:`~repro.core.script_transforms.inlined_script`), so a macro is
+analyzed where it is included and its ops are located
+``callsite(<op in the macro> at <include>)``. There are no per-macro
+summaries.
 
 What an op consumes, derives and how it can fail is declared on its
 class in :mod:`repro.core.dialect`; the analyses read it off the op.
@@ -32,7 +39,6 @@ from .invalidation import (
     HandleState,
     InvalidationAnalysis,
     InvalidationIssue,
-    NamedSequenceSummary,
     analyze_script,
 )
 from .lint import emit_invalidation_diagnostics, lint_script
@@ -58,7 +64,6 @@ __all__ = [
     "InvalidationAnalysis",
     "InvalidationIssue",
     "IssueKind",
-    "NamedSequenceSummary",
     "PipelineBranch",
     "PipelineIssue",
     "PipelineReport",

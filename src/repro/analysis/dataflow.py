@@ -18,11 +18,13 @@ owns the control-flow structure:
 * ``transform.foreach`` analyzes its body once from a *may*-reach fork
   and joins the exit facts weakly (the loop may run zero times); an
   optional second pass catches cross-iteration issues;
-* ``transform.include`` is delegated to the client, which may apply a
-  callee summary (invalidation) or inline the callee (extraction);
 * ``transform.named_sequence`` definitions encountered inline are
-  *skipped* — they are macro definitions, analyzed at include sites or
-  standalone, never as straight-line code.
+  *skipped* — they are macro definitions, never straight-line code.
+  Clients read the script with its macros already inlined
+  (:func:`~repro.core.script_transforms.inlined_script`), so a macro
+  is analyzed where it is included; an include left unexpanded (its
+  target unknown, recursive or of the wrong arity — lint errors) is
+  an op with no effect.
 
 Reachability is tracked as MUST/MAY plus a *skip token* counter: the
 counter bumps after every op that may fail silenceably while inside a
@@ -133,10 +135,6 @@ class ForwardAnalysis:
         and no body fact escapes.
         """
 
-    def on_include(self, op: Operation, state: AbstractState,
-                   engine: "ForwardEngine", recoverable: bool) -> None:
-        """Apply the effect of a ``transform.include`` call site."""
-
 
 class ForwardEngine:
     """Drives a :class:`ForwardAnalysis` over a script in execution
@@ -190,8 +188,6 @@ class ForwardEngine:
             self._run_alternatives(op, state)
         elif op.name == "transform.foreach":
             self._run_foreach(op, state, recoverable)
-        elif op.name == "transform.include":
-            analysis.on_include(op, state, self, recoverable)
         elif op.name == "transform.named_sequence":
             pass  # a macro definition, not straight-line code
         elif op.name == "transform.apply_patterns":

@@ -1,4 +1,4 @@
-"""Interprocedural use-after-consume analysis (paper §3.4).
+"""Use-after-consume analysis (paper §3.4).
 
 Transform scripts are ordinary SSA IR, so use-after-consume of handles
 is an off-the-shelf "use after free" dataflow problem: handle
@@ -8,15 +8,14 @@ analysis on the :class:`~repro.analysis.dataflow.ForwardEngine`
 *without executing anything* — catching, e.g., the double-unroll of
 Fig. 1 line 11 at script-verification time.
 
-Beyond the intraprocedural core, the analysis is:
+The analysis is:
 
-* **interprocedural** — every ``transform.named_sequence`` body is
-  analyzed once into a :class:`NamedSequenceSummary` (which block args
-  it consumes, what its yields alias, whether the body can complete);
-  the summary is applied at every ``transform.include`` site, so a
-  macro that consumes its argument produces a diagnostic *at the call
-  site*. Recursion is cut off conservatively (every argument
-  may-consumed, results fresh);
+* **intraprocedural over the inlined script** — a macro is a function,
+  so :func:`analyze_script` reads the script with every
+  ``transform.include`` expanded by the ordinary inliner
+  (:func:`~repro.core.script_transforms.inlined_script`). A defect
+  inside a macro is found once per call site, graded by the caller's
+  context, and located ``callsite(<op in the macro> at <include>)``;
 * **alternatives-aware** — each region starts from the pre-op fact
   snapshot and facts join only from regions that can complete,
   matching the transactional rollback of ``PayloadTransaction``: a
@@ -53,11 +52,12 @@ the property the differential fuzzer asserts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Set, Tuple
 
 from ..core.dialect import declared
 from ..core.interpreter import top_level_ops
+from ..core.script_transforms import included_symbols, inlined_script
 from ..ir.core import Block, Operation, Value
 from .dataflow import AbstractState, ForwardAnalysis, ForwardEngine, Reach
 
@@ -69,13 +69,12 @@ WARNING = "warning"
 class Consumption:
     """The fact "this handle's payload was (maybe) consumed"."""
 
-    op: Operation            #: the consuming op as seen at this level
+    op: Operation            #: the consuming op
     must: bool               #: consumed on every clean path to here?
-    kind: str                #: "direct" | "alias" | "call" | "may-alias"
+    kind: str                #: "direct" | "alias" | "may-alias"
     token: int               #: skip-token count at the consume point
     reach: Reach             #: reachability of the consume point
-    via: Optional[Operation] = None  #: in-body consumer for kind "call"
-    branch_joined: bool = False      #: crossed a region join?
+    branch_joined: bool = False  #: crossed a region join?
 
 
 @dataclass
@@ -87,42 +86,12 @@ class InvalidationIssue:
     consume_op: Operation
     severity: str = ERROR
     kind: str = "direct"
-    #: For issues reported at an include call site: the op inside the
-    #: named-sequence body that actually consumes.
-    via: Optional[Operation] = None
 
     def __str__(self) -> str:
         return (
             f"'{self.use_op.name}' uses a handle invalidated by "
             f"'{self.consume_op.name}': {self.message}"
         )
-
-
-@dataclass(frozen=True)
-class SummaryConsumption:
-    """Summary entry: including this sequence consumes argument i."""
-
-    must: bool
-    via: Optional[Operation] = None
-
-
-@dataclass
-class NamedSequenceSummary:
-    """What a ``named_sequence`` body does to its arguments/results."""
-
-    #: arg index -> consumption fact (absent = never consumed).
-    arg_consumptions: Dict[int, SummaryConsumption] = field(
-        default_factory=dict
-    )
-    #: Per yielded result: ("fresh", None) | ("subset"|"nested", arg i).
-    yields: List[Tuple[str, Optional[int]]] = field(default_factory=list)
-    #: Does the body consume *any* handle (argument or internal)?
-    #: Internal consumption still may-invalidates the caller's handles.
-    consumes_anything: bool = False
-    #: The body's straight-line path hits an always-failing op.
-    always_fails: bool = False
-    #: Cut off at a recursive include (maximally conservative).
-    recursive: bool = False
 
 
 class HandleState(AbstractState):
@@ -182,14 +151,10 @@ class InvalidationAnalysis(ForwardAnalysis):
 
     foreach_second_pass = True
 
-    def __init__(self, may_alias: bool = True,
-                 interprocedural: bool = True):
+    def __init__(self, may_alias: bool = True):
         self.may_alias = may_alias
-        self.interprocedural = interprocedural
         self.issues: List[InvalidationIssue] = []
         self._reported: Set[Tuple[int, int, int]] = set()
-        self._summaries: Dict[int, NamedSequenceSummary] = {}
-        self._in_progress: Set[int] = set()
 
     # -- state ----------------------------------------------------------------
 
@@ -333,95 +298,6 @@ class InvalidationAnalysis(ForwardAnalysis):
             for result in op.results:
                 state.add_nested(operand, result)
 
-    # -- interprocedural ------------------------------------------------------
-
-    def on_include(self, op: Operation, state: AbstractState,
-                   engine: ForwardEngine, recoverable: bool) -> None:
-        assert isinstance(state, HandleState)
-        if not self.interprocedural:
-            return
-        callee = op.callee()
-        if callee is None:
-            return  # a definite error dynamically; nothing to track
-        summary = self.summarize(callee, engine)
-        token = state.skip_tokens
-        marked: Set[int] = set()
-        for arg_index, consumption in summary.arg_consumptions.items():
-            if arg_index >= op.num_operands:
-                continue
-            value = op.operand(arg_index)
-            for aliased in state.invalidation_set(value):
-                marked.add(id(aliased))
-                self._mark(state, aliased, Consumption(
-                    op=op, must=consumption.must, kind="call",
-                    token=token, reach=state.reach,
-                    via=consumption.via,
-                ))
-        if summary.consumes_anything and self.may_alias:
-            self._mark_may_aliases(state, op, marked, token)
-        for result_index, (kind, arg_index) in enumerate(summary.yields):
-            if result_index >= len(op.results):
-                break
-            if (kind == "fresh" or arg_index is None
-                    or arg_index >= op.num_operands):
-                continue
-            source = op.operand(arg_index)
-            if kind == "subset":
-                state.add_subset(source, op.results[result_index])
-            else:
-                state.add_nested(source, op.results[result_index])
-        if summary.always_fails:
-            state.terminated = True
-
-    def summarize(self, callee: Operation,
-                  engine: ForwardEngine) -> NamedSequenceSummary:
-        """Analyze a named sequence body once; cache the summary."""
-        key = id(callee)
-        cached = self._summaries.get(key)
-        if cached is not None:
-            return cached
-        body = (callee.regions[0].entry_block
-                if callee.regions and callee.regions[0].blocks else None)
-        if key in self._in_progress:
-            return _recursive_summary(body)
-        self._in_progress.add(key)
-        try:
-            summary = self._summarize_body(body, engine)
-        finally:
-            self._in_progress.discard(key)
-        self._summaries[key] = summary
-        return summary
-
-    def _summarize_body(self, body: Optional[Block],
-                        engine: ForwardEngine) -> NamedSequenceSummary:
-        summary = NamedSequenceSummary()
-        if body is None:
-            return summary
-        state = self.make_state()
-        completed = engine.run_block(body, state, recoverable=True)
-        summary.always_fails = not completed
-        summary.consumes_anything = any(
-            fact.kind != "may-alias" for fact in state.consumed.values()
-        )
-        for index, arg in enumerate(body.args):
-            fact = state.consumed.get(id(arg))
-            if fact is None:
-                continue
-            must = (fact.must and not fact.branch_joined
-                    and fact.kind != "may-alias")
-            summary.arg_consumptions[index] = SummaryConsumption(
-                must=must, via=fact.via or fact.op
-            )
-        terminator = body.terminator
-        if completed and terminator is not None \
-                and terminator.name == "transform.yield":
-            arg_ids = {id(arg): i for i, arg in enumerate(body.args)}
-            for yielded in terminator.operands:
-                summary.yields.append(
-                    _yield_spec(yielded, arg_ids, body.args, state)
-                )
-        return summary
-
     # -- fact helpers ---------------------------------------------------------
 
     def _mark(self, state: HandleState, value: Value,
@@ -460,7 +336,6 @@ class InvalidationAnalysis(ForwardAnalysis):
             consume_op=fact.op,
             severity=self._severity(state, fact),
             kind=fact.kind,
-            via=fact.via,
         ))
 
     @staticmethod
@@ -478,11 +353,6 @@ def _issue_message(fact: Consumption) -> str:
     if fact.kind == "may-alias":
         return ("handle may alias a payload consumed earlier in the "
                 "script")
-    if fact.kind == "call":
-        consumer = fact.via.name if fact.via is not None else "a transform"
-        qualifier = "is" if fact.must else "may be"
-        return (f"handle {qualifier} consumed inside the included "
-                f"named sequence (by '{consumer}')")
     if fact.must and not fact.branch_joined:
         return ("handle (or an aliasing handle) was consumed earlier "
                 "in the script")
@@ -490,49 +360,26 @@ def _issue_message(fact: Consumption) -> str:
             "earlier in the script")
 
 
-def _yield_spec(yielded: Value, arg_ids: Dict[int, int],
-                args: Sequence[Value],
-                state: HandleState) -> Tuple[str, Optional[int]]:
-    index = arg_ids.get(id(yielded))
-    if index is not None:
-        return ("subset", index)
-    for arg_index, arg in enumerate(args):
-        if any(member is yielded
-               for member in state.invalidation_set(arg)):
-            return ("nested", arg_index)
-    return ("fresh", None)
-
-
-def _recursive_summary(body: Optional[Block]) -> NamedSequenceSummary:
-    n_args = len(body.args) if body is not None else 0
-    return NamedSequenceSummary(
-        arg_consumptions={
-            i: SummaryConsumption(must=False) for i in range(n_args)
-        },
-        consumes_anything=True,
-        recursive=True,
-    )
-
-
-def analyze_script(script: Operation, *, may_alias: bool = True,
-                   interprocedural: bool = True
-                   ) -> List[InvalidationIssue]:
+def analyze_script(script: Operation, *,
+                   may_alias: bool = True) -> List[InvalidationIssue]:
     """Run the use-after-consume analysis over a whole script.
 
-    Analyzes each *top-level* ``transform.sequence`` once (nested
-    sequences run inline with their parent's facts, mirroring
-    execution) and every ``named_sequence`` body exactly once via its
-    summary. Returns issues in discovery order.
+    Reads the script with its macros inlined (one reading, shared with
+    pipeline extraction) and analyzes each entry once: every top-level
+    ``transform.sequence`` and every ``named_sequence`` nothing
+    includes (nested sequences run inline with their parent's facts,
+    mirroring execution). Returns issues in discovery order.
     """
-    analysis = InvalidationAnalysis(may_alias=may_alias,
-                                    interprocedural=interprocedural)
+    included = included_symbols(script)
+    script = inlined_script(script)
+    analysis = InvalidationAnalysis(may_alias=may_alias)
     engine = ForwardEngine(analysis)
-    for op in top_level_ops(script):
-        if op.name == "transform.sequence":
-            engine.run_entry(op)
-    for op in script.walk():
-        if op.name == "transform.named_sequence":
-            analysis.summarize(op, engine)
+    entries = [op for op in top_level_ops(script)
+               if op.name == "transform.sequence"]
+    entries += [op for op in script.walk_ops("transform.named_sequence")
+                if op.sym_name not in included]
+    for entry in entries:
+        engine.run_entry(entry)
     return analysis.issues
 
 
@@ -543,7 +390,5 @@ __all__ = [
     "HandleState",
     "InvalidationAnalysis",
     "InvalidationIssue",
-    "NamedSequenceSummary",
-    "SummaryConsumption",
     "analyze_script",
 ]

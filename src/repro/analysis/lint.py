@@ -3,12 +3,15 @@
 Bundles every static check into one MLIR-style diagnostic stream
 (:class:`~repro.ir.diagnostics.DiagnosticEngine`):
 
-* interprocedural use-after-consume (:mod:`repro.analysis.invalidation`)
-  — ``error:`` at the using op with ``note:``\\ s at the consuming op
-  and (for include call sites) the in-body consumer;
-* structural checks — ``transform.include`` without a resolvable
-  ``target``, and include cycles (macros must be acyclic, §3.4:
-  ``error:`` at the include that re-enters a running macro);
+* use-after-consume over the script with its macros inlined
+  (:mod:`repro.analysis.invalidation`) — ``error:`` at the using op
+  with a ``note:`` at the consuming op; an op inlined from a macro is
+  located ``callsite(<op in the macro> at <include>)``;
+* structural checks on the script as written — ``transform.include``
+  without a resolvable ``target``, with an argument or result count
+  its callee does not have, and include cycles (macros must be
+  acyclic, §3.4: ``error:`` at the include that re-enters a running
+  macro);
 * dead handles — ops declared ``RESULT_ONLY`` (their only effect is
   producing handles or params) none of whose results are used;
 * dead macros — ``named_sequence`` definitions never included and not
@@ -31,9 +34,10 @@ from typing import Iterable, List, Optional
 
 from ..core.dialect import declared
 from ..core.interpreter import find_entry
+from ..core.script_transforms import included_symbols
 from ..ir.core import Operation
 from ..ir.diagnostics import Diagnostic, DiagnosticEngine, Severity
-from ..passes.inliner import detect_recursion
+from ..passes.inliner import arity_mismatch, detect_recursion
 from .invalidation import ERROR, InvalidationIssue, analyze_script
 from .pipeline import IssueKind, check_transform_script
 
@@ -56,12 +60,6 @@ def emit_invalidation_diagnostics(
             f"handle was consumed here by '{issue.consume_op.name}'",
             issue.consume_op.location,
         )
-        if issue.via is not None:
-            diagnostic.attach_note(
-                f"inside the included sequence, consumed by "
-                f"'{issue.via.name}'",
-                issue.via.location,
-            )
         engine.emit(diagnostic)
 
 
@@ -69,11 +67,17 @@ def _lint_structure(script: Operation, engine: DiagnosticEngine) -> None:
     includes = list(script.walk_ops("transform.include"))
     for op in includes:
         target = op.attr("target")
-        if op.callee() is None:
+        callee = op.callee()
+        mismatch = (arity_mismatch(op, callee.body)
+                    if callee is not None else None)
+        if callee is None:
             engine.error(f"transform.include of unknown symbol {target}"
                          if target is not None else
                          "transform.include without a 'target' symbol",
                          op.location)
+        elif mismatch is not None:
+            engine.error(f"transform.include of {target}: {mismatch} "
+                         "count mismatch", op.location)
     cycle = detect_recursion(
         script, "transform.named_sequence", "transform.include",
         "target") if includes else None
@@ -97,12 +101,7 @@ def _lint_dead_handles(script: Operation,
 
 def _lint_dead_macros(script: Operation, engine: DiagnosticEngine,
                       entry_point: Optional[str]) -> None:
-    included = set()
-    for op in script.walk():
-        if op.name == "transform.include":
-            name = getattr(op.attr("target"), "name", None)
-            if name is not None:
-                included.add(name)
+    included = included_symbols(script)
     entry = find_entry(script, entry_point)
     for op in script.walk():
         if op.name != "transform.named_sequence" or op is entry:
@@ -159,7 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="statically analyze a transform script: "
-        "use-after-consume (interprocedural), structure, dead handles, "
+        "use-after-consume (macros inlined), structure, dead handles, "
         "and optionally the pipeline condition check",
     )
     parser.add_argument("script",

@@ -13,9 +13,9 @@ subsume and adds its postconditions. The checker reports:
   ``scf.for`` scheduled after ``convert-scf-to-cf``).
 
 Pipeline *extraction* rides on the forward dataflow engine
-(:mod:`repro.analysis.dataflow`), so steps appear in **execution
-order**: ``transform.include`` splices the callee's steps at the call
-site (cycles cut off), never-included ``named_sequence`` bodies
+(:mod:`repro.analysis.dataflow`) over the script with its macros
+inlined, so steps appear in **execution order**: an included macro's
+steps sit at the call site, never-included ``named_sequence`` bodies
 contribute nothing, and ``transform.alternatives`` regions become
 :class:`PipelineBranch` nodes whose outcomes join as a union — each
 region is checked as its own branch, not as one sequential pipeline.
@@ -32,6 +32,7 @@ from ..ir.core import Operation
 if TYPE_CHECKING:  # real import is deferred: repro.core imports us
     from ..core.conditions import TransformConditions
 from ..core.interpreter import find_entry, top_level_ops
+from ..core.script_transforms import inlined_script
 from .dataflow import AbstractState, ForwardAnalysis, ForwardEngine
 
 
@@ -121,9 +122,6 @@ class _StepsState(AbstractState):
 class PipelineExtraction(ForwardAnalysis):
     """Engine client collecting checkable steps in execution order."""
 
-    def __init__(self) -> None:
-        self._including: Set[int] = set()
-
     def make_state(self) -> _StepsState:
         return _StepsState()
 
@@ -156,31 +154,18 @@ class PipelineExtraction(ForwardAnalysis):
             # One body traversal stands in for every iteration.
             state.steps = exit_state.steps
 
-    def on_include(self, op: Operation, state: AbstractState,
-                   engine: ForwardEngine, recoverable: bool) -> None:
-        assert isinstance(state, _StepsState)
-        callee = op.callee()
-        if callee is None or id(callee) in self._including:
-            return  # unresolved target or recursion: nothing to splice
-        if not callee.regions or not callee.regions[0].blocks:
-            return
-        self._including.add(id(callee))
-        try:
-            engine.run_block(callee.regions[0].entry_block, state,
-                             recoverable)
-        finally:
-            self._including.discard(id(callee))
-
 
 def extract_pipeline_tree(script: Operation,
                           entry_point: Optional[str] = None
                           ) -> List[PipelineStep]:
     """Collect checkable steps in execution order, as a branch tree.
 
-    Starts from the op the interpreter would execute (so bodies of
-    never-included named sequences contribute nothing) and expands
-    ``transform.include`` at each call site.
+    Reads the script with its macros inlined and starts from the op
+    the interpreter would execute, so an included macro's steps appear
+    at each call site and bodies of never-included named sequences
+    contribute nothing.
     """
+    script = inlined_script(script)
     analysis = PipelineExtraction()
     engine = ForwardEngine(analysis)
     entry = find_entry(script, entry_point)

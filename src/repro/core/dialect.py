@@ -45,6 +45,7 @@ from ..ir.core import (
     Value,
     register_op,
 )
+from ..passes.inliner import arity_mismatch
 from ..rewrite.pattern import RewritePattern
 from ..transforms.loop import (
     LoopTransformError,
@@ -276,8 +277,9 @@ class IncludeOp(TransformOp):
                 f"recursive transform.include of @{callee.sym_name}"
             )
         body = callee.body
-        if len(body.args) != self.num_operands:
-            return self.definite("include argument count mismatch")
+        mismatch = arity_mismatch(self, body)
+        if mismatch is not None:
+            return self.definite(f"include {mismatch} count mismatch")
         for formal, actual in zip(body.args, self.operands):
             if isinstance(formal.type, ParamType):
                 state.set_param(formal, state.get_param(actual))

@@ -5,7 +5,8 @@ transformed:
 
 * :func:`expand_includes` — macro expansion of ``transform.include``
   via the ordinary inlining machinery (recursion is rejected by call
-  graph cycle detection);
+  graph cycle detection); :func:`inlined_script` is the expanded copy
+  the static analyses read;
 * :func:`simplify_script` — peephole simplification that keeps the
   script's outcome: ``unroll by 1`` is a no-op, unused ops that only
   produce handles and cannot fail are dead, duplicate
@@ -17,9 +18,9 @@ transformed:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
-from ..ir.attributes import StringAttr, unwrap
+from ..ir.attributes import StringAttr, SymbolRefAttr, unwrap
 from ..ir.core import Operation
 from ..passes.inliner import InliningError, detect_recursion, inline_call
 from .dialect import declared
@@ -66,6 +67,31 @@ def expand_includes(script: Operation) -> int:
             except InliningError as error:
                 raise ScriptTransformError(str(error)) from error
             total += 1
+
+
+def inlined_script(script: Operation) -> Operation:
+    """The one reading of a script the static analyses share: the
+    script itself when it includes nothing, else a clone with its
+    macros inlined by :func:`expand_includes`, so every inlined op is
+    located ``callsite(<op in the macro> at <include>)``. When
+    expansion fails — an unknown, recursive or arity-mismatched
+    include, each a lint error of its own — the script as written, in
+    which an include has no effect."""
+    if next(script.walk_ops("transform.include"), None) is None:
+        return script
+    expanded = script.clone()
+    try:
+        expand_includes(expanded)
+    except ScriptTransformError:
+        return script
+    return expanded
+
+
+def included_symbols(script: Operation) -> Set[str]:
+    """The names some ``transform.include`` under ``script`` targets."""
+    return {op.attr("target").name
+            for op in script.walk_ops("transform.include")
+            if isinstance(op.attr("target"), SymbolRefAttr)}
 
 
 # ---------------------------------------------------------------------------

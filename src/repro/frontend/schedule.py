@@ -15,7 +15,8 @@ guarantees the textual path cannot give:
   before ``repro-lint`` (let alone the interpreter) ever sees the
   script. An ``include`` consumes what its callee does: a macro
   defined here records it while its body is built, a shipped library
-  macro's contract is the analysis' own summary of its body.
+  macro's contract is what the invalidation analysis finds consumed
+  when it runs over the macro's inlined body.
 * **Lint-clean by construction.** Because the builder refuses stale
   handles and only ``include``\\ s sequences it knows are defined, the
   emitted script carries zero error-severity ``repro-lint``
@@ -46,6 +47,7 @@ from ..analysis.dataflow import ForwardEngine
 from ..analysis.invalidation import InvalidationAnalysis
 from ..core import dialect as transform
 from ..core import schedules
+from ..core.script_transforms import inlined_script
 from ..core.types import ANY_OP
 from ..dialects import builtin
 from ..ir.builder import Builder
@@ -96,18 +98,19 @@ class _MacroInfo(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _library_macros(library_ir: str) -> Dict[str, _MacroInfo]:
-    """Consumption/result contracts of a schedule library, as the
-    invalidation analysis summarizes each macro body: the arguments it
-    (maybe) consumes and the number of handles it yields."""
-    analysis = InvalidationAnalysis(may_alias=False)
-    engine = ForwardEngine(analysis)
+    """Consumption/result contracts of a schedule library, read off
+    each macro of the inlined library by the invalidation analysis:
+    the arguments that end up (maybe) consumed and the number of
+    handles it yields."""
+    engine = ForwardEngine(InvalidationAnalysis(may_alias=False))
+    library = inlined_script(parse(library_ir, "<schedule-library>"))
     macros = {}
-    for op in parse(library_ir, "<schedule-library>").walk():
-        if isinstance(op, transform.NamedSequenceOp):
-            summary = analysis.summarize(op, engine)
-            macros[op.sym_name] = _MacroInfo(
-                tuple(sorted(summary.arg_consumptions)),
-                len(summary.yields))
+    for op in library.walk_ops("transform.named_sequence"):
+        consumed = engine.run_entry(op).consumed
+        macros[op.sym_name] = _MacroInfo(
+            tuple(i for i, arg in enumerate(op.body.args)
+                  if id(arg) in consumed),
+            op.body.terminator.num_operands)
     return macros
 
 
@@ -524,7 +527,7 @@ class _Scope:
         """``transform.include`` of a macro defined with
         :meth:`Schedule.define` (or, after :meth:`Schedule.use_library`,
         a shipped library sequence). Arguments the macro consumes are
-        marked consumed here, interprocedurally."""
+        marked consumed here, at the call site."""
         self._require_open("include")
         info = self._schedule._macro_info(target)
         handles = [self._operand(ref, f"include @{target}")

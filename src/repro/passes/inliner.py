@@ -7,7 +7,8 @@ at an include exactly as it splices a ``func.func`` body at a
 ``func.call``, and :func:`detect_recursion` checks either call graph for
 cycles. Callees are resolved by :func:`repro.ir.context.find_callee`;
 ``core.script_transforms.expand_includes`` is this inliner applied to
-transform IR.
+transform IR. As in MLIR, every inlined op is located
+``callsite(<its location in the callee> at <the call>)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Dict, List, Optional, Set
 
 from ..ir.builder import Builder
 from ..ir.context import find_callee
-from ..ir.core import Operation, Value
+from ..ir.core import Block, Operation, Value
+from ..ir.location import CallSiteLoc
 from .manager import Pass, register_pass
 
 
@@ -24,36 +26,53 @@ class InliningError(Exception):
     pass
 
 
+def _return_op(body: Block) -> Optional[Operation]:
+    """The op through which a callee body hands back its values."""
+    last = body.ops[-1] if body.ops else None
+    if last is not None and last.name in ("func.return", "transform.yield"):
+        return last
+    return None
+
+
+def arity_mismatch(call_op: Operation, body: Block) -> Optional[str]:
+    """Which count a call and its callee's body disagree on —
+    ``"argument"`` or ``"result"`` — or None when they agree: the one
+    rule the inliner, the interpreter and lint apply to a call."""
+    if len(body.args) != call_op.num_operands:
+        return "argument"
+    returned = _return_op(body)
+    if (returned.num_operands if returned else 0) != len(call_op.results):
+        return "result"
+    return None
+
+
 def inline_call(call_op: Operation, callee: Operation) -> None:
     """Inline ``callee``'s single-block body at ``call_op``.
 
     Arguments are substituted for block parameters; the terminator's
-    operands replace the call results.
+    operands replace the call results. Each inlined op, nested ones
+    included, is located at the call site of its callee location.
     """
     if not callee.regions or not callee.regions[0].blocks:
         raise InliningError(f"cannot inline declaration {callee.name}")
     if len(callee.regions[0].blocks) != 1:
         raise InliningError("multi-block inlining is not supported")
-
-    value_map: Dict[Value, Value] = {}
     body = callee.regions[0].entry_block
-    if len(body.args) != call_op.num_operands:
-        raise InliningError("call argument count mismatch")
-    for arg, actual in zip(body.args, call_op.operands):
-        value_map[arg] = actual
+    mismatch = arity_mismatch(call_op, body)
+    if mismatch is not None:
+        raise InliningError(f"call {mismatch} count mismatch")
 
-    target = call_op.parent
-    assert target is not None
+    value_map: Dict[Value, Value] = dict(zip(body.args, call_op.operands))
     builder = Builder.before(call_op)
-    returned = []
+    returned = _return_op(body)
     for op in body.ops:
-        if op is body.ops[-1] and op.name in (
-            "func.return", "transform.yield"
-        ):
-            returned = [value_map.get(v, v) for v in op.operands]
+        if op is returned:
             continue
-        builder.insert(op.clone(value_map))
-    call_op.replace_all_uses_with(returned)
+        for inlined in builder.insert(op.clone(value_map)).walk():
+            inlined.location = CallSiteLoc(inlined.location,
+                                           call_op.location)
+    call_op.replace_all_uses_with(
+        [value_map.get(v, v) for v in returned.operands] if returned else [])
     call_op.erase()
 
 

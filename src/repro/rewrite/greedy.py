@@ -29,9 +29,6 @@ from .pattern import PatternRewriter, RewriteListener, RewritePattern
 class GreedyRewriteConfig:
     """Bounds for the fixpoint iteration."""
 
-    #: Retained for API compatibility with the pre-worklist driver; the
-    #: worklist driver converges in a single pass by construction.
-    max_iterations: int = 10
     #: Hard cap on individual rewrites, guarding against ping-ponging
     #: pattern pairs.
     max_rewrites: int = 100_000

@@ -1,8 +1,10 @@
-"""Tests for the interprocedural use-after-consume analysis.
+"""Tests for the use-after-consume analysis.
 
-Covers the behaviors the old per-op checker got wrong: diagnostics at
-``transform.include`` call sites via named-sequence summaries, nested
-sequences analyzed exactly once, positional ``foreach`` aliasing, and
+Covers the behaviors the old per-op checker got wrong: defects inside
+an included macro found at each ``transform.include`` call site (the
+analysis reads the inlined script, and an inlined op is located
+``callsite(<op in the macro> at <include>)``), nested sequences
+analyzed exactly once, positional ``foreach`` aliasing, and
 alternatives regions analyzed from the pre-op snapshot (a consume in
 region 1 does not poison region 2).
 """
@@ -10,6 +12,13 @@ region 1 does not poison region 2).
 from repro.analysis import ERROR, WARNING, analyze_script
 from repro.core import dialect as transform
 from repro.ir import Block, Builder, Operation
+from repro.ir.location import CallSiteLoc, FileLineColLoc
+
+
+def located(op, line):
+    """Give ``op`` a distinct source location; returns it."""
+    op.location = FileLineColLoc("script.mlir", line, 1)
+    return op
 
 
 def script_module():
@@ -26,30 +35,32 @@ class TestInterproceduralConsumption:
         block = module.regions[0].entry_block
         macro, mb, margs = transform.named_sequence("consume_it",
                                                     n_args=1)
-        transform.loop_unroll(mb, margs[0], full=True)
+        located(transform.loop_unroll(mb, margs[0], full=True), 3)
         transform.yield_(mb)
         block.append(macro)
         seq, builder, root = transform.sequence()
         loop = transform.match_op(builder, root, "scf.for")
-        inc = transform.include(builder, "consume_it", [loop])
-        use = transform.print_(builder, loop, "reused")
+        inc = located(transform.include(builder, "consume_it", [loop]), 7)
+        use = located(transform.print_(builder, loop, "reused"), 8)
         transform.yield_(builder)
         block.append(seq)
         return module, inc, use
 
     def test_diagnostic_at_the_include_call_site(self):
         module, inc, use = self.build_consuming_macro_script()
+        unroll = next(module.walk_ops("transform.loop.unroll"))
         issues = analyze_script(module, may_alias=False)
         assert len(issues) == 1
         issue = issues[0]
-        # Reported against the *call site*, not the macro body...
-        assert issue.consume_op is inc
-        assert issue.use_op is use
-        assert issue.kind == "call"
-        # ... with the in-body consumer attached for the note chain.
-        assert issue.via is not None
-        assert issue.via.name == "transform.loop.unroll"
-        assert "included named sequence" in issue.message
+        # The consumer is the macro's unroll as inlined at the include:
+        # located at the call site of its place in the macro.
+        assert issue.consume_op.name == "transform.loop.unroll"
+        assert issue.consume_op.location == CallSiteLoc(unroll.location,
+                                                        inc.location)
+        assert issue.use_op.location == use.location
+        assert issue.kind == "direct"
+        # The analysis read an inlined copy: the script is as written.
+        assert list(module.walk_ops("transform.include")) == [inc]
 
     def test_must_consume_at_top_level_is_an_error(self):
         module, _inc, _use = self.build_consuming_macro_script()
@@ -72,24 +83,77 @@ class TestInterproceduralConsumption:
         block.append(seq)
         assert analyze_script(module, may_alias=False) == []
 
-    def test_recursive_macro_degrades_to_warning(self):
+    def build_double_unroll_macro(self, module, name="twice"):
+        """A macro that fully unrolls its argument twice."""
+        macro, mb, (arg,) = transform.named_sequence(name)
+        transform.loop_unroll(mb, arg, full=True)
+        located(transform.loop_unroll(mb, arg, full=True), 4)
+        transform.yield_(mb)
+        module.regions[0].entry_block.append(macro)
+        return macro
+
+    def test_recursion_no_effect(self):
+        # A recursive include cannot be inlined (lint's "recursive
+        # transform.include" error): the analyses read the script as
+        # written, where the include is an op with no effect — no
+        # cut-off warning, and no divergence.
         module = script_module()
         block = module.regions[0].entry_block
         rec, rb, rargs = transform.named_sequence("rec", n_args=1)
+        transform.loop_unroll(rb, rargs[0], full=True)
         transform.include(rb, "rec", [rargs[0]])
         transform.yield_(rb)
         block.append(rec)
         seq, builder, root = transform.sequence()
         loop = transform.match_op(builder, root, "scf.for")
         transform.include(builder, "rec", [loop])
-        transform.print_(builder, loop, "maybe gone")
+        transform.print_(builder, loop, "still tracked as live")
         transform.yield_(builder)
         block.append(seq)
+        assert analyze_script(module, may_alias=False) == []
+
+    def test_unknown_include_has_no_effect(self):
+        seq, builder, root = transform.sequence()
+        loop = transform.match_op(builder, root, "scf.for")
+        transform.include(builder, "ghost", [loop])
+        transform.print_(builder, loop, "after")
+        transform.yield_(builder)
+        assert analyze_script(seq, may_alias=True) == []
+
+    def test_one_diagnostic_per_call_site(self):
+        module = script_module()
+        self.build_double_unroll_macro(module)
+        seq, builder, root = transform.sequence()
+        first = located(transform.include(
+            builder, "twice",
+            [transform.match_op(builder, root, "scf.for")]), 10)
+        second = located(transform.include(
+            builder, "twice",
+            [transform.match_op(builder, root, "func.func")]), 11)
+        transform.yield_(builder)
+        module.regions[0].entry_block.append(seq)
         issues = analyze_script(module, may_alias=False)
-        # The cut-off summary may-consumes every argument: a warning,
-        # never a definite error.
-        assert issues
-        assert all(issue.severity == WARNING for issue in issues)
+        # Graded in the caller's context: a top-level sequence without
+        # failures = "suppress" cannot recover, so both are errors.
+        assert [issue.severity for issue in issues] == [ERROR, ERROR]
+        in_macro = FileLineColLoc("script.mlir", 4, 1)
+        assert [issue.use_op.location for issue in issues] == [
+            CallSiteLoc(in_macro, first.location),
+            CallSiteLoc(in_macro, second.location),
+        ]
+
+    def test_never_included_macro_is_analyzed_standalone(self):
+        module = script_module()
+        macro = self.build_double_unroll_macro(module, name="orphan")
+        seq, builder, _root = transform.sequence()
+        transform.yield_(builder)
+        module.regions[0].entry_block.append(seq)
+        (issue,) = analyze_script(module, may_alias=False)
+        # Standalone, any caller may recover from the first unroll
+        # failing silenceably: a warning, at the op as written.
+        assert issue.severity == WARNING
+        assert issue.use_op.location == FileLineColLoc("script.mlir", 4, 1)
+        assert issue.use_op.parent_op is macro
 
 
 class TestNestedSequenceSingleAnalysis:

@@ -4,7 +4,24 @@ from repro.analysis import lint_script
 from repro.analysis.lint import main as lint_main
 from repro.core import dialect as transform
 from repro.ir import Operation
+from repro.ir.parser import parse
 from repro.ir.printer import print_op
+
+CONSUMING_MACRO = '''"builtin.module"() ({
+  "transform.named_sequence"() ({
+  ^bb0(%arg: !transform.any_op):
+    "transform.loop.unroll"(%arg) {full = unit} : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "consume_it"} : () -> ()
+  "transform.sequence"() ({
+  ^bb0(%root: !transform.any_op):
+    %loop = "transform.match_op"(%root) {names = ["scf.for"], position = "all"} : (!transform.any_op) -> !transform.any_op
+    "transform.include"(%loop) {target = @consume_it} : (!transform.any_op) -> ()
+    "transform.print"(%loop) {message = "reused"} : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) : () -> ()
+}) : () -> ()
+'''
 
 
 def script_module():
@@ -41,24 +58,16 @@ class TestLintScript:
         assert "handle was consumed here by 'transform.loop.unroll'" \
             in rendered
 
-    def test_include_call_site_gets_in_body_note(self):
-        module = script_module()
-        block = module.regions[0].entry_block
-        macro, mb, margs = transform.named_sequence("consume_it",
-                                                    n_args=1)
-        transform.loop_unroll(mb, margs[0], full=True)
-        transform.yield_(mb)
-        block.append(macro)
-        seq, builder, root = transform.sequence()
-        loop = transform.match_op(builder, root, "scf.for")
-        transform.include(builder, "consume_it", [loop])
-        transform.print_(builder, loop, "reused")
-        transform.yield_(builder)
-        block.append(seq)
+    def test_consumer_in_macro_is_located_at_the_call_site(self):
+        module = parse(CONSUMING_MACRO, "s.mlir")
         engine = lint_script(module)
-        assert engine.has_errors()
-        assert "inside the included sequence, consumed by " \
-            "'transform.loop.unroll'" in engine.render()
+        (error,) = engine.errors
+        assert str(error.location) == 'loc("s.mlir":11:5)'
+        # The note names the unroll in the macro (line 4) at the
+        # include (line 10); there is no separate in-body note.
+        assert [str(note.location) for note in error.notes] == [
+            'loc(callsite(loc("s.mlir":4:5) at loc("s.mlir":10:5)))']
+        assert "inside the included sequence" not in engine.render()
 
     def test_clean_script_has_no_diagnostics(self):
         assert lint_script(clean_script()).diagnostics == []

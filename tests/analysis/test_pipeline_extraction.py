@@ -3,9 +3,10 @@
 The old extractor walked ``named_sequence`` bodies wherever they
 appeared in the script text — so a pass inside a macro was checked at
 the macro's *definition* position (or even when the macro was never
-included at all). Extraction now rides the dataflow engine: includes
-splice the callee at the call site, never-included bodies contribute
-nothing, and alternatives regions become branch nodes.
+included at all). Extraction now rides the dataflow engine over the
+script with its macros inlined: an included macro's steps sit at the
+call site, never-included bodies contribute nothing, and alternatives
+regions become branch nodes.
 """
 
 from repro.analysis import (
@@ -87,8 +88,18 @@ class TestCallSiteOrdering:
         transform.yield_(builder)
         block.append(seq)
         steps = extract_pipeline_from_script(module)
-        # The cycle is cut after one expansion instead of diverging.
-        assert steps == ["canonicalize"]
+        # A recursive macro cannot be inlined (a lint error of its
+        # own): the include is an op with no effect, not a one-level
+        # splice, and extraction does not diverge.
+        assert steps == []
+
+    def test_unknown_include_terminates(self):
+        seq, builder, root = transform.sequence()
+        transform.apply_registered_pass(builder, root, "canonicalize")
+        transform.include(builder, "ghost", [root])
+        transform.apply_registered_pass(builder, root, "cse")
+        transform.yield_(builder)
+        assert extract_pipeline_from_script(seq) == ["canonicalize", "cse"]
 
 
 class TestAlternativesBranches:

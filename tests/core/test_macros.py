@@ -1,16 +1,19 @@
 """A macro is a function (paper §3.4): ``transform.include`` is a call
-of a function-like ``named_sequence``, resolved, cycle-checked and
-inlined by the same code as ``func.call``, and a script has one entry
-rule. Recursive macros are rejected statically and, when nobody linted
-the script, fail definitely at the first re-entry."""
+of a function-like ``named_sequence``, resolved, cycle-checked,
+arity-checked and inlined by the same code as ``func.call``, a script
+has one entry rule, and the static analyses read the script with its
+macros inlined. Recursive macros are rejected statically and, when
+nobody linted the script, fail definitely at the first re-entry."""
 
 import ast
+import inspect
 import pathlib
+import re
 
 import pytest
 
 import repro
-from repro.analysis import lint_script
+from repro.analysis import ForwardAnalysis, InvalidationAnalysis, lint_script
 from repro.core import (
     ScriptTransformError,
     TransformInterpreter,
@@ -19,9 +22,28 @@ from repro.core import (
     expand_includes,
 )
 from repro.execution.workloads import build_matmul_module
-from repro.ir import Operation
+from repro.ir import Builder, Operation
+from repro.ir.hashing import op_digest
+from repro.ir.location import UNKNOWN_LOC, CallSiteLoc, FileLineColLoc
 from repro.ir.printer import print_op
 from repro.service import CompileEngine, CompileJob, JobStatus
+
+
+def at(line):
+    return FileLineColLoc("script.mlir", line, 1)
+
+
+def frames(location):
+    """A location's frames, innermost callee first."""
+    if isinstance(location, CallSiteLoc):
+        return frames(location.callee) + frames(location.caller)
+    return [location]
+
+
+def script_module():
+    module = Operation.create("builtin.module", regions=1)
+    module.regions[0].add_block()
+    return module
 
 
 def recursive_script(terminated: bool = False):
@@ -99,6 +121,127 @@ class TestRecursiveMacros:
             expand_includes(recursive_script()[0])
 
 
+class TestInlinedLocations:
+    def build_two_deep(self):
+        """main includes @outer (line 9), which includes @inner (line
+        6), whose print (line 3) sits in an alternatives region."""
+        module = script_module()
+        block = module.regions[0].entry_block
+        inner, ib, (iarg,) = transform.named_sequence("inner")
+        alts = transform.alternatives(ib, 1)
+        transform.print_(Builder.at_end(alts.regions[0].entry_block),
+                         iarg, "hi").location = at(3)
+        transform.yield_(ib)
+        block.append(inner)
+        outer, ob, (oarg,) = transform.named_sequence("outer")
+        transform.include(ob, "inner", [oarg]).location = at(6)
+        transform.yield_(ob)
+        block.append(outer)
+        seq, builder, root = transform.sequence()
+        transform.include(builder, "outer", [root]).location = at(9)
+        transform.yield_(builder)
+        block.append(seq)
+        return module, seq
+
+    def test_two_deep_include_nests_call_sites(self):
+        module, seq = self.build_two_deep()
+        expand_includes(module)
+        (alts,) = seq.walk_ops("transform.alternatives")
+        (printed,) = alts.walk_ops("transform.print")
+        # Nested ops are stamped too, and each expansion adds a frame.
+        assert isinstance(alts.location, CallSiteLoc)
+        assert frames(printed.location) == [at(3), at(6), at(9)]
+
+    def test_locations_move_no_printed_byte_or_digest(self):
+        module, _seq = self.build_two_deep()
+        expand_includes(module)
+        plain = module.clone()
+        for op in plain.walk():
+            op.location = UNKNOWN_LOC
+        assert print_op(plain) == print_op(module)
+        assert op_digest(plain) == op_digest(module)
+
+
+def double_unroll_twice():
+    """``@twice`` fully unrolls its argument twice; a top-level sequence
+    that does not suppress failures includes it twice."""
+    module = script_module()
+    block = module.regions[0].entry_block
+    macro, mb, (arg,) = transform.named_sequence("twice")
+    transform.loop_unroll(mb, arg, full=True)
+    transform.loop_unroll(mb, arg, full=True)
+    transform.yield_(mb)
+    block.append(macro)
+    seq, builder, root = transform.sequence()
+    for line in (10, 11):
+        loop = transform.match_op(builder, root, "scf.for", position="first")
+        transform.include(builder, "twice", [loop]).location = at(line)
+    transform.yield_(builder)
+    block.append(seq)
+    return module
+
+
+class TestGradedAtTheCallSite:
+    def test_lint_errors_once_per_call_site(self):
+        errors = lint_script(double_unroll_twice()).errors
+        assert len(errors) == 2
+        assert all("uses an invalidated handle" in error.message
+                   for error in errors)
+        assert [error.location.caller for error in errors] == [at(10),
+                                                               at(11)]
+
+    def test_engine_rejects_before_executing(self):
+        result, stats = run_engine(double_unroll_twice())
+        assert result.status is JobStatus.REJECTED
+        assert stats.executed == 0
+
+
+#: (operands passed, results expected, which count mismatches) for an
+#: include of ``@m``, which takes one handle and yields it.
+ARITY_SHAPES = [(2, 1, "argument"), (1, 0, "result"), (1, 2, "result")]
+
+
+def arity_script(n_operands, n_results):
+    module = script_module()
+    block = module.regions[0].entry_block
+    macro, mb, (arg,) = transform.named_sequence("m")
+    transform.yield_(mb, [arg])
+    block.append(macro)
+    seq, builder, root = transform.sequence()
+    include = transform.include(builder, "m", [root] * n_operands,
+                                n_results=n_results)
+    include.location = at(5)
+    transform.yield_(builder)
+    block.append(seq)
+    return module
+
+
+@pytest.mark.parametrize("n_operands,n_results,kind", ARITY_SHAPES)
+class TestIncludeArity:
+    def test_lint_error_at_the_include(self, n_operands, n_results, kind):
+        errors = lint_script(arity_script(n_operands, n_results)).errors
+        assert [(str(e.location), e.message) for e in errors] == [
+            (str(at(5)), f"transform.include of @m: {kind} count mismatch")]
+
+    def test_engine_rejects_before_executing(self, n_operands, n_results,
+                                             kind):
+        result, stats = run_engine(arity_script(n_operands, n_results))
+        assert result.status is JobStatus.REJECTED
+        assert stats.executed == 0
+
+    def test_expand_includes_raises(self, n_operands, n_results, kind):
+        with pytest.raises(ScriptTransformError,
+                           match=f"{kind} count mismatch"):
+            expand_includes(arity_script(n_operands, n_results))
+
+    def test_interpreter_fails_definitely(self, n_operands, n_results,
+                                          kind):
+        with pytest.raises(TransformInterpreterError,
+                           match=f"include {kind} count mismatch"):
+            TransformInterpreter().apply(arity_script(n_operands, n_results),
+                                         build_matmul_module(2, 2, 2))
+
+
 # -- one implementation of each question --------------------------------------
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -116,10 +259,14 @@ def _calls(tree, name):
             == name]
 
 
-def _defs(name):
-    return [module for module, tree in _modules()
+def _def_nodes(name):
+    return [(module, node) for module, tree in _modules()
             for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == name]
+
+
+def _defs(name):
+    return [module for module, _node in _def_nodes(name)]
 
 
 class TestOneImplementation:
@@ -152,8 +299,41 @@ class TestOneImplementation:
         readers = {module for module, tree in _modules()
                    if _calls(tree, "callee")}
         assert {"core/dialect.py", "core/script_transforms.py",
-                "analysis/invalidation.py", "analysis/pipeline.py",
                 "analysis/lint.py"} <= readers
+        # The analyses read the inlined script: none resolves a callee.
+        assert not readers & {"analysis/dataflow.py",
+                              "analysis/invalidation.py",
+                              "analysis/pipeline.py"}
+
+    def test_one_reading_of_a_script(self):
+        (module, helper), = _def_nodes("inlined_script")
+        assert module == "core/script_transforms.py"
+        assert _calls(helper, "expand_includes")
+        assert not _calls(helper, "inline_call")
+        assert {module for module, tree in _modules()
+                if _calls(tree, "inlined_script")} == {
+            "analysis/invalidation.py", "analysis/pipeline.py",
+            "frontend/schedule.py"}
+        assert {module for module, tree in _modules()
+                if _calls(tree, "expand_includes")} <= {
+            "core/script_transforms.py", "testing/fuzz.py"}
+
+    @pytest.mark.parametrize("name", [
+        "on_include", "summarize", "NamedSequenceSummary",
+        "SummaryConsumption", "_including", "_in_progress",
+        "interprocedural",
+    ])
+    def test_call_site_summaries_are_gone(self, name):
+        word = re.compile(rf"\b{name}\b")
+        assert [path.relative_to(SRC).as_posix()
+                for path in sorted(SRC.rglob("*.py"))
+                if word.search(path.read_text())] == []
+
+    def test_the_engine_has_no_include_hook(self):
+        assert not [name for name in vars(ForwardAnalysis)
+                    if "include" in name]
+        assert list(inspect.signature(InvalidationAnalysis).parameters) \
+            == ["may_alias"]
 
     @pytest.mark.parametrize("name", [
         "_named_sequences", "_include_graph_has_cycle", "_inline_include",
@@ -164,7 +344,5 @@ class TestOneImplementation:
         assert _defs(name) == []
 
     def test_interpreter_has_no_preflight_option(self):
-        import inspect
-
         assert "preflight" not in inspect.signature(
             TransformInterpreter).parameters

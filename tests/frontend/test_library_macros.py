@@ -1,5 +1,6 @@
-"""The builder's contracts for shipped library macros are the
-invalidation analysis' summaries of the library text, not a hand copy."""
+"""The builder's contracts for shipped library macros are read off the
+library text — the invalidation analysis run over each macro of the
+inlined library — not a hand copy."""
 
 import pytest
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.dialects import arith, builtin, func, scf
 from repro.ir import Builder, I32, INDEX
+from repro.ir.context import SymbolTable
+from repro.ir.location import CallSiteLoc, FileLineColLoc
 from repro.passes import PassManager
 from repro.passes.inliner import InliningError, detect_recursion, inline_call
 from repro.passes.licm import hoist_loop_invariants, is_loop_invariant
@@ -59,6 +61,35 @@ class TestInliner:
         ret = caller.body.ops[-1]
         assert ret.name == "func.return"
         assert ret.operand(0).defining_op().name == "arith.addi"
+
+    def test_inlined_ops_are_located_at_the_call_site(self):
+        def at(line):
+            return FileLineColLoc("payload.mlir", line, 1)
+
+        module = builtin.module()
+        leaf = make_callee(module, "leaf")
+        next(leaf.walk_ops("arith.addi")).location = at(1)
+        for name, callee, line in (("mid", "leaf", 2), ("caller", "mid", 3)):
+            function = func.func(name, [I32], [I32])
+            function.set_attr("inline", True)
+            module.body.append(function)
+            builder = Builder.at_end(function.body)
+            call = func.call(builder, callee, [function.body.args[0]], [I32])
+            call.location = at(line)
+            func.return_(builder, [call.results[0]])
+        PassManager(["inline"]).run(module)
+        caller = SymbolTable(module).lookup("caller")
+        added = next(caller.walk_ops("arith.addi")).location
+        # Two expansions, two frames: callsite(callsite(1 at 2) at 3).
+        assert added == CallSiteLoc(CallSiteLoc(at(1), at(2)), at(3))
+
+    def test_result_count_mismatch_is_an_inlining_error(self):
+        module, caller = self.build_caller()
+        call = next(caller.walk_ops("func.call"))
+        bare = func.call(Builder.before(call), "callee",
+                         [caller.body.args[0]])
+        with pytest.raises(InliningError, match="result count mismatch"):
+            inline_call(bare, SymbolTable(module).lookup("callee"))
 
     def test_inline_declaration_fails(self):
         module = builtin.module()

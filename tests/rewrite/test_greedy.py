@@ -105,7 +105,7 @@ class TestGreedyDriver:
             return True
 
         module = build_chain(1)
-        config = GreedyRewriteConfig(max_iterations=100, max_rewrites=50)
+        config = GreedyRewriteConfig(max_rewrites=50)
         with pytest.raises(RuntimeError, match="max_rewrites"):
             apply_patterns_greedily(module, [to_b, back], config)
 
