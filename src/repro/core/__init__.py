@@ -32,11 +32,7 @@ from .errors import (
     TransformInterpreterError,
     TransformResult,
 )
-from .interpreter import (
-    InterpreterStats,
-    TransformInterpreter,
-    apply_transform_script,
-)
+from .interpreter import InterpreterStats, TransformInterpreter
 from .pass_to_transform import (
     pipeline_to_transform_script,
     transform_script_to_pipeline,

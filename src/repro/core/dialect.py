@@ -160,6 +160,33 @@ class TransformOp(Operation):
     def definite(self, message: str) -> TransformResult:
         return TransformResult.definite(message, self)
 
+    def apply_each(
+        self, state: TransformState,
+        transform_one: Callable[[Operation],
+                                Optional[Sequence[Optional[Operation]]]],
+    ) -> TransformResult:
+        """Apply ``transform_one`` to each payload op of operand 0, in
+        order — MLIR's ``TransformEachOpTrait``: a per-payload-op
+        transform says what it does to one op and this loop does the
+        rest. The i-th op ``transform_one`` returns goes to result i
+        (None adds nothing); a :class:`LoopTransformError` is a
+        silenceable failure on that payload op."""
+        mapped: List[List[Operation]] = [[] for _ in self.results]
+        for payload_op in state.get_payload(self.operand(0)):
+            failure = _destroyed_mid_iteration(self, state, payload_op)
+            if failure is not None:
+                return failure
+            try:
+                produced = transform_one(payload_op)
+            except LoopTransformError as error:
+                return self.silenceable(str(error), [payload_op])
+            for ops, op in zip(mapped, produced or ()):
+                if op is not None:
+                    ops.append(op)
+        for result, ops in zip(self.results, mapped):
+            state.set_payload(result, ops)
+        return TransformResult.success()
+
 
 #: Stands in for an op that is not a :class:`TransformOp` (unregistered,
 #: foreign): the base-class defaults and nothing else.
@@ -718,32 +745,18 @@ class LoopTileOp(TransformOp):
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant", "arith.addi"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        payload = state.get_payload(self.operand(0))
+        state.get_payload(self.operand(0))  # an invalidated handle wins
         sizes = _resolve_sizes(self, state, "tile_sizes", self.operands[1:])
         if not sizes:
             return self.definite("loop.tile requires tile sizes")
-        outer_band: List[Operation] = []
-        inner_band: List[Operation] = []
-        for loop in payload:
-            failure = _destroyed_mid_iteration(self, state, loop)
-            if failure is not None:
-                return failure
-            try:
-                if len(sizes) == 1:
-                    outer, inner = tile_loop(loop, sizes[0])
-                    outer_band.append(outer)
-                    inner_band.append(inner)
-                else:
-                    tiles, points = tile_loop_nest(loop, sizes)
-                    outer_band.append(tiles[0])
-                    if points:
-                        inner_band.append(points[0])
-            except LoopTransformError as error:
-                return self.silenceable(str(error), [loop])
-        state.set_payload(self.results[0], outer_band)
-        if len(self.results) > 1:
-            state.set_payload(self.results[1], inner_band)
-        return TransformResult.success()
+
+        def tile(loop: Operation):
+            if len(sizes) == 1:
+                return tile_loop(loop, sizes[0])
+            tiles, points = tile_loop_nest(loop, sizes)
+            return tiles[0], (points[0] if points else None)
+
+        return self.apply_each(state, tile)
 
 
 @register_op
@@ -757,25 +770,11 @@ class LoopSplitOp(TransformOp):
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        payload = state.get_payload(self.operand(0))
+        state.get_payload(self.operand(0))  # an invalidated handle wins
         sizes = _resolve_sizes(self, state, "div_by", self.operands[1:])
         if not sizes:
             return self.definite("loop.split requires a divisor")
-        mains: List[Operation] = []
-        rests: List[Operation] = []
-        for loop in payload:
-            failure = _destroyed_mid_iteration(self, state, loop)
-            if failure is not None:
-                return failure
-            try:
-                main, rest = split_loop(loop, sizes[0])
-            except LoopTransformError as error:
-                return self.silenceable(str(error), [loop])
-            mains.append(main)
-            rests.append(rest)
-        state.set_payload(self.results[0], mains)
-        state.set_payload(self.results[1], rests)
-        return TransformResult.success()
+        return self.apply_each(state, lambda loop: split_loop(loop, sizes[0]))
 
 
 @register_op
@@ -789,21 +788,15 @@ class LoopUnrollOp(TransformOp):
     POSTCONDITIONS = frozenset({"arith.constant"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        payload = state.get_payload(self.operand(0))
+        state.get_payload(self.operand(0))  # an invalidated handle wins
         full = isinstance(self.attr("full"), UnitAttr)
         factors = _resolve_sizes(self, state, "factor", self.operands[1:])
         factor = factors[0] if factors else None
         if factor == 1 and not full:
             return TransformResult.success()  # no-op (§3.4)
-        for loop in payload:
-            failure = _destroyed_mid_iteration(self, state, loop)
-            if failure is not None:
-                return failure
-            try:
-                unroll_loop(loop, factor=factor, full=full)
-            except LoopTransformError as error:
-                return self.silenceable(str(error), [loop])
-        return TransformResult.success()
+        return self.apply_each(
+            state, lambda loop: unroll_loop(loop, factor=factor, full=full)
+        )
 
 
 @register_op
@@ -895,23 +888,7 @@ class LoopPeelOp(TransformOp):
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        payload = state.get_payload(self.operand(0))
-        mains: List[Operation] = []
-        rests: List[Operation] = []
-        for loop in payload:
-            failure = _destroyed_mid_iteration(self, state, loop)
-            if failure is not None:
-                return failure
-            try:
-                main, rest = peel_loop(loop)
-            except LoopTransformError as error:
-                return self.silenceable(str(error), [loop])
-            mains.append(main)
-            rests.append(rest)
-        state.set_payload(self.results[0], mains)
-        if len(self.results) > 1:
-            state.set_payload(self.results[1], rests)
-        return TransformResult.success()
+        return self.apply_each(state, peel_loop)
 
 
 # ---------------------------------------------------------------------------
@@ -928,17 +905,8 @@ class StructuredGeneralizeOp(TransformOp):
     POSTCONDITIONS = frozenset({"linalg.generic"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        generalized: List[Operation] = []
-        for payload_op in state.get_payload(self.operand(0)):
-            failure = _destroyed_mid_iteration(self, state, payload_op)
-            if failure is not None:
-                return failure
-            try:
-                generalized.append(generalize_named_op(payload_op))
-            except LoopTransformError as error:
-                return self.silenceable(str(error), [payload_op])
-        state.set_payload(self.results[0], generalized)
-        return TransformResult.success()
+        return self.apply_each(state,
+                               lambda op: [generalize_named_op(op)])
 
 
 @register_op
@@ -952,18 +920,9 @@ class StructuredLowerToLoopsOp(TransformOp):
                                 "arith.constant"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        roots: List[Operation] = []
-        for payload_op in state.get_payload(self.operand(0)):
-            failure = _destroyed_mid_iteration(self, state, payload_op)
-            if failure is not None:
-                return failure
-            try:
-                loops = lower_linalg_to_loops(payload_op)
-            except LoopTransformError as error:
-                return self.silenceable(str(error), [payload_op])
-            roots.append(loops[0])
-        state.set_payload(self.results[0], roots)
-        return TransformResult.success()
+        # The result maps the outermost loop of each nest.
+        return self.apply_each(state,
+                               lambda op: lower_linalg_to_loops(op)[:1])
 
 
 @register_op
@@ -980,19 +939,9 @@ class ToLibraryOp(TransformOp):
         library = LIBRARY_REGISTRY.get(library_name)
         if library is None:
             return self.definite(f"unknown library {library_name!r}")
-        calls: List[Operation] = []
-        for loop in state.get_payload(self.operand(0)):
-            failure = _destroyed_mid_iteration(self, state, loop)
-            if failure is not None:
-                return failure
-            try:
-                calls.append(replace_with_library_call(loop, library))
-            except LoopTransformError as error:
-                # Precondition failure: payload untouched -> silenceable.
-                return self.silenceable(str(error), [loop])
-        if self.results:
-            state.set_payload(self.results[0], calls)
-        return TransformResult.success()
+        return self.apply_each(
+            state, lambda loop: [replace_with_library_call(loop, library)]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,14 @@ class DynamicConditionChecker(TransformInterpreter):
     """An interpreter that verifies conditions as it executes.
 
     Violations are collected in :attr:`violations`; with
-    ``strict=True`` a violation turns into a definite error, aborting
+    ``fatal=True`` a violation turns into a definite error, aborting
     interpretation (useful to catch miscompiling transforms early).
+    Other options, ``strict=`` included, are the interpreter's.
     """
 
-    def __init__(self, strict: bool = False, **options):
+    def __init__(self, fatal: bool = False, **options):
         super().__init__(**options)
-        self.strict = strict
+        self.fatal = fatal
         self.violations: List[ConditionViolation] = []
 
     def execute(self, op: Operation,
@@ -100,7 +101,7 @@ class DynamicConditionChecker(TransformInterpreter):
                         op, conditions.name,
                         f"IRDL constraint violated: {violation}",
                     )
-        if self.strict and self.violations:
+        if self.fatal and self.violations:
             return TransformResult.definite(
                 f"dynamic condition check failed: {self.violations[-1]}",
                 op,

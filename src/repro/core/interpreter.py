@@ -49,7 +49,6 @@ class InterpreterStats:
     handles_created: int = 0
     handles_invalidated: int = 0
     exceptions_contained: int = 0
-    wall_seconds: float = 0.0
 
 
 def top_level_ops(script: Operation) -> List[Operation]:
@@ -86,14 +85,12 @@ def find_entry(script: Operation,
 class TransformInterpreter:
     """Executes transform scripts against a payload module."""
 
-    def __init__(self, check_types: bool = True,
-                 track_invalidation: bool = True,
+    def __init__(self, track_invalidation: bool = True,
                  profiler=None,
                  strict: bool = False,
                  diagnostics: Optional[DiagnosticEngine] = None,
                  tracer=None,
                  trace_parent=None):
-        self.check_types = check_types
         #: Ablation knob: disable nested-alias invalidation tracking.
         self.track_invalidation = track_invalidation
         #: Optional :class:`repro.profiling.Profiler` recording
@@ -132,7 +129,6 @@ class TransformInterpreter:
         checked statically here: ``lint_script`` is the one static
         gate (the compile engine's preflight, ``repro-opt --verify``).
         """
-        start = time.perf_counter()
         state = TransformState(payload)
         entry = find_entry(script, entry_point)
         if entry is None:
@@ -142,20 +138,17 @@ class TransformInterpreter:
             raise TransformInterpreterError(
                 result, self._diagnose(result, Severity.ERROR)
             )
-        try:
-            if entry.name == "transform.named_sequence":
-                body = entry.regions[0].entry_block
-                if body.args:
-                    state.set_payload(body.args[0], [payload])
-                self._stack.append(entry)
-                try:
-                    result = self.run_block(body, state)
-                finally:
-                    self._stack.pop()
-            else:
-                result = self.execute(entry, state)
-        finally:
-            self.stats.wall_seconds += time.perf_counter() - start
+        if entry.name == "transform.named_sequence":
+            body = entry.regions[0].entry_block
+            if body.args:
+                state.set_payload(body.args[0], [payload])
+            self._stack.append(entry)
+            try:
+                result = self.run_block(body, state)
+            finally:
+                self._stack.pop()
+        else:
+            result = self.execute(entry, state)
         if result.is_definite:
             raise TransformInterpreterError(
                 result, self._diagnose(result, Severity.ERROR)
@@ -217,11 +210,10 @@ class TransformInterpreter:
             )
             result.backtrace = [*self._stack, op]
             return result
-        if self.check_types:
-            type_error = self._check_operand_types(op, state)
-            if type_error is not None:
-                type_error.backtrace = [*self._stack, op]
-                return type_error
+        type_error = self._check_operand_types(op, state)
+        if type_error is not None:
+            type_error.backtrace = [*self._stack, op]
+            return type_error
         # One span per top-level transform op (the entry itself and
         # the direct children of the entry sequence); nested ops are
         # timing detail the profiler already attributes.
@@ -331,11 +323,3 @@ class TransformInterpreter:
                         op,
                     )
         return None
-
-
-def apply_transform_script(script: Operation, payload: Operation,
-                           entry_point: Optional[str] = None,
-                           **interpreter_options) -> TransformResult:
-    """Convenience one-shot: interpret ``script`` against ``payload``."""
-    interpreter = TransformInterpreter(**interpreter_options)
-    return interpreter.apply(script, payload, entry_point)

@@ -10,7 +10,6 @@ from .manager import (
     PASS_REGISTRY,
     Pass,
     PassManager,
-    PassTiming,
     parse_pipeline,
     register_pass,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "PASS_REGISTRY",
     "Pass",
     "PassManager",
-    "PassTiming",
     "parse_pipeline",
     "register_pass",
 ]

@@ -2,15 +2,14 @@
 
 Passes are registered by name in :data:`PASS_REGISTRY` and assembled
 into pipelines either programmatically or from the textual form used on
-MLIR's command line (``pass-a,pass-b``). The manager records per-pass
-wall-clock timing — the measurement instrument for the Table-1
-compile-time study.
+MLIR's command line (``pass-a,pass-b``). Given a profiler, the manager
+records per-pass wall-clock timing into it — the measurement instrument
+for the Table-1 compile-time study.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Type as PyType, Union
 
 from ..ir.core import Operation
@@ -58,24 +57,6 @@ class FunctionPass(Pass):
         raise NotImplementedError
 
 
-@dataclass
-class PassTiming:
-    """Wall-clock timing of one pipeline execution."""
-
-    per_pass: List[tuple] = field(default_factory=list)  # (name, seconds)
-
-    @property
-    def total(self) -> float:
-        return sum(seconds for _, seconds in self.per_pass)
-
-    def render(self) -> str:
-        lines = ["===- Pass execution timing -==="]
-        for name, seconds in self.per_pass:
-            lines.append(f"  {seconds * 1e3:9.3f} ms  {name}")
-        lines.append(f"  {self.total * 1e3:9.3f} ms  total")
-        return "\n".join(lines)
-
-
 class PassManager:
     """Runs a sequence of passes over a module."""
 
@@ -97,13 +78,10 @@ class PassManager:
         self.passes.append(cls(**options))
         return self
 
-    def run(self, module: Operation, profiler=None) -> PassTiming:
-        """Run the pipeline, returning per-pass timing.
-
-        ``profiler`` (a :class:`repro.profiling.Profiler`) additionally
-        records each pass into the shared timing report.
-        """
-        timing = PassTiming()
+    def run(self, module: Operation, profiler=None) -> None:
+        """Run the pipeline. ``profiler`` (a
+        :class:`repro.profiling.Profiler`) records each pass's wall time
+        in ``profiler.passes``."""
         for pass_ in self.passes:
             # Expose the profiler to passes that instrument their own
             # internals (e.g. canonicalize's greedy driver), unless the
@@ -113,19 +91,16 @@ class PassManager:
             )
             if lent_profiler:
                 pass_.options["profiler"] = profiler
-            start = time.perf_counter()
+            start = time.perf_counter() if profiler is not None else 0.0
             try:
                 pass_.run(module)
             finally:
                 if lent_profiler:
                     del pass_.options["profiler"]
-            elapsed = time.perf_counter() - start
-            timing.per_pass.append((pass_.NAME, elapsed))
             if profiler is not None:
-                profiler.record_pass(pass_.NAME, elapsed)
+                profiler.record_pass(pass_.NAME, time.perf_counter() - start)
             if self.verify_each:
                 module.verify()
-        return timing
 
     def pipeline_string(self) -> str:
         return ",".join(p.NAME for p in self.passes)

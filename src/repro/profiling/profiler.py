@@ -14,10 +14,8 @@ per instrument, rows sorted by total wall time.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Dict, List
 
 from ..ir.core import DIGEST_STATS
 
@@ -136,17 +134,6 @@ class Profiler:
     def record_invalidation(self, handles: int) -> None:
         self.invalidation.events += 1
         self.invalidation.handles_invalidated += handles
-
-    @contextmanager
-    def time_pass(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record_pass(name, time.perf_counter() - start)
-
-    def reset(self) -> None:
-        self.__init__()
 
     # -- reporting ----------------------------------------------------------
 

@@ -15,10 +15,12 @@ Usage from a shell::
 ``--verify`` runs the ``repro-lint`` analysis suite (use-after-consume,
 structure, the pipeline condition check against the payload's op specs)
 before interpreting anything and reports MLIR-style ``error:``/``note:``
-diagnostics (use site, consuming op, and — for ``transform.include``
-call sites — the in-body consumer) on stderr, aborting before
+diagnostics (use site and consuming op; a defect inside an included
+macro is reported at ``loc(callsite(...))``) on stderr, aborting before
 interpretation when any error fires; warnings are printed and the run
 goes on (``repro-lint --werror`` is the strict spelling).
+
+``transform.print`` output goes to stderr; stdout is the payload.
 """
 
 from __future__ import annotations
@@ -66,7 +68,8 @@ def transform_opt(
     transform code propagate raw (for debugging).
 
     ``tracer`` (a :class:`repro.observability.Tracer`) records one
-    span per top-level transform op.
+    span per top-level transform op. ``transform.print`` output is
+    written to stderr.
     """
     payload = parse(payload_text, "<payload>")
     script = parse(script_text, "<script>")
@@ -90,7 +93,12 @@ def transform_opt(
 
     interpreter = TransformInterpreter(profiler=profiler, strict=strict,
                                        tracer=tracer)
-    result = interpreter.apply(script, payload, entry_point)
+    try:
+        result = interpreter.apply(script, payload, entry_point)
+    finally:
+        # What transform.print printed before a failure is still shown.
+        for block in interpreter.output:
+            print(block, file=sys.stderr)
     if result.is_silenceable:
         print(f"warning: {interpreter.diagnostics.render()}",
               file=sys.stderr)

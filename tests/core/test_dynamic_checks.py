@@ -37,13 +37,13 @@ if "test-rogue-affine" not in __import__(
     register_pass(_RogueAffinePass)
 
 
-def run_pipeline_checked(payload, pass_names, strict=False):
+def run_pipeline_checked(payload, pass_names, fatal=False):
     script, builder, root = transform.sequence()
     current = root
     for name in pass_names:
         current = transform.apply_registered_pass(builder, current, name)
     transform.yield_(builder)
-    checker = DynamicConditionChecker(strict=strict)
+    checker = DynamicConditionChecker(fatal=fatal)
     checker.apply(script, payload)
     return checker
 
@@ -63,12 +63,12 @@ class TestPostconditionChecking:
         messages = [str(v) for v in checker.violations]
         assert any("affine.apply" in m for m in messages)
 
-    def test_strict_mode_aborts(self):
+    def test_fatal_mode_aborts(self):
         payload = build_subview_payload(dynamic_offset=True)
         with pytest.raises(TransformInterpreterError,
                            match="condition check failed"):
             run_pipeline_checked(payload, ["test-rogue-affine"],
-                                 strict=True)
+                                 fatal=True)
 
 
 class TestIRDLConstrainedPostconditions:

@@ -8,7 +8,7 @@ diagnostic — never a raw traceback — unless ``strict`` asks for one.
 
 import pytest
 
-from repro.core import dialect as transform
+from repro.core import DynamicConditionChecker, dialect as transform
 from repro.core.dialect import TransformOp
 from repro.core.errors import TransformInterpreterError
 from repro.core.interpreter import TransformInterpreter
@@ -87,6 +87,18 @@ class TestInterpreterBarrier:
         payload = build_matmul_module(2, 2, 2)
         with pytest.raises(ZeroDivisionError, match="kaboom"):
             TransformInterpreter(strict=True).apply(crash_script(), payload)
+
+    def test_fatal_condition_checker_keeps_the_barrier(self):
+        """The checker's "a violation is definite" flag is its own:
+        turning it on leaves the exception barrier up, and ``strict``
+        still means what it means to the interpreter."""
+        with pytest.raises(TransformInterpreterError,
+                           match="uncaught ZeroDivisionError"):
+            DynamicConditionChecker(fatal=True).apply(
+                crash_script(), build_matmul_module(2, 2, 2))
+        with pytest.raises(ZeroDivisionError, match="kaboom"):
+            DynamicConditionChecker(strict=True).apply(
+                crash_script(), build_matmul_module(2, 2, 2))
 
     def test_silenceable_failure_emits_warning_diagnostic(self):
         payload = build_matmul_module(2, 2, 2)

@@ -93,7 +93,6 @@ class TestErrors:
         interp.apply(script, payload)
         assert interp.stats.transforms_executed >= 3
         assert interp.stats.handles_invalidated == 1
-        assert interp.stats.wall_seconds > 0
 
     def test_failed_apply_not_counted_in_stats(self):
         """Regression (PR 1): a transform whose apply() fails must not

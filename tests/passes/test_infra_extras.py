@@ -1,10 +1,9 @@
 """Extra pass-infrastructure coverage: FunctionPass, timing, printing."""
 
-import pytest
-
 from repro.dialects import builtin, func
 from repro.ir import Builder, I32, print_op
-from repro.passes.manager import FunctionPass, PassManager, PassTiming
+from repro.passes.manager import FunctionPass, PassManager
+from repro.profiling import Profiler
 
 
 class MarkingPass(FunctionPass):
@@ -37,22 +36,30 @@ class TestFunctionPass:
 
 
 class TestPassTiming:
+    """``Profiler.passes`` is the pass manager's one timing record."""
+
     def test_total_sums_per_pass(self):
-        timing = PassTiming([("a", 0.5), ("b", 0.25)])
-        assert timing.total == pytest.approx(0.75)
+        profiler = Profiler()
+        profiler.record_pass("a", 0.5)
+        profiler.record_pass("b", 0.25)
+        assert "Passes (750.000 ms total)" in profiler.render()
 
     def test_render_contains_rows(self):
-        timing = PassTiming([("canonicalize", 0.001)])
-        rendered = timing.render()
+        profiler = Profiler()
+        PassManager(["canonicalize"]).run(builtin.module(),
+                                          profiler=profiler)
+        rendered = profiler.render()
         assert "canonicalize" in rendered
-        assert "total" in rendered
+        assert "Passes (" in rendered
 
     def test_manager_timing_shape(self):
-        module = builtin.module()
-        timing = PassManager(["cse", "cse", "canonicalize"]).run(module)
-        assert [name for name, _ in timing.per_pass] == [
-            "cse", "cse", "canonicalize"
-        ]
+        profiler = Profiler()
+        PassManager(["cse", "cse", "canonicalize"]).run(builtin.module(),
+                                                       profiler=profiler)
+        assert {name: stat.count
+                for name, stat in profiler.passes.items()} == {
+            "cse": 2, "canonicalize": 1
+        }
 
 
 class TestValueName:

@@ -5,6 +5,7 @@ import pytest
 from repro.dialects import builtin
 from repro.ir import Operation
 from repro.passes import PASS_REGISTRY, Pass, PassManager, parse_pipeline, register_pass
+from repro.profiling import Profiler
 
 
 class CountingPass(Pass):
@@ -46,13 +47,13 @@ class TestPassManager:
         with pytest.raises(ValueError, match="unknown pass"):
             PassManager().add("no-such-pass")
 
-    def test_run_returns_timing(self):
-        module = builtin.module()
-        manager = PassManager(["canonicalize", "cse"])
-        timing = manager.run(module)
-        assert len(timing.per_pass) == 2
-        assert timing.total >= 0
-        assert "canonicalize" in timing.render()
+    def test_run_records_passes_in_profiler(self):
+        profiler = Profiler()
+        PassManager(["canonicalize", "cse"]).run(builtin.module(),
+                                                 profiler=profiler)
+        assert sorted(profiler.passes) == ["canonicalize", "cse"]
+        assert all(stat.seconds >= 0 for stat in profiler.passes.values())
+        assert "canonicalize" in profiler.render()
 
     def test_runs_in_order(self):
         order = []

@@ -20,6 +20,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
     "analysis": 829,
+    "core": 1969,
+    "passes": 1694,
     "service": 2659,
     "service/engine.py": 600,
 }

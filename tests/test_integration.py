@@ -146,7 +146,7 @@ class TestSafetyNetsCompose:
             script, payload_op_specs(payload), ["llvm.*"]
         )
         assert report.ok
-        checker = DynamicConditionChecker(strict=True)
+        checker = DynamicConditionChecker(fatal=True)
         checker.apply(script, payload)
         assert checker.violations == []
 

@@ -111,6 +111,29 @@ class TestCLI:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("then_fail", [False, True])
+    def test_main_shows_transform_print_on_stderr(self, payload_text,
+                                                  tmp_path, capsys,
+                                                  then_fail):
+        """transform.print output reaches stderr, also when the run
+        then ends in a definite error; stdout stays the payload."""
+        script, builder, root = transform.sequence()
+        function = transform.match_op(builder, root, "func.func")
+        transform.print_(builder, function, "HELLO-FROM-PRINT")
+        if then_fail:
+            builder.create("transform.test.emit_definite")
+        transform.yield_(builder)
+        payload_file = tmp_path / "payload.mlir"
+        payload_file.write_text(payload_text)
+        script_file = tmp_path / "s.mlir"
+        script_file.write_text(print_op(script))
+        code = main([str(payload_file), "--script", str(script_file)])
+        captured = capsys.readouterr()
+        assert code == (1 if then_fail else 0)
+        assert "HELLO-FROM-PRINT" in captured.err
+        assert "HELLO-FROM-PRINT" not in captured.out
+        assert '"func.func"' in captured.err
+
     def test_main_writes_output_file(self, payload_text, tmp_path):
         payload_file = tmp_path / "payload.mlir"
         payload_file.write_text(payload_text)
