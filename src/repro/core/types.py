@@ -15,7 +15,7 @@ from ..ir.parser import Parser, register_type_parser
 from ..ir.types import Type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformHandleType(Type):
     """Base class of handle types."""
 
@@ -23,15 +23,15 @@ class TransformHandleType(Type):
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnyOpType(TransformHandleType):
     """``!transform.any_op``: a handle to arbitrary payload operations."""
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return "!transform.any_op"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperationHandleType(TransformHandleType):
     """``!transform.op<"scf.for">``: a handle constrained to one op name."""
 
@@ -40,25 +40,25 @@ class OperationHandleType(TransformHandleType):
     def accepts_op_name(self, op_name: str) -> bool:
         return op_name == self.op_name
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return f'!transform.op<"{self.op_name}">'
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamType(Type):
     """``!transform.param<i64>``: a compile-time constant parameter."""
 
     element: str = "i64"
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return f"!transform.param<{self.element}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnyValueType(TransformHandleType):
     """``!transform.any_value``: a handle to payload *values*."""
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return "!transform.any_value"
 
 

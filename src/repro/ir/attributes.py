@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Tuple, Union
 
-from .types import FloatType, IndexType, IntegerType, Type
+from .types import F64, I64, INDEX, IntegerType, Type
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ class IntegerAttr(Attribute):
     """An integer attribute with an associated type (``42 : i32``)."""
 
     value: int
-    type: Type = field(default_factory=lambda: IntegerType(64))
+    type: Type = I64
 
     def __str__(self) -> str:
         return f"{self.value} : {self.type}"
@@ -55,7 +55,7 @@ class IntegerAttr(Attribute):
 @dataclass(frozen=True)
 class FloatAttr(Attribute):
     value: float
-    type: Type = field(default_factory=lambda: FloatType(64))
+    type: Type = F64
 
     def __str__(self) -> str:
         # repr of the float: an integral value keeps its ``.0`` and
@@ -132,7 +132,7 @@ class DenseIntAttr(Attribute):
     """A flat dense integer array (simplified ``dense<...>`` elements attr)."""
 
     values: Tuple[int, ...]
-    type: Type = field(default_factory=lambda: IntegerType(64))
+    type: Type = I64
 
     def __str__(self) -> str:
         return f"dense<[{', '.join(map(str, self.values))}]> : {self.type}"
@@ -149,7 +149,7 @@ class DenseFloatAttr(Attribute):
     """A flat dense float array."""
 
     values: Tuple[float, ...]
-    type: Type = field(default_factory=lambda: FloatType(64))
+    type: Type = F64
 
     def __str__(self) -> str:
         return f"dense<[{', '.join(map(str, self.values))}]> : {self.type}"
@@ -184,9 +184,7 @@ def attr(value: AttrLike) -> Attribute:
     if isinstance(value, int):
         return IntegerAttr(value)
     if isinstance(value, float):
-        from .types import F64
-
-        return FloatAttr(value, F64)
+        return FloatAttr(value)
     if isinstance(value, str):
         return StringAttr(value)
     if isinstance(value, Type):
@@ -203,7 +201,7 @@ def int_attr(value: int, width: int = 64) -> IntegerAttr:
 
 
 def index_attr(value: int) -> IntegerAttr:
-    return IntegerAttr(value, IndexType())
+    return IntegerAttr(value, INDEX)
 
 
 def unwrap(attribute: Attribute):

@@ -25,6 +25,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Type as PyType,
 )
 
@@ -184,24 +185,30 @@ class Value:
 
 
 class OpResult(Value):
-    """A result value produced by an operation."""
+    """A result value produced by an operation.
+
+    ``op`` is None once the op is erased (:meth:`Operation.erase`), so
+    the op and its results form no cycle and are freed by reference
+    counting: an erased op's result has no owner and no defining op.
+    """
 
     __slots__ = ("op", "index")
 
     def __init__(self, op: "Operation", index: int, type: Type):
         super().__init__(type)
-        self.op = op
+        self.op: Optional[Operation] = op
         self.index = index
 
     @property
-    def owner(self) -> "Operation":
+    def owner(self) -> Optional["Operation"]:
         return self.op
 
     def defining_op(self) -> Optional["Operation"]:
         return self.op
 
     def __repr__(self) -> str:
-        return f"<OpResult #{self.index} of {self.op.name}>"
+        owner = "an erased op" if self.op is None else self.op.name
+        return f"<OpResult #{self.index} of {owner}>"
 
 
 class BlockArgument(Value):
@@ -348,21 +355,22 @@ class Operation:
         self._prev: Optional[Operation] = None
         self._next: Optional[Operation] = None
         self._order = 0
-        # An empty field is common (leaf ops, constants, terminators)
-        # and costs no comprehension frame.
-        self._operands: List[OpOperand] = [
+        # Fixed after construction, so tuples; an empty field (leaf
+        # ops, constants, terminators) is the shared ``()`` and costs no
+        # comprehension frame.
+        self._operands: Tuple[OpOperand, ...] = tuple([
             OpOperand(self, i, v) for i, v in enumerate(operands)
-        ] if operands else []
-        self.results: List[OpResult] = [
+        ]) if operands else ()
+        self.results: Tuple[OpResult, ...] = tuple([
             OpResult(self, i, t) for i, t in enumerate(result_types)
-        ] if result_types else []
+        ]) if result_types else ()
         self.attributes: Dict[str, Attribute] = {
             k: make_attr(v) for k, v in attributes.items()
         } if attributes else {}
-        self.regions: List[Region] = [
+        self.regions: Tuple[Region, ...] = tuple([
             Region(self) for _ in range(regions)
-        ] if regions else []
-        self.successors: List[Block] = list(successors)
+        ]) if regions else ()
+        self.successors: Tuple[Block, ...] = tuple(successors)
         self._digest = None
         self._digest_free = ()
         self._digest_free_blocks = ()
@@ -408,7 +416,8 @@ class Operation:
         """Replace the whole operand list."""
         for operand in self._operands:
             operand.drop()
-        self._operands = [OpOperand(self, i, v) for i, v in enumerate(values)]
+        self._operands = tuple([
+            OpOperand(self, i, v) for i, v in enumerate(values)])
         if self._digest is not None:
             invalidate_digest(self)
 
@@ -507,7 +516,7 @@ class Operation:
         """Drop all operand uses of this op and ops nested within it."""
         for operand in self._operands:
             operand.drop()
-        self._operands = []
+        self._operands = ()
         for region in self.regions:
             for block in region.blocks:
                 for op in block.ops:
@@ -516,7 +525,10 @@ class Operation:
     def erase(self) -> None:
         """Remove this op from its block and sever all def-use links.
 
-        The op must have no remaining uses of its results.
+        The op must have no remaining uses of its results. Its results
+        let go of it (``OpResult.op`` becomes None), so an erased leaf op
+        is freed as soon as nothing holds it; while held it still reads
+        its name, attributes, location and typed results.
         """
         for result in self.results:
             if result.has_uses():
@@ -526,6 +538,8 @@ class Operation:
         self.drop_all_references()
         if self.parent is not None:
             self.parent.remove(self)
+        for result in self.results:
+            result.op = None
 
     def destroy(self) -> None:
         """Free this dead op tree now rather than at the next full
@@ -582,7 +596,7 @@ class Operation:
             result_types=[r.type for r in self.results],
             attributes=dict(self.attributes),
             regions=len(self.regions),
-            successors=list(self.successors),
+            successors=self.successors,
             location=self.location,
         )
         for old_res, new_res in zip(self.results, new_op.results):
@@ -894,9 +908,9 @@ class Region:
             new_block = block_map[block]
             for op in block.ops:
                 new_op = op.clone(value_map)
-                new_op.successors = [
-                    block_map.get(s, s) for s in new_op.successors
-                ]
+                if new_op.successors:
+                    new_op.successors = tuple([
+                        block_map.get(s, s) for s in new_op.successors])
                 new_block.append(new_op)
 
     def walk(self) -> Iterator[Operation]:

@@ -1,10 +1,15 @@
 """The type system.
 
-Types are immutable, hashable value objects mirroring MLIR's builtin
-type hierarchy: integers, floats, index, function types, and the shaped
-types (tensor, memref, vector). Dialects may define further types by
-subclassing :class:`Type` (the transform dialect does, see
-``repro.core.types``).
+Types are immutable objects mirroring MLIR's builtin type hierarchy:
+integers, floats, index, function types, and the shaped types (tensor,
+memref, vector). Dialects may define further types by subclassing
+:class:`Type` (the transform dialect does, see ``repro.core.types``).
+
+Types are uniqued, as in MLIR's context: constructing a type returns
+the one live instance with that class and those field values, so ``==``
+and ``hash`` are identity, and the spelling is computed once per
+instance. Subclasses are ``@dataclass(frozen=True, eq=False)`` with
+hashable fields and spell themselves in :meth:`Type._spelling`.
 
 Shapes use ``DYNAMIC`` (``-1``) for dynamically sized dimensions, as in
 MLIR's ``?`` notation.
@@ -12,20 +17,55 @@ MLIR's ``?`` notation.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+import threading
+import weakref
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 #: Marker for a dynamic dimension in a shaped type (printed as ``?``).
 DYNAMIC = -1
 
+#: (class, *field values) -> the live instance. Weak, so a long-lived
+#: process holds only the types its live IR uses.
+_UNIQUED: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
+#: Parsers run on several threads; two instances of one type would
+#: break identity ``==``, so a miss is resolved under this lock.
+_UNIQUING = threading.Lock()
 
-@dataclass(frozen=True)
-class Type:
+
+class _Uniqued(type):
+    """Metaclass of :class:`Type`: ``Cls(...)`` is the uniqued instance.
+
+    The candidate is built first so that defaults and keyword arguments
+    key the same way; its field values are its ``__dict__`` (a frozen
+    dataclass writes nothing else), and an unhashable one raises here.
+    """
+
+    def __call__(cls, *args, **kwargs):
+        candidate = super().__call__(*args, **kwargs)
+        key = (cls, *vars(candidate).values())
+        instance = _UNIQUED.get(key)
+        if instance is None:
+            object.__setattr__(candidate, "_str", candidate._spelling())
+            with _UNIQUING:
+                instance = _UNIQUED.setdefault(key, candidate)
+        return instance
+
+
+@dataclass(frozen=True, eq=False)
+class Type(metaclass=_Uniqued):
     """Base class of all types."""
 
-    def __str__(self) -> str:  # pragma: no cover - overridden
+    def __str__(self) -> str:
+        return self._str
+
+    def _spelling(self) -> str:  # pragma: no cover - overridden
         return "<type>"
+
+    def __reduce__(self):
+        # pickle, copy, deepcopy: rebuilt through the constructor, so
+        # the copy is the uniqued instance.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 # ---------------------------------------------------------------------------
@@ -33,42 +73,42 @@ class Type:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegerType(Type):
     """An integer type of arbitrary bitwidth, e.g. ``i1``, ``i32``."""
 
     width: int
     signed: Optional[bool] = None  # None = signless, MLIR default
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         if self.signed is None:
             return f"i{self.width}"
         return f"{'si' if self.signed else 'ui'}{self.width}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexType(Type):
     """The platform-sized ``index`` type used for loop bounds and memrefs."""
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return "index"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloatType(Type):
     """An IEEE floating point type, e.g. ``f16``, ``f32``, ``f64``."""
 
     width: int
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return f"f{self.width}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoneType(Type):
     """The unit type ``none``."""
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return "none"
 
 
@@ -77,14 +117,14 @@ class NoneType(Type):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionType(Type):
     """A function type ``(inputs) -> (results)``."""
 
     inputs: Tuple[Type, ...]
     results: Tuple[Type, ...]
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         ins = ", ".join(str(t) for t in self.inputs)
         if len(self.results) == 1:
             return f"({ins}) -> {self.results[0]}"
@@ -96,23 +136,12 @@ def _shape_str(shape: Tuple[int, ...]) -> str:
     return "".join(("?" if d == DYNAMIC else str(d)) + "x" for d in shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapedType(Type):
     """Base for tensor/memref/vector types carrying a shape."""
 
     shape: Tuple[int, ...]
     element_type: Type
-
-    # The lowerings build a fresh shaped type per op and the printer,
-    # the digest and CSE each spell it, so the spelling is memoized by
-    # *value*: bounded (a daemon cannot grow it) and nothing is written
-    # to the instances. Subclasses define :meth:`_spelling`.
-    @functools.lru_cache(maxsize=1024)
-    def __str__(self) -> str:
-        return self._spelling()
-
-    def _spelling(self) -> str:  # pragma: no cover - overridden
-        return "<shaped type>"
 
     @property
     def rank(self) -> int:
@@ -132,7 +161,7 @@ class ShapedType(Type):
         return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorType(ShapedType):
     """A ranked tensor type, e.g. ``tensor<4x?xf32>``."""
 
@@ -157,7 +186,7 @@ class MemRefLayout:
         return f"strided<[{strides}], offset: {offset}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemRefType(ShapedType):
     """A memory reference type, e.g. ``memref<4x4xf32>``.
 
@@ -196,7 +225,7 @@ class MemRefType(ShapedType):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorType(ShapedType):
     """A fixed-shape vector type, e.g. ``vector<8xf32>``."""
 
@@ -204,37 +233,37 @@ class VectorType(ShapedType):
         return f"vector<{_shape_str(self.shape)}{self.element_type}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LLVMPointerType(Type):
     """An opaque LLVM pointer type (``!llvm.ptr``)."""
 
     address_space: int = 0
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         if self.address_space:
             return f"!llvm.ptr<{self.address_space}>"
         return "!llvm.ptr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LLVMStructType(Type):
     """An LLVM struct type, used for memref descriptors after lowering."""
 
     members: Tuple[Type, ...]
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         inner = ", ".join(str(m) for m in self.members)
         return f"!llvm.struct<({inner})>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpaqueType(Type):
     """A dialect-specific opaque type, printed ``!dialect.name``."""
 
     dialect: str
     name: str
 
-    def __str__(self) -> str:
+    def _spelling(self) -> str:
         return f"!{self.dialect}.{self.name}"
 
 

@@ -196,16 +196,54 @@ def test_model_job_call_count_stays_under_its_ceiling():
 
 
 def test_shaped_type_spelling_is_memoized_by_value_and_bounded():
-    from repro.ir.types import F32, ShapedType, TensorType, VectorType
+    import weakref
 
-    spelled = str(TensorType((4, 7), F32))
+    from repro.ir.types import F32, TensorType, VectorType
+
+    # By value: an equal type is the same instance, spelled once.
+    held = TensorType((4, 7), F32)
+    spelled = str(held)
     assert spelled == "tensor<4x7xf32>"
-    # By value: a fresh equal instance gets the very same string, and
-    # nothing was written to either instance.
-    fresh = TensorType((4, 7), F32)
-    assert str(fresh) is spelled
-    assert set(vars(fresh)) == {"shape", "element_type"}
-    assert str(VectorType((4, 7), F32)) == "vector<4x7xf32>"
-    info = ShapedType.__str__.cache_info()
-    assert info.maxsize is not None and info.maxsize <= 4096
-    assert parse(f'%0 = "t.x"() : () -> {spelled}').results[0].type == fresh
+    assert str(TensorType((4, 7), F32)) is spelled
+    assert parse(f'%0 = "t.x"() : () -> {spelled}').results[0].type is held
+    # Bounded: the table keeps no type that nothing else holds.
+    vector_type = VectorType((4, 7), F32)
+    assert str(vector_type) == "vector<4x7xf32>"
+    dropped = weakref.ref(vector_type)
+    del vector_type
+    assert dropped() is None
+
+
+def _cyclic_garbage_of_one_job(model):
+    """Objects the cyclic collector finds after one ``compile_job`` of
+    ``model`` under the TOSA -> Linalg script, with the collector off."""
+    import gc
+
+    from repro.core import pipeline_to_transform_script
+    from repro.mlmodels import build_model
+    from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
+    from repro.service.worker import compile_job
+
+    payload = print_op(build_model(model))
+    script = print_op(
+        pipeline_to_transform_script(list(TOSA_TO_LINALG_PIPELINE)))
+    assert compile_job(payload, script)["status"] == "success"
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        compile_job(payload, script)
+        return gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_model_job_leaves_nothing_for_the_cyclic_collector():
+    # Reference counting frees a job's IR: erased ops let go of their
+    # results and types are uniqued (3 053 / 21 266 objects before).
+    assert _cyclic_garbage_of_one_job("squeezenet") == 0
+    assert _cyclic_garbage_of_one_job("whisper_decoder") == 0

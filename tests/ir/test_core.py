@@ -134,6 +134,28 @@ class TestErase:
         outer.erase()
         assert not a.result.has_uses()
 
+    def test_an_erased_leaf_op_is_freed_without_the_collector(self):
+        import gc
+        import weakref
+
+        block = Block()
+        a = block.append(make_const(7))
+        result = a.result
+        a.erase()
+        # Still readable while held; its result has no defining op.
+        assert a.name == "arith.constant"
+        assert a.attributes["value"] == index_attr(7)
+        assert result.type is INDEX
+        assert result.defining_op() is None and result.owner is None
+        assert repr(result) == "<OpResult #0 of an erased op>"
+        watched = weakref.ref(a)
+        gc.disable()
+        try:
+            del a
+            assert watched() is None
+        finally:
+            gc.enable()
+
 
 class TestDestroy:
     def test_destroy_frees_the_tree_without_the_collector(self):
@@ -581,7 +603,7 @@ class TestRegion:
         region.clone_into(new_holder.regions[0], {})
         new_entry = new_holder.regions[0].blocks[0]
         new_target = new_holder.regions[0].blocks[1]
-        assert new_entry.ops[0].successors == [new_target]
+        assert new_entry.ops[0].successors == (new_target,)
 
 
 class TestVerifier:

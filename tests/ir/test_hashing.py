@@ -95,10 +95,8 @@ class TestContract:
         b = parse(BRANCHY)
         blocks = b.regions[0].blocks
         cond = blocks[0].ops[0]
-        cond.successors[0], cond.successors[1] = (
-            cond.successors[1], cond.successors[0],
-        )
-        b.invalidate_digest()
+        cond.successors = cond.successors[::-1]
+        cond.invalidate_digest()
         assert op_digest(a) != op_digest(b)
         assert print_op(a) != print_op(b)
 

@@ -105,9 +105,8 @@ class TestLexemes:
         again = parse('%0 = "t.x"() : () -> tensor<4xf32>')
         first, second = (result.type for result in op.results)
         assert first is second
-        # ...and no process-global memo behind it.
-        assert again.results[0].type is not first
-        assert again.results[0].type == first
+        # ...and across parses: types are uniqued process-wide.
+        assert again.results[0].type is first
 
 
 def _corpus():
