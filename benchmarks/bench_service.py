@@ -28,6 +28,7 @@ Run standalone (``python benchmarks/bench_service.py``) or through
 pytest (``pytest benchmarks/bench_service.py -s``).
 """
 
+import asyncio
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ from repro.service import (
     CompileEngine,
     CompileJob,
     JobStatus,
+    ServiceFrontier,
 )
 
 DISTINCT = 16
@@ -96,6 +98,16 @@ def _jobs():
     ]
 
 
+def _run(engine, jobs):
+    """The batch through a frontier over ``engine`` (the service's one
+    scheduler); results in submission order."""
+    async def go():
+        async with ServiceFrontier(engine) as frontier:
+            return await frontier.run(jobs)
+
+    return asyncio.run(go())
+
+
 def run_benchmark():
     jobs = _jobs()
     total = len(jobs)
@@ -133,7 +145,7 @@ def run_benchmark():
         with CompileEngine(workers=workers, cache=cache,
                            preflight=False) as engine:
             start = time.perf_counter()
-            results = engine.run_batch(jobs)
+            results = _run(engine, jobs)
             elapsed = time.perf_counter() - start
             stats = engine.stats.as_dict()
         assert all(r.ok for r in results)
@@ -158,7 +170,7 @@ def run_benchmark():
     with CompileEngine(workers=4, cache=warm_cache,
                        preflight=False) as engine:
         start = time.perf_counter()
-        results = engine.run_batch(jobs)
+        results = _run(engine, jobs)
         elapsed = time.perf_counter() - start
         stats = engine.stats.as_dict()
     assert all(r.ok and r.cache_hit for r in results)
@@ -188,7 +200,7 @@ def run_benchmark():
     with CompileEngine(workers=4, cache=cache, preflight=False,
                        tracer=tracer, events=events) as engine:
         start = time.perf_counter()
-        results = engine.run_batch(jobs)
+        results = _run(engine, jobs)
         traced_elapsed = time.perf_counter() - start
     assert all(r.ok for r in results)
     assert not validate_chrome_trace(tracer.export_chrome())
@@ -213,7 +225,6 @@ def run_benchmark():
     # ZERO pool spawns and zero interpreter executions — and a
     # round-trip submit against the warm daemon is cheap enough to
     # quote as a p50 latency.
-    import asyncio
     import statistics
     import tempfile
 

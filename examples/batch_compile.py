@@ -13,8 +13,9 @@ layers on such a sweep:
    the cache without invoking the interpreter;
 3. **parameter bindings** — one schedule text sweeps a tuning knob,
    each binding a distinct cache entry;
-4. the **asyncio frontier** — a bounded queue that makes producers
-   wait (backpressure) instead of buffering unboundedly.
+4. the **asyncio frontier** — the service's one scheduler: every batch
+   goes through it, and its bounded queue makes producers wait
+   (backpressure) instead of buffering unboundedly.
 
 Run:  python examples/batch_compile.py
 
@@ -76,6 +77,16 @@ BROKEN = textwrap.dedent("""
 """).strip()
 
 
+def run(engine, jobs, max_queue=64):
+    """The jobs through a frontier over ``engine``; results come back
+    in submission order."""
+    async def go():
+        async with ServiceFrontier(engine, max_queue=max_queue) as frontier:
+            return await frontier.run(jobs)
+
+    return asyncio.run(go())
+
+
 def main():
     cache = CompilationCache(capacity=64)
     engine = CompileEngine(workers=2, cache=cache)
@@ -95,32 +106,27 @@ def main():
                        job_id=f"factor-{factor}")
             for factor in (2, 4, 8, 16)
         ]
-        for result in engine.run_batch(sweep):
+        for result in run(engine, sweep):
             body_copies = (result.output or "").count("1 : i64")
             print(f"{result.job_id}: {result.status.value}, "
                   f"body duplicated x{body_copies}")
 
         # Resubmitting the sweep answers from the cache: no worker runs.
         executed_before = engine.stats.executed
-        rerun = engine.run_batch(sweep)
+        rerun = run(engine, sweep)
         assert all(r.cache_hit for r in rerun)
         assert engine.stats.executed == executed_before
         print(f"warm resubmission: {len(rerun)} jobs, all cache hits "
               f"(hit rate {cache.stats.hit_rate:.0%})")
 
         # -- 4. the asyncio frontier with backpressure ------------------
-        async def through_the_frontier():
-            # max_queue=2: at most two jobs admitted ahead of the
-            # dispatchers; further submit() calls wait their turn.
-            async with ServiceFrontier(engine, max_queue=2) as frontier:
-                return await frontier.run([
-                    CompileJob(payload_text=PAYLOAD, script_text=SCHEDULE,
-                               params={"factor": factor},
-                               job_id=f"async-{factor}")
-                    for factor in (2, 4, 8, 16, 32)
-                ])
-
-        results = asyncio.run(through_the_frontier())
+        # max_queue=2: at most two jobs wait for a dispatch slot;
+        # further submit() calls wait their turn.
+        results = run(engine, [
+            CompileJob(payload_text=PAYLOAD, script_text=SCHEDULE,
+                       params={"factor": factor}, job_id=f"async-{factor}")
+            for factor in (2, 4, 8, 16, 32)
+        ], max_queue=2)
         fresh = sum(1 for r in results if not r.cache_hit)
         print(f"frontier run: {len(results)} jobs, {fresh} fresh "
               f"(only factor-32 was new)")

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.attributes import (
-    IntegerAttr,
     StringAttr,
     SymbolRefAttr,
     UnitAttr,
@@ -136,12 +135,6 @@ class TransformOp(Operation):
     def _str_attr(self, name: str, default: str = "") -> str:
         attr = self.attr(name)
         if isinstance(attr, StringAttr):
-            return attr.value
-        return default
-
-    def _int_attr(self, name: str, default: int = 0) -> int:
-        attr = self.attr(name)
-        if isinstance(attr, IntegerAttr):
             return attr.value
         return default
 

@@ -277,14 +277,3 @@ class TransformState(RewriteListener):
     def _index_discard_op(self, op: Operation) -> None:
         self._op_handles.pop(id(op), None)
         self._indexed_ops.pop(id(op), None)
-
-    # -- queries ------------------------------------------------------------------
-
-    def num_handles(self) -> int:
-        return len(self._ops)
-
-    def all_mapped_ops(self) -> List[Operation]:
-        out: List[Operation] = []
-        for ops in self._ops.values():
-            out.extend(ops)
-        return out

@@ -39,7 +39,7 @@ EVENTS_SCHEMA_VERSION = 1
 EVENT_TYPES = frozenset({
     # frontier
     "ADMITTED",       # job entered the admission queue (depth)
-    "DEQUEUED",       # a dispatcher popped it (depth)
+    "DEQUEUED",       # the job got a dispatch slot (depth)
     # engine front-end
     "STARTED",        # engine began processing
     "REJECTED",       # static preflight / parse refusal
@@ -84,7 +84,7 @@ class EventLog:
     ) -> Callable[[], None]:
         """Invoke ``callback(record)`` on every future emit; returns
         an unsubscribe callable. Callbacks run on the emitting thread
-        (the engine emits from dispatcher threads) and must be fast
+        (the engine emits from frontier slot threads) and must be fast
         and non-blocking — hand records off to a queue, do not
         process them inline. A raising callback is dropped from the
         subscriber list rather than poisoning subsequent emits."""

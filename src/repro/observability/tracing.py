@@ -4,8 +4,9 @@ A :class:`Span` is one timed unit of work — a job's admission wait, a
 cache lookup, one pool dispatch attempt, one top-level transform op —
 with a name, wall-clock start/end, a status, free-form attributes and
 a parent link. A :class:`Tracer` collects finished spans; it is
-thread-safe, so the asyncio frontier, the engine's dispatcher threads
-and (via :meth:`Tracer.record`) the pool workers all feed one trace.
+thread-safe, so the asyncio frontier, the frontier slot threads the
+engine runs on and (via :meth:`Tracer.record`) the pool workers all
+feed one trace.
 
 **Cross-process propagation.** Workers cannot share a tracer object
 with the engine; instead the engine ships a :class:`SpanContext`
@@ -33,7 +34,7 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 #: Version of the exported span/trace schema (bump on shape changes).
 TRACE_SCHEMA_VERSION = 1
@@ -338,9 +339,3 @@ def validate_chrome_trace(trace: Dict[str, object]) -> List[str]:
     if len(trace_ids) > 1:
         problems.append(f"multiple trace ids in one trace: {trace_ids}")
     return problems
-
-
-def iter_spans(trace: Dict[str, object]) -> Iterator[Dict[str, object]]:
-    """Convenience: the events of an exported trace (assumed valid)."""
-    for event in trace.get("traceEvents", []):  # type: ignore[union-attr]
-        yield event

@@ -268,36 +268,3 @@ def apply_patterns_greedily(
                     )
                 break
     return changed_any
-
-
-def _erase_dead_pure_ops(
-    root: Operation,
-    rewriter: PatternRewriter,
-    seed: Optional[Sequence[Operation]] = ()
-) -> bool:
-    """Erase unused pure ops, chasing def-use chains with a worklist.
-
-    One walk seeds the worklist (or pass ``seed`` to limit the sweep to
-    known candidates); erasing an op re-enqueues its operand definers,
-    so chains of dead ops cost O(erased), not O(tree x chains).
-    """
-    worklist = _Worklist()
-    for op in (seed or root.walk()):
-        if op is not root:
-            worklist.push(op)
-    erased_any = False
-    while worklist:
-        op = worklist.pop()
-        if op.parent is None or not _is_attached(op, root):
-            continue
-        if op is root or not _is_trivially_dead(op):
-            continue
-        defs = [
-            d for d in (v.defining_op() for v in op.operands)
-            if d is not None
-        ]
-        rewriter.erase_op(op)
-        erased_any = True
-        for defining in defs:
-            worklist.push(defining)
-    return erased_any

@@ -25,10 +25,11 @@ Layers (each its own module):
   ``func.func`` (it asks each transform op whether it is
   function-local) and the text splice that joins per-function cache
   entries back into a module;
-* :mod:`repro.service.frontier` — the one admission queue: bounded,
-  ordered by priority class then arrival, backpressure when full; a
-  job the engine's memory can answer is answered at admission and
-  never queues;
+* :mod:`repro.service.frontier` — the one scheduler: queued jobs wait
+  for a dispatch slot by priority class then arrival, the queue is
+  bounded with backpressure when full, and ``close()`` drains admitted
+  work; a job the engine's memory can answer is answered at admission
+  and never queues;
 * :mod:`repro.service.cli` — everything argparse: the flags and
   engine factory the CLIs share, the one result reporter, the
   ``--timing`` service report, and ``repro-batch`` (one driver over a local frontier or ``--connect``);

@@ -1,7 +1,9 @@
-"""Job scheduling over the worker pool.
+"""Job execution over the worker pool.
 
-The engine takes :class:`CompileJob`\\ s and produces
-:class:`JobResult`\\ s. Every job walks one linear pipeline — the body
+The engine takes one :class:`CompileJob` per call and produces its
+:class:`JobResult`; which jobs run when, and how many at once, is the
+frontier's decision (:class:`~repro.service.frontier.ServiceFrontier`,
+the service's one scheduler). Every job walks one linear pipeline — the body
 of :meth:`CompileEngine.run_job` — whose steps either return a
 terminal result or fall through, cheapest first:
 
@@ -101,7 +103,6 @@ from collections import Counter, OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError
 from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
-from concurrent.futures.thread import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -308,10 +309,11 @@ def _mark(span, status: Optional[str] = None, **attributes) -> None:
 
 
 class CompileEngine:
-    """Schedules compile jobs over a process pool with caching.
+    """Runs compile jobs over a process pool with caching.
 
     Thread-safe: :meth:`run_job` may be called concurrently from many
-    dispatcher threads (the asyncio frontier does exactly that).
+    threads (the asyncio frontier runs one per dispatch slot,
+    :class:`~repro.service.frontier.ServiceFrontier`).
     """
 
     def __init__(self, workers: int = 1,
@@ -378,7 +380,7 @@ class CompileEngine:
         # the registries) and before the pool forks, so children
         # inherit the registries instead of importing them per worker.
         _ensure_registered()
-        # Create the pool eagerly, before any dispatcher threads
+        # Create the pool eagerly, before any frontier threads
         # exist — fork-after-thread is where pools get fragile.
         self._ensure_pool()
 
@@ -1073,17 +1075,3 @@ class CompileEngine:
                 job, key, *failure, attempts, timeout, pool, generation)
             if result is not None:
                 return result
-
-    def run_batch(self, jobs: Sequence[CompileJob]) -> List[JobResult]:
-        """Run a batch; results come back in submission order.
-
-        With ``workers=0`` the batch runs strictly sequentially in
-        process; otherwise a small dispatcher thread per worker feeds
-        the pool so distinct jobs overlap and duplicate jobs coalesce.
-        """
-        jobs = list(jobs)
-        if self.workers == 0 or not jobs:
-            return [self.run_job(job) for job in jobs]
-        dispatchers = min(len(jobs), max(2 * self.workers, 2))
-        with ThreadPoolExecutor(max_workers=dispatchers) as dispatch:
-            return list(dispatch.map(self.run_job, jobs))

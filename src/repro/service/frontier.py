@@ -1,20 +1,24 @@
-"""The service's one admission queue.
+"""The service's one scheduler.
 
 :class:`ServiceFrontier` is the single place that decides in what
-order, and how many, undispatched jobs wait: a bounded
-``asyncio.PriorityQueue`` in front of the engine, ordered by priority
-class (:data:`PRIORITY_RANKS`) and then by arrival. Producers
-``await submit(...)`` — when the queue is full they block (in arrival
-order), which *is* the backpressure mechanism: admission slows to the
-rate workers drain the queue instead of buffering unboundedly. A job
-the engine can answer from memory (:meth:`CompileEngine.answer`: inputs
-memoized, result cached) is answered at admission and never queues. A
-small set of dispatcher tasks pops the others and runs
-:meth:`CompileEngine.run_job` on a private thread pool (the engine
-call blocks on the process pool; threads keep the event loop free).
-Nothing already dispatched is ever preempted.
+order, and how many, jobs run. A job the engine can answer from memory
+(:meth:`CompileEngine.answer`: inputs memoized, result cached) is
+answered at admission and never queues. Every other job takes a place
+in a heap ordered by priority class (:data:`PRIORITY_RANKS`) and then
+by arrival, and waits there for one of ``max(engine.workers, 1)``
+dispatch slots; with the slot, its own ``submit`` coroutine runs
+:meth:`CompileEngine.run_job` on a private thread pool (the engine call
+blocks on the process pool; threads keep the event loop free). Nothing
+already dispatched is ever preempted, and a slot is freed when the
+engine call returns, so the thread pool is never oversubscribed.
 
-Both front doors share this queue: ``repro-batch`` (local mode) and
+At most ``max_queue`` jobs wait in the heap; further submitters block
+(in arrival order) before they get a place, which *is* the
+backpressure mechanism: admission slows to the rate slots drain the
+heap instead of buffering unboundedly. :meth:`ServiceFrontier.close`
+refuses new submits and waits until every admitted job has finished.
+
+Both front doors share this scheduler: ``repro-batch`` (local mode) and
 the ``repro-serve`` daemon; their CLIs live in
 :mod:`repro.service.cli` and :mod:`repro.service.server`.
 """
@@ -23,15 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import heapq
 import itertools
-import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
-
-from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..observability.metrics import DEPTH_BUCKETS
-from ..testing.faults import FaultPlan, FaultSite
+from ..testing.faults import FaultSite
 from .engine import CompileEngine, CompileJob, JobResult
 
 #: Priority classes in rank order (lower rank dispatches first).
@@ -41,65 +44,39 @@ PRIORITY_RANKS: Dict[str, int] = {
     "background": 2,
 }
 
-#: Shutdown sentinels rank behind every class, so ``close()`` drains
-#: all admitted work before the dispatchers see them. Queue entries
-#: are ``(rank, arrival seq, item-or-None)``; the unique ``seq`` keeps
-#: the comparison from ever reaching the third field.
-_SENTINEL_RANK = len(PRIORITY_RANKS)
-
-
-@dataclass
-class _QueueItem:
-    """One admitted job in flight between ``submit`` and a dispatcher.
-
-    ``taken`` is the single-ownership flag between the three parties
-    that may finish an item — a dispatcher popping it, a racing
-    ``submit`` refusing it after losing the close race, and ``close``
-    draining leftovers stranded behind the shutdown sentinels. All
-    three run on the event loop, so flipping the flag is atomic; the
-    first to flip it owns the item's future, spans, and depth count.
-    """
-
-    job: CompileJob
-    future: asyncio.Future
-    root: object = None
-    wait: object = None
-    taken: bool = field(default=False)
-
 
 class ServiceClosedError(RuntimeError):
     """Raised by :meth:`ServiceFrontier.submit` once the frontier has
-    begun (or finished) closing: the dispatchers are draining toward
-    their shutdown sentinels, so a newly enqueued job would sit behind
-    them forever and its submitter would hang. Subclasses
-    ``RuntimeError`` so pre-existing broad handlers keep working."""
+    begun (or finished) closing. Subclasses ``RuntimeError`` so
+    pre-existing broad handlers keep working."""
 
 
 class ServiceFrontier:
-    """Bounded-queue asyncio admission layer over a
+    """Priority-slot asyncio scheduler over a
     :class:`~repro.service.engine.CompileEngine`.
 
     Use as an async context manager::
 
         async with ServiceFrontier(engine, max_queue=32) as frontier:
-            results = await asyncio.gather(
-                *(frontier.submit(job) for job in jobs)
-            )
+            results = await frontier.run(jobs)
     """
 
-    def __init__(self, engine: CompileEngine, max_queue: int = 64,
-                 dispatchers: Optional[int] = None):
+    def __init__(self, engine: CompileEngine, max_queue: int = 64):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self.engine = engine
         self.max_queue = max_queue
-        self.dispatchers = dispatchers or max(engine.workers, 1)
-        self._queue: Optional[asyncio.PriorityQueue] = None
+        self.slots = max(engine.workers, 1)
+        self._free = self.slots
+        #: The queue: a heap of ``(rank, arrival, waiter)``; setting a
+        #: waiter's result hands its job a slot.
+        self._waiting: List[Tuple[int, int, asyncio.Future]] = []
         self._seq = itertools.count()
-        self._tasks: List[asyncio.Task] = []
+        self._room: Optional[asyncio.Semaphore] = None
         self._threads: Optional[ThreadPoolExecutor] = None
+        #: Set when no admitted job is queued or holds a slot.
+        self._idle: Optional[asyncio.Event] = None
         self._depth = 0
-        self._depth_lock = threading.Lock()
         self._depth_samples = engine.metrics.histogram(
             "service.queue_depth", DEPTH_BUCKETS)
         self._depth_now = engine.metrics.gauge("service.queue_depth_current")
@@ -115,83 +92,55 @@ class ServiceFrontier:
         await self.close()
 
     async def start(self) -> None:
-        if self._queue is not None:
+        if self._threads is not None:
             return
         self._closing = False
-        self._queue = asyncio.PriorityQueue(maxsize=self.max_queue)
+        self._room = asyncio.Semaphore(self.max_queue)
+        self._idle = asyncio.Event()
+        self._idle.set()
         self._threads = ThreadPoolExecutor(
-            max_workers=self.dispatchers,
-            thread_name_prefix="repro-dispatch",
-        )
-        self._tasks = [
-            asyncio.create_task(self._dispatch(), name=f"dispatch-{i}")
-            for i in range(self.dispatchers)
-        ]
+            max_workers=self.slots, thread_name_prefix="repro-dispatch")
 
     async def close(self) -> None:
-        """Drain the queue, stop dispatchers, release the thread pool.
-
-        Jobs admitted before ``close()`` are still drained to
-        completion; ``submit()`` calls arriving from here on raise
-        :class:`ServiceClosedError` — enqueueing behind the shutdown
-        sentinels would hang the submitter forever. A submit that
-        *races* the close (already past its closed check, parked in
-        ``queue.put``) is refused the same way: its spans are ended,
-        its future fails with :class:`ServiceClosedError`, and any
-        copy stranded in the queue is drained here, never dispatched
-        and never leaked."""
-        if self._queue is None:
+        """Refuse new submits, wait until every admitted job has
+        finished, then release the thread pool. Idempotent."""
+        if self._threads is None:
             return
         self._closing = True
-        for _ in self._tasks:
-            await self._queue.put(
-                (_SENTINEL_RANK, next(self._seq), None)
-            )
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        # A submit() parked in queue.put() while the sentinels went in
-        # can land after the dispatchers have consumed them and
-        # exited. Any job stranded that way would never be dispatched
-        # and its submitter would await its future forever — refuse
-        # them now instead.
-        while not self._queue.empty():
-            item = self._queue.get_nowait()[2]
-            if item is None or item.taken:
-                continue
-            self._refuse(item)
-        self._tasks = []
+        await self._idle.wait()
         if self._threads is not None:
             self._threads.shutdown(wait=True)
             self._threads = None
-        self._queue = None
 
     # -- admission -----------------------------------------------------------
 
     @property
     def queue_depth(self) -> int:
-        with self._depth_lock:
-            return self._depth
+        return self._depth
 
-    def _edge(self, item: _QueueItem, delta: int, event: str,
+    def _edge(self, job: CompileJob, delta: int, event: str, wait=None,
               span_status: str = "ok", **fields) -> None:
         """One queue edge, told to every observer at once: move the
         depth counter by ``delta``, sample it into the engine's
         ``service.queue_depth`` histogram and current-depth gauge, end
         the ``queue.wait`` span when the job leaves the queue, and
         emit ``event`` carrying the new depth. Depth is sampled on
-        *both* edges: enqueue sees the rising slope (how deep
+        *both* edges: admission sees the rising slope (how deep
         backpressure let the queue grow), dequeue the falling one
-        (how fast dispatchers drain it)."""
-        with self._depth_lock:
-            self._depth += delta
-            depth = self._depth
-        self._depth_samples.observe(depth)
-        self._depth_now.set(depth)
+        (how fast slots drain it). Runs on the event loop only."""
+        self._depth += delta
+        if delta > 0:
+            self._idle.clear()
+        elif not self._depth and self._free == self.slots:
+            self._idle.set()
+        self._depth_samples.observe(self._depth)
+        self._depth_now.set(self._depth)
         tracer = getattr(self.engine, "tracer", None)
         if tracer is not None and delta < 0:
-            tracer.end_span(item.wait, span_status)
+            tracer.end_span(wait, span_status)
         events = getattr(self.engine, "events", None)
         if events is not None:
-            events.emit(event, job_id=item.job.job_id, depth=depth,
+            events.emit(event, job_id=job.job_id, depth=self._depth,
                         **fields)
 
     async def submit(self, job: CompileJob,
@@ -199,13 +148,11 @@ class ServiceFrontier:
         """Admit one job and await its result.
 
         ``priority`` names a class in :data:`PRIORITY_RANKS`; queued
-        jobs dispatch by rank, then arrival (unknown class:
+        jobs take slots by rank, then arrival (unknown class:
         ``ValueError``). Blocks (asynchronously) while the queue is
         full — backpressure propagates to the producer rather than
         growing a buffer. Raises :class:`ServiceClosedError` once
-        :meth:`close` has begun (a job enqueued behind the shutdown
-        sentinels would never be dispatched and this coroutine would
-        hang forever).
+        :meth:`close` has begun; a job admitted before that completes.
         """
         if priority not in PRIORITY_RANKS:
             raise ValueError(
@@ -216,12 +163,12 @@ class ServiceFrontier:
             raise ServiceClosedError(
                 "frontier is closed (or draining); submit() rejected"
             )
-        if self._queue is None:
+        if self._threads is None:
             raise RuntimeError("frontier is not started")
         # Admission is where a job's trace is rooted: the root span
         # covers the whole frontier residency (queue wait + engine),
-        # and ``queue.wait`` — ended by the dispatcher that pops the
-        # job — measures admission-to-dispatch latency alone.
+        # and ``queue.wait`` — ended when the job gets its slot —
+        # measures admission-to-dispatch latency alone.
         tracer = getattr(self.engine, "tracer", None)
         root = wait = None
         if tracer is not None:
@@ -229,7 +176,7 @@ class ServiceFrontier:
                 f"job:{job.job_id}", attributes={"job_id": job.job_id}
             )
         # What the engine's memory can answer is answered here, on the
-        # event loop: a hit takes no queue slot and no thread hop.
+        # event loop: a hit takes no queue place and no thread hop.
         answer = getattr(self.engine, "answer", None)
         result = answer(job, root) if answer is not None else None
         if result is not None:
@@ -242,54 +189,73 @@ class ServiceFrontier:
                 "queue.wait", parent=root,
                 attributes={"job_id": job.job_id},
             )
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        item = _QueueItem(job, future, root, wait)
-        # Count the job before it is visible to dispatchers — the
-        # other order lets a dispatcher pop and decrement first,
-        # driving the counter (and the queue-depth samples) transiently
-        # negative.
-        self._edge(item, +1, "ADMITTED")
+        self._edge(job, +1, "ADMITTED")
+        loop = asyncio.get_running_loop()
+        waiter = loop.create_future()
         try:
-            await self._queue.put(
-                (PRIORITY_RANKS[priority], next(self._seq), item)
-            )
+            async with self._room:
+                heapq.heappush(self._waiting, (
+                    PRIORITY_RANKS[priority], next(self._seq), waiter))
+                self._hand_off()
+                await waiter
         except BaseException:
-            with self._depth_lock:
-                self._depth -= 1
+            if waiter.done() and not waiter.cancelled():
+                self._release()  # handed a slot just as it was cancelled
+            # Cancelled before it ran: the job leaves the queue here,
+            # with its one terminal event.
+            self._edge(job, -1, "COMPLETED", wait, "error",
+                       status="cancelled")
             if tracer is not None:
-                tracer.end_span(wait, "error")
                 tracer.end_span(root, "error")
             raise
-        if self._closing and not item.taken:
-            # Lost the race with close(): the check at the top passed,
-            # but close() began while this coroutine was parked in
-            # queue.put(), and the dispatchers may already have
-            # consumed their shutdown sentinels and exited. A
-            # dispatcher that already claimed the item (taken) will
-            # still complete it; otherwise refuse it here so the await
-            # below raises instead of hanging forever.
-            self._refuse(item)
-        return await future
+        self._edge(job, -1, "DEQUEUED", wait)
+        faults = getattr(self.engine, "faults", None)
+        stall = (faults.stall_seconds if faults is not None and faults.fire(
+            FaultSite.QUEUE_STALL, job.job_id) else 0)
+        future = loop.run_in_executor(
+            self._threads, self._run, job, root, stall)
+        # The slot is the engine call's, not the submitter's: it is
+        # freed when the call returns, even if the submitter was
+        # cancelled meanwhile.
+        future.add_done_callback(functools.partial(self._ran, root))
+        return await asyncio.shield(future)
 
-    def _refuse(self, item: _QueueItem) -> None:
-        """Terminate a refused admission: end its spans with an error,
-        emit the terminal event, and fail its future. Runs on the
-        event loop only; the caller must not have ceded ownership
-        (``item.taken``) to a dispatcher."""
-        item.taken = True
-        # Every refusal path must end what admission started, or the
-        # exported trace carries spans that never finished
-        # (validate_chrome_trace flags the children as orphans).
-        self._edge(item, -1, "COMPLETED", "error",
-                   status="cancelled", refused=True)
+    def _hand_off(self) -> None:
+        """Give every free slot to the first live waiter in (rank,
+        arrival) order; waiters cancelled while queued are dropped."""
+        while self._free and self._waiting:
+            waiter = heapq.heappop(self._waiting)[2]
+            if not waiter.done():
+                self._free -= 1
+                waiter.set_result(None)
+
+    def _release(self) -> None:
+        self._free += 1
+        self._hand_off()
+        if not self._depth and self._free == self.slots:
+            self._idle.set()
+
+    def _run(self, job: CompileJob, root, stall: float) -> JobResult:
+        if stall:
+            # Injected stall: the job holds its slot before the engine
+            # sees it, as behind a briefly wedged event loop.
+            time.sleep(stall)
+        if root is None:
+            return self.engine.run_job(job)
+        return self.engine.run_job(job, parent_span=root)
+
+    def _ran(self, root, future: asyncio.Future) -> None:
+        self._release()
         tracer = getattr(self.engine, "tracer", None)
-        if tracer is not None:
-            tracer.end_span(item.root, "error")
-        if not item.future.done():
-            item.future.set_exception(ServiceClosedError(
-                "frontier closed while the job was being admitted; "
-                "the job was refused before dispatch"
-            ))
+        if tracer is None:
+            return
+        error = future.exception()
+        if error is not None:
+            root.attributes["exception"] = f"{type(error).__name__}: {error}"
+            tracer.end_span(root, "error")
+        else:
+            result = future.result()
+            tracer.end_span(root, "ok" if result.ok else result.status.value)
 
     async def run(self, jobs: Sequence[CompileJob]) -> List[JobResult]:
         """Submit all jobs (respecting backpressure) and gather results
@@ -297,55 +263,3 @@ class ServiceFrontier:
         return list(await asyncio.gather(
             *(self.submit(job) for job in jobs)
         ))
-
-    # -- dispatch ------------------------------------------------------------
-
-    async def _dispatch(self) -> None:
-        loop = asyncio.get_running_loop()
-        assert self._queue is not None
-        while True:
-            item = (await self._queue.get())[2]
-            if item is None:
-                return
-            if item.taken:
-                # Refused by a racing submit()/close() that already
-                # ended the spans and failed the future; nothing left
-                # to do (depth was settled by the refuser too).
-                continue
-            item.taken = True
-            job, future, root = item.job, item.future, item.root
-            self._edge(item, -1, "DEQUEUED")
-            tracer = getattr(self.engine, "tracer", None)
-            if future.done():
-                if tracer is not None:
-                    tracer.end_span(root, "cancelled")
-                continue
-            faults: Optional[FaultPlan] = getattr(
-                self.engine, "faults", None
-            )
-            if faults is not None and faults.fire(
-                    FaultSite.QUEUE_STALL, job.job_id):
-                # Injected dispatcher stall: the job sits decoded but
-                # undispatched, as under a briefly wedged event loop.
-                await asyncio.sleep(faults.stall_seconds)
-            run = (functools.partial(self.engine.run_job, job,
-                                     parent_span=root)
-                   if tracer is not None
-                   else functools.partial(self.engine.run_job, job))
-            try:
-                result = await loop.run_in_executor(self._threads, run)
-            except Exception as error:  # defensive: surface, don't hang
-                if tracer is not None:
-                    root.attributes["exception"] = (
-                        f"{type(error).__name__}: {error}"
-                    )
-                    tracer.end_span(root, "error")
-                if not future.done():
-                    future.set_exception(error)
-                continue
-            if tracer is not None:
-                tracer.end_span(
-                    root, "ok" if result.ok else result.status.value
-                )
-            if not future.done():
-                future.set_result(result)

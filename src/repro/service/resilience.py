@@ -178,20 +178,9 @@ class JobQuarantine:
         return (
             f"error: job quarantined as poisoned after {count} pool "
             f"{status} failure(s) (circuit breaker threshold "
-            f"{self.policy.threshold}); it will not be retried until "
-            f"the quarantine is cleared"
+            f"{self.policy.threshold}); it will not be retried by "
+            f"this engine"
         )
-
-    @property
-    def poisoned_count(self) -> int:
-        with self._lock:
-            return len(self._poisoned)
-
-    def clear(self) -> None:
-        """Forget everything (e.g. after a transform-stack upgrade)."""
-        with self._lock:
-            self._failures.clear()
-            self._poisoned.clear()
 
 
 @dataclass(frozen=True)
@@ -237,13 +226,3 @@ class PoolHealthMonitor:
                 self._tripped = True
                 return True
             return False
-
-    @property
-    def tripped(self) -> bool:
-        with self._lock:
-            return self._tripped
-
-    @property
-    def recent_restarts(self) -> int:
-        with self._lock:
-            return len(self._restarts)

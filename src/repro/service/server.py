@@ -35,8 +35,8 @@ admission quota exhausted), ``bad-request``, and ``internal``.
 
 Scheduling: submits carry a priority class (``interactive`` <
 ``batch`` < ``background`` by rank) and go straight into the
-frontier's one admission queue (:mod:`repro.service.frontier`), which
-dispatches by class and then arrival: an interactive job overtakes
+frontier, the one scheduler (:mod:`repro.service.frontier`), which
+hands dispatch slots out by class and then arrival: an interactive job overtakes
 every queued batch job without preempting anything already
 dispatched (a job the engine can answer from memory — a cache hit on
 memoized inputs — is answered at admission and never queues). The
@@ -225,7 +225,7 @@ class CompileServer:
 
     def _on_event(self, record: Dict[str, object]) -> None:
         """EventLog subscriber: runs on the *emitting* thread (engine
-        dispatcher threads included), so it only trampolines onto the
+        frontier slot threads included), so it only trampolines onto the
         loop — and only the records somebody streams: a stream is
         registered before its job is submitted, so a job id without
         one now has no reader later. The per-job queues are touched on
@@ -574,7 +574,6 @@ class CompileServer:
         return {
             "server": server,
             "draining": self._draining,
-            "queue_depth": self.frontier.queue_depth,
             "metrics": self.engine.metrics_snapshot(server=server),
         }
 

@@ -60,7 +60,7 @@ class FaultSite(str, enum.Enum):
     DISK_WRITE_ERROR = "disk_write_error"
     #: The disk-cache read returns corrupted bytes.
     DISK_READ_CORRUPT = "disk_read_corrupt"
-    #: The frontier dispatcher stalls briefly before running a job.
+    #: A job stalls briefly in its frontier dispatch slot before it runs.
     QUEUE_STALL = "queue_stall"
 
 

@@ -5,6 +5,7 @@ before any engine (and hence any pool) is constructed — so fork-started
 workers inherit them and can execute the hostile schedules.
 """
 
+import asyncio
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from repro.service import (
     CompileJob,
     JobStatus,
     RetryPolicy,
+    ServiceFrontier,
 )
 
 
@@ -122,6 +124,15 @@ def _hostile_script(op_name):
 
 def _job(payload=PAYLOAD, script=UNROLL, **kwargs):
     return CompileJob(payload_text=payload, script_text=script, **kwargs)
+
+
+def _run(engine, jobs):
+    """The jobs through a frontier over ``engine``, in submission order."""
+    async def go():
+        async with ServiceFrontier(engine) as frontier:
+            return await frontier.run(jobs)
+
+    return asyncio.run(go())
 
 
 class TestClassification:
@@ -297,7 +308,7 @@ class TestInputMemo:
                     for n in range(6)]
         jobs = [_job(payload=payload) for payload in payloads] * 2
         with CompileEngine(workers=1) as pooled:
-            expected = [r.output for r in pooled.run_batch(jobs)]
+            expected = [r.output for r in _run(pooled, jobs)]
         with CompileEngine(workers=1) as engine:
             engine._degrade_pool()
             assert engine.degraded
@@ -442,9 +453,9 @@ class TestPooledEquivalence:
             _job(script=UNROLL_BOUND),
         ]
         with CompileEngine(workers=0, cache=None) as engine:
-            sequential = engine.run_batch(jobs)
+            sequential = [engine.run_job(job) for job in jobs]
         with CompileEngine(workers=2, cache=None) as engine:
-            pooled = engine.run_batch(jobs)
+            pooled = _run(engine, jobs)
         assert len(sequential) == len(pooled) == len(jobs)
         for seq, pool in zip(sequential, pooled):
             assert pool.status is seq.status
@@ -494,7 +505,7 @@ class TestBatchAndCoalescing:
             _job(script=USE_AFTER_CONSUME, job_id="c"),
         ]
         with CompileEngine(workers=1) as engine:
-            results = engine.run_batch(jobs)
+            results = _run(engine, jobs)
         assert [r.job_id for r in results] == ["a", "b", "c"]
         assert results[2].status is JobStatus.REJECTED
 
@@ -502,7 +513,7 @@ class TestBatchAndCoalescing:
         cache = CompilationCache(capacity=8)
         jobs = [_job(job_id=f"dup-{i}") for i in range(6)]
         with CompileEngine(workers=2, cache=cache) as engine:
-            results = engine.run_batch(jobs)
+            results = _run(engine, jobs)
             stats = engine.stats
         assert all(r.status is JobStatus.SUCCESS for r in results)
         outputs = {r.output for r in results}
@@ -513,7 +524,7 @@ class TestBatchAndCoalescing:
 
     def test_empty_batch(self):
         with CompileEngine(workers=0) as engine:
-            assert engine.run_batch([]) == []
+            assert _run(engine, []) == []
 
 
 class TestStrictParity:

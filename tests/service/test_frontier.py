@@ -1,12 +1,19 @@
 """ServiceFrontier admission layer and the repro-batch CLI."""
 
 import asyncio
+import inspect
 import json
 import threading
 
 import pytest
 
-from repro.observability import MetricsRegistry
+from repro.observability import (
+    MetricsRegistry,
+    Tracer,
+    validate_chrome_trace,
+    validate_events,
+)
+from repro.observability.events import EventLog
 from repro.service import (
     CompilationCache,
     CompileEngine,
@@ -23,6 +30,20 @@ from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
 
 def _job(script=UNROLL, **kwargs):
     return CompileJob(payload_text=PAYLOAD, script_text=script, **kwargs)
+
+
+class _HeldEngine(CompileEngine):
+    """An in-process engine whose executions wait for ``release``;
+    answering at admission (``may_parse=False``) never waits."""
+
+    def __init__(self, **kwargs):
+        super().__init__(workers=0, **kwargs)
+        self.release = threading.Event()
+
+    def run_job(self, job, parent_span=None, **kwargs):
+        if kwargs.get("may_parse", True):
+            assert self.release.wait(10.0)
+        return super().run_job(job, parent_span, **kwargs)
 
 
 async def until(condition):
@@ -68,8 +89,7 @@ class TestFrontier:
         async def go():
             with CompileEngine(workers=0,
                                cache=CompilationCache()) as engine:
-                async with ServiceFrontier(engine, max_queue=1,
-                                           dispatchers=1) as frontier:
+                async with ServiceFrontier(engine, max_queue=1) as frontier:
                     results = await frontier.run(jobs)
                     depth = frontier.queue_depth
                 return results, depth, engine.stats.completed
@@ -87,8 +107,7 @@ class TestFrontier:
 
         async def go():
             with CompileEngine(workers=0) as engine:
-                async with ServiceFrontier(engine, max_queue=2,
-                                           dispatchers=2) as frontier:
+                async with ServiceFrontier(engine, max_queue=2) as frontier:
                     return await frontier.run(jobs), engine
 
         results, engine = asyncio.run(go())
@@ -159,7 +178,7 @@ class TestFrontier:
 
         async def go():
             engine = _SlowEngine()
-            frontier = ServiceFrontier(engine, dispatchers=1)
+            frontier = ServiceFrontier(engine)
             await frontier.start()
             admitted = asyncio.ensure_future(
                 frontier.submit(_job(job_id="admitted"))
@@ -178,108 +197,73 @@ class TestFrontier:
         asyncio.run(go())
 
     def test_close_racing_submit_refuses_instead_of_hanging(self):
-        # Regression (close/submit race): submit() passed its closed
-        # check, then parked in queue.put(); close() ran to completion
-        # meanwhile. asyncio.Queue wakeups are not FIFO-fair with
-        # fresh puts, so the job could land behind (or after) the
-        # shutdown sentinels — never dispatched, submitter hung
-        # forever. The gate below deterministically forces that exact
-        # interleaving: the job's put is held while close() finishes,
-        # then released into the dead queue.
+        # close() is a drain: every submit admitted before it began —
+        # running, queued, or still waiting for queue room — completes,
+        # and close() returns only after them; a submit arriving once
+        # close() has begun raises instead of hanging.
         async def go():
-            with CompileEngine(workers=0) as engine:
-                frontier = ServiceFrontier(engine, dispatchers=1)
+            with _HeldEngine() as engine:
+                frontier = ServiceFrontier(engine, max_queue=1)
                 await frontier.start()
-                gate = asyncio.Event()
-                parked = asyncio.Event()
-                real_put = frontier._queue.put
-
-                async def gated_put(item):
-                    if item[2] is not None:  # sentinels pass the gate
-                        parked.set()
-                        await gate.wait()
-                    await real_put(item)
-
-                frontier._queue.put = gated_put
-                submitter = asyncio.ensure_future(
-                    frontier.submit(_job(job_id="racer"))
-                )
-                # The submit is past its closed-flag check, parked in
-                # put(); now let close() win the race outright.
-                await asyncio.wait_for(parked.wait(), timeout=5.0)
-                await asyncio.wait_for(frontier.close(), timeout=5.0)
-                gate.set()
+                admitted = [
+                    asyncio.ensure_future(
+                        frontier.submit(_job(job_id=f"a{i}")))
+                    for i in range(3)
+                ]
+                # a0 holds the one slot, a1 the one queue place, and
+                # a2 waits for room; all three are admitted.
+                await until(lambda: frontier.queue_depth == 2)
+                closer = asyncio.ensure_future(frontier.close())
+                await asyncio.sleep(0.05)
                 with pytest.raises(ServiceClosedError):
-                    await asyncio.wait_for(submitter, timeout=5.0)
+                    await asyncio.wait_for(
+                        frontier.submit(_job(job_id="racer")), timeout=5.0)
+                assert not closer.done()
+                engine.release.set()
+                await asyncio.wait_for(closer, timeout=10.0)
+                assert all(task.done() for task in admitted)
+                return [task.result() for task in admitted]
 
-        asyncio.run(go())
+        results = asyncio.run(go())
+        assert [r.job_id for r in results] == ["a0", "a1", "a2"]
+        assert all(r.ok for r in results)
 
     def test_refused_submit_ends_spans_and_trace_validates(self, tmp_path):
-        # Regression (span leak on refusal): the per-job root span
-        # opens before admission, so a refusal used to leave it (and
-        # its queue.wait child) unended — validate_chrome_trace then
-        # flags the child as an orphan because unended spans never
-        # reach the exporter. Interleave the same close/submit race
-        # with a tracer attached and check the exported trace.
-        from repro.observability import (
-            Tracer,
-            validate_chrome_trace,
-            validate_events,
-        )
-        from repro.observability.events import EventLog
-
+        # A submit refused because close() has begun opens no span and
+        # emits no event, so the exported trace and the event stream
+        # stay valid; the job admitted before close() is traced whole.
         tracer = Tracer()
         events = EventLog()
 
         async def go():
-            with CompileEngine(workers=0, tracer=tracer,
-                               events=events) as engine:
-                frontier = ServiceFrontier(engine, dispatchers=1)
+            with _HeldEngine(tracer=tracer, events=events) as engine:
+                frontier = ServiceFrontier(engine)
                 await frontier.start()
-                ok = await frontier.submit(_job(job_id="fine"))
-                assert ok.ok
-                gate = asyncio.Event()
-                parked = asyncio.Event()
-                real_put = frontier._queue.put
-
-                async def gated_put(item):
-                    if item[2] is not None:
-                        parked.set()
-                        await gate.wait()
-                    await real_put(item)
-
-                frontier._queue.put = gated_put
-                submitter = asyncio.ensure_future(
-                    frontier.submit(_job(job_id="refused"))
-                )
-                await asyncio.wait_for(parked.wait(), timeout=5.0)
-                await asyncio.wait_for(frontier.close(), timeout=5.0)
-                gate.set()
+                admitted = asyncio.ensure_future(
+                    frontier.submit(_job(job_id="fine")))
+                await until(lambda: "DEQUEUED" in [
+                    r["event"] for r in events.records()])
+                closer = asyncio.ensure_future(frontier.close())
+                await asyncio.sleep(0)
                 with pytest.raises(ServiceClosedError):
-                    await asyncio.wait_for(submitter, timeout=5.0)
+                    await frontier.submit(_job(job_id="refused"))
+                engine.release.set()
+                await asyncio.wait_for(closer, timeout=10.0)
+                assert admitted.result().ok
 
         asyncio.run(go())
         trace_out = tmp_path / "trace.json"
         tracer.write_chrome(str(trace_out))
         trace = json.loads(trace_out.read_text())
         assert validate_chrome_trace(trace) == []
-        # The refused job's spans are present and marked as errors —
-        # ended, not leaked.
-        statuses = {
-            event["args"].get("status")
-            for event in trace["traceEvents"]
-            if event.get("ph") == "X"
-            and event["args"].get("job_id") == "refused"
-        }
-        assert statuses == {"error"}
-        # The event stream stays schema-valid too: the refusal emits
-        # the terminal COMPLETED (status=cancelled) so the vocabulary
-        # stays closed.
+        spans = [event["args"].get("job_id")
+                 for event in trace["traceEvents"] if event.get("ph") == "X"]
+        assert "fine" in spans and "refused" not in spans
         assert validate_events(events.records()) == []
-        refusal = [r for r in events.records()
-                   if r.get("job_id") == "refused"]
-        assert [r["event"] for r in refusal] == ["ADMITTED", "COMPLETED"]
-        assert refusal[-1]["status"] == "cancelled"
+        assert [r["event"] for r in events.records()
+                if r.get("job_id") == "fine"][-1] == "COMPLETED"
+        assert not [r for r in events.records()
+                    if r.get("job_id") == "refused"]
 
     def test_interactive_overtakes_every_queued_batch_job(self):
         # One dispatcher, default max_queue: b0 is dispatched (gated
@@ -302,7 +286,7 @@ class TestFrontier:
 
         async def go():
             engine = _GatedEngine()
-            async with ServiceFrontier(engine, dispatchers=1) as frontier:
+            async with ServiceFrontier(engine) as frontier:
                 batch = [
                     asyncio.ensure_future(
                         frontier.submit(_job(job_id=f"b{i}"))
@@ -349,6 +333,107 @@ class TestFrontier:
                     return await frontier.submit(_job())
                 finally:
                     await frontier.close()
+
+        assert asyncio.run(go()).ok
+
+
+    def test_submit_cancelled_while_queued_leaves_the_queue(self, tmp_path):
+        # Regression: a submit cancelled while queued stayed in the
+        # queue depth until a dispatcher popped it, its queue.wait span
+        # ended "ok", and its events stopped at ADMITTED, DEQUEUED.
+        tracer = Tracer()
+        events = EventLog()
+
+        async def go():
+            with _HeldEngine(tracer=tracer, events=events) as engine:
+                async with ServiceFrontier(engine) as frontier:
+                    first = asyncio.ensure_future(
+                        frontier.submit(_job(job_id="first")))
+                    queued = asyncio.ensure_future(frontier.submit(
+                        _job(script=UNROLL_BOUND, job_id="queued")))
+                    await until(lambda: frontier.queue_depth == 1)
+                    queued.cancel()
+                    with pytest.raises(asyncio.CancelledError):
+                        await queued
+                    depth = frontier.queue_depth
+                    after = asyncio.ensure_future(frontier.submit(
+                        _job(script=UNROLL_BOUND, job_id="after")))
+                    await until(lambda: frontier.queue_depth == 1)
+                    engine.release.set()
+                    return depth, await first, await after
+
+        depth, first, after = asyncio.run(go())
+        assert depth == 0
+        assert first.ok and after.ok
+        cancelled = [r for r in events.records()
+                     if r.get("job_id") == "queued"]
+        assert [r["event"] for r in cancelled] == ["ADMITTED", "COMPLETED"]
+        assert cancelled[-1]["status"] == "cancelled"
+        assert validate_events(events.records()) == []
+        trace_out = tmp_path / "trace.json"
+        tracer.write_chrome(str(trace_out))
+        trace = json.loads(trace_out.read_text())
+        assert validate_chrome_trace(trace) == []
+        statuses = {
+            event["args"].get("status")
+            for event in trace["traceEvents"]
+            if event.get("ph") == "X"
+            and event["args"].get("job_id") == "queued"
+        }
+        assert statuses == {"error"}
+
+    def test_a_slot_handed_to_a_cancelled_waiter_is_passed_on(self):
+        # "queued" is cancelled in the instant between being handed the
+        # slot "first" freed and resuming: it must pass the slot to
+        # "next" rather than keep it, or "next" and close() would hang.
+        events = EventLog()
+
+        async def go():
+            with _HeldEngine(events=events) as engine:
+                async with ServiceFrontier(engine) as frontier:
+                    first = asyncio.ensure_future(
+                        frontier.submit(_job(job_id="first")))
+                    queued = asyncio.ensure_future(frontier.submit(
+                        _job(script=UNROLL_BOUND, job_id="queued")))
+                    after = asyncio.ensure_future(frontier.submit(
+                        _job(script=UNROLL_BOUND, job_id="next")))
+                    await until(lambda: frontier.queue_depth == 2)
+                    release = frontier._release
+                    cancelled = []
+
+                    def release_then_cancel():
+                        release()
+                        if not cancelled:
+                            cancelled.append(True)
+                            queued.cancel()
+
+                    frontier._release = release_then_cancel
+                    engine.release.set()
+                    results = await asyncio.wait_for(
+                        asyncio.gather(first, after), timeout=10.0)
+                    assert queued.cancelled()
+                    return results, frontier.queue_depth
+
+        (first, after), depth = asyncio.run(go())
+        assert first.ok and after.ok and depth == 0
+        assert [r["event"] for r in events.records()
+                if r.get("job_id") == "queued"] == ["ADMITTED", "COMPLETED"]
+        assert validate_events(events.records()) == []
+
+    def test_the_frontier_is_the_one_scheduler(self):
+        # Queued jobs wait for a slot inside their own submit
+        # coroutine: no dispatcher tasks, no dispatcher knob, and no
+        # second scheduler on the engine.
+        assert "dispatchers" not in inspect.signature(
+            ServiceFrontier.__init__).parameters
+        assert not hasattr(CompileEngine, "run_batch")
+
+        async def go():
+            with CompileEngine(workers=0) as engine:
+                before = asyncio.all_tasks()
+                async with ServiceFrontier(engine) as frontier:
+                    assert asyncio.all_tasks() == before
+                    return await frontier.submit(_job())
 
         assert asyncio.run(go()).ok
 

@@ -20,11 +20,12 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
     "analysis": 829,
-    "core": 1969,
+    "core": 1956,
     "ir": 2181,
     "passes": 1694,
-    "service": 2659,
-    "service/engine.py": 600,
+    "service": 2593,
+    "service/engine.py": 591,
+    "service/frontier.py": 165,
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
