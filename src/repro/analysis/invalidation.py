@@ -35,7 +35,9 @@ its class's ``DERIVES`` declaration (:mod:`repro.core.dialect`):
 
 * **nested** edges (``match_op``: the result points strictly inside
   the operand's payload; ``get_parent_op`` declares the reverse,
-  ``"enclosing"``) — consumption flows source -> derived only;
+  ``"enclosing"``; between results, ``NESTED_RESULTS``: ``loop.tile``'s
+  point band sits inside its tile band) — consumption flows source ->
+  derived only;
 * **subset** edges (``foreach`` block arguments, ``split_handle``,
   ``merge_handles``, ``select``, ``cast``: the result points at the
   same payload ops) — consumption flows both ways.
@@ -181,7 +183,12 @@ class InvalidationAnalysis(ForwardAnalysis):
             fact = state.consumed.get(id(operand))
             if fact is not None:
                 self._report(op, operand, fact, state)
-        derives = declared(op).DERIVES
+        facts = declared(op)
+        results = op.results
+        for inner, outer in facts.NESTED_RESULTS:
+            if max(inner, outer) < len(results):
+                state.add_nested(results[outer], results[inner])
+        derives = facts.DERIVES
         if derives is not None:
             for operand in op.operands:
                 for result in op.results:
@@ -200,8 +207,16 @@ class InvalidationAnalysis(ForwardAnalysis):
 
     def after_regions(self, op: Operation, state: AbstractState,
                       recoverable: bool) -> None:
+        self.consume(op, state, declared(op).CONSUMES)
+
+    def consume(self, op: Operation, state: AbstractState,
+                consumes: Tuple[int, ...]) -> None:
+        """Step ``op`` past its regions: mark its operands at
+        ``consumes`` consumed together with their alias closure, then
+        define its results. ``after_regions`` passes the op's declared
+        ``CONSUMES``; the schedule builder passes the contract of the
+        macro an unexpanded ``include`` calls."""
         assert isinstance(state, HandleState)
-        consumes = declared(op).CONSUMES
         closure_ids: Set[int] = set()
         if consumes:
             token = state.skip_tokens

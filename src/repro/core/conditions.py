@@ -94,22 +94,8 @@ def conditions_of(transform_op: Operation) -> Optional[TransformConditions]:
     Returns None when the op declares nothing (treated as unknown).
     """
     if transform_op.name == "transform.apply_registered_pass":
-        from ..passes.manager import PASS_REGISTRY
-
-        pass_name_attr = transform_op.attr("pass_name")
-        pass_name = getattr(pass_name_attr, "value", "")
-        cls = PASS_REGISTRY.get(pass_name)
-        if cls is None:
-            return None
-        pre = getattr(cls, "PRECONDITIONS", None)
-        post = getattr(cls, "POSTCONDITIONS", None)
-        if pre is None and post is None:
-            return None
-        return TransformConditions(
-            pass_name,
-            frozenset(normalize_spec(s) for s in (pre or ())),
-            frozenset(normalize_spec(s) for s in (post or ())),
-        )
+        return pass_conditions(
+            getattr(transform_op.attr("pass_name"), "value", ""))
     pre = getattr(type(transform_op), "PRECONDITIONS", None)
     post = getattr(type(transform_op), "POSTCONDITIONS", None)
     if not pre and not post:

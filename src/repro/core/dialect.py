@@ -107,6 +107,10 @@ class TransformOp(Operation):
     #: invalidates the other), ``"enclosing"`` (ancestors of it:
     #: consuming a result invalidates the operands) or None.
     DERIVES: Optional[str] = None
+    #: ``(inner, outer)`` result index pairs: result ``inner``'s payload
+    #: is strictly inside result ``outer``'s, so consuming ``outer``
+    #: invalidates ``inner``.
+    NESTED_RESULTS: Tuple[Tuple[int, int], ...] = ()
     #: Its only effect is producing its results (handles or params).
     RESULT_ONLY = False
     #: Its payload effect distributes over disjoint top-level functions.
@@ -733,6 +737,7 @@ class LoopTileOp(TransformOp):
 
     NAME = "transform.loop.tile"
     CONSUMES = (0,)
+    NESTED_RESULTS = ((1, 0),)  # the point band is inside the tile band
     FUNCTION_LOCAL = True
     PRECONDITIONS = frozenset({"scf.for"})
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant", "arith.addi"})

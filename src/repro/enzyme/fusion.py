@@ -123,12 +123,6 @@ class FusionReport:
     #: Per-cluster seconds for introspection.
     cluster_seconds: List[float]
 
-    @property
-    def largest_working_set(self) -> float:
-        return max(
-            (c.working_set_bytes for c in self.clusters), default=0.0
-        )
-
 
 class FusionCostModel:
     """Greedy fusion + roofline cost with a cache-pressure penalty."""

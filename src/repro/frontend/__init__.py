@@ -12,9 +12,11 @@ fluent schedule shape):
   they key the compile-service caches exactly like textual payloads.
 * :class:`Schedule` builds transform scripts fluently
   (``Schedule().match("linalg.matmul").tile(sizes=[32, 32]).unroll(4)``)
-  with build-time handle-consumption tracking: use-after-consume is a
-  Python :class:`ScheduleError`, and emitted scripts pass ``repro-lint``
-  with no error-severity diagnostics by construction.
+  by stepping each emitted op through the lint's use-after-consume
+  analysis, so build-time consumption follows the lint's rule:
+  use-after-consume is a Python :class:`ScheduleError`, and emitted
+  scripts pass ``repro-lint`` with no error-severity diagnostics by
+  construction.
 
 ``repro-batch`` / ``repro-submit`` accept ``.py`` modules using either
 surface via :mod:`repro.frontend.loader`.

@@ -4,19 +4,23 @@
 emits the same transform IR one would write by hand, with two
 guarantees the textual path cannot give:
 
-* **Use-after-consume is a Python error.** Every emitted op that takes
-  or produces a payload handle passes through one helper
-  (``_Scope._emit``) that reads the op class's declarations
-  (:mod:`repro.core.dialect`): the operands at ``CONSUMES`` (§3.1) are
-  marked dead at build time together with every handle derived from
-  them, and the results are linked to the operands per ``DERIVES`` —
-  the same edges the lint's invalidation analysis draws — so reusing a
-  dead handle raises :class:`~repro.frontend.errors.ScheduleError`
-  before ``repro-lint`` (let alone the interpreter) ever sees the
-  script. An ``include`` consumes what its callee does: a macro
-  defined here records it while its body is built, a shipped library
-  macro's contract is what the invalidation analysis finds consumed
-  when it runs over the macro's inlined body.
+* **Use-after-consume is a Python error.** The builder is a client of
+  the lint's use-after-consume analysis
+  (:class:`~repro.analysis.invalidation.InvalidationAnalysis`, without
+  may-alias facts): each scope holds one analysis state and steps every
+  op it emits through the dataflow engine, so what an op class declares
+  it consumes and derives (:mod:`repro.core.dialect`) acts here
+  exactly as it acts in the lint. A handle is usable iff its
+  value is defined in the scope's state and carries no consumption
+  fact there, of any severity; passing any other handle raises
+  :class:`~repro.frontend.errors.ScheduleError` before ``repro-lint``
+  (let alone the interpreter) ever sees the script. An
+  ``alternatives`` region is built on a fork of its parent's state, so
+  a handle consumed in region *k* is still usable in region *k + 1*
+  (rollback restores it) but dead after the op. An ``include``
+  consumes what its callee's contract says: the arguments with a
+  consumption fact at the end of the macro body, read the same way for
+  a macro defined here and for a shipped library macro.
 * **Lint-clean by construction.** Because the builder refuses stale
   handles and only ``include``\\ s sequences it knows are defined, the
   emitted script carries zero error-severity ``repro-lint``
@@ -28,8 +32,8 @@ it, in-place transforms keep it, and a consuming transform moves it to
 its main result (``tile`` → the inner loop, ``split`` → the main
 part). When a consuming transform returns nothing (``unroll``,
 ``to_library``), the cursor falls back to the most recently created
-handle still live — after ``.tile(...).unroll(4)`` the chain continues
-on the *outer* tile loop.
+handle of the scope still live — after ``.tile(...).unroll(4)`` the
+chain continues on the *outer* tile loop.
 
 ``param(value, binding="NAME")`` emits ``transform.param.constant
 {binding = "NAME"}``, the anchor the service's parameter-override path
@@ -44,14 +48,14 @@ from typing import (
 )
 
 from ..analysis.dataflow import ForwardEngine
-from ..analysis.invalidation import InvalidationAnalysis
+from ..analysis.invalidation import HandleState, InvalidationAnalysis
 from ..core import dialect as transform
 from ..core import schedules
 from ..core.script_transforms import inlined_script
 from ..core.types import ANY_OP
 from ..dialects import builtin
 from ..ir.builder import Builder
-from ..ir.core import Operation, Value
+from ..ir.core import Block, Operation, Value
 from ..ir.hashing import op_digest
 from ..ir.parser import parse
 from ..ir.printer import print_op
@@ -63,8 +67,7 @@ __all__ = ["Handle", "Schedule"]
 class Handle:
     """One transform handle (or param) tracked by the builder."""
 
-    __slots__ = ("value", "kind", "is_param", "label", "consumed_by",
-                 "_scope", "_down")
+    __slots__ = ("value", "kind", "is_param", "label", "_scope")
 
     def __init__(self, scope: "_Scope", value: Value,
                  kind: Optional[str] = None, is_param: bool = False,
@@ -74,21 +77,16 @@ class Handle:
         self.kind = kind
         self.is_param = is_param
         self.label = label
-        self.consumed_by: Optional[str] = None
-        #: Handles invalidated together with this one — the builder's
-        #: mirror of the lint's derivation edges, drawn by ``_emit``.
-        self._down: List["Handle"] = []
 
     @property
     def live(self) -> bool:
-        return self.consumed_by is None
+        """Usable in the scope that created it (see :meth:`_Scope._usable`)."""
+        return self._scope._usable(self)
 
     def __repr__(self) -> str:
-        state = f"consumed by {self.consumed_by}" if self.consumed_by \
-            else "live"
         name = self.label or self.kind or ("param" if self.is_param
                                            else "any")
-        return f"<handle {name}: {state}>"
+        return f"<handle {name}: {'live' if self.live else 'dead'}>"
 
 
 class _MacroInfo(NamedTuple):
@@ -96,38 +94,48 @@ class _MacroInfo(NamedTuple):
     n_results: int
 
 
+def _contract(macro: Operation, exit_state: HandleState) -> _MacroInfo:
+    """A macro's call-site contract, read off the analysis state at the
+    end of its body: the arguments that carry a consumption fact, and
+    the number of handles it yields."""
+    body = macro.body
+    return _MacroInfo(
+        tuple(i for i, arg in enumerate(body.args)
+              if id(arg) in exit_state.consumed),
+        body.terminator.num_operands)
+
+
 @functools.lru_cache(maxsize=None)
 def _library_macros(library_ir: str) -> Dict[str, _MacroInfo]:
-    """Consumption/result contracts of a schedule library, read off
-    each macro of the inlined library by the invalidation analysis:
-    the arguments that end up (maybe) consumed and the number of
-    handles it yields."""
+    """Contracts of a schedule library: the invalidation analysis run
+    over each macro of the inlined library."""
     engine = ForwardEngine(InvalidationAnalysis(may_alias=False))
     library = inlined_script(parse(library_ir, "<schedule-library>"))
-    macros = {}
-    for op in library.walk_ops("transform.named_sequence"):
-        consumed = engine.run_entry(op).consumed
-        macros[op.sym_name] = _MacroInfo(
-            tuple(i for i, arg in enumerate(op.body.args)
-                  if id(arg) in consumed),
-            op.body.terminator.num_operands)
-    return macros
+    return {op.sym_name: _contract(op, engine.run_entry(op))
+            for op in library.walk_ops("transform.named_sequence")}
 
 
 class _Scope:
     """Shared emission machinery for the entry sequence, macro bodies,
-    and ``alternatives`` regions."""
+    and ``alternatives`` regions. The entry sequence and a macro body
+    start from a fresh analysis state, a region from a fork of its
+    parent's (``state``)."""
 
-    def __init__(self, schedule: "Schedule", builder: Builder,
+    def __init__(self, schedule: "Schedule", block: Block,
                  root: Optional[Handle],
-                 parent: Optional["_Scope"] = None):
+                 parent: Optional["_Scope"] = None,
+                 state: Optional[HandleState] = None):
         self._schedule = schedule
-        self._builder = builder
+        self._builder = Builder.at_end(block)
         self._root = root
         self._parent = parent
         self._cursor: Optional[Handle] = None
         self._named: Dict[str, Handle] = {}
-        self._live: List[Handle] = []
+        #: Result handles emitted in this scope, oldest first.
+        self._made: List[Handle] = []
+        analysis = schedule._engine.analysis
+        self._state = analysis.make_state() if state is None else state
+        analysis.enter_block(block, self._state)
         self._open = True
 
     # -- bookkeeping -------------------------------------------------------
@@ -159,74 +167,61 @@ class _Scope:
             )
         return ref
 
+    def _usable(self, handle: Handle) -> bool:
+        """The builder's one rule: the handle's value is defined in this
+        scope's state and has no consumption fact there."""
+        vid = id(handle.value)
+        return vid in self._state.defined and vid not in self._state.consumed
+
     def _operand(self, ref: Union[Handle, str], op: str) -> Handle:
         handle = self._resolve(ref)
-        if not handle.live:
-            who = handle.label or handle.kind or "handle"
-            raise ScheduleError(
-                f"use-after-consume: {who} was already consumed by "
-                f"'{handle.consumed_by}' and cannot be passed to '{op}'"
-            )
-        return handle
+        if self._usable(handle):
+            return handle
+        fact = self._state.consumed.get(id(handle.value))
+        why = (f"was already consumed by '{fact.op.name}'" if fact
+               else "is out of scope (its region, macro or schedule "
+               "is closed)")
+        raise ScheduleError(
+            f"use-after-consume: {handle.label or handle.kind or 'handle'} "
+            f"{why} and cannot be passed to '{op}'"
+        )
 
-    def _invalidate(self, handle: Handle, op: str) -> None:
-        """Mark ``handle`` consumed, plus its whole derivation closure
-        — exactly the set the lint's invalidation analysis would flag
-        (subset aliases both ways, nested handles downward)."""
-        stack = [handle]
-        while stack:
-            current = stack.pop()
-            if not current.live:
-                continue
-            current.consumed_by = op
-            owner = current._scope
-            if current in owner._live:
-                owner._live.remove(current)
-            stack.extend(current._down)
+    def _step(self, op: Operation) -> None:
+        """Run the just-emitted ``op`` through the analysis on this
+        scope's state — where handles die (recoverability only grades
+        severity, which the builder does not read)."""
+        self._schedule._engine.run_op(op, self._state, recoverable=False)
 
-    def _emit(self, op: Operation, what: str, operands: Sequence[Handle],
-              kinds: Sequence[Optional[str]] = (),
+    def _emit(self, op: Operation, kinds: Sequence[Optional[str]] = (),
               names: Optional[Sequence[Optional[str]]] = None,
-              consumes: Optional[Sequence[int]] = None) -> List[Handle]:
-        """Apply the declarations of the just-emitted ``op`` to the
-        builder's handles — the one place a handle dies or a
-        derivation edge is drawn.
-
-        ``operands`` are the payload handles ``op`` takes, in operand
-        order. Those at the op class's ``CONSUMES`` indices (an
-        ``include`` passes its callee's instead) are marked consumed
-        with their derivation closure; each result becomes a live
-        handle of payload kind ``kinds[i]``, registered as
-        ``names[i]``, linked to every operand per the class's
-        ``DERIVES``. Returns the result handles."""
-        facts = transform.declared(op)
-        for index in facts.CONSUMES if consumes is None else consumes:
-            if index < len(operands):
-                self._invalidate(self._operand(operands[index], what), what)
+              consumes: Optional[Tuple[int, ...]] = None) -> List[Handle]:
+        """Step the just-emitted ``op`` and return its results as
+        handles: result ``i`` of payload
+        kind ``kinds[i]``, registered as ``names[i]``. An ``include``
+        passes its callee's ``consumes`` contract in place of the op's
+        own (empty) declaration."""
+        if consumes is None:
+            self._step(op)
+        else:
+            self._schedule._engine.analysis.consume(op, self._state,
+                                                    consumes)
         results = []
         for index, value in enumerate(op.results):
             kind = kinds[index] if index < len(kinds) else None
             name = names[index] if names and index < len(names) else None
             result = Handle(self, value, kind=kind, label=name)
-            self._live.append(result)
+            self._made.append(result)
             if name is not None:
                 self._named[name] = result
-            for operand in operands if facts.DERIVES else ():
-                # nested: consuming the operand kills the result;
-                # enclosing: the reverse; subset: both.
-                if facts.DERIVES != "enclosing":
-                    operand._down.append(result)
-                if facts.DERIVES != "nested":
-                    result._down.append(operand)
             results.append(result)
         return results
 
-    def _emit_pair(self, op: Operation, what: str, handle: Handle,
+    def _emit_pair(self, op: Operation, what: str,
                    names: Optional[Tuple[str, str]], keep: str,
                    first: str, second: str) -> "_Scope":
         """Emit a transform that consumes a loop into two; the cursor
         moves to the one ``keep`` names."""
-        pair = self._emit(op, what, [handle], ["scf.for", "scf.for"], names)
+        pair = self._emit(op, ["scf.for", "scf.for"], names)
         if keep not in (first, second):
             raise ScheduleError(
                 f"{what} keep= must be '{first}' or '{second}'")
@@ -239,7 +234,7 @@ class _Scope:
         return self._cursor_handle(what)
 
     def _cursor_handle(self, op: str) -> Handle:
-        if self._cursor is None or not self._cursor.live:
+        if self._cursor is None or not self._usable(self._cursor):
             raise ScheduleError(
                 f"'{op}' needs a current handle: start the chain with "
                 ".match(...) or .use(name)"
@@ -247,7 +242,8 @@ class _Scope:
         return self._cursor
 
     def _fallback_cursor(self) -> None:
-        self._cursor = self._live[-1] if self._live else None
+        self._cursor = next((handle for handle in reversed(self._made)
+                             if self._usable(handle)), None)
 
     def _sizes_arg(self, sizes, op: str):
         """An int list stays an attribute; a param handle becomes an
@@ -284,20 +280,18 @@ class _Scope:
               name: Optional[str] = None) -> "_Scope":
         """``transform.match_op``: select payload ops by name."""
         self._require_open("match")
-        scope = self._operand(in_, "match") if in_ is not None else self.root
+        scope = self._operand(self.root if in_ is None else in_, "match")
         result = transform.match_op(self._builder, scope.value, names,
                                     position=position)
         kind = names if isinstance(names, str) else None
-        self._cursor, = self._emit(result.defining_op(), "match", [scope],
-                                   [kind], [name])
+        self._cursor, = self._emit(result.defining_op(), [kind], [name])
         return self
 
     def select(self, op_name: str, name: Optional[str] = None) -> "_Scope":
         """``transform.select``: filter the cursor by payload op name."""
         handle = self._subject("select")
         result = transform.select(self._builder, handle.value, op_name)
-        self._cursor, = self._emit(result.defining_op(), "select", [handle],
-                                   [op_name], [name])
+        self._cursor, = self._emit(result.defining_op(), [op_name], [name])
         return self
 
     def merge(self, *refs: Union[Handle, str],
@@ -312,7 +306,7 @@ class _Scope:
             operands=[h.value for h in handles],
             result_types=[ANY_OP],
         )
-        self._cursor, = self._emit(op, "merge", handles, names=[name])
+        self._cursor, = self._emit(op, names=[name])
         return self
 
     def param(self, value: Union[int, Sequence[int]],
@@ -325,6 +319,7 @@ class _Scope:
         result = transform.param_constant(self._builder, value)
         if binding is not None:
             result.defining_op().set_attr("binding", binding)
+        self._step(result.defining_op())
         handle = Handle(self, result, is_param=True, label=name or binding)
         if name is not None:
             self._named[name] = handle
@@ -355,8 +350,7 @@ class _Scope:
             sizes = self._sizes_arg(sizes, "tile")
             op = transform.loop_tile(self._builder, handle.value,
                                      sizes)[0].defining_op()
-        return self._emit_pair(op, "tile", handle, names, keep,
-                               "outer", "inner")
+        return self._emit_pair(op, "tile", names, keep, "outer", "inner")
 
     def split(self, div_by, keep: str = "main",
               names: Optional[Tuple[str, str]] = None) -> "_Scope":
@@ -365,8 +359,8 @@ class _Scope:
         div_by = self._sizes_arg(div_by, "split")
         handle = self._cursor_handle("split")
         main, _ = transform.loop_split(self._builder, handle.value, div_by)
-        return self._emit_pair(main.defining_op(), "split", handle, names,
-                               keep, "main", "rest")
+        return self._emit_pair(main.defining_op(), "split", names, keep,
+                               "main", "rest")
 
     def peel(self, keep: str = "main",
              names: Optional[Tuple[str, str]] = None) -> "_Scope":
@@ -377,8 +371,7 @@ class _Scope:
             operands=[handle.value],
             result_types=[ANY_OP, ANY_OP],
         )
-        return self._emit_pair(op, "peel", handle, names, keep,
-                               "main", "rest")
+        return self._emit_pair(op, "peel", names, keep, "main", "rest")
 
     def unroll(self, factor: Optional[int] = None,
                full: bool = False) -> "_Scope":
@@ -386,8 +379,7 @@ class _Scope:
         cursor falls back to the most recent live handle."""
         handle = self._subject("unroll")
         self._emit(transform.loop_unroll(self._builder, handle.value,
-                                         factor=factor, full=full),
-                   "unroll", [handle])
+                                         factor=factor, full=full))
         self._fallback_cursor()
         return self
 
@@ -397,8 +389,7 @@ class _Scope:
         outer = self._subject("interchange")
         inner = self._operand(with_, "interchange")
         self._emit(transform.loop_interchange(self._builder, outer.value,
-                                              inner.value),
-                   "interchange", [outer, inner])
+                                              inner.value))
         return self
 
     def hoist(self, target: Optional[Union[Handle, str]] = None) -> "_Scope":
@@ -407,8 +398,7 @@ class _Scope:
         operands = [handle] + ([self._operand(target, "hoist")]
                                if target is not None else [])
         self._emit(transform.loop_hoist(self._builder,
-                                        *[h.value for h in operands]),
-                   "hoist", operands)
+                                        *[h.value for h in operands]))
         return self
 
     def vectorize(self, width: Union[int, Handle, str] = 8) -> "_Scope":
@@ -418,8 +408,7 @@ class _Scope:
         width = self._sizes_arg(width, "vectorize") \
             if not isinstance(width, int) else width
         self._emit(transform.loop_vectorize(self._builder, handle.value,
-                                            width),
-                   "vectorize", [handle])
+                                            width))
         return self
 
     # -- structured transforms ---------------------------------------------
@@ -432,8 +421,7 @@ class _Scope:
             operands=[handle.value],
             result_types=[ANY_OP],
         )
-        self._cursor, = self._emit(op, "generalize", [handle],
-                                   ["linalg.generic"])
+        self._cursor, = self._emit(op, ["linalg.generic"])
         return self
 
     def lower_to_loops(self) -> "_Scope":
@@ -444,16 +432,14 @@ class _Scope:
             operands=[handle.value],
             result_types=[ANY_OP],
         )
-        self._cursor, = self._emit(op, "lower_to_loops", [handle],
-                                   ["scf.for"])
+        self._cursor, = self._emit(op, ["scf.for"])
         return self
 
     def to_library(self, library: str = "libxsmm") -> "_Scope":
         """``transform.to_library``: replace the cursor nest with a
         microkernel call (consumes)."""
         handle = self._subject("to_library")
-        self._emit(transform.to_library(self._builder, handle.value, library),
-                   "to_library", [handle])
+        self._emit(transform.to_library(self._builder, handle.value, library))
         self._fallback_cursor()
         return self
 
@@ -465,16 +451,13 @@ class _Scope:
         handle = self._subject("apply_registered_pass")
         result = transform.apply_registered_pass(
             self._builder, handle.value, pass_name, options)
-        self._cursor, = self._emit(result.defining_op(),
-                                   "apply_registered_pass", [handle],
-                                   names=[name])
+        self._cursor, = self._emit(result.defining_op(), names=[name])
         return self
 
     def apply_patterns(self, *pattern_names: str) -> "_Scope":
         handle = self._subject("apply_patterns")
         self._emit(transform.apply_patterns(self._builder, handle.value,
-                                            list(pattern_names)),
-                   "apply_patterns", [handle])
+                                            list(pattern_names)))
         return self
 
     def annotate(self, attr_name: str, value=None) -> "_Scope":
@@ -483,14 +466,12 @@ class _Scope:
         if isinstance(value, Handle):
             value = self._operand(value, "annotate").value
         self._emit(transform.annotate(self._builder, handle.value, attr_name,
-                                      value),
-                   "annotate", [handle])
+                                      value))
         return self
 
     def print_(self, message: str = "") -> "_Scope":
         handle = self._subject("print")
-        self._emit(transform.print_(self._builder, handle.value, message),
-                   "print", [handle])
+        self._emit(transform.print_(self._builder, handle.value, message))
         return self
 
     # -- control flow -------------------------------------------------------
@@ -499,8 +480,9 @@ class _Scope:
                      scope: Optional[Union[Handle, str]] = None) -> "_Scope":
         """``transform.alternatives``: each callable populates one
         region against a nested scope; ``None`` leaves an empty
-        (always-succeeding) fallback region. Handles consumed inside
-        any region are conservatively dead afterwards."""
+        (always-succeeding) fallback region. Each region starts from
+        the state before the op; a handle consumed in any region is
+        dead after it."""
         self._require_open("alternatives")
         if not regions:
             raise ScheduleError("alternatives needs at least one region")
@@ -509,16 +491,20 @@ class _Scope:
         op = transform.alternatives(
             self._builder, n_regions=len(regions),
             scope=scope_handle.value if scope_handle else None)
-        self._emit(op, "alternatives", [scope_handle] if scope_handle else [])
-        for body, region in zip(regions, op.regions):
+        analysis = self._schedule._engine.analysis
+        for index, (body, region) in enumerate(zip(regions, op.regions)):
             if body is None:
                 continue
-            nested = _Scope(self._schedule,
-                            Builder.at_end(region.entry_block),
-                            self._root, parent=self)
+            state = self._state.copy()
+            analysis.enter_alternatives_region(op, index, region.entry_block,
+                                               state)
+            nested = _Scope(self._schedule, region.entry_block, self._root,
+                            parent=self, state=state)
             nested._cursor = scope_handle or self._cursor
             body(nested)
-            nested._close("end of alternatives region")
+            nested._close()
+        # The engine re-forks the regions and joins what they consume.
+        self._step(op)
         return self
 
     def include(self, target: str,
@@ -538,18 +524,16 @@ class _Scope:
             transform.include(self._builder, target,
                               [h.value for h in handles],
                               n_results=info.n_results),
-            f"include @{target}", handles, names=[name],
-            consumes=info.consumes)
+            names=[name], consumes=info.consumes)
         if results:
             self._cursor = results[0]
-        elif self._cursor is not None and not self._cursor.live:
+        elif self._cursor is not None and not self._usable(self._cursor):
             self._fallback_cursor()
         return self
 
-    def _close(self, reason: str) -> None:
-        for handle in list(self._live):
-            handle.consumed_by = reason
-        self._live.clear()
+    def _close(self) -> None:
+        """Finalize the scope: nothing is defined in it any more."""
+        self._state = self._schedule._engine.analysis.make_state()
         self._open = False
 
 
@@ -557,8 +541,9 @@ class Schedule(_Scope):
     """The fluent schedule builder (entry ``transform.sequence``)."""
 
     def __init__(self):
-        op, builder, root_value = transform.sequence()
-        super().__init__(self, builder, None)
+        op, _, root_value = transform.sequence()
+        self._engine = ForwardEngine(InvalidationAnalysis(may_alias=False))
+        super().__init__(self, op.body, None)
         self._root = Handle(self, root_value, label="root")
         self._sequence_op = op
         self._macros: Dict[str, _MacroInfo] = {}
@@ -603,15 +588,11 @@ class Schedule(_Scope):
         self._require_unbuilt("define")
         if name in self._macros:
             raise ScheduleError(f"sequence @{name} is already defined")
-        op, builder, arg_values = transform.named_sequence(name,
-                                                           n_args=n_args)
-        scope = _Scope(self, builder, None)
-        arg_handles = [Handle(scope, value, label=f"arg{i}")
-                       for i, value in enumerate(arg_values)]
-        scope._root = arg_handles[0]
-        scope._cursor = arg_handles[0]
-        for i, handle in enumerate(arg_handles):
-            scope._named[f"arg{i}"] = handle
+        op, _, arg_values = transform.named_sequence(name, n_args=n_args)
+        scope = _Scope(self, op.body, None)
+        for i, value in enumerate(arg_values):
+            scope._named[f"arg{i}"] = Handle(scope, value, label=f"arg{i}")
+        scope._root = scope._cursor = scope._named["arg0"]
         returned = body(scope)
         if returned is None:
             yielded: List[Handle] = []
@@ -619,12 +600,10 @@ class Schedule(_Scope):
             yielded = [returned]
         else:
             yielded = list(returned)
-        values = [scope._operand(h, "yield").value for h in yielded]
-        transform.yield_(builder, values)
-        consumes = tuple(i for i, handle in enumerate(arg_handles)
-                         if not handle.live)
-        scope._close(f"end of named sequence @{name}")
-        self._macros[name] = _MacroInfo(consumes, len(values))
+        transform.yield_(scope._builder,
+                         [scope._operand(h, "yield").value for h in yielded])
+        self._macros[name] = _contract(op, scope._state)
+        scope._close()
         self._macro_ops.append(op)
         return self
 
@@ -645,7 +624,7 @@ class Schedule(_Scope):
             self._built = module
         else:
             self._built = self._sequence_op
-        self._close("schedule built")
+        self._close()
         return self._built
 
     @property

@@ -69,10 +69,6 @@ class AffineExpr:
                 sym_repl: Sequence["AffineExpr"] = ()) -> "AffineExpr":
         raise NotImplementedError
 
-    @property
-    def is_constant(self) -> bool:
-        return isinstance(self, AffineConstant)
-
 
 ExprLike = object  # AffineExpr | int
 

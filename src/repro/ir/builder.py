@@ -103,9 +103,6 @@ class Builder:
     def set_insertion_point_before(self, op: Operation) -> None:
         self.ip = InsertionPoint.before(op)
 
-    def set_insertion_point_after(self, op: Operation) -> None:
-        self.ip = InsertionPoint.after(op)
-
     # -- creation ------------------------------------------------------------
 
     def create(

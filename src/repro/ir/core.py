@@ -30,7 +30,6 @@ from typing import (
 )
 
 from .attributes import Attribute, AttrLike, attr as make_attr
-from .diagnostics import Diagnostic, Severity
 from .location import Location, UNKNOWN_LOC
 from .types import Type
 
@@ -421,11 +420,6 @@ class Operation:
         if self._digest is not None:
             invalidate_digest(self)
 
-    def replace_uses_of_with(self, old: Value, new: Value) -> None:
-        for operand in self._operands:
-            if operand.value is old:
-                operand.set(new)
-
     # -- results / attributes ------------------------------------------------
 
     @property
@@ -465,10 +459,6 @@ class Operation:
         if self.parent is None or self.parent.parent is None:
             return None
         return self.parent.parent.parent
-
-    @property
-    def parent_region(self) -> Optional["Region"]:
-        return self.parent.parent if self.parent is not None else None
 
     def ancestors(self) -> Iterator["Operation"]:
         op = self.parent_op
@@ -665,10 +655,6 @@ class Operation:
                     raise ValueError(f"{self.name}: region has multiple blocks")
         if SymbolTrait in traits and "sym_name" not in self.attributes:
             raise ValueError(f"{self.name}: symbol op lacks sym_name")
-
-    def emit_error(self, message: str) -> Diagnostic:
-        return Diagnostic(Severity.ERROR, f"'{self.name}': {message}",
-                          self.location)
 
     # -- display -------------------------------------------------------------
 

@@ -767,14 +767,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--frontend", action="store_true",
                         help="fuzz the repro.frontend schedule builder "
                         "instead: random fluent chains must emit "
-                        "lint-clean, round-trip-stable scripts and "
-                        "reject stale handles at the Python level")
+                        "lint-clean, round-trip-stable scripts, "
+                        "reject stale handles at the Python level and "
+                        "agree with the interpreter on a fixed payload")
     args = parser.parse_args(argv)
 
     if args.frontend:
         if args.case_seed is not None:
             outcome, failures = run_frontend_case(args.case_seed)
-            print(f"case-seed {args.case_seed}: {outcome.kind}")
+            print(f"case-seed {args.case_seed}: {outcome.kind} "
+                  f"(interpreter: {outcome.message})")
             for failure in failures:
                 print(f"  {failure}")
             return 0 if not failures else 1
@@ -821,6 +823,10 @@ class FrontendScheduleFuzzer:
     Along the way each case probes the
     Python-level use-after-consume guard with deliberately stale
     handles and records a violation if the builder fails to raise.
+    Each built script must also carry no use-after-consume issue of
+    any severity from the analysis the builder steps
+    (``may_alias=False``), and, interpreted on a fixed payload
+    (:func:`_frontend_payload`), pass the ``--differential`` oracle.
     """
 
     def __init__(self, rng: random.Random):
@@ -949,7 +955,9 @@ class FrontendScheduleFuzzer:
 def run_frontend_case(case_seed: int
                       ) -> Tuple[CaseOutcome, List[FuzzFailure]]:
     """Build one random schedule through the builder and check the
-    frontend invariants."""
+    frontend invariants. The outcome's message is the status class the
+    interpreter reached on the dynamic leg."""
+    from ..analysis.invalidation import analyze_script
     from ..analysis.lint import lint_script
     from ..ir.diagnostics import Severity
     from ..ir.hashing import op_digest
@@ -1011,17 +1019,49 @@ def run_frontend_case(case_seed: int
             failures.append(FuzzFailure(
                 case_seed, "include-expands", f"{problem}\n{text}"))
 
+    # The dynamic leg: the interpreter on a fixed payload agrees with
+    # both static readings of the script.
+    dynamic = _interpret(_frontend_payload(), script)
+    if dynamic.kind == "crash":
+        failures.append(FuzzFailure(case_seed, "no-uncaught-exceptions",
+                                    dynamic.message))
+    _differential_check(case_seed, script, dynamic, failures)
+    flagged = analyze_script(script, may_alias=False)
+    if flagged:
+        failures.append(FuzzFailure(
+            case_seed, "frontend-analysis-clean",
+            f"the builder accepted a handle the analysis flags: "
+            f"{flagged[0]}\n{text}"))
+
     kind = "clean" if not failures else "violated"
-    return CaseOutcome(kind, "", text), failures
+    return CaseOutcome(kind, dynamic.kind, text), failures
+
+
+def _frontend_payload() -> Operation:
+    """The payload of the ``--frontend`` dynamic leg: a matmul and a
+    batched matmul, with trip counts some tile sizes do not divide and
+    small enough that full unrolls stay cheap."""
+    from ..execution.workloads import (
+        build_batch_matmul_module, build_matmul_module,
+    )
+
+    module = build_matmul_module(6, 4, 8)
+    for op in list(build_batch_matmul_module(2, 4, 6, 4).body.ops):
+        module.body.append(op)
+    return module
 
 
 def run_frontend_fuzz(seed: int = 0, cases: int = 200) -> FuzzReport:
-    """Fuzz the schedule builder API (the ``--frontend`` mode)."""
+    """Fuzz the schedule builder API (the ``--frontend`` mode). The
+    report counts each case's verdict and, beside it, the status class
+    the interpreter reached on the dynamic leg."""
     report = FuzzReport(cases=cases)
     for index in range(cases):
         case_seed = seed * 1_000_003 + index
         outcome, failures = run_frontend_case(case_seed)
         report.outcomes[outcome.kind] += 1
+        if outcome.kind != "crash":  # else the message is the error
+            report.outcomes[outcome.message] += 1
         report.failures.extend(failures)
     return report
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ..ir.builder import Builder
 from ..ir.context import SymbolTable, nearest_symbol_table
 from ..ir.core import Operation, Value
-from .loop import LoopTransformError, _perfect_nest
+from .loop import LoopTransformError, _perfect_nest, _require_for
 
 #: A tile offset: an SSA value from outside the nest, or 0 (no offset).
 Offset = Union[Value, int]
@@ -90,6 +90,7 @@ def match_matmul_nest(root: Operation) -> MatmulPattern:
     Raises :class:`LoopTransformError` when the shape does not match —
     matching is the precondition check of the ``to_library`` transform.
     """
+    _require_for(root, "matmul match")
     nest = _perfect_nest(root, 3)
     dims: List[int] = []
     for loop in nest:

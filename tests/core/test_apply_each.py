@@ -130,6 +130,17 @@ def test_loop_transform_error_names_the_payload_op():
     assert "on payload op 'scf.for'" in interpreter.diagnostics.render()
 
 
+def test_to_library_on_a_non_loop_is_silenceable():
+    # It used to reach into ``body`` of the op and fail definitely with
+    # an uncaught AttributeError.
+    script, _ = each_op_script("to_library", {"library": "libxsmm"}, 0,
+                               "memref.load", position="first")
+    result = TransformInterpreter().apply(script, build_matmul_module(4, 4, 4))
+    assert result.is_silenceable
+    assert "matmul match requires an scf.for, got memref.load" \
+        in result.message
+
+
 @pytest.mark.parametrize("name,attributes", [("loop.split", {"div_by": 4}),
                                              ("loop.peel", {})])
 def test_results_follow_payload_order(name, attributes):

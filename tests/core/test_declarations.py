@@ -71,6 +71,12 @@ ERASABILITY_MOVED = {
 }
 
 
+#: Declared after the tables were gone: ``loop.tile``'s point band
+#: (result 1) is nested in its tile band (result 0), an edge no table
+#: had, so no checker saw the inner handle die with the outer one.
+NESTED_RESULTS = {"transform.loop.tile": ((1, 0),)}
+
+
 def _erasable(op):
     facts = declared(op)
     return facts.RESULT_ONLY and not facts.may_fail_silenceably()
@@ -93,6 +99,7 @@ class TestNothingMoved:
         assert type(op) is OP_REGISTRY[name] and declared(op) is op
         assert op.CONSUMES == consumes
         assert op.DERIVES == derives
+        assert op.NESTED_RESULTS == NESTED_RESULTS.get(name, ())
         assert op.RESULT_ONLY == result_only
         assert op.FUNCTION_LOCAL == shardable
         assert op.may_fail_silenceably() == may_fail
@@ -144,6 +151,7 @@ class TestNothingMoved:
         # consumes nothing, may fail, not dead, not function-local.
         facts = declared(Operation.create("transform.nobody_declared_me"))
         assert facts.CONSUMES == () and facts.DERIVES is None
+        assert facts.NESTED_RESULTS == ()
         assert facts.may_fail_silenceably() and not facts.ALWAYS_FAILS
         assert not facts.RESULT_ONLY and not facts.is_function_local()
 

@@ -73,7 +73,7 @@ class TestUseAfterConsume:
         loop = schedule.match("scf.for")._cursor
         schedule.unroll(2)
         with pytest.raises(ScheduleError,
-                           match="consumed by 'unroll'"):
+                           match="consumed by 'transform.loop.unroll'"):
             schedule.use(loop)
 
     def test_no_cursor_is_an_error(self):

@@ -19,9 +19,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    "analysis": 829,
-    "core": 1956,
-    "ir": 2181,
+    "analysis": 836,
+    "core": 1945,
+    "frontend/schedule.py": 448,
+    "ir": 2165,
     "passes": 1694,
     "service": 2593,
     "service/engine.py": 591,
