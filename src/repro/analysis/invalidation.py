@@ -207,16 +207,10 @@ class InvalidationAnalysis(ForwardAnalysis):
 
     def after_regions(self, op: Operation, state: AbstractState,
                       recoverable: bool) -> None:
-        self.consume(op, state, declared(op).CONSUMES)
-
-    def consume(self, op: Operation, state: AbstractState,
-                consumes: Tuple[int, ...]) -> None:
-        """Step ``op`` past its regions: mark its operands at
-        ``consumes`` consumed together with their alias closure, then
-        define its results. ``after_regions`` passes the op's declared
-        ``CONSUMES``; the schedule builder passes the contract of the
-        macro an unexpanded ``include`` calls."""
+        """Mark the operands ``op`` declares it consumes consumed,
+        together with their alias closure, then define its results."""
         assert isinstance(state, HandleState)
+        consumes = declared(op).CONSUMES
         closure_ids: Set[int] = set()
         if consumes:
             token = state.skip_tokens

@@ -284,10 +284,9 @@ class TransformInterpreter:
     def _process_consumption(self, op: Operation,
                              state: TransformState) -> None:
         """Invalidate handles consumed by ``op`` (and their aliases)."""
-        consumed = getattr(type(op), "CONSUMES", ())
         if not self.track_invalidation:
             return
-        for index in consumed:
+        for index in op.CONSUMES:
             if index < op.num_operands:
                 count = state.invalidate(
                     op.operand(index), f"'{op.name}' consuming its operand"
@@ -309,12 +308,10 @@ class TransformInterpreter:
             operand_type = operand.type
             if not isinstance(operand_type, OperationHandleType):
                 continue
-            if state.is_invalidated(operand):
-                continue  # invalidation reported separately on access
             try:
                 payload = state.get_payload(operand)
             except HandleInvalidatedError:
-                continue
+                continue  # reported when the op itself reads the handle
             for payload_op in payload:
                 if not operand_type.accepts_op_name(payload_op.name):
                     return TransformResult.definite(

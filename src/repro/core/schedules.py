@@ -18,7 +18,7 @@ Shipped schedules:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..ir.context import SymbolTable
 from ..ir.core import Operation
@@ -83,13 +83,6 @@ SCHEDULE_LIBRARY_IR = '''
 def load_schedule_library() -> Operation:
     """Parse the shipped schedule library into a module of macros."""
     return parse(SCHEDULE_LIBRARY_IR, "<schedule-library>")
-
-
-def library_schedules(library: Optional[Operation] = None) -> List[str]:
-    """Names of the named sequences a library provides."""
-    if library is None:
-        library = load_schedule_library()
-    return sorted(SymbolTable(library).symbols())
 
 
 def link_schedule_library(script: Operation,

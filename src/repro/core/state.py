@@ -51,7 +51,6 @@ class StateSnapshot:
 
     ops: Dict[int, List[Operation]] = field(default_factory=dict)
     params: Dict[int, "ParamValue"] = field(default_factory=dict)
-    values: Dict[int, Value] = field(default_factory=dict)
     invalidated: Dict[int, str] = field(default_factory=dict)
 
 
@@ -62,7 +61,6 @@ class TransformState(RewriteListener):
         self.payload_root = payload_root
         self._ops: Dict[int, List[Operation]] = {}
         self._params: Dict[int, ParamValue] = {}
-        self._values: Dict[int, Value] = {}  # handle id -> handle value
         self._invalidated: Dict[int, str] = {}
         #: Reverse index: payload-op id -> ids of handles mapped to it.
         #: Entries exist only while the op appears in some ``_ops`` list
@@ -101,7 +99,6 @@ class TransformState(RewriteListener):
             self._index_discard(id(handle), old)
         self._ops[id(handle)] = list(ops)
         self._index_add(id(handle), ops)
-        self._values[id(handle)] = handle
         self._invalidated.pop(id(handle), None)
 
     def get_payload(self, handle: Value) -> List[Operation]:
@@ -117,18 +114,11 @@ class TransformState(RewriteListener):
 
     def set_param(self, handle: Value, values: Iterable[object]) -> None:
         self._params[id(handle)] = list(values)
-        self._values[id(handle)] = handle
 
     def get_param(self, handle: Value) -> ParamValue:
         if id(handle) not in self._params:
             raise HandleInvalidatedError("use of an unmapped parameter")
         return list(self._params[id(handle)])
-
-    def is_invalidated(self, handle: Value) -> bool:
-        return id(handle) in self._invalidated
-
-    def invalidation_reason(self, handle: Value) -> Optional[str]:
-        return self._invalidated.get(id(handle))
 
     # -- invalidation ---------------------------------------------------------
 
@@ -188,7 +178,6 @@ class TransformState(RewriteListener):
         return StateSnapshot(
             ops={hid: list(ops) for hid, ops in self._ops.items()},
             params={hid: list(vs) for hid, vs in self._params.items()},
-            values=dict(self._values),
             invalidated=dict(self._invalidated),
         )
 
@@ -206,7 +195,6 @@ class TransformState(RewriteListener):
             for hid, ops in snapshot.ops.items()
         }
         self._params = {hid: list(vs) for hid, vs in snapshot.params.items()}
-        self._values = dict(snapshot.values)
         self._invalidated = dict(snapshot.invalidated)
         self._op_handles = {}
         self._indexed_ops = {}

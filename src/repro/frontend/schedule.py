@@ -17,10 +17,11 @@ guarantees the textual path cannot give:
   (let alone the interpreter) ever sees the script. An
   ``alternatives`` region is built on a fork of its parent's state, so
   a handle consumed in region *k* is still usable in region *k + 1*
-  (rollback restores it) but dead after the op. An ``include``
-  consumes what its callee's contract says: the arguments with a
-  consumption fact at the end of the macro body, read the same way for
-  a macro defined here and for a shipped library macro.
+  (rollback restores it) but dead after the op. An ``include`` is
+  stepped through its callee's body as the inliner expands it, which
+  is how the lint reads it: what the body consumes dies at the call
+  site, and each result aliases the handle the body yields — for a
+  macro defined here and for a shipped library macro alike.
 * **Lint-clean by construction.** Because the builder refuses stale
   handles and only ``include``\\ s sequences it knows are defined, the
   emitted script carries zero error-severity ``repro-lint``
@@ -43,9 +44,7 @@ chain continues on the *outer* tile loop.
 from __future__ import annotations
 
 import functools
-from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.dataflow import ForwardEngine
 from ..analysis.invalidation import HandleState, InvalidationAnalysis
@@ -89,29 +88,11 @@ class Handle:
         return f"<handle {name}: {'live' if self.live else 'dead'}>"
 
 
-class _MacroInfo(NamedTuple):
-    consumes: Tuple[int, ...]
-    n_results: int
-
-
-def _contract(macro: Operation, exit_state: HandleState) -> _MacroInfo:
-    """A macro's call-site contract, read off the analysis state at the
-    end of its body: the arguments that carry a consumption fact, and
-    the number of handles it yields."""
-    body = macro.body
-    return _MacroInfo(
-        tuple(i for i, arg in enumerate(body.args)
-              if id(arg) in exit_state.consumed),
-        body.terminator.num_operands)
-
-
 @functools.lru_cache(maxsize=None)
-def _library_macros(library_ir: str) -> Dict[str, _MacroInfo]:
-    """Contracts of a schedule library: the invalidation analysis run
-    over each macro of the inlined library."""
-    engine = ForwardEngine(InvalidationAnalysis(may_alias=False))
+def _library_macros(library_ir: str) -> Dict[str, Operation]:
+    """The macros of a schedule library, includes already inlined."""
     library = inlined_script(parse(library_ir, "<schedule-library>"))
-    return {op.sym_name: _contract(op, engine.run_entry(op))
+    return {op.sym_name: op
             for op in library.walk_ops("transform.named_sequence")}
 
 
@@ -189,22 +170,29 @@ class _Scope:
     def _step(self, op: Operation) -> None:
         """Run the just-emitted ``op`` through the analysis on this
         scope's state — where handles die (recoverability only grades
-        severity, which the builder does not read)."""
-        self._schedule._engine.run_op(op, self._state, recoverable=False)
+        severity, which the builder does not read). An ``include`` is
+        stepped as the inliner expands it: each op of the callee's body,
+        cloned onto the call's operands, then each result aliases the
+        value its yield maps to."""
+        if op.name != "transform.include":
+            self._schedule._engine.run_op(op, self._state, recoverable=False)
+            return
+        body = self._schedule._macro(op.attr("target").name).body
+        value_map = dict(zip(body.args, op.operands))
+        for inner in body.ops[:-1]:
+            clone = inner.clone(value_map)
+            self._step(clone)
+            clone.drop_all_references()
+        for result, yielded in zip(op.results, body.terminator.operands):
+            self._state.define(result)
+            self._state.add_subset(value_map.get(yielded, yielded), result)
 
     def _emit(self, op: Operation, kinds: Sequence[Optional[str]] = (),
-              names: Optional[Sequence[Optional[str]]] = None,
-              consumes: Optional[Tuple[int, ...]] = None) -> List[Handle]:
+              names: Optional[Sequence[Optional[str]]] = None) -> List[Handle]:
         """Step the just-emitted ``op`` and return its results as
-        handles: result ``i`` of payload
-        kind ``kinds[i]``, registered as ``names[i]``. An ``include``
-        passes its callee's ``consumes`` contract in place of the op's
-        own (empty) declaration."""
-        if consumes is None:
-            self._step(op)
-        else:
-            self._schedule._engine.analysis.consume(op, self._state,
-                                                    consumes)
+        handles: result ``i`` of payload kind ``kinds[i]``, registered
+        as ``names[i]``."""
+        self._step(op)
         results = []
         for index, value in enumerate(op.results):
             kind = kinds[index] if index < len(kinds) else None
@@ -512,10 +500,10 @@ class _Scope:
                 name: Optional[str] = None) -> "_Scope":
         """``transform.include`` of a macro defined with
         :meth:`Schedule.define` (or, after :meth:`Schedule.use_library`,
-        a shipped library sequence). Arguments the macro consumes are
-        marked consumed here, at the call site."""
+        a shipped library sequence). What the macro's body consumes
+        dies here, at the call site."""
         self._require_open("include")
-        info = self._schedule._macro_info(target)
+        body = self._schedule._macro(target).body
         handles = [self._operand(ref, f"include @{target}")
                    for ref in args]
         if not handles:
@@ -523,8 +511,8 @@ class _Scope:
         results = self._emit(
             transform.include(self._builder, target,
                               [h.value for h in handles],
-                              n_results=info.n_results),
-            names=[name], consumes=info.consumes)
+                              n_results=body.terminator.num_operands),
+            names=[name])
         if results:
             self._cursor = results[0]
         elif self._cursor is not None and not self._usable(self._cursor):
@@ -546,10 +534,10 @@ class Schedule(_Scope):
         super().__init__(self, op.body, None)
         self._root = Handle(self, root_value, label="root")
         self._sequence_op = op
-        self._macros: Dict[str, _MacroInfo] = {}
-        self._macro_ops: List[Operation] = []
-        #: Contracts of the linked library's macros; None = not linked.
-        self._library: Optional[Dict[str, _MacroInfo]] = None
+        #: Macros in definition order, and the linked library's
+        #: (None = not linked).
+        self._macros: Dict[str, Operation] = {}
+        self._library: Optional[Dict[str, Operation]] = None
         self._built: Optional[Operation] = None
 
     # -- macro definitions ---------------------------------------------------
@@ -560,7 +548,7 @@ class Schedule(_Scope):
                 f"cannot emit '{what}': this schedule is already built"
             )
 
-    def _macro_info(self, target: str) -> _MacroInfo:
+    def _macro(self, target: str) -> Operation:
         if target in self._macros:
             return self._macros[target]
         if target in (self._library or ()):
@@ -602,9 +590,8 @@ class Schedule(_Scope):
             yielded = list(returned)
         transform.yield_(scope._builder,
                          [scope._operand(h, "yield").value for h in yielded])
-        self._macros[name] = _contract(op, scope._state)
         scope._close()
-        self._macro_ops.append(op)
+        self._macros[name] = op
         return self
 
     # -- products ------------------------------------------------------------
@@ -614,9 +601,9 @@ class Schedule(_Scope):
         if self._built is not None:
             return self._built
         transform.yield_(self._builder)
-        if self._macro_ops or self._library is not None:
+        if self._macros or self._library is not None:
             module = builtin.module()
-            for macro in self._macro_ops:
+            for macro in self._macros.values():
                 module.body.append(macro)
             module.body.append(self._sequence_op)
             if self._library is not None:

@@ -225,12 +225,6 @@ class AffineMap:
     def constant_map(value: int) -> "AffineMap":
         return AffineMap(0, 0, (AffineConstant(value),))
 
-    @staticmethod
-    def from_exprs(num_dims: int, num_symbols: int,
-                   exprs: Sequence[ExprLike]) -> "AffineMap":
-        return AffineMap(num_dims, num_symbols,
-                         tuple(to_expr(e) for e in exprs))
-
     @property
     def num_results(self) -> int:
         return len(self.results)
@@ -252,16 +246,6 @@ class AffineMap:
             r.replace(list(other.results)) for r in self.results
         )
         return AffineMap(other.num_dims, other.num_symbols, results)
-
-    def is_permutation(self) -> bool:
-        if self.num_symbols or self.num_results != self.num_dims:
-            return False
-        seen = set()
-        for r in self.results:
-            if not isinstance(r, AffineDim):
-                return False
-            seen.add(r.position)
-        return seen == set(range(self.num_dims))
 
     def __str__(self) -> str:
         dims = ", ".join(f"d{i}" for i in range(self.num_dims))

@@ -94,9 +94,6 @@ class Builder:
     def after(op: Operation) -> "Builder":
         return Builder(InsertionPoint.after(op))
 
-    def set_insertion_point_to_end(self, block: Block) -> None:
-        self.ip = InsertionPoint.at_end(block)
-
     def set_insertion_point_to_start(self, block: Block) -> None:
         self.ip = InsertionPoint.at_start(block)
 

@@ -156,9 +156,6 @@ class Value:
     def has_uses(self) -> bool:
         return bool(self._uses)
 
-    def has_one_use(self) -> bool:
-        return len(self._uses) == 1
-
     def replace_all_uses_with(self, other: "Value") -> None:
         """Redirect every use of this value to ``other``."""
         if other is self:
@@ -411,15 +408,6 @@ class Operation:
     def set_operand(self, index: int, value: Value) -> None:
         self._operands[index].set(value)
 
-    def set_operands(self, values: Sequence[Value]) -> None:
-        """Replace the whole operand list."""
-        for operand in self._operands:
-            operand.drop()
-        self._operands = tuple([
-            OpOperand(self, i, v) for i, v in enumerate(values)])
-        if self._digest is not None:
-            invalidate_digest(self)
-
     # -- results / attributes ------------------------------------------------
 
     @property
@@ -436,12 +424,6 @@ class Operation:
         self.attributes[name] = make_attr(value)
         if self._digest is not None:
             invalidate_digest(self)
-
-    def remove_attr(self, name: str) -> Optional[Attribute]:
-        removed = self.attributes.pop(name, None)
-        if removed is not None and self._digest is not None:
-            invalidate_digest(self)
-        return removed
 
     def invalidate_digest(self) -> None:
         """Drop memoized structural digests after an out-of-band

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from ..ir.attributes import Attribute, DenseIntAttr, IntegerAttr
+from ..ir.attributes import Attribute, IntegerAttr
 from ..ir.core import Operation
 from ..ir.types import Type
 
@@ -79,30 +79,6 @@ class IntAttrConstraint(AttrConstraint):
         return None
 
 
-@dataclass
-class DenseCountConstraint(AttrConstraint):
-    """Constrains how many entries of a dense array satisfy a predicate.
-
-    Used to express Fig. 3's highlighted cardinality-zero constraint:
-    e.g. "the number of DYNAMIC entries must be exactly 0".
-    """
-
-    predicate: Callable[[int], bool]
-    expected_count: int
-    description: str = "constrained entries"
-
-    def check(self, attr: Attribute) -> Optional[str]:
-        if not isinstance(attr, DenseIntAttr):
-            return f"expected a dense integer attribute, got {attr!r}"
-        count = sum(1 for v in attr.values if self.predicate(v))
-        if count != self.expected_count:
-            return (
-                f"expected {self.expected_count} {self.description}, "
-                f"found {count}"
-            )
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Cardinality of variadic segments
 # ---------------------------------------------------------------------------
@@ -114,10 +90,6 @@ class Cardinality:
 
     min: int = 0
     max: Optional[int] = None  # None = unbounded
-
-    @staticmethod
-    def exactly(n: int) -> "Cardinality":
-        return Cardinality(n, n)
 
     @staticmethod
     def zero() -> "Cardinality":

@@ -43,20 +43,6 @@ class Pass:
         return f"<pass {self.NAME}>"
 
 
-class FunctionPass(Pass):
-    """A pass that runs independently on every ``func.func``."""
-
-    def run(self, op: Operation) -> None:
-        if op.name == "func.func":
-            self.run_on_function(op)
-            return
-        for func_op in list(op.walk_ops("func.func")):
-            self.run_on_function(func_op)
-
-    def run_on_function(self, func_op: Operation) -> None:
-        raise NotImplementedError
-
-
 class PassManager:
     """Runs a sequence of passes over a module."""
 
@@ -101,9 +87,6 @@ class PassManager:
                 profiler.record_pass(pass_.NAME, time.perf_counter() - start)
             if self.verify_each:
                 module.verify()
-
-    def pipeline_string(self) -> str:
-        return ",".join(p.NAME for p in self.passes)
 
 
 def parse_pipeline(text: str) -> PassManager:

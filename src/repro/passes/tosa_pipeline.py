@@ -18,7 +18,7 @@ from ..ir.types import ShapedType, TensorType
 from ..rewrite.conversion import ConversionTarget, apply_conversion
 from ..rewrite.greedy import FrozenPatternSet, apply_patterns_greedily
 from ..rewrite.pattern import PatternRewriter, pattern
-from .manager import Pass, PassManager, register_pass
+from .manager import Pass, register_pass
 
 # ---------------------------------------------------------------------------
 # tosa-optional-decompositions
@@ -551,8 +551,3 @@ TOSA_TO_LINALG_PIPELINE = (
     "canonicalize",
     "cse",
 )
-
-
-def tosa_to_linalg_pipeline() -> PassManager:
-    """The full TOSA->Linalg pipeline as a PassManager."""
-    return PassManager(TOSA_TO_LINALG_PIPELINE)

@@ -3,8 +3,8 @@
 A simplified but behaviourally faithful model of MLIR's dialect
 conversion framework:
 
-* a :class:`ConversionTarget` declares which ops/dialects are legal,
-  illegal or dynamically legal;
+* a :class:`ConversionTarget` declares which dialects are legal and
+  which ops/dialects are illegal;
 * a :class:`TypeConverter` maps source types to target types;
 * :func:`apply_conversion` drives patterns over illegal ops. When a
   replacement value's type differs from the replaced result's type, a
@@ -57,11 +57,9 @@ class ConversionTarget:
     def __init__(self) -> None:
         self.legal_dialects: Set[str] = set()
         self.illegal_dialects: Set[str] = set()
-        self.legal_ops: Set[str] = set()
         self.illegal_ops: Set[str] = set()
-        self.dynamic: Dict[str, Callable[[Operation], bool]] = {}
-        #: op name -> (legality, explicitly illegal) as the four sets
-        #: alone decide it; every declaration drops it.
+        #: op name -> (legality, explicitly illegal) as the three sets
+        #: decide it; every declaration drops it.
         self._static: Dict[str, Tuple[Optional[bool], bool]] = {}
 
     # -- declaration ----------------------------------------------------------
@@ -77,27 +75,16 @@ class ConversionTarget:
     def add_illegal_dialect(self, *names: str) -> "ConversionTarget":
         return self._declare(self.illegal_dialects, names)
 
-    def add_legal_op(self, *names: str) -> "ConversionTarget":
-        return self._declare(self.legal_ops, names)
-
     def add_illegal_op(self, *names: str) -> "ConversionTarget":
         return self._declare(self.illegal_ops, names)
-
-    def add_dynamically_legal_op(
-        self, name: str, predicate: Callable[[Operation], bool]
-    ) -> "ConversionTarget":
-        self.dynamic[name] = predicate
-        return self
 
     # -- queries ----------------------------------------------------------------
 
     def _classify(self, name: str) -> Tuple[Optional[bool], bool]:
         """What the declared sets say about every op called ``name``."""
         dialect = name.split(".", 1)[0]
-        if name in self.legal_ops:
-            legality: Optional[bool] = True
-        elif name in self.illegal_ops:
-            legality = False
+        if name in self.illegal_ops:
+            legality: Optional[bool] = False
         elif dialect in self.legal_dialects:
             legality = True
         elif dialect in self.illegal_dialects:
@@ -112,22 +99,16 @@ class ConversionTarget:
 
     def legality(self, op: Operation) -> Optional[bool]:
         """True = legal, False = illegal, None = unknown (kept as-is)."""
-        name = op.name
-        if name in self.dynamic:
-            return self.dynamic[name](op)
         try:
-            return self._static[name][0]
+            return self._static[op.name][0]
         except KeyError:
-            return self._classify(name)[0]
+            return self._classify(op.name)[0]
 
     def explicitly_illegal(self, op: Operation) -> bool:
-        name = op.name
-        if name in self.dynamic:
-            return not self.dynamic[name](op)
         try:
-            return self._static[name][1]
+            return self._static[op.name][1]
         except KeyError:
-            return self._classify(name)[1]
+            return self._classify(op.name)[1]
 
 
 class ConversionRewriter(PatternRewriter):

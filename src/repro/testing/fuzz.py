@@ -613,11 +613,11 @@ def op_list_violations(root: Operation) -> List[str]:
                 forward, op = [], block._first
                 while op is not None:
                     forward.append(op)
-                    op = op._next
+                    op = op.next_op
                 backward, op = [], block._last
                 while op is not None:
                     backward.append(op)
-                    op = op._prev
+                    op = op.prev_op
                 where = f"block of '{parent.name}'"
                 if forward != backward[::-1]:
                     violated.append(f"{where}: forward links are not "
@@ -935,19 +935,32 @@ class FrontendScheduleFuzzer:
                 scope.alternatives(*regions)
 
     def build(self):
-        """One random schedule; returns the un-built Schedule."""
+        """One random schedule; returns the un-built Schedule. Half of
+        the helper macros yield a match nested in their argument; the
+        caller then sometimes consumes the argument and probes the
+        include's result, which must have died with it."""
         from ..frontend import Schedule
 
         schedule = Schedule()
         if self.rng.random() < 0.3:
             name = f"helper_{self.rng.randrange(1000)}"
+            yields = self.rng.random() < 0.5
 
             def body(scope):
                 self._fill_scope(scope, depth=1)
+                if yields:
+                    self._match(scope)
+                    return scope._cursor
 
             schedule.define(name, body)
             self._match(schedule)
-            schedule.include(name)
+            argument = schedule._cursor
+            schedule.include(name, name=f"{name}_result")
+            if yields and argument.live and self.rng.random() < 0.5:
+                result = schedule._cursor
+                schedule.use(argument)
+                self._consuming_action(schedule)
+                self._probe_stale(schedule, result)
         self._fill_scope(schedule)
         return schedule
 

@@ -48,15 +48,6 @@ class MatmulPattern:
     def flops(self) -> int:
         return 2 * self.m * self.n * self.k
 
-    @property
-    def is_tiled(self) -> bool:
-        return any(
-            not isinstance(offset, int) or offset != 0
-            for offsets in (self.a_offsets, self.b_offsets,
-                            self.c_offsets)
-            for offset in offsets
-        )
-
 
 def _split_index(index: Value, ivs: Dict[int, int],
                  nest_root: Operation) -> Tuple[int, Offset]:

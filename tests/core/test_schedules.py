@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import TransformInterpreter, dialect as transform
 from repro.core.schedules import (
-    library_schedules,
     link_schedule_library,
     load_schedule_library,
 )
@@ -17,6 +16,7 @@ from repro.execution.workloads import (
     reference_matmul,
 )
 from repro.ir import Builder, Operation
+from repro.ir.context import SymbolTable
 
 
 def script_module():
@@ -29,7 +29,7 @@ class TestLibrary:
     def test_library_parses(self):
         library = load_schedule_library()
         library.verify()
-        assert library_schedules(library) == [
+        assert sorted(SymbolTable(library).symbols()) == [
             "lower_to_llvm",
             "offload_to_microkernel",
             "tile_and_unroll_remainder",

@@ -136,14 +136,14 @@ class TestVector:
 class TestAffineDialect:
     def test_apply(self, builder):
         i = arith.index_constant(builder, 5)
-        map_ = AffineMap.from_exprs(1, 0, [affine_dim(0) * 4])
+        map_ = AffineMap(1, 0, (affine_dim(0) * 4,))
         result = affine_dialect.apply(builder, map_, [i])
         assert result.type == INDEX
         result.defining_op().verify_op()
 
     def test_apply_requires_single_result_map(self, builder):
         i = arith.index_constant(builder, 5)
-        two = AffineMap.from_exprs(1, 0, [affine_dim(0), affine_dim(0)])
+        two = AffineMap(1, 0, (affine_dim(0), affine_dim(0)))
         from repro.ir.attributes import AffineMapAttr
 
         bad = Operation.create(
@@ -154,7 +154,7 @@ class TestAffineDialect:
             bad.verify_op()
 
     def test_operand_arity_check(self, builder):
-        map_ = AffineMap.from_exprs(2, 0, [affine_dim(0)])
+        map_ = AffineMap(2, 0, (affine_dim(0),))
         from repro.ir.attributes import AffineMapAttr
 
         bad = Operation.create(
@@ -166,6 +166,6 @@ class TestAffineDialect:
 
     def test_min_builder(self, builder):
         i = arith.index_constant(builder, 5)
-        map_ = AffineMap.from_exprs(1, 0, [affine_dim(0), affine_dim(0) + 1])
+        map_ = AffineMap(1, 0, (affine_dim(0), affine_dim(0) + 1))
         result = affine_dialect.min_(builder, map_, [i])
         assert result.defining_op().name == "affine.min"

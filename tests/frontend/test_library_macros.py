@@ -1,6 +1,6 @@
-"""The builder's contracts for shipped library macros are read off the
-library text — the invalidation analysis run over each macro of the
-inlined library — not a hand copy."""
+"""The builder reads shipped library macros off the library text: an
+``include`` of one is stepped through the macro's inlined body, as
+the lint reads it — not through a hand copy of what it consumes."""
 
 import pytest
 
@@ -19,16 +19,26 @@ EXTRA_MACRO = '''
 
 
 def test_derived_contracts_equal_the_former_literals():
-    derived = {
-        name: (info.consumes, info.n_results)
-        for name, info in _library_macros(
-            schedules.SCHEDULE_LIBRARY_IR).items()
-    }
-    assert derived == {
+    # Each macro's (consumed arguments, result count), as the builder
+    # once held them in a table: an include must kill exactly those
+    # arguments and have that many results.
+    literals = {
         "tile_and_unroll_remainder": ((0,), 1),
         "offload_to_microkernel": ((0,), 0),
         "lower_to_llvm": ((), 1),
     }
+    macros = _library_macros(schedules.SCHEDULE_LIBRARY_IR)
+    assert sorted(macros) == sorted(literals)
+    for name, (consumes, n_results) in literals.items():
+        schedule = Schedule().use_library()
+        args = [schedule.match(f"test.op{i}")._cursor
+                for i in range(len(macros[name].body.args))]
+        schedule.include(name, args=args)
+        include = schedule._sequence_op.body.ops[-1]
+        assert include.name == "transform.include"
+        assert len(include.results) == n_results, name
+        assert tuple(i for i, arg in enumerate(args)
+                     if not arg.live) == consumes, name
 
 
 def test_a_macro_added_to_the_library_text_is_includable(monkeypatch):

@@ -133,10 +133,47 @@ class TestTileResultsNest:
         assert not schedule.handle("points").live
 
 
+class TestIncludes:
+    """An include is stepped through its callee's inlined body, so its
+    results carry the alias edges the lint sees."""
+
+    @staticmethod
+    def inner_of(scope):
+        return scope.match("scf.for", in_="arg0", name="inner") \
+            .handle("inner")
+
+    def test_a_result_nested_in_a_consumed_argument_dies(self):
+        schedule = Schedule()
+        schedule.define("inner_of", self.inner_of)
+        schedule.match("scf.for", position="first", name="outer")
+        schedule.include("inner_of", args=["outer"], name="inner_h")
+        schedule.use("outer").unroll(full=True)
+        with pytest.raises(ScheduleError,
+                           match="inner_h was already consumed"):
+            schedule.use("inner_h")
+
+    def test_a_result_nested_in_a_live_argument_survives(self):
+        def body(scope):
+            scope.use("arg1").unroll(full=True)
+            return self.inner_of(scope)
+
+        schedule = Schedule()
+        schedule.define("unroll_1_match_in_0", body, n_args=2)
+        schedule.match("func.func", name="fn")
+        schedule.match("scf.for", position="first", name="loop")
+        schedule.include("unroll_1_match_in_0", args=["fn", "loop"],
+                         name="inner_h")
+        with pytest.raises(ScheduleError, match="use-after-consume"):
+            schedule.use("loop")
+        schedule.use("inner_h").unroll(2)
+        assert not schedule.lint().has_errors()
+
+
 def test_the_builder_keeps_no_consumption_model_of_its_own():
     frontend = pathlib.Path(repro.frontend.__file__).parent
     for path in sorted(frontend.rglob("*.py")):
         text = path.read_text()
-        for name in ("_down", "consumed_by", "_invalidate"):
+        for name in ("_down", "consumed_by", "_invalidate",
+                     "_MacroInfo", "_contract"):
             assert not re.search(rf"\b{name}\b", text), (path.name, name)
     assert "DERIVES" not in (frontend / "schedule.py").read_text()

@@ -78,7 +78,9 @@ class TestContract:
     def test_operand_order_changes_digest(self):
         a, b = parse(MODULE), parse(MODULE)
         mul = _funcs(b)[0].regions[0].entry_block.ops[1]
-        mul.set_operands(list(reversed(mul.operands)))
+        lhs, rhs = mul.operands
+        mul.set_operand(0, rhs)
+        mul.set_operand(1, lhs)
         assert op_digest(a) != op_digest(b)
 
     def test_which_definition_matters_not_just_types(self):
@@ -87,7 +89,7 @@ class TestContract:
         a, b = parse(MODULE), parse(MODULE)
         add = _funcs(b)[0].regions[0].entry_block.ops[0]
         args = _funcs(b)[0].regions[0].entry_block.args
-        add.set_operands([args[0], args[0]])
+        add.set_operand(1, args[0])
         assert op_digest(a) != op_digest(b)
 
     def test_successor_targets_matter(self):

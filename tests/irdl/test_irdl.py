@@ -36,7 +36,7 @@ def make_subview(builder, offsets, sizes, strides):
 
 class TestCardinality:
     def test_exactly(self):
-        c = Cardinality.exactly(2)
+        c = Cardinality(2, 2)
         assert c.check(2) is None
         assert c.check(1) is not None
         assert c.check(3) is not None

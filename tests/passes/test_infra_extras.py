@@ -1,38 +1,9 @@
-"""Extra pass-infrastructure coverage: FunctionPass, timing, printing."""
+"""Extra pass-infrastructure coverage: timing, printing."""
 
 from repro.dialects import builtin, func
 from repro.ir import Builder, I32, print_op
-from repro.passes.manager import FunctionPass, PassManager
+from repro.passes.manager import PassManager
 from repro.profiling import Profiler
-
-
-class MarkingPass(FunctionPass):
-    NAME = "test-marking"
-
-    def run_on_function(self, func_op):
-        func_op.set_attr("visited", True)
-
-
-class TestFunctionPass:
-    def build_module(self, n=3):
-        module = builtin.module()
-        for index in range(n):
-            f = func.func(f"f{index}", [])
-            module.body.append(f)
-            Builder.at_end(f.body).create("func.return")
-        return module
-
-    def test_runs_on_every_function(self):
-        module = self.build_module(3)
-        MarkingPass().run(module)
-        functions = list(module.walk_ops("func.func"))
-        assert all(f.attr("visited") is not None for f in functions)
-
-    def test_runs_directly_on_a_function(self):
-        module = self.build_module(1)
-        f = next(module.walk_ops("func.func"))
-        MarkingPass().run(f)
-        assert f.attr("visited") is not None
 
 
 class TestPassTiming:

@@ -41,7 +41,8 @@ class TestPassManager:
         manager = PassManager()
         manager.add("canonicalize")
         manager.add(CountingPass())
-        assert manager.pipeline_string() == "canonicalize,test-counting"
+        assert [pass_.NAME for pass_ in manager.passes] == [
+            "canonicalize", "test-counting"]
 
     def test_unknown_pass(self):
         with pytest.raises(ValueError, match="unknown pass"):

@@ -6,10 +6,7 @@ from repro.dialects import builtin, func, tosa
 from repro.ir import Builder
 from repro.ir.types import F32, tensor
 from repro.passes import PassManager
-from repro.passes.tosa_pipeline import (
-    TOSA_TO_LINALG_PIPELINE,
-    tosa_to_linalg_pipeline,
-)
+from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
 
 
 def make_graph(build_body):
@@ -153,17 +150,16 @@ class TestConversions:
 
 class TestFullPipeline:
     def test_pipeline_order(self):
-        manager = tosa_to_linalg_pipeline()
-        assert manager.pipeline_string() == ",".join(
-            TOSA_TO_LINALG_PIPELINE
-        )
+        manager = PassManager(TOSA_TO_LINALG_PIPELINE)
+        assert [pass_.NAME for pass_ in manager.passes] == list(
+            TOSA_TO_LINALG_PIPELINE)
 
     @pytest.mark.parametrize("model", ["squeezenet", "whisper_decoder"])
     def test_models_lower_fully(self, model):
         from repro.mlmodels import build_model, count_ops
 
         module = build_model(model)
-        tosa_to_linalg_pipeline().run(module)
+        PassManager(TOSA_TO_LINALG_PIPELINE).run(module)
         assert count_ops(module, "tosa.") == 0
         remaining = names(module)
         allowed_prefixes = ("linalg.", "tensor.", "arith.", "func.")

@@ -57,21 +57,14 @@ class TestConversionTarget:
 
     def test_op_overrides_dialect(self):
         target = ConversionTarget()
-        target.add_illegal_dialect("arith")
-        target.add_legal_op("arith.constant")
-        assert target.legality(Operation.create("arith.constant")) is True
-
-    def test_dynamic_legality(self):
-        target = ConversionTarget()
-        target.add_dynamically_legal_op(
-            "test.op", lambda op: op.attr("ok") is not None
-        )
-        legal = Operation.create("test.op", attributes={"ok": True})
-        illegal = Operation.create("test.op")
-        assert target.legality(legal) is True
-        assert target.legality(illegal) is False
-        assert target.explicitly_illegal(illegal)
-        assert not target.explicitly_illegal(legal)
+        target.add_legal_dialect("arith")
+        target.add_illegal_op("arith.addi")
+        addi, constant = (Operation.create("arith.addi"),
+                          Operation.create("arith.constant"))
+        assert target.legality(addi) is False
+        assert target.legality(constant) is True
+        assert target.explicitly_illegal(addi)
+        assert not target.explicitly_illegal(constant)
 
 
 def build_index_module():

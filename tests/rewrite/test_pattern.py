@@ -40,7 +40,7 @@ class TestPatternRewriter:
         listener = RecordingListener()
         rewriter = PatternRewriter([listener])
         block = Block()
-        rewriter.set_insertion_point_to_end(block)
+        rewriter.set_insertion_point_to_start(block)
         rewriter.create("test.op")
         assert ("insert", "test.op") in listener.events
 

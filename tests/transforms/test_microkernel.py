@@ -144,7 +144,6 @@ class TestLibrary:
         _tiles, points = tile_loop_nest(first_loop(module), [4, 8])
         pattern = match_matmul_nest(points[0])
         assert (pattern.m, pattern.n, pattern.k) == (4, 8, 8)
-        assert pattern.is_tiled
 
 
 class TestLinalgUtils:
