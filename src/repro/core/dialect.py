@@ -743,7 +743,6 @@ class LoopTileOp(TransformOp):
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant", "arith.addi"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        state.get_payload(self.operand(0))  # an invalidated handle wins
         sizes = _resolve_sizes(self, state, "tile_sizes", self.operands[1:])
         if not sizes:
             return self.definite("loop.tile requires tile sizes")
@@ -768,7 +767,6 @@ class LoopSplitOp(TransformOp):
     POSTCONDITIONS = frozenset({"scf.for", "arith.constant"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        state.get_payload(self.operand(0))  # an invalidated handle wins
         sizes = _resolve_sizes(self, state, "div_by", self.operands[1:])
         if not sizes:
             return self.definite("loop.split requires a divisor")
@@ -786,7 +784,6 @@ class LoopUnrollOp(TransformOp):
     POSTCONDITIONS = frozenset({"arith.constant"})
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        state.get_payload(self.operand(0))  # an invalidated handle wins
         full = isinstance(self.attr("full"), UnitAttr)
         factors = _resolve_sizes(self, state, "factor", self.operands[1:])
         factor = factors[0] if factors else None

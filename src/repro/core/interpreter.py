@@ -210,10 +210,6 @@ class TransformInterpreter:
             )
             result.backtrace = [*self._stack, op]
             return result
-        type_error = self._check_operand_types(op, state)
-        if type_error is not None:
-            type_error.backtrace = [*self._stack, op]
-            return type_error
         # One span per top-level transform op (the entry itself and
         # the direct children of the entry sequence); nested ops are
         # timing detail the profiler already attributes.
@@ -230,7 +226,9 @@ class TransformInterpreter:
         start = time.perf_counter() if self.profiler is not None else 0.0
         result: Optional[TransformResult] = None
         try:
-            result = op.apply(self, state)
+            result = self._check_operands(op, state)
+            if result is None:
+                result = op.apply(self, state)
         except HandleInvalidatedError as error:
             result = TransformResult.definite(str(error), op)
         except TransformInterpreterError:
@@ -283,13 +281,17 @@ class TransformInterpreter:
 
     def _process_consumption(self, op: Operation,
                              state: TransformState) -> None:
-        """Invalidate handles consumed by ``op`` (and their aliases)."""
+        """Invalidate the handles ``op`` consumes and their aliases, but
+        never ``op``'s own results: upstream maps those after the
+        invalidation, so a result pointing at the consumed payload (or
+        into it) survives — the rule the static analysis applies."""
         if not self.track_invalidation:
             return
         for index in op.CONSUMES:
             if index < op.num_operands:
                 count = state.invalidate(
-                    op.operand(index), f"'{op.name}' consuming its operand"
+                    op.operand(index), f"'{op.name}' consuming its operand",
+                    keep=op.results,
                 )
                 # The real invalidation count: the operand handle plus
                 # every alias, not 1 per consumed operand.
@@ -297,26 +299,25 @@ class TransformInterpreter:
                 if self.profiler is not None:
                     self.profiler.record_invalidation(count)
 
-    def _check_operand_types(self, op: Operation,
-                             state: TransformState) -> Optional[TransformResult]:
-        """Handle-type checking: payload op names must satisfy the
-        operand's handle type (the Fig. 1 RHS static typing, enforced
-        dynamically here and statically by the checker)."""
-        from .types import OperationHandleType
+    def _check_operands(self, op: Operation,
+                        state: TransformState) -> Optional[TransformResult]:
+        """Upstream's check of every handle operand before ``apply``:
+        reading an invalidated or unmapped handle raises
+        :class:`HandleInvalidatedError`, and each payload op must
+        satisfy the operand's handle type (the Fig. 1 RHS static
+        typing, enforced dynamically here and statically by the
+        checker)."""
+        from .types import TransformHandleType
 
         for operand in op.operands:
-            operand_type = operand.type
-            if not isinstance(operand_type, OperationHandleType):
+            handle_type = operand.type
+            if not isinstance(handle_type, TransformHandleType):
                 continue
-            try:
-                payload = state.get_payload(operand)
-            except HandleInvalidatedError:
-                continue  # reported when the op itself reads the handle
-            for payload_op in payload:
-                if not operand_type.accepts_op_name(payload_op.name):
+            for payload_op in state.get_payload(operand):
+                if not handle_type.accepts_op_name(payload_op.name):
                     return TransformResult.definite(
                         f"payload op '{payload_op.name}' does not satisfy "
-                        f"handle type {operand_type}",
+                        f"handle type {handle_type}",
                         op,
                     )
         return None

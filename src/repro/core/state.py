@@ -5,7 +5,8 @@ handles (SSA values) and payload operations (paper §3), including:
 
 * **handle invalidation** (§3.1): consuming transforms invalidate their
   operand handles *and every aliasing handle* — a handle aliases another
-  when their payload operations overlap or nest;
+  when their payload operations overlap or nest — but not their own
+  results, which they map after the invalidation;
 * **rewrite-event subscription** (§3.1): the state is a
   :class:`~repro.rewrite.pattern.RewriteListener`, so pattern drivers
   notify it when payload ops are replaced or erased and handles are
@@ -32,10 +33,6 @@ ParamValue = List[object]
 
 class HandleInvalidatedError(Exception):
     """Access through an invalidated handle (reported as definite error)."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
 
 
 @dataclass
@@ -122,8 +119,9 @@ class TransformState(RewriteListener):
 
     # -- invalidation ---------------------------------------------------------
 
-    def invalidate(self, handle: Value, reason: str) -> int:
-        """Invalidate ``handle`` and every aliasing handle.
+    def invalidate(self, handle: Value, reason: str,
+                   keep: Sequence[Value] = ()) -> int:
+        """Invalidate ``handle`` and every aliasing handle but ``keep``.
 
         Aliasing is discovered through the reverse index: a handle
         aliases the consumed one when any of its payload ops *is* a
@@ -131,39 +129,34 @@ class TransformState(RewriteListener):
         walk the ancestor chain of every currently-mapped payload op —
         O(mapped ops x depth) instead of O(handles x payload). Handles
         to enclosing operations stay valid — the ancestors survive the
-        rewrite.
+        rewrite. ``keep`` exempts the consuming op's own results: they
+        are mapped after the invalidation (upstream's order), so they
+        survive it.
 
         Returns the number of handles newly invalidated (the operand
         handle itself plus every alias).
         """
-        targets = self._ops.get(id(handle), [])
-        count = 0
-        if id(handle) not in self._invalidated:
-            count += 1
+        count = int(id(handle) not in self._invalidated)
         self._invalidated[id(handle)] = reason
-        if not targets:
+        target_ids = {id(op) for op in self._ops.get(id(handle), ())}
+        if not target_ids:
             return count
-        target_ids = {id(t) for t in targets}
+        kept = {id(value) for value in keep}
         alias_reason = (
             f"{reason} (aliasing handle: payload same as or "
             "nested in the consumed payload)"
         )
-        for op_id, mapped_op in list(self._indexed_ops.items()):
+        for op_id, mapped_op in self._indexed_ops.items():
             # Is this mapped op a consumed op, or nested inside one?
             node: Optional[Operation] = mapped_op
-            hit = False
-            while node is not None:
-                if id(node) in target_ids:
-                    hit = True
-                    break
+            while node is not None and id(node) not in target_ids:
                 node = node.parent_op
-            if not hit:
+            if node is None:
                 continue
-            for other_id in self._op_handles.get(op_id, ()):
-                if other_id == id(handle) or other_id in self._invalidated:
-                    continue
-                self._invalidated[other_id] = alias_reason
-                count += 1
+            for other_id in self._op_handles[op_id] - kept:
+                if other_id not in self._invalidated:
+                    self._invalidated[other_id] = alias_reason
+                    count += 1
         return count
 
     # -- checkpoint / restore (transactional execution) ----------------------

@@ -442,12 +442,6 @@ class Operation:
             return None
         return self.parent.parent.parent
 
-    def ancestors(self) -> Iterator["Operation"]:
-        op = self.parent_op
-        while op is not None:
-            yield op
-            op = op.parent_op
-
     def is_ancestor_of(self, other: "Operation") -> bool:
         """True if ``other`` is nested within this op (or is this op)."""
         node: Optional[Operation] = other

@@ -8,18 +8,16 @@ post-condition of ``expand-strided-metadata`` (Fig. 4).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..ir.core import Operation
 from .defs import (
     AttributeDef,
     Cardinality,
-    ConstraintViolation,
     OperandDef,
     OperationDef,
     ResultDef,
     TypeNameConstraint,
-    verify_op,
 )
 
 #: Registry of IRDL definitions keyed by spec name.
@@ -127,11 +125,3 @@ register_def(
     )
 )
 
-
-def verify_against_spec(op: Operation,
-                        spec_name: str) -> List[ConstraintViolation]:
-    """Verify ``op`` against a registered spec; unknown specs pass."""
-    definition = lookup_def(spec_name)
-    if definition is None:
-        return []
-    return verify_op(op, definition)

@@ -47,9 +47,6 @@ class TypeConverter:
                 return converted
         return type
 
-    def is_legal_type(self, type: Type) -> bool:
-        return self.convert_type(type) == type
-
 
 class ConversionTarget:
     """Declares op legality for a conversion."""

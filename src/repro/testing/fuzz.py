@@ -337,6 +337,12 @@ class CaseOutcome:
     kind: str  # "success" | "silenceable" | "definite" | "crash"
     message: str
     payload_print: str
+    #: The interpreter's ``transform.print`` output, and the transform
+    #: op a definite error stopped at.
+    printed: List[str] = field(default_factory=list)
+    stopped_at: Optional[Operation] = None
+    #: ``--frontend``: what the replayed stale-handle probes met.
+    probes: Counter = field(default_factory=Counter)
 
 
 @dataclass
@@ -360,6 +366,7 @@ class FuzzReport:
     cases: int = 0
     outcomes: Counter = field(default_factory=Counter)
     failures: List[FuzzFailure] = field(default_factory=list)
+    probes: Counter = field(default_factory=Counter)
 
     @property
     def ok(self) -> bool:
@@ -371,6 +378,12 @@ class FuzzReport:
                      "clean", "violated"):
             if self.outcomes.get(kind):
                 lines.append(f"  {kind}: {self.outcomes[kind]}")
+        if self.probes:
+            lines.append(
+                f"  stale probes: {self.probes['probes']} (lint errors "
+                f"{self.probes['lint errors']}, lint warnings "
+                f"{self.probes['lint warnings']}; reached "
+                f"{self.probes['reached']})")
         if self.failures:
             lines.append(f"  FAILURES: {len(self.failures)}")
             lines.extend(f"    {failure}" for failure in self.failures)
@@ -386,7 +399,8 @@ def _interpret(payload: Operation, script: Operation) -> CaseOutcome:
         result = interpreter.apply(script, payload)
     except TransformInterpreterError as error:
         return CaseOutcome("definite", str(error.result.message),
-                           print_op(payload))
+                           print_op(payload), interpreter.output,
+                           error.result.transform_op)
     except Exception as error:  # pragma: no cover - a found bug
         return CaseOutcome(
             "crash",
@@ -395,7 +409,8 @@ def _interpret(payload: Operation, script: Operation) -> CaseOutcome:
             "",
         )
     kind = "silenceable" if result.is_silenceable else "success"
-    return CaseOutcome(kind, result.message, print_op(payload))
+    return CaseOutcome(kind, result.message, print_op(payload),
+                       interpreter.output)
 
 
 def _build_case(case_seed: int
@@ -769,7 +784,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "instead: random fluent chains must emit "
                         "lint-clean, round-trip-stable scripts, "
                         "reject stale handles at the Python level and "
-                        "agree with the interpreter on a fixed payload")
+                        "agree with the interpreter on a fixed payload, "
+                        "stale uses replayed included")
     args = parser.parse_args(argv)
 
     if args.frontend:
@@ -827,11 +843,16 @@ class FrontendScheduleFuzzer:
     any severity from the analysis the builder steps
     (``may_alias=False``), and, interpreted on a fixed payload
     (:func:`_frontend_payload`), pass the ``--differential`` oracle.
+    Each rejected probe is then replayed in the script
+    (:func:`_replay_stale_uses`): builder, analysis and interpreter
+    must agree the handle is dead.
     """
 
     def __init__(self, rng: random.Random):
         self.rng = rng
         self.violations: List[str] = []
+        #: (op the scope emitted last, stale value) per rejected probe.
+        self.stale_uses: List[Tuple[Operation, Value]] = []
 
     # -- helpers -----------------------------------------------------------
 
@@ -843,16 +864,21 @@ class FrontendScheduleFuzzer:
         scope.match(names, position=position)
 
     def _probe_stale(self, scope, stale) -> None:
-        """A consumed handle must be rejected by the next use."""
+        """A consumed handle must be rejected by the next use; a
+        rejected probe is kept for :func:`_replay_stale_uses`."""
+        from ..frontend.errors import ScheduleError
+
         try:
             scope.use(stale)
+        except ScheduleError:
+            self.stale_uses.append((scope._builder.ip.block.ops[-1],
+                                    stale.value))
+            return
         except Exception as error:
-            from ..frontend.errors import ScheduleError
-            if not isinstance(error, ScheduleError):
-                self.violations.append(
-                    f"stale-handle probe raised {type(error).__name__}, "
-                    "expected ScheduleError"
-                )
+            self.violations.append(
+                f"stale-handle probe raised {type(error).__name__}, "
+                "expected ScheduleError"
+            )
             return
         self.violations.append(
             "stale-handle probe: builder accepted a consumed handle"
@@ -884,7 +910,8 @@ class FrontendScheduleFuzzer:
         elif kind == "peel":
             scope.peel(keep=self.rng.choice(("main", "rest")))
         else:
-            scope.to_library(self.rng.choice(("libxsmm", "blis")))
+            scope.to_library(
+                self.rng.choice(sorted(transform.LIBRARY_REGISTRY)))
         if stale is not None and not stale.live \
                 and self.rng.random() < 0.6:
             self._probe_stale(scope, stale)
@@ -1045,9 +1072,60 @@ def run_frontend_case(case_seed: int
             case_seed, "frontend-analysis-clean",
             f"the builder accepted a handle the analysis flags: "
             f"{flagged[0]}\n{text}"))
+    probes = _replay_stale_uses(case_seed, script, fuzzer.stale_uses,
+                                failures)
 
     kind = "clean" if not failures else "violated"
-    return CaseOutcome(kind, dynamic.kind, text), failures
+    return CaseOutcome(kind, dynamic.kind, text, probes=probes), failures
+
+
+def _replay_stale_uses(case_seed: int, script: Operation,
+                       stale_uses: List[Tuple[Operation, Value]],
+                       failures: List[FuzzFailure]) -> Counter:
+    """The three-way leg: replay each stale-handle probe the builder
+    rejected as a ``transform.print`` of the stale value after the op
+    its scope had emitted last. The analysis the builder steps must
+    report an issue at that print (at its inlined copy inside a macro),
+    and the interpreter must never run it: a run that reaches it fails
+    there with "invalidated by". Returns the leg's counts."""
+    from ..analysis.invalidation import ERROR, analyze_script
+
+    counts: Counter = Counter()
+    for index, (anchor, stale) in enumerate(stale_uses):
+        marker = f"stale-probe-{index}"
+        probe = transform.print_(Builder.after(anchor), stale, marker)
+        try:
+            severities = [
+                issue.severity
+                for issue in analyze_script(script, may_alias=False)
+                if issue.use_op.name == "transform.print"
+                and issue.use_op._str_attr("message") == marker]
+            outcome = _interpret(_frontend_payload(), script)
+        finally:
+            probe.erase()
+        counts["probes"] += 1
+        if not severities:
+            failures.append(FuzzFailure(
+                case_seed, "stale-print-flagged",
+                f"no use-after-consume issue at the replayed probe "
+                f"{marker}\n{print_op(script)}"))
+        else:
+            counts["lint errors" if ERROR in severities
+                   else "lint warnings"] += 1
+        ran = f"[transform.print] {marker}"
+        if any(out.split("\n", 1)[0] == ran for out in outcome.printed):
+            failures.append(FuzzFailure(
+                case_seed, "stale-print-fails",
+                f"the interpreter ran the replayed probe {marker}"))
+        elif outcome.stopped_at is probe:
+            if "invalidated by" in outcome.message:
+                counts["reached"] += 1
+            else:
+                failures.append(FuzzFailure(
+                    case_seed, "stale-print-fails",
+                    f"the replayed probe {marker} failed with "
+                    f"{outcome.message!r}"))
+    return counts
 
 
 def _frontend_payload() -> Operation:
@@ -1075,6 +1153,7 @@ def run_frontend_fuzz(seed: int = 0, cases: int = 200) -> FuzzReport:
         report.outcomes[outcome.kind] += 1
         if outcome.kind != "crash":  # else the message is the error
             report.outcomes[outcome.message] += 1
+        report.probes.update(outcome.probes)
         report.failures.extend(failures)
     return report
 

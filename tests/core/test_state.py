@@ -2,10 +2,19 @@
 
 import pytest
 
+from repro.analysis.invalidation import analyze_script
+from repro.analysis.lint import lint_script
+from repro.core import dialect as transform
+from repro.core.dialect import TransformOp
+from repro.core.errors import TransformInterpreterError, TransformResult
+from repro.core.interpreter import TransformInterpreter
 from repro.core.state import HandleInvalidatedError, TransformState
 from repro.core.types import ANY_OP
 from repro.dialects import arith, builtin, func, scf
+from repro.execution.workloads import build_matmul_module
+from repro.frontend import Schedule
 from repro.ir import Block, Builder, INDEX, Operation
+from repro.ir.core import register_op
 
 
 def handle():
@@ -229,3 +238,98 @@ class TestRewriteEvents:
         payload = state.get_payload(h)
         assert len(payload) == 1
         assert payload[0].name == "test.renamed"
+
+
+@register_op
+class _ConsumePassthroughOp(TransformOp):
+    """Consumes its operand and maps its result to the same payload."""
+
+    NAME = "transform.test.consume_passthrough"
+    CONSUMES = (0,)
+
+    def apply(self, interpreter, state):
+        state.set_payload(self.results[0], state.get_payload(self.operand(0)))
+        return TransformResult.success()
+
+
+@register_op
+class _ConsumeToNestedOp(TransformOp):
+    """Consumes its operand and maps its result to the first loop
+    nested inside each of its payload ops."""
+
+    NAME = "transform.test.consume_to_nested"
+    CONSUMES = (0,)
+
+    def apply(self, interpreter, state):
+        state.set_payload(self.results[0], [
+            next(op for op in loop.walk_ops("scf.for") if op is not loop)
+            for loop in state.get_payload(self.operand(0))])
+        return TransformResult.success()
+
+
+@register_op
+class _RecordingPairOp(TransformOp):
+    """Two handle operands; records every ``apply``."""
+
+    NAME = "transform.test.recording_pair"
+    applied = []
+
+    def apply(self, interpreter, state):
+        type(self).applied.append(self)
+        return TransformResult.success()
+
+
+class TestConsumingOpResults:
+    """A consuming op maps its results after invalidating its operands
+    (upstream's order): results pointing at the consumed payload, or
+    into it, survive — in the interpreter, the analysis and the
+    builder alike."""
+
+    @pytest.mark.parametrize("op_name", [_ConsumePassthroughOp.NAME,
+                                         _ConsumeToNestedOp.NAME])
+    def test_result_survives_its_own_consumption(self, op_name):
+        script, builder, root = transform.sequence()
+        outer = transform.match_op(builder, root, "scf.for",
+                                   position="first")
+        result = builder.create(op_name, operands=[outer],
+                                result_types=[ANY_OP]).result
+        transform.loop_unroll(builder, result, factor=2)
+        transform.yield_(builder)
+        assert analyze_script(script) == []
+        assert not lint_script(script).errors
+        payload = build_matmul_module(8, 4, 4)
+        loops_before = len(list(payload.walk_ops("scf.for")))
+        result = TransformInterpreter().apply(script, payload)
+        assert result.succeeded
+        assert len(list(payload.walk_ops("scf.for"))) > loops_before
+        # The builder steps the same analysis: the operand dies, the
+        # result stays usable.
+        schedule = Schedule().match("scf.for", position="first")
+        op = schedule._builder.create(
+            op_name, operands=[schedule._cursor.value],
+            result_types=[ANY_OP])
+        stale = schedule._cursor
+        schedule._cursor, = schedule._emit(op)
+        assert not stale.live and schedule._cursor.live
+        schedule.unroll(2)
+
+    def test_invalidated_second_operand_fails_before_apply(self):
+        script, builder, root = transform.sequence()
+        funcs = transform.match_op(builder, root, "func.func")
+        loop = transform.match_op(builder, root, "scf.for",
+                                  position="first")
+        transform.loop_unroll(builder, loop, factor=2)
+        pair = builder.create(_RecordingPairOp.NAME,
+                              operands=[funcs, loop])
+        transform.yield_(builder)
+        _RecordingPairOp.applied.clear()
+        interpreter = TransformInterpreter()
+        with pytest.raises(TransformInterpreterError) as excinfo:
+            interpreter.apply(script, build_matmul_module(8, 4, 4))
+        failure = excinfo.value.result
+        assert failure.message == ("use of a handle invalidated by "
+                                   "'transform.loop.unroll' consuming "
+                                   "its operand")
+        assert failure.transform_op is pair
+        assert failure.backtrace == [script, pair]
+        assert _RecordingPairOp.applied == []

@@ -2,7 +2,8 @@
 
 Random fluent chains must emit scripts that lint with zero
 error-severity diagnostics, survive print->parse digest round-trips,
-and reject stale-handle reuse at the Python level.
+and reject stale-handle reuse at the Python level; a replayed stale
+use is flagged by the analysis and never runs in the interpreter.
 """
 
 import random
@@ -39,6 +40,17 @@ def test_stale_probes_never_slip_through():
         fuzzer = FrontendScheduleFuzzer(random.Random(seed))
         fuzzer.build()
         assert not fuzzer.violations, (seed, fuzzer.violations)
+
+
+def test_replayed_probes_reach_the_interpreter():
+    """The three-way leg keeps the run-time rule exercised: replayed
+    stale-handle probes must actually reach the interpreter and fail
+    there with an invalidation error, or the leg proves nothing."""
+    report = run_frontend_fuzz(seed=0, cases=40)
+    assert report.probes["reached"] >= 3, report.render()
+    assert report.probes["probes"] == (report.probes["lint errors"]
+                                       + report.probes["lint warnings"])
+    assert "stale probes:" in report.render()
 
 
 def test_cli_frontend_flag():

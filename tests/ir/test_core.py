@@ -221,10 +221,6 @@ class TestStructure:
         assert inner.parent_op is outer
         assert outer.parent_op is None
 
-    def test_ancestors(self):
-        outer, _block, inner = self.build_nested()
-        assert list(inner.ancestors()) == [outer]
-
     def test_is_ancestor_of(self):
         outer, _block, inner = self.build_nested()
         assert outer.is_ancestor_of(inner)

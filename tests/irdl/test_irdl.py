@@ -19,7 +19,6 @@ from repro.irdl import (
     lookup_def,
     verify_op,
 )
-from repro.irdl.library import verify_against_spec
 
 
 @pytest.fixture
@@ -158,10 +157,6 @@ class TestSubviewDefs:
         )
         violations = verify_op(bad, MEMREF_SUBVIEW)
         assert any("ranks differ" in str(v) for v in violations)
-
-    def test_verify_against_spec_unknown_passes(self, builder):
-        op = Operation.create("test.whatever")
-        assert verify_against_spec(op, "no.such.spec") == []
 
 
 class TestConstrainedCopy:

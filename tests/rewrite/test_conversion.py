@@ -40,11 +40,6 @@ class TestTypeConverter:
         )
         assert converter.convert_type(INDEX) == I32
 
-    def test_is_legal_type(self):
-        converter = self.make()
-        assert converter.is_legal_type(I32)
-        assert not converter.is_legal_type(INDEX)
-
 
 class TestConversionTarget:
     def test_dialect_legality(self):
