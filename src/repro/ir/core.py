@@ -42,7 +42,8 @@ class DigestStats:
     """Process-wide structural-hash counters.
 
     ``hits``/``recomputes`` are bumped by :func:`repro.ir.hashing.
-    op_digest` (memo hit vs bottom-up recompute); ``invalidations``
+    op_digest` (memo hit vs bottom-up recompute, per op with regions:
+    a leaf is hashed inside its parent); ``invalidations``
     counts mutation events that cleared at least one memoized digest.
     Readers (the profiler, the compile engine) report deltas against
     a baseline they took with :meth:`snapshot`.
@@ -74,19 +75,25 @@ DIGEST_STATS = DigestStats()
 def invalidate_digest(op: Optional["Operation"]) -> None:
     """Clear the memoized structural digest of ``op`` and its ancestors.
 
-    Digests are memoized bottom-up: a memoized ancestor implies every
-    op beneath it is memoized too (computing the ancestor memoizes the
-    whole subtree, and any later mutation below clears the full
+    Only ops with regions keep a memo (a leaf is encoded inside its
+    parent's), and they are memoized bottom-up: a memoized op implies
+    every op with regions beneath it is memoized too (computing the op
+    memoizes them, and any later mutation below clears the full
     ancestor chain). The contrapositive lets the walk stop at the
-    first op whose memo is already empty — mutations of never-hashed
-    IR cost a single attribute check.
+    first op with regions whose memo is empty — mutations of
+    never-hashed IR cost at most one parent hop (from a leaf).
     """
+    if op is None:
+        return
+    if op._digest is not None:
+        node = op
+    elif op.regions:
+        return
+    else:
+        node = op.parent_op
     cleared = False
-    node = op
     while node is not None and node._digest is not None:
         node._digest = None
-        node._digest_free = ()
-        node._digest_free_blocks = ()
         cleared = True
         node = node.parent_op
     if cleared:
@@ -118,14 +125,12 @@ class OpOperand:
         self._value._uses.remove(self)
         self._value = new_value
         new_value._uses.append(self)
-        if self.owner._digest is not None:
-            invalidate_digest(self.owner)
+        invalidate_digest(self.owner)
 
     def drop(self) -> None:
         """Remove this use from its value's use list."""
         self._value._uses.remove(self)
-        if self.owner._digest is not None:
-            invalidate_digest(self.owner)
+        invalidate_digest(self.owner)
 
 
 class Value:
@@ -321,18 +326,16 @@ class Operation:
     #: Structural traits checked by the verifier.
     TRAITS: frozenset = frozenset()
 
-    #: Memoized structural digest (see :mod:`repro.ir.hashing`), None =
-    #: not computed. ``__init__`` sets all three on the instance: a
-    #: second attribute first written after it moves the instance off
-    #: CPython's shared-key layout (a private dict, + 720 bytes per op
-    #: at the first digest). The class attributes are what a
+    #: Memoized structural digest of an op with regions (see
+    #: :mod:`repro.ir.hashing`): ``(digest, free values, free blocks)``,
+    #: the values and successor blocks the subtree references but does
+    #: not define, in first-occurrence (printer) order; None = not
+    #: computed, and always for a leaf. ``__init__`` sets it on the
+    #: instance: an attribute first written after it moves the instance
+    #: off CPython's shared-key layout (a private dict, + 720 bytes per
+    #: op at the first digest). The class attribute is what a
     #: :meth:`destroy`-ed shell reads.
-    _digest: Optional[bytes] = None
-    #: Values referenced by this subtree but defined outside it, in
-    #: first-occurrence (printer) order; part of the digest memo.
-    _digest_free: tuple = ()
-    #: Successor blocks referenced but not owned by this subtree.
-    _digest_free_blocks: tuple = ()
+    _digest: Optional[Tuple[bytes, tuple, tuple]] = None
 
     def __init__(
         self,
@@ -368,8 +371,6 @@ class Operation:
         ]) if regions else ()
         self.successors: Tuple[Block, ...] = tuple(successors)
         self._digest = None
-        self._digest_free = ()
-        self._digest_free_blocks = ()
 
     # -- creation ----------------------------------------------------------
 
@@ -422,8 +423,7 @@ class Operation:
 
     def set_attr(self, name: str, value: AttrLike) -> None:
         self.attributes[name] = make_attr(value)
-        if self._digest is not None:
-            invalidate_digest(self)
+        invalidate_digest(self)
 
     def invalidate_digest(self) -> None:
         """Drop memoized structural digests after an out-of-band
@@ -679,15 +679,6 @@ class Block:
         self.args.append(arg)
         invalidate_digest(self.parent_op)
         return arg
-
-    def erase_arg(self, index: int) -> None:
-        arg = self.args[index]
-        if arg.has_uses():
-            raise ValueError("erasing block argument that still has uses")
-        del self.args[index]
-        for i, remaining in enumerate(self.args):
-            remaining.index = i
-        invalidate_digest(self.parent_op)
 
     # -- op list -------------------------------------------------------------
 

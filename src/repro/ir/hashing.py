@@ -6,11 +6,13 @@ bottom out in :func:`repro.ir.printer.print_op` over an entire module:
 O(module) string work per lookup. This module gives operations a
 cheap structural identity instead: a SHA-256 digest computed
 bottom-up over (op name, attributes, operand structure, result types,
-successors, regions), memoized on the :class:`~repro.ir.core.
-Operation` and invalidated through the mutation hooks in
-:mod:`repro.ir.core` (an ancestor-chain walk that stops at the first
-already-cleared memo, so never-hashed IR pays a single attribute
-check per mutation).
+successors, regions). One digest is memoized per op *with regions*
+(a region-holding op, a function, a module) on the
+:class:`~repro.ir.core.Operation`; a leaf op — most ops — gets no
+hash of its own and is encoded inline in its parent's. Memos are
+invalidated through the mutation hooks in :mod:`repro.ir.core` (an
+ancestor-chain walk that stops at the first already-cleared memo, so
+never-hashed IR pays at most one parent hop per mutation).
 
 The contract — property-tested over the fuzz corpus — is::
 
@@ -33,7 +35,8 @@ the memo, where the parent re-encodes them against its own paths.
 This keeps the memo compositional: a ``func.func`` keeps its digest
 when it moves between modules, and a module digest is assembled from
 its functions' memos without re-walking them. Successor blocks are
-encoded through the same mechanism.
+encoded through the same mechanism. A leaf's operands and successors
+resolve directly against its parent's paths.
 """
 
 from __future__ import annotations
@@ -49,7 +52,13 @@ _PACK = struct.Struct(">I").pack
 
 #: Domain-separation prefix; bump when the encoding changes so stale
 #: digests can never collide with fresh ones across versions.
-_DOMAIN = b"repro-op-digest-v1"
+_DOMAIN = b"repro-op-digest-v2"
+#: Marks a child with regions, which enters as its digest; a leaf
+#: enters inline, starting with its name's length (a zero byte first).
+_NESTED = b"R"
+#: Fields joined per ``update``: one join of a whole function body
+#: would hold a copy of its encoding at once.
+_RUN = 512
 
 
 class _Packed(dict):
@@ -86,105 +95,107 @@ _name = functools.lru_cache(maxsize=1024)(_text)
 def _attributes(parts: List[bytes], attributes) -> None:
     """Append an attribute dictionary, in key order."""
     parts.append(_COUNT[len(attributes)])
-    for key, attribute in sorted(attributes.items()):
+    items = attributes.items()
+    for key, attribute in sorted(items) if len(attributes) > 1 else items:
         parts += (_name(key), _text(str(attribute)))
 
 
+def _header(parts: List[bytes], op: Operation,
+            values: Dict[Value, bytes], free_values: List[Value],
+            blocks: Dict[Block, bytes], free_blocks: List[Block]) -> None:
+    """Append ``op``'s header: its name, result types, operands as
+    (reference, type), attributes and successor references. A value or
+    block missing from ``values``/``blocks`` (which map what is
+    referenced to its reference) joins ``free_values``/``free_blocks``:
+    references follow the printer's first-use order."""
+    name = _name
+    parts += (name(op.name), _COUNT[len(op.results)])
+    for result in op.results:
+        parts.append(name(result.type._str))
+    parts.append(_COUNT[len(op._operands)])
+    for operand in op._operands:
+        value = operand._value
+        reference = values.get(value)
+        if reference is None:
+            reference = values[value] = _FREE[len(free_values)]
+            free_values.append(value)
+        parts += (reference, name(value.type._str))
+    if op.attributes:
+        _attributes(parts, op.attributes)
+    else:  # most ops
+        parts.append(_ZERO)
+    parts.append(_COUNT[len(op.successors)])
+    for target in op.successors:
+        reference = blocks.get(target)
+        if reference is None:
+            reference = blocks[target] = _FREE[len(free_blocks)]
+            free_blocks.append(target)
+        parts.append(reference)
+
+
 def _compute(op: Operation) -> Tuple[bytes, tuple, tuple]:
-    """Digest of ``op``'s subtree plus its free values/blocks; memoized.
+    """Digest of ``op``'s subtree plus its free values/blocks; memoized
+    when ``op`` has regions.
 
-    The encoding of one op is built as a list of byte strings and
-    hashed once (``_DOMAIN`` + concatenation): the bytes are what one
-    ``update`` per field would feed the hash, at a fraction of the
-    calls — tests/ir/test_hashing.py pins digests of fixed IR so the
-    encoding cannot drift, and tests/ir/test_emission.py compares
-    against the two-function encoder this one replaced.
+    The encoding is fed to one running hash as joined runs of byte
+    strings, a run per few hundred fields: the bytes are what one
+    ``update`` per field would feed it, at a fraction of the calls —
+    tests/ir/test_hashing.py pins digests of fixed IR so the encoding
+    cannot drift, and tests/ir/test_emission.py compares against a
+    field-by-field reference encoder.
 
-    Per nested op the regions append the child's digest with the
-    child's free references re-encoded against this level's paths —
-    which is what binds "child uses free value #k" to an actual
-    definition site. References this level cannot resolve either join
-    its own free values/blocks."""
+    The root's header comes first — its operands and successors are
+    free by construction (SSA: an op cannot use its own results, and
+    its regions' values are not visible as operands) — then its region
+    count. Per child op the regions append either the child's header —
+    a leaf, with its references resolved in this level's tables — or
+    ``_NESTED``, the child's digest and the child's free values and
+    blocks re-encoded against this level's paths, which is what binds
+    "child uses free value #k" to an actual definition site.
+    References this level cannot resolve either join its own free
+    values/blocks."""
     memo = op._digest
     if memo is not None:
         DIGEST_STATS.hits += 1
-        return memo, op._digest_free, op._digest_free_blocks
+        return memo
     DIGEST_STATS.recomputes += 1
 
     count, free, name = _COUNT, _FREE, _name
-    parts = [_DOMAIN, name(op.name), count[len(op.results)]]
-    for result in op.results:
-        parts.append(name(str(result.type)))
-    # The root's operands (and successors) are free by construction
-    # (SSA: an op cannot use its own results, and its regions' values
-    # are not visible as operands), and they are hashed before the
-    # regions so free indices follow the printer's first-use order.
-    operands = op._operands
-    if not operands:
-        free_values: List[Value] = []
-        parts.append(_ZERO)
-    elif len(operands) == 1:
-        value = operands[0]._value
-        free_values = [value]
-        parts += (_ONE, free[0], name(str(value.type)))
-    else:
-        free_values = []
-        seen: Dict[Value, bytes] = {}
-        parts.append(count[len(operands)])
-        for operand in operands:
-            value = operand._value
-            # A value used twice keeps the reference of its first use.
-            reference = seen.get(value)
-            if reference is None:
-                reference = seen[value] = free[len(free_values)]
-                free_values.append(value)
-            parts += (reference, name(str(value.type)))
+    #: value or block -> its encoded reference, ``b"L" + path`` for what
+    #: this op's regions define, ``b"F" + index`` for what they do not.
+    #: Keyed by the objects (identity hash), all of them alive in the
+    #: IR for as long as this call runs.
+    values: Dict[Value, bytes] = {}
+    blocks: Dict[Block, bytes] = {}
+    free_values: List[Value] = []
     free_blocks: List[Block] = []
-    if op.successors:
-        parts.append(count[len(op.successors)])
-        for successor in op.successors:
-            if successor not in free_blocks:
-                free_blocks.append(successor)
-            parts.append(free[free_blocks.index(successor)])
-    else:
-        parts.append(_ZERO)
-    attributes = op.attributes
-    if not attributes:
-        parts.append(_ZERO)
-    elif len(attributes) == 1:  # nothing to sort
-        for key, attribute in attributes.items():
-            parts += (_ONE, name(key), _text(str(attribute)))
-    else:
-        _attributes(parts, attributes)
-    if not op.regions:  # leaf ops — most ops — stop here
-        parts.append(_ZERO)
-    else:
-        parts.append(count[len(op.regions)])
-        #: value or block -> its encoded reference, ``b"L" + path`` for
-        #: what this op's regions define, ``b"F" + index`` for what
-        #: they do not. Keyed by the objects (identity hash), all of
-        #: them alive in the IR for as long as this call runs.
-        values = {value: free[i] for i, value in enumerate(free_values)}
-        blocks = {block: free[i] for i, block in enumerate(free_blocks)}
-        for region_index, region in enumerate(op.regions):
-            parts.append(count[len(region.blocks)])
-            # Pre-register every block and block argument of the region
-            # so forward references (a branch to a later block) encode
-            # as local paths, not free indices.
-            for block_index, block in enumerate(region.blocks):
-                path = b"L" + count[region_index] + count[block_index]
-                blocks[block] = path
-                for arg_index, arg in enumerate(block.args):
-                    values[arg] = path + b"a" + count[arg_index]
-            for block in region.blocks:
-                path = blocks[block] + b"r"
-                parts.append(count[len(block.args)])
-                for arg in block.args:
-                    parts.append(name(str(arg.type)))
-                parts.append(count[len(block.ops)])
-                for op_index, child in enumerate(block.ops):
+    parts = [_DOMAIN]
+    _header(parts, op, values, free_values, blocks, free_blocks)
+    parts.append(count[len(op.regions)])
+    hasher = hashlib.sha256()
+    for region_index, region in enumerate(op.regions):
+        parts.append(count[len(region.blocks)])
+        # Pre-register every block and block argument of the region so
+        # forward references (a branch to a later block) encode as
+        # local paths, not free indices.
+        for block_index, block in enumerate(region.blocks):
+            path = b"L" + count[region_index] + count[block_index]
+            blocks[block] = path
+            for arg_index, arg in enumerate(block.args):
+                values[arg] = path + b"a" + count[arg_index]
+        for block in region.blocks:
+            path = blocks[block] + b"r"
+            parts.append(count[len(block.args)])
+            for arg in block.args:
+                parts.append(name(arg.type._str))
+            parts.append(count[len(block.ops)])
+            for op_index, child in enumerate(block.ops):
+                if not child.regions:
+                    _header(parts, child, values, free_values,
+                            blocks, free_blocks)
+                else:
                     digest, child_values, child_blocks = _compute(child)
-                    parts += (digest, count[len(child_values)])
+                    parts += (_NESTED, digest, count[len(child_values)])
                     for value in child_values:
                         reference = values.get(value)
                         if reference is None:
@@ -192,33 +203,34 @@ def _compute(op: Operation) -> Tuple[bytes, tuple, tuple]:
                                 free[len(free_values)]
                             free_values.append(value)
                         parts.append(reference)
-                    if child_blocks:
-                        parts.append(count[len(child_blocks)])
-                        for target in child_blocks:
-                            reference = blocks.get(target)
-                            if reference is None:
-                                reference = blocks[target] = \
-                                    free[len(free_blocks)]
-                                free_blocks.append(target)
-                            parts.append(reference)
-                    else:
-                        parts.append(_ZERO)
-                    results = child.results
-                    if len(results) == 1:  # skip the loop set-up
-                        values[results[0]] = path + count[op_index] + _ZERO
-                    elif results:
-                        result_path = path + count[op_index]
-                        for index, result in enumerate(results):
-                            values[result] = result_path + count[index]
-    digest = hashlib.sha256(b"".join(parts)).digest()
-    op._digest = digest
-    op._digest_free = free_values = tuple(free_values)
-    op._digest_free_blocks = free_blocks = tuple(free_blocks)
-    return digest, free_values, free_blocks
+                    parts.append(count[len(child_blocks)])
+                    for target in child_blocks:
+                        reference = blocks.get(target)
+                        if reference is None:
+                            reference = blocks[target] = \
+                                free[len(free_blocks)]
+                            free_blocks.append(target)
+                        parts.append(reference)
+                results = child.results
+                if len(results) == 1:  # skip the loop set-up
+                    values[results[0]] = path + count[op_index] + _ZERO
+                elif results:
+                    result_path = path + count[op_index]
+                    for index, result in enumerate(results):
+                        values[result] = result_path + count[index]
+                if len(parts) > _RUN:
+                    hasher.update(b"".join(parts))
+                    parts.clear()
+    hasher.update(b"".join(parts))
+    memo = (hasher.digest(), tuple(free_values), tuple(free_blocks))
+    if op.regions:  # a leaf is hashed inside its parent: no memo
+        op._digest = memo
+    return memo
 
 
 def op_digest(op: Operation) -> str:
-    """Hex structural digest of ``op``'s subtree (memoized on the op).
+    """Hex structural digest of ``op``'s subtree (memoized on ``op``
+    when it has regions).
 
     Equal digests imply byte-identical :func:`~repro.ir.printer.
     print_op` output; recomputation after a mutation touches only the
@@ -230,19 +242,19 @@ def op_digest(op: Operation) -> str:
 def module_digest(attributes, function_digests: Sequence[str]) -> str:
     """What :func:`op_digest` gives for a ``builtin.module`` carrying
     ``attributes`` whose one argument-less block holds ops with the
-    digests ``function_digests``, none of them referring to a value or
-    block outside itself (top-level ``func.func`` ops). A digest is
-    compositional (module docstring), so a module spliced from cached
-    function text gets its identity from the functions' digests and
-    nothing is re-hashed."""
-    # No results, operands or successors.
-    parts = [_DOMAIN, _name("builtin.module"), _ZERO, _ZERO, _ZERO]
+    digests ``function_digests``, each with regions and none referring
+    to a value or block outside itself (top-level ``func.func`` ops). A
+    digest is compositional (module docstring), so a module spliced
+    from cached function text gets its identity from the functions'
+    digests and nothing is re-hashed."""
+    # No results or operands, ``attributes``, no successors.
+    parts = [_DOMAIN, _name("builtin.module"), _ZERO, _ZERO]
     _attributes(parts, attributes)
     # One region of one block without arguments.
-    parts += (_ONE, _ONE, _ZERO, _COUNT[len(function_digests)])
+    parts += (_ZERO, _ONE, _ONE, _ZERO, _COUNT[len(function_digests)])
     for digest in function_digests:
         # The op, then its (no) free values and (no) free blocks.
-        parts += (bytes.fromhex(digest), _ZERO, _ZERO)
+        parts += (_NESTED, bytes.fromhex(digest), _ZERO, _ZERO)
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 

@@ -215,15 +215,6 @@ class MemRefType(ShapedType):
             running *= dim if dim != DYNAMIC else 1
         return tuple(reversed(strides))
 
-    @property
-    def has_identity_layout(self) -> bool:
-        if self.layout is None:
-            return True
-        return (
-            self.layout.offset == 0
-            and self.layout.strides == self.identity_strides()
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class VectorType(ShapedType):

@@ -1,12 +1,12 @@
 """The back end against its reference.
 
-The printer and the digest encoder as they were before they became
-single passes are kept verbatim below (their own names: ``Printer``,
-``print_op``, ``_compute``, ``_regions``, …; the shipped ones are
-reached through ``printer.`` / ``hashing.``) and compared byte for byte,
-digest for digest and memo for memo. The call budgets of one print and
-one cold digest of a lowered model close the file. DESIGN.md §12 is the
-prose.
+The printer as it was before it became a single pass is kept verbatim
+below, beside a plain digest encoder that feeds the hash one field at
+a time (their own names: ``Printer``, ``print_op``, ``_compute``,
+``_header``, …; the shipped ones are reached through ``printer.`` /
+``hashing.``), and they are compared byte for byte, digest for digest
+and memo for memo. The call budgets of one print and one cold digest
+of a lowered model close the file. DESIGN.md §12 is the prose.
 """
 
 import hashlib
@@ -38,7 +38,7 @@ from repro.ir.core import DIGEST_STATS, Block, Operation, Value
 from repro.ir.hashing import _DOMAIN, _PACK, _name, _text
 
 # ---------------------------------------------------------------------------
-# Reference: ir/printer.py and ir/hashing.py as of PR 18, verbatim
+# Reference: the printer before it became a single pass, verbatim
 # ---------------------------------------------------------------------------
 
 
@@ -195,119 +195,100 @@ def print_op(op: Operation) -> str:
 
 
 
-def _attributes(parts: List[bytes], attributes) -> None:
-    """Append an attribute dictionary, in key order."""
-    parts.append(_PACK(len(attributes)))
-    for key, attribute in sorted(attributes.items()):
-        parts += (_name(key), _text(print_attribute(attribute)))
+# ---------------------------------------------------------------------------
+# Reference: the digest encoding, one ``update`` per field
+# ---------------------------------------------------------------------------
+
+
+def _header(op: Operation, update, value_reference, block_reference) -> None:
+    """Feed ``op``'s name, result types, operands, attributes and
+    successors, resolving each operand and successor to its reference."""
+    update(_name(op.name))
+    update(_PACK(len(op.results)))
+    for result in op.results:
+        update(_name(str(result.type)))
+    update(_PACK(len(op.operands)))
+    for value in op.operands:
+        update(value_reference(value))
+        update(_name(str(value.type)))
+    update(_PACK(len(op.attributes)))
+    for key, attribute in sorted(op.attributes.items()):
+        update(_name(key))
+        update(_text(print_attribute(attribute)))
+    update(_PACK(len(op.successors)))
+    for successor in op.successors:
+        update(block_reference(successor))
 
 
 def _compute(op: Operation) -> Tuple[bytes, tuple, tuple]:
-    """Digest of ``op``'s subtree plus its free values/blocks; memoized.
-
-    The encoding of one op is built as a list of byte strings and
-    hashed once (``_DOMAIN`` + concatenation): the bytes are what one
-    ``update`` per field would feed the hash, at a fraction of the
-    calls — tests/ir/test_hashing.py pins digests of fixed IR so the
-    encoding cannot drift."""
+    """Digest of ``op``'s subtree plus its free values/blocks, memoized
+    on ops with regions: the root's header and region count, then per
+    block its argument types and per child op either the child's header
+    (a leaf) or ``b"R"``, the child's digest and its free values and
+    blocks as references of this level."""
     memo = op._digest
     if memo is not None:
         DIGEST_STATS.hits += 1
-        return memo, op._digest_free, op._digest_free_blocks
+        return memo
     DIGEST_STATS.recomputes += 1
-
     pack = _PACK
-    parts = [_DOMAIN, _name(op.name), pack(len(op.results))]
-    for result in op.results:
-        parts.append(_name(str(result.type)))
-    # The root's operands (and successors) are free by construction
-    # (SSA: an op cannot use its own results, and its regions' values
-    # are not visible as operands), and they are hashed before the
-    # regions so free indices follow the printer's first-use order.
+    hasher = hashlib.sha256(_DOMAIN)
+    update = hasher.update
     free_values: List[Value] = []
     free_blocks: List[Block] = []
-    operands = op.operands
-    parts.append(pack(len(operands)))
-    # id -> free index; values and blocks are distinct live objects,
-    # so one table serves both.
-    seen: Dict[int, int] = {}
-    for operand in operands:
-        index = seen.setdefault(id(operand), len(free_values))
-        if index == len(free_values):
-            free_values.append(operand)
-        parts += (b"F", pack(index), _name(str(operand.type)))
-    parts.append(pack(len(op.successors)))
-    for successor in op.successors:
-        index = seen.setdefault(id(successor), len(free_blocks))
-        if index == len(free_blocks):
-            free_blocks.append(successor)
-        parts += (b"F", pack(index))
-    _attributes(parts, op.attributes)
-    parts.append(pack(len(op.regions)))
-    if op.regions:  # leaf ops — most ops — stop here
-        _regions(op, parts, free_values, free_blocks)
-    digest = hashlib.sha256(b"".join(parts)).digest()
-    op._digest = digest
-    op._digest_free = tuple(free_values)
-    op._digest_free_blocks = tuple(free_blocks)
-    return digest, op._digest_free, op._digest_free_blocks
+    #: value or block -> its reference, ``b"L" + path`` for what
+    #: ``op``'s regions define, ``b"F" + index`` for what they do not.
+    references: Dict[object, bytes] = {}
 
+    def value_reference(value: Value) -> bytes:
+        if value not in references:
+            references[value] = b"F" + pack(len(free_values))
+            free_values.append(value)
+        return references[value]
 
-def _regions(op: Operation, parts: List[bytes],
-             free_values: List[Value], free_blocks: List[Block]) -> None:
-    """Append the regions of ``op``: per block its argument types and,
-    per child op, the child's digest with the child's free references
-    re-encoded against this level's paths — which is what binds "child
-    uses free value #k" to an actual definition site. References this
-    level cannot resolve either join ``free_values``/``free_blocks``."""
-    pack = _PACK
-    #: id(value or block) -> its encoded reference, ``b"L" + path`` for
-    #: what this op's regions define, ``b"F" + index`` for what they
-    #: do not.
-    values = {id(value): b"F" + pack(index)
-              for index, value in enumerate(free_values)}
-    blocks = {id(block): b"F" + pack(index)
-              for index, block in enumerate(free_blocks)}
+    def block_reference(block: Block) -> bytes:
+        if block not in references:
+            references[block] = b"F" + pack(len(free_blocks))
+            free_blocks.append(block)
+        return references[block]
+
+    _header(op, update, value_reference, block_reference)
+    update(pack(len(op.regions)))
     for region_index, region in enumerate(op.regions):
-        parts.append(pack(len(region.blocks)))
-        # Pre-register every block and block argument of the region so
-        # forward references (a branch to a later block) encode as
-        # local paths, not free indices.
+        update(pack(len(region.blocks)))
+        # Blocks and their arguments first: a branch may target a
+        # later block.
         for block_index, block in enumerate(region.blocks):
             path = b"L" + pack(region_index) + pack(block_index)
-            blocks[id(block)] = path
+            references[block] = path
             for arg_index, arg in enumerate(block.args):
-                values[id(arg)] = path + b"a" + pack(arg_index)
+                references[arg] = path + b"a" + pack(arg_index)
         for block_index, block in enumerate(region.blocks):
             path = b"L" + pack(region_index) + pack(block_index) + b"r"
-            parts.append(pack(len(block.args)))
+            update(pack(len(block.args)))
             for arg in block.args:
-                parts.append(_name(str(arg.type)))
-            parts.append(pack(len(block.ops)))
+                update(_name(str(arg.type)))
+            update(pack(len(block.ops)))
             for op_index, child in enumerate(block.ops):
-                child_digest, child_free, child_free_blocks = _compute(child)
-                parts += (child_digest, pack(len(child_free)))
-                for value in child_free:
-                    reference = values.get(id(value))
-                    if reference is None:
-                        reference = values[id(value)] = \
-                            b"F" + pack(len(free_values))
-                        free_values.append(value)
-                    parts.append(reference)
-                parts.append(pack(len(child_free_blocks)))
-                for free_block in child_free_blocks:
-                    reference = blocks.get(id(free_block))
-                    if reference is None:
-                        reference = blocks[id(free_block)] = \
-                            b"F" + pack(len(free_blocks))
-                        free_blocks.append(free_block)
-                    parts.append(reference)
-                if child.results:
-                    result_path = path + pack(op_index)
-                    for result_index, result in enumerate(child.results):
-                        values[id(result)] = result_path + pack(result_index)
-
-
+                if child.regions:
+                    digest, child_values, child_blocks = _compute(child)
+                    update(b"R")
+                    update(digest)
+                    update(pack(len(child_values)))
+                    for value in child_values:
+                        update(value_reference(value))
+                    update(pack(len(child_blocks)))
+                    for target in child_blocks:
+                        update(block_reference(target))
+                else:
+                    _header(child, update, value_reference, block_reference)
+                for result_index, result in enumerate(child.results):
+                    references[result] = \
+                        path + pack(op_index) + pack(result_index)
+    memo = (hasher.digest(), tuple(free_values), tuple(free_blocks))
+    if op.regions:
+        op._digest = memo
+    return memo
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +379,7 @@ def _memos(root, compute):
     for op in root.walk():
         op._digest = None
     compute(root)
-    return [(op._digest, op._digest_free, op._digest_free_blocks)
-            for op in root.walk()]
+    return [op._digest for op in root.walk()]
 
 
 def test_shapes_cover_what_the_printer_treats_apart():
@@ -455,6 +435,9 @@ def test_digests_and_memos_match_the_reference(corpus):
         for op in module.walk():
             if op.regions:
                 assert _memos(op, hashing._compute) == _memos(op, _compute)
+            else:  # hashed on its own, a leaf is not memoized
+                assert hashing._compute(op) == _compute(op)
+                assert op._digest is None
 
 
 def _redigest(compute):
@@ -474,8 +457,9 @@ def test_redigest_reuses_the_same_memos_as_the_reference():
     assert _redigest(hashing._compute) == expected
     before, after, traffic = expected
     assert before != after
-    # module, two_regions, scf.if, test.use — and nothing of `branchy`.
-    assert traffic["hash_recomputes"] == 4
+    # module, two_regions, scf.if — test.use is a leaf, hashed inside
+    # scf.if — and nothing of `branchy`.
+    assert traffic["hash_recomputes"] == 3
     assert traffic["hash_hits"] > 0
 
 
@@ -536,12 +520,13 @@ def test_str_is_the_spelling_the_printer_used_and_parses_back(corpus):
 
 #: Python-level + C-level calls of ``print_op`` and of a cold
 #: ``op_digest`` over squeezenet after the TOSA pipeline (239 ops),
-#: measured 5 143 and 9 612 when these guards were written; the
-#: reference above makes 15 979 and 19 796. The ceilings leave ~10 % for
+#: measured 5 143 (print, on the interpreter the guard was written on)
+#: and 6 329 (digest with inline leaves, CPython 3.11); the references
+#: above make 15 979 and 15 724. The ceilings leave ~10 % for
 #: interpreter versions and fail a per-value method call, a list built
 #: per operand read or a generator per dense element long before that.
 PRINT_CALLS_CEILING = 5_650
-DIGEST_CALLS_CEILING = 10_550
+DIGEST_CALLS_CEILING = 6_960
 
 
 def _calls(function, *args):

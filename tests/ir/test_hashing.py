@@ -45,6 +45,29 @@ BRANCHY = textwrap.dedent("""
 """).strip()
 
 
+#: Two functions, the first holding two ops with regions.
+NESTED = textwrap.dedent("""
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%a: i32):
+        "test.region"() ({
+          %0 = "arith.addi"(%a, %a) : (i32, i32) -> i32
+          "test.yield"(%0) : (i32) -> ()
+        }) : () -> ()
+        "test.region"() ({
+          %0 = "arith.muli"(%a, %a) : (i32, i32) -> i32
+          "test.yield"(%0) : (i32) -> ()
+        }) : () -> ()
+        "func.return"(%a) : (i32) -> ()
+      }) {sym_name = "f0", function_type = (i32) -> i32} : () -> ()
+      "func.func"() ({
+      ^bb0(%a: i32):
+        "func.return"(%a) : (i32) -> ()
+      }) {sym_name = "f1", function_type = (i32) -> i32} : () -> ()
+    }) : () -> ()
+""").strip()
+
+
 def _funcs(module):
     return list(module.regions[0].entry_block.ops)
 
@@ -122,10 +145,10 @@ class TestContract:
 
 class TestPinnedEncoding:
     """Digests key every cache, on disk too: the *bytes* fed to the
-    hash may not move with the code that assembles them (one buffer
-    per op, a leaf path, ``module_digest``) unless ``_DOMAIN`` is
+    hash may not move with the code that assembles them (joined runs
+    of fields, inline leaves, ``module_digest``) unless ``_DOMAIN`` is
     bumped with them. Hex digests of fixed IR, computed by the
-    field-by-field ``hasher.update`` implementation these replaced."""
+    field-by-field reference encoder of tests/ir/test_emission.py."""
 
     def test_fixed_ir_keeps_its_digests(self):
         from repro.execution.workloads import build_matmul_module
@@ -136,25 +159,25 @@ class TestPinnedEncoding:
             # A module, a region op with block arguments, a leaf op
             # with operands.
             op_digest(module):
-                "f41477b1eb5f36f5fa01455957c4304d"
-                "e26f9e1e477585932132524dc6e9df61",
+                "4cab187d0ff7094061e18ed15763f0d9"
+                "5b28f1b7f7afa54a7e9efc3739da82a5",
             op_digest(f0):
-                "2b2faf999f2faed21ba37668597dbd81"
-                "678b279c283233278314dd31cd838044",
+                "b55554d37a63b43c1578c25c5f23c4be"
+                "af744994be434aea7a069b2859632d42",
             op_digest(f0.regions[0].blocks[0].ops[0]):
-                "70d5591c8e4118e747c912804224e6cd"
-                "31d128390006efc289f7c9a6f9a83578",
+                "f28b5def0dcf8e42d87d96d17c37ff91"
+                "3f30d83ddfdf5dd311a0a1ea4d399a68",
             # Successors, forward block references.
             op_digest(parse(BRANCHY)):
-                "497413715d9d891a4d80c06d271c9895"
-                "d58d90333db22b0882cc19e77dbab5cf",
+                "66041233960ea87aa4e76854bc01f98c"
+                "dfb4cecb67dc2b51dabb93ca27b340c1",
             # Nested loops; memref types, affine maps, float attributes.
             op_digest(PayloadFuzzer(random.Random(7)).module()):
-                "be8338e7a02148425a924e98800f443f"
-                "c25559ef9e9aae7d105c6c3ed430c30c",
+                "239b82a9de350834e9733bb8444a5e36"
+                "fc512a861f16c1833d37a1e387515e3c",
             op_digest(build_matmul_module(8, 4, 4)):
-                "dc3c707936208ebb0f4ad5e0172be4ca"
-                "449b924a59c7694bdb481029bf888228",
+                "cbadf10d2ad7b183af1384d6a65c2560"
+                "45cbd39941c545ccddbcc710fa7462d2",
             attributes_digest(parse(BRANCHY)):
                 "c47c67b85aab3f44a4982586eef34d8a"
                 "f366c734745141af6caa3d2ee304bfdc",
@@ -184,20 +207,23 @@ class TestMemoization:
         assert DIGEST_STATS.hits == hits + 1
 
     def test_mutation_invalidates_ancestors_only(self):
-        module = parse(MODULE)
+        module = parse(NESTED)
         op_digest(module)
         f0, f1 = _funcs(module)
-        add = f0.regions[0].entry_block.ops[0]
-        sibling_digest = op_digest(f1)
+        first, second, _ = f0.regions[0].entry_block.ops
+        add = first.regions[0].entry_block.ops[0]
+        sibling_digest = op_digest(second)
         add.set_attr("mark", 1)
         # Exactly the ancestor chain is cleared...
-        assert add._digest is None
+        assert first._digest is None
         assert f0._digest is None
         assert module._digest is None
-        # ... and nothing else.
+        # ... and nothing else; no leaf ever holds a memo.
+        assert second._digest is not None
         assert f1._digest is not None
-        assert add.parent.ops[1]._digest is not None
-        assert op_digest(f1) == sibling_digest
+        assert all(op._digest is None for op in module.walk()
+                   if not op.regions)
+        assert op_digest(second) == sibling_digest
 
     def test_recompute_touches_only_the_dirty_chain(self):
         module = parse(MODULE)
@@ -207,9 +233,10 @@ class TestMemoization:
         add.set_attr("mark", 2)
         recomputes = DIGEST_STATS.recomputes
         op_digest(module)
-        # module + func + the mutated op = 3 recomputes; every other
-        # subtree comes out of its memo.
-        assert DIGEST_STATS.recomputes - recomputes == 3
+        # module + func = 2 recomputes (the mutated op is a leaf, hashed
+        # inside its function); every other subtree comes out of its
+        # memo.
+        assert DIGEST_STATS.recomputes - recomputes == 2
 
     def test_erase_invalidates(self):
         module = parse(MODULE)
@@ -246,6 +273,54 @@ class TestMemoization:
                 {"mark": f0.attributes["sym_name"]}
             )
         )
+        assert op_digest(module) != before
+
+
+def _retype_arguments(function):
+    from repro.ir.types import I32, I64
+    from repro.rewrite.conversion import ConversionRewriter, TypeConverter
+
+    converter = TypeConverter()
+    converter.add_conversion(lambda type: I64 if type == I32 else None)
+    ConversionRewriter(converter).convert_block_signature(
+        function.regions[0].entry_block)
+
+
+def _modify_in_place(leaf):
+    from repro.ir.attributes import attr
+    from repro.rewrite.pattern import PatternRewriter
+
+    # A raw attribute-dict write: no hook of its own.
+    PatternRewriter().modify_op_in_place(
+        leaf, lambda: leaf.attributes.update(mark=attr(1)))
+
+
+#: A leaf of ``MODULE``'s first function (add, mul, return) and what is
+#: done to it; each reaches the digest hooks by another path.
+LEAF_MUTATIONS = {
+    "OpOperand.set": lambda add, mul, ret: mul.set_operand(1, add.result),
+    "OpOperand.drop": lambda add, mul, ret: ret.drop_all_references(),
+    "set_attr": lambda add, mul, ret: add.set_attr("mark", 1),
+    "modify_op_in_place": lambda add, mul, ret: _modify_in_place(add),
+    "erase": lambda add, mul, ret: ret.erase(),
+    "convert_block_signature": lambda add, mul, ret: _retype_arguments(
+        add.parent_op),
+}
+
+
+class TestLeafMutationHooks:
+    """A leaf has no memo of its own, so its hooks must clear its
+    parent's: after any mutation of a leaf of a hashed module, the
+    module's digest is that of the module its print parses back to."""
+
+    @pytest.mark.parametrize("mutation", sorted(LEAF_MUTATIONS))
+    def test_digest_follows_a_leaf_mutation(self, mutation):
+        module = parse(MODULE)
+        before = op_digest(module)
+        add, mul, ret = _funcs(module)[0].regions[0].entry_block.ops
+        LEAF_MUTATIONS[mutation](add, mul, ret)
+        text = print_op(module)
+        assert op_digest(module) == op_digest(parse(text))
         assert op_digest(module) != before
 
 

@@ -106,15 +106,6 @@ class TestMemRefType:
         assert memref(4, 8).identity_strides() == (8, 1)
         assert memref(2, 3, 4).identity_strides() == (12, 4, 1)
 
-    def test_identity_layout_detection(self):
-        assert memref(4, 4).has_identity_layout
-        strided = MemRefType((4, 4), F32, MemRefLayout(DYNAMIC, (DYNAMIC, DYNAMIC)))
-        assert not strided.has_identity_layout
-
-    def test_explicit_identity_layout(self):
-        explicit = MemRefType((4, 8), F32, MemRefLayout(0, (8, 1)))
-        assert explicit.has_identity_layout
-
     def test_strided_layout_str(self):
         layout = MemRefLayout(DYNAMIC, (DYNAMIC, 1))
         assert "strided<[?, 1], offset: ?>" in str(

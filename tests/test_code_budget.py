@@ -30,7 +30,7 @@ BUDGETS = {
     "core": 1911,
     "core/state.py": 141,
     "frontend/schedule.py": 440,
-    "ir": 2130,
+    "ir": 2108,
     "passes": 1681,
     "service": 2593,
     "service/engine.py": 591,
@@ -82,12 +82,8 @@ ALLOWLIST = {
         "only its unit and property tests call it; delete with them",
     "ir/affine.py:AffineMap.constant_map":
         "only its unit test calls it; delete with it",
-    "ir/core.py:Block.erase_arg":
-        "only its two unit tests call it; delete with them",
     "ir/core.py:Operation.move_after":
         "only the op-list mutator table calls it; delete with its rows",
-    "ir/types.py:MemRefType.has_identity_layout":
-        "only its two unit tests call it; delete with them",
     "observability/metrics.py:Counter.inc":
         "only its unit test calls it; delete with it",
 }
