@@ -14,11 +14,11 @@ from repro.core import (
     dialect as transform,
     expand_includes,
     pipeline_to_transform_script,
-    simplify_script,
 )
 from repro.enzyme import ALL_PATTERN_NAMES, build_llm_block_module, make_pattern
 from repro.execution.workloads import build_resnet_layer_module
 from repro.ir import Builder, Operation
+from repro.passes.manager import PassManager
 from repro.rewrite.greedy import apply_patterns_greedily
 
 
@@ -89,7 +89,7 @@ def test_ablation_script_presimplification(benchmark, simplify):
         script = _script_with_noops()
         expand_includes(script)
         if simplify:
-            simplify_script(script)
+            PassManager(["canonicalize", "cse"]).run(script)
         sequence = next(script.walk_ops("transform.sequence"))
         TransformInterpreter().apply(sequence, payload)
         return payload

@@ -5,8 +5,8 @@ Public surface:
 * :mod:`repro.core.dialect` — transform operations and script builders;
 * :class:`TransformInterpreter` — executes scripts against payload IR;
 * :class:`TransformState` — handle/payload mapping with invalidation;
-* :func:`expand_includes` / :func:`simplify_script` /
-  :func:`infer_ad_dialects` — transformations of transform IR (§3.4);
+* :func:`expand_includes` / :func:`infer_ad_dialects` — transformations
+  of transform IR (§3.4); ``canonicalize`` and ``cse`` simplify it;
 * :func:`pipeline_to_transform_script` — pass pipeline conversion (§4.1);
 * :class:`DynamicConditionChecker` — IRDL-backed dynamic checks (§3.3).
 """
@@ -41,7 +41,6 @@ from .script_transforms import (
     ScriptTransformError,
     expand_includes,
     infer_ad_dialects,
-    simplify_script,
 )
 from .state import HandleInvalidatedError, StateSnapshot, TransformState
 from .transaction import PayloadTransaction, TransactionError

@@ -10,8 +10,9 @@ which handles it consumes (§3.1), how its results' payload relates to
 its operands', how it can fail, whether it only produces handles,
 whether its effect stays inside one function, and the payload op specs
 it expects / introduces (§3.3). The interpreter, the static analyses,
-the script simplifier, the schedule builder and the compile service
-read those off the op — :func:`declared` — and keep no table of names.
+the canonicalization patterns, the schedule builder and the compile
+service read those off the op — :func:`declared` — and keep no table
+of names.
 
 Builder helpers at module level make scripts read close to the paper::
 
@@ -39,6 +40,7 @@ from ..ir.core import (
     IsTerminator,
     IsolatedFromAbove,
     Operation,
+    Pure,
     SingleBlock,
     SymbolTrait,
     Value,
@@ -648,6 +650,10 @@ class ParamConstantOp(TransformOp):
     """``param.constant 8`` — an externalized heuristic value (Fig. 1)."""
 
     NAME = "transform.param.constant"
+    #: The one pure transform op: with no operands, its result depends
+    #: on its attributes alone. Ops reading a handle read the mapping
+    #: at their position in the script, so none of them is pure.
+    TRAITS = frozenset({Pure})
     RESULT_ONLY = True
     FUNCTION_LOCAL = True
     MAY_FAIL_SILENCEABLY = False

@@ -7,10 +7,10 @@ transformed:
   via the ordinary inlining machinery (recursion is rejected by call
   graph cycle detection); :func:`inlined_script` is the expanded copy
   the static analyses read;
-* :func:`simplify_script` — peephole simplification that keeps the
-  script's outcome: ``unroll by 1`` is a no-op, unused ops that only
-  produce handles and cannot fail are dead, duplicate
-  ``param.constant`` ops are shared;
+* canonicalization patterns for transform ops — with ``Pure`` on
+  ``param.constant``, the ordinary ``canonicalize`` and ``cse`` passes
+  simplify a script: ``unroll by 1`` is a no-op, unused ops that only
+  produce handles and cannot fail are dead, equal constants are shared;
 * :func:`infer_ad_dialects` — the Fig. 5 introspection: walk the script
   to determine at which abstraction level (stablehlo / arith / llvm) an
   ``autodiff`` transform sits, and configure the kind of "add" it emits.
@@ -18,12 +18,14 @@ transformed:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Set
 
 from ..ir.attributes import StringAttr, SymbolRefAttr, unwrap
 from ..ir.core import Operation
+from ..passes.canonicalize import register_canonicalization
 from ..passes.inliner import InliningError, detect_recursion, inline_call
-from .dialect import declared
+from ..rewrite.pattern import PatternRewriter, pattern
+from .dialect import TransformOp
 
 
 class ScriptTransformError(Exception):
@@ -95,106 +97,60 @@ def included_symbols(script: Operation) -> Set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Simplification / constant propagation
+# Canonicalization patterns for transform ops
 # ---------------------------------------------------------------------------
+#
+# A script is simplified the way payload IR is: ``expand_includes``,
+# then ``PassManager(["canonicalize", "cse"])``. ``param.constant`` is
+# the one ``Pure`` transform op, so CSE shares equal constants (every
+# attribute is keyed, ``binding`` included) and canonicalize drops
+# unused ones. Every other rule is a pattern below; each keeps the
+# outcome of any script that does not end in a definite error. An
+# ``apply_patterns`` with no patterns still runs the greedy driver,
+# which erases dead pure payload ops, so it is not a no-op; nor is
+# tiling by 0 (§3.4's other example): in this interpreter a lone zero
+# size fails silenceably and an all-zero nest is rebuilt.
 
 
-def simplify_script(script: Operation) -> int:
-    """Peephole-simplify a transform script; returns rewrites applied.
-
-    Rules (paper §3.4): unrolling by 1 is a no-op; an op declared
-    ``RESULT_ONLY`` that cannot fail silenceably is dead when no result
-    is used (one rule over the op classes' declarations — an unused op
-    that *can* fail stays, because its failure skips the rest of the
-    block); identical ``param.constant`` ops are shared; an
-    ``apply_patterns`` without patterns and an ``alternatives`` with
-    only empty regions do nothing. Running these *before*
-    interpretation saves the compile time of applying no-op transforms
-    to the payload.
-
-    Every rule keeps the outcome: unless the script as written ends in
-    a definite error, the simplified script ends in the same status
-    class with byte-identical payload — an invariant of
-    ``python -m repro.testing.fuzz``. The paper's other example,
-    tiling by 0, is not folded: in this interpreter a lone zero size
-    is a silenceable failure and an all-zero nest is rebuilt.
-    """
-    rewrites = 0
-    changed = True
-    while changed:
-        changed = False
-        for op in list(script.walk()):
-            if op.parent is None:
-                continue
-            if _simplify_one(op):
-                rewrites += 1
-                changed = True
-        rewrites += _dedupe_params(script)
-    return rewrites
+@register_canonicalization
+@pattern(label="erase-unused-transform-result-only")
+def erase_unused_result_only(op: Operation,
+                             rewriter: PatternRewriter) -> bool:
+    """An op declared ``RESULT_ONLY`` that cannot fail silenceably is
+    dead when no result is used. An unused op that *can* fail stays:
+    its failure skips the rest of its block."""
+    if not isinstance(op, TransformOp) or not op.RESULT_ONLY \
+            or op.may_fail_silenceably() \
+            or any(result.has_uses() for result in op.results):
+        return False
+    rewriter.erase_op(op)
+    return True
 
 
-def _static_sizes(op: Operation, attr_name: str) -> Optional[List[int]]:
-    attr = op.attr(attr_name)
-    if attr is None:
-        return None
-    values = unwrap(attr)
-    if isinstance(values, int):
-        return [values]
-    if isinstance(values, list) and all(isinstance(v, int) for v in values):
-        return values
-    return None
+@register_canonicalization
+@pattern("transform.loop.unroll", label="erase-unroll-by-one")
+def erase_unroll_by_one(op: Operation, rewriter: PatternRewriter) -> bool:
+    """Unrolling by 1 is a no-op (§3.4). A factor operand overrides the
+    attribute, so only the one-operand form is static."""
+    if op.num_operands != 1 or op.attr("full") is not None:
+        return False
+    factor = op.attr("factor")
+    if factor is None or unwrap(factor) not in (1, [1]):
+        return False
+    rewriter.erase_op(op)
+    return True
 
 
-def _simplify_one(op: Operation) -> bool:
-    # A factor operand overrides the attribute: the static rule only
-    # applies to the one-operand form.
-    if op.name == "transform.loop.unroll" and op.num_operands == 1:
-        factors = _static_sizes(op, "factor")
-        if factors == [1] and op.attr("full") is None:
-            op.erase()
-            return True
-    facts = declared(op)
-    if facts.RESULT_ONLY and not facts.may_fail_silenceably():
-        # Dead: it only produces handles, nobody reads them, and
-        # skipping it cannot turn a failing run into a clean one.
-        if op.results and not any(r.has_uses() for r in op.results):
-            op.erase()
-            return True
-    if op.name == "transform.apply_patterns":
-        names = op.pattern_names()  # type: ignore[attr-defined]
-        if not names:
-            op.erase()
-            return True
-    if op.name == "transform.alternatives":
-        if all(region.is_empty for region in op.regions) \
-                and not any(r.has_uses() for r in op.results):
-            op.erase()
-            return True
-    return False
-
-
-def _dedupe_params(script: Operation) -> int:
-    removed = 0
-    for sequence in script.walk():
-        if sequence.name not in ("transform.sequence",
-                                 "transform.named_sequence"):
-            continue
-        if not sequence.regions or not sequence.regions[0].blocks:
-            continue
-        seen: Dict[object, Operation] = {}
-        for op in list(sequence.regions[0].entry_block.ops):
-            if op.name != "transform.param.constant" or op.parent is None:
-                continue
-            value = op.attr("value")
-            key = str(value)
-            existing = seen.get(key)
-            if existing is None:
-                seen[key] = op
-            else:
-                op.replace_all_uses_with(list(existing.results))
-                op.erase()
-                removed += 1
-    return removed
+@register_canonicalization
+@pattern("transform.alternatives", label="erase-empty-alternatives")
+def erase_empty_alternatives(op: Operation,
+                             rewriter: PatternRewriter) -> bool:
+    """An ``alternatives`` whose regions are all empty does nothing."""
+    if not all(region.is_empty for region in op.regions) \
+            or any(result.has_uses() for result in op.results):
+        return False
+    rewriter.erase_op(op)
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -221,10 +221,6 @@ class AffineMap:
     def identity(rank: int) -> "AffineMap":
         return AffineMap(rank, 0, tuple(AffineDim(i) for i in range(rank)))
 
-    @staticmethod
-    def constant_map(value: int) -> "AffineMap":
-        return AffineMap(0, 0, (AffineConstant(value),))
-
     @property
     def num_results(self) -> int:
         return len(self.results)

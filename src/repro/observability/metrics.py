@@ -58,14 +58,9 @@ class Counter:
         self._value = 0.0
         self._lock = threading.Lock()
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
     def set(self, value: float) -> None:
-        """Bridge hook for syncing an externally accumulated total
-        (a component's stats field) onto the registry. Regular
-        instrumentation should use :meth:`inc`."""
+        """Sync an externally accumulated total (a component's stats
+        field) onto the registry."""
         with self._lock:
             self._value = value
 

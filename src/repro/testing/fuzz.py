@@ -30,11 +30,12 @@ interpreter's exception barrier, and asserts the robustness invariants:
   intrusive op list is consistent (:func:`op_list_violations`): forward
   links mirror backward links, parent pointers match, the ``block.ops``
   memo is the linked order and a valid order index rises along it;
-* **simplification keeps the outcome** — unless the schedule as written
-  ends in a definite error, the same schedule after
-  :func:`~repro.core.script_transforms.simplify_script` ends in the same
-  status class with a byte-identical payload (the as-written vs
-  normalized oracle a service that normalizes scripts rests on).
+* **normalization keeps the outcome** — unless the schedule as written
+  ends in a definite error, the same schedule after ``expand_includes``
+  and ``PassManager(["canonicalize", "cse"])`` ends in the same status
+  class with a byte-identical payload, :data:`FUZZ_BINDINGS` bound
+  after either (the as-written vs normalized oracle a service that
+  normalizes scripts rests on).
 
 With ``--differential``, every case additionally cross-checks the
 static analysis (:mod:`repro.analysis.invalidation`) against the
@@ -72,16 +73,14 @@ from typing import List, Optional, Tuple
 from ..core import dialect as transform
 from ..core.errors import TransformInterpreterError
 from ..core.interpreter import TransformInterpreter
-from ..core.script_transforms import (
-    ScriptTransformError,
-    expand_includes,
-    simplify_script,
-)
+from ..core.script_transforms import ScriptTransformError, expand_includes
 from ..dialects import arith, builtin, func, scf
 from ..ir.attributes import SymbolRefAttr
 from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
 from ..ir.printer import print_op
+from ..passes.manager import PassManager
+from ..service.worker import bind_parameters
 
 #: Payload op names the schedule fuzzer may try to match (a mix of
 #: names the payload generator emits and names it never does, so both
@@ -95,6 +94,10 @@ MATCHABLE_NAMES = (
     "func.func",
     "memref.load",  # never generated: exercises empty matches
 )
+
+#: The params every fuzz run binds, as a compile job does: after the
+#: script is normalized, so sharing two bound constants would lose one.
+FUZZ_BINDINGS = {"tile_m": 16, "tile_n": 32}
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +233,9 @@ class ScheduleFuzzer:
                 )
             elif choice < 0.92 and nesting < 2:
                 self._nested_alternatives(builder, root, nesting)
-            elif not self.safe and choice < 0.96 and consumed:
+            elif choice < 0.95:
+                self._normalization_probe(builder, root, anything + loops)
+            elif not self.safe and choice < 0.98 and consumed:
                 # Deliberate use-after-consume: must surface as a clean
                 # definite error, never a crash.
                 transform.annotate(
@@ -282,6 +287,32 @@ class ScheduleFuzzer:
         # All four consume their loop operand.
         loops.remove(loop)
         consumed.append(loop)
+
+    def _normalization_probe(self, builder: Builder, root: Value,
+                             targets: List[Value]) -> None:
+        """Ops a normalization rule sees: equal constants, unbound or
+        bound (:data:`FUZZ_BINDINGS`), each read by an ``annotate``; an
+        ``alternatives`` of empty regions; an ``apply_patterns`` with
+        no patterns, which still erases dead pure payload ops."""
+        kind = self.rng.random()
+        if kind < 0.5:
+            value = self.rng.choice((4, 8))
+            pair = self.rng.choice(
+                ((None, None), (None, "tile_m"), ("tile_m", "tile_n")))
+            for index, binding in enumerate(pair):
+                attributes = {"value": value}
+                if binding is not None:
+                    attributes["binding"] = binding
+                param = builder.create(
+                    "transform.param.constant", attributes=attributes,
+                    result_types=[transform.PARAM_I64],
+                ).result
+                transform.annotate(builder, root, f"fuzz_param{index}",
+                                   param)
+        elif kind < 0.75:
+            transform.alternatives(builder, self.rng.randint(1, 2))
+        else:
+            transform.apply_patterns(builder, self.rng.choice(targets), [])
 
     def _nested_alternatives(self, builder: Builder, root: Value,
                              nesting: int) -> None:
@@ -393,7 +424,9 @@ class FuzzReport:
 
 
 def _interpret(payload: Operation, script: Operation) -> CaseOutcome:
-    """Run ``script`` on ``payload``, classifying the outcome."""
+    """Bind :data:`FUZZ_BINDINGS` in ``script`` and run it on
+    ``payload``, classifying the outcome."""
+    bind_parameters(script, FUZZ_BINDINGS)
     interpreter = TransformInterpreter()
     try:
         result = interpreter.apply(script, payload)
@@ -726,19 +759,20 @@ def run_case(case_seed: int, differential: bool = False
 
     if outcome.kind != "definite":
         payload3, script3, _rollback3, _before3 = _build_case(case_seed)
-        simplify_script(script3)
-        simplified = _interpret(payload3, script3)
-        if simplified.kind != outcome.kind:
+        expand_includes(script3)
+        PassManager(["canonicalize", "cse"]).run(script3)
+        normalized = _interpret(payload3, script3)
+        if normalized.kind != outcome.kind:
             failures.append(FuzzFailure(
-                case_seed, "simplify-keeps-status",
+                case_seed, "normalize-keeps-status",
                 f"as written {outcome.kind}: {outcome.message!r}; "
-                f"simplified {simplified.kind}: {simplified.message!r}",
+                f"normalized {normalized.kind}: {normalized.message!r}",
             ))
-        elif simplified.payload_print != outcome.payload_print:
+        elif normalized.payload_print != outcome.payload_print:
             failures.append(FuzzFailure(
-                case_seed, "simplify-keeps-payload",
+                case_seed, "normalize-keeps-payload",
                 "payload prints diverge between the schedule as written "
-                "and simplified",
+                "and normalized",
             ))
     return outcome, failures
 

@@ -10,9 +10,10 @@ import pytest
 
 import repro
 from repro.analysis import analyze_script, lint_script
-from repro.core import dialect as transform, simplify_script
+from repro.core import dialect as transform
 from repro.core.dialect import TransformOp, declared
 from repro.ir.core import OP_REGISTRY, Operation, register_op
+from repro.passes.manager import PassManager
 from repro.service import is_func_shardable
 
 #: What the nine tables said at the parent commit (a6892cc), per
@@ -193,7 +194,7 @@ class TestOneDeclarationIsEnough:
         assert issue.consume_op.name == _ConsumingLocalOp.NAME
         assert issue.use_op.name == "transform.annotate"
         assert is_func_shardable(script)
-        assert simplify_script(script) == 0
+        PassManager(["canonicalize", "cse"]).run(script)
         assert list(script.walk_ops(_ConsumingLocalOp.NAME))
 
     def test_unused_query_op_is_warned_about_and_erased(self):
@@ -202,7 +203,7 @@ class TestOneDeclarationIsEnough:
                 if _QueryOp.NAME in str(w)
                 and "dead handle" in str(w)]
         assert not is_func_shardable(script)
-        assert simplify_script(script) >= 1
+        PassManager(["canonicalize", "cse"]).run(script)
         assert not list(script.walk_ops(_QueryOp.NAME))
 
 

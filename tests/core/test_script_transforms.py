@@ -7,11 +7,13 @@ from repro.core import (
     dialect as transform,
     expand_includes,
     infer_ad_dialects,
-    simplify_script,
 )
 from repro.core.interpreter import TransformInterpreter
 from repro.execution.workloads import build_matmul_module
 from repro.ir import Builder, Operation
+from repro.ir.printer import print_op
+from repro.passes.manager import PassManager
+from repro.service.worker import bind_parameters
 
 
 def script_module():
@@ -107,6 +109,20 @@ class TestIncludeExpansion:
             expand_includes(module)
 
 
+def _dead_add_payload():
+    """A function holding an ``arith.addi`` nothing uses."""
+    from repro.dialects import arith, builtin, func
+
+    payload = builtin.module()
+    function = func.func("dead_add", [])
+    payload.body.append(function)
+    body = Builder.at_end(function.body)
+    one = arith.index_constant(body, 1)
+    arith.addi(body, one, one)
+    func.return_(body)
+    return payload
+
+
 class TestSimplification:
     def test_unroll_by_one_removed(self):
         script, builder, root = transform.sequence()
@@ -115,7 +131,7 @@ class TestSimplification:
         transform.loop_unroll(builder, loop, factor=1)
         transform.print_(builder, loop)
         transform.yield_(builder)
-        assert simplify_script(script) >= 1
+        PassManager(["canonicalize", "cse"]).run(script)
         assert not list(script.walk_ops("transform.loop.unroll"))
 
     def test_full_unroll_kept(self):
@@ -124,14 +140,14 @@ class TestSimplification:
                                   position="first")
         transform.loop_unroll(builder, loop, full=True)
         transform.yield_(builder)
-        simplify_script(script)
+        PassManager(["canonicalize", "cse"]).run(script)
         assert list(script.walk_ops("transform.loop.unroll"))
 
     def test_dead_match_removed(self):
         script, builder, root = transform.sequence()
         transform.match_op(builder, root, "scf.for")  # unused
         transform.yield_(builder)
-        assert simplify_script(script) >= 1
+        PassManager(["canonicalize", "cse"]).run(script)
         assert not list(script.walk_ops("transform.match_op"))
 
     def test_used_match_kept(self):
@@ -140,34 +156,89 @@ class TestSimplification:
                                   position="first")
         transform.print_(builder, loop)
         transform.yield_(builder)
-        simplify_script(script)
+        PassManager(["canonicalize", "cse"]).run(script)
         assert list(script.walk_ops("transform.match_op"))
 
     def test_duplicate_params_shared(self):
+        """Two unbound equal constants are one; an equal bound one
+        stays apart."""
         script, builder, root = transform.sequence()
         first = transform.param_constant(builder, 8)
         second = transform.param_constant(builder, 8)
+        bound = builder.create(
+            "transform.param.constant", result_types=[transform.PARAM_I64],
+            attributes={"value": 8, "binding": "tile"}).result
+        transform.annotate(builder, root, "tile", bound)
         loop = transform.match_op(builder, root, "scf.for",
                                   position="first")
         main, rest = transform.loop_split(builder, loop, first)
         transform.loop_tile(builder, main, second)
         transform.yield_(builder)
-        simplify_script(script)
+        PassManager(["canonicalize", "cse"]).run(script)
         params = list(script.walk_ops("transform.param.constant"))
-        assert len(params) == 1
+        assert [param.attr("binding") is None for param in params] \
+            == [True, False]
 
-    def test_empty_apply_patterns_removed(self):
+    def test_bound_params_are_not_shared(self):
         script, builder, root = transform.sequence()
-        transform.apply_patterns(builder, root, [])
+        for binding in ("tile_m", "tile_n"):
+            param = builder.create(
+                "transform.param.constant", result_types=[transform.PARAM_I64],
+                attributes={"value": 4, "binding": binding}).result
+            transform.annotate(builder, root, binding, param)
         transform.yield_(builder)
-        simplify_script(script)
-        assert not list(script.walk_ops("transform.apply_patterns"))
+        PassManager(["canonicalize", "cse"]).run(script)
+        assert len(list(script.walk_ops("transform.param.constant"))) == 2
+        assert bind_parameters(script, {"tile_m": 16, "tile_n": 32}) == 2
+        payload = build_matmul_module(8, 4, 4)
+        TransformInterpreter().apply(script, payload)
+        assert (payload.attr("tile_m").value,
+                payload.attr("tile_n").value) == (16, 32)
+
+    def test_empty_apply_patterns_is_kept(self):
+        """It still runs the greedy driver, which erases dead pure
+        payload ops: erasing it would keep an unused ``arith.addi``."""
+        def run(normalize):
+            payload = _dead_add_payload()
+            script, builder, root = transform.sequence()
+            transform.apply_patterns(builder, root, [])
+            transform.yield_(builder)
+            if normalize:
+                PassManager(["canonicalize", "cse"]).run(script)
+                assert list(script.walk_ops("transform.apply_patterns"))
+            TransformInterpreter().apply(script, payload)
+            return print_op(payload)
+
+        assert run(True) == run(False)
+        assert "arith.addi" not in run(False)
+
+    def test_only_param_constant_is_pure(self):
+        """``num_payload_ops`` reads the mapping where it stands: two
+        reads around an ``apply_patterns`` that erases the matched op
+        are not common subexpressions."""
+        script, builder, root = transform.sequence()
+        adds = transform.match_op(builder, root, "arith.addi")
+        counts = []
+        for index in range(2):
+            if index:
+                transform.apply_patterns(builder, root, [])
+            counts.append(builder.create(
+                "transform.num_payload_ops", operands=[adds],
+                result_types=[transform.PARAM_I64]).result)
+        for index, count in enumerate(counts):
+            transform.annotate(builder, root, f"n{index}", count)
+        transform.yield_(builder)
+        PassManager(["canonicalize", "cse"]).run(script)
+        assert len(list(script.walk_ops("transform.num_payload_ops"))) == 2
+        payload = _dead_add_payload()
+        TransformInterpreter().apply(script, payload)
+        assert (payload.attr("n0").value, payload.attr("n1").value) == (1, 0)
 
     def test_empty_alternatives_removed(self):
         script, builder, root = transform.sequence()
         transform.alternatives(builder, 2)
         transform.yield_(builder)
-        simplify_script(script)
+        PassManager(["canonicalize", "cse"]).run(script)
         assert not list(script.walk_ops("transform.alternatives"))
 
     def test_simplified_script_equivalent(self):
@@ -181,7 +252,7 @@ class TestSimplification:
             transform.loop_unroll(builder, inner, factor=1)  # no-op
             transform.yield_(builder)
             if simplify:
-                simplify_script(script)
+                PassManager(["canonicalize", "cse"]).run(script)
             TransformInterpreter().apply(script, payload)
             return [
                 op.name for op in payload.walk()
@@ -230,7 +301,7 @@ class TestSimplificationKeepsTheOutcome:
         transform.annotate(builder, root, "reached")
         transform.yield_(builder)
         if simplify:
-            simplify_script(script)
+            PassManager(["canonicalize", "cse"]).run(script)
         result = TransformInterpreter().apply(script, payload)
         return result.is_silenceable, print_op(payload)
 
@@ -257,7 +328,7 @@ class TestSimplificationKeepsTheOutcome:
             transform.annotate(builder, root, "reached")
             transform.yield_(builder)
             if simplify:
-                simplify_script(script)
+                PassManager(["canonicalize", "cse"]).run(script)
             result = TransformInterpreter().apply(script, payload)
             return result.is_silenceable, print_op(payload)
 
@@ -271,7 +342,7 @@ class TestSimplificationKeepsTheOutcome:
         builder.create("transform.loop.unroll", operands=[loop, factor],
                        attributes={"factor": 1})
         transform.yield_(builder)
-        simplify_script(script)
+        PassManager(["canonicalize", "cse"]).run(script)
         assert list(script.walk_ops("transform.loop.unroll"))
 
 

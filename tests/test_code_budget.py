@@ -26,15 +26,27 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
+    ".": 17080,  # all of src/repro
     "analysis": 834,
-    "core": 1911,
+    "autotuning": 353,
+    "core": 1876,
     "core/state.py": 141,
+    "dialects": 1221,
+    "enzyme": 745,
+    "execution": 776,
     "frontend/schedule.py": 440,
-    "ir": 2108,
+    "ir": 2105,
+    "irdl": 281,
+    "mlmodels": 192,
+    "observability": 619,
     "passes": 1681,
+    "profiling": 161,
+    "rewrite": 445,
     "service": 2593,
     "service/engine.py": 591,
     "service/frontier.py": 165,
+    "testing": 1295,
+    "transforms": 621,
 }
 
 #: file at the repository root -> the most lines it may have; the two
@@ -80,12 +92,8 @@ ALLOWLIST = {
         "Schedule builder entry that links the shipped macro library",
     "ir/affine.py:AffineMap.compose":
         "only its unit and property tests call it; delete with them",
-    "ir/affine.py:AffineMap.constant_map":
-        "only its unit test calls it; delete with it",
     "ir/core.py:Operation.move_after":
         "only the op-list mutator table calls it; delete with its rows",
-    "observability/metrics.py:Counter.inc":
-        "only its unit test calls it; delete with it",
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,

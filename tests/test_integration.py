@@ -11,7 +11,6 @@ from repro.core import (
     expand_includes,
     payload_op_specs,
     pipeline_to_transform_script,
-    simplify_script,
 )
 from repro.execution.interpreter import PayloadInterpreter
 from repro.execution.workloads import (
@@ -21,6 +20,7 @@ from repro.execution.workloads import (
 from repro.ir import Builder, Operation
 from repro.ir.parser import parse
 from repro.ir.printer import print_op
+from repro.passes.manager import PassManager
 
 
 class TestTextualEndToEnd:
@@ -161,7 +161,7 @@ class TestSafetyNetsCompose:
             transform.loop_unroll(builder, inner, factor=1)  # no-op
             transform.yield_(builder)
             if pre_simplify:
-                simplify_script(script)
+                PassManager(["canonicalize", "cse"]).run(script)
             TransformInterpreter().apply(script, payload)
             return print_op(payload)
 
