@@ -234,15 +234,6 @@ class AffineMap:
             )
         return [r.evaluate(dims, symbols) for r in self.results]
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """``self ∘ other``: feed other's results into self's dims."""
-        if other.num_results != self.num_dims:
-            raise ValueError("composition arity mismatch")
-        results = tuple(
-            r.replace(list(other.results)) for r in self.results
-        )
-        return AffineMap(other.num_dims, other.num_symbols, results)
-
     def __str__(self) -> str:
         dims = ", ".join(f"d{i}" for i in range(self.num_dims))
         syms = ", ".join(f"s{i}" for i in range(self.num_symbols))

@@ -541,12 +541,6 @@ class Operation:
             raise ValueError("anchor operation is not in a block")
         other.parent.insert_before(other, self)
 
-    def move_after(self, other: "Operation") -> None:
-        """Make this op the one after ``other`` (itself: no change)."""
-        if other.parent is None:
-            raise ValueError("anchor operation is not in a block")
-        other.parent.insert_after(other, self)
-
     def clone(self, value_map: Optional[Dict[Value, Value]] = None) -> "Operation":
         """Deep-copy this operation (and nested regions).
 

@@ -85,17 +85,6 @@ class TestAffineMap:
         with pytest.raises(ValueError):
             m.evaluate([1])
 
-    def test_compose(self):
-        inner = AffineMap(1, 0, (dim(0) * 2,))
-        outer = AffineMap(1, 0, (dim(0) + 1,))
-        composed = outer.compose(inner)
-        assert composed.evaluate([5]) == [11]
-
-    def test_compose_arity_mismatch(self):
-        two_results = AffineMap(1, 0, (dim(0), dim(0)))
-        with pytest.raises(ValueError):
-            two_results.compose(two_results)
-
     def test_str(self):
         m = AffineMap(2, 1, (dim(0) * 8 + symbol(0),))
         assert str(m) == "(d0, d1)[s0] -> (((d0 * 8) + s0))"
@@ -148,12 +137,3 @@ def test_floordiv_matches_python(expr, d, s, divisor):
     value = expr.evaluate([d], [s])
     assert expr.floordiv(divisor).evaluate([d], [s]) == value // divisor
 
-
-@given(ints, ints, ints)
-def test_map_replace_equals_compose(a, b, point):
-    inner = AffineMap(1, 0, (dim(0) * a + b,))
-    outer = AffineMap(1, 0, (dim(0) + 1,))
-    composed = outer.compose(inner)
-    assert composed.evaluate([point]) == [
-        outer.evaluate(inner.evaluate([point]))[0]
-    ]

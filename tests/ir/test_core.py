@@ -240,7 +240,7 @@ class TestStructure:
         b = block.append(make_const(2))
         b.move_before(a)
         assert block.ops == [b, a]
-        b.move_after(a)
+        a.move_before(b)
         assert block.ops == [a, b]
 
     def test_walk_preorder(self):
@@ -351,9 +351,6 @@ _MUTATIONS = """
     c.move_before(a) -> cab | xy |
     a.move_before(c) -> bac | xy |
     x.move_before(a) -> xabc | y |
-    c.move_after(a) -> acb | xy |
-    a.move_after(c) -> bca | xy |
-    y.move_after(b) -> abyc | x |
     E.append(x) -> abc | y | x
     rewriter.inline_block_before(S, a) -> xyabc | |
     rewriter.inline_block_before(S, b) -> axybc | |
@@ -453,7 +450,7 @@ class TestOpListEdges:
         a, b = block.append(make_const(1)), block.append(make_const(2))
         op_digest(holder)
         a.move_before(a)
-        b.move_after(b)
+        b.move_before(b)
         block.insert_before(a, a)
         block.insert_after(b, b)
         assert block.ops == [a, b]

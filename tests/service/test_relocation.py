@@ -314,12 +314,11 @@ def _counting_shifts(monkeypatch):
 
 class TestNothingIsRenumberedThatDidNotMove:
     def test_an_execution_shifts_nothing(self, monkeypatch):
-        from benchmarks.bench_service import SCHEDULE, _payload
-
+        payload = _module(F0, F1, F2, F3)
         shifts = _counting_shifts(monkeypatch)
-        raw = compile_job(_payload(0), SCHEDULE, function_tier=True)
+        raw = compile_job(payload, UNROLL, function_tier=True)
         assert len(raw["functions"]) == 4 and shifts == []
-        assert raw["output"] == compile_job(_payload(0), SCHEDULE)["output"]
+        assert raw["output"] == compile_job(payload, UNROLL)["output"]
 
     @pytest.mark.parametrize("position", range(4))
     def test_a_partial_assemble_shifts_at_most_the_new_function(
@@ -353,12 +352,14 @@ class TestNothingIsRenumberedThatDidNotMove:
 
 
 #: Python-level calls (``call`` + ``c_call`` profile events) of one
-#: ``assemble_functions`` over the four functions of the benchmark's
-#: 4-function unroll output. Normalized texts (the ``--jobs`` form:
-#: every text is shifted): 1 546 measured, ceiling ≈ 10 % above; the
-#: parse-based body this replaced made 99 047. Entries under their
-#: recorded names, in the order they were printed (what every worker
-#: execution does): 229 measured — nothing is renumbered.
+#: ``assemble_functions`` over the four functions of an unrolled
+#: 4-function module. Normalized texts (the ``--jobs`` form: every text
+#: is shifted): 203 measured here; the ceiling was set ≈ 10 % above the
+#: 1 546 of perfbench's larger unroll module, and one ``parse`` of this
+#: output alone makes 4 317 (the parse-based body this replaced made
+#: 99 047 on that module). Entries under their recorded names, in the
+#: order they were printed (what every worker execution does): 229
+#: measured — nothing is renumbered.
 ASSEMBLE_CALLS_CEILING = 1_700
 ASSEMBLE_NAMED_CALLS_CEILING = 260
 
@@ -380,11 +381,9 @@ def _calls_of(function):
 
 
 def test_assemble_call_count_ceiling():
-    """A work count no host can move: a regression to re-parsing (two
-    orders of magnitude more calls) fails here without a timer."""
-    from benchmarks.bench_service import SCHEDULE, _payload
-
-    raw = compile_job(_payload(0), SCHEDULE, function_tier=True)
+    """A work count no host can move: a regression to re-parsing (an
+    order of magnitude more calls) fails here without a timer."""
+    raw = compile_job(_module(F0, F1, F2, F3), UNROLL, function_tier=True)
     entries = raw["functions"]
     assert len(entries) == 4
     texts = [function_text(function) for function

@@ -177,6 +177,46 @@ class TestServerRoundtrip:
         asyncio.run(go())
 
 
+class TestWarmPooledDaemon:
+    def test_a_repeated_batch_spawns_restarts_and_executes_nothing(
+            self, tmp_path):
+        # What the daemon exists for: the pool and the cache outlive a
+        # batch, so the same batch again is answered warm by the same
+        # pool generation.
+        payloads = [PAYLOAD.replace("8 : index", f"{8 + 2 * n} : index")
+                    for n in range(4)]
+        engine = CompileEngine(workers=1, cache=CompilationCache(capacity=64))
+
+        def counters():
+            return (engine.stats.executed, engine.stats.worker_restarts,
+                    engine._pool_generation)
+
+        async def go():
+            sock = _sock(tmp_path)
+            async with CompileServer(engine, socket_path=sock):
+                client = await AsyncServiceClient.connect(sock)
+                batches = []
+                for _ in range(2):
+                    before = counters()
+                    results = await asyncio.gather(*(
+                        client.submit(payload, UNROLL)
+                        for payload in payloads))
+                    batches.append((results, before, counters()))
+                await client.close()
+                return batches
+
+        try:
+            (cold, cold_before, cold_after), (warm, before, after) = \
+                asyncio.run(go())
+        finally:
+            engine.shutdown()
+        assert all(r.ok and not r.cache_hit for r in cold)
+        assert cold_after[0] - cold_before[0] == len(payloads)
+        assert all(r.ok and r.cache_hit for r in warm)
+        assert after == before
+        assert [r.output for r in warm] == [r.output for r in cold]
+
+
 class TestEventLogIsBounded:
     def test_a_long_lived_daemon_keeps_a_window_of_records(self, tmp_path):
         # The daemon attaches an EventLog of its own and only ever

@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 17080,  # all of src/repro
+    ".": 17069,  # all of src/repro
     "analysis": 834,
     "autotuning": 353,
     "core": 1876,
@@ -34,8 +34,9 @@ BUDGETS = {
     "dialects": 1221,
     "enzyme": 745,
     "execution": 776,
+    "frontend": 1154,
     "frontend/schedule.py": 440,
-    "ir": 2105,
+    "ir": 2094,
     "irdl": 281,
     "mlmodels": 192,
     "observability": 619,
@@ -53,7 +54,7 @@ BUDGETS = {
 #: together stay within 1 200.
 PROSE_BUDGETS = {
     "DESIGN.md": 546,
-    "README.md": 650,
+    "README.md": 649,
 }
 
 #: Trees whose names count as callers of a ``src/repro`` definition
@@ -90,10 +91,6 @@ ALLOWLIST = {
         "transform.structured.lower_to_loops",
     "frontend/schedule.py:Schedule.use_library":
         "Schedule builder entry that links the shipped macro library",
-    "ir/affine.py:AffineMap.compose":
-        "only its unit and property tests call it; delete with them",
-    "ir/core.py:Operation.move_after":
-        "only the op-list mutator table calls it; delete with its rows",
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
