@@ -24,8 +24,8 @@ class in :mod:`repro.core.dialect`; the analyses read it off the op.
 
 The dynamic counterpart lives in the interpreter
 (:class:`~repro.core.state.TransformState` invalidation tracking); the
-differential fuzzer (``python -m repro.testing.fuzz --differential``)
-asserts the two agree: every dynamic invalidation error is predicted
+fuzzer (``python -m repro.testing.fuzz``) asserts on every case that
+the two agree: every dynamic invalidation error is predicted
 statically, and no definite static error fires on a schedule that
 executes cleanly.
 """

@@ -31,8 +31,8 @@ counter bumps after every op that may fail silenceably while inside a
 recoverable scope. A consumption fact recorded at token ``t`` is only a
 *definite* error for a use still at token ``t`` — any possible
 silenceable skip between consume and use downgrades the diagnostic to a
-warning, which is exactly the precision contract the differential
-fuzzer (``repro.testing.fuzz --differential``) enforces. How an op can
+warning, which is exactly the precision contract the fuzzer
+(``python -m repro.testing.fuzz``) enforces on every case. How an op can
 terminate is its own declaration (``ALWAYS_FAILS`` and
 ``may_fail_silenceably()`` on its class in :mod:`repro.core.dialect`);
 an op nobody declared is assumed to possibly fail silenceably, the safe

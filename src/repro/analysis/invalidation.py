@@ -23,7 +23,7 @@ The analysis is:
 * **severity-graded** — an issue is an ``"error"`` only when the
   consumption *must* happen on every clean run reaching the use
   (same skip-token count, no branch join in between); everything
-  weaker is a ``"warning"``. The differential fuzzer checks exactly
+  weaker is a ``"warning"``. The fuzzer checks exactly
   this contract: dynamic invalidation errors are always predicted
   (any severity), and cleanly-executing schedules never carry an
   ``"error"``.
@@ -49,7 +49,7 @@ other live non-parameter handle except the sequence root (payload
 roots are strict ancestors of anything consumed, and ancestors are
 never invalidated). Those coarse facts only ever produce warnings,
 but they make the analysis *sound* against the dynamic semantics —
-the property the differential fuzzer asserts.
+the property the fuzzer asserts.
 """
 
 from __future__ import annotations

@@ -139,8 +139,8 @@ def lint_script(
     """Run every static check over ``script``; returns the engine.
 
     ``may_alias=True`` additionally reports the coarse worst-case
-    aliasing warnings the differential fuzz oracle relies on (noisy for
-    human consumption, hence off by default).
+    aliasing warnings the fuzzer's static-soundness oracle relies on
+    (noisy for human consumption, hence off by default).
     """
     engine = engine or DiagnosticEngine()
     issues = analyze_script(script, may_alias=may_alias)

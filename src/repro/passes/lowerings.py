@@ -67,17 +67,20 @@ def llvm_type_converter(convert_memref: bool = True) -> TypeConverter:
 
 
 def _outermost_scf_ops(root: Operation) -> List[Operation]:
-    """scf.for/if/forall ops with no scf ancestor (lowered first)."""
+    """scf.for/if/forall ops under ``root`` with no scf ancestor below
+    it (lowered first). ``root`` itself is never one: a pass does not
+    erase the op it runs on."""
     found: List[Operation] = []
 
     def visit(op: Operation) -> None:
-        if op.name in ("scf.for", "scf.if", "scf.forall"):
-            found.append(op)
-            return  # do not descend; inner ones are handled next round
         for region in op.regions:
             for block in region.blocks:
                 for nested in list(block.ops):
-                    visit(nested)
+                    if nested.name in ("scf.for", "scf.if", "scf.forall"):
+                        # Inner ones are handled next round.
+                        found.append(nested)
+                    else:
+                        visit(nested)
 
     visit(root)
     return found

@@ -47,13 +47,10 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..testing.faults import FaultPlan, FaultSite
-
-#: Parameter bindings: name -> int or list of ints (the values a
-#: ``transform.param.constant`` op can carry).
-ParamBindings = Mapping[str, Union[int, Sequence[int]]]
+from .worker import ParamBindings
 
 _LEN = struct.Struct(">Q").pack
 
@@ -88,13 +85,18 @@ def _params_blob(params: Optional[ParamBindings]) -> bytes:
                       separators=(",", ":")).encode()
 
 
-def cache_key(payload_text: str, script_text: str,
+def cache_key(payload_digest: str, script_digest: str,
               params: Optional[ParamBindings] = None,
               entry_point: Optional[str] = None) -> str:
-    """SHA-256 content address of one whole compilation job."""
+    """SHA-256 content address of one whole compilation job.
+
+    ``payload_digest`` and ``script_digest`` are digests of the job's
+    two inputs, not their text: the engine passes structural digests
+    (:func:`repro.ir.hashing.op_digest`). Each is framed whole into the
+    key, so any digest spelling keys consistently."""
     hasher = hashlib.sha256(b"repro-cache-key-v2")
-    _frame(hasher, payload_text.encode())
-    _frame(hasher, script_text.encode())
+    _frame(hasher, payload_digest.encode())
+    _frame(hasher, script_digest.encode())
     _frame(hasher, _params_blob(params))
     _frame(hasher, entry_point.encode() if entry_point else b"")
     return hasher.hexdigest()

@@ -26,6 +26,8 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 from ..ir.attributes import StringAttr
 from ..ir.core import Operation
 
+#: Parameter bindings: name -> int or list of ints (the values a
+#: ``transform.param.constant`` op can carry).
 ParamBindings = Mapping[str, Union[int, Sequence[int]]]
 
 

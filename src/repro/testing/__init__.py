@@ -20,7 +20,6 @@ stays dependency-free (``faults`` is stdlib-only at module level).
 """
 
 _FUZZ = frozenset({
-    "FuzzFailure",
     "FuzzReport",
     "PayloadFuzzer",
     "ScheduleFuzzer",
@@ -29,10 +28,10 @@ _FUZZ = frozenset({
 })
 _FAULTS = frozenset({
     "CHAOS_RATES",
-    "ChaosFailure",
     "ChaosReport",
     "FaultPlan",
     "FaultSite",
+    "FuzzFailure",
     "run_chaos",
     "run_chaos_case",
 })

@@ -172,8 +172,10 @@ CHAOS_RATES: Dict[FaultSite, float] = {
 
 
 @dataclass
-class ChaosFailure:
-    """One violated invariant, with enough context to reproduce."""
+class FuzzFailure:
+    """One violated invariant, with enough context to reproduce: the
+    chaos driver's and the schedule fuzzer's (:mod:`repro.testing.fuzz`)
+    failure reports alike."""
 
     case_seed: int
     invariant: str
@@ -181,6 +183,12 @@ class ChaosFailure:
 
     def __str__(self) -> str:
         return f"[case-seed {self.case_seed}] {self.invariant}: {self.detail}"
+
+
+def case_seeds(seed: int, cases: int) -> range:
+    """The case seeds of a ``cases``-case run from ``seed``: each case
+    replays alone by its seed (``--case-seed K``)."""
+    return range(seed * 1_000_003, seed * 1_000_003 + cases)
 
 
 @dataclass
@@ -192,7 +200,7 @@ class ChaosReport:
     recovered: int = 0
     statuses: Counter = field(default_factory=Counter)
     faults: Counter = field(default_factory=Counter)
-    failures: List[ChaosFailure] = field(default_factory=list)
+    failures: List[FuzzFailure] = field(default_factory=list)
     #: Fired fault schedules of failing cases, for replay artifacts.
     failing_schedules: Dict[int, List[Dict[str, object]]] = field(
         default_factory=dict
@@ -354,7 +362,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                     asyncio.wait_for(drive(), timeout=watchdog_seconds)
                 )
             except asyncio.TimeoutError:
-                report.failures.append(ChaosFailure(
+                report.failures.append(FuzzFailure(
                     case_seed, "no-deadlock",
                     f"batch did not complete within {watchdog_seconds}s "
                     f"under fault schedule {plan.injected}",
@@ -363,14 +371,14 @@ def run_chaos_case(case_seed: int, workers: int = 1,
 
             # 1. Every job reaches a terminal status, in order.
             if [r.job_id for r in results] != [j.job_id for j in jobs()]:
-                report.failures.append(ChaosFailure(
+                report.failures.append(FuzzFailure(
                     case_seed, "terminal-status",
                     "result set does not match the submitted batch",
                 ))
             for result in results:
                 report.statuses[result.status.value] += 1
                 if not isinstance(result.status, JobStatus):
-                    report.failures.append(ChaosFailure(
+                    report.failures.append(FuzzFailure(
                         case_seed, "terminal-status",
                         f"{result.job_id}: non-terminal {result.status!r}",
                     ))
@@ -380,7 +388,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                 if result.ok:
                     if (result.status is not ref.status
                             or result.output != ref.output):
-                        report.failures.append(ChaosFailure(
+                        report.failures.append(FuzzFailure(
                             case_seed, "recovery-byte-identity",
                             f"{result.job_id}: {result.status.value} "
                             f"output diverges from the fault-free "
@@ -390,7 +398,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                         report.recovered += 1
                 elif ref.ok and result.status.value not in (
                         "crashed", "timeout", "poisoned", "cancelled"):
-                    report.failures.append(ChaosFailure(
+                    report.failures.append(FuzzFailure(
                         case_seed, "terminal-status",
                         f"{result.job_id}: fault-free run was "
                         f"{ref.status.value} but chaos run reports "
@@ -401,20 +409,20 @@ def run_chaos_case(case_seed: int, workers: int = 1,
             # 3. Stats balance, and the distribution saw every job.
             stats = engine.stats
             if stats.submitted != stats.completed:
-                report.failures.append(ChaosFailure(
+                report.failures.append(FuzzFailure(
                     case_seed, "stats-balance",
                     f"submitted={stats.submitted} != "
                     f"completed={stats.completed}",
                 ))
             if stats.completed != len(results):
-                report.failures.append(ChaosFailure(
+                report.failures.append(FuzzFailure(
                     case_seed, "stats-balance",
                     f"completed={stats.completed} != "
                     f"results={len(results)}",
                 ))
             timed = engine.metrics.histogram("service.job_seconds").count
             if timed != len(results):
-                report.failures.append(ChaosFailure(
+                report.failures.append(FuzzFailure(
                     case_seed, "stats-balance",
                     f"service.job_seconds count={timed} != "
                     f"results={len(results)}",
@@ -422,7 +430,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
             poisoned = sum(1 for r in results
                            if r.status is JobStatus.POISONED)
             if stats.quarantined != poisoned:
-                report.failures.append(ChaosFailure(
+                report.failures.append(FuzzFailure(
                     case_seed, "stats-balance",
                     f"quarantined={stats.quarantined} != "
                     f"poisoned results={poisoned}",
@@ -433,7 +441,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                 disk_trouble = (cache.stats.disk_errors
                                 + cache.stats.disk_corrupt)
                 if disk_trouble == 0 and not cache.degraded:
-                    report.failures.append(ChaosFailure(
+                    report.failures.append(FuzzFailure(
                         case_seed, "stats-balance",
                         "disk faults fired but neither disk_errors "
                         "nor disk_corrupt counted",
@@ -452,8 +460,7 @@ def run_chaos(seed: int = 0, cases: int = 50, workers: int = 1,
               server: bool = False) -> ChaosReport:
     """Run ``cases`` chaos cases derived from ``seed``."""
     total = ChaosReport()
-    for index in range(cases):
-        case_seed = seed * 1_000_003 + index
+    for case_seed in case_seeds(seed, cases):
         report, _plan = run_chaos_case(case_seed, workers=workers,
                                        job_timeout=job_timeout,
                                        tracer=tracer, events=events,

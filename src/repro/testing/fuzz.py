@@ -1,25 +1,43 @@
 """Seeded schedule/payload fuzzing for the transform interpreter.
 
-MLIR-Smith-style hardening (arXiv:2601.02218): every case builds a
-random payload module from the registered dialects and a
-random-but-type-correct transform script, runs the script under the
-interpreter's exception barrier, and asserts the robustness invariants:
+MLIR-Smith-style hardening (arXiv:2601.02218). Every case seed builds
+two (payload, script) pairs, the *legs* of the case (:data:`LEGS`):
 
-* **containment** — interpretation either returns a
-  :class:`~repro.core.errors.TransformResult` or raises a clean
+* **textual** — a random payload module from the registered dialects
+  and a random-but-type-correct script built op by op
+  (:class:`PayloadFuzzer`, :class:`ScheduleFuzzer`); 40 % of them are
+  rollback cases (:func:`build_rollback_case`);
+* **builder** — a random chain of :class:`repro.frontend.Schedule`
+  calls (:class:`FrontendScheduleFuzzer`) on a fixed matmul payload
+  (:func:`_frontend_payload`).
+
+Each leg's script runs under the interpreter's exception barrier, and
+both legs face one list of invariants:
+
+* **containment** — generation, interpretation, the static analysis
+  and normalization either return or raise a clean
   :class:`~repro.core.errors.TransformInterpreterError`; any other
-  exception is a harness crash and fails the run;
+  exception is a failure of the case, never a crash of the run;
 * **consistency** — after a non-definite outcome the payload still
   verifies;
-* **transactional rollback** — a schedule whose first alternative
-  mutates the payload and then fails silenceably must leave the payload
-  print byte-identical to its pre-``alternatives`` state;
+* **static soundness** — a dynamic handle-invalidation error must be
+  predicted by at least one static issue of
+  :mod:`repro.analysis.invalidation` (any severity; the coarse
+  may-alias warnings participate);
+* **static precision** — a schedule that executes cleanly must carry
+  zero *definite* (``error``-severity) static diagnostics;
+* **outlining keeps the outcome** — the same schedule with a random
+  contiguous slice of its entry sequence moved into a macro
+  (:func:`outline_slice`) ends in the same status class with a
+  byte-identical payload, and passes both static oracles, so the
+  analyses are cross-checked on scripts whose defects sit inside an
+  included macro;
 * **stable classification** — regenerating and re-running a case from
   its seed reproduces the same outcome kind, message and payload print;
-* **textual round-trip** — the generated payload, the generated script
-  and every verifying output satisfy ``print(parse(print(m))) ==
-  print(m)`` with an equal structural digest, so a front-end change
-  that narrows or shifts the language fails here;
+* **textual round-trip** — the payload, the script and every verifying
+  output satisfy ``print(parse(print(m))) == print(m)`` with an equal
+  structural digest, so a front-end change that narrows or shifts the
+  language fails here;
 * **relocatable function text** — every all-function payload and
   output is the join of its function-tier entries as printed, its
   entries in any other order assemble to the print of the module in
@@ -31,34 +49,25 @@ interpreter's exception barrier, and asserts the robustness invariants:
   links mirror backward links, parent pointers match, the ``block.ops``
   memo is the linked order and a valid order index rises along it;
 * **normalization keeps the outcome** — unless the schedule as written
-  ends in a definite error, the same schedule after ``expand_includes``
-  and ``PassManager(["canonicalize", "cse"])`` ends in the same status
-  class with a byte-identical payload, :data:`FUZZ_BINDINGS` bound
-  after either (the as-written vs normalized oracle a service that
-  normalizes scripts rests on).
+  ends in a definite error, the same schedule after :func:`_normalize`
+  (``expand_includes``, then ``PassManager(["canonicalize", "cse"])``)
+  ends in the same status class with a byte-identical payload,
+  :data:`FUZZ_BINDINGS` bound after either (the as-written vs
+  normalized oracle a service that normalizes scripts rests on).
 
-With ``--differential``, every case additionally cross-checks the
-static analysis (:mod:`repro.analysis.invalidation`) against the
-observed dynamic semantics:
-
-* **static soundness** — a dynamic handle-invalidation error must be
-  predicted by at least one static issue (any severity; the coarse
-  may-alias warnings participate);
-* **static precision** — a schedule that executes cleanly must carry
-  zero *definite* (``error``-severity) static diagnostics;
-* **outlining keeps the outcome** — the same schedule with a random
-  contiguous slice of its entry block moved into a macro
-  (:func:`outline_slice`) ends in the same status class with a
-  byte-identical payload, and passes both oracles above, so the
-  analyses are cross-checked on scripts whose defects sit inside an
-  included macro.
+Only textual cases roll back: a schedule whose first alternative
+mutates the payload and then fails silenceably must succeed and leave
+the payload print byte-identical (**transactional rollback**). Only
+builder cases have a Python API to hold to its promises
+(:func:`_builder_checks`): the builder rejects every stale handle, its
+script is lint-clean and analysis-clean, and every rejected probe,
+replayed in the script, is flagged statically and never run.
 
 Every case is derived from a single ``(seed, index)`` pair, so a CI
 failure is reproducible locally with::
 
     python -m repro.testing.fuzz --seed N --cases M
     python -m repro.testing.fuzz --case-seed K   # one failing case
-    python -m repro.testing.fuzz --seed N --differential
 """
 
 from __future__ import annotations
@@ -68,12 +77,13 @@ import random
 import traceback
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import dialect as transform
 from ..core.errors import TransformInterpreterError
-from ..core.interpreter import TransformInterpreter
-from ..core.script_transforms import ScriptTransformError, expand_includes
+from ..core.interpreter import TransformInterpreter, find_entry
+from ..core.script_transforms import expand_includes
 from ..dialects import arith, builtin, func, scf
 from ..ir.attributes import SymbolRefAttr
 from ..ir.builder import Builder
@@ -81,6 +91,7 @@ from ..ir.core import Block, Operation, Value
 from ..ir.printer import print_op
 from ..passes.manager import PassManager
 from ..service.worker import bind_parameters
+from .faults import FuzzFailure, case_seeds
 
 #: Payload op names the schedule fuzzer may try to match (a mix of
 #: names the payload generator emits and names it never does, so both
@@ -248,9 +259,9 @@ class ScheduleFuzzer:
                 )
         if not self.safe and self.rng.random() < 0.25:
             # Close the block with a guaranteed consume-then-use chain
-            # so use-after-consume (and the --differential soundness
-            # oracle) is exercised far more often than the 4%-slot
-            # above manages on its own.
+            # so use-after-consume (and the static-soundness oracle)
+            # is exercised far more often than the 4%-slot above
+            # manages on its own.
             if not consumed:
                 if not loops:
                     loops.append(transform.match_op(
@@ -356,503 +367,6 @@ def build_rollback_case(rng: random.Random
     return payload, script
 
 
-# ---------------------------------------------------------------------------
-# Case execution and invariants
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CaseOutcome:
-    """Classified result of interpreting one fuzz case."""
-
-    kind: str  # "success" | "silenceable" | "definite" | "crash"
-    message: str
-    payload_print: str
-    #: The interpreter's ``transform.print`` output, and the transform
-    #: op a definite error stopped at.
-    printed: List[str] = field(default_factory=list)
-    stopped_at: Optional[Operation] = None
-    #: ``--frontend``: what the replayed stale-handle probes met.
-    probes: Counter = field(default_factory=Counter)
-
-
-@dataclass
-class FuzzFailure:
-    """One violated invariant, with enough context to reproduce."""
-
-    case_seed: int
-    invariant: str
-    detail: str
-
-    def __str__(self) -> str:
-        return (
-            f"[case-seed {self.case_seed}] {self.invariant}: {self.detail}"
-        )
-
-
-@dataclass
-class FuzzReport:
-    """Aggregate over a fuzz run."""
-
-    cases: int = 0
-    outcomes: Counter = field(default_factory=Counter)
-    failures: List[FuzzFailure] = field(default_factory=list)
-    probes: Counter = field(default_factory=Counter)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def render(self) -> str:
-        lines = [f"fuzz: {self.cases} cases"]
-        for kind in ("success", "silenceable", "definite", "crash",
-                     "clean", "violated"):
-            if self.outcomes.get(kind):
-                lines.append(f"  {kind}: {self.outcomes[kind]}")
-        if self.probes:
-            lines.append(
-                f"  stale probes: {self.probes['probes']} (lint errors "
-                f"{self.probes['lint errors']}, lint warnings "
-                f"{self.probes['lint warnings']}; reached "
-                f"{self.probes['reached']})")
-        if self.failures:
-            lines.append(f"  FAILURES: {len(self.failures)}")
-            lines.extend(f"    {failure}" for failure in self.failures)
-        else:
-            lines.append("  all invariants held")
-        return "\n".join(lines)
-
-
-def _interpret(payload: Operation, script: Operation) -> CaseOutcome:
-    """Bind :data:`FUZZ_BINDINGS` in ``script`` and run it on
-    ``payload``, classifying the outcome."""
-    bind_parameters(script, FUZZ_BINDINGS)
-    interpreter = TransformInterpreter()
-    try:
-        result = interpreter.apply(script, payload)
-    except TransformInterpreterError as error:
-        return CaseOutcome("definite", str(error.result.message),
-                           print_op(payload), interpreter.output,
-                           error.result.transform_op)
-    except Exception as error:  # pragma: no cover - a found bug
-        return CaseOutcome(
-            "crash",
-            f"{type(error).__name__}: {error}\n"
-            + traceback.format_exc(limit=8),
-            "",
-        )
-    kind = "silenceable" if result.is_silenceable else "success"
-    return CaseOutcome(kind, result.message, print_op(payload),
-                       interpreter.output)
-
-
-def _build_case(case_seed: int
-                ) -> Tuple[Operation, Operation, bool, str]:
-    """(payload, script, is_rollback_case, pre-run print)."""
-    rng = random.Random(case_seed)
-    rollback = rng.random() < 0.4
-    if rollback:
-        payload, script = build_rollback_case(rng)
-    else:
-        payload = PayloadFuzzer(rng).module()
-        script = ScheduleFuzzer(rng).sequence()
-    return payload, script, rollback, print_op(payload)
-
-
-def _differential_check(case_seed: int, script: Operation,
-                        outcome: CaseOutcome,
-                        failures: List[FuzzFailure]) -> None:
-    """Cross-check the static analysis against the dynamic outcome.
-
-    Soundness: a dynamic invalidation error must have been predicted
-    (any severity — the worst-case may-alias warnings count).
-    Precision: a cleanly-executing schedule must carry no *definite*
-    (error-severity) static diagnostic.
-    """
-    from ..analysis.invalidation import ERROR, analyze_script
-
-    try:
-        issues = analyze_script(script, may_alias=True)
-    except Exception as error:  # pragma: no cover - a found bug
-        failures.append(FuzzFailure(
-            case_seed, "static-analysis-containment",
-            f"{type(error).__name__}: {error}\n"
-            + traceback.format_exc(limit=8),
-        ))
-        return
-    if outcome.kind == "definite" and "invalidated by" in outcome.message:
-        if not issues:
-            failures.append(FuzzFailure(
-                case_seed, "static-soundness",
-                f"dynamic invalidation error not predicted "
-                f"statically: {outcome.message}",
-            ))
-    if outcome.kind == "success":
-        definite = [i for i in issues if i.severity == ERROR]
-        if definite:
-            failures.append(FuzzFailure(
-                case_seed, "static-precision",
-                f"schedule executed cleanly but carries "
-                f"{len(definite)} definite static error(s), e.g. "
-                f"{definite[0]}",
-            ))
-
-
-def outline_slice(script: Operation, rng: random.Random) -> Operation:
-    """Move a random contiguous slice of ``script``'s entry block into
-    ``@outlined`` and return a module holding it and ``script``, whose
-    slice is now a ``transform.include``: the macro's arguments are the
-    values the slice reads from outside it, its yields the values of
-    the slice used after it."""
-    block = script.regions[0].entry_block
-    ops = [op for op in block.ops if op.name != "transform.yield"]
-    start = rng.randrange(len(ops))
-    piece = ops[start:rng.randint(start + 1, len(ops))]
-    nested = [inner for op in piece for inner in op.walk()]
-    inside = {id(op) for op in nested}
-    defined = {id(value) for op in nested for value in op.results}
-    defined.update(id(arg) for op in nested for region in op.regions
-                   for inner in region.blocks for arg in inner.args)
-    captured = list({id(value): value for op in nested
-                     for value in op.operands
-                     if id(value) not in defined}.values())
-    escaping = [result for op in piece for result in op.results
-                if any(id(user) not in inside for user in result.users)]
-    macro = Operation.create("transform.named_sequence", regions=1,
-                             attributes={"sym_name": "outlined"})
-    body = Block([value.type for value in captured])
-    macro.regions[0].add_block(body)
-    value_map = dict(zip(captured, body.args))
-    for op in piece:
-        body.append(op.clone(value_map))
-    transform.yield_(Builder.at_end(body),
-                     [value_map[value] for value in escaping])
-    include = Builder.before(piece[0]).create(
-        "transform.include", operands=captured,
-        result_types=[value.type for value in escaping],
-        attributes={"target": SymbolRefAttr("outlined")})
-    for value, result in zip(escaping, include.results):
-        value.replace_all_uses_with(result)
-    for op in reversed(piece):
-        op.erase()
-    module = builtin.module()
-    module.body.append(macro)
-    module.body.append(script)
-    return module
-
-
-def _outline_check(case_seed: int, outcome: CaseOutcome,
-                   failures: List[FuzzFailure]) -> None:
-    """Re-run the case with a slice outlined into a macro: same status
-    class, same payload bytes, and both static oracles hold on it."""
-    payload, script, _rollback, _before = _build_case(case_seed)
-    outlined = outline_slice(script, random.Random(f"outline:{case_seed}"))
-    result = _interpret(payload, outlined)
-    if result.kind != outcome.kind:
-        failures.append(FuzzFailure(
-            case_seed, "outline-keeps-outcome",
-            f"as written {outcome.kind}: {outcome.message!r}; "
-            f"outlined {result.kind}: {result.message!r}",
-        ))
-    elif result.payload_print != outcome.payload_print:
-        failures.append(FuzzFailure(
-            case_seed, "outline-keeps-outcome",
-            "payload prints diverge between the schedule as written and "
-            "outlined",
-        ))
-    if result.kind != "crash":
-        _differential_check(case_seed, outlined, result, failures)
-
-
-def _roundtrip_check(case_seed: int, what: str, module: Operation,
-                     failures: List[FuzzFailure]) -> None:
-    """The text front end is lossless on ``module``: its print parses,
-    re-prints byte-identically and keeps the structural digest."""
-    from ..ir.hashing import op_digest
-    from ..ir.parser import parse
-
-    text = print_op(module)
-    try:
-        reparsed = parse(text, f"<{what}>")
-    except Exception as error:
-        failures.append(FuzzFailure(
-            case_seed, "roundtrip-parses",
-            f"{what}: {type(error).__name__}: {error}",
-        ))
-        return
-    if print_op(reparsed) != text:
-        failures.append(FuzzFailure(
-            case_seed, "roundtrip-byte-identical",
-            f"{what}: print(parse(print(m))) != print(m)",
-        ))
-    elif op_digest(reparsed) != op_digest(module):
-        failures.append(FuzzFailure(
-            case_seed, "roundtrip-digest",
-            f"{what}: the structural digest moved across print -> parse",
-        ))
-
-
-def relocation_violations(module: Operation) -> List[str]:
-    """Which of the identities the function tier rests on (DESIGN.md
-    §9) fail on ``module``; empty for a module that is not cleanly
-    splittable into functions.
-
-    The entries, printed in one session, join to the whole-module
-    print with no name moved; the entries in any other order assemble
-    — each shifted by the difference of its bases — to the print of
-    the module with its functions in that order (every order up to
-    four functions, the rotations and the reverse beyond); the module
-    digest composes from the functions' digests; and shifting by
-    nothing changes nothing."""
-    from ..ir.hashing import module_digest, op_digest
-    from ..ir.printer import module_body, module_text, shift_names
-    from ..service.sharding import assemble_functions, function_entries
-
-    entries = function_entries(module)
-    if entries is None:
-        return []
-    functions = module.regions[0].entry_block.ops
-    violated = []
-    joined = "\n".join(module_body(text, {}) for text, _, _ in entries)
-    if module_text(joined, module.attributes) != print_op(module):
-        violated.append("join of the entries != print_op(module)")
-    count = len(entries)
-    if count <= 4:
-        orders = list(itertools.permutations(range(count)))
-    else:
-        orders = [tuple(range(count))[turn:] + tuple(range(turn))
-                  for turn in range(count)] + [tuple(reversed(range(count)))]
-    for order in orders:
-        permuted = builtin.module()
-        permuted.attributes.update(module.attributes)
-        for index in order:
-            permuted.body.append(functions[index].clone())
-        if assemble_functions(
-                module.attributes, [entries[i][0] for i in order],
-                names=[entries[i][2] for i in order])[0] \
-                != print_op(permuted):
-            violated.append(f"entries assembled in order {order} != "
-                            "print_op of the module in that order")
-        permuted.destroy()
-    if module_digest(module.attributes,
-                     [digest for _, digest, _ in entries]) \
-            != op_digest(module):
-        violated.append("module_digest(function digests) != op_digest")
-    if any(shift_names(text, 0, 0)[0] != text for text, _, _ in entries):
-        violated.append("shift_names(entry, 0, 0) is not the identity")
-    return violated
-
-
-def _relocation_check(case_seed: int, what: str, module: Operation,
-                      failures: List[FuzzFailure]) -> None:
-    failures.extend(
-        FuzzFailure(case_seed, "relocatable-function-text",
-                    f"{what}: {violation}")
-        for violation in relocation_violations(module))
-
-
-def op_list_violations(root: Operation) -> List[str]:
-    """Which blocks under ``root`` hold an inconsistent op list (the
-    container contract of DESIGN.md §11); empty when all is well."""
-    violated = []
-    for parent in root.walk():
-        for region in parent.regions:
-            for block in region.blocks:
-                forward, op = [], block._first
-                while op is not None:
-                    forward.append(op)
-                    op = op.next_op
-                backward, op = [], block._last
-                while op is not None:
-                    backward.append(op)
-                    op = op.prev_op
-                where = f"block of '{parent.name}'"
-                if forward != backward[::-1]:
-                    violated.append(f"{where}: forward links are not "
-                                    "the backward links reversed")
-                if region.parent is not parent or block.parent is not region \
-                        or any(op.parent is not block for op in forward):
-                    violated.append(f"{where}: a parent pointer is off")
-                if block._ops is not None and block._ops != forward:
-                    violated.append(f"{where}: the ops memo is not the "
-                                    "linked order")
-                orders = [op._order for op in forward]
-                if block._ordered and any(
-                        a >= b for a, b in zip(orders, orders[1:])):
-                    violated.append(f"{where}: a valid order index "
-                                    "does not rise")
-    return violated
-
-
-def _op_list_check(case_seed: int, what: str, module: Operation,
-                   failures: List[FuzzFailure]) -> None:
-    failures.extend(
-        FuzzFailure(case_seed, "op-list-links", f"{what}: {violation}")
-        for violation in op_list_violations(module))
-
-
-def run_case(case_seed: int, differential: bool = False
-             ) -> Tuple[CaseOutcome, List[FuzzFailure]]:
-    """Build and interpret one case twice, checking every invariant."""
-    failures: List[FuzzFailure] = []
-    payload, script, rollback, before = _build_case(case_seed)
-    _roundtrip_check(case_seed, "payload", payload, failures)
-    _relocation_check(case_seed, "payload", payload, failures)
-    _op_list_check(case_seed, "payload", payload, failures)
-    _roundtrip_check(case_seed, "script", script, failures)
-    outcome = _interpret(payload, script)
-    _op_list_check(case_seed, "output", payload, failures)
-
-    if differential and outcome.kind != "crash":
-        _differential_check(case_seed, script, outcome, failures)
-        _outline_check(case_seed, outcome, failures)
-
-    if outcome.kind == "crash":
-        failures.append(FuzzFailure(
-            case_seed, "no-uncaught-exceptions", outcome.message
-        ))
-        return outcome, failures
-
-    if outcome.kind in ("success", "silenceable"):
-        try:
-            payload.verify()
-        except Exception as error:
-            failures.append(FuzzFailure(
-                case_seed, "payload-verifies-after-run",
-                f"{type(error).__name__}: {error}",
-            ))
-        else:
-            _roundtrip_check(case_seed, "output", payload, failures)
-            _relocation_check(case_seed, "output", payload, failures)
-
-    if rollback:
-        if outcome.kind != "success":
-            failures.append(FuzzFailure(
-                case_seed, "rollback-case-succeeds",
-                f"got {outcome.kind}: {outcome.message}",
-            ))
-        elif outcome.payload_print != before:
-            failures.append(FuzzFailure(
-                case_seed, "rollback-byte-identical",
-                "payload print changed across a rolled-back alternative",
-            ))
-
-    # Stable classification: regenerate from the seed and re-run.
-    payload2, script2, _rollback2, before2 = _build_case(case_seed)
-    if before2 != before:
-        failures.append(FuzzFailure(
-            case_seed, "deterministic-generation",
-            "payload generation is not a pure function of the seed",
-        ))
-    replay = _interpret(payload2, script2)
-    if (replay.kind, replay.message) != (outcome.kind, outcome.message):
-        failures.append(FuzzFailure(
-            case_seed, "stable-classification",
-            f"first run {outcome.kind}: {outcome.message!r}; "
-            f"replay {replay.kind}: {replay.message!r}",
-        ))
-    elif replay.payload_print != outcome.payload_print:
-        failures.append(FuzzFailure(
-            case_seed, "deterministic-execution",
-            "payload prints diverge between identical runs",
-        ))
-
-    if outcome.kind != "definite":
-        payload3, script3, _rollback3, _before3 = _build_case(case_seed)
-        expand_includes(script3)
-        PassManager(["canonicalize", "cse"]).run(script3)
-        normalized = _interpret(payload3, script3)
-        if normalized.kind != outcome.kind:
-            failures.append(FuzzFailure(
-                case_seed, "normalize-keeps-status",
-                f"as written {outcome.kind}: {outcome.message!r}; "
-                f"normalized {normalized.kind}: {normalized.message!r}",
-            ))
-        elif normalized.payload_print != outcome.payload_print:
-            failures.append(FuzzFailure(
-                case_seed, "normalize-keeps-payload",
-                "payload prints diverge between the schedule as written "
-                "and normalized",
-            ))
-    return outcome, failures
-
-
-def run_fuzz(seed: int = 0, cases: int = 200,
-             differential: bool = False) -> FuzzReport:
-    """Run ``cases`` fuzz cases derived from ``seed``."""
-    report = FuzzReport(cases=cases)
-    for index in range(cases):
-        case_seed = seed * 1_000_003 + index
-        outcome, failures = run_case(case_seed, differential)
-        report.outcomes[outcome.kind] += 1
-        report.failures.extend(failures)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# CLI: python -m repro.testing.fuzz
-# ---------------------------------------------------------------------------
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="repro-fuzz",
-        description="randomized schedule/payload fuzzing of the "
-        "transform interpreter",
-    )
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base seed for the run (default 0)")
-    parser.add_argument("--cases", type=int, default=200,
-                        help="number of cases (default 200)")
-    parser.add_argument("--case-seed", type=int, default=None,
-                        help="re-run a single case by its case-seed "
-                        "(as printed in a failure report)")
-    parser.add_argument("--differential", action="store_true",
-                        help="cross-check the static invalidation "
-                        "analysis against the dynamic outcome of every "
-                        "case (soundness + precision oracle)")
-    parser.add_argument("--frontend", action="store_true",
-                        help="fuzz the repro.frontend schedule builder "
-                        "instead: random fluent chains must emit "
-                        "lint-clean, round-trip-stable scripts, "
-                        "reject stale handles at the Python level and "
-                        "agree with the interpreter on a fixed payload, "
-                        "stale uses replayed included")
-    args = parser.parse_args(argv)
-
-    if args.frontend:
-        if args.case_seed is not None:
-            outcome, failures = run_frontend_case(args.case_seed)
-            print(f"case-seed {args.case_seed}: {outcome.kind} "
-                  f"(interpreter: {outcome.message})")
-            for failure in failures:
-                print(f"  {failure}")
-            return 0 if not failures else 1
-        report = run_frontend_fuzz(args.seed, args.cases)
-        print(report.render())
-        return 0 if report.ok else 1
-
-    if args.case_seed is not None:
-        outcome, failures = run_case(args.case_seed, args.differential)
-        print(f"case-seed {args.case_seed}: {outcome.kind}"
-              + (f": {outcome.message}" if outcome.message else ""))
-        for failure in failures:
-            print(f"  {failure}")
-        return 0 if not failures else 1
-
-    report = run_fuzz(args.seed, args.cases, args.differential)
-    print(report.render())
-    return 0 if report.ok else 1
-
-
-
-
-# ---------------------------------------------------------------------------
-# Frontend builder fuzzing (--frontend)
-# ---------------------------------------------------------------------------
-
 _FRONTEND_MATCH_NAMES = ("scf.for", "linalg.matmul", "arith.addf",
                          "func.func", "memref.load")
 _FRONTEND_PASSES = ("convert-scf-to-cf", "lower-affine",
@@ -860,26 +374,14 @@ _FRONTEND_PASSES = ("convert-scf-to-cf", "lower-affine",
 
 
 class FrontendScheduleFuzzer:
-    """Generate random transform scripts *through the builder API*.
+    """Generate random transform scripts *through the builder API*: the
+    builder leg of every case.
 
-    The invariant under test is the frontend's lint-clean-by-
-    construction contract: whatever chain of fluent calls survives the
-    builder's own checks must produce a script with zero
-    error-severity ``repro-lint`` diagnostics and a digest-stable
-    print→parse round-trip. About 30 % of the cases define and include
-    a helper macro (which lint reads inlined); those must also pass
-    ``expand_includes`` with no include left and a digest-stable
-    round-trip of the flat script (``include-expands``).
-    Along the way each case probes the
-    Python-level use-after-consume guard with deliberately stale
-    handles and records a violation if the builder fails to raise.
-    Each built script must also carry no use-after-consume issue of
-    any severity from the analysis the builder steps
-    (``may_alias=False``), and, interpreted on a fixed payload
-    (:func:`_frontend_payload`), pass the ``--differential`` oracle.
-    Each rejected probe is then replayed in the script
-    (:func:`_replay_stale_uses`): builder, analysis and interpreter
-    must agree the handle is dead.
+    Along the way each case probes the Python-level use-after-consume
+    guard with deliberately stale handles, records a violation if the
+    builder fails to raise and keeps each rejected probe for
+    :func:`_replay_stale_uses`. About 30 % of the cases define and
+    include a helper macro, which makes the script a module.
     """
 
     def __init__(self, rng: random.Random):
@@ -1026,96 +528,465 @@ class FrontendScheduleFuzzer:
         return schedule
 
 
-def run_frontend_case(case_seed: int
-                      ) -> Tuple[CaseOutcome, List[FuzzFailure]]:
-    """Build one random schedule through the builder and check the
-    frontend invariants. The outcome's message is the status class the
-    interpreter reached on the dynamic leg."""
-    from ..analysis.invalidation import analyze_script
-    from ..analysis.lint import lint_script
-    from ..ir.diagnostics import Severity
+def _frontend_payload() -> Operation:
+    """The payload of the builder leg: a matmul and a batched matmul,
+    with trip counts some tile sizes do not divide and small enough
+    that full unrolls stay cheap."""
+    from ..execution.workloads import (
+        build_batch_matmul_module, build_matmul_module,
+    )
+
+    module = build_matmul_module(6, 4, 8)
+    for op in list(build_batch_matmul_module(2, 4, 6, 4).body.ops):
+        module.body.append(op)
+    return module
+
+
+# ---------------------------------------------------------------------------
+# Case legs
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Leg:
+    """One generator's (payload, script) pair of a case, and how to
+    build it afresh from the case seed: the oracles that re-run a case
+    (stable classification, normalization, outlining) ``rebuild`` it."""
+
+    payload: Operation
+    script: Operation
+    rebuild: Callable[[], "Leg"]
+    rollback: bool = False
+    #: The builder leg's fuzzer: its probes and what they met.
+    fuzzer: Optional[FrontendScheduleFuzzer] = None
+
+
+def _build_case(case_seed: int) -> Leg:
+    """The textual leg: a random payload and script, or a rollback
+    case."""
+    rng = random.Random(case_seed)
+    rollback = rng.random() < 0.4
+    if rollback:
+        payload, script = build_rollback_case(rng)
+    else:
+        payload = PayloadFuzzer(rng).module()
+        script = ScheduleFuzzer(rng).sequence()
+    return Leg(payload, script, partial(_build_case, case_seed), rollback)
+
+
+def _build_builder_case(case_seed: int) -> Leg:
+    """The builder leg: a random builder chain on
+    :func:`_frontend_payload`."""
+    fuzzer = FrontendScheduleFuzzer(random.Random(case_seed))
+    script = fuzzer.build().build()
+    return Leg(_frontend_payload(), script,
+               partial(_build_builder_case, case_seed), fuzzer=fuzzer)
+
+
+#: Leg name -> its generator; every case runs each through every oracle.
+LEGS: Dict[str, Callable[[int], Leg]] = {
+    "textual": _build_case,
+    "builder": _build_builder_case,
+}
+
+
+# ---------------------------------------------------------------------------
+# Case execution and invariants
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CaseOutcome:
+    """Classified result of interpreting one leg of a fuzz case."""
+
+    kind: str  # "success" | "silenceable" | "definite" | "crash"
+    message: str
+    payload_print: str
+    #: The interpreter's ``transform.print`` output, and the transform
+    #: op a definite error stopped at.
+    printed: List[str] = field(default_factory=list)
+    stopped_at: Optional[Operation] = None
+    #: Builder leg: what the replayed stale-handle probes met.
+    probes: Counter = field(default_factory=Counter)
+
+
+@dataclass
+class FuzzReport:
+    """Aggregate over a fuzz run, outcome kinds counted per leg."""
+
+    cases: int = 0
+    outcomes: Dict[str, Counter] = field(
+        default_factory=lambda: {name: Counter() for name in LEGS})
+    failures: List[FuzzFailure] = field(default_factory=list)
+    probes: Counter = field(default_factory=Counter)
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def render(self) -> str:
+        lines = [f"fuzz: {self.cases} cases"]
+        for name, counts in self.outcomes.items():
+            mix = ", ".join(
+                f"{kind} {counts[kind]}"
+                for kind in ("success", "silenceable", "definite", "crash")
+                if counts[kind])
+            lines.append(f"  {name}: {sum(counts.values())} ({mix})")
+        if self.probes:
+            lines.append(
+                f"  stale probes: {self.probes['probes']} (lint errors "
+                f"{self.probes['lint errors']}, lint warnings "
+                f"{self.probes['lint warnings']}; reached "
+                f"{self.probes['reached']})")
+        if self.failures:
+            lines.append(f"  FAILURES: {len(self.failures)}")
+            lines.extend(f"    {failure}" for failure in self.failures)
+        else:
+            lines.append("  all invariants held")
+        return "\n".join(lines)
+
+
+#: Reports one violated invariant of the leg under check:
+#: ``fail(invariant, detail)``.
+Fail = Callable[[str, str], None]
+
+
+def _crash(error: Exception) -> str:
+    return (f"{type(error).__name__}: {error}\n"
+            + traceback.format_exc(limit=8))
+
+
+def _interpret(payload: Operation, script: Operation) -> CaseOutcome:
+    """Bind :data:`FUZZ_BINDINGS` in ``script`` and run it on
+    ``payload``, classifying the outcome."""
+    bind_parameters(script, FUZZ_BINDINGS)
+    interpreter = TransformInterpreter()
+    try:
+        result = interpreter.apply(script, payload)
+    except TransformInterpreterError as error:
+        return CaseOutcome("definite", str(error.result.message),
+                           print_op(payload), interpreter.output,
+                           error.result.transform_op)
+    except Exception as error:  # pragma: no cover - a found bug
+        return CaseOutcome("crash", _crash(error), "")
+    kind = "silenceable" if result.is_silenceable else "success"
+    return CaseOutcome(kind, result.message, print_op(payload),
+                       interpreter.output)
+
+
+def _check_rerun(fail: Fail, status: str, payload: str, label: str,
+                 outcome: CaseOutcome, rerun: CaseOutcome,
+                 same_message: bool = False) -> None:
+    """The ``label`` re-run of a case ends like the run as written: in
+    the same status class (and message), else a ``status`` failure,
+    with the same payload bytes, else a ``payload`` failure."""
+    if rerun.kind != outcome.kind \
+            or same_message and rerun.message != outcome.message:
+        fail(status, f"as written {outcome.kind}: {outcome.message!r}; "
+                     f"{label} {rerun.kind}: {rerun.message!r}")
+    elif rerun.payload_print != outcome.payload_print:
+        fail(payload, "payload prints diverge between the schedule as "
+                      f"written and {label}")
+
+
+def _differential_check(fail: Fail, script: Operation,
+                        outcome: CaseOutcome) -> None:
+    """Cross-check the static analysis against the dynamic outcome.
+
+    Soundness: a dynamic invalidation error must have been predicted
+    (any severity — the worst-case may-alias warnings count).
+    Precision: a cleanly-executing schedule must carry no *definite*
+    (error-severity) static diagnostic.
+    """
+    from ..analysis.invalidation import ERROR, analyze_script
+
+    try:
+        issues = analyze_script(script, may_alias=True)
+    except Exception as error:  # pragma: no cover - a found bug
+        fail("static-analysis-containment", _crash(error))
+        return
+    if outcome.kind == "definite" and "invalidated by" in outcome.message \
+            and not issues:
+        fail("static-soundness", "dynamic invalidation error not "
+                                 f"predicted statically: {outcome.message}")
+    definite = [issue for issue in issues if issue.severity == ERROR]
+    if outcome.kind == "success" and definite:
+        fail("static-precision",
+             f"schedule executed cleanly but carries {len(definite)} "
+             f"definite static error(s), e.g. {definite[0]}")
+
+
+def outline_slice(script: Operation, rng: random.Random) -> Operation:
+    """Move a random contiguous slice of the entry sequence of
+    ``script`` (:func:`~repro.core.interpreter.find_entry`) into
+    ``@outlined`` and return a module holding it and the script, whose
+    slice is now a ``transform.include``: the macro's arguments are the
+    values the slice reads from outside it, its yields the values of
+    the slice used after it."""
+    entry = find_entry(script)
+    block = entry.regions[0].entry_block
+    ops = [op for op in block.ops if op.name != "transform.yield"]
+    start = rng.randrange(len(ops))
+    piece = ops[start:rng.randint(start + 1, len(ops))]
+    nested = [inner for op in piece for inner in op.walk()]
+    inside = {id(op) for op in nested}
+    defined = {id(value) for op in nested for value in op.results}
+    defined.update(id(arg) for op in nested for region in op.regions
+                   for inner in region.blocks for arg in inner.args)
+    captured = list({id(value): value for op in nested
+                     for value in op.operands
+                     if id(value) not in defined}.values())
+    escaping = [result for op in piece for result in op.results
+                if any(id(user) not in inside for user in result.users)]
+    macro = Operation.create("transform.named_sequence", regions=1,
+                             attributes={"sym_name": "outlined"})
+    body = Block([value.type for value in captured])
+    macro.regions[0].add_block(body)
+    value_map = dict(zip(captured, body.args))
+    for op in piece:
+        body.append(op.clone(value_map))
+    transform.yield_(Builder.at_end(body),
+                     [value_map[value] for value in escaping])
+    include = Builder.before(piece[0]).create(
+        "transform.include", operands=captured,
+        result_types=[value.type for value in escaping],
+        attributes={"target": SymbolRefAttr("outlined")})
+    for value, result in zip(escaping, include.results):
+        value.replace_all_uses_with(result)
+    for op in reversed(piece):
+        op.erase()
+    if entry is script:
+        script = builtin.module()
+        script.body.append(entry)
+    script.body.insert(0, macro)
+    return script
+
+
+def _outline_check(fail: Fail, case_seed: int, leg: Leg,
+                   outcome: CaseOutcome) -> None:
+    """Re-run the case with a slice outlined into a macro: same status
+    class, same payload bytes, and both static oracles hold on it."""
+    fresh = leg.rebuild()
+    outlined = outline_slice(fresh.script,
+                             random.Random(f"outline:{case_seed}"))
+    result = _interpret(fresh.payload, outlined)
+    _check_rerun(fail, "outline-keeps-outcome", "outline-keeps-outcome",
+                 "outlined", outcome, result)
+    if result.kind != "crash":
+        _differential_check(fail, outlined, result)
+
+
+def _normalize(script: Operation) -> None:
+    """The script pipeline a normalizing service runs: expand every
+    include, then canonicalize and CSE."""
+    expand_includes(script)
+    PassManager(["canonicalize", "cse"]).run(script)
+
+
+def _normalize_check(fail: Fail, leg: Leg, outcome: CaseOutcome) -> None:
+    """Re-run the case normalized: same status class, same payload
+    bytes; a raise from the pipeline is a failure, not a crash."""
+    fresh = leg.rebuild()
+    try:
+        _normalize(fresh.script)
+    except Exception as error:
+        fail("normalize-containment", _crash(error))
+        return
+    _check_rerun(fail, "normalize-keeps-status", "normalize-keeps-payload",
+                 "normalized", outcome, _interpret(fresh.payload,
+                                                   fresh.script))
+
+
+def _roundtrip_check(fail: Fail, what: str, module: Operation) -> None:
+    """The text front end is lossless on ``module``: its print parses,
+    re-prints byte-identically and keeps the structural digest."""
     from ..ir.hashing import op_digest
     from ..ir.parser import parse
 
-    failures: List[FuzzFailure] = []
-    rng = random.Random(case_seed)
-    fuzzer = FrontendScheduleFuzzer(rng)
+    text = print_op(module)
     try:
-        schedule = fuzzer.build()
-        script = schedule.build()
-    except Exception as error:  # pragma: no cover - a found bug
-        failures.append(FuzzFailure(
-            case_seed, "frontend-containment",
-            f"builder raised {type(error).__name__}: {error}\n"
-            + traceback.format_exc(limit=8),
-        ))
-        return CaseOutcome("crash", str(error), ""), failures
+        reparsed = parse(text, f"<{what}>")
+    except Exception as error:
+        fail("roundtrip-parses", f"{what}: {type(error).__name__}: {error}")
+        return
+    if print_op(reparsed) != text:
+        fail("roundtrip-byte-identical",
+             f"{what}: print(parse(print(m))) != print(m)")
+    elif op_digest(reparsed) != op_digest(module):
+        fail("roundtrip-digest",
+             f"{what}: the structural digest moved across print -> parse")
 
-    for violation in fuzzer.violations:
-        failures.append(FuzzFailure(
-            case_seed, "frontend-use-after-consume", violation))
 
-    engine = lint_script(script)
-    errors = [d for d in engine.diagnostics
-              if d.severity is Severity.ERROR]
-    if errors:
-        failures.append(FuzzFailure(
-            case_seed, "frontend-lint-clean",
-            "builder-emitted script has error diagnostics: "
-            + "; ".join(str(d) for d in errors)
-            + "\n" + print_op(script),
-        ))
+def relocation_violations(module: Operation) -> List[str]:
+    """Which of the identities the function tier rests on (DESIGN.md
+    §9) fail on ``module``; empty for a module that is not cleanly
+    splittable into functions.
 
-    text = print_op(script)
-    if op_digest(parse(text, "<frontend-fuzz>")) != op_digest(script):
-        failures.append(FuzzFailure(
-            case_seed, "frontend-roundtrip",
-            "print->parse changed the structural digest\n" + text,
-        ))
+    The entries, printed in one session, join to the whole-module
+    print with no name moved; the entries in any other order assemble
+    — each shifted by the difference of its bases — to the print of
+    the module with its functions in that order (every order up to
+    four functions, the rotations and the reverse beyond); the module
+    digest composes from the functions' digests; and shifting by
+    nothing changes nothing."""
+    from ..ir.hashing import module_digest, op_digest
+    from ..ir.printer import module_body, module_text, shift_names
+    from ..service.sharding import assemble_functions, function_entries
 
-    if next(script.walk_ops("transform.include"), None) is not None:
-        # A macro is a function: the inliner expands every include,
-        # and the flat script is as printable.
-        expanded = script.clone()
+    entries = function_entries(module)
+    if entries is None:
+        return []
+    functions = module.regions[0].entry_block.ops
+    violated = []
+    joined = "\n".join(module_body(text, {}) for text, _, _ in entries)
+    if module_text(joined, module.attributes) != print_op(module):
+        violated.append("join of the entries != print_op(module)")
+    count = len(entries)
+    if count <= 4:
+        orders = list(itertools.permutations(range(count)))
+    else:
+        orders = [tuple(range(count))[turn:] + tuple(range(turn))
+                  for turn in range(count)] + [tuple(reversed(range(count)))]
+    for order in orders:
+        permuted = builtin.module()
+        permuted.attributes.update(module.attributes)
+        for index in order:
+            permuted.body.append(functions[index].clone())
+        if assemble_functions(
+                module.attributes, [entries[i][0] for i in order],
+                names=[entries[i][2] for i in order])[0] \
+                != print_op(permuted):
+            violated.append(f"entries assembled in order {order} != "
+                            "print_op of the module in that order")
+        permuted.destroy()
+    if module_digest(module.attributes,
+                     [digest for _, digest, _ in entries]) \
+            != op_digest(module):
+        violated.append("module_digest(function digests) != op_digest")
+    if any(shift_names(text, 0, 0)[0] != text for text, _, _ in entries):
+        violated.append("shift_names(entry, 0, 0) is not the identity")
+    return violated
+
+
+def op_list_violations(root: Operation) -> List[str]:
+    """Which blocks under ``root`` hold an inconsistent op list (the
+    container contract of DESIGN.md §11); empty when all is well."""
+    violated = []
+    for parent in root.walk():
+        for region in parent.regions:
+            for block in region.blocks:
+                forward, op = [], block._first
+                while op is not None:
+                    forward.append(op)
+                    op = op.next_op
+                backward, op = [], block._last
+                while op is not None:
+                    backward.append(op)
+                    op = op.prev_op
+                where = f"block of '{parent.name}'"
+                if forward != backward[::-1]:
+                    violated.append(f"{where}: forward links are not "
+                                    "the backward links reversed")
+                if region.parent is not parent or block.parent is not region \
+                        or any(op.parent is not block for op in forward):
+                    violated.append(f"{where}: a parent pointer is off")
+                if block._ops is not None and block._ops != forward:
+                    violated.append(f"{where}: the ops memo is not the "
+                                    "linked order")
+                orders = [op._order for op in forward]
+                if block._ordered and any(
+                        a >= b for a, b in zip(orders, orders[1:])):
+                    violated.append(f"{where}: a valid order index "
+                                    "does not rise")
+    return violated
+
+
+def _relocation_check(fail: Fail, what: str, module: Operation) -> None:
+    for violation in relocation_violations(module):
+        fail("relocatable-function-text", f"{what}: {violation}")
+
+
+def _op_list_check(fail: Fail, what: str, module: Operation) -> None:
+    for violation in op_list_violations(module):
+        fail("op-list-links", f"{what}: {violation}")
+
+
+def _check_leg(fail: Fail, case_seed: int, leg: Leg) -> CaseOutcome:
+    """Interpret one leg of a case, checking every invariant on it."""
+    before = print_op(leg.payload)
+    for check in (_roundtrip_check, _relocation_check, _op_list_check):
+        check(fail, "payload", leg.payload)
+    _roundtrip_check(fail, "script", leg.script)
+    outcome = _interpret(leg.payload, leg.script)
+    _op_list_check(fail, "output", leg.payload)
+    if outcome.kind == "crash":
+        fail("no-uncaught-exceptions", outcome.message)
+        return outcome
+    _differential_check(fail, leg.script, outcome)
+    _outline_check(fail, case_seed, leg, outcome)
+    if outcome.kind != "definite":
         try:
-            expand_includes(expanded)
-        except ScriptTransformError as error:
-            problem = f"expand_includes raised: {error}"
+            leg.payload.verify()
+        except Exception as error:
+            fail("payload-verifies-after-run",
+                 f"{type(error).__name__}: {error}")
         else:
-            flat = print_op(expanded)
-            problem = (
-                "a transform.include is left"
-                if next(expanded.walk_ops("transform.include"), None)
-                else "print->parse changed the expanded script's digest"
-                if op_digest(parse(flat, "<expanded>")) != op_digest(expanded)
-                else None)
-        if problem is not None:
-            failures.append(FuzzFailure(
-                case_seed, "include-expands", f"{problem}\n{text}"))
+            _roundtrip_check(fail, "output", leg.payload)
+            _relocation_check(fail, "output", leg.payload)
+    if leg.rollback:
+        if outcome.kind != "success":
+            fail("rollback-case-succeeds",
+                 f"got {outcome.kind}: {outcome.message}")
+        elif outcome.payload_print != before:
+            fail("rollback-byte-identical",
+                 "payload print changed across a rolled-back alternative")
+    replay = leg.rebuild()
+    if print_op(replay.payload) != before:
+        fail("deterministic-generation",
+             "payload generation is not a pure function of the seed")
+    _check_rerun(fail, "stable-classification", "deterministic-execution",
+                 "replayed", outcome,
+                 _interpret(replay.payload, replay.script),
+                 same_message=True)
+    if outcome.kind != "definite":
+        _normalize_check(fail, leg, outcome)
+    if leg.fuzzer is not None:
+        _builder_checks(fail, leg, outcome)
+    return outcome
 
-    # The dynamic leg: the interpreter on a fixed payload agrees with
-    # both static readings of the script.
-    dynamic = _interpret(_frontend_payload(), script)
-    if dynamic.kind == "crash":
-        failures.append(FuzzFailure(case_seed, "no-uncaught-exceptions",
-                                    dynamic.message))
-    _differential_check(case_seed, script, dynamic, failures)
-    flagged = analyze_script(script, may_alias=False)
+
+def _builder_checks(fail: Fail, leg: Leg, outcome: CaseOutcome) -> None:
+    """What only a builder-made script promises: the builder rejected
+    every stale handle it was given; the script carries no
+    error-severity ``repro-lint`` diagnostic and no use-after-consume
+    issue of any severity from the analysis the builder steps
+    (``may_alias=False``); and every rejected probe replays as one the
+    analysis flags and the interpreter never runs."""
+    from ..analysis.invalidation import analyze_script
+    from ..analysis.lint import lint_script
+    from ..ir.diagnostics import Severity
+
+    for violation in leg.fuzzer.violations:
+        fail("frontend-use-after-consume", violation)
+    text = print_op(leg.script)
+    errors = [str(diagnostic)
+              for diagnostic in lint_script(leg.script).diagnostics
+              if diagnostic.severity is Severity.ERROR]
+    if errors:
+        fail("frontend-lint-clean",
+             "builder-emitted script has error diagnostics: "
+             + "; ".join(errors) + "\n" + text)
+    flagged = analyze_script(leg.script, may_alias=False)
     if flagged:
-        failures.append(FuzzFailure(
-            case_seed, "frontend-analysis-clean",
-            f"the builder accepted a handle the analysis flags: "
-            f"{flagged[0]}\n{text}"))
-    probes = _replay_stale_uses(case_seed, script, fuzzer.stale_uses,
-                                failures)
-
-    kind = "clean" if not failures else "violated"
-    return CaseOutcome(kind, dynamic.kind, text, probes=probes), failures
+        fail("frontend-analysis-clean", "the builder accepted a handle "
+             f"the analysis flags: {flagged[0]}\n{text}")
+    outcome.probes = _replay_stale_uses(fail, leg.script,
+                                        leg.fuzzer.stale_uses)
 
 
-def _replay_stale_uses(case_seed: int, script: Operation,
-                       stale_uses: List[Tuple[Operation, Value]],
-                       failures: List[FuzzFailure]) -> Counter:
+def _replay_stale_uses(fail: Fail, script: Operation,
+                       stale_uses: List[Tuple[Operation, Value]]
+                       ) -> Counter:
     """The three-way leg: replay each stale-handle probe the builder
     rejected as a ``transform.print`` of the stale value after the op
     its scope had emitted last. The analysis the builder steps must
@@ -1139,57 +1010,93 @@ def _replay_stale_uses(case_seed: int, script: Operation,
             probe.erase()
         counts["probes"] += 1
         if not severities:
-            failures.append(FuzzFailure(
-                case_seed, "stale-print-flagged",
-                f"no use-after-consume issue at the replayed probe "
-                f"{marker}\n{print_op(script)}"))
+            fail("stale-print-flagged", "no use-after-consume issue at "
+                 f"the replayed probe {marker}\n{print_op(script)}")
         else:
             counts["lint errors" if ERROR in severities
                    else "lint warnings"] += 1
         ran = f"[transform.print] {marker}"
         if any(out.split("\n", 1)[0] == ran for out in outcome.printed):
-            failures.append(FuzzFailure(
-                case_seed, "stale-print-fails",
-                f"the interpreter ran the replayed probe {marker}"))
+            fail("stale-print-fails",
+                 f"the interpreter ran the replayed probe {marker}")
         elif outcome.stopped_at is probe:
             if "invalidated by" in outcome.message:
                 counts["reached"] += 1
             else:
-                failures.append(FuzzFailure(
-                    case_seed, "stale-print-fails",
-                    f"the replayed probe {marker} failed with "
-                    f"{outcome.message!r}"))
+                fail("stale-print-fails", f"the replayed probe {marker} "
+                     f"failed with {outcome.message!r}")
     return counts
 
 
-def _frontend_payload() -> Operation:
-    """The payload of the ``--frontend`` dynamic leg: a matmul and a
-    batched matmul, with trip counts some tile sizes do not divide and
-    small enough that full unrolls stay cheap."""
-    from ..execution.workloads import (
-        build_batch_matmul_module, build_matmul_module,
-    )
+def run_case(case_seed: int
+             ) -> Tuple[Dict[str, CaseOutcome], List[FuzzFailure]]:
+    """Build both legs of one case and check every invariant on each;
+    a failure's detail starts with the name of its leg."""
+    outcomes: Dict[str, CaseOutcome] = {}
+    failures: List[FuzzFailure] = []
+    for name, build in LEGS.items():
+        def fail(invariant: str, detail: str, name: str = name) -> None:
+            failures.append(
+                FuzzFailure(case_seed, invariant, f"{name}: {detail}"))
 
-    module = build_matmul_module(6, 4, 8)
-    for op in list(build_batch_matmul_module(2, 4, 6, 4).body.ops):
-        module.body.append(op)
-    return module
+        try:
+            leg = build(case_seed)
+        except Exception as error:  # pragma: no cover - a found bug
+            fail("generator-containment", _crash(error))
+            outcomes[name] = CaseOutcome("crash", str(error), "")
+        else:
+            outcomes[name] = _check_leg(fail, case_seed, leg)
+    return outcomes, failures
 
 
-def run_frontend_fuzz(seed: int = 0, cases: int = 200) -> FuzzReport:
-    """Fuzz the schedule builder API (the ``--frontend`` mode). The
-    report counts each case's verdict and, beside it, the status class
-    the interpreter reached on the dynamic leg."""
+def run_fuzz(seed: int = 0, cases: int = 200) -> FuzzReport:
+    """Run ``cases`` fuzz cases derived from ``seed``."""
     report = FuzzReport(cases=cases)
-    for index in range(cases):
-        case_seed = seed * 1_000_003 + index
-        outcome, failures = run_frontend_case(case_seed)
-        report.outcomes[outcome.kind] += 1
-        if outcome.kind != "crash":  # else the message is the error
-            report.outcomes[outcome.message] += 1
-        report.probes.update(outcome.probes)
+    for case_seed in case_seeds(seed, cases):
+        outcomes, failures = run_case(case_seed)
+        for name, outcome in outcomes.items():
+            report.outcomes[name][outcome.kind] += 1
+            report.probes.update(outcome.probes)
         report.failures.extend(failures)
     return report
+
+
+# ---------------------------------------------------------------------------
+# CLI: python -m repro.testing.fuzz
+# ---------------------------------------------------------------------------
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="repro-fuzz",
+        description="randomized schedule/payload fuzzing of the "
+        "transform interpreter: every case runs a textual and a "
+        "builder-made schedule through every invariant",
+    )
+    parser.add_argument("--seed", type=int, default=0,
+                        help="base seed for the run (default 0)")
+    parser.add_argument("--cases", type=int, default=200,
+                        help="number of cases (default 200)")
+    parser.add_argument("--case-seed", type=int, default=None,
+                        help="re-run a single case by its case-seed "
+                        "(as printed in a failure report)")
+    args = parser.parse_args(argv)
+
+    if args.case_seed is not None:
+        outcomes, failures = run_case(args.case_seed)
+        print(f"case-seed {args.case_seed}")
+        for name, outcome in outcomes.items():
+            print(f"  {name}: {outcome.kind}"
+                  + (f": {outcome.message}" if outcome.message else ""))
+        for failure in failures:
+            print(f"  {failure}")
+        return 0 if not failures else 1
+
+    report = run_fuzz(args.seed, args.cases)
+    print(report.render())
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

@@ -21,3 +21,12 @@ def resnet_module():
     from repro.execution.workloads import build_resnet_layer_module
 
     return build_resnet_layer_module()
+
+
+@pytest.fixture(scope="session")
+def fuzz_seed0_report():
+    """One 40-case fuzz run from seed 0 (both legs), shared by the
+    tests that only read its report."""
+    from repro.testing.fuzz import run_fuzz
+
+    return run_fuzz(seed=0, cases=40)

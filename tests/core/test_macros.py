@@ -282,7 +282,8 @@ class TestOneImplementation:
         users = {module for module, tree in _modules()
                  if _calls(tree, "find_entry")}
         assert users == {"core/interpreter.py", "analysis/lint.py",
-                         "analysis/pipeline.py", "service/sharding.py"}
+                         "analysis/pipeline.py", "service/sharding.py",
+                         "testing/fuzz.py"}
 
     def test_one_cycle_check_and_one_body_splice(self):
         assert _defs("detect_recursion") == ["passes/inliner.py"]

@@ -1,36 +1,35 @@
-"""Satellite: the builder fuzz mode (``repro.testing.fuzz --frontend``).
+"""Satellite: the builder leg of every fuzz case
+(``python -m repro.testing.fuzz``).
 
 Random fluent chains must emit scripts that lint with zero
-error-severity diagnostics, survive print->parse digest round-trips,
-and reject stale-handle reuse at the Python level; a replayed stale
-use is flagged by the analysis and never runs in the interpreter.
+error-severity diagnostics, face every invariant a textual script
+faces, and reject stale-handle reuse at the Python level; a replayed
+stale use is flagged by the analysis and never runs in the
+interpreter.
 """
 
 import random
 
-from repro.testing.fuzz import (
-    FrontendScheduleFuzzer,
-    main,
-    run_frontend_case,
-    run_frontend_fuzz,
-)
+from repro.testing.fuzz import FrontendScheduleFuzzer, run_case
 
 
-def test_frontend_fuzz_smoke():
-    report = run_frontend_fuzz(seed=0, cases=40)
+def test_frontend_fuzz_smoke(fuzz_seed0_report):
+    report = fuzz_seed0_report
     assert report.ok, report.render()
     assert report.cases == 40
-    assert report.outcomes.get("clean") == 40
-    assert not report.outcomes.get("violated")
+    assert sum(report.outcomes["builder"].values()) == 40
+    assert not report.outcomes["builder"].get("crash")
     assert "all invariants held" in report.render()
 
 
 def test_single_case_is_deterministic():
-    first, first_failures = run_frontend_case(12345)
-    again, again_failures = run_frontend_case(12345)
+    first, first_failures = run_case(12345)
+    again, again_failures = run_case(12345)
     assert not first_failures and not again_failures
-    assert first.kind == again.kind == "clean"
-    assert first.payload_print == again.payload_print
+    assert (first["builder"].kind, first["builder"].message) == \
+        (again["builder"].kind, again["builder"].message)
+    assert first["builder"].payload_print == again["builder"].payload_print
+    assert first["builder"].probes == again["builder"].probes
 
 
 def test_stale_probes_never_slip_through():
@@ -42,17 +41,12 @@ def test_stale_probes_never_slip_through():
         assert not fuzzer.violations, (seed, fuzzer.violations)
 
 
-def test_replayed_probes_reach_the_interpreter():
+def test_replayed_probes_reach_the_interpreter(fuzz_seed0_report):
     """The three-way leg keeps the run-time rule exercised: replayed
     stale-handle probes must actually reach the interpreter and fail
     there with an invalidation error, or the leg proves nothing."""
-    report = run_frontend_fuzz(seed=0, cases=40)
+    report = fuzz_seed0_report
     assert report.probes["reached"] >= 3, report.render()
     assert report.probes["probes"] == (report.probes["lint errors"]
                                        + report.probes["lint warnings"])
     assert "stale probes:" in report.render()
-
-
-def test_cli_frontend_flag():
-    assert main(["--frontend", "--cases", "10"]) == 0
-    assert main(["--frontend", "--case-seed", "7"]) == 0

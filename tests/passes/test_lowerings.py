@@ -117,6 +117,17 @@ class TestSCFToCF:
 
         assert isinstance(ret.operand(0), BlockArgument)
 
+    def test_a_loop_anchor_keeps_itself(self):
+        """Run on an ``scf.for`` (``apply_registered_pass`` on a matched
+        loop), the pass lowers what the loop holds, never the loop."""
+        module, f = self.build_loop_module()
+        loop = next(module.walk_ops("scf.for"))
+        inner = scf.for_(Builder.before(loop.body.ops[-1]), *loop.operands)
+        scf.yield_(Builder.at_end(inner.body))
+        PassManager(["convert-scf-to-cf"]).run(loop)
+        assert [op.name for op in module.walk_ops("scf.for")] == ["scf.for"]
+        assert loop.parent is f.body and "cf.br" in op_names(loop)
+
     def test_scf_if_lowering(self):
         module = builtin.module()
         f = func.func("f", [I1])

@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 17069,  # all of src/repro
+    ".": 16965,  # all of src/repro
     "analysis": 834,
     "autotuning": 353,
     "core": 1876,
@@ -46,7 +46,7 @@ BUDGETS = {
     "service": 2593,
     "service/engine.py": 591,
     "service/frontier.py": 165,
-    "testing": 1295,
+    "testing": 1191,
     "transforms": 621,
 }
 
