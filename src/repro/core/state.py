@@ -224,7 +224,7 @@ class TransformState(RewriteListener):
         self._repoint(op, None)
 
     def notify_op_modified(self, op: Operation) -> None:
-        """Invalidate the structural-digest memo of a modified op.
+        """Invalidate the digest memo of a modified op.
 
         Handle mappings are unaffected by in-place modification, but
         the content-addressed digest chain (op and ancestors) is stale

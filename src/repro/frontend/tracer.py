@@ -13,10 +13,12 @@ The subset is deliberately restricted — data-dependent control flow
 un-annotated parameters all raise :class:`~repro.frontend.errors.TraceError`
 at trace time rather than producing broken IR.
 
-Every traced module carries a structural guarantee: by default the
+Every traced module carries a round-trip guarantee: by default the
 tracer checks that ``op_digest(parse(print(module))) ==
-op_digest(module)``, so traced payloads key the digest-addressed
-compile caches exactly like their printed form.
+op_digest(module)`` — a digest is the hash of the print, so the
+module's print parses back to IR that prints the same — and traced
+payloads key the digest-addressed compile caches exactly like their
+printed form.
 """
 
 from __future__ import annotations

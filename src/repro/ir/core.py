@@ -34,17 +34,18 @@ from .location import Location, UNKNOWN_LOC
 from .types import Type
 
 # ---------------------------------------------------------------------------
-# Structural-digest bookkeeping (see :mod:`repro.ir.hashing`)
+# Digest bookkeeping (see :mod:`repro.ir.hashing`)
 # ---------------------------------------------------------------------------
 
 
 class DigestStats:
-    """Process-wide structural-hash counters.
+    """Process-wide digest counters.
 
     ``hits``/``recomputes`` are bumped by :func:`repro.ir.hashing.
-    op_digest` (memo hit vs bottom-up recompute, per op with regions:
-    a leaf is hashed inside its parent); ``invalidations``
-    counts mutation events that cleared at least one memoized digest.
+    op_digest` (memo hit vs hash, per op hashed: the op asked for, and
+    each top-level op of a module whose digest composes from theirs);
+    ``invalidations`` counts mutation events that cleared at least one
+    memoized digest.
     Readers (the profiler, the compile engine) report deltas against
     a baseline they took with :meth:`snapshot`.
     """
@@ -73,29 +74,23 @@ DIGEST_STATS = DigestStats()
 
 
 def invalidate_digest(op: Optional["Operation"]) -> None:
-    """Clear the memoized structural digest of ``op`` and its ancestors.
+    """Clear the memoized digest of ``op`` and of every ancestor.
 
-    Only ops with regions keep a memo (a leaf is encoded inside its
-    parent's), and they are memoized bottom-up: a memoized op implies
-    every op with regions beneath it is memoized too (computing the op
-    memoizes them, and any later mutation below clears the full
-    ancestor chain). The contrapositive lets the walk stop at the
-    first op with regions whose memo is empty — mutations of
-    never-hashed IR cost at most one parent hop (from a leaf).
+    A digest is the hash of a print, and an op's print holds its whole
+    subtree, so every op on the chain is stale. Memos sit on the ops
+    that were hashed, not on every op with regions, so an empty memo
+    on the way up says nothing about the ones above it: the walk goes
+    to the root.
     """
-    if op is None:
-        return
-    if op._digest is not None:
-        node = op
-    elif op.regions:
-        return
-    else:
-        node = op.parent_op
     cleared = False
-    while node is not None and node._digest is not None:
-        node._digest = None
-        cleared = True
-        node = node.parent_op
+    while op is not None:
+        if op._digest is not None:
+            op._digest = None
+            cleared = True
+        # ``op.parent_op``, without a call per hop.
+        block = op.parent
+        region = block.parent if block is not None else None
+        op = region.parent if region is not None else None
     if cleared:
         DIGEST_STATS.invalidations += 1
 
@@ -326,16 +321,14 @@ class Operation:
     #: Structural traits checked by the verifier.
     TRAITS: frozenset = frozenset()
 
-    #: Memoized structural digest of an op with regions (see
-    #: :mod:`repro.ir.hashing`): ``(digest, free values, free blocks)``,
-    #: the values and successor blocks the subtree references but does
-    #: not define, in first-occurrence (printer) order; None = not
-    #: computed, and always for a leaf. ``__init__`` sets it on the
-    #: instance: an attribute first written after it moves the instance
-    #: off CPython's shared-key layout (a private dict, + 720 bytes per
-    #: op at the first digest). The class attribute is what a
-    #: :meth:`destroy`-ed shell reads.
-    _digest: Optional[Tuple[bytes, tuple, tuple]] = None
+    #: Memoized hex digest (see :mod:`repro.ir.hashing`) of an op that
+    #: was hashed — one asked for, or a top-level op of a module whose
+    #: digest composes from theirs; None = not computed. ``__init__``
+    #: sets it on the instance: an attribute first written after it
+    #: moves the instance off CPython's shared-key layout (a private
+    #: dict, + 720 bytes per op at the first digest). The class
+    #: attribute is what a :meth:`destroy`-ed shell reads.
+    _digest: Optional[str] = None
 
     def __init__(
         self,
@@ -426,7 +419,7 @@ class Operation:
         invalidate_digest(self)
 
     def invalidate_digest(self) -> None:
-        """Drop memoized structural digests after an out-of-band
+        """Drop memoized digests after an out-of-band
         mutation (direct ``attributes``/``successors``/``name`` edits
         that bypass the hooked mutators)."""
         invalidate_digest(self)

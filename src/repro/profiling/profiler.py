@@ -67,7 +67,7 @@ class InvalidationStats:
 class Profiler:
     """Collects timing/counter data from the transform hot paths of
     one process: per-pattern, per-transform-op and per-pass wall time,
-    worklist and invalidation counters, structural-digest traffic.
+    worklist and invalidation counters, digest traffic.
 
     It is the in-process ``-mlir-timing`` report and nothing else; the
     compile service keeps its own counters (see DESIGN.md section 7).
@@ -79,7 +79,7 @@ class Profiler:
         self.passes: Dict[str, TimedStat] = {}
         self.worklist = WorklistStats()
         self.invalidation = InvalidationStats()
-        # Structural-digest traffic is recorded process-globally in
+        # Digest traffic is recorded process-globally in
         # repro.ir.core.DIGEST_STATS (the memo lives on the ops, not on
         # any profiler); snapshot the baseline so this instance reports
         # only the deltas accrued during its own lifetime.

@@ -90,7 +90,7 @@ class PatternRewriter(Builder):
                            mutation: Callable[[], None]) -> None:
         mutation()
         # Arbitrary mutations (direct op.name / attribute-dict writes)
-        # bypass the structural-digest hooks in repro.ir.core; this is
+        # bypass the digest hooks in repro.ir.core; this is
         # the rewriter-level catch-all for them.
         op.invalidate_digest()
         for listener in self.listeners:

@@ -14,8 +14,9 @@ Two granularities share the store:
 * the **function tier** — one entry per (``func.func`` digest, script
   digest, params) tuple, looked up by :func:`function_key`. Two
   payloads sharing 9 of 10 functions share 9 entries here, because
-  the key is the *structural digest* of the function
-  (:func:`repro.ir.hashing.op_digest`), not the module it arrived in.
+  the key is the *digest* of the function
+  (:func:`repro.ir.hashing.op_digest`, the hash of its standalone
+  print), not the module it arrived in.
 
 The two tiers share one LRU, and **residency** is the LRU's policy: a
 whole-job entry remembers the function keys of its job
@@ -91,9 +92,12 @@ def cache_key(payload_digest: str, script_digest: str,
     """SHA-256 content address of one whole compilation job.
 
     ``payload_digest`` and ``script_digest`` are digests of the job's
-    two inputs, not their text: the engine passes structural digests
-    (:func:`repro.ir.hashing.op_digest`). Each is framed whole into the
-    key, so any digest spelling keys consistently."""
+    two inputs, not their text: the engine passes
+    :func:`repro.ir.hashing.op_digest` values. Each is framed whole
+    into the key, so any digest spelling keys consistently. The key
+    domain need not move with the digest's: a digest from another
+    ``hashing._DOMAIN`` is another string, so a key framing it can
+    never recur."""
     hasher = hashlib.sha256(b"repro-cache-key-v2")
     _frame(hasher, payload_digest.encode())
     _frame(hasher, script_digest.encode())
@@ -106,13 +110,15 @@ def function_key(func_digest: str, script_digest: str,
                  params: Optional[ParamBindings] = None) -> str:
     """SHA-256 address of one function's compilation under one script.
 
-    ``func_digest`` is the structural digest of a standalone
-    ``func.func`` (:func:`repro.ir.hashing.op_digest`), so the key is
-    independent of which module the function appeared in and of its
-    printed-name numbering. The entry stored under it holds the
-    *transformed* function: its text under the names it was printed
-    with, where those sit (``names``) and, as ``output_digest``, the
-    digest of that ``func.func``.
+    ``func_digest`` is the digest of a standalone ``func.func``
+    (:func:`repro.ir.hashing.op_digest`, the hash of its print from
+    ``%0``), so the key is independent of which module the function
+    appeared in and of its printed-name numbering. The entry stored
+    under it holds the *transformed* function: its text under the
+    names it was printed with, where those sit (``names``) and, as
+    ``output_digest``, the digest of that ``func.func``. Like
+    :func:`cache_key`'s, the key domain stays when the digest's moves:
+    the framed digests change, so no old key recurs.
     """
     # v3: an entry keeps the names it was printed with and records
     # them (a v2 entry is numbered from %0 and says nothing; v1
@@ -172,7 +178,7 @@ class CachedResult:
     ``status`` is the job classification string ("success" or
     "silenceable"); ``output`` the printed result module;
     ``diagnostics`` whatever warnings the run produced;
-    ``output_digest`` the structural digest of the output module when
+    ``output_digest`` the digest of the output module when
     the producer computed one (lets consumers compare identity without
     reparsing the text); ``names``, on a function-tier entry only,
     where the names of ``output`` sit — ``(value_base, values,

@@ -8,7 +8,7 @@ of :meth:`CompileEngine.run_job` — whose steps either return a
 terminal result or fall through, cheapest first:
 
 1. **inputs** — each input text is parsed once for as long as the
-   input memo remembers it, into its structural digest (plus the
+   input memo remembers it, into its digest (plus the
    function-tier facts and, for scripts, the lint verdict per entry
    point); text that does not parse is REJECTED. The job whose memo
    miss parsed a payload owns that module until a later step consumes

@@ -110,16 +110,17 @@ def function_text(function: Operation) -> str:
 
 
 def function_text_digests(function_digest: str) -> Tuple[str, str]:
-    """``(structural digest, attributes digest)`` of the module
-    :func:`function_text` prints, from the function's digest alone: a
-    digest is compositional, so nobody parses a shard to know them."""
+    """``(digest, attributes digest)`` of the module
+    :func:`function_text` prints, from the function's digest alone: an
+    all-function module's digest composes from its functions', so
+    nobody parses or prints a shard to know them."""
     return module_digest({}, [function_digest]), NO_ATTRIBUTES_DIGEST
 
 
 def function_entries(module: Operation
                      ) -> Optional[List[Tuple[str, str, Names]]]:
-    """The function-tier view of one module: ``(entry text, structural
-    digest of the function, names)`` per top-level function.
+    """The function-tier view of one module: ``(entry text, digest of
+    the function, names)`` per top-level function.
 
     The functions are printed through *one* printer session, function
     by function, each into an attribute-less module shell: an entry

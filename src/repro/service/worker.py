@@ -96,14 +96,15 @@ def compile_job(payload_text: str, script_text: str,
     ``output``
         the printed transformed payload (None on definite failure);
     ``output_digest``
-        the structural digest (:func:`repro.ir.hashing.op_digest`) of
-        the transformed payload, computed in the worker off the live
-        IR — consumers compare output identity by digest instead of
-        reparsing or re-hashing the text (None on failure);
+        the digest (:func:`repro.ir.hashing.op_digest`: the hash of
+        its print, composed from its functions' for an all-function
+        module) of the transformed payload, computed in the worker off
+        the live IR — consumers compare output identity by digest
+        instead of reparsing or re-hashing the text (None on failure);
     ``functions``
         with ``function_tier`` and a ``"success"`` status, the
         function-tier view of the transformed payload: ``(entry text,
-        structural digest of the function, names)`` per top-level
+        digest of the function, names)`` per top-level
         function. The printer walks the module once, function by
         function: an entry text is one function's lines under the
         names that walk gave them, in an attribute-less module shell,

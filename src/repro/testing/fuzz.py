@@ -36,7 +36,7 @@ both legs face one list of invariants:
   its seed reproduces the same outcome kind, message and payload print;
 * **textual round-trip** — the payload, the script and every verifying
   output satisfy ``print(parse(print(m))) == print(m)`` with an equal
-  structural digest, so a front-end change that narrows or shifts the
+  digest, so a front-end change that narrows or shifts the
   language fails here;
 * **relocatable function text** — every all-function payload and
   output is the join of its function-tier entries as printed, its
@@ -799,7 +799,7 @@ def _normalize_check(fail: Fail, leg: Leg, outcome: CaseOutcome) -> None:
 
 def _roundtrip_check(fail: Fail, what: str, module: Operation) -> None:
     """The text front end is lossless on ``module``: its print parses,
-    re-prints byte-identically and keeps the structural digest."""
+    re-prints byte-identically and keeps its digest."""
     from ..ir.hashing import op_digest
     from ..ir.parser import parse
 
@@ -814,7 +814,7 @@ def _roundtrip_check(fail: Fail, what: str, module: Operation) -> None:
              f"{what}: print(parse(print(m))) != print(m)")
     elif op_digest(reparsed) != op_digest(module):
         fail("roundtrip-digest",
-             f"{what}: the structural digest moved across print -> parse")
+             f"{what}: the digest moved across print -> parse")
 
 
 def relocation_violations(module: Operation) -> List[str]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.dialects  # noqa: F401 — registers func.func's traits
 from repro.ir import (
     Block,
     Builder,
@@ -13,6 +14,7 @@ from repro.ir import (
     Pure,
     Region,
     index_attr,
+    op_digest,
 )
 from repro.ir.core import OP_REGISTRY, register_op
 
@@ -294,22 +296,33 @@ class TestBlock:
         assert block.terminator is not None
 
 
+def _module_of_functions(count):
+    """A ``builtin.module`` of ``count`` ``func.func`` ops with one
+    empty block each: once hashed, the module and its functions hold
+    digests."""
+    module = Operation.create("builtin.module", regions=1)
+    top = module.regions[0].add_block()
+    functions = [top.append(Operation.create("func.func", regions=1))
+                 for _ in range(count)]
+    blocks = [function.regions[0].add_block() for function in functions]
+    return module, functions, blocks
+
+
 def _op_list_world():
-    """``root`` holding two holders: one with the target block ``T`` =
-    ``[a, b, c]`` (``c`` a terminator) and an empty block ``E``, one
-    with the source block ``S`` = ``[x, y]``; plus a detached op ``n``
-    and a detached empty block ``D``. Everything is digested."""
-    from repro.ir.hashing import op_digest
+    """A module ``root`` holding two functions: one with the target
+    block ``T`` = ``[a, b, c]`` (``c`` a terminator) and an empty block
+    ``E``, one with the source block ``S`` = ``[x, y]``; plus a detached
+    op ``n`` and a detached empty block ``D``. The module, its functions
+    and ``n`` hold digests."""
     from repro.rewrite.pattern import PatternRewriter
 
-    root = Operation.create("test.root", regions=1)
-    top = root.regions[0].add_block()
-    world = {"root": root, "D": Block(), "rewriter": PatternRewriter()}
-    for holder, names in (("T", "abc"), ("S", "xy")):
-        op = top.append(Operation.create("test.holder", regions=1))
-        world[holder] = op.regions[0].add_block()
+    root, functions, blocks = _module_of_functions(2)
+    world = {"root": root, "D": Block(), "rewriter": PatternRewriter(),
+             "functions": functions}
+    for block, holder, names in zip(blocks, "TS", ("abc", "xy")):
+        world[holder] = block
         for value, name in enumerate(names):
-            world[name] = world[holder].append(
+            world[name] = block.append(
                 Operation.create("func.return") if name == "c"
                 else make_const(value))
     world["E"] = world["T"].parent.add_block()
@@ -400,15 +413,16 @@ class TestOpListMutators:
         assert op_list_violations(root) == []
 
         # Exactly the ancestor chains of the blocks the mutation touched
-        # lost their digests; every other op with regions kept its own
-        # (a leaf has none: it is hashed inside its parent).
+        # lost their digests; every other hashed op kept its own.
+        function_of = dict(zip("TS", world["functions"]))
         dirty = set()
         if "(D," not in mutation:  # inlining an empty block: no touch
-            dirty |= {root, world["T"].parent_op}
+            dirty |= {root, function_of["T"]}
         if world["S"].ops != [world["x"], world["y"]]:
-            dirty |= {root, world["S"].parent_op}
+            dirty |= {root, function_of["S"]}
+        hashed = {root, world["n"], *world["functions"]}
         for op in root.walk():
-            assert (op._digest is None) == (op in dirty or not op.regions), \
+            assert (op._digest is not None) == (op in hashed - dirty), \
                 (mutation, op)
 
 
@@ -443,19 +457,17 @@ class TestOpListEdges:
         assert block.ops == [b, a, c, d]
 
     def test_moving_an_op_next_to_itself_changes_nothing(self):
-        from repro.ir.hashing import op_digest
-
-        holder = Operation.create("test.holder", regions=1)
-        block = holder.regions[0].add_block()
+        module, (function,), (block,) = _module_of_functions(1)
         a, b = block.append(make_const(1)), block.append(make_const(2))
-        op_digest(holder)
+        op_digest(module)
         a.move_before(a)
         b.move_before(b)
         block.insert_before(a, a)
         block.insert_after(b, b)
         assert block.ops == [a, b]
         assert a.parent is block and b.parent is block
-        assert holder._digest is not None
+        assert module._digest is not None
+        assert function._digest is not None
 
     def test_negative_and_past_the_end_indices_clamp(self):
         block, (a, b) = self.block_of(2)

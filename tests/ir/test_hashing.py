@@ -1,4 +1,4 @@
-"""Structural digests: the print-identity contract, memoization, and
+"""Digests: the print-identity contract, memoization, and
 ancestor-only invalidation (plus the printer id()-reuse regression)."""
 
 import gc
@@ -144,14 +144,13 @@ class TestContract:
 
 
 class TestPinnedEncoding:
-    """Digests key every cache, on disk too: the *bytes* fed to the
-    hash may not move with the code that assembles them (joined runs
-    of fields, inline leaves, ``module_digest``) unless ``_DOMAIN`` is
-    bumped with them. Hex digests of fixed IR, computed by the
-    field-by-field reference encoder of tests/ir/test_emission.py."""
+    """Digests key every cache, on disk too: what is fed to the hash
+    (the domain, the print, a composing module's shape) may not move
+    unless ``_DOMAIN`` is bumped with it. Hex digests of fixed IR."""
 
     def test_fixed_ir_keeps_its_digests(self):
         from repro.execution.workloads import build_matmul_module
+        from repro.ir.hashing import NO_ATTRIBUTES_DIGEST, module_digest
 
         module = parse(MODULE)
         f0 = _funcs(module)[0]
@@ -159,30 +158,44 @@ class TestPinnedEncoding:
             # A module, a region op with block arguments, a leaf op
             # with operands.
             op_digest(module):
-                "4cab187d0ff7094061e18ed15763f0d9"
-                "5b28f1b7f7afa54a7e9efc3739da82a5",
+                "e75144f0f5b069f6f721b9fabf14cd97"
+                "3d744bd5759b5d9a6edb1fe4cffb3c99",
             op_digest(f0):
-                "b55554d37a63b43c1578c25c5f23c4be"
-                "af744994be434aea7a069b2859632d42",
+                "e671eca6cf419b18f4fa24a3c23aaf24"
+                "2270d71022ae954133d12f255fde0998",
             op_digest(f0.regions[0].blocks[0].ops[0]):
-                "f28b5def0dcf8e42d87d96d17c37ff91"
-                "3f30d83ddfdf5dd311a0a1ea4d399a68",
+                "c480ff5bbadb3416def6b16350e5a646"
+                "fe847ea3c1ae8c8e7ea4800acf0e106e",
             # Successors, forward block references.
             op_digest(parse(BRANCHY)):
-                "66041233960ea87aa4e76854bc01f98c"
-                "dfb4cecb67dc2b51dabb93ca27b340c1",
+                "aaae6c4d40064e0baa6b817ac42f7ad8"
+                "3bddce69b9e41069813114aeddc87fda",
             # Nested loops; memref types, affine maps, float attributes.
             op_digest(PayloadFuzzer(random.Random(7)).module()):
-                "239b82a9de350834e9733bb8444a5e36"
-                "fc512a861f16c1833d37a1e387515e3c",
+                "896fa83d465db4cecf915f455463786c"
+                "6f9bbe8310a6049aab23f291c4b30747",
             op_digest(build_matmul_module(8, 4, 4)):
-                "cbadf10d2ad7b183af1384d6a65c2560"
-                "45cbd39941c545ccddbcc710fa7462d2",
+                "f15058af9409d33828f36f589408c4c2"
+                "396cd0ebf3d72349d536119279f626d9",
             attributes_digest(parse(BRANCHY)):
-                "c47c67b85aab3f44a4982586eef34d8a"
-                "f366c734745141af6caa3d2ee304bfdc",
+                "65191c4c50df400129ac763e9384fb0c"
+                "fd904457b068801cea56daadadaaf0dd",
+            # An empty composed module; an empty attribute dictionary.
+            module_digest({}, []):
+                "0bde797e5202517ce284ef9a887d4933"
+                "4d7d667dafcba268ef32d3c7b75d1fb7",
+            NO_ATTRIBUTES_DIGEST:
+                "61e0b775c396564397eb9a8e99a6a7e1"
+                "71e8b3e6d9d65ff73c09041fa0fcb272",
         }
         assert all(got == want for got, want in pinned.items()), pinned
+
+    def test_a_digest_is_the_hash_of_the_print(self):
+        import hashlib
+
+        function = parse(BRANCHY)
+        assert op_digest(function) == hashlib.sha256(
+            b"repro-op-digest-v3" + print_op(function).encode()).hexdigest()
 
     def test_module_digest_is_op_digest_of_the_module(self):
         from repro.ir.hashing import module_digest
@@ -213,18 +226,21 @@ class TestMemoization:
         f0, f1 = _funcs(module)
         first, second, _ = f0.regions[0].entry_block.ops
         add = first.regions[0].entry_block.ops[0]
+
+        def memoized():
+            return {op for op in module.walk() if op._digest is not None}
+
+        # Memos sit on what was hashed: the module and its functions,
+        # then whatever is asked for on its own.
+        assert memoized() == {module, f0, f1}
         sibling_digest = op_digest(second)
+        assert memoized() == {module, f0, f1, second}
+        # ``add`` and ``first`` hold no memo, ``f0`` above them does:
+        # exactly the ancestor chain is cleared, and nothing else.
         add.set_attr("mark", 1)
-        # Exactly the ancestor chain is cleared...
-        assert first._digest is None
-        assert f0._digest is None
-        assert module._digest is None
-        # ... and nothing else; no leaf ever holds a memo.
-        assert second._digest is not None
-        assert f1._digest is not None
-        assert all(op._digest is None for op in module.walk()
-                   if not op.regions)
+        assert memoized() == {f1, second}
         assert op_digest(second) == sibling_digest
+        assert op_digest(module) == op_digest(parse(print_op(module)))
 
     def test_recompute_touches_only_the_dirty_chain(self):
         module = parse(MODULE)
@@ -234,9 +250,8 @@ class TestMemoization:
         add.set_attr("mark", 2)
         recomputes = DIGEST_STATS.recomputes
         op_digest(module)
-        # module + func = 2 recomputes (the mutated op is a leaf, hashed
-        # inside its function); every other subtree comes out of its
-        # memo.
+        # module + func = 2 recomputes (the mutated op is printed with
+        # its function); the other function comes out of its memo.
         assert DIGEST_STATS.recomputes - recomputes == 2
 
     def test_erase_invalidates(self):
@@ -310,9 +325,10 @@ LEAF_MUTATIONS = {
 
 
 class TestLeafMutationHooks:
-    """A leaf has no memo of its own, so its hooks must clear its
-    parent's: after any mutation of a leaf of a hashed module, the
-    module's digest is that of the module its print parses back to."""
+    """A leaf of a hashed module holds no memo, so its hooks must clear
+    its function's and the module's: after any mutation of a leaf of a
+    hashed module, the module's digest is that of the module its print
+    parses back to."""
 
     @pytest.mark.parametrize("mutation", sorted(LEAF_MUTATIONS))
     def test_digest_follows_a_leaf_mutation(self, mutation):

@@ -388,8 +388,8 @@ class TestCacheIntegration:
         assert cache.stats.hit_rate > 0
 
     def test_formatting_differences_share_a_key(self):
-        # Jobs are keyed on structural digests, so whitespace-shifted
-        # payload text maps to the same content address.
+        # Jobs are keyed on digests of the parsed IR's print, so
+        # whitespace-shifted payload text maps to the same address.
         reindented = PAYLOAD.replace("    ", "  ")
         cache = CompilationCache(capacity=8)
         with CompileEngine(workers=0, cache=cache) as engine:

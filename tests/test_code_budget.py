@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16965,  # all of src/repro
+    ".": 16866,  # all of src/repro
     "analysis": 834,
     "autotuning": 353,
     "core": 1876,
@@ -36,7 +36,7 @@ BUDGETS = {
     "execution": 776,
     "frontend": 1154,
     "frontend/schedule.py": 440,
-    "ir": 2094,
+    "ir": 1995,
     "irdl": 281,
     "mlmodels": 192,
     "observability": 619,
@@ -53,7 +53,7 @@ BUDGETS = {
 #: file at the repository root -> the most lines it may have; the two
 #: together stay within 1 200.
 PROSE_BUDGETS = {
-    "DESIGN.md": 546,
+    "DESIGN.md": 545,
     "README.md": 649,
 }
 
