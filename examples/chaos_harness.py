@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fault injection and resilience policies on the compile service.
+"""Fault injection and resilience mechanisms on the compile service.
 
 The service's recovery machinery (``repro.service.resilience``) is
 driven here by a deterministic fault schedule
@@ -14,7 +14,8 @@ infrastructure to die:
 3. **disk-cache degradation** — injected ENOSPC demotes the cache to
    memory-only with a counted warning; no job ever fails over it;
 4. the **chaos driver** — one seeded case of the harness CI runs 100
-   of on every push.
+   of on every push, through the direct frontier and through a
+   ``repro-serve`` daemon.
 
 Run:  python examples/chaos_harness.py
 
@@ -33,7 +34,6 @@ from repro.service import (
     CompileEngine,
     CompileJob,
     JobStatus,
-    QuarantinePolicy,
     RetryPolicy,
 )
 from repro.service.cli import service_report
@@ -86,13 +86,13 @@ def main():
 
     # -- 2. a poison job trips the circuit breaker ----------------------
     # Unbudgeted crashes: every execution of this content dies. With
-    # threshold=2 the second failure quarantines the content; the next
-    # submission never reaches a worker.
+    # quarantine_after=2 the second failure quarantines the content;
+    # the next submission never reaches a worker.
     poison_plan = FaultPlan(seed=7,
                             rates={FaultSite.WORKER_CRASH: 1.0})
     with CompileEngine(workers=1, faults=poison_plan,
-                       retry_policy=RetryPolicy.none(),
-                       quarantine=QuarantinePolicy(threshold=2)) as engine:
+                       retry_policy=RetryPolicy(max_attempts=1),
+                       quarantine_after=2) as engine:
         first = engine.run_job(_job(job_id="poison-1"))
         second = engine.run_job(_job(job_id="poison-2"))
         third = engine.run_job(_job(job_id="poison-3"))
@@ -118,10 +118,11 @@ def main():
               f"({len(caught)} warning)")
 
     # -- 4. one chaos case, end to end ----------------------------------
-    report, case_plan = run_chaos_case(12345, workers=1,
-                                       job_timeout=0.5)
+    report, case_plans = run_chaos_case(12345, workers=1,
+                                        job_timeout=0.5)
     print(report.render())
-    print(f"fired faults: {case_plan.injected}")
+    for route, case_plan in case_plans.items():
+        print(f"fired faults ({route}): {case_plan.injected}")
 
     print()
     print(service_report(recovery_metrics))

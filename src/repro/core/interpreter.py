@@ -88,7 +88,6 @@ class TransformInterpreter:
     def __init__(self, track_invalidation: bool = True,
                  profiler=None,
                  strict: bool = False,
-                 diagnostics: Optional[DiagnosticEngine] = None,
                  tracer=None,
                  trace_parent=None):
         #: Ablation knob: disable nested-alias invalidation tracking.
@@ -110,7 +109,7 @@ class TransformInterpreter:
         self.trace_parent = trace_parent
         self._span_stack: List = []
         #: Collects MLIR-style diagnostics for every failure.
-        self.diagnostics = diagnostics or DiagnosticEngine()
+        self.diagnostics = DiagnosticEngine()
         self.output: List[str] = []
         self.stats = InterpreterStats()
         #: Enclosing transform ops, outermost first (the op currently

@@ -21,6 +21,10 @@ from ..ir.core import Block, Operation, Value
 from ..ir.types import Type
 from .pattern import PatternRewriter, RewriteListener, RewritePattern
 
+#: Sweeps over the IR :func:`apply_conversion` makes before it stops
+#: looking for illegal ops to rewrite.
+_MAX_ITERATIONS = 10
+
 
 class ConversionError(Exception):
     """Legalization failure, carrying the offending operation."""
@@ -192,7 +196,6 @@ def apply_conversion(
     target: ConversionTarget,
     type_converter: Optional[TypeConverter] = None,
     extra_listeners: Sequence[RewriteListener] = (),
-    max_iterations: int = 10,
 ) -> None:
     """Legalize all ops under ``root`` against ``target``.
 
@@ -208,7 +211,7 @@ def apply_conversion(
 
     rewriter = ConversionRewriter(type_converter, extra_listeners)
 
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         changed = False
         for op in list(root.walk()):
             if op is root or op.parent is None:

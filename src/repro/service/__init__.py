@@ -17,9 +17,11 @@ Layers (each its own module):
 * :mod:`repro.service.engine` — job scheduling: static preflight
   rejection, in-flight deduplication, per-job timeouts, cancellation,
   and policy-driven crash containment over the worker pool;
-* :mod:`repro.service.resilience` — the recovery policies the engine
-  runs under: configurable retry/backoff, poison-job quarantine, and
-  crash-loop pool-health monitoring;
+* :mod:`repro.service.resilience` — the recovery mechanisms the engine
+  runs under, each set by the CLI flags that name it: retry/backoff
+  (``--max-attempts``, ``--retry-timeouts``, ``--backoff``), poison-job
+  quarantine (``--quarantine-after``) and crash-loop pool-health
+  monitoring (``--crash-loop-limit``);
 * :mod:`repro.service.sharding` — the seams of the engine's function
   tier: the gate deciding which (payload, schedule) pairs split per
   ``func.func`` (it asks each transform op whether it is
@@ -49,13 +51,7 @@ from .client import AsyncServiceClient, RemoteError, ServiceClient
 from .engine import CompileEngine, CompileJob, JobResult, JobStatus
 from .frontier import ServiceClosedError, ServiceFrontier
 from .server import CompileServer, ServerStats
-from .resilience import (
-    JobQuarantine,
-    PoolHealthMonitor,
-    PoolHealthPolicy,
-    QuarantinePolicy,
-    RetryPolicy,
-)
+from .resilience import JobQuarantine, PoolHealthMonitor, RetryPolicy
 from .sharding import is_func_shardable
 from .worker import bind_parameters, compile_job
 
@@ -71,8 +67,6 @@ __all__ = [
     "JobResult",
     "JobStatus",
     "PoolHealthMonitor",
-    "PoolHealthPolicy",
-    "QuarantinePolicy",
     "RemoteError",
     "RetryPolicy",
     "ServerStats",

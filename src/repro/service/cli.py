@@ -38,7 +38,7 @@ from .cache import CompilationCache
 from .client import AsyncServiceClient, RemoteError
 from .engine import CompileEngine, CompileJob, JobResult
 from .frontier import PRIORITY_RANKS, ServiceFrontier
-from .resilience import PoolHealthPolicy, QuarantinePolicy, RetryPolicy
+from .resilience import RetryPolicy
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +204,6 @@ def build_engine(args) -> CompileEngine:
     fault_rates = _parse_faults(args.fault)
     faults = (FaultPlan(seed=args.fault_seed, rates=fault_rates)
               if fault_rates else None)
-    # max_attempts=1 already means never retry (RetryPolicy rejects
-    # < 1); the statuses stay so a reload of max_attempts retries.
-    retry_policy = RetryPolicy(
-        max_attempts=args.max_attempts,
-        retry_statuses=frozenset(
-            {"crashed", "timeout"} if args.retry_timeouts else {"crashed"}),
-        base_backoff=args.backoff,
-    )
-    quarantine = (QuarantinePolicy(threshold=args.quarantine_after)
-                  if args.quarantine_after > 0 else None)
-    pool_health = (PoolHealthPolicy(max_restarts=args.crash_loop_limit)
-                   if args.crash_loop_limit > 0 else None)
     cache = None
     if not args.no_cache:
         cache = CompilationCache(capacity=args.cache_size,
@@ -227,9 +215,11 @@ def build_engine(args) -> CompileEngine:
         preflight=not args.no_preflight,
         job_timeout=args.timeout,
         function_tier=not args.no_function_cache,
-        retry_policy=retry_policy,
-        quarantine=quarantine,
-        pool_health=pool_health,
+        retry_policy=RetryPolicy(max_attempts=args.max_attempts,
+                                 retry_timeouts=args.retry_timeouts,
+                                 base_backoff=args.backoff),
+        quarantine_after=args.quarantine_after,
+        crash_loop_limit=args.crash_loop_limit,
         faults=faults,
         tracer=Tracer() if args.trace_out is not None else None,
         events=(EventLog(args.events_out)

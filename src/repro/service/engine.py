@@ -25,8 +25,8 @@ terminal result or fall through, cheapest first:
    entries the job is made of, so a near-repeat of a hot job finds
    them in step 6;
 4. **quarantine gate** — content that crashed or hung the pool
-   ``threshold`` times is POISONED instead of restarting the pool
-   forever (:class:`~repro.service.resilience.QuarantinePolicy`);
+   ``quarantine_after`` times is POISONED instead of restarting the
+   pool forever (:class:`~repro.service.resilience.JobQuarantine`);
 5. **single-flight** — concurrent jobs with the same content key
    share one execution: followers wait on the leader's result
    instead of occupying a second worker;
@@ -47,7 +47,7 @@ terminal result or fall through, cheapest first:
    restarts the pool (CRASHED); the
    :class:`~repro.service.resilience.RetryPolicy` decides whether the
    attempt is repeated, and a
-   :class:`~repro.service.resilience.PoolHealthPolicy` degrades a
+   :class:`~repro.service.resilience.PoolHealthMonitor` degrades a
    crash-looping engine to in-process execution — reduced throughput,
    preserved liveness;
 7. **publish** — OK results go to the cache and to the followers;
@@ -86,10 +86,10 @@ pool break) — the chaos harness uses this to exercise every one of the
 recovery paths above on every CI run.
 
 ``workers=0`` runs jobs in-process, strictly sequentially, through the
-*same* worker function body (:func:`repro.service.worker.compile_ir`,
-which :func:`~repro.service.worker.compile_job` wraps for the pool) —
-the reference semantics pooled execution must reproduce
-byte-identically.
+*same* worker function the pool runs
+(:func:`repro.service.worker.compile_job`, handed the parsed inputs
+instead of their text) — the reference semantics pooled execution
+must reproduce byte-identically.
 """
 
 from __future__ import annotations
@@ -114,18 +114,28 @@ from ..observability.tracing import Tracer
 from ..testing.faults import FaultPlan, FaultSite
 from .cache import (CachedResult, CompilationCache, ParamBindings, cache_key,
                     function_key)
-from .resilience import (JobQuarantine, PoolHealthMonitor, PoolHealthPolicy,
-                         QuarantinePolicy, RetryPolicy)
+from .resilience import JobQuarantine, PoolHealthMonitor, RetryPolicy
 from .sharding import (assemble_functions, function_text,
                        function_text_digests, is_func_shardable,
                        shardable_functions)
-from .worker import _ensure_registered, compile_ir, compile_job
+from .worker import _ensure_registered, compile_job
 
 _job_ids = itertools.count()
 
 #: Input-memo bound of an engine without a cache (with one, the memo
 #: holds as many texts of each kind as the cache holds results).
 _MEMO_CAPACITY = 256
+
+
+def check_timeout(name: str, seconds: Optional[float]) -> Optional[float]:
+    """``seconds`` when it is None or a positive number of seconds;
+    otherwise ``ValueError`` — a deadline of zero or less would time
+    out every job it governs and restart the pool each time."""
+    if seconds is not None and not (
+            isinstance(seconds, (int, float)) and seconds > 0):
+        raise ValueError(f"{name} must be a positive number of seconds, "
+                         f"got {seconds!r}")
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -195,7 +205,7 @@ class JobStatus(enum.Enum):
     CANCELLED = "cancelled"
     #: Quarantined by the circuit breaker: this content crashed or
     #: hung the pool often enough that it is no longer allowed near a
-    #: worker (see :class:`repro.service.resilience.QuarantinePolicy`).
+    #: worker (see :class:`repro.service.resilience.JobQuarantine`).
     POISONED = "poisoned"
 
 
@@ -206,6 +216,8 @@ class CompileJob:
     Both IR inputs are *text*; ``params`` override
     ``transform.param.constant`` ops carrying a matching ``binding``
     attribute (see :func:`repro.service.worker.bind_parameters`).
+    Every route builds one, so a field from outside input that would
+    misbehave deep in the engine is refused here (``ValueError``).
     """
 
     payload_text: str
@@ -217,6 +229,12 @@ class CompileJob:
     job_id: str = field(
         default_factory=lambda: f"job-{next(_job_ids)}"
     )
+
+    def __post_init__(self) -> None:
+        check_timeout("timeout", self.timeout)
+        if not isinstance(self.entry_point, (str, type(None))):
+            raise ValueError(
+                f"entry_point must be a string, got {self.entry_point!r}")
 
 
 @dataclass
@@ -321,10 +339,9 @@ class CompileEngine:
                  preflight: bool = True,
                  job_timeout: Optional[float] = None,
                  function_tier: bool = True,
-                 strict: bool = False,
                  retry_policy: RetryPolicy = RetryPolicy(),
-                 quarantine: Optional[QuarantinePolicy] = QuarantinePolicy(),
-                 pool_health: Optional[PoolHealthPolicy] = PoolHealthPolicy(),
+                 quarantine_after: int = 3,
+                 crash_loop_limit: int = 6,
                  faults: Optional[FaultPlan] = None,
                  tracer=None,
                  events=None):
@@ -333,14 +350,16 @@ class CompileEngine:
         self.workers = workers
         self.cache = cache
         self.preflight = preflight
-        self.job_timeout = job_timeout
+        self.job_timeout = check_timeout("job_timeout", job_timeout)
         #: How failed pool executions are re-attempted (default:
         #: retry once on crash, no backoff).
         self.retry_policy = retry_policy
-        #: Circuit breaker for poison jobs (None disables).
-        self._quarantine = quarantine and JobQuarantine(quarantine)
-        #: Crash-loop detector (None disables degradation).
-        self._pool_health = pool_health and PoolHealthMonitor(pool_health)
+        #: Circuit breaker: content that failed the pool
+        #: ``quarantine_after`` times is POISONED (0 disables).
+        self._quarantine = JobQuarantine(quarantine_after)
+        #: Crash-loop detector: ``crash_loop_limit`` pool restarts
+        #: inside the window degrade the engine (0 disables).
+        self._pool_health = PoolHealthMonitor(crash_loop_limit)
         #: Deterministic fault schedule (testing only; None in prod).
         self.faults = faults
         #: Set once crash-loop detection has demoted the engine to
@@ -350,7 +369,6 @@ class CompileEngine:
         #: multi-function payloads under provably function-local
         #: schedules (requires ``cache``).
         self.function_tier = function_tier
-        self.strict = strict
         #: Optional :class:`repro.observability.Tracer`: per-job spans
         #: (preflight, cache lookup, single-flight wait, per-attempt
         #: dispatch) plus the worker-side spans shipped back across
@@ -448,8 +466,7 @@ class CompileEngine:
             self._terminate(kill_pool)
             return
         self._account("worker_restarts")
-        if (self._pool_health is not None
-                and self._pool_health.record_restart()):
+        if self._pool_health.record_restart():
             self._degrade_pool()
 
     def _degrade_pool(self) -> None:
@@ -457,16 +474,10 @@ class CompileEngine:
         in-process execution. Liveness over throughput — jobs keep
         completing (slowly, one at a time) instead of feeding an
         endless spawn/crash cycle."""
-        policy = self._pool_health.policy
         with self._pool_lock:
             if self.degraded:
                 return
-            self.degraded_diagnostic = (
-                f"warning: worker pool degraded to in-process execution "
-                f"after {policy.max_restarts} restarts within "
-                f"{policy.window_seconds:g}s (crash-loop detection); "
-                "throughput is reduced but the service stays live"
-            )
+            self.degraded_diagnostic = self._pool_health.diagnose()
             pool, self._pool = self._pool, None
             self._pool_generation += 1
         if pool is not None:
@@ -733,7 +744,7 @@ class CompileEngine:
 
         # 4. quarantine gate: content that repeatedly crashed or hung
         # the pool is refused before it can occupy (and kill) a worker.
-        if self._quarantine is not None and self._quarantine.is_poisoned(key):
+        if self._quarantine.is_poisoned(key):
             return self._poisoned(job, key)
 
         # 5. single-flight: concurrent identical jobs share one
@@ -957,10 +968,9 @@ class CompileEngine:
             self._account("CRASHED", job, key=key, attempt=attempts)
             diagnostics = ("error: worker process died while compiling "
                            f"this job (x{attempts}): {error}")
-        if self._quarantine is not None:
-            self._quarantine.record_failure(key, status)
-            if self._quarantine.is_poisoned(key):
-                return self._poisoned(job, key, attempts)
+        self._quarantine.record_failure(key, status)
+        if self._quarantine.is_poisoned(key):
+            return self._poisoned(job, key, attempts)
         if self.retry_policy.should_retry(status, attempts):
             backoff = self.retry_policy.backoff_seconds(key, attempts)
             self._account("RETRIED", job, key=key, failure=status,
@@ -1007,10 +1017,10 @@ class CompileEngine:
                     # boundary exists to prevent. The inline attempt is
                     # always the job's last (nothing in it can fail into
                     # a retry), so ``parsed`` is consumed at most once.
-                    raw = compile_ir(
+                    raw = compile_job(
                         parsed.pop() if parsed else job.payload_text,
                         script.op.clone(), job.params, job.entry_point,
-                        self.strict, trace, tier_keys is not None)
+                        trace=trace, function_tier=tier_keys is not None)
                 else:
                     inject = (self.faults.worker_fault(key, attempts)
                               if self.faults is not None else None)
@@ -1019,8 +1029,8 @@ class CompileEngine:
                         # another job's crash already broke this pool.
                         future = pool.submit(
                             compile_job, job.payload_text, job.script_text,
-                            job.params, job.entry_point, self.strict,
-                            inject, trace, tier_keys is not None)
+                            job.params, job.entry_point, inject, trace,
+                            tier_keys is not None)
                         if self.faults is not None and self.faults.fire(
                                 FaultSite.POOL_BREAK,
                                 f"{key}#attempt{attempts}"):
@@ -1035,15 +1045,10 @@ class CompileEngine:
                     except BrokenProcessPool as error:
                         failure = ("crashed", error)
                     except Exception as error:
-                        # Either a worker-side exception pickled back with
-                        # strict=True (compile_job encodes everything else
-                        # itself) or an infrastructure failure outside the
-                        # worker barrier (e.g. unpicklable input). Strict
-                        # mode must propagate raw exactly like the
-                        # workers=0 reference path; otherwise classify,
+                        # An infrastructure failure outside the worker
+                        # barrier (e.g. unpicklable input; compile_job
+                        # encodes everything else itself): classify,
                         # don't crash the service.
-                        if self.strict:
-                            raise
                         _mark(attempt_span, "error")
                         return JobResult(
                             job.job_id, JobStatus.DEFINITE, key=key,

@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Set
 
 from ..observability.events import TERMINAL_EVENTS, EventLog
 from .cli import add_engine_arguments, build_engine, shutdown_engine
-from .engine import CompileEngine, CompileJob, JobResult
+from .engine import CompileEngine, CompileJob, JobResult, check_timeout
 from .frontier import PRIORITY_RANKS, ServiceClosedError, ServiceFrontier
 
 #: JobResult fields serialized into a ``result`` frame.
@@ -534,7 +534,7 @@ class CompileServer:
                     )
                     applied.append("cache")
                 # Only the fields the request names change; the rest
-                # (retry_statuses, ...) stay as the server was started.
+                # (retry_timeouts) stay as the server was started.
                 retry = {}
                 if "max_attempts" in request:
                     retry["max_attempts"] = int(request["max_attempts"])
@@ -546,9 +546,9 @@ class CompileServer:
                     applied.append("retry")
                 if "job_timeout" in request:
                     timeout = request["job_timeout"]
-                    self.engine.job_timeout = (
-                        float(timeout) if timeout is not None else None
-                    )
+                    self.engine.job_timeout = check_timeout(
+                        "job_timeout",
+                        float(timeout) if timeout is not None else None)
                     applied.append("job_timeout")
             except (TypeError, ValueError) as error:
                 self.stats.bad_requests += 1
@@ -583,15 +583,7 @@ class CompileServer:
 # ---------------------------------------------------------------------------
 
 
-async def _serve(args, engine) -> int:
-    server = CompileServer(
-        engine,
-        socket_path=args.socket,
-        host=args.host if args.socket is None else None,
-        port=args.port,
-        max_queue=args.queue_size,
-        client_quota=args.client_quota,
-    )
+async def _serve(args, server: CompileServer) -> int:
     await server.start()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -635,14 +627,25 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "shutdown")
     args = parser.parse_args(argv)
 
+    engine = None
     try:
         engine = build_engine(args)
+        server = CompileServer(
+            engine,
+            socket_path=args.socket,
+            host=args.host if args.socket is None else None,
+            port=args.port,
+            max_queue=args.queue_size,
+            client_quota=args.client_quota,
+        )
     except ValueError as error:
+        if engine is not None:
+            shutdown_engine(engine, args)
         print(f"error: {error}", file=sys.stderr)
         return 2
 
     try:
-        code = asyncio.run(_serve(args, engine))
+        code = asyncio.run(_serve(args, server))
     except KeyboardInterrupt:
         code = 0
     finally:

@@ -2,18 +2,17 @@
 
 IR crosses the *process* boundary as text in both directions — the
 printer -> parser round-trip is the transport contract (property-tested
-in ``tests/ir/test_roundtrip_property.py``) — and :func:`compile_job`,
-the function the pool runs, is the text shell around
-:func:`compile_ir`. A caller in the same process that already holds the
-parsed inputs (the engine's in-process route, see
-:mod:`repro.service.engine`) calls :func:`compile_ir` with them and
-skips the second parse; what it hands over is consumed. Everything
-mutable the compilation touches (parser, transform state, interpreter,
-diagnostics, interpreter counters) is created fresh inside
-:func:`compile_ir`, so a worker process can execute any number of jobs
-sequentially and each behaves exactly like a standalone ``repro-opt``
-invocation: pooled and sequential runs produce byte-identical output
-and identical stats.
+in ``tests/ir/test_roundtrip_property.py``) — so the pool hands
+:func:`compile_job` text. A caller in the same process that already
+holds the parsed inputs (the engine's in-process route, see
+:mod:`repro.service.engine`) hands over the modules instead and skips
+the second parse; what it hands over is consumed. Both routes call the
+one function. Everything mutable the compilation touches (parser,
+transform state, interpreter, diagnostics, interpreter counters) is
+created fresh inside :func:`compile_job`, so a worker process can
+execute any number of jobs sequentially and each behaves exactly like
+a standalone ``repro-opt`` invocation: pooled and sequential runs
+produce byte-identical output and identical stats.
 """
 
 from __future__ import annotations
@@ -73,15 +72,22 @@ def bind_parameters(script: Operation, params: ParamBindings) -> int:
     return bound
 
 
-def compile_job(payload_text: str, script_text: str,
+def compile_job(payload: Union[str, Operation],
+                script: Union[str, Operation],
                 params: Optional[ParamBindings] = None,
                 entry_point: Optional[str] = None,
-                strict: bool = False,
                 inject: Optional[str] = None,
                 trace: Optional[Dict[str, str]] = None,
                 function_tier: bool = False
                 ) -> Dict[str, object]:
     """Compile one (payload, script, params) job; returns a plain dict.
+
+    Each input is either text, parsed here inside the ``worker.parse``
+    span, or an already parsed module that the caller gives up: the
+    compilation transforms ``payload`` in place, rebinds ``script``'s
+    parameters and destroys both on its way out
+    (:meth:`~repro.ir.core.Operation.destroy`), so neither may be an
+    object anyone else still reads.
 
     The return value is deliberately pickle-friendly (strings and
     numbers only) so it survives the pool's result channel unchanged:
@@ -91,8 +97,7 @@ def compile_job(payload_text: str, script_text: str,
         unexpected exceptions (a crash in transform code the barrier
         did not wrap, a payload verifier error) are encoded here as
         ``"definite"`` rather than raised, so pooled and in-process
-        execution classify identically; ``strict`` disables that and
-        lets them propagate raw, in both modes;
+        execution classify identically;
     ``output``
         the printed transformed payload (None on definite failure);
     ``output_digest``
@@ -157,25 +162,6 @@ def compile_job(payload_text: str, script_text: str,
         os._exit(3)
     elif inject == "hang":
         time.sleep(3600.0)
-    return compile_ir(payload_text, script_text, params, entry_point,
-                      strict, trace, function_tier)
-
-
-def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
-               params: Optional[ParamBindings] = None,
-               entry_point: Optional[str] = None,
-               strict: bool = False,
-               trace: Optional[Dict[str, str]] = None,
-               function_tier: bool = False) -> Dict[str, object]:
-    """The body of :func:`compile_job` (same parameters, same result).
-
-    Each input is either text, parsed here inside the ``worker.parse``
-    span, or an already parsed module that the caller gives up: the
-    compilation transforms ``payload`` in place, rebinds ``script``'s
-    parameters and destroys both on its way out
-    (:meth:`~repro.ir.core.Operation.destroy`), so neither may be an
-    object anyone else still reads.
-    """
     from ..core.errors import TransformInterpreterError
     from ..core.interpreter import TransformInterpreter
     from ..ir.hashing import attributes_digest, op_digest
@@ -240,7 +226,7 @@ def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
                 script = parse(script, "<script>")
         if params:
             bind_parameters(script, params)
-        interpreter = TransformInterpreter(strict=strict)
+        interpreter = TransformInterpreter()
         with _span("worker.interpret") as interpret_span:
             if interpret_span is not None:
                 interpreter.tracer = tracer
@@ -271,11 +257,7 @@ def compile_ir(payload: Union[str, Operation], script: Union[str, Operation],
         # caller other than the engine, which rejects unparsable
         # input before dispatch — parse errors. Encoding it here, in
         # the worker, is what keeps pooled and workers=0
-        # classification identical; strict mode propagates raw in
-        # both (the pool pickles the exception back, the engine
-        # re-raises it).
-        if strict:
-            raise
+        # classification identical.
         return _failed(f"error: {type(error).__name__}: {error}")
     return _finish({
         "status": status,

@@ -12,10 +12,11 @@ worker happens to die. This module provides:
   Python's salted ``hash()`` — so a schedule replays identically
   across runs and processes regardless of thread interleaving;
 * the chaos-fuzz driver (``python -m repro.testing.faults``) — every
-  case builds a batch of fuzzed-but-well-formed jobs, runs it twice
-  (fault-free reference, then under a randomized fault schedule
-  through the real frontier/engine/pool stack) and asserts the
-  resilience invariants:
+  case builds a batch of fuzzed-but-well-formed jobs, runs it
+  fault-free for a reference, then under a randomized fault schedule
+  through each of the two real routes — the frontier/engine/pool stack
+  directly, and the same stack behind a ``repro-serve`` daemon on a
+  temporary socket — and asserts the resilience invariants on each:
 
   1. **terminal status** — every submitted job comes back with a
      terminal :class:`~repro.service.engine.JobStatus`;
@@ -171,6 +172,12 @@ CHAOS_RATES: Dict[FaultSite, float] = {
 }
 
 
+#: The routes every chaos case sends its batch through: the direct
+#: frontier, and a ``repro-serve`` daemon on a temporary unix socket
+#: (the wire protocol and the server's scheduler under the same faults).
+ROUTES = ("frontier", "daemon")
+
+
 @dataclass
 class FuzzFailure:
     """One violated invariant, with enough context to reproduce: the
@@ -201,17 +208,18 @@ class ChaosReport:
     statuses: Counter = field(default_factory=Counter)
     faults: Counter = field(default_factory=Counter)
     failures: List[FuzzFailure] = field(default_factory=list)
-    #: Fired fault schedules of failing cases, for replay artifacts.
-    failing_schedules: Dict[int, List[Dict[str, object]]] = field(
-        default_factory=dict
-    )
+    #: Fired fault schedules of failing cases, by route, for replay
+    #: artifacts.
+    failing_schedules: Dict[int, Dict[str, List[Dict[str, object]]]] = (
+        field(default_factory=dict))
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
     def render(self) -> str:
-        lines = [f"chaos: {self.cases} cases, {self.jobs} jobs"]
+        lines = [f"chaos: {self.cases} cases, {self.jobs} jobs "
+                 f"(routes: {', '.join(ROUTES)})"]
         by_status = "  ".join(
             f"{status}: {count}"
             for status, count in sorted(self.statuses.items())
@@ -263,38 +271,24 @@ def _chaos_jobs(rng: random.Random) -> List[Tuple[str, str]]:
 def run_chaos_case(case_seed: int, workers: int = 1,
                    job_timeout: float = 0.25,
                    watchdog_seconds: float = 120.0,
-                   tracer=None, events=None, server: bool = False,
-                   ) -> Tuple[ChaosReport, FaultPlan]:
-    """Run one chaos case; the report carries any violated invariants.
+                   tracer=None, events=None,
+                   ) -> Tuple[ChaosReport, Dict[str, FaultPlan]]:
+    """Run one chaos case through every route; the report carries any
+    violated invariants, and the fault plans are keyed by route.
 
-    ``tracer``/``events`` (from :mod:`repro.observability`) are
-    attached to the chaos engine when given, so a failing schedule
-    leaves a replayable span + event timeline next to the report —
-    the fired faults join against the event log on job id.
-
-    With ``server=True`` the batch travels the full daemon path — a
-    :class:`~repro.service.server.CompileServer` on a temporary unix
-    socket, submissions through the asyncio client — so fault seeds
-    exercise the wire protocol and the server's scheduler under the
-    same invariants as the direct-frontier path.
+    Each route gets its own engine, cache directory and
+    ``FaultPlan(seed=case_seed, rates=CHAOS_RATES)``, so ``case_seed``
+    alone replays either route. ``tracer``/``events`` (from
+    :mod:`repro.observability`) are attached to every chaos engine when
+    given, so a failing schedule leaves a replayable span + event
+    timeline next to the report — the fired faults join against the
+    event log on job id.
     """
-    import asyncio
-    import os
-    import tempfile
-
-    from ..service.cache import CompilationCache
-    from ..service.engine import CompileEngine, CompileJob, JobStatus
-    from ..service.frontier import ServiceFrontier
-    from ..service.resilience import (
-        PoolHealthPolicy,
-        QuarantinePolicy,
-        RetryPolicy,
-    )
+    from ..service.engine import CompileEngine, CompileJob
 
     report = ChaosReport(cases=1)
     rng = random.Random(case_seed)
     pairs = _chaos_jobs(rng)
-    report.jobs = len(pairs)
 
     def jobs() -> List[CompileJob]:
         return [
@@ -304,12 +298,42 @@ def run_chaos_case(case_seed: int, workers: int = 1,
         ]
 
     # Fault-free reference: in-process, no cache, no faults.
-    reference: List = []
     with CompileEngine(workers=0, preflight=False) as engine:
-        for job in jobs():
-            reference.append(engine.run_job(job))
+        reference = [engine.run_job(job) for job in jobs()]
 
-    plan = FaultPlan(seed=case_seed, rates=CHAOS_RATES)
+    plans: Dict[str, FaultPlan] = {}
+    for route in ROUTES:
+        plans[route] = plan = FaultPlan(seed=case_seed, rates=CHAOS_RATES)
+        _run_route(route, report, case_seed, jobs, reference, plan,
+                   workers, job_timeout, watchdog_seconds, tracer, events)
+        report.jobs += len(pairs)
+        report.faults.update(plan.injected)
+    if report.failures:
+        report.failing_schedules[case_seed] = {
+            route: plan.schedule() for route, plan in plans.items()}
+    return report, plans
+
+
+def _run_route(route: str, report: ChaosReport, case_seed: int, jobs,
+               reference: List, plan: FaultPlan, workers: int,
+               job_timeout: float, watchdog_seconds: float,
+               tracer, events) -> None:
+    """One route of a chaos case: the batch ``jobs()`` under ``plan``,
+    checked against the fault-free ``reference``; violations go to
+    ``report``."""
+    import asyncio
+    import os
+    import tempfile
+
+    from ..service.cache import CompilationCache
+    from ..service.engine import CompileEngine, JobStatus
+    from ..service.frontier import ServiceFrontier
+    from ..service.resilience import RetryPolicy
+
+    def fail(invariant: str, detail: str) -> None:
+        report.failures.append(
+            FuzzFailure(case_seed, invariant, f"{route} route: {detail}"))
+
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
         cache = CompilationCache(capacity=64, disk_path=tmp,
                                  max_disk_errors=4, faults=plan)
@@ -319,42 +343,32 @@ def run_chaos_case(case_seed: int, workers: int = 1,
             preflight=False,
             job_timeout=job_timeout,
             function_tier=False,
-            retry_policy=RetryPolicy(
-                max_attempts=3,
-                retry_statuses=frozenset({"crashed", "timeout"}),
-                base_backoff=0.005,
-                max_backoff=0.02,
-            ),
-            quarantine=QuarantinePolicy(threshold=5),
-            pool_health=PoolHealthPolicy(max_restarts=12,
-                                         window_seconds=60.0),
+            retry_policy=RetryPolicy(max_attempts=3, retry_timeouts=True,
+                                     base_backoff=0.005),
+            quarantine_after=5,
+            crash_loop_limit=12,
             faults=plan,
             tracer=tracer,
             events=events,
         )
 
         async def drive():
-            if server:
-                from ..service.client import AsyncServiceClient
-                from ..service.server import CompileServer
+            if route == "frontier":
+                async with ServiceFrontier(engine, max_queue=4) as frontier:
+                    return await frontier.run(jobs())
+            from ..service.client import AsyncServiceClient
+            from ..service.server import CompileServer
 
-                sock = os.path.join(tmp, "chaos.sock")
-                daemon = CompileServer(engine, socket_path=sock,
-                                       max_queue=4)
-                async with daemon:
-                    client = await AsyncServiceClient.connect(sock)
-                    try:
-                        return list(await asyncio.gather(
-                            *(client.submit(job.payload_text,
-                                            job.script_text,
-                                            job_id=job.job_id)
-                              for job in jobs())
-                        ))
-                    finally:
-                        await client.close()
-            frontier = ServiceFrontier(engine, max_queue=4)
-            async with frontier:
-                return await frontier.run(jobs())
+            sock = os.path.join(tmp, "chaos.sock")
+            async with CompileServer(engine, socket_path=sock, max_queue=4):
+                client = await AsyncServiceClient.connect(sock)
+                try:
+                    return list(await asyncio.gather(
+                        *(client.submit(job.payload_text, job.script_text,
+                                        job_id=job.job_id)
+                          for job in jobs())))
+                finally:
+                    await client.close()
 
         try:
             try:
@@ -362,109 +376,79 @@ def run_chaos_case(case_seed: int, workers: int = 1,
                     asyncio.wait_for(drive(), timeout=watchdog_seconds)
                 )
             except asyncio.TimeoutError:
-                report.failures.append(FuzzFailure(
-                    case_seed, "no-deadlock",
-                    f"batch did not complete within {watchdog_seconds}s "
-                    f"under fault schedule {plan.injected}",
-                ))
-                return report, plan
+                fail("no-deadlock",
+                     f"batch did not complete within {watchdog_seconds}s "
+                     f"under fault schedule {plan.injected}")
+                return
 
             # 1. Every job reaches a terminal status, in order.
             if [r.job_id for r in results] != [j.job_id for j in jobs()]:
-                report.failures.append(FuzzFailure(
-                    case_seed, "terminal-status",
-                    "result set does not match the submitted batch",
-                ))
+                fail("terminal-status",
+                     "result set does not match the submitted batch")
             for result in results:
                 report.statuses[result.status.value] += 1
                 if not isinstance(result.status, JobStatus):
-                    report.failures.append(FuzzFailure(
-                        case_seed, "terminal-status",
-                        f"{result.job_id}: non-terminal {result.status!r}",
-                    ))
+                    fail("terminal-status",
+                         f"{result.job_id}: non-terminal {result.status!r}")
 
             # 2. Recovered jobs are byte-identical to the fault-free run.
             for result, ref in zip(results, reference):
                 if result.ok:
                     if (result.status is not ref.status
                             or result.output != ref.output):
-                        report.failures.append(FuzzFailure(
-                            case_seed, "recovery-byte-identity",
-                            f"{result.job_id}: {result.status.value} "
-                            f"output diverges from the fault-free "
-                            f"{ref.status.value} run",
-                        ))
+                        fail("recovery-byte-identity",
+                             f"{result.job_id}: {result.status.value} "
+                             f"output diverges from the fault-free "
+                             f"{ref.status.value} run")
                     else:
                         report.recovered += 1
                 elif ref.ok and result.status.value not in (
                         "crashed", "timeout", "poisoned", "cancelled"):
-                    report.failures.append(FuzzFailure(
-                        case_seed, "terminal-status",
-                        f"{result.job_id}: fault-free run was "
-                        f"{ref.status.value} but chaos run reports "
-                        f"{result.status.value} — faults must only "
-                        f"produce pool-failure statuses",
-                    ))
+                    fail("terminal-status",
+                         f"{result.job_id}: fault-free run was "
+                         f"{ref.status.value} but chaos run reports "
+                         f"{result.status.value} — faults must only "
+                         f"produce pool-failure statuses")
 
             # 3. Stats balance, and the distribution saw every job.
             stats = engine.stats
             if stats.submitted != stats.completed:
-                report.failures.append(FuzzFailure(
-                    case_seed, "stats-balance",
-                    f"submitted={stats.submitted} != "
-                    f"completed={stats.completed}",
-                ))
+                fail("stats-balance", f"submitted={stats.submitted} != "
+                     f"completed={stats.completed}")
             if stats.completed != len(results):
-                report.failures.append(FuzzFailure(
-                    case_seed, "stats-balance",
-                    f"completed={stats.completed} != "
-                    f"results={len(results)}",
-                ))
+                fail("stats-balance", f"completed={stats.completed} != "
+                     f"results={len(results)}")
             timed = engine.metrics.histogram("service.job_seconds").count
             if timed != len(results):
-                report.failures.append(FuzzFailure(
-                    case_seed, "stats-balance",
-                    f"service.job_seconds count={timed} != "
-                    f"results={len(results)}",
-                ))
+                fail("stats-balance", f"service.job_seconds count={timed} "
+                     f"!= results={len(results)}")
             poisoned = sum(1 for r in results
                            if r.status is JobStatus.POISONED)
             if stats.quarantined != poisoned:
-                report.failures.append(FuzzFailure(
-                    case_seed, "stats-balance",
-                    f"quarantined={stats.quarantined} != "
-                    f"poisoned results={poisoned}",
-                ))
+                fail("stats-balance", f"quarantined={stats.quarantined} != "
+                     f"poisoned results={poisoned}")
             injected = plan.injected
             if (injected.get("disk_write_error", 0)
                     or injected.get("disk_read_corrupt", 0)):
                 disk_trouble = (cache.stats.disk_errors
                                 + cache.stats.disk_corrupt)
                 if disk_trouble == 0 and not cache.degraded:
-                    report.failures.append(FuzzFailure(
-                        case_seed, "stats-balance",
-                        "disk faults fired but neither disk_errors "
-                        "nor disk_corrupt counted",
-                    ))
+                    fail("stats-balance",
+                         "disk faults fired but neither disk_errors "
+                         "nor disk_corrupt counted")
         finally:
             engine.shutdown()
-    report.faults.update(plan.injected)
-    if report.failures:
-        report.failing_schedules[case_seed] = plan.schedule()
-    return report, plan
 
 
 def run_chaos(seed: int = 0, cases: int = 50, workers: int = 1,
               job_timeout: float = 0.25,
-              tracer=None, events=None,
-              server: bool = False) -> ChaosReport:
+              tracer=None, events=None) -> ChaosReport:
     """Run ``cases`` chaos cases derived from ``seed``."""
     total = ChaosReport()
     for case_seed in case_seeds(seed, cases):
-        report, _plan = run_chaos_case(case_seed, workers=workers,
-                                       job_timeout=job_timeout,
-                                       tracer=tracer, events=events,
-                                       server=server)
+        report, _plans = run_chaos_case(case_seed, workers=workers,
+                                        job_timeout=job_timeout,
+                                        tracer=tracer, events=events)
         total.cases += 1
         total.jobs += report.jobs
         total.recovered += report.recovered
@@ -499,11 +483,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--case-seed", type=int, default=None,
                         help="re-run a single case by its case-seed "
                         "(as printed in a failure report)")
-    parser.add_argument("--server", action="store_true",
-                        help="route every case through a repro-serve "
-                        "daemon on a temporary unix socket (wire "
-                        "protocol + server scheduler under faults) "
-                        "instead of the direct frontier path")
     parser.add_argument("--schedule-out", default=None, metavar="FILE",
                         help="on failure, write the fired fault "
                         "schedules of failing cases here (JSON) for "
@@ -531,20 +510,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             events.close()
 
     if args.case_seed is not None:
-        report, plan = run_chaos_case(args.case_seed,
-                                      workers=args.workers,
-                                      job_timeout=args.timeout,
-                                      tracer=tracer, events=events,
-                                      server=args.server)
+        report, plans = run_chaos_case(args.case_seed,
+                                       workers=args.workers,
+                                       job_timeout=args.timeout,
+                                       tracer=tracer, events=events)
         _flush_observability()
         print(report.render())
-        print(f"fault schedule: {json.dumps(plan.schedule())}")
+        print("fault schedule: " + json.dumps(
+            {route: plan.schedule() for route, plan in plans.items()}))
         return 0 if report.ok else 1
 
     report = run_chaos(args.seed, args.cases, workers=args.workers,
                        job_timeout=args.timeout,
-                       tracer=tracer, events=events,
-                       server=args.server)
+                       tracer=tracer, events=events)
     _flush_observability()
     print(report.render())
     if not report.ok and args.schedule_out is not None:

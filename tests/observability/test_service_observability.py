@@ -32,11 +32,7 @@ from repro.service.engine import (
     JobStatus,
 )
 from repro.service.frontier import ServiceFrontier
-from repro.service.resilience import (
-    PoolHealthPolicy,
-    QuarantinePolicy,
-    RetryPolicy,
-)
+from repro.service.resilience import RetryPolicy
 from repro.testing.faults import FaultPlan, FaultSite
 
 from ..service.test_engine import USE_AFTER_CONSUME, _hostile_script
@@ -317,8 +313,7 @@ ROUTES = {
              faults=FaultPlan(seed=3, max_fires=1,
                               rates={FaultSite.WORKER_HANG: 1.0}),
              retry_policy=RetryPolicy(
-                 max_attempts=2, base_backoff=0.01,
-                 retry_statuses=frozenset({"crashed", "timeout"}))),
+                 max_attempts=2, base_backoff=0.01, retry_timeouts=True)),
         SCHEDULE, lambda engine, job: [engine.run_job(job())],
         ["STARTED", "DISPATCHED", "TIMEOUT", "RETRIED", "DISPATCHED",
          "COMPLETED"],
@@ -326,18 +321,17 @@ ROUTES = {
              retries=1, worker_restarts=1),
     ),
     "crashed-poisoned": (
-        dict(workers=1, preflight=False, retry_policy=RetryPolicy.none(),
-             quarantine=QuarantinePolicy(threshold=1)),
+        dict(workers=1, preflight=False,
+             retry_policy=RetryPolicy(max_attempts=1), quarantine_after=1),
         CRASH, lambda engine, job: [engine.run_job(job())],
         ["STARTED", "DISPATCHED", "CRASHED", "POISONED", "COMPLETED"],
         dict(submitted=1, completed=1, crashes=1, worker_restarts=1,
              quarantined=1),
     ),
     "degraded-in-process": (
-        dict(workers=1, preflight=False, retry_policy=RetryPolicy.none(),
-             quarantine=None,
-             pool_health=PoolHealthPolicy(max_restarts=1,
-                                          window_seconds=60.0)),
+        dict(workers=1, preflight=False,
+             retry_policy=RetryPolicy(max_attempts=1), quarantine_after=0,
+             crash_loop_limit=1),
         CRASH,
         lambda engine, job: [
             engine.run_job(job()),

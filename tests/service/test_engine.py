@@ -46,7 +46,7 @@ class _ServiceTestSleepOp(TransformOp):
 @register_op
 class _ServiceTestRaiseOp(TransformOp):
     """Raises a raw exception from transform code — contained into a
-    definite failure by default, propagated verbatim under strict."""
+    definite failure on every route."""
 
     NAME = "transform.test.service_raise"
 
@@ -529,7 +529,7 @@ class TestBatchAndCoalescing:
 
 class TestStrictParity:
     """Pooled and workers=0 execution must classify error paths
-    identically — including strict mode's raw-exception propagation."""
+    identically."""
 
     def test_nonstrict_classifies_identically(self):
         script = _hostile_script("transform.test.service_raise")
@@ -540,17 +540,6 @@ class TestStrictParity:
         assert inline.status is JobStatus.DEFINITE
         assert pooled.status is inline.status
         assert pooled.diagnostics == inline.diagnostics
-
-    def test_strict_propagates_raw_in_both_modes(self):
-        script = _hostile_script("transform.test.service_raise")
-        with CompileEngine(workers=0, preflight=False,
-                           strict=True) as engine:
-            with pytest.raises(ValueError, match="raw crash"):
-                engine.run_job(_job(script=script))
-        with CompileEngine(workers=1, preflight=False,
-                           strict=True) as engine:
-            with pytest.raises(ValueError, match="raw crash"):
-                engine.run_job(_job(script=script))
 
 
 class TestHostileWorkers:
@@ -609,8 +598,9 @@ class TestHostileWorkers:
 
     def test_crash_without_retry(self):
         script = _hostile_script("transform.test.service_crash")
-        with CompileEngine(workers=1, preflight=False,
-                           retry_policy=RetryPolicy.none()) as engine:
+        with CompileEngine(
+                workers=1, preflight=False,
+                retry_policy=RetryPolicy(max_attempts=1)) as engine:
             result = engine.run_job(_job(script=script))
         assert result.status is JobStatus.CRASHED
         assert result.attempts == 1
@@ -620,6 +610,24 @@ class TestValidation:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             CompileEngine(workers=-1)
+
+    @pytest.mark.parametrize("setting", ["quarantine_after",
+                                         "crash_loop_limit"])
+    def test_negative_resilience_settings_rejected(self, setting):
+        # 0 disables; a negative value is a mistake, not "off".
+        with pytest.raises(ValueError, match=setting):
+            CompileEngine(workers=0, **{setting: -1})
+
+    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan"), "5"])
+    def test_non_positive_timeouts_rejected(self, seconds):
+        with pytest.raises(ValueError, match="job_timeout"):
+            CompileEngine(workers=0, job_timeout=seconds)
+        with pytest.raises(ValueError, match="timeout"):
+            CompileJob(PAYLOAD, UNROLL, timeout=seconds)
+
+    def test_non_string_entry_point_rejected(self):
+        with pytest.raises(ValueError, match="entry_point"):
+            CompileJob(PAYLOAD, UNROLL, entry_point=5)
 
     def test_bad_cache_capacity_rejected(self):
         with pytest.raises(ValueError):

@@ -542,6 +542,18 @@ class TestBatchCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--quarantine-after", "-1"],
+                                       ["--crash-loop-limit", "-1"],
+                                       ["--timeout", "0"]])
+    def test_batch_bad_engine_setting(self, tree, capsys, flags):
+        code = batch_main([
+            str(tree / "payloads"),
+            "--schedule", str(tree / "schedules"),
+            "--jobs", "0", *flags,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestUniqueLabels:
     def test_distinct_stems_stay_plain(self):

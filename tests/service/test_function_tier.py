@@ -388,14 +388,14 @@ class TestEscapeBackstops:
 class TestNothingLeaksPastTheEngine:
     def test_follower_and_frame_carry_no_functions(self, monkeypatch):
         following = threading.Event()
-        real_compile = engine_module.compile_ir  # the workers=0 route
+        real_compile = engine_module.compile_job  # the workers=0 route
 
         def held_compile(*args, **kwargs):
             # The leader compiles only once the follower is waiting.
             assert following.wait(timeout=30)
             return real_compile(*args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "compile_ir", held_compile)
+        monkeypatch.setattr(engine_module, "compile_job", held_compile)
         cache = CompilationCache(capacity=64)
         with _engine(cache) as engine:
             real_follow = engine._follow

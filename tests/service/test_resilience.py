@@ -12,10 +12,9 @@ import pytest
 
 from repro.service import CompileEngine, CompileJob, JobStatus
 from repro.service.resilience import (
+    CRASH_LOOP_WINDOW,
     JobQuarantine,
     PoolHealthMonitor,
-    PoolHealthPolicy,
-    QuarantinePolicy,
     RetryPolicy,
 )
 from repro.testing.faults import FaultPlan, FaultSite
@@ -38,33 +37,33 @@ class TestRetryPolicy:
         assert not policy.should_retry("timeout", 1)
 
     def test_none_never_retries(self):
-        policy = RetryPolicy.none()
+        policy = RetryPolicy(max_attempts=1, retry_timeouts=True)
         assert not policy.should_retry("crashed", 1)
         assert not policy.should_retry("timeout", 1)
 
     def test_timeout_opt_in(self):
-        policy = RetryPolicy(max_attempts=3,
-                             retry_statuses=frozenset({"timeout"}))
+        policy = RetryPolicy(max_attempts=3, retry_timeouts=True)
         assert policy.should_retry("timeout", 2)
-        assert not policy.should_retry("crashed", 1)
+        assert not policy.should_retry("timeout", 3)
+        # A crash is always retry-eligible; nothing else ever is.
+        assert policy.should_retry("crashed", 1)
+        assert not policy.should_retry("definite", 1)
 
     def test_backoff_grows_and_caps(self):
-        policy = RetryPolicy(max_attempts=8, base_backoff=0.1,
-                             backoff_multiplier=2.0, max_backoff=0.35,
-                             jitter=0.0)
-        assert policy.backoff_seconds("k", 1) == pytest.approx(0.1)
-        assert policy.backoff_seconds("k", 2) == pytest.approx(0.2)
-        # 0.4 raw, capped to 0.35.
-        assert policy.backoff_seconds("k", 3) == pytest.approx(0.35)
+        policy = RetryPolicy(max_attempts=8, base_backoff=0.1)
+        # Doubling from 0.1 s; 1.6 raw at attempt 5, capped to 1 s.
+        for attempts, seconds in enumerate((0.1, 0.2, 0.4, 0.8, 1.0), 1):
+            delay = policy.backoff_seconds("k", attempts)
+            # Jitter multiplies into [1, 1.1).
+            assert seconds <= delay < 1.1 * seconds
 
     def test_backoff_jitter_is_deterministic(self):
-        policy = RetryPolicy(base_backoff=0.1, jitter=0.5)
+        policy = RetryPolicy(base_backoff=0.1)
         a = policy.backoff_seconds("key-one", 1)
-        b = RetryPolicy(base_backoff=0.1, jitter=0.5).backoff_seconds(
-            "key-one", 1)
+        b = RetryPolicy(base_backoff=0.1).backoff_seconds("key-one", 1)
         assert a == b
-        # Jitter multiplies into [1, 1.5); a different key decorrelates.
-        assert 0.1 <= a < 0.15
+        # Jitter multiplies into [1, 1.1); a different key decorrelates.
+        assert 0.1 <= a < 0.11
         assert policy.backoff_seconds("key-two", 1) != a
 
     def test_zero_base_means_no_sleep(self):
@@ -75,13 +74,11 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
             RetryPolicy(base_backoff=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(retry_statuses=frozenset({"definite"}))
 
 
 class TestJobQuarantine:
     def test_poisons_at_threshold(self):
-        ledger = JobQuarantine(QuarantinePolicy(threshold=2))
+        ledger = JobQuarantine(2)
         assert not ledger.record_failure("k", "crashed")
         assert not ledger.is_poisoned("k")
         # The tripping failure reports True exactly once.
@@ -91,25 +88,28 @@ class TestJobQuarantine:
         assert not ledger.is_poisoned("other")
 
     def test_ignores_non_pool_failures(self):
-        ledger = JobQuarantine(QuarantinePolicy(threshold=1))
+        ledger = JobQuarantine(1)
         assert not ledger.record_failure("k", "definite")
         assert not ledger.is_poisoned("k")
 
     def test_diagnose_names_the_breaker(self):
-        ledger = JobQuarantine(QuarantinePolicy(threshold=1))
+        ledger = JobQuarantine(1)
         ledger.record_failure("k", "timeout")
         message = ledger.diagnose("k")
         assert "quarantined" in message and "timeout" in message
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            QuarantinePolicy(threshold=0)
+            JobQuarantine(-1)
+        # 0 disables the breaker.
+        ledger = JobQuarantine(0)
+        assert not ledger.record_failure("k", "crashed")
+        assert not ledger.is_poisoned("k")
 
 
 class TestPoolHealthMonitor:
     def test_trips_inside_window(self):
-        monitor = PoolHealthMonitor(
-            PoolHealthPolicy(max_restarts=3, window_seconds=10.0))
+        monitor = PoolHealthMonitor(3)
         assert not monitor.record_restart(now=100.0)
         assert not monitor.record_restart(now=101.0)
         assert monitor.record_restart(now=102.0)
@@ -117,21 +117,23 @@ class TestPoolHealthMonitor:
         assert not monitor.record_restart(now=103.0)
 
     def test_old_restarts_age_out(self):
-        monitor = PoolHealthMonitor(
-            PoolHealthPolicy(max_restarts=3, window_seconds=10.0))
+        assert CRASH_LOOP_WINDOW == 30.0
+        monitor = PoolHealthMonitor(3)
         assert not monitor.record_restart(now=0.0)
         assert not monitor.record_restart(now=1.0)
-        # 20s later the first two are outside the window.
-        assert not monitor.record_restart(now=20.0)
-        # Only the restart at 20s is in the window: two more trip it.
-        assert not monitor.record_restart(now=21.0)
-        assert monitor.record_restart(now=22.0)
+        # 30s later the first two are outside the window.
+        assert not monitor.record_restart(now=31.0)
+        # Only the restart at 31s is in the window: two more trip it.
+        assert not monitor.record_restart(now=32.0)
+        assert monitor.record_restart(now=33.0)
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            PoolHealthPolicy(max_restarts=0)
-        with pytest.raises(ValueError):
-            PoolHealthPolicy(window_seconds=0.0)
+            PoolHealthMonitor(-1)
+        # 0 disables the monitor.
+        monitor = PoolHealthMonitor(0)
+        assert not any(monitor.record_restart(now=float(second))
+                       for second in range(10))
 
 
 class TestEngineRetry:
@@ -156,9 +158,7 @@ class TestEngineRetry:
     def test_timeout_retry_opt_in(self):
         plan = FaultPlan(seed=3, rates={FaultSite.WORKER_HANG: 1.0},
                          max_fires=1)
-        policy = RetryPolicy(max_attempts=2,
-                             retry_statuses=frozenset({"crashed",
-                                                       "timeout"}))
+        policy = RetryPolicy(max_attempts=2, retry_timeouts=True)
         with CompileEngine(workers=1, job_timeout=0.5, faults=plan,
                            retry_policy=policy) as engine:
             result = engine.run_job(_job())
@@ -169,8 +169,8 @@ class TestEngineRetry:
 
     def test_retry_none_makes_first_crash_terminal(self):
         with CompileEngine(workers=1, preflight=False,
-                           retry_policy=RetryPolicy.none(),
-                           quarantine=None) as engine:
+                           retry_policy=RetryPolicy(max_attempts=1),
+                           quarantine_after=0) as engine:
             result = engine.run_job(_job(script=CRASH))
         assert result.status is JobStatus.CRASHED
         assert result.attempts == 1
@@ -181,8 +181,8 @@ class TestEngineQuarantine:
     def test_poison_job_trips_breaker_then_short_circuits(self):
         with CompileEngine(
                 workers=1, preflight=False,
-                retry_policy=RetryPolicy.none(),
-                quarantine=QuarantinePolicy(threshold=2)) as engine:
+                retry_policy=RetryPolicy(max_attempts=1),
+                quarantine_after=2) as engine:
             first = engine.run_job(_job(script=CRASH))
             second = engine.run_job(_job(script=CRASH))
             executed_before = engine.stats.crashes
@@ -203,7 +203,7 @@ class TestEngineQuarantine:
         with CompileEngine(
                 workers=1, preflight=False,
                 retry_policy=RetryPolicy(max_attempts=3),
-                quarantine=QuarantinePolicy(threshold=2)) as engine:
+                quarantine_after=2) as engine:
             result = engine.run_job(_job(script=CRASH))
         assert result.status is JobStatus.POISONED
         assert result.attempts == 2
@@ -211,8 +211,8 @@ class TestEngineQuarantine:
 
     def test_quarantine_none_disables_breaker(self):
         with CompileEngine(workers=1, preflight=False,
-                           retry_policy=RetryPolicy.none(),
-                           quarantine=None) as engine:
+                           retry_policy=RetryPolicy(max_attempts=1),
+                           quarantine_after=0) as engine:
             for _ in range(4):
                 result = engine.run_job(_job(script=CRASH))
                 assert result.status is JobStatus.CRASHED
@@ -222,10 +222,9 @@ class TestPoolDegradation:
     def test_crash_loop_degrades_to_in_process(self):
         with CompileEngine(
                 workers=1, preflight=False,
-                retry_policy=RetryPolicy.none(),
-                quarantine=None,
-                pool_health=PoolHealthPolicy(max_restarts=2,
-                                             window_seconds=60.0)) as engine:
+                retry_policy=RetryPolicy(max_attempts=1),
+                quarantine_after=0,
+                crash_loop_limit=2) as engine:
             # Two distinct poison jobs (params split the content key)
             # crash the pool twice inside the window.
             engine.run_job(_job(script=CRASH, params={"n": 1}))
@@ -241,8 +240,8 @@ class TestPoolDegradation:
 
     def test_pool_health_none_never_degrades(self):
         with CompileEngine(workers=1, preflight=False,
-                           retry_policy=RetryPolicy.none(),
-                           quarantine=None, pool_health=None) as engine:
+                           retry_policy=RetryPolicy(max_attempts=1),
+                           quarantine_after=0, crash_loop_limit=0) as engine:
             for index in range(3):
                 engine.run_job(_job(script=CRASH,
                                     params={"n": index}))
@@ -259,8 +258,8 @@ class TestRestartRace:
 
         with CompileEngine(workers=2, preflight=False,
                            job_timeout=0.4,
-                           retry_policy=RetryPolicy.none(),
-                           quarantine=None) as engine:
+                           retry_policy=RetryPolicy(max_attempts=1),
+                           quarantine_after=0) as engine:
             def run(index):
                 barrier.wait()
                 return engine.run_job(

@@ -37,6 +37,7 @@ from repro.service.cli import (
     build_engine,
     main as batch_main,
 )
+from repro.service.server import main as serve_main
 
 from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
 from .test_frontier import until
@@ -581,9 +582,7 @@ class TestReloadRetry:
         # Regression: reload {"backoff": 0.5} rebuilt the policy from
         # defaults, so a --retry-timeouts server stopped retrying
         # timeouts and dropped back to two attempts.
-        started = RetryPolicy(max_attempts=5,
-                              retry_statuses=frozenset({"crashed",
-                                                        "timeout"}),
+        started = RetryPolicy(max_attempts=5, retry_timeouts=True,
                               base_backoff=0.2)
         engine = CompileEngine(workers=0, retry_policy=started)
         sock = _sock(tmp_path)
@@ -592,8 +591,7 @@ class TestReloadRetry:
             with ServiceClient(sock) as client:
                 assert client.reload(backoff=0.5)["applied"] == ["retry"]
                 assert engine.retry_policy == RetryPolicy(
-                    max_attempts=5, retry_statuses=started.retry_statuses,
-                    base_backoff=0.5)
+                    max_attempts=5, retry_timeouts=True, base_backoff=0.5)
                 # RetryPolicy validates; a refused reload changes nothing.
                 with pytest.raises(RemoteError) as exc:
                     client.reload(max_attempts=0)
@@ -607,12 +605,12 @@ class TestReloadRetry:
             stop()
             engine.shutdown()
 
-    @pytest.mark.parametrize("flags, statuses", [
-        ([], {"crashed"}),
-        (["--retry-timeouts"], {"crashed", "timeout"}),
+    @pytest.mark.parametrize("flags, retry_timeouts", [
+        ([], False),
+        (["--retry-timeouts"], True),
     ])
     def test_reload_turns_retries_on_for_a_max_attempts_1_server(
-            self, tmp_path, flags, statuses):
+            self, tmp_path, flags, retry_timeouts):
         # Regression: --max-attempts 1 built a policy with no retry
         # statuses, so a later reload of max_attempts never retried.
         parser = argparse.ArgumentParser()
@@ -627,11 +625,79 @@ class TestReloadRetry:
                 assert client.reload(max_attempts=3)["applied"] == ["retry"]
             policy = engine.retry_policy
             assert policy.max_attempts == 3
-            assert policy.retry_statuses == statuses
+            assert policy.retry_timeouts is retry_timeouts
             assert policy.should_retry("crashed", 1)
+            assert policy.should_retry("timeout", 1) is retry_timeouts
         finally:
             stop()
             engine.shutdown()
+
+
+class TestBadJobFields:
+    """A job field from outside input that would misbehave deep in the
+    engine is a ``bad-request`` at the door."""
+
+    def test_a_zero_timeout_is_refused_before_it_reaches_the_pool(
+            self, tmp_path):
+        engine = CompileEngine(workers=1)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            with ServiceClient(sock) as client:
+                for _ in range(3):
+                    with pytest.raises(RemoteError) as exc:
+                        client.submit(PAYLOAD, UNROLL, timeout=0)
+                    assert exc.value.code == "bad-request"
+                # Refused, not run: no timeout restarted the pool, so
+                # nothing counted toward quarantining this content.
+                assert client.submit(PAYLOAD, UNROLL).status \
+                    is JobStatus.SUCCESS
+            assert engine.stats.worker_restarts == 0
+            assert server.stats.bad_requests == 3
+        finally:
+            stop()
+            engine.shutdown()
+
+    def test_a_non_string_entry_point_is_refused(self, tmp_path):
+        engine = CompileEngine(workers=0)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            with ServiceClient(sock) as client:
+                with pytest.raises(RemoteError) as exc:
+                    client.submit(PAYLOAD, UNROLL, entry_point=5)
+                assert exc.value.code == "bad-request"
+                assert client.submit(PAYLOAD, UNROLL).ok
+            assert engine.stats.submitted == engine.stats.completed == 1
+        finally:
+            stop()
+            engine.shutdown()
+
+    def test_a_reload_to_a_zero_job_timeout_is_refused(self, tmp_path):
+        engine = CompileEngine(workers=0, job_timeout=5.0)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            with ServiceClient(sock) as client:
+                with pytest.raises(RemoteError) as exc:
+                    client.reload(job_timeout=0)
+                assert exc.value.code == "bad-request"
+                assert engine.job_timeout == 5.0
+                assert client.submit(PAYLOAD, UNROLL).ok
+        finally:
+            stop()
+            engine.shutdown()
+
+
+class TestServeCli:
+    @pytest.mark.parametrize("flag", ["--client-quota", "--queue-size"])
+    def test_a_bad_server_setting_exits_2(self, tmp_path, capsys, flag):
+        code = serve_main(["--socket", _sock(tmp_path), "--jobs", "0",
+                           flag, "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not os.path.exists(_sock(tmp_path))
 
 
 class TestSubmitCli:

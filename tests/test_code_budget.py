@@ -26,10 +26,10 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16866,  # all of src/repro
+    ".": 16792,  # all of src/repro
     "analysis": 834,
     "autotuning": 353,
-    "core": 1876,
+    "core": 1875,
     "core/state.py": 141,
     "dialects": 1221,
     "enzyme": 745,
@@ -43,10 +43,10 @@ BUDGETS = {
     "passes": 1681,
     "profiling": 161,
     "rewrite": 445,
-    "service": 2593,
-    "service/engine.py": 591,
+    "service": 2554,
+    "service/engine.py": 589,
     "service/frontier.py": 165,
-    "testing": 1191,
+    "testing": 1157,
     "transforms": 621,
 }
 

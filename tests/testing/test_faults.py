@@ -89,11 +89,16 @@ class TestFaultPlan:
 
 class TestChaosDriver:
     def test_single_case_invariants_hold(self):
-        report, plan = run_chaos_case(12345, workers=1,
-                                      job_timeout=0.5)
+        report, plans = run_chaos_case(12345, workers=1,
+                                       job_timeout=0.5)
         assert report.ok, "\n".join(str(f) for f in report.failures)
         assert report.jobs > 0
         assert report.statuses
+        # The batch ran through both routes, each under its own plan
+        # seeded by the case alone.
+        assert list(plans) == ["frontier", "daemon"]
+        assert all(plan.seed == 12345 for plan in plans.values())
+        assert sum(report.statuses.values()) == report.jobs
 
     def test_multi_case_aggregation(self):
         report = run_chaos(seed=9, cases=2, workers=1, job_timeout=0.5)
@@ -105,6 +110,7 @@ class TestChaosDriver:
         assert chaos_main(["--seed", "4", "--cases", "1"]) == 0
         out = capsys.readouterr().out
         assert "chaos: 1 cases" in out
+        assert "(routes: frontier, daemon)" in out
         assert "all invariants held" in out
 
     def test_cli_single_case_replay(self, capsys):
