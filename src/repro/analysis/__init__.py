@@ -49,7 +49,6 @@ from .pipeline import (
     PipelineReport,
     check_pipeline,
     check_transform_script,
-    extract_pipeline_from_script,
     extract_pipeline_tree,
     flatten_pipeline,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "check_pipeline",
     "check_transform_script",
     "emit_invalidation_diagnostics",
-    "extract_pipeline_from_script",
     "extract_pipeline_tree",
     "find_entry",
     "flatten_pipeline",

@@ -192,18 +192,6 @@ def flatten_pipeline(steps: Iterable[PipelineStep]) -> List[StepLike]:
     return out
 
 
-def extract_pipeline_from_script(script: Operation) -> List[StepLike]:
-    """Collect the checkable transform steps of a script, in order.
-
-    ``apply_registered_pass`` steps resolve to the pass's conditions;
-    other transform ops with declared conditions participate too (so
-    loop transforms on ``scf.for`` after ``convert-scf-to-cf`` are
-    flagged as phase-ordering violations). The flat view of
-    :func:`extract_pipeline_tree`.
-    """
-    return flatten_pipeline(extract_pipeline_tree(script))
-
-
 # -- checking -----------------------------------------------------------------
 
 
@@ -340,7 +328,6 @@ __all__ = [
     "StepLike",
     "check_pipeline",
     "check_transform_script",
-    "extract_pipeline_from_script",
     "extract_pipeline_tree",
     "flatten_pipeline",
 ]

@@ -102,7 +102,7 @@ class TransformInterpreter:
         #: *top-level* transform op (direct children of the entry
         #: sequence — the ``-mlir-timing`` granularity), linked to the
         #: failure diagnostics via span status/attributes.
-        #: ``trace_parent`` (a span, context, or span id) parents the
+        #: ``trace_parent`` (a span or a span id) parents the
         #: outermost spans — the worker's "interpret" span when the
         #: interpreter runs inside the compile service.
         self.tracer = tracer

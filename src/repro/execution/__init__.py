@@ -12,7 +12,7 @@ The paper measures on real x86 hardware; this repo substitutes
   mechanistically rather than asserted.
 """
 
-from .interpreter import ExecutionError, PayloadInterpreter, run_function
+from .interpreter import ExecutionError, PayloadInterpreter
 from .costmodel import CacheLevel, CostModel, MachineSpec
 from .workloads import (
     build_batch_matmul_module,
@@ -31,5 +31,4 @@ __all__ = [
     "build_matmul_module",
     "build_resnet_layer_module",
     "reference_matmul",
-    "run_function",
 ]

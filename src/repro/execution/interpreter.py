@@ -311,8 +311,3 @@ class PayloadInterpreter:
                 recurse(depth + 1)
 
         recurse(0)
-
-
-def run_function(module: Operation, name: str, *args) -> List[object]:
-    """One-shot convenience wrapper around :class:`PayloadInterpreter`."""
-    return PayloadInterpreter(module).run(name, *args)

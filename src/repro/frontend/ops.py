@@ -13,14 +13,14 @@ from typing import Sequence, Union
 
 from ..dialects import arith, linalg, tensor as tensor_dialect, tosa
 from ..ir.core import Value
-from ..ir.types import F32, FloatType, TensorType, Type
+from ..ir.types import F32, TensorType, Type
 from .errors import TraceError
 from .tracer import TracedValue, _TraceContext, current_context
 
 __all__ = [
-    "const", "empty", "constant", "matmul", "linalg_matmul", "fill",
+    "const", "empty", "constant", "matmul",
     "conv2d", "clamp", "transpose", "reshape", "softmax", "reduce_sum",
-    "reduce_max", "reduce_min", "where", "equals",
+    "reduce_max", "reduce_min", "where",
     "maximum", "minimum",
     "abs", "negate", "exp", "log", "rsqrt", "reciprocal", "sigmoid",
     "tanh", "erf", "floor", "ceil",
@@ -96,32 +96,6 @@ def matmul(lhs, rhs) -> TracedValue:
     ctx = lhs.ctx
     return _wrap(ctx, tosa.op(ctx.builder, "matmul",
                               [lhs.value, rhs.value], result_type))
-
-
-def linalg_matmul(lhs, rhs, init) -> TracedValue:
-    """``linalg.matmul`` on tensors with an explicit init/destination."""
-    lhs = _tensor(lhs, "linalg_matmul")
-    rhs = _tensor(rhs, "linalg_matmul")
-    init = _tensor(init, "linalg_matmul")
-    ctx = lhs.ctx
-    op = linalg.matmul(ctx.builder, lhs.value, rhs.value, init.value,
-                       result_types=[init.type])
-    return _wrap(ctx, op.results[0])
-
-
-def fill(value, init) -> TracedValue:
-    """``linalg.fill``: splat a scalar into a destination tensor."""
-    init = _tensor(init, "fill")
-    ctx = init.ctx
-    if not isinstance(value, TracedValue):
-        element = init.type.element_type
-        if isinstance(element, FloatType):
-            value = constant(float(value), element)
-        else:
-            value = constant(int(value), element)
-    op = linalg.fill(ctx.builder, value.value, init.value,
-                     result_types=[init.type])
-    return _wrap(ctx, op.results[0])
 
 
 def conv2d(activations, weights) -> TracedValue:
@@ -231,12 +205,6 @@ def where(condition, on_true, on_false) -> TracedValue:
         ctx.require_visible(part.value, "where operand")
     return _wrap(ctx, arith.select(ctx.builder, condition.value,
                                    on_true.value, on_false.value))
-
-
-def equals(lhs, rhs) -> TracedValue:
-    """An explicit IR equality compare (``==`` keeps Python identity)."""
-    lhs = _traced(lhs, "equals")
-    return lhs._compare("eq", rhs)
 
 
 # ---------------------------------------------------------------------------

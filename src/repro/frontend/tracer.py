@@ -378,7 +378,7 @@ class TracedValue:
         return self._compare("ge", other)
 
     # NB: __eq__/__ne__ keep Python identity semantics so proxies stay
-    # usable in dicts/sets; use frontend.ops.equals for an IR compare.
+    # usable in dicts/sets.
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .attributes import (
     UnitAttr,
     attr,
     index_attr,
-    int_attr,
     unwrap,
 )
 from .builder import Builder, InsertionPoint
@@ -52,7 +51,6 @@ from .core import (
     SymbolTrait,
     Trait,
     register_op,
-    registered_op_class,
 )
 from .diagnostics import (
     Diagnostic,
@@ -62,15 +60,13 @@ from .diagnostics import (
 )
 from .location import (
     FileLineColLoc,
-    FusedLoc,
     Location,
-    NameLoc,
     UNKNOWN_LOC,
     UnknownLoc,
 )
 from .hashing import attributes_digest, module_digest, op_digest
 from .parser import ParseError, parse, register_type_parser
-from .printer import print_attribute, print_op
+from .printer import print_op
 from .types import (
     DYNAMIC,
     F16,

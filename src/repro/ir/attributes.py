@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Tuple, Union
 
-from .types import F64, I64, INDEX, IntegerType, Type
+from .types import F64, I64, INDEX, Type
 
 
 @dataclass(frozen=True)
@@ -194,10 +194,6 @@ def attr(value: AttrLike) -> Attribute:
     if isinstance(value, dict):
         return DictAttr.from_mapping({k: attr(v) for k, v in value.items()})
     raise TypeError(f"cannot convert {value!r} to an attribute")
-
-
-def int_attr(value: int, width: int = 64) -> IntegerAttr:
-    return IntegerAttr(value, IntegerType(width))
 
 
 def index_attr(value: int) -> IntegerAttr:

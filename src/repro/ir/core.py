@@ -242,11 +242,6 @@ def register_op(cls: PyType["Operation"]) -> PyType["Operation"]:
     return cls
 
 
-def registered_op_class(name: str) -> Optional[PyType["Operation"]]:
-    """Look up the registered class for ``name`` (None if unregistered)."""
-    return OP_REGISTRY.get(name)
-
-
 # ---------------------------------------------------------------------------
 # Traits (structural invariants checked by the verifier)
 # ---------------------------------------------------------------------------

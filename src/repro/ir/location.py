@@ -7,8 +7,7 @@ and hashable so they can be freely shared between cloned operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -40,19 +39,6 @@ class FileLineColLoc(Location):
 
 
 @dataclass(frozen=True)
-class NameLoc(Location):
-    """A named location, optionally wrapping a child location."""
-
-    name: str
-    child: Optional[Location] = None
-
-    def __str__(self) -> str:
-        if self.child is not None:
-            return f'loc("{self.name}"({self.child}))'
-        return f'loc("{self.name}")'
-
-
-@dataclass(frozen=True)
 class CallSiteLoc(Location):
     """A location resulting from inlining: callee location at a caller."""
 
@@ -61,17 +47,6 @@ class CallSiteLoc(Location):
 
     def __str__(self) -> str:
         return f"loc(callsite({self.callee} at {self.caller}))"
-
-
-@dataclass(frozen=True)
-class FusedLoc(Location):
-    """A location fusing several child locations (e.g. after CSE)."""
-
-    locations: Tuple[Location, ...] = field(default_factory=tuple)
-
-    def __str__(self) -> str:
-        inner = ", ".join(str(loc) for loc in self.locations)
-        return f"loc(fused[{inner}])"
 
 
 #: Shared unknown-location singleton used as the default everywhere.

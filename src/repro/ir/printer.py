@@ -22,13 +22,6 @@ from .attributes import Attribute
 from .core import Block, Operation, Value
 
 
-def print_attribute(attribute: Attribute) -> str:
-    """Render an attribute in parseable textual form: its ``str`` (each
-    attribute class spells itself, the printer, the digest and CSE all
-    read that one spelling)."""
-    return str(attribute)
-
-
 def _print_attr_dict(attributes: Dict[str, Attribute]) -> str:
     if not attributes:
         return ""

@@ -15,7 +15,6 @@ from .defs import (
     AttributeDef,
     Cardinality,
     ConstraintViolation,
-    IntAttrConstraint,
     OperandDef,
     OperationDef,
     ResultDef,
@@ -37,7 +36,6 @@ __all__ = [
     "Cardinality",
     "ConstraintViolation",
     "IRDL_REGISTRY",
-    "IntAttrConstraint",
     "MEMREF_SUBVIEW",
     "MEMREF_SUBVIEW_CONSTRAINED",
     "OperandDef",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from ..ir.attributes import Attribute, IntegerAttr
+from ..ir.attributes import Attribute
 from ..ir.core import Operation
 from ..ir.types import Type
 
@@ -59,23 +59,6 @@ class AttrConstraint:
 
 class AnyAttr(AttrConstraint):
     def check(self, attr: Attribute) -> Optional[str]:
-        return None
-
-
-@dataclass
-class IntAttrConstraint(AttrConstraint):
-    """An integer attribute, optionally bounded."""
-
-    min_value: Optional[int] = None
-    max_value: Optional[int] = None
-
-    def check(self, attr: Attribute) -> Optional[str]:
-        if not isinstance(attr, IntegerAttr):
-            return f"expected an integer attribute, got {attr!r}"
-        if self.min_value is not None and attr.value < self.min_value:
-            return f"value {attr.value} below minimum {self.min_value}"
-        if self.max_value is not None and attr.value > self.max_value:
-            return f"value {attr.value} above maximum {self.max_value}"
         return None
 
 

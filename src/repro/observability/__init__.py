@@ -1,7 +1,7 @@
 """``repro.observability``: tracing, metrics, and structured events.
 
-The introspection substrate of the compile service (and of the
-planned ``repro-serve`` daemon): span-based job tracing with
+The introspection substrate of the compile service (``repro-batch``
+and the ``repro-serve`` daemon): span-based job tracing with
 cross-process propagation and Chrome-trace export
 (:mod:`~repro.observability.tracing`), a unified versioned metrics
 registry (:mod:`~repro.observability.metrics`), and a JSONL event log
@@ -19,8 +19,6 @@ from .metrics import (
     DEPTH_BUCKETS,
     METRICS_SCHEMA_VERSION,
     SECONDS_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     validate_metrics_snapshot,
@@ -28,7 +26,6 @@ from .metrics import (
 from .tracing import (
     TRACE_SCHEMA_VERSION,
     Span,
-    SpanContext,
     Tracer,
     validate_chrome_trace,
 )
@@ -42,14 +39,11 @@ __all__ = [
     "DEPTH_BUCKETS",
     "METRICS_SCHEMA_VERSION",
     "SECONDS_BUCKETS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "validate_metrics_snapshot",
     "TRACE_SCHEMA_VERSION",
     "Span",
-    "SpanContext",
     "Tracer",
     "validate_chrome_trace",
 ]

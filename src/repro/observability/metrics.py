@@ -1,21 +1,24 @@
-"""The metrics registry: named instruments, one versioned snapshot.
+"""The metrics registry: live instruments, one versioned snapshot.
 
-* :class:`Counter` — a monotonically increasing number (jobs
-  completed, retries granted, cache hits);
-* :class:`Gauge` — a point-in-time value (current queue depth,
-  degraded flags, hit rates);
-* :class:`Histogram` — a fixed-bucket distribution with estimated
-  p50/p90/p99 (job wall time, queue depth at admission/dispatch).
+The snapshot has three kinds of metric:
 
-The compile service is the one user: each
-:class:`~repro.service.engine.CompileEngine` owns a registry
-(``engine.metrics``) that holds its *distributions* live, and
-:meth:`~repro.service.engine.CompileEngine.metrics_snapshot` syncs
-the components' plain counters (``EngineStats``, ``CacheStats``, ...)
-next to them with :meth:`MetricsRegistry.set_section` before taking
-``registry.snapshot()`` — the single **versioned** JSON schema
-(``schema_version``) under the ``"metrics"`` key of ``repro-batch
---json`` and of the ``repro-serve`` ``stats`` frame.
+* *counters* — monotonically increasing numbers (jobs completed,
+  retries granted, cache hits);
+* *gauges* — point-in-time values (current queue depth, degraded
+  flags, hit rates);
+* *histograms* — :class:`Histogram`, a fixed-bucket distribution with
+  estimated p50/p90/p99 (job wall time, queue depth at
+  admission/dispatch).
+
+A number is stored in one place. Each component keeps its own plain
+counters (``EngineStats``, ``CacheStats``, ``ServerStats``, ...); the
+registry holds only what no component does — the histograms, and the
+``gauges`` that are set live (the frontier's current queue depth).
+:meth:`MetricsRegistry.snapshot` folds the components' counters in at
+read time: the single **versioned** JSON schema (``schema_version``)
+under the ``"metrics"`` key of ``repro-batch --json`` and of the
+``repro-serve`` ``stats`` frame, taken by
+:meth:`~repro.service.engine.CompileEngine.metrics_snapshot`.
 :func:`validate_metrics_snapshot` is the structural check the tests
 and both CI smoke jobs run on it.
 
@@ -47,45 +50,6 @@ DEPTH_BUCKETS: Tuple[float, ...] = (
     0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
     512.0, 1024.0,
 )
-
-
-class Counter:
-    """A monotonically increasing value (float-valued, so second
-    totals can ride on it too)."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        """Sync an externally accumulated total (a component's stats
-        field) onto the registry."""
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class Histogram:
@@ -185,82 +149,54 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide named metrics with one versioned snapshot.
-
-    ``counter``/``gauge``/``histogram`` get-or-create by name;
-    requesting an existing name as a different kind raises, so two
-    subsystems cannot silently alias one metric with different
-    semantics.
-    """
+    """The live instruments of one engine, and the one versioned
+    snapshot that folds in everyone else's counters."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
+        self._histograms: Dict[str, Histogram] = {}
+        #: Gauges set live by their owner: name -> number.
+        self.gauges: Dict[str, float] = {}
         self._lock = threading.Lock()
-
-    def _get_or_create(self, name: str, kind, *args):
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = kind(name, *args)
-                self._metrics[name] = metric
-                return metric
-        if not isinstance(metric, kind):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {kind.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
 
     def histogram(self, name: str,
                   bounds: Sequence[float] = SECONDS_BUCKETS) -> Histogram:
-        return self._get_or_create(name, Histogram, bounds)
-
-    def set_section(self, prefix: str,
-                    values: Mapping[str, object]) -> None:
-        """Sync a scalar mapping (an ``as_dict()``-style stats shape)
-        onto the registry under ``prefix.``: ints become counters
-        (set), floats and bools become gauges, nested mappings
-        recurse. This is how the components' own stores —
-        ``EngineStats``, ``CacheStats``, ``ServerStats`` — are folded
-        into the one snapshot without a second recording site."""
-        for key, value in values.items():
-            name = f"{prefix}.{key}"
-            if isinstance(value, bool):
-                self.gauge(name).set(1.0 if value else 0.0)
-            elif isinstance(value, int):
-                self.counter(name).set(float(value))
-            elif isinstance(value, float):
-                self.gauge(name).set(value)
-            elif isinstance(value, Mapping):
-                self.set_section(name, value)
-            # Non-numeric values (strings, None) are not metrics.
-
-    def snapshot(self) -> Dict[str, object]:
-        """The one versioned machine-readable dump."""
+        """The histogram called ``name``, created on first use."""
         with self._lock:
-            metrics = dict(self._metrics)
+            if name not in self._histograms:
+                self._histograms[name] = Histogram(name, bounds)
+            return self._histograms[name]
+
+    def snapshot(self, **sections: Mapping[str, object]) -> Dict[str, object]:
+        """The one versioned machine-readable dump. Each of
+        ``sections`` (an ``as_dict()``-style stats shape) is folded in
+        under ``<name>.``: ints become counters, floats and bools
+        gauges, nested mappings recurse, anything else (strings,
+        None) is not a metric."""
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
-        histograms: Dict[str, Dict[str, object]] = {}
-        for name in sorted(metrics):
-            metric = metrics[name]
-            if isinstance(metric, Counter):
-                counters[name] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[name] = metric.value
-            elif isinstance(metric, Histogram):
-                histograms[name] = metric.snapshot()
+        gauges = {name: float(value) for name, value in self.gauges.items()}
+
+        def fold(prefix: str, values: Mapping[str, object]) -> None:
+            for key, value in values.items():
+                name = f"{prefix}.{key}"
+                if isinstance(value, bool):
+                    gauges[name] = 1.0 if value else 0.0
+                elif isinstance(value, int):
+                    counters[name] = float(value)
+                elif isinstance(value, float):
+                    gauges[name] = value
+                elif isinstance(value, Mapping):
+                    fold(name, value)
+
+        for prefix, values in sections.items():
+            fold(prefix, values)
+        with self._lock:
+            histograms = dict(self._histograms)
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
+            "counters": dict(sorted(counters.items())),
+            "gauges": dict(sorted(gauges.items())),
+            "histograms": {name: histograms[name].snapshot()
+                           for name in sorted(histograms)},
         }
 
 

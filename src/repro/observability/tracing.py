@@ -8,16 +8,21 @@ thread-safe, so the asyncio frontier, the frontier slot threads the
 engine runs on and (via :meth:`Tracer.record`) the pool workers all
 feed one trace.
 
+**Span ids.** An id is a per-process random prefix (6 bytes) plus a
+counter: W3C Trace Context (https://www.w3.org/TR/trace-context/) asks
+only that ids be unique, and a counter costs a fraction of a
+``uuid4``. The prefix is drawn again in every forked child, so a pool
+worker never repeats its parent's ids.
+
 **Cross-process propagation.** Workers cannot share a tracer object
-with the engine; instead the engine ships a :class:`SpanContext`
-(trace id + parent span id) with the job, the worker records spans
-into a local tracer seeded with that context, and the finished spans
-travel back in the result payload as plain dicts (pickle- and
-JSON-friendly, see :meth:`Span.to_dict`). ``Tracer.record`` absorbs
-them, so one job's trace is complete across the process boundary.
-Timestamps are ``time.time()`` — the one clock all processes on the
-machine share — so engine-side and worker-side spans interleave
-correctly in the exported timeline.
+with the engine; instead the engine ships ``(trace id, parent span
+id)`` with the job, the worker records spans into a local tracer of
+that trace, and returns the finished :class:`Span` records as they
+are — a span is a slotted plain record, so pickle carries the list
+across the pool. ``Tracer.record`` absorbs them, so one job's trace is
+complete across the process boundary. Timestamps are ``time.time()``
+— the one clock all processes on the machine share — so engine-side
+and worker-side spans interleave correctly in the exported timeline.
 
 **Export.** :meth:`Tracer.export_chrome` renders the trace in the
 Chrome trace-event JSON format (``ph: "X"`` complete events), directly
@@ -28,115 +33,78 @@ exporters so the format cannot drift.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import threading
 import time
-import uuid
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 #: Version of the exported span/trace schema (bump on shape changes).
 TRACE_SCHEMA_VERSION = 1
 
+_COUNTER = itertools.count()
+
+
+def _draw_prefix() -> None:
+    # The pid is kept beside the prefix: both change only at a fork,
+    # and ``os.getpid()`` is a system call per span otherwise.
+    global _PREFIX, _PID
+    _PREFIX = os.urandom(6).hex()
+    _PID = os.getpid()
+
+
+_draw_prefix()
+os.register_at_fork(after_in_child=_draw_prefix)
+
 
 def _new_id() -> str:
-    return uuid.uuid4().hex[:16]
+    return f"{_PREFIX}{next(_COUNTER):04x}"
 
 
-@dataclass(frozen=True)
-class SpanContext:
-    """The wire form of a span identity: what crosses the pool
-    boundary so a worker can parent its spans under an engine span."""
-
-    trace_id: str
-    span_id: str
-
-    def to_dict(self) -> Dict[str, str]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @staticmethod
-    def from_dict(data: Dict[str, str]) -> "SpanContext":
-        return SpanContext(trace_id=data["trace_id"],
-                           span_id=data["span_id"])
-
-
-@dataclass
 class Span:
     """One timed unit of work inside a trace."""
 
-    name: str
-    trace_id: str
-    span_id: str = field(default_factory=_new_id)
-    parent_id: Optional[str] = None
-    start: float = 0.0
-    end: Optional[float] = None
-    #: "ok" | "error" | any domain string ("silenceable", "timeout"...).
-    status: str = "ok"
-    attributes: Dict[str, object] = field(default_factory=dict)
-    pid: int = field(default_factory=os.getpid)
-    tid: int = field(default_factory=threading.get_ident)
+    __slots__ = ("name", "trace_id", "span_id", "parent_id", "start",
+                 "end", "status", "attributes", "pid", "tid")
 
-    @property
-    def context(self) -> SpanContext:
-        return SpanContext(self.trace_id, self.span_id)
+    def __init__(self, name: str, trace_id: str,
+                 span_id: Optional[str] = None,
+                 parent_id: Optional[str] = None, start: float = 0.0,
+                 end: Optional[float] = None,
+                 attributes: Optional[Dict[str, object]] = None):
+        self.name = name
+        self.trace_id = trace_id
+        self.span_id = span_id or _new_id()
+        self.parent_id = parent_id
+        self.start = start
+        self.end = end
+        #: "ok" | "error" | any domain string ("silenceable", "timeout"...).
+        self.status = "ok"
+        self.attributes = {} if attributes is None else attributes
+        self.pid = _PID
+        self.tid = threading.get_ident()
 
     @property
     def duration(self) -> float:
         return (self.end - self.start) if self.end is not None else 0.0
 
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form (pickle/JSON friendly; the pool transport)."""
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attributes": dict(self.attributes),
-            "pid": self.pid,
-            "tid": self.tid,
-        }
 
-    @staticmethod
-    def from_dict(data: Dict[str, object]) -> "Span":
-        return Span(
-            name=str(data["name"]),
-            trace_id=str(data["trace_id"]),
-            span_id=str(data["span_id"]),
-            parent_id=data.get("parent_id"),  # type: ignore[arg-type]
-            start=float(data["start"]),  # type: ignore[arg-type]
-            end=(None if data.get("end") is None
-                 else float(data["end"])),  # type: ignore[arg-type]
-            status=str(data.get("status", "ok")),
-            attributes=dict(data.get("attributes") or {}),  # type: ignore[arg-type]
-            pid=int(data.get("pid", 0)),  # type: ignore[arg-type]
-            tid=int(data.get("tid", 0)),  # type: ignore[arg-type]
-        )
-
-
-ParentLike = Union[Span, SpanContext, str, None]
+ParentLike = Union[Span, str, None]
 
 
 def _parent_id(parent: ParentLike) -> Optional[str]:
-    if parent is None:
-        return None
-    if isinstance(parent, Span):
-        return parent.span_id
-    if isinstance(parent, SpanContext):
-        return parent.span_id
-    return str(parent)
+    if parent is None or isinstance(parent, str):
+        return parent
+    return parent.span_id
 
 
 class Tracer:
     """Collects spans for one trace; thread-safe.
 
     Every span started through a tracer carries the tracer's trace id.
-    A worker-side tracer is constructed with the engine's trace id
-    (from the propagated :class:`SpanContext`) so its spans join the
-    same trace when shipped back.
+    A worker-side tracer is constructed with the engine's trace id so
+    its spans join the same trace when shipped back.
     """
 
     def __init__(self, trace_id: Optional[str] = None):
@@ -148,13 +116,8 @@ class Tracer:
 
     def start_span(self, name: str, parent: ParentLike = None,
                    attributes: Optional[Dict[str, object]] = None) -> Span:
-        return Span(
-            name=name,
-            trace_id=self.trace_id,
-            parent_id=_parent_id(parent),
-            start=time.time(),
-            attributes=dict(attributes or {}),
-        )
+        return Span(name, self.trace_id, None, _parent_id(parent),
+                    time.time(), None, dict(attributes or {}))
 
     def end_span(self, span: Span, status: Optional[str] = None) -> Span:
         if status is not None:
@@ -173,24 +136,19 @@ class Tracer:
         status "error" when the body raised."""
         return _SpanScope(self, name, parent, attributes)
 
-    def record(self, spans: List[Dict[str, object]]) -> None:
-        """Absorb spans recorded in another process (dict form, from
-        :meth:`Span.to_dict` — the worker result payload)."""
+    def record(self, spans: List[Span]) -> None:
+        """Absorb spans recorded by another tracer (a pool worker's,
+        returned in its result payload)."""
         if not spans:
             return
-        decoded = [Span.from_dict(data) for data in spans]
         with self._lock:
-            self._spans.extend(decoded)
+            self._spans.extend(spans)
 
     # -- introspection ------------------------------------------------------
 
     def spans(self) -> List[Span]:
         with self._lock:
             return list(self._spans)
-
-    def to_dicts(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return [span.to_dict() for span in self._spans]
 
     def find(self, name: str) -> List[Span]:
         return [span for span in self.spans() if span.name == name]

@@ -115,8 +115,6 @@ class _RequestSurface:
 
     def submit(self, payload_text: Optional[str] = None,
                script_text: Optional[str] = None, *,
-               payload_path: Optional[str] = None,
-               script_path: Optional[str] = None,
                params: Optional[dict] = None,
                entry_point: Optional[str] = None,
                job_id: Optional[str] = None,
@@ -128,7 +126,6 @@ class _RequestSurface:
         (implied by ``on_event``) the server forwards every lifecycle
         event record first."""
         fields = {"payload": payload_text, "script": script_text,
-                  "payload_path": payload_path, "script_path": script_path,
                   "params": params, "entry_point": entry_point,
                   "job_id": job_id, "priority": priority, "timeout": timeout}
         request: Dict[str, object] = {"op": "submit"}

@@ -542,15 +542,13 @@ class CompileEngine:
     def metrics_snapshot(self, **sections) -> Dict[str, object]:
         """The one fold: every component's scalars — ``engine.*``,
         ``cache.*``, ``hashing.*`` and whatever ``sections`` the caller
-        owns (the daemon's ``server=``) — synced next to the
+        owns (the daemon's ``server=``) — folded in next to the
         distributions, as one versioned registry snapshot."""
         sections["engine"] = self.stats.as_dict()
         if self.cache is not None:
             sections["cache"] = self.cache.stats.as_dict()
         sections["hashing"] = DIGEST_STATS.since(self._digest_baseline)
-        for prefix, values in sections.items():
-            self.metrics.set_section(prefix, values)
-        return self.metrics.snapshot()
+        return self.metrics.snapshot(**sections)
 
     def _span(self, name: str, parent=None, tracer=None, **attributes):
         """One span as a context manager (flags "error" when the body
@@ -655,7 +653,7 @@ class CompileEngine:
             _mark(span, "ok" if result.ok else result.status.value,
                   cache_hit=result.cache_hit)
         if tracer is not self.tracer:
-            self.tracer.record(tracer.to_dicts())
+            self.tracer.record(tracer.spans())
         self._account(
             "COMPLETED", job, status=result.status.value,
             cache_hit=result.cache_hit, coalesced=result.coalesced,
@@ -994,7 +992,7 @@ class CompileEngine:
         execution consumes it instead of parsing the text again.
 
         Each attempt gets its own ``engine.dispatch`` child span; the
-        worker receives that span's context (``trace=``) so the spans
+        worker receives that span's ids (``trace=``) so the spans
         it records in its own process — parse, interpret with one
         child per top-level transform op, print — come back in the
         result payload already parented under this attempt, and
@@ -1004,7 +1002,8 @@ class CompileEngine:
         for attempts in itertools.count(1):
             with self._span("engine.dispatch", span, job_id=job.job_id,
                             attempt=attempts) as attempt_span:
-                trace = attempt_span and attempt_span.context.to_dict()
+                trace = attempt_span and (attempt_span.trace_id,
+                                         attempt_span.span_id)
                 pool, generation = self._ensure_pool()
                 self._account("DISPATCHED", job, key=key, attempt=attempts,
                               pooled=pool is not None)
@@ -1060,7 +1059,7 @@ class CompileEngine:
                     self._account("executed")
                     if attempt_span is not None:
                         # Absorb the worker-side spans (already parented
-                        # under this attempt via the propagated context).
+                        # under this attempt via the propagated ids).
                         self.tracer.record(raw.get("spans"))
                     _mark(attempt_span, "ok" if raw["status"] == "success"
                           else str(raw["status"]))

@@ -79,7 +79,7 @@ class ServiceFrontier:
         self._depth = 0
         self._depth_samples = engine.metrics.histogram(
             "service.queue_depth", DEPTH_BUCKETS)
-        self._depth_now = engine.metrics.gauge("service.queue_depth_current")
+        engine.metrics.gauges.setdefault("service.queue_depth_current", 0)
         self._closing = False
 
     # -- lifecycle -----------------------------------------------------------
@@ -134,7 +134,7 @@ class ServiceFrontier:
         elif not self._depth and self._free == self.slots:
             self._idle.set()
         self._depth_samples.observe(self._depth)
-        self._depth_now.set(self._depth)
+        self.engine.metrics.gauges["service.queue_depth_current"] = self._depth
         tracer = getattr(self.engine, "tracer", None)
         if tracer is not None and delta < 0:
             tracer.end_span(wait, span_status)

@@ -21,9 +21,8 @@ Requests (``op`` field)::
     {"op": "reload", "id": "5", "cache_dir": "/tmp/c2",
      "max_attempts": 3}                   # drain, hot-swap, resume
 
-``payload``/``script`` may instead arrive as ``payload_path`` /
-``script_path`` (the server reads the file — useful when client and
-server share a filesystem and the IR is large).
+``payload`` and ``script`` are always text: the daemon opens no file a
+client names.
 
 Responses (``type`` field): ``result`` (terminal job outcome),
 ``event`` (one streamed lifecycle record from the closed
@@ -359,17 +358,9 @@ class CompileServer:
 
     def _build_job(self, request: Dict[str, object]) -> CompileJob:
         payload = request.get("payload")
-        if payload is None and request.get("payload_path"):
-            with open(str(request["payload_path"])) as handle:
-                payload = handle.read()
         script = request.get("script")
-        if script is None and request.get("script_path"):
-            with open(str(request["script_path"])) as handle:
-                script = handle.read()
         if not isinstance(payload, str) or not isinstance(script, str):
-            raise ValueError(
-                "submit needs payload/script text or *_path fields"
-            )
+            raise ValueError("submit needs payload and script text")
         params = request.get("params")
         if params is not None and not isinstance(params, dict):
             raise ValueError("params must be an object")
@@ -415,7 +406,7 @@ class CompileServer:
                     f"{', '.join(PRIORITY_RANKS)})"
                 )
             job = self._build_job(request)
-        except (OSError, ValueError) as error:
+        except ValueError as error:
             self.stats.bad_requests += 1
             await self._send(client, {
                 "type": "error", "id": rid, "code": "bad-request",
@@ -518,8 +509,7 @@ class CompileServer:
             await self._idle.wait()
             applied: List[str] = []
             try:
-                if ("cache_dir" in request or "cache_size" in request
-                        or request.get("clear_cache")):
+                if "cache_dir" in request or "cache_size" in request:
                     old = self.engine.cache
                     capacity = int(request.get(
                         "cache_size",

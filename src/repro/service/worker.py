@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..ir.attributes import StringAttr
 from ..ir.core import Operation
@@ -77,7 +77,7 @@ def compile_job(payload: Union[str, Operation],
                 params: Optional[ParamBindings] = None,
                 entry_point: Optional[str] = None,
                 inject: Optional[str] = None,
-                trace: Optional[Dict[str, str]] = None,
+                trace: Optional[Tuple[str, str]] = None,
                 function_tier: bool = False
                 ) -> Dict[str, object]:
     """Compile one (payload, script, params) job; returns a plain dict.
@@ -89,8 +89,9 @@ def compile_job(payload: Union[str, Operation],
     (:meth:`~repro.ir.core.Operation.destroy`), so neither may be an
     object anyone else still reads.
 
-    The return value is deliberately pickle-friendly (strings and
-    numbers only) so it survives the pool's result channel unchanged:
+    The return value is deliberately pickle-friendly (strings, numbers
+    and plain span records) so it survives the pool's result channel
+    unchanged:
 
     ``status``
         ``"success"`` | ``"silenceable"`` | ``"definite"``;
@@ -133,6 +134,10 @@ def compile_job(payload: Union[str, Operation],
         the interpreter's counters, job-local by construction;
     ``wall_seconds``
         in-worker wall time (parse + interpret + print).
+    ``spans``
+        the :class:`~repro.observability.Span` records of a traced job
+        (see ``trace`` below), as the worker's tracer holds them; empty
+        without ``trace``.
 
     ``inject`` is the fault-injection hook for the chaos harness
     (:mod:`repro.testing.faults`): ``"crash"`` kills this worker
@@ -142,17 +147,15 @@ def compile_job(payload: Union[str, Operation],
     compile bugs — and are only ever passed by an engine running a
     :class:`~repro.testing.faults.FaultPlan` on a pooled execution.
 
-    ``trace`` is the cross-process span propagation hook: a
-    :meth:`repro.observability.SpanContext.to_dict` payload naming the
-    engine-side trace and parent span. When present the worker records
-    spans locally (``worker.compile`` over ``worker.parse`` /
-    ``worker.interpret`` — with one child span per top-level transform
-    op — / ``worker.print``, which verifies, prints — function by
-    function when there are ``functions`` — and digests) into a
-    tracer seeded with the propagated trace id and
-    ships them back under ``"spans"`` (a list of
-    :meth:`~repro.observability.Span.to_dict` dicts), so a job's trace
-    is complete across the pool boundary.
+    ``trace`` is the cross-process span propagation hook: the
+    ``(trace id, parent span id)`` of the engine-side dispatch span.
+    When present the worker records spans locally (``worker.compile``
+    over ``worker.parse`` / ``worker.interpret`` — with one child span
+    per top-level transform op — / ``worker.print``, which verifies,
+    prints — function by function when there are ``functions`` — and
+    digests) into a tracer of that trace and ships them back under
+    ``"spans"``, so a job's trace is complete across the pool
+    boundary.
 
     ``function_tier`` is set by the engine — never by a user — for a
     job whose output it will publish to the per-function cache tier;
@@ -173,12 +176,12 @@ def compile_job(payload: Union[str, Operation],
     tracer = None
     root = None
     if trace is not None:
-        from ..observability.tracing import SpanContext, Tracer
+        from ..observability.tracing import Tracer
 
-        context = SpanContext.from_dict(trace)
-        tracer = Tracer(trace_id=context.trace_id)
+        trace_id, parent_id = trace
+        tracer = Tracer(trace_id=trace_id)
         root = tracer.start_span(
-            "worker.compile", parent=context,
+            "worker.compile", parent=parent_id,
             attributes={"worker_pid": os.getpid()},
         )
 
@@ -187,8 +190,8 @@ def compile_job(payload: Union[str, Operation],
                 if tracer is not None else nullcontext())
 
     def _finish(raw: Dict[str, object]) -> Dict[str, object]:
-        # Every non-raising path ends here with the IR dead (``raw`` is
-        # strings and numbers): free it now, or module after module
+        # Every non-raising path ends here with the IR dead (``raw``
+        # holds none of it): free it now, or module after module
         # floats until a full garbage collection (DESIGN.md §10).
         for module in (payload, script):
             if isinstance(module, Operation):
@@ -196,7 +199,7 @@ def compile_job(payload: Union[str, Operation],
         if tracer is not None:
             status = str(raw["status"])
             tracer.end_span(root, "ok" if status == "success" else status)
-            raw["spans"] = tracer.to_dicts()
+            raw["spans"] = tracer.spans()
         else:
             raw["spans"] = []
         return raw

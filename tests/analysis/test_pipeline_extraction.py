@@ -11,7 +11,6 @@ regions become branch nodes.
 
 from repro.analysis import (
     PipelineBranch,
-    extract_pipeline_from_script,
     extract_pipeline_tree,
     flatten_pipeline,
 )
@@ -50,12 +49,12 @@ class TestCallSiteOrdering:
 
     def test_included_pass_checked_at_include_position(self):
         module = self.build_macro_pipeline()
-        steps = extract_pipeline_from_script(module)
+        steps = flatten_pipeline(extract_pipeline_tree(module))
         assert steps == ["canonicalize", "convert-scf-to-cf", "cse"]
 
     def test_never_included_bodies_are_skipped(self):
         module = self.build_macro_pipeline()
-        steps = extract_pipeline_from_script(module)
+        steps = flatten_pipeline(extract_pipeline_tree(module))
         assert "dead-pass" not in steps
 
     def test_macro_included_twice_appears_twice(self):
@@ -71,7 +70,7 @@ class TestCallSiteOrdering:
         transform.include(builder, "cleanup", [root])
         transform.yield_(builder)
         block.append(seq)
-        assert extract_pipeline_from_script(module) == [
+        assert flatten_pipeline(extract_pipeline_tree(module)) == [
             "cse", "canonicalize", "cse",
         ]
 
@@ -87,7 +86,7 @@ class TestCallSiteOrdering:
         transform.include(builder, "rec", [root])
         transform.yield_(builder)
         block.append(seq)
-        steps = extract_pipeline_from_script(module)
+        steps = flatten_pipeline(extract_pipeline_tree(module))
         # A recursive macro cannot be inlined (a lint error of its
         # own): the include is an op with no effect, not a one-level
         # splice, and extraction does not diverge.
@@ -99,7 +98,8 @@ class TestCallSiteOrdering:
         transform.include(builder, "ghost", [root])
         transform.apply_registered_pass(builder, root, "cse")
         transform.yield_(builder)
-        assert extract_pipeline_from_script(seq) == ["canonicalize", "cse"]
+        assert flatten_pipeline(extract_pipeline_tree(seq)) == [
+            "canonicalize", "cse"]
 
 
 class TestAlternativesBranches:

@@ -16,7 +16,8 @@ from repro.analysis import (
     IssueKind,
     check_pipeline,
     check_transform_script,
-    extract_pipeline_from_script,
+    extract_pipeline_tree,
+    flatten_pipeline,
 )
 
 BROKEN = [
@@ -152,7 +153,7 @@ class TestScriptCheck:
 
     def test_script_extraction(self):
         script = self.make_script(BROKEN)
-        steps = extract_pipeline_from_script(script)
+        steps = flatten_pipeline(extract_pipeline_tree(script))
         assert [s for s in steps if isinstance(s, str)] == BROKEN
 
     def test_check_script_broken(self):

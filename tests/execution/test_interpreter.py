@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dialects import arith, builtin, cf, func, memref as md, scf
-from repro.execution.interpreter import (
-    ExecutionError,
-    PayloadInterpreter,
-    run_function,
-)
+from repro.execution.interpreter import ExecutionError, PayloadInterpreter
 from repro.execution.workloads import (
     build_batch_matmul_module,
     build_matmul_module,
@@ -33,7 +29,7 @@ class TestScalars:
         total = arith.addi(b, two, three)
         product = arith.muli(b, total, total)
         func.return_(b, [product])
-        assert run_function(module, "f") == [25]
+        assert PayloadInterpreter(module).run("f") == [25]
 
     def test_cmp_select(self):
         module, f, b = simple_func(result_types=[I32])
@@ -42,14 +38,14 @@ class TestScalars:
         less = arith.cmpi(b, "slt", two, three)
         chosen = arith.select(b, less, two, three)
         func.return_(b, [chosen])
-        assert run_function(module, "f") == [2]
+        assert PayloadInterpreter(module).run("f") == [2]
 
     def test_float_ops(self):
         module, f, b = simple_func(result_types=[F64])
         x = arith.constant(b, 7.0, F64)
         y = arith.constant(b, 2.0, F64)
         func.return_(b, [arith.divf(b, x, y)])
-        assert run_function(module, "f") == [3.5]
+        assert PayloadInterpreter(module).run("f") == [3.5]
 
 
 class TestControlFlow:
@@ -65,7 +61,7 @@ class TestControlFlow:
         updated = arith.addf(body, loop.iter_args[0], one)
         scf.yield_(body, [updated])
         func.return_(b, [loop.results[0]])
-        assert run_function(module, "f") == [5.0]
+        assert PayloadInterpreter(module).run("f") == [5.0]
 
     def test_if_else(self):
         module, f, b = simple_func([I1], [INDEX])
@@ -75,8 +71,8 @@ class TestControlFlow:
         eb = Builder.at_end(if_op.else_block)
         scf.yield_(eb, [arith.index_constant(eb, 2)])
         func.return_(b, [if_op.results[0]])
-        assert run_function(module, "f", True) == [1]
-        assert run_function(module, "f", False) == [2]
+        assert PayloadInterpreter(module).run("f", True) == [1]
+        assert PayloadInterpreter(module).run("f", False) == [2]
 
     def test_cfg_branches(self):
         module, f, b = simple_func([I1], [INDEX])
@@ -92,8 +88,8 @@ class TestControlFlow:
         eb = Builder.at_end(else_block)
         cf.br(eb, merge, [arith.index_constant(eb, 20)])
         func.return_(Builder.at_end(merge), [merge.args[0]])
-        assert run_function(module, "f", True) == [10]
-        assert run_function(module, "f", False) == [20]
+        assert PayloadInterpreter(module).run("f", True) == [10]
+        assert PayloadInterpreter(module).run("f", False) == [20]
 
     def test_forall(self):
         module, f, b = simple_func([memref(3, 3, element_type=F64)])
@@ -105,7 +101,7 @@ class TestControlFlow:
         scf.yield_(body)
         func.return_(b)
         buffer = np.zeros((3, 3))
-        run_function(module, "f", buffer)
+        PayloadInterpreter(module).run("f", buffer)
         assert (buffer == 1.0).all()
 
 
@@ -118,7 +114,7 @@ class TestMemory:
         md.store(b, value, buffer, [i])
         loaded = md.load(b, buffer, [i])
         func.return_(b, [loaded])
-        assert run_function(module, "f") == [9.0]
+        assert PayloadInterpreter(module).run("f") == [9.0]
 
     def test_subview_is_a_view(self):
         module, f, b = simple_func([memref(8, 8, element_type=F64)])
@@ -128,7 +124,7 @@ class TestMemory:
         md.store(b, value, view, [zero, zero])
         func.return_(b)
         buffer = np.zeros((8, 8))
-        run_function(module, "f", buffer)
+        PayloadInterpreter(module).run("f", buffer)
         assert buffer[2, 2] == 5.0
         assert buffer.sum() == 5.0
 
@@ -143,7 +139,7 @@ class TestMemory:
         md.store(b, value, view, [zero, zero])
         func.return_(b)
         buffer = np.zeros((8, 8))
-        run_function(module, "f", buffer, 3)
+        PayloadInterpreter(module).run("f", buffer, 3)
         assert buffer[3, 0] == 5.0
 
 
@@ -151,7 +147,7 @@ class TestPrograms:
     def test_matmul(self):
         module = build_matmul_module(5, 4, 3)
         a, b, c, expected = reference_matmul(5, 4, 3)
-        run_function(module, "matmul", a, b, c)
+        PayloadInterpreter(module).run("matmul", a, b, c)
         assert np.allclose(c, expected)
 
     def test_batch_matmul(self):
@@ -160,7 +156,7 @@ class TestPrograms:
         a = rng.standard_normal((2, 3, 3))
         b = rng.standard_normal((2, 3, 3))
         c = np.zeros((2, 3, 3))
-        run_function(module, "batch_matmul", a, b, c)
+        PayloadInterpreter(module).run("batch_matmul", a, b, c)
         assert np.allclose(c, a @ b)
 
     def test_lowered_cfg_matmul_matches(self):
@@ -170,7 +166,7 @@ class TestPrograms:
         module = build_matmul_module(4, 4, 4)
         PassManager(["convert-scf-to-cf"]).run(module)
         a, b, c, expected = reference_matmul(4, 4, 4)
-        run_function(module, "matmul", a, b, c)
+        PayloadInterpreter(module).run("matmul", a, b, c)
         assert np.allclose(c, expected)
 
 
@@ -178,13 +174,13 @@ class TestErrors:
     def test_unknown_function(self):
         module = builtin.module()
         with pytest.raises(ExecutionError, match="no function"):
-            run_function(module, "ghost")
+            PayloadInterpreter(module).run("ghost")
 
     def test_arg_count_mismatch(self):
         module, _f, b = simple_func([I32])
         func.return_(b)
         with pytest.raises(ExecutionError, match="expects 1 args"):
-            run_function(module, "f")
+            PayloadInterpreter(module).run("f")
 
     def test_step_budget(self):
         module, f, b = simple_func()
@@ -205,4 +201,4 @@ class TestErrors:
         b.create("tosa.add")
         func.return_(b)
         with pytest.raises(ExecutionError, match="does not support"):
-            run_function(module, "f")
+            PayloadInterpreter(module).run("f")

@@ -16,7 +16,6 @@ from repro.ir.attributes import (
     UnitAttr,
     attr,
     index_attr,
-    int_attr,
     unwrap,
 )
 from repro.ir.types import F32, F64, I32, I64, IndexType
@@ -93,7 +92,7 @@ class TestUnwrap:
 
 class TestConstructors:
     def test_int_attr_width(self):
-        assert int_attr(3, 32).type == I32
+        assert IntegerAttr(3, I32).type == I32
 
     def test_index_attr(self):
         assert index_attr(5).type == IndexType()

@@ -349,7 +349,6 @@ def test_str_is_the_spelling_the_printer_used_and_parses_back(corpus):
     for attribute in attributes:
         spelling = str(attribute)
         assert spelling == print_attribute(attribute)
-        assert spelling == printer.print_attribute(attribute)
         if isinstance(attribute, AffineMapAttr):
             continue  # the parser has never read ``affine_map<…>``
         holder = Operation.create("test.op", attributes={"a": attribute})

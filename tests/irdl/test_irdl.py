@@ -4,12 +4,11 @@ import pytest
 
 from repro.dialects import arith, memref as memref_dialect
 from repro.ir import Block, Builder, I32, Operation
-from repro.ir.attributes import DenseIntAttr, IntegerAttr
+from repro.ir.attributes import DenseIntAttr
 from repro.ir.types import DYNAMIC, memref
 from repro.irdl import (
     AttributeDef,
     Cardinality,
-    IntAttrConstraint,
     MEMREF_SUBVIEW,
     MEMREF_SUBVIEW_CONSTRAINED,
     OperandDef,
@@ -56,12 +55,6 @@ class TestConstraints:
         constraint = TypeNameConstraint("MemRefType")
         assert constraint.check(memref(4)) is None
         assert constraint.check(I32) is not None
-
-    def test_int_attr_bounds(self):
-        constraint = IntAttrConstraint(min_value=0, max_value=10)
-        assert constraint.check(IntegerAttr(5)) is None
-        assert constraint.check(IntegerAttr(-1)) is not None
-        assert constraint.check(IntegerAttr(11)) is not None
 
 
 class TestGeneratedVerifier:

@@ -14,22 +14,11 @@ from repro.observability import (
 )
 
 
-class TestCounterGauge:
+class TestHistogram:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.histogram("h") is registry.histogram("h")
 
-    def test_kind_conflict_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TypeError):
-            registry.gauge("x")
-        with pytest.raises(TypeError):
-            registry.histogram("x")
-
-
-class TestHistogram:
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
             Histogram("bad", bounds=[2.0, 1.0])
@@ -82,33 +71,42 @@ class TestHistogram:
 class TestSnapshot:
     def test_versioned_and_valid(self):
         registry = MetricsRegistry()
-        registry.counter("service.jobs").set(3)
-        registry.gauge("service.depth").set(2.0)
+        registry.gauges["service.depth"] = 2
         registry.histogram("service.seconds").observe(0.05)
-        snap = registry.snapshot()
+        snap = registry.snapshot(service={"jobs": 3})
         assert snap["schema_version"] == METRICS_SCHEMA_VERSION
         assert validate_metrics_snapshot(snap) == []
         assert snap["counters"]["service.jobs"] == 3
         assert snap["gauges"]["service.depth"] == 2.0
+        assert isinstance(snap["gauges"]["service.depth"], float)
         assert snap["histograms"]["service.seconds"]["count"] == 1
         json.dumps(snap)
 
-    def test_set_section_maps_kinds(self):
+    def test_sections_fold_by_kind(self):
         registry = MetricsRegistry()
-        registry.set_section("engine", {
+        snap = registry.snapshot(engine={
             "submitted": 4,            # int -> counter
             "hit_rate": 0.5,           # float -> gauge
             "degraded": True,          # bool -> gauge
             "diagnostic": "a string",  # ignored
             "nested": {"inner": 2},    # recursed
         })
-        snap = registry.snapshot()
         assert snap["counters"]["engine.submitted"] == 4
         assert snap["gauges"]["engine.hit_rate"] == 0.5
         assert snap["gauges"]["engine.degraded"] == 1.0
         assert snap["counters"]["engine.nested.inner"] == 2
         assert "engine.diagnostic" not in snap["counters"]
         assert "engine.diagnostic" not in snap["gauges"]
+        # Folded at read time: the registry keeps none of it.
+        assert registry.snapshot()["counters"] == {}
+
+    def test_names_are_sorted_within_each_kind(self):
+        registry = MetricsRegistry()
+        registry.gauges["b.live"] = 1
+        snap = registry.snapshot(b={"n": 1, "rate": 0.5},
+                                 a={"n": 2, "on": False})
+        assert list(snap["counters"]) == ["a.n", "b.n"]
+        assert list(snap["gauges"]) == ["a.on", "b.live", "b.rate"]
 
     def test_validator_catches_drift(self):
         registry = MetricsRegistry()

@@ -171,6 +171,22 @@ class TestPooledTraceReassembly:
             assert statuses[result.job_id] == result.status.value
 
 
+class TestSpanIdsAcrossForkedWorkers:
+    def test_two_forked_workers_repeat_no_span_id(self):
+        # A forked worker inherits its parent's id counter: only the
+        # prefix drawn again in the child keeps two workers' ids apart.
+        results, tracer, _events, _engine = _run_pooled_batch(
+            _jobs(distinct=8, repeats=1), workers=2)
+        assert all(r.ok for r in results)
+        trace = tracer.export_chrome()
+        assert validate_chrome_trace(trace) == []
+        events = trace["traceEvents"]
+        ids = [event["args"]["span_id"] for event in events]
+        assert len(ids) == len(set(ids))
+        assert len({event["pid"] for event in events
+                    if event["name"] == "worker.compile"}) == 2
+
+
 #: Name prefixes that existed once per copy of a number, or were never
 #: fed by the service at all.
 _GONE = ("service.jobs", "service.cache_", "resilience.", "worklist.",

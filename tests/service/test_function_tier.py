@@ -340,14 +340,12 @@ class TestWorkerEmittedEntries:
     def test_traced_print_span_covers_the_split(self):
         # The split is the print (one printer session, nothing
         # renumbered): there is nothing left for a span of its own.
-        from repro.observability.tracing import SpanContext
-
-        trace = SpanContext("t" * 32, "p" * 16).to_dict()
+        trace = ("t" * 32, "p" * 16)
         for function_tier in (True, False):
             spans = compile_job(MULTI, UNROLL, trace=trace,
                                 function_tier=function_tier)["spans"]
-            assert sorted(span["name"] for span in spans
-                          if span["name"].startswith("worker.")) == [
+            assert sorted(span.name for span in spans
+                          if span.name.startswith("worker.")) == [
                 "worker.compile", "worker.interpret", "worker.parse",
                 "worker.print"]
 

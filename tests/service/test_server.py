@@ -37,6 +37,7 @@ from repro.service.cli import (
     build_engine,
     main as batch_main,
 )
+from repro.service import server as server_module
 from repro.service.server import main as serve_main
 
 from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
@@ -166,10 +167,9 @@ class TestServerRoundtrip:
             try:
                 async with CompileServer(engine, socket_path=sock):
                     client = await AsyncServiceClient.connect(sock)
+                    # The client reads the files; the daemon gets text.
                     result = await client.submit(
-                        payload_path=str(payload_file),
-                        script_path=str(schedule_file),
-                    )
+                        payload_file.read_text(), schedule_file.read_text())
                     assert result.ok
                     await client.close()
             finally:
@@ -669,6 +669,31 @@ class TestBadJobFields:
                 assert exc.value.code == "bad-request"
                 assert client.submit(PAYLOAD, UNROLL).ok
             assert engine.stats.submitted == engine.stats.completed == 1
+        finally:
+            stop()
+            engine.shutdown()
+
+    def test_a_path_field_is_refused_and_no_file_is_opened(
+            self, tmp_path, monkeypatch):
+        secret = tmp_path / "secret.mlir"
+        secret.write_text("hunter2 = 42\n")
+        opened = []
+        monkeypatch.setattr(server_module, "open",
+                            lambda *args, **kw: opened.append(args),
+                            raising=False)
+        engine = CompileEngine(workers=0)
+        sock = _sock(tmp_path)
+        server, stop = _start_threaded_server(engine, sock)
+        try:
+            with ServiceClient(sock) as client:
+                with pytest.raises(RemoteError) as exc:
+                    client._call({"op": "submit",
+                                  "payload_path": str(secret)})
+                assert exc.value.code == "bad-request"
+                assert "hunter2" not in exc.value.message
+                assert str(secret) not in exc.value.message
+            assert opened == []
+            assert engine.stats.submitted == 0
         finally:
             stop()
             engine.shutdown()

@@ -26,25 +26,25 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16792,  # all of src/repro
-    "analysis": 834,
+    ".": 16618,  # all of src/repro
+    "analysis": 829,
     "autotuning": 353,
     "core": 1875,
     "core/state.py": 141,
     "dialects": 1221,
     "enzyme": 745,
-    "execution": 776,
-    "frontend": 1154,
+    "execution": 773,
+    "frontend": 1131,
     "frontend/schedule.py": 440,
-    "ir": 1995,
-    "irdl": 281,
+    "ir": 1970,
+    "irdl": 267,
     "mlmodels": 192,
-    "observability": 619,
+    "observability": 528,
     "passes": 1681,
     "profiling": 161,
     "rewrite": 445,
-    "service": 2554,
-    "service/engine.py": 589,
+    "service": 2541,
+    "service/engine.py": 588,
     "service/frontier.py": 165,
     "testing": 1157,
     "transforms": 621,
@@ -72,6 +72,7 @@ ALLOWLIST = {
     "core/dialect.py:foreach":
         "builds transform.foreach in tests",
     "dialects/affine.py:min_": "builds affine.min in tests",
+    "dialects/linalg.py:fill": "builds linalg.fill in tests",
     "dialects/builtin.py:unrealized_cast":
         "builds builtin.unrealized_conversion_cast in tests",
     "dialects/memref.py:alloc": "builds memref.alloc in tests",
@@ -91,6 +92,23 @@ ALLOWLIST = {
         "transform.structured.lower_to_loops",
     "frontend/schedule.py:Schedule.use_library":
         "Schedule builder entry that links the shipped macro library",
+    "analysis/pipeline.py:flatten_pipeline":
+        "the flat step list the pipeline-extraction tests compare",
+    "autotuning/integration.py:case_study_5_template_problem":
+        "the paper's Fig. 9/10 tuning problem over the builder template",
+    "core/script_transforms.py:infer_ad_dialects":
+        "the paper's Fig. 5 introspection: dialects a script may produce",
+    "execution/workloads.py:reference_matmul":
+        "the numpy product the execution tests check matmuls against",
+    "ir/attributes.py:index_attr": "builds index IntegerAttrs in tests",
+    "ir/context.py:Context":
+        "MLIR's dialect-loading context, loaded by the IR tests",
+    "mlmodels/generators.py:build_mlp_model":
+        "the textual MLP the frontend generator is digest-checked against",
+    "observability/events.py:read_events":
+        "CI's artifact check reads the batch and daemon event logs",
+    "transforms/loop.py:fuse_sibling_loops":
+        "loop fusion, checked for semantics by the loop-transform tests",
 }
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
@@ -120,11 +138,29 @@ def count(path: Path) -> int:
     return sum(code_lines(file.read_text()) for file in files)
 
 
-def _names(tree: ast.AST) -> Iterator[Tuple[str, int]]:
+def _exports(tree: ast.AST, is_package: bool) -> set:
+    """The nodes that only re-export a name: the ``__all__`` strings
+    of any module, and a package ``__init__``'s imports."""
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            skipped.update(ast.walk(node.value))
+        elif is_package and isinstance(node, (ast.Import, ast.ImportFrom)):
+            skipped.update(node.names)
+    return skipped
+
+
+def _names(tree: ast.AST, is_package: bool) -> Iterator[Tuple[str, int]]:
     """Every identifier ``tree`` names, with its line: loads and
     stores, attributes, imports, and string constants that are a bare
-    identifier (``getattr`` and registry keys)."""
+    identifier (``getattr`` and registry keys). A re-export
+    (:func:`_exports`) is not a use: it names nothing a caller runs."""
+    skipped = _exports(tree, is_package)
     for node in ast.walk(tree):
+        if node in skipped:
+            continue
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
@@ -167,7 +203,7 @@ def unreferenced(sources: Dict[str, str],
              if path.split("/", 1)[0] in CALLER_TREES}
     where: Dict[str, List[Tuple[str, int]]] = {}
     for path, tree in trees.items():
-        for name, line in _names(tree):
+        for name, line in _names(tree, path.endswith("/__init__.py")):
             where.setdefault(name, []).append((path, line))
     found = []
     for path, tree in trees.items():
@@ -232,6 +268,8 @@ def only_recursive(): return only_recursive()
 def _private_uncalled(): pass
 def by_string(): pass
 def entry(): pass
+def reexported(): pass
+def listed(): pass
 
 @register_op
 class RegisteredOp: pass
@@ -247,12 +285,18 @@ from repro.lib import called, Holder
 Holder().method()
 name = f"{getattr(Holder, 'by_string')}"
 '''
+    # A re-export names a definition without calling it.
+    package = '''
+from .lib import reexported
+__all__ = ["reexported", "listed"]
+'''
     assert unreferenced({"src/repro/lib.py": library,
+                         "src/repro/__init__.py": package,
                          "examples/use.py": caller,
                          "tests/test_lib.py": "only_recursive()"},
                         entry_points=("entry",)) == [
         "lib.py:only_recursive", "lib.py:_private_uncalled",
-        "lib.py:Holder.unused"]
+        "lib.py:reexported", "lib.py:listed", "lib.py:Holder.unused"]
 
 
 def test_every_definition_has_a_non_test_caller():
