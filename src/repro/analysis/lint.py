@@ -11,7 +11,8 @@ Bundles every static check into one MLIR-style diagnostic stream
   without a resolvable ``target``, with an argument or result count
   its callee does not have, and include cycles (macros must be
   acyclic, §3.4: ``error:`` at the include that re-enters a running
-  macro);
+  macro) — :func:`~repro.core.script_transforms.include_errors`, the
+  wording the interpreter fails with too;
 * dead handles — ops declared ``RESULT_ONLY`` (their only effect is
   producing handles or params) none of whose results are used;
 * dead macros — ``named_sequence`` definitions never included and not
@@ -34,10 +35,9 @@ from typing import Iterable, List, Optional
 
 from ..core.dialect import declared
 from ..core.interpreter import find_entry
-from ..core.script_transforms import included_symbols
+from ..core.script_transforms import include_errors, included_symbols
 from ..ir.core import Operation
 from ..ir.diagnostics import Diagnostic, DiagnosticEngine, Severity
-from ..passes.inliner import arity_mismatch, detect_recursion
 from .invalidation import ERROR, InvalidationIssue, analyze_script
 from .pipeline import IssueKind, check_transform_script
 
@@ -61,30 +61,6 @@ def emit_invalidation_diagnostics(
             issue.consume_op.location,
         )
         engine.emit(diagnostic)
-
-
-def _lint_structure(script: Operation, engine: DiagnosticEngine) -> None:
-    includes = list(script.walk_ops("transform.include"))
-    for op in includes:
-        target = op.attr("target")
-        callee = op.callee()
-        mismatch = (arity_mismatch(op, callee.body)
-                    if callee is not None else None)
-        if callee is None:
-            engine.error(f"transform.include of unknown symbol {target}"
-                         if target is not None else
-                         "transform.include without a 'target' symbol",
-                         op.location)
-        elif mismatch is not None:
-            engine.error(f"transform.include of {target}: {mismatch} "
-                         "count mismatch", op.location)
-    cycle = detect_recursion(
-        script, "transform.named_sequence", "transform.include",
-        "target") if includes else None
-    if cycle is not None:
-        engine.error(f"recursive transform.include of "
-                     f"{cycle.attr('target')}; macros must be acyclic",
-                     cycle.location)
 
 
 def _lint_dead_handles(script: Operation,
@@ -145,7 +121,8 @@ def lint_script(
     engine = engine or DiagnosticEngine()
     issues = analyze_script(script, may_alias=may_alias)
     emit_invalidation_diagnostics(issues, engine)
-    _lint_structure(script, engine)
+    for op, message in include_errors(script):
+        engine.error(message, op.location)
     _lint_dead_handles(script, engine)
     _lint_dead_macros(script, engine, entry_point)
     if payload_specs is not None:

@@ -46,7 +46,6 @@ from ..ir.core import (
     Value,
     register_op,
 )
-from ..passes.inliner import arity_mismatch
 from ..rewrite.pattern import RewritePattern
 from ..transforms.loop import (
     LoopTransformError,
@@ -255,8 +254,8 @@ class NamedSequenceOp(TransformOp):
         return self.regions[0].entry_block
 
     def apply(self, interpreter, state: TransformState) -> TransformResult:
-        # Named sequences are only executed via include (or as the main
-        # entry point); encountering one inline is a no-op declaration.
+        # Named sequences run only inlined at an include or as the main
+        # entry point; encountering one inline is a no-op declaration.
         return TransformResult.success()
 
 
@@ -273,55 +272,18 @@ class YieldOp(TransformOp):
 
 @register_op
 class IncludeOp(TransformOp):
-    """Macro expansion: run a named sequence with bound arguments — a
-    call of a function-like op, which is how the inliner expands it
-    (``expand_includes``)."""
+    """Macro expansion: a call of a function-like named sequence, which
+    the inliner expands (``expand_includes``) before anything reads or
+    runs the script — it has no interpreter rule of its own."""
 
     NAME = "transform.include"
 
     def callee(self) -> Optional["NamedSequenceOp"]:
         """The named sequence ``target`` names, resolved from here —
-        the one answer the interpreter, the analyses, lint and
-        ``expand_includes`` read; None when it names none."""
+        the one answer lint and ``expand_includes`` read; None when it
+        names none."""
         callee = find_callee(self, "target")
         return callee if isinstance(callee, NamedSequenceOp) else None
-
-    def apply(self, interpreter, state: TransformState) -> TransformResult:
-        callee = self.callee()
-        if callee is None:
-            return self.definite(
-                f"no named sequence named {self.attr('target')}"
-            )
-        # Macros must be acyclic (§3.4): re-entering a sequence that is
-        # still running — the entry, or the callee of an enclosing
-        # include — is a definite error, not unbounded recursion.
-        active = interpreter._stack[:-1]
-        if callee in active or any(
-                isinstance(frame, IncludeOp) and frame.callee() is callee
-                for frame in active):
-            return self.definite(
-                f"recursive transform.include of @{callee.sym_name}"
-            )
-        body = callee.body
-        mismatch = arity_mismatch(self, body)
-        if mismatch is not None:
-            return self.definite(f"include {mismatch} count mismatch")
-        for formal, actual in zip(body.args, self.operands):
-            if isinstance(formal.type, ParamType):
-                state.set_param(formal, state.get_param(actual))
-            else:
-                state.set_payload(formal, state.get_payload(actual))
-        result = interpreter.run_block(body, state)
-        if not result.succeeded:
-            return result
-        terminator = body.terminator
-        if terminator is not None:
-            for yielded, out in zip(terminator.operands, self.results):
-                if isinstance(out.type, ParamType):
-                    state.set_param(out, state.get_param(yielded))
-                else:
-                    state.set_payload(out, state.get_payload(yielded))
-        return TransformResult.success()
 
 
 @register_op
@@ -343,20 +305,23 @@ class ForeachOp(TransformOp):
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         payload = state.get_payload(self.operand(0))
         gathered: List[List[Operation]] = [[] for _ in self.results]
-        for payload_op in payload:
-            state.set_payload(self.body.args[0], [payload_op])
-            result = interpreter.run_block(self.body, state)
-            if not result.succeeded:
-                return result
-            terminator = self.body.terminator
-            if terminator is not None and self.results:
-                if len(terminator.operands) != len(self.results):
-                    return self.definite(
-                        "foreach yield arity does not match results"
-                    )
-                for bucket, yielded in zip(gathered,
-                                           terminator.operands):
-                    bucket.extend(state.get_payload(yielded))
+        # A rollback in the body restores the payload from a clone: the
+        # pending elements and the gathered ops follow it.
+        with state.holding(payload, *gathered):
+            for payload_op in payload:
+                state.set_payload(self.body.args[0], [payload_op])
+                result = interpreter.run_block(self.body, state)
+                if not result.succeeded:
+                    return result
+                terminator = self.body.terminator
+                if terminator is not None and self.results:
+                    if len(terminator.operands) != len(self.results):
+                        return self.definite(
+                            "foreach yield arity does not match results"
+                        )
+                    for bucket, yielded in zip(gathered,
+                                               terminator.operands):
+                        bucket.extend(state.get_payload(yielded))
         for result_value, bucket in zip(self.results, gathered):
             state.set_payload(result_value, bucket)
         return TransformResult.success()
@@ -367,12 +332,13 @@ class AlternativesOp(TransformOp):
     """Try each region in turn; silenceable failures select the next one.
 
     Each attempt runs inside a :class:`~repro.core.transaction.
-    PayloadTransaction` over the scope (the single payload op of the
-    optional operand handle, else the payload root): a silenceable
-    failure rolls payload IR *and* handle state back to the
-    pre-alternatives checkpoint before the next region runs (§3.4,
-    Fig. 8). On success the op's results are mapped from the winning
-    region's ``transform.yield`` operands.
+    PayloadTransaction` of the whole payload: a silenceable failure
+    rolls payload IR *and* handle state back to the pre-alternatives
+    checkpoint before the next region runs (§3.4, Fig. 8). A region's
+    block argument, if any, maps to the scope: the single payload op of
+    the optional operand handle, else the payload root. On success the
+    op's results are mapped from the winning region's
+    ``transform.yield`` operands.
 
     An empty region is an always-succeeding no-op alternative — the
     "leave the code unchanged" fallback of Fig. 8.
@@ -387,38 +353,39 @@ class AlternativesOp(TransformOp):
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         from .transaction import PayloadTransaction
 
-        scope = state.payload_root
+        scope = [state.payload_root]
         if self.num_operands:
-            payload = state.get_payload(self.operand(0))
-            if len(payload) != 1:
+            scope = state.get_payload(self.operand(0))
+            if len(scope) != 1:
                 return self.definite(
                     "alternatives scope handle must map to exactly one "
-                    f"payload op, got {len(payload)}"
+                    f"payload op, got {len(scope)}"
                 )
-            scope = payload[0]
         last: Optional[TransformResult] = None
-        for region in self.regions:
-            if not region.blocks or not region.blocks[0].ops:
-                # Empty fallback: leave the code unchanged; results map
-                # to nothing (there is no yield to take them from).
-                for result_value in self.results:
-                    state.set_payload(result_value, [])
-                return TransformResult.success()
-            block = region.blocks[0]
-            transaction = PayloadTransaction(state, scope)
-            if block.args:
-                state.set_payload(block.args[0], [scope])
-            result = interpreter.run_block(block, state)
-            if result.succeeded:
-                transaction.commit()
-                return self._map_results(block, state)
-            if result.is_definite:
-                # Definite errors abort interpretation; the payload is
-                # left as-is for post-mortem debugging (as in MLIR).
-                transaction.commit()
-                return result
-            transaction.rollback()
-            last = result  # silenceable: suppressed, try next region
+        with state.holding(scope):
+            for region in self.regions:
+                if not region.blocks or not region.blocks[0].ops:
+                    # Empty fallback: leave the code unchanged; results map
+                    # to nothing (there is no yield to take them from).
+                    for result_value in self.results:
+                        state.set_payload(result_value, [])
+                    return TransformResult.success()
+                block = region.blocks[0]
+                transaction = PayloadTransaction(state)
+                if block.args:
+                    # ``scope`` is held: a rollback remaps it to the clone.
+                    state.set_payload(block.args[0], scope)
+                result = interpreter.run_block(block, state)
+                if result.succeeded:
+                    transaction.commit()
+                    return self._map_results(block, state)
+                if result.is_definite:
+                    # Definite errors abort interpretation; the payload is
+                    # left as-is for post-mortem debugging (as in MLIR).
+                    transaction.commit()
+                    return result
+                transaction.rollback()
+                last = result  # silenceable: suppressed, try next region
         if last is None:
             return TransformResult.success()
         return self.silenceable(

@@ -5,7 +5,10 @@ association table (:class:`~repro.core.state.TransformState`), dispatching
 each transform op's ``apply`` and processing handle consumption. Errors
 follow the paper's model: *silenceable* errors skip the remainder of the
 current region and bubble to the parent (which may suppress them, as
-``alternatives`` does); *definite* errors abort interpretation.
+``alternatives`` does); *definite* errors abort interpretation. A
+``transform.include`` has no rule here: :meth:`TransformInterpreter.
+apply` inlines every macro before the script runs, so the interpreter
+runs the script the static analyses read.
 
 Two robustness layers sit around ``apply`` dispatch:
 
@@ -31,6 +34,7 @@ from typing import List, Optional
 from ..ir.core import Block, Operation
 from ..ir.diagnostics import Diagnostic, DiagnosticEngine, Severity
 from .errors import TransformInterpreterError, TransformResult
+from .script_transforms import ScriptTransformError, expand_includes
 from .state import HandleInvalidatedError, TransformState
 
 
@@ -124,19 +128,31 @@ class TransformInterpreter:
         """Run ``script`` (a sequence, named sequence, or a module
         containing one) on ``payload``. Raises
         :class:`TransformInterpreterError` on definite errors; returns
-        the final :class:`TransformResult` otherwise. Scripts are not
-        checked statically here: ``lint_script`` is the one static
-        gate (the compile engine's preflight, ``repro-opt --verify``).
+        the final :class:`TransformResult` otherwise.
+
+        ``script`` is modified: every ``transform.include`` in it is
+        inlined in place first
+        (:func:`~repro.core.script_transforms.expand_includes`), the
+        reading the static analyses take, so an op failing inside a
+        macro is located ``callsite(<op in the macro> at <include>)``.
+        A caller that reads its script after the run passes a clone. An
+        ill-formed include — unknown, recursive or arity-mismatched,
+        worded as lint words it — is a definite error at that include,
+        raised before any transform runs, even one in a region that
+        would never run. Scripts are not otherwise checked statically
+        here: ``lint_script`` is the one static gate (the compile
+        engine's preflight, ``repro-opt --verify``).
         """
+        try:
+            expand_includes(script)
+        except ScriptTransformError as error:
+            self._raise(TransformResult.definite(str(error), error.op))
         state = TransformState(payload)
         entry = find_entry(script, entry_point)
         if entry is None:
-            result = TransformResult.definite(
+            self._raise(TransformResult.definite(
                 "no transform entry point found in script"
-            )
-            raise TransformInterpreterError(
-                result, self._diagnose(result, Severity.ERROR)
-            )
+            ))
         if entry.name == "transform.named_sequence":
             body = entry.regions[0].entry_block
             if body.args:
@@ -149,14 +165,17 @@ class TransformInterpreter:
         else:
             result = self.execute(entry, state)
         if result.is_definite:
-            raise TransformInterpreterError(
-                result, self._diagnose(result, Severity.ERROR)
-            )
+            self._raise(result)
         if result.is_silenceable:
             self._diagnose(result, Severity.WARNING)
         return result
 
     # -- diagnostics ---------------------------------------------------------
+
+    def _raise(self, result: TransformResult) -> None:
+        """Diagnose the definite failure ``result`` and raise it."""
+        raise TransformInterpreterError(
+            result, self._diagnose(result, Severity.ERROR))
 
     def _diagnose(self, result: TransformResult,
                   severity: Severity) -> Diagnostic:

@@ -18,18 +18,27 @@ transformed:
 
 from __future__ import annotations
 
-from typing import Set
+from typing import List, Optional, Set, Tuple
 
 from ..ir.attributes import StringAttr, SymbolRefAttr, unwrap
 from ..ir.core import Operation
 from ..passes.canonicalize import register_canonicalization
-from ..passes.inliner import InliningError, detect_recursion, inline_call
+from ..passes.inliner import (
+    InliningError,
+    arity_mismatch,
+    detect_recursion,
+    inline_call,
+)
 from ..rewrite.pattern import PatternRewriter, pattern
 from .dialect import TransformOp
 
 
 class ScriptTransformError(Exception):
-    pass
+    """A script transformation failed, carrying the offending op."""
+
+    def __init__(self, message: str, op: Optional[Operation] = None):
+        super().__init__(message)
+        self.op = op
 
 
 # ---------------------------------------------------------------------------
@@ -37,37 +46,60 @@ class ScriptTransformError(Exception):
 # ---------------------------------------------------------------------------
 
 
+def include_errors(script: Operation) -> List[Tuple[Operation, str]]:
+    """Every ill-formed ``transform.include`` under ``script`` with
+    its message, in walk order — an unknown target, an argument or
+    result count its callee does not have — then the include that
+    closes a cycle (macros must be acyclic, §3.4): the one wording
+    lint reports and :func:`expand_includes` raises."""
+    errors = []
+    includes = list(script.walk_ops("transform.include"))
+    for include in includes:
+        target = include.attr("target")
+        callee = include.callee()
+        if callee is None:
+            errors.append((include,
+                           f"transform.include of unknown symbol {target}"
+                           if target is not None else
+                           "transform.include without a 'target' symbol"))
+            continue
+        mismatch = arity_mismatch(include, callee.body)
+        if mismatch is not None:
+            errors.append((include, f"transform.include of {target}: "
+                                    f"{mismatch} count mismatch"))
+    cycle = detect_recursion(script, "transform.named_sequence",
+                             "transform.include", "target") \
+        if includes else None
+    if cycle is not None:
+        errors.append((cycle, f"recursive transform.include of "
+                              f"{cycle.attr('target')}; macros must be "
+                              "acyclic"))
+    return errors
+
+
 def expand_includes(script: Operation) -> int:
     """Inline every ``transform.include``; returns the expansion count.
 
-    The ordinary inliner applied to transform IR: the include call
-    graph is checked for cycles first (macros must be acyclic, §3.4),
-    then each include is an :func:`~repro.passes.inliner.inline_call`
-    of its callee, repeated until the includes an expansion pasted in
-    are expanded too.
+    The ordinary inliner applied to transform IR: every include is
+    checked first (:func:`include_errors`; the first error is raised
+    with the script untouched), then each is an
+    :func:`~repro.passes.inliner.inline_call` of its callee, repeated
+    until the includes an expansion pasted in are expanded too.
     """
-    cycle = detect_recursion(script, "transform.named_sequence",
-                             "transform.include", "target")
-    if cycle is not None:
-        raise ScriptTransformError(
-            f"recursive transform.include of {cycle.attr('target')}; "
-            "macros must be acyclic"
-        )
+    errors = include_errors(script)
+    if errors:
+        op, message = errors[0]
+        raise ScriptTransformError(message, op)
     total = 0
     while True:
         includes = list(script.walk_ops("transform.include"))
         if not includes:
             return total
         for include in includes:
-            callee = include.callee()
-            if callee is None:
-                raise ScriptTransformError(
-                    f"include of unknown sequence {include.attr('target')}"
-                )
             try:
-                inline_call(include, callee)
+                inline_call(include, include.callee())
             except InliningError as error:
-                raise ScriptTransformError(str(error)) from error
+                raise ScriptTransformError(str(error), include) from error
             total += 1
 
 

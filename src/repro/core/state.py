@@ -21,8 +21,9 @@ only the handles that actually reference the rewritten op.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
 
 from ..ir.core import Operation, Value
 from ..rewrite.pattern import RewriteListener
@@ -49,6 +50,7 @@ class StateSnapshot:
     ops: Dict[int, List[Operation]] = field(default_factory=dict)
     params: Dict[int, "ParamValue"] = field(default_factory=dict)
     invalidated: Dict[int, str] = field(default_factory=dict)
+    held: List[List[Operation]] = field(default_factory=list)
 
 
 class TransformState(RewriteListener):
@@ -66,6 +68,10 @@ class TransformState(RewriteListener):
         self._op_handles: Dict[int, Set[int]] = {}
         #: Strong op reference per indexed id (for ancestor walks).
         self._indexed_ops: Dict[int, Operation] = {}
+        #: Payload-op lists an op holds while its body runs
+        #: (:meth:`holding`); :meth:`restore` remaps them with the
+        #: handles.
+        self._held: List[List[Operation]] = []
 
     # -- reverse index maintenance ------------------------------------------
 
@@ -172,6 +178,7 @@ class TransformState(RewriteListener):
             ops={hid: list(ops) for hid, ops in self._ops.items()},
             params={hid: list(vs) for hid, vs in self._params.items()},
             invalidated=dict(self._invalidated),
+            held=[list(ops) for ops in self._held],
         )
 
     def restore(self, snapshot: StateSnapshot,
@@ -193,6 +200,24 @@ class TransformState(RewriteListener):
         self._indexed_ops = {}
         for hid, ops in self._ops.items():
             self._index_add(hid, ops)
+        # The ops holding them are suspended in the body that rolled
+        # back: each list is as the checkpoint saw it, remapped.
+        for ops, saved in zip(self._held, snapshot.held):
+            ops[:] = [op_map.get(id(op), op) for op in saved]
+
+    @contextmanager
+    def holding(self, *lists: List[Operation]) -> Iterator[None]:
+        """Checkpoint ``lists`` — payload ops an op reads across the
+        body it runs, such as ``foreach``'s pending elements — with
+        the handles until the block exits: :meth:`restore` reinstates
+        and remaps them in place, so a rollback inside the body leaves
+        none of them detached."""
+        depth = len(self._held)
+        self._held.extend(lists)
+        try:
+            yield
+        finally:
+            del self._held[depth:]
 
     # -- rewrite-driver event subscription (paper §3.1) -------------------------
 

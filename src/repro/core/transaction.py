@@ -6,20 +6,25 @@ alternative fails with a silenceable error before trying the next one.
 :class:`PayloadTransaction` implements that contract for both sides of
 the handle/payload association:
 
-* the payload subtree is checkpointed with ``Operation.clone`` — a
-  detached deep copy that no later rewrite can touch;
+* the whole payload, from its root, is checkpointed with
+  ``Operation.clone`` — a detached deep copy that no later rewrite can
+  touch. The root has no values defined outside it, so the clone holds
+  no use of a live value, and every op a body may create, move or
+  erase is inside it — a scoped ``alternatives`` too;
 * the :class:`~repro.core.state.TransformState` mapping tables are
   checkpointed with :meth:`~repro.core.state.TransformState.checkpoint`;
 * an op-correspondence map (original op -> clone op, built from one
   parallel pre-order walk) lets :meth:`rollback` remap every
   checkpointed handle onto the restored operations, so handles created
-  *before* the transaction keep working after a rollback — including
-  handles pointing *into* the checkpointed subtree.
+  *before* the transaction keep working after a rollback — and so do
+  the payload ops an enclosing ``foreach`` or ``alternatives`` holds
+  (:meth:`~repro.core.state.TransformState.holding`).
 
 Rollback transplants the clone's region contents into the original root
-operation, which therefore keeps its identity: handles to the root (and
-to anything outside the subtree) are untouched. The restored payload
-prints byte-identically to its pre-transaction form.
+operation, which therefore keeps its identity: handles to the root are
+untouched, and a transaction nested in another restores into the same
+root the outer one will. The restored payload prints byte-identically
+to its pre-transaction form.
 """
 
 from __future__ import annotations
@@ -35,19 +40,14 @@ class TransactionError(RuntimeError):
 
 
 class PayloadTransaction:
-    """A checkpoint of a payload subtree plus the transform state.
+    """A checkpoint of the state's payload root plus the transform
+    state."""
 
-    ``root`` defaults to the state's payload root; it must enclose every
-    operation the transaction's body may create, move or erase —
-    mutations escaping the subtree are not rolled back.
-    """
-
-    def __init__(self, state: TransformState,
-                 root: Optional[Operation] = None):
+    def __init__(self, state: TransformState):
         self.state = state
-        self.root = root if root is not None else state.payload_root
+        self.root = state.payload_root
         self._clone: Optional[Operation] = self.root.clone({})
-        #: id(original op) -> clone op, for every op of the subtree.
+        #: id(original op) -> clone op, for every op of the payload.
         #: The pinned walk list keeps the originals alive so no key can
         #: be recycled onto a different operation mid-transaction.
         self._pinned: List[Operation] = list(self.root.walk())
@@ -60,11 +60,6 @@ class PayloadTransaction:
         self._op_map[id(self.root)] = self.root
         self._snapshot: Optional[StateSnapshot] = state.checkpoint()
         self._active = True
-
-    @property
-    def active(self) -> bool:
-        """True until :meth:`commit` or :meth:`rollback` runs."""
-        return self._active
 
     def _finish(self) -> None:
         self._active = False
@@ -84,16 +79,12 @@ class PayloadTransaction:
         if not self._active:
             raise TransactionError("transaction already finished")
         assert self._clone is not None and self._snapshot is not None
-        # Drop the mutated contents: sever every def-use link first so
-        # values defined outside the subtree lose their stale uses.
-        for region in self.root.regions:
-            for block in list(region.blocks):
-                for op in list(block.ops):
-                    op.drop_all_references()
-                region.remove_block(block)
-        # Transplant the clone's blocks into the original root.
+        # Swap the mutated blocks for the clone's. The root defines
+        # every value either side uses, so no use outlives the swap.
         for dest_region, src_region in zip(self.root.regions,
                                            self._clone.regions):
+            for block in list(dest_region.blocks):
+                dest_region.remove_block(block)
             for block in list(src_region.blocks):
                 src_region.remove_block(block)
                 dest_region.add_block(block)

@@ -42,10 +42,6 @@ class CondBranchOp(Operation):
     TRAITS = frozenset({IsTerminator})
 
     @property
-    def condition(self) -> Value:
-        return self.operand(0)
-
-    @property
     def true_dest(self) -> Block:
         return self.successors[0]
 

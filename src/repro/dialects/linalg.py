@@ -45,10 +45,6 @@ class GenericOp(Operation):
         return self.operands[: self.n_inputs]
 
     @property
-    def outputs(self) -> List[Value]:
-        return self.operands[self.n_inputs :]
-
-    @property
     def iterator_types(self) -> List[str]:
         attr = self.attr("iterator_types")
         if isinstance(attr, ArrayAttr):
@@ -77,10 +73,6 @@ class _NamedStructuredOp(Operation):
     @property
     def inputs(self) -> List[Value]:
         return self.operands[: self.N_INPUTS]
-
-    @property
-    def outputs(self) -> List[Value]:
-        return self.operands[self.N_INPUTS :]
 
     @property
     def body(self) -> Block:

@@ -105,10 +105,6 @@ class IfOp(Operation):
     TRAITS = frozenset({SingleBlock})
 
     @property
-    def condition(self) -> Value:
-        return self.operand(0)
-
-    @property
     def then_block(self) -> Block:
         return self.regions[0].entry_block
 

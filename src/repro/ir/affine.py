@@ -217,10 +217,6 @@ class AffineMap:
     num_symbols: int
     results: Tuple[AffineExpr, ...]
 
-    @staticmethod
-    def identity(rank: int) -> "AffineMap":
-        return AffineMap(rank, 0, tuple(AffineDim(i) for i in range(rank)))
-
     @property
     def num_results(self) -> int:
         return len(self.results)

@@ -457,13 +457,6 @@ class Operation:
         """The op after this one in its block (None at the tail)."""
         return self._next
 
-    def region(self, index: int = 0) -> "Region":
-        return self.regions[index]
-
-    def body_block(self) -> "Block":
-        """First block of the first region (common single-block case)."""
-        return self.regions[0].blocks[0]
-
     # -- mutation ----------------------------------------------------------
 
     def drop_all_references(self) -> None:

@@ -85,7 +85,7 @@ def compile_job(payload: Union[str, Operation],
     Each input is either text, parsed here inside the ``worker.parse``
     span, or an already parsed module that the caller gives up: the
     compilation transforms ``payload`` in place, rebinds ``script``'s
-    parameters and destroys both on its way out
+    parameters, inlines its macros and destroys both on its way out
     (:meth:`~repro.ir.core.Operation.destroy`), so neither may be an
     object anyone else still reads.
 

@@ -44,10 +44,12 @@ both legs face one list of invariants:
   that order, and its digest composes from theirs
   (:func:`relocation_violations`), which is what the compile service's
   function tier serves results from without parsing;
-* **op-list links** — in every payload and every output, each block's
-  intrusive op list is consistent (:func:`op_list_violations`): forward
-  links mirror backward links, parent pointers match, the ``block.ops``
-  memo is the linked order and a valid order index rises along it;
+* **op-list and def-use links** — in every payload and every output,
+  each block's intrusive op list is consistent
+  (:func:`op_list_violations`): forward links mirror backward links,
+  parent pointers match, the ``block.ops`` memo is the linked order and
+  a valid order index rises along it; every operand is in its value's
+  use list and every use is by an op attached under the module;
 * **normalization keeps the outcome** — unless the schedule as written
   ends in a definite error, the same schedule after :func:`_normalize`
   (``expand_includes``, then ``PassManager(["canonicalize", "cse"])``)
@@ -56,8 +58,10 @@ both legs face one list of invariants:
   normalized oracle a service that normalizes scripts rests on).
 
 Only textual cases roll back: a schedule whose first alternative
-mutates the payload and then fails silenceably must succeed and leave
-the payload print byte-identical (**transactional rollback**). Only
+mutates the payload and then fails silenceably — half of them scoped
+to a loop, whose fallback region annotates the restored scope — must
+succeed and leave the payload print byte-identical
+(**transactional rollback**). Only
 builder cases have a Python API to hold to its promises
 (:func:`_builder_checks`): the builder rejects every stale handle, its
 script is lint-clean and analysis-clean, and every rejected probe,
@@ -349,22 +353,49 @@ def build_rollback_case(rng: random.Random
 
     Region 1 runs a *safe* random mutating schedule and then fails
     silenceably; region 2 is the empty "leave the code unchanged"
-    fallback. Interpretation must succeed with the payload print
-    byte-identical to the pre-``alternatives`` state.
+    fallback. Half the cases whose payload has a loop scope the
+    ``alternatives`` to the first ``scf.for``: region 1 runs from its
+    block argument, and region 2 annotates its own ``fallback``.
+    Interpretation must succeed with the payload print byte-identical
+    to the pre-``alternatives`` state (:func:`_rolled_back_print`).
     """
     payload = PayloadFuzzer(rng).module()
     script, builder, root = transform.sequence()
-    alts = transform.alternatives(builder, 2)
-    first = Builder.at_end(alts.regions[0].entry_block)
+    scope = None
+    if rng.random() < 0.5 and any(payload.walk_ops("scf.for")):
+        scope = transform.match_op(builder, root, "scf.for",
+                                   position="first")
+    alts = transform.alternatives(builder, 2, scope=scope)
+    block = alts.regions[0].entry_block
+    first = Builder.at_end(block)
     ScheduleFuzzer(rng, safe=True).fill_block(
-        first, root, rng.randint(1, 4), nesting=1
+        first, root if scope is None else block.add_arg(transform.ANY_OP),
+        rng.randint(1, 4), nesting=1
     )
     first.create(
         "transform.test.emit_silenceable",
         attributes={"message": "force rollback"},
     )
+    if scope is not None:
+        fallback = alts.regions[1].entry_block
+        transform.annotate(Builder.at_end(fallback),
+                           fallback.add_arg(transform.ANY_OP), "fallback")
     transform.yield_(builder)
     return payload, script
+
+
+def _rolled_back_print(script: Operation, before: str) -> str:
+    """What a rollback case leaves: the payload print ``before`` it
+    ran, its first loop annotated ``fallback`` when the case is scoped
+    (region 2 runs on the scope region 1's rollback restored)."""
+    from ..ir.attributes import UnitAttr
+    from ..ir.parser import parse
+
+    if not next(script.walk_ops("transform.alternatives")).num_operands:
+        return before
+    reference = parse(before)
+    next(reference.walk_ops("scf.for")).set_attr("fallback", UnitAttr())
+    return print_op(reference)
 
 
 _FRONTEND_MATCH_NAMES = ("scf.for", "linalg.matmul", "arith.addf",
@@ -657,12 +688,13 @@ def _crash(error: Exception) -> str:
 
 
 def _interpret(payload: Operation, script: Operation) -> CaseOutcome:
-    """Bind :data:`FUZZ_BINDINGS` in ``script`` and run it on
-    ``payload``, classifying the outcome."""
+    """Bind :data:`FUZZ_BINDINGS` in ``script`` and run a clone of it
+    on ``payload`` (the run inlines its macros; the oracles read the
+    script as written), classifying the outcome."""
     bind_parameters(script, FUZZ_BINDINGS)
     interpreter = TransformInterpreter()
     try:
-        result = interpreter.apply(script, payload)
+        result = interpreter.apply(script.clone(), payload)
     except TransformInterpreterError as error:
         return CaseOutcome("definite", str(error.result.message),
                            print_op(payload), interpreter.output,
@@ -870,11 +902,18 @@ def relocation_violations(module: Operation) -> List[str]:
 
 def op_list_violations(root: Operation) -> List[str]:
     """Which blocks under ``root`` hold an inconsistent op list (the
-    container contract of DESIGN.md §11); empty when all is well."""
+    container contract of DESIGN.md §11) or def-use links — an operand
+    missing from its value's use list, a use of a value defined under
+    ``root`` by an op not attached under it; empty when all is well."""
     violated = []
     for parent in root.walk():
+        defined = list(parent.results)
+        if any(use not in use.value._uses for use in parent._operands):
+            violated.append(f"an operand of '{parent.name}' is not in "
+                            "its value's use list")
         for region in parent.regions:
             for block in region.blocks:
+                defined.extend(block.args)
                 forward, op = [], block._first
                 while op is not None:
                     forward.append(op)
@@ -898,6 +937,10 @@ def op_list_violations(root: Operation) -> List[str]:
                         a >= b for a, b in zip(orders, orders[1:])):
                     violated.append(f"{where}: a valid order index "
                                     "does not rise")
+        if any(not root.is_ancestor_of(use.owner)
+               for value in defined for use in value._uses):
+            violated.append(f"a value defined by '{parent.name}' has a "
+                            "use outside the tree")
     return violated
 
 
@@ -937,7 +980,8 @@ def _check_leg(fail: Fail, case_seed: int, leg: Leg) -> CaseOutcome:
         if outcome.kind != "success":
             fail("rollback-case-succeeds",
                  f"got {outcome.kind}: {outcome.message}")
-        elif outcome.payload_print != before:
+        elif outcome.payload_print != _rolled_back_print(leg.script,
+                                                        before):
             fail("rollback-byte-identical",
                  "payload print changed across a rolled-back alternative")
     replay = leg.rebuild()
@@ -999,12 +1043,17 @@ def _replay_stale_uses(fail: Fail, script: Operation,
     for index, (anchor, stale) in enumerate(stale_uses):
         marker = f"stale-probe-{index}"
         probe = transform.print_(Builder.after(anchor), stale, marker)
+
+        def is_probe(op: Optional[Operation]) -> bool:
+            # The probe itself, or its copy inlined from a macro.
+            return op is not None and op.name == "transform.print" \
+                and op._str_attr("message") == marker
+
         try:
             severities = [
                 issue.severity
                 for issue in analyze_script(script, may_alias=False)
-                if issue.use_op.name == "transform.print"
-                and issue.use_op._str_attr("message") == marker]
+                if is_probe(issue.use_op)]
             outcome = _interpret(_frontend_payload(), script)
         finally:
             probe.erase()
@@ -1019,7 +1068,7 @@ def _replay_stale_uses(fail: Fail, script: Operation,
         if any(out.split("\n", 1)[0] == ran for out in outcome.printed):
             fail("stale-print-fails",
                  f"the interpreter ran the replayed probe {marker}")
-        elif outcome.stopped_at is probe:
+        elif is_probe(outcome.stopped_at):
             if "invalidated by" in outcome.message:
                 counts["reached"] += 1
             else:

@@ -8,6 +8,7 @@ from repro.core.interpreter import TransformInterpreter
 from repro.dialects import builtin, func
 from repro.execution.workloads import build_matmul_module
 from repro.ir import Builder, Operation
+from repro.ir.printer import print_op
 
 
 def loops_of(module):
@@ -264,6 +265,8 @@ class TestInclude:
 
         TransformInterpreter().apply(script, payload)
         assert loops_of(payload)[0].trip_count() == 2
+        # The run inlined the macro into the script it was given.
+        assert not any(script.walk_ops("transform.include"))
 
     def test_unknown_target_is_definite(self):
         payload = build_matmul_module(2, 2, 2)
@@ -273,7 +276,8 @@ class TestInclude:
         module = Operation.create("builtin.module", regions=1)
         module.regions[0].add_block().append(script)
         with pytest.raises(TransformInterpreterError,
-                           match="no named sequence"):
+                           match="transform.include of unknown symbol "
+                                 "@nope"):
             TransformInterpreter().apply(module, payload)
 
 

@@ -2,8 +2,10 @@
 of a function-like ``named_sequence``, resolved, cycle-checked,
 arity-checked and inlined by the same code as ``func.call``, a script
 has one entry rule, and the static analyses read the script with its
-macros inlined. Recursive macros are rejected statically and, when
-nobody linted the script, fail definitely at the first re-entry."""
+macros inlined. The interpreter runs that same inlined script: an
+include has no interpreter rule, and an ill-formed one (unknown,
+recursive, arity-mismatched) fails definitely before anything runs,
+with the message lint reports."""
 
 import ast
 import inspect
@@ -103,6 +105,8 @@ class TestRecursiveMacros:
             interpreter.apply(recursive_script(terminated)[0],
                               build_matmul_module(2, 2, 2))
         assert interpreter.stats.exceptions_contained == 0
+        # The cycle is found before anything runs, not at the re-entry.
+        assert interpreter.stats.transforms_executed == 0
 
     def test_reentering_the_entry_sequence_fails(self):
         main, builder, (arg,) = transform.named_sequence("main")
@@ -168,8 +172,8 @@ def double_unroll_twice():
     module = script_module()
     block = module.regions[0].entry_block
     macro, mb, (arg,) = transform.named_sequence("twice")
-    transform.loop_unroll(mb, arg, full=True)
-    transform.loop_unroll(mb, arg, full=True)
+    transform.loop_unroll(mb, arg, full=True).location = at(2)
+    transform.loop_unroll(mb, arg, full=True).location = at(3)
     transform.yield_(mb)
     block.append(macro)
     seq, builder, root = transform.sequence()
@@ -194,6 +198,17 @@ class TestGradedAtTheCallSite:
         result, stats = run_engine(double_unroll_twice())
         assert result.status is JobStatus.REJECTED
         assert stats.executed == 0
+
+    def test_interpreter_locates_a_macro_failure_as_lint_does(self):
+        script = double_unroll_twice()
+        first = lint_script(script).errors[0]
+        with pytest.raises(TransformInterpreterError) as info:
+            TransformInterpreter().apply(script, build_matmul_module(2, 2, 2))
+        location = info.value.result.location
+        assert frames(location) == [at(3), at(10)]
+        assert str(location) == str(first.location)
+        # The macro was inlined, not called: no include frame.
+        assert "transform.include" not in str(info.value)
 
 
 #: (operands passed, results expected, which count mismatches) for an
@@ -237,9 +252,83 @@ class TestIncludeArity:
     def test_interpreter_fails_definitely(self, n_operands, n_results,
                                           kind):
         with pytest.raises(TransformInterpreterError,
-                           match=f"include {kind} count mismatch"):
+                           match=f"transform.include of @m: {kind} count "
+                                 "mismatch"):
             TransformInterpreter().apply(arity_script(n_operands, n_results),
                                          build_matmul_module(2, 2, 2))
+
+
+def unknown_script():
+    seq, builder, root = transform.sequence()
+    transform.include(builder, "ghost", [root]).location = at(7)
+    transform.yield_(builder)
+    module = script_module()
+    module.regions[0].entry_block.append(seq)
+    return module
+
+
+#: An ill-formed include -> (script, the message every reader gives).
+DEFECTS = {
+    "unknown": (unknown_script,
+                "transform.include of unknown symbol @ghost"),
+    "arguments": (lambda: arity_script(2, 1),
+                  "transform.include of @m: argument count mismatch"),
+    "results": (lambda: arity_script(1, 0),
+                "transform.include of @m: result count mismatch"),
+    "recursion": (lambda: recursive_script()[0],
+                  "recursive transform.include of @rec; macros must be "
+                  "acyclic"),
+}
+
+
+def lint_reading(script):
+    (error,) = lint_script(script).errors
+    return error.message, error.location
+
+
+def expand_reading(script):
+    with pytest.raises(ScriptTransformError) as info:
+        expand_includes(script)
+    return str(info.value), info.value.op.location
+
+
+def interpreter_reading(script):
+    with pytest.raises(TransformInterpreterError) as info:
+        TransformInterpreter().apply(script, build_matmul_module(2, 2, 2))
+    return info.value.result.message, info.value.result.location
+
+
+@pytest.mark.parametrize("reader", [lint_reading, expand_reading,
+                                    interpreter_reading])
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_each_include_defect_has_one_message(defect, reader):
+    build, message = DEFECTS[defect]
+    assert reader(build()) == (message, lint_reading(build())[1])
+
+
+def test_an_ill_formed_include_fails_before_anything_runs():
+    """Region 2 of the ``alternatives`` never runs (region 1 succeeds),
+    yet its unknown include fails the run before the unroll ahead of
+    it touches the payload."""
+    payload = build_matmul_module(2, 2, 2)
+    before = print_op(payload)
+    seq, builder, root = transform.sequence()
+    loop = transform.match_op(builder, root, "scf.for", position="first")
+    transform.loop_unroll(builder, loop, full=True)
+    alts = transform.alternatives(builder, 2)
+    transform.annotate(Builder.at_end(alts.regions[0].entry_block), root,
+                       "ran")
+    transform.include(Builder.at_end(alts.regions[1].entry_block),
+                      "ghost", [root])
+    transform.yield_(builder)
+    interpreter = TransformInterpreter()
+    with pytest.raises(TransformInterpreterError,
+                       match="transform.include of unknown symbol @ghost"):
+        interpreter.apply(seq, payload)
+    assert print_op(payload) == before
+    assert interpreter.stats.transforms_executed == 0
+    # A failed expansion inlines nothing: the script is as given.
+    assert len(list(seq.walk_ops("transform.include"))) == 1
 
 
 # -- one implementation of each question --------------------------------------
@@ -290,8 +379,9 @@ class TestOneImplementation:
         assert _defs("inline_call") == ["passes/inliner.py"]
         users = {module for module, tree in _modules()
                  if _calls(tree, "detect_recursion")}
-        assert users == {"passes/inliner.py", "core/script_transforms.py",
-                         "analysis/lint.py"}
+        assert users == {"passes/inliner.py", "core/script_transforms.py"}
+        assert {module for module, tree in _modules()
+                if _calls(tree, "arity_mismatch")} == users
         assert {module for module, tree in _modules()
                 if _calls(tree, "inline_call")} == \
             {"passes/inliner.py", "core/script_transforms.py"}
@@ -299,12 +389,20 @@ class TestOneImplementation:
     def test_include_callee_is_read_off_the_op(self):
         readers = {module for module, tree in _modules()
                    if _calls(tree, "callee")}
-        assert {"core/dialect.py", "core/script_transforms.py",
-                "analysis/lint.py"} <= readers
-        # The analyses read the inlined script: none resolves a callee.
-        assert not readers & {"analysis/dataflow.py",
+        assert "core/script_transforms.py" in readers
+        # The interpreter and the analyses read the inlined script:
+        # none resolves a callee.
+        assert not readers & {"core/dialect.py", "core/interpreter.py",
+                              "analysis/dataflow.py",
                               "analysis/invalidation.py",
-                              "analysis/pipeline.py"}
+                              "analysis/lint.py", "analysis/pipeline.py"}
+
+    def test_an_include_has_no_interpreter_rule(self):
+        assert "apply" not in vars(transform.IncludeOp)
+        assert _defs("include_errors") == ["core/script_transforms.py"]
+        assert {module for module, tree in _modules()
+                if _calls(tree, "include_errors")} == {
+            "core/script_transforms.py", "analysis/lint.py"}
 
     def test_one_reading_of_a_script(self):
         (module, helper), = _def_nodes("inlined_script")
@@ -317,7 +415,9 @@ class TestOneImplementation:
             "frontend/schedule.py"}
         assert {module for module, tree in _modules()
                 if _calls(tree, "expand_includes")} <= {
-            "core/script_transforms.py", "testing/fuzz.py"}
+            "core/script_transforms.py", "core/interpreter.py",
+            "testing/fuzz.py"}
+        assert not _defs("inline_macros")
 
     @pytest.mark.parametrize("name", [
         "on_include", "summarize", "NamedSequenceSummary",

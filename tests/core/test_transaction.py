@@ -3,7 +3,8 @@
 Covers :class:`~repro.core.transaction.PayloadTransaction` directly and
 its integration into ``transform.alternatives``: payload and handle
 state roll back together, result handles map from the winning region's
-yield, and handles into the checkpointed subtree survive a rollback.
+yield, handles into the payload survive a rollback, and a scoped
+``alternatives`` leaves no def-use link behind.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.core.interpreter import TransformInterpreter
 from repro.core.state import HandleInvalidatedError, TransformState
 from repro.core.transaction import PayloadTransaction
 from repro.execution.workloads import build_matmul_module
-from repro.ir import Builder
+from repro.ir import Block, Builder
 from repro.ir.printer import print_op
 
 
@@ -183,6 +184,123 @@ class TestAlternativesRollback:
         marked = [op for op in payload.walk()
                   if op.attr("via_result") is not None]
         assert [op.name for op in marked] == ["scf.for"]
+
+
+def stray_uses(module):
+    """Uses of values defined in ``module`` by ops not attached under
+    it: def-use links a discarded clone never dropped."""
+    return [use for op in module.walk()
+            for value in [*op.results, *(arg for region in op.regions
+                                         for block in region.blocks
+                                         for arg in block.args)]
+            for use in value.uses if not module.is_ancestor_of(use.owner)]
+
+
+def annotate_loop(wrap):
+    """Annotate the first loop — inside ``alternatives %loop`` with
+    ``wrap`` — then fully unroll it and canonicalize."""
+    script, builder, root = transform.sequence()
+    loop = transform.match_op(builder, root, "scf.for", position="first")
+    inner = builder
+    if wrap:
+        alts = transform.alternatives(builder, 1, scope=loop)
+        inner = Builder.at_end(alts.regions[0].entry_block)
+    transform.annotate(inner, loop, "seen")
+    transform.loop_unroll(builder, loop, full=True)
+    transform.apply_registered_pass(builder, root, "canonicalize",
+                                    with_result=False)
+    transform.yield_(builder)
+    return script
+
+
+class TestScopedAlternatives:
+    """A scoped ``alternatives`` checkpoints the whole payload: its
+    clone holds no use of a live value, and a nested unscoped one
+    restores into the root the outer one restores into."""
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_stray_uses_after_the_region(self, fail):
+        payload = build_matmul_module(2, 2, 2)
+        script, builder, root = transform.sequence()
+        loop = transform.match_op(builder, root, "scf.for",
+                                  position="first")
+        alts = transform.alternatives(builder, 2, scope=loop)
+        region = Builder.at_end(alts.regions[0].entry_block)
+        transform.annotate(region, loop, "seen")
+        if fail:
+            region.create("transform.test.emit_silenceable")
+        transform.yield_(builder)
+        assert TransformInterpreter().apply(script, payload).succeeded
+        assert stray_uses(payload) == []
+
+    def test_canonicalize_sees_no_phantom_uses(self):
+        plain, wrapped = (build_matmul_module(2, 2, 2) for _ in range(2))
+        TransformInterpreter().apply(annotate_loop(wrap=False), plain)
+        TransformInterpreter().apply(annotate_loop(wrap=True), wrapped)
+        assert print_op(wrapped) == print_op(plain)
+
+    def test_nested_unscoped_rollback_keeps_the_outer_scope(self):
+        payload = build_matmul_module(2, 2, 2)
+        before = print_op(payload)
+        script, builder, root = transform.sequence()
+        loop = transform.match_op(builder, root, "scf.for",
+                                  position="first")
+        outer = transform.alternatives(builder, 2, scope=loop)
+        first = Builder.at_end(outer.regions[0].entry_block)
+        inner = transform.alternatives(first, 2)
+        Builder.at_end(inner.regions[0].entry_block).create(
+            "transform.test.emit_silenceable")
+        transform.annotate(first, loop, "failed_region")
+        first.create("transform.test.emit_silenceable")
+        transform.yield_(builder)
+        assert TransformInterpreter().apply(script, payload).succeeded
+        assert print_op(payload) == before
+
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_a_later_region_runs_on_the_restored_scope(self, nested):
+        payload = build_matmul_module(2, 2, 2)
+        script, builder, root = transform.sequence()
+        loop = transform.match_op(builder, root, "scf.for",
+                                  position="first")
+        alts = transform.alternatives(builder, 2, scope=loop)
+        for region, name in zip(alts.regions, ("first", "second")):
+            block = region.entry_block
+            region_builder = Builder.at_end(block)
+            transform.annotate(region_builder,
+                               block.add_arg(transform.ANY_OP), name)
+            if name == "first":
+                if nested:
+                    # Rolled back twice, inner first: the scope follows.
+                    inner = transform.alternatives(region_builder, 2)
+                    Builder.at_end(inner.regions[0].entry_block).create(
+                        "transform.test.emit_silenceable")
+                region_builder.create("transform.test.emit_silenceable")
+        transform.yield_(builder)
+        assert TransformInterpreter().apply(script, payload).succeeded
+        marked = [op for op in loops_of(payload) if "second" in op.attributes]
+        assert marked == loops_of(payload)[:1]
+        assert "first" not in print_op(payload)
+
+    def test_foreach_follows_a_rollback_in_its_body(self):
+        payload = build_matmul_module(2, 2, 2)
+        script, builder, root = transform.sequence()
+        loops = transform.match_op(builder, root, "scf.for")
+        each = builder.create("transform.foreach", operands=[loops],
+                              result_types=[transform.ANY_OP], regions=1)
+        body = each.regions[0].add_block(Block([transform.ANY_OP]))
+        body_builder = Builder.at_end(body)
+        elem = body.args[0]
+        alts = transform.alternatives(body_builder, 2, scope=elem)
+        Builder.at_end(alts.regions[0].entry_block).create(
+            "transform.test.emit_silenceable")
+        transform.annotate(body_builder, elem, "done")
+        transform.yield_(body_builder, [elem])
+        transform.annotate(builder, each.results[0], "gathered")
+        transform.yield_(builder)
+        assert TransformInterpreter().apply(script, payload).succeeded
+        assert all({"done", "gathered"} <= set(op.attributes)
+                   for op in loops_of(payload))
 
 
 class TestDestroyedMidIteration:

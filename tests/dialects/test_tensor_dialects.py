@@ -30,7 +30,7 @@ class TestLinalg:
                                  ["parallel", "parallel"], [t])
         assert generic.n_inputs == 1
         assert generic.inputs == [a]
-        assert generic.outputs == [out]
+        assert generic.operands[generic.n_inputs:] == [out]
         assert generic.iterator_types == ["parallel", "parallel"]
         assert len(generic.body.args) == 2
         assert generic.body.args[0].type == F32
@@ -54,7 +54,7 @@ class TestLinalg:
         init = tensor_dialect.empty(builder, t)
         op = linalg.matmul(builder, a, b, init, [t])
         assert op.inputs == [a, b]
-        assert op.outputs == [init]
+        assert op.operands[len(op.inputs):] == [init]
 
     def test_fill(self, builder):
         t = tensor(4, 4)

@@ -323,7 +323,7 @@ def test_a_printer_keeps_its_names_across_calls():
 
 
 def _one_of_each_class():
-    from repro.ir.affine import AffineMap
+    from repro.ir.affine import AffineDim, AffineMap
     from repro.ir.types import F32, I32, tensor
 
     return [
@@ -335,7 +335,7 @@ def _one_of_each_class():
         DictAttr((("k", FloatAttr(1, F32)), ("s", StringAttr("\\")))),
         DenseIntAttr((1, 2, 3), tensor(3, element_type=I32)), DenseIntAttr(()),
         DenseFloatAttr((1.0, 2.5e-30)), DenseFloatAttr((1, 2), tensor(2)),
-        AffineMapAttr(AffineMap.identity(2)),
+        AffineMapAttr(AffineMap(2, 0, (AffineDim(0), AffineDim(1)))),
     ]
 
 

@@ -26,27 +26,32 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16618,  # all of src/repro
-    "analysis": 829,
+    ".": 16606,  # all of src/repro
+    "analysis": 807,
     "autotuning": 353,
     "core": 1875,
-    "core/state.py": 141,
-    "dialects": 1221,
+    # +14: a checkpoint saves, and restore remaps, the payload-op lists
+    # ``foreach`` and ``alternatives`` hold while their bodies run.
+    "core/state.py": 155,
+    "dialects": 1209,
     "enzyme": 745,
     "execution": 773,
     "frontend": 1131,
     "frontend/schedule.py": 440,
-    "ir": 1970,
+    "ir": 1963,
     "irdl": 267,
     "mlmodels": 192,
-    "observability": 528,
+    "observability": 527,
     "passes": 1681,
     "profiling": 161,
     "rewrite": 445,
     "service": 2541,
     "service/engine.py": 588,
     "service/frontier.py": 165,
-    "testing": 1157,
+    # +30: the fuzzer checks def-use links, scopes half its rollback
+    # cases to a loop whose fallback annotates the restored scope, and
+    # finds a replayed probe inlined from a macro.
+    "testing": 1187,
     "transforms": 621,
 }
 
@@ -152,25 +157,27 @@ def _exports(tree: ast.AST, is_package: bool) -> set:
     return skipped
 
 
-def _names(tree: ast.AST, is_package: bool) -> Iterator[Tuple[str, int]]:
-    """Every identifier ``tree`` names, with its line: loads and
-    stores, attributes, imports, and string constants that are a bare
-    identifier (``getattr`` and registry keys). A re-export
-    (:func:`_exports`) is not a use: it names nothing a caller runs."""
+def _names(tree: ast.AST,
+           is_package: bool) -> Iterator[Tuple[str, int, bool]]:
+    """Every identifier ``tree`` names, with its line and whether it is
+    a bare name: loads and stores (bare), attributes, imports, and
+    string constants that are a bare identifier (``getattr`` and
+    registry keys). A re-export (:func:`_exports`) is not a use: it
+    names nothing a caller runs."""
     skipped = _exports(tree, is_package)
     for node in ast.walk(tree):
         if node in skipped:
             continue
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif isinstance(node, ast.alias):
             for part in node.name.split("."):
-                yield part, node.lineno
+                yield part, node.lineno, False
         elif isinstance(node, ast.Constant) \
                 and isinstance(node.value, str) and node.value.isidentifier():
-            yield node.value, node.lineno
+            yield node.value, node.lineno, False
 
 
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
@@ -198,23 +205,27 @@ def unreferenced(sources: Dict[str, str],
                  entry_points: Tuple[str, ...] = ()) -> List[str]:
     """``path:name`` of every definition in a ``src/repro/`` file of
     ``sources`` (path -> text) that no source under ``CALLER_TREES``
-    names outside the definition itself, and no entry point names."""
+    names outside the definition itself, and no entry point names. A
+    method or property is named only through an attribute or a
+    string: a bare name is a local variable or a parameter."""
     trees = {path: ast.parse(text) for path, text in sources.items()
              if path.split("/", 1)[0] in CALLER_TREES}
-    where: Dict[str, List[Tuple[str, int]]] = {}
+    where: Dict[str, List[Tuple[str, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _names(tree, path.endswith("/__init__.py")):
-            where.setdefault(name, []).append((path, line))
+        for name, line, bare in _names(tree, path.endswith("/__init__.py")):
+            where.setdefault(name, []).append((path, line, bare))
     found = []
     for path, tree in trees.items():
         if not path.startswith("src/repro/"):
             continue
         for qualified, node in _definitions(tree):
             name = qualified.rsplit(".", 1)[-1]
+            method = "." in qualified and not isinstance(node, ast.ClassDef)
             if name in entry_points or any(
-                    other != path
-                    or not node.lineno <= line <= node.end_lineno
-                    for other, line in where.get(name, ())):
+                    not (bare and method)
+                    and (other != path
+                         or not node.lineno <= line <= node.end_lineno)
+                    for other, line, bare in where.get(name, ())):
                 continue
             found.append(f"{path[len('src/repro/'):]}:{qualified}")
     return found
@@ -279,11 +290,15 @@ class Holder:
     def _private(self): pass
     def __repr__(self): return "Holder"
     def unused(self): return self.unused()
+    def shadowed(self): pass
 '''
+    # A local variable or parameter of a method's name calls nothing.
     caller = '''
 from repro.lib import called, Holder
 Holder().method()
 name = f"{getattr(Holder, 'by_string')}"
+def use(shadowed):
+    return shadowed
 '''
     # A re-export names a definition without calling it.
     package = '''
@@ -296,7 +311,8 @@ __all__ = ["reexported", "listed"]
                          "tests/test_lib.py": "only_recursive()"},
                         entry_points=("entry",)) == [
         "lib.py:only_recursive", "lib.py:_private_uncalled",
-        "lib.py:reexported", "lib.py:listed", "lib.py:Holder.unused"]
+        "lib.py:reexported", "lib.py:listed", "lib.py:Holder.unused",
+        "lib.py:Holder.shadowed"]
 
 
 def test_every_definition_has_a_non_test_caller():

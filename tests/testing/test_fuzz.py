@@ -56,14 +56,22 @@ class TestFuzzInvariants:
                 (again.kind, again.message, again.payload_print), leg
 
     def test_rollback_case_shape(self):
-        payload, script = build_rollback_case(random.Random(7))
-        assert payload.name == "builtin.module"
-        alts = [op for op in script.walk()
-                if op.name == "transform.alternatives"]
-        assert len(alts) >= 1
-        # Region 2 of the outermost alternatives is the empty fallback.
-        assert not alts[0].regions[1].entry_block.ops
-        print_op(payload)  # payload is printable (verifies in module())
+        scoped = set()
+        for seed in range(8):
+            payload, script = build_rollback_case(random.Random(seed))
+            assert payload.name == "builtin.module"
+            alts = [op for op in script.walk()
+                    if op.name == "transform.alternatives"]
+            assert len(alts) >= 1
+            # Region 2 of the outermost alternatives is the empty
+            # fallback, or, in a case scoped to a loop, annotates it.
+            scoped.add(alts[0].num_operands)
+            fallback = [op.name
+                        for op in alts[0].regions[1].entry_block.ops]
+            assert fallback == (["transform.annotate"]
+                                if alts[0].num_operands else [])
+            print_op(payload)  # printable (verifies in module())
+        assert scoped == {0, 1}
 
 
 class TestNormalizationOracle:
