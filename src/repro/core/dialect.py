@@ -292,7 +292,9 @@ class ForeachOp(TransformOp):
 
     Handles yielded by the body are gathered across iterations: the
     op's i-th result maps to the concatenation of the i-th yielded
-    handle's payload from every iteration (as in MLIR's foreach).
+    handle's payload from every iteration (as in MLIR's foreach). A
+    rollback in the body undoes writes and keeps every op's identity,
+    so the pending and gathered payload ops stay valid across it.
     """
 
     NAME = "transform.foreach"
@@ -305,23 +307,19 @@ class ForeachOp(TransformOp):
     def apply(self, interpreter, state: TransformState) -> TransformResult:
         payload = state.get_payload(self.operand(0))
         gathered: List[List[Operation]] = [[] for _ in self.results]
-        # A rollback in the body restores the payload from a clone: the
-        # pending elements and the gathered ops follow it.
-        with state.holding(payload, *gathered):
-            for payload_op in payload:
-                state.set_payload(self.body.args[0], [payload_op])
-                result = interpreter.run_block(self.body, state)
-                if not result.succeeded:
-                    return result
-                terminator = self.body.terminator
-                if terminator is not None and self.results:
-                    if len(terminator.operands) != len(self.results):
-                        return self.definite(
-                            "foreach yield arity does not match results"
-                        )
-                    for bucket, yielded in zip(gathered,
-                                               terminator.operands):
-                        bucket.extend(state.get_payload(yielded))
+        for payload_op in payload:
+            state.set_payload(self.body.args[0], [payload_op])
+            result = interpreter.run_block(self.body, state)
+            if not result.succeeded:
+                return result
+            terminator = self.body.terminator
+            if terminator is not None and self.results:
+                if len(terminator.operands) != len(self.results):
+                    return self.definite(
+                        "foreach yield arity does not match results"
+                    )
+                for bucket, yielded in zip(gathered, terminator.operands):
+                    bucket.extend(state.get_payload(yielded))
         for result_value, bucket in zip(self.results, gathered):
             state.set_payload(result_value, bucket)
         return TransformResult.success()
@@ -332,13 +330,15 @@ class AlternativesOp(TransformOp):
     """Try each region in turn; silenceable failures select the next one.
 
     Each attempt runs inside a :class:`~repro.core.transaction.
-    PayloadTransaction` of the whole payload: a silenceable failure
-    rolls payload IR *and* handle state back to the pre-alternatives
-    checkpoint before the next region runs (§3.4, Fig. 8). A region's
-    block argument, if any, maps to the scope: the single payload op of
-    the optional operand handle, else the payload root. On success the
-    op's results are mapped from the winning region's
-    ``transform.yield`` operands.
+    PayloadTransaction`, which journals every IR write: a silenceable
+    failure undoes them and restores the handle state before the next
+    region runs (§3.4, Fig. 8). Any other exit — success, a definite
+    error, an exception escaping the region — closes the transaction
+    and keeps the payload as the region left it. A region's block
+    argument, if any, maps to the scope: the single payload op of the
+    optional operand handle, else the payload root, the same object
+    after a rollback. On success the op's results are mapped from the
+    winning region's ``transform.yield`` operands.
 
     An empty region is an always-succeeding no-op alternative — the
     "leave the code unchanged" fallback of Fig. 8.
@@ -362,30 +362,33 @@ class AlternativesOp(TransformOp):
                     f"payload op, got {len(scope)}"
                 )
         last: Optional[TransformResult] = None
-        with state.holding(scope):
-            for region in self.regions:
-                if not region.blocks or not region.blocks[0].ops:
-                    # Empty fallback: leave the code unchanged; results map
-                    # to nothing (there is no yield to take them from).
-                    for result_value in self.results:
-                        state.set_payload(result_value, [])
-                    return TransformResult.success()
-                block = region.blocks[0]
-                transaction = PayloadTransaction(state)
+        for region in self.regions:
+            if not region.blocks or not region.blocks[0].ops:
+                # Empty fallback: leave the code unchanged; results map
+                # to nothing (there is no yield to take them from).
+                for result_value in self.results:
+                    state.set_payload(result_value, [])
+                return TransformResult.success()
+            block = region.blocks[0]
+            transaction = PayloadTransaction(state)
+            try:
                 if block.args:
-                    # ``scope`` is held: a rollback remaps it to the clone.
                     state.set_payload(block.args[0], scope)
                 result = interpreter.run_block(block, state)
-                if result.succeeded:
-                    transaction.commit()
-                    return self._map_results(block, state)
+            except BaseException:
+                transaction.commit()
+                raise
+            if not result.is_silenceable:
+                # Success keeps the region's writes; a definite error,
+                # like an escaping exception, aborts interpretation and
+                # leaves the payload as-is for post-mortem debugging (as
+                # in MLIR).
+                transaction.commit()
                 if result.is_definite:
-                    # Definite errors abort interpretation; the payload is
-                    # left as-is for post-mortem debugging (as in MLIR).
-                    transaction.commit()
                     return result
-                transaction.rollback()
-                last = result  # silenceable: suppressed, try next region
+                return self._map_results(block, state)
+            transaction.rollback()
+            last = result  # silenceable: suppressed, try next region
         if last is None:
             return TransformResult.success()
         return self.silenceable(

@@ -21,9 +21,8 @@ only the handles that actually reference the rewritten op.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..ir.core import Operation, Value
 from ..rewrite.pattern import RewriteListener
@@ -42,15 +41,15 @@ class StateSnapshot:
 
     Produced by :meth:`TransformState.checkpoint` and reinstated by
     :meth:`TransformState.restore`; :class:`repro.core.transaction.
-    PayloadTransaction` pairs one with a payload-IR clone so
+    PayloadTransaction` pairs one with an undo log of the payload IR so
     ``transform.alternatives`` can roll back *both* sides of the
-    handle/payload association (paper §3.4, Fig. 8).
+    handle/payload association (paper §3.4, Fig. 8). The undo log keeps
+    every op's identity, so the snapshot's op lists need no remapping.
     """
 
     ops: Dict[int, List[Operation]] = field(default_factory=dict)
     params: Dict[int, "ParamValue"] = field(default_factory=dict)
     invalidated: Dict[int, str] = field(default_factory=dict)
-    held: List[List[Operation]] = field(default_factory=list)
 
 
 class TransformState(RewriteListener):
@@ -68,10 +67,6 @@ class TransformState(RewriteListener):
         self._op_handles: Dict[int, Set[int]] = {}
         #: Strong op reference per indexed id (for ancestor walks).
         self._indexed_ops: Dict[int, Operation] = {}
-        #: Payload-op lists an op holds while its body runs
-        #: (:meth:`holding`); :meth:`restore` remaps them with the
-        #: handles.
-        self._held: List[List[Operation]] = []
 
     # -- reverse index maintenance ------------------------------------------
 
@@ -168,56 +163,23 @@ class TransformState(RewriteListener):
     # -- checkpoint / restore (transactional execution) ----------------------
 
     def checkpoint(self) -> StateSnapshot:
-        """Copy every mapping table into a :class:`StateSnapshot`.
-
-        The snapshot holds the *current* payload op objects; when the
-        payload itself is rolled back to a clone, pass the clone's
-        op-correspondence map to :meth:`restore` to remap them.
-        """
+        """Copy every mapping table into a :class:`StateSnapshot`."""
         return StateSnapshot(
             ops={hid: list(ops) for hid, ops in self._ops.items()},
             params={hid: list(vs) for hid, vs in self._params.items()},
             invalidated=dict(self._invalidated),
-            held=[list(ops) for ops in self._held],
         )
 
-    def restore(self, snapshot: StateSnapshot,
-                op_map: Optional[Dict[int, Operation]] = None) -> None:
-        """Reinstate ``snapshot``, optionally remapping payload ops.
-
-        ``op_map`` maps ``id(old op) -> replacement op`` (identity for
-        ops absent from the map); the reverse index is rebuilt from
-        scratch so it stays consistent with the remapped lists.
-        """
-        op_map = op_map or {}
-        self._ops = {
-            hid: [op_map.get(id(op), op) for op in ops]
-            for hid, ops in snapshot.ops.items()
-        }
+    def restore(self, snapshot: StateSnapshot) -> None:
+        """Reinstate ``snapshot``; the reverse index is rebuilt from
+        scratch so it stays consistent with the restored lists."""
+        self._ops = {hid: list(ops) for hid, ops in snapshot.ops.items()}
         self._params = {hid: list(vs) for hid, vs in snapshot.params.items()}
         self._invalidated = dict(snapshot.invalidated)
         self._op_handles = {}
         self._indexed_ops = {}
         for hid, ops in self._ops.items():
             self._index_add(hid, ops)
-        # The ops holding them are suspended in the body that rolled
-        # back: each list is as the checkpoint saw it, remapped.
-        for ops, saved in zip(self._held, snapshot.held):
-            ops[:] = [op_map.get(id(op), op) for op in saved]
-
-    @contextmanager
-    def holding(self, *lists: List[Operation]) -> Iterator[None]:
-        """Checkpoint ``lists`` — payload ops an op reads across the
-        body it runs, such as ``foreach``'s pending elements — with
-        the handles until the block exits: :meth:`restore` reinstates
-        and remaps them in place, so a rollback inside the body leaves
-        none of them detached."""
-        depth = len(self._held)
-        self._held.extend(lists)
-        try:
-            yield
-        finally:
-            del self._held[depth:]
 
     # -- rewrite-driver event subscription (paper §3.1) -------------------------
 
@@ -248,22 +210,13 @@ class TransformState(RewriteListener):
         """Drop erased ops from every mapping (empty set, not dangling)."""
         self._repoint(op, None)
 
-    def notify_op_modified(self, op: Operation) -> None:
-        """Invalidate the digest memo of a modified op.
-
-        Handle mappings are unaffected by in-place modification, but
-        the content-addressed digest chain (op and ancestors) is stale
-        the moment a tracked op mutates; the reverse index means this
-        fires only for ops the interpreter actually touched.
-        """
-        op.invalidate_digest()
-
     def _repoint(self, op: Operation,
                  replacement: Optional[Operation]) -> None:
-        handle_ids = self._op_handles.get(id(op))
+        handle_ids = self._op_handles.pop(id(op), None)
         if not handle_ids:
             return
-        for handle_id in list(handle_ids):
+        del self._indexed_ops[id(op)]
+        for handle_id in handle_ids:
             ops = self._ops[handle_id]
             if replacement is not None:
                 self._ops[handle_id] = [
@@ -274,12 +227,6 @@ class TransformState(RewriteListener):
                 self._ops[handle_id] = [
                     mapped for mapped in ops if mapped is not op
                 ]
-        old_handles = list(handle_ids)
-        self._index_discard_op(op)
         if replacement is not None:
-            for handle_id in old_handles:
+            for handle_id in handle_ids:
                 self._index_add(handle_id, [replacement])
-
-    def _index_discard_op(self, op: Operation) -> None:
-        self._op_handles.pop(id(op), None)
-        self._indexed_ops.pop(id(op), None)

@@ -6,92 +6,75 @@ alternative fails with a silenceable error before trying the next one.
 :class:`PayloadTransaction` implements that contract for both sides of
 the handle/payload association:
 
-* the whole payload, from its root, is checkpointed with
-  ``Operation.clone`` — a detached deep copy that no later rewrite can
-  touch. The root has no values defined outside it, so the clone holds
-  no use of a live value, and every op a body may create, move or
-  erase is inside it — a scoped ``alternatives`` too;
+* the payload is journaled, not copied: every IR write goes through a
+  mutator of :mod:`repro.ir.core`, and while a transaction is open on
+  the thread each one appends its inverse to the transaction's undo log
+  (``ir.core.JOURNAL``, the design of MLIR's dialect conversion);
 * the :class:`~repro.core.state.TransformState` mapping tables are
-  checkpointed with :meth:`~repro.core.state.TransformState.checkpoint`;
-* an op-correspondence map (original op -> clone op, built from one
-  parallel pre-order walk) lets :meth:`rollback` remap every
-  checkpointed handle onto the restored operations, so handles created
-  *before* the transaction keep working after a rollback — and so do
-  the payload ops an enclosing ``foreach`` or ``alternatives`` holds
-  (:meth:`~repro.core.state.TransformState.holding`).
+  checkpointed with :meth:`~repro.core.state.TransformState.checkpoint`.
 
-Rollback transplants the clone's region contents into the original root
-operation, which therefore keeps its identity: handles to the root are
-untouched, and a transaction nested in another restores into the same
-root the outer one will. The restored payload prints byte-identically
-to its pre-transaction form.
+Rollback replays the log backwards, so every op keeps its identity:
+handles created before the transaction, and payload ops Python code
+holds across it (``foreach``'s pending elements, an ``alternatives``
+scope), need no remapping, and the restored payload prints
+byte-identically to its pre-transaction form. Erased ops stay intact,
+only unlinked, so an undo relinks them. Transactions on one thread
+nest and finish innermost first: a commit hands the log to the
+enclosing transaction, or drops it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from ..ir.core import Operation
-from .state import StateSnapshot, TransformState
+from ..ir.core import JOURNAL, invalidate_digest
+from .state import TransformState
 
 
 class TransactionError(RuntimeError):
-    """Misuse of a :class:`PayloadTransaction` (double commit/rollback)."""
+    """Misuse of a :class:`PayloadTransaction` (double commit/rollback,
+    or one finished while a transaction it encloses is open)."""
 
 
 class PayloadTransaction:
-    """A checkpoint of the state's payload root plus the transform
-    state."""
+    """An undo log of this thread's IR writes plus a checkpoint of the
+    transform state."""
 
     def __init__(self, state: TransformState):
         self.state = state
-        self.root = state.payload_root
-        self._clone: Optional[Operation] = self.root.clone({})
-        #: id(original op) -> clone op, for every op of the payload.
-        #: The pinned walk list keeps the originals alive so no key can
-        #: be recycled onto a different operation mid-transaction.
-        self._pinned: List[Operation] = list(self.root.walk())
-        self._op_map: Dict[int, Operation] = {
-            id(orig): cloned
-            for orig, cloned in zip(self._pinned, self._clone.walk())
-        }
-        # The root keeps its identity across rollback (only its region
-        # contents are transplanted), so it maps to itself.
-        self._op_map[id(self.root)] = self.root
-        self._snapshot: Optional[StateSnapshot] = state.checkpoint()
-        self._active = True
+        self._snapshot = state.checkpoint()
+        self._outer = JOURNAL.log
+        self._log: Optional[list] = []
+        JOURNAL.log = self._log
 
-    def _finish(self) -> None:
-        self._active = False
-        self._clone = None
-        self._snapshot = None
-        self._pinned = []
-        self._op_map = {}
+    def _close(self) -> list:
+        log = self._log
+        if log is None or JOURNAL.log is not log:
+            raise TransactionError("transaction already finished, or a "
+                                   "nested one is still open")
+        self._log = None
+        return log
 
     def commit(self) -> None:
-        """Keep the current payload/state; discard the checkpoint."""
-        if not self._active:
-            raise TransactionError("transaction already finished")
-        self._finish()
+        """Keep the current payload/state; the enclosing transaction, if
+        any, can still undo the writes."""
+        log = self._close()
+        if self._outer is not None:
+            self._outer.extend(log)
+        JOURNAL.log = self._outer
 
     def rollback(self) -> None:
         """Restore payload IR and handle state to the checkpoint."""
-        if not self._active:
-            raise TransactionError("transaction already finished")
-        assert self._clone is not None and self._snapshot is not None
-        # Swap the mutated blocks for the clone's. The root defines
-        # every value either side uses, so no use outlives the swap.
-        for dest_region, src_region in zip(self.root.regions,
-                                           self._clone.regions):
-            for block in list(dest_region.blocks):
-                dest_region.remove_block(block)
-            for block in list(src_region.blocks):
-                src_region.remove_block(block)
-                dest_region.add_block(block)
-        self.root.attributes = dict(self._clone.attributes)
-        # Reinstate the handle tables, remapped through the clone map.
-        self.state.restore(self._snapshot, self._op_map)
-        self._finish()
+        log = self._close()
+        # An inverse is a write itself: replay with no log open.
+        JOURNAL.log = None
+        try:
+            for op, inverse, args in reversed(log):
+                inverse(*args)
+                invalidate_digest(op)
+        finally:
+            JOURNAL.log = self._outer
+        self.state.restore(self._snapshot)
 
     # -- context-manager sugar: commit on success, rollback on error ---------
 
@@ -99,7 +82,7 @@ class PayloadTransaction:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._active:
+        if self._log is not None:
             if exc_type is None:
                 self.commit()
             else:

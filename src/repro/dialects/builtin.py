@@ -48,9 +48,9 @@ class UnrealizedConversionCastOp(Operation):
     TRAITS = frozenset({Pure})
 
 
-def module(location=None) -> ModuleOp:
+def module(location=None, attributes=None) -> ModuleOp:
     """Create an empty module with one body block."""
-    op = Operation.create("builtin.module", regions=1)
+    op = Operation.create("builtin.module", attributes=attributes, regions=1)
     op.regions[0].add_block()
     return op  # type: ignore[return-value]
 

@@ -18,6 +18,7 @@ like MLIR's unregistered operations.
 
 from __future__ import annotations
 
+import threading
 from typing import (
     Callable,
     Dict,
@@ -73,15 +74,39 @@ class DigestStats:
 DIGEST_STATS = DigestStats()
 
 
-def invalidate_digest(op: Optional["Operation"]) -> None:
-    """Clear the memoized digest of ``op`` and of every ancestor.
+# ---------------------------------------------------------------------------
+# The one mutation hook: digest invalidation and the undo log
+# ---------------------------------------------------------------------------
 
+
+class _Journal(threading.local):
+    #: The undo log of the innermost transaction open on this thread
+    #: (:mod:`repro.core.transaction`), or None: ``(op, inverse, args)``
+    #: entries, oldest first.
+    log: Optional[list] = None
+
+
+#: Per thread: in-process jobs run on dispatch threads, side by side.
+JOURNAL = _Journal()
+
+
+def _changed(op: Optional["Operation"], inverse: Optional[Callable],
+             *args) -> None:
+    """Every IR write calls this, and nothing outside this module
+    writes an IR field. While a transaction is open on this thread,
+    ``inverse(*args)`` is logged: it undoes the write once every later
+    one is undone.
+
+    The memoized digests of ``op`` and of every ancestor are cleared.
     A digest is the hash of a print, and an op's print holds its whole
     subtree, so every op on the chain is stale. Memos sit on the ops
     that were hashed, not on every op with regions, so an empty memo
     on the way up says nothing about the ones above it: the walk goes
     to the root.
     """
+    log = JOURNAL.log
+    if log is not None and inverse is not None:
+        log.append((op, inverse, args))
     cleared = False
     while op is not None:
         if op._digest is not None:
@@ -93,6 +118,19 @@ def invalidate_digest(op: Optional["Operation"]) -> None:
         op = region.parent if region is not None else None
     if cleared:
         DIGEST_STATS.invalidations += 1
+
+
+def invalidate_digest(op: Optional["Operation"]) -> None:
+    """Clear the memoized digest of ``op`` and of every ancestor,
+    logging nothing."""
+    _changed(op, None)
+
+
+def _unset(use: "OpOperand", old: "Value", index: int) -> None:
+    """Inverse of :meth:`OpOperand.set`."""
+    use._value._uses.pop()
+    use._value = old
+    old._uses.insert(index, use)
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +155,19 @@ class OpOperand:
 
     def set(self, new_value: "Value") -> None:
         """Repoint this operand at ``new_value``, updating use lists."""
-        self._value._uses.remove(self)
+        old = self._value
+        index = old._uses.index(self)
+        del old._uses[index]
         self._value = new_value
         new_value._uses.append(self)
-        invalidate_digest(self.owner)
+        _changed(self.owner, _unset, self, old, index)
 
     def drop(self) -> None:
         """Remove this use from its value's use list."""
-        self._value._uses.remove(self)
-        invalidate_digest(self.owner)
+        uses = self._value._uses
+        index = uses.index(self)
+        del uses[index]
+        _changed(self.owner, list.insert, uses, index, self)
 
 
 class Value:
@@ -220,6 +262,11 @@ class BlockArgument(Value):
     @property
     def owner(self) -> "Block":
         return self.block
+
+    def set_type(self, type: Type) -> None:
+        old = self.type
+        self.type = type
+        _changed(self.block.parent_op, setattr, self, "type", old)
 
     def __repr__(self) -> str:
         return f"<BlockArgument #{self.index}>"
@@ -345,9 +392,12 @@ class Operation:
         # Fixed after construction, so tuples; an empty field (leaf
         # ops, constants, terminators) is the shared ``()`` and costs no
         # comprehension frame.
-        self._operands: Tuple[OpOperand, ...] = tuple([
-            OpOperand(self, i, v) for i, v in enumerate(operands)
-        ]) if operands else ()
+        self._operands: Tuple[OpOperand, ...] = ()
+        if operands:
+            self._operands = tuple([
+                OpOperand(self, i, v) for i, v in enumerate(operands)])
+            # Undone: the new op lets go of its operands' use lists.
+            _changed(None, Operation.drop_all_references, self)
         self.results: Tuple[OpResult, ...] = tuple([
             OpResult(self, i, t) for i, t in enumerate(result_types)
         ]) if result_types else ()
@@ -410,14 +460,10 @@ class Operation:
         return self.attributes.get(name, default)
 
     def set_attr(self, name: str, value: AttrLike) -> None:
-        self.attributes[name] = make_attr(value)
-        invalidate_digest(self)
-
-    def invalidate_digest(self) -> None:
-        """Drop memoized digests after an out-of-band
-        mutation (direct ``attributes``/``successors``/``name`` edits
-        that bypass the hooked mutators)."""
-        invalidate_digest(self)
+        # Copied on write: the inverse reinstates the old dict.
+        old = self.attributes
+        self.attributes = {**old, name: make_attr(value)}
+        _changed(self, setattr, self, "attributes", old)
 
     def has_trait(self, trait: PyType[Trait]) -> bool:
         return trait in type(self).TRAITS
@@ -463,7 +509,9 @@ class Operation:
         """Drop all operand uses of this op and ops nested within it."""
         for operand in self._operands:
             operand.drop()
-        self._operands = ()
+        if self._operands:
+            _changed(self, setattr, self, "_operands", self._operands)
+            self._operands = ()
         for region in self.regions:
             for block in region.blocks:
                 for op in block.ops:
@@ -487,6 +535,7 @@ class Operation:
             self.parent.remove(self)
         for result in self.results:
             result.op = None
+            _changed(None, setattr, result, "op", self)
 
     def destroy(self) -> None:
         """Free this dead op tree now rather than at the next full
@@ -652,8 +701,13 @@ class Block:
     def add_arg(self, type: Type) -> BlockArgument:
         arg = BlockArgument(self, len(self.args), type)
         self.args.append(arg)
-        invalidate_digest(self.parent_op)
+        _changed(self.parent_op, list.pop, self.args)
         return arg
+
+    def set_args(self, args: Sequence[BlockArgument]) -> None:
+        old = self.args
+        self.args = list(args)
+        _changed(self.parent_op, setattr, self, "args", old)
 
     # -- op list -------------------------------------------------------------
 
@@ -688,7 +742,7 @@ class Block:
         self._last = op
         if self._ops is not None:
             self._ops.append(op)
-        invalidate_digest(self.parent_op)
+        _changed(self.parent_op, Block.remove, self, op)
         return op
 
     def insert(self, index: int, op: Operation) -> Operation:
@@ -700,13 +754,16 @@ class Block:
         ops = self.ops
         if index < 0:
             index = max(index + len(ops), 0)
-        if index >= len(ops):
-            return self.append(op)
-        return self.insert_before(ops[index], op)
+        return self.insert_before(ops[index] if index < len(ops) else None,
+                                  op)
 
-    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
-        """Make ``op`` the op before ``anchor``, from wherever it was
-        (``anchor`` itself: no change)."""
+    def insert_before(self, anchor: Optional[Operation],
+                      op: Operation) -> Operation:
+        """Make ``op`` the op before ``anchor``, or the last one when
+        ``anchor`` is None, from wherever it was (``anchor`` itself: no
+        change)."""
+        if anchor is None:
+            return self.append(op)
         if anchor.parent is not self:
             raise ValueError("anchor operation is not in this block")
         if op is anchor:
@@ -724,7 +781,7 @@ class Block:
             prev._next = op
         self._ops = None
         self._ordered = False
-        invalidate_digest(self.parent_op)
+        _changed(self.parent_op, Block.remove, self, op)
         return op
 
     def insert_after(self, anchor: Operation, op: Operation) -> Operation:
@@ -733,10 +790,7 @@ class Block:
             raise ValueError("anchor operation is not in this block")
         if op is anchor:
             return op
-        following = anchor._next
-        if following is None:
-            return self.append(op)
-        return self.insert_before(following, op)
+        return self.insert_before(anchor._next, op)
 
     def remove(self, op: Operation) -> None:
         if op.parent is not self:
@@ -754,7 +808,7 @@ class Block:
             following._prev = prev
             self._ops = None
         op.parent = op._prev = op._next = None
-        invalidate_digest(self.parent_op)
+        _changed(self.parent_op, Block.insert_before, self, following, op)
 
     def _recompute_op_order(self) -> None:
         """Renumber ``_order`` along the links: done by the first
@@ -792,23 +846,21 @@ class Region:
         self.parent = parent
 
     def add_block(self, block: Optional[Block] = None) -> Block:
-        if block is None:
-            block = Block()
-        block.parent = self
-        self.blocks.append(block)
-        invalidate_digest(self.parent)
-        return block
+        return self.insert_block(len(self.blocks),
+                                 Block() if block is None else block)
 
     def insert_block(self, index: int, block: Block) -> Block:
+        """Make ``block``, in no region, the ``index``-th of this one."""
         block.parent = self
         self.blocks.insert(index, block)
-        invalidate_digest(self.parent)
+        _changed(self.parent, Region.remove_block, self, block)
         return block
 
     def remove_block(self, block: Block) -> None:
-        self.blocks.remove(block)
+        index = self.blocks.index(block)
+        del self.blocks[index]
         block.parent = None
-        invalidate_digest(self.parent)
+        _changed(self.parent, Region.insert_block, self, index, block)
 
     @property
     def entry_block(self) -> Block:

@@ -119,7 +119,7 @@ def lower_scf_for(for_op: Operation) -> None:
     # block's arguments, then strip them: the body becomes a plain block.
     for body_arg, cond_arg in zip(list(body_block.args), cond_block.args):
         body_arg.replace_all_uses_with(cond_arg)
-    body_block.args = []
+    body_block.set_args([])
     for_op.regions[0].remove_block(body_block)
     region.insert_block(region.blocks.index(cond_block) + 1, body_block)
 

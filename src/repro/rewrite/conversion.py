@@ -174,10 +174,7 @@ class ConversionRewriter(PatternRewriter):
             if new_type == arg.type:
                 continue
             old_type = arg.type
-            arg.type = new_type
-            parent = block.parent_op
-            if parent is not None:
-                parent.invalidate_digest()
+            arg.set_type(new_type)
             if arg.has_uses() and block.ops:
                 self.set_insertion_point_to_start(block)
                 cast = self.create(

@@ -88,11 +88,9 @@ class PatternRewriter(Builder):
 
     def modify_op_in_place(self, op: Operation,
                            mutation: Callable[[], None]) -> None:
+        """Run ``mutation``, which writes through the mutators of
+        :mod:`repro.ir.core`, and tell the listeners ``op`` changed."""
         mutation()
-        # Arbitrary mutations (direct op.name / attribute-dict writes)
-        # bypass the digest hooks in repro.ir.core; this is
-        # the rewriter-level catch-all for them.
-        op.invalidate_digest()
         for listener in self.listeners:
             listener.notify_op_modified(op)
 

@@ -60,8 +60,9 @@ both legs face one list of invariants:
 Only textual cases roll back: a schedule whose first alternative
 mutates the payload and then fails silenceably — half of them scoped
 to a loop, whose fallback region annotates the restored scope — must
-succeed and leave the payload print byte-identical
-(**transactional rollback**). Only
+succeed and leave the payload print byte-identical, made of the same
+op objects in the same order, with the same use objects in the same
+order in every use list (**transactional rollback**). Only
 builder cases have a Python API to hold to its promises
 (:func:`_builder_checks`): the builder rejects every stale handle, its
 script is lint-clean and analysis-clean, and every rejected probe,
@@ -880,8 +881,7 @@ def relocation_violations(module: Operation) -> List[str]:
         orders = [tuple(range(count))[turn:] + tuple(range(turn))
                   for turn in range(count)] + [tuple(reversed(range(count)))]
     for order in orders:
-        permuted = builtin.module()
-        permuted.attributes.update(module.attributes)
+        permuted = builtin.module(attributes=module.attributes)
         for index in order:
             permuted.body.append(functions[index].clone())
         if assemble_functions(
@@ -907,13 +907,12 @@ def op_list_violations(root: Operation) -> List[str]:
     ``root`` by an op not attached under it; empty when all is well."""
     violated = []
     for parent in root.walk():
-        defined = list(parent.results)
+        defined = _defined(parent)
         if any(use not in use.value._uses for use in parent._operands):
             violated.append(f"an operand of '{parent.name}' is not in "
                             "its value's use list")
         for region in parent.regions:
             for block in region.blocks:
-                defined.extend(block.args)
                 forward, op = [], block._first
                 while op is not None:
                     forward.append(op)
@@ -944,6 +943,20 @@ def op_list_violations(root: Operation) -> List[str]:
     return violated
 
 
+def _defined(op: Operation) -> List[Value]:
+    """The values ``op`` defines: its results and its blocks' arguments."""
+    return [*op.results, *(arg for region in op.regions
+                           for block in region.blocks for arg in block.args)]
+
+
+def _identity(root: Operation) -> List[object]:
+    """What a rollback keeps besides bytes: the ops under ``root`` in
+    pre-order, each followed by the values it defines, each of those by
+    its uses — as objects, which ``==`` compares by identity."""
+    return [item for op in root.walk() for item in (op, *(
+        obj for value in _defined(op) for obj in (value, *value._uses)))]
+
+
 def _relocation_check(fail: Fail, what: str, module: Operation) -> None:
     for violation in relocation_violations(module):
         fail("relocatable-function-text", f"{what}: {violation}")
@@ -957,6 +970,7 @@ def _op_list_check(fail: Fail, what: str, module: Operation) -> None:
 def _check_leg(fail: Fail, case_seed: int, leg: Leg) -> CaseOutcome:
     """Interpret one leg of a case, checking every invariant on it."""
     before = print_op(leg.payload)
+    objects = _identity(leg.payload) if leg.rollback else []
     for check in (_roundtrip_check, _relocation_check, _op_list_check):
         check(fail, "payload", leg.payload)
     _roundtrip_check(fail, "script", leg.script)
@@ -984,6 +998,9 @@ def _check_leg(fail: Fail, case_seed: int, leg: Leg) -> CaseOutcome:
                                                         before):
             fail("rollback-byte-identical",
                  "payload print changed across a rolled-back alternative")
+        elif _identity(leg.payload) != objects:
+            fail("rollback-keeps-identity", "a rolled-back alternative left "
+                 "other op, value or use objects, or another order")
     replay = leg.rebuild()
     if print_op(replay.payload) != before:
         fail("deterministic-generation",

@@ -6,6 +6,16 @@ import pytest
 import repro.dialects  # noqa: F401
 import repro.passes  # noqa: F401
 import repro.core  # noqa: F401
+from repro.ir.core import JOURNAL
+
+
+@pytest.fixture(autouse=True)
+def no_open_undo_log():
+    """Fail a test that leaves an IR undo log (an unfinished
+    ``PayloadTransaction``) open on its thread; close it for the next."""
+    yield
+    log, JOURNAL.log = JOURNAL.log, None
+    assert log is None, "the test left a transaction's undo log open"
 
 
 @pytest.fixture

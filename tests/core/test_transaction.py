@@ -4,17 +4,24 @@ Covers :class:`~repro.core.transaction.PayloadTransaction` directly and
 its integration into ``transform.alternatives``: payload and handle
 state roll back together, result handles map from the winning region's
 yield, handles into the payload survive a rollback, and a scoped
-``alternatives`` leaves no def-use link behind.
+``alternatives`` leaves no def-use link behind. A rollback replays the
+thread's undo log, so ops keep their identity, nested transactions
+finish innermost first, and no apply leaves a log open (the autouse
+``no_open_undo_log`` fixture checks that after every test).
 """
+
+import threading
 
 import pytest
 
 from repro.core import dialect as transform
+from repro.core.dialect import TransformOp
 from repro.core.interpreter import TransformInterpreter
 from repro.core.state import HandleInvalidatedError, TransformState
-from repro.core.transaction import PayloadTransaction
+from repro.core.transaction import PayloadTransaction, TransactionError
 from repro.execution.workloads import build_matmul_module
-from repro.ir import Block, Builder
+from repro.ir import I32, Block, Builder, op_digest, parse
+from repro.ir.core import JOURNAL, register_op
 from repro.ir.printer import print_op
 
 
@@ -65,6 +72,102 @@ class TestPayloadTransaction:
             with PayloadTransaction(state):
                 loops_of(payload)[0].set_attr("mutated", 1)
                 raise RuntimeError("boom")
+        assert print_op(payload) == before
+
+
+@register_op
+class _RaiseOp(TransformOp):
+    """Testing aid: apply() raises an arbitrary Python exception."""
+
+    NAME = "transform.test.raise"
+
+    def apply(self, interpreter, state):
+        raise ZeroDivisionError("escapes the region")
+
+
+class TestUndoLog:
+    def test_inner_commit_outer_rollback_restores_the_same_ops(self):
+        payload = build_matmul_module(2, 2, 2)
+        state = TransformState(payload)
+        before, ops = print_op(payload), list(payload.walk())
+        outer = PayloadTransaction(state)
+        loops_of(payload)[0].set_attr("outer", 1)
+        inner = PayloadTransaction(state)
+        load = next(payload.walk_ops("memref.load"))
+        load.set_operand(1, load.operand(2))
+        next(payload.walk_ops("memref.store")).erase()
+        inner.commit()
+        assert JOURNAL.log is not None
+        outer.rollback()
+        assert JOURNAL.log is None
+        assert print_op(payload) == before
+        after = list(payload.walk())
+        assert len(after) == len(ops)
+        assert all(a is b for a, b in zip(after, ops))
+
+    def test_the_outer_transaction_cannot_finish_first(self):
+        state = TransformState(build_matmul_module(2, 2, 2))
+        outer = PayloadTransaction(state)
+        inner = PayloadTransaction(state)
+        with pytest.raises(TransactionError, match="nested"):
+            outer.rollback()
+        inner.commit()
+        outer.commit()
+        with pytest.raises(TransactionError, match="finished"):
+            outer.rollback()
+
+    def test_an_exception_escaping_a_region_keeps_its_writes(self):
+        payload = build_matmul_module(2, 2, 2)
+        script, builder, root = transform.sequence()
+        alts = transform.alternatives(builder, 2)
+        region = Builder.at_end(alts.regions[0].entry_block)
+        loop = transform.match_op(region, root, "scf.for",
+                                  position="first")
+        transform.annotate(region, loop, "left_by_the_region")
+        region.create("transform.test.raise")
+        transform.yield_(builder)
+        with pytest.raises(ZeroDivisionError, match="escapes the region"):
+            TransformInterpreter(strict=True).apply(script, payload)
+        assert JOURNAL.log is None
+        assert "left_by_the_region" in loops_of(payload)[0].attributes
+
+    def test_another_threads_writes_are_not_undone(self):
+        payload = build_matmul_module(2, 2, 2)
+        before = print_op(payload)
+        transaction = PayloadTransaction(TransformState(payload))
+        loops_of(payload)[0].set_attr("thread_a", 1)
+        edited = {}
+
+        def edit_elsewhere():
+            module = parse(print_op(build_matmul_module(2, 2, 2)))
+            loops_of(module)[0].set_attr("thread_b", 1)
+            next(module.walk_ops("memref.store")).erase()
+            edited["module"], edited["print"] = module, print_op(module)
+            edited["log"] = JOURNAL.log
+
+        thread = threading.Thread(target=edit_elsewhere)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        transaction.rollback()
+        assert edited["log"] is None
+        assert print_op(payload) == before
+        assert print_op(edited["module"]) == edited["print"]
+
+    def test_a_rollback_restores_the_digest(self):
+        payload = build_matmul_module(2, 2, 2)
+        before, first = print_op(payload), op_digest(payload)
+        transaction = PayloadTransaction(TransformState(payload))
+        loop = loops_of(payload)[0]
+        body = loop.regions[0].entry_block
+        loop.set_attr("mid", 1)
+        body.add_arg(loop.operand(0).type)
+        body.args[0].set_type(I32)
+        middle = op_digest(payload)
+        body.set_args([])
+        transaction.rollback()
+        assert middle != first
+        assert op_digest(payload) == first
         assert print_op(payload) == before
 
 
@@ -214,9 +317,9 @@ def annotate_loop(wrap):
 
 
 class TestScopedAlternatives:
-    """A scoped ``alternatives`` checkpoints the whole payload: its
-    clone holds no use of a live value, and a nested unscoped one
-    restores into the root the outer one restores into."""
+    """A scoped ``alternatives`` leaves no use of a live value behind,
+    a nested unscoped one keeps the outer scope, and a later region or
+    an enclosing ``foreach`` runs on the same ops after a rollback."""
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_no_stray_uses_after_the_region(self, fail):

@@ -355,6 +355,8 @@ _MUTATIONS = """
     T.insert_after(b, n) -> abnc | xy |
     T.insert_after(c, n) -> abcn | xy |
     T.insert_after(c, y) -> abcy | x |
+    T.insert_before(None, n) -> abcn | xy |
+    E.insert_before(None, a) -> bc | xy | a
     T.remove(a) -> bc | xy |
     T.remove(b) -> ac | xy |
     T.remove(c) -> ab | xy |
@@ -424,6 +426,29 @@ class TestOpListMutators:
         for op in root.walk():
             assert (op._digest is not None) == (op in hashed - dirty), \
                 (mutation, op)
+
+
+    @pytest.mark.parametrize(
+        "row", [row.strip() for row in _MUTATIONS.strip().splitlines()])
+    def test_every_mutator_is_undone(self, row):
+        """A rollback puts back the same op, value and use objects in
+        the same order, the same links and the same digest."""
+        from repro.core.state import TransformState
+        from repro.core.transaction import PayloadTransaction
+        from repro.testing.fuzz import _identity, op_list_violations
+
+        world = _op_list_world()
+        root, detached = world["root"], world["n"]
+        blocks = {name: list(world[name].ops) for name in "TSED"}
+        objects, digest = _identity(root), op_digest(root)
+        transaction = PayloadTransaction(TransformState(root))
+        eval(row.split(" -> ")[0], {}, world)
+        transaction.rollback()
+        assert op_list_violations(root) == []
+        assert {name: world[name].ops for name in "TSED"} == blocks
+        assert _identity(root) == objects
+        assert detached.parent is None
+        assert op_digest(root) == digest
 
 
 class TestOpListEdges:

@@ -10,7 +10,7 @@ import pytest
 import repro.core  # noqa: F401 — registers transform ops
 import repro.dialects  # noqa: F401 — registers payload ops
 from repro.ir import attributes_digest, op_digest, parse, print_op
-from repro.ir.core import DIGEST_STATS
+from repro.ir.core import DIGEST_STATS, invalidate_digest
 from repro.ir.printer import Printer
 from repro.testing.fuzz import PayloadFuzzer
 
@@ -121,7 +121,7 @@ class TestContract:
         blocks = b.regions[0].blocks
         cond = blocks[0].ops[0]
         cond.successors = cond.successors[::-1]
-        cond.invalidate_digest()
+        invalidate_digest(cond)
         assert op_digest(a) != op_digest(b)
         assert print_op(a) != print_op(b)
 
@@ -275,20 +275,16 @@ class TestMemoization:
         # No digest was ever computed: nothing to clear, not counted.
         assert DIGEST_STATS.invalidations == count
 
-    def test_rewriter_catch_all_invalidates(self):
+    def test_modify_op_in_place_invalidates(self):
         from repro.rewrite.pattern import PatternRewriter
 
         module = parse(MODULE)
         before = op_digest(module)
         f0 = _funcs(module)[0]
-        rewriter = PatternRewriter()
-        # A raw attribute-dict write bypasses every core hook;
-        # modify_op_in_place is the contract for exactly this case.
-        rewriter.modify_op_in_place(
-            f0, lambda: f0.attributes.update(
-                {"mark": f0.attributes["sym_name"]}
-            )
-        )
+        # The mutation writes through a mutator, whose hook clears the
+        # chain: the rewriter adds no catch-all of its own.
+        PatternRewriter().modify_op_in_place(
+            f0, lambda: f0.set_attr("mark", f0.attributes["sym_name"]))
         assert op_digest(module) != before
 
 
@@ -303,12 +299,11 @@ def _retype_arguments(function):
 
 
 def _modify_in_place(leaf):
-    from repro.ir.attributes import attr
     from repro.rewrite.pattern import PatternRewriter
 
-    # A raw attribute-dict write: no hook of its own.
+    # A mutator run by the rewriter: the hook is the mutator's.
     PatternRewriter().modify_op_in_place(
-        leaf, lambda: leaf.attributes.update(mark=attr(1)))
+        leaf, lambda: leaf.set_operand(1, leaf.operand(0)))
 
 
 #: A leaf of ``MODULE``'s first function (add, mul, return) and what is

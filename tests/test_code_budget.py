@@ -26,32 +26,35 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16606,  # all of src/repro
+    ".": 16603,  # all of src/repro
     "analysis": 807,
     "autotuning": 353,
-    "core": 1875,
-    # +14: a checkpoint saves, and restore remaps, the payload-op lists
-    # ``foreach`` and ``alternatives`` hold while their bodies run.
-    "core/state.py": 155,
+    "core": 1842,
+    "core/state.py": 130,
     "dialects": 1209,
     "enzyme": 745,
     "execution": 773,
     "frontend": 1131,
     "frontend/schedule.py": 440,
-    "ir": 1963,
+    # +26: every IR write calls one hook that clears the digest chain
+    # and journals the write's inverse for a rollback, and the two
+    # writes that bypassed the mutators became ``Block.set_args`` and
+    # ``BlockArgument.set_type``.
+    "ir": 1989,
     "irdl": 267,
     "mlmodels": 192,
     "observability": 527,
     "passes": 1681,
     "profiling": 161,
-    "rewrite": 445,
+    "rewrite": 441,
     "service": 2541,
     "service/engine.py": 588,
     "service/frontier.py": 165,
     # +30: the fuzzer checks def-use links, scopes half its rollback
     # cases to a loop whose fallback annotates the restored scope, and
-    # finds a replayed probe inlined from a macro.
-    "testing": 1187,
+    # finds a replayed probe inlined from a macro. +8: a rollback must
+    # keep the payload's op, value and use objects, in order.
+    "testing": 1195,
     "transforms": 621,
 }
 

@@ -179,3 +179,22 @@ class TestFuzzCli:
             main([flag, "--cases", "1"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestRollbackOracleBites:
+    def test_an_unjournaled_write_fails_rollback_byte_identical(
+            self, monkeypatch):
+        """A mutant ``set_attr`` that still clears the digest chain but
+        journals no inverse: its writes survive a rollback, and the
+        fuzzer's rollback oracle must say so."""
+        from repro.ir import core
+        from repro.ir.attributes import attr
+
+        def unjournaled(op, name, value):
+            op.attributes = {**op.attributes, name: attr(value)}
+            core.invalidate_digest(op)
+
+        monkeypatch.setattr(core.Operation, "set_attr", unjournaled)
+        invariants = {failure.invariant for case_seed in (1, 3)
+                      for failure in run_case(case_seed)[1]}
+        assert "rollback-byte-identical" in invariants
