@@ -13,8 +13,11 @@ does) and then speaks to it the three ways a client can:
    ``repro.observability.events``);
 2. the **blocking client** — scripts and shells, one request at a
    time (this is what ``repro-submit`` uses);
-3. the **raw protocol** — one JSON object per line; everything the
-   clients do reduces to this.
+3. the **raw protocol** — a frame is one JSON header line, then the
+   UTF-8 bytes of its big text fields (``payload``/``script``/
+   ``output``) with their byte lengths in the header's ``body``; a
+   plain JSON line is a frame too. Everything the clients do reduces
+   to this, read and written by ``repro.service.wire``.
 
 It ends with the daemon's drain contract: ``drain`` finishes every
 admitted job, then refuses new submits with a structured
@@ -48,6 +51,7 @@ from repro.service import (
     RemoteError,
     ServiceClient,
 )
+from repro.service.wire import read_frame_async
 
 PAYLOAD = textwrap.dedent("""
     "builtin.module"() ({
@@ -130,11 +134,14 @@ async def raw_protocol(sock: str) -> None:
     request = {"op": "submit", "id": "raw-1",
                "payload": PAYLOAD, "script": SCHEDULE,
                "params": {"factor": 2}}
+    # The request as one plain JSON line; the reply's printed module
+    # arrives as body bytes after its header line.
     writer.write((json.dumps(request) + "\n").encode())
     await writer.drain()
-    frame = json.loads(await reader.readline())
+    frame = await read_frame_async(reader)
     print(f"  raw frame type={frame['type']} "
-          f"status={frame.get('status')} ok={frame.get('ok')}")
+          f"status={frame.get('status')} ok={frame.get('ok')} "
+          f"output={len(frame['output'])} chars")
     writer.close()
     await writer.wait_closed()
 
@@ -170,7 +177,7 @@ async def main() -> None:
                 await asyncio_session(sock)
                 print("-- blocking client --")
                 await asyncio.to_thread(blocking_session, sock)
-                print("-- raw line-delimited JSON --")
+                print("-- raw frames --")
                 await raw_protocol(sock)
                 print("-- drain contract --")
                 await drain_contract(sock, server)

@@ -36,11 +36,13 @@ Layers (each its own module):
   engine factory the CLIs share, the one result reporter, the
   ``--timing`` service report, and ``repro-batch`` (one driver over a local frontier or ``--connect``);
 * :mod:`repro.service.server` — the persistent ``repro-serve``
-  daemon: a warm engine + frontier behind a line-delimited JSON
-  protocol on a unix/TCP socket, with streamed job events,
-  per-client quotas, and drain/reload;
+  daemon: a warm engine + frontier behind a framed protocol on a
+  unix/TCP socket, with streamed job events, per-client quotas, and
+  drain/reload;
 * :mod:`repro.service.client` — sync and asyncio clients for the
-  daemon, and the ``repro-submit`` CLI.
+  daemon, and the ``repro-submit`` CLI;
+* :mod:`repro.service.wire` — the one frame codec both sides use: a
+  JSON header line, then IR text as raw UTF-8 bytes.
 
 Fault tolerance is testable: every failure-handling path above can be
 driven deterministically by :mod:`repro.testing.faults`.

@@ -1,9 +1,9 @@
 """Clients for the ``repro-serve`` daemon, and the ``repro-submit``
 CLI.
 
-Two transports under one request surface over the same
-newline-delimited JSON protocol (see :mod:`repro.service.server` for
-the frame vocabulary):
+Two transports under one request surface over the same framed
+protocol (:mod:`repro.service.wire` reads and writes every frame; see
+:mod:`repro.service.server` for the vocabulary):
 
 * :class:`AsyncServiceClient` — asyncio; one connection multiplexes
   any number of concurrent :meth:`~AsyncServiceClient.submit` calls
@@ -33,6 +33,8 @@ import threading
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .engine import JobResult, JobStatus
+from .wire import (FrameError, MAX_HEADER_BYTES, encode_frame, read_frame,
+                   read_frame_async)
 
 EventCallback = Callable[[Dict[str, object]], None]
 
@@ -166,27 +168,28 @@ class AsyncServiceClient(_RequestSurface):
     async def connect(cls, address: str) -> "AsyncServiceClient":
         kind, host, port = parse_address(address)
         if kind == "unix":
-            reader, writer = await asyncio.open_unix_connection(host)
+            reader, writer = await asyncio.open_unix_connection(
+                host, limit=MAX_HEADER_BYTES)
         else:
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(
+                host, port, limit=MAX_HEADER_BYTES)
         return cls(reader, writer)
 
     async def _read_loop(self) -> None:
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
                 try:
-                    frame = json.loads(line)
+                    frame = await read_frame_async(self._reader)
+                except FrameError:
+                    break
                 except ValueError:
                     continue
-                if not isinstance(frame, dict):
-                    continue
+                if frame is None:
+                    break
                 queue = self._pending.get(frame.get("id"))
                 if queue is not None:
                     queue.put_nowait(frame)
-        except (ConnectionResetError, asyncio.CancelledError):
+        except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
             # Wake every waiter so a dropped connection fails fast
@@ -205,7 +208,7 @@ class AsyncServiceClient(_RequestSurface):
         self._pending[rid] = queue
         try:
             async with self._write_lock:
-                self._writer.write((json.dumps(request) + "\n").encode())
+                self._writer.write(encode_frame(request))
                 await self._writer.drain()
             while True:
                 frame = await queue.get()
@@ -260,17 +263,21 @@ class ServiceClient(_RequestSurface):
         with self._lock:
             rid = request["id"] = str(next(self._ids))
             try:
-                self._file.write((json.dumps(request) + "\n").encode())
+                self._file.write(encode_frame(request))
                 self._file.flush()
                 while True:
-                    line = self._file.readline()
-                    if not line:
-                        raise _disconnected()
                     try:
-                        frame = json.loads(line)
+                        frame = read_frame(self._file)
+                    except FrameError as error:
+                        # The stream cannot be followed: end the
+                        # connection, as the asyncio reader does.
+                        self._sock.shutdown(socket.SHUT_RDWR)
+                        raise _disconnected(error) from error
                     except ValueError:
                         continue
-                    if isinstance(frame, dict) and frame.get("id") == rid:
+                    if frame is None:
+                        raise _disconnected()
+                    if frame.get("id") == rid:
                         frame = self._decode(frame, on_event)
                         if frame is not None:
                             return conclude(frame) if conclude else frame

@@ -5,11 +5,14 @@ A single :class:`CompileServer` keeps one warm
 alive across many clients, so only the first batch ever pays pool
 spawn and a cold cache. The wire protocol stays at the same
 "ordinary IR in, ordinary IR out" altitude as the rest of the stack:
-newline-delimited JSON objects over a Unix or TCP socket, one request
-per line, every response frame echoing the request ``id`` so one
-connection can multiplex concurrent submits.
+frames over a Unix or TCP socket, each a JSON header line followed by
+the UTF-8 bytes of its IR text (:mod:`repro.service.wire`), every
+response frame echoing the request ``id`` so one connection can
+multiplex concurrent submits.
 
-Requests (``op`` field)::
+Requests (``op`` field; ``payload`` and ``script`` are shown inline,
+as a plain JSON line may carry them, but the clients send them as body
+bytes)::
 
     {"op": "submit", "id": "1", "payload": "...", "script": "...",
      "params": {"factor": 4}, "entry_point": null,
@@ -24,13 +27,16 @@ Requests (``op`` field)::
 ``payload`` and ``script`` are always text: the daemon opens no file a
 client names.
 
-Responses (``type`` field): ``result`` (terminal job outcome),
+Responses (``type`` field): ``result`` (terminal job outcome, its
+``output`` as body bytes),
 ``event`` (one streamed lifecycle record from the closed
 :data:`~repro.observability.events.EVENT_TYPES` vocabulary, when the
 submit asked for ``stream``), ``stats``/``pong``/``drained``/
 ``reloaded``, and ``error`` with a machine-readable ``code``:
 ``draining`` (submits refused during drain), ``quota`` (per-client
-admission quota exhausted), ``bad-request``, and ``internal``.
+admission quota exhausted), ``bad-request``, and ``internal``. A frame
+the daemon cannot read past (a header line over 64 KiB, a bad body
+length) gets ``bad-request`` and the connection is closed.
 
 Scheduling: submits carry a priority class (``interactive`` <
 ``batch`` < ``background`` by rank) and go straight into the
@@ -66,6 +72,7 @@ from ..observability.events import TERMINAL_EVENTS, EventLog
 from .cli import add_engine_arguments, build_engine, shutdown_engine
 from .engine import CompileEngine, CompileJob, JobResult, check_timeout
 from .frontier import PRIORITY_RANKS, ServiceClosedError, ServiceFrontier
+from .wire import FrameError, MAX_HEADER_BYTES, encode_frame, read_frame_async
 
 #: JobResult fields serialized into a ``result`` frame.
 RESULT_FIELDS = (
@@ -171,11 +178,13 @@ class CompileServer:
         self._unsubscribe = self.engine.events.subscribe(self._on_event)
         if self.socket_path is not None:
             self._server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path
+                self._handle_connection, path=self.socket_path,
+                limit=MAX_HEADER_BYTES,
             )
         else:
             self._server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
+                self._handle_connection, host=self.host, port=self.port,
+                limit=MAX_HEADER_BYTES,
             )
             self.port = self._server.sockets[0].getsockname()[1]
 
@@ -271,29 +280,25 @@ class CompileServer:
         tasks: Set[asyncio.Task] = set()
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
                 try:
-                    request = json.loads(line)
-                    if not isinstance(request, dict):
-                        raise ValueError("request is not an object")
+                    request = await read_frame_async(reader)
                 except ValueError as error:
                     self.stats.bad_requests += 1
                     await self._send(client, {
                         "type": "error", "code": "bad-request",
                         "message": f"undecodable request: {error}",
                     })
+                    if isinstance(error, FrameError):
+                        break  # the rest of the stream is unreadable
                     continue
+                if request is None:
+                    break
                 task = asyncio.create_task(
                     self._handle_request(client, request)
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         finally:
             for task in list(tasks):
@@ -308,7 +313,7 @@ class CompileServer:
 
     async def _send(self, client: _Client,
                     frame: Dict[str, object]) -> None:
-        data = (json.dumps(frame) + "\n").encode()
+        data = encode_frame(frame)
         async with client.lock:
             if client.writer.is_closing():
                 return
@@ -595,7 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="persistent compile daemon: a warm worker pool and "
-        "cache behind a line-delimited JSON protocol on a unix or TCP "
+        "cache behind a JSON-header framed protocol on a unix or TCP "
         "socket (submit with repro-submit or repro-batch --connect)",
     )
     parser.add_argument("--socket", default=None, metavar="PATH",

@@ -25,6 +25,7 @@ from repro.service import (
 )
 from repro.service.frontier import ServiceFrontier
 from repro.service.server import result_to_frame
+from repro.service.wire import read_frame_async
 
 from .test_engine import PAYLOAD, UNROLL, USE_AFTER_CONSUME
 
@@ -258,7 +259,7 @@ class TestThroughTheDaemon:
                         {"op": "drain", "id": "d", "stop": True}):
                     writer.write((json.dumps(request) + "\n").encode())
                 await writer.drain()
-                frames = [json.loads(await reader.readline())
+                frames = [await read_frame_async(reader)
                           for _ in range(2)]
                 await asyncio.wait_for(server.serve_forever(), timeout=10.0)
                 writer.close()

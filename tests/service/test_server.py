@@ -39,6 +39,7 @@ from repro.service.cli import (
 )
 from repro.service import server as server_module
 from repro.service.server import main as serve_main
+from repro.service.wire import read_frame
 
 from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
 from .test_frontier import until
@@ -455,7 +456,7 @@ class _Blocking:
     ``call(method, ...)`` returns the method's value."""
 
     def __init__(self, address):
-        self.client = ServiceClient(address)
+        self.client = ServiceClient(address, timeout=10.0)
 
     def call(self, method, *args, **kwargs):
         return getattr(self.client, method)(*args, **kwargs)
@@ -513,8 +514,7 @@ def _scripted_server(sock, connections):
             for _ in range(connections):
                 conn, _ = listener.accept()
                 with conn, conn.makefile("rwb") as stream:
-                    for line in stream:
-                        request = json.loads(line)
+                    while (request := read_frame(stream)) is not None:
                         if request["op"] == "ping":
                             break
                         for frame in frames(request):

@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16603,  # all of src/repro
+    ".": 16668,  # all of src/repro; +65 is service's frame codec
     "analysis": 807,
     "autotuning": 353,
     "core": 1842,
@@ -47,7 +47,11 @@ BUDGETS = {
     "passes": 1681,
     "profiling": 161,
     "rewrite": 441,
-    "service": 2541,
+    # +65: one frame codec (``wire.py``) for the daemon and both
+    # clients: IR text crosses as raw body bytes, not JSON strings, and
+    # a frame no reader can follow (over-long header, bad body length)
+    # is a refusal and a closed connection, never a traceback.
+    "service": 2606,
     "service/engine.py": 588,
     "service/frontier.py": 165,
     # +30: the fuzzer checks def-use links, scopes half its rollback
