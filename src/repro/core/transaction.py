@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..ir.core import JOURNAL, invalidate_digest
+from ..ir.core import JOURNAL
 from .state import TransformState
 
 
@@ -69,9 +69,8 @@ class PayloadTransaction:
         # An inverse is a write itself: replay with no log open.
         JOURNAL.log = None
         try:
-            for op, inverse, args in reversed(log):
+            for inverse, args in reversed(log):
                 inverse(*args)
-                invalidate_digest(op)
         finally:
             JOURNAL.log = self._outer
         self.state.restore(self._snapshot)

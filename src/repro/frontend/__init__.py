@@ -1,8 +1,8 @@
 """`repro.frontend`: a Python eDSL for payloads and schedules.
 
 Two authoring surfaces over the textual IR the rest of the system
-speaks (ROADMAP item 3; nelli-style tracing + the structured-codegen
-fluent schedule shape):
+speaks (nelli-style tracing + the structured-codegen fluent schedule
+shape):
 
 * :func:`jit` traces a restricted Python function into a `repro.ir`
   module — ``range`` loops become ``scf.for``, scalar arithmetic

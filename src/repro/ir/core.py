@@ -35,53 +35,13 @@ from .location import Location, UNKNOWN_LOC
 from .types import Type
 
 # ---------------------------------------------------------------------------
-# Digest bookkeeping (see :mod:`repro.ir.hashing`)
-# ---------------------------------------------------------------------------
-
-
-class DigestStats:
-    """Process-wide digest counters.
-
-    ``hits``/``recomputes`` are bumped by :func:`repro.ir.hashing.
-    op_digest` (memo hit vs hash, per op hashed: the op asked for, and
-    each top-level op of a module whose digest composes from theirs);
-    ``invalidations`` counts mutation events that cleared at least one
-    memoized digest.
-    Readers (the profiler, the compile engine) report deltas against
-    a baseline they took with :meth:`snapshot`.
-    """
-
-    __slots__ = ("hits", "recomputes", "invalidations")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.recomputes = 0
-        self.invalidations = 0
-
-    def snapshot(self):
-        return (self.hits, self.recomputes, self.invalidations)
-
-    def since(self, baseline) -> Dict[str, int]:
-        """The traffic accrued after ``baseline`` (a :meth:`snapshot`)."""
-        hits, recomputes, invalidations = baseline
-        return {
-            "hash_hits": self.hits - hits,
-            "hash_recomputes": self.recomputes - recomputes,
-            "hash_invalidations": self.invalidations - invalidations,
-        }
-
-
-DIGEST_STATS = DigestStats()
-
-
-# ---------------------------------------------------------------------------
-# The one mutation hook: digest invalidation and the undo log
+# The one mutation hook: the undo log
 # ---------------------------------------------------------------------------
 
 
 class _Journal(threading.local):
     #: The undo log of the innermost transaction open on this thread
-    #: (:mod:`repro.core.transaction`), or None: ``(op, inverse, args)``
+    #: (:mod:`repro.core.transaction`), or None: ``(inverse, args)``
     #: entries, oldest first.
     log: Optional[list] = None
 
@@ -90,40 +50,14 @@ class _Journal(threading.local):
 JOURNAL = _Journal()
 
 
-def _changed(op: Optional["Operation"], inverse: Optional[Callable],
-             *args) -> None:
+def _changed(inverse: Callable, *args) -> None:
     """Every IR write calls this, and nothing outside this module
     writes an IR field. While a transaction is open on this thread,
     ``inverse(*args)`` is logged: it undoes the write once every later
-    one is undone.
-
-    The memoized digests of ``op`` and of every ancestor are cleared.
-    A digest is the hash of a print, and an op's print holds its whole
-    subtree, so every op on the chain is stale. Memos sit on the ops
-    that were hashed, not on every op with regions, so an empty memo
-    on the way up says nothing about the ones above it: the walk goes
-    to the root.
-    """
+    one is undone."""
     log = JOURNAL.log
-    if log is not None and inverse is not None:
-        log.append((op, inverse, args))
-    cleared = False
-    while op is not None:
-        if op._digest is not None:
-            op._digest = None
-            cleared = True
-        # ``op.parent_op``, without a call per hop.
-        block = op.parent
-        region = block.parent if block is not None else None
-        op = region.parent if region is not None else None
-    if cleared:
-        DIGEST_STATS.invalidations += 1
-
-
-def invalidate_digest(op: Optional["Operation"]) -> None:
-    """Clear the memoized digest of ``op`` and of every ancestor,
-    logging nothing."""
-    _changed(op, None)
+    if log is not None:
+        log.append((inverse, args))
 
 
 def _unset(use: "OpOperand", old: "Value", index: int) -> None:
@@ -160,14 +94,14 @@ class OpOperand:
         del old._uses[index]
         self._value = new_value
         new_value._uses.append(self)
-        _changed(self.owner, _unset, self, old, index)
+        _changed(_unset, self, old, index)
 
     def drop(self) -> None:
         """Remove this use from its value's use list."""
         uses = self._value._uses
         index = uses.index(self)
         del uses[index]
-        _changed(self.owner, list.insert, uses, index, self)
+        _changed(list.insert, uses, index, self)
 
 
 class Value:
@@ -266,7 +200,7 @@ class BlockArgument(Value):
     def set_type(self, type: Type) -> None:
         old = self.type
         self.type = type
-        _changed(self.block.parent_op, setattr, self, "type", old)
+        _changed(setattr, self, "type", old)
 
     def __repr__(self) -> str:
         return f"<BlockArgument #{self.index}>"
@@ -363,15 +297,6 @@ class Operation:
     #: Structural traits checked by the verifier.
     TRAITS: frozenset = frozenset()
 
-    #: Memoized hex digest (see :mod:`repro.ir.hashing`) of an op that
-    #: was hashed — one asked for, or a top-level op of a module whose
-    #: digest composes from theirs; None = not computed. ``__init__``
-    #: sets it on the instance: an attribute first written after it
-    #: moves the instance off CPython's shared-key layout (a private
-    #: dict, + 720 bytes per op at the first digest). The class
-    #: attribute is what a :meth:`destroy`-ed shell reads.
-    _digest: Optional[str] = None
-
     def __init__(
         self,
         name: str,
@@ -397,7 +322,7 @@ class Operation:
             self._operands = tuple([
                 OpOperand(self, i, v) for i, v in enumerate(operands)])
             # Undone: the new op lets go of its operands' use lists.
-            _changed(None, Operation.drop_all_references, self)
+            _changed(Operation.drop_all_references, self)
         self.results: Tuple[OpResult, ...] = tuple([
             OpResult(self, i, t) for i, t in enumerate(result_types)
         ]) if result_types else ()
@@ -408,7 +333,6 @@ class Operation:
             Region(self) for _ in range(regions)
         ]) if regions else ()
         self.successors: Tuple[Block, ...] = tuple(successors)
-        self._digest = None
 
     # -- creation ----------------------------------------------------------
 
@@ -463,7 +387,7 @@ class Operation:
         # Copied on write: the inverse reinstates the old dict.
         old = self.attributes
         self.attributes = {**old, name: make_attr(value)}
-        _changed(self, setattr, self, "attributes", old)
+        _changed(setattr, self, "attributes", old)
 
     def has_trait(self, trait: PyType[Trait]) -> bool:
         return trait in type(self).TRAITS
@@ -510,7 +434,7 @@ class Operation:
         for operand in self._operands:
             operand.drop()
         if self._operands:
-            _changed(self, setattr, self, "_operands", self._operands)
+            _changed(setattr, self, "_operands", self._operands)
             self._operands = ()
         for region in self.regions:
             for block in region.blocks:
@@ -535,7 +459,7 @@ class Operation:
             self.parent.remove(self)
         for result in self.results:
             result.op = None
-            _changed(None, setattr, result, "op", self)
+            _changed(setattr, result, "op", self)
 
     def destroy(self) -> None:
         """Free this dead op tree now rather than at the next full
@@ -701,13 +625,13 @@ class Block:
     def add_arg(self, type: Type) -> BlockArgument:
         arg = BlockArgument(self, len(self.args), type)
         self.args.append(arg)
-        _changed(self.parent_op, list.pop, self.args)
+        _changed(list.pop, self.args)
         return arg
 
     def set_args(self, args: Sequence[BlockArgument]) -> None:
         old = self.args
         self.args = list(args)
-        _changed(self.parent_op, setattr, self, "args", old)
+        _changed(setattr, self, "args", old)
 
     # -- op list -------------------------------------------------------------
 
@@ -742,7 +666,7 @@ class Block:
         self._last = op
         if self._ops is not None:
             self._ops.append(op)
-        _changed(self.parent_op, Block.remove, self, op)
+        _changed(Block.remove, self, op)
         return op
 
     def insert(self, index: int, op: Operation) -> Operation:
@@ -781,7 +705,7 @@ class Block:
             prev._next = op
         self._ops = None
         self._ordered = False
-        _changed(self.parent_op, Block.remove, self, op)
+        _changed(Block.remove, self, op)
         return op
 
     def insert_after(self, anchor: Operation, op: Operation) -> Operation:
@@ -808,7 +732,7 @@ class Block:
             following._prev = prev
             self._ops = None
         op.parent = op._prev = op._next = None
-        _changed(self.parent_op, Block.insert_before, self, following, op)
+        _changed(Block.insert_before, self, following, op)
 
     def _recompute_op_order(self) -> None:
         """Renumber ``_order`` along the links: done by the first
@@ -853,14 +777,14 @@ class Region:
         """Make ``block``, in no region, the ``index``-th of this one."""
         block.parent = self
         self.blocks.insert(index, block)
-        _changed(self.parent, Region.remove_block, self, block)
+        _changed(Region.remove_block, self, block)
         return block
 
     def remove_block(self, block: Block) -> None:
         index = self.blocks.index(block)
         del self.blocks[index]
         block.parent = None
-        _changed(self.parent, Region.insert_block, self, index, block)
+        _changed(Region.insert_block, self, index, block)
 
     @property
     def entry_block(self) -> Block:

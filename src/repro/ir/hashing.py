@@ -18,12 +18,12 @@ children's digests. That is sound because the print of such a module
 is a function of its attributes and its children's own prints
 (DESIGN.md §9: function text is relocatable), and it is what lets a
 module spliced from cached function text get its identity without
-being printed, and a module with one mutated function re-print only
-that function.
+being printed.
 
-A digest is memoized on the op it was computed for and on the children
-of a composing module. The mutation hooks of :mod:`repro.ir.core`
-clear every memo on the mutated op's ancestor chain.
+Nothing is memoized: a digest is computed from the IR as it stands,
+so no IR write has a digest to clear. A caller that already hashed a
+module's functions hands their digests in rather than hashing them
+again.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 from typing import List, Optional, Sequence
 
-from .core import DIGEST_STATS, IsolatedFromAbove, Operation
+from .core import IsolatedFromAbove, Operation
 from .printer import _print_attr_dict, module_text, print_op
 
 #: Domain-separation prefix; bump when what is hashed changes so stale
@@ -59,26 +59,22 @@ def _composing_children(op: Operation) -> Optional[List[Operation]]:
     return children if all(_closed(child) for child in children) else None
 
 
-def op_digest(op: Operation) -> str:
-    """Hex digest of ``op``'s subtree, memoized on ``op``.
+def op_digest(op: Operation,
+              function_digests: Optional[Sequence[str]] = None) -> str:
+    """Hex digest of ``op``'s subtree.
 
     Equal digests imply byte-identical :func:`~repro.ir.printer.
-    print_op` output; after a mutation, a composing module re-hashes
-    only the functions on the invalidated ancestor chain.
+    print_op` output. ``function_digests``, from a caller that hashed
+    ``op``'s top-level ops already, are theirs in order: a composing
+    module takes them instead of hashing its functions again, and any
+    other op ignores them.
     """
-    memo = op._digest
-    if memo is not None:
-        DIGEST_STATS.hits += 1
-        return memo
-    DIGEST_STATS.recomputes += 1
     children = _composing_children(op)
     if children is None:
-        memo = hashlib.sha256(_DOMAIN + print_op(op).encode()).hexdigest()
-    else:
-        memo = module_digest(op.attributes,
-                             [op_digest(child) for child in children])
-    op._digest = memo
-    return memo
+        return hashlib.sha256(_DOMAIN + print_op(op).encode()).hexdigest()
+    if function_digests is None:
+        function_digests = [op_digest(child) for child in children]
+    return module_digest(op.attributes, function_digests)
 
 
 def module_digest(attributes, function_digests: Sequence[str]) -> str:

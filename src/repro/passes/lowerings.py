@@ -214,8 +214,6 @@ def lower_scf_forall(forall_op: Operation) -> None:
             outer = loop
         ivs.append(loop.induction_var)
         inner_builder = Builder.at_end(loop.body)
-        if bound is not bounds[-1]:
-            pass
     # Move the forall body into the innermost loop.
     innermost_block = inner_builder.ip.block
     for arg, iv in zip(list(body.args), ivs):
@@ -247,6 +245,10 @@ class ConvertSCFToCFPass(Pass):
                       "arith.constant", "builtin.unrealized_conversion_cast"}
 
     def run(self, op: Operation) -> None:
+        # Lowering what an scf op holds would leave blocks in its
+        # single-block region.
+        if op.name.startswith("scf."):
+            raise ValueError(f"cannot run on {op.name}, an op it lowers")
         while True:
             outermost = _outermost_scf_ops(op)
             if not outermost:

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from ..ir.core import DIGEST_STATS
-
 
 @dataclass
 class PatternStat:
@@ -67,7 +65,7 @@ class InvalidationStats:
 class Profiler:
     """Collects timing/counter data from the transform hot paths of
     one process: per-pattern, per-transform-op and per-pass wall time,
-    worklist and invalidation counters, digest traffic.
+    worklist and invalidation counters.
 
     It is the in-process ``-mlir-timing`` report and nothing else; the
     compile service keeps its own counters (see DESIGN.md section 7).
@@ -79,15 +77,6 @@ class Profiler:
         self.passes: Dict[str, TimedStat] = {}
         self.worklist = WorklistStats()
         self.invalidation = InvalidationStats()
-        # Digest traffic is recorded process-globally in
-        # repro.ir.core.DIGEST_STATS (the memo lives on the ops, not on
-        # any profiler); snapshot the baseline so this instance reports
-        # only the deltas accrued during its own lifetime.
-        self._digest_baseline = DIGEST_STATS.snapshot()
-
-    def digest_counters(self) -> Dict[str, int]:
-        """Memo hits / recomputes / invalidations since construction."""
-        return DIGEST_STATS.since(self._digest_baseline)
 
     # -- recording entry points ---------------------------------------------
 
@@ -197,20 +186,6 @@ class Profiler:
                 f"handles invalidated: "
                 f"{self.invalidation.handles_invalidated}  "
                 f"mean fan-out: {self.invalidation.mean_fanout:.2f}"
-            )
-            lines.append("")
-
-        digests = self.digest_counters()
-        if any(digests.values()):
-            hits = digests["hash_hits"]
-            recomputes = digests["hash_recomputes"]
-            total = hits + recomputes
-            rate = hits / total if total else 0.0
-            lines.append("  Structural hashing")
-            lines.append(
-                f"    memo hit rate: {rate:.1%}  "
-                f"(hits: {hits}  recomputes: {recomputes})  "
-                f"invalidations: {digests['hash_invalidations']}"
             )
             lines.append("")
 

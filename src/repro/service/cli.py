@@ -285,15 +285,6 @@ def service_report(metrics: Dict[str, object]) -> str:
                   f"{gauges['engine.backoff_seconds'] * 1e3:.3f} ms)  "
                   f"quarantined: {quarantined}  "
                   f"pool degradations: {degradations}", ""]
-    hits, recomputes, invalidations = (
-        count(f"hashing.hash_{name}")
-        for name in ("hits", "recomputes", "invalidations"))
-    if hits or recomputes or invalidations:
-        rate = hits / (hits + recomputes) if hits + recomputes else 0.0
-        lines += ["  Structural hashing",
-                  f"    memo hit rate: {rate:.1%}  "
-                  f"(hits: {hits}  recomputes: {recomputes})  "
-                  f"invalidations: {invalidations}", ""]
     return "\n".join(lines).rstrip()
 
 

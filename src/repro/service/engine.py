@@ -107,7 +107,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import parser as ir_parser
-from ..ir.core import DIGEST_STATS, Operation
+from ..ir.core import Operation
 from ..ir.hashing import attributes_digest, module_digest, op_digest
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import Tracer
@@ -392,8 +392,6 @@ class CompileEngine:
         #: seconds here, queue depth from the frontier.
         self.metrics = MetricsRegistry()
         self._job_seconds = self.metrics.histogram("service.job_seconds")
-        # Digest traffic is process-global; report this engine's share.
-        self._digest_baseline = DIGEST_STATS.snapshot()
         # Before the first parse (type and op names resolve through
         # the registries) and before the pool forks, so children
         # inherit the registries instead of importing them per worker.
@@ -541,13 +539,12 @@ class CompileEngine:
 
     def metrics_snapshot(self, **sections) -> Dict[str, object]:
         """The one fold: every component's scalars — ``engine.*``,
-        ``cache.*``, ``hashing.*`` and whatever ``sections`` the caller
-        owns (the daemon's ``server=``) — folded in next to the
-        distributions, as one versioned registry snapshot."""
+        ``cache.*`` and whatever ``sections`` the caller owns (the
+        daemon's ``server=``) — folded in next to the distributions,
+        as one versioned registry snapshot."""
         sections["engine"] = self.stats.as_dict()
         if self.cache is not None:
             sections["cache"] = self.cache.stats.as_dict()
-        sections["hashing"] = DIGEST_STATS.since(self._digest_baseline)
         return self.metrics.snapshot(**sections)
 
     def _span(self, name: str, parent=None, tracer=None, **attributes):
@@ -593,8 +590,9 @@ class CompileEngine:
         if functions is not None:
             func_digests = tuple(op_digest(f) for f in functions)
             module_attrs = dict(payload.attributes)
-        return _PayloadInfo(op_digest(payload), attributes_digest(payload),
-                            module_attrs, func_digests)
+        return _PayloadInfo(op_digest(payload, func_digests),
+                            attributes_digest(payload), module_attrs,
+                            func_digests)
 
     def _derive_script(self, text: str) -> _ScriptInfo:
         script = ir_parser.parse(text, "<script>")

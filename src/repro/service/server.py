@@ -112,14 +112,15 @@ class ServerStats:
 
 
 class _Client:
-    """Per-connection state: writer, a send lock (frames from
-    concurrent submits must not interleave mid-line), and the
-    admission-quota counter."""
+    """Per-connection state: writer, the connection's handler task, a
+    send lock (frames from concurrent submits must not interleave
+    mid-line), and the admission-quota counter."""
 
     _ids = itertools.count(1)
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
+        self.handler = asyncio.current_task()
         self.lock = asyncio.Lock()
         self.inflight = 0
         self.name = f"client-{next(self._ids)}"
@@ -215,11 +216,16 @@ class CompileServer:
             self._unsubscribe()
             self._unsubscribe = None
         await self.frontier.close()
-        for client in list(self._clients):
+        clients = list(self._clients)
+        for client in clients:
             try:
                 client.writer.close()
             except Exception:
                 pass
+        # Each handler reads the end of its stream and returns: none is
+        # left for the loop's teardown to cancel.
+        await asyncio.gather(*(client.handler for client in clients),
+                             return_exceptions=True)
         self._stopped.set()
 
     async def __aenter__(self) -> "CompileServer":

@@ -243,15 +243,18 @@ def compile_job(payload: Union[str, Operation],
                 functions = function_entries(payload)
             if functions is None:
                 output = print_op(payload)
+                output_digest = op_digest(payload)
             else:
                 # The one walk of the printer went function by
                 # function; the whole-module print is those prints,
-                # as they are, in the module's shell.
+                # as they are, in the module's shell, and its digest
+                # composes from theirs.
                 output = assemble_functions(
                     payload.attributes, [entry[0] for entry in functions],
                     names=[entry[2] for entry in functions])[0]
                 attrs_digest = attributes_digest(payload)
-            output_digest = op_digest(payload)
+                output_digest = op_digest(
+                    payload, [entry[1] for entry in functions])
     except TransformInterpreterError as error:
         return _failed(str(error))
     except Exception as error:

@@ -312,13 +312,11 @@ def _op_list_world():
     """A module ``root`` holding two functions: one with the target
     block ``T`` = ``[a, b, c]`` (``c`` a terminator) and an empty block
     ``E``, one with the source block ``S`` = ``[x, y]``; plus a detached
-    op ``n`` and a detached empty block ``D``. The module, its functions
-    and ``n`` hold digests."""
+    op ``n`` and a detached empty block ``D``."""
     from repro.rewrite.pattern import PatternRewriter
 
-    root, functions, blocks = _module_of_functions(2)
-    world = {"root": root, "D": Block(), "rewriter": PatternRewriter(),
-             "functions": functions}
+    root, _, blocks = _module_of_functions(2)
+    world = {"root": root, "D": Block(), "rewriter": PatternRewriter()}
     for block, holder, names in zip(blocks, "TS", ("abc", "xy")):
         world[holder] = block
         for value, name in enumerate(names):
@@ -327,8 +325,6 @@ def _op_list_world():
                 else make_const(value))
     world["E"] = world["T"].parent.add_block()
     world["n"] = make_const(9)
-    op_digest(root)
-    op_digest(world["n"])
     return world
 
 
@@ -414,20 +410,6 @@ class TestOpListMutators:
                 assert (op.parent, op.prev_op, op.next_op) == (None,) * 3
         assert op_list_violations(root) == []
 
-        # Exactly the ancestor chains of the blocks the mutation touched
-        # lost their digests; every other hashed op kept its own.
-        function_of = dict(zip("TS", world["functions"]))
-        dirty = set()
-        if "(D," not in mutation:  # inlining an empty block: no touch
-            dirty |= {root, function_of["T"]}
-        if world["S"].ops != [world["x"], world["y"]]:
-            dirty |= {root, function_of["S"]}
-        hashed = {root, world["n"], *world["functions"]}
-        for op in root.walk():
-            assert (op._digest is not None) == (op in hashed - dirty), \
-                (mutation, op)
-
-
     @pytest.mark.parametrize(
         "row", [row.strip() for row in _MUTATIONS.strip().splitlines()])
     def test_every_mutator_is_undone(self, row):
@@ -482,17 +464,14 @@ class TestOpListEdges:
         assert block.ops == [b, a, c, d]
 
     def test_moving_an_op_next_to_itself_changes_nothing(self):
-        module, (function,), (block,) = _module_of_functions(1)
+        _, _, (block,) = _module_of_functions(1)
         a, b = block.append(make_const(1)), block.append(make_const(2))
-        op_digest(module)
         a.move_before(a)
         b.move_before(b)
         block.insert_before(a, a)
         block.insert_after(b, b)
         assert block.ops == [a, b]
         assert a.parent is block and b.parent is block
-        assert module._digest is not None
-        assert function._digest is not None
 
     def test_negative_and_past_the_end_indices_clamp(self):
         block, (a, b) = self.block_of(2)

@@ -1,5 +1,6 @@
-"""Digests: the print-identity contract, memoization, and
-ancestor-only invalidation (plus the printer id()-reuse regression)."""
+"""Digests: the print-identity contract, the pinned encoding, digests
+following every kind of mutation (plus the printer id()-reuse
+regression)."""
 
 import gc
 import random
@@ -10,7 +11,6 @@ import pytest
 import repro.core  # noqa: F401 — registers transform ops
 import repro.dialects  # noqa: F401 — registers payload ops
 from repro.ir import attributes_digest, op_digest, parse, print_op
-from repro.ir.core import DIGEST_STATS, invalidate_digest
 from repro.ir.printer import Printer
 from repro.testing.fuzz import PayloadFuzzer
 
@@ -42,29 +42,6 @@ BRANCHY = textwrap.dedent("""
     ^bb3:
       "func.return"(%x) : (i32) -> ()
     }) {sym_name = "g", function_type = (i1, i32) -> i32} : () -> ()
-""").strip()
-
-
-#: Two functions, the first holding two ops with regions.
-NESTED = textwrap.dedent("""
-    "builtin.module"() ({
-      "func.func"() ({
-      ^bb0(%a: i32):
-        "test.region"() ({
-          %0 = "arith.addi"(%a, %a) : (i32, i32) -> i32
-          "test.yield"(%0) : (i32) -> ()
-        }) : () -> ()
-        "test.region"() ({
-          %0 = "arith.muli"(%a, %a) : (i32, i32) -> i32
-          "test.yield"(%0) : (i32) -> ()
-        }) : () -> ()
-        "func.return"(%a) : (i32) -> ()
-      }) {sym_name = "f0", function_type = (i32) -> i32} : () -> ()
-      "func.func"() ({
-      ^bb0(%a: i32):
-        "func.return"(%a) : (i32) -> ()
-      }) {sym_name = "f1", function_type = (i32) -> i32} : () -> ()
-    }) : () -> ()
 """).strip()
 
 
@@ -121,7 +98,6 @@ class TestContract:
         blocks = b.regions[0].blocks
         cond = blocks[0].ops[0]
         cond.successors = cond.successors[::-1]
-        invalidate_digest(cond)
         assert op_digest(a) != op_digest(b)
         assert print_op(a) != print_op(b)
 
@@ -212,47 +188,9 @@ class TestPinnedEncoding:
 
 
 class TestMemoization:
-    def test_second_digest_is_a_memo_hit(self):
-        module = parse(MODULE)
-        op_digest(module)
-        baseline = DIGEST_STATS.snapshot()
-        op_digest(module)
-        assert DIGEST_STATS.since(baseline) == {
-            "hash_hits": 1, "hash_recomputes": 0, "hash_invalidations": 0}
-
-    def test_mutation_invalidates_ancestors_only(self):
-        module = parse(NESTED)
-        op_digest(module)
-        f0, f1 = _funcs(module)
-        first, second, _ = f0.regions[0].entry_block.ops
-        add = first.regions[0].entry_block.ops[0]
-
-        def memoized():
-            return {op for op in module.walk() if op._digest is not None}
-
-        # Memos sit on what was hashed: the module and its functions,
-        # then whatever is asked for on its own.
-        assert memoized() == {module, f0, f1}
-        sibling_digest = op_digest(second)
-        assert memoized() == {module, f0, f1, second}
-        # ``add`` and ``first`` hold no memo, ``f0`` above them does:
-        # exactly the ancestor chain is cleared, and nothing else.
-        add.set_attr("mark", 1)
-        assert memoized() == {f1, second}
-        assert op_digest(second) == sibling_digest
-        assert op_digest(module) == op_digest(parse(print_op(module)))
-
-    def test_recompute_touches_only_the_dirty_chain(self):
-        module = parse(MODULE)
-        op_digest(module)
-        f0 = _funcs(module)[0]
-        add = f0.regions[0].entry_block.ops[0]
-        add.set_attr("mark", 2)
-        recomputes = DIGEST_STATS.recomputes
-        op_digest(module)
-        # module + func = 2 recomputes (the mutated op is printed with
-        # its function); the other function comes out of its memo.
-        assert DIGEST_STATS.recomputes - recomputes == 2
+    """No digest is memoized: each is taken from the print of the IR as
+    it stands, so a digest taken before a mutation is not returned
+    after it."""
 
     def test_erase_invalidates(self):
         module = parse(MODULE)
@@ -261,28 +199,12 @@ class TestMemoization:
         f0.regions[0].entry_block.ops[-1].erase()  # func.return
         assert op_digest(module) != before
 
-    def test_invalidation_counter_advances(self):
-        module = parse(MODULE)
-        op_digest(module)
-        count = DIGEST_STATS.invalidations
-        _funcs(module)[0].set_attr("mark", 3)
-        assert DIGEST_STATS.invalidations == count + 1
-
-    def test_never_hashed_ir_mutation_is_cheap(self):
-        module = parse(MODULE)
-        count = DIGEST_STATS.invalidations
-        _funcs(module)[0].set_attr("mark", 4)
-        # No digest was ever computed: nothing to clear, not counted.
-        assert DIGEST_STATS.invalidations == count
-
     def test_modify_op_in_place_invalidates(self):
         from repro.rewrite.pattern import PatternRewriter
 
         module = parse(MODULE)
         before = op_digest(module)
         f0 = _funcs(module)[0]
-        # The mutation writes through a mutator, whose hook clears the
-        # chain: the rewriter adds no catch-all of its own.
         PatternRewriter().modify_op_in_place(
             f0, lambda: f0.set_attr("mark", f0.attributes["sym_name"]))
         assert op_digest(module) != before
@@ -307,7 +229,7 @@ def _modify_in_place(leaf):
 
 
 #: A leaf of ``MODULE``'s first function (add, mul, return) and what is
-#: done to it; each reaches the digest hooks by another path.
+#: done to it; each reaches the IR by another path.
 LEAF_MUTATIONS = {
     "OpOperand.set": lambda add, mul, ret: mul.set_operand(1, add.result),
     "OpOperand.drop": lambda add, mul, ret: ret.drop_all_references(),
@@ -320,10 +242,8 @@ LEAF_MUTATIONS = {
 
 
 class TestLeafMutationHooks:
-    """A leaf of a hashed module holds no memo, so its hooks must clear
-    its function's and the module's: after any mutation of a leaf of a
-    hashed module, the module's digest is that of the module its print
-    parses back to."""
+    """After any mutation of a leaf of a hashed module, the module's
+    digest is that of the module its print parses back to."""
 
     @pytest.mark.parametrize("mutation", sorted(LEAF_MUTATIONS))
     def test_digest_follows_a_leaf_mutation(self, mutation):

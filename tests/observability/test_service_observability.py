@@ -451,11 +451,6 @@ class TestBatchCli:
 _MS = r"\d+\.\d{3} ms"
 _JOBS = rf"    jobs: 2  mean wall: {_MS}  max wall: {_MS}"
 _DEPTH = r"    queue depth: mean \d+\.\d\d  max \d+  \(samples: 4\)"
-_HASHING = [
-    "  Structural hashing",
-    r"    memo hit rate: \d+\.\d%  \(hits: \d+  recomputes: \d+\)  "
-    r"invalidations: \d+",
-]
 
 #: case -> (extra flags, exit code, the report's lines after the
 #: header, each a regular expression). Every case runs one
@@ -469,14 +464,14 @@ TIMING_CASES = {
         "    by status: rejected: 1  success: 1",
         r"    cache hit rate: 0\.0%  \(hits: 0  misses: 1\)  "
         "worker restarts: 0",
-        _DEPTH, "", *_HASHING,
+        _DEPTH,
     ]),
     # No cache, no lookups: nothing to report as a miss.
     "no-cache": (["--no-cache"], 1, [
         "  Compile service", _JOBS,
         "    by status: rejected: 1  success: 1",
         "    worker restarts: 0",
-        _DEPTH, "", *_HASHING,
+        _DEPTH,
     ]),
     # Every pooled attempt crashes: one retry, then the breaker.
     "resilience": (
@@ -489,7 +484,6 @@ TIMING_CASES = {
             "  Resilience",
             rf"    retries: 1  \(backoff: {_MS}\)  quarantined: 1  "
             "pool degradations: 0",
-            "", *_HASHING,
         ]),
 }
 

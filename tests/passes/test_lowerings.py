@@ -4,6 +4,7 @@ import pytest
 
 from repro.dialects import arith, builtin, func, memref as memref_dialect, scf
 from repro.ir import Builder, F32, I1, INDEX
+from repro.ir.printer import print_op
 from repro.ir.types import memref
 from repro.passes import PassManager
 from repro.rewrite.conversion import ConversionError
@@ -119,14 +120,19 @@ class TestSCFToCF:
 
     def test_a_loop_anchor_keeps_itself(self):
         """Run on an ``scf.for`` (``apply_registered_pass`` on a matched
-        loop), the pass lowers what the loop holds, never the loop."""
+        loop), the pass refuses before it writes anything: lowering
+        what the loop holds would leave blocks in its single-block
+        body."""
         module, f = self.build_loop_module()
         loop = next(module.walk_ops("scf.for"))
         inner = scf.for_(Builder.before(loop.body.ops[-1]), *loop.operands)
         scf.yield_(Builder.at_end(inner.body))
-        PassManager(["convert-scf-to-cf"]).run(loop)
-        assert [op.name for op in module.walk_ops("scf.for")] == ["scf.for"]
-        assert loop.parent is f.body and "cf.br" in op_names(loop)
+        before = print_op(module)
+        with pytest.raises(ValueError, match="cannot run on scf.for"):
+            PassManager(["convert-scf-to-cf"]).run(loop)
+        assert print_op(module) == before
+        assert loop.parent is f.body
+        module.verify()
 
     def test_scf_if_lowering(self):
         module = builtin.module()

@@ -350,6 +350,44 @@ class TestWorkerEmittedEntries:
                 "worker.print"]
 
 
+class TestOnePrintPerDigest:
+    """A module's digest composes from its functions' digests, and a
+    caller that has those hands them in: the engine deriving a
+    payload's facts, and the worker digesting its function-tier output,
+    each print every function once for its digest and the module never.
+    Digests are not memoized, so hashing the functions again would
+    print them again."""
+
+    QUAD = _module(F0, F1, F2, _func("f3", 2))
+    FUNCTIONS = ['"f0"', '"f1"', '"f2"', '"f3"']
+
+    @pytest.fixture
+    def digest_prints(self, monkeypatch):
+        import repro.ir.hashing as hashing
+
+        printed = []
+
+        def counting(op):
+            printed.append(str(op.attributes.get("sym_name", op.name)))
+            return print_op(op)
+
+        monkeypatch.setattr(hashing, "print_op", counting)
+        return printed
+
+    def test_deriving_a_payload(self, digest_prints):
+        with _engine(cache=CompilationCache(capacity=8)) as engine:
+            info = engine._derive_payload(self.QUAD, [])
+        assert sorted(digest_prints) == self.FUNCTIONS
+        assert info.func_digests is not None
+        assert info.digest == op_digest(parse(self.QUAD))
+
+    def test_a_function_tier_job(self, digest_prints):
+        raw = compile_job(self.QUAD, UNROLL, function_tier=True)
+        assert raw["status"] == "success"
+        assert sorted(digest_prints) == self.FUNCTIONS
+        assert raw["output_digest"] == op_digest(parse(raw["output"]))
+
+
 class TestEscapeBackstops:
     """A schedule the gate passed that escapes the function-local
     contract anyway stores nothing. The gate is forced open here: the

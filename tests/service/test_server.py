@@ -39,7 +39,7 @@ from repro.service.cli import (
 )
 from repro.service import server as server_module
 from repro.service.server import main as serve_main
-from repro.service.wire import read_frame
+from repro.service.wire import read_frame, read_frame_async
 
 from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
 from .test_frontier import until
@@ -130,6 +130,30 @@ class TestServerRoundtrip:
                 engine.shutdown()
 
         asyncio.run(go())
+
+    def test_stop_leaves_no_connection_handler_to_cancel(
+            self, tmp_path, caplog):
+        # A client connected and idle through stop(): its handler must
+        # be done before asyncio.run tears the loop down, or the
+        # teardown cancels it and logs the CancelledError.
+        async def go():
+            engine = CompileEngine(workers=0)
+            sock = _sock(tmp_path)
+            try:
+                async with CompileServer(engine, socket_path=sock):
+                    reader, writer = await asyncio.open_unix_connection(
+                        sock)
+                    writer.write(b'{"op": "ping", "id": "1"}\n')
+                    assert (await read_frame_async(reader))["type"] \
+                        == "pong"
+                writer.close()
+            finally:
+                engine.shutdown()
+
+        with caplog.at_level("ERROR", logger="asyncio"):
+            asyncio.run(go())
+        assert [record.getMessage() for record in caplog.records
+                if record.name == "asyncio"] == []
 
     def test_param_binding_and_bad_request(self, tmp_path):
         async def go():

@@ -55,6 +55,16 @@ class TestFuzzInvariants:
             assert (first.kind, first.message, first.payload_print) == \
                 (again.kind, again.message, again.payload_print), leg
 
+    @pytest.mark.parametrize("case_seed", [2000062, 2000110, 3000151])
+    def test_scf_to_cf_on_a_loop_handle_fails_definite(self, case_seed):
+        """The builder leg runs ``convert-scf-to-cf`` on a handle to
+        ``scf.for`` ops: the pass refuses the loop it would have left
+        with a multi-block body, and the run stops definite."""
+        outcomes, failures = run_case(case_seed)
+        assert not failures, failures
+        assert outcomes["builder"].kind == "definite"
+        assert "convert-scf-to-cf failed" in outcomes["builder"].message
+
     def test_rollback_case_shape(self):
         scoped = set()
         for seed in range(8):
@@ -184,15 +194,14 @@ class TestFuzzCli:
 class TestRollbackOracleBites:
     def test_an_unjournaled_write_fails_rollback_byte_identical(
             self, monkeypatch):
-        """A mutant ``set_attr`` that still clears the digest chain but
-        journals no inverse: its writes survive a rollback, and the
-        fuzzer's rollback oracle must say so."""
+        """A mutant ``set_attr`` that journals no inverse: its writes
+        survive a rollback, and the fuzzer's rollback oracle must say
+        so."""
         from repro.ir import core
         from repro.ir.attributes import attr
 
         def unjournaled(op, name, value):
             op.attributes = {**op.attributes, name: attr(value)}
-            core.invalidate_digest(op)
 
         monkeypatch.setattr(core.Operation, "set_attr", unjournaled)
         invariants = {failure.invariant for case_seed in (1, 3)
