@@ -3,17 +3,19 @@
 Batch transform-compilation on top of the interpreter stack built in
 PRs 1-3: jobs are (payload module, transform script, parameter
 bindings) triples shipped across process boundaries as *text* (the
-printer -> parser round-trip is the transport contract), executed on a
-``ProcessPoolExecutor`` worker pool, fronted by a content-addressed
-compilation cache and an asyncio admission queue with backpressure.
+printer -> parser round-trip is the transport contract), executed by
+worker processes the engine forks and talks to over one pipe each,
+fronted by a content-addressed compilation cache and an asyncio
+admission queue with backpressure.
 
 Layers (each its own module):
 
 * :mod:`repro.service.cache` — SHA-256 content-addressed result cache,
   in-memory LRU plus an optional on-disk store, with hit/miss/eviction
   statistics;
-* :mod:`repro.service.worker` — the process-pool worker: parses,
-  binds parameters, interprets and prints entirely job-locally;
+* :mod:`repro.service.worker` — the pool worker: parses, binds
+  parameters, interprets and prints entirely job-locally, one call at a
+  time off its pipe;
 * :mod:`repro.service.engine` — job scheduling: static preflight
   rejection, in-flight deduplication, per-job timeouts, cancellation,
   and policy-driven crash containment over the worker pool;
@@ -48,11 +50,11 @@ Fault tolerance is testable: every failure-handling path above can be
 driven deterministically by :mod:`repro.testing.faults`.
 """
 
+from importlib import import_module
+
 from .cache import CachedResult, CacheStats, CompilationCache, cache_key
-from .client import AsyncServiceClient, RemoteError, ServiceClient
 from .engine import CompileEngine, CompileJob, JobResult, JobStatus
 from .frontier import ServiceClosedError, ServiceFrontier
-from .server import CompileServer, ServerStats
 from .resilience import JobQuarantine, PoolHealthMonitor, RetryPolicy
 from .sharding import is_func_shardable
 from .worker import bind_parameters, compile_job
@@ -80,3 +82,16 @@ __all__ = [
     "compile_job",
     "is_func_shardable",
 ]
+
+#: Names of the modules ``python -m`` runs, imported on first use (PEP
+#: 562): imported here, ``python -m repro.service.server`` (``.client``,
+#: ``.cli``) would find its module loaded already and run a second copy.
+_LAZY = {"AsyncServiceClient": ".client", "RemoteError": ".client",
+         "ServiceClient": ".client", "CompileServer": ".server",
+         "ServerStats": ".server"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name], __name__), name)

@@ -39,12 +39,12 @@ terminal result or fall through, cheapest first:
    printed or re-hashed on a full hit, and on a partial one the
    missing functions are printed off the module step 1 parsed and run
    as sub-jobs (below) — the daemon parses a partial hit once — else
-   runs the job on
-   a ``ProcessPoolExecutor`` worker (IR crosses the *process* boundary
-   as text: the worker parses its own copy). A per-job timeout kills
-   the hung worker and restarts
-   the pool (TIMEOUT); a worker crash (``BrokenProcessPool``)
-   restarts the pool (CRASHED); the
+   runs the job on one of the engine's forked workers: the job's own
+   thread sends the call down the worker's pipe and waits for the reply
+   (IR crosses the *process* boundary as text: the worker parses its
+   own copy). A per-job timeout kills the pool, the hung worker with
+   it, and starts a new one (TIMEOUT); a worker crash
+   (``BrokenProcessPool``) does the same (CRASHED); the
    :class:`~repro.service.resilience.RetryPolicy` decides whether the
    attempt is repeated, and a
    :class:`~repro.service.resilience.PoolHealthMonitor` degrades a
@@ -97,13 +97,15 @@ from __future__ import annotations
 import enum
 import itertools
 import multiprocessing
+import queue
 import threading
 import time
 from collections import Counter, OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, TimeoutError
+from concurrent.futures import Future, TimeoutError
 from contextlib import nullcontext
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..ir import parser as ir_parser
@@ -118,7 +120,7 @@ from .resilience import JobQuarantine, PoolHealthMonitor, RetryPolicy
 from .sharding import (assemble_functions, function_text,
                        function_text_digests, is_func_shardable,
                        shardable_functions)
-from .worker import _ensure_registered, compile_job
+from .worker import _ensure_registered, compile_job, serve
 
 _job_ids = itertools.count()
 
@@ -326,6 +328,77 @@ def _mark(span, status: Optional[str] = None, **attributes) -> None:
         span.attributes.update(attributes)
 
 
+class _Worker:
+    """One forked worker process (:func:`repro.service.worker.serve`)
+    and the engine's end of its duplex pipe. Checked out, it is the
+    handle of the one call it was sent: :meth:`result` reads the reply
+    on the thread that sent the call."""
+
+    def __init__(self, pool: "_Pool", context):
+        self.pool = pool
+        self.conn, theirs = context.Pipe()
+        self.process = context.Process(target=serve, args=(theirs,),
+                                       daemon=True)
+        self.process.start()
+        theirs.close()
+        pool.idle.put(self)
+
+    def result(self, timeout: Optional[float] = None):
+        """The call's value, or its exception raised here; then the
+        worker is idle again. ``TimeoutError`` at the deadline (the
+        worker stays checked out: the engine kills it), and
+        ``BrokenProcessPool`` when the process died first."""
+        ready = wait([self.conn, self.process.sentinel], timeout)
+        if not ready:
+            raise TimeoutError()
+        try:
+            if self.conn not in ready:  # dead, and nothing was sent
+                raise EOFError
+            ok, value = self.conn.recv()
+        except (EOFError, OSError):
+            raise BrokenProcessPool("a worker died mid-job") from None
+        self.pool.idle.put(self)
+        if not ok:
+            raise value
+        return value
+
+
+class _Pool:
+    """``workers`` processes forked at once, each behind one pipe; no
+    thread of its own. :meth:`submit` checks out an idle worker, waiting
+    for one, and sends it the call. Closing a pool (``None`` in the idle
+    queue) fails every submit that reaches it with ``BrokenProcessPool``,
+    as does a worker found dead."""
+
+    def __init__(self, workers: int):
+        # Children inherit the op registries (and any test-local
+        # transform ops) instead of re-importing under spawn.
+        context = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
+        self.idle = queue.SimpleQueue()  # of _Worker, or None: closed
+        self.workers = [_Worker(self, context) for _ in range(workers)]
+
+    def submit(self, fn, *args) -> _Worker:
+        """Send ``fn(*args)`` to an idle worker, which is returned.
+        ``BrokenProcessPool`` when the pool closes while this waits or
+        the worker is dead; an argument that does not pickle raises its
+        own error and leaves the worker idle."""
+        worker = self.idle.get()
+        if worker is None:
+            self.idle.put(None)  # wakes the next waiter in turn
+            raise BrokenProcessPool("the worker pool was replaced")
+        try:
+            # Pickled whole before a byte is written.
+            worker.conn.send((fn, args))
+        except OSError as error:  # the worker died while idle
+            raise BrokenProcessPool(f"a worker has died: {error}") from None
+        except Exception:
+            self.idle.put(worker)
+            raise
+        return worker
+
+
 class CompileEngine:
     """Runs compile jobs over a process pool with caching.
 
@@ -377,7 +450,14 @@ class CompileEngine:
         #: Optional :class:`repro.observability.EventLog`: one record
         #: per job state transition, correlated by job id.
         self.events = events
-        self._pool: Optional[ProcessPoolExecutor] = None
+        # Before the first parse (type and op names resolve through
+        # the registries) and before the pool forks, so children
+        # inherit the registries instead of importing them per worker.
+        _ensure_registered()
+        #: The worker pool: None for ``workers=0``, once degraded and
+        #: once shut down. Forked now, before any frontier thread
+        #: exists — fork-after-thread is where pools get fragile.
+        self._pool = _Pool(workers) if workers else None
         self._pool_generation = 0
         self._pool_lock = threading.Lock()
         self._book_lock = threading.Lock()
@@ -392,77 +472,42 @@ class CompileEngine:
         #: seconds here, queue depth from the frontier.
         self.metrics = MetricsRegistry()
         self._job_seconds = self.metrics.histogram("service.job_seconds")
-        # Before the first parse (type and op names resolve through
-        # the registries) and before the pool forks, so children
-        # inherit the registries instead of importing them per worker.
-        _ensure_registered()
-        # Create the pool eagerly, before any frontier threads
-        # exist — fork-after-thread is where pools get fragile.
-        self._ensure_pool()
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _make_pool(self) -> ProcessPoolExecutor:
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Children inherit the op registries (and any test-local
-            # transform ops) instead of re-importing under spawn.
-            context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(self.workers, context)
-
-    def _ensure_pool(self) -> Tuple[Optional[ProcessPoolExecutor], int]:
-        """The live pool, or (None, generation) for ``workers=0`` and
-        once degraded."""
-        with self._pool_lock:
-            if self.degraded or self.workers == 0:
-                return None, self._pool_generation
-            if self._pool is None:
-                self._pool = self._make_pool()
-            return self._pool, self._pool_generation
-
     @staticmethod
-    def _terminate(pool: Optional[ProcessPoolExecutor]) -> None:
-        """Forcibly kill a pool's worker processes (hung workers never
-        notice ``shutdown(wait=False)`` and would run forever); no pool,
-        no-op."""
-        processes = getattr(pool, "_processes", None)
-        for process in list((processes or {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
+    def _terminate(pool: Optional[_Pool]) -> None:
+        """Close a pool and kill its worker processes — a hung worker
+        notices nothing gentler — then reap them; no pool, no-op. A job
+        in flight on one of them fails with ``BrokenProcessPool``."""
+        if pool is None:
+            return
+        pool.idle.put(None)
+        for worker in pool.workers:
+            worker.process.kill()
+            worker.process.join()
 
-    def _restart_pool(self, seen_generation: int,
-                      kill_pool: Optional[ProcessPoolExecutor] = None
-                      ) -> None:
-        """Replace a broken pool — exactly once per generation.
+    def _restart_pool(self, seen_generation: int) -> None:
+        """Replace a broken or hung pool — exactly once per generation.
 
         The generation guard guarantees that N threads observing the
         same broken/hung generation produce exactly one restart (and
         one ``worker_restarts`` increment): the first thread through
         the lock replaces the pool and bumps the generation, the rest
-        see the mismatch and back off. ``kill_pool`` is the pool whose
-        worker the caller timed out: its processes are terminated
-        *even when the generation already moved on* — the loser of the
-        race must still reap its hung worker, which the winner's
-        ``shutdown(wait=False)`` left running. Other jobs in flight on
-        a killed pool fail with ``BrokenProcessPool`` and take the
-        crash/retry path against the fresh generation."""
+        see the mismatch and back off. The replaced pool is killed
+        whole — a hung worker with it — so the other jobs in flight on
+        it fail with ``BrokenProcessPool`` and take the crash/retry
+        path against the fresh generation, as do the submits waiting
+        for one of its workers."""
         with self._pool_lock:
-            restarted = (self._pool_generation == seen_generation
-                         and not self.degraded)
-            if restarted:
-                self._terminate(kill_pool)
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False, cancel_futures=True)
-                self._pool = self._make_pool()
-                self._pool_generation += 1
-        if not restarted:
-            # Lost the race (or the engine degraded meanwhile): no
-            # second restart, but the hung workers the caller wanted
-            # dead still need killing.
-            self._terminate(kill_pool)
-            return
+            if (self._pool_generation != seen_generation
+                    or self.degraded):
+                # Lost the race (or the engine degraded meanwhile): the
+                # pool is already replaced, and killed.
+                return
+            retired, self._pool = self._pool, _Pool(self.workers)
+            self._pool_generation += 1
+        self._terminate(retired)
         self._account("worker_restarts")
         if self._pool_health.record_restart():
             self._degrade_pool()
@@ -478,9 +523,7 @@ class CompileEngine:
             self.degraded_diagnostic = self._pool_health.diagnose()
             pool, self._pool = self._pool, None
             self._pool_generation += 1
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._terminate(pool)
+        self._terminate(pool)
         # Engine-wide, not job-scoped: no correlation id.
         self._account("DEGRADED", diagnostic=self.degraded_diagnostic)
 
@@ -489,12 +532,14 @@ class CompileEngine:
         """True once crash-loop detection disabled the pool."""
         return self.degraded_diagnostic is not None
 
-    def shutdown(self, wait: bool = True) -> None:
+    def shutdown(self) -> None:
+        """Kill and reap the workers. Call it once nothing runs: a job
+        still in flight fails as a crash."""
         self._cancelled.set()
         with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=wait, cancel_futures=True)
-                self._pool = None
+            pool, self._pool = self._pool, None
+            self._pool_generation += 1  # nothing restarts it
+        self._terminate(pool)
 
     def __enter__(self) -> "CompileEngine":
         return self
@@ -941,7 +986,6 @@ class CompileEngine:
     def _handle_pool_failure(self, job: CompileJob, key: str,
                              status: str, error: BaseException,
                              attempts: int, timeout: Optional[float],
-                             pool: ProcessPoolExecutor,
                              generation: int) -> Optional[JobResult]:
         """One failed pool attempt (``"timeout"`` or ``"crashed"``):
         reclaim the pool, count, then apply policy.
@@ -950,17 +994,15 @@ class CompileEngine:
         POISONED when this failure tripped the circuit breaker — or
         None when the retry policy granted another attempt (the
         deterministic backoff has already been slept here)."""
+        # A hung worker would keep executing the job and starve the
+        # pool: the restart kills it, so the slot is actually reclaimed.
+        self._restart_pool(generation)
         if status == "timeout":
-            # cancel() is a no-op on a running task: the worker would
-            # keep executing the job and starve the pool. Kill it and
-            # restart the generation so the slot is actually reclaimed.
-            self._restart_pool(generation, kill_pool=pool)
             self._account("TIMEOUT", job, key=key, attempt=attempts,
                           deadline=timeout)
             diagnostics = (f"error: job exceeded its {timeout:g}s deadline; "
                            "hung worker killed and the pool restarted")
         else:
-            self._restart_pool(generation)
             self._account("CRASHED", job, key=key, attempt=attempts)
             diagnostics = ("error: worker process died while compiling "
                            f"this job (x{attempts}): {error}")
@@ -1002,7 +1044,8 @@ class CompileEngine:
                             attempt=attempts) as attempt_span:
                 trace = attempt_span and (attempt_span.trace_id,
                                          attempt_span.span_id)
-                pool, generation = self._ensure_pool()
+                with self._pool_lock:
+                    pool, generation = self._pool, self._pool_generation
                 self._account("DISPATCHED", job, key=key, attempt=attempts,
                               pooled=pool is not None)
                 failure: Optional[Tuple[str, BaseException]] = None
@@ -1023,8 +1066,9 @@ class CompileEngine:
                               if self.faults is not None else None)
                     try:
                         # submit() itself raises BrokenProcessPool when
-                        # another job's crash already broke this pool.
-                        future = pool.submit(
+                        # another job's failure already replaced this
+                        # pool or killed the worker.
+                        worker = pool.submit(
                             compile_job, job.payload_text, job.script_text,
                             job.params, job.entry_point, inject, trace,
                             tier_keys is not None)
@@ -1035,9 +1079,8 @@ class CompileEngine:
                             # killer): every worker dies under the
                             # dispatched job.
                             self._terminate(pool)
-                        raw = future.result(timeout=timeout)
+                        raw = worker.result(timeout=timeout)
                     except TimeoutError as error:
-                        future.cancel()
                         failure = ("timeout", error)
                     except BrokenProcessPool as error:
                         failure = ("crashed", error)
@@ -1074,6 +1117,6 @@ class CompileEngine:
             # The attempt's span is closed: policy time (pool restart,
             # backoff sleep) is not dispatch time.
             result = self._handle_pool_failure(
-                job, key, *failure, attempts, timeout, pool, generation)
+                job, key, *failure, attempts, timeout, generation)
             if result is not None:
                 return result

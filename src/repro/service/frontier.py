@@ -3,12 +3,14 @@
 :class:`ServiceFrontier` is the single place that decides in what
 order, and how many, jobs run. A job the engine can answer from memory
 (:meth:`CompileEngine.answer`: inputs memoized, result cached) is
-answered at admission and never queues. Every other job takes a place
-in a heap ordered by priority class (:data:`PRIORITY_RANKS`) and then
-by arrival, and waits there for one of ``max(engine.workers, 1)``
-dispatch slots; with the slot, its own ``submit`` coroutine runs
-:meth:`CompileEngine.run_job` on a private thread pool (the engine call
-blocks on the process pool; threads keep the event loop free). Nothing
+answered at admission (:meth:`ServiceFrontier.admit`, which ``submit``
+and the daemon's connection reader call) and never queues. Every other
+job takes a place in a heap ordered by priority class
+(:data:`PRIORITY_RANKS`) and then by arrival, and waits there for one
+of ``max(engine.workers, 1)`` dispatch slots; with the slot, the rest
+of its route runs :meth:`CompileEngine.run_job` on a private thread
+pool (the engine call blocks on a worker's pipe; threads keep the event
+loop free). Nothing
 already dispatched is ever preempted, and a slot is freed when the
 engine call returns, so the thread pool is never oversubscribed.
 
@@ -145,13 +147,20 @@ class ServiceFrontier:
 
     async def submit(self, job: CompileJob,
                      priority: str = "batch") -> JobResult:
-        """Admit one job and await its result.
+        """Admit one job (:meth:`admit`) and await its result. Blocks
+        (asynchronously) while the queue is full — backpressure
+        propagates to the producer rather than growing a buffer."""
+        return await self.admit(job, priority)
+
+    def admit(self, job: CompileJob,
+              priority: str = "batch") -> "asyncio.Future[JobResult]":
+        """Admission, synchronous, on the event loop: the job's future
+        result — done already when the engine's memory answered, else
+        the task that queues the job and runs it in a dispatch slot.
 
         ``priority`` names a class in :data:`PRIORITY_RANKS`; queued
         jobs take slots by rank, then arrival (unknown class:
-        ``ValueError``). Blocks (asynchronously) while the queue is
-        full — backpressure propagates to the producer rather than
-        growing a buffer. Raises :class:`ServiceClosedError` once
+        ``ValueError``). Raises :class:`ServiceClosedError` once
         :meth:`close` has begun; a job admitted before that completes.
         """
         if priority not in PRIORITY_RANKS:
@@ -183,12 +192,19 @@ class ServiceFrontier:
             if tracer is not None:
                 tracer.end_span(
                     root, "ok" if result.ok else result.status.value)
-            return result
+            answered = asyncio.get_running_loop().create_future()
+            answered.set_result(result)
+            return answered
         if tracer is not None:
             wait = tracer.start_span(
                 "queue.wait", parent=root,
                 attributes={"job_id": job.job_id},
             )
+        return asyncio.ensure_future(
+            self._queued(job, priority, tracer, root, wait))
+
+    async def _queued(self, job: CompileJob, priority: str, tracer, root,
+                      wait) -> JobResult:
         self._edge(job, +1, "ADMITTED")
         loop = asyncio.get_running_loop()
         waiter = loop.create_future()
@@ -258,8 +274,7 @@ class ServiceFrontier:
             tracer.end_span(root, "ok" if result.ok else result.status.value)
 
     async def run(self, jobs: Sequence[CompileJob]) -> List[JobResult]:
-        """Submit all jobs (respecting backpressure) and gather results
-        in submission order."""
-        return list(await asyncio.gather(
-            *(self.submit(job) for job in jobs)
-        ))
+        """Admit every job, in order and before any of them runs — what
+        memory answers is settled then — and gather the results
+        (respecting backpressure) in submission order."""
+        return list(await asyncio.gather(*[self.admit(job) for job in jobs]))

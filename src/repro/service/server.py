@@ -66,7 +66,7 @@ import json
 import signal
 import sys
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..observability.events import TERMINAL_EVENTS, EventLog
 from .cli import add_engine_arguments, build_engine, shutdown_engine
@@ -82,7 +82,11 @@ RESULT_FIELDS = (
 )
 
 
-def result_to_frame(result: JobResult) -> Dict[str, object]:
+def result_to_frame(result: JobResult,
+                    request: Optional[Dict[str, object]] = None
+                    ) -> Dict[str, object]:
+    """The ``result`` frame of ``result``; with the ``request`` it
+    answers, echoing its ``id`` (and ``job_id``, as requested)."""
     frame: Dict[str, object] = {
         "type": "result",
         "status": result.status.value,
@@ -90,6 +94,10 @@ def result_to_frame(result: JobResult) -> Dict[str, object]:
     }
     for name in RESULT_FIELDS:
         frame[name] = getattr(result, name)
+    if request is not None:
+        frame["id"] = request.get("id")
+        if request.get("job_id") is not None:
+            frame["requested_job_id"] = request["job_id"]
     return frame
 
 
@@ -163,7 +171,6 @@ class CompileServer:
         self._stopping = False
         self._stopped: Optional[asyncio.Event] = None
         self._idle: Optional[asyncio.Event] = None
-        self._inflight_jobs = 0
         self._admin_lock: Optional[asyncio.Lock] = None
         self._unsubscribe = None
 
@@ -255,13 +262,20 @@ class CompileServer:
 
     # -- in-flight accounting -------------------------------------------------
 
-    def _job_started(self) -> None:
-        self._inflight_jobs += 1
+    def _open_job(self, client: _Client, job: CompileJob,
+                  priority: str) -> None:
+        self._active_jobs.add(job.job_id)
         self._idle.clear()
+        client.inflight += 1
+        self.stats.submitted += 1
+        by_priority = self.stats.by_priority
+        by_priority[priority] = by_priority.get(priority, 0) + 1
 
-    def _job_finished(self) -> None:
-        self._inflight_jobs -= 1
-        if self._inflight_jobs <= 0:
+    def _close_job(self, client: _Client, job: CompileJob) -> None:
+        self._streams.pop(job.job_id, None)
+        self._active_jobs.discard(job.job_id)
+        client.inflight -= 1
+        if not self._active_jobs:
             self._idle.set()
 
     def _unique_job_id(self, requested: Optional[str]) -> str:
@@ -299,9 +313,11 @@ class CompileServer:
                     continue
                 if request is None:
                     break
-                task = asyncio.create_task(
-                    self._handle_request(client, request)
-                )
+                if request.get("op") != "submit":
+                    task = asyncio.create_task(
+                        self._handle_request(client, request))
+                elif (task := self._admit(client, request)) is None:
+                    continue  # memory answered: reply written, no task
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
         except ConnectionError:
@@ -330,11 +346,16 @@ class CompileServer:
                 pass
 
     async def _handle_request(self, client: _Client,
-                              request: Dict[str, object]) -> None:
+                              request: Dict[str, object],
+                              admitted=None) -> None:
+        """One request's task. ``admitted``: the job and future result
+        of a submit the reader admitted — the reply is what is left."""
         rid = request.get("id")
         op = request.get("op")
         try:
-            if op == "submit":
+            if admitted is not None:
+                await self._conclude(client, rid, request, *admitted)
+            elif op == "submit":
                 await self._handle_submit(client, rid, request)
             elif op == "stats":
                 await self._send(client, {
@@ -367,7 +388,15 @@ class CompileServer:
 
     # -- ops -----------------------------------------------------------------
 
-    def _build_job(self, request: Dict[str, object]) -> CompileJob:
+    def _build_job(self, request: Dict[str, object]
+                   ) -> Tuple[CompileJob, str]:
+        """The job a submit asks for, and its priority class."""
+        priority = str(request.get("priority") or "batch")
+        if priority not in PRIORITY_RANKS:
+            raise ValueError(
+                f"unknown priority {priority!r} (choose from: "
+                f"{', '.join(PRIORITY_RANKS)})"
+            )
         payload = request.get("payload")
         script = request.get("script")
         if not isinstance(payload, str) or not isinstance(script, str):
@@ -388,7 +417,43 @@ class CompileServer:
             job_id=self._unique_job_id(
                 str(requested) if requested is not None else None
             ),
-        )
+        ), priority
+
+    def _admit(self, client: _Client, request: Dict[str, object]
+               ) -> Optional[asyncio.Task]:
+        """A submit frame, at the connection's reader: admission runs
+        here. When memory answers, the result frame is written here and
+        there is no task (None). A miss gets a task for the rest of its
+        route: admitted once, it is never offered to memory again.
+        Anything else — a stream, a quota or drain refusal, a request
+        that builds no job, a reply that would queue behind unsent
+        bytes, an engine that cannot answer — gets the handler task any
+        other request gets."""
+        done = None
+        if not (request.get("stream") or self._draining
+                or client.inflight >= self.client_quota
+                or client.writer.transport.get_write_buffer_size()
+                or not hasattr(self.engine, "answer")):
+            try:
+                job, priority = self._build_job(request)
+                done = self.frontier.admit(job, priority)
+            except Exception:
+                pass  # the handler task reports it
+        if done is None:
+            return asyncio.create_task(self._handle_request(client, request))
+        self._open_job(client, job, priority)
+        if not done.done():
+            task = asyncio.create_task(
+                self._handle_request(client, request, (job, done)))
+            # Here, not in the task: a task cancelled before it starts
+            # runs no ``finally``.
+            task.add_done_callback(lambda _: self._close_job(client, job))
+            return task
+        client.writer.write(encode_frame(
+            result_to_frame(done.result(), request)))
+        self.stats.completed += 1
+        self._close_job(client, job)
+        return None
 
     async def _handle_submit(self, client: _Client, rid,
                              request: Dict[str, object]) -> None:
@@ -409,14 +474,8 @@ class CompileServer:
                 ),
             })
             return
-        priority = str(request.get("priority") or "batch")
         try:
-            if priority not in PRIORITY_RANKS:
-                raise ValueError(
-                    f"unknown priority {priority!r} (choose from: "
-                    f"{', '.join(PRIORITY_RANKS)})"
-                )
-            job = self._build_job(request)
+            job, priority = self._build_job(request)
         except ValueError as error:
             self.stats.bad_requests += 1
             await self._send(client, {
@@ -425,46 +484,40 @@ class CompileServer:
             })
             return
 
-        stream = bool(request.get("stream"))
         sub_queue: Optional[asyncio.Queue] = None
-        if stream:
+        if request.get("stream"):
             sub_queue = asyncio.Queue()
             self._streams[job.job_id] = sub_queue
             self.stats.streamed += 1
-        self._active_jobs.add(job.job_id)
-        client.inflight += 1
-        self._job_started()
-        self.stats.submitted += 1
-        self.stats.by_priority[priority] = (
-            self.stats.by_priority.get(priority, 0) + 1
-        )
+        self._open_job(client, job, priority)
         # The frontier's queue is the only queue: admission (and the
         # job's trace) starts here. A task, so event forwarding has
         # something to race; shielded, so a client that disconnects
         # mid-job cancels this handler, not a job already admitted.
         done = asyncio.ensure_future(self.frontier.submit(job, priority))
         try:
-            if sub_queue is not None:
-                await self._forward_events(client, rid, sub_queue, done)
-            try:
-                result = await asyncio.shield(done)
-            except ServiceClosedError as error:
-                await self._send(client, {
-                    "type": "error", "id": rid, "code": "draining",
-                    "message": str(error), "job_id": job.job_id,
-                })
-                return
-            frame = result_to_frame(result)
-            frame["id"] = rid
-            if request.get("job_id") is not None:
-                frame["requested_job_id"] = request["job_id"]
-            await self._send(client, frame)
-            self.stats.completed += 1
+            await self._conclude(client, rid, request, job, done, sub_queue)
         finally:
-            self._streams.pop(job.job_id, None)
-            self._active_jobs.discard(job.job_id)
-            client.inflight -= 1
-            self._job_finished()
+            self._close_job(client, job)
+
+    async def _conclude(self, client: _Client, rid,
+                        request: Dict[str, object], job: CompileJob,
+                        done: asyncio.Future,
+                        sub_queue: Optional[asyncio.Queue] = None) -> None:
+        """Wait for an admitted job (streaming its events when asked)
+        and send its result frame."""
+        if sub_queue is not None:
+            await self._forward_events(client, rid, sub_queue, done)
+        try:
+            result = await asyncio.shield(done)
+        except ServiceClosedError as error:
+            await self._send(client, {
+                "type": "error", "id": rid, "code": "draining",
+                "message": str(error), "job_id": job.job_id,
+            })
+            return
+        await self._send(client, result_to_frame(result, request))
+        self.stats.completed += 1
 
     async def _forward_events(self, client: _Client, rid,
                               sub_queue: asyncio.Queue,

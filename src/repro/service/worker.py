@@ -1,26 +1,28 @@
-"""The process-pool worker: one fully job-local compilation.
+"""The pool worker: one fully job-local compilation.
 
 IR crosses the *process* boundary as text in both directions — the
 printer -> parser round-trip is the transport contract (property-tested
-in ``tests/ir/test_roundtrip_property.py``) — so the pool hands
-:func:`compile_job` text. A caller in the same process that already
-holds the parsed inputs (the engine's in-process route, see
-:mod:`repro.service.engine`) hands over the modules instead and skips
-the second parse; what it hands over is consumed. Both routes call the
-one function. Everything mutable the compilation touches (parser,
-transform state, interpreter, diagnostics, interpreter counters) is
-created fresh inside :func:`compile_job`, so a worker process can
-execute any number of jobs sequentially and each behaves exactly like
-a standalone ``repro-opt`` invocation: pooled and sequential runs
-produce byte-identical output and identical stats.
+in ``tests/ir/test_roundtrip_property.py``) — so a pool worker process,
+which spends its life in :func:`serve` answering one call at a time
+over its pipe, is handed text for :func:`compile_job`. A caller in the
+same process that already holds the parsed inputs (the engine's
+in-process route, see :mod:`repro.service.engine`) hands over the
+modules instead and skips the second parse; what it hands over is
+consumed. Both routes call the one function. Everything mutable the
+compilation touches (parser, transform state, interpreter, diagnostics,
+interpreter counters) is created fresh inside :func:`compile_job`, so a
+worker process can execute any number of jobs sequentially and each
+behaves exactly like a standalone ``repro-opt`` invocation: pooled and
+sequential runs produce byte-identical output and identical stats.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import time
 from contextlib import nullcontext
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..ir.attributes import StringAttr
 from ..ir.core import Operation
@@ -28,6 +30,40 @@ from ..ir.core import Operation
 #: Parameter bindings: name -> int or list of ints (the values a
 #: ``transform.param.constant`` op can carry).
 ParamBindings = Mapping[str, Union[int, Sequence[int]]]
+
+#: Set in a pool worker process only (:func:`serve`): where
+#: :func:`compile_job` leaves the modules it would free, so the worker
+#: frees them after the reply is sent. None in every other process.
+_unfreed: Optional[List[Operation]] = None
+
+
+def serve(conn) -> None:
+    """A pool worker process's whole life (the engine forks it): take a
+    ``(fn, args)`` call off ``conn``, send back ``(True, fn(*args))`` or
+    ``(False, the exception)``, then free the job's IR — the caller is
+    not kept waiting for it, and the next call still starts with it
+    freed. Returns when the engine's end is gone; the engine kills it
+    sooner."""
+    global _unfreed
+    _unfreed = []
+    # Forked off a daemon, the worker would share its event loop's
+    # signal wakeup fd and handlers: a SIGTERM sent to the worker would
+    # stop the daemon and leave the worker running.
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
+        try:
+            fn, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, fn(*args))
+        except Exception as error:
+            reply = (False, error)
+        conn.send(reply)
+        for module in _unfreed:
+            module.destroy()
+        _unfreed.clear()
 
 
 def _ensure_registered() -> None:
@@ -86,7 +122,8 @@ def compile_job(payload: Union[str, Operation],
     span, or an already parsed module that the caller gives up: the
     compilation transforms ``payload`` in place, rebinds ``script``'s
     parameters, inlines its macros and destroys both on its way out
-    (:meth:`~repro.ir.core.Operation.destroy`), so neither may be an
+    (:meth:`~repro.ir.core.Operation.destroy`; a pool worker's
+    :func:`serve` does it once the reply is sent), so neither may be an
     object anyone else still reads.
 
     The return value is deliberately pickle-friendly (strings, numbers
@@ -191,11 +228,13 @@ def compile_job(payload: Union[str, Operation],
 
     def _finish(raw: Dict[str, object]) -> Dict[str, object]:
         # Every non-raising path ends here with the IR dead (``raw``
-        # holds none of it): free it now, or module after module
-        # floats until a full garbage collection (DESIGN.md §10).
+        # holds none of it): free it — now, or in a pool worker once
+        # the reply is sent — or module after module floats until a
+        # full garbage collection (DESIGN.md §10).
+        free = Operation.destroy if _unfreed is None else _unfreed.append
         for module in (payload, script):
             if isinstance(module, Operation):
-                module.destroy()
+                free(module)
         if tracer is not None:
             status = str(raw["status"])
             tracer.end_span(root, "ok" if status == "success" else status)

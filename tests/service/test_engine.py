@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +23,7 @@ import repro.dialects  # registers payload ops
 from repro.core.dialect import TransformOp
 from repro.core.errors import TransformResult
 from repro.ir.core import register_op
+from repro.observability import EventLog
 from repro.service import (
     CompilationCache,
     CompileEngine,
@@ -604,6 +606,67 @@ class TestHostileWorkers:
             result = engine.run_job(_job(script=script))
         assert result.status is JobStatus.CRASHED
         assert result.attempts == 1
+
+
+class TestOwnedWorkers:
+    """The engine forks its workers and talks to each over one pipe,
+    from the thread that runs the job."""
+
+    def test_the_engine_starts_no_thread(self):
+        payloads = [PAYLOAD.replace("8 : index", f"{8 + 2 * n} : index")
+                    for n in range(4)]
+        before = threading.active_count()
+        with CompileEngine(workers=2) as engine:
+            results = [engine.run_job(_job(payload=payload))
+                       for payload in payloads]
+            assert threading.active_count() == before
+        assert [(r.status, r.attempts) for r in results] == \
+            [(JobStatus.SUCCESS, 1)] * 4
+
+    def test_jobs_waiting_behind_a_hung_worker_retry_and_finish(self):
+        # workers=1: the first job hangs on the only worker while two
+        # more wait for it. The timeout replaces the pool; the waiters
+        # take the crash/retry path onto the new one instead of waiting
+        # forever.
+        hang = _job(script=_hostile_script("transform.test.service_sleep"),
+                    timeout=1.0)
+        waiting = [_job(payload=PAYLOAD.replace(
+            "8 : index", f"{10 + 2 * n} : index")) for n in range(2)]
+        events = EventLog()
+        dispatched = threading.Event()
+
+        def on_event(record):
+            if (record["event"], record["job_id"]) == ("DISPATCHED",
+                                                       hang.job_id):
+                dispatched.set()
+
+        events.subscribe(on_event)
+        with CompileEngine(workers=1, preflight=False,
+                           events=events) as engine:
+            with ThreadPoolExecutor(max_workers=3) as threads:
+                hung = threads.submit(engine.run_job, hang)
+                assert dispatched.wait(30.0)
+                others = [threads.submit(engine.run_job, job)
+                          for job in waiting]
+                assert hung.result(timeout=60.0).status is JobStatus.TIMEOUT
+                results = [other.result(timeout=60.0) for other in others]
+            assert [(r.status, r.attempts) for r in results] == \
+                [(JobStatus.SUCCESS, 2)] * 2
+            assert (engine.stats.timeouts, engine.stats.crashes,
+                    engine.stats.worker_restarts) == (1, 2, 1)
+
+    def test_a_failing_call_leaves_its_worker_usable(self):
+        # The function's exception is raised in the caller; an argument
+        # that does not pickle fails before anything reaches the worker.
+        with CompileEngine(workers=1) as engine:
+            pool = engine._pool
+            with pytest.raises(ValueError):
+                pool.submit(int, "not a number").result(timeout=30.0)
+            with pytest.raises(TypeError):
+                pool.submit(int, threading.Lock())
+            assert pool.submit(int, "3").result(timeout=30.0) == 3
+            assert engine.run_job(_job()).ok
+            assert engine.stats.crashes == engine.stats.worker_restarts == 0
 
 
 class TestValidation:

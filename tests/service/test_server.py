@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.observability import (
+    EventLog,
     MetricsRegistry,
     read_events,
     validate_chrome_trace,
@@ -24,6 +25,7 @@ from repro.service import (
     AsyncServiceClient,
     CompilationCache,
     CompileEngine,
+    CompileJob,
     CompileServer,
     JobResult,
     JobStatus,
@@ -39,8 +41,9 @@ from repro.service.cli import (
 )
 from repro.service import server as server_module
 from repro.service.server import main as serve_main
-from repro.service.wire import read_frame, read_frame_async
+from repro.service.wire import encode_frame, read_frame, read_frame_async
 
+from .test_admission import _QueuedOnly
 from .test_engine import PAYLOAD, UNROLL, UNROLL_BOUND, USE_AFTER_CONSUME
 from .test_frontier import until
 
@@ -74,6 +77,20 @@ class _GatedEngine:
 
 def _sock(tmp_path) -> str:
     return str(tmp_path / "serve.sock")
+
+
+def _children(pid: int):
+    """The pids whose parent is ``pid`` (Linux ``/proc``)."""
+    children = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        if int(stat[stat.rindex(")") + 2:].split()[1]) == pid:
+            children.append(int(entry))
+    return children
 
 
 class TestParseAddress:
@@ -748,6 +765,20 @@ class TestServeCli:
         assert captured.err.startswith("error:")
         assert not os.path.exists(_sock(tmp_path))
 
+    @pytest.mark.parametrize("module", ["server", "client", "cli"])
+    def test_python_m_runs_one_copy_of_the_module(self, module):
+        # The package must not import the module ``-m`` is about to run
+        # (runpy would warn and run a second copy).
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
+                                         "..", "..", "src")
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m",
+             f"repro.service.{module}", "--help"],
+            capture_output=True, text=True, env=env, timeout=60.0)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("usage:")
+
 
 class TestSubmitCli:
     def test_stop_without_drain_is_refused(self, tmp_path, capsys):
@@ -949,6 +980,137 @@ class TestBatchConnect:
             assert validate_metrics_snapshot(block["metrics"]) == []
 
 
+class _CountingLoop(asyncio.SelectorEventLoop):
+    """A selector loop that counts its iterations (``_run_once`` calls)
+    and the tasks created on it."""
+
+    def __init__(self):
+        super().__init__()
+        self.iterations = self.tasks = 0
+        self.set_task_factory(self._task)
+
+    def _run_once(self):
+        self.iterations += 1
+        super()._run_once()
+
+    @staticmethod
+    def _task(loop, coro, **kwargs):
+        loop.tasks += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+
+def _on_counting_loop(go):
+    loop = _CountingLoop()
+    try:
+        return loop.run_until_complete(asyncio.wait_for(go(loop), 60.0))
+    finally:
+        loop.close()
+
+
+class TestTheReaderAnswersHits:
+    """A submit memory can answer is answered by the connection's
+    reader: the reply is written there, with no task."""
+
+    def test_a_hit_costs_two_loop_iterations_and_no_task(self, tmp_path):
+        sock = _sock(tmp_path)
+        measured = {}
+
+        def client_thread(loop, done):
+            try:
+                with ServiceClient(sock, timeout=30.0) as client:
+                    assert not client.submit(PAYLOAD, UNROLL).cache_hit
+                    iterations, tasks = loop.iterations, loop.tasks
+                    measured["hits"] = [client.submit(PAYLOAD, UNROLL)
+                                        for _ in range(50)]
+                    measured["iterations"] = loop.iterations - iterations
+                    measured["tasks"] = loop.tasks - tasks
+            finally:
+                loop.call_soon_threadsafe(done.set)
+
+        async def go(loop):
+            engine = CompileEngine(workers=0,
+                                   cache=CompilationCache(capacity=8))
+            try:
+                async with CompileServer(engine, socket_path=sock):
+                    done = asyncio.Event()
+                    thread = threading.Thread(target=client_thread,
+                                              args=(loop, done))
+                    thread.start()
+                    # No polling: between frames the loop sleeps in
+                    # select, so every iteration counted is the hits'.
+                    await done.wait()
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+            finally:
+                engine.shutdown()
+
+        _on_counting_loop(go)
+        assert len(measured["hits"]) == 50
+        assert all(result.cache_hit for result in measured["hits"])
+        assert measured["tasks"] == 0
+        assert measured["iterations"] / 50 <= 2.0
+
+    #: case -> (server arguments, a request answered before the probe,
+    #: one written just ahead of it, the probe's own fields, the type
+    #: and code of its reply).
+    MISS = {"op": "submit", "id": "miss", "script": UNROLL,
+            "payload": PAYLOAD.replace("8 : index", "12 : index")}
+    FALLBACKS = {
+        "stream": ({}, None, None, {"stream": True}, "event", None),
+        "quota": ({"client_quota": 1}, None, MISS, {}, "error", "quota"),
+        "draining": ({}, {"op": "drain", "id": "d"}, None, {},
+                     "error", "draining"),
+        "unbuildable": ({}, None, None, {"priority": "urgent"},
+                        "error", "bad-request"),
+        "unsent-bytes": ({}, None, None, {}, "result", None),
+        "no-answer": ({}, None, None, {}, "result", None),
+    }
+
+    @pytest.mark.parametrize("case", FALLBACKS)
+    def test_every_other_submit_keeps_its_task_and_frame(
+            self, case, tmp_path, monkeypatch):
+        arguments, before, ahead, fields, kind, code = self.FALLBACKS[case]
+        sock = _sock(tmp_path)
+
+        async def go(loop):
+            engine = CompileEngine(workers=0, events=EventLog(),
+                                   cache=CompilationCache(capacity=8))
+            try:
+                assert engine.run_job(CompileJob(PAYLOAD, UNROLL)).ok
+                served = _QueuedOnly(engine) if case == "no-answer" else engine
+                async with CompileServer(served, socket_path=sock,
+                                         **arguments):
+                    reader, writer = await asyncio.open_unix_connection(sock)
+                    if before is not None:
+                        writer.write(encode_frame(before))
+                        assert (await read_frame_async(reader))["id"] == "d"
+                    if case == "unsent-bytes":
+                        monkeypatch.setattr(
+                            type(writer.transport), "get_write_buffer_size",
+                            lambda transport: 1)
+                    tasks = loop.tasks
+                    probe = {"op": "submit", "id": "probe",
+                             "payload": PAYLOAD, "script": UNROLL, **fields}
+                    writer.write(b"".join(
+                        encode_frame(request) for request in (ahead, probe)
+                        if request is not None))
+                    frames = []
+                    while not frames or frames[-1]["type"] == "event" or \
+                            frames[-1]["id"] != "probe":
+                        frames.append(await read_frame_async(reader))
+                    created = loop.tasks - tasks
+                    writer.close()
+                    return [f for f in frames if f["id"] == "probe"], created
+            finally:
+                engine.shutdown()
+
+        frames, created = _on_counting_loop(go)
+        assert (frames[0]["type"], frames[0].get("code")) == (kind, code)
+        if kind != "error":
+            assert frames[-1]["type"] == "result" and frames[-1]["cache_hit"]
+        assert created >= 1
+
+
 class TestDaemonProcess:
     def test_sigterm_mid_batch_drains_admitted_then_exits_zero(
             self, tmp_path):
@@ -1014,3 +1176,46 @@ class TestDaemonProcess:
             if proc.poll() is None:
                 proc.kill()
             proc.wait(timeout=10.0)
+
+    def test_a_timed_out_job_leaves_the_daemon_serving(self, tmp_path):
+        # Regression: a worker forked after the daemon installed its
+        # signal handlers shared the event loop's wakeup fd, so the
+        # SIGTERM that stopped a hung worker also stopped the daemon.
+        # Two timeouts: the second kills a worker forked by the first
+        # restart, after the handlers were in place; then such a worker
+        # gets a SIGTERM from outside.
+        sock = _sock(tmp_path)
+        body = PAYLOAD.split("\n", 1)[1].rsplit("\n", 1)[0]
+        payload = "\n".join(
+            [PAYLOAD.split("\n", 1)[0]]
+            + [body.replace('"f"', f'"f{n}"') for n in range(16)]
+            + [PAYLOAD.rsplit("\n", 1)[1]])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__),
+                                         "..", "..", "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.service.server", "--socket", sock,
+             "--jobs", "1", "--timeout", "0.001", "--max-attempts", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            assert "listening on" in proc.stdout.readline()
+            with ServiceClient(sock, timeout=30.0) as client:
+                statuses = [client.submit(payload, UNROLL).status
+                            for _ in range(2)]
+                assert statuses == [JobStatus.TIMEOUT] * 2
+                time.sleep(0.5)
+                assert client.ping()["type"] == "pong"
+                for worker in _children(proc.pid):
+                    os.kill(worker, signal.SIGTERM)
+                time.sleep(0.5)
+                assert client.ping()["type"] == "pong"
+                # The dead worker fails one job (no retries here); the
+                # pool it is replaced with compiles the next.
+                assert [client.submit(PAYLOAD, UNROLL, timeout=30.0).status
+                        for _ in range(2)] == [JobStatus.CRASHED,
+                                               JobStatus.SUCCESS]
+            assert proc.poll() is None
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30.0)
