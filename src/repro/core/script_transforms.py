@@ -145,7 +145,7 @@ def included_symbols(script: Operation) -> Set[str]:
 
 
 @register_canonicalization
-@pattern(label="erase-unused-transform-result-only")
+@pattern("transform.*", label="erase-unused-transform-result-only")
 def erase_unused_result_only(op: Operation,
                              rewriter: PatternRewriter) -> bool:
     """An op declared ``RESULT_ONLY`` that cannot fail silenceably is

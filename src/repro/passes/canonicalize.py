@@ -1,15 +1,16 @@
 """Canonicalization: local simplification patterns + dead code elimination.
 
-Dialects contribute patterns to :data:`CANONICALIZATION_PATTERNS`; the
-pass runs them greedily and sweeps unused pure operations, mirroring
-MLIR's ``canonicalize``.
+Dialects contribute patterns to :data:`CANONICALIZATION_PATTERNS`, each
+rooted at the ops it rewrites; the pass runs them greedily, and the
+driver erases the unused pure operations as it goes, mirroring MLIR's
+``canonicalize``.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..ir.core import Commutative, Operation, Pure
+from ..ir.core import Commutative, Operation
 from ..rewrite.greedy import FrozenPatternSet, apply_patterns_greedily
 from ..rewrite.pattern import PatternRewriter, RewritePattern, pattern
 from .manager import Pass, register_pass
@@ -57,7 +58,8 @@ _INT_FOLDS = {
     "arith.minsi": min,
 }
 
-_FLOAT_FOLDS = {
+_FOLDS = {
+    **_INT_FOLDS,
     "arith.addf": lambda a, b: a + b,
     "arith.subf": lambda a, b: a - b,
     "arith.mulf": lambda a, b: a * b,
@@ -68,17 +70,16 @@ _FLOAT_FOLDS = {
 
 
 @register_canonicalization
-@pattern(label="fold-constant-arith")
+@pattern(frozenset(_FOLDS), label="fold-constant-arith")
 def fold_constant_arith(op: Operation, rewriter: PatternRewriter) -> bool:
     """Fold binary arith ops whose operands are both constants."""
-    fold = _INT_FOLDS.get(op.name) or _FLOAT_FOLDS.get(op.name)
-    if fold is None or op.num_operands != 2:
+    if op.num_operands != 2:
         return False
     lhs = _constant_value(op.operand(0))
     rhs = _constant_value(op.operand(1))
     if lhs is None or rhs is None:
         return False
-    result = fold(lhs, rhs)
+    result = _FOLDS[op.name](lhs, rhs)
     if result is None:
         return False
     from ..dialects import arith
@@ -105,11 +106,11 @@ _IDENTITY_RIGHT = {
 
 
 @register_canonicalization
-@pattern(label="fold-identity")
+@pattern(frozenset(_IDENTITY_RIGHT), label="fold-identity")
 def fold_identity(op: Operation, rewriter: PatternRewriter) -> bool:
     """``x + 0 -> x``, ``x * 1 -> x`` and commuted variants."""
-    identity = _IDENTITY_RIGHT.get(op.name)
-    if identity is None or op.num_operands != 2:
+    identity = _IDENTITY_RIGHT[op.name]
+    if op.num_operands != 2:
         return False
     rhs = _constant_value(op.operand(1))
     if rhs == identity:
@@ -124,11 +125,9 @@ def fold_identity(op: Operation, rewriter: PatternRewriter) -> bool:
 
 
 @register_canonicalization
-@pattern(label="fold-mul-zero")
+@pattern("arith.muli", label="fold-mul-zero")
 def fold_mul_zero(op: Operation, rewriter: PatternRewriter) -> bool:
     """``x * 0 -> 0`` for integer multiplication."""
-    if op.name != "arith.muli":
-        return False
     for operand in op.operands:
         if _constant_value(operand) == 0:
             from ..dialects import arith
@@ -213,37 +212,10 @@ def fold_constant_if(op: Operation, rewriter: PatternRewriter) -> bool:
     return True
 
 
-def eliminate_dead_code(root: Operation) -> bool:
-    """Erase unused pure ops, chasing def-use chains with a worklist.
-
-    A single walk seeds the worklist; erasing an op re-enqueues its
-    operand definers, so chains of dead ops cost O(erased) instead of
-    one full sweep per chain link.
-    """
-    worklist = [op for op in root.walk() if op is not root]
-    changed = False
-    while worklist:
-        op = worklist.pop()
-        if (
-            op.parent is None
-            or not op.has_trait(Pure)
-            or not op.results
-            or any(r.has_uses() for r in op.results)
-        ):
-            continue
-        defs = [
-            d for d in (v.defining_op() for v in op.operands)
-            if d is not None
-        ]
-        op.erase()
-        changed = True
-        worklist.extend(defs)
-    return changed
-
-
 @register_pass
 class CanonicalizePass(Pass):
-    """Greedy canonicalization + DCE, like MLIR's ``canonicalize``."""
+    """Greedy canonicalization, which erases dead pure ops as it goes,
+    like MLIR's ``canonicalize``."""
 
     NAME = "canonicalize"
     DESCRIPTION = "apply canonicalization patterns and eliminate dead code"
@@ -253,4 +225,3 @@ class CanonicalizePass(Pass):
             op, frozen_canonicalization_patterns(),
             profiler=self.options.get("profiler"),
         )
-        eliminate_dead_code(op)

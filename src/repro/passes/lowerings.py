@@ -318,10 +318,8 @@ class ConvertArithToLLVMPass(Pass):
         target.add_illegal_dialect("arith")
         target.add_legal_dialect("llvm", "builtin")
 
-        @pattern(label="arith-to-llvm")
+        @pattern("arith.*", label="arith-to-llvm")
         def convert(candidate: Operation, rewriter) -> bool:
-            if not candidate.name.startswith("arith."):
-                return False
             operands = rewriter.remapped_operands(candidate)
             result_types = [
                 converter.convert_type(r.type) for r in candidate.results
@@ -622,11 +620,9 @@ class FinalizeMemRefToLLVMPass(Pass):
             for block in func_op.regions[0].blocks:
                 signature_rewriter.convert_block_signature(block)
 
-        @pattern(label="memref-to-llvm")
+        @pattern("memref.*", label="memref-to-llvm")
         def convert(candidate: Operation, rewriter) -> bool:
             name = candidate.name
-            if not name.startswith("memref."):
-                return False
             operands = rewriter.remapped_operands(candidate)
             if name == "memref.load":
                 ref_type = candidate.operand(0).type

@@ -43,11 +43,9 @@ class ConvertStablehloToArithPass(Pass):
         target.add_illegal_op(*_HLO_TO_ARITH)
         target.add_legal_dialect("arith")
 
-        @pattern(label="stablehlo-to-arith")
+        @pattern(frozenset(_HLO_TO_ARITH), label="stablehlo-to-arith")
         def convert(candidate: Operation, rewriter) -> bool:
-            arith_name = _HLO_TO_ARITH.get(candidate.name)
-            if arith_name is None:
-                return False
+            arith_name = _HLO_TO_ARITH[candidate.name]
             attributes = dict(candidate.attributes)
             if candidate.name == "stablehlo.constant":
                 attributes.setdefault("value", 0)

@@ -280,11 +280,9 @@ class TosaToLinalgNamedPass(Pass):
         target.add_illegal_op(*_NAMED_MAP)
         target.add_legal_dialect("linalg", "tensor", "arith")
 
-        @pattern(label="tosa-named-to-linalg")
+        @pattern(frozenset(_NAMED_MAP), label="tosa-named-to-linalg")
         def convert(candidate: Operation, rewriter) -> bool:
-            linalg_name = _NAMED_MAP.get(candidate.name)
-            if linalg_name is None:
-                return False
+            linalg_name = _NAMED_MAP[candidate.name]
             result_type = _result_tensor(candidate)
             rewriter.set_insertion_point_before(candidate)
             init = _empty_init(rewriter, result_type)
@@ -358,11 +356,10 @@ class TosaToLinalgPass(Pass):
         target.add_illegal_op("tosa.transpose")
         target.add_legal_dialect("linalg", "tensor", "arith")
 
-        @pattern(label="tosa-elementwise-to-linalg")
+        @pattern(frozenset(_ELEMENTWISE_BODY),
+                 label="tosa-elementwise-to-linalg")
         def convert_elementwise(candidate: Operation, rewriter) -> bool:
-            body_name = _ELEMENTWISE_BODY.get(candidate.name)
-            if body_name is None:
-                return False
+            body_name = _ELEMENTWISE_BODY[candidate.name]
             result_type = candidate.results[0].type
             if not isinstance(result_type, TensorType):
                 return False
@@ -402,10 +399,8 @@ class TosaToLinalgPass(Pass):
             rewriter.replace_op(candidate, generic.results)
             return True
 
-        @pattern(label="tosa-reduce-to-linalg")
+        @pattern(_REDUCE_OPS, label="tosa-reduce-to-linalg")
         def convert_reduce(candidate: Operation, rewriter) -> bool:
-            if candidate.name not in _REDUCE_OPS:
-                return False
             result_type = candidate.results[0].type
             rewriter.set_insertion_point_before(candidate)
             init = rewriter.create(
@@ -516,11 +511,9 @@ class TosaToTensorPass(Pass):
         target.add_illegal_op(*_TENSOR_MAP)
         target.add_legal_dialect("tensor")
 
-        @pattern(label="tosa-to-tensor")
+        @pattern(frozenset(_TENSOR_MAP), label="tosa-to-tensor")
         def convert(candidate: Operation, rewriter) -> bool:
-            tensor_name = _TENSOR_MAP.get(candidate.name)
-            if tensor_name is None:
-                return False
+            tensor_name = _TENSOR_MAP[candidate.name]
             new_op = rewriter.create(
                 tensor_name,
                 operands=list(candidate.operands),

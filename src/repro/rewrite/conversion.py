@@ -6,23 +6,26 @@ conversion framework:
 * a :class:`ConversionTarget` declares which dialects are legal and
   which ops/dialects are illegal;
 * a :class:`TypeConverter` maps source types to target types;
-* :func:`apply_conversion` drives patterns over illegal ops. When a
-  replacement value's type differs from the replaced result's type, a
-  ``builtin.unrealized_conversion_cast`` is materialized — exactly the
-  temporary ops whose failed reconciliation produces the case-study-2
-  error message.
+* :func:`apply_conversion` drives patterns over illegal ops, visiting
+  each once. When a replacement value's type differs from the replaced
+  result's type, a ``builtin.unrealized_conversion_cast`` is
+  materialized — exactly the temporary ops whose failed reconciliation
+  produces the case-study-2 error message.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from ..ir.core import Block, Operation, Value
 from ..ir.types import Type
+from .greedy import FrozenPatternSet
 from .pattern import PatternRewriter, RewriteListener, RewritePattern
 
-#: Sweeps over the IR :func:`apply_conversion` makes before it stops
-#: looking for illegal ops to rewrite.
+#: How deep :func:`apply_conversion` legalizes the ops a conversion
+#: created, and how many rounds it retries the ops no pattern converted.
 _MAX_ITERATIONS = 10
 
 
@@ -187,6 +190,25 @@ class ConversionRewriter(PatternRewriter):
                 )
 
 
+class _Inserted(RewriteListener):
+    """The ops a pattern inserted, for the driver to legalize."""
+
+    def __init__(self) -> None:
+        self.ops: List[Operation] = []
+        # Called once per inserted op: the list's own append, no frame.
+        self.notify_op_inserted = self.ops.append  # type: ignore[method-assign]
+
+    def created(self) -> List[Operation]:
+        """The inserted ops still in place and the ops nested in them,
+        read after the pattern returns: a pattern may fill a region
+        after inserting its op."""
+        created: List[Operation] = []
+        for op in self.ops:
+            if op.parent is not None:
+                created += op.walk() if op.regions else (op,)
+        return created
+
+
 def apply_conversion(
     root: Operation,
     patterns: Sequence[RewritePattern],
@@ -196,47 +218,66 @@ def apply_conversion(
 ) -> None:
     """Legalize all ops under ``root`` against ``target``.
 
-    Raises :class:`ConversionError` with MLIR's wording when an
-    explicitly illegal operation cannot be legalized.
+    One pre-order walk collects the illegal ops, and each is tried
+    once; the ops a successful pattern created are legalized on the
+    spot. An op no pattern converted is retried while the previous
+    round converted something. Raises :class:`ConversionError` with
+    MLIR's wording at the first op, in pre-order, that is still
+    illegal, or is legal by dialect yet explicitly illegal.
     """
-    by_name: Dict[Optional[str], List[RewritePattern]] = {}
-    for pat in patterns:
-        by_name.setdefault(pat.root_name, []).append(pat)
-    generic = by_name.get(None, [])
-    #: op name -> its patterns, best benefit first (stable among equals).
-    candidates_for: Dict[str, List[RewritePattern]] = {}
+    frozen = FrozenPatternSet(patterns)
+    inserted = _Inserted()
+    rewriter = ConversionRewriter(type_converter, [inserted, *extra_listeners])
+    # Explicitly illegal ops whose dialect is declared legal as well:
+    # no pattern runs on them, and they fail the conversion.
+    both = target.legal_dialects & target.illegal_dialects
+    stuck: List[Operation] = []
 
-    rewriter = ConversionRewriter(type_converter, extra_listeners)
-
-    for _ in range(_MAX_ITERATIONS):
-        changed = False
-        for op in list(root.walk()):
-            if op is root or op.parent is None:
-                continue
+    def illegal(ops: Iterable[Operation]) -> List[Operation]:
+        found = []
+        for op in ops:
             legality = target.legality(op)
-            if legality is not False:
-                continue
-            try:
-                candidates = candidates_for[op.name]
-            except KeyError:
-                candidates = candidates_for[op.name] = sorted(
-                    [*by_name.get(op.name, []), *generic],
-                    key=lambda p: -p.benefit,
-                )
-            for pat in candidates:
-                rewriter.set_insertion_point_before(op)
-                if pat.match_and_rewrite(op, rewriter):
-                    changed = True
-                    break
-        if not changed:
-            break
+            if legality is False:
+                found.append(op)
+            elif legality and both and target.explicitly_illegal(op):
+                stuck.append(op)
+        return found
 
-    for op in root.walk():
-        if op is root or op.parent is None:
-            continue
-        if target.explicitly_illegal(op):
-            raise ConversionError(
-                f"failed to legalize operation '{op.name}' that was "
-                "explicitly marked illegal",
-                op,
-            )
+    def convert(op: Operation) -> bool:
+        for pat in frozen.for_op_name(op.name):
+            rewriter.set_insertion_point_before(op)
+            inserted.ops.clear()
+            if pat.match_and_rewrite(op, rewriter):
+                return True
+        return False
+
+    pending = illegal(islice(root.walk(), 1, None))
+    for _ in range(_MAX_ITERATIONS):
+        failed = []
+        converted = False
+        for first in pending:
+            # ``first``, then what its conversion created, depth first.
+            stack = [(first, 0)]
+            while stack:
+                op, depth = stack.pop()
+                if op.parent is None:
+                    continue
+                if depth <= _MAX_ITERATIONS and convert(op):
+                    converted = True
+                    stack += [(new, depth + 1) for new in
+                              reversed(illegal(inserted.created()))]
+                else:
+                    failed.append(op)
+        if not converted or not failed:
+            break
+        pending = failed
+
+    left = {*failed, *stuck}
+    if left:
+        for op in islice(root.walk(), 1, None):
+            if op in left:
+                raise ConversionError(
+                    f"failed to legalize operation '{op.name}' that was "
+                    "explicitly marked illegal",
+                    op,
+                )

@@ -3,13 +3,14 @@
 Applies a set of patterns to all operations nested under a root until a
 fixed point is reached, mirroring MLIR's
 ``applyPatternsAndFoldGreedily``. The driver is worklist-based: a
-single initial walk seeds a deduplicating worklist, and rewrites push
-only the operations they inserted, modified or exposed — the payload
-tree is never re-walked. Trivially dead pure ops are folded away when
-they are popped, exactly like MLIR's driver, so erasures cascade along
+single initial walk seeds a deduplicating worklist with the ops a
+pattern roots at and the trivially dead ones, and rewrites push only
+the operations they inserted, modified or exposed — the payload tree
+is never re-walked. Trivially dead pure ops are folded away when they
+are popped, exactly like MLIR's driver, so erasures cascade along
 def-use chains instead of triggering whole-tree sweeps.
 
-Patterns are bucketed by root op name and benefit-sorted **once** via
+Patterns are resolved per op name and benefit-sorted **once** via
 :class:`FrozenPatternSet`; pass a pre-frozen set when the same patterns
 drive many roots (the ``canonicalize`` pass and
 ``transform.apply_patterns`` do).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..ir.core import Operation, Pure
 from .pattern import PatternRewriter, RewriteListener, RewritePattern
@@ -60,40 +61,32 @@ class PatternApplicationError(RuntimeError):
 
 
 class FrozenPatternSet:
-    """Patterns bucketed by root op name, benefit-sorted up front.
+    """Patterns resolved per op name, benefit-sorted up front.
 
-    Merging the per-name bucket with the generic (``root_name=None``)
-    patterns happens once per distinct op name and is cached — the
-    driver's per-op lookup is a dict probe, not a sort.
+    The first lookup of a name keeps the patterns that root at it
+    (:meth:`RewritePattern.roots_at`) and caches them, so the driver's
+    per-op lookup is a dict probe. Among equal benefits, patterns rooted
+    at op names come before dialect-rooted ones, and those before
+    generic ones, each kind in the order given.
     """
 
     def __init__(self, patterns: Sequence[RewritePattern]):
-        self._specific: Dict[str, List[RewritePattern]] = {}
-        self._generic: List[RewritePattern] = []
-        for pat in patterns:
-            if pat.root_name is None:
-                self._generic.append(pat)
-            else:
-                self._specific.setdefault(pat.root_name, []).append(pat)
-        # Stable sorts keep specific patterns ahead of generic ones on
-        # benefit ties, matching the previous driver's ordering.
-        self._generic.sort(key=lambda p: -p.benefit)
-        for bucket in self._specific.values():
-            bucket.sort(key=lambda p: -p.benefit)
-        self._merged: Dict[str, List[RewritePattern]] = {}
+        def rank(pat: RewritePattern) -> Tuple[int, int]:
+            root = pat.root_name
+            kind = 2 if root is None else int(
+                isinstance(root, str) and root.endswith(".*"))
+            return -pat.benefit, kind
+
+        self._patterns = sorted(patterns, key=rank)
+        self._by_name: Dict[str, List[RewritePattern]] = {}
 
     def for_op_name(self, name: str) -> List[RewritePattern]:
-        merged = self._merged.get(name)
-        if merged is None:
-            specific = self._specific.get(name)
-            if not specific:
-                merged = self._generic
-            else:
-                merged = sorted(
-                    [*specific, *self._generic], key=lambda p: -p.benefit
-                )
-            self._merged[name] = merged
-        return merged
+        try:
+            return self._by_name[name]
+        except KeyError:
+            found = self._by_name[name] = [
+                pat for pat in self._patterns if pat.roots_at(name)]
+            return found
 
 
 class _Worklist:
@@ -164,11 +157,13 @@ class _WorklistListener(RewriteListener):
 
     def notify_op_erased(self, op: Operation) -> None:
         self.erased.add(op)
-        # Erasing a use may leave the defining ops trivially dead.
-        for operand in op.operands:
-            defining = operand.defining_op()
-            if defining is not None:
-                self._push(defining)
+        # Erasing a use may leave the defining ops trivially dead, and
+        # the uses nested in the op's regions go with it.
+        for nested in op.walk():
+            for operand in nested.operands:
+                defining = operand.defining_op()
+                if defining is not None:
+                    self._push(defining)
 
 
 def _is_attached(op: Operation, root: Operation) -> bool:
@@ -219,8 +214,11 @@ def apply_patterns_greedily(
 
     # Single seeding walk, pushed in pre-order: the LIFO pops bottom-up,
     # so uses are visited before their defs and dead chains fold fast.
+    # An op no pattern roots at has nothing to do here unless it is
+    # dead, and a rewrite that kills it pushes it.
     for op in root.walk():
-        if op is not root:
+        if op is not root and (
+                frozen.for_op_name(op.name) or _is_trivially_dead(op)):
             worklist.push(op)
     if profiler is not None:
         profiler.record_worklist_seed(len(worklist))
@@ -239,11 +237,14 @@ def apply_patterns_greedily(
             rewriter.erase_op(op)
             changed_any = True
             continue
+        patterns = frozen.for_op_name(op.name)
+        if not patterns:
+            continue
         # One insertion point per op, not per attempt: a pattern whose
         # match fails must not have created ops, so the point only
         # needs repositioning when the popped op changes.
         rewriter.set_insertion_point_before(op)
-        for pat in frozen.for_op_name(op.name):
+        for pat in patterns:
             start = time.perf_counter() if profiler is not None else 0.0
             try:
                 matched = pat.match_and_rewrite(op, rewriter)

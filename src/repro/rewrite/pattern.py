@@ -9,7 +9,7 @@ order to keep handles valid across pattern application (paper §3.1).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Collection, List, Sequence, Union
 
 from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
@@ -89,10 +89,16 @@ class PatternRewriter(Builder):
     def modify_op_in_place(self, op: Operation,
                            mutation: Callable[[], None]) -> None:
         """Run ``mutation``, which writes through the mutators of
-        :mod:`repro.ir.core`, and tell the listeners ``op`` changed."""
+        :mod:`repro.ir.core`, and tell the listeners ``op`` changed, and
+        the definers of the operands it dropped: they lost a use."""
+        before = op.operands
         mutation()
-        for listener in self.listeners:
-            listener.notify_op_modified(op)
+        after = op.operands
+        for changed in (op, *(value.defining_op() for value in before
+                              if value not in after)):
+            if changed is not None:
+                for listener in self.listeners:
+                    listener.notify_op_modified(changed)
 
     def inline_block_before(self, block: Block, anchor: Operation,
                             arg_values: Sequence[Value] = ()) -> None:
@@ -109,15 +115,20 @@ class PatternRewriter(Builder):
                 listener.notify_op_inserted(op)
 
 
+#: What a pattern anchors on: an op name, a collection of op names, a
+#: dialect spelled ``"dialect.*"``, or None for any op.
+Root = Union[None, str, Collection[str]]
+
+
 class RewritePattern:
     """Base class of rewrite patterns.
 
-    ``root_name`` restricts matching to a specific op name (None matches
-    any operation); higher ``benefit`` patterns are tried first.
+    ``root_name`` restricts matching to the ops it names (see
+    :data:`Root`); higher ``benefit`` patterns are tried first.
     """
 
-    #: Op name this pattern anchors on, or None for any op.
-    root_name: Optional[str] = None
+    #: The ops this pattern anchors on.
+    root_name: Root = None
     #: Relative priority among applicable patterns.
     benefit: int = 1
     #: Human-readable name used in transform scripts and debugging.
@@ -132,6 +143,16 @@ class RewritePattern:
         """Try to rewrite ``op``; return True when a rewrite happened."""
         raise NotImplementedError
 
+    def roots_at(self, name: str) -> bool:
+        """Whether an op called ``name`` is one this pattern anchors on."""
+        root = self.root_name
+        if root is None:
+            return True
+        if isinstance(root, str):
+            return name == root or (
+                root.endswith(".*") and name.startswith(root[:-1]))
+        return name in root
+
     def __repr__(self) -> str:
         return f"<pattern {self.label}>"
 
@@ -140,7 +161,7 @@ class _FunctionPattern(RewritePattern):
     """Wraps a plain function as a pattern (see :func:`pattern`)."""
 
     def __init__(self, fn: Callable[[Operation, PatternRewriter], bool],
-                 root_name: Optional[str], benefit: int, label: str):
+                 root_name: Root, benefit: int, label: str):
         self.root_name = root_name
         self.benefit = benefit
         self.label = label or fn.__name__
@@ -152,7 +173,7 @@ class _FunctionPattern(RewritePattern):
         return self._fn(op, rewriter)
 
 
-def pattern(root_name: Optional[str] = None, benefit: int = 1,
+def pattern(root_name: Root = None, benefit: int = 1,
             label: str = ""):
     """Decorator turning ``fn(op, rewriter) -> bool`` into a pattern.
 

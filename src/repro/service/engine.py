@@ -990,25 +990,31 @@ class CompileEngine:
         """One failed pool attempt (``"timeout"`` or ``"crashed"``):
         reclaim the pool, count, then apply policy.
 
+        A failure seen once the pool's generation moved on is another
+        job's: the pool it waited for, or ran on, was replaced under
+        it. It is not charged (no event, count or quarantine record).
+
         Returns the terminal result — TIMEOUT/CRASHED as observed, or
         POISONED when this failure tripped the circuit breaker — or
         None when the retry policy granted another attempt (the
         deterministic backoff has already been slept here)."""
+        charged = self._pool_generation == generation
         # A hung worker would keep executing the job and starve the
         # pool: the restart kills it, so the slot is actually reclaimed.
         self._restart_pool(generation)
         if status == "timeout":
-            self._account("TIMEOUT", job, key=key, attempt=attempts,
-                          deadline=timeout)
+            event, fields = "TIMEOUT", {"deadline": timeout}
             diagnostics = (f"error: job exceeded its {timeout:g}s deadline; "
                            "hung worker killed and the pool restarted")
         else:
-            self._account("CRASHED", job, key=key, attempt=attempts)
+            event, fields = "CRASHED", {}
             diagnostics = ("error: worker process died while compiling "
                            f"this job (x{attempts}): {error}")
-        self._quarantine.record_failure(key, status)
-        if self._quarantine.is_poisoned(key):
-            return self._poisoned(job, key, attempts)
+        if charged:
+            self._account(event, job, key=key, attempt=attempts, **fields)
+            self._quarantine.record_failure(key, status)
+            if self._quarantine.is_poisoned(key):
+                return self._poisoned(job, key, attempts)
         if self.retry_policy.should_retry(status, attempts):
             backoff = self.retry_policy.backoff_seconds(key, attempts)
             self._account("RETRIED", job, key=key, failure=status,

@@ -4,8 +4,12 @@ import pytest
 
 from repro.dialects import arith, builtin, func, scf
 from repro.ir import Builder, F64, I1, I32, INDEX
+from repro.ir.core import Pure
+from repro.mlmodels import MODEL_SPECS, build_model
 from repro.passes import PassManager
-from repro.passes.canonicalize import eliminate_dead_code
+from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
+from repro.rewrite import apply_patterns_greedily, pattern
+from tests.passes.test_lowerings import FIXED_PIPELINE, build_subview_payload
 
 
 def make_func(arg_types=()):
@@ -141,14 +145,22 @@ class TestControlFlowFolds:
         assert not any(op.name == "scf.if" for op in module.walk())
 
 
+def trivially_dead(module):
+    return [op for op in module.walk() if op.has_trait(Pure) and op.results
+            and not any(result.has_uses() for result in op.results)]
+
+
 class TestDCE:
+    """The greedy driver erases dead pure ops as it pops them; there is
+    no sweep after it."""
+
     def test_unused_pure_chain_removed(self):
         module, f, b = make_func()
         a = arith.constant(b, 1, I32)
         c = arith.constant(b, 2, I32)
         arith.addi(b, a, c)  # unused
         func.return_(b)
-        assert eliminate_dead_code(module)
+        PassManager(["canonicalize"]).run(module)
         assert len(f.body.ops) == 1  # only func.return
 
     def test_side_effecting_ops_kept(self):
@@ -158,8 +170,59 @@ class TestDCE:
         module, f, b = make_func()
         memref_dialect.alloc(b, memref(4))  # side-effecting, unused
         func.return_(b)
-        eliminate_dead_code(module)
+        PassManager(["canonicalize"]).run(module)
         assert any(op.name == "memref.alloc" for op in module.walk())
+
+    def test_a_use_erased_with_a_region_frees_its_definer(self):
+        # The untaken branch is the only user of %two; it goes with the
+        # folded scf.if.
+        module, f, b = make_func()
+        cond = arith.constant(b, 1, I1)
+        two = arith.index_constant(b, 2)
+        if_op = scf.if_(b, cond, result_types=[INDEX], with_else=True)
+        tb = Builder.at_end(if_op.then_block)
+        scf.yield_(tb, [arith.index_constant(tb, 10)])
+        eb = Builder.at_end(if_op.else_block)
+        scf.yield_(eb, [two])
+        b.create("test.keep", operands=[if_op.results[0]])
+        func.return_(b)
+        PassManager(["canonicalize"]).run(module)
+        assert constants_in(module) == [10]
+
+    def test_an_operand_dropped_in_place_frees_its_definer(self):
+        module, f, b = make_func([I32])
+        doubled = arith.addi(b, f.body.args[0], f.body.args[0])
+        keep = b.create("test.keep", operands=[doubled])
+        func.return_(b)
+
+        @pattern("test.keep")
+        def use_the_argument(op, rewriter):
+            if op.operand(0) is f.body.args[0]:
+                return False
+            rewriter.modify_op_in_place(
+                op, lambda: op.set_operand(0, f.body.args[0]))
+            return True
+
+        assert apply_patterns_greedily(module, [use_the_argument])
+        assert [op.name for op in f.body.ops] == ["test.keep", "func.return"]
+        assert keep.operand(0) is f.body.args[0]
+
+    @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+    def test_no_dead_pure_op_outlives_canonicalize_on_a_model(self, model):
+        module = build_model(model)
+        for name in TOSA_TO_LINALG_PIPELINE:
+            PassManager([name]).run(module)
+            if name == "canonicalize":
+                assert trivially_dead(module) == []
+
+    @pytest.mark.parametrize("dynamic_offset", [False, True])
+    def test_no_dead_pure_op_outlives_canonicalize_on_table2(
+            self, dynamic_offset):
+        module = build_subview_payload(dynamic_offset)
+        PassManager(["canonicalize"]).run(module)
+        assert trivially_dead(module) == []
+        PassManager([*FIXED_PIPELINE, "canonicalize"]).run(module)
+        assert trivially_dead(module) == []
 
 
 class TestCSE:

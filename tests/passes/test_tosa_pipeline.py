@@ -166,3 +166,63 @@ class TestFullPipeline:
         assert all(
             name.startswith(allowed_prefixes) for name in remaining
         ), remaining
+
+
+class TestDriverWork:
+    """What the rewrite drivers do on whisper_decoder through Table 1's
+    pipeline, counted call by call rather than timed."""
+
+    @pytest.fixture(scope="class")
+    def work(self):
+        from repro.mlmodels import build_model
+        from repro.rewrite.conversion import ConversionTarget
+        from repro.rewrite.pattern import _FunctionPattern
+
+        asked, calls = [], []
+        legality = ConversionTarget.legality
+        match_and_rewrite = _FunctionPattern.match_and_rewrite
+
+        def counting_legality(target, op):
+            asked.append(op)
+            return legality(target, op)
+
+        def counting_match(pat, op, rewriter):
+            calls.append((pat, op.name))
+            return match_and_rewrite(pat, op, rewriter)
+
+        module = build_model("whisper_decoder")
+        work = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ConversionTarget, "legality", counting_legality)
+            patch.setattr(_FunctionPattern, "match_and_rewrite",
+                          counting_match)
+            for name in TOSA_TO_LINALG_PIPELINE:
+                before = [op.name for op in module.walk()]
+                del asked[:], calls[:]
+                PassManager([name]).run(module)
+                work.append((name, before, list(asked), list(calls)))
+        return work
+
+    def test_conversion_asks_legality_about_each_op_once(self, work):
+        conversions = [(name, asked) for name, _, asked, _ in work if asked]
+        assert [name for name, _ in conversions] == [
+            "tosa-to-linalg-named", "tosa-to-linalg", "tosa-to-tensor"]
+        for name, asked in conversions:
+            # A whole-tree sweep per round asked about 2.5 times per op.
+            assert len(asked) <= 1.1 * len({id(op) for op in asked}), name
+
+    def test_canonicalize_calls_patterns_only_where_they_root(self, work):
+        from repro.passes.canonicalize import CANONICALIZATION_PATTERNS
+
+        assert all(pat.root_name is not None
+                   for pat in CANONICALIZATION_PATTERNS)
+        runs = [(before, calls) for name, before, _, calls in work
+                if name == "canonicalize"]
+        assert len(runs) == 2
+        for before, calls in runs:
+            assert all(pat.roots_at(name) for pat, name in calls)
+            # Nothing rewrites on whisper, so each rooted op is tried
+            # once by each pattern rooted at it.
+            assert len(calls) == sum(
+                pat.roots_at(name) for name in before[1:]
+                for pat in CANONICALIZATION_PATTERNS)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dialects import builtin, func
-from repro.ir import Builder, I32, I64, IndexType, Operation
+from repro.ir import Block, Builder, I32, I64, IndexType, Operation
 from repro.ir.types import INDEX, LLVMPointerType, MemRefType, Type, memref
 from repro.rewrite.conversion import (
     ConversionError,
@@ -137,3 +137,95 @@ class TestApplyConversion:
         first = f.body.ops[0]
         assert first.name == "builtin.unrealized_conversion_cast"
         assert first.results[0].type == INDEX
+
+
+def build_ops_module(*names):
+    """A function whose body holds one result-less op per name, then
+    ``func.return``; returns the module and those ops."""
+    module = builtin.module()
+    f = func.func("f", [], [])
+    module.body.append(f)
+    builder = Builder.at_end(f.body)
+    ops = [builder.create(name) for name in names]
+    func.return_(builder)
+    return module, ops
+
+
+def names_in(module):
+    return [op.name for op in module.walk() if op is not module]
+
+
+class TestOneVisitDriver:
+    def test_an_op_in_a_region_filled_after_insertion_is_legalized(self):
+        module, _ = build_ops_module("test.outer")
+        target = ConversionTarget()
+        target.add_illegal_op("test.outer", "test.inner")
+        target.add_legal_dialect("legal")
+
+        @pattern("test.outer")
+        def wrap(op, rewriter):
+            wrapper = rewriter.create("legal.wrapper", regions=1)
+            body = wrapper.regions[0].add_block(Block())
+            Builder.at_end(body).create("test.inner")
+            rewriter.erase_op(op)
+            return True
+
+        @pattern("test.inner")
+        def lower_inner(op, rewriter):
+            rewriter.create("legal.inner")
+            rewriter.erase_op(op)
+            return True
+
+        apply_conversion(module, [wrap, lower_inner], target)
+        assert names_in(module) == [
+            "func.func", "legal.wrapper", "legal.inner", "func.return"]
+
+    def test_an_op_that_failed_converts_once_another_lets_it(self):
+        module, _ = build_ops_module("test.waits", "test.unblocks")
+        target = ConversionTarget()
+        target.add_illegal_dialect("test")
+        target.add_legal_dialect("legal")
+        converted = []
+
+        @pattern("test.waits")
+        def lower_waits(op, rewriter):
+            if not converted:
+                return False
+            rewriter.create("legal.waited")
+            rewriter.erase_op(op)
+            return True
+
+        @pattern("test.unblocks")
+        def lower_unblocks(op, rewriter):
+            rewriter.create("legal.unblocked")
+            rewriter.erase_op(op)
+            converted.append(op.name)
+            return True
+
+        apply_conversion(module, [lower_waits, lower_unblocks], target)
+        assert names_in(module) == [
+            "func.func", "legal.waited", "legal.unblocked", "func.return"]
+
+    def test_a_dialect_both_legal_and_illegal_still_raises(self):
+        module, (op,) = build_ops_module("test.both")
+        target = ConversionTarget()
+        target.add_legal_dialect("test")
+        target.add_illegal_dialect("test")
+        with pytest.raises(ConversionError) as raised:
+            apply_conversion(module, [], target)
+        assert raised.value.op is op
+        assert str(raised.value) == ("failed to legalize operation "
+                                     "'test.both' that was explicitly "
+                                     "marked illegal")
+
+    def test_the_error_names_the_first_illegal_op_in_pre_order(self):
+        # The first is stuck (its dialect is legal too); the second is
+        # one no pattern converts.
+        module, (first, _second) = build_ops_module("both.first",
+                                                     "test.second")
+        target = ConversionTarget()
+        target.add_illegal_dialect("both", "test")
+        target.add_legal_dialect("both")
+        with pytest.raises(ConversionError) as raised:
+            apply_conversion(module, [], target)
+        assert raised.value.op is first

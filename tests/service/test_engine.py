@@ -623,11 +623,10 @@ class TestOwnedWorkers:
         assert [(r.status, r.attempts) for r in results] == \
             [(JobStatus.SUCCESS, 1)] * 4
 
-    def test_jobs_waiting_behind_a_hung_worker_retry_and_finish(self):
+    def _hang_with_two_waiters(self, quarantine_after=3):
         # workers=1: the first job hangs on the only worker while two
         # more wait for it. The timeout replaces the pool; the waiters
-        # take the crash/retry path onto the new one instead of waiting
-        # forever.
+        # retry on the new one instead of waiting forever.
         hang = _job(script=_hostile_script("transform.test.service_sleep"),
                     timeout=1.0)
         waiting = [_job(payload=PAYLOAD.replace(
@@ -641,19 +640,33 @@ class TestOwnedWorkers:
                 dispatched.set()
 
         events.subscribe(on_event)
-        with CompileEngine(workers=1, preflight=False,
-                           events=events) as engine:
+        with CompileEngine(workers=1, preflight=False, events=events,
+                           quarantine_after=quarantine_after) as engine:
             with ThreadPoolExecutor(max_workers=3) as threads:
                 hung = threads.submit(engine.run_job, hang)
                 assert dispatched.wait(30.0)
                 others = [threads.submit(engine.run_job, job)
                           for job in waiting]
-                assert hung.result(timeout=60.0).status is JobStatus.TIMEOUT
+                hung = hung.result(timeout=60.0)
                 results = [other.result(timeout=60.0) for other in others]
-            assert [(r.status, r.attempts) for r in results] == \
-                [(JobStatus.SUCCESS, 2)] * 2
-            assert (engine.stats.timeouts, engine.stats.crashes,
-                    engine.stats.worker_restarts) == (1, 2, 1)
+        return engine, hung, results
+
+    def test_jobs_waiting_behind_a_hung_worker_retry_and_finish(self):
+        # The waiters' failures are the hung job's, not theirs: only the
+        # timeout is charged.
+        engine, hung, results = self._hang_with_two_waiters()
+        assert hung.status is JobStatus.TIMEOUT
+        assert [(r.status, r.attempts) for r in results] == \
+            [(JobStatus.SUCCESS, 2)] * 2
+        assert (engine.stats.timeouts, engine.stats.crashes,
+                engine.stats.worker_restarts) == (1, 0, 1)
+
+    def test_waiting_behind_a_hung_worker_never_poisons_the_waiters(self):
+        engine, hung, results = self._hang_with_two_waiters(
+            quarantine_after=1)
+        assert hung.status is JobStatus.POISONED
+        assert [r.status for r in results] == [JobStatus.SUCCESS] * 2
+        assert engine.stats.quarantined == 1
 
     def test_a_failing_call_leaves_its_worker_usable(self):
         # The function's exception is raised in the caller; an argument

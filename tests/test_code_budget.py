@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16698,  # all of src/repro
+    ".": 16699,  # all of src/repro
     "analysis": 807,
     "autotuning": 353,
     "core": 1841,
@@ -43,9 +43,13 @@ BUDGETS = {
     "irdl": 267,
     "mlmodels": 192,
     "observability": 527,
-    "passes": 1681,
+    "passes": 1645,
     "profiling": 144,
-    "rewrite": 441,
+    # +35: a pattern roots at a name, a set of names or a dialect, and
+    # the conversion driver visits each op once, legalizing what a
+    # pattern created on the spot; ``canonicalize``'s dead-code sweep
+    # went (passes -36) once the greedy driver folded every dead op.
+    "rewrite": 476,
     # +65: one frame codec (``wire.py``) for the daemon and both
     # clients: IR text crosses as raw body bytes, not JSON strings, and
     # a frame no reader can follow (over-long header, bad body length)
@@ -55,9 +59,10 @@ BUDGETS = {
     # no executor threads between; admission is one synchronous method
     # (``ServiceFrontier.admit``) that the daemon's reader calls, so a
     # hit is answered without a task; the package imports its client
-    # and server lazily, so ``python -m`` runs one copy of them.
-    "service": 2691,
-    "service/engine.py": 608,
+    # and server lazily, so ``python -m`` runs one copy of them. +2: a
+    # pool failure seen after the pool was replaced is not charged.
+    "service": 2693,
+    "service/engine.py": 610,
     "service/frontier.py": 172,
     # +30: the fuzzer checks def-use links, scopes half its rollback
     # cases to a loop whose fallback annotates the restored scope, and
@@ -70,7 +75,7 @@ BUDGETS = {
 #: file at the repository root -> the most lines it may have; the two
 #: together stay within 1 200.
 PROSE_BUDGETS = {
-    "DESIGN.md": 545,
+    "DESIGN.md": 551,
     "README.md": 649,
 }
 
