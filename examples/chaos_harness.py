@@ -10,7 +10,7 @@ infrastructure to die:
    the job still produces the fault-free output, byte-identical;
 2. **poison-job quarantine** — content that keeps killing workers
    trips a circuit breaker and reports ``POISONED`` instead of
-   restarting the pool forever;
+   replacing workers forever;
 3. **disk-cache degradation** — injected ENOSPC demotes the cache to
    memory-only with a counted warning; no job ever fails over it;
 4. the **chaos driver** — one seeded case of the harness CI runs 100

@@ -178,7 +178,7 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                         "is poisoned (default 3; 0 disables quarantine)")
     parser.add_argument("--crash-loop-limit", type=int, default=6,
                         metavar="N",
-                        help="pool restarts inside a 30s window before "
+                        help="worker replacements in a 30s window before "
                         "the engine degrades to in-process execution "
                         "(default 6; 0 disables the monitor)")
     parser.add_argument("--fault", action="append", default=None,

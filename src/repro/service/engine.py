@@ -24,9 +24,9 @@ terminal result or fall through, cheapest first:
    :mod:`repro.service.cache`; a hit also refreshes the function
    entries the job is made of, so a near-repeat of a hot job finds
    them in step 6;
-4. **quarantine gate** — content that crashed or hung the pool
-   ``quarantine_after`` times is POISONED instead of restarting the
-   pool forever (:class:`~repro.service.resilience.JobQuarantine`);
+4. **quarantine gate** — content that crashed or hung its worker
+   ``quarantine_after`` times is POISONED instead of replacing
+   workers forever (:class:`~repro.service.resilience.JobQuarantine`);
 5. **single-flight** — concurrent jobs with the same content key
    share one execution: followers wait on the leader's result
    instead of occupying a second worker;
@@ -42,14 +42,17 @@ terminal result or fall through, cheapest first:
    runs the job on one of the engine's forked workers: the job's own
    thread sends the call down the worker's pipe and waits for the reply
    (IR crosses the *process* boundary as text: the worker parses its
-   own copy). A per-job timeout kills the pool, the hung worker with
-   it, and starts a new one (TIMEOUT); a worker crash
-   (``BrokenProcessPool``) does the same (CRASHED); the
+   own copy). A per-job timeout kills the hung worker and forks its
+   successor in its place (TIMEOUT); a worker crash
+   (``BrokenProcessPool``) does the same (CRASHED). Either is charged
+   to the one job whose call was sent to that worker, never to a job
+   that waited for a worker or ran on another; one found dead before
+   a call reaches it is replaced at checkout, at no job's cost. The
    :class:`~repro.service.resilience.RetryPolicy` decides whether the
    attempt is repeated, and a
-   :class:`~repro.service.resilience.PoolHealthMonitor` degrades a
-   crash-looping engine to in-process execution — reduced throughput,
-   preserved liveness;
+   :class:`~repro.service.resilience.PoolHealthMonitor` degrades an
+   engine that keeps replacing workers to in-process execution —
+   reduced throughput, preserved liveness;
 7. **publish** — OK results go to the cache and to the followers;
    the function-tier entries of a clean whole-module success are the
    ``(text, function digest, names)`` triples the worker printed off
@@ -132,7 +135,7 @@ _MEMO_CAPACITY = 256
 def check_timeout(name: str, seconds: Optional[float]) -> Optional[float]:
     """``seconds`` when it is None or a positive number of seconds;
     otherwise ``ValueError`` — a deadline of zero or less would time
-    out every job it governs and restart the pool each time."""
+    out every job it governs and replace a worker each time."""
     if seconds is not None and not (
             isinstance(seconds, (int, float)) and seconds > 0):
         raise ValueError(f"{name} must be a positive number of seconds, "
@@ -201,12 +204,12 @@ class JobStatus(enum.Enum):
     #: The worker process died on every attempt the retry policy allowed.
     CRASHED = "crashed"
     #: The per-job deadline elapsed; the hung worker was killed and
-    #: the pool restarted so its slot is reclaimed.
+    #: replaced, so its slot is reclaimed.
     TIMEOUT = "timeout"
     #: Cancelled before a worker picked it up.
     CANCELLED = "cancelled"
     #: Quarantined by the circuit breaker: this content crashed or
-    #: hung the pool often enough that it is no longer allowed near a
+    #: hung its worker often enough that it is no longer allowed near a
     #: worker (see :class:`repro.service.resilience.JobQuarantine`).
     POISONED = "poisoned"
 
@@ -334,20 +337,20 @@ class _Worker:
     handle of the one call it was sent: :meth:`result` reads the reply
     on the thread that sent the call."""
 
-    def __init__(self, pool: "_Pool", context):
+    def __init__(self, pool: "_Pool"):
         self.pool = pool
-        self.conn, theirs = context.Pipe()
-        self.process = context.Process(target=serve, args=(theirs,),
-                                       daemon=True)
+        self.conn, theirs = pool.context.Pipe()
+        self.process = pool.context.Process(target=serve, args=(theirs,),
+                                            daemon=True)
         self.process.start()
         theirs.close()
         pool.idle.put(self)
 
     def result(self, timeout: Optional[float] = None):
         """The call's value, or its exception raised here; then the
-        worker is idle again. ``TimeoutError`` at the deadline (the
-        worker stays checked out: the engine kills it), and
-        ``BrokenProcessPool`` when the process died first."""
+        worker is idle again. ``TimeoutError`` at the deadline, and
+        ``BrokenProcessPool`` when the process died first: either way
+        the worker stays checked out, for the caller to replace."""
         ready = wait([self.conn, self.process.sentinel], timeout)
         if not ready:
             raise TimeoutError()
@@ -362,41 +365,76 @@ class _Worker:
             raise value
         return value
 
+    def kill(self) -> None:
+        """Kill the process — a hung worker notices nothing gentler —
+        and reap it."""
+        self.process.kill()
+        self.process.join()
+
 
 class _Pool:
     """``workers`` processes forked at once, each behind one pipe; no
     thread of its own. :meth:`submit` checks out an idle worker, waiting
-    for one, and sends it the call. Closing a pool (``None`` in the idle
-    queue) fails every submit that reaches it with ``BrokenProcessPool``,
-    as does a worker found dead."""
+    for one, and sends it the call. A worker that failed is replaced in
+    its own place (:meth:`replace`); the others are never touched.
+    ``replaced`` is called once per worker replaced."""
 
-    def __init__(self, workers: int):
+    def __init__(self, workers: int, replaced):
         # Children inherit the op registries (and any test-local
         # transform ops) instead of re-importing under spawn.
-        context = multiprocessing.get_context(
+        self.context = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods()
             else None)
+        self.replaced = replaced
+        self.lock = threading.Lock()  # orders replace() against close()
+        self.closed = False
         self.idle = queue.SimpleQueue()  # of _Worker, or None: closed
-        self.workers = [_Worker(self, context) for _ in range(workers)]
+        self.workers = [_Worker(self) for _ in range(workers)]
 
-    def submit(self, fn, *args) -> _Worker:
-        """Send ``fn(*args)`` to an idle worker, which is returned.
-        ``BrokenProcessPool`` when the pool closes while this waits or
-        the worker is dead; an argument that does not pickle raises its
-        own error and leaves the worker idle."""
-        worker = self.idle.get()
-        if worker is None:
-            self.idle.put(None)  # wakes the next waiter in turn
-            raise BrokenProcessPool("the worker pool was replaced")
-        try:
-            # Pickled whole before a byte is written.
-            worker.conn.send((fn, args))
-        except OSError as error:  # the worker died while idle
-            raise BrokenProcessPool(f"a worker has died: {error}") from None
-        except Exception:
-            self.idle.put(worker)
-            raise
-        return worker
+    def submit(self, fn, *args) -> Optional[_Worker]:
+        """Send ``fn(*args)`` to an idle worker, which is returned; None
+        once the pool is closed. A worker found dead is replaced and the
+        checkout repeated, as many times as there are workers; one found
+        dead after that is returned, and its call fails as a crash. An
+        argument that does not pickle raises its own error and leaves
+        the worker idle."""
+        for repeats in range(len(self.workers), -1, -1):
+            worker = self.idle.get()
+            if worker is None or self.closed:
+                self.idle.put(None)  # wakes the next waiter in turn
+                return None
+            try:
+                # Pickled whole before a byte is written.
+                worker.conn.send((fn, args))
+            except OSError:  # the worker died while idle
+                if repeats:
+                    self.replace(worker)
+                    continue
+            except Exception:
+                self.idle.put(worker)
+                raise
+            return worker
+
+    def replace(self, worker: _Worker) -> None:
+        """Kill and reap a checked-out ``worker`` and fork its successor
+        into its place — unless the pool is closed: nothing is forked
+        into a closed pool."""
+        worker.kill()
+        with self.lock:
+            if self.closed:
+                return
+            self.workers[self.workers.index(worker)] = _Worker(self)
+        self.replaced()  # unlocked: a crash loop closes this pool
+
+    def close(self) -> None:
+        """Fail every checkout from now on, and kill and reap every
+        worker; a job in flight on one fails with ``BrokenProcessPool``.
+        Idempotent."""
+        with self.lock:
+            self.closed = True
+        self.idle.put(None)
+        for worker in self.workers:
+            worker.kill()
 
 
 class CompileEngine:
@@ -430,8 +468,9 @@ class CompileEngine:
         #: Circuit breaker: content that failed the pool
         #: ``quarantine_after`` times is POISONED (0 disables).
         self._quarantine = JobQuarantine(quarantine_after)
-        #: Crash-loop detector: ``crash_loop_limit`` pool restarts
-        #: inside the window degrade the engine (0 disables).
+        #: Crash-loop detector: ``crash_loop_limit`` worker
+        #: replacements inside the window degrade the engine (0
+        #: disables).
         self._pool_health = PoolHealthMonitor(crash_loop_limit)
         #: Deterministic fault schedule (testing only; None in prod).
         self.faults = faults
@@ -457,9 +496,7 @@ class CompileEngine:
         #: The worker pool: None for ``workers=0``, once degraded and
         #: once shut down. Forked now, before any frontier thread
         #: exists — fork-after-thread is where pools get fragile.
-        self._pool = _Pool(workers) if workers else None
-        self._pool_generation = 0
-        self._pool_lock = threading.Lock()
+        self._pool = _Pool(workers, self._replaced) if workers else None
         self._book_lock = threading.Lock()
         self._inflight: Dict[str, Future] = {}
         #: raw text -> derived facts, LRU: one parse per input text
@@ -475,55 +512,22 @@ class CompileEngine:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @staticmethod
-    def _terminate(pool: Optional[_Pool]) -> None:
-        """Close a pool and kill its worker processes — a hung worker
-        notices nothing gentler — then reap them; no pool, no-op. A job
-        in flight on one of them fails with ``BrokenProcessPool``."""
-        if pool is None:
-            return
-        pool.idle.put(None)
-        for worker in pool.workers:
-            worker.process.kill()
-            worker.process.join()
-
-    def _restart_pool(self, seen_generation: int) -> None:
-        """Replace a broken or hung pool — exactly once per generation.
-
-        The generation guard guarantees that N threads observing the
-        same broken/hung generation produce exactly one restart (and
-        one ``worker_restarts`` increment): the first thread through
-        the lock replaces the pool and bumps the generation, the rest
-        see the mismatch and back off. The replaced pool is killed
-        whole — a hung worker with it — so the other jobs in flight on
-        it fail with ``BrokenProcessPool`` and take the crash/retry
-        path against the fresh generation, as do the submits waiting
-        for one of its workers."""
-        with self._pool_lock:
-            if (self._pool_generation != seen_generation
-                    or self.degraded):
-                # Lost the race (or the engine degraded meanwhile): the
-                # pool is already replaced, and killed.
-                return
-            retired, self._pool = self._pool, _Pool(self.workers)
-            self._pool_generation += 1
-        self._terminate(retired)
+    def _replaced(self) -> None:
+        """One worker replaced: count it, and degrade a crash-looping
+        engine."""
         self._account("worker_restarts")
         if self._pool_health.record_restart():
             self._degrade_pool()
 
     def _degrade_pool(self) -> None:
-        """Crash-loop detected: give up on the pool and fall back to
-        in-process execution. Liveness over throughput — jobs keep
-        completing (slowly, one at a time) instead of feeding an
-        endless spawn/crash cycle."""
-        with self._pool_lock:
-            if self.degraded:
-                return
-            self.degraded_diagnostic = self._pool_health.diagnose()
-            pool, self._pool = self._pool, None
-            self._pool_generation += 1
-        self._terminate(pool)
+        """Crash-loop detected (once per engine): give up on the pool
+        and fall back to in-process execution. Liveness over throughput
+        — jobs keep completing (slowly, one at a time) instead of
+        feeding an endless fork/crash cycle."""
+        self.degraded_diagnostic = self._pool_health.diagnose()
+        pool, self._pool = self._pool, None
+        if pool is not None:  # not shut down meanwhile
+            pool.close()
         # Engine-wide, not job-scoped: no correlation id.
         self._account("DEGRADED", diagnostic=self.degraded_diagnostic)
 
@@ -536,10 +540,9 @@ class CompileEngine:
         """Kill and reap the workers. Call it once nothing runs: a job
         still in flight fails as a crash."""
         self._cancelled.set()
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._pool_generation += 1  # nothing restarts it
-        self._terminate(pool)
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.close()
 
     def __enter__(self) -> "CompileEngine":
         return self
@@ -784,7 +787,7 @@ class CompileEngine:
             return JobResult(job.job_id, JobStatus.CANCELLED)
 
         # 4. quarantine gate: content that repeatedly crashed or hung
-        # the pool is refused before it can occupy (and kill) a worker.
+        # its worker is refused before it can occupy (and kill) a worker.
         if self._quarantine.is_poisoned(key):
             return self._poisoned(job, key)
 
@@ -984,37 +987,32 @@ class CompileEngine:
     # -- dispatch ------------------------------------------------------------
 
     def _handle_pool_failure(self, job: CompileJob, key: str,
-                             status: str, error: BaseException,
-                             attempts: int, timeout: Optional[float],
-                             generation: int) -> Optional[JobResult]:
-        """One failed pool attempt (``"timeout"`` or ``"crashed"``):
-        reclaim the pool, count, then apply policy.
-
-        A failure seen once the pool's generation moved on is another
-        job's: the pool it waited for, or ran on, was replaced under
-        it. It is not charged (no event, count or quarantine record).
+                             worker: _Worker, status: str,
+                             error: BaseException, attempts: int,
+                             timeout: Optional[float]) -> Optional[JobResult]:
+        """One failed pool attempt (``"timeout"`` or ``"crashed"``) of
+        the job whose call was sent to ``worker``: replace that worker,
+        charge the job, then apply policy.
 
         Returns the terminal result — TIMEOUT/CRASHED as observed, or
         POISONED when this failure tripped the circuit breaker — or
         None when the retry policy granted another attempt (the
         deterministic backoff has already been slept here)."""
-        charged = self._pool_generation == generation
         # A hung worker would keep executing the job and starve the
-        # pool: the restart kills it, so the slot is actually reclaimed.
-        self._restart_pool(generation)
+        # pool: killing it reclaims the slot.
+        worker.pool.replace(worker)
         if status == "timeout":
             event, fields = "TIMEOUT", {"deadline": timeout}
             diagnostics = (f"error: job exceeded its {timeout:g}s deadline; "
-                           "hung worker killed and the pool restarted")
+                           "hung worker killed and replaced")
         else:
             event, fields = "CRASHED", {}
             diagnostics = ("error: worker process died while compiling "
                            f"this job (x{attempts}): {error}")
-        if charged:
-            self._account(event, job, key=key, attempt=attempts, **fields)
-            self._quarantine.record_failure(key, status)
-            if self._quarantine.is_poisoned(key):
-                return self._poisoned(job, key, attempts)
+        self._account(event, job, key=key, attempt=attempts, **fields)
+        self._quarantine.record_failure(key, status)
+        if self._quarantine.is_poisoned(key):
+            return self._poisoned(job, key, attempts)
         if self.retry_policy.should_retry(status, attempts):
             backoff = self.retry_policy.backoff_seconds(key, attempts)
             self._account("RETRIED", job, key=key, failure=status,
@@ -1050,12 +1048,45 @@ class CompileEngine:
                             attempt=attempts) as attempt_span:
                 trace = attempt_span and (attempt_span.trace_id,
                                          attempt_span.span_id)
-                with self._pool_lock:
-                    pool, generation = self._pool, self._pool_generation
+                pool = self._pool
                 self._account("DISPATCHED", job, key=key, attempt=attempts,
                               pooled=pool is not None)
                 failure: Optional[Tuple[str, BaseException]] = None
-                if pool is None:
+                try:
+                    # No worker without a pool, nor when the pool closed
+                    # while this waited for one: that is not an attempt.
+                    worker = pool and pool.submit(
+                        compile_job, job.payload_text, job.script_text,
+                        job.params, job.entry_point,
+                        self.faults and self.faults.worker_fault(
+                            key, attempts),
+                        trace, tier_keys is not None)
+                    if worker is not None:
+                        if self.faults is not None and self.faults.fire(
+                                FaultSite.POOL_BREAK,
+                                f"{key}#attempt{attempts}"):
+                            # Externally induced pool collapse (OOM
+                            # killer): every worker dies, and each job
+                            # finds its own worker dead.
+                            for each in pool.workers:
+                                each.process.kill()
+                        raw = worker.result(timeout=timeout)
+                except TimeoutError as error:
+                    failure = ("timeout", error)
+                except BrokenProcessPool as error:
+                    failure = ("crashed", error)
+                except Exception as error:
+                    # An infrastructure failure outside the worker
+                    # barrier (e.g. unpicklable input; compile_job
+                    # encodes everything else itself): classify, don't
+                    # crash the service.
+                    _mark(attempt_span, "error")
+                    return JobResult(
+                        job.job_id, JobStatus.DEFINITE, key=key,
+                        diagnostics=f"error: {type(error).__name__}: {error}",
+                        attempts=attempts,
+                    )
+                if worker is None:
                     # workers=0 reference mode, or the engine degraded
                     # after crash-loop detection. Worker faults are never
                     # injected here: an in-process os._exit would take the
@@ -1067,41 +1098,6 @@ class CompileEngine:
                         parsed.pop() if parsed else job.payload_text,
                         script.op.clone(), job.params, job.entry_point,
                         trace=trace, function_tier=tier_keys is not None)
-                else:
-                    inject = (self.faults.worker_fault(key, attempts)
-                              if self.faults is not None else None)
-                    try:
-                        # submit() itself raises BrokenProcessPool when
-                        # another job's failure already replaced this
-                        # pool or killed the worker.
-                        worker = pool.submit(
-                            compile_job, job.payload_text, job.script_text,
-                            job.params, job.entry_point, inject, trace,
-                            tier_keys is not None)
-                        if self.faults is not None and self.faults.fire(
-                                FaultSite.POOL_BREAK,
-                                f"{key}#attempt{attempts}"):
-                            # Externally induced pool collapse (OOM
-                            # killer): every worker dies under the
-                            # dispatched job.
-                            self._terminate(pool)
-                        raw = worker.result(timeout=timeout)
-                    except TimeoutError as error:
-                        failure = ("timeout", error)
-                    except BrokenProcessPool as error:
-                        failure = ("crashed", error)
-                    except Exception as error:
-                        # An infrastructure failure outside the worker
-                        # barrier (e.g. unpicklable input; compile_job
-                        # encodes everything else itself): classify,
-                        # don't crash the service.
-                        _mark(attempt_span, "error")
-                        return JobResult(
-                            job.job_id, JobStatus.DEFINITE, key=key,
-                            diagnostics=(
-                                f"error: {type(error).__name__}: {error}"),
-                            attempts=attempts,
-                        )
                 if failure is None:
                     self._account("executed")
                     if attempt_span is not None:
@@ -1120,9 +1116,9 @@ class CompileEngine:
                         output_digest=raw.get("output_digest"),
                     )
                 _mark(attempt_span, failure[0])
-            # The attempt's span is closed: policy time (pool restart,
-            # backoff sleep) is not dispatch time.
+            # The attempt's span is closed: policy time (worker
+            # replacement, backoff sleep) is not dispatch time.
             result = self._handle_pool_failure(
-                job, key, *failure, attempts, timeout, generation)
+                job, key, worker, *failure, attempts, timeout)
             if result is not None:
                 return result

@@ -3,7 +3,7 @@
 The engine's original failure handling was a collection of hardcoded
 reflexes: crash containment was a single immediate retry, a hung
 worker was killed but its job simply reported TIMEOUT, and a job that
-killed the pool every time it ran would restart the pool forever. This
+killed its worker every time it ran would be retried forever. This
 module replaces those reflexes with three explicit mechanisms, all
 deterministic so the fault-injection harness
 (:mod:`repro.testing.faults`) can replay any recovery decision. Each
@@ -16,11 +16,11 @@ takes exactly the settings ``repro-batch``/``repro-serve`` expose:
   from a global RNG) between attempts;
 * :class:`JobQuarantine` (``--quarantine-after N``) — a circuit
   breaker keyed on the job's content address: a job that crashes or
-  times out the pool ``threshold`` times is quarantined and reports
-  ``POISONED`` immediately instead of restarting the pool forever;
+  times out its worker ``threshold`` times is quarantined and reports
+  ``POISONED`` immediately instead of killing workers forever;
 * :class:`PoolHealthMonitor` (``--crash-loop-limit N``) — crash-loop
-  detection: ``max_restarts`` pool restarts inside a sliding
-  ``CRASH_LOOP_WINDOW`` degrades the engine to in-process
+  detection: ``max_restarts`` worker replacements inside a sliding
+  ``CRASH_LOOP_WINDOW`` degrade the engine to in-process
   (``workers=0``) execution with a diagnostic, trading throughput for
   liveness instead of thrashing the pool.
 
@@ -174,9 +174,9 @@ class JobQuarantine:
 
 
 class PoolHealthMonitor:
-    """Crash-loop detection: ``max_restarts`` pool restarts within any
-    ``CRASH_LOOP_WINDOW`` span means the pool is doing more dying than
-    working, and the engine degrades to in-process execution
+    """Crash-loop detection: ``max_restarts`` worker replacements
+    within any ``CRASH_LOOP_WINDOW`` span means the pool is doing more
+    dying than working, and the engine degrades to in-process execution
     (``max_restarts=0`` never does). Thread-safe; ``record_restart``
     returns True exactly once, at the moment the crash loop is
     detected."""
@@ -188,8 +188,8 @@ class PoolHealthMonitor:
         self._tripped = False
 
     def record_restart(self, now: Optional[float] = None) -> bool:
-        """Record one pool restart; True when this restart tips the
-        window over ``max_restarts`` (the caller should degrade)."""
+        """Record one worker replacement; True when it tips the window
+        over ``max_restarts`` (the caller should degrade)."""
         if now is None:
             now = time.monotonic()
         with self._lock:
@@ -208,7 +208,7 @@ class PoolHealthMonitor:
         """Human-readable reason for a degradation."""
         return (
             f"warning: worker pool degraded to in-process execution "
-            f"after {self.max_restarts} restarts within "
+            f"after {self.max_restarts} worker replacements within "
             f"{CRASH_LOOP_WINDOW:g}s (crash-loop detection); "
             "throughput is reduced but the service stays live"
         )

@@ -25,7 +25,8 @@ worker happens to die. This module provides:
      produces output byte-identical to the fault-free run;
   4. **accounting balance** — the engine's counters reconcile with
      the observed results (submitted == completed, status histograms
-     match, every injected fault is counted).
+     match, every charged crash or timeout is retried or ends the job
+     it was charged to, every injected fault is counted).
 
 A CI failure prints the case seed and writes the fired fault schedule
 (``--schedule-out``) so the exact run is replayable locally with
@@ -52,10 +53,13 @@ class FaultSite(str, enum.Enum):
     #: ``BrokenProcessPool`` — the crash/retry/quarantine path).
     WORKER_CRASH = "worker_crash"
     #: The worker sleeps past any deadline (engine times the job out,
-    #: kills the worker and restarts the pool).
+    #: then kills and replaces that one worker).
     WORKER_HANG = "worker_hang"
-    #: Every process in the pool is terminated right after dispatch —
-    #: an externally induced pool collapse (OOM killer, cgroup kill).
+    #: Every worker process of the pool is killed right after
+    #: dispatch, and the pool is left open — an externally induced
+    #: collapse (OOM killer, cgroup kill). Each job finds its own
+    #: worker dead: mid-call it is a crash, at checkout a free
+    #: replacement.
     POOL_BREAK = "pool_break"
     #: The disk-cache write raises ``OSError`` (ENOSPC) mid-put.
     DISK_WRITE_ERROR = "disk_write_error"
@@ -220,18 +224,12 @@ class ChaosReport:
     def render(self) -> str:
         lines = [f"chaos: {self.cases} cases, {self.jobs} jobs "
                  f"(routes: {', '.join(ROUTES)})"]
-        by_status = "  ".join(
-            f"{status}: {count}"
-            for status, count in sorted(self.statuses.items())
-        )
-        if by_status:
-            lines.append(f"  by status: {by_status}")
-        by_site = "  ".join(
-            f"{site}: {count}"
-            for site, count in sorted(self.faults.items())
-        )
-        if by_site:
-            lines.append(f"  faults injected: {by_site}")
+        for label, counts in (("by status", self.statuses),
+                              ("faults injected", self.faults)):
+            if counts:
+                lines.append(f"  {label}: " + "  ".join(
+                    f"{name}: {count}"
+                    for name, count in sorted(counts.items())))
         lines.append(f"  recovered jobs byte-identical: {self.recovered}")
         if self.failures:
             lines.append(f"  FAILURES: {len(self.failures)}")
@@ -412,21 +410,31 @@ def _run_route(route: str, report: ChaosReport, case_seed: int, jobs,
 
             # 3. Stats balance, and the distribution saw every job.
             stats = engine.stats
-            if stats.submitted != stats.completed:
-                fail("stats-balance", f"submitted={stats.submitted} != "
-                     f"completed={stats.completed}")
-            if stats.completed != len(results):
-                fail("stats-balance", f"completed={stats.completed} != "
-                     f"results={len(results)}")
             timed = engine.metrics.histogram("service.job_seconds").count
-            if timed != len(results):
-                fail("stats-balance", f"service.job_seconds count={timed} "
-                     f"!= results={len(results)}")
-            poisoned = sum(1 for r in results
-                           if r.status is JobStatus.POISONED)
+            if not stats.submitted == stats.completed == timed == len(results):
+                fail("stats-balance", f"submitted={stats.submitted}, "
+                     f"completed={stats.completed}, service.job_seconds "
+                     f"count={timed}, results={len(results)}")
+            poisoned = sum(r.status is JobStatus.POISONED for r in results)
             if stats.quarantined != poisoned:
                 fail("stats-balance", f"quarantined={stats.quarantined} != "
                      f"poisoned results={poisoned}")
+            # A job ends crashed or timed out only once such a failure
+            # was charged to it, and each charged failure is retried or
+            # ends its job (poisoned, at the latest). A follower adopts
+            # its leader's result and is charged nothing.
+            ended = Counter(r.status.value for r in results
+                            if r.attempts and not r.coalesced)
+            settled = stats.retries + ended["poisoned"]
+            for status, charged in (("crashed", stats.crashes),
+                                    ("timeout", stats.timeouts)):
+                settled += ended[status]
+                if ended[status] > charged:
+                    fail("stats-balance", f"{ended[status]} jobs ended "
+                         f"{status}, {charged} such failures charged")
+            if stats.crashes + stats.timeouts != settled:
+                fail("stats-balance", f"{stats.crashes + stats.timeouts} "
+                     f"failures charged, {settled} retried or ended a job")
             injected = plan.injected
             if (injected.get("disk_write_error", 0)
                     or injected.get("disk_read_corrupt", 0)):

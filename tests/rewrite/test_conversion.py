@@ -12,7 +12,11 @@ from repro.rewrite.conversion import (
     TypeConverter,
     apply_conversion,
 )
-from repro.rewrite.pattern import pattern
+from repro.mlmodels import MODEL_SPECS, build_model
+from repro.passes import PassManager
+from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
+from repro.rewrite.pattern import RewriteListener, pattern
+from tests.passes.test_lowerings import FIXED_PIPELINE, build_subview_payload
 
 
 class TestTypeConverter:
@@ -229,3 +233,57 @@ class TestOneVisitDriver:
         with pytest.raises(ConversionError) as raised:
             apply_conversion(module, [], target)
         assert raised.value.op is first
+
+
+class _Reported(RewriteListener):
+    """Every op a conversion's rewriter reported inserted."""
+
+    def __init__(self):
+        self.ops = []
+
+    def notify_op_inserted(self, op):
+        self.ops.append(op)
+
+
+class TestEveryCreatedOpIsReported:
+    """The driver legalizes what a pattern created from the rewriter's
+    insert reports, so an op a pattern builds past the rewriter (with
+    a plain ``Builder``, outside any op it inserted) would escape
+    legalization. No lowering of Table 1's pipeline or Table 2's may
+    do that."""
+
+    @pytest.fixture
+    def unreported(self, monkeypatch):
+        """The names of the ops created but not reported by every
+        conversion the test runs, and how many conversions ran."""
+        import repro.passes.lowerings as lowerings
+        import repro.passes.tosa_pipeline as tosa_pipeline
+
+        found, runs = [], []
+
+        def checked(root, patterns, target, type_converter=None,
+                    extra_listeners=()):
+            before = set(root.walk())
+            reported = _Reported()
+            apply_conversion(root, patterns, target, type_converter,
+                             [reported, *extra_listeners])
+            runs.append(root)
+            covered = {nested for op in reported.ops for nested in op.walk()}
+            found.extend(op.name for op in root.walk()
+                         if op not in before and op not in covered)
+
+        for module in (lowerings, tosa_pipeline):
+            monkeypatch.setattr(module, "apply_conversion", checked)
+        return found, runs
+
+    @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
+    def test_table1_pipeline_on_a_model(self, unreported, model):
+        PassManager(TOSA_TO_LINALG_PIPELINE).run(build_model(model))
+        found, runs = unreported
+        assert runs and found == []
+
+    @pytest.mark.parametrize("dynamic_offset", [False, True])
+    def test_table2_pipeline(self, unreported, dynamic_offset):
+        PassManager(FIXED_PIPELINE).run(build_subview_payload(dynamic_offset))
+        found, runs = unreported
+        assert runs and found == []

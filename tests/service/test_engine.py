@@ -6,6 +6,7 @@ workers inherit them and can execute the hostile schedules.
 """
 
 import asyncio
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,7 +15,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -32,6 +32,8 @@ from repro.service import (
     RetryPolicy,
     ServiceFrontier,
 )
+from repro.service import engine as engine_module
+from repro.service.engine import _Worker
 
 
 @register_op
@@ -42,6 +44,18 @@ class _ServiceTestSleepOp(TransformOp):
 
     def apply(self, interpreter, state) -> TransformResult:
         time.sleep(5.0)
+        return TransformResult.success()
+
+
+@register_op
+class _ServiceTestNapOp(TransformOp):
+    """A healthy job that takes long enough to outlive a sub-second
+    deadline of another job."""
+
+    NAME = "transform.test.service_nap"
+
+    def apply(self, interpreter, state) -> TransformResult:
+        time.sleep(1.5)
         return TransformResult.success()
 
 
@@ -581,22 +595,40 @@ class TestHostileWorkers:
     def test_pool_already_broken_at_submit_takes_the_crash_path(self):
         # Regression: submit() on a pool another job's crash had just
         # broken raised BrokenProcessPool straight out of run_job
-        # (chaos seed 1 hit it); it is a pool failure like any other.
+        # (chaos seed 1 hit it). A worker found dead before the call
+        # reaches it is replaced at checkout: no attempt is lost and
+        # nothing is charged.
         with CompileEngine(workers=1) as engine:
             assert engine.run_job(_job()).ok
-            pool = engine._pool
-            engine._terminate(pool)
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline:
-                try:
-                    pool.submit(int).result(timeout=30.0)
-                except BrokenProcessPool:
-                    break
+            for worker in engine._pool.workers:
+                worker.process.kill()
+                worker.process.join(30.0)
             result = engine.run_job(_job(params={"n": 1}))
             assert result.status is JobStatus.SUCCESS
-            assert result.attempts == 2
-            assert engine.stats.crashes == 1
+            assert result.attempts == 1
+            assert engine.stats.crashes == 0
             assert engine.stats.worker_restarts == 1
+
+    def test_workers_that_die_at_birth_cost_a_crash_not_a_loop(
+            self, monkeypatch):
+        # With the crash-loop monitor off, a checkout still stops
+        # replacing dead workers once it has replaced as many as the
+        # pool has: the call then fails as a crash.
+        fork = _Worker.__init__
+
+        def fork_dead(worker, pool):
+            fork(worker, pool)
+            worker.process.join(30.0)  # dead before a call is sent to it
+            assert not worker.process.is_alive()
+
+        monkeypatch.setattr(engine_module, "serve",
+                            lambda conn: os._exit(3))
+        monkeypatch.setattr(_Worker, "__init__", fork_dead)
+        with CompileEngine(workers=1, crash_loop_limit=0,
+                           retry_policy=RetryPolicy(max_attempts=1)) as engine:
+            result = engine.run_job(_job())
+        assert result.status is JobStatus.CRASHED
+        assert engine.stats.crashes == 1
 
     def test_crash_without_retry(self):
         script = _hostile_script("transform.test.service_crash")
@@ -623,10 +655,11 @@ class TestOwnedWorkers:
         assert [(r.status, r.attempts) for r in results] == \
             [(JobStatus.SUCCESS, 1)] * 4
 
-    def _hang_with_two_waiters(self, quarantine_after=3):
+    def _hang_with_two_waiters(self, quarantine_after=3,
+                               retry_policy=RetryPolicy()):
         # workers=1: the first job hangs on the only worker while two
-        # more wait for it. The timeout replaces the pool; the waiters
-        # retry on the new one instead of waiting forever.
+        # more wait for it. The timeout replaces that worker, and the
+        # waiters run on its successor instead of waiting forever.
         hang = _job(script=_hostile_script("transform.test.service_sleep"),
                     timeout=1.0)
         waiting = [_job(payload=PAYLOAD.replace(
@@ -641,7 +674,8 @@ class TestOwnedWorkers:
 
         events.subscribe(on_event)
         with CompileEngine(workers=1, preflight=False, events=events,
-                           quarantine_after=quarantine_after) as engine:
+                           quarantine_after=quarantine_after,
+                           retry_policy=retry_policy) as engine:
             with ThreadPoolExecutor(max_workers=3) as threads:
                 hung = threads.submit(engine.run_job, hang)
                 assert dispatched.wait(30.0)
@@ -652,14 +686,63 @@ class TestOwnedWorkers:
         return engine, hung, results
 
     def test_jobs_waiting_behind_a_hung_worker_retry_and_finish(self):
-        # The waiters' failures are the hung job's, not theirs: only the
-        # timeout is charged.
+        # Waiting is not an attempt: the waiters' first call reaches
+        # the hung worker's successor, and only the timeout is charged.
         engine, hung, results = self._hang_with_two_waiters()
         assert hung.status is JobStatus.TIMEOUT
         assert [(r.status, r.attempts) for r in results] == \
-            [(JobStatus.SUCCESS, 2)] * 2
+            [(JobStatus.SUCCESS, 1)] * 2
         assert (engine.stats.timeouts, engine.stats.crashes,
                 engine.stats.worker_restarts) == (1, 0, 1)
+
+    def test_a_job_that_only_waited_needs_no_retry(self):
+        engine, hung, results = self._hang_with_two_waiters(
+            retry_policy=RetryPolicy(max_attempts=1))
+        assert hung.status is JobStatus.TIMEOUT
+        assert [(r.status, r.attempts) for r in results] == \
+            [(JobStatus.SUCCESS, 1)] * 2
+        assert engine.stats.by_status == {"timeout": 1, "success": 2}
+
+    def test_a_timeout_costs_only_its_own_worker(self):
+        # workers=2: one job's deadline fires while a healthy job is in
+        # flight on the other worker, which is left alone.
+        hang = _job(script=_hostile_script("transform.test.service_sleep"),
+                    timeout=0.5)
+        nap = _job(script=_hostile_script("transform.test.service_nap"),
+                   timeout=30.0)
+        events = EventLog()
+        with CompileEngine(workers=2, preflight=False,
+                           events=events) as engine:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                hung, healthy = threads.map(engine.run_job, [hang, nap],
+                                            timeout=60.0)
+        assert hung.status is JobStatus.TIMEOUT
+        assert (healthy.status, healthy.attempts) == (JobStatus.SUCCESS, 1)
+        assert [r["event"] for r in events.for_job(nap.job_id)] == [
+            "STARTED", "DISPATCHED", "COMPLETED"]
+        assert (engine.stats.timeouts, engine.stats.crashes,
+                engine.stats.worker_restarts) == (1, 0, 1)
+
+    def test_a_replacement_racing_shutdown_forks_nothing(self, monkeypatch):
+        # shutdown() lands between the kill of the hung worker and the
+        # fork of its successor: nothing is forked into the closed pool,
+        # so no process of the engine outlives it.
+        before = set(multiprocessing.active_children())
+        engine = CompileEngine(workers=1, preflight=False, job_timeout=0.25,
+                               retry_policy=RetryPolicy(max_attempts=1))
+        kill = _Worker.kill
+
+        def kill_then_shut_down(worker):
+            kill(worker)
+            if engine._pool is not None:
+                engine.shutdown()
+
+        monkeypatch.setattr(_Worker, "kill", kill_then_shut_down)
+        result = engine.run_job(
+            _job(script=_hostile_script("transform.test.service_sleep")))
+        assert result.status is JobStatus.TIMEOUT
+        assert engine.stats.worker_restarts == 0
+        assert set(multiprocessing.active_children()) <= before
 
     def test_waiting_behind_a_hung_worker_never_poisons_the_waiters(self):
         engine, hung, results = self._hang_with_two_waiters(
