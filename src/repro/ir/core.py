@@ -40,9 +40,8 @@ from .types import Type
 
 
 class _Journal(threading.local):
-    #: The undo log of the innermost transaction open on this thread
-    #: (:mod:`repro.core.transaction`), or None: ``(inverse, args)``
-    #: entries, oldest first.
+    #: The entries of the innermost :class:`UndoLog` open on this
+    #: thread, or None: ``(inverse, args)`` pairs, oldest first.
     log: Optional[list] = None
 
 
@@ -52,12 +51,74 @@ JOURNAL = _Journal()
 
 def _changed(inverse: Callable, *args) -> None:
     """Every IR write calls this, and nothing outside this module
-    writes an IR field. While a transaction is open on this thread,
+    writes an IR field. While an undo log is open on this thread,
     ``inverse(*args)`` is logged: it undoes the write once every later
     one is undone."""
     log = JOURNAL.log
     if log is not None:
         log.append((inverse, args))
+
+
+class TransactionError(RuntimeError):
+    """Misuse of an :class:`UndoLog` (double commit/rollback, or one
+    finished while a log it encloses is open)."""
+
+
+class UndoLog:
+    """The inverses of this thread's IR writes while it is open.
+
+    Logs nest and finish innermost first: a commit hands the entries
+    to the enclosing log, or drops them; a rollback replays them
+    backwards, so every op keeps its identity and an erased one is
+    relinked. As a context manager it commits on success and rolls
+    back on an exception.
+    """
+
+    def __init__(self) -> None:
+        self._outer = JOURNAL.log
+        self._entries: list = []
+        self._open = True
+        JOURNAL.log = self._entries
+
+    def _close(self, log: Optional[list]) -> list:
+        """Finish this log and open ``log`` on the thread."""
+        if not self._open or JOURNAL.log is not self._entries:
+            raise TransactionError("transaction already finished, or a "
+                                   "nested one is still open")
+        self._open = False
+        JOURNAL.log = log
+        return self._entries
+
+    def commit(self) -> None:
+        """Keep the writes; the enclosing log, if any, can undo them."""
+        entries = self._close(self._outer)
+        if self._outer is not None:
+            self._outer.extend(entries)
+
+    def rollback(self) -> None:
+        """Undo every write since the log opened."""
+        # An inverse is a write itself: replay with no log open.
+        entries = self._close(None)
+        try:
+            for inverse, args in reversed(entries):
+                inverse(*args)
+        finally:
+            JOURNAL.log = self._outer
+
+    def inserted(self) -> List["Operation"]:
+        """After a commit, the ops the logged writes inserted that are
+        still in the block they were inserted into, in insertion order.
+        An op built into a new op's region is logged like any other."""
+        return list(dict.fromkeys(
+            args[1] for inverse, args in self._entries
+            if inverse is Block.remove and args[1].parent is args[0]))
+
+    def __enter__(self) -> "UndoLog":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._open:
+            (self.commit if exc_type is None else self.rollback)()
 
 
 def _unset(use: "OpOperand", old: "Value", index: int) -> None:

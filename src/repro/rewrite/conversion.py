@@ -7,10 +7,13 @@ conversion framework:
   which ops/dialects are illegal;
 * a :class:`TypeConverter` maps source types to target types;
 * :func:`apply_conversion` drives patterns over illegal ops, visiting
-  each once. When a replacement value's type differs from the replaced
-  result's type, a ``builtin.unrealized_conversion_cast`` is
-  materialized — exactly the temporary ops whose failed reconciliation
-  produces the case-study-2 error message.
+  each once. Each attempt is a transaction: an
+  :class:`~repro.ir.core.UndoLog` records what the pattern wrote, says
+  which ops it created, and undoes an attempt that fails.
+* When a replacement value's type differs from the replaced result's
+  type, a ``builtin.unrealized_conversion_cast`` is materialized —
+  exactly the temporary ops whose failed reconciliation produces the
+  case-study-2 error message.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from itertools import islice
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..ir.core import Block, Operation, Value
+from ..ir.core import Block, Operation, UndoLog, Value
 from ..ir.types import Type
 from .greedy import FrozenPatternSet
-from .pattern import PatternRewriter, RewriteListener, RewritePattern
+from .pattern import PatternRewriter, RewritePattern
 
 #: How deep :func:`apply_conversion` legalizes the ops a conversion
 #: created, and how many rounds it retries the ops no pattern converted.
@@ -118,9 +121,8 @@ class ConversionTarget:
 class ConversionRewriter(PatternRewriter):
     """Pattern rewriter that materializes type-changing replacements."""
 
-    def __init__(self, type_converter: Optional[TypeConverter],
-                 listeners: Sequence[RewriteListener] = ()):
-        super().__init__(listeners)
+    def __init__(self, type_converter: Optional[TypeConverter]):
+        super().__init__()
         self.type_converter = type_converter
 
     def materialize_cast(self, value: Value, target_type: Type,
@@ -190,44 +192,26 @@ class ConversionRewriter(PatternRewriter):
                 )
 
 
-class _Inserted(RewriteListener):
-    """The ops a pattern inserted, for the driver to legalize."""
-
-    def __init__(self) -> None:
-        self.ops: List[Operation] = []
-        # Called once per inserted op: the list's own append, no frame.
-        self.notify_op_inserted = self.ops.append  # type: ignore[method-assign]
-
-    def created(self) -> List[Operation]:
-        """The inserted ops still in place and the ops nested in them,
-        read after the pattern returns: a pattern may fill a region
-        after inserting its op."""
-        created: List[Operation] = []
-        for op in self.ops:
-            if op.parent is not None:
-                created += op.walk() if op.regions else (op,)
-        return created
-
-
 def apply_conversion(
     root: Operation,
     patterns: Sequence[RewritePattern],
     target: ConversionTarget,
     type_converter: Optional[TypeConverter] = None,
-    extra_listeners: Sequence[RewriteListener] = (),
 ) -> None:
     """Legalize all ops under ``root`` against ``target``.
 
     One pre-order walk collects the illegal ops, and each is tried
-    once; the ops a successful pattern created are legalized on the
-    spot. An op no pattern converted is retried while the previous
-    round converted something. Raises :class:`ConversionError` with
-    MLIR's wording at the first op, in pre-order, that is still
-    illegal, or is legal by dialect yet explicitly illegal.
+    once. Each pattern tries under its own undo log: a success commits
+    it, and the ops it inserted, however built, are legalized on the
+    spot; a ``False`` rolls it back before the next candidate; a raise
+    rolls it back and propagates. An op no pattern converted is retried
+    while the previous round converted something. Raises
+    :class:`ConversionError` with MLIR's wording at the first op, in
+    pre-order, that is still illegal, or is legal by dialect yet
+    explicitly illegal.
     """
     frozen = FrozenPatternSet(patterns)
-    inserted = _Inserted()
-    rewriter = ConversionRewriter(type_converter, [inserted, *extra_listeners])
+    rewriter = ConversionRewriter(type_converter)
     # Explicitly illegal ops whose dialect is declared legal as well:
     # no pattern runs on them, and they fail the conversion.
     both = target.legal_dialects & target.illegal_dialects
@@ -243,13 +227,16 @@ def apply_conversion(
                 stuck.append(op)
         return found
 
-    def convert(op: Operation) -> bool:
+    def convert(op: Operation) -> Optional[List[Operation]]:
+        """The ops the first pattern to convert ``op`` created, or None."""
         for pat in frozen.for_op_name(op.name):
             rewriter.set_insertion_point_before(op)
-            inserted.ops.clear()
-            if pat.match_and_rewrite(op, rewriter):
-                return True
-        return False
+            with UndoLog() as attempt:
+                if pat.match_and_rewrite(op, rewriter):
+                    attempt.commit()
+                    return attempt.inserted()
+                attempt.rollback()
+        return None
 
     pending = illegal(islice(root.walk(), 1, None))
     for _ in range(_MAX_ITERATIONS):
@@ -262,12 +249,13 @@ def apply_conversion(
                 op, depth = stack.pop()
                 if op.parent is None:
                     continue
-                if depth <= _MAX_ITERATIONS and convert(op):
-                    converted = True
-                    stack += [(new, depth + 1) for new in
-                              reversed(illegal(inserted.created()))]
-                else:
+                created = convert(op) if depth <= _MAX_ITERATIONS else None
+                if created is None:
                     failed.append(op)
+                    continue
+                converted = True
+                stack += [(new, depth + 1)
+                          for new in reversed(illegal(created))]
         if not converted or not failed:
             break
         pending = failed

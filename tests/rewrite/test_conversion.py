@@ -3,7 +3,11 @@
 import pytest
 
 from repro.dialects import builtin, func
+from repro.core.state import TransformState
+from repro.core.transaction import PayloadTransaction
 from repro.ir import Block, Builder, I32, I64, IndexType, Operation
+from repro.ir.core import UndoLog
+from repro.ir.printer import print_op
 from repro.ir.types import INDEX, LLVMPointerType, MemRefType, Type, memref
 from repro.rewrite.conversion import (
     ConversionError,
@@ -15,7 +19,7 @@ from repro.rewrite.conversion import (
 from repro.mlmodels import MODEL_SPECS, build_model
 from repro.passes import PassManager
 from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
-from repro.rewrite.pattern import RewriteListener, pattern
+from repro.rewrite.pattern import pattern
 from tests.passes.test_lowerings import FIXED_PIPELINE, build_subview_payload
 
 
@@ -235,43 +239,37 @@ class TestOneVisitDriver:
         assert raised.value.op is first
 
 
-class _Reported(RewriteListener):
-    """Every op a conversion's rewriter reported inserted."""
-
-    def __init__(self):
-        self.ops = []
-
-    def notify_op_inserted(self, op):
-        self.ops.append(op)
-
-
 class TestEveryCreatedOpIsReported:
-    """The driver legalizes what a pattern created from the rewriter's
-    insert reports, so an op a pattern builds past the rewriter (with
-    a plain ``Builder``, outside any op it inserted) would escape
-    legalization. No lowering of Table 1's pipeline or Table 2's may
-    do that."""
+    """The driver legalizes the ops an attempt's undo log names as
+    inserted (``UndoLog.inserted``), however a pattern built them. On
+    Table 1's and Table 2's pipelines, every op a conversion leaves
+    that was not there before is one the log named."""
 
     @pytest.fixture
     def unreported(self, monkeypatch):
-        """The names of the ops created but not reported by every
+        """The names of the ops created but not named by every
         conversion the test runs, and how many conversions ran."""
         import repro.passes.lowerings as lowerings
         import repro.passes.tosa_pipeline as tosa_pipeline
 
-        found, runs = [], []
+        found, runs, named = [], [], []
+        inserted = UndoLog.inserted
 
-        def checked(root, patterns, target, type_converter=None,
-                    extra_listeners=()):
+        def recorded(log):
+            ops = inserted(log)
+            named.extend(ops)
+            return ops
+
+        def checked(root, *args):
             before = set(root.walk())
-            reported = _Reported()
-            apply_conversion(root, patterns, target, type_converter,
-                             [reported, *extra_listeners])
+            named.clear()
+            apply_conversion(root, *args)
             runs.append(root)
-            covered = {nested for op in reported.ops for nested in op.walk()}
+            covered = set(named)
             found.extend(op.name for op in root.walk()
                          if op not in before and op not in covered)
 
+        monkeypatch.setattr(UndoLog, "inserted", recorded)
         for module in (lowerings, tosa_pipeline):
             monkeypatch.setattr(module, "apply_conversion", checked)
         return found, runs
@@ -287,3 +285,95 @@ class TestEveryCreatedOpIsReported:
         PassManager(FIXED_PIPELINE).run(build_subview_payload(dynamic_offset))
         found, runs = unreported
         assert runs and found == []
+
+
+def legal_target():
+    """Dialect ``test`` illegal, dialect ``legal`` legal."""
+    target = ConversionTarget()
+    target.add_illegal_dialect("test")
+    target.add_legal_dialect("legal")
+    return target
+
+
+@pattern("test.op")
+def lower_op(op, rewriter):
+    rewriter.create("legal.op")
+    rewriter.erase_op(op)
+    return True
+
+
+class TestAnAttemptIsATransaction:
+    """Each pattern tries under its own undo log: a success legalizes
+    every op it inserted, a ``False`` or a raise leaves the IR as the
+    attempt found it, and an enclosing transaction undoes a whole
+    conversion."""
+
+    @pytest.mark.parametrize("helper_has_a_pattern", [True, False])
+    def test_a_helper_built_past_the_rewriter_is_legalized(
+            self, helper_has_a_pattern):
+        module, _ = build_ops_module("test.op")
+
+        @pattern("test.op")
+        def with_helper(op, rewriter):
+            Builder.before(op).create("test.helper")
+            return lower_op.match_and_rewrite(op, rewriter)
+
+        @pattern("test.helper")
+        def lower_helper(op, rewriter):
+            rewriter.create("legal.helper")
+            rewriter.erase_op(op)
+            return True
+
+        if not helper_has_a_pattern:
+            with pytest.raises(ConversionError, match="'test.helper'"):
+                apply_conversion(module, [with_helper], legal_target())
+            return
+        apply_conversion(module, [with_helper, lower_helper], legal_target())
+        assert names_in(module) == [
+            "func.func", "legal.helper", "legal.op", "func.return"]
+
+    def test_a_pattern_that_writes_then_declines_leaves_nothing(self):
+        module, _ = build_ops_module("test.op")
+        found = []
+
+        @pattern("test.op", benefit=2)
+        def declines(op, rewriter):
+            found.append(print_op(module))
+            rewriter.create("legal.dead")
+            op.set_attr("touched", 1)
+            return False
+
+        @pattern("test.op")
+        def converts(op, rewriter):
+            found.append(print_op(module))
+            return lower_op.match_and_rewrite(op, rewriter)
+
+        apply_conversion(module, [declines, converts], legal_target())
+        assert found[0] == found[1]
+        assert names_in(module) == ["func.func", "legal.op", "func.return"]
+
+    def test_a_pattern_that_raises_is_undone_and_propagates(self):
+        module, _ = build_ops_module("test.op")
+        before = print_op(module)
+
+        @pattern("test.op", benefit=2)
+        def crashes(op, rewriter):
+            rewriter.create("legal.half")
+            op.set_attr("touched", 1)
+            raise ZeroDivisionError("half-rewritten")
+
+        with pytest.raises(ZeroDivisionError, match="half-rewritten"):
+            apply_conversion(module, [crashes, lower_op], legal_target())
+        assert print_op(module) == before
+
+    def test_a_rolled_back_transaction_undoes_a_conversion(self):
+        from repro.testing.fuzz import _identity
+
+        payload = build_subview_payload(False)
+        before, objects = print_op(payload), _identity(payload)
+        transaction = PayloadTransaction(TransformState(payload))
+        PassManager(FIXED_PIPELINE).run(payload)
+        assert print_op(payload) != before
+        transaction.rollback()
+        assert print_op(payload) == before
+        assert _identity(payload) == objects
