@@ -27,6 +27,7 @@ from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
 from ..ir.types import (
     DYNAMIC,
+    I1,
     I64,
     IndexType,
     LLVMPointerType,
@@ -40,7 +41,7 @@ from ..rewrite.conversion import (
     apply_conversion,
 )
 from ..rewrite.pattern import pattern
-from .manager import Pass, register_pass
+from .manager import ConversionPass, Pass, register_pass
 
 # ---------------------------------------------------------------------------
 # Shared LLVM type converter
@@ -64,26 +65,6 @@ def llvm_type_converter(convert_memref: bool = True) -> TypeConverter:
 # ---------------------------------------------------------------------------
 # 1. convert-scf-to-cf
 # ---------------------------------------------------------------------------
-
-
-def _outermost_scf_ops(root: Operation) -> List[Operation]:
-    """scf.for/if/forall ops under ``root`` with no scf ancestor below
-    it (lowered first). ``root`` itself is never one: a pass does not
-    erase the op it runs on."""
-    found: List[Operation] = []
-
-    def visit(op: Operation) -> None:
-        for region in op.regions:
-            for block in region.blocks:
-                for nested in list(block.ops):
-                    if nested.name in ("scf.for", "scf.if", "scf.forall"):
-                        # Inner ones are handled next round.
-                        found.append(nested)
-                    else:
-                        visit(nested)
-
-    visit(root)
-    return found
 
 
 def _split_block_after(op: Operation, arg_types: List[Type]) -> Block:
@@ -235,33 +216,41 @@ def lower_scf_forall(forall_op: Operation) -> None:
     forall_op.erase()
 
 
+_SCF_LOWERINGS = {"scf.for": lower_scf_for, "scf.if": lower_scf_if,
+                  "scf.forall": lower_scf_forall}
+
+
+@pattern(frozenset(_SCF_LOWERINGS), label="scf-to-cf",
+         generates={"cf.br", "cf.cond_br", "arith.addi", "arith.cmpi",
+                    "arith.constant", "scf.for", "scf.yield"})
+def lower_scf(candidate: Operation, rewriter) -> bool:
+    # Outermost first: each lowering takes its regions' blocks whole,
+    # so an op inside one still to lower waits for the next round.
+    ancestor = candidate.parent_op
+    while ancestor is not None:
+        if ancestor.name in _SCF_LOWERINGS:
+            return False
+        ancestor = ancestor.parent_op
+    _SCF_LOWERINGS[candidate.name](candidate)
+    return True
+
+
 @register_pass
-class ConvertSCFToCFPass(Pass):
+class ConvertSCFToCFPass(ConversionPass):
+    """Structured control flow to basic blocks (paper Fig. 2 / Table 2
+    row 1); a forall becomes a loop nest, which is lowered in turn."""
+
     NAME = "convert-scf-to-cf"
     DESCRIPTION = "lower structured control flow to basic blocks"
-    #: Declared pre-/post-conditions (paper Fig. 2 / Table 2 row 1).
-    PRECONDITIONS = {"scf.*"}
-    POSTCONDITIONS = {"cf.br", "cf.cond_br", "arith.addi", "arith.cmpi",
-                      "arith.constant", "builtin.unrealized_conversion_cast"}
+    PATTERNS = (lower_scf,)
+    TARGET = ConversionTarget().add_illegal_dialect("scf")
 
     def run(self, op: Operation) -> None:
         # Lowering what an scf op holds would leave blocks in its
         # single-block region.
         if op.name.startswith("scf."):
             raise ValueError(f"cannot run on {op.name}, an op it lowers")
-        while True:
-            outermost = _outermost_scf_ops(op)
-            if not outermost:
-                return
-            for scf_op in outermost:
-                if scf_op.parent is None:
-                    continue
-                if scf_op.name == "scf.for":
-                    lower_scf_for(scf_op)
-                elif scf_op.name == "scf.if":
-                    lower_scf_if(scf_op)
-                elif scf_op.name == "scf.forall":
-                    lower_scf_forall(scf_op)
+        super().run(op)
 
 
 # ---------------------------------------------------------------------------
@@ -297,81 +286,72 @@ _ARITH_TO_LLVM = {
 }
 
 
+#: Index to i64; memrefs stay (``finalize-memref-to-llvm`` converts them).
+_INDEX_TO_I64 = llvm_type_converter(convert_memref=False)
+
+
+@pattern("arith.*", label="arith-to-llvm",
+         generates={"llvm.constant", "llvm.icmp", "llvm.fcmp",
+                    *_ARITH_TO_LLVM.values()})
+def convert_arith(candidate: Operation, rewriter) -> bool:
+    operands = rewriter.remapped_operands(candidate)
+    result_types = [
+        _INDEX_TO_I64.convert_type(r.type) for r in candidate.results
+    ]
+    if candidate.name == "arith.constant":
+        new_op = rewriter.create(
+            "llvm.constant",
+            result_types=result_types,
+            attributes={"value": candidate.attr("value")},
+        )
+    elif candidate.name in ("arith.cmpi", "arith.cmpf"):
+        llvm_name = (
+            "llvm.icmp" if candidate.name == "arith.cmpi"
+            else "llvm.fcmp"
+        )
+        new_op = rewriter.create(
+            llvm_name,
+            operands=operands,
+            result_types=result_types,
+            attributes={"predicate": candidate.attr("predicate")},
+        )
+    elif candidate.name in ("arith.maxsi", "arith.minsi",
+                            "arith.maximumf", "arith.minimumf"):
+        predicate = "sgt" if "max" in candidate.name else "slt"
+        cmp_name = (
+            "llvm.icmp" if candidate.name.endswith("i")
+            else "llvm.fcmp"
+        )
+        cmp = rewriter.create(
+            cmp_name,
+            operands=operands,
+            result_types=[I1],
+            attributes={"predicate": predicate},
+        )
+        new_op = rewriter.create(
+            "llvm.select",
+            operands=[cmp.result, *operands],
+            result_types=result_types,
+        )
+    else:
+        llvm_name = _ARITH_TO_LLVM.get(candidate.name)
+        if llvm_name is None:
+            return False
+        new_op = rewriter.create(
+            llvm_name, operands=operands, result_types=result_types
+        )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
 @register_pass
-class ConvertArithToLLVMPass(Pass):
+class ConvertArithToLLVMPass(ConversionPass):
     NAME = "convert-arith-to-llvm"
     DESCRIPTION = "lower arith ops to the LLVM dialect"
-    PRECONDITIONS = {"arith.*"}
-    POSTCONDITIONS = {"llvm.add", "llvm.sub", "llvm.mul", "llvm.fadd",
-                      "llvm.fmul", "llvm.fdiv", "llvm.sdiv", "llvm.udiv",
-                      "llvm.icmp", "llvm.fcmp", "llvm.select",
-                      "llvm.constant", "llvm.sext", "llvm.and", "llvm.or",
-                      "llvm.xor", "llvm.srem", "llvm.fsub", "llvm.zext",
-                      "llvm.trunc", "llvm.sitofp", "llvm.fptosi",
-                      "llvm.fpext", "llvm.fptrunc", "llvm.bitcast",
-                      "llvm.shl", "llvm.ashr",
-                      "builtin.unrealized_conversion_cast"}
-
-    def run(self, op: Operation) -> None:
-        converter = llvm_type_converter(convert_memref=False)
-        target = ConversionTarget()
-        target.add_illegal_dialect("arith")
-        target.add_legal_dialect("llvm", "builtin")
-
-        @pattern("arith.*", label="arith-to-llvm")
-        def convert(candidate: Operation, rewriter) -> bool:
-            operands = rewriter.remapped_operands(candidate)
-            result_types = [
-                converter.convert_type(r.type) for r in candidate.results
-            ]
-            if candidate.name == "arith.constant":
-                new_op = rewriter.create(
-                    "llvm.constant",
-                    result_types=result_types,
-                    attributes={"value": candidate.attr("value")},
-                )
-            elif candidate.name in ("arith.cmpi", "arith.cmpf"):
-                llvm_name = (
-                    "llvm.icmp" if candidate.name == "arith.cmpi"
-                    else "llvm.fcmp"
-                )
-                new_op = rewriter.create(
-                    llvm_name,
-                    operands=operands,
-                    result_types=result_types,
-                    attributes={"predicate": candidate.attr("predicate")},
-                )
-            elif candidate.name in ("arith.maxsi", "arith.minsi",
-                                    "arith.maximumf", "arith.minimumf"):
-                predicate = "sgt" if "max" in candidate.name else "slt"
-                cmp_name = (
-                    "llvm.icmp" if candidate.name.endswith("i")
-                    else "llvm.fcmp"
-                )
-                from ..ir.types import I1
-
-                cmp = rewriter.create(
-                    cmp_name,
-                    operands=operands,
-                    result_types=[I1],
-                    attributes={"predicate": predicate},
-                )
-                new_op = rewriter.create(
-                    "llvm.select",
-                    operands=[cmp.result, *operands],
-                    result_types=result_types,
-                )
-            else:
-                llvm_name = _ARITH_TO_LLVM.get(candidate.name)
-                if llvm_name is None:
-                    return False
-                new_op = rewriter.create(
-                    llvm_name, operands=operands, result_types=result_types
-                )
-            rewriter.replace_op(candidate, new_op.results)
-            return True
-
-        apply_conversion(op, [convert], target, converter)
+    PATTERNS = (convert_arith,)
+    TARGET = (ConversionTarget().add_illegal_dialect("arith")
+              .add_legal_dialect("llvm", "builtin"))
+    CONVERTER = _INDEX_TO_I64
 
 
 # ---------------------------------------------------------------------------
@@ -379,43 +359,34 @@ class ConvertArithToLLVMPass(Pass):
 # ---------------------------------------------------------------------------
 
 
+_CF_TO_LLVM = {
+    "cf.br": "llvm.br",
+    "cf.cond_br": "llvm.cond_br",
+    "cf.switch": "llvm.switch",
+}
+
+
+@pattern(frozenset(_CF_TO_LLVM), label="cf-to-llvm",
+         generates=set(_CF_TO_LLVM.values()))
+def convert_cf(candidate: Operation, rewriter) -> bool:
+    new_op = rewriter.create(
+        _CF_TO_LLVM[candidate.name],
+        operands=rewriter.remapped_operands(candidate),
+        successors=list(candidate.successors),
+        attributes=dict(candidate.attributes),
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
 @register_pass
-class ConvertCFToLLVMPass(Pass):
+class ConvertCFToLLVMPass(ConversionPass):
     NAME = "convert-cf-to-llvm"
     DESCRIPTION = "lower cf branches to LLVM branches"
-    PRECONDITIONS = {"cf.*"}
-    POSTCONDITIONS = {"llvm.br", "llvm.cond_br", "llvm.switch",
-                      "llvm.unreachable",
-                      "builtin.unrealized_conversion_cast"}
-
-    _MAP = {
-        "cf.br": "llvm.br",
-        "cf.cond_br": "llvm.cond_br",
-        "cf.switch": "llvm.switch",
-    }
-
-    def run(self, op: Operation) -> None:
-        converter = llvm_type_converter(convert_memref=False)
-        target = ConversionTarget()
-        target.add_illegal_dialect("cf")
-        target.add_legal_dialect("llvm", "builtin")
-
-        @pattern(label="cf-to-llvm")
-        def convert(candidate: Operation, rewriter) -> bool:
-            llvm_name = self._MAP.get(candidate.name)
-            if llvm_name is None:
-                return False
-            operands = rewriter.remapped_operands(candidate)
-            new_op = rewriter.create(
-                llvm_name,
-                operands=operands,
-                successors=list(candidate.successors),
-                attributes=dict(candidate.attributes),
-            )
-            rewriter.replace_op(candidate, new_op.results)
-            return True
-
-        apply_conversion(op, [convert], target, converter)
+    PATTERNS = (convert_cf,)
+    TARGET = (ConversionTarget().add_illegal_dialect("cf")
+              .add_legal_dialect("llvm", "builtin"))
+    CONVERTER = _INDEX_TO_I64
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +407,7 @@ class ConvertFuncToLLVMPass(Pass):
     def run(self, op: Operation) -> None:
         from ..rewrite.conversion import ConversionRewriter
 
-        converter = llvm_type_converter(convert_memref=False)
+        converter = _INDEX_TO_I64
         rewriter = ConversionRewriter(converter)
 
         for func_op in list(op.walk_ops("func.func")):
@@ -868,38 +839,36 @@ def _expand_affine_expr(builder: Builder, expr: AffineExpr,
     return arith.remsi(builder, lhs, rhs)
 
 
+_AFFINE_OPS = ("affine.apply", "affine.min", "affine.max")
+
+
+@pattern(frozenset(_AFFINE_OPS), label="affine-to-arith",
+         generates={"arith.addi", "arith.muli", "arith.divsi", "arith.remsi",
+                    "arith.constant", "arith.maxsi", "arith.minsi"})
+def expand_affine(affine_op: Operation, rewriter) -> bool:
+    from ..dialects import arith
+
+    map_ = affine_op.map  # type: ignore[attr-defined]
+    dims = affine_op.operands[: map_.num_dims]
+    symbols = affine_op.operands[map_.num_dims :]
+    values = [
+        _expand_affine_expr(rewriter, expr, dims, symbols)
+        for expr in map_.results
+    ]
+    combined = values[0]
+    for value in values[1:]:
+        combined = (
+            arith.minsi(rewriter, combined, value)
+            if affine_op.name == "affine.min"
+            else arith.maxsi(rewriter, combined, value)
+        )
+    rewriter.replace_op(affine_op, [combined])
+    return True
+
+
 @register_pass
-class LowerAffinePass(Pass):
+class LowerAffinePass(ConversionPass):
     NAME = "lower-affine"
     DESCRIPTION = "expand affine.apply/min/max into arith ops"
-    PRECONDITIONS = {"affine.apply", "affine.min", "affine.max"}
-    POSTCONDITIONS = {"arith.addi", "arith.muli", "arith.divsi",
-                      "arith.remsi", "arith.constant", "arith.maxsi",
-                      "arith.minsi"}
-
-    def run(self, op: Operation) -> None:
-        from ..dialects import arith
-
-        for affine_op in list(op.walk()):
-            if affine_op.parent is None:
-                continue
-            if affine_op.name not in ("affine.apply", "affine.min",
-                                      "affine.max"):
-                continue
-            map_ = affine_op.map  # type: ignore[attr-defined]
-            builder = Builder.before(affine_op)
-            dims = affine_op.operands[: map_.num_dims]
-            symbols = affine_op.operands[map_.num_dims :]
-            values = [
-                _expand_affine_expr(builder, expr, dims, symbols)
-                for expr in map_.results
-            ]
-            combined = values[0]
-            for value in values[1:]:
-                combined = (
-                    arith.minsi(builder, combined, value)
-                    if affine_op.name == "affine.min"
-                    else arith.maxsi(builder, combined, value)
-                )
-            affine_op.replace_all_uses_with([combined])
-            affine_op.erase()
+    PATTERNS = (expand_affine,)
+    TARGET = ConversionTarget().add_illegal_op(*_AFFINE_OPS)

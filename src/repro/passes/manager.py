@@ -4,15 +4,20 @@ Passes are registered by name in :data:`PASS_REGISTRY` and assembled
 into pipelines either programmatically or from the textual form used on
 MLIR's command line (``pass-a,pass-b``). Given a profiler, the manager
 records per-pass wall-clock timing into it — the measurement instrument
-for the Table-1 compile-time study.
+for the Table-1 compile-time study. A :class:`ConversionPass` is a
+declaration: its patterns and target say what it consumes and
+produces, and its conditions are derived from them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence, Type as PyType, Union
+from typing import Dict, List, Optional, Sequence, Type as PyType, Union
 
 from ..ir.core import Operation
+from ..rewrite.conversion import (ConversionTarget, TypeConverter,
+                                  apply_conversion)
+from ..rewrite.pattern import RewritePattern
 
 #: Global pass registry: name -> pass class.
 PASS_REGISTRY: Dict[str, PyType["Pass"]] = {}
@@ -41,6 +46,42 @@ class Pass:
 
     def __repr__(self) -> str:
         return f"<pass {self.NAME}>"
+
+
+class ConversionPass(Pass):
+    """A pass that is one dialect conversion, declared, not coded.
+
+    ``PATTERNS``, ``TARGET`` and ``CONVERTER`` are the only statement
+    of what it consumes and produces. Its ``PRECONDITIONS`` are the ops
+    and ``dialect.*`` specs the target makes illegal; its
+    ``POSTCONDITIONS`` are what its patterns generate that the target
+    keeps, plus the unrealized cast a converter materializes. A
+    subclass that writes either set is refused.
+    """
+
+    PATTERNS: Sequence[RewritePattern] = ()
+    TARGET: ConversionTarget
+    CONVERTER: Optional[TypeConverter] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        written = {"PRECONDITIONS", "POSTCONDITIONS"} & vars(cls).keys()
+        if written:
+            raise TypeError(f"{cls.__name__} writes {sorted(written)}; a "
+                            "conversion pass derives its conditions")
+        target = cls.TARGET
+        cls.PRECONDITIONS = frozenset(
+            {*target.illegal_ops,
+             *(f"{dialect}.*" for dialect in target.illegal_dialects)})
+        generated = {name for pat in cls.PATTERNS for name in pat.generates
+                     if name not in target.illegal_ops
+                     and name.split(".", 1)[0] not in target.illegal_dialects}
+        if cls.CONVERTER is not None:
+            generated.add("builtin.unrealized_conversion_cast")
+        cls.POSTCONDITIONS = frozenset(generated)
+
+    def run(self, op: Operation) -> None:
+        apply_conversion(op, self.PATTERNS, self.TARGET, self.CONVERTER)
 
 
 class PassManager:

@@ -15,10 +15,10 @@ from typing import Optional
 from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
 from ..ir.types import ShapedType, TensorType
-from ..rewrite.conversion import ConversionTarget, apply_conversion
+from ..rewrite.conversion import ConversionTarget
 from ..rewrite.greedy import FrozenPatternSet, apply_patterns_greedily
 from ..rewrite.pattern import PatternRewriter, pattern
-from .manager import Pass, register_pass
+from .manager import ConversionPass, Pass, register_pass
 
 # ---------------------------------------------------------------------------
 # tosa-optional-decompositions
@@ -155,12 +155,12 @@ class TosaInferShapesPass(Pass):
     Real MLIR refines unranked/dynamic shapes; our graphs are static, so
     this validates element counts and records per-op flop estimates used
     later by the cost model (the traversal work is what Table 1 times).
+    It removes and adds no op, so it declares no conditions: the
+    pipeline checker treats it as identity, with a remark.
     """
 
     NAME = "tosa-infer-shapes"
     DESCRIPTION = "infer and validate TOSA result shapes"
-    PRECONDITIONS = {"tosa.*"}
-    POSTCONDITIONS: set = set()
 
     def run(self, op: Operation) -> None:
         for tosa_op in op.walk():
@@ -192,8 +192,7 @@ class TosaMakeBroadcastablePass(Pass):
 
     NAME = "tosa-make-broadcastable"
     DESCRIPTION = "insert reshapes so binary operands have equal rank"
-    PRECONDITIONS = {"tosa.add", "tosa.sub", "tosa.mul", "tosa.maximum",
-                     "tosa.minimum", "tosa.pow"}
+    #: It keeps the binary ops it reshapes for, so it consumes nothing.
     POSTCONDITIONS = {"tosa.reshape"}
 
     _BINARY = {"tosa.add", "tosa.sub", "tosa.mul", "tosa.maximum",
@@ -263,40 +262,32 @@ _NAMED_MAP = {
 }
 
 
+@pattern(frozenset(_NAMED_MAP), label="tosa-named-to-linalg",
+         generates={*_NAMED_MAP.values(), "tensor.empty", "arith.constant",
+                    "linalg.fill"})
+def convert_named(candidate: Operation, rewriter) -> bool:
+    linalg_name = _NAMED_MAP[candidate.name]
+    result_type = _result_tensor(candidate)
+    rewriter.set_insertion_point_before(candidate)
+    init = _empty_init(rewriter, result_type)
+    inputs = candidate.operands[:2]
+    new_op = rewriter.create(
+        linalg_name,
+        operands=[*inputs, init],
+        result_types=[result_type],
+        attributes=dict(candidate.attributes),
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
 @register_pass
-class TosaToLinalgNamedPass(Pass):
+class TosaToLinalgNamedPass(ConversionPass):
     NAME = "tosa-to-linalg-named"
     DESCRIPTION = "convert compute-heavy TOSA ops to named linalg ops"
-    PRECONDITIONS = {"tosa.conv2d", "tosa.depthwise_conv2d", "tosa.matmul",
-                     "tosa.max_pool2d", "tosa.avg_pool2d"}
-    POSTCONDITIONS = {"linalg.conv_2d_nhwc_hwcf",
-                      "linalg.depthwise_conv_2d_nhwc_hwc",
-                      "linalg.batch_matmul", "linalg.pooling_nhwc_max",
-                      "linalg.pooling_nhwc_sum", "linalg.fill",
-                      "tensor.empty", "arith.constant"}
-
-    def run(self, op: Operation) -> None:
-        target = ConversionTarget()
-        target.add_illegal_op(*_NAMED_MAP)
-        target.add_legal_dialect("linalg", "tensor", "arith")
-
-        @pattern(frozenset(_NAMED_MAP), label="tosa-named-to-linalg")
-        def convert(candidate: Operation, rewriter) -> bool:
-            linalg_name = _NAMED_MAP[candidate.name]
-            result_type = _result_tensor(candidate)
-            rewriter.set_insertion_point_before(candidate)
-            init = _empty_init(rewriter, result_type)
-            inputs = candidate.operands[:2]
-            new_op = rewriter.create(
-                linalg_name,
-                operands=[*inputs, init],
-                result_types=[result_type],
-                attributes=dict(candidate.attributes),
-            )
-            rewriter.replace_op(candidate, new_op.results)
-            return True
-
-        apply_conversion(op, [convert], target)
+    PATTERNS = (convert_named,)
+    TARGET = (ConversionTarget().add_illegal_op(*_NAMED_MAP)
+              .add_legal_dialect("linalg", "tensor", "arith"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,125 +330,121 @@ _REDUCE_OPS = {"tosa.reduce_sum", "tosa.reduce_max", "tosa.reduce_min",
                "tosa.argmax"}
 
 
+@pattern(frozenset(_ELEMENTWISE_BODY), label="tosa-elementwise-to-linalg",
+         generates={"tensor.empty", "linalg.generic", "linalg.yield",
+                    *_ELEMENTWISE_BODY.values()})
+def convert_elementwise(candidate: Operation, rewriter) -> bool:
+    body_name = _ELEMENTWISE_BODY[candidate.name]
+    result_type = candidate.results[0].type
+    if not isinstance(result_type, TensorType):
+        return False
+    rewriter.set_insertion_point_before(candidate)
+    init = rewriter.create(
+        "tensor.empty", result_types=[result_type]
+    )
+    generic = rewriter.create(
+        "linalg.generic",
+        operands=[*candidate.operands, init.result],
+        result_types=[result_type],
+        attributes={
+            "n_inputs": candidate.num_operands,
+            "iterator_types": ["parallel"] * result_type.rank,
+        },
+        regions=1,
+    )
+    element = result_type.element_type
+    body = Block(
+        [element] * (candidate.num_operands + 1)
+    )
+    generic.regions[0].add_block(body)
+    body_builder = Builder.at_end(body)
+    if candidate.num_operands >= 2:
+        combined = body_builder.create(
+            body_name,
+            operands=[body.args[0], body.args[1]],
+            result_types=[element],
+        ).result
+    else:
+        combined = body_builder.create(
+            body_name,
+            operands=[body.args[0], body.args[0]],
+            result_types=[element],
+        ).result
+    body_builder.create("linalg.yield", operands=[combined])
+    rewriter.replace_op(candidate, generic.results)
+    return True
+
+
+@pattern(_REDUCE_OPS, label="tosa-reduce-to-linalg",
+         generates={"tensor.empty", "linalg.reduce", "linalg.yield",
+                    "arith.addf", "arith.maximumf", "arith.minimumf",
+                    "arith.mulf"})
+def convert_reduce(candidate: Operation, rewriter) -> bool:
+    result_type = candidate.results[0].type
+    rewriter.set_insertion_point_before(candidate)
+    init = rewriter.create(
+        "tensor.empty", result_types=[result_type]
+    )
+    reduce = rewriter.create(
+        "linalg.reduce",
+        operands=[candidate.operand(0), init.result],
+        result_types=[result_type],
+        attributes={"dimensions": [candidate.attr("axis") or 0]},
+        regions=1,
+    )
+    element = (
+        result_type.element_type
+        if isinstance(result_type, TensorType)
+        else result_type
+    )
+    body = Block([element, element])
+    reduce.regions[0].add_block(body)
+    body_builder = Builder.at_end(body)
+    combiner = "arith.addf"
+    if "max" in candidate.name:
+        combiner = "arith.maximumf"
+    elif "min" in candidate.name:
+        combiner = "arith.minimumf"
+    elif "prod" in candidate.name:
+        combiner = "arith.mulf"
+    combined = body_builder.create(
+        combiner, operands=list(body.args), result_types=[element]
+    )
+    body_builder.create(
+        "linalg.yield", operands=[combined.result]
+    )
+    rewriter.replace_op(candidate, reduce.results)
+    return True
+
+
+@pattern("tosa.transpose", label="tosa-transpose-to-linalg",
+         generates={"tensor.empty", "linalg.transpose"})
+def convert_transpose(candidate: Operation, rewriter) -> bool:
+    result_type = candidate.results[0].type
+    rewriter.set_insertion_point_before(candidate)
+    init = rewriter.create(
+        "tensor.empty", result_types=[result_type]
+    )
+    new_op = rewriter.create(
+        "linalg.transpose",
+        operands=[candidate.operand(0), init.result],
+        result_types=[result_type],
+        attributes={"permutation": candidate.attr("perms")
+                    or [1, 0]},
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
 @register_pass
-class TosaToLinalgPass(Pass):
+class TosaToLinalgPass(ConversionPass):
     NAME = "tosa-to-linalg"
     DESCRIPTION = "convert elementwise/reduction TOSA ops to linalg.generic"
-    PRECONDITIONS = {"tosa.*"}
-    POSTCONDITIONS = {"linalg.generic", "linalg.reduce", "linalg.yield",
-                      "linalg.transpose", "tensor.empty", "arith.addf",
-                      "arith.subf", "arith.mulf", "arith.divf",
-                      "arith.maximumf", "arith.minimumf", "arith.constant"}
-
-    def run(self, op: Operation) -> None:
-        target = ConversionTarget()
-        target.add_illegal_op(*_ELEMENTWISE_BODY)
-        target.add_illegal_op(*_REDUCE_OPS)
-        target.add_illegal_op("tosa.transpose")
-        target.add_legal_dialect("linalg", "tensor", "arith")
-
-        @pattern(frozenset(_ELEMENTWISE_BODY),
-                 label="tosa-elementwise-to-linalg")
-        def convert_elementwise(candidate: Operation, rewriter) -> bool:
-            body_name = _ELEMENTWISE_BODY[candidate.name]
-            result_type = candidate.results[0].type
-            if not isinstance(result_type, TensorType):
-                return False
-            rewriter.set_insertion_point_before(candidate)
-            init = rewriter.create(
-                "tensor.empty", result_types=[result_type]
-            )
-            generic = rewriter.create(
-                "linalg.generic",
-                operands=[*candidate.operands, init.result],
-                result_types=[result_type],
-                attributes={
-                    "n_inputs": candidate.num_operands,
-                    "iterator_types": ["parallel"] * result_type.rank,
-                },
-                regions=1,
-            )
-            element = result_type.element_type
-            body = Block(
-                [element] * (candidate.num_operands + 1)
-            )
-            generic.regions[0].add_block(body)
-            body_builder = Builder.at_end(body)
-            if candidate.num_operands >= 2:
-                combined = body_builder.create(
-                    body_name,
-                    operands=[body.args[0], body.args[1]],
-                    result_types=[element],
-                ).result
-            else:
-                combined = body_builder.create(
-                    body_name,
-                    operands=[body.args[0], body.args[0]],
-                    result_types=[element],
-                ).result
-            body_builder.create("linalg.yield", operands=[combined])
-            rewriter.replace_op(candidate, generic.results)
-            return True
-
-        @pattern(_REDUCE_OPS, label="tosa-reduce-to-linalg")
-        def convert_reduce(candidate: Operation, rewriter) -> bool:
-            result_type = candidate.results[0].type
-            rewriter.set_insertion_point_before(candidate)
-            init = rewriter.create(
-                "tensor.empty", result_types=[result_type]
-            )
-            reduce = rewriter.create(
-                "linalg.reduce",
-                operands=[candidate.operand(0), init.result],
-                result_types=[result_type],
-                attributes={"dimensions": [candidate.attr("axis") or 0]},
-                regions=1,
-            )
-            element = (
-                result_type.element_type
-                if isinstance(result_type, TensorType)
-                else result_type
-            )
-            body = Block([element, element])
-            reduce.regions[0].add_block(body)
-            body_builder = Builder.at_end(body)
-            combiner = "arith.addf"
-            if "max" in candidate.name:
-                combiner = "arith.maximumf"
-            elif "min" in candidate.name:
-                combiner = "arith.minimumf"
-            elif "prod" in candidate.name:
-                combiner = "arith.mulf"
-            combined = body_builder.create(
-                combiner, operands=list(body.args), result_types=[element]
-            )
-            body_builder.create(
-                "linalg.yield", operands=[combined.result]
-            )
-            rewriter.replace_op(candidate, reduce.results)
-            return True
-
-        @pattern("tosa.transpose", label="tosa-transpose-to-linalg")
-        def convert_transpose(candidate: Operation, rewriter) -> bool:
-            result_type = candidate.results[0].type
-            rewriter.set_insertion_point_before(candidate)
-            init = rewriter.create(
-                "tensor.empty", result_types=[result_type]
-            )
-            new_op = rewriter.create(
-                "linalg.transpose",
-                operands=[candidate.operand(0), init.result],
-                result_types=[result_type],
-                attributes={"permutation": candidate.attr("perms")
-                            or [1, 0]},
-            )
-            rewriter.replace_op(candidate, new_op.results)
-            return True
-
-        apply_conversion(
-            op, [convert_elementwise, convert_reduce, convert_transpose],
-            target,
-        )
+    PATTERNS = (convert_elementwise, convert_reduce, convert_transpose)
+    TARGET = (ConversionTarget()
+              .add_illegal_op(*_ELEMENTWISE_BODY, *_REDUCE_OPS,
+                              "tosa.transpose")
+              .add_legal_dialect("linalg", "tensor", "arith"))
 
 
 # ---------------------------------------------------------------------------
@@ -498,33 +485,28 @@ _TENSOR_MAP = {
 }
 
 
+@pattern(frozenset(_TENSOR_MAP), label="tosa-to-tensor",
+         generates=set(_TENSOR_MAP.values()))
+def convert_data_movement(candidate: Operation, rewriter) -> bool:
+    tensor_name = _TENSOR_MAP[candidate.name]
+    new_op = rewriter.create(
+        tensor_name,
+        operands=list(candidate.operands),
+        result_types=[r.type for r in candidate.results],
+        attributes=dict(candidate.attributes),
+        regions=1 if tensor_name == "tensor.pad" else 0,
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
 @register_pass
-class TosaToTensorPass(Pass):
+class TosaToTensorPass(ConversionPass):
     NAME = "tosa-to-tensor"
     DESCRIPTION = "convert TOSA data-movement ops to the tensor dialect"
-    PRECONDITIONS = set(_TENSOR_MAP)
-    POSTCONDITIONS = {"tensor.reshape", "tensor.extract_slice",
-                      "tensor.concat", "tensor.pad"}
-
-    def run(self, op: Operation) -> None:
-        target = ConversionTarget()
-        target.add_illegal_op(*_TENSOR_MAP)
-        target.add_legal_dialect("tensor")
-
-        @pattern(frozenset(_TENSOR_MAP), label="tosa-to-tensor")
-        def convert(candidate: Operation, rewriter) -> bool:
-            tensor_name = _TENSOR_MAP[candidate.name]
-            new_op = rewriter.create(
-                tensor_name,
-                operands=list(candidate.operands),
-                result_types=[r.type for r in candidate.results],
-                attributes=dict(candidate.attributes),
-                regions=1 if tensor_name == "tensor.pad" else 0,
-            )
-            rewriter.replace_op(candidate, new_op.results)
-            return True
-
-        apply_conversion(op, [convert], target)
+    PATTERNS = (convert_data_movement,)
+    TARGET = (ConversionTarget().add_illegal_op(*_TENSOR_MAP)
+              .add_legal_dialect("tensor"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ order to keep handles valid across pattern application (paper §3.1).
 
 from __future__ import annotations
 
-from typing import Callable, Collection, List, Sequence, Union
+from typing import Callable, Collection, FrozenSet, List, Sequence, Union
 
 from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
@@ -129,6 +129,9 @@ class RewritePattern:
 
     #: The ops this pattern anchors on.
     root_name: Root = None
+    #: The op names a successful rewrite may insert (upstream's
+    #: ``generatedNames``).
+    generates: FrozenSet[str] = frozenset()
     #: Relative priority among applicable patterns.
     benefit: int = 1
     #: Human-readable name used in transform scripts and debugging.
@@ -161,8 +164,10 @@ class _FunctionPattern(RewritePattern):
     """Wraps a plain function as a pattern (see :func:`pattern`)."""
 
     def __init__(self, fn: Callable[[Operation, PatternRewriter], bool],
-                 root_name: Root, benefit: int, label: str):
+                 root_name: Root, benefit: int, label: str,
+                 generates: Collection[str]):
         self.root_name = root_name
+        self.generates = frozenset(generates)
         self.benefit = benefit
         self.label = label or fn.__name__
         self._fn = fn
@@ -174,7 +179,7 @@ class _FunctionPattern(RewritePattern):
 
 
 def pattern(root_name: Root = None, benefit: int = 1,
-            label: str = ""):
+            label: str = "", generates: Collection[str] = ()):
     """Decorator turning ``fn(op, rewriter) -> bool`` into a pattern.
 
     .. code-block:: python
@@ -185,6 +190,6 @@ def pattern(root_name: Root = None, benefit: int = 1,
     """
 
     def decorate(fn: Callable[[Operation, PatternRewriter], bool]):
-        return _FunctionPattern(fn, root_name, benefit, label)
+        return _FunctionPattern(fn, root_name, benefit, label, generates)
 
     return decorate

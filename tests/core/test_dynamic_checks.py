@@ -7,6 +7,7 @@ from repro.core.errors import TransformInterpreterError
 from repro.passes.manager import Pass, register_pass
 from tests.passes.test_lowerings import (
     BROKEN_PIPELINE,
+    FIXED_PIPELINE,
     build_subview_payload,
 )
 
@@ -62,6 +63,25 @@ class TestPostconditionChecking:
         checker = run_pipeline_checked(payload, ["test-rogue-affine"])
         messages = [str(v) for v in checker.violations]
         assert any("affine.apply" in m for m in messages)
+
+    @pytest.mark.parametrize("model", [
+        "bert_base", "gpt2", "mobilebert", "squeezenet", "whisper_decoder"])
+    def test_table1_script_holds_its_conditions(self, model):
+        """Each step of Table 1 introduces only what it declares, the
+        derived conditions of its conversions included."""
+        from repro.mlmodels import build_model
+        from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
+
+        checker = run_pipeline_checked(build_model(model),
+                                       TOSA_TO_LINALG_PIPELINE)
+        assert checker.violations == []
+
+    def test_table2_fixed_pipeline_holds_its_conditions(self):
+        # The dynamic-offset payload is test_integration's
+        # TestSafetyNetsCompose.
+        checker = run_pipeline_checked(
+            build_subview_payload(dynamic_offset=False), FIXED_PIPELINE)
+        assert checker.violations == []
 
     def test_fatal_mode_aborts(self):
         payload = build_subview_payload(dynamic_offset=True)

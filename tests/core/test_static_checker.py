@@ -127,6 +127,24 @@ class TestPipelineCheck:
         assert len(ordering) == 1
         assert ordering[0].position == 1
 
+    @pytest.mark.parametrize("model, dead", [
+        ("bert_base", []), ("gpt2", []), ("mobilebert", []),
+        ("whisper_decoder", []),
+        # It has no softmax, fully-connected or transposed conv.
+        ("squeezenet", ["tosa-optional-decompositions"]),
+    ])
+    def test_table1_pipeline_reports_only_dead_steps(self, model, dead):
+        """A refining pass claims to remove nothing it keeps, and a
+        conversion consumes only what its target makes illegal, so the
+        only phase-ordering issue left on Table 1 is a real one."""
+        from repro.mlmodels import build_model
+        from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
+
+        report = check_pipeline(
+            TOSA_TO_LINALG_PIPELINE, payload_op_specs(build_model(model)))
+        assert [issue.transform_name for issue in report.issues
+                if issue.kind is IssueKind.PHASE_ORDERING] == dead
+
     def test_unknown_conditions_warn(self):
         report = check_pipeline(["cse"], {"arith.addi"}, ["arith.*"])
         kinds = {issue.kind for issue in report.issues}

@@ -134,6 +134,29 @@ class TestSCFToCF:
         assert loop.parent is f.body
         module.verify()
 
+    def test_outermost_first_past_a_long_chain_of_siblings(self):
+        """Each lowering moves the ops after it into a new block, so the
+        driver meets the twelfth sibling past its depth bound and the
+        loops a forall there becomes are left for the next round. The
+        loop nested in that forall must wait for them: lowered first,
+        it would split the body its outer loop lowers whole."""
+        module, f = self.build_loop_module()
+        lb, ub, step = next(module.walk_ops("scf.for")).operands
+        builder = Builder.before(f.body.ops[-1])
+        for _ in range(10):
+            scf.yield_(Builder.at_end(scf.for_(builder, lb, ub, step).body))
+        forall = scf.forall(builder, [ub])
+        nested = scf.for_(Builder.at_end(forall.regions[0].entry_block),
+                          lb, ub, step)
+        scf.yield_(Builder.at_end(nested.body))
+        PassManager(["convert-scf-to-cf"]).run(module)
+        module.verify()
+        assert not [name for name in op_names(module)
+                    if name.startswith("scf.")]
+        # 12 loops from 4 blocks to 3 more each, the forall's outer
+        # loop, its nested loop.
+        assert len(f.regions[0].blocks) == 1 + 3 * 13
+
     def test_scf_if_lowering(self):
         module = builtin.module()
         f = func.func("f", [I1])

@@ -5,7 +5,10 @@ import pytest
 from repro.dialects import builtin
 from repro.ir import Operation
 from repro.passes import PASS_REGISTRY, Pass, PassManager, parse_pipeline, register_pass
+from repro.passes.manager import ConversionPass
 from repro.profiling import Profiler
+from repro.rewrite.conversion import ConversionTarget, TypeConverter
+from repro.rewrite.pattern import pattern
 
 
 class CountingPass(Pass):
@@ -34,6 +37,50 @@ class TestRegistry:
 
         with pytest.raises(ValueError):
             register_pass(Nameless)
+
+
+class TestConversionPass:
+    """A conversion pass's conditions are derived from its target, its
+    patterns' ``generates`` and its converter, never written."""
+
+    @staticmethod
+    def declare(**attributes):
+        @pattern("test.op", generates={"legal.op", "test.helper"})
+        def lower(op, rewriter):
+            return False
+
+        target = (ConversionTarget().add_illegal_op("test.op")
+                  .add_illegal_dialect("old").add_legal_dialect("legal"))
+        return type("Declared", (ConversionPass,),
+                    {"PATTERNS": (lower,), "TARGET": target, **attributes})
+
+    def test_conditions_are_derived(self):
+        declared = self.declare()
+        assert declared.PRECONDITIONS == {"test.op", "old.*"}
+        assert declared.POSTCONDITIONS == {"legal.op", "test.helper"}
+
+    def test_a_converter_adds_the_cast(self):
+        declared = self.declare(CONVERTER=TypeConverter())
+        assert declared.POSTCONDITIONS == {
+            "legal.op", "test.helper", "builtin.unrealized_conversion_cast"}
+
+    def test_what_the_target_makes_illegal_is_not_produced(self):
+        declared = self.declare(TARGET=ConversionTarget().add_illegal_op(
+            "test.op", "test.helper"))
+        assert declared.POSTCONDITIONS == {"legal.op"}
+
+    @pytest.mark.parametrize("written", ["PRECONDITIONS", "POSTCONDITIONS"])
+    def test_writing_a_condition_set_is_refused(self, written):
+        with pytest.raises(TypeError, match=written):
+            self.declare(**{written: {"test.op"}})
+
+    def test_every_pattern_driven_lowering_is_declared(self):
+        assert {name for name, cls in PASS_REGISTRY.items()
+                if issubclass(cls, ConversionPass)} == {
+            "convert-arith-to-llvm", "convert-cf-to-llvm",
+            "convert-scf-to-cf", "convert-stablehlo-to-arith",
+            "lower-affine", "tosa-to-linalg", "tosa-to-linalg-named",
+            "tosa-to-tensor"}
 
 
 class TestPassManager:

@@ -17,9 +17,10 @@ from repro.rewrite.conversion import (
     apply_conversion,
 )
 from repro.mlmodels import MODEL_SPECS, build_model
-from repro.passes import PassManager
+from repro.passes import PASS_REGISTRY, PassManager
+from repro.passes.manager import ConversionPass
 from repro.passes.tosa_pipeline import TOSA_TO_LINALG_PIPELINE
-from repro.rewrite.pattern import pattern
+from repro.rewrite.pattern import _FunctionPattern, pattern
 from tests.passes.test_lowerings import FIXED_PIPELINE, build_subview_payload
 
 
@@ -243,25 +244,53 @@ class TestEveryCreatedOpIsReported:
     """The driver legalizes the ops an attempt's undo log names as
     inserted (``UndoLog.inserted``), however a pattern built them. On
     Table 1's and Table 2's pipelines, every op a conversion leaves
-    that was not there before is one the log named."""
+    that was not there before is one the log named, and every op a
+    successful attempt of a conversion pass's pattern created is one
+    its ``generates`` names, or a materialized cast: the derived
+    postconditions hold."""
 
     @pytest.fixture
     def unreported(self, monkeypatch):
         """The names of the ops created but not named by every
-        conversion the test runs, and how many conversions ran."""
+        conversion the test runs, the ``(pattern, op name)`` of every
+        op a declared pattern created without generating it, the roots
+        converted and the declared patterns that succeeded."""
         import repro.passes.lowerings as lowerings
-        import repro.passes.tosa_pipeline as tosa_pipeline
+        import repro.passes.manager as manager
 
-        found, runs, named = [], [], []
+        declared = {pat for cls in PASS_REGISTRY.values()
+                    if issubclass(cls, ConversionPass)
+                    for pat in cls.PATTERNS}
+        found, undeclared, runs, named = [], [], [], []
+        attempts, successes = [], []
+        # Ops that existed before the conversion or that an earlier
+        # attempt created: a later attempt may move them, not create.
+        seen = set()
         inserted = UndoLog.inserted
+        match_and_rewrite = _FunctionPattern.match_and_rewrite
+
+        def matching(pat, op, rewriter):
+            attempts.append(pat)
+            return match_and_rewrite(pat, op, rewriter)
 
         def recorded(log):
             ops = inserted(log)
             named.extend(ops)
+            created = [op for op in ops if op not in seen]
+            seen.update(created)
+            pat = attempts[-1]
+            if pat in declared:
+                successes.append(pat)
+                undeclared.extend(
+                    (pat.label, op.name) for op in created
+                    if op.name not in pat.generates
+                    and op.name != "builtin.unrealized_conversion_cast")
             return ops
 
         def checked(root, *args):
             before = set(root.walk())
+            seen.clear()
+            seen.update(before)
             named.clear()
             apply_conversion(root, *args)
             runs.append(root)
@@ -270,21 +299,22 @@ class TestEveryCreatedOpIsReported:
                          if op not in before and op not in covered)
 
         monkeypatch.setattr(UndoLog, "inserted", recorded)
-        for module in (lowerings, tosa_pipeline):
+        monkeypatch.setattr(_FunctionPattern, "match_and_rewrite", matching)
+        for module in (lowerings, manager):
             monkeypatch.setattr(module, "apply_conversion", checked)
-        return found, runs
+        return found, undeclared, runs, successes
 
     @pytest.mark.parametrize("model", sorted(MODEL_SPECS))
     def test_table1_pipeline_on_a_model(self, unreported, model):
         PassManager(TOSA_TO_LINALG_PIPELINE).run(build_model(model))
-        found, runs = unreported
-        assert runs and found == []
+        found, undeclared, runs, successes = unreported
+        assert runs and successes and found == [] and undeclared == []
 
     @pytest.mark.parametrize("dynamic_offset", [False, True])
     def test_table2_pipeline(self, unreported, dynamic_offset):
         PassManager(FIXED_PIPELINE).run(build_subview_payload(dynamic_offset))
-        found, runs = unreported
-        assert runs and found == []
+        found, undeclared, runs, successes = unreported
+        assert runs and successes and found == [] and undeclared == []
 
 
 def legal_target():

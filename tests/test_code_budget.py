@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16691,  # all of src/repro
+    ".": 16655,  # all of src/repro
     "analysis": 807,
     "autotuning": 353,
     "core": 1811,
@@ -46,13 +46,15 @@ BUDGETS = {
     "irdl": 267,
     "mlmodels": 192,
     "observability": 527,
-    "passes": 1645,
+    "passes": 1606,
     "profiling": 144,
     # A pattern roots at a name, a set of names or a dialect, and the
     # conversion driver visits each op once, each attempt under an undo
     # log that names what the pattern inserted and undoes a failure:
-    # no insert listener of its own.
-    "rewrite": 466,
+    # no insert listener of its own. +3: a pattern names the ops it
+    # ``generates``, from which a conversion pass derives its
+    # postconditions (passes -39).
+    "rewrite": 469,
     # +65: one frame codec (``wire.py``) for the daemon and both
     # clients: IR text crosses as raw body bytes, not JSON strings, and
     # a frame no reader can follow (over-long header, bad body length)
