@@ -106,12 +106,16 @@ class UndoLog:
             JOURNAL.log = self._outer
 
     def inserted(self) -> List["Operation"]:
-        """After a commit, the ops the logged writes inserted that are
-        still in the block they were inserted into, in insertion order.
-        An op built into a new op's region is logged like any other."""
-        return list(dict.fromkeys(
-            args[1] for inverse, args in self._entries
-            if inverse is Block.remove and args[1].parent is args[0]))
+        """After a commit, the ops that had no block when the log opened
+        and have one now, in insertion order: an op built into a new
+        op's region is named, an op a write only moved is not."""
+        fresh: Dict[Operation, bool] = {}
+        for inverse, args in self._entries:
+            # An op's first write is its insertion, or its removal.
+            if inverse is Block.remove or inverse is Block.insert_before:
+                fresh.setdefault(args[-1], inverse is Block.remove)
+        return [op for op, new in fresh.items()
+                if new and op.parent is not None]
 
     def __enter__(self) -> "UndoLog":
         return self

@@ -23,16 +23,23 @@ being printed.
 Nothing is memoized: a digest is computed from the IR as it stands,
 so no IR write has a digest to clear. A caller that already hashed a
 module's functions hands their digests in rather than hashing them
-again.
+again, and one that wants a module's print as well as its digest
+(:func:`printed`) prints each function once for both.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .core import IsolatedFromAbove, Operation
-from .printer import _print_attr_dict, module_text, print_op
+from .printer import (_print_attr_dict, _print_into, module_text, print_op,
+                      shift_names)
+
+#: Where a function's names sit in a module's print: ``(value_base,
+#: values, block_base, blocks)`` — it holds ``%value_base`` ..
+#: ``%(value_base + values - 1)`` and likewise for ``^bbN``.
+Names = Tuple[int, int, int, int]
 
 #: Domain-separation prefix; bump when what is hashed changes so stale
 #: digests can never collide with fresh ones across versions.
@@ -71,10 +78,48 @@ def op_digest(op: Operation,
     """
     children = _composing_children(op)
     if children is None:
-        return hashlib.sha256(_DOMAIN + print_op(op).encode()).hexdigest()
+        return _digest(print_op(op))
     if function_digests is None:
         function_digests = [op_digest(child) for child in children]
     return module_digest(op.attributes, function_digests)
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(_DOMAIN + text.encode()).hexdigest()
+
+
+def printed(op: Operation) -> Tuple[str, str, Optional[list]]:
+    """``(print_op(op), op_digest(op), prints)``, printing each function
+    of a composing module once for all three.
+
+    ``prints`` is None unless ``op`` composes; then it holds ``(text,
+    digest, names)`` per top-level op. The digest is :func:`op_digest`'s
+    of the function, the hash of its own print. The text is those lines
+    as they stand in the module's print: each behind two spaces, its
+    names moved up by those of the functions before it (the first is
+    never shifted), to where ``names`` says (DESIGN.md §9)."""
+    children = _composing_children(op)
+    if not children:  # an empty module composes, but prints no body
+        text = print_op(op)
+        return text, _digest(text) if children is None else op_digest(op), None
+    prints = []
+    values = blocks = 0
+    for child in children:
+        lines: List[str] = []
+        value_names, block_names = {}, {}
+        _print_into(child, "", lines, value_names, block_names)
+        # Two spaces before each printed line, not after each newline:
+        # a string attribute may hold one.
+        text = "  " + "\n  ".join(lines)
+        if values or blocks:
+            text = shift_names(text, values, blocks)[0]
+        prints.append((text, _digest("\n".join(lines)), (
+            values, len(value_names), blocks, len(block_names))))
+        values += len(value_names)
+        blocks += len(block_names)
+    texts, digests, _ = zip(*prints)
+    return (module_text("\n".join(texts), op.attributes),
+            module_digest(op.attributes, digests), prints)
 
 
 def module_digest(attributes, function_digests: Sequence[str]) -> str:
@@ -86,7 +131,7 @@ def module_digest(attributes, function_digests: Sequence[str]) -> str:
     identity from the functions' digests, and nothing is printed."""
     text = module_text("\n".join(function_digests), attributes)
     # "/" cannot start a print: no op's text hashes to a module's.
-    return hashlib.sha256(_DOMAIN + b"/" + text.encode()).hexdigest()
+    return _digest("/" + text)
 
 
 def attributes_digest(op: Operation) -> str:

@@ -15,7 +15,7 @@ from typing import Optional
 from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
 from ..ir.types import ShapedType, TensorType
-from ..rewrite.conversion import ConversionTarget
+from ..rewrite.conversion import ConversionRewriter, ConversionTarget
 from ..rewrite.greedy import FrozenPatternSet, apply_patterns_greedily
 from ..rewrite.pattern import PatternRewriter, pattern
 from .manager import ConversionPass, Pass, register_pass
@@ -236,15 +236,13 @@ class TosaMakeBroadcastablePass(Pass):
 # ---------------------------------------------------------------------------
 
 
-def _empty_init(rewriter: PatternRewriter, result_type: TensorType) -> Value:
-    init = rewriter.create(
-        "tensor.empty", result_types=[result_type]
-    )
-    zero = rewriter.create(
-        "arith.constant",
-        result_types=[result_type.element_type],
-        attributes={"value": 0.0},
-    )
+def _empty_init(rewriter: ConversionRewriter,
+                result_type: TensorType) -> Value:
+    """A zero-filled ``result_type`` tensor: one shared empty tensor and
+    zero per block, and a fill of its own."""
+    init = rewriter.get_or_create("tensor.empty", [result_type])
+    zero = rewriter.get_or_create(
+        "arith.constant", [result_type.element_type], {"value": 0.0})
     filled = rewriter.create(
         "linalg.fill",
         operands=[zero.result, init.result],
@@ -339,9 +337,7 @@ def convert_elementwise(candidate: Operation, rewriter) -> bool:
     if not isinstance(result_type, TensorType):
         return False
     rewriter.set_insertion_point_before(candidate)
-    init = rewriter.create(
-        "tensor.empty", result_types=[result_type]
-    )
+    init = rewriter.get_or_create("tensor.empty", [result_type])
     generic = rewriter.create(
         "linalg.generic",
         operands=[*candidate.operands, init.result],
@@ -382,9 +378,7 @@ def convert_elementwise(candidate: Operation, rewriter) -> bool:
 def convert_reduce(candidate: Operation, rewriter) -> bool:
     result_type = candidate.results[0].type
     rewriter.set_insertion_point_before(candidate)
-    init = rewriter.create(
-        "tensor.empty", result_types=[result_type]
-    )
+    init = rewriter.get_or_create("tensor.empty", [result_type])
     reduce = rewriter.create(
         "linalg.reduce",
         operands=[candidate.operand(0), init.result],
@@ -422,9 +416,7 @@ def convert_reduce(candidate: Operation, rewriter) -> bool:
 def convert_transpose(candidate: Operation, rewriter) -> bool:
     result_type = candidate.results[0].type
     rewriter.set_insertion_point_before(candidate)
-    init = rewriter.create(
-        "tensor.empty", result_types=[result_type]
-    )
+    init = rewriter.get_or_create("tensor.empty", [result_type])
     new_op = rewriter.create(
         "linalg.transpose",
         operands=[candidate.operand(0), init.result],

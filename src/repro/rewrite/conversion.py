@@ -14,6 +14,10 @@ conversion framework:
   type, a ``builtin.unrealized_conversion_cast`` is materialized —
   exactly the temporary ops whose failed reconciliation produces the
   case-study-2 error message.
+* A pattern that asks :meth:`ConversionRewriter.get_or_create` for an
+  operand-free ``Pure`` op (a zero constant, an empty tensor) shares
+  one per block, as upstream's ``OperationFolder::getOrCreateConstant``
+  does, instead of building a copy that ``cse`` would delete.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from itertools import islice
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple)
 
-from ..ir.core import Block, Operation, UndoLog, Value
+from ..ir.attributes import attr as make_attr
+from ..ir.core import (OP_REGISTRY, Block, Operation, Pure, UndoLog, Value,
+                       _changed)
 from ..ir.types import Type
 from .greedy import FrozenPatternSet
 from .pattern import PatternRewriter, RewritePattern
@@ -124,6 +130,37 @@ class ConversionRewriter(PatternRewriter):
     def __init__(self, type_converter: Optional[TypeConverter]):
         super().__init__()
         self.type_converter = type_converter
+        #: The pre-order index of the op :func:`apply_conversion` is
+        #: converting; -1 while it legalizes what that created, when
+        #: nothing is shared.
+        self.position = -1
+        #: ``(block, name, result types, *attributes)`` -> the shared op
+        #: and the first position it stands before.
+        self.shared: Dict[Tuple, Tuple[Operation, int]] = {}
+
+    def get_or_create(self, name: str, result_types: Sequence[Type],
+                      attributes: Optional[dict] = None) -> Operation:
+        """The operand-free ``Pure`` op ``name`` at the insertion
+        point, or its equal made or seen earlier in the same block.
+
+        The first one made is where ``cse`` would keep it, so sharing
+        moves no byte of a pipeline that ends in ``cse``. For a pattern
+        whose insertion point is before the op it converts, in a
+        conversion whose patterns move no op to another block: an entry
+        serves the position it was made or seen at and every later one.
+        The attempt's undo log restores the table on a rollback."""
+        key = _share_key(self.ip.block, name, attributes, result_types)
+        entry = self.shared.get(key)
+        if entry is not None and entry[1] <= self.position:
+            return entry[0]
+        op = self.create(name, (), result_types, attributes)
+        if self.position >= 0:
+            if entry is None:
+                _changed(dict.pop, self.shared, key, None)
+            else:
+                _changed(dict.__setitem__, self.shared, key, entry)
+            self.shared[key] = (op, self.position)
+        return op
 
     def materialize_cast(self, value: Value, target_type: Type,
                          before: Operation) -> Value:
@@ -192,6 +229,13 @@ class ConversionRewriter(PatternRewriter):
                 )
 
 
+def _share_key(block: Block, name: str, attributes, result_types) -> Tuple:
+    """What ``cse`` compares of an operand-free op, and its block."""
+    return (block, name, tuple(result_types), *sorted(
+        (key, str(make_attr(value)))
+        for key, value in (attributes or {}).items()))
+
+
 def apply_conversion(
     root: Operation,
     patterns: Sequence[RewritePattern],
@@ -208,16 +252,20 @@ def apply_conversion(
     while the previous round converted something. Raises
     :class:`ConversionError` with MLIR's wording at the first op, in
     pre-order, that is still illegal, or is legal by dialect yet
-    explicitly illegal.
+    explicitly illegal. An operand-free ``Pure`` op of a name the
+    patterns generate is seen by the walk, and a pattern's
+    :meth:`~ConversionRewriter.get_or_create` reuses it.
     """
     frozen = FrozenPatternSet(patterns)
     rewriter = ConversionRewriter(type_converter)
+    shareable = {name for pat in patterns for name in pat.generates
+                 if Pure in OP_REGISTRY.get(name, Operation).TRAITS}
     # Explicitly illegal ops whose dialect is declared legal as well:
     # no pattern runs on them, and they fail the conversion.
     both = target.legal_dialects & target.illegal_dialects
     stuck: List[Operation] = []
 
-    def illegal(ops: Iterable[Operation]) -> List[Operation]:
+    def illegal(ops: Iterable[Operation], seen=False) -> List[Operation]:
         found = []
         for op in ops:
             legality = target.legality(op)
@@ -225,6 +273,10 @@ def apply_conversion(
                 found.append(op)
             elif legality and both and target.explicitly_illegal(op):
                 stuck.append(op)
+            elif seen and op.name in shareable and not op._operands:
+                types = [value.type for value in op.results]
+                key = _share_key(op.parent, op.name, op.attributes, types)
+                rewriter.shared.setdefault(key, (op, len(found)))
         return found
 
     def convert(op: Operation) -> Optional[List[Operation]]:
@@ -238,17 +290,18 @@ def apply_conversion(
                 attempt.rollback()
         return None
 
-    pending = illegal(islice(root.walk(), 1, None))
+    pending = illegal(islice(root.walk(), 1, None), seen=True)
     for _ in range(_MAX_ITERATIONS):
         failed = []
         converted = False
-        for first in pending:
+        for index, first in enumerate(pending):
             # ``first``, then what its conversion created, depth first.
             stack = [(first, 0)]
             while stack:
                 op, depth = stack.pop()
                 if op.parent is None:
                     continue
+                rewriter.position = -1 if depth else index
                 created = convert(op) if depth <= _MAX_ITERATIONS else None
                 if created is None:
                     failed.append(op)
@@ -258,6 +311,8 @@ def apply_conversion(
                           for new in reversed(illegal(created))]
         if not converted or not failed:
             break
+        # A retried op stands before ops converted after it.
+        rewriter.shared.clear()
         pending = failed
 
     left = {*failed, *stuck}

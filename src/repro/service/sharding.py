@@ -24,14 +24,16 @@ The tier splits and joins modules on *text*: the printer numbers
 ``%N``/``^bbN`` in first-encounter order and a top-level function sees
 no outer value, so a function's lines inside a module are its lines in
 any other module with every name shifted by the difference of the name
-counts before it. :func:`function_entries` prints the functions in one
-printer session and records where each one's names sit,
-:func:`assemble_functions` splices such prints back into exactly
-``print_op`` of a module without parsing — shifting only the entries
-that moved (DESIGN.md §9). Its *normalized* form (``names=None``:
-every text numbered from ``%0``) has no caller left in ``src/`` since
-``repro-opt --jobs`` went; ``perfbench/layers.py`` still times it, and
-it goes with the benchmark-only PR (ROADMAP item 1).
+counts before it. :func:`function_entries` takes each function's one
+print (:func:`~repro.ir.hashing.printed`: from ``%0``, hashed for the
+function's digest, then shifted to where it stands in the module) and
+records where its names sit; :func:`assemble_functions` splices such
+prints back into exactly ``print_op`` of a module without parsing —
+shifting only the entries that moved (DESIGN.md §9). Its *normalized*
+form (``names=None``: every text numbered from ``%0``) has no caller
+left in ``src/`` since ``repro-opt --jobs`` went;
+``perfbench/layers.py`` still times it, and it goes with the
+benchmark-only PR (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import List, Optional, Tuple
 from ..core.dialect import declared
 from ..core.interpreter import find_entry, top_level_ops
 from ..ir.core import Operation
-from ..ir.hashing import NO_ATTRIBUTES_DIGEST, module_digest, op_digest
+from ..ir.hashing import NO_ATTRIBUTES_DIGEST, Names, module_digest, printed
 from ..ir.printer import (
     Printer,
     module_body,
@@ -49,11 +51,6 @@ from ..ir.printer import (
     move_names,
     shift_names,
 )
-
-#: Where an entry's names sit: ``(value_base, values, block_base,
-#: blocks)`` — it holds ``%value_base`` .. ``%(value_base + values -
-#: 1)`` and likewise for ``^bbN``.
-Names = Tuple[int, int, int, int]
 
 
 def is_func_shardable(script: Operation) -> bool:
@@ -90,14 +87,11 @@ def shardable_functions(payload: Operation) -> Optional[List[Operation]]:
     if payload.name != "builtin.module":
         return None
     tops = list(payload.regions[0].entry_block.ops)
-    if not tops:
+    if not tops or any(op.name != "func.func" for op in tops):
         return None
-    if any(op.name != "func.func" for op in tops):
+    if any(op.name in ("func.call", "llvm.call")
+           for function in tops for op in function.walk()):
         return None
-    for function in tops:
-        for op in function.walk():
-            if op.name in ("func.call", "llvm.call"):
-                return None
     return tops
 
 
@@ -117,35 +111,27 @@ def function_text_digests(function_digest: str) -> Tuple[str, str]:
     return module_digest({}, [function_digest]), NO_ATTRIBUTES_DIGEST
 
 
-def function_entries(module: Operation
+def function_entries(module: Operation, prints=None
                      ) -> Optional[List[Tuple[str, str, Names]]]:
     """The function-tier view of one module: ``(entry text, digest of
     the function, names)`` per top-level function.
 
-    The functions are printed through *one* printer session, function
-    by function, each into an attribute-less module shell: an entry
-    keeps the names it was printed with, and ``names`` records where
-    they sit — ``(value_base, values, block_base, blocks)``, read off
-    the printer's table sizes before and after. The entry bodies
-    joined in the module's own shell *are* ``print_op(module)``;
-    :func:`assemble_functions` does that join, and moves an entry to
-    another position by the difference of the bases.
+    Each function is printed once (:func:`~repro.ir.hashing.printed`,
+    whose ``prints`` of ``module`` a caller holding them passes in),
+    for its digest and for its lines as they stand in the module's
+    print, which an entry keeps in an attribute-less module shell;
+    ``names`` records where they sit — ``(value_base, values,
+    block_base, blocks)``. The entry bodies joined in the module's own
+    shell *are* ``print_op(module)``; :func:`assemble_functions` does
+    that join, and moves an entry to another position by the
+    difference of the bases.
 
     None when ``module`` is not cleanly splittable (see
     :func:`shardable_functions`)."""
-    tops = shardable_functions(module)
-    if tops is None:
+    if shardable_functions(module) is None:
         return None
-    printer = Printer()
-    entries = []
-    for function in tops:
-        value_base = len(printer.value_names)
-        block_base = len(printer.block_names)
-        text = module_text(printer.print_op(function, "  "), {})
-        entries.append((text, op_digest(function), (
-            value_base, len(printer.value_names) - value_base,
-            block_base, len(printer.block_names) - block_base)))
-    return entries
+    return [(module_text(text, {}), digest, names)
+            for text, digest, names in prints or printed(module)[2]]
 
 
 def assemble_functions(module_attributes, entry_texts: List[str],

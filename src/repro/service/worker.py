@@ -22,6 +22,7 @@ import os
 import signal
 import time
 from contextlib import nullcontext
+from dataclasses import asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..ir.attributes import StringAttr
@@ -147,17 +148,13 @@ def compile_job(payload: Union[str, Operation],
     ``functions``
         with ``function_tier`` and a ``"success"`` status, the
         function-tier view of the transformed payload: ``(entry text,
-        digest of the function, names)`` per top-level
-        function. The printer walks the module once, function by
-        function: an entry text is one function's lines under the
-        names that walk gave them, in an attribute-less module shell,
-        and ``names`` is where they sit — ``(value_base, values,
-        block_base, blocks)``. ``output`` is the entries' bodies joined
-        in the module's own shell
-        (:func:`repro.service.sharding.assemble_functions` — nothing is
-        renumbered), byte for byte what ``print_op`` of the module
-        gives. None when the output is not a cleanly splittable
-        all-function module (see
+        digest of the function, names)`` per top-level function
+        (:func:`repro.service.sharding.function_entries`). ``output``
+        is the entries' bodies joined in the module's own shell, byte
+        for byte what ``print_op`` of the module gives. Either way each
+        function is printed once, for ``output``, its digest and its
+        entry (:func:`repro.ir.hashing.printed`). None when the output
+        is not a cleanly splittable all-function module (see
         :func:`repro.service.sharding.shardable_functions` — ``output``
         is then the plain whole-module print), on any other status and
         without the flag;
@@ -189,7 +186,7 @@ def compile_job(payload: Union[str, Operation],
     When present the worker records spans locally (``worker.compile``
     over ``worker.parse`` / ``worker.interpret`` — with one child span
     per top-level transform op — / ``worker.print``, which verifies,
-    prints — function by function when there are ``functions`` — and
+    prints — function by function for an all-function module — and
     digests) into a tracer of that trace and ships them back under
     ``"spans"``, so a job's trace is complete across the pool
     boundary.
@@ -204,10 +201,9 @@ def compile_job(payload: Union[str, Operation],
         time.sleep(3600.0)
     from ..core.errors import TransformInterpreterError
     from ..core.interpreter import TransformInterpreter
-    from ..ir.hashing import attributes_digest, op_digest
+    from ..ir.hashing import attributes_digest, printed
     from ..ir.parser import parse
-    from ..ir.printer import print_op
-    from .sharding import assemble_functions, function_entries
+    from .sharding import function_entries
 
     _ensure_registered()
     tracer = None
@@ -254,7 +250,7 @@ def compile_job(payload: Union[str, Operation],
             "functions": None,
             "attrs_digest": None,
             "diagnostics": diagnostics,
-            "stats": _stats_dict(interpreter) if interpreter else {},
+            "stats": asdict(interpreter.stats) if interpreter else {},
             "wall_seconds": time.perf_counter() - start,
         })
 
@@ -278,22 +274,11 @@ def compile_job(payload: Union[str, Operation],
             status = "silenceable"
         with _span("worker.print"):
             payload.verify()
+            output, output_digest, prints = printed(payload)
             if function_tier and status == "success":
-                functions = function_entries(payload)
-            if functions is None:
-                output = print_op(payload)
-                output_digest = op_digest(payload)
-            else:
-                # The one walk of the printer went function by
-                # function; the whole-module print is those prints,
-                # as they are, in the module's shell, and its digest
-                # composes from theirs.
-                output = assemble_functions(
-                    payload.attributes, [entry[0] for entry in functions],
-                    names=[entry[2] for entry in functions])[0]
-                attrs_digest = attributes_digest(payload)
-                output_digest = op_digest(
-                    payload, [entry[1] for entry in functions])
+                functions = function_entries(payload, prints)
+                if functions is not None:
+                    attrs_digest = attributes_digest(payload)
     except TransformInterpreterError as error:
         return _failed(str(error))
     except Exception as error:
@@ -312,16 +297,7 @@ def compile_job(payload: Union[str, Operation],
         "attrs_digest": attrs_digest,
         "diagnostics": (interpreter.diagnostics.render()
                         if interpreter.diagnostics.diagnostics else ""),
-        "stats": _stats_dict(interpreter),
+        "stats": asdict(interpreter.stats),
         "wall_seconds": time.perf_counter() - start,
     })
 
-
-def _stats_dict(interpreter) -> Dict[str, float]:
-    stats = interpreter.stats
-    return {
-        "transforms_executed": stats.transforms_executed,
-        "handles_created": stats.handles_created,
-        "handles_invalidated": stats.handles_invalidated,
-        "exceptions_contained": stats.exceptions_contained,
-    }

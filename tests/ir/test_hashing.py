@@ -186,6 +186,23 @@ class TestPinnedEncoding:
                 [op_digest(function) for function in _funcs(module)],
             ) == op_digest(module)
 
+    def test_printed_is_the_print_and_the_digest(self):
+        from repro.dialects import builtin
+        from repro.ir.hashing import printed
+
+        quoting = MODULE.replace(
+            '"f0", function_type', '"f0", note = "%3 ^bb1\n  x", function_type')
+        with_attributes = (MODULE[:-len(" : () -> ()")]
+                           + ' {tag = "t", n = 2 : i64} : () -> ()')
+        ops = [parse(text) for text in (
+            MODULE, quoting, with_attributes, BRANCHY,
+            f'"builtin.module"() ({{\n{BRANCHY}\n{BRANCHY}\n}}) : () -> ()')]
+        ops.append(builtin.module())  # composes, but prints no body
+        ops += [PayloadFuzzer(random.Random(seed)).module()
+                for seed in range(6)]
+        for op in ops:
+            assert printed(op)[:2] == (print_op(op), op_digest(op))
+
 
 class TestMemoization:
     """No digest is memoized: each is taken from the print of the IR as

@@ -135,11 +135,12 @@ class TestSCFToCF:
         module.verify()
 
     def test_outermost_first_past_a_long_chain_of_siblings(self):
-        """Each lowering moves the ops after it into a new block, so the
-        driver meets the twelfth sibling past its depth bound and the
-        loops a forall there becomes are left for the next round. The
-        loop nested in that forall must wait for them: lowered first,
-        it would split the body its outer loop lowers whole."""
+        """Each lowering moves the ops after it into a new block; when
+        the driver counted moved ops as created, it met the twelfth
+        sibling past its depth bound and left the loops a forall there
+        becomes for the next round. The loop nested in that forall must
+        wait for them: lowered first, it would split the body its outer
+        loop lowers whole."""
         module, f = self.build_loop_module()
         lb, ub, step = next(module.walk_ops("scf.for")).operands
         builder = Builder.before(f.body.ops[-1])
@@ -156,6 +157,32 @@ class TestSCFToCF:
         # 12 loops from 4 blocks to 3 more each, the forall's outer
         # loop, its nested loop.
         assert len(f.regions[0].blocks) == 1 + 3 * 13
+
+    def test_a_moved_sibling_is_not_legalized_again(self, monkeypatch):
+        """Lowering a loop moves every later sibling into the new
+        continuation block. A moved op is not one the attempt created,
+        so the driver asks about each op once: with 14 sibling loops it
+        asked about twice as many."""
+        from repro.rewrite.conversion import ConversionTarget
+
+        module, f = self.build_loop_module()
+        lb, ub, step = next(module.walk_ops("scf.for")).operands
+        builder = Builder.before(f.body.ops[-1])
+        for _ in range(13):
+            scf.yield_(Builder.at_end(scf.for_(builder, lb, ub, step).body))
+        asked = []
+        legality = ConversionTarget.legality
+
+        def counting(target, op):
+            asked.append(op)
+            return legality(target, op)
+
+        monkeypatch.setattr(ConversionTarget, "legality", counting)
+        PassManager(["convert-scf-to-cf"]).run(module)
+        module.verify()
+        assert "scf.for" not in op_names(module)
+        assert len(f.regions[0].blocks) == 1 + 3 * 14
+        assert len(asked) <= 1.1 * len(set(asked))
 
     def test_scf_if_lowering(self):
         module = builtin.module()

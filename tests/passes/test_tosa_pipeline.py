@@ -226,3 +226,51 @@ class TestDriverWork:
             assert len(calls) == sum(
                 pat.roots_at(name) for name in before[1:]
                 for pat in CANONICALIZATION_PATTERNS)
+
+
+class TestNothingBuiltTwice:
+    """The lowerings ask the conversion rewriter for their empty tensor
+    and zero (``get_or_create``), so a block holds one of each per type:
+    the final ``cse`` deletes nothing they built, and a job builds a
+    quarter fewer ops. Counted, not timed."""
+
+    def test_a_whisper_job_constructs_at_most_3100_ops(self, monkeypatch):
+        from repro.core import pipeline_to_transform_script
+        from repro.ir.core import Operation
+        from repro.ir.printer import print_op
+        from repro.mlmodels import build_model
+        from repro.service.worker import compile_job
+
+        text = print_op(build_model("whisper_decoder"))
+        script = print_op(pipeline_to_transform_script(
+            list(TOSA_TO_LINALG_PIPELINE)))
+        constructed = []
+        init = Operation.__init__
+
+        def counting(op, *args, **kwargs):
+            constructed.append(None)
+            init(op, *args, **kwargs)
+
+        monkeypatch.setattr(Operation, "__init__", counting)
+        assert compile_job(text, script)["status"] == "success"
+        # 4 075, parse included, when each conversion built its own.
+        assert len(constructed) <= 3100
+
+    @pytest.mark.parametrize("model", ["squeezenet", "whisper_decoder",
+                                       "bert_base", "gpt2", "mobilebert"])
+    def test_the_final_cse_deletes_nothing_the_lowerings_built(self, model):
+        from repro.mlmodels import build_model
+
+        module = build_model(model)
+        steps = list(TOSA_TO_LINALG_PIPELINE)
+        named = steps.index("tosa-to-linalg-named")
+        assert steps[named + 1] == "tosa-to-linalg" and steps[-1] == "cse"
+        PassManager(steps[:named]).run(module)
+        before = set(module.walk())
+        PassManager(steps[named:named + 2]).run(module)
+        built = [op for op in module.walk() if op not in before
+                 and op.name in ("tensor.empty", "arith.constant")]
+        PassManager(steps[named + 2:-1]).run(module)
+        assert built and all(op.parent is not None for op in built)
+        PassManager(["cse"]).run(module)
+        assert [op for op in built if op.parent is None] == []

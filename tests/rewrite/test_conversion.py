@@ -407,3 +407,102 @@ class TestAnAttemptIsATransaction:
         transaction.rollback()
         assert print_op(payload) == before
         assert _identity(payload) == objects
+
+
+class TestSharedOps:
+    """``ConversionRewriter.get_or_create`` shares one operand-free
+    ``Pure`` op per block: the first one made, or one the walk saw
+    before the op being converted, and never one a rollback removed."""
+
+    @staticmethod
+    def _zero(rewriter):
+        return rewriter.get_or_create("arith.constant", [I32], {"value": 0})
+
+    @pattern("test.op", generates={"arith.constant", "legal.op"})
+    def converts(op, rewriter):
+        zero = TestSharedOps._zero(rewriter)
+        rewriter.create("legal.op", operands=[zero.result])
+        rewriter.erase_op(op)
+        return True
+
+    @staticmethod
+    def _zeros(module):
+        ops = [op for op in module.walk() if op is not module]
+        uses = [op.operand(0).owner for op in ops if op.name == "legal.op"]
+        return [op for op in ops if op.name == "arith.constant"], uses
+
+    def test_later_ops_reuse_the_first_one_made(self):
+        module, _ = build_ops_module("test.op", "test.op", "test.op")
+        apply_conversion(module, [self.converts], legal_target())
+        zeros, uses = self._zeros(module)
+        assert len(zeros) == 1 and uses == zeros * 3
+        assert names_in(module)[1] == "arith.constant"
+
+    @pytest.mark.parametrize("before", [True, False],
+                             ids=["before", "after"])
+    def test_an_op_the_walk_saw_is_reused_only_past_it(self, before):
+        module, (first, _) = build_ops_module("test.op", "test.op")
+        anchor = (Builder.before if before else Builder.after)(first)
+        seen = anchor.create("arith.constant", result_types=[I32],
+                             attributes={"value": 0})
+        apply_conversion(module, [self.converts], legal_target())
+        zeros, uses = self._zeros(module)
+        if before:
+            assert zeros == [seen] and uses == [seen] * 2
+        else:
+            # The first op made its own, where ``cse`` would keep it,
+            # and the second reuses that one.
+            assert zeros[1] is seen and uses == [zeros[0]] * 2
+
+    def test_a_rolled_back_op_is_dropped_and_not_reused(self):
+        module, _ = build_ops_module("test.op", "test.op")
+        made, tables = [], []
+
+        @pattern("test.op", benefit=2, generates={"arith.constant"})
+        def declines(op, rewriter):
+            made.append(self._zero(rewriter))
+            return False
+
+        @pattern("test.op", generates={"arith.constant", "legal.op"})
+        def converts(op, rewriter):
+            tables.append([shared for shared, _ in rewriter.shared.values()])
+            return self.converts.match_and_rewrite(op, rewriter)
+
+        apply_conversion(module, [declines, converts], legal_target())
+        zeros, uses = self._zeros(module)
+        # The first attempt made a zero, and its rollback removed the
+        # zero and its entry: the converter made another. On the
+        # second op both patterns reuse that one.
+        assert made[0].parent is None and made[0] not in zeros
+        assert tables == [[], zeros] and made[1:] == zeros
+        assert len(zeros) == 1 and uses == zeros * 2
+
+    def test_an_enclosing_rollback_undoes_shared_ops_past_a_retry(self):
+        # The second round starts from an empty table; an enclosing
+        # log replays the first round's entries against it.
+        module, _ = build_ops_module("test.a", "test.b")
+        before = print_op(module)
+
+        @pattern("test.a", generates={"arith.constant", "legal.op"})
+        def after_b(op, rewriter):
+            if any(other.name == "test.b" for other in op.parent.ops):
+                return False
+            return self.converts.match_and_rewrite(op, rewriter)
+
+        @pattern("test.b", generates={"arith.constant", "legal.op"})
+        def converts_b(op, rewriter):
+            return self.converts.match_and_rewrite(op, rewriter)
+
+        with UndoLog() as log:
+            apply_conversion(module, [after_b, converts_b], legal_target())
+            zeros, uses = self._zeros(module)
+            assert len(zeros) == 2 and uses == zeros
+            log.rollback()
+        assert print_op(module) == before
+
+    def test_without_a_position_nothing_is_shared(self):
+        module, (op,) = build_ops_module("test.op")
+        rewriter = ConversionRewriter(None)
+        rewriter.set_insertion_point_before(op)
+        assert self._zero(rewriter) is not self._zero(rewriter)
+        assert rewriter.shared == {}

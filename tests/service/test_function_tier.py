@@ -353,39 +353,54 @@ class TestWorkerEmittedEntries:
 class TestOnePrintPerDigest:
     """A module's digest composes from its functions' digests, and a
     caller that has those hands them in: the engine deriving a
-    payload's facts, and the worker digesting its function-tier output,
-    each print every function once for its digest and the module never.
-    Digests are not memoized, so hashing the functions again would
-    print them again."""
+    payload's facts, and the worker printing and digesting its output
+    (with or without the function tier), each print every function once
+    and the module never. Digests are not memoized, so hashing the
+    functions again would print them again."""
 
     QUAD = _module(F0, F1, F2, _func("f3", 2))
     FUNCTIONS = ['"f0"', '"f1"', '"f2"', '"f3"']
 
     @pytest.fixture
-    def digest_prints(self, monkeypatch):
+    def prints(self, monkeypatch):
+        """The function or module each print starts, at any depth."""
         import repro.ir.hashing as hashing
+        import repro.ir.printer as printer
 
         printed = []
+        real = printer._print_into
 
-        def counting(op):
-            printed.append(str(op.attributes.get("sym_name", op.name)))
-            return print_op(op)
+        def counting(op, *args):
+            if op.name in ("func.func", "builtin.module"):
+                printed.append(str(op.attributes.get("sym_name", op.name)))
+            return real(op, *args)
 
-        monkeypatch.setattr(hashing, "print_op", counting)
+        monkeypatch.setattr(printer, "_print_into", counting)
+        monkeypatch.setattr(hashing, "_print_into", counting)
         return printed
 
-    def test_deriving_a_payload(self, digest_prints):
+    def test_deriving_a_payload(self, prints):
         with _engine(cache=CompilationCache(capacity=8)) as engine:
             info = engine._derive_payload(self.QUAD, [])
-        assert sorted(digest_prints) == self.FUNCTIONS
+        assert sorted(prints) == self.FUNCTIONS
         assert info.func_digests is not None
         assert info.digest == op_digest(parse(self.QUAD))
 
-    def test_a_function_tier_job(self, digest_prints):
-        raw = compile_job(self.QUAD, UNROLL, function_tier=True)
+    def _job(self, prints, function_tier):
+        raw = compile_job(self.QUAD, UNROLL, function_tier=function_tier)
         assert raw["status"] == "success"
-        assert sorted(digest_prints) == self.FUNCTIONS
-        assert raw["output_digest"] == op_digest(parse(raw["output"]))
+        assert sorted(prints) == self.FUNCTIONS
+        del prints[:]
+        expected = parse(raw["output"])
+        assert raw["output_digest"] == op_digest(expected)
+        assert raw["output"] == print_op(expected)
+
+    def test_a_function_tier_job(self, prints):
+        self._job(prints, function_tier=True)
+
+    def test_a_plain_job(self, prints):
+        # It printed the module, then each function again to digest it.
+        self._job(prints, function_tier=False)
 
 
 class TestEscapeBackstops:

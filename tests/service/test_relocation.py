@@ -14,6 +14,7 @@ import pytest
 
 import repro.core  # noqa: F401 — registers transform ops
 import repro.dialects  # noqa: F401 — registers payload ops
+import repro.ir.hashing as hashing_module
 import repro.ir.parser as parser_module
 import repro.ir.printer as printer_module
 import repro.service.engine as engine_module
@@ -299,7 +300,8 @@ class TestTheReadSideParsesNothing:
 
 def _counting_shifts(monkeypatch):
     """Every ``shift_names`` call's deltas: the splice's own (normalized
-    texts) and ``move_names``' (entries that moved)."""
+    texts), ``move_names``' (entries that moved) and the one print of
+    each function's (all but the first)."""
     calls = []
     real = printer_module.shift_names
 
@@ -309,16 +311,28 @@ def _counting_shifts(monkeypatch):
 
     monkeypatch.setattr(printer_module, "shift_names", shift_and_count)
     monkeypatch.setattr(sharding_module, "shift_names", shift_and_count)
+    monkeypatch.setattr(hashing_module, "shift_names", shift_and_count)
     return calls
 
 
 class TestNothingIsRenumberedThatDidNotMove:
-    def test_an_execution_shifts_nothing(self, monkeypatch):
+    def test_an_execution_shifts_each_later_function_once(
+            self, monkeypatch):
+        # Each function is printed once from %0, for its digest, and
+        # moved to its bases in the module: the first never, each
+        # later one once. The function-tier splice then moves nothing.
         payload = _module(F0, F1, F2, F3)
-        shifts = _counting_shifts(monkeypatch)
-        raw = compile_job(payload, UNROLL, function_tier=True)
-        assert len(raw["functions"]) == 4 and shifts == []
-        assert raw["output"] == compile_job(payload, UNROLL)["output"]
+        entries = function_entries(parse(
+            compile_job(payload, UNROLL)["output"]))
+        bases = [(values, blocks)
+                 for _, _, (values, _, blocks, _) in entries]
+        assert bases[0] == (0, 0) and all(bases[1:])
+        for function_tier in (False, True):
+            shifts = _counting_shifts(monkeypatch)
+            raw = compile_job(payload, UNROLL, function_tier=function_tier)
+            assert shifts == bases[1:]
+            assert raw["functions"] == (entries if function_tier else None)
+            assert raw["output"] == print_op(parse(raw["output"]))
 
     @pytest.mark.parametrize("position", range(4))
     def test_a_partial_assemble_shifts_at_most_the_new_function(

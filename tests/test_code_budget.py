@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16655,  # all of src/repro
+    ".": 16675,  # all of src/repro
     "analysis": 807,
     "autotuning": 353,
     "core": 1811,
@@ -42,19 +42,26 @@ BUDGETS = {
     # (``UndoLog``: nesting, commit, rollback, the ops it inserted)
     # moved here from ``core/transaction.py`` (core -30), so a
     # conversion attempt runs under the same log as a transaction.
-    "ir": 1986,
+    # +28: ``hashing.printed`` prints each function of a module once
+    # for its print, its digest and its function-tier entry
+    # (service -28: the worker's second print and the entry loop's
+    # digest go).
+    "ir": 2014,
     "irdl": 267,
     "mlmodels": 192,
     "observability": 527,
-    "passes": 1606,
+    "passes": 1596,
     "profiling": 144,
     # A pattern roots at a name, a set of names or a dialect, and the
     # conversion driver visits each op once, each attempt under an undo
     # log that names what the pattern inserted and undoes a failure:
     # no insert listener of its own. +3: a pattern names the ops it
     # ``generates``, from which a conversion pass derives its
-    # postconditions (passes -39).
-    "rewrite": 469,
+    # postconditions (passes -39). +30: ``get_or_create``, the uniquer
+    # that shares one empty tensor and zero per block among the TOSA
+    # lowerings, so ``cse`` no longer deletes what they built (passes
+    # -10).
+    "rewrite": 499,
     # +65: one frame codec (``wire.py``) for the daemon and both
     # clients: IR text crosses as raw body bytes, not JSON strings, and
     # a frame no reader can follow (over-long header, bad body length)
@@ -66,7 +73,7 @@ BUDGETS = {
     # hit is answered without a task; the package imports its client
     # and server lazily, so ``python -m`` runs one copy of them. A
     # failure costs the one worker that failed: no pool generation.
-    "service": 2691,
+    "service": 2663,
     "service/engine.py": 608,
     "service/frontier.py": 172,
     # +30: the fuzzer checks def-use links, scopes half its rollback
