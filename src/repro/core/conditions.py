@@ -10,9 +10,11 @@ A *spec* names a set of payload operations:
 * the alias ``"cast"`` for ``builtin.unrealized_conversion_cast``.
 
 Conditions of lowering passes live on the pass classes
-(``PRECONDITIONS`` / ``POSTCONDITIONS``); :func:`conditions_of` resolves
-them for a transform operation so the static checker (§4.2) and the
-dynamic checker can consume one uniform representation.
+(``PRECONDITIONS`` / ``POSTCONDITIONS``, derived from their patterns);
+:func:`conditions_of` resolves them for a transform operation, and
+:func:`pass_conditions` for a pass name, through one path, so the
+static checker (§4.2) and the dynamic checker can consume one uniform
+representation.
 """
 
 from __future__ import annotations
@@ -91,38 +93,30 @@ def conditions_of(transform_op: Operation) -> Optional[TransformConditions]:
 
     ``transform.apply_registered_pass`` pulls conditions from the pass
     class; other transform ops use their own class-level declarations.
-    Returns None when the op declares nothing (treated as unknown).
     """
     if transform_op.name == "transform.apply_registered_pass":
         return pass_conditions(
             getattr(transform_op.attr("pass_name"), "value", ""))
-    pre = getattr(type(transform_op), "PRECONDITIONS", None)
-    post = getattr(type(transform_op), "POSTCONDITIONS", None)
-    if not pre and not post:
-        return None
-    return TransformConditions(
-        transform_op.name,
-        frozenset(normalize_spec(s) for s in (pre or ())),
-        frozenset(normalize_spec(s) for s in (post or ())),
-    )
+    return _declared(transform_op.name, type(transform_op))
 
 
 def pass_conditions(pass_name: str) -> Optional[TransformConditions]:
     """Conditions of a registered pass, by name."""
     from ..passes.manager import PASS_REGISTRY
 
-    cls = PASS_REGISTRY.get(pass_name)
-    if cls is None:
+    return _declared(pass_name, PASS_REGISTRY.get(pass_name))
+
+
+def _declared(name: str, cls: object) -> Optional[TransformConditions]:
+    """The sets ``cls`` declares, or None when it declares nothing: it
+    has neither set, or two empty ones (treated as unknown)."""
+    pre = getattr(cls, "PRECONDITIONS", None) or ()
+    post = getattr(cls, "POSTCONDITIONS", None) or ()
+    if not pre and not post:
         return None
-    pre = getattr(cls, "PRECONDITIONS", None)
-    post = getattr(cls, "POSTCONDITIONS", None)
-    if pre is None and post is None:
-        return None
-    return TransformConditions(
-        pass_name,
-        frozenset(normalize_spec(s) for s in (pre or ())),
-        frozenset(normalize_spec(s) for s in (post or ())),
-    )
+    return TransformConditions(name,
+                               frozenset(map(normalize_spec, pre)),
+                               frozenset(map(normalize_spec, post)))
 
 
 def payload_op_specs(payload: Operation) -> Set[str]:

@@ -35,13 +35,12 @@ from ..ir.types import (
     Type,
 )
 from ..rewrite.conversion import (
-    ConversionError,
+    ConversionRewriter,
     ConversionTarget,
     TypeConverter,
-    apply_conversion,
 )
 from ..rewrite.pattern import pattern
-from .manager import ConversionPass, Pass, register_pass
+from .manager import ConversionPass, WalkPass, pattern_roots, register_pass
 
 # ---------------------------------------------------------------------------
 # Shared LLVM type converter
@@ -394,65 +393,47 @@ class ConvertCFToLLVMPass(ConversionPass):
 # ---------------------------------------------------------------------------
 
 
+@pattern("func.func", label="func-to-llvm", generates={"llvm.func"})
+def convert_func(func_op: Operation, rewriter) -> bool:
+    """Move the body into an ``llvm.func`` and convert its block
+    signatures."""
+    new_func = rewriter.create("llvm.func", regions=1,
+                               attributes=dict(func_op.attributes))
+    region = func_op.regions[0]
+    for block in list(region.blocks):
+        region.remove_block(block)
+        new_func.regions[0].add_block(block)
+        rewriter.convert_block_signature(block)
+    rewriter.erase_op(func_op)
+    return True
+
+
+_FUNC_TO_LLVM = {"func.call": "llvm.call", "func.return": "llvm.return"}
+
+
+@pattern(frozenset(_FUNC_TO_LLVM), label="func-ops-to-llvm",
+         generates=set(_FUNC_TO_LLVM.values()))
+def convert_call_or_return(candidate: Operation, rewriter) -> bool:
+    new_op = rewriter.create(
+        _FUNC_TO_LLVM[candidate.name],
+        operands=rewriter.remapped_operands(candidate),
+        result_types=[_INDEX_TO_I64.convert_type(r.type)
+                      for r in candidate.results],
+        attributes={"callee": candidate.attr("callee")}
+        if candidate.name == "func.call" else None,
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
 @register_pass
-class ConvertFuncToLLVMPass(Pass):
+class ConvertFuncToLLVMPass(ConversionPass):
     NAME = "convert-func-to-llvm"
     DESCRIPTION = "lower func.func/call/return to the LLVM dialect"
-    PRECONDITIONS = {"func.*"}
-    POSTCONDITIONS = {"llvm.func", "llvm.call", "llvm.return",
-                      "llvm.constant", "llvm.alloca", "llvm.load",
-                      "llvm.store", "llvm.undef",
-                      "builtin.unrealized_conversion_cast"}
-
-    def run(self, op: Operation) -> None:
-        from ..rewrite.conversion import ConversionRewriter
-
-        converter = _INDEX_TO_I64
-        rewriter = ConversionRewriter(converter)
-
-        for func_op in list(op.walk_ops("func.func")):
-            new_func = Operation.create(
-                "llvm.func",
-                regions=1,
-                attributes=dict(func_op.attributes),
-            )
-            region = func_op.regions[0]
-            for block in list(region.blocks):
-                region.remove_block(block)
-                new_func.regions[0].add_block(block)
-                rewriter.convert_block_signature(block)
-            parent = func_op.parent
-            assert parent is not None
-            parent.insert_before(func_op, new_func)
-            func_op.erase()
-
-        target = ConversionTarget()
-        target.add_illegal_dialect("func")
-        target.add_legal_dialect("llvm", "builtin")
-
-        @pattern(label="func-ops-to-llvm")
-        def convert(candidate: Operation, inner_rewriter) -> bool:
-            operands = inner_rewriter.remapped_operands(candidate)
-            result_types = [
-                converter.convert_type(r.type) for r in candidate.results
-            ]
-            if candidate.name == "func.return":
-                new_op = inner_rewriter.create(
-                    "llvm.return", operands=operands
-                )
-            elif candidate.name == "func.call":
-                new_op = inner_rewriter.create(
-                    "llvm.call",
-                    operands=operands,
-                    result_types=result_types,
-                    attributes={"callee": candidate.attr("callee")},
-                )
-            else:
-                return False
-            inner_rewriter.replace_op(candidate, new_op.results)
-            return True
-
-        apply_conversion(op, [convert], target, converter)
+    PATTERNS = (convert_func, convert_call_or_return)
+    TARGET = (ConversionTarget().add_illegal_dialect("func")
+              .add_legal_dialect("llvm", "builtin"))
+    CONVERTER = _INDEX_TO_I64
 
 
 # ---------------------------------------------------------------------------
@@ -460,240 +441,223 @@ class ConvertFuncToLLVMPass(Pass):
 # ---------------------------------------------------------------------------
 
 
+@pattern("memref.subview", label="expand-subview",
+         generates={"memref.extract_strided_metadata", "affine.apply",
+                    "arith.constant", "memref.reinterpret_cast"})
+def expand_subview(subview: Operation, rewriter) -> bool:
+    """A non-trivial subview becomes ``extract_strided_metadata`` +
+    offset arithmetic + ``reinterpret_cast``; a *dynamic* offset
+    becomes an ``affine.apply`` index computation."""
+    from ..dialects import affine as affine_dialect, arith
+
+    if subview.has_trivial_metadata:  # type: ignore[attr-defined]
+        return False
+    source_type = subview.source.type  # type: ignore[attr-defined]
+    assert isinstance(source_type, MemRefType)
+    strides = source_type.identity_strides()
+    metadata = rewriter.create(
+        "memref.extract_strided_metadata",
+        operands=[subview.source],  # type: ignore[attr-defined]
+        result_types=[
+            MemRefType((), source_type.element_type),
+            IndexType(),
+            *[IndexType()] * source_type.rank * 2,
+        ],
+    )
+
+    static_offsets = subview.static_offsets  # type: ignore[attr-defined]
+    dynamic_values = list(subview.dynamic_operands)  # type: ignore[attr-defined]
+
+    # Linear offset = sum(offset_i * stride_i). Static parts fold into
+    # a constant; dynamic parts become an affine.apply over symbols.
+    static_part = sum(
+        offset * stride
+        for offset, stride in zip(static_offsets, strides)
+        if offset != DYNAMIC
+    )
+    expr: AffineExpr = AffineConstant(static_part)
+    dynamic_operands: List[Value] = []
+    for offset, stride in zip(static_offsets, strides):
+        if offset == DYNAMIC:
+            expr = expr + AffineSymbol(len(dynamic_operands)) * stride
+            dynamic_operands.append(dynamic_values[len(dynamic_operands)])
+
+    if dynamic_operands:
+        offset_map = AffineMap(0, len(dynamic_operands), (expr,))
+        linear_offset = affine_dialect.apply(
+            rewriter, offset_map, dynamic_operands
+        )
+    else:
+        linear_offset = arith.constant(rewriter, static_part, IndexType())
+
+    sizes = subview.static_sizes  # type: ignore[attr-defined]
+    recast = rewriter.create(
+        "memref.reinterpret_cast",
+        operands=[metadata.results[0], linear_offset],
+        result_types=[MemRefType(tuple(sizes), source_type.element_type)],
+        attributes={
+            "static_sizes": DenseIntAttr(tuple(sizes)),
+            "static_strides": DenseIntAttr(tuple(strides[-len(sizes):])) if sizes else DenseIntAttr(()),
+        },
+    )
+    rewriter.replace_op(subview, [recast.result])
+    return True
+
+
 @register_pass
-class ExpandStridedMetadataPass(Pass):
+class ExpandStridedMetadataPass(WalkPass):
     """Externalize non-trivial memref addressing.
 
     Subviews with a purely static zero-offset/unit-stride layout pass
-    through untouched. Non-trivial subviews are decomposed into
-    ``extract_strided_metadata`` + offset arithmetic +
-    ``reinterpret_cast``; *dynamic* offsets produce ``affine.apply``
-    index computations — the operation the rest of the Table-2 pipeline
+    through untouched. The ``affine.apply`` its pattern generates for a
+    dynamic offset is the operation the rest of the Table-2 pipeline
     does not expect (case study 2).
     """
 
     NAME = "expand-strided-metadata"
     DESCRIPTION = "externalize non-trivial memref address computations"
-    PRECONDITIONS = {"memref.subview"}
-    POSTCONDITIONS = {"memref.subview.constr",
-                      "memref.extract_strided_metadata",
-                      "memref.reinterpret_cast",
-                      "memref.extract_aligned_pointer_as_index",
-                      "affine.apply", "affine.min", "arith.constant"}
-
-    def run(self, op: Operation) -> None:
-        from ..dialects import arith
-
-        for subview in list(op.walk_ops("memref.subview")):
-            if subview.parent is None:
-                continue
-            if subview.has_trivial_metadata:  # type: ignore[attr-defined]
-                continue
-            source_type = subview.source.type  # type: ignore[attr-defined]
-            assert isinstance(source_type, MemRefType)
-            strides = source_type.identity_strides()
-            builder = Builder.before(subview)
-
-            metadata = builder.create(
-                "memref.extract_strided_metadata",
-                operands=[subview.source],  # type: ignore[attr-defined]
-                result_types=[
-                    MemRefType((), source_type.element_type),
-                    IndexType(),
-                    *[IndexType()] * source_type.rank * 2,
-                ],
-            )
-
-            static_offsets = subview.static_offsets  # type: ignore[attr-defined]
-            dynamic_values = list(subview.dynamic_operands)  # type: ignore[attr-defined]
-
-            # Linear offset = sum(offset_i * stride_i). Static parts fold
-            # into a constant; dynamic parts become an affine.apply over
-            # symbols — the key op introduced by this lowering.
-            static_part = sum(
-                offset * stride
-                for offset, stride in zip(static_offsets, strides)
-                if offset != DYNAMIC
-            )
-            dynamic_exprs: List[AffineExpr] = []
-            dynamic_operands: List[Value] = []
-            dynamic_index = 0
-            for offset, stride in zip(static_offsets, strides):
-                if offset == DYNAMIC:
-                    dynamic_exprs.append(
-                        AffineSymbol(dynamic_index) * stride
-                    )
-                    dynamic_operands.append(dynamic_values[dynamic_index])
-                    dynamic_index += 1
-
-            if dynamic_exprs:
-                expr: AffineExpr = AffineConstant(static_part)
-                for term in dynamic_exprs:
-                    expr = expr + term
-                offset_map = AffineMap(0, len(dynamic_operands), (expr,))
-                from ..dialects import affine as affine_dialect
-
-                linear_offset = affine_dialect.apply(
-                    builder, offset_map, dynamic_operands
-                )
-            else:
-                linear_offset = arith.constant(
-                    builder, static_part, IndexType()
-                )
-
-            sizes = subview.static_sizes  # type: ignore[attr-defined]
-            result_type = MemRefType(
-                tuple(sizes), source_type.element_type
-            )
-            recast = builder.create(
-                "memref.reinterpret_cast",
-                operands=[metadata.results[0], linear_offset],
-                result_types=[result_type],
-                attributes={
-                    "static_sizes": DenseIntAttr(tuple(sizes)),
-                    "static_strides": DenseIntAttr(tuple(strides[-len(sizes):])) if sizes else DenseIntAttr(()),
-                },
-            )
-            subview.replace_all_uses_with([recast.result])
-            subview.erase()
+    PATTERNS = (expand_subview,)
+    POSTCONDITIONS = {"memref.subview.constr"}
 
 
 # ---------------------------------------------------------------------------
 # 6. finalize-memref-to-llvm
 # ---------------------------------------------------------------------------
 
+_TO_POINTERS = llvm_type_converter(convert_memref=True)
+
+#: What :func:`_linearized_address` builds.
+_ADDRESSING = {"llvm.constant", "llvm.mul", "llvm.add", "llvm.getelementptr"}
+
+
+@pattern("memref.load", label="memref-load-to-llvm",
+         generates={*_ADDRESSING, "llvm.load"})
+def convert_load(candidate: Operation, rewriter) -> bool:
+    operands = rewriter.remapped_operands(candidate)
+    address = _linearized_address(rewriter, operands[0], operands[1:],
+                                  candidate.operand(0).type)
+    new_op = rewriter.create(
+        "llvm.load", operands=[address],
+        result_types=[_TO_POINTERS.convert_type(candidate.results[0].type)],
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
+@pattern("memref.store", label="memref-store-to-llvm",
+         generates={*_ADDRESSING, "llvm.store"})
+def convert_store(candidate: Operation, rewriter) -> bool:
+    operands = rewriter.remapped_operands(candidate)
+    address = _linearized_address(rewriter, operands[1], operands[2:],
+                                  candidate.operand(1).type)
+    rewriter.create("llvm.store", operands=[operands[0], address])
+    rewriter.replace_op(candidate, [])
+    return True
+
+
+@pattern(frozenset({"memref.alloc", "memref.alloca"}),
+         label="memref-alloc-to-llvm", generates={"llvm.constant", "llvm.call"})
+def convert_alloc(candidate: Operation, rewriter) -> bool:
+    size = rewriter.create(
+        "llvm.constant", result_types=[I64],
+        attributes={"value": candidate.attr("byte_size") or 0},
+    )
+    new_op = rewriter.create(
+        "llvm.call", operands=[size.result],
+        result_types=[LLVMPointerType()],
+        attributes={"callee": SymbolRefAttr("malloc")},
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
+@pattern("memref.dealloc", label="memref-dealloc-to-llvm",
+         generates={"llvm.call"})
+def convert_dealloc(candidate: Operation, rewriter) -> bool:
+    rewriter.create("llvm.call",
+                    operands=rewriter.remapped_operands(candidate),
+                    attributes={"callee": SymbolRefAttr("free")})
+    rewriter.replace_op(candidate, [])
+    return True
+
+
+@pattern("memref.reinterpret_cast", label="reinterpret-cast-to-llvm",
+         generates={"llvm.getelementptr"})
+def convert_reinterpret_cast(candidate: Operation, rewriter) -> bool:
+    # base pointer + byte offset -> getelementptr
+    new_op = rewriter.create(
+        "llvm.getelementptr",
+        operands=rewriter.remapped_operands(candidate)[:2],
+        result_types=[LLVMPointerType()],
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
+@pattern("memref.extract_strided_metadata", label="strided-metadata-to-llvm",
+         generates={"llvm.constant"})
+def convert_strided_metadata(candidate: Operation, rewriter) -> bool:
+    operands = rewriter.remapped_operands(candidate)
+    source_type = candidate.operand(0).type
+    assert isinstance(source_type, MemRefType)
+    replacements: List[Value] = [operands[0]]
+    for value in (0, *source_type.shape, *source_type.identity_strides()):
+        replacements.append(rewriter.create(
+            "llvm.constant", result_types=[I64], attributes={"value": value},
+        ).result)
+    rewriter.replace_op(candidate, replacements[: len(candidate.results)])
+    return True
+
+
+@pattern("memref.extract_aligned_pointer_as_index",
+         label="aligned-pointer-to-llvm", generates={"llvm.ptrtoint"})
+def convert_aligned_pointer(candidate: Operation, rewriter) -> bool:
+    new_op = rewriter.create(
+        "llvm.ptrtoint", operands=rewriter.remapped_operands(candidate),
+        result_types=[I64],
+    )
+    rewriter.replace_op(candidate, new_op.results)
+    return True
+
+
+@pattern(frozenset({"memref.cast", "memref.copy"}), label="memref-forward")
+def forward_source(candidate: Operation, rewriter) -> bool:
+    rewriter.replace_op(candidate, rewriter.remapped_operands(candidate)[:1])
+    return True
+
+
+_MEMREF_TO_LLVM = (convert_load, convert_store, convert_alloc,
+                   convert_dealloc, convert_reinterpret_cast,
+                   convert_strided_metadata, convert_aligned_pointer,
+                   forward_source)
+
+
+@pattern("memref.subview", label="trivial-subview-to-llvm")
+def forward_trivial_subview(candidate: Operation, rewriter) -> bool:
+    # A non-trivial view cannot be legalized here.
+    if not candidate.has_trivial_metadata:  # type: ignore[attr-defined]
+        return False
+    rewriter.replace_op(candidate, rewriter.remapped_operands(candidate)[:1])
+    return True
+
 
 @register_pass
-class FinalizeMemRefToLLVMPass(Pass):
+class FinalizeMemRefToLLVMPass(ConversionPass):
     NAME = "finalize-memref-to-llvm"
     DESCRIPTION = "lower trivially-indexed memrefs to LLVM pointers"
-    PRECONDITIONS = {"memref.subview.constr", "memref.load", "memref.store",
-                     "memref.alloc", "memref.dealloc",
-                     "memref.reinterpret_cast",
-                     "memref.extract_strided_metadata",
-                     "memref.extract_aligned_pointer_as_index"}
-    POSTCONDITIONS = {"llvm.add", "llvm.mul", "llvm.alloca", "llvm.br",
-                      "llvm.call", "llvm.constant", "llvm.load",
-                      "llvm.store", "llvm.getelementptr", "llvm.ptrtoint",
-                      "llvm.undef",
-                      "builtin.unrealized_conversion_cast"}
+    PATTERNS = (*_MEMREF_TO_LLVM, forward_trivial_subview)
+    TARGET = (ConversionTarget().add_illegal_dialect("memref")
+              .add_legal_dialect("llvm", "builtin"))
+    CONVERTER = _TO_POINTERS
+    PRECONDITIONS = {*pattern_roots(_MEMREF_TO_LLVM), "memref.subview.constr"}
 
     def run(self, op: Operation) -> None:
-        converter = llvm_type_converter(convert_memref=True)
-        target = ConversionTarget()
-        target.add_illegal_dialect("memref")
-        target.add_legal_dialect("llvm", "builtin")
-
-        from ..rewrite.conversion import ConversionRewriter
-
-        signature_rewriter = ConversionRewriter(converter)
+        signature_rewriter = ConversionRewriter(self.CONVERTER)
         for func_op in list(op.walk_ops("llvm.func")):
             for block in func_op.regions[0].blocks:
                 signature_rewriter.convert_block_signature(block)
-
-        @pattern("memref.*", label="memref-to-llvm")
-        def convert(candidate: Operation, rewriter) -> bool:
-            name = candidate.name
-            operands = rewriter.remapped_operands(candidate)
-            if name == "memref.load":
-                ref_type = candidate.operand(0).type
-                address = _linearized_address(
-                    rewriter, operands[0], operands[1:], ref_type
-                )
-                element = converter.convert_type(
-                    candidate.results[0].type
-                )
-                new_op = rewriter.create(
-                    "llvm.load", operands=[address], result_types=[element]
-                )
-                rewriter.replace_op(candidate, new_op.results)
-                return True
-            if name == "memref.store":
-                ref_type = candidate.operand(1).type
-                address = _linearized_address(
-                    rewriter, operands[1], operands[2:], ref_type
-                )
-                rewriter.create(
-                    "llvm.store", operands=[operands[0], address]
-                )
-                rewriter.replace_op(candidate, [])
-                return True
-            if name in ("memref.alloc", "memref.alloca"):
-                size = rewriter.create(
-                    "llvm.constant",
-                    result_types=[I64],
-                    attributes={"value": candidate.attr("byte_size") or 0},
-                )
-                new_op = rewriter.create(
-                    "llvm.call",
-                    operands=[size.result],
-                    result_types=[LLVMPointerType()],
-                    attributes={"callee": SymbolRefAttr("malloc")},
-                )
-                rewriter.replace_op(candidate, new_op.results)
-                return True
-            if name == "memref.dealloc":
-                rewriter.create(
-                    "llvm.call",
-                    operands=operands,
-                    attributes={"callee": SymbolRefAttr("free")},
-                )
-                rewriter.replace_op(candidate, [])
-                return True
-            if name == "memref.reinterpret_cast":
-                # base pointer + byte offset -> getelementptr
-                new_op = rewriter.create(
-                    "llvm.getelementptr",
-                    operands=operands[:2],
-                    result_types=[LLVMPointerType()],
-                )
-                rewriter.replace_op(candidate, new_op.results)
-                return True
-            if name == "memref.extract_strided_metadata":
-                source_type = candidate.operand(0).type
-                assert isinstance(source_type, MemRefType)
-                replacements: List[Value] = [operands[0]]
-                zero = rewriter.create(
-                    "llvm.constant", result_types=[I64],
-                    attributes={"value": 0},
-                )
-                replacements.append(zero.result)
-                for index, size in enumerate(source_type.shape):
-                    size_const = rewriter.create(
-                        "llvm.constant", result_types=[I64],
-                        attributes={"value": size},
-                    )
-                    replacements.append(size_const.result)
-                for stride in source_type.identity_strides():
-                    stride_const = rewriter.create(
-                        "llvm.constant", result_types=[I64],
-                        attributes={"value": stride},
-                    )
-                    replacements.append(stride_const.result)
-                rewriter.replace_op(
-                    candidate, replacements[: len(candidate.results)]
-                )
-                return True
-            if name == "memref.extract_aligned_pointer_as_index":
-                new_op = rewriter.create(
-                    "llvm.ptrtoint", operands=operands, result_types=[I64]
-                )
-                rewriter.replace_op(candidate, new_op.results)
-                return True
-            if name == "memref.subview":
-                if not candidate.has_trivial_metadata:  # type: ignore[attr-defined]
-                    return False  # cannot legalize non-trivial views here
-                rewriter.replace_op(candidate, [operands[0]])
-                return True
-            if name in ("memref.cast", "memref.copy", "memref.dim"):
-                if name == "memref.dim":
-                    return False
-                rewriter.replace_op(candidate, [operands[0]])
-                return True
-            return False
-
-        apply_conversion(op, [convert], target, converter)
-        self._adopt_converted_operands(op, converter)
+        super().run(op)
+        self._adopt_converted_operands(op, self.CONVERTER)
 
     @staticmethod
     def _adopt_converted_operands(root: Operation,
@@ -759,57 +723,49 @@ def _linearized_address(rewriter, base: Value, indices: List[Value],
 CAST_NAME = "builtin.unrealized_conversion_cast"
 
 
-def _fold_cast_chains(op: Operation) -> bool:
-    changed = False
-    for cast in list(op.walk_ops(CAST_NAME)):
-        if cast.parent is None:
-            continue
-        target_type = cast.results[0].type
-        # Walk up through any chain of casts; if some value along the
-        # chain already has the output type, the whole chain between
-        # them cancels (covers cast(x:T->T), pairs, and longer chains).
-        source: Optional[Value] = cast.operand(0)
-        replacement: Optional[Value] = None
-        seen = 0
-        while source is not None and seen < 32:
-            if source.type == target_type:
-                replacement = source
-                break
-            defining = source.defining_op()
-            if defining is None or defining.name != CAST_NAME:
-                break
-            source = defining.operand(0)
-            seen += 1
-        if replacement is not None:
-            cast.replace_all_uses_with([replacement])
-            cast.erase()
-            changed = True
-            continue
-        # unused cast
-        if not cast.results[0].has_uses():
-            cast.erase()
-            changed = True
-    return changed
+@pattern(CAST_NAME, label="reconcile-cast-chain")
+def reconcile_cast_chain(cast: Operation, rewriter) -> bool:
+    """Cancel ``cast`` against the nearest value up its chain of casts
+    that has its result type (a cast of ``x: T -> T``, a pair, a longer
+    chain), or erase it unused; then erase the casts of the chain that
+    nothing uses any more."""
+    above = cast.operand(0)
+    replacement = _nearest_of_type(above, cast.results[0].type)
+    if replacement is not None:
+        rewriter.replace_op(cast, [replacement])
+    elif cast.results[0].has_uses():
+        return False
+    else:
+        rewriter.erase_op(cast)
+    defining = above.defining_op()
+    while (defining is not None and defining.name == CAST_NAME
+           and not defining.results[0].has_uses()):
+        above = defining.operand(0)
+        rewriter.erase_op(defining)
+        defining = above.defining_op()
+    return True
+
+
+def _nearest_of_type(value: Value, type: Type) -> Optional[Value]:
+    """``value``, or the nearest value of ``type`` up its cast chain."""
+    for _ in range(32):
+        if value.type == type:
+            return value
+        defining = value.defining_op()
+        if defining is None or defining.name != CAST_NAME:
+            return None
+        value = defining.operand(0)
+    return None
 
 
 @register_pass
-class ReconcileUnrealizedCastsPass(Pass):
+class ReconcileUnrealizedCastsPass(ConversionPass):
     """Cancel matching cast pairs; fail on leftovers with MLIR's wording."""
 
     NAME = "reconcile-unrealized-casts"
     DESCRIPTION = "eliminate temporary conversion casts"
-    PRECONDITIONS = {CAST_NAME}
-    POSTCONDITIONS: set = set()
-
-    def run(self, op: Operation) -> None:
-        while _fold_cast_chains(op):
-            pass
-        for leftover in op.walk_ops(CAST_NAME):
-            raise ConversionError(
-                f"failed to legalize operation '{CAST_NAME}' that was "
-                "explicitly marked illegal",
-                leftover,
-            )
+    PATTERNS = (reconcile_cast_chain,)
+    TARGET = ConversionTarget().add_illegal_op(CAST_NAME)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,12 @@ linalg/arith/tensor ops with real region bodies.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ir.builder import Builder
 from ..ir.core import Block, Operation, Value
 from ..ir.types import ShapedType, TensorType
 from ..rewrite.conversion import ConversionRewriter, ConversionTarget
-from ..rewrite.greedy import FrozenPatternSet, apply_patterns_greedily
 from ..rewrite.pattern import PatternRewriter, pattern
-from .manager import ConversionPass, Pass, register_pass
+from .manager import ConversionPass, Pass, WalkPass, register_pass
 
 # ---------------------------------------------------------------------------
 # tosa-optional-decompositions
@@ -31,12 +28,13 @@ def _result_tensor(op: Operation) -> TensorType:
     return result_type
 
 
-@pattern("tosa.softmax", label="decompose-softmax")
+@pattern("tosa.softmax", label="decompose-softmax",
+         generates={"tosa.exp", "tosa.reduce_sum", "tosa.reciprocal",
+                    "tosa.mul"})
 def decompose_softmax(op: Operation, rewriter: PatternRewriter) -> bool:
     """softmax(x) = exp(x) / sum(exp(x)) along the last dimension."""
     result_type = _result_tensor(op)
     operand = op.operand(0)
-    rewriter.set_insertion_point_before(op)
     exp = rewriter.create(
         "tosa.exp", operands=[operand], result_types=[result_type]
     )
@@ -61,13 +59,13 @@ def decompose_softmax(op: Operation, rewriter: PatternRewriter) -> bool:
     return True
 
 
-@pattern("tosa.fully_connected", label="decompose-fully-connected")
+@pattern("tosa.fully_connected", label="decompose-fully-connected",
+         generates={"tosa.transpose", "tosa.matmul", "tosa.add"})
 def decompose_fully_connected(op: Operation,
                               rewriter: PatternRewriter) -> bool:
     """fully_connected(x, w, b) = matmul(x, transpose(w)) + b."""
     result_type = _result_tensor(op)
     data, weights = op.operand(0), op.operand(1)
-    rewriter.set_insertion_point_before(op)
     weights_type = weights.type
     assert isinstance(weights_type, TensorType)
     transposed_type = TensorType(
@@ -95,12 +93,12 @@ def decompose_fully_connected(op: Operation,
     return True
 
 
-@pattern("tosa.transpose_conv2d", label="decompose-transpose-conv")
+@pattern("tosa.transpose_conv2d", label="decompose-transpose-conv",
+         generates={"tosa.reverse", "tosa.pad", "tosa.conv2d"})
 def decompose_transpose_conv(op: Operation,
                              rewriter: PatternRewriter) -> bool:
     """transpose_conv2d -> reverse kernel + pad input + regular conv2d."""
     result_type = _result_tensor(op)
-    rewriter.set_insertion_point_before(op)
     kernel = op.operand(1)
     reversed_kernel = rewriter.create(
         "tosa.reverse", operands=[kernel], result_types=[kernel.type],
@@ -122,25 +120,11 @@ def decompose_transpose_conv(op: Operation,
 
 
 @register_pass
-class TosaOptionalDecompositionsPass(Pass):
+class TosaOptionalDecompositionsPass(WalkPass):
     NAME = "tosa-optional-decompositions"
     DESCRIPTION = "decompose composite TOSA ops into primitives"
-    PRECONDITIONS = {"tosa.softmax", "tosa.fully_connected",
-                     "tosa.transpose_conv2d"}
-    POSTCONDITIONS = {"tosa.exp", "tosa.reduce_sum", "tosa.reciprocal",
-                      "tosa.mul", "tosa.transpose", "tosa.matmul",
-                      "tosa.add", "tosa.reverse", "tosa.pad", "tosa.conv2d"}
-
-    #: Frozen once: the same three patterns drive every module.
-    _FROZEN: Optional[FrozenPatternSet] = None
-
-    def run(self, op: Operation) -> None:
-        if TosaOptionalDecompositionsPass._FROZEN is None:
-            TosaOptionalDecompositionsPass._FROZEN = FrozenPatternSet(
-                [decompose_softmax, decompose_fully_connected,
-                 decompose_transpose_conv]
-            )
-        apply_patterns_greedily(op, TosaOptionalDecompositionsPass._FROZEN)
+    PATTERNS = (decompose_softmax, decompose_fully_connected,
+                decompose_transpose_conv)
 
 
 # ---------------------------------------------------------------------------
@@ -186,49 +170,41 @@ class TosaInferShapesPass(Pass):
 # ---------------------------------------------------------------------------
 
 
+@pattern(frozenset({"tosa.add", "tosa.sub", "tosa.mul", "tosa.maximum",
+                    "tosa.minimum", "tosa.pow"}),
+         label="reshape-to-equal-rank", generates={"tosa.reshape"})
+def reshape_to_equal_rank(binary: Operation,
+                          rewriter: PatternRewriter) -> bool:
+    lhs_type, rhs_type = binary.operand(0).type, binary.operand(1).type
+    if not (isinstance(lhs_type, TensorType)
+            and isinstance(rhs_type, TensorType)):
+        return False
+    if lhs_type.rank == rhs_type.rank:
+        return False
+    low_index = 0 if lhs_type.rank < rhs_type.rank else 1
+    low = binary.operand(low_index)
+    low_type = low.type
+    high_type = rhs_type if low_index == 0 else lhs_type
+    assert isinstance(low_type, TensorType)
+    padded_shape = (1,) * (high_type.rank - low_type.rank) + low_type.shape
+    reshaped = rewriter.create(
+        "tosa.reshape",
+        operands=[low],
+        result_types=[TensorType(padded_shape, low_type.element_type)],
+        attributes={"new_shape": list(padded_shape)},
+    )
+    binary.set_operand(low_index, reshaped.result)
+    return True
+
+
 @register_pass
-class TosaMakeBroadcastablePass(Pass):
+class TosaMakeBroadcastablePass(WalkPass):
     """Reshape lower-rank operands of binary ops to equal rank."""
 
     NAME = "tosa-make-broadcastable"
     DESCRIPTION = "insert reshapes so binary operands have equal rank"
-    #: It keeps the binary ops it reshapes for, so it consumes nothing.
-    POSTCONDITIONS = {"tosa.reshape"}
-
-    _BINARY = {"tosa.add", "tosa.sub", "tosa.mul", "tosa.maximum",
-               "tosa.minimum", "tosa.pow"}
-
-    def run(self, op: Operation) -> None:
-        rewriter = PatternRewriter()
-        for binary in list(op.walk()):
-            if binary.name not in self._BINARY or binary.parent is None:
-                continue
-            lhs_type, rhs_type = (
-                binary.operand(0).type, binary.operand(1).type
-            )
-            if not (isinstance(lhs_type, TensorType)
-                    and isinstance(rhs_type, TensorType)):
-                continue
-            if lhs_type.rank == rhs_type.rank:
-                continue
-            low_index = 0 if lhs_type.rank < rhs_type.rank else 1
-            low = binary.operand(low_index)
-            low_type = low.type
-            high_type = rhs_type if low_index == 0 else lhs_type
-            assert isinstance(low_type, TensorType)
-            padded_shape = (
-                (1,) * (high_type.rank - low_type.rank) + low_type.shape
-            )
-            rewriter.set_insertion_point_before(binary)
-            reshaped = rewriter.create(
-                "tosa.reshape",
-                operands=[low],
-                result_types=[
-                    TensorType(padded_shape, low_type.element_type)
-                ],
-                attributes={"new_shape": list(padded_shape)},
-            )
-            binary.set_operand(low_index, reshaped.result)
+    PATTERNS = (reshape_to_equal_rank,)
+    PRECONDITIONS = frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -444,25 +420,23 @@ class TosaToLinalgPass(ConversionPass):
 # ---------------------------------------------------------------------------
 
 
+@pattern("tosa.const", label="tosa-const-to-arith",
+         generates={"arith.constant"})
+def convert_const(const: Operation, rewriter: PatternRewriter) -> bool:
+    new_op = rewriter.create(
+        "arith.constant",
+        result_types=[const.results[0].type],
+        attributes={"value": const.attr("value") or 0},
+    )
+    rewriter.replace_op(const, new_op.results)
+    return True
+
+
 @register_pass
-class TosaToArithPass(Pass):
+class TosaToArithPass(WalkPass):
     NAME = "tosa-to-arith"
     DESCRIPTION = "convert tosa.const to arith.constant"
-    PRECONDITIONS = {"tosa.const"}
-    POSTCONDITIONS = {"arith.constant"}
-
-    def run(self, op: Operation) -> None:
-        rewriter = PatternRewriter()
-        for const in list(op.walk_ops("tosa.const")):
-            if const.parent is None:
-                continue
-            rewriter.set_insertion_point_before(const)
-            new_op = rewriter.create(
-                "arith.constant",
-                result_types=[const.results[0].type],
-                attributes={"value": const.attr("value") or 0},
-            )
-            rewriter.replace_op(const, new_op.results)
+    PATTERNS = (convert_const,)
 
 
 _TENSOR_MAP = {

@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import DynamicConditionChecker, dialect as transform
 from repro.core.errors import TransformInterpreterError
-from repro.passes.manager import Pass, register_pass
+from repro.dialects import affine as affine_dialect, arith
+from repro.ir.affine import AffineMap, symbol
+from repro.passes.manager import WalkPass, register_pass
+from repro.rewrite.pattern import pattern
 from tests.passes.test_lowerings import (
     BROKEN_PIPELINE,
     FIXED_PIPELINE,
@@ -12,24 +15,19 @@ from tests.passes.test_lowerings import (
 )
 
 
-class _RogueAffinePass(Pass):
+@pattern("memref.subview", label="rogue-affine",
+         generates={"arith.constant"})  # a lie: it also emits affine
+def _emit_affine(subview, rewriter):
+    value = arith.index_constant(rewriter, 1)
+    affine_dialect.apply(rewriter, AffineMap(0, 1, (symbol(0) * 2,)), [value])
+    return True
+
+
+class _RogueAffinePass(WalkPass):
     """Declares no affine ops in its postconditions but creates one."""
 
     NAME = "test-rogue-affine"
-    PRECONDITIONS = {"memref.subview"}
-    POSTCONDITIONS = {"arith.constant"}  # a lie: it also emits affine
-
-    def run(self, op):
-        from repro.dialects import affine as affine_dialect, arith
-        from repro.ir import Builder
-        from repro.ir.affine import AffineMap, symbol
-
-        f = next(op.walk_ops("func.func"))
-        builder = Builder.at_start(f.body)
-        value = arith.index_constant(builder, 1)
-        affine_dialect.apply(
-            builder, AffineMap(0, 1, (symbol(0) * 2,)), [value]
-        )
+    PATTERNS = (_emit_affine,)
 
 
 if "test-rogue-affine" not in __import__(
@@ -103,24 +101,15 @@ class TestIRDLConstrainedPostconditions:
         # The static-offset subview is trivial: no violations.
         assert checker.violations == []
 
-    def test_violating_subview_detected(self):
-        from repro.passes.manager import PASS_REGISTRY
+    def test_violating_subview_detected(self, monkeypatch):
+        """expand-strided-metadata run without its pattern claims the
+        subview.constr postcondition but leaves a non-trivial subview in
+        place."""
+        from repro.passes.lowerings import ExpandStridedMetadataPass
 
-        class _BrokenExpand(Pass):
-            """Claims the subview.constr postcondition but leaves a
-            non-trivial subview in place."""
-
-            NAME = "test-broken-expand"
-            PRECONDITIONS = {"memref.subview"}
-            POSTCONDITIONS = {"memref.subview.constr"}
-
-            def run(self, op):
-                pass  # does nothing; the non-trivial subview remains
-
-        if "test-broken-expand" not in PASS_REGISTRY:
-            register_pass(_BrokenExpand)
+        monkeypatch.setattr(ExpandStridedMetadataPass, "PATTERNS", ())
         payload = build_subview_payload(dynamic_offset=True)
-        checker = run_pipeline_checked(payload, ["test-broken-expand"])
+        checker = run_pipeline_checked(payload, ["expand-strided-metadata"])
         messages = [str(v) for v in checker.violations]
         assert any("IRDL constraint violated" in m for m in messages)
         assert any("cardinality" in m or "operands" in m or

@@ -69,6 +69,19 @@ class TestConditionsResolution:
     def test_unknown_pass(self):
         assert pass_conditions("nonexistent") is None
 
+    @pytest.mark.parametrize("name", [
+        "canonicalize", "cse", "loop-invariant-code-motion", "inline",
+        "tosa-infer-shapes"])
+    def test_a_pass_that_declares_nothing_is_unknown(self, name):
+        from repro.passes import PASS_REGISTRY
+
+        assert name in PASS_REGISTRY and pass_conditions(name) is None
+
+    def test_a_transform_op_with_two_empty_sets_is_unknown(self):
+        script, builder, root = transform.sequence()
+        transform.yield_(builder)
+        assert conditions_of(next(script.walk_ops("transform.yield"))) is None
+
     def test_transform_op_conditions(self):
         script, builder, root = transform.sequence()
         loop = transform.match_op(builder, root, "scf.for",

@@ -5,7 +5,7 @@ import pytest
 from repro.dialects import builtin
 from repro.ir import Operation
 from repro.passes import PASS_REGISTRY, Pass, PassManager, parse_pipeline, register_pass
-from repro.passes.manager import ConversionPass
+from repro.passes.manager import WRITTEN_CONDITIONS, ConversionPass, WalkPass
 from repro.profiling import Profiler
 from repro.rewrite.conversion import ConversionTarget, TypeConverter
 from repro.rewrite.pattern import pattern
@@ -78,9 +78,73 @@ class TestConversionPass:
         assert {name for name, cls in PASS_REGISTRY.items()
                 if issubclass(cls, ConversionPass)} == {
             "convert-arith-to-llvm", "convert-cf-to-llvm",
-            "convert-scf-to-cf", "convert-stablehlo-to-arith",
-            "lower-affine", "tosa-to-linalg", "tosa-to-linalg-named",
-            "tosa-to-tensor"}
+            "convert-func-to-llvm", "convert-scf-to-cf",
+            "convert-stablehlo-to-arith", "finalize-memref-to-llvm",
+            "lower-affine", "reconcile-unrealized-casts", "tosa-to-linalg",
+            "tosa-to-linalg-named", "tosa-to-tensor"}
+
+
+@pattern("test.op", generates={"test.made"})
+def make(op, rewriter):
+    return False
+
+
+class TestWalkPass:
+    """A walk-driven pass's conditions are its patterns' roots and what
+    they generate; one walk is their fixpoint only when they generate
+    none of their roots."""
+
+    def test_conditions_are_derived(self):
+        declared = type("Walked", (WalkPass,), {"PATTERNS": (make,)})
+        assert declared.PRECONDITIONS == {"test.op"}
+        assert declared.POSTCONDITIONS == {"test.made"}
+
+    def test_a_pattern_that_generates_its_own_root_is_refused(self):
+        @pattern(frozenset({"test.op", "test.made"}),
+                 generates={"test.made"})
+        def regrow(op, rewriter):
+            return False
+
+        with pytest.raises(TypeError, match="test.made"):
+            type("Regrowing", (WalkPass,), {"PATTERNS": (make, regrow)})
+
+    def test_the_walk_driven_passes(self):
+        assert {name for name, cls in PASS_REGISTRY.items()
+                if issubclass(cls, WalkPass)
+                and not name.startswith("test-")} == {
+            "expand-strided-metadata", "tosa-make-broadcastable",
+            "tosa-optional-decompositions", "tosa-to-arith"}
+
+
+class TestWrittenConditions:
+    """Only a pass in ``WRITTEN_CONDITIONS`` writes a condition set, and
+    the dict may only shrink."""
+
+    @pytest.mark.parametrize("base", [Pass, WalkPass, ConversionPass])
+    @pytest.mark.parametrize("written", ["PRECONDITIONS", "POSTCONDITIONS"])
+    def test_a_pass_outside_the_dict_that_writes_is_refused(self, base,
+                                                            written):
+        with pytest.raises(TypeError, match=written):
+            type("Writing", (base,), {"NAME": "test-writing",
+                                      written: {"test.op"}})
+
+    def test_the_dict_may_only_shrink(self):
+        assert set(WRITTEN_CONDITIONS) <= {
+            "expand-strided-metadata", "finalize-memref-to-llvm",
+            "tosa-make-broadcastable"}
+        assert all(reason.strip() for reason in WRITTEN_CONDITIONS.values())
+
+    def test_every_entry_says_more_than_its_patterns(self):
+        for name in WRITTEN_CONDITIONS:
+            cls = PASS_REGISTRY[name]
+            derived = tuple(map(frozenset, cls.derive_conditions()))
+            assert (cls.PRECONDITIONS, cls.POSTCONDITIONS) != derived, name
+
+    def test_a_written_postcondition_adds_to_the_derived_one(self):
+        expand = PASS_REGISTRY["expand-strided-metadata"]
+        assert expand.POSTCONDITIONS == {
+            *expand.PATTERNS[0].generates, "memref.subview.constr"}
+        assert "affine.apply" in expand.PATTERNS[0].generates
 
 
 class TestPassManager:

@@ -26,10 +26,11 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16675,  # all of src/repro
+    ".": 16633,  # all of src/repro
     "analysis": 807,
     "autotuning": 353,
-    "core": 1811,
+    # -11: one resolver reads a transform op's and a pass's conditions.
+    "core": 1800,
     "core/state.py": 130,
     "dialects": 1209,
     "enzyme": 745,
@@ -50,7 +51,10 @@ BUDGETS = {
     "irdl": 267,
     "mlmodels": 192,
     "observability": 527,
-    "passes": 1596,
+    # -49: every pass that applies patterns declares them, and its
+    # conditions are derived; the hand-written walks and condition sets
+    # go, save the three ``WRITTEN_CONDITIONS`` entries.
+    "passes": 1547,
     "profiling": 144,
     # A pattern roots at a name, a set of names or a dialect, and the
     # conversion driver visits each op once, each attempt under an undo
@@ -60,8 +64,9 @@ BUDGETS = {
     # postconditions (passes -39). +30: ``get_or_create``, the uniquer
     # that shares one empty tensor and zero per block among the TOSA
     # lowerings, so ``cse`` no longer deletes what they built (passes
-    # -10).
-    "rewrite": 499,
+    # -10). +18: the single-walk driver (``walk.py``) that four passes
+    # are declared on (passes -49).
+    "rewrite": 517,
     # +65: one frame codec (``wire.py``) for the daemon and both
     # clients: IR text crosses as raw body bytes, not JSON strings, and
     # a frame no reader can follow (over-long header, bad body length)
