@@ -7,22 +7,22 @@ dialect prefix of ``!dialect.kind`` tokens.
 
 The lexer is one compiled alternation run once over the whole text by
 ``re.split`` (no per-lexeme Python loop); tokens are plain strings whose
-class (:func:`token_kind`) follows from the first character. A shaped
-type's keyword, ``<`` and dimension list — and the closing ``>`` when
-the element type is a builtin scalar — are *one* lexeme
-(``tensor<4x?x8xf32>``, ``memref<?x4x``), so the common type is one
-token and one lookup in the parser's per-parse intern table. Offsets
-are kept per token and turned into line/column only where a location
-is materialised: an operation's ``FileLineColLoc`` and a
+class (:func:`token_kind`) follows from the first characters. What the
+printer spells the same way every time is *one* lexeme: a shaped type
+up to its dimension list, and its closing ``>`` when the element type
+is a builtin scalar (``tensor<4x?x8xf32>``, ``memref<?x4x``); an
+operand list of values (``(%0, %1)``); and a signature whose every type
+is one such lexeme (``(tensor<4xf32>, i32) -> tensor<4xf32>``), which
+the parser's per-parse intern table maps to its ``FunctionType``. A
+token's line and column are worked out only where a location is
+materialised: an operation's ``FileLineColLoc`` and a
 :class:`ParseError`.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
-from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .attributes import (
     ArrayAttr,
@@ -65,30 +65,47 @@ from .types import (
 _SKIP = r"\s*(?://[^\n]*\s*)*"
 _SKIP_RE = re.compile(_SKIP)
 
+_SCALAR = r"(?:[su]?i\d+|f\d+|index)"
+_NAME = r"[A-Za-z0-9_.$\-]"
+_SHAPED = r"(?:tensor|vector|memref)<(?:(?:\d+|\?)x)*"
+_VALUE = r"%[A-Za-z0-9_#$.\-]+"
+#: A type the lexer lets into a signature lexeme: a shaped type closed
+#: by its builtin scalar, a scalar, or a dialect type with no ``<``
+#: parameters. In a list the ``, `` or ``)`` after it ends it; last in
+#: the signature, lookaheads do, the one for a dialect type up front
+#: (and refusing a ``//`` comment too) so that a type with parameters
+#: fails before it is matched.
+_TYPE = "(?:" + _SHAPED + _SCALAR + ">|" + _SCALAR + "|none|![A-Za-z_]" + _NAME + "*)"
+_LAST_TYPE = ("(?:" + _SHAPED + _SCALAR + ">|(?:" + _SCALAR + "|none)(?!" + _NAME
+              + r")|!(?!" + _NAME + r"*\s*[</])[A-Za-z_]" + _NAME + "*(?!" + _NAME + "))")
+#: A type list after its ``(``, up to and including the ``)``.
+_TYPES = "(?:" + _TYPE + "(?:, " + _TYPE + r")*)?\)"
+
 #: Group 1 is a lexeme, group 2 the whitespace and comments after it,
 #: so ``split`` yields ``[junk, lexeme, skipped] * n + [junk]`` where
 #: every ``junk`` is empty unless the text has a character no rule
-#: matches. Punctuation is tried first because it is the most frequent
-#: class and starts no other lexeme; among the rest the order decides:
-#: the shaped-type lexeme and the numbers (``inf``/``nan`` included)
-#: win over identifiers.
-_TOKEN_RE = re.compile(
-    r"""(
-    [()\[\]{}<>,:=*+?]
-  | "(?:[^"\\]|\\.)*"
-  | ->
-  | %[A-Za-z0-9_#$.\-]+
-  | [\^@][A-Za-z0-9_$.\-]+
-  | ![A-Za-z_][A-Za-z0-9_.$\-]*
-  | (?:tensor|vector|memref)<(?:(?:\d+|\?)x)*(?:(?:[su]?i\d+|f\d+|index)>)?
-  | -?\d+\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?|-?(?:inf|nan)\b
-  | [A-Za-z_][A-Za-z0-9_.$\-]*
-    )(""" + _SKIP + ")",
-    re.VERBOSE,
-)
+#: matches. A ``(`` is tried first, as the two fused lexemes in the
+#: printer's spelling, an operand list and a signature, or else alone;
+#: then the other punctuation, the most frequent class; among the rest
+#: the order decides: the shaped-type lexeme and the numbers
+#: (``inf``/``nan`` included) win over identifiers.
+_TOKEN_RE = re.compile("(" + "|".join([
+    r"\((?:" + _VALUE + "(?:, " + _VALUE + r")*\)|" + _TYPES + r" -> (?:\("
+    + _TYPES + "|" + _LAST_TYPE + "))?",
+    r"[)\[\]{}<>,:=*+?]",
+    r'"(?:[^"\\]|\\.)*"',
+    "->",
+    _VALUE,
+    r"[\^@]" + _NAME + "+",
+    "![A-Za-z_]" + _NAME + "*",
+    _SHAPED + "(?:" + _SCALAR + ">)?",
+    r"-?\d+\.\d+(?:[eE][-+]?\d+)?|-?\d+(?:[eE][-+]?\d+)?|-?(?:inf|nan)\b",
+    "[A-Za-z_]" + _NAME + "*",
+]) + ")(" + _SKIP + ")")
 
 _SHAPED_RE = re.compile(r"(\w+)<((?:(?:\d+|\?)x)*)(.*)")
-_NEWLINE_RE = re.compile(r"\n")
+#: A fused lexeme's tokens, each with the skipped space after it.
+_PIECES_RE = re.compile(r"([(),]|[^(), ]+)( ?)")
 
 _KIND_BY_FIRST_CHAR: Dict[str, str] = {
     "": "eof", '"': "string", "%": "value", "^": "block", "@": "symbol",
@@ -99,7 +116,8 @@ _KIND_BY_FIRST_CHAR: Dict[str, str] = {
 def token_kind(token: str) -> str:
     """The lexical class of ``token``: ``string``, ``arrow``, ``value``,
     ``block``, ``symbol``, ``typetok``, ``number``, ``ident`` (shaped-type
-    lexemes included), ``punct`` or ``eof`` (the empty sentinel)."""
+    lexemes included), ``operands`` and ``signature`` (the two fused
+    lexemes), ``punct`` or ``eof`` (the empty sentinel)."""
     first = token[:1]
     kind = _KIND_BY_FIRST_CHAR.get(first)
     if kind is None:
@@ -107,6 +125,8 @@ def token_kind(token: str) -> str:
             return "number"
         if first.isalpha():
             return "number" if token in ("inf", "nan") else "ident"
+        if first == "(" and token != "(":
+            return "operands" if token[1] == "%" else "signature"
         return "punct"
     if first == "-" and token == "->":
         return "arrow"
@@ -136,8 +156,10 @@ def register_type_parser(prefix: str,
 # Parser
 # ---------------------------------------------------------------------------
 
-_INT_TYPE_RE = re.compile(r"^(si|ui|i)(\d+)$")
-_FLOAT_TYPE_RE = re.compile(r"^f(\d+)$")
+_SCALAR_TYPE_RE = re.compile(r"(si|ui|i)(\d+)|f(\d+)|index|none")
+_SIGNED = {"i": None, "si": True, "ui": False}
+_KEYWORD_ATTRS = {"unit": UnitAttr(), "true": BoolAttr(True),
+                  "false": BoolAttr(False)}
 _SHAPED_TYPES = {"tensor": TensorType, "vector": VectorType,
                  "memref": MemRefType}
 
@@ -149,41 +171,41 @@ class Parser:
         # Lexing starts after the leading whitespace and comments, so a
         # comment is only ever skipped whole, never searched for lexemes.
         lead = _SKIP_RE.match(text).end()
-        parts = _TOKEN_RE.split(text[lead:])
+        self._parts = _TOKEN_RE.split(text[lead:])
         #: Lexemes as plain strings, closed by the empty ``eof`` sentinel.
-        self.tokens: List[str] = parts[1::3]
+        self.tokens: List[str] = self._parts[1::3]
         self.tokens.append("")
-        #: ``_offsets[i]`` is where ``tokens[i]`` starts in ``text``.
-        self._offsets = list(accumulate(map(len, parts), initial=lead))[1::3]
-        self._line_starts: Optional[List[int]] = None
+        #: (part, its offset, its line) of the last position asked for.
+        self._start = self._cursor = (0, lead, text.count("\n", 0, lead) + 1)
         self.index = 0
-        if any(parts[::3]):
-            junk = next(i for i in range(0, len(parts), 3) if parts[i])
-            offset = lead + sum(map(len, parts[:junk]))
-            raise self._error_at(
-                f"unexpected character {text[offset]!r}", offset, text[offset])
-        #: One-token types seen by this parse (types are immutable
-        #: values, so every occurrence shares one object).
+        if any(self._parts[::3]):
+            junk = next(i for i, part in enumerate(self._parts[::3]) if part)
+            char = self._parts[3 * junk][0]
+            raise self._error_at(f"unexpected character {char!r}", 3 * junk, char)
+        #: One-token types and signature lexemes seen by this parse
+        #: (types are immutable values, so every occurrence shares one
+        #: object).
         self._types: Dict[str, Type] = {}
+        self._signatures: Dict[str, Tuple[Tuple[Type, ...], ...]] = {}
         self.value_scope: List[Dict[str, Value]] = [{}]
         self.block_scope: List[Dict[str, Block]] = [{}]
 
     # -- positions and errors ------------------------------------------------
 
-    def _line_col(self, offset: int) -> Tuple[int, int]:
-        if self._line_starts is None:
-            self._line_starts = [0]
-            self._line_starts.extend(
-                m.end() for m in _NEWLINE_RE.finditer(self.text))
-        line = bisect_right(self._line_starts, offset)
-        return line, offset - self._line_starts[line - 1] + 1
+    def _line_col(self, part: int) -> Tuple[int, int]:
+        """Where ``_parts[part]`` starts (token ``i`` is part ``3i+1``),
+        counted on from the last position asked for: op locations are
+        asked for in text order, so a parse sums each part's length once."""
+        at, offset, line = self._cursor
+        if part < at:
+            at, offset, line = self._start
+        end = offset + sum(map(len, self._parts[at:part]))
+        line += self.text.count("\n", offset, end)
+        self._cursor = (part, end, line)
+        return line, end - self.text.rfind("\n", 0, end)
 
-    def _location(self) -> FileLineColLoc:
-        return FileLineColLoc(
-            self.filename, *self._line_col(self._offsets[self.index]))
-
-    def _error_at(self, message: str, offset: int, near: str) -> ParseError:
-        line, col = self._line_col(offset)
+    def _error_at(self, message: str, part: int, near: str) -> ParseError:
+        line, col = self._line_col(part)
         return ParseError(f"{message} at line {line}:{col} near {near!r}")
 
     def error(self, message: str, index: Optional[int] = None) -> ParseError:
@@ -191,14 +213,30 @@ class Parser:
         the current token)."""
         if index is None:
             index = self.index
-        return self._error_at(message, self._offsets[index],
-                              self.tokens[index])
+        return self._error_at(message, 3 * index + 1, self.tokens[index])
+
+    def _name_error(self, message: str, name: str, near: int) -> ParseError:
+        """An error at the first token ``name`` at or after token
+        ``near``, operand-list lexemes on the way split into theirs."""
+        while self.tokens[near] != name:
+            if token_kind(self.tokens[near]) == "operands":
+                self._split(near)
+            near += 1
+        return self.error(message, near)
+
+    def _split(self, index: int) -> None:
+        """Replace fused lexeme ``index`` by the tokens it fused, each
+        at its own offset. Called on the way to an error (or for a
+        dialect type that reads past its lexeme), so the splice and the
+        offset count starting over cost no other parse."""
+        pieces = _PIECES_RE.findall(self.tokens[index])
+        pieces[-1] = (pieces[-1][0], self._parts[3 * index + 2])
+        self.tokens[index:index + 1] = [token for token, _ in pieces]
+        self._parts[3 * index + 1:3 * index + 3] = [
+            part for piece in pieces for part in ("", *piece)][1:]
+        self._cursor = self._start
 
     # -- token plumbing ------------------------------------------------------
-
-    @property
-    def token(self) -> str:
-        return self.tokens[self.index]
 
     def advance(self) -> str:
         token = self.tokens[self.index]
@@ -234,16 +272,15 @@ class Parser:
         index at or before the defining occurrence of ``name``."""
         scope = self.value_scope[-1]
         if name in scope:
-            raise self.error(f"redefinition of SSA value {name}",
-                             self.tokens.index(name, near))
+            raise self._name_error(f"redefinition of SSA value {name}",
+                                   name, near)
         scope[name] = value
 
     def lookup_value(self, name: str, near: int) -> Value:
         for scope in reversed(self.value_scope):
             if name in scope:
                 return scope[name]
-        raise self.error(f"use of undefined value {name}",
-                         self.tokens.index(name, near))
+        raise self._name_error(f"use of undefined value {name}", name, near)
 
     def lookup_block(self, name: str) -> Block:
         scope = self.block_scope[-1]
@@ -254,33 +291,31 @@ class Parser:
     # -- types ----------------------------------------------------------------
 
     def parse_type(self) -> Type:
-        start = self.index
-        token = self.tokens[start]
-        interned = self._types.get(token)
-        if interned is not None:
-            self.index = start + 1
-            return interned
-        if token == "(":
+        token = self.tokens[self.index]
+        if token[:1] == "(":
             return self.parse_function_type()
-        kind = token_kind(token)
-        if kind == "typetok":
-            parsed = self.parse_dialect_type()
-        elif kind == "ident":
-            parsed = self.parse_builtin_type()
-        else:
+        if token_kind(token) not in ("typetok", "ident"):
             raise self.error("expected type")
-        if self.index == start + 1:
+        return self._lexeme_type(token, self.index)
+
+    def _lexeme_type(self, token: str, index: int) -> Type:
+        """The type spelled from lexeme ``token`` of token ``index`` on,
+        the parser just past that token; memoized if it is all of it."""
+        self.index = index + 1
+        parsed = self._types.get(token)
+        if parsed is not None:
+            return parsed
+        if token[0] == "!":
+            parsed = self._dialect_type(token, index)
+        elif "<" in token:
+            parsed = self._parse_shaped_type(token)
+        else:
+            parsed = _scalar_type(token)
+            if parsed is None:
+                raise self.error(f"unknown type {token!r}", index)
+        if self.index == index + 1:
             self._types[token] = parsed
         return parsed
-
-    def parse_builtin_type(self) -> Type:
-        token = self.advance()
-        if "<" in token:
-            return self._parse_shaped_type(token)
-        scalar = _scalar_type(token)
-        if scalar is None:
-            raise self.error(f"unknown type {token!r}", self.index - 1)
-        return scalar
 
     def _parse_shaped_type(self, token: str) -> Type:
         """``token`` is a shaped-type lexeme: ``tensor<4x?x8xf32>`` whole,
@@ -297,15 +332,10 @@ class Parser:
         element = self.parse_type()
         tail: Tuple = ()
         if keyword == "memref" and self.accept(","):
-            layout = None
-            memory_space = 0
-            if self.check("strided"):
-                layout = self.parse_strided_layout()
-                if self.accept(","):
-                    memory_space = int(self.expect_kind("number"))
-            else:
-                memory_space = int(self.expect_kind("number"))
-            tail = (layout, memory_space)
+            # ``, strided<...>``, ``, strided<...>, 1`` or ``, 1``.
+            layout = self.parse_strided_layout() if self.check("strided") else None
+            tail = (layout, int(self.expect_kind("number"))
+                    if layout is None or self.accept(",") else 0)
         self.expect(">")
         return _SHAPED_TYPES[keyword](shape, element, *tail)
 
@@ -315,45 +345,68 @@ class Parser:
         self.expect("[")
         strides: List[int] = []
         while not self.accept("]"):
-            if self.accept("?"):
-                strides.append(DYNAMIC)
-            else:
-                strides.append(int(self.expect_kind("number")))
+            strides.append(self._parse_dim())
             self.accept(",")
         offset = 0
         if self.accept(","):
             self.expect("offset")
             self.expect(":")
-            if self.accept("?"):
-                offset = DYNAMIC
-            else:
-                offset = int(self.expect_kind("number"))
+            offset = self._parse_dim()
         self.expect(">")
         return MemRefLayout(offset, tuple(strides))
 
+    def _parse_dim(self) -> int:
+        return DYNAMIC if self.accept("?") else int(self.expect_kind("number"))
+
     def _parse_type_list(self) -> List[Type]:
         """Types up to and including the closing ``)``."""
-        types: List[Type] = []
-        while not self.accept(")"):
-            types.append(self.parse_type())
-            self.accept(",")
-        return types
+        tokens, i, parsed = self.tokens, self.index, []
+        while tokens[i] != ")":
+            self.index = i
+            parsed.append(self.parse_type())
+            i = self.index + (tokens[self.index] == ",")
+        self.index = i + 1
+        return parsed
 
-    def _parse_signature(self) -> Tuple[List[Type], List[Type]]:
-        """``(inputs) -> results``, as two lists."""
-        self.expect("(")
-        inputs = self._parse_type_list()
-        self.expect("->")
-        if self.accept("("):
-            return inputs, self._parse_type_list()
-        return inputs, [self.parse_type()]
+    def _parse_signature(self) -> Tuple[Sequence[Type], Sequence[Type]]:
+        """``(inputs) -> results``, as two sequences: token by token, or
+        from one signature lexeme, whose types the lexer let in only as
+        single lexemes."""
+        start = self.index
+        token = self.tokens[start]
+        if token == "(" or token[1] == "%":  # not a signature lexeme
+            self.expect("(")
+            inputs = self._parse_type_list()
+            self.expect("->")
+            if self.accept("("):
+                return inputs, self._parse_type_list()
+            return inputs, [self.parse_type()]
+        self.index = start + 1
+        signature = self._signatures.get(token)
+        if signature is None:
+            try:  # the inputs, then the results (parenthesised or not)
+                signature = tuple(
+                    tuple(self._lexeme_type(spelling, start)
+                          for spelling in types.strip("()").split(", ") if spelling)
+                    for types in token[1:].split(") -> "))
+            except ParseError:
+                pass
+            if signature is None or self.index != start + 1:
+                # A type that failed or read past the lexeme: read its
+                # tokens one by one, which say where it went wrong.
+                self._split(start)
+                self.index = start
+                return self._parse_signature()
+            self._signatures[token] = signature
+        return signature
 
     def parse_function_type(self) -> FunctionType:
         inputs, results = self._parse_signature()
         return FunctionType(tuple(inputs), tuple(results))
 
-    def parse_dialect_type(self) -> Type:
-        token = self.expect_kind("typetok")
+    def _dialect_type(self, token: str, index: int) -> Type:
+        """The type ``!dialect.kind`` lexeme ``token`` (token ``index``)
+        starts; a dialect's type parser reads on after that token."""
         body = token[1:]  # strip '!'
         dialect = body.split(".", 1)[0]
         parser_fn = TYPE_PARSERS.get(dialect)
@@ -368,9 +421,8 @@ class Parser:
             self.expect(">")
             return LLVMStructType(tuple(members))
         if "." in body:
-            dialect_name, kind = body.split(".", 1)
-            return OpaqueType(dialect_name, kind)
-        raise self.error(f"unknown dialect type {token!r}", self.index - 1)
+            return OpaqueType(*body.split(".", 1))
+        raise self.error(f"unknown dialect type {token!r}", index)
 
     # -- attributes -------------------------------------------------------------
 
@@ -382,13 +434,9 @@ class Parser:
             return StringAttr(_unescape(token[1:-1]))
         if kind == "number":
             self.index += 1
-            if _is_float_literal(token):
-                if self.accept(":"):
-                    return FloatAttr(float(token), self.parse_type())
-                return FloatAttr(float(token))
-            if self.accept(":"):
-                return IntegerAttr(int(token), self.parse_type())
-            return IntegerAttr(int(token))
+            cls, value = ((FloatAttr, float(token)) if _is_float_literal(token)
+                          else (IntegerAttr, int(token)))
+            return cls(value, self.parse_type()) if self.accept(":") else cls(value)
         if kind == "symbol":
             self.index += 1
             nested: List[str] = []
@@ -396,15 +444,9 @@ class Parser:
                 self.index += 2
                 nested.append(self.expect_kind("symbol")[1:])
             return SymbolRefAttr(token[1:], tuple(nested))
-        if token == "unit":
+        if token in _KEYWORD_ATTRS:
             self.index += 1
-            return UnitAttr()
-        if token == "true":
-            self.index += 1
-            return BoolAttr(True)
-        if token == "false":
-            self.index += 1
-            return BoolAttr(False)
+            return _KEYWORD_ATTRS[token]
         if token == "[":
             self.index += 1
             values: List[Attribute] = []
@@ -427,14 +469,9 @@ class Parser:
             dense_type = self.parse_type()
             element = getattr(dense_type, "element_type", None)
             if isinstance(element, FloatType) or any(
-                _is_float_literal(lit) for lit in literals
-            ):
-                return DenseFloatAttr(
-                    tuple(float(lit) for lit in literals), dense_type
-                )
-            return DenseIntAttr(
-                tuple(int(lit) for lit in literals), dense_type
-            )
+                    _is_float_literal(lit) for lit in literals):
+                return DenseFloatAttr(tuple(map(float, literals)), dense_type)
+            return DenseIntAttr(tuple(map(int, literals)), dense_type)
         # Fall back to a type attribute.
         return TypeAttr(self.parse_type())
 
@@ -449,10 +486,7 @@ class Parser:
             elif kind != "ident":
                 raise self.error("expected attribute name")
             self.index += 1
-            if self.accept("="):
-                out[name] = self.parse_attribute()
-            else:
-                out[name] = UnitAttr()
+            out[name] = self.parse_attribute() if self.accept("=") else UnitAttr()
             self.accept(",")
         return out
 
@@ -461,75 +495,85 @@ class Parser:
     def parse_module(self) -> Operation:
         """Parse a single top-level operation (usually builtin.module)."""
         op = self.parse_operation()
-        if self.token:
+        if self.tokens[self.index]:
             raise self.error("trailing input after top-level op")
         return op
 
     def parse_operation(self) -> Operation:
-        start = self.index
-        location = self._location()
+        tokens = self.tokens
+        start = i = self.index
+        location = FileLineColLoc(self.filename, *self._line_col(3 * start + 1))
         result_names: List[str] = []
-        if self.tokens[start][:1] == "%":
-            result_names.append(self.advance())
-            while self.accept(","):
-                result_names.append(self.expect_kind("value"))
-            self.expect("=")
-        name_index = self.index
-        op_name = _unescape(self.expect_kind("string")[1:-1])
+        if tokens[i][:1] == "%":
+            result_names.append(tokens[i])
+            i += 1
+            while tokens[i] == ",":
+                if tokens[i + 1][:1] != "%":
+                    raise self.error("expected value", i + 1)
+                result_names.append(tokens[i + 1])
+                i += 2
+            if tokens[i] != "=":
+                raise self.error("expected '='", i)
+            i += 1
+        name_index = i
+        if tokens[i][:1] != '"':
+            raise self.error("expected string", i)
+        op_name = _unescape(tokens[i][1:-1])
+        i += 1
+        if tokens[i][:2] == "(%":
+            operand_names = tokens[i][1:-1].split(", ")
+            i += 1
+        elif tokens[i] != "(":
+            raise self.error("expected '('", i)
+        else:
+            operand_names = []
+            i += 1
+            while tokens[i] != ")":
+                if tokens[i][:1] != "%":
+                    raise self.error("expected value", i)
+                operand_names.append(tokens[i])
+                i += 2 if tokens[i + 1] == "," else 1
+            i += 1
 
-        self.expect("(")
-        operand_names: List[str] = []
-        while not self.accept(")"):
-            operand_names.append(self.expect_kind("value"))
-            self.accept(",")
-
+        self.index = i
         successors: List[Block] = []
         if self.accept("["):
             while not self.accept("]"):
-                successors.append(
-                    self.lookup_block(self.expect_kind("block")))
+                successors.append(self.lookup_block(self.expect_kind("block")))
                 self.accept(",")
 
         regions_blocks: List[List[Block]] = []
-        if self.check("(") and self.tokens[self.index + 1] == "{":
+        if tokens[self.index] == "(" and tokens[self.index + 1] == "{":
             self.index += 1  # '('
-            while True:
+            regions_blocks.append(self.parse_region_blocks())
+            while self.accept(","):
                 regions_blocks.append(self.parse_region_blocks())
-                if not self.accept(","):
-                    break
             self.expect(")")
 
         attributes: Dict[str, Attribute] = {}
-        if self.check("{"):
+        if tokens[self.index] == "{":
             attributes = self.parse_attr_dict()
 
-        self.expect(":")
+        i = self.index
+        if tokens[i] != ":":
+            raise self.error("expected ':'", i)
+        self.index = i + 1
+        if tokens[i + 1][:1] != "(":
+            raise self.error("expected '('")
         input_types, result_types = self._parse_signature()
         if len(input_types) != len(operand_names):
-            raise self.error(
-                f"{op_name}: operand count does not match type", name_index
-            )
+            raise self.error(f"{op_name}: operand count does not match type", name_index)
         if len(result_types) != len(result_names):
-            raise self.error(
-                f"{op_name}: result count does not match type", name_index
-            )
+            raise self.error(f"{op_name}: result count does not match type", name_index)
 
         operands = [self.lookup_value(n, name_index) for n in operand_names]
-        op = Operation.create(
-            op_name,
-            operands=operands,
-            result_types=result_types,
-            attributes=attributes,
-            regions=len(regions_blocks),
-            successors=successors,
-            location=location,
-        )
+        op = Operation.create(op_name, operands, result_types, attributes,
+                              len(regions_blocks), successors, location)
         for region, blocks in zip(op.regions, regions_blocks):
             # ``({})`` is how a block-less region *and* a lone empty
             # block print; it reads as the latter unless the op's class
             # gives the former a meaning (a func.func declaration).
-            if not blocks and not getattr(op, "EMPTY_REGION_IS_BLOCKLESS",
-                                          False):
+            if not blocks and not getattr(op, "EMPTY_REGION_IS_BLOCKLESS", False):
                 blocks = [Block()]
             for block in blocks:
                 region.add_block(block)
@@ -545,12 +589,7 @@ class Parser:
         self.block_scope.append({})
         blocks: List[Block] = []
 
-        def current_block() -> Block:
-            if not blocks:
-                blocks.append(Block())
-            return blocks[-1]
-
-        while not self.check("}"):
+        while self.tokens[self.index] != "}":
             if self.tokens[self.index][:1] == "^":
                 label = self.advance()
                 block = self.lookup_block(label)
@@ -565,7 +604,9 @@ class Parser:
                 self.expect(":")
                 blocks.append(block)
             else:
-                current_block().append(self.parse_operation())
+                if not blocks:
+                    blocks.append(Block())
+                blocks[-1].append(self.parse_operation())
         self.expect("}")
         self.value_scope.pop()
         self.block_scope.pop()
@@ -575,13 +616,7 @@ class Parser:
 def _is_float_literal(text: str) -> bool:
     """True for number tokens that denote floats (``1.5``, ``1e-30``,
     ``inf``/``-inf``/``nan``), false for plain integers."""
-    return (
-        "." in text
-        or "e" in text
-        or "E" in text
-        or "inf" in text
-        or "nan" in text
-    )
+    return not text.lstrip("-").isdecimal()
 
 
 def _unescape(text: str) -> str:
@@ -592,19 +627,15 @@ def _unescape(text: str) -> str:
 
 def _scalar_type(text: str) -> Optional[Type]:
     """The builtin non-shaped type spelled ``text``, if any."""
-    int_match = _INT_TYPE_RE.match(text)
-    if int_match:
-        prefix, width = int_match.group(1), int(int_match.group(2))
-        signed = {"i": None, "si": True, "ui": False}[prefix]
-        return IntegerType(width, signed)
-    float_match = _FLOAT_TYPE_RE.match(text)
-    if float_match:
-        return FloatType(int(float_match.group(1)))
-    if text == "index":
-        return IndexType()
-    if text == "none":
-        return NoneType()
-    return None
+    match = _SCALAR_TYPE_RE.fullmatch(text)
+    if match is None:
+        return None
+    signedness, width, float_width = match.groups()
+    if width:
+        return IntegerType(int(width), _SIGNED[signedness])
+    if float_width:
+        return FloatType(int(float_width))
+    return IndexType() if text == "index" else NoneType()
 
 
 def parse(text: str, filename: str = "<string>") -> Operation:

@@ -620,7 +620,7 @@ def convert_aligned_pointer(candidate: Operation, rewriter) -> bool:
     return True
 
 
-@pattern(frozenset({"memref.cast", "memref.copy"}), label="memref-forward")
+@pattern("memref.cast", label="memref-forward")
 def forward_source(candidate: Operation, rewriter) -> bool:
     rewriter.replace_op(candidate, rewriter.remapped_operands(candidate)[:1])
     return True

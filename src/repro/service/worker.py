@@ -18,10 +18,12 @@ sequential runs produce byte-identical output and identical stats.
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
+import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -37,14 +39,60 @@ ParamBindings = Mapping[str, Union[int, Sequence[int]]]
 #: frees them after the reply is sent. None in every other process.
 _unfreed: Optional[List[Operation]] = None
 
+#: Jobs in flight in this process, and whether the cyclic collector was
+#: on when the first of them began (:func:`collector_paused`).
+_jobs_in_flight = 0
+_collector_was_enabled = False
+_pause_lock = threading.Lock()
+
+
+@contextmanager
+def collector_paused():
+    """Keep the cyclic collector off while at least one job is in
+    flight in this process.
+
+    A job leaves no cyclic garbage (``Operation.destroy`` breaks the
+    IR's cycles, DESIGN.md §11), so a collection while its IR is alive
+    scans all of it and finds nothing. The collector is process state,
+    so the count of jobs is module state: nested and concurrent jobs
+    share one pause, and the last to finish turns the collector back on
+    only if it was on when the first began."""
+    global _jobs_in_flight, _collector_was_enabled
+    with _pause_lock:
+        if not _jobs_in_flight:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _jobs_in_flight += 1
+    try:
+        yield
+    finally:
+        with _pause_lock:
+            _jobs_in_flight -= 1
+            if not _jobs_in_flight and _collector_was_enabled:
+                gc.enable()
+
+
+def _forked() -> None:
+    # A forked child runs none of its parent's jobs, and a thread that
+    # held the lock at the fork does not exist in it.
+    global _jobs_in_flight, _pause_lock
+    if _jobs_in_flight and _collector_was_enabled:
+        gc.enable()
+    _jobs_in_flight = 0
+    _pause_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forked)
+
 
 def serve(conn) -> None:
     """A pool worker process's whole life (the engine forks it): take a
     ``(fn, args)`` call off ``conn``, send back ``(True, fn(*args))`` or
     ``(False, the exception)``, then free the job's IR — the caller is
     not kept waiting for it, and the next call still starts with it
-    freed. Returns when the engine's end is gone; the engine kills it
-    sooner."""
+    freed. The collector is paused from the call until the IR is freed
+    (:func:`collector_paused`). Returns when the engine's end is gone;
+    the engine kills it sooner."""
     global _unfreed
     _unfreed = []
     # Forked off a daemon, the worker would share its event loop's
@@ -57,14 +105,15 @@ def serve(conn) -> None:
             fn, args = conn.recv()
         except EOFError:
             return
-        try:
-            reply = (True, fn(*args))
-        except Exception as error:
-            reply = (False, error)
-        conn.send(reply)
-        for module in _unfreed:
-            module.destroy()
-        _unfreed.clear()
+        with collector_paused():
+            try:
+                reply = (True, fn(*args))
+            except Exception as error:
+                reply = (False, error)
+            conn.send(reply)
+            for module in _unfreed:
+                module.destroy()
+            _unfreed.clear()
 
 
 def _ensure_registered() -> None:
@@ -109,6 +158,7 @@ def bind_parameters(script: Operation, params: ParamBindings) -> int:
     return bound
 
 
+@collector_paused()
 def compile_job(payload: Union[str, Operation],
                 script: Union[str, Operation],
                 params: Optional[ParamBindings] = None,
@@ -194,6 +244,9 @@ def compile_job(payload: Union[str, Operation],
     ``function_tier`` is set by the engine — never by a user — for a
     job whose output it will publish to the per-function cache tier;
     both the pooled and the in-process route pass the same value.
+
+    The cyclic collector is paused for the whole call, parse to
+    ``destroy`` (:func:`collector_paused`).
     """
     if inject == "crash":
         os._exit(3)

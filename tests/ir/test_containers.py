@@ -177,12 +177,12 @@ def test_walk_snapshots_a_block_when_it_reaches_it():
 # ---------------------------------------------------------------------------
 
 #: Python-level + C-level calls of one squeezenet ``compile_job`` under
-#: the TOSA -> Linalg script, measured 119 384 when this guard was
-#: written (135 294 with the list-backed block, the recursive ``walk``
-#: — 20 685 generator resumptions against 10 409 — and a type spelling
-#: rebuilt on every use); the ceiling leaves ~10 % for interpreter
-#: versions and still fails that tree.
-JOB_CALLS_CEILING = 131_300
+#: the TOSA -> Linalg script, measured 52 474 with one lexeme per
+#: operand list and per signature (56 529 with one per type; 135 294
+#: with the list-backed block, the recursive ``walk`` — 20 685
+#: generator resumptions against 10 409 — and a type spelling rebuilt
+#: on every use); the ceiling leaves ~10 % for interpreter versions.
+JOB_CALLS_CEILING = 57_800
 
 
 def test_model_job_call_count_stays_under_its_ceiling():

@@ -191,6 +191,59 @@ class TestParseErrors:
             parse(text)
         assert str(raised.value) == message
 
+    #: Errors about a name or a count of an op whose operand list and
+    #: signature are one lexeme each, as the printer spells them.
+    FUSED = [
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  "b"(%0, %7) : (i32, i32) -> ()\n}) : () -> ()',
+         "use of undefined value %7 at line 3:11 near '%7'"),
+        # The name is found in the operand list, not in a later op.
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  "b"(%0, %7) : (i32, i32) -> ()\n'
+         '  %7 = "a"() : () -> i32\n}) : () -> ()',
+         "use of undefined value %7 at line 3:11 near '%7'"),
+        # ...and as a whole name, not as the prefix of another.
+        ('"m"() ({\n  %10 = "a"() : () -> i32\n'
+         '  "b"(%10, %1) : (i32, i32) -> ()\n}) : () -> ()',
+         "use of undefined value %1 at line 3:12 near '%1'"),
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  %0 = "b"(%0, %0) : (i32, i32) -> i32\n}) : () -> ()',
+         "redefinition of SSA value %0 at line 3:3 near '%0'"),
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  "b"(%0, %0) : (i32) -> ()\n}) : () -> ()',
+         "b: operand count does not match type at line 3:3 near '\"b\"'"),
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  %7 = "b"(%0, %0) : (i32, i32) -> ()\n}) : () -> ()',
+         "b: result count does not match type at line 3:8 near '\"b\"'"),
+        # A type in a signature lexeme fails at its own token, also
+        # when its parser reads on for a ``<`` that is not there.
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  "b"(%0, %0) : (i32, !foo) -> ()\n}) : () -> ()',
+         "unknown dialect type '!foo' at line 3:23 near '!foo'"),
+        ('"m"() ({\n  %0 = "a"() : () -> i32\n'
+         '  "b"(%0, %0) : (i32, !llvm.struct) -> ()\n}) : () -> ()',
+         "expected '<' at line 3:35 near ')'"),
+    ]
+
+    @pytest.mark.parametrize("text, message", FUSED)
+    def test_an_error_inside_a_fused_lexeme_keeps_its_position(
+            self, text, message):
+        from repro.ir.parser import Parser, token_kind
+
+        assert {"operands", "signature"} <= {
+            token_kind(token) for token in Parser(text).tokens}
+        with pytest.raises(ParseError) as raised:
+            parse(text)
+        assert str(raised.value) == message
+        # Spelled token by token at the same columns, the same op fails
+        # the same way.
+        unfused = text.replace(", ", " ,").replace(") -> ", ")  ->")
+        assert not {"operands", "signature"} & {
+            token_kind(token) for token in Parser(unfused).tokens}
+        with pytest.raises(ParseError) as raised:
+            parse(unfused)
+        assert str(raised.value) == message
+
 
 class TestParseForms:
     def test_strided_memref(self):

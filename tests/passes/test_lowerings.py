@@ -245,6 +245,39 @@ class TestFullPipeline:
         assert "memref.subview" in names
 
 
+class TestFinalizeMemRefToLLVM:
+    #: ``memref.copy(%a, %b)``: data movement, and no result to forward.
+    COPY = """
+"builtin.module"() ({
+  "func.func"() ({
+  ^bb0(%a: memref<4xf32>, %b: memref<4xf32>):
+    "memref.copy"(%a, %b) : (memref<4xf32>, memref<4xf32>) -> ()
+    "func.return"() : () -> ()
+  }) {function_type = (memref<4xf32>, memref<4xf32>) -> (), sym_name = "copy"} : () -> ()
+}) : () -> ()"""
+
+    def test_a_copy_stays_illegal_instead_of_vanishing(self):
+        # Upstream calls the ``memrefCopy`` runtime function; without
+        # that lowering the conversion must fail, not drop the copy.
+        from repro.ir import parse
+
+        module = parse(self.COPY)
+        with pytest.raises(ConversionError,
+                           match="failed to legalize operation 'memref.copy'"):
+            PassManager(["convert-func-to-llvm",
+                         "finalize-memref-to-llvm"]).run(module)
+
+    def test_a_cast_still_forwards_its_source(self):
+        from repro.ir import parse
+
+        module = parse(self.COPY.replace(
+            '"memref.copy"(%a, %b) : (memref<4xf32>, memref<4xf32>) -> ()',
+            '%c = "memref.cast"(%a) : (memref<4xf32>) -> memref<?xf32>'))
+        PassManager(["convert-func-to-llvm", "finalize-memref-to-llvm",
+                     "reconcile-unrealized-casts"]).run(module)
+        assert op_names(module) == {"llvm.func", "llvm.return"}
+
+
 class TestLowerAffine:
     def test_apply_becomes_arith(self):
         from repro.dialects import affine as affine_dialect

@@ -26,7 +26,7 @@ SRC = ROOT / "src" / "repro"
 #: path under ``src/repro`` -> the most code lines it may have. Lower a
 #: bound when a change deletes code; raising one needs a reason.
 BUDGETS = {
-    ".": 16633,  # all of src/repro
+    ".": 16662,  # all of src/repro
     "analysis": 807,
     "autotuning": 353,
     # -11: one resolver reads a transform op's and a pass's conditions.
@@ -46,7 +46,11 @@ BUDGETS = {
     # +28: ``hashing.printed`` prints each function of a module once
     # for its print, its digest and its function-tier entry
     # (service -28: the worker's second print and the entry loop's
-    # digest go).
+    # digest go). The lexer reads an operand list and a signature as
+    # one lexeme each and the parser sums token offsets only where a
+    # location is read at no net line: the type, signature and
+    # position code it deletes and tighter memref-layout, scalar-type
+    # and attribute branches pay for it.
     "ir": 2014,
     "irdl": 267,
     "mlmodels": 192,
@@ -78,7 +82,11 @@ BUDGETS = {
     # hit is answered without a task; the package imports its client
     # and server lazily, so ``python -m`` runs one copy of them. A
     # failure costs the one worker that failed: no pool generation.
-    "service": 2663,
+    # +29: ``worker.collector_paused``, the count of jobs in flight that
+    # keeps the cyclic collector off while a job's IR is alive (in
+    # ``compile_job`` and around a pool worker's whole call), and its
+    # reset in a forked child.
+    "service": 2692,
     "service/engine.py": 608,
     "service/frontier.py": 172,
     # +30: the fuzzer checks def-use links, scopes half its rollback
