@@ -48,10 +48,13 @@ class TransformTuningProblem:
         return self.cost_model.estimate_module(self.payload_factory())
 
 
-def case_study_5_problem(batch: int = 4, m: int = 128, n: int = 128,
-                         k: int = 104,
-                         vector_width: int = 8) -> TransformTuningProblem:
-    """The Fig. 9/10 setup: tunable tiling of a batch matmul.
+#: The machine vector size VEC is a multiple of (Fig. 10).
+_VECTOR_WIDTH = 8
+
+
+def case_study_5_problem() -> TransformTuningProblem:
+    """The Fig. 9/10 setup: tunable tiling of a 4x128x128x104 batch
+    matmul.
 
     Parameters TILE1/TILE2 range over the divisors of the tiled
     dimensions (the "tile sizes must divide their dimension"
@@ -59,11 +62,12 @@ def case_study_5_problem(batch: int = 4, m: int = 128, n: int = 128,
     vectorization of the innermost loop — disabled unless the innermost
     trip count is divisible by the machine vector size (Fig. 10).
     """
+    batch, m, n, k = 4, 128, 128, 104
     space = SearchSpace(
         parameters=[
             Parameter.divisors_of("TILE1", m),
             Parameter.divisors_of("TILE2", n),
-            Parameter.of("VEC", [1, vector_width, 2 * vector_width]),
+            Parameter.of("VEC", [1, _VECTOR_WIDTH, 2 * _VECTOR_WIDTH]),
         ],
         constraints=[
             lambda config: config["VEC"] == 1 or k % config["VEC"] == 0,
@@ -132,7 +136,6 @@ def template_tuning_problem(
     template,
     payload_factory: Callable[[], Operation],
     space: SearchSpace,
-    cost_model: Optional[CostModel] = None,
 ) -> TransformTuningProblem:
     """A tuning problem driven by ONE schedule template.
 
@@ -157,43 +160,27 @@ def template_tuning_problem(
         space=space,
         payload_factory=payload_factory,
         script_factory=script_factory,
-        cost_model=cost_model or CostModel(),
     )
 
 
-def case_study_5_template(default_tile: int = 4, default_vec: int = 1):
+def case_study_5_template():
     """The Fig. 9 schedule as a frontend builder template: tile sizes
-    and vector width are ``param.constant {binding}`` knobs instead of
-    baked-in constants."""
+    and vector width are ``param.constant {binding}`` knobs (4, 4 and 1
+    until bound) instead of baked-in constants."""
     from ..frontend import Schedule
 
     schedule = Schedule()
-    tile1 = schedule.param(default_tile, binding="TILE1")
-    tile2 = schedule.param(default_tile, binding="TILE2")
-    vec = schedule.param(default_vec, binding="VEC")
+    tile1 = schedule.param(4, binding="TILE1")
+    tile2 = schedule.param(4, binding="TILE2")
+    vec = schedule.param(1, binding="VEC")
     schedule.match("scf.for", position="second") \
             .tile(sizes=[tile1, tile2], keep="inner")
     schedule.match("scf.for", position="last").vectorize(vec)
     return schedule
 
 
-def case_study_5_template_problem(batch: int = 4, m: int = 128,
-                                  n: int = 128, k: int = 104,
-                                  vector_width: int = 8
-                                  ) -> TransformTuningProblem:
+def case_study_5_template_problem() -> TransformTuningProblem:
     """The Fig. 9/10 problem re-expressed over the builder template."""
-    space = SearchSpace(
-        parameters=[
-            Parameter.divisors_of("TILE1", m),
-            Parameter.divisors_of("TILE2", n),
-            Parameter.of("VEC", [1, vector_width, 2 * vector_width]),
-        ],
-        constraints=[
-            lambda config: config["VEC"] == 1 or k % config["VEC"] == 0,
-        ],
-    )
+    problem = case_study_5_problem()
     return template_tuning_problem(
-        case_study_5_template(),
-        lambda: build_batch_matmul_module(batch, m, n, k),
-        space,
-    )
+        case_study_5_template(), problem.payload_factory, problem.space)

@@ -31,10 +31,9 @@ class Parameter:
         return Parameter(name, tuple(values))
 
     @staticmethod
-    def divisors_of(name: str, n: int,
-                    minimum: int = 1) -> "Parameter":
-        """All divisors of ``n`` >= minimum (the Fig. 10 tile-size sets)."""
-        values = [d for d in range(minimum, n + 1) if n % d == 0]
+    def divisors_of(name: str, n: int) -> "Parameter":
+        """All divisors of ``n`` (the Fig. 10 tile-size sets)."""
+        values = [d for d in range(1, n + 1) if n % d == 0]
         return Parameter(name, tuple(values))
 
 

@@ -19,6 +19,14 @@ from .space import Config, SearchSpace
 
 Objective = Callable[[Config], float]
 
+#: The RBF kernel's length scale over the normalized encoding, the
+#: noise added to the Gram matrix's diagonal, the exploration margin of
+#: expected improvement, and the candidates sampled per acquisition.
+_LENGTH_SCALE = 0.3
+_NOISE = 1e-6
+_XI = 0.01
+_CANDIDATE_POOL = 256
+
 
 @dataclass
 class Trial:
@@ -71,10 +79,7 @@ class RandomSearchTuner:
 class _GaussianProcess:
     """Minimal RBF-kernel GP regression (numpy only)."""
 
-    def __init__(self, length_scale: float = 0.3,
-                 noise: float = 1e-6):
-        self.length_scale = length_scale
-        self.noise = noise
+    def __init__(self):
         self._x: Optional[np.ndarray] = None
         self._alpha: Optional[np.ndarray] = None
         self._chol: Optional[np.ndarray] = None
@@ -87,13 +92,13 @@ class _GaussianProcess:
             + np.sum(b**2, axis=1)[None, :]
             - 2.0 * a @ b.T
         )
-        return np.exp(-0.5 * np.maximum(sq, 0.0) / self.length_scale**2)
+        return np.exp(-0.5 * np.maximum(sq, 0.0) / _LENGTH_SCALE**2)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> None:
         self._mean = float(np.mean(y))
         self._std = float(np.std(y)) or 1.0
         normalized = (y - self._mean) / self._std
-        gram = self._kernel(x, x) + self.noise * np.eye(len(x))
+        gram = self._kernel(x, x) + _NOISE * np.eye(len(x))
         self._chol = np.linalg.cholesky(gram)
         self._alpha = np.linalg.solve(
             self._chol.T, np.linalg.solve(self._chol, normalized)
@@ -112,10 +117,10 @@ class _GaussianProcess:
 
 
 def _expected_improvement(mean: np.ndarray, std: np.ndarray,
-                          best: float, xi: float = 0.01) -> np.ndarray:
+                          best: float) -> np.ndarray:
     from scipy.stats import norm
 
-    improvement = best - mean - xi
+    improvement = best - mean - _XI
     z = improvement / std
     return improvement * norm.cdf(z) + std * norm.pdf(z)
 
@@ -123,13 +128,9 @@ def _expected_improvement(mean: np.ndarray, std: np.ndarray,
 class BayesianTuner:
     """BaCO-style Bayesian optimization over a constrained space."""
 
-    def __init__(self, seed: int = 0, n_initial: int = 5,
-                 candidate_pool: int = 256,
-                 length_scale: float = 0.3):
+    def __init__(self, seed: int = 0, n_initial: int = 5):
         self.rng = np.random.default_rng(seed)
         self.n_initial = n_initial
-        self.candidate_pool = candidate_pool
-        self.length_scale = length_scale
 
     def minimize(self, objective: Objective, space: SearchSpace,
                  n_trials: int = 30) -> TuningResult:
@@ -153,13 +154,13 @@ class BayesianTuner:
         while len(result.trials) < n_trials:
             xs = space.encode_batch([t.config for t in result.trials])
             ys = np.array([t.value for t in result.trials])
-            gp = _GaussianProcess(self.length_scale)
+            gp = _GaussianProcess()
             try:
                 gp.fit(xs, ys)
             except np.linalg.LinAlgError:
                 run(space.sample(self.rng))
                 continue
-            candidates = space.sample_batch(self.rng, self.candidate_pool)
+            candidates = space.sample_batch(self.rng, _CANDIDATE_POOL)
             fresh = [
                 c for c in candidates
                 if tuple(sorted(c.items())) not in evaluated

@@ -937,10 +937,11 @@ class ApplyRegisteredPassOp(TransformOp):
         cls = PASS_REGISTRY.get(self.pass_name)
         if cls is None:
             return self.definite(f"unknown pass {self.pass_name!r}")
+        if self.attr("options") is not None:
+            return self.definite("passes take no options; drop the "
+                                 "'options' attribute")
         payload = state.get_payload(self.operand(0))
-        options_attr = self.attr("options")
-        options = unwrap(options_attr) if options_attr is not None else {}
-        pass_instance = cls(**options) if options else cls()
+        pass_instance = cls()
         for payload_op in payload:
             try:
                 pass_instance.run(payload_op)
@@ -1300,16 +1301,12 @@ def alternatives(builder: Builder, n_regions: int = 2,
 
 
 def apply_registered_pass(builder: Builder, target: Value, pass_name: str,
-                          options: Optional[Dict[str, object]] = None,
                           with_result: bool = True) -> Optional[Value]:
-    attributes: Dict[str, object] = {"pass_name": pass_name}
-    if options:
-        attributes["options"] = options
     op = builder.create(
         "transform.apply_registered_pass",
         operands=[target],
         result_types=[ANY_OP] if with_result else [],
-        attributes=attributes,
+        attributes={"pass_name": pass_name},
     )
     return op.results[0] if with_result else None
 

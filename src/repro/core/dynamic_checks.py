@@ -41,15 +41,13 @@ class ConditionViolation:
 class DynamicConditionChecker(TransformInterpreter):
     """An interpreter that verifies conditions as it executes.
 
-    Violations are collected in :attr:`violations`; with
-    ``fatal=True`` a violation turns into a definite error, aborting
-    interpretation (useful to catch miscompiling transforms early).
-    Other options, ``strict=`` included, are the interpreter's.
+    Violations are collected in :attr:`violations`; a violation does
+    not stop interpretation. Options, ``strict=`` included, are the
+    interpreter's.
     """
 
-    def __init__(self, fatal: bool = False, **options):
+    def __init__(self, **options):
         super().__init__(**options)
-        self.fatal = fatal
         self.violations: List[ConditionViolation] = []
 
     def execute(self, op: Operation,
@@ -101,11 +99,6 @@ class DynamicConditionChecker(TransformInterpreter):
                         op, conditions.name,
                         f"IRDL constraint violated: {violation}",
                     )
-        if self.fatal and self.violations:
-            return TransformResult.definite(
-                f"dynamic condition check failed: {self.violations[-1]}",
-                op,
-            )
         return result
 
     def _report(self, op: Operation, name: str, message: str) -> None:

@@ -29,13 +29,11 @@ def pipeline_to_transform_script(
     if isinstance(pipeline, str):
         pipeline = parse_pipeline(pipeline)
     if isinstance(pipeline, PassManager):
-        names_and_options = [
-            (p.NAME, dict(p.options)) for p in pipeline.passes
-        ]
+        names = [p.NAME for p in pipeline.passes]
     else:
-        names_and_options = [(name, {}) for name in pipeline]
+        names = list(pipeline)
 
-    for name, _options in names_and_options:
+    for name in names:
         if name not in PASS_REGISTRY:
             raise ValueError(f"unknown pass in pipeline: {name!r}")
 
@@ -45,10 +43,8 @@ def pipeline_to_transform_script(
     script.regions[0].entry_block.append(sequence_op)
 
     current = root
-    for name, options in names_and_options:
-        current = transform.apply_registered_pass(
-            builder, current, name, options or None
-        )
+    for name in names:
+        current = transform.apply_registered_pass(builder, current, name)
     transform.yield_(builder)
     return script
 

@@ -18,8 +18,6 @@ Shipped schedules:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..ir.context import SymbolTable
 from ..ir.core import Operation
 from ..ir.parser import parse
@@ -85,16 +83,14 @@ def load_schedule_library() -> Operation:
     return parse(SCHEDULE_LIBRARY_IR, "<schedule-library>")
 
 
-def link_schedule_library(script: Operation,
-                          library: Optional[Operation] = None) -> int:
+def link_schedule_library(script: Operation) -> int:
     """Copy the library's named sequences into ``script``'s module so
     its ``transform.include`` ops can resolve them.
 
     Sequences whose names are already defined in the script are skipped
     (user definitions shadow the library). Returns the number linked.
     """
-    if library is None:
-        library = load_schedule_library()
+    library = load_schedule_library()
     if not script.regions or not script.regions[0].blocks:
         raise ScriptTransformError(
             "script has no body block to link into"

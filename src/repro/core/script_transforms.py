@@ -196,14 +196,13 @@ _LEVEL_TRANSITIONS = {
 }
 
 
-def infer_ad_dialects(script: Operation,
-                      initial_level: str = "stablehlo") -> int:
+def infer_ad_dialects(script: Operation) -> int:
     """Set ``add_dialect`` on every ``transform.autodiff`` op by
     introspecting its position in the script (Fig. 5).
 
     Walks each sequence body in order, tracking the abstraction level
-    implied by the lowering passes seen so far; an ``autodiff`` op
-    scheduled between ``convert-stablehlo-to-arith`` and
+    implied by the lowering passes seen so far, from ``stablehlo``; an
+    ``autodiff`` op scheduled between ``convert-stablehlo-to-arith`` and
     ``convert-arith-to-llvm`` must emit ``arith.addf``, and so on.
     Returns the number of autodiff ops configured.
     """
@@ -214,7 +213,7 @@ def infer_ad_dialects(script: Operation,
             continue
         if not sequence.regions or not sequence.regions[0].blocks:
             continue
-        level = initial_level
+        level = "stablehlo"
         for op in sequence.regions[0].entry_block.ops:
             if op.name == "transform.apply_registered_pass":
                 pass_name = op.attr("pass_name")

@@ -81,11 +81,12 @@ def _parse_transform_type(parser: Parser, token_text: str) -> Type:
     if body == "param":
         parser.expect("<")
         element_tokens = []
-        while not parser.check(">"):
+        while not (parser.check(">") or parser.check("")):
             element_tokens.append(parser.advance())
         parser.expect(">")
         return ParamType("".join(element_tokens))
-    raise ValueError(f"unknown transform type: {token_text}")
+    raise parser.error(f"unknown transform type {token_text!r}",
+                       parser.index - 1)
 
 
 register_type_parser("transform", _parse_transform_type)

@@ -187,10 +187,9 @@ class CopyOp(Operation):
 # ---------------------------------------------------------------------------
 
 
-def alloc(builder: Builder, type: MemRefType,
-          dynamic_sizes: Sequence[Value] = ()) -> Value:
+def alloc(builder: Builder, type: MemRefType) -> Value:
     return builder.create(
-        "memref.alloc", operands=list(dynamic_sizes), result_types=[type]
+        "memref.alloc", result_types=[type]
     ).result
 
 

@@ -127,22 +127,16 @@ class FusionReport:
 class FusionCostModel:
     """Greedy fusion + roofline cost with a cache-pressure penalty."""
 
-    def __init__(self, peak_flops: float = 1.0e11,
-                 memory_bandwidth: float = 8.0e10,
-                 cache_bytes: float = 4.0e6,
-                 oversize_penalty: float = 1.0,
-                 reduce_fusion_slowdown: float = 3.5,
-                 kernel_launch_seconds: float = 2.0e-6):
-        self.peak_flops = peak_flops
-        self.memory_bandwidth = memory_bandwidth
-        self.cache_bytes = cache_bytes
-        self.oversize_penalty = oversize_penalty
-        #: Fusing producers into a reduction-rooted cluster inhibits the
-        #: tiled/vectorized codegen of the whole cluster (the mechanism
-        #: behind the paper's "larger, less cache-efficient fusion
-        #: clusters").
-        self.reduce_fusion_slowdown = reduce_fusion_slowdown
-        self.kernel_launch_seconds = kernel_launch_seconds
+    peak_flops = 1.0e11
+    memory_bandwidth = 8.0e10
+    cache_bytes = 4.0e6
+    oversize_penalty = 1.0
+    #: Fusing producers into a reduction-rooted cluster inhibits the
+    #: tiled/vectorized codegen of the whole cluster (the mechanism
+    #: behind the paper's "larger, less cache-efficient fusion
+    #: clusters").
+    reduce_fusion_slowdown = 3.5
+    kernel_launch_seconds = 2.0e-6
 
     # -- clustering ----------------------------------------------------------
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from ..core.dialect import register_transform_pattern
 from ..ir.attributes import unwrap
 from ..ir.core import Operation
-from ..rewrite.pattern import PatternRewriter, RewritePattern
+from ..rewrite.pattern import PatternRewriter, RewritePattern, pattern
 
 #: The pattern the paper's binary search identifies as counter-productive.
 CULPRIT_PATTERN = "fold_reshape_transpose_into_reduce"
@@ -62,20 +62,6 @@ def _is_constant(op: Optional[Operation], payload: float) -> bool:
         return False
     value = op.attr("value")
     return value is not None and unwrap(value) == payload
-
-
-class _Pattern(RewritePattern):
-    """A named pattern wrapping a match/rewrite callable."""
-
-    def __init__(self, name: str, root: str, fn) -> None:
-        self.root_name = root
-        self.label = name
-        self._fn = fn
-        super().__init__()
-
-    def match_and_rewrite(self, op: Operation,
-                          rewriter: PatternRewriter) -> bool:
-        return self._fn(op, rewriter)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +559,7 @@ ALL_PATTERN_NAMES: List[str] = sorted(_CATALOG)
 
 def make_pattern(name: str) -> RewritePattern:
     root, fn = _CATALOG[name]
-    return _Pattern(name, root, fn)
+    return pattern(root, label=name)(fn)
 
 
 def register_all_patterns() -> int:

@@ -84,15 +84,11 @@ class CostModel:
 
     # -- public API -----------------------------------------------------------
 
-    def estimate_module(self, module: Operation,
-                        function_name: Optional[str] = None) -> float:
-        """Estimated seconds for one invocation of the (first) function."""
+    def estimate_module(self, module: Operation) -> float:
+        """Estimated seconds for one invocation of the first function
+        definition."""
         for op in module.walk_ops("func.func"):
-            if op.regions[0].blocks and (
-                function_name is None
-                or getattr(op.attr("sym_name"), "value", None)
-                == function_name
-            ):
+            if op.regions[0].blocks:
                 return self.estimate_function(op)
         raise ValueError("no function definition found")
 

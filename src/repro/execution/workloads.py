@@ -126,8 +126,7 @@ def build_batch_matmul_module(batch: int, m: int, n: int, k: int,
     return module
 
 
-def build_resnet_layer_module(function_name: str = "resnet_layer"
-                              ) -> Operation:
+def build_resnet_layer_module() -> Operation:
     """The case-study-4 loop nest: a ResNet-50 layer after im2col.
 
     A 1x1 convolution over a 14x14x... activation becomes a matmul with
@@ -135,7 +134,7 @@ def build_resnet_layer_module(function_name: str = "resnet_layer"
     32 — which is the whole point of the split-then-tile script),
     N = 256 output channels, K = 256 input channels.
     """
-    return build_matmul_module(196, 256, 256, function_name)
+    return build_matmul_module(196, 256, 256, "resnet_layer")
 
 
 def build_uneven_loop_module(function_name: str = "myFunc") -> Operation:

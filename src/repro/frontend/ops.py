@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from ..dialects import arith, linalg, tensor as tensor_dialect, tosa
+from ..dialects import arith, tensor as tensor_dialect, tosa
 from ..ir.core import Value
 from ..ir.types import F32, TensorType, Type
 from .errors import TraceError
@@ -175,12 +175,14 @@ def reduce_sum(value, axis: int = 0) -> TracedValue:
     return _reduce("reduce_sum", value, axis)
 
 
-def reduce_max(value, axis: int = 0) -> TracedValue:
-    return _reduce("reduce_max", value, axis)
+def reduce_max(value) -> TracedValue:
+    """``tosa.reduce_max`` over axis 0."""
+    return _reduce("reduce_max", value, 0)
 
 
-def reduce_min(value, axis: int = 0) -> TracedValue:
-    return _reduce("reduce_min", value, axis)
+def reduce_min(value) -> TracedValue:
+    """``tosa.reduce_min`` over axis 0."""
+    return _reduce("reduce_min", value, 0)
 
 
 def softmax(value) -> TracedValue:

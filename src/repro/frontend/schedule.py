@@ -380,13 +380,10 @@ class _Scope:
                                               inner.value))
         return self
 
-    def hoist(self, target: Optional[Union[Handle, str]] = None) -> "_Scope":
+    def hoist(self) -> "_Scope":
         """``transform.loop.hoist`` (in place)."""
         handle = self._subject("hoist")
-        operands = [handle] + ([self._operand(target, "hoist")]
-                               if target is not None else [])
-        self._emit(transform.loop_hoist(self._builder,
-                                        *[h.value for h in operands]))
+        self._emit(transform.loop_hoist(self._builder, handle.value))
         return self
 
     def vectorize(self, width: Union[int, Handle, str] = 8) -> "_Scope":
@@ -434,11 +431,10 @@ class _Scope:
     # -- pass/pattern application and annotations ---------------------------
 
     def apply_registered_pass(self, pass_name: str,
-                              options: Optional[Dict[str, object]] = None,
                               name: Optional[str] = None) -> "_Scope":
         handle = self._subject("apply_registered_pass")
         result = transform.apply_registered_pass(
-            self._builder, handle.value, pass_name, options)
+            self._builder, handle.value, pass_name)
         self._cursor, = self._emit(result.defining_op(), names=[name])
         return self
 

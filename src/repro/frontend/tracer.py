@@ -478,12 +478,9 @@ class TracedFunction:
     fresh trace.
     """
 
-    def __init__(self, fn: Callable, name: Optional[str] = None,
-                 verify: bool = True, roundtrip: bool = True):
+    def __init__(self, fn: Callable, name: Optional[str] = None):
         self.fn = fn
         self.name = name or fn.__name__
-        self.verify = verify
-        self.roundtrip = roundtrip
         self.__doc__ = fn.__doc__
         self.__name__ = self.name
         self._module: Optional[Operation] = None
@@ -561,10 +558,8 @@ class TracedFunction:
             FunctionType(tuple(arg_types), tuple(v.type for v in results)),
         )
         self._check_return_annotation(results)
-        if self.verify:
-            module.verify()
-        if self.roundtrip:
-            _check_roundtrip(module, self.name)
+        module.verify()
+        _check_roundtrip(module, self.name)
         return module
 
     def _check_return_annotation(self, results: Sequence[Value]) -> None:
@@ -594,16 +589,14 @@ def _check_roundtrip(module: Operation, name: str) -> None:
         )
 
 
-def jit(fn: Optional[Callable] = None, *, name: Optional[str] = None,
-        verify: bool = True, roundtrip: bool = True):
-    """Stage a restricted Python function into a `repro.ir` module.
+def jit(fn: Optional[Callable] = None, *, name: Optional[str] = None):
+    """Stage a restricted Python function into a `repro.ir` module,
+    verified and checked digest-stable under print -> parse.
 
-    Usable bare (``@jit``) or configured
-    (``@jit(name="main", roundtrip=False)``).
+    Usable bare (``@jit``) or named (``@jit(name="main")``).
     """
 
     def wrap(f: Callable) -> TracedFunction:
-        return TracedFunction(f, name=name, verify=verify,
-                              roundtrip=roundtrip)
+        return TracedFunction(f, name=name)
 
     return wrap(fn) if fn is not None else wrap

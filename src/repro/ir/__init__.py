@@ -55,7 +55,6 @@ from .core import (
 from .diagnostics import (
     Diagnostic,
     DiagnosticEngine,
-    DiagnosticError,
     Severity,
 )
 from .location import (

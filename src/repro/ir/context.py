@@ -36,13 +36,13 @@ _BUILTIN_DIALECT_MODULES = {
 
 
 class Context:
-    """Holds loaded dialects and a diagnostics engine."""
+    """Holds loaded dialects and a diagnostics engine. Like MLIR's
+    ``MLIRContext``, it starts with the builtin dialect loaded."""
 
-    def __init__(self, load_all: bool = False):
+    def __init__(self):
         self.loaded_dialects: List[str] = []
         self.diagnostics = DiagnosticEngine()
-        if load_all:
-            self.load_all_dialects()
+        self.load_dialect("builtin")
 
     def load_dialect(self, name: str) -> None:
         """Import the module registering the dialect's operations."""
@@ -53,10 +53,6 @@ class Context:
             raise ValueError(f"unknown dialect: {name}")
         importlib.import_module(module)
         self.loaded_dialects.append(name)
-
-    def load_all_dialects(self) -> None:
-        for name in _BUILTIN_DIALECT_MODULES:
-            self.load_dialect(name)
 
 
 class SymbolTable:

@@ -344,12 +344,6 @@ def _children(op: "Operation") -> Iterator["Operation"]:
             for child in list(block.ops))
 
 
-def _children_reversed(op: "Operation") -> Iterator["Operation"]:
-    return (child for region in reversed(op.regions)
-            for block in reversed(region.blocks)
-            for child in reversed(block.ops))
-
-
 class Operation:
     """A generic IR operation.
 
@@ -586,7 +580,7 @@ class Operation:
 
     # -- traversal ----------------------------------------------------------
 
-    def walk(self, reverse: bool = False) -> Iterator["Operation"]:
+    def walk(self) -> Iterator["Operation"]:
         """Pre-order traversal of this op and everything nested in it.
 
         One generator over an explicit stack of child iterators, so a
@@ -598,13 +592,12 @@ class Operation:
         None by then).
         """
         yield self
-        children = _children_reversed if reverse else _children
-        stack = [children(self)]
+        stack = [_children(self)]
         while stack:
             for op in stack[-1]:
                 yield op
                 if op.regions:
-                    stack.append(children(op))
+                    stack.append(_children(op))
                     break
             else:
                 stack.pop()

@@ -44,26 +44,15 @@ class Diagnostic:
         return "\n".join(lines)
 
 
-class DiagnosticError(Exception):
-    """Raised when an error diagnostic is emitted on a strict engine."""
-
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
-
-
 class DiagnosticEngine:
     """Collects diagnostics emitted during a compilation activity."""
 
-    def __init__(self, raise_on_error: bool = False):
+    def __init__(self):
         self.diagnostics: List[Diagnostic] = []
-        self.raise_on_error = raise_on_error
 
     def emit(self, diagnostic: Diagnostic) -> Diagnostic:
-        """Record ``diagnostic``; raise if it is an error on a strict engine."""
+        """Record ``diagnostic``."""
         self.diagnostics.append(diagnostic)
-        if self.raise_on_error and diagnostic.severity is Severity.ERROR:
-            raise DiagnosticError(diagnostic)
         return diagnostic
 
     def error(self, message: str, location: Location = UNKNOWN_LOC) -> Diagnostic:

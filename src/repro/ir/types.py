@@ -228,11 +228,7 @@ class VectorType(ShapedType):
 class LLVMPointerType(Type):
     """An opaque LLVM pointer type (``!llvm.ptr``)."""
 
-    address_space: int = 0
-
     def _spelling(self) -> str:
-        if self.address_space:
-            return f"!llvm.ptr<{self.address_space}>"
         return "!llvm.ptr"
 
 

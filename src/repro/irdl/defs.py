@@ -148,8 +148,7 @@ class OperationDef:
     def name(self) -> str:
         return self.spec_name or self.op_name
 
-    def constrained_copy(self, spec_suffix: str = "constr",
-                         **overrides) -> "OperationDef":
+    def constrained_copy(self, **overrides) -> "OperationDef":
         """A copy with some declarations replaced (Fig. 3 highlights)."""
         new_operands = [
             overrides.get(operand.name, operand) for operand in self.operands
@@ -162,7 +161,7 @@ class OperationDef:
             operands=new_operands,
             results=list(self.results),
             attributes=new_attributes,
-            spec_name=f"{self.op_name}.{spec_suffix}",
+            spec_name=f"{self.op_name}.constr",
             extra_constraint=overrides.get(
                 "extra_constraint", self.extra_constraint
             ),

@@ -223,5 +223,5 @@ class CanonicalizePass(Pass):
     def run(self, op: Operation) -> None:
         apply_patterns_greedily(
             op, frozen_canonicalization_patterns(),
-            profiler=self.options.get("profiler"),
+            profiler=self.profiler,
         )

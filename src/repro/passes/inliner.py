@@ -112,18 +112,11 @@ def detect_recursion(module: Operation, callable_name: str = "func.func",
 
 @register_pass
 class InlinerPass(Pass):
-    """Inline every ``func.call`` whose callee is a defined function.
-
-    With ``always=False`` (default) only callees annotated with an
-    ``inline`` unit attribute are expanded.
-    """
+    """Inline every ``func.call`` whose callee is a defined function
+    annotated with an ``inline`` unit attribute."""
 
     NAME = "inline"
     DESCRIPTION = "inline function calls"
-
-    def __init__(self, always: bool = False, **options) -> None:
-        super().__init__(always=always, **options)
-        self.always = bool(always)
 
     def run(self, op: Operation) -> None:
         if detect_recursion(op) is not None:
@@ -137,7 +130,7 @@ class InlinerPass(Pass):
                 callee = find_callee(call_op)
                 if callee is None or not callee.regions[0].blocks:
                     continue
-                if not self.always and callee.attr("inline") is None:
+                if callee.attr("inline") is None:
                     continue
                 inline_call(call_op, callee)
                 changed = True

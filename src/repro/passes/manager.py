@@ -71,6 +71,9 @@ class Pass:
     DESCRIPTION: str = ""
     #: The patterns the pass applies.
     PATTERNS: Sequence[RewritePattern] = ()
+    #: The profiler :meth:`PassManager.run` lends to a pass that
+    #: instruments its own internals (canonicalize's greedy driver).
+    profiler = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -91,9 +94,6 @@ class Pass:
         what they generate."""
         return (pattern_roots(cls.PATTERNS),
                 {name for pat in cls.PATTERNS for name in pat.generates})
-
-    def __init__(self, **options) -> None:
-        self.options = options
 
     def run(self, op: Operation) -> None:
         raise NotImplementedError
@@ -158,14 +158,12 @@ class ConversionPass(Pass):
 class PassManager:
     """Runs a sequence of passes over a module."""
 
-    def __init__(self, passes: Sequence[Union[str, Pass]] = (),
-                 verify_each: bool = False):
+    def __init__(self, passes: Sequence[Union[str, Pass]] = ()):
         self.passes: List[Pass] = []
-        self.verify_each = verify_each
         for entry in passes:
             self.add(entry)
 
-    def add(self, entry: Union[str, Pass], **options) -> "PassManager":
+    def add(self, entry: Union[str, Pass]) -> "PassManager":
         """Append a pass (by instance or registered name)."""
         if isinstance(entry, Pass):
             self.passes.append(entry)
@@ -173,73 +171,25 @@ class PassManager:
         cls = PASS_REGISTRY.get(entry)
         if cls is None:
             raise ValueError(f"unknown pass: {entry!r}")
-        self.passes.append(cls(**options))
+        self.passes.append(cls())
         return self
 
     def run(self, module: Operation, profiler=None) -> None:
         """Run the pipeline. ``profiler`` (a
         :class:`repro.profiling.Profiler`) records each pass's wall time
-        in ``profiler.passes``."""
+        in ``profiler.passes``, and lends it to each pass as
+        :attr:`Pass.profiler`."""
         for pass_ in self.passes:
-            # Expose the profiler to passes that instrument their own
-            # internals (e.g. canonicalize's greedy driver), unless the
-            # pass was constructed with an explicit one.
-            lent_profiler = (
-                profiler is not None and "profiler" not in pass_.options
-            )
-            if lent_profiler:
-                pass_.options["profiler"] = profiler
+            pass_.profiler = profiler
             start = time.perf_counter() if profiler is not None else 0.0
-            try:
-                pass_.run(module)
-            finally:
-                if lent_profiler:
-                    del pass_.options["profiler"]
+            pass_.run(module)
             if profiler is not None:
                 profiler.record_pass(pass_.NAME, time.perf_counter() - start)
-            if self.verify_each:
-                module.verify()
 
 
 def parse_pipeline(text: str) -> PassManager:
-    """Parse ``"pass-a,pass-b(opt=1)"`` into a PassManager."""
-    manager = PassManager()
-    for chunk in _split_pipeline(text):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        options: Dict[str, object] = {}
-        name = chunk
-        if "(" in chunk:
-            name, _, option_text = chunk.partition("(")
-            option_text = option_text.rstrip(")")
-            for pair in option_text.split(","):
-                if not pair.strip():
-                    continue
-                key, _, raw = pair.partition("=")
-                value: object = raw.strip()
-                if isinstance(value, str) and value.isdigit():
-                    value = int(value)
-                options[key.strip()] = value
-        manager.add(name, **options)
-    return manager
-
-
-def _split_pipeline(text: str) -> List[str]:
-    """Split on commas not nested in parentheses."""
-    chunks: List[str] = []
-    depth = 0
-    current = ""
-    for char in text:
-        if char == "(":
-            depth += 1
-        elif char == ")":
-            depth -= 1
-        if char == "," and depth == 0:
-            chunks.append(current)
-            current = ""
-        else:
-            current += char
-    if current:
-        chunks.append(current)
-    return chunks
+    """Parse ``"pass-a,pass-b"`` into a PassManager; a chunk that is
+    not a registered pass name (``inline(always=1)``) is a
+    ``ValueError`` naming it."""
+    return PassManager([chunk.strip() for chunk in text.split(",")
+                        if chunk.strip()])

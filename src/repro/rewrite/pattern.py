@@ -100,13 +100,11 @@ class PatternRewriter(Builder):
                 for listener in self.listeners:
                     listener.notify_op_modified(changed)
 
-    def inline_block_before(self, block: Block, anchor: Operation,
-                            arg_values: Sequence[Value] = ()) -> None:
-        """Move ``block``'s ops before ``anchor``, remapping block args."""
-        if len(arg_values) != len(block.args):
+    def inline_block_before(self, block: Block, anchor: Operation) -> None:
+        """Move the ops of ``block``, which has no arguments, before
+        ``anchor``."""
+        if block.args:
             raise ValueError("inline_block_before: argument count mismatch")
-        for arg, value in zip(list(block.args), arg_values):
-            arg.replace_all_uses_with(value)
         target = anchor.parent
         assert target is not None
         for op in list(block.ops):

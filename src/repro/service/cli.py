@@ -46,8 +46,7 @@ from .resilience import RetryPolicy
 # ---------------------------------------------------------------------------
 
 
-def _collect(path: str,
-             suffixes: Sequence[str] = (".mlir", ".py")) -> List[str]:
+def _collect(path: str) -> List[str]:
     if os.path.isfile(path):
         return [path]
     if not os.path.isdir(path):
@@ -55,7 +54,7 @@ def _collect(path: str,
     return sorted(
         os.path.join(path, name)
         for name in os.listdir(path)
-        if name.endswith(tuple(suffixes))
+        if name.endswith((".mlir", ".py"))
     )
 
 

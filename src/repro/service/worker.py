@@ -317,11 +317,9 @@ def compile_job(payload: Union[str, Operation],
                 script = parse(script, "<script>")
         if params:
             bind_parameters(script, params)
-        interpreter = TransformInterpreter()
         with _span("worker.interpret") as interpret_span:
-            if interpret_span is not None:
-                interpreter.tracer = tracer
-                interpreter.trace_parent = interpret_span
+            interpreter = TransformInterpreter(
+                tracer=tracer, trace_parent=interpret_span)
             result = interpreter.apply(script, payload, entry_point)
         if result.is_silenceable:
             status = "silenceable"

@@ -93,12 +93,13 @@ class FaultPlan:
     for replay artifacts.
     """
 
+    #: How long a fired stall holds a job.
+    stall_seconds = 0.02
+
     def __init__(self, seed: int = 0,
                  rates: Optional[Mapping[object, float]] = None,
-                 max_fires: Optional[int] = None,
-                 stall_seconds: float = 0.02):
+                 max_fires: Optional[int] = None):
         self.seed = seed
-        self.stall_seconds = stall_seconds
         self.max_fires = max_fires
         self._rates: Dict[str, float] = {}
         for site, rate in (rates or {}).items():
@@ -266,9 +267,13 @@ def _chaos_jobs(rng: random.Random) -> List[Tuple[str, str]]:
     return pairs
 
 
+#: How long one route of a chaos case may run before it counts as a
+#: deadlock.
+_WATCHDOG_SECONDS = 120.0
+
+
 def run_chaos_case(case_seed: int, workers: int = 1,
                    job_timeout: float = 0.25,
-                   watchdog_seconds: float = 120.0,
                    tracer=None, events=None,
                    ) -> Tuple[ChaosReport, Dict[str, FaultPlan]]:
     """Run one chaos case through every route; the report carries any
@@ -303,7 +308,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
     for route in ROUTES:
         plans[route] = plan = FaultPlan(seed=case_seed, rates=CHAOS_RATES)
         _run_route(route, report, case_seed, jobs, reference, plan,
-                   workers, job_timeout, watchdog_seconds, tracer, events)
+                   workers, job_timeout, tracer, events)
         report.jobs += len(pairs)
         report.faults.update(plan.injected)
     if report.failures:
@@ -314,8 +319,7 @@ def run_chaos_case(case_seed: int, workers: int = 1,
 
 def _run_route(route: str, report: ChaosReport, case_seed: int, jobs,
                reference: List, plan: FaultPlan, workers: int,
-               job_timeout: float, watchdog_seconds: float,
-               tracer, events) -> None:
+               job_timeout: float, tracer, events) -> None:
     """One route of a chaos case: the batch ``jobs()`` under ``plan``,
     checked against the fault-free ``reference``; violations go to
     ``report``."""
@@ -371,11 +375,11 @@ def _run_route(route: str, report: ChaosReport, case_seed: int, jobs,
         try:
             try:
                 results = asyncio.run(
-                    asyncio.wait_for(drive(), timeout=watchdog_seconds)
+                    asyncio.wait_for(drive(), timeout=_WATCHDOG_SECONDS)
                 )
             except asyncio.TimeoutError:
                 fail("no-deadlock",
-                     f"batch did not complete within {watchdog_seconds}s "
+                     f"batch did not complete within {_WATCHDOG_SECONDS}s "
                      f"under fault schedule {plan.injected}")
                 return
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import repro.core  # noqa: F401 — registers transform ops
 import repro.dialects  # noqa: F401 — registers payload ops
@@ -48,7 +48,6 @@ def transform_opt(
     payload_text: str,
     script_text: str,
     entry_point: Optional[str] = None,
-    final_allowed: Sequence[str] = ("llvm.*",),
     profiler=None,
     strict: bool = False,
     verify: bool = False,
@@ -80,7 +79,6 @@ def transform_opt(
         engine = lint_script(
             script,
             payload_specs=payload_op_specs(payload),
-            final_allowed=final_allowed,
             entry_point=entry_point,
         )
         if engine.diagnostics:

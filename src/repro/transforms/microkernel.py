@@ -162,12 +162,10 @@ class MicrokernelLibrary:
     library-substitution transform.
     """
 
-    def __init__(self, name: str = "libxsmm", max_mn: int = 64,
-                 max_k: int = 512, alignment: int = 4):
-        self.name = name
-        self.max_mn = max_mn
-        self.max_k = max_k
-        self.alignment = alignment
+    name = "libxsmm"
+    max_mn = 64
+    max_k = 512
+    alignment = 4
 
     def supports(self, m: int, n: int, k: int) -> bool:
         return (

@@ -1,7 +1,5 @@
 """Tests for constrained search spaces and the tuners."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,10 +26,6 @@ class TestParameter:
     def test_divisors(self):
         p = Parameter.divisors_of("t", 12)
         assert p.values == (1, 2, 3, 4, 6, 12)
-
-    def test_divisors_minimum(self):
-        p = Parameter.divisors_of("t", 12, minimum=3)
-        assert p.values == (3, 4, 6, 12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

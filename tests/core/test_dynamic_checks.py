@@ -3,13 +3,11 @@
 import pytest
 
 from repro.core import DynamicConditionChecker, dialect as transform
-from repro.core.errors import TransformInterpreterError
 from repro.dialects import affine as affine_dialect, arith
 from repro.ir.affine import AffineMap, symbol
 from repro.passes.manager import WalkPass, register_pass
 from repro.rewrite.pattern import pattern
 from tests.passes.test_lowerings import (
-    BROKEN_PIPELINE,
     FIXED_PIPELINE,
     build_subview_payload,
 )
@@ -36,13 +34,13 @@ if "test-rogue-affine" not in __import__(
     register_pass(_RogueAffinePass)
 
 
-def run_pipeline_checked(payload, pass_names, fatal=False):
+def run_pipeline_checked(payload, pass_names):
     script, builder, root = transform.sequence()
     current = root
     for name in pass_names:
         current = transform.apply_registered_pass(builder, current, name)
     transform.yield_(builder)
-    checker = DynamicConditionChecker(fatal=fatal)
+    checker = DynamicConditionChecker()
     checker.apply(script, payload)
     return checker
 
@@ -80,13 +78,6 @@ class TestPostconditionChecking:
         checker = run_pipeline_checked(
             build_subview_payload(dynamic_offset=False), FIXED_PIPELINE)
         assert checker.violations == []
-
-    def test_fatal_mode_aborts(self):
-        payload = build_subview_payload(dynamic_offset=True)
-        with pytest.raises(TransformInterpreterError,
-                           match="condition check failed"):
-            run_pipeline_checked(payload, ["test-rogue-affine"],
-                                 fatal=True)
 
 
 class TestIRDLConstrainedPostconditions:

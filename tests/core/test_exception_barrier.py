@@ -89,12 +89,11 @@ class TestInterpreterBarrier:
             TransformInterpreter(strict=True).apply(crash_script(), payload)
 
     def test_fatal_condition_checker_keeps_the_barrier(self):
-        """The checker's "a violation is definite" flag is its own:
-        turning it on leaves the exception barrier up, and ``strict``
-        still means what it means to the interpreter."""
+        """The condition checker keeps the exception barrier up, and
+        ``strict`` still means what it means to the interpreter."""
         with pytest.raises(TransformInterpreterError,
                            match="uncaught ZeroDivisionError"):
-            DynamicConditionChecker(fatal=True).apply(
+            DynamicConditionChecker().apply(
                 crash_script(), build_matmul_module(2, 2, 2))
         with pytest.raises(ZeroDivisionError, match="kaboom"):
             DynamicConditionChecker(strict=True).apply(

@@ -8,7 +8,9 @@ from repro.core import (
     pipeline_to_transform_script,
     transform_script_to_pipeline,
 )
-from repro.passes import PassManager, parse_pipeline
+from repro.core.errors import TransformInterpreterError
+from repro.dialects import builtin
+from repro.passes import PassManager
 
 
 class TestConversion:
@@ -23,17 +25,17 @@ class TestConversion:
             "canonicalize", "cse"
         ]
 
-    def test_from_pass_manager_keeps_options(self):
-        manager = PassManager().add("inline", always=True)
-        script = pipeline_to_transform_script(manager)
-        op = next(script.walk_ops("transform.apply_registered_pass"))
-        from repro.ir.attributes import unwrap
-
-        assert unwrap(op.attr("options"))["always"] is True
-
     def test_unknown_pass_rejected(self):
         with pytest.raises(ValueError, match="unknown pass"):
             pipeline_to_transform_script(["nope"])
+
+    def test_a_pass_option_fails_definitely(self):
+        script = pipeline_to_transform_script(["inline"])
+        op = next(script.walk_ops("transform.apply_registered_pass"))
+        op.set_attr("options", {"always": True})
+        with pytest.raises(TransformInterpreterError,
+                           match="'options' attribute"):
+            TransformInterpreter().apply(script, builtin.module())
 
     def test_passes_chained_through_handles(self):
         script = pipeline_to_transform_script(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dialects import builtin, func
-from repro.enzyme.fusion import FusionCluster, FusionCostModel
+from repro.enzyme.fusion import FusionCostModel
 from repro.ir import Builder
 from repro.ir.types import F32, tensor
 
@@ -70,7 +70,8 @@ class TestClusterAccounting:
         assert "stablehlo.constant" not in all_ops
 
     def test_oversized_cluster_penalized(self):
-        model = FusionCostModel(cache_bytes=64.0)  # tiny cache
+        model = FusionCostModel()
+        model.cache_bytes = 64.0  # tiny cache
         module, f, ops = build_chain(3, seq=32, dim=32)
         cluster = model.build_clusters(f)[0]
         base = max(

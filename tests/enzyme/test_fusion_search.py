@@ -54,7 +54,8 @@ class TestFusion:
                 assert len(cluster.ops) == 1
 
     def test_gemm_clusters_exempt_from_cache_penalty(self):
-        model = FusionCostModel(cache_bytes=1.0)  # everything oversized
+        model = FusionCostModel()
+        model.cache_bytes = 1.0  # everything oversized
         module = build_llm_block_module(seq=64, dim=64, n_blocks=1)
         function = next(module.walk_ops("func.func"))
         clusters = model.build_clusters(function)

@@ -32,7 +32,7 @@ def test_template_objective_differentiates_configs():
 
 
 def test_template_problem_respects_constraints():
-    problem = case_study_5_template_problem(k=104, vector_width=8)
+    problem = case_study_5_template_problem()
     assert problem.space.is_valid({"TILE1": 4, "TILE2": 4, "VEC": 8})
     assert not problem.space.is_valid({"TILE1": 4, "TILE2": 4, "VEC": 16})
 

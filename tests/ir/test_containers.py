@@ -98,16 +98,13 @@ def test_the_tosa_pipeline_costs_the_same_per_op_on_a_large_block(
 # ---------------------------------------------------------------------------
 
 
-def reference_walk(op, reverse=False):
+def reference_walk(op):
     """``Operation.walk`` as it was: one generator frame per op."""
     yield op
-    regions = reversed(op.regions) if reverse else op.regions
-    for region in regions:
-        blocks = reversed(region.blocks) if reverse else region.blocks
-        for block in blocks:
-            ops = reversed(block.ops) if reverse else list(block.ops)
-            for child in ops:
-                yield from reference_walk(child, reverse)
+    for region in op.regions:
+        for block in region.blocks:
+            for child in list(block.ops):
+                yield from reference_walk(child)
 
 
 def _walk_corpus():
@@ -122,7 +119,7 @@ def _walk_corpus():
     return modules
 
 
-def _visit_order(module, walk, reverse, erase_every=0):
+def _visit_order(module, walk, erase_every=0):
     """Pre-walk positions of the ops ``walk`` yields over a clone of
     ``module``, erasing every ``erase_every``-th erasable op as it is
     visited (0: none)."""
@@ -130,7 +127,7 @@ def _visit_order(module, walk, reverse, erase_every=0):
     position = {id(op): index
                 for index, op in enumerate(reference_walk(clone))}
     order = []
-    for op in walk(clone, reverse):
+    for op in walk(clone):
         order.append(position[id(op)])
         if (erase_every and len(order) % erase_every == 0
                 and op.parent is not None
@@ -141,15 +138,12 @@ def _visit_order(module, walk, reverse, erase_every=0):
 
 def test_walk_matches_the_recursive_generator():
     for module in _walk_corpus():
-        for reverse in (False, True):
-            order = _visit_order(module, Operation.walk, reverse)
-            assert order == _visit_order(module, reference_walk, reverse)
-            assert len(order) == len(set(order))
-            for erase_every in (1, 3):
-                assert _visit_order(
-                    module, Operation.walk, reverse, erase_every
-                ) == _visit_order(
-                    module, reference_walk, reverse, erase_every)
+        order = _visit_order(module, Operation.walk)
+        assert order == _visit_order(module, reference_walk)
+        assert len(order) == len(set(order))
+        for erase_every in (1, 3):
+            assert _visit_order(module, Operation.walk, erase_every) \
+                == _visit_order(module, reference_walk, erase_every)
 
 
 def test_walk_snapshots_a_block_when_it_reaches_it():

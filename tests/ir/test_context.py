@@ -8,7 +8,6 @@ from repro.ir import (
     Context,
     Diagnostic,
     DiagnosticEngine,
-    DiagnosticError,
     I32,
     Severity,
     SymbolTable,
@@ -32,10 +31,6 @@ class TestContext:
     def test_unknown_dialect(self):
         with pytest.raises(ValueError):
             Context().load_dialect("nope")
-
-    def test_load_all(self):
-        context = Context(load_all=True)
-        assert "transform" in context.loaded_dialects
 
 
 class TestSymbolTable:
@@ -90,11 +85,6 @@ class TestDiagnostics:
         assert len(engine.errors) == 1
         assert len(engine.warnings) == 1
         assert engine.has_errors()
-
-    def test_strict_raises(self):
-        engine = DiagnosticEngine(raise_on_error=True)
-        with pytest.raises(DiagnosticError):
-            engine.error("boom")
 
     def test_notes_render(self):
         diagnostic = Diagnostic(Severity.ERROR, "main problem")

@@ -5,7 +5,6 @@ import pytest
 import repro.dialects  # noqa: F401 — registers func.func's traits
 from repro.ir import (
     Block,
-    Builder,
     F32,
     I32,
     INDEX,
@@ -16,7 +15,7 @@ from repro.ir import (
     index_attr,
     op_digest,
 )
-from repro.ir.core import OP_REGISTRY, register_op
+from repro.ir.core import OP_REGISTRY
 
 
 def make_const(value=0):
@@ -250,19 +249,6 @@ class TestStructure:
         assert [op.name for op in outer.walk()] == [
             "test.outer", "test.inner"
         ]
-
-    def test_walk_reverse(self):
-        block = Block()
-        block.append(make_const(1))
-        block.append(make_const(2))
-        holder = Operation.create("test.holder", regions=1)
-        holder.regions[0].add_block(block)
-        names = [
-            op.attr("value").value
-            for op in holder.walk(reverse=True)
-            if op.name == "arith.constant"
-        ]
-        assert names == [2, 1]
 
 
 class TestBlock:

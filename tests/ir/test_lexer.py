@@ -13,6 +13,7 @@ import pytest
 import repro.core  # noqa: F401 — registers the !transform type parser
 from repro.ir import parse, print_op
 from repro.ir.parser import Parser, token_kind
+from repro.ir.types import Type
 
 _REFERENCE_RE = re.compile(
     r"""
@@ -118,6 +119,24 @@ KINDS = {
 }
 
 
+#: One spelling per ``Type`` subclass (builtin, ``!llvm.*``,
+#: ``!transform.*`` and opaque), and the shaped types in their tricky
+#: forms.
+TYPE_SPELLINGS = [
+    "tensor<4x?x8xf32>", "tensor<f32>", "vector<8xindex>",
+    "tensor<4xvector<4xf32>>", "memref<2x!llvm.ptr>", "memref<2xf32, 3>",
+    "memref<?x4xf32, strided<[?, 1], offset: ?>, 1>", "memref<4x4xui8>",
+    "i32", "index", "f32", "none", "(i32, f32) -> index",
+    "!llvm.ptr", "!llvm.struct<(i32, !llvm.ptr)>",
+    "!transform.any_op", "!transform.any_value",
+    '!transform.op<"scf.for">', "!transform.param<i64>", "!foo.bar",
+]
+
+
+def _type_attribute(spelling):
+    return parse(f'"t.x"() {{t = {spelling}}} : () -> ()').attr("t").value
+
+
 class TestLexemes:
     @pytest.mark.parametrize("text, expected", LEXEMES)
     def test_table(self, text, expected):
@@ -127,14 +146,28 @@ class TestLexemes:
     def test_kind_follows_from_the_lexeme(self, token, kind):
         assert token_kind(token) == kind
 
-    @pytest.mark.parametrize("spelling", [
-        "tensor<4x?x8xf32>", "tensor<f32>", "vector<8xindex>",
-        "tensor<4xvector<4xf32>>", "memref<2x!llvm.ptr>", "memref<2xf32, 3>",
-        "memref<?x4xf32, strided<[?, 1], offset: ?>, 1>", "memref<4x4xui8>",
-    ])
+    @pytest.mark.parametrize("spelling", TYPE_SPELLINGS)
     def test_shaped_types_round_trip(self, spelling):
-        op = parse(f'%0 = "t.x"() : () -> {spelling}')
-        assert str(op.results[0].type) == spelling
+        """Every spelling reads back as itself as a type attribute and,
+        but a function type (which a signature reads as its own), as a
+        result type."""
+        assert str(_type_attribute(spelling)) == spelling
+        if not spelling.startswith("("):
+            op = parse(f'%0 = "t.x"() : () -> {spelling}')
+            assert str(op.results[0].type) == spelling
+
+    def test_every_type_class_has_a_spelling(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        spelled = {type(_type_attribute(spelling))
+                   for spelling in TYPE_SPELLINGS}
+        missing = {cls for cls in subclasses(Type)
+                   if cls.__module__.startswith("repro.")
+                   and "_spelling" in vars(cls)} - spelled
+        assert not missing, f"no round-trip spelling for {missing}"
 
     def test_one_type_object_per_spelling_per_parse(self):
         op = parse('%0, %1 = "t.x"() : () -> (tensor<4xf32>, tensor<4xf32>)')

@@ -185,6 +185,11 @@ class TestParseErrors:
         ('"a"()[', "expected block at line 1:7 near ''"),
         ('"a"() : () -> tensor<*xf32>',
          "unranked shapes unsupported at line 1:22 near '*'"),
+        ('"a"() : () -> !transform.param<i64',
+         "expected '>' at line 1:35 near ''"),
+        ('"a"() : () -> !transform.foo',
+         "unknown transform type '!transform.foo' at line 1:15 "
+         "near '!transform.foo'"),
     ])
     def test_every_error_carries_line_col_and_lexeme(self, text, message):
         with pytest.raises(ParseError) as raised:

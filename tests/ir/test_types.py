@@ -119,7 +119,6 @@ class TestMemRefType:
 class TestLLVMTypes:
     def test_pointer(self):
         assert str(LLVMPointerType()) == "!llvm.ptr"
-        assert str(LLVMPointerType(1)) == "!llvm.ptr<1>"
 
     def test_struct(self):
         s = LLVMStructType((I32, LLVMPointerType()))

@@ -46,11 +46,6 @@ class TestInliner:
         PassManager(["inline"]).run(module)
         assert any(op.name == "func.call" for op in caller.walk())
 
-    def test_always_option(self):
-        module, caller = self.build_caller(mark_inline=False)
-        PassManager([]).add("inline", always=True).run(module)
-        assert not any(op.name == "func.call" for op in caller.walk())
-
     def test_inline_call_wires_results(self):
         module, caller = self.build_caller()
         call = next(caller.walk_ops("func.call"))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.dialects import builtin
-from repro.ir import Operation
 from repro.passes import PASS_REGISTRY, Pass, PassManager, parse_pipeline, register_pass
 from repro.passes.manager import WRITTEN_CONDITIONS, ConversionPass, WalkPass
 from repro.profiling import Profiler
@@ -186,32 +185,15 @@ class TestPassManager:
         manager.run(builtin.module())
         assert order == ["a", "b", "a"]
 
-    def test_verify_each(self):
-        class Corrupting(Pass):
-            NAME = "corrupting"
-
-            def run(self, op):
-                # Append a terminator in a wrong position.
-                from repro.ir import Block, Operation
-
-                block = op.regions[0].entry_block
-                block.insert(0, Operation.create("func.return"))
-                block.append(Operation.create("test.after"))
-
-        module = builtin.module()
-        manager = PassManager([Corrupting()], verify_each=True)
-        with pytest.raises(ValueError):
-            manager.run(module)
-
 
 class TestPipelineParsing:
     def test_simple(self):
         manager = parse_pipeline("canonicalize,cse")
         assert [p.NAME for p in manager.passes] == ["canonicalize", "cse"]
 
-    def test_options(self):
-        manager = parse_pipeline("inline(always=1)")
-        assert manager.passes[0].options == {"always": 1}
+    def test_a_pass_option_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"'inline\(always=1\)'"):
+            parse_pipeline("cse,inline(always=1)")
 
     def test_whitespace_and_empty_chunks(self):
         manager = parse_pipeline(" canonicalize , ,cse ")

@@ -1,7 +1,6 @@
 """Cross-module integration scenarios: the full system working together."""
 
 import numpy as np
-import pytest
 
 from repro.analysis import analyze_script, check_transform_script
 from repro.core import (
@@ -146,7 +145,7 @@ class TestSafetyNetsCompose:
             script, payload_op_specs(payload), ["llvm.*"]
         )
         assert report.ok
-        checker = DynamicConditionChecker(fatal=True)
+        checker = DynamicConditionChecker()
         checker.apply(script, payload)
         assert checker.violations == []
 

@@ -65,7 +65,7 @@ class TestMatch:
 
 class TestLibrary:
     def test_supports(self):
-        library = MicrokernelLibrary(max_mn=64, max_k=512, alignment=4)
+        library = MicrokernelLibrary()
         assert library.find_kernel(32, 32, 256) == \
             "libxsmm_smm_32x32x256"
         assert library.find_kernel(100, 4, 4) is None  # m too large
@@ -148,7 +148,7 @@ class TestLibrary:
 
 class TestLinalgUtils:
     def test_generalize_matmul(self):
-        from repro.dialects import builtin, func, linalg, tensor as td
+        from repro.dialects import builtin, func, linalg
         from repro.ir import Builder
         from repro.ir.types import tensor
         from repro.transforms import generalize_named_op
@@ -188,7 +188,7 @@ class TestLinalgUtils:
         assert (pattern.m, pattern.n, pattern.k) == (4, 4, 8)
 
     def test_lower_requires_memrefs(self):
-        from repro.dialects import builtin, func, linalg, tensor as td
+        from repro.dialects import builtin, func, linalg
         from repro.ir import Builder
         from repro.ir.types import tensor
         from repro.transforms import lower_linalg_to_loops
